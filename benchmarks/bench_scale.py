@@ -140,9 +140,11 @@ def _fingerprint(result) -> dict:
 
 def _equivalence_job(system: str, backend: str) -> dict:
     overrides = {"storage": EQ_STORAGE} if backend == "sparse" else None
+    started = time.perf_counter()
     result = run_system(EQ_TASK, system, num_nodes=EQ_NODES,
                         system_overrides=overrides)
-    return _fingerprint(result)
+    wall = time.perf_counter() - started
+    return dict(_fingerprint(result), wall_seconds=wall)
 
 
 def _compare_fingerprints(dense: dict, sparse: dict) -> dict:
@@ -171,6 +173,13 @@ def _compare_fingerprints(dense: dict, sparse: dict) -> dict:
     flags["epochs"] = len(dense["records"])
     flags["dense_total_time"] = (
         dense["records"][-1]["sim_time"] if dense["records"] else None
+    )
+    # Host seconds of the identical run on either backend (one sample each,
+    # taken while other jobs may share the machine: a record, not a claim).
+    flags["dense_wall_seconds"] = dense["wall_seconds"]
+    flags["sparse_wall_seconds"] = sparse["wall_seconds"]
+    flags["sparse_over_dense_wall"] = (
+        sparse["wall_seconds"] / dense["wall_seconds"]
     )
     return flags
 
@@ -342,9 +351,12 @@ def run() -> dict:
         equivalence[system] = _compare_fingerprints(dense, sparse)
     print_header(f"dense vs sparse on {EQ_TASK}: bit identity per architecture")
     print(format_table(
-        ["system", "identical", "clocks", "quality", "metrics", "epochs"],
+        ["system", "identical", "clocks", "quality", "metrics", "epochs",
+         "dense (s)", "sparse (s)", "sparse/dense"],
         [[system, f["identical"], f["clocks_identical"],
-          f["quality_identical"], f["metrics_identical"], f["epochs"]]
+          f["quality_identical"], f["metrics_identical"], f["epochs"],
+          f"{f['dense_wall_seconds']:.1f}", f"{f['sparse_wall_seconds']:.1f}",
+          f"{f['sparse_over_dense_wall']:.2f}x"]
          for system, f in equivalence.items()],
     ))
     for system, flags in equivalence.items():

@@ -92,20 +92,13 @@ class RelocationPS(ParameterServer):
         self.batch_charging = bool(batch_charging)
         if store.backend == "sparse":
             # Chunked owner state: untouched chunks read as the static
-            # partition (evaluated per chunk, never stored) and as
+            # partition (evaluated key-wise, never stored) and as
             # "already arrived" — exactly the dense initial state — so the
             # resident footprint tracks the keys that actually relocated.
-            static = self.partitioner
             chunk_rows = store.storage.chunk_rows
-
-            def _static_owners(lo: int, hi: int) -> np.ndarray:
-                return static._compute_owners(
-                    np.arange(lo, hi, dtype=np.int64)
-                ).astype(np.int64)
-
             #: Current owner node of every key; starts at the static partition.
             self.current_owner = ChunkedVector(
-                store.num_keys, np.int64, fill_fn=_static_owners,
+                store.num_keys, np.int64, fill_fn=self.partitioner.owners,
                 chunk_rows=chunk_rows, label="relocation.current_owner")
             #: Simulated time at which the most recent relocation of a key
             #: completes at its new owner. Accesses before that time must wait.

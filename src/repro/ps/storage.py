@@ -173,15 +173,9 @@ class ParameterStore:
         """A zero-copy slice of rows ``[lo, hi)``, if the backend has one."""
         if isinstance(self._values, np.ndarray):
             return self._values[lo:hi]
-        chunk_rows = self._values.chunk_rows
-        cid = lo // chunk_rows
-        if (hi - 1) // chunk_rows != cid:
-            return None  # the range spans chunks: no single backing array
-        chunk = self._values._chunks.get(cid)
-        if chunk is None:
-            return None  # not materialized: view() falls back to a copy
-        base = cid * chunk_rows
-        return chunk[lo - base:hi - base]
+        # None when the range spans chunks or is not materialized: view()
+        # falls back to a copy.
+        return self._values.block(lo, hi)
 
     def add(self, keys: Sequence[int] | np.ndarray, deltas: np.ndarray) -> None:
         """Add ``deltas`` to the values of ``keys`` (duplicate keys accumulate)."""

@@ -15,9 +15,14 @@ from repro.ps.chunks import (
     MemoryBudget,
     MemoryBudgetExceeded,
     StorageConfig,
-    _segments_by_chunk,
     flatnonzero_equal,
 )
+from repro.ps.storage import ParameterStore
+from repro.runner.config import ExperimentConfig
+from repro.runner.experiment import run_experiment
+from repro.runner.systems import make_ps_factory
+from repro.runner.workloads import make_task
+from repro.simulation.cluster import ClusterConfig
 
 
 class TestMemoryBudget:
@@ -75,26 +80,6 @@ class TestStorageConfig:
             StorageConfig(node_budget_bytes=-1)
 
 
-class TestSegmentsByChunk:
-    def test_preserves_batch_order_within_chunk(self):
-        keys = np.array([9, 2, 9, 1, 2, 17], dtype=np.int64)
-        segments = dict(_segments_by_chunk(keys, 8))
-        # Chunk 0 holds keys 2, 1, 2 at batch positions 1, 3, 4; chunk 1
-        # holds 9, 9 at 0, 2; chunk 2 holds 17 at 5. Positions must stay in
-        # batch order so duplicate accumulation matches np.add.at.
-        assert segments[0].tolist() == [1, 3, 4]
-        assert segments[1].tolist() == [0, 2]
-        assert segments[2].tolist() == [5]
-
-    def test_covers_every_position_exactly_once(self):
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 100, size=257, dtype=np.int64)
-        seen = np.concatenate(
-            [p for _, p in _segments_by_chunk(keys, 16)]
-        )
-        assert sorted(seen.tolist()) == list(range(len(keys)))
-
-
 class TestChunkedVector:
     def test_reads_of_untouched_rows_return_fill(self):
         vec = ChunkedVector(100, np.int64, fill_value=-1, chunk_rows=16)
@@ -110,32 +95,9 @@ class TestChunkedVector:
         assert vec[3] == 7 and vec[80] == 9
         assert vec[4] == 0  # same chunk, untouched row keeps the fill
 
-    def test_matches_dense_reference_on_random_ops(self):
-        rng = np.random.default_rng(1)
-        dense = np.zeros(200, dtype=np.float64)
-        vec = ChunkedVector(200, np.float64, fill_value=0.0, chunk_rows=32)
-        for _ in range(20):
-            keys = rng.integers(0, 200, size=rng.integers(1, 30))
-            values = rng.normal(size=len(keys))
-            dense[keys] = values
-            vec[keys] = values
-        np.testing.assert_array_equal(vec.take(np.arange(200)), dense)
-
-    def test_add_at_bit_identical_with_duplicates(self):
-        rng = np.random.default_rng(2)
-        dense = np.zeros(100, dtype=np.float32)
-        vec = ChunkedVector(100, np.float32, fill_value=0.0, chunk_rows=16)
-        keys = rng.integers(0, 100, size=500, dtype=np.int64)
-        deltas = rng.normal(size=500).astype(np.float32)
-        np.add.at(dense, keys, deltas)
-        vec.add_at(keys, deltas)
-        np.testing.assert_array_equal(vec.take(np.arange(100)), dense)
-
     def test_fill_fn_computed_default(self):
         vec = ChunkedVector(
-            100, np.int64,
-            fill_fn=lambda lo, hi: np.arange(lo, hi) // 25,
-            chunk_rows=16,
+            100, np.int64, fill_fn=lambda keys: keys // 25, chunk_rows=16,
         )
         assert vec[0] == 0 and vec[99] == 3
         assert vec.take(np.array([10, 30, 60, 90])).tolist() == [0, 1, 2, 3]
@@ -144,52 +106,31 @@ class TestChunkedVector:
         assert vec[30] == 7
         assert vec[31] == 1  # same chunk, other rows keep the computed fill
 
-    def test_where_equal_matches_flatnonzero(self):
-        dense = np.zeros(100, dtype=np.int64)
-        vec = ChunkedVector(100, np.int64, fill_value=0, chunk_rows=16)
-        keys = np.array([5, 17, 64, 65])
-        dense[keys] = 3
-        vec[keys] = 3
-        np.testing.assert_array_equal(
-            vec.where_equal(3), np.flatnonzero(dense == 3)
-        )
-        # Fill rows count too (every untouched row equals 0).
-        np.testing.assert_array_equal(
-            vec.where_equal(0), np.flatnonzero(dense == 0)
-        )
-
     def test_where_equal_with_fill_fn(self):
         vec = ChunkedVector(
-            64, np.int64,
-            fill_fn=lambda lo, hi: np.arange(lo, hi) % 4,
-            chunk_rows=16,
+            64, np.int64, fill_fn=lambda keys: keys % 4, chunk_rows=16,
         )
         vec[2] = 99  # chunk 0 materialized, row 2 no longer equals 2
         expected = [k for k in range(64) if k % 4 == 2 and k != 2]
         assert vec.where_equal(2).tolist() == expected
 
-    def test_any_and_count_nonzero(self):
-        vec = ChunkedVector(100, np.bool_, fill_value=False, chunk_rows=16)
+    def test_any_ignores_padding_of_a_fully_written_partial_chunk(self):
+        vec = ChunkedVector(10, np.int64, fill_value=7, chunk_rows=4)
+        vec[:] = 0  # every chunk materialized, the last one half padding
         assert not vec.any()
         assert vec.count_nonzero() == 0
-        vec[42] = True
-        assert vec.any()
-        assert vec.count_nonzero() == 1
-
-    def test_slice_read(self):
-        vec = ChunkedVector(50, np.int64, fill_value=0, chunk_rows=16)
-        vec[20] = 5
-        block = vec[18:23]
-        assert block.tolist() == [0, 0, 5, 0, 0]
+        assert vec.where_equal(0).tolist() == list(range(10))
 
     def test_copy_is_independent(self):
         vec = ChunkedVector(50, np.int64, fill_value=0, chunk_rows=16)
         vec[10] = 1
         clone = vec.copy()
         clone[10] = 2
+        clone[40] = 3  # grows the clone's pool only
         assert vec[10] == 1 and clone[10] == 2
+        assert vec.materialized_chunks == 1 and clone.materialized_chunks == 2
 
-    def test_densify_binds_chunks_as_views(self):
+    def test_densify_makes_the_array_the_pool(self):
         vec = ChunkedVector(50, np.int64, fill_value=7, chunk_rows=16)
         vec[3] = 1
         dense = vec.densify()
@@ -199,15 +140,55 @@ class TestChunkedVector:
         vec[21] = 4  # chunked write must be visible through the dense array
         assert dense[21] == 4
         assert vec.densify() is dense  # idempotent
+        assert vec.materialized_chunks == vec.num_chunks
 
-    def test_budget_enforced_on_materialization(self):
-        budget = MemoryBudget(200, label="test vector")
-        vec = ChunkedVector(1000, np.int64, fill_value=0, chunk_rows=16,
-                            budget=budget)
-        vec[0] = 1  # one 16-row int64 chunk = 128 bytes
-        assert budget.used_bytes == 128
-        with pytest.raises(MemoryBudgetExceeded):
-            vec[500] = 1  # second chunk would exceed 200 bytes
+    def test_integer_index_follows_numpy(self):
+        vec = ChunkedVector(100, np.int64, fill_value=0, chunk_rows=16)
+        vec[-1] = 5
+        assert vec[99] == 5 and vec[-1] == 5
+        for bad in (100, -101):
+            with pytest.raises(IndexError, match=r"\[0, 100\)"):
+                vec[bad]
+            with pytest.raises(IndexError):
+                vec[bad] = 1
+
+
+class TestOutOfRangeKeys:
+    """Regression: out-of-range and negative keys used to read the fill and
+    ``v[np.array([-1])] = x`` materialized (and charged) a phantom chunk."""
+
+    @pytest.mark.parametrize("bad", [-1, 102, 100, 10**6])
+    def test_every_entry_point_raises_and_materializes_nothing(self, bad):
+        budget = MemoryBudget(10**6)
+        vec = ChunkedVector(100, np.int64, fill_value=3, chunk_rows=16,
+                            budget=budget, label="slots")
+        mat = ChunkedMatrix(100, 4, chunk_rows=16, budget=budget)
+        keys = np.array([5, bad, 7])
+        message = rf"key {bad} is out of range \[0, 100\)"
+        for container, value in ((vec, 1), (mat, np.ones((3, 4)))):
+            with pytest.raises(IndexError, match=message):
+                container.take(keys)
+            with pytest.raises(IndexError, match=message):
+                container[keys]
+            with pytest.raises(IndexError, match=message):
+                container[keys] = value
+            with pytest.raises(IndexError, match=message):
+                container.add_at(keys, value)
+            assert container.materialized_chunks == 0
+            assert container.nbytes == 0
+        assert "slots" in str(pytest.raises(IndexError, vec.take, keys).value)
+        assert budget.used_bytes == 0
+
+    def test_large_batches_are_checked_too(self):
+        vec = ChunkedVector(1000, np.int64, chunk_rows=16)
+        keys = np.arange(200)
+        keys[150] = -3
+        with pytest.raises(IndexError, match="key -3 "):
+            vec.take(keys)
+
+    def test_two_dimensional_keys_rejected(self):
+        with pytest.raises(IndexError, match="one-dimensional"):
+            ChunkedVector(10, np.int64).take(np.zeros((2, 2), dtype=np.int64))
 
 
 class TestChunkedMatrix:
@@ -215,6 +196,7 @@ class TestChunkedMatrix:
         mat = ChunkedMatrix(100, 4, chunk_rows=16)
         np.testing.assert_array_equal(mat[7], np.zeros(4, dtype=np.float32))
         assert mat.nbytes == 0
+        assert mat.shape == (100, 4) and mat.ndim == 2
 
     def test_row_view_semantics_on_materialized_chunk(self):
         mat = ChunkedMatrix(100, 4, chunk_rows=16)
@@ -223,28 +205,33 @@ class TestChunkedMatrix:
         row += 1.0  # in-place on the view mutates the chunk, like ndarray
         np.testing.assert_array_equal(mat[3], np.full(4, 2.0, np.float32))
 
-    def test_matches_dense_reference_on_random_ops(self):
-        rng = np.random.default_rng(3)
-        dense = np.zeros((128, 8), dtype=np.float32)
-        mat = ChunkedMatrix(128, 8, chunk_rows=16)
-        for _ in range(15):
-            keys = rng.integers(0, 128, size=rng.integers(1, 40))
-            deltas = rng.normal(size=(len(keys), 8)).astype(np.float32)
-            np.add.at(dense, keys, deltas)
-            mat.add_at(keys, deltas)
-        np.testing.assert_array_equal(mat.take(np.arange(128)), dense)
+    def test_unmaterialized_row_is_read_only(self):
+        """Regression: ``m[k]`` on an unmaterialized chunk returned a fresh
+        writable zero row, so ``row = m[k]; row += d`` was silently lost."""
+        mat = ChunkedMatrix(100, 4, chunk_rows=16)
+        row = mat[40]
+        with pytest.raises(ValueError, match="read-only"):
+            row += 1.0
+        assert mat.materialized_chunks == 0
+        np.testing.assert_array_equal(mat[41], np.zeros(4, dtype=np.float32))
+        mat[40] = np.ones(4)  # the documented way to write
+        live = mat[40]
+        live += 1.0
+        np.testing.assert_array_equal(mat[40], np.full(4, 2.0, np.float32))
 
-    def test_add_at_bit_identical_with_duplicates(self):
-        rng = np.random.default_rng(4)
-        dense = np.zeros((64, 4), dtype=np.float32)
-        mat = ChunkedMatrix(64, 4, chunk_rows=16)
-        # Heavy duplication: the per-chunk np.add.at must accumulate each
-        # row's duplicates in batch order, bit-identical to the dense fold.
-        keys = rng.integers(0, 8, size=300, dtype=np.int64)
-        deltas = rng.normal(size=(300, 4)).astype(np.float32)
-        np.add.at(dense, keys, deltas)
-        mat.add_at(keys, deltas)
-        np.testing.assert_array_equal(mat.take(np.arange(64)), dense)
+    def test_pool_moves_preserve_every_byte(self):
+        """Growing the pool skips all-zero pages only: ``-0.0`` is not zero
+        bytes, and chunks of 2400 bytes straddle the 4 KiB page bounds."""
+        rng = np.random.default_rng(11)
+        reference = np.zeros((5000, 3), dtype=np.float64)
+        mat = ChunkedMatrix(5000, 3, np.float64, chunk_rows=100)
+        for _ in range(40):  # one or two new chunks a step: many moves
+            keys = rng.integers(0, 5000, size=2)
+            values = rng.choice([-0.0, 0.0, 1.5], size=(2, 3))
+            mat[keys] = values
+            reference[keys] = values
+            assert mat.take(np.arange(5000)).tobytes() == reference.tobytes()
+        assert np.signbit(mat.take(np.arange(5000))).any()
 
     def test_fancy_iadd_protocol_matches_dense(self):
         # `matrix[keys] += deltas` with distinct keys goes through
@@ -260,24 +247,24 @@ class TestChunkedMatrix:
     def test_from_dense_shares_memory(self):
         dense = np.arange(32, dtype=np.float32).reshape(8, 4)
         mat = ChunkedMatrix.from_dense(dense, chunk_rows=4)
+        assert isinstance(mat, ChunkedMatrix)
         assert mat.materialized_chunks == 2
+        assert mat.nbytes == dense.nbytes
         mat[0] = np.zeros(4)
         assert dense[0].sum() == 0  # chunk writes hit the wrapped array
 
     def test_from_dense_charges_budget(self):
         budget = MemoryBudget(64, label="tiny")
         dense = np.zeros((8, 4), dtype=np.float32)  # 128 bytes
-        with pytest.raises(MemoryBudgetExceeded):
+        with pytest.raises(MemoryBudgetExceeded, match="dense-initialized"):
             ChunkedMatrix.from_dense(dense, chunk_rows=4, budget=budget)
 
-    def test_densify_roundtrip(self):
+    def test_densify_to_rejects_wrong_target(self):
         mat = ChunkedMatrix(40, 4, chunk_rows=16)
-        mat[25] = np.ones(4)
-        dense = mat.densify()
-        assert dense.shape == (40, 4)
-        assert dense[25].sum() == 4
-        dense[3] = 2.0
-        np.testing.assert_array_equal(mat[3], np.full(4, 2.0, np.float32))
+        with pytest.raises(ValueError, match="densify_to target"):
+            mat.densify_to(np.zeros((40, 5), dtype=np.float32))
+        with pytest.raises(ValueError, match="densify_to target"):
+            mat.densify_to(np.zeros((40, 4), dtype=np.float64))
 
     def test_take_requires_axis_zero(self):
         with pytest.raises(ValueError):
@@ -296,3 +283,236 @@ class TestFlatnonzeroEqual:
         np.testing.assert_array_equal(
             flatnonzero_equal(dense, 2), flatnonzero_equal(vec, 2)
         )
+
+
+# --------------------------------------------------------------------------
+# Differential suite: random op sequences against a plain ndarray reference.
+# --------------------------------------------------------------------------
+
+NUM_ROWS = 300
+#: 1 and > NUM_ROWS are the edge cases; 7 and 256 are non-power-of-two /
+#: power-of-two sizes that both leave a partial last chunk.
+CHUNK_ROWS = (1, 7, 256, 1000)
+
+
+def _exact(actual, expected):
+    """Exact ``==``: same dtype, same shape, same bytes."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _values(rng, dtype, shape):
+    if dtype == np.bool_:
+        return rng.random(shape) < 0.5
+    if dtype == np.int64:
+        return rng.integers(-3, 4, size=shape, dtype=np.int64)
+    return rng.normal(size=shape).astype(dtype)
+
+
+def _drive(rng, container, reference, steps=120):
+    """Apply ``steps`` random operations to both; compare after each."""
+    dtype, row_shape = reference.dtype.type, reference.shape[1:]
+    everything = np.arange(NUM_ROWS)
+
+    def keys():
+        size = int(rng.integers(0, 40))
+        return rng.integers(0, NUM_ROWS, size=size, dtype=np.int64)
+
+    def a_slice():
+        lo, hi = sorted(rng.integers(0, NUM_ROWS + 1, size=2).tolist())
+        return slice(lo, hi, int(rng.integers(1, 4)))
+
+    for _ in range(steps):
+        op = int(rng.integers(0, 13))
+        if op == 0:
+            k = keys()
+            _exact(container.take(k), reference.take(k, axis=0))
+        elif op == 1:
+            k = keys()
+            _exact(container[k], reference[k])
+        elif op == 2:
+            s = a_slice()
+            _exact(container[s], reference[s])
+        elif op == 3:
+            k = int(rng.integers(-NUM_ROWS, NUM_ROWS))
+            _exact(container[k], reference[k])
+        elif op == 4:  # fancy set, duplicates included (last one wins)
+            k = keys()
+            v = _values(rng, dtype, (len(k),) + row_shape)
+            container[k] = v
+            reference[k] = v
+        elif op == 5:  # scalar broadcast into fancy / slice
+            index = keys() if rng.random() < 0.5 else a_slice()
+            v = _values(rng, dtype, ())[()]
+            container[index] = v
+            reference[index] = v
+        elif op == 6:
+            s = a_slice()
+            v = _values(rng, dtype, reference[s].shape)
+            container[s] = v
+            reference[s] = v
+        elif op == 7:
+            k = int(rng.integers(-NUM_ROWS, NUM_ROWS))
+            v = _values(rng, dtype, row_shape)
+            container[k] = v
+            reference[k] = v
+        elif op in (8, 9):  # duplicates accumulate in batch order
+            k = keys() if op == 8 else rng.integers(
+                0, NUM_ROWS, size=int(rng.integers(65, 200)), dtype=np.int64)
+            v = _values(rng, dtype, (len(k),) + row_shape)
+            container.add_at(k, v)
+            np.add.at(reference, k, v)
+        elif op == 10 and not row_shape:
+            value = reference[int(rng.integers(0, NUM_ROWS))]
+            _exact(container.where_equal(value),
+                   np.flatnonzero(reference == value))
+            assert container.any() == bool(reference.any())
+            assert container.count_nonzero() == np.count_nonzero(reference)
+        elif op == 11:  # continue on an independent clone
+            clone = container.copy()
+            container[0] = reference[0]  # must not reach the clone
+            container = clone
+        elif op == 12 and rng.random() < 0.15:
+            if rng.random() < 0.5:
+                dense = container.densify()
+            else:
+                dense = container.densify_to(np.empty_like(reference))
+            _exact(dense, reference)
+            # From here on the dense array *is* the state: write through it.
+            row = int(rng.integers(0, NUM_ROWS))
+            dense[row] = reference[row] = _values(rng, dtype, row_shape)
+        _exact(container.take(everything), reference)
+    return container
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float32, np.float64])
+@pytest.mark.parametrize("fill", ["zero", "constant", "key-wise"])
+def test_vector_matches_ndarray_reference(chunk_rows, dtype, fill):
+    rng = np.random.default_rng([chunk_rows, np.dtype(dtype).num, len(fill)])
+    if fill == "key-wise":
+        def fill_fn(keys):
+            return (keys % 5 == 2) if dtype == np.bool_ else keys % 5 - 1
+        container = ChunkedVector(NUM_ROWS, dtype, fill_fn=fill_fn,
+                                  chunk_rows=chunk_rows)
+        reference = fill_fn(np.arange(NUM_ROWS)).astype(dtype)
+    else:
+        value = dtype(0 if fill == "zero" else 1)
+        container = ChunkedVector(NUM_ROWS, dtype, value,
+                                  chunk_rows=chunk_rows)
+        reference = np.full(NUM_ROWS, value, dtype=dtype)
+    assert container.materialized_chunks == 0
+    _drive(rng, container, reference)
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+def test_matrix_matches_ndarray_reference(chunk_rows, dtype):
+    rng = np.random.default_rng([chunk_rows, np.dtype(dtype).num])
+    container = ChunkedMatrix(NUM_ROWS, 3, dtype, chunk_rows=chunk_rows)
+    _drive(rng, container, np.zeros((NUM_ROWS, 3), dtype=dtype))
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+def test_from_dense_matches_ndarray_reference(chunk_rows):
+    rng = np.random.default_rng(chunk_rows)
+    reference = rng.normal(size=(NUM_ROWS, 3)).astype(np.float32)
+    container = ChunkedMatrix.from_dense(reference.copy(), chunk_rows)
+    _drive(rng, container, reference)
+
+
+# --------------------------------------------------------------------------
+# Budgets: charge before the pool grows, charge exactly what is materialized.
+# --------------------------------------------------------------------------
+
+class TestBudgets:
+    def test_raised_before_the_pool_grows(self):
+        budget = MemoryBudget(200, label="test vector")
+        vec = ChunkedVector(1000, np.int64, fill_value=0, chunk_rows=16,
+                            budget=budget)
+        vec[0] = 1  # one 16-row int64 chunk = 128 bytes
+        assert budget.used_bytes == 128
+        pool = vec._pool
+        with pytest.raises(MemoryBudgetExceeded, match="chunk 31 of vector"):
+            vec[500] = 1  # second chunk would exceed 200 bytes
+        assert vec._pool is pool  # refused before any allocation
+        assert budget.used_bytes == vec.nbytes == 128
+        assert vec.materialized_chunks == 1
+        assert vec[500] == 0
+
+    def test_batch_materializes_what_fits_then_names_the_refused_chunk(self):
+        budget = MemoryBudget(300, label="node 0")
+        vec = ChunkedVector(1000, np.int64, chunk_rows=16, budget=budget,
+                            label="clock")
+        with pytest.raises(MemoryBudgetExceeded) as excinfo:
+            vec[np.array([900, 5, 400])] = 1  # chunks 0, 25 fit; 56 does not
+        message = str(excinfo.value)
+        assert "chunk 56 of clock" in message and "node 0" in message
+        assert "used: 256.0 B" in message
+        assert vec.materialized_chunks == 2
+        assert budget.used_bytes == vec.nbytes == 256
+
+    def test_growth_charges_exactly_the_materialized_chunks(self):
+        budget = MemoryBudget(10**6)
+        mat = ChunkedMatrix(1003, 4, chunk_rows=8, budget=budget)
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            keys = rng.integers(0, 1003, size=5)
+            mat.add_at(keys, np.ones((5, 4), dtype=np.float32))
+            assert budget.used_bytes == mat.nbytes
+        # The partial last chunk (3 rows) is charged for its rows only, and
+        # spare pool capacity is charged to nobody.
+        mat[1002] = 1.0
+        full = mat.materialized_chunks - 1
+        assert mat.nbytes == (full * 8 + 3) * 16 == budget.used_bytes
+        assert mat._pool.nbytes > mat.nbytes
+
+    def test_densify_is_charged_and_refused_over_budget(self):
+        budget = MemoryBudget(1000)
+        vec = ChunkedVector(100, np.int64, chunk_rows=16, budget=budget)
+        vec[0] = 1
+        vec.densify()
+        assert budget.used_bytes == vec.nbytes == 800
+        small = ChunkedVector(100, np.int64, chunk_rows=16,
+                              budget=MemoryBudget(500))
+        with pytest.raises(MemoryBudgetExceeded, match="densified vector"):
+            small.densify()
+        assert small.materialized_chunks == 0 and small.nbytes == 0
+
+    def test_hundred_million_keys_report_the_same_bytes_as_chunk_dicts(self):
+        """The 10^8-key / 64 MiB regression of test_storage_backends, with
+        the byte count pinned to what the per-chunk implementation reported
+        (9969 chunks of 64 rows x (32 + 8) bytes)."""
+        config = StorageConfig(backend="sparse", chunk_rows=64,
+                               store_budget_bytes=64 * 2**20)
+        store = ParameterStore(10**8, 8, storage=config)
+        rng = np.random.default_rng(0)
+        touched = rng.integers(0, 10**8, size=10_000, dtype=np.int64)
+        store.add(touched, rng.normal(size=(10_000, 8)).astype(np.float32))
+        assert store.materialized_chunks() == 9969
+        assert store.nbytes() == store._budget.used_bytes == 25_520_640
+
+    @pytest.mark.parametrize("system, expected", [
+        ("lapse", {"store": 36576, "ownership": 8128}),
+        ("essp", {"store": 36576, "replica_state": 140208}),
+        ("nups", {"store": 36576, "ownership": 8128, "replica_manager": 0}),
+    ])
+    def test_state_nbytes_unchanged(self, system, expected):
+        """``state_nbytes()`` after one sparse KGE epoch, pinned to the
+        numbers the per-chunk implementation reported at this seed."""
+        held = {}
+
+        def factory(store, cluster, task):
+            held["ps"] = make_ps_factory(system)(store, cluster, task)
+            return held["ps"]
+
+        config = ExperimentConfig(
+            cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
+            epochs=1, chunk_size=8, seed=5,
+            storage=StorageConfig(backend="sparse", chunk_rows=256),
+        )
+        run_experiment(make_task("kge", scale="test"), factory, config)
+        assert dict(held["ps"].state_nbytes()) == expected
+        assert held["ps"].store.materialized_chunks() == 2

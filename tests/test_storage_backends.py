@@ -80,6 +80,23 @@ class TestSparseStoreMatchesDenseOracle:
         _assert_stores_equal(dense, sparse)
         assert sparse.version(10) == 4
 
+    @pytest.mark.parametrize("size", [3, 16])
+    def test_small_batches_with_repeated_keys(self, size):
+        """The KGE access shape: a triple pulls and pushes 3 direct and 16
+        sampled keys, and a key can occur twice in one batch."""
+        rng = np.random.default_rng(size)
+        dense, sparse = _dense_and_sparse()
+        for _ in range(150):
+            keys = rng.integers(0, 500, size=size, dtype=np.int64)
+            keys[-1] = keys[0]
+            np.testing.assert_array_equal(dense.get(keys), sparse.get(keys))
+            deltas = rng.normal(size=(size, 4)).astype(np.float32)
+            dense.add(keys, deltas)
+            sparse.add(keys, deltas)
+            np.testing.assert_array_equal(dense.read_versions(keys),
+                                          sparse.read_versions(keys))
+        _assert_stores_equal(dense, sparse)
+
     def test_permute_matches(self):
         rng = np.random.default_rng(1)
         dense, sparse = _dense_and_sparse(num_keys=128)
@@ -119,6 +136,38 @@ class TestSparseStoreMatchesDenseOracle:
                                       np.full(4, 2.0, np.float32))
         sparse.add(np.array([11]), np.ones((1, 4), dtype=np.float32))
         assert dense_view[11].sum() == 4.0
+
+
+class TestSharedMemoryRoundTrip:
+    """``share_values`` pins the chunked matrix into a shared segment (the
+    parallel backend's export) and ``unshare_values`` pins it back out."""
+
+    def test_sparse_store_stays_coherent_there_and_back(self):
+        from repro.parallel.shm import SharedArray
+
+        ones = np.ones((1, 4), dtype=np.float32)
+        store = ParameterStore(1000, 4, storage=SPARSE)
+        store.add(np.array([130]), ones)
+        spec = store.share_values()
+        worker = SharedArray.attach(spec)  # what a worker process maps
+        try:
+            assert store.values_shared
+            assert worker.array[130].sum() == 4.0
+            store.add(np.array([700]), ones)  # chunked write, shared read
+            assert worker.array[700].sum() == 4.0
+            worker.array[5] = 2.0  # shared write, chunked read
+            np.testing.assert_array_equal(store.get(np.array([5]))[0],
+                                          np.full(4, 2.0, np.float32))
+        finally:
+            worker.close()
+            store.unshare_values()
+        assert not store.values_shared
+        keys = np.array([5, 130, 700, 999])
+        np.testing.assert_array_equal(store.get(keys).sum(axis=1),
+                                      [8.0, 4.0, 4.0, 0.0])
+        store.add(np.array([999]), ones)  # the chunked API is still live
+        assert store.get(np.array([999])).sum() == 4.0
+        np.testing.assert_array_equal(store.read_versions(keys), [0, 1, 1, 1])
 
 
 class TestWithStorageConversion:
@@ -178,9 +227,10 @@ class TestViewContract:
         store = ParameterStore(1000, 4, storage=SPARSE)
         store.add(np.array([130]), np.ones((1, 4), dtype=np.float32))
         view = store.view(np.arange(128, 140))  # inside materialized chunk 2
-        chunk = store._values._chunks[2]
-        assert np.shares_memory(view, chunk)
+        assert np.shares_memory(view, store._values[130])  # the live row
         assert not view.flags.writeable
+        store.add(np.array([135]), np.ones((1, 4), dtype=np.float32))
+        assert view[7].sum() == 4.0  # zero-copy: sees the later write
 
     def test_sparse_unmaterialized_range_copies(self):
         store = ParameterStore(1000, 4, storage=SPARSE)
