@@ -1,0 +1,104 @@
+"""Append one perfbench run to the repository's performance history.
+
+``perfbench/out/results.json`` is overwritten by every run and
+``perfbench/baseline.json`` is frozen at the tree that introduced the
+benchmark, so neither shows a trajectory. ``BENCH_history.jsonl`` at the
+root of the repository does: one line per recorded run with the five
+end-to-end metrics of each of the five workloads (value, plus the median
+and quartiles of the run's own samples, which are its noise band), the
+failed-operation count, and the host envelope the run was taken under (git
+sha, ``nproc``, CPU model, Python and NumPy versions, seed, load average).
+Numbers are only comparable between lines of the same host; a PR records its
+parent and itself in one session so that each line has such a neighbour.
+
+Usage::
+
+    python3 -m perfbench --seed 0 --out perfbench/out
+    python benchmarks/bench_history.py perfbench/out/results.json \
+        --label "PR 13: chunk-level charge replay"
+
+``--history`` selects another history file (default: ``BENCH_history.jsonl``
+at the repository root). The git sha is the one perfbench recorded, i.e. the
+``HEAD`` of the tree it ran in: a run of uncommitted work carries its
+parent's sha, which is what ``--label`` is for.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The end-to-end metrics of ``BENCHMARK.json``, in its order.
+END_TO_END = ("setup_s", "run_wall_s", "points_per_s", "cpu_s", "peak_rss_mib")
+
+#: The parts of perfbench's host envelope that say whether two lines are
+#: comparable (thread pins and elapsed time are left in ``results.json``).
+HOST_FIELDS = ("git_sha", "nproc", "cpu_model", "python", "numpy", "seed",
+               "seconds_per_run", "load_1m_start", "load_1m_end")
+
+
+def history_row(results: dict, label: str) -> dict:
+    """The history line for one ``results.json``."""
+    if results.get("smoke"):
+        raise ValueError("a --smoke run measures test-scale tasks; "
+                         "it does not belong in the history")
+    workloads = {}
+    for name, workload in results["workloads"].items():
+        row = {"ops_failed": workload["ops_failed"],
+               "passes": workload["passes"]}
+        for metric in END_TO_END:
+            measured = workload["end_to_end"][metric]
+            row[metric] = {
+                key: measured[key]
+                for key in ("value", "median", "q1", "q3") if key in measured
+            }
+        workloads[name] = row
+    host = results["host"]
+    return {
+        "label": label,
+        "host": {field: host.get(field) for field in HOST_FIELDS},
+        "workloads": workloads,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("results", type=Path,
+                        help="a results.json written by `python -m perfbench`")
+    parser.add_argument("--label", required=True,
+                        help="what this run measured, e.g. the PR title")
+    parser.add_argument("--history", type=Path,
+                        default=ROOT / "BENCH_history.jsonl")
+    args = parser.parse_args(argv)
+    row = history_row(json.loads(args.results.read_text()), args.label)
+    with args.history.open("a") as history:
+        history.write(json.dumps(row, sort_keys=True) + "\n")
+    print(f"{args.history}: appended {args.label!r} "
+          f"({len(row['workloads'])} workloads, "
+          f"sha {str(row['host']['git_sha'])[:7]})")
+    return 0
+
+
+def test_appends_one_line_per_run(tmp_path):
+    """The committed baseline yields 5 workloads x 5 metrics, appended."""
+    history = tmp_path / "history.jsonl"
+    baseline = ROOT / "perfbench" / "baseline.json"
+    for label in ("first", "second"):
+        assert main([str(baseline), "--label", label,
+                     "--history", str(history)]) == 0
+    rows = [json.loads(line) for line in history.read_text().splitlines()]
+    assert [row["label"] for row in rows] == ["first", "second"]
+    expected = json.loads(baseline.read_text())
+    assert rows[0]["host"]["git_sha"] == expected["host"]["git_sha"]
+    assert len(rows[0]["workloads"]) == 5
+    for name, row in rows[0]["workloads"].items():
+        for metric in END_TO_END:
+            assert row[metric]["value"] == \
+                expected["workloads"][name]["end_to_end"][metric]["value"]
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

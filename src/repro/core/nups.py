@@ -37,8 +37,8 @@ from repro.core.sampling.manager import SamplingConfig, SamplingManager
 from repro.core.sampling.schemes import SamplingHost
 from repro.ps.base import PullResult, SampleHandle
 from repro.ps.partition import Partitioner
-from repro.ps.relocation import RelocationPS
-from repro.ps.rounds import RoundAccounting
+from repro.ps.relocation import RelocationPS, RelocationPointCharger
+from repro.ps.rounds import RoundAccounting, segment_bounds, segment_counts
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, WorkerContext
 
@@ -295,12 +295,27 @@ class NuPS(RelocationPS, SamplingHost):
         self._relocate_batch(worker.node_id, relocated,
                              worker_clock=worker.clock.now, acc=acc)
 
-    def direct_point_charger(self):
-        """NuPS routes keys through replicas or relocation per the management
-        plan and tracks recent direct accesses for sampling repurposing, so
-        per-point charge replay is not supported; tasks fall back to the
-        sequential path."""
-        return None
+    def direct_point_charger(self, distribution_id: Optional[int] = None):
+        """Per-point charge replay for the sampling tasks' round engine.
+
+        A NuPS access is charged by management technique (replica keys as
+        one shared-memory product, relocated keys through the relocation
+        fold) and its values are routed the same way; both depend on the
+        plan, ownership and arrival times only, so a chunk replays from one
+        lookup of each (:class:`_NuPSPointCharger`). The replay covers the
+        per-point call shape of the sampling tasks; without a
+        ``distribution_id`` (matrix factorization) the answer stays ``None``
+        and the task takes the sequential path. See the base class for the
+        full list of fallback conditions.
+        """
+        if (distribution_id is None or not self.batch_charging
+                or not self.integrate_sampling
+                or self.access_observer is not None
+                or self._traces_accesses()
+                or not self.sampling_manager.scheme_for(distribution_id)
+                .delivers_prepared_keys):
+            return None
+        return _NuPSPointCharger(self)
 
     def _split_managed(self, keys: np.ndarray):
         """``(replicated_idx, relocated_idx)`` under the current plan."""
@@ -481,6 +496,14 @@ class NuPS(RelocationPS, SamplingHost):
 
     # ------------------------------------------------------------------ internals
     def _pull(self, worker: WorkerContext, keys: np.ndarray, sampling: bool) -> np.ndarray:
+        """One pull call: charge by management technique, then route values.
+
+        Replicated keys cost one shared-memory product and read the node's
+        replica; relocated keys take the relocation fold and read the store
+        (and, for direct access, enter the node's recent-access buffer).
+        :class:`_NuPSPointCharger` replays exactly this charge sequence and
+        routing per chunk.
+        """
         if len(keys) == 0:
             return np.empty((0, self.store.value_length), dtype=np.float32)
         if not sampling and self.access_observer is not None:
@@ -489,54 +512,41 @@ class NuPS(RelocationPS, SamplingHost):
             # sampling access is managed by the sampling subsystem.
             self.access_observer.observe(keys)
         kind = "sample" if sampling else "pull"
-        if self.plan.num_replicated == 0:
-            # Relocation-only plan: every key takes the relocation path.
-            self._charge_access(worker, keys, kind)
-            values = self.store.get(keys)
-            if not sampling:
-                self._recent_direct[worker.node_id].extend(keys.tolist())
-            return values
-        replicated_mask = self.plan.replicated_mask(keys)
-        replicated_idx, relocated_idx = _partition_mask(replicated_mask)
-
+        node_id = worker.node_id
+        replicated_idx, relocated_idx = self._split_managed(keys)
         if replicated_idx is None:
             # Homogeneous batch (the common case): skip the index juggling.
             self._charge_access(worker, keys, kind)
             values = self.store.get(keys)
             if not sampling:
-                self._recent_direct[worker.node_id].extend(keys.tolist())
+                self._recent_direct[node_id].extend(keys.tolist())
             return values
         if relocated_idx is None:
-            values = self.replica_manager.pull(worker.node_id, keys)
+            values = self.replica_manager.pull(node_id, keys)
             self._charge_local(worker, len(keys), f"{kind}.replica")
             return values
 
         values = np.empty((len(keys), self.store.value_length), dtype=np.float32)
         rep_keys = keys[replicated_idx]
-        values[replicated_idx] = self.replica_manager.pull(worker.node_id, rep_keys)
+        values[replicated_idx] = self.replica_manager.pull(node_id, rep_keys)
         self._charge_local(worker, len(rep_keys), f"{kind}.replica")
 
         rel_keys = keys[relocated_idx]
         self._charge_access(worker, rel_keys, kind)
         values[relocated_idx] = self.store.get(rel_keys)
         if not sampling:
-            self._recent_direct[worker.node_id].extend(rel_keys.tolist())
+            self._recent_direct[node_id].extend(rel_keys.tolist())
         return values
 
     def _push(self, worker: WorkerContext, keys: np.ndarray, deltas: np.ndarray,
               sampling: bool) -> None:
+        """One push call: the charging and routing of :meth:`_pull`, writing."""
         if len(keys) == 0:
             return
         if not sampling and self.access_observer is not None:
             self.access_observer.observe(keys)
         kind = "sample_push" if sampling else "push"
-        if self.plan.num_replicated == 0:
-            self._charge_access(worker, keys, kind)
-            self.store.add(keys, deltas)
-            return
-        replicated_mask = self.plan.replicated_mask(keys)
-        replicated_idx, relocated_idx = _partition_mask(replicated_mask)
-
+        replicated_idx, relocated_idx = self._split_managed(keys)
         if replicated_idx is None:
             self._charge_access(worker, keys, kind)
             self.store.add(keys, deltas)
@@ -641,3 +651,111 @@ class NuPS(RelocationPS, SamplingHost):
         if self.adaptive_controller is not None:
             description["adaptive"] = self.adaptive_controller.describe()
         return description
+
+
+class _NuPSPointCharger(RelocationPointCharger):
+    """Chunk-level replay of NuPS's per-call charging and value routing.
+
+    Charging: the management plan splits the chunk's keys once. Per call,
+    the replicated keys are one shared-memory product charged first (as
+    ``_pull``/``_push`` do), the relocated keys go through the inherited
+    relocation fold, and the relocated *direct* keys extend the node's
+    recent-access buffer in access order. Values: a point whose keys are all
+    relocated uses the store like the base class; otherwise the replicated
+    positions are read from the node's replica and written through the
+    replica manager (replica, update buffer, dirty mask) by slot, from one
+    slot lookup per chunk.
+    """
+
+    __slots__ = ("node_id", "routes")
+
+    sample_kinds = ("sample", "sample_push")
+
+    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                              direct_widths: list, sample_widths: list,
+                              compute_costs: list) -> None:
+        """Charge one worker's chunk (see the relocation charger) and set
+        up the per-point value routes."""
+        ps = self.ps
+        node_id = self.node_id = worker.node_id
+        self.routes = {}
+        bounds = segment_bounds(direct_widths, sample_widths)
+        relocated, relocated_bounds = keys, bounds
+        direct_replicas = sample_replicas = None
+        replicated = ps.plan.replicated_mask(keys) \
+            if ps.plan.num_replicated else None
+        if replicated is not None and replicated.any():
+            replica_counts = segment_counts(replicated, bounds)
+            direct_replicas = replica_counts[0::2].tolist()
+            sample_replicas = replica_counts[1::2].tolist()
+            relocated_mask = ~replicated
+            relocated = keys[relocated_mask]
+            relocated_bounds = bounds.copy()
+            relocated_bounds[1:] -= np.cumsum(replica_counts)
+        self._replay(worker, relocated, relocated_bounds, compute_costs,
+                     direct_replicas, sample_replicas)
+        self._bind(keys)
+        if direct_replicas is not None:
+            acc = self.acc
+            direct_total = sum(direct_replicas)
+            sample_total = sum(sample_replicas)
+            acc.add_access(node_id, "pull.replica.local", direct_total)
+            acc.add_access(node_id, "push.replica.local", direct_total)
+            acc.add_access(node_id, "sample.replica.local", sample_total)
+            acc.add_access(node_id, "sample_push.replica.local", sample_total)
+            self._plan_routes(replicated, relocated_mask, bounds[0::2])
+        if len(relocated):
+            # Direct accesses to relocated keys feed sampling repurposing.
+            is_direct = np.zeros(len(relocated_bounds) - 1, dtype=bool)
+            is_direct[0::2] = True
+            direct_keys = relocated[
+                np.repeat(is_direct, np.diff(relocated_bounds))
+            ]
+            ps._recent_direct[node_id].extend(direct_keys.tolist())
+
+    def _plan_routes(self, replicated: np.ndarray, relocated: np.ndarray,
+                     starts: np.ndarray) -> None:
+        """Per point with replicated keys: where they sit and their slots."""
+        keys = self.keys
+        sides = []
+        for mask in (replicated, relocated):
+            flat = np.flatnonzero(mask)
+            cuts = np.searchsorted(flat, starts)
+            # Positions relative to the start of their point.
+            flat -= np.repeat(starts[:-1], np.diff(cuts))
+            sides.append((flat, keys[mask], cuts.tolist()))
+        (replica_positions, replica_keys, replica_cuts), \
+            (store_positions, store_keys, store_cuts) = sides
+        slots = self.ps.replica_manager.slots(replica_keys)
+        routes = self.routes
+        for point, lo in enumerate(starts[:-1].tolist()):
+            first, last = replica_cuts[point], replica_cuts[point + 1]
+            if first != last:
+                cut = slice(store_cuts[point], store_cuts[point + 1])
+                routes[lo] = (replica_positions[first:last], slots[first:last],
+                              store_positions[cut], store_keys[cut])
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        values = super().read(lo, hi)
+        route = self.routes.get(lo)
+        if route is not None:
+            # The store's rows of replicated keys lag behind the replica by
+            # the unsynchronized updates; the node reads its replica.
+            values[route[0]] = self.ps.replica_manager.read_slots(
+                self.node_id, route[1]
+            )
+        return values
+
+    def add(self, lo: int, hi: int, deltas: np.ndarray) -> None:
+        route = self.routes.get(lo)
+        if route is None:
+            super().add(lo, hi, deltas)
+            return
+        _, deltas = self.ps._validate_push(self.keys[lo:hi], deltas)
+        replica_positions, slots, store_positions, store_keys = route
+        if len(store_keys):
+            self._add_rows(store_keys, store_keys.tolist(),
+                           deltas.take(store_positions, axis=0))
+        self.ps.replica_manager.add_slots(
+            self.node_id, slots, deltas.take(replica_positions, axis=0)
+        )

@@ -143,14 +143,23 @@ class ReplicaManager:
         slots = self.slots(keys)
         if slots.size and int(slots.min()) < 0:
             raise KeyError("pull contains keys that are not managed by replication")
-        return self._replicas[node_id].take(slots, axis=0)
+        return self.read_slots(node_id, slots)
 
     def push(self, node_id: int, keys: np.ndarray, deltas: np.ndarray) -> None:
         """Apply ``deltas`` to the node's replica and buffer them for sync."""
         slots = self.slots(keys)
         if slots.size and int(slots.min()) < 0:
             raise KeyError("push contains keys that are not managed by replication")
-        deltas = np.asarray(deltas, dtype=np.float32)
+        self.add_slots(node_id, slots, np.asarray(deltas, dtype=np.float32))
+
+    def read_slots(self, node_id: int, slots: np.ndarray) -> np.ndarray:
+        """:meth:`pull` by replica slot, for callers that resolved the slots
+        (one :meth:`slots` lookup per chunk in the round engine)."""
+        return self._replicas[node_id].take(slots, axis=0)
+
+    def add_slots(self, node_id: int, slots: np.ndarray,
+                  deltas: np.ndarray) -> None:
+        """:meth:`push` by replica slot; repeated slots accumulate in order."""
         slots_list = slots.tolist() if len(slots) <= 64 else None
         scatter_add_rows(self._replicas[node_id], slots, deltas, slots_list)
         scatter_add_rows(self._buffers[node_id], slots, deltas, slots_list)

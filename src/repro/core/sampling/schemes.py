@@ -130,6 +130,18 @@ class SamplingScheme(ABC):
         values = self.host.pull_keys(worker, keys)
         return PullResult(keys=keys, values=values)
 
+    @property
+    def delivers_prepared_keys(self) -> bool:
+        """Whether ``pull`` hands out exactly the handle's keys, in order.
+
+        True for schemes on the default :meth:`pull`: everything a handle
+        will deliver is decided by :meth:`prepare`, so a round engine may
+        take a chunk's keys at once and replay the pulls' charging. Schemes
+        that override ``pull`` (postponing, local sampling, repurposing)
+        pick or reorder keys against live state at pull time.
+        """
+        return type(self).pull is SamplingScheme.pull
+
     def housekeeping(self, node_id: int, now: float) -> None:
         """Background maintenance hook (pool preparation etc.); default no-op."""
 

@@ -92,7 +92,7 @@ class FaultTolerantParameterServer:
         return getattr(self._inner, attribute)
 
     # -------------------------------------------------------------- round API
-    def direct_point_charger(self):
+    def direct_point_charger(self, distribution_id=None):
         """Fused round engines must not bypass the dead-owner gate.
 
         Returning ``None`` (instead of delegating via ``__getattr__``) sends

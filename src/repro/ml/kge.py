@@ -26,9 +26,12 @@ import numpy as np
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UniformDistribution
 from repro.data.knowledge_graph import KnowledgeGraph
-from repro.ml.negative_sampling import NegativeSampleStream
+from repro.ml.negative_sampling import (
+    NegativeSampleStream,
+    replayed_sampling_round,
+)
 from repro.ml.optimizer import AdaGrad
-from repro.ml.task import TrainingTask, sequential_process_round
+from repro.ml.task import TrainingTask
 from repro.ps.base import ParameterServer
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
@@ -126,6 +129,119 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x.clip(-30.0, 30.0)))
 
 
+class ComplExStep:
+    """One SGD step of a triple and its negatives in full-width expressions.
+
+    The step scores and differentiates a batch of ``n = 1 + negatives``
+    triples that share the relation: row 0 is the positive ``(s, r, o)``,
+    the next ``half`` rows perturb the subject, the rest perturb the object.
+    :meth:`ComplExModel.score` and :meth:`ComplExModel.gradients` evaluate it
+    in half-width ``re``/``im`` slices, ~40 small NumPy calls. Here every
+    term is one ``[re | im]``-wide expression. With the swapped halves
+    ``o~ = [o_im | o_re]`` and ``s~ = [s_im | s_re]`` and the tiled halves
+    ``a_re = [a_re | a_re]``, ``a_im = [a_im | a_im]``::
+
+        g_s / d = r_re * o + (r_im * [+1 | -1]) * o~
+        g_o / d = r_re * s + (r_im * [-1 | +1]) * s~
+        X       = s_re * o + (s_im * [+1 | -1]) * o~      (= g_r / d)
+        score   = sum(r * X): first half + second half
+
+    which is, element for element, the operands and the operation order of
+    the half-width formulas (a sign moved into a factor is exact:
+    ``a * (-b) = -(a * b)`` and ``x + (-y) = x - y`` in IEEE arithmetic), so
+    the result is bit-identical. All three lines have the shape
+    ``P * L + (Q * sign) * M``; one gather through a precomputed index pulls
+    the four ``(3, n, 2 dim)`` operand blocks out of the pulled values, four
+    in-place products and sums evaluate all three lines at once, and one
+    broadcast multiplies the ``n`` loss derivatives in. The per-key sums
+    keep the task's order (positive row, perturbed-subject rows,
+    perturbed-object rows) and one AdaGrad call covers every row.
+
+    ``values`` rows are ``[s, r, o, negatives...]``, each
+    ``[re | im | acc_re | acc_im]``; the result is the delta of every row.
+    """
+
+    def __init__(self, dim: int, num_sampled: int) -> None:
+        self.dim = dim
+        self.num_sampled = num_sampled
+        self.half = half = num_sampled // 2
+        dim2 = 2 * dim
+        batch = 1 + num_sampled
+        # Row of ``values`` holding each batch row's subject / object.
+        subject = np.asarray(
+            [0] + list(range(3, 3 + half)) + [0] * (num_sampled - half))
+        obj = np.asarray(
+            [2] * (1 + half) + list(range(3 + half, 3 + num_sampled)))
+        relation = np.full(batch, 1)
+        column = np.arange(dim2)
+        swapped = (column + dim) % dim2
+        real = column % dim
+        imag = dim + real
+
+        def cells(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+            return rows[:, None] * (4 * dim) + columns[None, :]
+
+        # index[k, line]: operand k (L, M, P, Q) of line (g_s, g_o, X).
+        index = np.empty((4, 3, batch, dim2), dtype=np.intp)
+        index[0] = cells(obj, column), cells(subject, column), cells(obj, column)
+        index[1] = cells(obj, swapped), cells(subject, swapped), cells(obj, swapped)
+        index[2] = cells(relation, real), cells(relation, real), cells(subject, real)
+        index[3] = cells(relation, imag), cells(relation, imag), cells(subject, imag)
+        self._index = index
+        sign = np.ones((3, batch, dim2), dtype=np.float32)
+        sign[0, :, dim:] = -1.0
+        sign[1, :, :dim] = -1.0
+        sign[2, :, dim:] = -1.0
+        self._sign = sign
+
+    def deltas(self, values: np.ndarray, optimizer: AdaGrad,
+               regularization: float = 0.0) -> np.ndarray:
+        """AdaGrad deltas for the ``3 + num_sampled`` pulled ``values``."""
+        dim = self.dim
+        dim2 = 2 * dim
+        half = self.half
+        batch = 1 + self.num_sampled
+        left, mirrored, factor, signed = values.ravel().take(self._index)
+        signed *= self._sign
+        factor *= left
+        signed *= mirrored
+        factor += signed
+        lines = factor  # g_s / d, g_o / d, X
+
+        weights = values[:, :dim2]
+        sums = (weights[1] * lines[2]).reshape(batch, 2, dim).sum(axis=-1)
+        dscores = _sigmoid(sums[:, 0] + sums[:, 1])
+        dscores[0] = dscores[0] - 1.0  # positive triple: label 1
+        lines *= dscores.reshape(batch, 1)
+        g_subj, g_obj, g_rel = lines
+
+        # Accumulate in the seed's order: positive gradient, then the
+        # perturbed-subject block, then the perturbed-object block.
+        grad_s = g_subj[0]
+        grad_r = g_rel[0]
+        grad_o = g_obj[0]
+        if half:
+            grad_r = grad_r + g_rel[1:1 + half].sum(axis=0)
+            grad_o = grad_o + g_obj[1:1 + half].sum(axis=0)
+        if batch > 1 + half:
+            grad_s = grad_s + g_subj[1 + half:].sum(axis=0)
+            grad_r = grad_r + g_rel[1 + half:].sum(axis=0)
+        if regularization:
+            grad_s = grad_s + regularization * weights[0]
+            grad_r = grad_r + regularization * weights[1]
+            grad_o = grad_o + regularization * weights[2]
+
+        # The gradient of a perturbed subject (object) is that row's
+        # subject (object) gradient.
+        grads = np.empty((2 + batch, dim2), dtype=np.float32)
+        grads[0] = grad_s
+        grads[1] = grad_r
+        grads[2] = grad_o
+        grads[3:3 + half] = g_subj[1:1 + half]
+        grads[3 + half:] = g_obj[1 + half:]
+        return optimizer.compute_update(values, grads)
+
+
 class KGETask(TrainingTask):
     """The knowledge graph embeddings workload (ComplEx + negative sampling)."""
 
@@ -152,8 +268,7 @@ class KGETask(TrainingTask):
         self.sampling_level = sampling_level
         self.regularization = float(regularization)
         self._distribution_id: Optional[int] = None
-        self._true_objects: Dict[Tuple[int, int], set] = {}
-        self._true_subjects: Dict[Tuple[int, int], set] = {}
+        self._steps: Dict[int, ComplExStep] = {}
         self._build_filter_index()
 
     # -------------------------------------------------------------- model layout
@@ -230,18 +345,55 @@ class KGETask(TrainingTask):
         ps.localize(worker, direct_keys)
 
     def process_round(self, ps: ParameterServer, items) -> None:
-        """Round execution for KGE: sequential by design.
+        """Round execution for KGE: charge replay + value pass per chunk.
 
-        Every training step draws negatives through the PS sampling API, and
-        sampling state — pool cursors, RNG streams, repurposing buffers — is
-        shared and strictly order-dependent: which keys the next step
-        receives depends on every sample drawn before it, across workers.
-        Reordering or batching across workers would therefore change the
-        drawn negatives, not just the bookkeeping, so the round engine keeps
-        the sequential per-worker order here (direct-access traffic still
-        benefits from the PS-level batch fast paths within each step).
+        Which negatives a step receives depends on every sample drawn before
+        it (pool cursors, RNG streams), and ~94% of a round's triples chain
+        through a shared relation row, so the *order* of the sequential path
+        is kept: one worker chunk after the other, one triple after the
+        other. What is not kept is the four PS call chains per triple.
+        Sample selection and access charging never read parameter values,
+        so after the unchanged prefetch and ``prepare_sample`` a chunk's
+        sample keys are taken at once, all of its calls are charged in one
+        replay through the PS's point charger, and the triples then run on
+        live rows with one gather and one scatter each (see
+        :func:`~repro.ml.negative_sampling.replayed_sampling_round`; the
+        fallback conditions are listed at
+        :meth:`ParameterServer.direct_point_charger
+        <repro.ps.base.ParameterServer.direct_point_charger>`).
         """
-        sequential_process_round(self, ps, items)
+        replayed_sampling_round(self, ps, items, self._distribution_id,
+                                self._replay_chunk)
+
+    def _replay_chunk(self, ps: ParameterServer, charger,
+                      worker: WorkerContext, data_indices: np.ndarray) -> None:
+        """:meth:`process_chunk` as one charge replay and one value pass."""
+        triples = self.graph.train_triples[np.asarray(data_indices, dtype=np.int64)]
+        num_points = len(triples)
+        if num_points == 0:
+            return
+        num_sampled = 2 * self.num_negatives
+        stream = NegativeSampleStream(
+            ps, worker, self._distribution_id, num_points * num_sampled
+        )
+        # Per triple: subject, relation, object, then its negatives.
+        width = 3 + num_sampled
+        keys = np.empty((num_points, width), dtype=np.int64)
+        keys[:, 0] = triples[:, 0]
+        keys[:, 1] = self.graph.num_entities + triples[:, 1]
+        keys[:, 2] = triples[:, 2]
+        keys[:, 3:] = stream.drain().reshape(num_points, num_sampled)
+        charger.charge_sampling_chunk(
+            worker, keys.ravel(), [3] * num_points,
+            [num_sampled] * num_points,
+            [self.network_compute_cost(ps)] * num_points,
+        )
+        step = self._step(num_sampled)
+        for lo in range(0, num_points * width, width):
+            hi = lo + width
+            charger.add(lo, hi, step.deltas(
+                charger.read(lo, hi), self.optimizer, self.regularization
+            ))
 
     def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
                       data_indices: np.ndarray, rng: np.random.Generator) -> int:
@@ -266,78 +418,27 @@ class KGETask(TrainingTask):
         """Computation cost of one SGD step (scaled by the negative count)."""
         return ps.network.compute_per_step * (1 + 2 * self.num_negatives / 10.0)
 
+    def _step(self, num_sampled: int) -> ComplExStep:
+        """The step kernel for triples with ``num_sampled`` negatives."""
+        step = self._steps.get(num_sampled)
+        if step is None:
+            step = self._steps[num_sampled] = ComplExStep(self.dim, num_sampled)
+        return step
+
     def _train_triple(self, ps: ParameterServer, worker: WorkerContext,
                       subject: int, relation: int, obj: int,
                       stream: NegativeSampleStream) -> None:
-        model = self.model
-        dim2 = 2 * self.dim
         direct_keys = np.asarray(
             [subject, self.relation_key(relation), obj], dtype=np.int64
         )
         direct_values = ps.pull(worker, direct_keys)
-        s_w = direct_values[0, :dim2]
-        r_w = direct_values[1, :dim2]
-        o_w = direct_values[2, :dim2]
-
         negatives = stream.next(2 * self.num_negatives)
-        neg_keys = negatives.keys
-        neg_w = negatives.values[:, :dim2]
-        half = len(neg_keys) // 2
-        rest = len(neg_keys) - half
-
-        # Score and differentiate the positive triple and both negative
-        # blocks in ONE batch: row 0 is (s, r, o), rows 1..half perturb the
-        # subject, the remaining rows perturb the object. Scores, sigmoids
-        # and per-row gradients are elementwise/row-wise operations, so the
-        # fused batch is bit-identical to three separate model calls.
-        batch = 1 + len(neg_keys)
-        subjects = np.empty((batch, dim2), dtype=np.float32)
-        objects = np.empty((batch, dim2), dtype=np.float32)
-        subjects[0] = s_w
-        objects[0] = o_w
-        subjects[1:1 + half] = neg_w[:half]
-        objects[1:1 + half] = o_w
-        subjects[1 + half:] = s_w
-        objects[1 + half:] = neg_w[half:]
-
-        scores = model.score(subjects, r_w, objects)
-        dscores = _sigmoid(scores)
-        dscores[0] = dscores[0] - 1.0  # positive triple: label 1
-        g_subj, g_rel, g_obj = model.gradients(subjects, r_w, objects, dscores)
-
-        # Accumulate in the seed's order: positive gradient, then the
-        # perturbed-subject block, then the perturbed-object block.
-        grad_s = g_subj[0]
-        grad_r = g_rel[0]
-        grad_o = g_obj[0]
-        if half:
-            grad_r = grad_r + g_rel[1:1 + half].sum(axis=0)
-            grad_o = grad_o + g_obj[1:1 + half].sum(axis=0)
-        if rest:
-            grad_s = grad_s + g_subj[1 + half:].sum(axis=0)
-            grad_r = grad_r + g_rel[1 + half:].sum(axis=0)
-
-        if self.regularization:
-            grad_s = grad_s + self.regularization * s_w
-            grad_r = grad_r + self.regularization * r_w
-            grad_o = grad_o + self.regularization * o_w
-
-        # AdaGrad deltas for the direct-access keys.
-        direct_grads = np.empty((3, dim2), dtype=np.float32)
-        direct_grads[0] = grad_s
-        direct_grads[1] = grad_r
-        direct_grads[2] = grad_o
-        direct_deltas = self.optimizer.compute_update(direct_values, direct_grads)
-        ps.push(worker, direct_keys, direct_deltas)
-
-        # AdaGrad deltas for the sampled (negative) keys: the gradient of a
-        # perturbed subject (object) is that row's subject (object) gradient.
-        if len(neg_keys):
-            neg_grads = np.empty((len(neg_keys), dim2), dtype=np.float32)
-            neg_grads[:half] = g_subj[1:1 + half]
-            neg_grads[half:] = g_obj[1 + half:]
-            neg_deltas = self.optimizer.compute_update(negatives.values, neg_grads)
-            stream.push_updates(neg_keys, neg_deltas)
+        deltas = self._step(len(negatives.keys)).deltas(
+            np.concatenate([direct_values, negatives.values]),
+            self.optimizer, self.regularization,
+        )
+        ps.push(worker, direct_keys, deltas[:3])
+        stream.push_updates(negatives.keys, deltas[3:])
 
     # ---------------------------------------------------------------- evaluation
     def evaluate(self, store: ParameterStore) -> Dict[str, float]:
@@ -353,7 +454,7 @@ class KGETask(TrainingTask):
         reciprocal_ranks: List[float] = []
         hits = 0
         total = 0
-        for subject, relation, obj in self.graph.test_triples:
+        for index, (subject, relation, obj) in enumerate(self.graph.test_triples):
             subject, relation, obj = int(subject), int(relation), int(obj)
             relation_w = store.values[self.relation_key(relation), :dim2]
             subject_w = entity_w[subject]
@@ -363,9 +464,7 @@ class KGETask(TrainingTask):
             scores = self.model.score_against_all(
                 subject_w, relation_w, entity_w, conj_entities=conj_entities
             )
-            rank = self._filtered_rank(
-                scores, obj, self._true_objects.get((subject, relation), set())
-            )
+            rank = self._filtered_rank(scores, obj, self._known_objects[index])
             reciprocal_ranks.append(1.0 / rank)
             hits += int(rank <= 10)
             total += 1
@@ -374,9 +473,8 @@ class KGETask(TrainingTask):
             scores = self.model.score_all_subjects(
                 relation_w, object_w, entity_w, entities_c=entities_c
             )
-            rank = self._filtered_rank(
-                scores, subject, self._true_subjects.get((relation, obj), set())
-            )
+            rank = self._filtered_rank(scores, subject,
+                                       self._known_subjects[index])
             reciprocal_ranks.append(1.0 / rank)
             hits += int(rank <= 10)
             total += 1
@@ -387,18 +485,43 @@ class KGETask(TrainingTask):
         }
 
     @staticmethod
-    def _filtered_rank(scores: np.ndarray, target: int, known_true: set) -> int:
+    def _filtered_rank(scores: np.ndarray, target: int,
+                       known_true: np.ndarray) -> int:
+        """Rank of ``target`` among the entities not in ``known_true``.
+
+        ``known_true`` is an index array of distinct entities; the target
+        itself never counts (its score is not greater than itself), so it
+        may or may not be listed.
+        """
         target_score = scores[target]
-        mask = np.ones(len(scores), dtype=bool)
-        for entity in known_true:
-            if entity != target:
-                mask[entity] = False
-        better = int(np.count_nonzero(scores[mask] > target_score))
-        return better + 1
+        better = np.count_nonzero(scores > target_score) \
+            - np.count_nonzero(scores[known_true] > target_score)
+        return int(better) + 1
 
     def _build_filter_index(self) -> None:
-        for split in (self.graph.train_triples, self.graph.test_triples):
-            for subject, relation, obj in split:
-                subject, relation, obj = int(subject), int(relation), int(obj)
-                self._true_objects.setdefault((subject, relation), set()).add(obj)
-                self._true_subjects.setdefault((relation, obj), set()).add(subject)
+        """Per test triple, the entities a filtered ranking must skip.
+
+        ``_known_objects[i]`` holds every object ``e`` for which
+        ``(s_i, r_i, e)`` is a train or test triple, ``_known_subjects[i]``
+        every subject of ``(e, r_i, o_i)``: distinct ``int64`` indices,
+        sliced out of one grouped array per direction.
+        """
+        graph = self.graph
+        triples = np.unique(
+            np.concatenate([graph.train_triples, graph.test_triples]), axis=0
+        ).astype(np.int64)
+        test = np.asarray(graph.test_triples, dtype=np.int64)
+        span = max(graph.num_entities, graph.num_relations)
+
+        def known(group_a: int, group_b: int, member: int) -> List[np.ndarray]:
+            codes = triples[:, group_a] * span + triples[:, group_b]
+            order = np.argsort(codes, kind="stable")
+            codes = codes[order]
+            members = triples[order, member]
+            queries = test[:, group_a] * span + test[:, group_b]
+            first = np.searchsorted(codes, queries, side="left").tolist()
+            last = np.searchsorted(codes, queries, side="right").tolist()
+            return [members[lo:hi] for lo, hi in zip(first, last)]
+
+        self._known_objects = known(0, 1, 2)
+        self._known_subjects = known(1, 2, 0)

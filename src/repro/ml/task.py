@@ -166,10 +166,13 @@ class TrainingTask(ABC):
         The contract is :func:`sequential_process_round` — for each worker in
         order: prefetch the next chunk, process the current chunk, advance
         the clock — and any override must be *bit-identical* to it (clocks,
-        metrics, and model values). Tasks whose access pattern allows it
-        override this with a round-fused implementation that batches PS
-        traffic across workers (see
-        :meth:`repro.ml.matrix_factorization.MatrixFactorizationTask.process_round`).
+        metrics, and model values). All three standard tasks override it:
+        matrix factorization batches value traffic across the round with a
+        conflict plan
+        (:meth:`repro.ml.matrix_factorization.MatrixFactorizationTask.process_round`),
+        the sampling tasks replay a chunk's charging at once and keep the
+        sequential order for values
+        (:func:`repro.ml.negative_sampling.replayed_sampling_round`).
         """
         sequential_process_round(self, ps, items)
 

@@ -28,9 +28,12 @@ import numpy as np
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UnigramDistribution
 from repro.data.corpus import Corpus
-from repro.ml.negative_sampling import NegativeSampleStream
+from repro.ml.negative_sampling import (
+    NegativeSampleStream,
+    replayed_sampling_round,
+)
 from repro.ml.optimizer import UpdateNormClipper
-from repro.ml.task import TrainingTask, sequential_process_round
+from repro.ml.task import TrainingTask
 from repro.ps.base import ParameterServer
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
@@ -169,15 +172,57 @@ class WordVectorsTask(TrainingTask):
         ps.localize(worker, direct_keys)
 
     def process_round(self, ps: ParameterServer, items) -> None:
-        """Round execution for word vectors: sequential by design.
+        """Round execution for word vectors: charge replay + value pass.
 
-        Like KGE, every center word draws negative context words through the
-        PS sampling API, whose shared pool/RNG state is strictly
-        order-dependent across workers; batching across the round would
-        change which negatives are drawn. The round engine therefore keeps
-        the sequential per-worker order here.
+        Like KGE (see :meth:`repro.ml.kge.KGETask.process_round`): the
+        sequential order is kept per chunk and per token — negatives depend
+        on every sample drawn before them, tokens chain through shared
+        context rows, and the update clipper's running mean is stateful —
+        while each chunk's per-token calls are charged in one replay and
+        its values move with one gather and one scatter per token. Points
+        are ragged here: ``1 + P`` direct keys and ``P * negatives`` samples
+        for a token with ``P`` context words.
         """
-        sequential_process_round(self, ps, items)
+        replayed_sampling_round(self, ps, items, self._distribution_id,
+                                self._replay_chunk)
+
+    def _replay_chunk(self, ps: ParameterServer, charger,
+                      worker: WorkerContext, data_indices: np.ndarray) -> None:
+        """:meth:`process_chunk` as one charge replay and one value pass."""
+        data_indices = np.asarray(data_indices, dtype=np.int64)
+        if len(data_indices) == 0:
+            return
+        contexts = [self._contexts[i] for i in data_indices]
+        pairs = [len(context) for context in contexts]
+        stream = NegativeSampleStream(
+            ps, worker, self._distribution_id, sum(pairs) * self.num_negatives
+        )
+        samples = stream.drain()
+        direct_widths = [1 + p for p in pairs]
+        sample_widths = [p * self.num_negatives for p in pairs]
+        # Per token: center, context words, then the token's negatives.
+        keys = np.empty(sum(direct_widths) + len(samples), dtype=np.int64)
+        position = taken = 0
+        for center, context, n_sample in zip(
+                self._centers[data_indices].tolist(), contexts, sample_widths):
+            split = position + 1 + len(context)
+            keys[position] = center
+            keys[position + 1:split] = self.corpus.vocab_size + context
+            keys[split:split + n_sample] = samples[taken:taken + n_sample]
+            position = split + n_sample
+            taken += n_sample
+        charger.charge_sampling_chunk(
+            worker, keys, direct_widths, sample_widths,
+            [self._compute_cost(ps, p) for p in pairs],
+        )
+        lo = 0
+        for n_direct, n_sample in zip(direct_widths, sample_widths):
+            hi = lo + n_direct + n_sample
+            values = charger.read(lo, hi)
+            charger.add(lo, hi, self._token_deltas(
+                values[0], values[1:n_direct], values[n_direct:]
+            ))
+            lo = hi
 
     def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
                       data_indices: np.ndarray, rng: np.random.Generator) -> int:
@@ -195,6 +240,11 @@ class WordVectorsTask(TrainingTask):
             self._train_token(ps, worker, int(index), stream)
         return len(data_indices)
 
+    def _compute_cost(self, ps: ParameterServer, num_pairs: int) -> float:
+        """One skip-gram pair is roughly one SGD step's worth of computation."""
+        return ps.network.compute_per_step * num_pairs \
+            * (1 + self.num_negatives) / 4.0
+
     def _train_token(self, ps: ParameterServer, worker: WorkerContext,
                      index: int, stream: NegativeSampleStream) -> None:
         center = int(self._centers[index])
@@ -205,41 +255,35 @@ class WordVectorsTask(TrainingTask):
         direct_keys[0] = center
         direct_keys[1:] = self.corpus.vocab_size + contexts
         direct_values = ps.pull(worker, direct_keys)
-        center_vec = direct_values[0]
-        context_vecs = direct_values[1:]
-
         negatives = stream.next(num_pairs * self.num_negatives)
-        neg_vecs = negatives.values
+        deltas = self._token_deltas(
+            direct_values[0], direct_values[1:], negatives.values
+        )
+        ps.push(worker, direct_keys, deltas[:num_pairs + 1])
+        stream.push_updates(negatives.keys, deltas[num_pairs + 1:])
+        worker.charge_compute(self._compute_cost(ps, num_pairs))
 
+    def _token_deltas(self, center_vec: np.ndarray, context_vecs: np.ndarray,
+                      neg_vecs: np.ndarray) -> np.ndarray:
+        """Clipped SGD deltas of one token: center, contexts, negatives."""
+        num_pairs = len(context_vecs)
         # Positive pairs: label 1.
         pos_g = _sigmoid(context_vecs.dot(center_vec)) - 1.0
         grad_center = pos_g.dot(context_vecs)
-        grad_contexts = pos_g[:, None] * center_vec[None, :]
-
+        deltas = np.empty((1 + num_pairs + len(neg_vecs), self.dim),
+                          dtype=np.float32)
         # Negative pairs: label 0 (each negative is paired with the center).
         if len(neg_vecs):
             neg_g = _sigmoid(neg_vecs.dot(center_vec))
             grad_center = grad_center + neg_g.dot(neg_vecs)
-            grad_negs = neg_g[:, None] * center_vec[None, :]
-        else:
-            grad_negs = np.empty((0, self.dim), dtype=np.float32)
-
-        deltas = np.empty((len(grad_contexts) + 1, self.dim), dtype=np.float32)
+            deltas[1 + num_pairs:] = -self.learning_rate \
+                * (neg_g[:, None] * center_vec[None, :])
         deltas[0] = -self.learning_rate * grad_center
-        deltas[1:] = -self.learning_rate * grad_contexts
-        deltas = self._clip_rows(deltas)
-        ps.push(worker, direct_keys, deltas)
-
-        if len(negatives.keys):
-            # grad_negs is float32 already; -lr * grad is a fresh float32
-            # array, safe for the clipper to scale in place.
-            neg_deltas = self._clip_rows(-self.learning_rate * grad_negs)
-            stream.push_updates(negatives.keys, neg_deltas)
-
-        # One skip-gram pair is roughly one SGD step's worth of computation.
-        worker.charge_compute(
-            ps.network.compute_per_step * num_pairs * (1 + self.num_negatives) / 4.0
-        )
+        deltas[1:1 + num_pairs] = -self.learning_rate \
+            * (pos_g[:, None] * center_vec[None, :])
+        # The clipper's running mean is stateful: rows are clipped in the
+        # order center, contexts, negatives.
+        return self._clip_rows(deltas)
 
     def _clip_rows(self, updates: np.ndarray) -> np.ndarray:
         if self._clipper is None:

@@ -384,17 +384,51 @@ class ParameterServer(ABC):
         """
         return self._run_round_sequential(rounds)
 
-    def direct_point_charger(self):
+    def direct_point_charger(self, distribution_id: Optional[int] = None):
         """A per-data-point charger for the task-level round engine, or None.
 
-        Tasks that fuse a whole round of per-point direct accesses (e.g.
-        matrix factorization: pull two keys, compute, push two keys, charge
-        compute — per data point) move the *values* through batched gathers
-        and scatters and replay the *charging* through this object, which
-        must reproduce the PS's per-call cost grouping bit-exactly. ``None``
-        (the default) tells the task to fall back to the sequential path —
-        the right answer whenever access costs depend on state the engine
-        cannot replay cheaply (replication freshness, sampling pools).
+        Tasks whose data points each issue a few small PS calls split a round
+        into *charging* and *values*. Charging is value-independent — costs
+        depend on keys, ownership and management state, never on parameter
+        values — so a worker chunk's exact per-call cost sequence replays
+        from one state lookup per chunk through this object, which must
+        reproduce the PS's per-call cost grouping bit-exactly; the values
+        then move without the per-call overhead. Two shapes exist:
+
+        * ``charge_chunk`` — per point a pull and a push of the same keys,
+          then compute (matrix factorization, which batches its value
+          traffic across the round with a conflict plan);
+        * ``charge_sampling_chunk`` — per point ``pull(direct)``,
+          ``pull_sample``, ``push(direct)``, ``push_sample``, then compute
+          (KGE, word vectors), requested by passing the ``distribution_id``
+          the samples are drawn from. Sample *selection* is as
+          value-independent as charging: the keys of a handle are fixed by
+          ``prepare_sample``, which the task still calls per chunk, in worker
+          order, so pools, cursors and RNG streams advance exactly as in the
+          sequential path. Values then move per point, in the sequential
+          order, through the charger's uncharged ``read``/``add``
+          (:class:`~repro.ps.rounds.ChunkValues`).
+
+        ``None`` tells the task to run
+        :func:`~repro.ml.task.sequential_process_round` instead — the right
+        answer whenever a per-call effect cannot be replayed from
+        chunk-level state. Every fallback condition, in one place:
+
+        * the architecture has no replay: single-node, SSP/ESSP replication
+          (freshness-dependent costs), and NuPS for tasks without sampling;
+        * ``batch_charging=False`` — the scalar per-key reference is the
+          oracle, it is not replayed;
+        * for sampling, an access-level tracer
+          (``TelemetryConfig(access_events=True)`` wants one event per call);
+        * for sampling on NuPS, ``integrate_sampling=False``, an attached
+          ``access_observer`` (``nups-adaptive``: the statistics tap sees
+          every call), or a scheme that decides keys at pull time
+          (postponing, local sampling, direct-access repurposing — anything
+          that overrides :meth:`SamplingScheme.pull
+          <repro.core.sampling.schemes.SamplingScheme.pull>`);
+        * the PS is wrapped: the drift remapper and the fault proxy answer
+          ``None`` so that every access keeps going through their
+          translating / gated ``pull`` and ``push``.
         """
         return None
 
@@ -482,6 +516,11 @@ class ParameterServer(ABC):
                 f"unknown distribution id {distribution_id}; "
                 "call register_distribution first"
             ) from None
+
+    def _traces_accesses(self) -> bool:
+        """Whether an access-level tracer wants one event per PS call."""
+        tracer = self.tracer
+        return tracer is not None and tracer.access_events
 
     def _validate_push(self, keys: np.ndarray, deltas: np.ndarray) -> tuple:
         keys = np.asarray(keys, dtype=np.int64)

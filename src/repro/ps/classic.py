@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.ps.base import ParameterServer
-from repro.ps.rounds import RoundAccounting
+from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import WorkerContext
 
 
@@ -128,8 +128,16 @@ class ClassicPS(ParameterServer):
                             n_remote * self._cached_value_bytes)
         return counts
 
-    def direct_point_charger(self):
-        """Per-point charge replay for the task-level round engine."""
+    def direct_point_charger(self, distribution_id: int | None = None):
+        """Per-point charge replay for the task-level round engine.
+
+        Sampling on a classic PS is application-side (the base class draws
+        iid keys at ``prepare_sample`` and pulls them via direct access), so
+        the same charger replays it; only an access-level tracer, which wants
+        one event per call, keeps the sampling tasks sequential.
+        """
+        if distribution_id is not None and self._traces_accesses():
+            return None
         return _ClassicPointCharger(self)
 
     # --------------------------------------------------------------- helpers
@@ -192,7 +200,7 @@ class ClassicPS(ParameterServer):
         )
 
 
-class _ClassicPointCharger:
+class _ClassicPointCharger(ChunkValues):
     """Exact per-point charge replay for a round of direct accesses.
 
     For every data point the sequential task issues a pull and a push over
@@ -201,9 +209,11 @@ class _ClassicPointCharger:
     order one worker- and one server-advance, twice (pull then push), then
     the scaled compute cost — from one owner lookup per chunk, with additive
     metric counters aggregated into one write per round.
+    :meth:`charge_sampling_chunk` replays the sampling tasks' four calls per
+    point the same way.
     """
 
-    __slots__ = ("ps", "acc")
+    __slots__ = ("acc",)
 
     def __init__(self, ps: ClassicPS) -> None:
         self.ps = ps
@@ -250,6 +260,64 @@ class _ClassicPointCharger:
             local_side += n_local
             now += compute
         clock.advance_to(now)
+        self._add_side_counters(node_id, local_side, remote_side)
+
+    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                              direct_widths: list, sample_widths: list,
+                              compute_costs: list) -> None:
+        """Charge one worker's chunk of a sampling task.
+
+        ``keys`` holds, per point and in point order, the point's direct
+        keys followed by its sample keys; the width lists give both counts
+        per point. Per point the sequential task issues ``pull(direct)``,
+        ``pull_sample``, ``push(direct)``, ``push_sample`` and a compute
+        charge; on a classic PS both sampling calls are direct accesses, so
+        each of the four is one partitioned charge — a local product, then
+        one worker- and one server-product per serving node in ascending
+        order. Also binds ``keys`` for the value pass (see
+        :class:`~repro.ps.rounds.ChunkValues`).
+        """
+        ps = self.ps
+        node_id = worker.node_id
+        owners = ps.partitioner.owners(keys).tolist()
+        self._bind(keys)
+        local_cost = ps._local_access_cost
+        remote_cost = ps._remote_access_cost
+        occupancy = ps._server_occupancy
+        scale = worker.compute_scale
+        nodes = ps.cluster.nodes
+        now = worker.clock.now
+        local_side = 0
+        position = 0
+        for n_direct, n_sample, compute in zip(direct_widths, sample_widths,
+                                               compute_costs):
+            split = position + n_direct
+            end = split + n_sample
+            calls = []
+            for lo, hi in ((position, split), (split, end)):
+                n_local = 0
+                groups: dict = {}
+                for owner in owners[lo:hi]:
+                    if owner == node_id:
+                        n_local += 1
+                    else:
+                        groups[owner] = groups.get(owner, 0) + 1
+                local_side += n_local
+                calls.append((n_local, sorted(groups.items())))
+            for n_local, groups in calls + calls:  # the pulls, then the pushes
+                if n_local:
+                    now += n_local * local_cost
+                for server, count in groups:
+                    now += count * remote_cost
+                    nodes[server].server_clock.advance(count * occupancy)
+            now += compute * scale
+            position = end
+        worker.clock.advance_to(now)
+        self._add_side_counters(node_id, local_side, len(owners) - local_side)
+
+    def _add_side_counters(self, node_id: int, local_side: int,
+                           remote_side: int) -> None:
+        """Counters of ``local_side`` + ``remote_side`` keys pulled and pushed."""
         acc = self.acc
         if local_side:
             acc.add_access(node_id, "pull.local", local_side)
@@ -259,7 +327,7 @@ class _ClassicPointCharger:
             acc.add_access(node_id, "push.remote", remote_side)
             acc.add_counter(node_id, "network.messages", 4 * remote_side)
             acc.add_counter(node_id, "network.bytes",
-                            2 * remote_side * ps._cached_value_bytes)
+                            2 * remote_side * self.ps._cached_value_bytes)
 
     def finish(self) -> None:
         """Write the round's aggregated counters."""

@@ -30,7 +30,12 @@ import numpy as np
 
 from repro.ps.base import ParameterServer
 from repro.ps.chunks import ChunkedVector, flatnonzero_equal
-from repro.ps.rounds import RoundAccounting
+from repro.ps.rounds import (
+    ChunkValues,
+    RoundAccounting,
+    segment_bounds,
+    segment_counts,
+)
 from repro.simulation.clock import fold_costs
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.partition import Partitioner
@@ -428,11 +433,18 @@ class RelocationPS(ParameterServer):
         return (costs_l, arrivals_l, local_l, n_local, n_remote, routed_extra,
                 server_counts)
 
-    def direct_point_charger(self):
-        """Per-point charge replay for the task-level round engine."""
+    def direct_point_charger(self, distribution_id: int | None = None):
+        """Per-point charge replay for the task-level round engine.
+
+        Like the classic PS, a relocation PS samples application-side, so
+        the charger also replays the sampling tasks' calls — unless an
+        access-level tracer wants one event per call.
+        """
         if not self.batch_charging:
             return None  # the scalar oracle is the reference; do not fuse
-        return _RelocationPointCharger(self)
+        if distribution_id is not None and self._traces_accesses():
+            return None
+        return RelocationPointCharger(self)
 
     # --------------------------------------------------------------- internals
     def _charge_access(self, worker: WorkerContext, keys: np.ndarray, kind: str) -> None:
@@ -717,7 +729,7 @@ class RelocationPS(ParameterServer):
         return lost
 
 
-class _RelocationPointCharger:
+class RelocationPointCharger(ChunkValues):
     """Exact per-point charge replay for a round of direct accesses.
 
     Replays, per data point, the relocation PS's pull call, push call and
@@ -731,11 +743,135 @@ class _RelocationPointCharger:
     sequential path.
     """
 
-    __slots__ = ("ps", "acc")
+    __slots__ = ("acc",)
+
+    #: Access kinds of ``pull_sample`` / ``push_sample``: direct access here
+    #: (the base-class sampling API), the sampling kinds on NuPS.
+    sample_kinds = ("pull", "push")
 
     def __init__(self, ps: RelocationPS) -> None:
         self.ps = ps
         self.acc = RoundAccounting()
+
+    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                              direct_widths: list, sample_widths: list,
+                              compute_costs: list) -> None:
+        """Charge one worker's chunk of a sampling task.
+
+        ``keys`` holds, per point and in point order, the point's direct
+        keys followed by its sample keys; the width lists give both counts
+        per point. Replays ``pull(direct)``, ``pull_sample``,
+        ``push(direct)``, ``push_sample`` and the compute charge per point
+        (see :meth:`_replay`) and binds ``keys`` for the value pass
+        (:class:`~repro.ps.rounds.ChunkValues`).
+        """
+        self._replay(worker, keys, segment_bounds(direct_widths, sample_widths),
+                     compute_costs)
+        self._bind(keys)
+
+    def _replay(self, worker: WorkerContext, keys: np.ndarray,
+                bounds: np.ndarray, compute_costs: list,
+                direct_replicas: list | None = None,
+                sample_replicas: list | None = None) -> None:
+        """The per-point clock fold over the relocation-managed ``keys``.
+
+        Ownership and arrival times are read once: inside a chunk nothing
+        moves keys (hints are issued before it, ``prepare_sample`` has run).
+        Each of a point's four calls then folds its keys' costs left to
+        right exactly like ``_charge_access`` — a local key waits for its
+        in-flight relocation against the running clock and costs one
+        shared-memory access, a remote key two or three messages — and the
+        compute charge follows. ``bounds`` are the :func:`segment_bounds` of
+        ``keys``; the ``*_replicas`` lists (NuPS) give per point how many
+        replicated keys each direct / sampling call additionally carries:
+        they are charged first, as one product, like ``_charge_local``.
+        """
+        ps = self.ps
+        node_id = worker.node_id
+        clock = worker.clock
+        now = clock.now
+        local_cost = 1 * ps._local_access_cost
+        n = len(keys)
+        costs: list = []
+        gates = None
+        local_direct = local_sample = n_remote = routed_extra = 0
+        if n:
+            owners = ps.current_owner.take(keys)
+            local_mask = owners == node_id
+            n_local = int(np.count_nonzero(local_mask))
+            n_remote = n - n_local
+            cost_array = np.full(n, local_cost, dtype=np.float64)
+            if n_remote:
+                remote_idx = np.flatnonzero(~local_mask)
+                remote_owners = owners[remote_idx]
+                routed = remote_owners != ps.partitioner.owners(keys[remote_idx])
+                routed_extra = int(np.count_nonzero(routed))
+                cost_array[remote_idx] = np.where(
+                    routed, ps._cost_three_messages, ps._cost_two_messages
+                )
+                # Pull and push of a key occupy its owner's request thread
+                # once each; a constant increment, so counts aggregate.
+                for server, count in enumerate(
+                        np.bincount(remote_owners).tolist()):
+                    self.acc.add_server(server, 2 * count)
+            costs = cost_array.tolist()
+            if n_local:
+                arrivals = ps.arrival_time.take(keys)
+                # The clock only moves forward, so a key that has arrived by
+                # now can never block later in the chunk: gate 0.0.
+                pending = local_mask & (arrivals > now)
+                if pending.any():
+                    gates = np.where(pending, arrivals, 0.0).tolist()
+                local_counts = segment_counts(local_mask, bounds)
+                local_direct = int(local_counts[0::2].sum())
+                local_sample = int(local_counts[1::2].sum())
+        replica_cost = ps._local_access_cost
+        scale = worker.compute_scale
+        waits = 0
+        edges = bounds.tolist()
+        for point, compute in enumerate(compute_costs):
+            start, split, end = edges[2 * point:2 * point + 3]
+            direct = (start, split,
+                      direct_replicas[point] if direct_replicas else 0)
+            sample = (split, end,
+                      sample_replicas[point] if sample_replicas else 0)
+            # pull(direct), pull_sample, push(direct), push_sample
+            for lo, hi, replicas in (direct, sample, direct, sample):
+                if replicas:
+                    now += replicas * replica_cost
+                if gates is None:
+                    for cost in costs[lo:hi]:
+                        now += cost
+                else:
+                    for position in range(lo, hi):
+                        gate = gates[position]
+                        if gate > now:
+                            now = gate
+                            waits += 1
+                        now += costs[position]
+            now += compute * scale
+        clock.advance_to(now)
+
+        acc = self.acc
+        pull_kind, push_kind = self.sample_kinds
+        acc.add_access(node_id, "pull.local", local_direct)
+        acc.add_access(node_id, "push.local", local_direct)
+        acc.add_access(node_id, f"{pull_kind}.local", local_sample)
+        acc.add_access(node_id, f"{push_kind}.local", local_sample)
+        if waits:
+            acc.add_counter(node_id, "relocation.waits", waits)
+        if n_remote:
+            sample_total = int((bounds[2::2] - bounds[1::2]).sum())
+            remote_sample = sample_total - local_sample
+            remote_direct = n_remote - remote_sample
+            acc.add_access(node_id, "pull.remote", remote_direct)
+            acc.add_access(node_id, "push.remote", remote_direct)
+            acc.add_access(node_id, f"{pull_kind}.remote", remote_sample)
+            acc.add_access(node_id, f"{push_kind}.remote", remote_sample)
+            acc.add_counter(node_id, "network.messages",
+                            2 * (2 * n_remote + routed_extra))
+            acc.add_counter(node_id, "network.bytes",
+                            2 * n_remote * ps._cached_value_bytes)
 
     def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
                      compute_cost: float) -> None:

@@ -30,6 +30,14 @@ granularity for the task-level round engine (see
 remainder is dominant thanks to localization. Conflicted traffic always
 keeps live, in-order value access — the planner only decides what may
 batch, never what is correct.
+
+The sampling tasks (KGE, word vectors) have no conflict-free remainder worth
+planning for — nearly every data point of a round chains through a row
+another point also updates — so their round engine keeps the sequential
+value order and only separates it from charging: a whole worker chunk is
+charged in one replay (``charge_sampling_chunk`` on the point chargers), and
+the points then read and write live rows through :class:`ChunkValues`, one
+gather and one scatter each, validated per chunk instead of per call.
 """
 
 from __future__ import annotations
@@ -43,8 +51,11 @@ from repro.simulation.cluster import WorkerContext
 __all__ = [
     "WorkerRound",
     "RoundAccounting",
+    "ChunkValues",
     "FusedRoundPlan",
     "duplicate_key_positions",
+    "segment_bounds",
+    "segment_counts",
 ]
 
 
@@ -138,6 +149,68 @@ class RoundAccounting:
         for node_id, counters in self.network.items():
             for name, amount in counters.items():
                 ps.metrics.increment(name, amount, node=node_id)
+
+
+class ChunkValues:
+    """Uncharged access to the values of one charged chunk's keys.
+
+    The sampling tasks' round engine charges a whole worker chunk through a
+    point charger first and then runs the per-point arithmetic on live rows:
+    one gather and one duplicate-aware scatter per data point, addressed as
+    a ``[lo, hi)`` slice of the chunk's flat key array. Keys are
+    range-checked once per chunk (when the charger binds them), delta shapes
+    once per point (:meth:`add`). This base serves the store directly; NuPS
+    routes replicated keys through its replica manager instead.
+    """
+
+    #: ``ps`` is set by the charger that inherits this class.
+    __slots__ = ("ps", "keys", "keys_list")
+
+    def _bind(self, keys: np.ndarray) -> None:
+        """Range-check ``keys`` (``KeyError``) and make them current."""
+        self.keys = self.ps.store.check_keys(keys)
+        self.keys_list = self.keys.tolist()
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """A copy of the current values of ``keys[lo:hi]``."""
+        return self.ps.store.rows(self.keys[lo:hi])
+
+    def add(self, lo: int, hi: int, deltas: np.ndarray) -> None:
+        """Add ``deltas`` to ``keys[lo:hi]``; repeated keys accumulate in order."""
+        keys, deltas = self.ps._validate_push(self.keys[lo:hi], deltas)
+        self._add_rows(keys, self.keys_list[lo:hi], deltas)
+
+    def _add_rows(self, keys: np.ndarray, keys_list: list,
+                  deltas: np.ndarray) -> None:
+        """Scatter into the store: one fancy ``+=`` unless a key repeats."""
+        if len(set(keys_list)) == len(keys_list):
+            self.ps.store.add_distinct(keys, deltas)
+        else:
+            self.ps.store.add(keys, deltas)
+
+
+def segment_bounds(direct_widths, sample_widths) -> np.ndarray:
+    """Cumulative offsets of a chunk's ``[direct | sample]`` key segments.
+
+    Point ``i`` owns flat positions ``bounds[2i]:bounds[2i + 1]`` (direct
+    access) and ``bounds[2i + 1]:bounds[2i + 2]`` (sampling access).
+    """
+    widths = np.empty(2 * len(direct_widths) + 1, dtype=np.int64)
+    widths[0] = 0
+    widths[1::2] = direct_widths
+    widths[2::2] = sample_widths
+    return np.cumsum(widths)
+
+
+def segment_counts(mask: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """How many ``mask`` positions are set in each segment of ``bounds``.
+
+    Entry ``2i`` counts point ``i``'s direct segment, ``2i + 1`` its sample
+    segment.
+    """
+    cumulative = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=cumulative[1:])
+    return np.diff(cumulative[bounds])
 
 
 class FusedRoundPlan:

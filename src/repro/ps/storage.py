@@ -187,6 +187,21 @@ class ParameterStore:
         scatter_add_rows(self._values, keys, deltas, keys_list)
         scatter_add_rows(self._versions, keys, 1, keys_list)
 
+    def check_keys(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Range-check ``keys`` once for a batch of unvalidated accesses.
+
+        Returns the keys as an ``int64`` array; raises the ``KeyError`` that
+        :meth:`get`/:meth:`add` raise for a key outside ``[0, num_keys)``.
+        Callers that issue many small accesses over one key set (the
+        per-chunk charge replay of the sampling tasks) validate here and then
+        move values through :meth:`rows` and :meth:`add_distinct`.
+        """
+        return self._validate_keys(keys)
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`get` for callers that already range-checked ``keys``."""
+        return self._values.take(keys, axis=0)
+
     def add_distinct(self, keys: np.ndarray, deltas: np.ndarray) -> None:
         """:meth:`add` for callers that guarantee distinct, in-range keys.
 

@@ -213,7 +213,7 @@ class RemappedParameterServer:
         return getattr(self._inner, attribute)
 
     # -------------------------------------------------------------- round API
-    def direct_point_charger(self):
+    def direct_point_charger(self, distribution_id=None):
         """The task-level round engine must not bypass key translation.
 
         The fused task paths read keys, values, and charges through the PS's

@@ -61,6 +61,24 @@ class TestPushPull:
         manager.push(0, np.array([2]), np.ones((1, store.value_length), dtype=np.float32))
         np.testing.assert_array_equal(store.get_single(2), before)
 
+    def test_slot_access_is_pull_and_push_by_slot(self, manager, store, cluster, plan):
+        """``read_slots``/``add_slots`` after one ``slots`` lookup leave the
+        replica, the update buffer and the dirty mask exactly as the
+        key-addressed calls do, repeated slots included."""
+        twin = ReplicaManager(store, cluster, plan, sync_interval=0.01)
+        keys = np.array([4, 1, 4])
+        deltas = np.arange(3 * store.value_length, dtype=np.float32) \
+            .reshape(3, store.value_length)
+        slots = manager.slots(keys)
+        assert np.array_equal(manager.read_slots(0, slots), twin.pull(0, keys))
+        manager.add_slots(0, slots, deltas)
+        twin.push(0, keys, deltas)
+        for name in ("_replicas", "_buffers", "_dirty"):
+            for node in getattr(twin, name):
+                assert np.array_equal(getattr(manager, name)[node],
+                                      getattr(twin, name)[node])
+        assert manager._dirty[0].tolist() == [False, True, False, False, True]
+
     def test_non_replicated_key_rejected(self, manager, store):
         with pytest.raises(KeyError):
             manager.pull(0, np.array([50]))

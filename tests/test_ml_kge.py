@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.sampling.conformity import ConformityLevel
 from repro.data.knowledge_graph import generate_knowledge_graph
-from repro.ml.kge import ComplExModel, KGETask
+from repro.ml.kge import ComplExModel, ComplExStep, KGETask, _sigmoid
+from repro.ml.optimizer import AdaGrad
 from repro.ps.local import SingleNodePS
 from repro.simulation.cluster import Cluster, ClusterConfig
 
@@ -83,6 +84,104 @@ class TestComplExModel:
     def test_invalid_dim_rejected(self):
         with pytest.raises(ValueError):
             ComplExModel(0)
+
+
+def _reference_steps(model, optimizer, values, regularization=0.0):
+    """A batch of independent steps composed from the public half-width API.
+
+    ``values`` is ``(inputs, 3 + negatives, 4 dim)``; the rows of one input
+    are ``[s, r, o, negatives...]``, the first half of the negatives
+    perturbing the subject, the second half the object. Per input this is
+    the step as the task computed it before :class:`ComplExStep`: one
+    ``score`` and one ``gradients`` call over the positive and the perturbed
+    triples, the per-key sums in the order positive, perturbed-subject
+    block, perturbed-object block, and AdaGrad on every row. The leading
+    axis only batches the inputs (all public functions broadcast over it).
+    """
+    dim2 = 2 * model.dim
+    weights = values[:, :, :dim2]
+    s_w, r_w, o_w = weights[:, 0:1], weights[:, 1:2], weights[:, 2:3]
+    neg_w = weights[:, 3:]
+    count = neg_w.shape[1]
+    half = count // 2
+    subjects = np.concatenate(
+        [s_w, neg_w[:, :half], np.repeat(s_w, count - half, axis=1)], axis=1)
+    objects = np.concatenate(
+        [o_w, np.repeat(o_w, half, axis=1), neg_w[:, half:]], axis=1)
+    dscores = _sigmoid(model.score(subjects, r_w, objects))
+    dscores[:, 0] = dscores[:, 0] - 1.0
+    g_subj, g_rel, g_obj = model.gradients(subjects, r_w, objects, dscores)
+    grad_s, grad_r, grad_o = g_subj[:, 0], g_rel[:, 0], g_obj[:, 0]
+    if half:
+        grad_r = grad_r + g_rel[:, 1:1 + half].sum(axis=1)
+        grad_o = grad_o + g_obj[:, 1:1 + half].sum(axis=1)
+    if count > half:
+        grad_s = grad_s + g_subj[:, 1 + half:].sum(axis=1)
+        grad_r = grad_r + g_rel[:, 1 + half:].sum(axis=1)
+    if regularization:
+        grad_s = grad_s + regularization * s_w[:, 0]
+        grad_r = grad_r + regularization * r_w[:, 0]
+        grad_o = grad_o + regularization * o_w[:, 0]
+    grads = np.concatenate(
+        [grad_s[:, None], grad_r[:, None], grad_o[:, None],
+         g_subj[:, 1:1 + half], g_obj[:, 1 + half:]], axis=1)
+    return optimizer.compute_update(values, grads)
+
+
+class TestComplExStep:
+    """The full-width step is the half-width composition, bit for bit."""
+
+    @pytest.mark.parametrize("regularization", [0.0, 0.01])
+    @pytest.mark.parametrize("negatives", [1, 2, 3, 8])
+    @pytest.mark.parametrize("dim", [4, 5, 8, 16])
+    def test_bit_identical_to_public_composition(self, dim, negatives,
+                                                 regularization):
+        rng = np.random.default_rng(1000 * dim + 10 * negatives)
+        model = ComplExModel(dim)
+        optimizer = AdaGrad(0.1)
+        step = ComplExStep(dim, 2 * negatives)
+        rows = 3 + 2 * negatives
+        for scale in (0.1, 1.0, 4.0, 30.0):  # up to saturated sigmoids
+            batch = rng.normal(0, scale, size=(500, rows, 4 * dim)) \
+                .astype(np.float32)
+            # The accumulator half is a sum of squares: non-negative, and
+            # exactly zero on a fresh row.
+            batch[:, :, 2 * dim:] = np.square(batch[:, :, 2 * dim:]) \
+                * (rng.random((500, rows, 1)) < 0.8)
+            expected = _reference_steps(model, optimizer, batch, regularization)
+            for values, deltas in zip(batch, expected):
+                assert step.deltas(values, optimizer, regularization) \
+                    .tobytes() == deltas.tobytes()
+
+    def test_reference_batching_is_exact(self):
+        """The batched reference equals one public-API composition per input."""
+        rng = np.random.default_rng(11)
+        model = ComplExModel(8)
+        optimizer = AdaGrad(0.1)
+        batch = np.abs(rng.normal(size=(40, 9, 32))).astype(np.float32)
+        together = _reference_steps(model, optimizer, batch, 0.01)
+        for values, deltas in zip(batch, together):
+            alone = _reference_steps(model, optimizer, values[None], 0.01)[0]
+            assert alone.tobytes() == deltas.tobytes()
+
+    def test_odd_sample_counts_and_no_samples(self):
+        rng = np.random.default_rng(7)
+        model = ComplExModel(4)
+        optimizer = AdaGrad(0.1)
+        for num_sampled in (0, 1, 5):
+            step = ComplExStep(4, num_sampled)
+            batch = np.abs(rng.normal(size=(50, 3 + num_sampled, 16))) \
+                .astype(np.float32)
+            expected = _reference_steps(model, optimizer, batch)
+            for values, deltas in zip(batch, expected):
+                assert step.deltas(values, optimizer).tobytes() \
+                    == deltas.tobytes()
+
+    def test_values_are_not_modified(self):
+        values = np.random.default_rng(3).random((7, 16)).astype(np.float32)
+        before = values.copy()
+        ComplExStep(4, 4).deltas(values, AdaGrad(0.1))
+        assert np.array_equal(values, before)
 
 
 class TestKGETaskLayout:
@@ -171,12 +270,55 @@ class TestKGETraining:
         scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         # Without filtering, target 4 ranks 5th; entities 0-2 are known true
         # and must be filtered out, leaving rank 2 (behind entity 3 only).
-        rank = KGETask._filtered_rank(scores, target=4, known_true={0, 1, 2})
+        rank = KGETask._filtered_rank(scores, target=4,
+                                     known_true=np.array([0, 1, 2]))
         assert rank == 2
 
     def test_filtered_rank_keeps_target_itself(self):
         scores = np.array([1.0, 2.0])
-        assert KGETask._filtered_rank(scores, target=1, known_true={1}) == 1
+        assert KGETask._filtered_rank(scores, target=1,
+                                     known_true=np.array([1])) == 1
+
+    def test_filter_index_lists_the_known_true_entities(self, graph, task):
+        true_triples = graph.all_true_triples()
+        assert len(task._known_objects) == len(task._known_subjects) \
+            == graph.num_test
+        for index, (s, r, o) in enumerate(graph.test_triples.tolist()):
+            objects = task._known_objects[index]
+            subjects = task._known_subjects[index]
+            assert objects.dtype == subjects.dtype == np.int64
+            assert sorted(objects.tolist()) == sorted(
+                e for (s2, r2, e) in true_triples if (s2, r2) == (s, r))
+            assert sorted(subjects.tolist()) == sorted(
+                e for (e, r2, o2) in true_triples if (r2, o2) == (r, o))
+
+    def test_evaluation_matches_the_masked_ranking(self, graph, task):
+        """MRR and Hits@10 are those of the per-query mask over a set of
+        known-true entities (the implementation this index replaced)."""
+        store = task.create_store(seed=3)
+        dim2 = 2 * task.dim
+        entity_w = store.values[: graph.num_entities, :dim2]
+        true_triples = graph.all_true_triples()
+        reciprocal_ranks = []
+        hits = 0
+        for s, r, o in graph.test_triples.tolist():
+            relation_w = store.values[task.relation_key(r), :dim2]
+            queries = (
+                (task.model.score_against_all(entity_w[s], relation_w, entity_w),
+                 o, {e for (s2, r2, e) in true_triples if (s2, r2) == (s, r)}),
+                (task.model.score_all_subjects(relation_w, entity_w[o], entity_w),
+                 s, {e for (e, r2, o2) in true_triples if (r2, o2) == (r, o)}),
+            )
+            for scores, target, known in queries:
+                mask = np.ones(len(scores), dtype=bool)
+                mask[sorted(known - {target})] = False
+                rank = int(np.count_nonzero(scores[mask] > scores[target])) + 1
+                reciprocal_ranks.append(1.0 / rank)
+                hits += int(rank <= 10)
+        assert task.evaluate(store) == {
+            "mrr_filtered": float(np.mean(reciprocal_ranks)),
+            "hits_at_10": hits / len(reciprocal_ranks),
+        }
 
     def test_sampling_level_is_passed_to_registration(self, graph, store):
         task = KGETask(graph, dim=4, sampling_level=ConformityLevel.NON_CONFORM)

@@ -79,3 +79,34 @@ class TestNegativeSampleStream:
         stream = NegativeSampleStream(ps, worker, dist_id, 1)
         stream.push_updates(np.empty(0, dtype=np.int64),
                             np.empty((0, ps.store.value_length), dtype=np.float32))
+
+    def test_drain_delivers_the_keys_the_pulls_would(self, env):
+        ps, worker, dist_id = env
+        ps.rng = np.random.default_rng(0)
+        pulled = NegativeSampleStream(ps, worker, dist_id, 9)
+        expected = np.concatenate([pulled.next(4).keys, pulled.next(5).keys])
+        ps.rng = np.random.default_rng(0)  # the same draws for the twin
+        stream = NegativeSampleStream(ps, worker, dist_id, 9)
+        clock_before = worker.clock.now
+        drained = stream.drain()
+        # Same keys in the same order, nothing charged, handle exhausted.
+        assert drained.tolist() == expected.tolist()
+        assert worker.clock.now == clock_before
+        assert stream.remaining == 0
+        assert stream._handle.remaining == 0
+        assert len(stream.next(3).keys) == 0
+        assert len(stream.drain()) == 0
+
+    def test_drain_after_partial_pulls_returns_the_rest(self, env):
+        ps, worker, dist_id = env
+        ps.rng = np.random.default_rng(3)
+        all_keys = NegativeSampleStream(ps, worker, dist_id, 7).drain()
+        ps.rng = np.random.default_rng(3)
+        stream = NegativeSampleStream(ps, worker, dist_id, 7)
+        head = stream.next(3).keys
+        assert np.concatenate([head, stream.drain()]).tolist() == all_keys.tolist()
+
+    def test_drain_of_an_empty_stream(self, env):
+        ps, worker, dist_id = env
+        drained = NegativeSampleStream(ps, worker, dist_id, 0).drain()
+        assert drained.dtype == np.int64 and len(drained) == 0

@@ -8,16 +8,30 @@ and ``ExperimentConfig.round_fusion`` must not change a single bit of an
 scenario. This suite drives both paths on identical workloads and asserts
 exact equality, plus unit coverage for the conflict-group planner and the
 satellite fixes (worker-queue peek caching, dirty-set epoch metrics).
+
+The sampling tasks (KGE, word vectors) run a charge replay and a value pass
+per worker chunk instead of four PS calls per data point. Their section
+drives the point chargers against the per-call sequence on twin parameter
+servers, compares whole experiments including every piece of PS state, and
+pins both directions of the path selection: the default configuration
+issues no ``pull``/``push`` at all, each fallback condition issues them.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
+from repro.core.sampling.distributions import UniformDistribution
+from repro.core.sampling.manager import SamplingConfig
+from repro.core.sampling.schemes import SCHEMES_BY_NAME, SchemeConfig
+from repro.ml.negative_sampling import NegativeSampleStream
 from repro.parallel import ParallelConfig
+from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
@@ -257,15 +271,24 @@ def test_run_round_single_node_fallback():
 
 
 # ------------------------------------------------------- runner-level fusion
+#: One experiment: its result plus the objects that hold the rest of the
+#: state a bit-identity claim is about. ``calls`` counts the ``pull`` and
+#: ``push`` calls that reached the raw PS.
+Run = namedtuple("Run", "result ps cluster task calls")
+
+
 def _experiment(task_name, system, backend, scenario_name=None,
-                chunk_size=8, seed=5, epochs=2, telemetry=False):
+                chunk_size=8, seed=5, epochs=2, telemetry=False,
+                storage=None, factory=None, task=None):
     """Run the test-scale experiment under one execution backend.
 
     ``backend`` is an ``ExperimentConfig.execution_backend`` value:
     ``"sequential"``, ``"fused"`` or ``"parallel"``. With ``telemetry`` the
     observability tracer rides along (it must not change a single bit).
+    ``factory`` replaces the named system's PS factory and ``task`` the
+    preset task.
     """
-    task = make_task(task_name, scale="test")
+    task = task or make_task(task_name, scale="test")
     scenario = make_scenario(scenario_name) if scenario_name else None
     parallel = ParallelConfig(num_workers=2) if backend == "parallel" else None
     telemetry_config = None
@@ -277,20 +300,92 @@ def _experiment(task_name, system, backend, scenario_name=None,
         cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
         epochs=epochs, chunk_size=chunk_size, seed=seed, scenario=scenario,
         execution_backend=backend, parallel=parallel,
-        telemetry=telemetry_config,
+        telemetry=telemetry_config, storage=storage,
     )
-    return run_experiment(task, make_ps_factory(system), config)
+    inner = factory or make_ps_factory(system)
+    built = {}
+    calls = {"pull": 0, "push": 0}
+
+    def counting_factory(store, cluster, task):
+        ps = built["ps"] = inner(store, cluster, task)
+        built["cluster"] = cluster
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(ps, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            setattr(ps, name, counted)
+        return ps
+
+    result = run_experiment(task, counting_factory, config)
+    return Run(result, built["ps"], built["cluster"], task, calls)
+
+
+def _generator_states(ps) -> dict:
+    states = {"ps": ps.rng.bit_generator.state}
+    for node_id, rng in getattr(ps, "_node_rngs", {}).items():
+        states[node_id] = rng.bit_generator.state
+    return states
+
+
+def _assert_ps_state_identical(a, b) -> None:
+    """Everything a PS holds besides clocks and metrics, to the last bit."""
+    all_keys = np.arange(a.store.num_keys, dtype=np.int64)
+    assert a.store.get(all_keys).tobytes() == b.store.get(all_keys).tobytes()
+    assert np.array_equal(a.store.read_versions(all_keys),
+                          b.store.read_versions(all_keys))
+    assert _generator_states(a) == _generator_states(b)
+    for name in ("current_owner", "arrival_time"):
+        if hasattr(a, name):
+            assert np.array_equal(getattr(a, name).take(all_keys),
+                                  getattr(b, name).take(all_keys)), name
+    if isinstance(a, NuPS):
+        assert {node: list(recent) for node, recent in a._recent_direct.items()} \
+            == {node: list(recent) for node, recent in b._recent_direct.items()}
+        manager_a, manager_b = a.replica_manager, b.replica_manager
+        assert manager_a.syncs_performed == manager_b.syncs_performed
+        for name in ("_replicas", "_buffers", "_dirty"):
+            state_a, state_b = getattr(manager_a, name), getattr(manager_b, name)
+            assert state_a.keys() == state_b.keys()
+            for node in state_a:
+                assert state_a[node].tobytes() == state_b[node].tobytes(), name
+        for distribution_id in a.sampling_manager.registered_ids():
+            pools_a = getattr(a.sampling_manager.scheme_for(distribution_id),
+                              "_node_state", {})
+            pools_b = getattr(b.sampling_manager.scheme_for(distribution_id),
+                              "_node_state", {})
+            assert pools_a.keys() == pools_b.keys()
+            for node in pools_a:
+                assert vars(pools_a[node]).keys() == vars(pools_b[node]).keys()
+                for field, value in vars(pools_a[node]).items():
+                    other = getattr(pools_b[node], field)
+                    if field == "chunks":
+                        assert [c.tolist() for c in value] \
+                            == [c.tolist() for c in other]
+                    elif isinstance(value, np.ndarray):
+                        assert np.array_equal(value, other), field
+                    elif field != "sampler":  # alias tables: rebuilt from keys
+                        assert value == other, field
 
 
 def _assert_results_identical(a, b) -> None:
-    assert a.initial_quality == b.initial_quality
-    assert a.epochs_completed == b.epochs_completed
-    for record_a, record_b in zip(a.records, b.records):
+    """Two runs agree on the result and on every piece of simulation state:
+    per-epoch records, metrics, all worker/server/background clocks, store
+    value bytes and versions, ownership, replica state, recent-access
+    buffers, sampling pools and every random generator."""
+    result_a, result_b = a.result, b.result
+    assert result_a.initial_quality == result_b.initial_quality
+    assert result_a.epochs_completed == result_b.epochs_completed
+    for record_a, record_b in zip(result_a.records, result_b.records):
         assert record_a.sim_time == record_b.sim_time
         assert record_a.epoch_duration == record_b.epoch_duration
         assert record_a.quality == record_b.quality
         assert record_a.metrics == record_b.metrics
-    assert a.metrics == b.metrics
+    assert result_a.metrics == result_b.metrics
+    _assert_cluster_identical(a.cluster, b.cluster)
+    _assert_ps_state_identical(a.ps, b.ps)
+    clipper_a = getattr(a.task, "_clipper", None)
+    if clipper_a is not None:
+        assert vars(clipper_a) == vars(b.task._clipper)
 
 
 MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups"]
@@ -308,15 +403,6 @@ def test_round_fusion_bit_identical_mf(system, chunk_size, backend):
     )
 
 
-@pytest.mark.parametrize("telemetry", [False, True])
-@pytest.mark.parametrize("system", ["classic", "lapse", "nups"])
-def test_round_fusion_bit_identical_kge(system, telemetry):
-    _assert_results_identical(
-        _experiment("kge", system, "fused", telemetry=telemetry),
-        _experiment("kge", system, "sequential", telemetry=telemetry),
-    )
-
-
 @pytest.mark.parametrize("backend", ["fused", "parallel"])
 @pytest.mark.parametrize("system", ["lapse", "nups"])
 def test_round_fusion_bit_identical_mf_with_telemetry(system, backend):
@@ -325,14 +411,6 @@ def test_round_fusion_bit_identical_mf_with_telemetry(system, backend):
         _experiment("matrix_factorization", system, backend, telemetry=True),
         _experiment("matrix_factorization", system, "sequential",
                     telemetry=True),
-    )
-
-
-@pytest.mark.parametrize("system", ["lapse", "nups"])
-def test_round_fusion_bit_identical_word_vectors(system):
-    _assert_results_identical(
-        _experiment("word_vectors", system, "fused"),
-        _experiment("word_vectors", system, "sequential"),
     )
 
 
@@ -366,11 +444,357 @@ def test_round_fusion_respects_remapped_ps():
     sequential = _experiment("matrix_factorization", "lapse", "sequential",
                              scenario_name="drift", epochs=4)
     _assert_results_identical(fused, sequential)
-    last = fused.records[-1].metrics
+    last = fused.result.records[-1].metrics
     local = last.get("access.pull.local", 0.0) + last.get("access.push.local", 0.0)
     remote = last.get("access.pull.remote", 0.0) + last.get("access.push.remote", 0.0)
     # Relocation re-adapts after the drift: locality dominates again.
     assert local > remote
+
+
+# ------------------------------------------- sampling tasks: charge replay
+def _sampling_ps_builders():
+    def nups(store, cluster, **kwargs):
+        plan = ManagementPlan(store.num_keys,
+                              np.array([0, 3, 7, 41, 90], dtype=np.int64))
+        config = SamplingConfig(scheme_config=SchemeConfig(pool_size=12,
+                                                           use_frequency=3))
+        return NuPS(store, cluster, plan=plan, sampling_config=config,
+                    sync_interval=0.0005, seed=0, **kwargs)
+
+    def nups_relocate_all(store, cluster):
+        return NuPS(store, cluster,
+                    plan=ManagementPlan.relocate_all(store.num_keys),
+                    sync_interval=None, seed=0)
+
+    return {
+        "classic": lambda store, cluster: ClassicPS(store, cluster, seed=0),
+        "relocation": lambda store, cluster: RelocationPS(store, cluster, seed=0),
+        "nups": nups,
+        "nups-relocate-all": nups_relocate_all,
+    }
+
+
+def _sampling_chunks(rng, workers, rounds=12):
+    """Per (round, worker): ragged points of direct keys, sample counts,
+    deltas and compute costs, plus an optional localize hint."""
+    plans = []
+    for _ in range(rounds):
+        for worker in workers:
+            points = []
+            for _ in range(int(rng.integers(1, 5))):
+                n_direct = int(rng.integers(1, 7))
+                n_sample = int(rng.integers(0, 3)) * n_direct
+                # A small key range: direct keys repeat inside a point and
+                # collide with the sampled keys (support [0, 60)).
+                direct = rng.integers(0, NUM_KEYS, size=n_direct) \
+                    .astype(np.int64)
+                deltas = rng.normal(0, 0.01, size=(n_direct + n_sample,
+                                                   VALUE_LENGTH)).astype(np.float32)
+                points.append((direct, n_sample, deltas, float(rng.random())))
+            hint = np.concatenate([p[0] for p in points]) \
+                if rng.random() < 0.7 else None
+            plans.append((worker.global_worker_id, points, hint))
+    return plans
+
+
+def _drive_sampling(builder, replay: bool):
+    # Five nodes: a call has up to four serving nodes, whose charging order
+    # (ascending) shows in the float sums only from three on.
+    cluster = _cluster(num_nodes=5)
+    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
+    ps = builder(store, cluster)
+    distribution_id = ps.register_distribution(UniformDistribution(0, 60),
+                                               "bounded")
+    workers = list(cluster.workers())
+    workers[1].compute_scale = 2.5  # a straggler: compute is scaled, access not
+    plans = _sampling_chunks(np.random.default_rng(17), workers)
+    seen = []
+    for index, (worker_key, points, hint) in enumerate(plans):
+        worker = cluster.worker(*worker_key)
+        if hint is not None:
+            ps.localize(worker, hint)  # in flight when the chunk starts
+        stream = NegativeSampleStream(ps, worker, distribution_id,
+                                      sum(p[1] for p in points))
+        if replay:
+            charger = ps.direct_point_charger(distribution_id)
+            samples = stream.drain()
+            taken = 0
+            keys = []
+            for direct, n_sample, _, _ in points:
+                keys += [direct, samples[taken:taken + n_sample]]
+                taken += n_sample
+            charger.charge_sampling_chunk(
+                worker, np.concatenate(keys), [len(p[0]) for p in points],
+                [p[1] for p in points], [p[3] for p in points],
+            )
+            lo = 0
+            for direct, n_sample, deltas, _ in points:
+                hi = lo + len(direct) + n_sample
+                seen.append(charger.read(lo, hi))
+                charger.add(lo, hi, deltas)
+                lo = hi
+            charger.finish()
+        else:
+            for direct, n_sample, deltas, compute in points:
+                pulled = ps.pull(worker, direct)
+                negatives = stream.next(n_sample)
+                seen.append(np.concatenate([pulled, negatives.values]))
+                ps.push(worker, direct, deltas[:len(direct)])
+                stream.push_updates(negatives.keys, deltas[len(direct):])
+                worker.charge_compute(compute)
+        if index % len(workers) == len(workers) - 1:
+            ps.housekeeping(cluster.time)
+    ps.finish_epoch()
+    return cluster, ps, seen
+
+
+@pytest.mark.parametrize("name", sorted(_sampling_ps_builders()))
+def test_point_charger_replays_sampling_calls(name):
+    """``charge_sampling_chunk`` + ``read``/``add`` == the four calls per
+    point, on ragged points with repeated keys, in-flight relocations,
+    replicated keys and a straggler."""
+    builder = _sampling_ps_builders()[name]
+    replay_cluster, replay_ps, replay_seen = _drive_sampling(builder, True)
+    call_cluster, call_ps, call_seen = _drive_sampling(builder, False)
+    _assert_cluster_identical(replay_cluster, call_cluster)
+    _assert_ps_state_identical(replay_ps, call_ps)
+    assert len(replay_seen) == len(call_seen)
+    for replayed, called in zip(replay_seen, call_seen):
+        assert replayed.tobytes() == called.tobytes()
+    if name != "classic":
+        # The workload must exercise the wait-for-arrival fold.
+        assert call_cluster.metrics.get("relocation.waits") > 0
+
+
+def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
+    cluster = _cluster()
+    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
+    charger = ClassicPS(store, cluster, seed=0).direct_point_charger(0)
+    worker = cluster.worker(0, 0)
+    with pytest.raises(IndexError):  # the owner lookup, as in ps.pull
+        charger.charge_sampling_chunk(
+            worker, np.array([1, NUM_KEYS + 3]), [1], [1], [0.0])
+    with pytest.raises(KeyError):
+        charger.charge_sampling_chunk(worker, np.array([1, -2]), [1], [1], [0.0])
+    charger.charge_sampling_chunk(worker, np.array([5, 9, 5]), [2], [1], [0.0])
+    with pytest.raises(ValueError, match="deltas must have shape"):
+        charger.add(0, 3, np.zeros((2, VALUE_LENGTH), dtype=np.float32))
+    before = store.get(np.array([5, 9]))
+    charger.add(0, 3, np.ones((3, VALUE_LENGTH), dtype=np.float32))
+    # Key 5 occurs twice in the point: both deltas land, in order.
+    assert np.array_equal(store.get(np.array([5, 9])),
+                          before + np.array([[2.0], [1.0]], dtype=np.float32))
+    assert store.version(5) == 2 and store.version(9) == 1
+
+
+SAMPLING_SYSTEMS = ["classic", "lapse", "nups"]
+SPARSE = StorageConfig(backend="sparse", chunk_rows=64)
+
+
+@pytest.mark.parametrize("telemetry", [False, True])
+@pytest.mark.parametrize("system", SAMPLING_SYSTEMS)
+def test_round_fusion_bit_identical_kge(system, telemetry):
+    _assert_results_identical(
+        _experiment("kge", system, "fused", telemetry=telemetry),
+        _experiment("kge", system, "sequential", telemetry=telemetry),
+    )
+
+
+@pytest.mark.parametrize("system", SAMPLING_SYSTEMS)
+def test_round_fusion_bit_identical_word_vectors(system):
+    _assert_results_identical(
+        _experiment("word_vectors", system, "fused"),
+        _experiment("word_vectors", system, "sequential"),
+    )
+
+
+def _sampling_matrix(seeds, tier_one: bool):
+    """(task, system, storage, chunk_size, seed) cells of the differential
+    matrix: {kge, wv} x {classic, lapse, nups} x {dense, sparse} x chunk
+    size {1, 8, 32} x seeds. Tier-1 runs one seed and, per system, one task
+    at each chunk size off 8 plus both tasks on the sparse backend; the
+    dense chunk-size-8 cells are the two tests above."""
+    for seed in seeds:
+        for task in ("kge", "word_vectors"):
+            for system in SAMPLING_SYSTEMS:
+                for storage in (None, SPARSE):
+                    for chunk_size in (1, 8, 32):
+                        if tier_one and (storage, chunk_size) not in (
+                                (SPARSE, 8),
+                                (None, 1 if task == "kge" else 32)):
+                            continue
+                        yield pytest.param(
+                            task, system, storage, chunk_size, seed,
+                            id=f"{task}-{system}-"
+                               f"{'sparse' if storage else 'dense'}-"
+                               f"{chunk_size}-{seed}",
+                        )
+
+
+def _check_sampling_cell(task, system, storage, chunk_size, seed, epochs):
+    fused = _experiment(task, system, "fused", storage=storage,
+                        chunk_size=chunk_size, seed=seed, epochs=epochs)
+    sequential = _experiment(task, system, "sequential", storage=storage,
+                             chunk_size=chunk_size, seed=seed, epochs=epochs)
+    _assert_results_identical(fused, sequential)
+    assert fused.calls == {"pull": 0, "push": 0}
+    assert sequential.calls["pull"] > 0 and sequential.calls["push"] > 0
+
+
+@pytest.mark.parametrize("task, system, storage, chunk_size, seed",
+                         _sampling_matrix([5], tier_one=True))
+def test_sampling_round_bit_identical(task, system, storage, chunk_size, seed):
+    _check_sampling_cell(task, system, storage, chunk_size, seed, epochs=1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("task, system, storage, chunk_size, seed",
+                         _sampling_matrix([0, 7, 2 ** 31 - 1], tier_one=False))
+def test_sampling_round_bit_identical_full_cross(task, system, storage,
+                                                 chunk_size, seed):
+    _check_sampling_cell(task, system, storage, chunk_size, seed, epochs=2)
+
+
+@pytest.mark.parametrize("task, system, scenario_name", [
+    ("kge", "nups", "stragglers"),
+    ("kge", "nups", "crash-storm"),
+    ("kge", "lapse", "degrading-network"),
+    ("word_vectors", "lapse", "churn"),
+    ("word_vectors", "nups", "autoscale-storm"),
+])
+def test_sampling_round_composes_with_scenarios(task, system, scenario_name):
+    """Scenarios that leave the PS unwrapped keep the replay path: scaled
+    compute, paused workers, a changing network, and — the relocation family
+    waits natively — crashes and membership changes between rounds."""
+    fused = _experiment(task, system, "fused", scenario_name=scenario_name)
+    sequential = _experiment(task, system, "sequential",
+                             scenario_name=scenario_name)
+    _assert_results_identical(fused, sequential)
+    assert fused.calls == {"pull": 0, "push": 0}
+
+
+@pytest.mark.parametrize("system", SAMPLING_SYSTEMS)
+def test_default_config_kge_round_issues_no_pull_or_push(system):
+    """Non-vacuity: the fused run really is the replay path. A default
+    configuration moves every value through the point charger; only the
+    sequential backend calls ``ps.pull`` / ``ps.push``."""
+    assert _experiment("kge", system, "fused", epochs=1).calls \
+        == {"pull": 0, "push": 0}
+    calls = _experiment("kge", system, "sequential", epochs=1).calls
+    assert calls["pull"] > 0 and calls["push"] > 0
+
+
+def _nups_factory(**overrides):
+    return make_ps_factory("nups", **overrides)
+
+
+def _oracle_factory(system):
+    def factory(store, cluster, task):
+        if system == "lapse":
+            return RelocationPS(store, cluster, seed=0, batch_charging=False)
+        plan = ManagementPlan.from_access_counts(task.access_counts(), 20.0)
+        return NuPS(store, cluster, plan=plan, sync_interval=0.001, seed=0,
+                    batch_charging=False)
+    return factory
+
+
+#: One entry per condition under which ``direct_point_charger`` must answer
+#: ``None`` for a sampling task (the list in its docstring).
+SAMPLING_FALLBACKS = {
+    "postponing-scheme": dict(
+        factory=_nups_factory(scheme_override="sample_reuse_postponing")),
+    "local-scheme": dict(task="word_vectors",
+                         factory=_nups_factory(scheme_override="local")),
+    "repurposing-scheme": dict(
+        factory=_nups_factory(scheme_override="direct_access_repurposing")),
+    "access-observer": dict(system="nups-adaptive"),
+    "access-events": dict(task="word_vectors", system="lapse", telemetry=True),
+    "sampling-not-integrated": dict(system="relocation+replication"),
+    "scalar-oracle-lapse": dict(task="word_vectors",
+                                factory=_oracle_factory("lapse")),
+    "scalar-oracle-nups": dict(factory=_oracle_factory("nups")),
+    # The drift preset rewires the mapping at epoch 2.
+    "drift-remap": dict(scenario_name="drift", epochs=3),
+    "fault-proxy": dict(system="classic", scenario_name="crash-storm"),
+    "no-replay-replication": dict(system="ssp"),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(SAMPLING_FALLBACKS))
+def test_sampling_round_falls_back_to_sequential(condition):
+    """Each fallback condition keeps the per-call path (``pull``/``push``
+    reach the PS) and leaves results identical to the sequential backend."""
+    kwargs = dict(task="kge", system="nups", epochs=1)
+    kwargs.update(SAMPLING_FALLBACKS[condition])
+    task, system = kwargs.pop("task"), kwargs.pop("system")
+    fused = _experiment(task, system, "fused", **kwargs)
+    sequential = _experiment(task, system, "sequential", **kwargs)
+    _assert_results_identical(fused, sequential)
+    assert fused.calls["pull"] > 0 and fused.calls["push"] > 0
+    assert fused.calls == sequential.calls
+
+
+def test_only_default_pull_schemes_deliver_prepared_keys():
+    """The scheme-level switch behind the three scheme fallbacks."""
+    cluster = _cluster()
+    store = ParameterStore(NUM_KEYS, VALUE_LENGTH)
+    host = NuPS(store, cluster, seed=0)
+    distribution = UniformDistribution(0, 60)
+    delivers = {
+        name: scheme(host, distribution).delivers_prepared_keys
+        for name, scheme in SCHEMES_BY_NAME.items()
+    }
+    assert delivers == {
+        "independent": True,
+        "sample_reuse": True,
+        "sample_reuse_postponing": False,
+        "local": False,
+        "direct_access_repurposing": False,
+    }
+
+
+class _BadSamples(UniformDistribution):
+    """A distribution that slips one fixed key into every draw."""
+
+    def __init__(self, support: int, bad_key: int) -> None:
+        super().__init__(0, support)
+        self.bad_key = bad_key
+
+    def sample(self, rng, size):
+        keys = super().sample(rng, size)
+        if len(keys):
+            keys[len(keys) // 2] = self.bad_key
+        return keys
+
+
+def _kge_with_bad_key(where: str, bad_key: int):
+    task = make_task("kge", scale="test")
+    if where == "dataset":
+        triples = task.graph.train_triples.copy()
+        triples[:, 0] = np.where(np.arange(len(triples)) % 97 == 3, bad_key,
+                                 triples[:, 0])
+        task.graph.train_triples = triples
+    else:
+        def register_sampling(ps, task=task):
+            task._distribution_id = ps.register_distribution(
+                _BadSamples(task.graph.num_entities, bad_key),
+                task.sampling_level)
+        task.register_sampling = register_sampling
+    return task
+
+
+@pytest.mark.parametrize("where", ["dataset", "sample"])
+@pytest.mark.parametrize("bad_key, error", [(10 ** 6, IndexError),
+                                            (-3, KeyError)])
+@pytest.mark.parametrize("system", SAMPLING_SYSTEMS)
+def test_bad_keys_raise_the_sequential_exception(system, bad_key, error, where):
+    """Error paths keep their checks: a key outside the store raises the
+    sequential path's exception type on the replay path too — ``IndexError``
+    from the owner lookup, ``KeyError`` from the store's range check."""
+    for backend in ("sequential", "fused"):
+        with pytest.raises(error):
+            _experiment("kge", system, backend, epochs=1,
+                        task=_kge_with_bad_key(where, bad_key))
 
 
 # --------------------------------------------------- satellite: queue caching
