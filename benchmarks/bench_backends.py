@@ -52,9 +52,10 @@ FAST = bool(int(os.environ.get("REPRO_BENCH_FAST", "0")))
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 
-#: The five MF architectures of the differential suite. Only systems with a
-#: direct point charger (classic, lapse) dispatch rounds to the pool; the
-#: others exercise the backend's transparent fallback and must cost ~nothing.
+#: The five distributed MF architectures of the differential suite. Only
+#: chargers whose values live in the store (classic, lapse, and NuPS while
+#: its plan replicates nothing) dispatch rounds to the pool; SSP/ESSP serve
+#: the node's replica, keep the in-process loop and must cost ~nothing.
 ARCHITECTURES = ["classic", "lapse", "ssp", "essp", "nups"]
 
 TASK_SCALE = "test" if FAST else "bench"

@@ -11,11 +11,18 @@ sha, ``nproc``, CPU model, Python and NumPy versions, seed, load average).
 Numbers are only comparable between lines of the same host; a PR records its
 parent and itself in one session so that each line has such a neighbour.
 
+The two numbers a user of the repository waits on ride along in a
+``user_facing`` column when they were measured in the same session:
+``--tier1-seconds`` (wall seconds of ``python -m pytest -x -q``) and
+``--reproduction`` (a ``REPRODUCTION.json`` written by ``repro reproduce
+--fast``: its wall seconds, job count and claim counts).
+
 Usage::
 
     python3 -m perfbench --seed 0 --out perfbench/out
     python benchmarks/bench_history.py perfbench/out/results.json \
-        --label "PR 13: chunk-level charge replay"
+        --label "PR 13: chunk-level charge replay" \
+        --tier1-seconds 95 --reproduction /tmp/repro/REPRODUCTION.json
 
 ``--history`` selects another history file (default: ``BENCH_history.jsonl``
 at the repository root). The git sha is the one perfbench recorded, i.e. the
@@ -28,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,7 +48,29 @@ HOST_FIELDS = ("git_sha", "nproc", "cpu_model", "python", "numpy", "seed",
                "seconds_per_run", "load_1m_start", "load_1m_end")
 
 
-def history_row(results: dict, label: str) -> dict:
+def user_facing(tier1_seconds: Optional[float],
+                reproduction: Optional[dict]) -> dict:
+    """The ``user_facing`` column: whichever of the two numbers was measured."""
+    column = {}
+    if tier1_seconds is not None:
+        column["tier1_s"] = float(tier1_seconds)
+    if reproduction is not None:
+        if reproduction.get("mode") != "fast":
+            raise ValueError("the history tracks `reproduce --fast`; got a "
+                             f"{reproduction.get('mode')!r} report")
+        summary = reproduction["summary"]
+        column["reproduce_fast"] = {
+            "seconds_total": summary["seconds_total"],
+            "jobs": reproduction["jobs"],
+            "claims_passed": summary["claims_passed"],
+            "claims_total": summary["claims_total"],
+        }
+    return column
+
+
+def history_row(results: dict, label: str,
+                tier1_seconds: Optional[float] = None,
+                reproduction: Optional[dict] = None) -> dict:
     """The history line for one ``results.json``."""
     if results.get("smoke"):
         raise ValueError("a --smoke run measures test-scale tasks; "
@@ -57,11 +87,15 @@ def history_row(results: dict, label: str) -> dict:
             }
         workloads[name] = row
     host = results["host"]
-    return {
+    row = {
         "label": label,
         "host": {field: host.get(field) for field in HOST_FIELDS},
         "workloads": workloads,
     }
+    column = user_facing(tier1_seconds, reproduction)
+    if column:
+        row["user_facing"] = column
+    return row
 
 
 def main(argv=None) -> int:
@@ -72,8 +106,17 @@ def main(argv=None) -> int:
                         help="what this run measured, e.g. the PR title")
     parser.add_argument("--history", type=Path,
                         default=ROOT / "BENCH_history.jsonl")
+    parser.add_argument("--tier1-seconds", type=float,
+                        help="wall seconds of `python -m pytest -x -q` on "
+                             "the same host, same session")
+    parser.add_argument("--reproduction", type=Path,
+                        help="the REPRODUCTION.json of a `repro reproduce "
+                             "--fast` run of the same session")
     args = parser.parse_args(argv)
-    row = history_row(json.loads(args.results.read_text()), args.label)
+    reproduction = json.loads(args.reproduction.read_text()) \
+        if args.reproduction else None
+    row = history_row(json.loads(args.results.read_text()), args.label,
+                      args.tier1_seconds, reproduction)
     with args.history.open("a") as history:
         history.write(json.dumps(row, sort_keys=True) + "\n")
     print(f"{args.history}: appended {args.label!r} "
@@ -98,6 +141,24 @@ def test_appends_one_line_per_run(tmp_path):
         for metric in END_TO_END:
             assert row[metric]["value"] == \
                 expected["workloads"][name]["end_to_end"][metric]["value"]
+    assert "user_facing" not in rows[0]
+
+
+def test_user_facing_column(tmp_path):
+    """Tier-1 seconds and the committed fast reproduction ride along."""
+    history = tmp_path / "history.jsonl"
+    assert main([str(ROOT / "perfbench" / "baseline.json"), "--label", "x",
+                 "--history", str(history), "--tier1-seconds", "95.5",
+                 "--reproduction", str(ROOT / "REPRODUCTION.json")]) == 0
+    column = json.loads(history.read_text())["user_facing"]
+    committed = json.loads((ROOT / "REPRODUCTION.json").read_text())
+    assert column["tier1_s"] == 95.5
+    assert column["reproduce_fast"] == {
+        "seconds_total": committed["summary"]["seconds_total"],
+        "jobs": committed["jobs"],
+        "claims_passed": committed["summary"]["claims_passed"],
+        "claims_total": committed["summary"]["claims_total"],
+    }
 
 
 if __name__ == "__main__":

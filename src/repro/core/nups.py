@@ -296,22 +296,25 @@ class NuPS(RelocationPS, SamplingHost):
                              worker_clock=worker.clock.now, acc=acc)
 
     def direct_point_charger(self, distribution_id: Optional[int] = None):
-        """Per-point charge replay for the sampling tasks' round engine.
+        """Per-point charge replay for the task-level round engine.
 
         A NuPS access is charged by management technique (replica keys as
         one shared-memory product, relocated keys through the relocation
         fold) and its values are routed the same way; both depend on the
         plan, ownership and arrival times only, so a chunk replays from one
-        lookup of each (:class:`_NuPSPointCharger`). The replay covers the
-        per-point call shape of the sampling tasks; without a
-        ``distribution_id`` (matrix factorization) the answer stays ``None``
-        and the task takes the sequential path. See the base class for the
-        full list of fallback conditions.
+        lookup of each (:class:`_NuPSPointCharger`) — direct access alone
+        (matrix factorization) or with the samples of ``distribution_id``.
+        The answer is ``None`` where a per-call effect cannot be replayed:
+        the scalar oracle, an attached ``access_observer`` (the statistics
+        tap sees every call), an access-level tracer and, for sampling,
+        ``integrate_sampling=False`` or a scheme that decides keys at pull
+        time. See the base class for the full list.
         """
-        if (distribution_id is None or not self.batch_charging
-                or not self.integrate_sampling
-                or self.access_observer is not None
-                or self._traces_accesses()
+        if (not self.batch_charging or self.access_observer is not None
+                or self._traces_accesses()):
+            return None
+        if distribution_id is not None and (
+                not self.integrate_sampling
                 or not self.sampling_manager.scheme_for(distribution_id)
                 .delivers_prepared_keys):
             return None
@@ -670,6 +673,34 @@ class _NuPSPointCharger(RelocationPointCharger):
     __slots__ = ("node_id", "routes")
 
     sample_kinds = ("sample", "sample_push")
+
+    @property
+    def values_in_store(self) -> bool:
+        """Replicated keys are served from the node's replica, not the store."""
+        return self.ps.plan.num_replicated == 0
+
+    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
+                     compute_cost: float) -> None:
+        """Charge one worker's chunk: per point, pull + push + compute.
+
+        Without a replicated key in the chunk this is the relocation
+        charger's fold plus the recent-access buffer; otherwise the sampling
+        replay with zero-width sample segments, which also plans the value
+        routes.
+        """
+        ps = self.ps
+        flat = keys2d.ravel()
+        if ps.plan.num_replicated and ps.plan.replicated_mask(flat).any():
+            num_points, keys_per_point = keys2d.shape
+            self.charge_sampling_chunk(
+                worker, flat, [keys_per_point] * num_points,
+                [0] * num_points, [compute_cost] * num_points,
+            )
+            return
+        self.node_id = worker.node_id
+        self.routes = {}
+        super().charge_chunk(worker, keys2d, compute_cost)
+        ps._recent_direct[worker.node_id].extend(self.keys_list)
 
     def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
                               direct_widths: list, sample_widths: list,

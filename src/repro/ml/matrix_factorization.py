@@ -58,6 +58,11 @@ class MatrixFactorizationTask(TrainingTask):
         self._clipper = UpdateNormClipper(clip_factor) if clip_factor > 0 else None
         self._epoch_squared_error = 0.0
         self._epoch_points = 0
+        #: The two PS keys of every training cell: row factor, column factor.
+        self._cell_keys = np.column_stack([
+            dataset.train_cells[:, 0],
+            dataset.num_rows + dataset.train_cells[:, 1],
+        ]).astype(np.int64, copy=False)
 
     # -------------------------------------------------------------- model layout
     def num_keys(self) -> int:
@@ -125,138 +130,107 @@ class MatrixFactorizationTask(TrainingTask):
 
     def prefetch(self, ps: ParameterServer, worker: WorkerContext,
                  data_indices: np.ndarray) -> None:
+        if not ps.relocates:
+            return  # ``localize`` is the base no-op: skip building the hint
         data_indices = np.asarray(data_indices, dtype=np.int64)
         if len(data_indices) == 0:
             return
-        cells = self.dataset.train_cells[data_indices]
-        direct_keys = np.unique(np.concatenate([
-            cells[:, 0], self.dataset.num_rows + cells[:, 1],
-        ]))
-        ps.localize(worker, direct_keys)
+        ps.localize(worker, np.unique(self._cell_keys[data_indices]))
 
     def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
                       data_indices: np.ndarray, rng: np.random.Generator) -> int:
         data_indices = np.asarray(data_indices, dtype=np.int64)
         if len(data_indices) == 0:
             return 0
-        cells = self.dataset.train_cells[data_indices]
-        values = self.dataset.train_values[data_indices]
-
         compute_cost = ps.network.compute_per_step  # constant per chunk
-        for (row, col), value in zip(cells, values):
-            self._train_cell(ps, worker, int(row), int(col), float(value))
+        for keys, value in zip(self._cell_keys[data_indices],
+                               self.dataset.train_values[data_indices].tolist()):
+            ps.push(worker, keys, self._step(ps.pull(worker, keys), value))
             worker.charge_compute(compute_cost)
         return len(data_indices)
 
-    def _train_cell(self, ps: ParameterServer, worker: WorkerContext,
-                    row: int, col: int, value: float) -> None:
-        keys = np.asarray([row, self.column_key(col)], dtype=np.int64)
-        factors = ps.pull(worker, keys)
-        deltas = self._cell_update(factors[0], factors[1], value)
-        ps.push(worker, keys, deltas)
+    def _step(self, factors: np.ndarray, value: float) -> np.ndarray:
+        """The SGD update of one cell (shared by every execution path).
 
-    def _cell_update(self, row_factor: np.ndarray, col_factor: np.ndarray,
-                     value: float) -> np.ndarray:
-        """The SGD update of one cell (shared by both execution paths)."""
-        prediction = float(row_factor.dot(col_factor))
-        error = value - prediction
+        ``factors`` is a ``[2, rank]`` float32 copy of the row factor and
+        the column factor. Both rows go through each expression at once:
+        row 0 of ``error * factors[::-1] - regularization * factors`` is the
+        row gradient ``error * col - regularization * row``, row 1 the column
+        gradient, element for element. The stateful clipper sees the row
+        delta, then the column delta.
+        """
+        error = value - float(factors[0].dot(factors[1]))
         self._epoch_squared_error += error * error
         self._epoch_points += 1
-
-        grad_row = error * col_factor - self.regularization * row_factor
-        grad_col = error * row_factor - self.regularization * col_factor
-        delta_row = self._clip(self.learning_rate * grad_row)
-        delta_col = self._clip(self.learning_rate * grad_col)
-        deltas = np.empty((2, len(delta_row)), dtype=np.float32)
-        deltas[0] = delta_row
-        deltas[1] = delta_col
+        deltas = self.learning_rate * (
+            error * factors[::-1] - self.regularization * factors
+        )
+        clipper = self._clipper
+        if clipper is not None:
+            for index in (0, 1):
+                delta = deltas[index]
+                clipped = clipper.clip_given_norm(
+                    delta, float(np.sqrt(delta.dot(delta)))
+                )
+                if clipped is not delta:
+                    deltas[index] = clipped
         return deltas
 
     def process_round(self, ps: ParameterServer, items) -> None:
-        """Round-fused processing: batched value traffic, replayed charging.
+        """Round execution for MF: one charge replay per chunk, then its points.
 
-        Charging is value-independent, so each worker's exact per-point cost
-        sequence (pull, push, compute) replays from one owner lookup per
-        chunk through the PS's :meth:`direct_point_charger`. Value movement
-        follows the conflict-group plan at data-point granularity: a point
-        whose keys no other point in the round touches reads from one
-        hoisted gather and writes to one deferred scatter-add; conflicted
-        points (e.g. consecutive cells of the same column, whose SGD steps
-        chain through the column factor) access live store rows in walk
-        order. The per-cell arithmetic is the sequential path's, executed in
-        the sequential order — results are bit-identical. PSs without a
-        point charger (replication's freshness-dependent costs, NuPS's
-        replica routing) take the sequential path unchanged.
+        Per worker chunk, in worker order: the unchanged prefetch of the next
+        chunk, one replay of all the chunk's ``pull → push → compute``
+        charges through the PS's point charger (charging never reads
+        parameter values), the chunk's cells in the sequential order — each
+        reads its two factors and adds its two deltas through the charger's
+        uncharged ``read``/``add``, which route values wherever the
+        architecture keeps them (store, node replica, NuPS replica slot) —
+        and the clock advance. Every architecture has a charger; the round
+        runs through :func:`~repro.ml.task.sequential_process_round` only
+        where :meth:`ParameterServer.direct_point_charger
+        <repro.ps.base.ParameterServer.direct_point_charger>` answers
+        ``None`` (its docstring lists when). There is no conflict plan on
+        this path: 1.1 % of a bench round's cells touch keys no other cell of
+        the round touches, so batching values across cells serves nothing
+        (see :mod:`repro.ps.rounds`).
         """
-        charger_factory = getattr(ps, "direct_point_charger", None)
-        charger = charger_factory() if charger_factory is not None else None
+        charger = ps.direct_point_charger()
         if charger is None:
             sequential_process_round(self, ps, items)
             return
 
-        num_rows = self.dataset.num_rows
-        train_cells = self.dataset.train_cells
         train_values = self.dataset.train_values
         keys_per_item = []
         values_per_item = []
         for item in items:
             indices = np.asarray(item.chunk, dtype=np.int64)
-            cells = train_cells[indices]
-            keys2d = np.empty((len(indices), 2), dtype=np.int64)
-            keys2d[:, 0] = cells[:, 0]
-            keys2d[:, 1] = num_rows + cells[:, 1]
-            keys_per_item.append(keys2d)
+            keys_per_item.append(self._cell_keys[indices])
             values_per_item.append(train_values[indices].tolist())
 
-        # Conflict-group plan: a point is fused when its keys appear nowhere
-        # else in the round (row keys never collide with column keys, so
-        # within-point duplicates cannot occur).
-        plan = FusedRoundPlan.plan(keys_per_item)
-        conflicted = plan.conflicted
-        num_fused = plan.num_fused
-        fused_keys = plan.fused_keys
-
         executor = getattr(ps, "parallel_executor", None)
-        if executor is not None and executor.accepts(num_fused):
-            self._process_round_parallel(
-                ps, items, keys_per_item, values_per_item, plan, charger,
-                executor,
-            )
-            return
+        if executor is not None and charger.values_in_store:
+            plan = FusedRoundPlan.plan(keys_per_item)
+            if executor.accepts(plan.num_fused):
+                self._process_round_parallel(
+                    ps, items, keys_per_item, values_per_item, plan, charger,
+                    executor,
+                )
+                return
 
-        gathered = ps.store.get(fused_keys) if num_fused else None
-        fused_deltas = np.empty((2 * num_fused, self.rank), dtype=np.float32) \
-            if num_fused else None
-
-        store = ps.store
-        live_values = store.values
         compute_cost = ps.network.compute_per_step
-        cursor = 0
-        point = 0
+        read, add, step = charger.read, charger.add, self._step
         for item, keys2d, cell_values in zip(items, keys_per_item,
                                              values_per_item):
             worker = item.worker
             if item.next_chunk is not None:
                 self.prefetch(ps, worker, item.next_chunk)
             charger.charge_chunk(worker, keys2d, compute_cost)
-            for local_point, value in enumerate(cell_values):
-                if conflicted[point]:
-                    point_keys = keys2d[local_point]
-                    factors = live_values[point_keys]  # fancy index: a copy
-                    deltas = self._cell_update(factors[0], factors[1], value)
-                    store.add_distinct(point_keys, deltas)
-                else:
-                    factors = gathered[cursor:cursor + 2]
-                    deltas = self._cell_update(factors[0], factors[1], value)
-                    fused_deltas[cursor:cursor + 2] = deltas
-                    cursor += 2
-                point += 1
+            lo = 0
+            for value in cell_values:
+                add(lo, lo + 2, step(read(lo, lo + 2), value))
+                lo += 2
             ps.advance_clock(worker)
-        if num_fused:
-            # Each fused key is touched exactly once, so the deferred
-            # scatter lands one addition per row — bit-identical to the
-            # per-point pushes it replaces.
-            store.add_distinct(fused_keys, fused_deltas)
         charger.finish()
 
     def _process_round_parallel(self, ps: ParameterServer, items,
@@ -265,18 +239,21 @@ class MatrixFactorizationTask(TrainingTask):
                                 executor) -> None:
         """Round execution over the shared-memory worker pool.
 
-        Division of labor (see DESIGN.md, "Execution backends"): the workers
-        compute the *value-only* part of the conflict-free remainder — raw
-        pre-clip deltas, squared errors, update norms — over shared-memory
-        views of the store, while this coordinator replays the serialized
-        charging chain (prefetch, per-point cost replay, clock advance; the
-        exact per-item order of the fused path). Joining the pool, the merge
-        walk revisits every data point in global order: conflicted points
-        run the live sequential update, fused points fold their
-        worker-computed statistics through the stateful clipper and the
-        epoch-loss accumulator. Every order-dependent fold therefore runs on
-        one thread in sequential order, which is what makes the backend
-        bit-identical rather than merely equivalent.
+        Only for chargers whose values live in the store
+        (``charger.values_in_store``): workers and merge walk read and write
+        ``ps.store`` directly. Division of labor (see DESIGN.md, "Execution
+        backends"): the workers compute the *value-only* part of the
+        conflict-free remainder — raw pre-clip deltas, squared errors,
+        update norms — over shared-memory views of the store, while this
+        coordinator replays the serialized charging chain (prefetch,
+        per-point cost replay, clock advance; the exact per-item order of
+        the in-process path). Joining the pool, the merge walk revisits every
+        data point in global order: conflicted points run the live
+        sequential update, fused points fold their worker-computed
+        statistics through the stateful clipper and the epoch-loss
+        accumulator. Every order-dependent fold therefore runs on one thread
+        in sequential order, which is what makes the backend bit-identical
+        rather than merely equivalent.
         """
         num_fused = plan.num_fused
         conflicted = plan.conflicted
@@ -295,8 +272,9 @@ class MatrixFactorizationTask(TrainingTask):
         )
 
         # The serialized part, concurrent with the workers: charging is
-        # value-independent, so the charge/clock chain is exactly the fused
-        # path's (prefetch, chunk charge replay, clock advance per item).
+        # value-independent, so the charge/clock chain is exactly the
+        # in-process path's (prefetch, chunk charge replay, clock advance
+        # per item).
         compute_cost = ps.network.compute_per_step
         for item, keys2d in zip(items, keys_per_item):
             worker = item.worker
@@ -320,11 +298,10 @@ class MatrixFactorizationTask(TrainingTask):
             for local_point, value in enumerate(cell_values):
                 if conflicted[point]:
                     point_keys = keys2d[local_point]
-                    factors = live_values[point_keys]  # fancy index: a copy
-                    point_deltas = self._cell_update(
-                        factors[0], factors[1], value
+                    # Fancy indexing copies the two factors.
+                    store.add_distinct(
+                        point_keys, self._step(live_values[point_keys], value)
                     )
-                    store.add_distinct(point_keys, point_deltas)
                 else:
                     self._epoch_squared_error += squared_errors[cursor]
                     self._epoch_points += 1
@@ -342,11 +319,6 @@ class MatrixFactorizationTask(TrainingTask):
         if num_fused:
             store.add_distinct(plan.fused_keys, deltas)
         charger.finish()
-
-    def _clip(self, update: np.ndarray) -> np.ndarray:
-        if self._clipper is None:
-            return np.asarray(update, dtype=np.float32)
-        return np.asarray(self._clipper.clip(update), dtype=np.float32)
 
     def on_epoch_end(self, epoch: int) -> None:
         """Bold driver: adapt the learning rate from the epoch's training loss."""

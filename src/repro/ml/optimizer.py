@@ -86,6 +86,11 @@ def clip_update_norm(update: np.ndarray, max_norm: float) -> np.ndarray:
     return (update * scale).astype(np.float32)
 
 
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """``row.dot(row)`` of every row of a 2-D array, in one call."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
 class UpdateNormClipper:
     """Clip updates that exceed a multiple of the running average norm.
 
@@ -140,19 +145,18 @@ class UpdateNormClipper:
     def clip_rows(self, updates: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`clip` of a 2-D float32 batch, in order.
 
-        Bit-identical to calling :meth:`clip` once per row: the squared
-        norms are computed with the same per-row BLAS dot, the square roots
-        in one elementwise call, and the (inherently sequential) running-mean
-        logic runs on Python floats. ``updates`` must be freshly allocated —
-        clipped rows are scaled in place.
+        Bit-identical to calling :meth:`clip` once per row. The squared
+        norms come from one batched call: a stack of ``[1, d] @ [d, 1]``
+        products takes NumPy's vector-times-vector route, the same BLAS dot
+        per row as ``row.dot(row)`` (``tests/test_ml_optimizer.py`` pins the
+        identity, so a NumPy build that routes differently fails loudly).
+        The square roots are one elementwise call, and the (inherently
+        sequential) running-mean logic runs on Python floats. ``updates``
+        must be freshly allocated — clipped rows are scaled in place.
         """
-        n = len(updates)
-        if n == 0:
+        if len(updates) == 0:
             return updates
-        dots = np.empty(n, dtype=np.float32)
-        for i, row in enumerate(updates):
-            dots[i] = row.dot(row)
-        norms = np.sqrt(dots).tolist()
+        norms = np.sqrt(_row_dots(updates)).tolist()
         count = self._count
         mean = self._mean_norm
         factor = self.factor

@@ -166,13 +166,16 @@ class TrainingTask(ABC):
         The contract is :func:`sequential_process_round` — for each worker in
         order: prefetch the next chunk, process the current chunk, advance
         the clock — and any override must be *bit-identical* to it (clocks,
-        metrics, and model values). All three standard tasks override it:
-        matrix factorization batches value traffic across the round with a
-        conflict plan
-        (:meth:`repro.ml.matrix_factorization.MatrixFactorizationTask.process_round`),
-        the sampling tasks replay a chunk's charging at once and keep the
-        sequential order for values
-        (:func:`repro.ml.negative_sampling.replayed_sampling_round`).
+        metrics, and model values). All three standard tasks override it the
+        same way: per worker chunk, in worker order, they replay the chunk's
+        charging at once through the PS's point charger and keep the
+        sequential order for values, which move through the charger's
+        uncharged ``read``/``add``
+        (:meth:`repro.ml.matrix_factorization.MatrixFactorizationTask.process_round`;
+        :func:`repro.ml.negative_sampling.replayed_sampling_round` for the
+        sampling tasks). None of them batches values across data points: the
+        points of a round chain through shared rows (see
+        :mod:`repro.ps.rounds`).
         """
         sequential_process_round(self, ps, items)
 

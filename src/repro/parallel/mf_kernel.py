@@ -11,8 +11,10 @@ exact point order, during the merge walk.
 Bit-identity contract
 ---------------------
 Every expression below mirrors
-:meth:`repro.ml.matrix_factorization.MatrixFactorizationTask._cell_update`
-operation for operation on the same dtypes:
+:meth:`repro.ml.matrix_factorization.MatrixFactorizationTask._step`
+element for element on the same dtypes (the task runs both factors through
+each expression at once; here they stay two rows, which changes no
+element's operands or operation order):
 
 * ``value`` is a Python float (the sequential path iterates a ``tolist()``
   of the float64 training values; the float64 round-trip through shared
@@ -24,9 +26,9 @@ operation for operation on the same dtypes:
   and square root widened to float64, stored losslessly in float64 scratch.
 
 The fused rows a worker reads are, by the conflict-group plan, disjoint from
-every row written during the round before the deferred scatter, so reading
-the live shared matrix observes exactly the values the sequential path's
-hoisted gather snapshots.
+every row written during the round before the coordinator's deferred
+scatter, so reading the live shared matrix observes exactly the values the
+sequential path reads at those points.
 """
 
 from __future__ import annotations

@@ -146,6 +146,10 @@ class ParameterServer(ABC):
     #: the retry/timeout proxy from :mod:`repro.faults.proxy`.
     native_failover_wait = False
 
+    #: Whether :meth:`localize` acts on its hint. Tasks skip building the
+    #: hint (a sorted distinct key set per chunk) for PSs that ignore it.
+    relocates = False
+
     def __init__(
         self,
         store: ParameterStore,
@@ -379,7 +383,7 @@ class ParameterServer(ABC):
 
         The base implementation *is* that loop, so it is bit-identical by
         construction. Parameter servers with fused implementations override
-        this, batching the conflict-free part of the round (see
+        this, batching the order-free bookkeeping of the round (see
         :mod:`repro.ps.rounds`) while keeping the same contract.
         """
         return self._run_round_sequential(rounds)
@@ -392,12 +396,15 @@ class ParameterServer(ABC):
         depend on keys, ownership and management state, never on parameter
         values — so a worker chunk's exact per-call cost sequence replays
         from one state lookup per chunk through this object, which must
-        reproduce the PS's per-call cost grouping bit-exactly; the values
-        then move without the per-call overhead. Two shapes exist:
+        reproduce the PS's per-call cost grouping bit-exactly. The values
+        then move per point, in the sequential order, through the charger's
+        uncharged ``read``/``add`` (:class:`~repro.ps.rounds.ChunkValues`),
+        which serve them from wherever the architecture keeps them: the
+        store, the node's replica and update buffer (SSP/ESSP), a replica
+        slot (NuPS). Two shapes exist:
 
         * ``charge_chunk`` — per point a pull and a push of the same keys,
-          then compute (matrix factorization, which batches its value
-          traffic across the round with a conflict plan);
+          then compute (matrix factorization; every architecture has it);
         * ``charge_sampling_chunk`` — per point ``pull(direct)``,
           ``pull_sample``, ``push(direct)``, ``push_sample``, then compute
           (KGE, word vectors), requested by passing the ``distribution_id``
@@ -405,30 +412,29 @@ class ParameterServer(ABC):
           value-independent as charging: the keys of a handle are fixed by
           ``prepare_sample``, which the task still calls per chunk, in worker
           order, so pools, cursors and RNG streams advance exactly as in the
-          sequential path. Values then move per point, in the sequential
-          order, through the charger's uncharged ``read``/``add``
-          (:class:`~repro.ps.rounds.ChunkValues`).
+          sequential path.
 
         ``None`` tells the task to run
         :func:`~repro.ml.task.sequential_process_round` instead — the right
         answer whenever a per-call effect cannot be replayed from
         chunk-level state. Every fallback condition, in one place:
 
-        * the architecture has no replay: single-node, SSP/ESSP replication
-          (freshness-dependent costs), and NuPS for tasks without sampling;
         * ``batch_charging=False`` — the scalar per-key reference is the
           oracle, it is not replayed;
-        * for sampling, an access-level tracer
-          (``TelemetryConfig(access_events=True)`` wants one event per call);
-        * for sampling on NuPS, ``integrate_sampling=False``, an attached
-          ``access_observer`` (``nups-adaptive``: the statistics tap sees
-          every call), or a scheme that decides keys at pull time
-          (postponing, local sampling, direct-access repurposing — anything
-          that overrides :meth:`SamplingScheme.pull
+        * an access-level tracer (``TelemetryConfig(access_events=True)``
+          wants one event per call);
+        * on NuPS, an attached ``access_observer`` (``nups-adaptive``: the
+          statistics tap sees every call);
+        * for sampling, SSP/ESSP replication (no sampling replay), and on
+          NuPS ``integrate_sampling=False`` or a scheme that decides keys at
+          pull time (postponing, local sampling, direct-access repurposing —
+          anything that overrides :meth:`SamplingScheme.pull
           <repro.core.sampling.schemes.SamplingScheme.pull>`);
         * the PS is wrapped: the drift remapper and the fault proxy answer
           ``None`` so that every access keeps going through their
           translating / gated ``pull`` and ``push``.
+
+        This base answers ``None``; every architecture overrides it.
         """
         return None
 

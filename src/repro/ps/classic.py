@@ -134,9 +134,9 @@ class ClassicPS(ParameterServer):
         Sampling on a classic PS is application-side (the base class draws
         iid keys at ``prepare_sample`` and pulls them via direct access), so
         the same charger replays it; only an access-level tracer, which wants
-        one event per call, keeps the sampling tasks sequential.
+        one event per call, keeps a task sequential.
         """
-        if distribution_id is not None and self._traces_accesses():
+        if self._traces_accesses():
             return None
         return _ClassicPointCharger(self)
 
@@ -221,12 +221,18 @@ class _ClassicPointCharger(ChunkValues):
 
     def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
                      compute_cost: float) -> None:
-        """Charge one worker's chunk: per point, pull + push + compute."""
+        """Charge one worker's chunk: per point, pull + push + compute.
+
+        Also binds the keys for the value pass: point ``i`` owns flat
+        positions ``[i * keys_per_point, (i + 1) * keys_per_point)``.
+        """
         ps = self.ps
         node_id = worker.node_id
         num_points, keys_per_point = keys2d.shape
-        owner_rows = ps.partitioner.owners(keys2d.ravel()) \
+        flat = keys2d.ravel()
+        owner_rows = ps.partitioner.owners(flat) \
             .reshape(num_points, keys_per_point).tolist()
+        self._bind(flat)
         local_cost = ps._local_access_cost
         remote_cost = ps._remote_access_cost
         occupancy = ps._server_occupancy

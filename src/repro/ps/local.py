@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.ps.base import ParameterServer
+from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import WorkerContext
 
 
@@ -50,3 +51,62 @@ class SingleNodePS(ParameterServer):
                          keys=len(keys))
         self._charge_local(worker, len(keys), "push")
         self.store.add(keys, deltas)
+
+    def direct_point_charger(self, distribution_id: int | None = None):
+        """Per-point charge replay for the task-level round engine.
+
+        Every call costs its key count times the shared-memory access cost,
+        sampling included (the base class samples application-side); only an
+        access-level tracer, which wants one event per call, keeps a task
+        sequential.
+        """
+        if self._traces_accesses():
+            return None
+        return _LocalPointCharger(self)
+
+
+class _LocalPointCharger(ChunkValues):
+    """Per-point charge replay on a single node: every access is local."""
+
+    __slots__ = ("acc",)
+
+    def __init__(self, ps: SingleNodePS) -> None:
+        self.ps = ps
+        self.acc = RoundAccounting()
+
+    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
+                     compute_cost: float) -> None:
+        """Charge one worker's chunk: per point, pull + push + compute."""
+        num_points, keys_per_point = keys2d.shape
+        self.charge_sampling_chunk(
+            worker, keys2d.ravel(), [keys_per_point] * num_points,
+            [0] * num_points, [compute_cost] * num_points,
+        )
+
+    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                              direct_widths: list, sample_widths: list,
+                              compute_costs: list) -> None:
+        """Charge one worker's chunk of a sampling task.
+
+        Per point ``pull(direct)``, ``pull_sample``, ``push(direct)``,
+        ``push_sample`` — one product each, as ``_charge_local`` does, none
+        for an empty call — then the scaled compute charge. Also binds
+        ``keys`` for the value pass (:class:`~repro.ps.rounds.ChunkValues`).
+        """
+        self._bind(keys)
+        local_cost = self.ps._local_access_cost
+        scale = worker.compute_scale
+        now = worker.clock.now
+        for n_direct, n_sample, compute in zip(direct_widths, sample_widths,
+                                               compute_costs):
+            for count in (n_direct, n_sample, n_direct, n_sample):
+                if count:
+                    now += count * local_cost
+            now += compute * scale
+        worker.clock.advance_to(now)
+        self.acc.add_access(worker.node_id, "pull.local", len(self.keys))
+        self.acc.add_access(worker.node_id, "push.local", len(self.keys))
+
+    def finish(self) -> None:
+        """Write the round's aggregated counters."""
+        self.acc.flush(self.ps, 0.0)

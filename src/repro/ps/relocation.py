@@ -79,6 +79,10 @@ class RelocationPS(ParameterServer):
     #: workers naturally wait out the recovery instead of erroring.
     native_failover_wait = True
 
+    @property
+    def relocates(self) -> bool:
+        return self.relocation_enabled
+
     def __init__(
         self,
         store: ParameterStore,
@@ -437,12 +441,11 @@ class RelocationPS(ParameterServer):
         """Per-point charge replay for the task-level round engine.
 
         Like the classic PS, a relocation PS samples application-side, so
-        the charger also replays the sampling tasks' calls — unless an
-        access-level tracer wants one event per call.
+        the charger also replays the sampling tasks' calls. The scalar
+        oracle is not replayed, and an access-level tracer wants one event
+        per call.
         """
-        if not self.batch_charging:
-            return None  # the scalar oracle is the reference; do not fuse
-        if distribution_id is not None and self._traces_accesses():
+        if not self.batch_charging or self._traces_accesses():
             return None
         return RelocationPointCharger(self)
 
@@ -875,12 +878,17 @@ class RelocationPointCharger(ChunkValues):
 
     def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
                      compute_cost: float) -> None:
-        """Charge one worker's chunk: per point, pull + push + compute."""
+        """Charge one worker's chunk: per point, pull + push + compute.
+
+        Also binds the keys for the value pass: point ``i`` owns flat
+        positions ``[i * keys_per_point, (i + 1) * keys_per_point)``.
+        """
         ps = self.ps
         node_id = worker.node_id
         num_points, keys_per_point = keys2d.shape
         flat = keys2d.ravel()
         owners = ps.current_owner.take(flat)
+        self._bind(flat)
         local_mask = owners == node_id
         n_local = int(np.count_nonzero(local_mask))
         total = num_points * keys_per_point

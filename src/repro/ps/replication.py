@@ -37,7 +37,7 @@ import numpy as np
 from repro.ps.base import ParameterServer
 from repro.ps.chunks import ChunkedMatrix, ChunkedVector, MemoryBudget, StorageConfig
 from repro.ps.relocation import SMALL_BATCH, first_occurrence_in_order
-from repro.ps.rounds import RoundAccounting
+from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.partition import Partitioner
 from repro.ps.storage import ParameterStore, scatter_add_rows
@@ -406,17 +406,8 @@ class ReplicationPS(ParameterServer):
         refresh_keys = keys[refresh_positions]
         owners = self.partitioner.owners(refresh_keys).tolist()
 
-        # One batched fetch replaces the sequential path's per-key reads;
-        # the node's own buffered updates overlay it (reads-your-writes).
-        refreshed = self.store.get(refresh_keys)
-        buffered = state.update_mask.take(refresh_keys)
-        if buffered.any():
-            buffered_keys = refresh_keys[buffered]
-            refreshed[buffered] = refreshed[buffered] \
-                + state.update_values[buffered_keys]
-        state.replica_values[refresh_keys] = refreshed
-        state.replica_mask[refresh_keys] = True
-        state.replica_clock[refresh_keys] = worker_clock
+        # One batched fetch replaces the sequential path's per-key reads.
+        self._install_refreshed(state, refresh_keys, worker_clock)
 
         remote_cost = self._remote_access_cost
         clock = worker.clock
@@ -536,6 +527,20 @@ class ReplicationPS(ParameterServer):
             acc.add_counter(node_id, "network.bytes",
                             n_remote * self._cached_value_bytes)
 
+    def direct_point_charger(self, distribution_id: int | None = None):
+        """Per-point charge replay for the task-level round engine.
+
+        Serves SSP and ESSP alike — the protocols differ only in
+        :meth:`advance_clock`, which the round engine still calls per chunk.
+        The replay covers the pull-then-push shape of direct access (matrix
+        factorization); the sampling tasks, the scalar oracle and an
+        access-level tracer keep the sequential path.
+        """
+        if (distribution_id is not None or not self.batch_charging
+                or self._traces_accesses()):
+            return None
+        return _ReplicationPointCharger(self)
+
     def _refresh_batch(self, worker: WorkerContext, state: _NodeReplicaState,
                        refresh_keys: np.ndarray, worker_clock: int,
                        acc: RoundAccounting | None = None):
@@ -555,15 +560,7 @@ class ReplicationPS(ParameterServer):
             local_server, self._intra_process_cost, self._remote_access_cost
         )
 
-        refreshed = self.store.get(refresh_keys)
-        buffered = state.update_mask[refresh_keys]
-        if np.any(buffered):
-            buffered_keys = refresh_keys[buffered]
-            refreshed[buffered] = refreshed[buffered] \
-                + state.update_values[buffered_keys]
-        state.replica_values[refresh_keys] = refreshed
-        state.replica_mask[refresh_keys] = True
-        state.replica_clock[refresh_keys] = worker_clock
+        self._install_refreshed(state, refresh_keys, worker_clock)
 
         if n_remote:
             servers, counts = np.unique(owners[~local_server],
@@ -581,6 +578,23 @@ class ReplicationPS(ParameterServer):
                         occupancy, count
                     )
         return refresh_costs, n_local_server, n_remote
+
+    def _install_refreshed(self, state: _NodeReplicaState,
+                           refresh_keys: np.ndarray, worker_clock: int) -> None:
+        """Install replicas of distinct ``refresh_keys`` as of ``worker_clock``.
+
+        The value is the global one overlaid with the node's not-yet-flushed
+        updates (Petuum reads its own writes).
+        """
+        refreshed = self.store.get(refresh_keys)
+        buffered = state.update_mask.take(refresh_keys)
+        if buffered.any():
+            buffered_keys = refresh_keys[buffered]
+            refreshed[buffered] = refreshed[buffered] \
+                + state.update_values[buffered_keys]
+        state.replica_values[refresh_keys] = refreshed
+        state.replica_mask[refresh_keys] = True
+        state.replica_clock[refresh_keys] = worker_clock
 
     # ---------------------------------------------------- small-batch hybrid
     def _pull_small(self, worker: WorkerContext, state: _NodeReplicaState,
@@ -783,7 +797,12 @@ class ReplicationPS(ParameterServer):
         # Sorted distinct candidates filtered by the (authoritative) buffer
         # mask — identical to ``flatnonzero(update_mask)`` because every bit
         # set in the mask has its key batch recorded in ``pending_updates``.
-        keys = np.unique(candidates)
+        if len(candidates) <= SMALL_BATCH:
+            # One worker chunk between two clock advances: a set beats
+            # ``np.unique``'s sort machinery at this size.
+            keys = np.array(sorted(set(candidates.tolist())), dtype=np.int64)
+        else:
+            keys = np.unique(candidates)
         keys = keys[state.update_mask[keys]]
         if not len(keys):
             return
@@ -793,12 +812,11 @@ class ReplicationPS(ParameterServer):
         owners = self.partitioner.owners(keys)
         background = self.cluster.node(node_id).background_clock
         payload_per_key = self._cached_value_bytes
-        servers, counts = np.unique(owners, return_counts=True)
         remote_servers = 0
         remote_bytes = 0
-        for server, server_keys in zip(servers.tolist(), counts.tolist()):
-            if int(server) == node_id:
-                continue  # local server: no network message
+        for server, server_keys in enumerate(np.bincount(owners).tolist()):
+            if not server_keys or server == node_id:
+                continue  # nothing to send; local server: no network message
             # Flushes happen asynchronously on the node's communication
             # thread: charge handling plus payload transfer, not wire latency.
             cost = (
@@ -845,9 +863,8 @@ class ReplicationPS(ParameterServer):
         owners = self.partitioner.owners(keys)
         background = self.cluster.node(node_id).background_clock
         payload_per_key = self.store.value_bytes()
-        servers, counts = np.unique(owners, return_counts=True)
-        for server, server_keys in zip(servers.tolist(), counts.tolist()):
-            if int(server) == node_id:
+        for server, server_keys in enumerate(np.bincount(owners).tolist()):
+            if not server_keys or server == node_id:
                 continue
             # Eager refreshes stream in the background; the transfer volume —
             # every replicated key, every clock, from every node — is what
@@ -855,7 +872,7 @@ class ReplicationPS(ParameterServer):
             # communication thread and the serving node's request thread.
             volume = self.network.transfer_cost(server_keys * payload_per_key)
             background.advance(self.network.message_handling_cost + volume)
-            self.cluster.node(int(server)).server_clock.advance(
+            self.cluster.node(server).server_clock.advance(
                 self.network.message_handling_cost + volume
             )
             self.metrics.increment("network.messages", 1, node=node_id)
@@ -955,3 +972,120 @@ class ReplicationPS(ParameterServer):
         cost = count * self.network.local_access_cost * INTRA_PROCESS_FACTOR
         worker.clock.advance(cost)
         self.metrics.record_access(kind, worker.node_id, count)
+
+
+class _ReplicationPointCharger(ChunkValues):
+    """Exact per-point charge replay for a chunk of direct accesses.
+
+    A worker's clock is fixed inside a chunk (``advance_clock`` follows it),
+    so one freshness lookup classifies the whole chunk: the *first*
+    occurrence of each key without a fresh replica refreshes at its position
+    — from the owning server, at intra-process or remote cost — and is fresh
+    from then on; every other access costs one intra-process message. The
+    refreshed values install in one batch before the value pass. That is
+    exact: no flush runs inside a chunk and a key's first access in a chunk
+    is a pull that precedes every push to it, so the store row and the node's
+    buffered update it reads are the pre-chunk ones.
+
+    Counters aggregate into one write per round. Server occupancy is applied
+    per chunk instead: ESSP's eager refresh adds a different constant to the
+    server clocks at every ``advance_clock``, so the repeated additions of
+    the occupancy constant may only be regrouped between two of them.
+
+    Values live in the node's replica: :meth:`read` serves
+    ``replica_values``, :meth:`add` lands in ``replica_values`` and
+    ``update_values``; the chunk's keys enter ``update_mask`` and
+    ``pending_updates`` once, when it is charged.
+    """
+
+    __slots__ = ("acc", "state")
+
+    values_in_store = False
+
+    def __init__(self, ps: ReplicationPS) -> None:
+        self.ps = ps
+        self.acc = RoundAccounting()
+
+    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
+                     compute_cost: float) -> None:
+        """Charge one worker's chunk: per point, pull + push + compute.
+
+        Also binds the keys for the value pass: point ``i`` owns flat
+        positions ``[i * keys_per_point, (i + 1) * keys_per_point)``.
+        """
+        ps = self.ps
+        node_id = worker.node_id
+        state = self.state = ps._nodes[node_id]
+        worker_clock = state.worker_clocks.get(worker.worker_id, 0)
+        keys_per_point = keys2d.shape[1]
+        flat = keys2d.ravel()
+        n = len(flat)
+        fresh = state.replica_mask.take(flat) & (
+            state.replica_clock.take(flat) >= worker_clock - ps.staleness
+        )
+        self._bind(flat)
+        if n == 0:
+            return
+
+        intra_cost = ps._intra_process_cost
+        # Every pull and push costs one intra-process message (a refresh
+        # from the node's own server included), except a remote refresh.
+        pull_costs = [intra_cost] * n
+        n_refresh = n_remote = 0
+        if not fresh.all():
+            stale_idx = np.flatnonzero(~fresh)
+            refresh_pos = stale_idx[first_occurrence_in_order(flat[stale_idx])]
+            refresh_keys = flat[refresh_pos]
+            n_refresh = len(refresh_pos)
+            ps._install_refreshed(state, refresh_keys, worker_clock)
+            server_counts: dict = {}
+            for position, owner in zip(
+                    refresh_pos.tolist(),
+                    ps.partitioner.owners(refresh_keys).tolist()):
+                if owner != node_id:
+                    pull_costs[position] = ps._remote_access_cost
+                    server_counts[owner] = server_counts.get(owner, 0) + 1
+            # Applied now, not at the end of the round: see the class
+            # docstring.
+            for server, count in server_counts.items():
+                n_remote += count
+                ps.cluster.node(server).server_clock.advance_repeated(
+                    ps._server_occupancy, count
+                )
+
+        compute = compute_cost * worker.compute_scale
+        now = worker.clock.now
+        for base in range(0, n, keys_per_point):
+            for cost in pull_costs[base:base + keys_per_point]:
+                now += cost
+            for _ in range(keys_per_point):
+                now += intra_cost
+            now += compute
+        worker.clock.advance_to(now)
+
+        state.update_mask[flat] = True
+        state.pending_updates.append(flat)
+
+        acc = self.acc
+        acc.add_access(node_id, "pull.replica", n - n_refresh)
+        acc.add_access(node_id, "pull.local_server", n_refresh - n_remote)
+        acc.add_access(node_id, "pull.remote", n_remote)
+        acc.add_access(node_id, "push.replica", n)
+        if n_remote:
+            acc.add_counter(node_id, "network.messages", 2 * n_remote)
+            acc.add_counter(node_id, "network.bytes",
+                            n_remote * ps._cached_value_bytes)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        return self.state.replica_values.take(self.keys[lo:hi], axis=0)
+
+    def _add_rows(self, keys: np.ndarray, keys_list: list,
+                  deltas: np.ndarray) -> None:
+        """Apply to the replica and buffer for the next flush."""
+        state = self.state
+        scatter_add_rows(state.replica_values, keys, deltas, keys_list)
+        scatter_add_rows(state.update_values, keys, deltas, keys_list)
+
+    def finish(self) -> None:
+        """Write the round's aggregated counters."""
+        self.acc.flush(self.ps, 0.0)

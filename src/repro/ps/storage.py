@@ -54,13 +54,13 @@ def scatter_add_rows(target, keys: np.ndarray, deltas,
         target.add_at(keys, deltas)
         return
     n = len(keys)
-    if n == 1:
-        # Basic indexing: no fancy-index machinery at all.
-        index = int(keys[0]) if keys_list is None else keys_list[0]
-        if target.ndim == 1:
-            target[index] += deltas if np.isscalar(deltas) else deltas[0]
-        else:
-            target[index] += deltas[0]
+    if n <= 2 and target.ndim > 1 and isinstance(deltas, np.ndarray):
+        # A row or two through basic indexing: cheaper than the fancy-index
+        # machinery, and a repeated key accumulates in order by construction.
+        for index, delta in zip(
+                keys.tolist() if keys_list is None else keys_list, deltas):
+            row = target[index]  # a view: ``+=`` writes through
+            row += delta
         return
     if n <= 64:
         as_list = keys.tolist() if keys_list is None else keys_list
@@ -181,11 +181,7 @@ class ParameterStore:
         """Add ``deltas`` to the values of ``keys`` (duplicate keys accumulate)."""
         keys = self._validate_keys(keys)
         deltas = self._validate_deltas(keys, deltas)
-        # Repeated keys must accumulate (np.add.at semantics, unlike
-        # fancy-index +=); scatter_add_rows picks the fast path when safe.
-        keys_list = keys.tolist() if keys.size <= 64 else None
-        scatter_add_rows(self._values, keys, deltas, keys_list)
-        scatter_add_rows(self._versions, keys, 1, keys_list)
+        self.add_rows(keys, deltas, keys.tolist() if keys.size <= 64 else None)
 
     def check_keys(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """Range-check ``keys`` once for a batch of unvalidated accesses.
@@ -213,6 +209,34 @@ class ParameterStore:
         """
         self._values[keys] += deltas
         self._versions[keys] += 1
+
+    def add_rows(self, keys: np.ndarray, deltas: np.ndarray,
+                 keys_list: list | None = None) -> None:
+        """:meth:`add` for callers that already range-checked ``keys`` and
+        shaped ``deltas``; ``keys_list`` is ``keys.tolist()`` where the
+        caller has it (small batches).
+
+        Repeated keys must accumulate (``np.add.at`` semantics, unlike
+        fancy-index ``+=``). A key or two — the per-data-point shape of
+        matrix factorization — go row by row through basic indexing, which
+        accumulates in order by construction and skips the fancy-index
+        machinery; a distinct batch is :meth:`add_distinct`; anything else
+        takes :func:`scatter_add_rows`' unbuffered route.
+        """
+        if keys_list is not None:
+            values = self._values
+            if len(keys_list) <= 2 and isinstance(values, np.ndarray):
+                versions = self._versions
+                for index, delta in zip(keys_list, deltas):
+                    row = values[index]  # a view: ``+=`` writes through
+                    row += delta
+                    versions[index] += 1
+                return
+            if len(set(keys_list)) == len(keys_list):
+                self.add_distinct(keys, deltas)
+                return
+        scatter_add_rows(self._values, keys, deltas, keys_list)
+        scatter_add_rows(self._versions, keys, 1, keys_list)
 
     def set(self, keys: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Overwrite the values of ``keys`` with ``values``."""

@@ -840,12 +840,13 @@ CLAIMS += [
            "all_true", _REF_BACKENDS,
            paths=["checks.scaling_target_met"]),
     _claim("backends", "parallel.fallback_cheap",
-           "architectures without a direct point charger (NuPS) fall back "
-           "transparently: selecting the parallel backend costs them at "
-           "most 1.5x fused wall-clock",
+           "architectures whose values do not live in the store (SSP: the "
+           "node's replica) keep the in-process round loop transparently: "
+           "selecting the parallel backend costs them at most 1.5x fused "
+           "wall-clock",
            "ordering", _REF_BACKENDS,
-           left="architectures.nups.parallel.seconds",
-           right="architectures.nups.fused.seconds",
+           left="architectures.ssp.parallel.seconds",
+           right="architectures.ssp.fused.seconds",
            op="<=", factor=1.5),
 ]
 

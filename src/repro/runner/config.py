@@ -71,8 +71,8 @@ class ExperimentConfig:
         round's PS traffic across workers. ``False`` forces the sequential
         per-worker reference loop. Both settings produce bit-identical
         :class:`~repro.runner.experiment.ExperimentResult`\\ s — the fused
-        engine routes conflicting accesses through the sequential path and
-        fuses only what commutes exactly (see :mod:`repro.ps.rounds`).
+        engine replays charging per worker chunk and keeps the sequential
+        order for values (see :mod:`repro.ps.rounds`).
         Scenario perturbations (drift, churn, stragglers, networks) compose
         with either setting.
     execution_backend:

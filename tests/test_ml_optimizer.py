@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.optimizer import AdaGrad, BoldDriver, UpdateNormClipper, clip_update_norm
+from repro.ml.optimizer import (
+    AdaGrad,
+    BoldDriver,
+    UpdateNormClipper,
+    _row_dots,
+    clip_update_norm,
+)
 
 
 class TestAdaGrad:
@@ -120,6 +126,46 @@ class TestUpdateNormClipper:
         outlier = np.array([100.0, 0.0], dtype=np.float32)
         clipped = clipper.clip(outlier)
         assert np.linalg.norm(clipped) == pytest.approx(2.0, rel=0.01)
+
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_batched_row_dots_are_the_per_row_blas_dots(self, strided):
+        """``clip_rows`` takes all squared norms from one stacked matmul and
+        relies on NumPy routing each ``[1, d] @ [d, 1]`` product to the same
+        BLAS dot ``row.dot(row)`` calls. A build that routes differently
+        (another summation order) must fail here, not drift silently."""
+        rng = np.random.default_rng(11)
+        for dim in (4, 5, 8, 16, 31, 50, 64, 100, 128):
+            for num_rows in (1, 2, 3, 20, 257, 1000):
+                rows = rng.normal(0, 1, size=(num_rows, 2 * dim)) \
+                    .astype(np.float32)
+                rows = rows[:, ::2] if strided else rows[:, :dim].copy()
+                expected = np.array([row.dot(row) for row in rows],
+                                    dtype=np.float32)
+                assert _row_dots(rows).tobytes() == expected.tobytes(), \
+                    (dim, num_rows)
+
+    def test_clip_rows_is_clip_row_by_row(self):
+        """Rows, clipping decisions and the running mean, bit for bit — over
+        a stream that leaves warm-up and clips outliers."""
+        rng = np.random.default_rng(12)
+        batched = UpdateNormClipper(factor=2.0, warmup=20)
+        single = UpdateNormClipper(factor=2.0, warmup=20)
+        clipped_rows = 0
+        for _ in range(300):
+            updates = rng.normal(0, 0.1, size=(int(rng.integers(0, 24)), 8)) \
+                .astype(np.float32)
+            updates[rng.random(len(updates)) < 0.1] *= 40.0  # outliers
+            updates[rng.random(len(updates)) < 0.1] = 0.0    # zero norms
+            expected = [single.clip(row.copy()) for row in updates]
+            clipped_rows += sum(not np.array_equal(row, before)
+                                for row, before in zip(expected, updates))
+            result = batched.clip_rows(updates.copy())
+            assert len(result) == len(expected)
+            for row, reference in zip(result, expected):
+                assert row.tobytes() == reference.tobytes()
+            assert vars(batched) == vars(single)
+        assert clipped_rows > 50
 
 
 class TestBoldDriver:

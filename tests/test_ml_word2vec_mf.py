@@ -6,6 +6,7 @@ import pytest
 from repro.data.corpus import generate_corpus
 from repro.data.matrix import generate_matrix
 from repro.ml.matrix_factorization import MatrixFactorizationTask
+from repro.ml.optimizer import UpdateNormClipper
 from repro.ml.word2vec import WordVectorsTask
 from repro.ps.local import SingleNodePS
 from repro.simulation.cluster import Cluster, ClusterConfig
@@ -169,3 +170,75 @@ class TestMatrixFactorizationTraining:
         task = MatrixFactorizationTask(matrix)
         rmse = task.evaluate(task.create_store())["test_rmse"]
         assert np.isfinite(rmse) and rmse > 0
+
+
+class _TwoRowStep:
+    """The MF step as it was before it went full-width: row factor and
+    column factor through separate expressions, the row delta clipped
+    before the column delta. Kept here, not in ``src/``, as the reference
+    :meth:`MatrixFactorizationTask._step` must reproduce bit for bit."""
+
+    def __init__(self, learning_rate, regularization, clip_factor):
+        self.learning_rate = learning_rate
+        self.regularization = regularization
+        self.clipper = UpdateNormClipper(clip_factor) if clip_factor > 0 else None
+        self.squared_error = 0.0
+        self.points = 0
+
+    def _clip(self, update):
+        if self.clipper is None:
+            return np.asarray(update, dtype=np.float32)
+        return np.asarray(self.clipper.clip(update), dtype=np.float32)
+
+    def __call__(self, row_factor, col_factor, value):
+        prediction = float(row_factor.dot(col_factor))
+        error = value - prediction
+        self.squared_error += error * error
+        self.points += 1
+        grad_row = error * col_factor - self.regularization * row_factor
+        grad_col = error * row_factor - self.regularization * col_factor
+        delta_row = self._clip(self.learning_rate * grad_row)
+        delta_col = self._clip(self.learning_rate * grad_col)
+        deltas = np.empty((2, len(delta_row)), dtype=np.float32)
+        deltas[0] = delta_row
+        deltas[1] = delta_col
+        return deltas
+
+
+class TestMatrixFactorizationStep:
+    @pytest.mark.parametrize("clip_factor", [2.0, 0])
+    @pytest.mark.parametrize("rank", [4, 8, 16, 50])
+    def test_full_width_step_is_the_two_row_step(self, rank, clip_factor):
+        """Deltas, loss accumulators and clipper state stay bit-equal over a
+        chain of 8000 points per rank (32 000 in all) in which each point's
+        factors carry the previous points' deltas, with outliers that clip
+        once the warm-up is over."""
+        dataset = generate_matrix(num_rows=10, num_cols=10, num_cells=50,
+                                  rank=rank, seed=1)
+        task = MatrixFactorizationTask(dataset, learning_rate=0.3,
+                                       regularization=0.02,
+                                       clip_factor=clip_factor)
+        reference = _TwoRowStep(0.3, 0.02, clip_factor)
+        rng = np.random.default_rng(rank)
+        factors = rng.normal(0, 0.3, size=(40, rank)).astype(np.float32)
+        clipped = 0
+        for point in range(8000):
+            keys = rng.choice(40, size=2, replace=False)
+            pulled = factors[keys]
+            if rng.random() < 0.05:
+                pulled = pulled * np.float32(25.0)  # an update far off the mean
+            value = float(rng.normal())
+            expected = reference(pulled[0].copy(), pulled[1].copy(), value)
+            deltas = task._step(pulled, value)
+            assert deltas.dtype == np.float32
+            assert deltas.tobytes() == expected.tobytes(), point
+            assert task._epoch_squared_error == reference.squared_error
+            assert task._epoch_points == reference.points
+            if reference.clipper is not None:
+                assert vars(task._clipper) == vars(reference.clipper)
+                raw = task.learning_rate * (
+                    (value - float(pulled[0].dot(pulled[1]))) * pulled[::-1]
+                    - task.regularization * pulled)
+                clipped += not np.array_equal(raw, deltas)
+            factors[keys] += np.clip(deltas, -0.05, 0.05)  # chain, bounded
+        assert task._clipper is None or clipped > 100

@@ -6,9 +6,10 @@ experiment — clocks, metrics, quality, *and the parameter store itself*
 (values and per-key versions) must equal the sequential reference exactly,
 for every architecture and scenario. This suite drives that contract:
 
-* a differential matrix over all five MF architectures x {static, drift,
+* a differential matrix over all six MF architectures x {static, drift,
   churn}, comparing parallel against the sequential reference including the
-  final store state;
+  final store state — plus a NuPS plan that replicates keys, where the
+  worker pool must stand back (replicated values are not in the store);
 * seeded random-workload fuzzing: random (system, seed, chunk_size, epochs)
   draws executed under all three backends, asserting exact equality;
 * failure modes: a killed worker surfaces as an actionable
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.management import ManagementPlan
 from repro.parallel import (
     PARALLEL_DISABLE_ENV,
     SEGMENT_PREFIX,
@@ -49,28 +51,31 @@ from repro.runner.workloads import make_task
 from repro.scenarios import make_scenario
 from repro.simulation.cluster import ClusterConfig
 
-MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups"]
+MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups", "single-node"]
 
 
 # ------------------------------------------------------------------ helpers
 def _experiment(system, backend, scenario_name=None, chunk_size=8, seed=5,
-                epochs=2, task_name="matrix_factorization", num_workers=2):
+                epochs=2, task_name="matrix_factorization", num_workers=2,
+                **overrides):
     """One test-scale run; returns ``(result, final_store)``.
 
     The factory is wrapped to capture the parameter server, so assertions
     can reach the trained store (values and versions) after the run — the
     part of the state an :class:`ExperimentResult` does not expose.
+    ``overrides`` go to the system's builder.
     """
     task = make_task(task_name, scale="test")
     scenario = make_scenario(scenario_name) if scenario_name else None
     parallel = ParallelConfig(num_workers=num_workers) \
         if backend == "parallel" else None
     config = ExperimentConfig(
-        cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
+        cluster=ClusterConfig(num_nodes=1 if system == "single-node" else 2,
+                              workers_per_node=2),
         epochs=epochs, chunk_size=chunk_size, seed=seed, scenario=scenario,
         execution_backend=backend, parallel=parallel,
     )
-    base = make_ps_factory(system)
+    base = make_ps_factory(system, **overrides)
     captured = {}
 
     def factory(store, cluster, task):
@@ -107,6 +112,21 @@ def test_parallel_matches_sequential(system):
         _experiment(system, "parallel"),
         _experiment(system, "sequential"),
     )
+
+
+def test_parallel_matches_sequential_with_replicated_keys():
+    """NuPS serves replicated keys from the node's replica: the worker pool
+    and its merge walk, which read and write the store, must not take such
+    a round just because NuPS hands out a charger."""
+    task = make_task("matrix_factorization", scale="test")
+    overrides = dict(
+        plan=ManagementPlan.top_k_by_count(task.access_counts(), 6),
+        sync_interval=0.001,
+    )
+    parallel = _experiment("nups", "parallel", **overrides)
+    assert parallel[0].metrics["access.pull.replica.local"] > 0
+    assert parallel[0].metrics["access.pull.local"] > 0
+    _assert_equivalent(parallel, _experiment("nups", "sequential", **overrides))
 
 
 @pytest.mark.parametrize("scenario_name", ["drift", "churn"])

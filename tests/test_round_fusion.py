@@ -9,16 +9,19 @@ scenario. This suite drives both paths on identical workloads and asserts
 exact equality, plus unit coverage for the conflict-group planner and the
 satellite fixes (worker-queue peek caching, dirty-set epoch metrics).
 
-The sampling tasks (KGE, word vectors) run a charge replay and a value pass
-per worker chunk instead of four PS calls per data point. Their section
-drives the point chargers against the per-call sequence on twin parameter
-servers, compares whole experiments including every piece of PS state, and
-pins both directions of the path selection: the default configuration
-issues no ``pull``/``push`` at all, each fallback condition issues them.
+All three tasks run a charge replay and a value pass per worker chunk
+instead of PS calls per data point. The matrix-factorization section crosses
+every architecture with both storage backends, staleness bounds and seeds;
+the sampling section drives the point chargers against the per-call
+sequence on twin parameter servers. Both compare whole experiments
+including every piece of PS state and pin both directions of the path
+selection: the default configuration issues no ``pull``/``push`` at all,
+each fallback condition issues them.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import namedtuple
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.core.nups import NuPS
 from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
 from repro.core.sampling.schemes import SCHEMES_BY_NAME, SchemeConfig
+from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.negative_sampling import NegativeSampleStream
 from repro.parallel import ParallelConfig
 from repro.ps.chunks import StorageConfig
@@ -279,14 +283,15 @@ Run = namedtuple("Run", "result ps cluster task calls")
 
 def _experiment(task_name, system, backend, scenario_name=None,
                 chunk_size=8, seed=5, epochs=2, telemetry=False,
-                storage=None, factory=None, task=None):
+                storage=None, factory=None, task=None, straggler=False):
     """Run the test-scale experiment under one execution backend.
 
     ``backend`` is an ``ExperimentConfig.execution_backend`` value:
     ``"sequential"``, ``"fused"`` or ``"parallel"``. With ``telemetry`` the
-    observability tracer rides along (it must not change a single bit).
+    observability tracer rides along (it must not change a single bit):
+    ``True`` records one event per PS call, ``"default"`` the default level.
     ``factory`` replaces the named system's PS factory and ``task`` the
-    preset task.
+    preset task; ``straggler`` slows one worker's compute down.
     """
     task = task or make_task(task_name, scale="test")
     scenario = make_scenario(scenario_name) if scenario_name else None
@@ -295,9 +300,10 @@ def _experiment(task_name, system, backend, scenario_name=None,
     if telemetry:
         from repro.obs import TelemetryConfig
 
-        telemetry_config = TelemetryConfig(access_events=True)
+        telemetry_config = TelemetryConfig(access_events=telemetry is True)
     config = ExperimentConfig(
-        cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
+        cluster=ClusterConfig(num_nodes=1 if system == "single-node" else 2,
+                              workers_per_node=2),
         epochs=epochs, chunk_size=chunk_size, seed=seed, scenario=scenario,
         execution_backend=backend, parallel=parallel,
         telemetry=telemetry_config, storage=storage,
@@ -309,6 +315,8 @@ def _experiment(task_name, system, backend, scenario_name=None,
     def counting_factory(store, cluster, task):
         ps = built["ps"] = inner(store, cluster, task)
         built["cluster"] = cluster
+        if straggler:
+            cluster.worker(0, 1).compute_scale = 2.5
         for name in calls:
             def counted(*args, _name=name, _call=getattr(ps, name), **kwargs):
                 calls[_name] += 1
@@ -338,6 +346,25 @@ def _assert_ps_state_identical(a, b) -> None:
         if hasattr(a, name):
             assert np.array_equal(getattr(a, name).take(all_keys),
                                   getattr(b, name).take(all_keys)), name
+    if isinstance(a, ReplicationPS):
+        assert a._nodes.keys() == b._nodes.keys()
+        for node, state_a in a._nodes.items():
+            state_b = b._nodes[node]
+            assert state_a.worker_clocks == state_b.worker_clocks
+            for name in ("replica_mask", "replica_clock", "update_mask"):
+                assert np.array_equal(getattr(state_a, name).take(all_keys),
+                                      getattr(state_b, name).take(all_keys)), name
+            for name in ("replica_values", "update_values"):
+                assert getattr(state_a, name).take(all_keys, axis=0).tobytes() \
+                    == getattr(state_b, name).take(all_keys, axis=0).tobytes(), name
+            # The replay records a chunk's keys once, the per-call path once
+            # per push: the flush reads them as a set.
+            pending_a, pending_b = (
+                set(np.concatenate(state.pending_updates).tolist())
+                if state.pending_updates else set()
+                for state in (state_a, state_b)
+            )
+            assert pending_a == pending_b
     if isinstance(a, NuPS):
         assert {node: list(recent) for node, recent in a._recent_direct.items()} \
             == {node: list(recent) for node, recent in b._recent_direct.items()}
@@ -370,8 +397,10 @@ def _assert_ps_state_identical(a, b) -> None:
 def _assert_results_identical(a, b) -> None:
     """Two runs agree on the result and on every piece of simulation state:
     per-epoch records, metrics, all worker/server/background clocks, store
-    value bytes and versions, ownership, replica state, recent-access
-    buffers, sampling pools and every random generator."""
+    value bytes and versions, ownership, replica state (NuPS's replica
+    manager; SSP/ESSP's replica and update matrices, masks, replica clocks
+    and pending key sets), recent-access buffers, sampling pools, every
+    random generator and the task's clipper and loss accumulators."""
     result_a, result_b = a.result, b.result
     assert result_a.initial_quality == result_b.initial_quality
     assert result_a.epochs_completed == result_b.epochs_completed
@@ -386,9 +415,136 @@ def _assert_results_identical(a, b) -> None:
     clipper_a = getattr(a.task, "_clipper", None)
     if clipper_a is not None:
         assert vars(clipper_a) == vars(b.task._clipper)
+    assert getattr(a.task, "learning_rate", None) \
+        == getattr(b.task, "learning_rate", None)
 
 
-MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups"]
+# ------------------------------------------- matrix factorization: replay
+def _direct_ps_builders():
+    """Every architecture, with the state that makes its replay non-trivial:
+    replicated hot keys on NuPS, each staleness bound on SSP/ESSP."""
+    builders = {
+        "classic": lambda store, cluster: ClassicPS(store, cluster, seed=0),
+        "relocation": lambda store, cluster: RelocationPS(store, cluster, seed=0),
+        "nups": _ps_builders()["nups"],
+        "nups-relocate-all": _ps_builders()["nups-relocate-all"],
+        "single-node": lambda store, cluster: SingleNodePS(store, cluster),
+    }
+    for protocol in ReplicationProtocol:
+        for staleness in (0, 1, 2):
+            builders[f"{protocol.value}-s{staleness}"] = (
+                lambda store, cluster, protocol=protocol, staleness=staleness:
+                ReplicationPS(store, cluster, protocol=protocol,
+                              staleness=staleness, seed=0))
+    return builders
+
+
+def _direct_chunks(rng, workers, rounds=10):
+    """Per (round, worker): a ragged chunk of two-key points whose second
+    key repeats along the chunk (the column factor), deltas, and an optional
+    localize hint."""
+    plans = []
+    for _ in range(rounds):
+        for worker in workers:
+            num_points = int(rng.integers(1, 10))
+            keys2d = np.empty((num_points, 2), dtype=np.int64)
+            keys2d[:, 0] = rng.integers(0, 90, size=num_points)
+            keys2d[:, 1] = 90 + np.sort(rng.integers(0, 4, size=num_points))
+            if rng.random() < 0.3:
+                keys2d[-1, 0] = keys2d[0, 0]  # a repeated row key as well
+            deltas = rng.normal(0, 0.01, size=(num_points, 2, VALUE_LENGTH)) \
+                .astype(np.float32)
+            hint = np.unique(keys2d) if rng.random() < 0.7 else None
+            plans.append((worker.global_worker_id, keys2d, deltas, hint))
+    return plans
+
+
+def _mixes_fresh_stale_and_repeated(ps, worker, keys2d) -> bool:
+    state = ps._nodes[worker.node_id]
+    keys = keys2d.ravel()
+    fresh = state.replica_mask[keys] & (
+        state.replica_clock[keys]
+        >= state.worker_clocks.get(worker.worker_id, 0) - ps.staleness)
+    return bool(fresh.any() and not fresh.all()
+                and len(set(keys.tolist())) < len(keys))
+
+
+def _drive_direct(name, replay: bool):
+    cluster = _cluster(num_nodes=1 if name == "single-node" else 5)
+    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
+    ps = _direct_ps_builders()[name](store, cluster)
+    workers = list(cluster.workers())
+    workers[1].compute_scale = 2.5  # a straggler: compute is scaled, access not
+    plans = _direct_chunks(np.random.default_rng(23), workers)
+    seen = []
+    mixed_chunks = 0
+    for index, (worker_key, keys2d, deltas, hint) in enumerate(plans):
+        worker = cluster.worker(*worker_key)
+        if hint is not None:
+            ps.localize(worker, hint)  # in flight when the chunk starts
+        if isinstance(ps, ReplicationPS):
+            mixed_chunks += _mixes_fresh_stale_and_repeated(ps, worker, keys2d)
+        if replay:
+            charger = ps.direct_point_charger()
+            charger.charge_chunk(worker, keys2d, 3e-6)
+            for point, point_deltas in enumerate(deltas):
+                seen.append(charger.read(2 * point, 2 * point + 2))
+                charger.add(2 * point, 2 * point + 2, point_deltas)
+            ps.advance_clock(worker)
+            charger.finish()
+        else:
+            for keys, point_deltas in zip(keys2d, deltas):
+                seen.append(ps.pull(worker, keys))
+                ps.push(worker, keys, point_deltas)
+                worker.charge_compute(3e-6)
+            ps.advance_clock(worker)
+        if index % len(workers) == len(workers) - 1:
+            ps.housekeeping(cluster.time)
+    # No finish_epoch: the buffered state is part of the comparison.
+    return cluster, ps, seen, mixed_chunks
+
+
+@pytest.mark.parametrize("name", sorted(_direct_ps_builders()))
+def test_point_charger_replays_direct_calls(name):
+    """``charge_chunk`` + ``read``/``add`` == a pull and a push per point,
+    on ragged chunks with repeated keys, in-flight relocations, replicated
+    keys, a straggler and — on SSP/ESSP — chunks that mix fresh replicas,
+    stale ones and a repeated key, with flushes and eager refreshes between
+    the chunks."""
+    replay_cluster, replay_ps, replay_seen, mixed = _drive_direct(name, True)
+    call_cluster, call_ps, call_seen, _ = _drive_direct(name, False)
+    _assert_cluster_identical(replay_cluster, call_cluster)
+    _assert_ps_state_identical(replay_ps, call_ps)
+    assert len(replay_seen) == len(call_seen)
+    for replayed, called in zip(replay_seen, call_seen):
+        assert replayed.tobytes() == called.tobytes()
+    metrics = call_cluster.metrics
+    if isinstance(call_ps, RelocationPS):
+        assert metrics.get("relocation.waits") > 0
+    if name == "nups":
+        assert metrics.get("access.pull.replica.local") > 0
+    if isinstance(call_ps, ReplicationPS):
+        assert mixed > 0
+        assert metrics.get("replication.flushes") > 0
+
+
+def test_replication_charger_applies_server_occupancy_per_chunk():
+    """ESSP's eager refresh adds its own constant to the server clocks at
+    every ``advance_clock``; the replay's occupancy additions must land
+    before it, not at the end of the round."""
+    cluster = _cluster()
+    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
+    ps = ReplicationPS(store, cluster, protocol=ReplicationProtocol.ESSP,
+                       staleness=1, seed=0)
+    worker = cluster.worker(0, 0)
+    remote = np.flatnonzero(ps.partitioner.owners(np.arange(NUM_KEYS)) == 2)
+    charger = ps.direct_point_charger()
+    charger.charge_chunk(worker, remote[:2].reshape(1, 2), 0.0)
+    assert cluster.node(2).server_clock.now == 2 * ps._server_occupancy
+
+
+MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups", "single-node"]
+SPARSE = StorageConfig(backend="sparse", chunk_rows=64)
 
 
 @pytest.mark.parametrize("backend", ["fused", "parallel"])
@@ -404,14 +560,165 @@ def test_round_fusion_bit_identical_mf(system, chunk_size, backend):
 
 
 @pytest.mark.parametrize("backend", ["fused", "parallel"])
-@pytest.mark.parametrize("system", ["lapse", "nups"])
+@pytest.mark.parametrize("system", ["lapse", "essp", "nups"])
 def test_round_fusion_bit_identical_mf_with_telemetry(system, backend):
-    """The tracer rides along on every backend without perturbing a bit."""
+    """The default-level tracer rides along on every backend without
+    perturbing a bit (an access-level tracer selects the per-call path, see
+    ``MF_FALLBACKS``)."""
     _assert_results_identical(
-        _experiment("matrix_factorization", system, backend, telemetry=True),
+        _experiment("matrix_factorization", system, backend,
+                    telemetry="default"),
         _experiment("matrix_factorization", system, "sequential",
-                    telemetry=True),
+                    telemetry="default"),
     )
+
+
+def _mf_factory(system, task, staleness):
+    """The named system with the state the preset leaves untested: a NuPS
+    plan that replicates the hottest columns (the presets' 100x-mean plan
+    replicates no MF key at all), and a chosen SSP/ESSP staleness bound."""
+    if system == "nups":
+        plan = ManagementPlan.top_k_by_count(task.access_counts(), 6)
+        return make_ps_factory("nups", plan=plan, sync_interval=0.001)
+    if system in ("ssp", "essp"):
+        return make_ps_factory(system, staleness=staleness)
+    return make_ps_factory(system)
+
+
+def _mf_matrix(seeds, tier_one: bool):
+    """(system, storage, staleness, seed) cells of the MF differential
+    matrix: {classic, lapse, ssp, essp, nups, single-node} x {dense, sparse}
+    x staleness {0, 1, 2} (where there is one) x seeds. Tier-1 runs one seed
+    and crosses staleness with the dense backend only."""
+    for seed in seeds:
+        for system in MF_SYSTEMS:
+            bounds = (0, 1, 2) if system in ("ssp", "essp") else (None,)
+            for storage in (None, SPARSE):
+                for staleness in bounds:
+                    if tier_one and storage is SPARSE and staleness in (0, 2):
+                        continue
+                    yield pytest.param(
+                        system, storage, staleness, seed,
+                        id=f"{system}-{'sparse' if storage else 'dense'}-"
+                           f"s{staleness}-{seed}",
+                    )
+
+
+def _check_mf_cell(system, storage, staleness, seed, epochs):
+    """Fused == sequential on all state, with a straggler, a chunk size
+    that leaves ragged last chunks, and (SSP/ESSP) chunks that mix fresh
+    replicas, stale ones and the repeated column key."""
+    runs = []
+    for backend in ("fused", "sequential"):
+        task = make_task("matrix_factorization", scale="test")
+        runs.append(_experiment(
+            "matrix_factorization", system, backend, storage=storage,
+            chunk_size=7, seed=seed, epochs=epochs, straggler=True, task=task,
+            factory=_mf_factory(system, task, staleness),
+        ))
+    fused, sequential = runs
+    _assert_results_identical(fused, sequential)
+    assert fused.calls == {"pull": 0, "push": 0}
+    assert sequential.calls["pull"] > 0 and sequential.calls["push"] > 0
+    metrics = sequential.result.metrics
+    if system == "nups":
+        # The forced plan must route real traffic through the replicas.
+        assert metrics["access.pull.replica.local"] > 0
+        assert metrics["access.pull.local"] + metrics["access.pull.remote"] > 0
+    if system in ("ssp", "essp"):
+        assert metrics["access.pull.replica"] > 0
+        assert metrics["access.pull.remote"] > 0
+
+
+@pytest.mark.parametrize("system, storage, staleness, seed",
+                         _mf_matrix([5], tier_one=True))
+def test_mf_round_bit_identical(system, storage, staleness, seed):
+    _check_mf_cell(system, storage, staleness, seed, epochs=2)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("system, storage, staleness, seed",
+                         _mf_matrix([0, 7, 2 ** 31 - 1], tier_one=False))
+def test_mf_round_bit_identical_full_cross(system, storage, staleness, seed):
+    _check_mf_cell(system, storage, staleness, seed, epochs=3)
+
+
+@pytest.mark.parametrize("system", MF_SYSTEMS)
+def test_default_config_mf_round_issues_no_pull_or_push(system):
+    """Non-vacuity: on every architecture the fused run really is the
+    replay path; only the sequential backend calls ``ps.pull``/``ps.push``."""
+    assert _experiment("matrix_factorization", system, "fused",
+                       epochs=1).calls == {"pull": 0, "push": 0}
+    calls = _experiment("matrix_factorization", system, "sequential",
+                        epochs=1).calls
+    assert calls["pull"] > 0 and calls["push"] > 0
+
+
+def _oracle_factory(system):
+    """The named system on its scalar per-key reference path."""
+    def factory(store, cluster, task):
+        if system == "lapse":
+            return RelocationPS(store, cluster, seed=0, batch_charging=False)
+        if system == "ssp":
+            return ReplicationPS(store, cluster, staleness=1, seed=0,
+                                 batch_charging=False)
+        plan = ManagementPlan.from_access_counts(task.access_counts(), 20.0)
+        return NuPS(store, cluster, plan=plan, sync_interval=0.001, seed=0,
+                    batch_charging=False)
+    return factory
+
+
+#: One entry per condition under which ``direct_point_charger`` must answer
+#: ``None`` for matrix factorization (the list in its docstring).
+MF_FALLBACKS = {
+    "access-observer": dict(system="nups-adaptive"),
+    "access-events-ssp": dict(system="ssp", telemetry=True),
+    "access-events-classic": dict(system="classic", telemetry=True),
+    "scalar-oracle-ssp": dict(factory=_oracle_factory("ssp")),
+    "scalar-oracle-nups": dict(factory=_oracle_factory("nups")),
+    # The drift preset rewires the mapping at epoch 2.
+    "drift-remap": dict(system="essp", scenario_name="drift", epochs=3),
+    "fault-proxy": dict(system="ssp", scenario_name="crash-storm"),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(MF_FALLBACKS))
+def test_mf_round_falls_back_to_sequential(condition):
+    """Each fallback condition keeps the per-call path (``pull``/``push``
+    reach the PS) and leaves results identical to the sequential backend."""
+    kwargs = dict(system="nups", epochs=1)
+    kwargs.update(MF_FALLBACKS[condition])
+    system = kwargs.pop("system")
+    fused = _experiment("matrix_factorization", system, "fused", **kwargs)
+    sequential = _experiment("matrix_factorization", system, "sequential",
+                             **kwargs)
+    _assert_results_identical(fused, sequential)
+    assert fused.calls["pull"] > 0 and fused.calls["push"] > 0
+    assert fused.calls == sequential.calls
+
+
+def _mf_with_bad_row(bad_key: int):
+    dataset = copy.copy(make_task("matrix_factorization", scale="test").dataset)
+    cells = dataset.train_cells.copy()
+    cells[np.arange(len(cells)) % 97 == 3, 0] = bad_key
+    dataset.train_cells = cells
+    return MatrixFactorizationTask(dataset)
+
+
+@pytest.mark.parametrize("bad_key", [10 ** 6, -3])
+@pytest.mark.parametrize("system", MF_SYSTEMS)
+def test_mf_bad_keys_raise_the_sequential_exception(system, bad_key):
+    """A key outside the store raises the sequential path's exception type
+    on the replay path and under the worker pool too — ``IndexError`` where
+    an owner / replica lookup comes first, ``KeyError`` from the store's
+    range check."""
+    with pytest.raises((IndexError, KeyError)) as sequential:
+        _experiment("matrix_factorization", system, "sequential", epochs=1,
+                    task=_mf_with_bad_row(bad_key))
+    for backend in ("fused", "parallel"):
+        with pytest.raises(sequential.type):
+            _experiment("matrix_factorization", system, backend, epochs=1,
+                        task=_mf_with_bad_row(bad_key))
 
 
 @pytest.mark.parametrize("scenario_name",
@@ -471,6 +778,7 @@ def _sampling_ps_builders():
         "relocation": lambda store, cluster: RelocationPS(store, cluster, seed=0),
         "nups": nups,
         "nups-relocate-all": nups_relocate_all,
+        "single-node": lambda store, cluster: SingleNodePS(store, cluster),
     }
 
 
@@ -497,12 +805,12 @@ def _sampling_chunks(rng, workers, rounds=12):
     return plans
 
 
-def _drive_sampling(builder, replay: bool):
+def _drive_sampling(name, replay: bool):
     # Five nodes: a call has up to four serving nodes, whose charging order
     # (ascending) shows in the float sums only from three on.
-    cluster = _cluster(num_nodes=5)
+    cluster = _cluster(num_nodes=1 if name == "single-node" else 5)
     store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
-    ps = builder(store, cluster)
+    ps = _sampling_ps_builders()[name](store, cluster)
     distribution_id = ps.register_distribution(UniformDistribution(0, 60),
                                                "bounded")
     workers = list(cluster.workers())
@@ -553,15 +861,14 @@ def test_point_charger_replays_sampling_calls(name):
     """``charge_sampling_chunk`` + ``read``/``add`` == the four calls per
     point, on ragged points with repeated keys, in-flight relocations,
     replicated keys and a straggler."""
-    builder = _sampling_ps_builders()[name]
-    replay_cluster, replay_ps, replay_seen = _drive_sampling(builder, True)
-    call_cluster, call_ps, call_seen = _drive_sampling(builder, False)
+    replay_cluster, replay_ps, replay_seen = _drive_sampling(name, True)
+    call_cluster, call_ps, call_seen = _drive_sampling(name, False)
     _assert_cluster_identical(replay_cluster, call_cluster)
     _assert_ps_state_identical(replay_ps, call_ps)
     assert len(replay_seen) == len(call_seen)
     for replayed, called in zip(replay_seen, call_seen):
         assert replayed.tobytes() == called.tobytes()
-    if name != "classic":
+    if isinstance(call_ps, RelocationPS):
         # The workload must exercise the wait-for-arrival fold.
         assert call_cluster.metrics.get("relocation.waits") > 0
 
@@ -588,7 +895,6 @@ def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
 
 
 SAMPLING_SYSTEMS = ["classic", "lapse", "nups"]
-SPARSE = StorageConfig(backend="sparse", chunk_rows=64)
 
 
 @pytest.mark.parametrize("telemetry", [False, True])
@@ -606,6 +912,15 @@ def test_round_fusion_bit_identical_word_vectors(system):
         _experiment("word_vectors", system, "fused"),
         _experiment("word_vectors", system, "sequential"),
     )
+
+
+@pytest.mark.parametrize("task", ["kge", "word_vectors"])
+def test_single_node_replays_the_sampling_tasks(task):
+    """The single-node charger has the sampling shape too."""
+    fused = _experiment(task, "single-node", "fused", epochs=1)
+    _assert_results_identical(
+        fused, _experiment(task, "single-node", "sequential", epochs=1))
+    assert fused.calls == {"pull": 0, "push": 0}
 
 
 def _sampling_matrix(seeds, tier_one: bool):
@@ -686,16 +1001,6 @@ def test_default_config_kge_round_issues_no_pull_or_push(system):
 
 def _nups_factory(**overrides):
     return make_ps_factory("nups", **overrides)
-
-
-def _oracle_factory(system):
-    def factory(store, cluster, task):
-        if system == "lapse":
-            return RelocationPS(store, cluster, seed=0, batch_charging=False)
-        plan = ManagementPlan.from_access_counts(task.access_counts(), 20.0)
-        return NuPS(store, cluster, plan=plan, sync_interval=0.001, seed=0,
-                    batch_charging=False)
-    return factory
 
 
 #: One entry per condition under which ``direct_point_charger`` must answer
