@@ -17,10 +17,12 @@ Both decay with a configurable half-life in *simulated* time, so the
 statistics track the recent workload and age out a hot set that has drifted
 away. Decay is applied lazily at adaptation boundaries (the controller calls
 :meth:`AccessStats.decay_to` before reading), which keeps the hot-path
-``observe`` a pure accumulate: feeding keys from the per-worker batch path or
-from round-fusion charge plans never touches clocks, metrics, or values, so
-runs with statistics collection disabled are bit-identical to runs without
-the subsystem, and enabled runs remain a deterministic function of the seed.
+``observe`` a pure accumulate: feeding keys never touches clocks, metrics, or
+values, so runs with statistics collection disabled are bit-identical to runs
+without the subsystem, and enabled runs remain a deterministic function of
+the seed. The same property lets the round engine's point charger feed a
+whole worker chunk at once, in call order
+(:meth:`AccessStats.observe_calls`): nobody reads the sketch inside a round.
 """
 
 from __future__ import annotations
@@ -98,14 +100,32 @@ class SpaceSavingSketch:
         # Evict the smallest (count, key) counters, one per remaining fresh
         # key; the hottest fresh keys take the smallest victims. Both orders
         # are total, so the result is independent of dict/stream order.
-        fresh.sort(key=lambda pair: (-pair[1], pair[0]))
-        victims = np.lexsort((sketch_keys[:size], sketch_counts[:size]))
-        for (key, count), slot in zip(fresh, victims.tolist()):
+        if len(fresh) == 1:
+            victims = [self._coldest_slot()]
+        else:
+            fresh.sort(key=lambda pair: (-pair[1], pair[0]))
+            victims = np.lexsort(
+                (sketch_keys[:size], sketch_counts[:size])
+            ).tolist()
+        for (key, count), slot in zip(fresh, victims):
             evicted = int(sketch_keys[slot])
             del index[evicted]
             sketch_keys[slot] = key
             sketch_counts[slot] += count  # inherit the evicted estimate
             index[key] = slot
+
+    def _coldest_slot(self) -> int:
+        """The slot of the smallest ``(count, key)`` pair of a full sketch.
+
+        The first element of the eviction order — ``np.lexsort((keys,
+        counts))[0]`` — without sorting every slot: one fresh key per call
+        is the common eviction, and it needs one victim.
+        """
+        counts = self._counts
+        ties = np.flatnonzero(counts == counts.min())
+        if len(ties) == 1:
+            return int(ties[0])
+        return int(ties[self._keys[ties].argmin()])
 
     def scale(self, factor: float) -> None:
         """Multiply every counter by ``factor`` (exponential decay)."""
@@ -143,9 +163,12 @@ class AccessStats:
 
     ``observe`` is the tap the parameter server calls with each direct-access
     key batch (the same key arrays its charge plans are built from); it only
-    accumulates. ``decay_to`` ages the statistics to a simulated timestamp
-    with half-life ``half_life`` and is called by the controller at
-    adaptation boundaries, so decay granularity equals the adaptation period.
+    accumulates. On the round engine's replay path the tap is fed per chunk,
+    in call order, through ``observe_calls``, which is bit-equal to the
+    ``observe`` sequence it stands for. ``decay_to`` ages the statistics to
+    a simulated timestamp with half-life ``half_life`` and is called by the
+    controller at adaptation boundaries, so decay granularity equals the
+    adaptation period.
     """
 
     def __init__(self, num_keys: int, capacity: int = 512,
@@ -171,7 +194,11 @@ class AccessStats:
             return
         self.total_observed += n
         self.lifetime_observed += n
-        if n <= 32:
+        self._update_sketch(keys)
+
+    def _update_sketch(self, keys: np.ndarray) -> None:
+        """One call's keys as one sketch update, repeated keys grouped."""
+        if len(keys) <= 32:
             grouped: Dict[int, int] = {}
             for key in keys.tolist():
                 grouped[key] = grouped.get(key, 0) + 1
@@ -179,6 +206,46 @@ class AccessStats:
         else:
             unique, counts = np.unique(np.asarray(keys), return_counts=True)
             self.sketch.update(unique.tolist(), counts.tolist())
+
+    def observe_calls(self, keys: np.ndarray, starts, stops,
+                      repeat: int) -> None:
+        """Record a chunk's calls at once, exactly as if observed one by one.
+
+        Stands for ``observe(keys[lo:hi])`` called ``repeat`` times in a row
+        for each ``(lo, hi)`` of ``zip(starts, stops)``, in that order (the
+        point chargers' shape: a data point's direct keys are pulled, then
+        pushed), and leaves the sketch and both totals bit-equal to that
+        sequence. Counters are decayed floats, so every call adds its own
+        ``1`` per key and its own ``n`` to the totals; nothing is summed
+        ahead. A call whose keys are all tracked and distinct — the common
+        one — is a dictionary lookup and an addition per key. Any other call
+        (an untracked key, a key repeated within the call) goes through
+        :meth:`SpaceSavingSketch.update` like :meth:`observe`, so free
+        slots, eviction and batch overflow keep their one implementation.
+        """
+        keys_list = keys.tolist()
+        counts = self.sketch._counts
+        slot_of = self.sketch._index.get
+        total, lifetime = self.total_observed, self.lifetime_observed
+        for lo, hi in zip(starts, stops):
+            n = hi - lo
+            if n == 0:
+                continue
+            slots = None
+            for _ in range(repeat):
+                total += n
+                lifetime += n
+                if slots is None:
+                    slots = [slot_of(key) for key in keys_list[lo:hi]]
+                    if None in slots or len(set(slots)) != n:
+                        slots = None
+                if slots is None:
+                    # May fill a slot or evict: the next call looks up again.
+                    self._update_sketch(keys[lo:hi])
+                else:
+                    for slot in slots:
+                        counts[slot] += 1
+        self.total_observed, self.lifetime_observed = total, lifetime
 
     # ----------------------------------------------------------------- decay
     def decay_to(self, now: float) -> None:

@@ -212,7 +212,9 @@ class NuPS(RelocationPS, SamplingHost):
 
         Installed by :func:`repro.adaptive.controller.install_adaptive`. The
         controller's :class:`~repro.adaptive.stats.AccessStats` becomes the
-        access observer fed from the direct-access paths, and the controller
+        access observer fed from the direct-access paths — per call by
+        ``pull``/``push``, per chunk in call order by the round engine's
+        point charger, to the same sketch bit for bit — and the controller
         itself runs from :meth:`housekeeping`.
         """
         if self.adaptive_controller is not None:
@@ -304,14 +306,14 @@ class NuPS(RelocationPS, SamplingHost):
         plan, ownership and arrival times only, so a chunk replays from one
         lookup of each (:class:`_NuPSPointCharger`) — direct access alone
         (matrix factorization) or with the samples of ``distribution_id``.
-        The answer is ``None`` where a per-call effect cannot be replayed:
-        the scalar oracle, an attached ``access_observer`` (the statistics
-        tap sees every call), an access-level tracer and, for sampling,
-        ``integrate_sampling=False`` or a scheme that decides keys at pull
-        time. See the base class for the full list.
+        An attached ``access_observer`` is fed per chunk, in call order
+        (:meth:`_NuPSPointCharger._observe`). The answer is ``None`` where a
+        per-call effect cannot be replayed: the scalar oracle, an
+        access-level tracer and, for sampling, ``integrate_sampling=False``
+        or a scheme that decides keys at pull time. See the base class for
+        the full list.
         """
-        if (not self.batch_charging or self.access_observer is not None
-                or self._traces_accesses()):
+        if not self.batch_charging or self._traces_accesses():
             return None
         if distribution_id is not None and (
                 not self.integrate_sampling
@@ -662,12 +664,13 @@ class _NuPSPointCharger(RelocationPointCharger):
     Charging: the management plan splits the chunk's keys once. Per call,
     the replicated keys are one shared-memory product charged first (as
     ``_pull``/``_push`` do), the relocated keys go through the inherited
-    relocation fold, and the relocated *direct* keys extend the node's
-    recent-access buffer in access order. Values: a point whose keys are all
-    relocated uses the store like the base class; otherwise the replicated
-    positions are read from the node's replica and written through the
-    replica manager (replica, update buffer, dirty mask) by slot, from one
-    slot lookup per chunk.
+    relocation fold, the relocated *direct* keys extend the node's
+    recent-access buffer in access order, and an attached statistics tap is
+    fed the chunk's direct calls in call order. Values: a point whose keys
+    are all relocated uses the store like the base class; otherwise the
+    replicated positions are read from the node's replica and written
+    through the replica manager (replica, update buffer, dirty mask) by
+    slot, from one slot lookup per chunk.
     """
 
     __slots__ = ("node_id", "routes")
@@ -701,6 +704,10 @@ class _NuPSPointCharger(RelocationPointCharger):
         self.routes = {}
         super().charge_chunk(worker, keys2d, compute_cost)
         ps._recent_direct[worker.node_id].extend(self.keys_list)
+        if ps.access_observer is not None:
+            width = keys2d.shape[1]
+            self._observe(range(0, len(flat), width),
+                          range(width, len(flat) + 1, width))
 
     def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
                               direct_widths: list, sample_widths: list,
@@ -743,6 +750,22 @@ class _NuPSPointCharger(RelocationPointCharger):
                 np.repeat(is_direct, np.diff(relocated_bounds))
             ]
             ps._recent_direct[node_id].extend(direct_keys.tolist())
+        if ps.access_observer is not None:
+            edges = bounds.tolist()
+            self._observe(edges[0:-1:2], edges[1::2])
+
+    def _observe(self, starts, stops) -> None:
+        """Feed the statistics tap the chunk's direct-access calls.
+
+        ``_pull``/``_push`` show the tap the keys of every direct call,
+        replicated or not: per point the direct segment ``[lo, hi)`` of the
+        bound keys once for the pull and once more for the push. Sampling
+        access is not observed. The tap touches no clock, metric or value
+        and is read only from ``housekeeping``, between rounds, so feeding a
+        whole chunk at its slot is exact.
+        """
+        self.ps.access_observer.observe_calls(self.keys, starts, stops,
+                                              repeat=2)
 
     def _plan_routes(self, replicated: np.ndarray, relocated: np.ndarray,
                      starts: np.ndarray) -> None:

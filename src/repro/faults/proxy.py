@@ -35,7 +35,11 @@ doubling it always was.
 The proxy is only installed when a fault or partition perturbation is
 active, and its gates return immediately while no node is down and no
 partition is live — a fault-free run through the proxy is bit-identical to
-one without it.
+one without it. That also settles how rounds run behind it: partitions,
+crashes and removals happen in scenario hooks, between rounds, so
+:meth:`FaultTolerantParameterServer.direct_point_charger` decides once per
+round — the inner PS's own charger while no gate can fire, the gated
+per-call path otherwise.
 """
 
 from __future__ import annotations
@@ -93,13 +97,22 @@ class FaultTolerantParameterServer:
 
     # -------------------------------------------------------------- round API
     def direct_point_charger(self, distribution_id=None):
-        """Fused round engines must not bypass the dead-owner gate.
+        """The inner PS's charger while no gate can fire, else ``None``.
 
-        Returning ``None`` (instead of delegating via ``__getattr__``) sends
-        tasks down the sequential path, whose every access goes through this
-        wrapper's gated ``pull``/``push``.
+        The gates of :meth:`pull`/:meth:`push` act only while a partition is
+        live, a node is down or the cluster has removed members. All three
+        change in scenario hooks, between rounds, so the question is settled
+        once per round: with none of them set a gated access *is* the inner
+        access, and the round may replay its charging through the inner PS's
+        own charger at no per-chunk cost. Otherwise ``None`` keeps every
+        access on the gated per-call path (the runner already runs rounds
+        with a node down or a partition live item by item).
         """
-        return None
+        controller = self.controller
+        if (self.partition is not None or self._inner.cluster.removed
+                or (controller is not None and controller.down)):
+            return None
+        return self._inner.direct_point_charger(distribution_id)
 
     def run_round(self, rounds) -> list:
         """Execute a round sequentially through the gated API."""

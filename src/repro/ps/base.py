@@ -423,16 +423,20 @@ class ParameterServer(ABC):
           oracle, it is not replayed;
         * an access-level tracer (``TelemetryConfig(access_events=True)``
           wants one event per call);
-        * on NuPS, an attached ``access_observer`` (``nups-adaptive``: the
-          statistics tap sees every call);
         * for sampling, SSP/ESSP replication (no sampling replay), and on
           NuPS ``integrate_sampling=False`` or a scheme that decides keys at
           pull time (postponing, local sampling, direct-access repurposing —
           anything that overrides :meth:`SamplingScheme.pull
           <repro.core.sampling.schemes.SamplingScheme.pull>`);
-        * the PS is wrapped: the drift remapper and the fault proxy answer
-          ``None`` so that every access keeps going through their
-          translating / gated ``pull`` and ``push``.
+        * behind the fault proxy, while one of its gates can fire: a
+          partition is live, a node is down, or the cluster has removed
+          members.
+
+        Interposers act at the granularity at which their state changes,
+        not per call: the fault proxy settles its gates once per round (they
+        change in scenario hooks only), the drift remapper translates a
+        chunk's keys once, and NuPS feeds an attached ``access_observer``
+        the chunk's calls in call order.
 
         This base answers ``None``; every architecture overrides it.
         """

@@ -18,7 +18,9 @@ baselines cannot.
 
 :class:`RemappedParameterServer` applies the mapping transparently at the PS
 API boundary: tasks keep speaking logical keys, the wrapped PS sees physical
-keys. :class:`RemappedDistribution` does the same for sampling distributions,
+keys — per call on ``pull``/``push``/``localize``, and once per worker chunk
+on the round engine's charger (the mapping only changes between rounds).
+:class:`RemappedDistribution` does the same for sampling distributions,
 reading the mapping dynamically so registered distributions follow every
 drift without re-registration.
 """
@@ -31,6 +33,7 @@ import numpy as np
 
 from repro.core.sampling.distributions import SamplingDistribution
 from repro.ps.base import PullResult, SampleHandle
+from repro.ps.rounds import segment_bounds
 from repro.simulation.cluster import WorkerContext
 
 
@@ -77,8 +80,21 @@ class KeyRemapper:
         return self._to_logical
 
     def to_physical(self, keys: np.ndarray) -> np.ndarray:
-        """Physical keys for a batch of logical ``keys``."""
-        return self._to_physical[np.asarray(keys, dtype=np.int64)]
+        """Physical keys for logical ``keys`` (any shape), range-checked.
+
+        Logical keys come from the workload, so they are checked here like
+        the unwrapped parameter server checks them: ``KeyError`` for a
+        negative key (fancy indexing alone would wrap it around to the other
+        end of the key space), ``IndexError`` beyond it.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size:
+            lo = int(keys.min())
+            if lo < 0:
+                raise KeyError(
+                    f"keys out of range [0, {self.num_keys}): min={lo}"
+                )
+        return self._to_physical[keys]
 
     def to_logical(self, keys: np.ndarray) -> np.ndarray:
         """Logical keys for a batch of physical ``keys``."""
@@ -167,13 +183,55 @@ class RemappedDistribution(SamplingDistribution):
         return self.inner.probabilities_of(self.remapper.to_logical(keys))
 
 
+class _RemappedPointCharger:
+    """A point charger that takes a chunk's keys in logical key space.
+
+    The chunk's keys translate once, range-checked, and the inner charger
+    does everything else; ``read``/``add``/``finish`` are the inner
+    charger's own, since they address the chunk by position.
+    """
+
+    __slots__ = ("_inner", "_remapper", "read", "add", "finish")
+
+    #: Callers hold logical keys, which do not address ``ps.store``: the
+    #: multi-process backend must not take a round behind this charger.
+    values_in_store = False
+
+    def __init__(self, inner, remapper: KeyRemapper) -> None:
+        self._inner = inner
+        self._remapper = remapper
+        self.read, self.add, self.finish = inner.read, inner.add, inner.finish
+
+    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
+                     compute_cost: float) -> None:
+        self._inner.charge_chunk(
+            worker, self._remapper.to_physical(keys2d), compute_cost
+        )
+
+    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                              direct_widths: list, sample_widths: list,
+                              compute_costs: list) -> None:
+        # Only the direct segments are logical: a handle's sample keys are
+        # physical already (``RemappedDistribution.sample`` translates them).
+        bounds = segment_bounds(direct_widths, sample_widths)
+        is_direct = np.zeros(len(bounds) - 1, dtype=bool)
+        is_direct[0::2] = True
+        direct = np.repeat(is_direct, np.diff(bounds))
+        physical = np.array(keys, dtype=np.int64)
+        physical[direct] = self._remapper.to_physical(physical[direct])
+        self._inner.charge_sampling_chunk(
+            worker, physical, direct_widths, sample_widths, compute_costs
+        )
+
+
 class RemappedParameterServer:
     """Presents a parameter server's API in the workload's logical key space.
 
     Wraps any :class:`~repro.ps.base.ParameterServer`; every key-carrying call
-    is translated through the remapper, everything else is delegated
-    unchanged. With the identity mapping the translation is a single take per
-    call; the wrapper is only installed when a scenario actually drifts.
+    is translated through the remapper (and range-checked: logical keys come
+    from the workload), everything else is delegated unchanged. With the
+    identity mapping the translation is a single take per call; the wrapper
+    is only installed when a scenario actually drifts.
     """
 
     def __init__(self, inner, remapper: KeyRemapper) -> None:
@@ -214,15 +272,19 @@ class RemappedParameterServer:
 
     # -------------------------------------------------------------- round API
     def direct_point_charger(self, distribution_id=None):
-        """The task-level round engine must not bypass key translation.
+        """The inner PS's charger behind one key translation per chunk.
 
-        The fused task paths read keys, values, and charges through the PS's
-        raw store and charger — all in *physical* key space. Returning
-        ``None`` (instead of delegating to the inner PS via ``__getattr__``)
-        sends tasks down the sequential path, whose every call goes through
-        this wrapper's translating ``pull``/``push``/``localize``.
+        The bijection changes only in ``apply_drift`` (an epoch or round
+        hook), never inside a round, so a chunk's logical keys translate
+        once (:class:`_RemappedPointCharger`) and the inner charger replays
+        the chunk in physical key space. ``None`` where the inner PS (or a
+        fault proxy below this wrapper) answers ``None``: the round then
+        goes through the translating ``pull``/``push``/``localize``.
         """
-        return None
+        inner = self._inner.direct_point_charger(distribution_id)
+        if inner is None:
+            return None
+        return _RemappedPointCharger(inner, self._remapper)
 
     def run_round(self, rounds) -> list:
         """Execute a round sequentially through the translating API.

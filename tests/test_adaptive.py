@@ -102,6 +102,31 @@ class TestSpaceSavingSketch:
         assert sketch.estimate(12) == 0.0  # coldest of the batch: dropped
         assert len(sketch) == 2
 
+    @pytest.mark.parametrize("decayed", [False, True])
+    def test_single_victim_is_the_head_of_the_eviction_order(self, decayed):
+        """One fresh key takes one victim without sorting every slot; it
+        must be the slot the full eviction order (``np.lexsort`` by count,
+        then key) puts first — also when counts tie exactly."""
+        rng = np.random.default_rng(11)
+        tied = 0
+        for _ in range(300):
+            capacity = int(rng.integers(1, 40))
+            sketch = SpaceSavingSketch(capacity)
+            keys = rng.permutation(1000)[:capacity]
+            # Three distinct counts over up to 39 slots: ties are the rule.
+            sketch.update(keys.tolist(), rng.integers(1, 4, capacity).tolist())
+            if decayed:
+                sketch.scale(0.5 ** float(rng.random() * 3))
+            expected = int(np.lexsort((sketch._keys, sketch._counts))[0])
+            tied += int(np.count_nonzero(
+                sketch._counts == sketch._counts[expected]) > 1)
+            assert sketch._coldest_slot() == expected
+            inherited = sketch._counts[expected] + 2
+            sketch.update([5000], [2])  # a full sketch, one fresh key
+            assert sketch._index[5000] == expected
+            assert sketch._counts[expected] == inherited
+        assert tied > 200
+
     def test_scale_decays_all_counters(self):
         sketch = SpaceSavingSketch(capacity=4)
         sketch.update([1, 2], [8, 4])
@@ -163,6 +188,67 @@ class TestAccessStats:
         stats = AccessStats(num_keys=10)
         stats.observe(np.empty(0, dtype=np.int64))
         assert stats.lifetime_observed == 0
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    @pytest.mark.parametrize("capacity", [1, 2, 8, 512])
+    def test_observe_calls_equals_the_observe_sequence(self, capacity, width,
+                                                       monkeypatch):
+        """The chunk entry point against the calls it stands for, bit for
+        bit: 3 000 calls per cell (48 000 over the matrix) of ``width`` keys
+        out of 40, each row observed twice in a row, rows with a repeated
+        key, empty rows, gaps between the rows, decay in between. Capacities
+        1 and 2 take more fresh keys per call than they have slots (the
+        batch-overflow rule), 8 evicts all the time, 512 only fills up."""
+        rng = np.random.default_rng(1000 * capacity + width)
+        by_call = AccessStats(num_keys=40, capacity=capacity, half_life=0.5)
+        by_chunk = AccessStats(num_keys=40, capacity=capacity, half_life=0.5)
+        updates = []  # sizes of the chunk-fed sketch's ``update`` calls
+        update = SpaceSavingSketch.update
+
+        def counted(sketch, keys, counts):
+            if sketch is by_chunk.sketch:
+                updates.append(len(keys))
+            update(sketch, keys, counts)
+
+        monkeypatch.setattr(SpaceSavingSketch, "update", counted)
+        calls = 0
+        now = 0.0
+        while calls < 3000:
+            rows, starts, stops = [], [], []
+            position = 0
+            for _ in range(int(rng.integers(1, 10))):
+                row = rng.integers(0, 40, size=width)
+                if rng.random() < 0.3:
+                    row[-1] = row[0]  # a key repeated within the call
+                if rng.random() < 0.1:
+                    row = row[:0]     # a point without direct keys
+                gap = rng.integers(0, 40, size=int(rng.integers(0, 3)))
+                rows += [row, gap]    # the gap: keys nobody observes
+                starts.append(position)
+                stops.append(position + len(row))
+                position += len(row) + len(gap)
+                for _ in range(2):
+                    by_call.observe(row)
+                calls += 2
+            by_chunk.observe_calls(
+                np.concatenate(rows).astype(np.int64), starts, stops, repeat=2)
+            if rng.random() < 0.2:
+                now += float(rng.random()) * 0.3
+                by_call.decay_to(now)
+                by_chunk.decay_to(now)
+            assert by_chunk.sketch._keys.tobytes() == by_call.sketch._keys.tobytes()
+            assert by_chunk.sketch._counts.tobytes() \
+                == by_call.sketch._counts.tobytes()
+            assert by_chunk.sketch._index == by_call.sketch._index
+            assert len(by_chunk.sketch) == len(by_call.sketch)
+            assert np.float64(by_chunk.total_observed).tobytes() \
+                == np.float64(by_call.total_observed).tobytes()
+            assert by_chunk.lifetime_observed == by_call.lifetime_observed
+        assert now > 0.0 and not float(by_call.total_observed).is_integer()
+        # Both routes ran: calls of tracked, distinct keys skipped ``update``.
+        assert 0 < len(updates) < calls
+        if capacity < width:
+            assert max(updates) > capacity
 
 
 # --------------------------------------------------------------------------

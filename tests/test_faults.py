@@ -388,7 +388,11 @@ class TestFaultTolerantProxy:
         assert proxy.store is ps.store
         assert proxy.name == ps.name
         assert proxy.describe() == ps.describe()
-        assert proxy.direct_point_charger() is None
+        # No gate can fire (no partition, no node down, nobody removed): the
+        # round engine gets the inner PS's own charger, in both shapes.
+        for distribution_id in (None, 0):
+            assert type(proxy.direct_point_charger(distribution_id)) \
+                is type(ps.direct_point_charger(distribution_id))
 
 
 # ------------------------------------------------------ scenario integration

@@ -10,6 +10,10 @@ for every architecture and scenario. This suite drives that contract:
   churn}, comparing parallel against the sequential reference including the
   final store state — plus a NuPS plan that replicates keys, where the
   worker pool must stand back (replicated values are not in the store);
+* the wrapped parameter servers: behind the fault proxy the pool dispatches
+  in every round no gate can fire in, over a store that crash recovery and
+  partition heal rewrite between rounds; behind the drift remapper it must
+  stand back (the task holds logical keys);
 * seeded random-workload fuzzing: random (system, seed, chunk_size, epochs)
   draws executed under all three backends, asserting exact equality;
 * failure modes: a killed worker surfaces as an actionable
@@ -41,7 +45,7 @@ from repro.parallel import (
     ParallelConfig,
     ParallelExecutionError,
 )
-from repro.parallel.backend import _borrow_pool, _pool_cache
+from repro.parallel.backend import ParallelExecutor, _borrow_pool, _pool_cache
 from repro.parallel.pool import WorkerPool
 from repro.report import pipeline as report_pipeline
 from repro.runner.config import ExperimentConfig
@@ -49,6 +53,7 @@ from repro.runner.experiment import resolve_execution_backend, run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
 from repro.scenarios import make_scenario
+from repro.scenarios.remap import _RemappedPointCharger
 from repro.simulation.cluster import ClusterConfig
 
 MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups", "single-node"]
@@ -57,16 +62,18 @@ MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups", "single-node"]
 # ------------------------------------------------------------------ helpers
 def _experiment(system, backend, scenario_name=None, chunk_size=8, seed=5,
                 epochs=2, task_name="matrix_factorization", num_workers=2,
-                **overrides):
+                scenario=None, **overrides):
     """One test-scale run; returns ``(result, final_store)``.
 
     The factory is wrapped to capture the parameter server, so assertions
     can reach the trained store (values and versions) after the run — the
     part of the state an :class:`ExperimentResult` does not expose.
+    ``scenario`` is a scenario object where a preset's defaults do not do;
     ``overrides`` go to the system's builder.
     """
     task = make_task(task_name, scale="test")
-    scenario = make_scenario(scenario_name) if scenario_name else None
+    if scenario is None and scenario_name:
+        scenario = make_scenario(scenario_name)
     parallel = ParallelConfig(num_workers=num_workers) \
         if backend == "parallel" else None
     config = ExperimentConfig(
@@ -140,6 +147,71 @@ def test_parallel_matches_sequential_under_scenarios(system, scenario_name):
         _experiment(system, "sequential", scenario_name=scenario_name,
                     epochs=4),
     )
+
+
+def _count_dispatches(monkeypatch) -> list:
+    """Record the size of every round the worker pool is handed from now on."""
+    dispatched = []
+    dispatch = ParallelExecutor.dispatch_mf_round
+
+    def counted(executor, fused_keys, fused_values, *args, **kwargs):
+        dispatched.append(len(fused_values))
+        return dispatch(executor, fused_keys, fused_values, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelExecutor, "dispatch_mf_round", counted)
+    return dispatched
+
+
+@pytest.mark.parametrize("system, scenario_name, dispatches", [
+    ("ssp", "crash-storm", False),  # replica values are not in the store
+    ("classic", "crash-storm", True),
+    ("nups", "split-brain", True),
+    ("lapse", "split-brain", True),
+])
+def test_parallel_matches_sequential_behind_the_fault_proxy(
+        system, scenario_name, dispatches, monkeypatch):
+    """While no gate can fire the proxy hands out the inner PS's charger,
+    so the pool dispatches behind it in the rounds that are not degraded —
+    over a shared-memory store that a checkpoint restore (crash) and the
+    replay of buffered minority writes (heal) rewrite between rounds."""
+    dispatched = _count_dispatches(monkeypatch)
+    parallel = _experiment(system, "parallel", scenario_name=scenario_name,
+                           epochs=3)
+    assert bool(dispatched) == dispatches
+    metrics = parallel[0].metrics
+    if scenario_name == "crash-storm":
+        assert metrics["faults.keys_recovered_from_checkpoint"] > 0
+        assert metrics["faults.lost_chunks"] > 0  # degraded rounds ran
+    else:
+        assert metrics["elastic.replayed_writes"] > 0
+        assert metrics["elastic.deferred_chunks"] > 0
+    _assert_equivalent(parallel, _experiment(
+        system, "sequential", scenario_name=scenario_name, epochs=3))
+
+
+def test_parallel_stands_back_behind_the_key_remapper(monkeypatch):
+    """Behind the drift remapper the task holds logical keys, which stop
+    addressing the store at the first drift: the remapped charger says
+    ``values_in_store = False`` and the pool takes no round, although the
+    inner NuPS (a plan without replicas) would let it. Mutation check:
+    with the property forced to ``True`` the pool is handed logical keys
+    and the run diverges."""
+    def early_drift():
+        return make_scenario("drift", at=((1, 0),))
+
+    sequential = _experiment("nups", "sequential", scenario=early_drift(),
+                             epochs=3)
+    dispatched = _count_dispatches(monkeypatch)
+    parallel = _experiment("nups", "parallel", scenario=early_drift(), epochs=3)
+    assert parallel[0].metrics["scenario.drifts"] == 1
+    assert dispatched == []
+    _assert_equivalent(parallel, sequential)
+
+    monkeypatch.setattr(_RemappedPointCharger, "values_in_store", True)
+    mutated = _experiment("nups", "parallel", scenario=early_drift(), epochs=3)
+    assert dispatched
+    with pytest.raises(AssertionError):
+        _assert_equivalent(mutated, sequential)
 
 
 @pytest.mark.parametrize("system", ["lapse", "nups"])

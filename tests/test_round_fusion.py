@@ -16,7 +16,11 @@ the sampling section drives the point chargers against the per-call
 sequence on twin parameter servers. Both compare whole experiments
 including every piece of PS state and pin both directions of the path
 selection: the default configuration issues no ``pull``/``push`` at all,
-each fallback condition issues them.
+each fallback condition issues them. A last section holds the wrapped and
+observed parameter servers — the drift remapper, the fault proxy, NuPS under
+a statistics tap — which are replay cells too: the comparison includes the
+tap's sketch, and ``pull``/``push`` reach the PS only from the rounds the
+runner degrades.
 """
 
 from __future__ import annotations
@@ -27,13 +31,18 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import repro.runner.experiment as experiment_module
+from repro.adaptive import AdaptiveConfig, install_adaptive
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
 from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
 from repro.core.sampling.schemes import SCHEMES_BY_NAME, SchemeConfig
+from repro.elastic import ElasticityController, PartitionState
+from repro.faults import FaultController, FaultTolerantParameterServer
 from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.negative_sampling import NegativeSampleStream
+from repro.ml.task import RoundWorkItem, sequential_process_round
 from repro.parallel import ParallelConfig
 from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
@@ -46,7 +55,7 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import _WorkerQueue, run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
-from repro.scenarios import make_scenario
+from repro.scenarios import KeyRemapper, RemappedParameterServer, make_scenario
 from repro.scenarios.base import Perturbation, Scenario
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
@@ -278,12 +287,13 @@ def test_run_round_single_node_fallback():
 #: One experiment: its result plus the objects that hold the rest of the
 #: state a bit-identity claim is about. ``calls`` counts the ``pull`` and
 #: ``push`` calls that reached the raw PS.
-Run = namedtuple("Run", "result ps cluster task calls")
+Run = namedtuple("Run", "result ps cluster task calls degraded_calls")
 
 
 def _experiment(task_name, system, backend, scenario_name=None,
                 chunk_size=8, seed=5, epochs=2, telemetry=False,
-                storage=None, factory=None, task=None, straggler=False):
+                storage=None, factory=None, task=None, straggler=False,
+                scenario=None, num_nodes=2):
     """Run the test-scale experiment under one execution backend.
 
     ``backend`` is an ``ExperimentConfig.execution_backend`` value:
@@ -291,10 +301,17 @@ def _experiment(task_name, system, backend, scenario_name=None,
     observability tracer rides along (it must not change a single bit):
     ``True`` records one event per PS call, ``"default"`` the default level.
     ``factory`` replaces the named system's PS factory and ``task`` the
-    preset task; ``straggler`` slows one worker's compute down.
+    preset task; ``straggler`` slows one worker's compute down; ``scenario``
+    is a scenario object where a preset's defaults do not do; the cluster
+    has ``num_nodes`` nodes of two workers.
+
+    ``Run.calls`` counts the ``pull``/``push`` calls that reached the raw PS,
+    ``Run.degraded_calls`` those of them issued by the runner's degraded
+    rounds (a node down or a partition live: per call on every backend).
     """
     task = task or make_task(task_name, scale="test")
-    scenario = make_scenario(scenario_name) if scenario_name else None
+    if scenario is None and scenario_name:
+        scenario = make_scenario(scenario_name)
     parallel = ParallelConfig(num_workers=2) if backend == "parallel" else None
     telemetry_config = None
     if telemetry:
@@ -302,8 +319,9 @@ def _experiment(task_name, system, backend, scenario_name=None,
 
         telemetry_config = TelemetryConfig(access_events=telemetry is True)
     config = ExperimentConfig(
-        cluster=ClusterConfig(num_nodes=1 if system == "single-node" else 2,
-                              workers_per_node=2),
+        cluster=ClusterConfig(
+            num_nodes=1 if system == "single-node" else num_nodes,
+            workers_per_node=2),
         epochs=epochs, chunk_size=chunk_size, seed=seed, scenario=scenario,
         execution_backend=backend, parallel=parallel,
         telemetry=telemetry_config, storage=storage,
@@ -324,8 +342,22 @@ def _experiment(task_name, system, backend, scenario_name=None,
             setattr(ps, name, counted)
         return ps
 
-    result = run_experiment(task, counting_factory, config)
-    return Run(result, built["ps"], built["cluster"], task, calls)
+    degraded_calls = {"pull": 0, "push": 0}
+    degraded_round = experiment_module._degraded_process_round
+
+    def counting_degraded_round(*args, **kwargs):
+        before = dict(calls)
+        degraded_round(*args, **kwargs)
+        for name in calls:
+            degraded_calls[name] += calls[name] - before[name]
+
+    experiment_module._degraded_process_round = counting_degraded_round
+    try:
+        result = run_experiment(task, counting_factory, config)
+    finally:
+        experiment_module._degraded_process_round = degraded_round
+    return Run(result, built["ps"], built["cluster"], task, calls,
+               degraded_calls)
 
 
 def _generator_states(ps) -> dict:
@@ -335,8 +367,21 @@ def _generator_states(ps) -> dict:
     return states
 
 
+def _assert_stats_identical(a, b) -> None:
+    """Two statistics taps hold the same sketch and totals, bit for bit."""
+    assert a.sketch._keys.tobytes() == b.sketch._keys.tobytes()
+    assert a.sketch._counts.tobytes() == b.sketch._counts.tobytes()
+    assert a.sketch._index == b.sketch._index
+    assert len(a.sketch) == len(b.sketch)
+    assert np.float64(a.total_observed).tobytes() \
+        == np.float64(b.total_observed).tobytes()
+    assert a.lifetime_observed == b.lifetime_observed
+
+
 def _assert_ps_state_identical(a, b) -> None:
     """Everything a PS holds besides clocks and metrics, to the last bit."""
+    while hasattr(a, "inner"):  # the state lives below the wrappers
+        a, b = a.inner, b.inner
     all_keys = np.arange(a.store.num_keys, dtype=np.int64)
     assert a.store.get(all_keys).tobytes() == b.store.get(all_keys).tobytes()
     assert np.array_equal(a.store.read_versions(all_keys),
@@ -366,6 +411,14 @@ def _assert_ps_state_identical(a, b) -> None:
             )
             assert pending_a == pending_b
     if isinstance(a, NuPS):
+        assert (a.access_observer is None) == (b.access_observer is None)
+        if a.access_observer is not None:
+            _assert_stats_identical(a.access_observer, b.access_observer)
+        assert (a.adaptive_controller is None) == (b.adaptive_controller is None)
+        if a.adaptive_controller is not None:
+            assert a.adaptive_controller.describe() \
+                == b.adaptive_controller.describe()
+        assert np.array_equal(a.plan.replicated_keys, b.plan.replicated_keys)
         assert {node: list(recent) for node, recent in a._recent_direct.items()} \
             == {node: list(recent) for node, recent in b._recent_direct.items()}
         manager_a, manager_b = a.replica_manager, b.replica_manager
@@ -399,8 +452,10 @@ def _assert_results_identical(a, b) -> None:
     per-epoch records, metrics, all worker/server/background clocks, store
     value bytes and versions, ownership, replica state (NuPS's replica
     manager; SSP/ESSP's replica and update matrices, masks, replica clocks
-    and pending key sets), recent-access buffers, sampling pools, every
-    random generator and the task's clipper and loss accumulators."""
+    and pending key sets), the installed plan, the statistics tap's sketch
+    and totals and the adaptive controller's report, recent-access buffers,
+    sampling pools, every random generator and the task's clipper and loss
+    accumulators."""
     result_a, result_b = a.result, b.result
     assert result_a.initial_quality == result_b.initial_quality
     assert result_a.epochs_completed == result_b.epochs_completed
@@ -420,14 +475,50 @@ def _assert_results_identical(a, b) -> None:
 
 
 # ------------------------------------------- matrix factorization: replay
+#: Slots of the statistics taps in the wrapped cells: far fewer than keys in
+#: use, so the sketch evicts all the time.
+SKETCH_SLOTS = 16
+
+
+def _drifted_adaptive(build_nups, groups):
+    """``build_nups`` below a key remapping that is not the identity, with a
+    small statistics tap whose top-k policy re-manages from
+    ``housekeeping``: the wrapper and the tap at once."""
+    def build(store, cluster):
+        remapper = KeyRemapper(store.num_keys, groups)
+        sigma = remapper.rotation(0.3)
+        store.permute(sigma)
+        remapper.apply(sigma)
+        ps = build_nups(store, cluster)
+        install_adaptive(ps, AdaptiveConfig(
+            policy="top-k", top_k=5, period=2e-4, half_life=1e-3,
+            capacity=SKETCH_SLOTS, warmup_observations=50))
+        return RemappedParameterServer(ps, remapper)
+    return build
+
+
+def _assert_drifted_adaptive_ran(ps) -> None:
+    """Non-vacuity of a :func:`_drifted_adaptive` twin: translated keys, a
+    sketch that had to evict, and a policy that re-managed."""
+    assert not ps.remapper.is_identity
+    controller = ps.inner.adaptive_controller
+    assert controller.adaptations > 0
+    assert len(controller.stats.sketch) == SKETCH_SLOTS
+    assert controller.stats.lifetime_observed > 1000
+
+
 def _direct_ps_builders():
     """Every architecture, with the state that makes its replay non-trivial:
-    replicated hot keys on NuPS, each staleness bound on SSP/ESSP."""
+    replicated hot keys on NuPS, each staleness bound on SSP/ESSP, and NuPS
+    remapped and observed (``_direct_chunks`` draws every chunk from both
+    key groups: row keys below 90, column keys from 90)."""
     builders = {
         "classic": lambda store, cluster: ClassicPS(store, cluster, seed=0),
         "relocation": lambda store, cluster: RelocationPS(store, cluster, seed=0),
         "nups": _ps_builders()["nups"],
         "nups-relocate-all": _ps_builders()["nups-relocate-all"],
+        "nups-drifted-adaptive": _drifted_adaptive(
+            _ps_builders()["nups"], [(0, 90), (90, NUM_KEYS)]),
         "single-node": lambda store, cluster: SingleNodePS(store, cluster),
     }
     for protocol in ReplicationProtocol:
@@ -521,8 +612,10 @@ def test_point_charger_replays_direct_calls(name):
     metrics = call_cluster.metrics
     if isinstance(call_ps, RelocationPS):
         assert metrics.get("relocation.waits") > 0
-    if name == "nups":
+    if name.startswith("nups") and name != "nups-relocate-all":
         assert metrics.get("access.pull.replica.local") > 0
+    if name == "nups-drifted-adaptive":
+        _assert_drifted_adaptive_ran(call_ps)
     if isinstance(call_ps, ReplicationPS):
         assert mixed > 0
         assert metrics.get("replication.flushes") > 0
@@ -671,14 +764,10 @@ def _oracle_factory(system):
 #: One entry per condition under which ``direct_point_charger`` must answer
 #: ``None`` for matrix factorization (the list in its docstring).
 MF_FALLBACKS = {
-    "access-observer": dict(system="nups-adaptive"),
     "access-events-ssp": dict(system="ssp", telemetry=True),
     "access-events-classic": dict(system="classic", telemetry=True),
     "scalar-oracle-ssp": dict(factory=_oracle_factory("ssp")),
     "scalar-oracle-nups": dict(factory=_oracle_factory("nups")),
-    # The drift preset rewires the mapping at epoch 2.
-    "drift-remap": dict(system="essp", scenario_name="drift", epochs=3),
-    "fault-proxy": dict(system="ssp", scenario_name="crash-storm"),
 }
 
 
@@ -778,6 +867,10 @@ def _sampling_ps_builders():
         "relocation": lambda store, cluster: RelocationPS(store, cluster, seed=0),
         "nups": nups,
         "nups-relocate-all": nups_relocate_all,
+        # The sampled support [0, 60) is one key group; the direct keys of
+        # ``_sampling_chunks`` come from both.
+        "nups-drifted-adaptive": _drifted_adaptive(
+            nups, [(0, 60), (60, NUM_KEYS)]),
         "single-node": lambda store, cluster: SingleNodePS(store, cluster),
     }
 
@@ -871,6 +964,8 @@ def test_point_charger_replays_sampling_calls(name):
     if isinstance(call_ps, RelocationPS):
         # The workload must exercise the wait-for-arrival fold.
         assert call_cluster.metrics.get("relocation.waits") > 0
+    if name == "nups-drifted-adaptive":
+        _assert_drifted_adaptive_ran(call_ps)
 
 
 def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
@@ -1012,15 +1107,11 @@ SAMPLING_FALLBACKS = {
                          factory=_nups_factory(scheme_override="local")),
     "repurposing-scheme": dict(
         factory=_nups_factory(scheme_override="direct_access_repurposing")),
-    "access-observer": dict(system="nups-adaptive"),
     "access-events": dict(task="word_vectors", system="lapse", telemetry=True),
     "sampling-not-integrated": dict(system="relocation+replication"),
     "scalar-oracle-lapse": dict(task="word_vectors",
                                 factory=_oracle_factory("lapse")),
     "scalar-oracle-nups": dict(factory=_oracle_factory("nups")),
-    # The drift preset rewires the mapping at epoch 2.
-    "drift-remap": dict(scenario_name="drift", epochs=3),
-    "fault-proxy": dict(system="classic", scenario_name="crash-storm"),
     "no-replay-replication": dict(system="ssp"),
 }
 
@@ -1037,6 +1128,219 @@ def test_sampling_round_falls_back_to_sequential(condition):
     _assert_results_identical(fused, sequential)
     assert fused.calls["pull"] > 0 and fused.calls["push"] > 0
     assert fused.calls == sequential.calls
+
+
+# ------------------------------- wrapped and observed parameter servers
+WRAPPED_TASKS = ("matrix_factorization", "kge", "word_vectors")
+WRAPPED_KINDS = ("drift", "crash-storm", "split-brain")
+
+
+def _wrapped_cell(task, kind):
+    """``(system, factory, scenario)`` of one wrapped cell.
+
+    ``drift``: ``nups-adaptive`` below the key remapper; the mapping turns
+    at epoch 1 without the oracle's re-management, so only the online top-k
+    policy, fed by a statistics tap small enough to evict all the time,
+    re-targets the six replicas. ``crash-storm``: a statically partitioned
+    PS behind the retry proxy (SSP has no sampling replay, the sampling
+    tasks take classic). ``split-brain``: NuPS behind the partition guard,
+    with replicas that the heal has to flush and reload.
+    """
+    plan = ManagementPlan.top_k_by_count(task.access_counts(), 6)
+    if kind == "drift":
+        adaptive = AdaptiveConfig(
+            policy="top-k", top_k=6, period=0.002, half_life=0.004,
+            capacity=SKETCH_SLOTS, warmup_observations=100)
+        factory = make_ps_factory("nups-adaptive", plan=plan,
+                                  sync_interval=0.001, adaptive_config=adaptive)
+        return "nups-adaptive", factory, make_scenario(
+            "drift", at=((1, 0),), oracle_remanage=False)
+    if kind == "crash-storm":
+        system = "ssp" if task.name == "matrix_factorization" else "classic"
+        return system, make_ps_factory(system), make_scenario("crash-storm")
+    factory = make_ps_factory("nups", plan=plan, sync_interval=0.001)
+    return "nups", factory, make_scenario("split-brain")
+
+
+def _wrapped_matrix(seeds, tier_one: bool):
+    """(task, kind, storage, seed) cells: {MF, KGE, WV} x {drift,
+    crash-storm, split-brain} x {dense, sparse} x seeds. Tier-1 runs one
+    seed and the sparse backend only where the scenario restructures it
+    (MF under drift: ``permute`` densifies the store)."""
+    for seed in seeds:
+        for task in WRAPPED_TASKS:
+            for kind in WRAPPED_KINDS:
+                for storage in (None, SPARSE):
+                    if tier_one and storage is SPARSE and (task, kind) != (
+                            "matrix_factorization", "drift"):
+                        continue
+                    yield pytest.param(
+                        task, kind, storage, seed,
+                        id=f"{task}-{kind}-"
+                           f"{'sparse' if storage else 'dense'}-{seed}",
+                    )
+
+
+def _check_wrapped_cell(task_name, kind, storage, seed, epochs):
+    """Every backend == sequential behind the wrappers and under the tap,
+    on all state including the sketch; the fused run issues ``pull``/``push``
+    only from the rounds the runner degrades."""
+    backends = ["fused", "sequential"]
+    if task_name == "matrix_factorization":
+        backends.insert(1, "parallel")  # the only task the worker pool takes
+    runs = {}
+    for backend in backends:
+        task = make_task(task_name, scale="test")
+        system, factory, scenario = _wrapped_cell(task, kind)
+        runs[backend] = _experiment(
+            task_name, system, backend, scenario=scenario, storage=storage,
+            chunk_size=7, seed=seed, epochs=epochs, task=task,
+            factory=factory,
+            # Four nodes: two can crash at once, and a majority side of
+            # three owns keys that its own workers can still reach.
+            num_nodes=4)
+    sequential = runs.pop("sequential")
+    assert sequential.calls["pull"] > 0 and sequential.calls["push"] > 0
+    for run in runs.values():
+        _assert_results_identical(run, sequential)
+        if kind == "drift":
+            assert run.calls == {"pull": 0, "push": 0}
+        else:
+            # Per call only while a node is down / the partition is live.
+            assert run.calls == sequential.degraded_calls
+            for name, count in run.calls.items():
+                assert count < sequential.calls[name]
+    if kind == "drift":
+        # The mapping is not the identity while fused rounds run (from
+        # epoch 1), the sketch is full and evicting, the policy re-manages.
+        drifts = [record.metrics.get("scenario.drifts", 0)
+                  for record in sequential.result.records]
+        assert drifts[:2] == [0, 1] and sum(drifts) == 1
+        controller = sequential.ps.adaptive_controller
+        assert controller.adaptations > 0
+        assert len(controller.stats.sketch) == SKETCH_SLOTS
+    elif kind == "crash-storm":
+        assert sequential.result.metrics["faults.crashes"] > 0
+        assert min(sequential.degraded_calls.values()) > 0
+    else:
+        # The guard rejects a majority call before it reaches the PS and
+        # serves the minority itself, so few calls (on KGE none) get through.
+        metrics = sequential.result.metrics
+        assert metrics["elastic.partition_heals"] == 1
+        assert metrics["elastic.stale_reads"] > 0
+        assert metrics["elastic.deferred_chunks"] > 0
+        if task_name == "matrix_factorization":
+            assert min(sequential.degraded_calls.values()) > 0
+
+
+@pytest.mark.parametrize("task, kind, storage, seed",
+                         _wrapped_matrix([5], tier_one=True))
+def test_wrapped_round_bit_identical(task, kind, storage, seed):
+    _check_wrapped_cell(task, kind, storage, seed, epochs=2)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("task, kind, storage, seed",
+                         _wrapped_matrix([0, 7, 2 ** 31 - 1], tier_one=False))
+def test_wrapped_round_bit_identical_full_cross(task, kind, storage, seed):
+    _check_wrapped_cell(task, kind, storage, seed, epochs=3)
+
+
+#: The presets that were fallback conditions until the wrappers and the tap
+#: joined the replay path, as users run them: the default tap (512 slots,
+#: hot-spot policy), the drift preset (epoch 2) over ESSP and NuPS, the
+#: crash-storm preset behind the retry proxy.
+WRAPPED_PRESETS = {
+    "mf-access-observer": dict(task="matrix_factorization",
+                               system="nups-adaptive"),
+    "mf-drift-remap": dict(task="matrix_factorization", system="essp",
+                           scenario_name="drift", epochs=3),
+    "mf-fault-proxy": dict(task="matrix_factorization", system="ssp",
+                           scenario_name="crash-storm"),
+    "kge-access-observer": dict(task="kge", system="nups-adaptive"),
+    "kge-drift-remap": dict(task="kge", system="nups", scenario_name="drift",
+                            epochs=3),
+    "kge-fault-proxy": dict(task="kge", system="classic",
+                            scenario_name="crash-storm"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(WRAPPED_PRESETS))
+def test_wrapped_presets_take_the_replay_path(preset):
+    """Identical to the sequential backend, and ``pull``/``push`` reach the
+    PS only from the rounds the runner degrades (none without faults)."""
+    kwargs = dict(epochs=1)
+    kwargs.update(WRAPPED_PRESETS[preset])
+    task, system = kwargs.pop("task"), kwargs.pop("system")
+    fused = _experiment(task, system, "fused", **kwargs)
+    sequential = _experiment(task, system, "sequential", **kwargs)
+    _assert_results_identical(fused, sequential)
+    assert fused.calls == sequential.degraded_calls
+    for name, count in fused.calls.items():
+        assert count < sequential.calls[name]
+    assert (sequential.degraded_calls["pull"] > 0) \
+        == preset.endswith("fault-proxy")
+
+
+def _proxied_world(condition):
+    """Classic PS behind the fault proxy with one gate condition set, a
+    round of work for workers the condition lets through, and the number of
+    ``pull`` calls that reached the proxy."""
+    task = make_task("matrix_factorization", scale="test")
+    cluster = Cluster(ClusterConfig(num_nodes=3, workers_per_node=2))
+    ps = ClassicPS(task.create_store(seed=5), cluster, seed=0)
+    proxy = FaultTolerantParameterServer(ps)
+    if condition == "partition-live":
+        # Minority workers: stale reads and buffered writes, no rejection.
+        proxy.partition = PartitionState(ps, {2}, cluster.time)
+        nodes = [2]
+    elif condition == "node-down":
+        proxy.controller = FaultController(ps, start_time=cluster.time)
+        proxy.controller.crash_node(2, cluster.time)
+        nodes = [0, 1]
+    else:
+        ElasticityController(ps).scale_in(2, cluster.time)
+        nodes = [0, 1]
+    pulls = []
+    pull = proxy.pull
+
+    def counted_pull(worker, keys):
+        pulls.append(len(keys))
+        return pull(worker, keys)
+
+    proxy.pull = counted_pull
+    shards = task.create_shards(3, 2, seed=5)
+    items = [
+        RoundWorkItem(cluster.worker(node, worker_id), shard[:8], shard[8:16],
+                      np.random.default_rng(0))
+        for node in nodes for worker_id, shard in enumerate(shards[node])
+    ]
+    return task, cluster, proxy, items, pulls
+
+
+@pytest.mark.parametrize("condition",
+                         ["partition-live", "node-down", "member-removed"])
+def test_fault_proxy_gate_conditions_keep_the_per_call_path(condition):
+    """While a gate of the proxy can fire it hands out no charger, and a
+    round asked of the task runs call by call through the gates, exactly
+    like the sequential reference."""
+    task, cluster, proxy, items, pulls = _proxied_world(condition)
+    assert proxy.direct_point_charger() is None
+    assert proxy.direct_point_charger(0) is None
+    task.process_round(proxy, items)
+    assert len(pulls) == sum(len(item.chunk) for item in items) > 0
+
+    twin_task, twin_cluster, twin_proxy, twin_items, _ = _proxied_world(condition)
+    sequential_process_round(twin_task, twin_proxy, twin_items)
+    _assert_cluster_identical(cluster, twin_cluster)
+    _assert_ps_state_identical(proxy, twin_proxy)
+    metrics = cluster.metrics
+    if condition == "partition-live":
+        assert metrics.get("elastic.stale_reads") == 2 * len(pulls)
+    elif condition == "node-down":
+        assert metrics.get("faults.retries") > 0
+    else:
+        assert cluster.removed == {2}
 
 
 def test_only_default_pull_schemes_deliver_prepared_keys():

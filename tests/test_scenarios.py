@@ -7,7 +7,10 @@ import pytest
 
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
-from repro.core.sampling.distributions import CategoricalDistribution
+from repro.core.sampling.distributions import (
+    CategoricalDistribution,
+    UniformDistribution,
+)
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
 from repro.ps.storage import ParameterStore
@@ -140,6 +143,37 @@ class TestRemappedParameterServer:
         np.testing.assert_allclose(
             ps.store.get_single(physical), before + 1.0, rtol=1e-6
         )
+
+    @pytest.mark.parametrize("bad_key, error", [(-1, KeyError),
+                                                (10 ** 6, IndexError)])
+    def test_logical_keys_are_range_checked(self, bad_key, error):
+        """Regression: ``_to_physical[-1]`` is the last key's mapping, so a
+        negative logical key read and wrote another key's value where the
+        unwrapped PS raises. Per call and once per chunk the wrapper raises
+        what the unwrapped PS raises."""
+        proxy, ps, remapper, cluster = self.make()
+        distribution_id = proxy.register_distribution(
+            UniformDistribution(0, 40))
+        worker = cluster.worker(0, 0)
+        bad = np.array([3, bad_key], dtype=np.int64)
+        deltas = np.ones((2, 2), dtype=np.float32)
+        with pytest.raises(error):
+            ps.pull(worker, bad)  # the unwrapped exception type
+        calls = [
+            lambda: proxy.pull(worker, bad),
+            lambda: proxy.push(worker, bad, deltas),
+            lambda: proxy.push_sample(worker, bad, deltas),
+            lambda: proxy.localize(worker, bad),
+            lambda: proxy.direct_point_charger().charge_chunk(
+                worker, bad.reshape(1, 2), 0.0),
+            lambda: proxy.direct_point_charger(distribution_id)
+            .charge_sampling_chunk(worker, bad, [2], [0], [0.0]),
+        ]
+        before = ps.store.values.copy()
+        for call in calls:
+            with pytest.raises(error):
+                call()
+        assert np.array_equal(ps.store.values, before)
 
     def test_delegates_unlisted_attributes(self):
         proxy, ps, _, _ = self.make()
