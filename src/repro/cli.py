@@ -66,10 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="dynamic-workload scenario preset (drift, stragglers, "
                  "crash-storm, ...; default: static workload)")
         subparser.add_argument(
-            "--execution-backend",
-            choices=["sequential", "fused", "parallel"], default=None,
-            help="execution backend (default: derived from round fusion; "
-                 "all backends produce bit-identical results)")
+            "--sequential", action="store_true",
+            help="run the per-call oracle loop instead of the production "
+                 "round path (bit-identical results, slower)")
         subparser.add_argument(
             "--storage-backend", choices=["dense", "sparse"], default=None,
             help="parameter-store storage backend (default: keep the "
@@ -151,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_one(task_name: str, scale: str, system: str, nodes: int, workers: int,
              epochs: int, seed: int, scenario: Optional[str] = None,
-             execution_backend: Optional[str] = None,
+             sequential: bool = False,
              storage_backend: Optional[str] = None,
              trace: Optional[Path] = None) -> ExperimentResult:
     task = make_task(task_name, scale=scale)
@@ -171,7 +170,7 @@ def _run_one(task_name: str, scale: str, system: str, nodes: int, workers: int,
         cluster=ClusterConfig(num_nodes=num_nodes, workers_per_node=workers),
         epochs=epochs, chunk_size=8, seed=seed,
         scenario=make_scenario(scenario) if scenario else None,
-        execution_backend=execution_backend, storage=storage,
+        round_fusion=not sequential, storage=storage,
         telemetry=telemetry,
     )
     return run_experiment(task, make_ps_factory(system, **overrides), config,
@@ -181,7 +180,7 @@ def _run_one(task_name: str, scale: str, system: str, nodes: int, workers: int,
 def command_run(args: argparse.Namespace) -> int:
     result = _run_one(args.task, args.scale, args.system, args.nodes,
                       args.workers, args.epochs, args.seed, args.scenario,
-                      execution_backend=args.execution_backend,
+                      sequential=args.sequential,
                       storage_backend=args.storage_backend, trace=args.trace)
     print(quality_over_time_table([result]))
     print()
@@ -207,7 +206,7 @@ def command_compare(args: argparse.Namespace) -> int:
         results.append(_run_one(args.task, args.scale, system, args.nodes,
                                 args.workers, args.epochs, args.seed,
                                 args.scenario,
-                                execution_backend=args.execution_backend,
+                                sequential=args.sequential,
                                 storage_backend=args.storage_backend,
                                 trace=trace))
     print(summary_table(results))

@@ -38,7 +38,7 @@ from repro.core.sampling.schemes import SamplingHost
 from repro.ps.base import PullResult, SampleHandle
 from repro.ps.partition import Partitioner
 from repro.ps.relocation import RelocationPS, RelocationPointCharger
-from repro.ps.rounds import RoundAccounting, segment_bounds, segment_counts
+from repro.ps.rounds import segment_bounds, segment_counts
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, WorkerContext
 
@@ -241,62 +241,6 @@ class NuPS(RelocationPS, SamplingHost):
         self.replica_manager.force_sync(self.cluster.time)
 
     # -------------------------------------------------------------- round API
-    def run_round(self, rounds) -> list:
-        """Round-fused execution (see the base class for the contract).
-
-        NuPS routes each key of a batch either to the node's replica (via the
-        :class:`~repro.core.replica_manager.ReplicaManager`) or to the
-        relocation path, and appends relocated direct-access keys to the
-        node's recent-access buffer — all live, order-sensitive state. Each
-        segment is therefore processed *at its slot* in worker order against
-        live state, and the fusion consists of always taking the vectorized
-        charging branch (instead of the sequential path's sub-``SMALL_BATCH``
-        Python loop) and deferring order-free bookkeeping — additive metric
-        counters and constant-increment server occupancy — to one aggregated
-        write per round.
-        """
-        if len(rounds) <= 1 or not self.batch_charging:
-            return self._run_round_sequential(rounds)
-        acc = RoundAccounting()
-        results: list = []
-        for entry in rounds:
-            worker = entry.worker
-            if entry.localize_keys is not None:
-                self._localize_deferred(worker, entry.localize_keys, acc)
-            values = None
-            # Pushing the keys just pulled (the dominant train-step shape):
-            # the management split and the relocated charge plan are computed
-            # once and shared by both accesses.
-            same_keys = entry.push_keys is entry.pull_keys
-            partition = charge_plan = None
-            if entry.pull_keys is not None:
-                values, partition, charge_plan = self._pull_deferred(
-                    worker, entry.pull_keys, acc
-                )
-            if entry.push_keys is not None:
-                keys, deltas = self._validate_push(entry.push_keys,
-                                                   entry.push_deltas)
-                if same_keys:
-                    self._push_deferred(worker, keys, deltas, acc,
-                                        partition=partition,
-                                        charge_plan=charge_plan)
-                else:
-                    self._push_deferred(worker, keys, deltas, acc)
-            if entry.advance:
-                self.advance_clock(worker)
-            results.append(values)
-        acc.flush(self, self._server_occupancy)
-        return results
-
-    def _localize_deferred(self, worker: WorkerContext, keys: np.ndarray,
-                           acc: RoundAccounting) -> None:
-        """:meth:`localize` with metric counters deferred to ``acc``."""
-        relocated = keys[~self.plan.replicated_mask(keys)]
-        if len(relocated) == 0:
-            return
-        self._relocate_batch(worker.node_id, relocated,
-                             worker_clock=worker.clock.now, acc=acc)
-
     def direct_point_charger(self, distribution_id: Optional[int] = None):
         """Per-point charge replay for the task-level round engine.
 
@@ -327,76 +271,6 @@ class NuPS(RelocationPS, SamplingHost):
         if self.plan.num_replicated == 0:
             return None, ()
         return _partition_mask(self.plan.replicated_mask(keys))
-
-    def _pull_deferred(self, worker: WorkerContext, keys: np.ndarray,
-                       acc: RoundAccounting):
-        """:meth:`_pull` (direct access) with bookkeeping deferred to ``acc``.
-
-        Returns ``(values, partition, charge_plan)`` so a same-keys push can
-        reuse the management split and the relocated charge plan.
-        """
-        if self.access_observer is not None:
-            self.access_observer.observe(keys)
-        node_id = worker.node_id
-        partition = self._split_managed(keys)
-        replicated_idx, relocated_idx = partition
-        if replicated_idx is None:
-            charge_plan = self._charge_access_deferred(worker, keys, "pull",
-                                                       acc)
-            values = self.store.get(keys)
-            self._recent_direct[node_id].extend(keys.tolist())
-            return values, partition, charge_plan
-        local_cost = self._local_access_cost
-        if relocated_idx is None:
-            values = self.replica_manager.pull(node_id, keys)
-            worker.clock.advance(len(keys) * local_cost)
-            acc.add_access(node_id, "pull.replica.local", len(keys))
-            return values, partition, None
-
-        values = np.empty((len(keys), self.store.value_length), dtype=np.float32)
-        rep_keys = keys[replicated_idx]
-        values[replicated_idx] = self.replica_manager.pull(node_id, rep_keys)
-        worker.clock.advance(len(rep_keys) * local_cost)
-        acc.add_access(node_id, "pull.replica.local", len(rep_keys))
-
-        rel_keys = keys[relocated_idx]
-        charge_plan = self._charge_access_deferred(worker, rel_keys, "pull",
-                                                   acc)
-        values[relocated_idx] = self.store.get(rel_keys)
-        self._recent_direct[node_id].extend(rel_keys.tolist())
-        return values, partition, charge_plan
-
-    def _push_deferred(self, worker: WorkerContext, keys: np.ndarray,
-                       deltas: np.ndarray, acc: RoundAccounting,
-                       partition=None, charge_plan=None) -> None:
-        """:meth:`_push` (direct access) with bookkeeping deferred to ``acc``."""
-        if self.access_observer is not None:
-            self.access_observer.observe(keys)
-        node_id = worker.node_id
-        if partition is None:
-            partition = self._split_managed(keys)
-        replicated_idx, relocated_idx = partition
-        if replicated_idx is None:
-            self._charge_access_deferred(worker, keys, "push", acc,
-                                         reuse=charge_plan)
-            self.store.add(keys, deltas)
-            return
-        local_cost = self._local_access_cost
-        if relocated_idx is None:
-            self.replica_manager.push(node_id, keys, deltas)
-            worker.clock.advance(len(keys) * local_cost)
-            acc.add_access(node_id, "push.replica.local", len(keys))
-            return
-
-        rep_keys = keys[replicated_idx]
-        self.replica_manager.push(node_id, rep_keys, deltas[replicated_idx])
-        worker.clock.advance(len(rep_keys) * local_cost)
-        acc.add_access(node_id, "push.replica.local", len(rep_keys))
-
-        rel_keys = keys[relocated_idx]
-        self._charge_access_deferred(worker, rel_keys, "push", acc,
-                                     reuse=charge_plan)
-        self.store.add(rel_keys, deltas[relocated_idx])
 
     # ------------------------------------------------------------- sampling API
     def register_distribution(self, distribution: SamplingDistribution,
@@ -676,11 +550,6 @@ class _NuPSPointCharger(RelocationPointCharger):
     __slots__ = ("node_id", "routes")
 
     sample_kinds = ("sample", "sample_push")
-
-    @property
-    def values_in_store(self) -> bool:
-        """Replicated keys are served from the node's replica, not the store."""
-        return self.ps.plan.num_replicated == 0
 
     def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
                      compute_cost: float) -> None:

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 __all__ = ["ElasticConfig", "ElasticityController"]
 
 

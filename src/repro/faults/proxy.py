@@ -114,23 +114,6 @@ class FaultTolerantParameterServer:
             return None
         return self._inner.direct_point_charger(distribution_id)
 
-    def run_round(self, rounds) -> list:
-        """Execute a round sequentially through the gated API."""
-        results = []
-        for entry in rounds:
-            worker = entry.worker
-            if entry.localize_keys is not None:
-                self.localize(worker, entry.localize_keys)
-            values = None
-            if entry.pull_keys is not None:
-                values = self.pull(worker, entry.pull_keys)
-            if entry.push_keys is not None:
-                self.push(worker, entry.push_keys, entry.push_deltas)
-            if entry.advance:
-                self.advance_clock(worker)
-            results.append(values)
-        return results
-
     # ------------------------------------------------------------------ gates
     def _current_owners(self, keys) -> np.ndarray:
         """Current owner node of each key (dynamic for relocation servers)."""

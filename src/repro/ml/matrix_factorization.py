@@ -28,7 +28,6 @@ from repro.data.matrix import MatrixDataset
 from repro.ml.optimizer import BoldDriver, UpdateNormClipper
 from repro.ml.task import TrainingTask, sequential_process_round
 from repro.ps.base import ParameterServer
-from repro.ps.rounds import FusedRoundPlan
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
 
@@ -201,123 +200,19 @@ class MatrixFactorizationTask(TrainingTask):
             return
 
         train_values = self.dataset.train_values
-        keys_per_item = []
-        values_per_item = []
-        for item in items:
-            indices = np.asarray(item.chunk, dtype=np.int64)
-            keys_per_item.append(self._cell_keys[indices])
-            values_per_item.append(train_values[indices].tolist())
-
-        executor = getattr(ps, "parallel_executor", None)
-        if executor is not None and charger.values_in_store:
-            plan = FusedRoundPlan.plan(keys_per_item)
-            if executor.accepts(plan.num_fused):
-                self._process_round_parallel(
-                    ps, items, keys_per_item, values_per_item, plan, charger,
-                    executor,
-                )
-                return
-
         compute_cost = ps.network.compute_per_step
         read, add, step = charger.read, charger.add, self._step
-        for item, keys2d, cell_values in zip(items, keys_per_item,
-                                             values_per_item):
+        for item in items:
             worker = item.worker
+            indices = np.asarray(item.chunk, dtype=np.int64)
             if item.next_chunk is not None:
                 self.prefetch(ps, worker, item.next_chunk)
-            charger.charge_chunk(worker, keys2d, compute_cost)
+            charger.charge_chunk(worker, self._cell_keys[indices], compute_cost)
             lo = 0
-            for value in cell_values:
+            for value in train_values[indices].tolist():
                 add(lo, lo + 2, step(read(lo, lo + 2), value))
                 lo += 2
             ps.advance_clock(worker)
-        charger.finish()
-
-    def _process_round_parallel(self, ps: ParameterServer, items,
-                                keys_per_item, values_per_item,
-                                plan: FusedRoundPlan, charger,
-                                executor) -> None:
-        """Round execution over the shared-memory worker pool.
-
-        Only for chargers whose values live in the store
-        (``charger.values_in_store``): workers and merge walk read and write
-        ``ps.store`` directly. Division of labor (see DESIGN.md, "Execution
-        backends"): the workers compute the *value-only* part of the
-        conflict-free remainder — raw pre-clip deltas, squared errors,
-        update norms — over shared-memory views of the store, while this
-        coordinator replays the serialized charging chain (prefetch,
-        per-point cost replay, clock advance; the exact per-item order of
-        the in-process path). Joining the pool, the merge walk revisits every
-        data point in global order: conflicted points run the live
-        sequential update, fused points fold their worker-computed
-        statistics through the stateful clipper and the epoch-loss
-        accumulator. Every order-dependent fold therefore runs on one thread
-        in sequential order, which is what makes the backend bit-identical
-        rather than merely equivalent.
-        """
-        num_fused = plan.num_fused
-        conflicted = plan.conflicted
-        fused_values = np.empty(num_fused, dtype=np.float64)
-        cursor = 0
-        point = 0
-        for cell_values in values_per_item:
-            for value in cell_values:
-                if not conflicted[point]:
-                    fused_values[cursor] = value
-                    cursor += 1
-                point += 1
-        executor.dispatch_mf_round(
-            plan.fused_keys, fused_values, self.learning_rate,
-            self.regularization, want_norms=self._clipper is not None,
-        )
-
-        # The serialized part, concurrent with the workers: charging is
-        # value-independent, so the charge/clock chain is exactly the
-        # in-process path's (prefetch, chunk charge replay, clock advance
-        # per item).
-        compute_cost = ps.network.compute_per_step
-        for item, keys2d in zip(items, keys_per_item):
-            worker = item.worker
-            if item.next_chunk is not None:
-                self.prefetch(ps, worker, item.next_chunk)
-            charger.charge_chunk(worker, keys2d, compute_cost)
-            ps.advance_clock(worker)
-
-        deltas, stats = executor.wait_mf_round()
-        squared_errors = stats[:, 0].tolist()
-        clipper = self._clipper
-        if clipper is not None:
-            row_norms = stats[:, 1].tolist()
-            col_norms = stats[:, 2].tolist()
-
-        store = ps.store
-        live_values = store.values
-        cursor = 0
-        point = 0
-        for keys2d, cell_values in zip(keys_per_item, values_per_item):
-            for local_point, value in enumerate(cell_values):
-                if conflicted[point]:
-                    point_keys = keys2d[local_point]
-                    # Fancy indexing copies the two factors.
-                    store.add_distinct(
-                        point_keys, self._step(live_values[point_keys], value)
-                    )
-                else:
-                    self._epoch_squared_error += squared_errors[cursor]
-                    self._epoch_points += 1
-                    if clipper is not None:
-                        row = deltas[2 * cursor]
-                        out = clipper.clip_given_norm(row, row_norms[cursor])
-                        if out is not row:
-                            row[...] = out
-                        col = deltas[2 * cursor + 1]
-                        out = clipper.clip_given_norm(col, col_norms[cursor])
-                        if out is not col:
-                            col[...] = out
-                    cursor += 1
-                point += 1
-        if num_fused:
-            store.add_distinct(plan.fused_keys, deltas)
         charger.finish()
 
     def on_epoch_end(self, epoch: int) -> None:

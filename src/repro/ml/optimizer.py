@@ -125,12 +125,11 @@ class UpdateNormClipper:
     def clip_given_norm(self, update: np.ndarray, norm: float) -> np.ndarray:
         """:meth:`clip` for a row whose pre-clip norm is already known.
 
-        The parallel backend computes raw update norms in its worker
-        processes (``float(np.sqrt(update.dot(update)))``, the exact
-        expression :meth:`clip` uses) and replays the order-dependent
-        running-mean fold here, on the coordinator, in point order — the
-        state transition and the returned row are bit-identical to
-        :meth:`clip` observing the same update.
+        ``norm`` must be ``float(np.sqrt(update.dot(update)))``, the exact
+        expression :meth:`clip` uses; the state transition and the returned
+        row are then bit-identical to :meth:`clip` observing the same update
+        (matrix factorization's step calls this on float32 rows it already
+        holds).
         """
         if (self._count >= self.warmup and self._mean_norm > 0
                 and norm > self.factor * self._mean_norm):

@@ -95,8 +95,8 @@ def to_chrome_trace(trace: dict) -> dict:
     Spans become complete (``ph: "X"``) events, instant events become
     ``ph: "i"``, and samples become per-node counter tracks (``ph: "C"``)
     for queue depth and clock skew plus a global memory-residency track.
-    Records without a simulated timestamp (wall-only events such as
-    parallel-pool dispatch) are skipped: the timeline is simulated time.
+    Records without a simulated timestamp (wall-only events) are skipped:
+    the timeline is simulated time.
     """
     out: List[dict] = []
     lanes = set()

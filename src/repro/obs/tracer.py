@@ -9,7 +9,7 @@ The tracer records three record families, each stamped with **both** clocks:
 * **events** — instants (a replica sync, a checkpoint, a node crash, an
   adaptive decision, a perturbation firing). Events carry the simulated
   time of the subsystem that emitted them; wall-clock-only happenings
-  (parallel-pool dispatch) record ``sim_time: null``.
+  record ``sim_time: null``.
 * **samples** — periodic time-series snapshots taken by the
   :class:`~repro.obs.sampler.TelemetrySampler` (metric deltas, memory
   residency, clock skew, queue depths).

@@ -18,7 +18,6 @@ NuPS itself, the paper's contribution, lives in :mod:`repro.core`.
 """
 
 from repro.ps.base import ParameterServer, PullResult
-from repro.ps.rounds import WorkerRound
 from repro.ps.storage import ParameterStore
 from repro.ps.partition import HashPartitioner, Partitioner, RangePartitioner
 from repro.ps.local import SingleNodePS
@@ -29,7 +28,6 @@ from repro.ps.relocation import RelocationPS
 __all__ = [
     "ParameterServer",
     "PullResult",
-    "WorkerRound",
     "ParameterStore",
     "Partitioner",
     "RangePartitioner",

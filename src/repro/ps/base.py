@@ -371,23 +371,6 @@ class ParameterServer(ABC):
         return moved
 
     # ------------------------------------------------------------- round API
-    def run_round(self, rounds: Sequence) -> list:
-        """Execute one scheduling round of multi-worker operations.
-
-        ``rounds`` is a sequence of :class:`repro.ps.rounds.WorkerRound`
-        entries in worker order. The contract is *exactly* the sequential
-        per-worker loop: for each entry, ``localize`` the hint keys, ``pull``
-        the pull keys, ``push`` the push keys, and ``advance_clock`` — one
-        worker after the other. Returns the per-entry pull values (``None``
-        where no pull was requested).
-
-        The base implementation *is* that loop, so it is bit-identical by
-        construction. Parameter servers with fused implementations override
-        this, batching the order-free bookkeeping of the round (see
-        :mod:`repro.ps.rounds`) while keeping the same contract.
-        """
-        return self._run_round_sequential(rounds)
-
     def direct_point_charger(self, distribution_id: Optional[int] = None):
         """A per-data-point charger for the task-level round engine, or None.
 
@@ -441,23 +424,6 @@ class ParameterServer(ABC):
         This base answers ``None``; every architecture overrides it.
         """
         return None
-
-    def _run_round_sequential(self, rounds: Sequence) -> list:
-        """The reference per-worker loop (shared sequential fallback)."""
-        results = []
-        for entry in rounds:
-            worker = entry.worker
-            if entry.localize_keys is not None:
-                self.localize(worker, entry.localize_keys)
-            values = None
-            if entry.pull_keys is not None:
-                values = self.pull(worker, entry.pull_keys)
-            if entry.push_keys is not None:
-                self.push(worker, entry.push_keys, entry.push_deltas)
-            if entry.advance:
-                self.advance_clock(worker)
-            results.append(values)
-        return results
 
     # ---------------------------------------------------------- sampling API
     def register_distribution(self, distribution: object, level: object = None) -> int:

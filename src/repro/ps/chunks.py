@@ -516,28 +516,13 @@ class ChunkedArray:
         """Materialize everything (budget charged); the returned array *is*
         the pool from then on, so chunked and direct writes see each other."""
         if self._fill_end:
-            self.densify_to(np.empty(self.shape, dtype=self.dtype))
+            dense = np.empty(self.shape, dtype=self.dtype)
+            self._charge_dense(dense.nbytes, "densified")
+            for lo in range(0, self.num_rows, _SCAN_ROWS):
+                hi = min(lo + _SCAN_ROWS, self.num_rows)
+                dense[lo:hi] = self.take(np.arange(lo, hi, dtype=np.int64))
+            self._bind(dense)
         return self._pool
-
-    def densify_to(self, dense: np.ndarray) -> np.ndarray:
-        """Materialize into a caller-provided backing array (chunk pinning).
-
-        ``dense`` — e.g. a shared-memory segment — becomes the pool, so
-        chunked writes stay coherent with readers of the backing array. The
-        parallel backend pins a chunked store into shared memory this way;
-        pinning back out (``dense`` = a private array) is the same call.
-        """
-        if dense.shape != self.shape or dense.dtype != self.dtype:
-            raise ValueError(
-                f"densify_to target must have shape {self.shape} and dtype "
-                f"{self.dtype}, got shape {dense.shape} dtype {dense.dtype}"
-            )
-        self._charge_dense(dense.nbytes, "densified")
-        for lo in range(0, self.num_rows, _SCAN_ROWS):
-            hi = min(lo + _SCAN_ROWS, self.num_rows)
-            dense[lo:hi] = self.take(np.arange(lo, hi, dtype=np.int64))
-        self._bind(dense)
-        return dense
 
     @classmethod
     def from_dense(cls, dense: np.ndarray,

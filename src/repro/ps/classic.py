@@ -45,89 +45,6 @@ class ClassicPS(ParameterServer):
         self._charge_partitioned(worker, keys, "push")
         self.store.add(keys, deltas)
 
-    # -------------------------------------------------------------- round API
-    def run_round(self, rounds: Sequence) -> list:
-        """Round-fused execution (see the base class for the contract).
-
-        Ownership is static, so the owner grouping of a pull is reused
-        verbatim by the push of the same keys (the dominant train-step
-        shape), and the additive metric counters of the whole round are
-        aggregated into one write per node. Worker and server clocks advance
-        at each segment's slot in the sequential path's exact per-call
-        grouping — classic server charges are ``count * occupancy`` products,
-        which cannot be summed across calls.
-        """
-        if len(rounds) <= 1:
-            return self._run_round_sequential(rounds)
-        acc = RoundAccounting()
-        results: list = []
-        for entry in rounds:
-            worker = entry.worker
-            values = None
-            counts = None
-            if entry.pull_keys is not None:
-                keys = entry.pull_keys
-                counts = self._charge_grouped_deferred(
-                    worker, self.partitioner.owners(keys), len(keys),
-                    "pull", acc
-                )
-                values = self.store.get(keys)
-            if entry.push_keys is not None:
-                keys, deltas = self._validate_push(entry.push_keys,
-                                                   entry.push_deltas)
-                if entry.push_keys is entry.pull_keys:
-                    self._charge_grouped_deferred(worker, None, len(keys),
-                                                  "push", acc, counts=counts)
-                else:
-                    self._charge_grouped_deferred(
-                        worker, self.partitioner.owners(keys), len(keys),
-                        "push", acc
-                    )
-                self.store.add(keys, deltas)
-            # localize and advance_clock are no-ops on a classic PS.
-            results.append(values)
-        acc.flush(self, 0.0)
-        return results
-
-    def _charge_grouped_deferred(self, worker: WorkerContext,
-                                 owners: np.ndarray | None, n: int, kind: str,
-                                 acc: RoundAccounting,
-                                 counts: list | None = None) -> list:
-        """One call's partitioned charging with metrics deferred to ``acc``.
-
-        Clock additions replicate the sequential grouping exactly: one local
-        advance, then one worker- and one server-advance per serving node in
-        ascending order. Returns the per-server counts so a same-keys
-        follow-up call can pass them back via ``counts`` (with ``owners``
-        omitted).
-        """
-        node_id = worker.node_id
-        if counts is None:
-            counts = np.bincount(owners,
-                                 minlength=self.cluster.num_nodes).tolist()
-        n_local = counts[node_id]
-        clock = worker.clock
-        if n_local:
-            clock.advance(n_local * self._local_access_cost)
-        n_remote = n - n_local
-        if n_remote:
-            remote_cost = self._remote_access_cost
-            occupancy = self._server_occupancy
-            for server, count in enumerate(counts):
-                if count and server != node_id:
-                    clock.advance(count * remote_cost)
-                    self.cluster.node(server).server_clock.advance(
-                        count * occupancy
-                    )
-        if n_local:
-            acc.add_access(node_id, f"{kind}.local", n_local)
-        if n_remote:
-            acc.add_access(node_id, f"{kind}.remote", n_remote)
-            acc.add_counter(node_id, "network.messages", 2 * n_remote)
-            acc.add_counter(node_id, "network.bytes",
-                            n_remote * self._cached_value_bytes)
-        return counts
-
     def direct_point_charger(self, distribution_id: int | None = None):
         """Per-point charge replay for the task-level round engine.
 

@@ -153,7 +153,7 @@ class RelocationPS(ParameterServer):
 
     def _relocate_batch(self, node_id: int, keys: np.ndarray,
                         worker_clock: float | None = None,
-                        sampling: bool = False, acc=None) -> None:
+                        sampling: bool = False) -> None:
         """Batch relocation shared by :meth:`localize` and ``localize_async``.
 
         ``worker_clock`` is the issuing worker's time for synchronous hints
@@ -214,14 +214,6 @@ class RelocationPS(ParameterServer):
             arrivals = np.maximum(starts + relocation_latency, starts + occupancy)
         self.current_owner[moving] = node_id
         self.arrival_time[moving] = arrivals
-        if acc is not None:
-            acc.add_counter(node_id, "relocation.count", n)
-            if sampling:
-                acc.add_counter(node_id, "relocation.sampling", n)
-            acc.add_counter(node_id, "network.messages", 3 * n)
-            acc.add_counter(node_id, "network.bytes",
-                            n * self._cached_value_bytes)
-            return
         self.metrics.increment("relocation.count", n, node=node_id)
         if sampling:
             self.metrics.increment("relocation.sampling", n, node=node_id)
@@ -278,165 +270,6 @@ class RelocationPS(ParameterServer):
         self.store.add(keys, deltas)
 
     # -------------------------------------------------------------- round API
-    def run_round(self, rounds: Sequence) -> list:
-        """Round-fused execution (see the base class for the contract).
-
-        Segments are walked in worker order against live ownership state, so
-        mid-round relocations from other workers' hints are seen exactly as
-        the sequential path sees them. The fusion: one charge plan per
-        segment serves both its pull and its push (ownership cannot change
-        between them), the sub-``SMALL_BATCH`` per-key Python loop is
-        replaced with a single wait-aware fold, and order-free bookkeeping —
-        additive metric counters, constant-increment server occupancy — is
-        deferred to one aggregated write per round.
-        """
-        if len(rounds) <= 1 or not self.batch_charging:
-            return self._run_round_sequential(rounds)
-        acc = RoundAccounting()
-        results: list = []
-        for entry in rounds:
-            worker = entry.worker
-            if entry.localize_keys is not None:
-                self._localize_deferred(worker, entry.localize_keys, acc)
-            values = None
-            charge_plan = None
-            if entry.pull_keys is not None:
-                charge_plan = self._charge_access_deferred(
-                    worker, entry.pull_keys, "pull", acc
-                )
-                values = self.store.get(entry.pull_keys)
-            if entry.push_keys is not None:
-                keys, deltas = self._validate_push(entry.push_keys,
-                                                   entry.push_deltas)
-                # Pushing the keys just pulled (the dominant train-step
-                # shape): the pull's charge plan is reused verbatim.
-                reuse = charge_plan if entry.push_keys is entry.pull_keys \
-                    else None
-                self._charge_access_deferred(worker, keys, "push", acc,
-                                             reuse=reuse)
-                self.store.add(keys, deltas)
-            if entry.advance:
-                self.advance_clock(worker)
-            results.append(values)
-        acc.flush(self, self._server_occupancy)
-        return results
-
-    def _localize_deferred(self, worker: WorkerContext, keys: np.ndarray,
-                           acc: RoundAccounting) -> None:
-        """:meth:`localize` with metric counters deferred to ``acc``."""
-        if not self.relocation_enabled or len(keys) == 0:
-            return
-        self._relocate_batch(worker.node_id, keys,
-                             worker_clock=worker.clock.now, acc=acc)
-
-    def _charge_access_deferred(self, worker: WorkerContext, keys: np.ndarray,
-                                kind: str, acc: RoundAccounting,
-                                reuse=None):
-        """One call's `_charge_access` with bookkeeping deferred to ``acc``.
-
-        Bit-identical to the sequential hybrid/vectorized/scalar paths.
-        Returns an opaque charge plan; a follow-up call over the *same* keys
-        (the pull-then-push shape of a training step) passes it back via
-        ``reuse`` to skip recomputing ownership state, which cannot have
-        changed in between — only ``localize`` moves keys, and the round
-        engine issues hints before the accesses. Waits are always re-checked
-        against the live clock, exactly as the sequential path would.
-        """
-        n = len(keys)
-        if n == 0:
-            return None
-        node_id = worker.node_id
-        clock = worker.clock
-        local_cost = 1 * self._local_access_cost
-        if reuse is not None:
-            costs_l, arrivals_l, local_l, n_local, n_remote, routed_extra, \
-                server_counts = reuse
-            if costs_l is None:
-                # All-local and fully arrived at pull time; arrivals only
-                # recede further into the past, so the plain fold applies.
-                clock.advance_repeated(local_cost, n)
-                acc.add_access(node_id, f"{kind}.local", n)
-                return reuse
-        else:
-            owners = self.current_owner.take(keys)
-            local_mask = owners == node_id
-            n_local = int(np.count_nonzero(local_mask))
-            n_remote = n - n_local
-            routed_extra = 0
-            server_counts = None
-            if n_remote == 0:
-                arrivals = self.arrival_time.take(keys)
-                if float(arrivals.max()) <= clock.now:
-                    # The localize-ahead steady state: one repeated fold.
-                    clock.advance_repeated(local_cost, n)
-                    acc.add_access(node_id, f"{kind}.local", n)
-                    return (None, None, None, n, 0, 0, None)
-                costs_l = [local_cost] * n
-                arrivals_l = arrivals.tolist()
-                local_l = None  # every position is local
-            else:
-                costs = np.empty(n, dtype=np.float64)
-                if n_local:
-                    costs[local_mask] = local_cost
-                    arrivals_l = self.arrival_time.take(keys).tolist()
-                    local_l = local_mask.tolist()
-                else:
-                    arrivals_l = None
-                    local_l = ()
-                remote_mask = ~local_mask if n_local else slice(None)
-                remote_owners = owners[remote_mask]
-                homes = self.partitioner.owners(keys[remote_mask])
-                routed = remote_owners != homes
-                routed_extra = int(np.count_nonzero(routed))
-                costs[remote_mask] = np.where(
-                    routed, self._cost_three_messages, self._cost_two_messages
-                )
-                costs_l = costs.tolist()
-                server_counts = {}
-                for owner in remote_owners.tolist():
-                    server_counts[owner] = server_counts.get(owner, 0) + 1
-
-        # Fold the costs into the worker clock (Python float additions are
-        # the same IEEE-754 doubles as NumPy's), waiting at in-flight
-        # relocations exactly like the sequential walk.
-        now = clock.now
-        waits = 0
-        if arrivals_l is None:
-            # No local key can be in flight: a plain left fold.
-            for cost in costs_l:
-                now += cost
-        elif local_l is None:
-            # Every position is local, some arrivals may be pending.
-            for cost, arrival in zip(costs_l, arrivals_l):
-                if arrival > now:
-                    now = arrival
-                    waits += 1
-                now += cost
-        else:
-            for position, cost in enumerate(costs_l):
-                if local_l[position]:
-                    arrival = arrivals_l[position]
-                    if arrival > now:
-                        now = arrival
-                        waits += 1
-                now += cost
-        clock.advance_to(now)
-
-        if n_local:
-            acc.add_access(node_id, f"{kind}.local", n_local)
-        if waits:
-            acc.add_counter(node_id, "relocation.waits", waits)
-        if n_remote:
-            acc.add_access(node_id, f"{kind}.remote", n_remote)
-            acc.add_counter(node_id, "network.messages",
-                            2 * n_remote + routed_extra)
-            acc.add_counter(node_id, "network.bytes",
-                            n_remote * self._cached_value_bytes)
-            for server, count in server_counts.items():
-                acc.add_server(server, count)
-        return (costs_l, arrivals_l, local_l, n_local, n_remote, routed_extra,
-                server_counts)
-
     def direct_point_charger(self, distribution_id: int | None = None):
         """Per-point charge replay for the task-level round engine.
 

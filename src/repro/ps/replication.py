@@ -309,224 +309,6 @@ class ReplicationPS(ParameterServer):
             self._eager_refresh(worker.node_id, state)
 
     # -------------------------------------------------------------- round API
-    def run_round(self, rounds) -> list:
-        """Round-fused execution (see the base class for the contract).
-
-        Replica freshness, update-buffer overlays and flush timing all depend
-        on live node state, so each segment is processed *at its slot* in
-        worker order against that live state — no reordering, hence no
-        conflict planning is needed. The fusion consists of always taking the
-        vectorized charging branch (the sequential path drops to a per-key
-        Python loop below ``SMALL_BATCH``) and of deferring the order-free
-        bookkeeping — additive metric counters, and server occupancy, which
-        is charged as repeated additions of one constant — to a single
-        aggregated write per round.
-
-        ESSP's eager refresh rewrites every replica of a node at each clock
-        advance; its reference path is cheap relative to that, so ESSP (and
-        the scalar oracle) stay on the sequential route.
-        """
-        if (len(rounds) <= 1 or not self.batch_charging
-                or self.protocol is not ReplicationProtocol.SSP):
-            return self._run_round_sequential(rounds)
-        acc = RoundAccounting()
-        results: list = []
-        for entry in rounds:
-            worker = entry.worker
-            state = self._nodes[worker.node_id]
-            if entry.localize_keys is not None:
-                self.localize(worker, entry.localize_keys)  # no-op here
-            values = None
-            if entry.pull_keys is not None:
-                worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-                values = self._pull_deferred(worker, state, entry.pull_keys,
-                                             worker_clock, acc)
-            if entry.push_keys is not None:
-                keys, deltas = self._validate_push(entry.push_keys,
-                                                   entry.push_deltas)
-                worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-                # Pushing the keys just pulled (the dominant train-step
-                # shape): the pull installed replicas for every key, so the
-                # push cannot trigger read-before-write refreshes.
-                known_replicated = entry.push_keys is entry.pull_keys
-                self._push_deferred(worker, state, keys, deltas,
-                                    worker_clock, acc,
-                                    known_replicated=known_replicated)
-            if entry.advance:
-                state.worker_clocks[worker.worker_id] = (
-                    state.worker_clocks.get(worker.worker_id, 0) + 1
-                )
-                if len(state.worker_clocks) >= self.cluster.workers_per_node:
-                    # SSP never eager-refreshes; the flush itself runs live
-                    # (its store writes feed later refreshes), only its
-                    # additive counters are deferred.
-                    self._flush_node(worker.node_id, state, acc=acc)
-            results.append(values)
-        acc.flush(self, self._server_occupancy)
-        return results
-
-    def _pull_deferred(self, worker: WorkerContext, state: _NodeReplicaState,
-                       keys: np.ndarray, worker_clock: int,
-                       acc: RoundAccounting) -> np.ndarray:
-        """Round-fused pull: batched refresh fetch, bookkeeping in ``acc``.
-
-        A Python walk classifies the batch (cheaper than mask algebra at
-        chunk sizes) exactly like the sequential hybrid path; the refresh
-        *values*, the part the sequential path fetched key by key, move in
-        one batched gather. Clock additions, freshness decisions and replica
-        state transitions are identical to both sequential branches.
-        """
-        n = len(keys)
-        node_id = worker.node_id
-        threshold = worker_clock - self.staleness
-        if n > SMALL_BATCH:
-            return self._pull_deferred_large(worker, state, keys,
-                                             worker_clock, acc)
-        keys_list = keys.tolist()
-        has_replica = state.replica_mask.take(keys).tolist()
-        replica_clock = state.replica_clock.take(keys).tolist()
-        intra_cost = self._intra_process_cost
-        if all(has_replica) and min(replica_clock) >= threshold:
-            # The steady state: a repeated fold of the intra-process cost.
-            worker.clock.advance_repeated(intra_cost, n)
-            acc.add_access(node_id, "pull.replica", n)
-            return state.replica_values.take(keys, axis=0)
-
-        # Only the first occurrence of a stale key refreshes; duplicates read
-        # the just-refreshed replica at intra-process cost.
-        refresh_positions: list = []
-        seen: set = set()
-        for position, key in enumerate(keys_list):
-            if has_replica[position] and replica_clock[position] >= threshold:
-                continue
-            if key not in seen:
-                seen.add(key)
-                refresh_positions.append(position)
-        n_refresh = len(refresh_positions)
-        refresh_keys = keys[refresh_positions]
-        owners = self.partitioner.owners(refresh_keys).tolist()
-
-        # One batched fetch replaces the sequential path's per-key reads.
-        self._install_refreshed(state, refresh_keys, worker_clock)
-
-        remote_cost = self._remote_access_cost
-        clock = worker.clock
-        now = clock.now
-        n_local_server = 0
-        next_refresh = refresh_positions[0]
-        refresh_index = 0
-        for position in range(n):
-            if position == next_refresh:
-                owner = owners[refresh_index]
-                refresh_index += 1
-                next_refresh = refresh_positions[refresh_index] \
-                    if refresh_index < n_refresh else -1
-                if owner == node_id:
-                    now += intra_cost
-                    n_local_server += 1
-                else:
-                    now += remote_cost
-                    acc.add_server(owner, 1)
-            else:
-                now += intra_cost
-        clock.advance_to(now)
-        n_remote = n_refresh - n_local_server
-
-        # The gather runs after the install, so stale positions — first
-        # occurrences and duplicates alike — read the refreshed values.
-        values = state.replica_values.take(keys, axis=0)
-        acc.add_access(node_id, "pull.replica", n - n_refresh)
-        acc.add_access(node_id, "pull.local_server", n_local_server)
-        acc.add_access(node_id, "pull.remote", n_remote)
-        if n_remote:
-            acc.add_counter(node_id, "network.messages", 2 * n_remote)
-            acc.add_counter(node_id, "network.bytes",
-                            n_remote * self._cached_value_bytes)
-        return values
-
-    def _pull_deferred_large(self, worker: WorkerContext,
-                             state: _NodeReplicaState, keys: np.ndarray,
-                             worker_clock: int,
-                             acc: RoundAccounting) -> np.ndarray:
-        """Mask-based variant of :meth:`_pull_deferred` for large segments."""
-        n = len(keys)
-        node_id = worker.node_id
-        threshold = worker_clock - self.staleness
-        fresh = state.replica_mask.take(keys) \
-            & (state.replica_clock.take(keys) >= threshold)
-        if fresh.all():
-            worker.clock.advance_repeated(self._intra_process_cost, n)
-            acc.add_access(node_id, "pull.replica", n)
-            return state.replica_values.take(keys, axis=0)
-        stale_idx = np.flatnonzero(~fresh)
-        refresh_pos = stale_idx[first_occurrence_in_order(keys[stale_idx])]
-        n_refresh = len(refresh_pos)
-
-        costs = np.full(n, self._intra_process_cost, dtype=np.float64)
-        refresh_costs, n_local_server, n_remote = self._refresh_batch(
-            worker, state, keys[refresh_pos], worker_clock, acc=acc
-        )
-        costs[refresh_pos] = refresh_costs
-        worker.clock.advance_sequence(costs)
-
-        acc.add_access(node_id, "pull.replica", n - n_refresh)
-        acc.add_access(node_id, "pull.local_server", n_local_server)
-        acc.add_access(node_id, "pull.remote", n_remote)
-        if n_remote:
-            acc.add_counter(node_id, "network.messages", 2 * n_remote)
-            acc.add_counter(node_id, "network.bytes",
-                            n_remote * self._cached_value_bytes)
-        return state.replica_values.take(keys, axis=0)
-
-    def _push_deferred(self, worker: WorkerContext, state: _NodeReplicaState,
-                       keys: np.ndarray, deltas: np.ndarray, worker_clock: int,
-                       acc: RoundAccounting,
-                       known_replicated: bool = False) -> None:
-        """The vectorized push branch with bookkeeping deferred to ``acc``."""
-        n = len(keys)
-        if known_replicated:
-            n_refresh = 0
-        else:
-            missing_idx = np.flatnonzero(~state.replica_mask.take(keys))
-            refresh_pos = missing_idx[
-                first_occurrence_in_order(keys[missing_idx])
-            ] if len(missing_idx) else missing_idx
-            n_refresh = len(refresh_pos)
-
-        intra_cost = self._intra_process_cost
-        n_local_server = 0
-        n_remote = 0
-        if n_refresh:
-            refresh_costs, n_local_server, n_remote = self._refresh_batch(
-                worker, state, keys[refresh_pos], worker_clock, acc=acc
-            )
-            costs = np.full(n + n_refresh, intra_cost, dtype=np.float64)
-            costs[refresh_pos + np.arange(n_refresh)] = refresh_costs
-            worker.clock.advance_sequence(costs)
-        else:
-            # A constant-cost sequence: the repeated fold is bit-identical.
-            worker.clock.advance_repeated(intra_cost, n)
-
-        # Both scatters share one duplicate check (same keys, same targets
-        # as two scatter_add_rows calls).
-        if n <= 64 and len(set(keys.tolist())) == n:
-            state.replica_values[keys] += deltas
-            state.update_values[keys] += deltas
-        else:
-            scatter_add_rows(state.replica_values, keys, deltas)
-            scatter_add_rows(state.update_values, keys, deltas)
-        state.update_mask[keys] = True
-        state.pending_updates.append(keys)
-
-        node_id = worker.node_id
-        acc.add_access(node_id, "push.replica", n)
-        acc.add_access(node_id, "pull.local_server", n_local_server)
-        acc.add_access(node_id, "pull.remote", n_remote)
-        if n_remote:
-            acc.add_counter(node_id, "network.messages", 2 * n_remote)
-            acc.add_counter(node_id, "network.bytes",
-                            n_remote * self._cached_value_bytes)
-
     def direct_point_charger(self, distribution_id: int | None = None):
         """Per-point charge replay for the task-level round engine.
 
@@ -542,8 +324,7 @@ class ReplicationPS(ParameterServer):
         return _ReplicationPointCharger(self)
 
     def _refresh_batch(self, worker: WorkerContext, state: _NodeReplicaState,
-                       refresh_keys: np.ndarray, worker_clock: int,
-                       acc: RoundAccounting | None = None):
+                       refresh_keys: np.ndarray, worker_clock: int):
         """(Re)fetch a batch of distinct keys from their owning servers.
 
         Shared by the large-batch pull and push paths: fetches the global
@@ -565,18 +346,11 @@ class ReplicationPS(ParameterServer):
         if n_remote:
             servers, counts = np.unique(owners[~local_server],
                                         return_counts=True)
-            if acc is not None:
-                # Round-fused callers defer the occupancy: it is charged as
-                # repeated additions of one constant, so summed counts give
-                # bit-identical server clocks.
-                for server, count in zip(servers.tolist(), counts.tolist()):
-                    acc.add_server(int(server), int(count))
-            else:
-                occupancy = self._server_occupancy
-                for server, count in zip(servers.tolist(), counts.tolist()):
-                    self.cluster.node(server).server_clock.advance_repeated(
-                        occupancy, count
-                    )
+            occupancy = self._server_occupancy
+            for server, count in zip(servers.tolist(), counts.tolist()):
+                self.cluster.node(server).server_clock.advance_repeated(
+                    occupancy, count
+                )
         return refresh_costs, n_local_server, n_remote
 
     def _install_refreshed(self, state: _NodeReplicaState,
@@ -782,13 +556,8 @@ class ReplicationPS(ParameterServer):
         state.replica_clock[key] = worker_clock
         return value.copy()
 
-    def _flush_node(self, node_id: int, state: _NodeReplicaState,
-                    acc: RoundAccounting | None = None) -> None:
-        """Send the node's buffered updates to the owning servers.
-
-        ``acc`` (round-fused callers) defers the additive metric counters to
-        one aggregated write per round; clock effects are identical.
-        """
+    def _flush_node(self, node_id: int, state: _NodeReplicaState) -> None:
+        """Send the node's buffered updates to the owning servers."""
         if not state.pending_updates:
             return
         pending = state.pending_updates
@@ -826,24 +595,17 @@ class ReplicationPS(ParameterServer):
             background.advance(cost)
             remote_servers += 1
             remote_bytes += server_keys * payload_per_key
-        if acc is not None:
-            if remote_servers:
-                acc.add_counter(node_id, "network.messages", remote_servers)
-                acc.add_counter(node_id, "network.bytes", remote_bytes)
-            acc.add_counter(node_id, "replication.flushes", 1)
-            acc.add_counter(node_id, "replication.flushed_keys", len(keys))
-        else:
-            if remote_servers:
-                # One message and one payload counter per serving node;
-                # summed into a single additive write each.
-                self.metrics.increment("network.messages", remote_servers,
-                                       node=node_id)
-                self.metrics.increment("network.bytes", remote_bytes,
-                                       node=node_id)
-            self.metrics.increment("replication.flushes", 1, node=node_id)
-            self.metrics.increment(
-                "replication.flushed_keys", len(keys), node=node_id
-            )
+        if remote_servers:
+            # One message and one payload counter per serving node;
+            # summed into a single additive write each.
+            self.metrics.increment("network.messages", remote_servers,
+                                   node=node_id)
+            self.metrics.increment("network.bytes", remote_bytes,
+                                   node=node_id)
+        self.metrics.increment("replication.flushes", 1, node=node_id)
+        self.metrics.increment(
+            "replication.flushed_keys", len(keys), node=node_id
+        )
         state.update_values[keys] = 0.0
         state.update_mask[keys] = False
         tracer = self.tracer
@@ -999,8 +761,6 @@ class _ReplicationPointCharger(ChunkValues):
     """
 
     __slots__ = ("acc", "state")
-
-    values_in_store = False
 
     def __init__(self, ps: ReplicationPS) -> None:
         self.ps = ps

@@ -126,9 +126,6 @@ class ParameterStore:
                 num_keys, np.int64, 0, None, chunk_rows,
                 budget, label="store.versions"
             )
-        # Set when the value matrix lives in a shared-memory segment (the
-        # parallel execution backend's export); see share_values().
-        self._shm_values = None
 
     # ---------------------------------------------------------------- access
     def get(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -298,17 +295,9 @@ class ParameterStore:
         if not check.all():
             raise ValueError("new_key_of is not a permutation of the key space")
         if isinstance(self._values, np.ndarray):
-            if self._shm_values is not None:
-                # Shared-memory export (parallel backend): the segment is
-                # what worker processes have mapped, so the matrix must stay
-                # bound to it — scatter the permutation in place instead of
-                # rebinding. One temporary copy, bit-identical rows.
-                values = self._values.copy()
-                self._values[perm] = values
-            else:
-                values = np.empty_like(self._values)
-                values[perm] = self._values
-                self._values = values
+            values = np.empty_like(self._values)
+            values[perm] = self._values
+            self._values = values
             versions = np.empty_like(self._versions)
             versions[perm] = self._versions
             self._versions = versions
@@ -329,57 +318,6 @@ class ParameterStore:
         """The number of writes applied to ``key`` so far."""
         self._validate_key(key)
         return int(self._versions[key])
-
-    # -------------------------------------------------------- shared memory
-    @property
-    def values_shared(self) -> bool:
-        """Whether the value matrix currently lives in shared memory."""
-        return self._shm_values is not None
-
-    def share_values(self) -> dict:
-        """Export the value matrix into a shared-memory segment.
-
-        Dense backend: the matrix is copied into the segment once and the
-        store rebinds to the shared view. Sparse backend: the chunks densify
-        *into* the segment (budget checked, like any densification) and stay
-        pinned as views into it, so chunked writes and worker-process reads
-        see the same memory. Returns the picklable segment spec worker
-        processes attach with; idempotent while shared. Version counters are
-        coordinator-only state and never move.
-        """
-        if self._shm_values is not None:
-            return self._shm_values.spec()
-        from repro.parallel.shm import SharedArray
-
-        shared = SharedArray.create(
-            (self.num_keys, self.value_length), np.float32
-        )
-        if isinstance(self._values, np.ndarray):
-            shared.array[...] = self._values
-            self._values = shared.array
-        else:
-            self._values.densify_to(shared.array)
-        self._shm_values = shared
-        return shared.spec()
-
-    def unshare_values(self) -> None:
-        """Copy the value matrix back to private memory and free the segment.
-
-        The reverse of :meth:`share_values`: values move into a freshly
-        allocated private array (sparse chunks re-pin to it), the segment is
-        unlinked, and ``/dev/shm`` is clean again. No-op when not shared.
-        """
-        if self._shm_values is None:
-            return
-        shared = self._shm_values
-        private = np.array(shared.array)
-        if isinstance(self._values, np.ndarray):
-            self._values = private
-        else:
-            self._values.densify_to(private)
-        self._shm_values = None
-        shared.close()
-        shared.unlink()
 
     # ------------------------------------------------------------- inspection
     @property
@@ -454,7 +392,6 @@ class ParameterStore:
         clone._budget = None
         clone._values = self._values.copy()
         clone._versions = self._versions.copy()
-        clone._shm_values = None
         return clone
 
     def with_storage(self, storage: StorageConfig) -> "ParameterStore":

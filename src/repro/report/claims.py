@@ -791,65 +791,6 @@ CLAIMS += [
            paths=["checks.rss_below_dense_required"]),
 ]
 
-# --- Simulator throughput (engineering appendix) --------------------------
-_REF_THRU = "Simulator engineering (BENCH_throughput.json)"
-CLAIMS += [
-    _claim("throughput", "all_systems_measured",
-           "every PS architecture sustains a positive measured "
-           "throughput in both execution modes",
-           "all_true", _REF_THRU,
-           paths=["systems.classic.accesses_per_sec",
-                  "systems.relocation.accesses_per_sec",
-                  "systems.replication.accesses_per_sec",
-                  "systems.nups.accesses_per_sec",
-                  "systems_sequential.classic.accesses_per_sec",
-                  "systems_sequential.relocation.accesses_per_sec",
-                  "systems_sequential.replication.accesses_per_sec",
-                  "systems_sequential.nups.accesses_per_sec"]),
-    _claim("throughput", "fusion_not_slower_replication",
-           "round fusion does not slow the replication PS down "
-           "(fused <= 1.5x sequential wall-clock; equivalence of results "
-           "is asserted in-run)",
-           "ordering", _REF_THRU,
-           left="systems.replication.seconds",
-           right="systems_sequential.replication.seconds",
-           op="<=", factor=1.5),
-]
-
-# --- Execution backends (engineering appendix) ----------------------------
-_REF_BACKENDS = "Simulator engineering (BENCH_backends.json)"
-CLAIMS += [
-    _claim("backends", "parallel.all_measured",
-           "every MF architecture sustains a positive measured throughput "
-           "under all three execution backends",
-           "all_true", _REF_BACKENDS,
-           paths=[f"architectures.{system}.{backend}.points_per_sec"
-                  for system in ("classic", "lapse", "ssp", "essp", "nups")
-                  for backend in ("sequential", "fused", "parallel")]),
-    _claim("backends", "parallel.bit_identical",
-           "the parallel and fused backends are bit-identical to the "
-           "sequential reference on every architecture and worker count "
-           "(clocks, quality, metrics; re-checked on every run)",
-           "all_true", _REF_BACKENDS,
-           paths=["checks.all_bit_identical"]),
-    _claim("backends", "parallel.scaling_target",
-           "the parallel backend reaches >= 1.8x fused throughput with 4 "
-           "workers on at least one architecture (gated on hosts with >= 4 "
-           "cores; smaller hosts record their honest numbers and pass "
-           "vacuously via checks.scaling_target_applicable)",
-           "all_true", _REF_BACKENDS,
-           paths=["checks.scaling_target_met"]),
-    _claim("backends", "parallel.fallback_cheap",
-           "architectures whose values do not live in the store (SSP: the "
-           "node's replica) keep the in-process round loop transparently: "
-           "selecting the parallel backend costs them at most 1.5x fused "
-           "wall-clock",
-           "ordering", _REF_BACKENDS,
-           left="architectures.ssp.parallel.seconds",
-           right="architectures.ssp.fused.seconds",
-           op="<=", factor=1.5),
-]
-
 # --- Observability layer (engineering appendix) ---------------------------
 _REF_OBS = "Observability layer (beyond the paper; see BENCH_obs.json)"
 CLAIMS += [
@@ -873,15 +814,6 @@ CLAIMS += [
            "architectures",
            "threshold", _REF_OBS,
            path="overhead.geomean_on", op="<=", value=1.05),
-]
-
-# --- Profile harness (engineering appendix) -------------------------------
-CLAIMS += [
-    _claim("profile", "hot_spots_reported",
-           "the cProfile harness attributes the hot loop to concrete "
-           "functions (non-empty top list)",
-           "threshold", "Simulator engineering (bench_profile.py)",
-           path="num_entries", op=">", value=0),
 ]
 
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.parallel.config import PARALLEL_DISABLE_ENV
 from repro.report.claims import claims_for, evaluate_claims
 
 __all__ = ["BenchmarkSpec", "REGISTRY", "run_pipeline", "to_jsonable"]
@@ -99,16 +98,9 @@ REGISTRY: List[BenchmarkSpec] = [
                   "appendix"),
     BenchmarkSpec("scale", "bench_scale",
                   "Appendix: sparse chunked storage at scale", "appendix"),
-    BenchmarkSpec("throughput", "bench_throughput",
-                  "Appendix: simulator-throughput microbenchmark", "appendix"),
-    BenchmarkSpec("backends", "bench_backends",
-                  "Appendix: execution-backend comparison "
-                  "(sequential / fused / parallel)", "appendix"),
     BenchmarkSpec("obs", "bench_obs",
                   "Appendix: telemetry overhead of the observability layer",
                   "appendix"),
-    BenchmarkSpec("profile", "bench_profile",
-                  "Appendix: hot-loop profile", "appendix"),
 ]
 
 _SPECS_BY_ID: Dict[str, BenchmarkSpec] = {spec.id: spec for spec in REGISTRY}
@@ -322,8 +314,7 @@ def run_pipeline(only: Optional[Sequence[str]] = None, fast: bool = False,
         timeout = None
 
     saved_env = {name: os.environ.get(name)
-                 for name in ("REPRO_BENCH_FAST", "REPRO_BENCH_PARALLEL",
-                              PARALLEL_DISABLE_ENV)}
+                 for name in ("REPRO_BENCH_FAST", "REPRO_BENCH_PARALLEL")}
     os.environ["REPRO_BENCH_FAST"] = "1" if fast else "0"
     start = time.perf_counter()
     try:
@@ -331,12 +322,8 @@ def run_pipeline(only: Optional[Sequence[str]] = None, fast: bool = False,
         pool = None
         # A timeout needs a killable worker process even when workers == 1.
         if hasattr(os, "fork") and (workers > 1 or timeout is not None):
-            # The pipeline takes the cores; in-benchmark sweeps go sequential
-            # and experiments inside fork workers must not spawn their own
-            # worker processes (the parallel execution backend downgrades to
-            # fused under this flag; see repro.parallel.config).
+            # The pipeline takes the cores; in-benchmark sweeps go sequential.
             os.environ["REPRO_BENCH_PARALLEL"] = "0"
-            os.environ[PARALLEL_DISABLE_ENV] = "1"
             _warm_dataset_cache()
             try:
                 pool = multiprocessing.get_context("fork").Pool(workers)

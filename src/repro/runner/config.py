@@ -18,7 +18,6 @@ from repro.simulation.cluster import ClusterConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.adaptive.controller import AdaptiveConfig
     from repro.obs import TelemetryConfig
-    from repro.parallel import ParallelConfig
     from repro.scenarios.base import Scenario
 
 
@@ -65,33 +64,17 @@ class ExperimentConfig:
         (NuPS). ``None`` (the default) collects no statistics and is
         bit-identical to a runner without adaptive support.
     round_fusion:
-        Route each scheduling round through the task's
-        :meth:`~repro.ml.task.TrainingTask.process_round` hook (default), so
-        tasks and parameter servers with round-fused fast paths can batch the
-        round's PS traffic across workers. ``False`` forces the sequential
-        per-worker reference loop. Both settings produce bit-identical
-        :class:`~repro.runner.experiment.ExperimentResult`\\ s — the fused
-        engine replays charging per worker chunk and keeps the sequential
-        order for values (see :mod:`repro.ps.rounds`).
-        Scenario perturbations (drift, churn, stragglers, networks) compose
-        with either setting.
-    execution_backend:
-        Explicit execution-backend selection: ``"sequential"`` (the
-        per-worker reference loop), ``"fused"`` (in-process round fusion) or
-        ``"parallel"`` (round fusion with the conflict-free remainder
-        executed by shared-memory worker processes; see
-        :mod:`repro.parallel`). ``None`` (the default) derives the backend
-        from ``round_fusion``, keeping existing configs bit-for-bit
-        unchanged. All three backends produce bit-identical results — the
-        differential suite (``tests/test_parallel_backend.py``) enforces
-        exact equality of clocks, metrics and parameter values. The parallel
-        backend silently downgrades to ``"fused"`` where worker processes
-        must not be spawned (inside the report pipeline's fork workers, or
-        when ``REPRO_PARALLEL_DISABLE`` is set).
-    parallel:
-        Optional :class:`~repro.parallel.ParallelConfig` tuning the parallel
-        backend (pool size, worker timeout, dispatch threshold). Only
-        meaningful with ``execution_backend="parallel"``.
+        The one execution switch. ``True`` (default) routes each scheduling
+        round through the task's
+        :meth:`~repro.ml.task.TrainingTask.process_round` hook, the
+        production round path: charging replays per worker chunk and values
+        keep the sequential order (see :mod:`repro.ps.rounds`). ``False``
+        runs the oracle, the per-call loop of
+        :func:`~repro.ml.task.sequential_process_round`. Both produce
+        bit-identical
+        :class:`~repro.runner.experiment.ExperimentResult`\\ s. Scenario
+        perturbations (drift, churn, stragglers, networks) compose with
+        either setting.
     storage:
         Optional :class:`~repro.ps.chunks.StorageConfig` selecting the
         parameter store's storage backend. ``None`` (the default) keeps
@@ -123,8 +106,6 @@ class ExperimentConfig:
     adaptive: Optional["AdaptiveConfig"] = None
     round_fusion: bool = True
     storage: Optional[StorageConfig] = None
-    execution_backend: Optional[str] = None
-    parallel: Optional["ParallelConfig"] = None
     telemetry: Optional["TelemetryConfig"] = None
 
     def __post_init__(self) -> None:
@@ -191,29 +172,6 @@ class ExperimentConfig:
                 "storage must be a repro.ps.chunks.StorageConfig, "
                 f"got {type(self.storage).__name__}"
             )
-        backends = ("sequential", "fused", "parallel")
-        if self.execution_backend is not None \
-                and self.execution_backend not in backends:
-            raise ValueError(
-                f"execution_backend must be one of {backends} or None "
-                f"(got {self.execution_backend!r}); None derives the backend "
-                "from round_fusion"
-            )
-        if not self.round_fusion and self.execution_backend in ("fused",
-                                                                "parallel"):
-            raise ValueError(
-                f"execution_backend={self.execution_backend!r} contradicts "
-                "round_fusion=False; drop one of the two settings "
-                "(execution_backend alone fully determines the backend)"
-            )
-        if self.parallel is not None:
-            from repro.parallel import ParallelConfig
-
-            if not isinstance(self.parallel, ParallelConfig):
-                raise TypeError(
-                    "parallel must be a repro.parallel.ParallelConfig, "
-                    f"got {type(self.parallel).__name__}"
-                )
         if isinstance(self.telemetry, (str, bool)):
             raise TypeError(
                 f"telemetry must be a TelemetryConfig object, not "

@@ -15,38 +15,17 @@ paper's figures report.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.ml.task import RoundWorkItem, TrainingTask, sequential_process_round
-from repro.parallel.config import parallel_disabled
 from repro.ps.base import ParameterServer
 from repro.runner.config import ExperimentConfig
 from repro.simulation.cluster import Cluster
 
 PSFactory = Callable[..., ParameterServer]
-
-
-def resolve_execution_backend(config: ExperimentConfig) -> str:
-    """The backend an experiment with ``config`` will actually execute on.
-
-    ``execution_backend=None`` derives the backend from the legacy
-    ``round_fusion`` flag. ``"parallel"`` downgrades to ``"fused"`` (which is
-    bit-identical) when the environment vetoes worker processes: inside the
-    report pipeline's fork workers (``REPRO_PARALLEL_DISABLE``, the
-    no-pools-inside-pools guard) or on platforms without ``os.fork``. The
-    resolution is a pure function of config + environment — benchmarks call
-    it to report which backend a run really used.
-    """
-    backend = config.execution_backend
-    if backend is None:
-        backend = "fused" if config.round_fusion else "sequential"
-    if backend == "parallel" and (parallel_disabled() or not hasattr(os, "fork")):
-        backend = "fused"
-    return backend
 
 
 @dataclass
@@ -194,7 +173,7 @@ def run_experiment(
     train_ps = runtime.training_ps if runtime is not None else ps
     task.register_sampling(train_ps)
 
-    backend = resolve_execution_backend(config)
+    backend = "fused" if config.round_fusion else "sequential"
     if tracer is not None:
         tracer.meta.update({
             "system": system_name or ps.name,
@@ -205,40 +184,6 @@ def run_experiment(
             "seed": config.seed,
             "epochs": config.epochs,
         })
-    executor = None
-    if backend == "parallel":
-        # Export the store to shared memory and borrow the worker pool. The
-        # executor attaches to the raw PS: tasks find it through attribute
-        # delegation from whatever wrapper they train against, but only the
-        # PSs whose charging supports the fused fast path ever dispatch.
-        from repro.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(ps.store, config.parallel)
-        executor.tracer = tracer
-        ps.parallel_executor = executor
-    try:
-        result = _run_training(
-            task, ps, train_ps, store, cluster, config, runtime,
-            system_name, backend,
-        )
-    finally:
-        if executor is not None:
-            ps.parallel_executor = None
-            executor.close()
-    if tracer is not None:
-        tracer.meta["final_metrics"] = cluster.metrics.counters()
-        result.trace = tracer.to_trace()
-        if config.telemetry.path is not None:
-            from repro.obs import write_jsonl
-
-            write_jsonl(result.trace, config.telemetry.path)
-    return result
-
-
-def _run_training(task, ps, train_ps, store, cluster, config, runtime,
-                  system_name, backend):
-    """The epoch loop of :func:`run_experiment` (split out for pool cleanup)."""
-
     shards = task.create_shards(
         cluster.num_nodes, cluster.workers_per_node, seed=config.seed
     )
@@ -252,7 +197,6 @@ def _run_training(task, ps, train_ps, store, cluster, config, runtime,
     if runtime is not None:
         runtime.on_experiment_start()
 
-    tracer = cluster.tracer
     sampler = None
     experiment_span = None
     if tracer is not None:
@@ -291,7 +235,7 @@ def _run_training(task, ps, train_ps, store, cluster, config, runtime,
         if runtime is not None:
             runtime.begin_epoch(epoch)
         _run_epoch(task, train_ps, cluster, shards, workers, worker_rngs,
-                   config, runtime, fused=backend != "sequential",
+                   config, runtime, fused=config.round_fusion,
                    tracer=tracer, sampler=sampler)
         train_ps.finish_epoch()
         task.on_epoch_end(epoch)
@@ -327,6 +271,13 @@ def _run_training(task, ps, train_ps, store, cluster, config, runtime,
         tracer.end_span(experiment_span, cluster.time,
                         epochs_completed=result.epochs_completed)
     result.metrics = cluster.metrics.counters()
+    if tracer is not None:
+        tracer.meta["final_metrics"] = cluster.metrics.counters()
+        result.trace = tracer.to_trace()
+        if config.telemetry.path is not None:
+            from repro.obs import write_jsonl
+
+            write_jsonl(result.trace, config.telemetry.path)
     return result
 
 
@@ -533,12 +484,9 @@ def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
 
     Per scheduling round the driver collects every active worker's next
     chunk into :class:`~repro.ml.task.RoundWorkItem`\\ s and hands the whole
-    round to the task. With ``fused`` (the resolved backend is ``"fused"``
-    or ``"parallel"``) the task's ``process_round`` hook runs — tasks and
-    PSs with round-fused fast paths batch the round's traffic there, and
-    dispatch the conflict-free remainder to the worker pool when a parallel
-    executor is attached — otherwise the sequential per-worker reference
-    loop runs. All backends are bit-identical; assembling the round first
+    round to the task. With ``fused`` (``config.round_fusion``) the task's
+    ``process_round`` hook runs, the production round path; otherwise the
+    per-call oracle loop. Both are bit-identical; assembling the round first
     only reorders per-worker queue bookkeeping, which has no simulation
     state.
     """

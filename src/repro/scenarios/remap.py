@@ -193,10 +193,6 @@ class _RemappedPointCharger:
 
     __slots__ = ("_inner", "_remapper", "read", "add", "finish")
 
-    #: Callers hold logical keys, which do not address ``ps.store``: the
-    #: multi-process backend must not take a round behind this charger.
-    values_in_store = False
-
     def __init__(self, inner, remapper: KeyRemapper) -> None:
         self._inner = inner
         self._remapper = remapper
@@ -285,29 +281,6 @@ class RemappedParameterServer:
         if inner is None:
             return None
         return _RemappedPointCharger(inner, self._remapper)
-
-    def run_round(self, rounds) -> list:
-        """Execute a round sequentially through the translating API.
-
-        Delegating to the inner PS would hand it untranslated logical keys;
-        running the per-worker chain through this wrapper keeps every access
-        in the right key space (and stays bit-identical to the unfused path
-        by construction).
-        """
-        results = []
-        for entry in rounds:
-            worker = entry.worker
-            if entry.localize_keys is not None:
-                self.localize(worker, entry.localize_keys)
-            values = None
-            if entry.pull_keys is not None:
-                values = self.pull(worker, entry.pull_keys)
-            if entry.push_keys is not None:
-                self.push(worker, entry.push_keys, entry.push_deltas)
-            if entry.advance:
-                self.advance_clock(worker)
-            results.append(values)
-        return results
 
     # ------------------------------------------------------------ direct API
     def pull(self, worker: WorkerContext, keys) -> np.ndarray:

@@ -448,17 +448,13 @@ class TestAdaptiveController:
         ps.pull_keys(worker, np.array([60, 61]), sampling=False)
         assert controller.stats.lifetime_observed == 2
 
-    def test_round_api_feeds_the_observer(self, store, cluster):
-        from repro.ps.rounds import WorkerRound
-
+    def test_pull_and_push_feed_the_observer(self, store, cluster):
         ps, controller = _adaptive_nups(store, cluster)
-        workers = [cluster.worker(n, 0) for n in range(2)]
         keys = np.array([70, 71, 72])
         deltas = np.zeros((3, store.value_length), dtype=np.float32)
-        ps.run_round([
-            WorkerRound(w, pull_keys=keys, push_keys=keys, push_deltas=deltas)
-            for w in workers
-        ])
+        for worker in (cluster.worker(n, 0) for n in range(2)):
+            ps.pull(worker, keys)
+            ps.push(worker, keys, deltas)
         # Two workers x (pull + push) x 3 keys.
         assert controller.stats.lifetime_observed == 12
 

@@ -239,70 +239,3 @@ class TestBatchDuplicatesAndWaits:
         waits = cluster.metrics.get("relocation.waits")
         ps.pull(worker, remote)  # arrived now: no further waits
         assert cluster.metrics.get("relocation.waits") == waits
-
-
-class TestRoundFusedMatchesScalarOracle:
-    """The round-fused engine against the per-key scalar oracle.
-
-    Transitively the strongest check in this suite: ``run_round`` on the
-    batch-charging PS must be bit-identical to the sequential per-worker
-    chain on the ``batch_charging=False`` reference implementation.
-    """
-
-    FACTORIES = [
-        lambda store, cluster, batch: RelocationPS(store, cluster,
-                                                   batch_charging=batch),
-        lambda store, cluster, batch: RelocationPS(store, cluster,
-                                                   relocation_enabled=False,
-                                                   batch_charging=batch),
-        lambda store, cluster, batch: ReplicationPS(store, cluster,
-                                                    staleness=1,
-                                                    batch_charging=batch),
-        lambda store, cluster, batch: NuPS(
-            store, cluster,
-            plan=ManagementPlan(NUM_KEYS, np.arange(8, dtype=np.int64)),
-            sync_interval=1e-4, seed=5, batch_charging=batch,
-        ),
-    ]
-
-    @pytest.mark.parametrize("factory", FACTORIES)
-    def test_round_api_matches_scalar_oracle(self, factory):
-        from collections import defaultdict
-
-        from repro.ps.rounds import WorkerRound
-
-        rounds_map = defaultdict(list)
-        for round_id, node, worker_id, keys, deltas in _workload():
-            rounds_map[round_id].append((node, worker_id, keys, deltas))
-
-        cluster_fused = _make_cluster()
-        store_fused = _make_store()
-        ps_fused = factory(store_fused, cluster_fused, True)
-        pulled_fused = []
-        for round_id in sorted(rounds_map):
-            entries = [
-                WorkerRound(cluster_fused.worker(node, worker_id),
-                            localize_keys=keys, pull_keys=keys,
-                            push_keys=keys, push_deltas=deltas)
-                for node, worker_id, keys, deltas in rounds_map[round_id]
-            ]
-            pulled_fused.extend(ps_fused.run_round(entries))
-            ps_fused.housekeeping(cluster_fused.time)
-        ps_fused.finish_epoch()
-
-        cluster_scalar = _make_cluster()
-        store_scalar = _make_store()
-        ps_scalar = factory(store_scalar, cluster_scalar, False)
-        pulled_scalar = []
-        for round_id in sorted(rounds_map):
-            for node, worker_id, keys, deltas in rounds_map[round_id]:
-                worker = cluster_scalar.worker(node, worker_id)
-                ps_scalar.localize(worker, keys)
-                pulled_scalar.append(ps_scalar.pull(worker, keys))
-                ps_scalar.push(worker, keys, deltas)
-                ps_scalar.advance_clock(worker)
-            ps_scalar.housekeeping(cluster_scalar.time)
-        ps_scalar.finish_epoch()
-
-        _assert_identical(cluster_fused, cluster_scalar, pulled_fused,
-                          pulled_scalar, store_fused, store_scalar)

@@ -24,27 +24,23 @@ class TestParser:
         assert args.task == "kge"
         assert args.system == "nups"
         assert args.scale == "test"
-        assert args.execution_backend is None
+        assert args.sequential is False
         assert args.storage_backend is None
         assert args.trace is None
 
     def test_backend_flags_round_trip(self):
         args = build_parser().parse_args([
-            "run", "--execution-backend", "parallel",
-            "--storage-backend", "sparse",
+            "run", "--sequential", "--storage-backend", "sparse",
         ])
-        assert args.execution_backend == "parallel"
+        assert args.sequential is True
         assert args.storage_backend == "sparse"
         args = build_parser().parse_args([
-            "compare", "--execution-backend", "sequential",
-            "--storage-backend", "dense",
+            "compare", "--sequential", "--storage-backend", "dense",
         ])
-        assert args.execution_backend == "sequential"
+        assert args.sequential is True
         assert args.storage_backend == "dense"
 
     def test_rejects_unknown_backends(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--execution-backend", "gpu"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--storage-backend", "mmap"])
 
@@ -91,23 +87,21 @@ class TestCommands:
         exit_code = main([
             "run", "--task", "matrix_factorization", "--system", "nups",
             "--nodes", "2", "--workers", "2", "--epochs", "1",
-            "--execution-backend", "sequential",
-            "--storage-backend", "sparse",
+            "--sequential", "--storage-backend", "sparse",
         ])
         assert exit_code == 0
         assert "epoch_time_s" in capsys.readouterr().out
 
     def test_backend_flags_do_not_change_results(self, capsys):
         """CLI backend selection is bit-transparent (same seed, same table)."""
-        def table(backend):
+        def table(*flags):
             assert main([
                 "run", "--task", "matrix_factorization", "--system", "lapse",
-                "--nodes", "2", "--workers", "2", "--epochs", "1",
-                "--execution-backend", backend,
+                "--nodes", "2", "--workers", "2", "--epochs", "1", *flags,
             ]) == 0
             return capsys.readouterr().out
 
-        assert table("sequential") == table("fused")
+        assert table("--sequential") == table()
 
     def test_compare_reports_speedups(self, capsys):
         exit_code = main([

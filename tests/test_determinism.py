@@ -19,12 +19,7 @@ from repro.simulation.cluster import ClusterConfig
 
 
 def _config(seed=5, scenario=None, epochs=2, round_fusion=True,
-            execution_backend=None, telemetry=False):
-    parallel = None
-    if execution_backend == "parallel":
-        from repro.parallel import ParallelConfig
-
-        parallel = ParallelConfig(num_workers=2)
+            telemetry=False):
     telemetry_config = None
     if telemetry:
         from repro.obs import TelemetryConfig
@@ -33,20 +28,18 @@ def _config(seed=5, scenario=None, epochs=2, round_fusion=True,
     return ExperimentConfig(
         cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
         epochs=epochs, chunk_size=8, seed=seed, scenario=scenario,
-        round_fusion=round_fusion, execution_backend=execution_backend,
-        parallel=parallel, telemetry=telemetry_config,
+        round_fusion=round_fusion, telemetry=telemetry_config,
     )
 
 
 def _run(task_name: str, system: str, scenario_name=None,
-         round_fusion=True, execution_backend=None,
-         telemetry=False) -> ExperimentResult:
+         round_fusion=True, telemetry=False) -> ExperimentResult:
     scenario = make_scenario(scenario_name) if scenario_name else None
     task = make_task(task_name, scale="test")
     return run_experiment(
         task, make_ps_factory(system),
         _config(scenario=scenario, round_fusion=round_fusion,
-                execution_backend=execution_backend, telemetry=telemetry)
+                telemetry=telemetry)
     )
 
 
@@ -136,25 +129,6 @@ def test_round_fusion_flag_transparent_under_scenarios(scenario_name):
              round_fusion=True),
         _run("matrix_factorization", "lapse", scenario_name,
              round_fusion=False),
-    )
-
-
-@pytest.mark.parametrize("backend", ["sequential", "fused", "parallel"])
-@pytest.mark.parametrize("system", SYSTEMS_REDUCED)
-def test_execution_backend_is_bit_transparent(system, backend):
-    """Every execution_backend value agrees bit-for-bit with the default."""
-    _assert_identical(
-        _run("matrix_factorization", system, execution_backend=backend),
-        _run("matrix_factorization", system),
-    )
-
-
-@pytest.mark.parametrize("system", SYSTEMS_REDUCED)
-def test_same_seed_is_bit_identical_parallel_backend(system):
-    """Two same-seed parallel-backend runs agree with each other, too."""
-    _assert_identical(
-        _run("matrix_factorization", system, execution_backend="parallel"),
-        _run("matrix_factorization", system, execution_backend="parallel"),
     )
 
 

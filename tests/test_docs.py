@@ -64,3 +64,68 @@ def test_core_interface_methods_are_documented(cls):
 def test_interfaces_themselves_are_documented():
     for cls in (TrainingTask, ParameterServer):
         assert inspect.getdoc(cls)
+
+
+# --------------------------------------------------------- import hygiene
+#: ``ruff check .`` (pyflakes F401) is what CI runs; ruff is not installed
+#: in every development container, so the same rule is enforced here.
+REPO_ROOT = SRC_ROOT.parents[1]
+LINTED_FILES = sorted(
+    path
+    for top in ("src", "tests", "benchmarks", "examples")
+    for path in (REPO_ROOT / top).rglob("*.py")
+    if path.name != "__init__.py"  # packages re-export through imports
+)
+
+
+def _annotation_strings(tree):
+    """String constants in annotation position (``Optional["Scenario"]``)."""
+    for node in ast.walk(tree):
+        for field in ("annotation", "returns"):  # arguments, x: T, -> T
+            annotation = getattr(node, field, None)
+            if annotation is not None:
+                for child in ast.walk(annotation):
+                    if isinstance(child, ast.Constant) \
+                            and isinstance(child.value, str):
+                        yield child.value
+
+
+def unused_imports(path):
+    """``(line, name)`` of every import binding the module never reads."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for text in _annotation_strings(tree):
+        try:
+            used |= {node.id for node in ast.walk(ast.parse(text, mode="eval"))
+                     if isinstance(node, ast.Name)}
+        except SyntaxError:
+            pass
+    for node in ast.walk(tree):  # names exported through ``__all__``
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in used:
+                unused.append((node.lineno, bound))
+    return unused
+
+
+def test_no_unused_imports():
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {name} imported but unused"
+        for path in LINTED_FILES for line, name in unused_imports(path)
+    ]
+    assert not offenders, "\n".join(offenders)

@@ -316,16 +316,6 @@ class TestSubsystemEvents:
         assert scales
         assert all("scale" in e["attrs"] for e in scales)
 
-    def test_parallel_pool_events_are_wall_only(self):
-        result = _run_traced(system="lapse", epochs=1,
-                             execution_backend="parallel")
-        trace = result.trace
-        pool = [e for e in trace["events"] if e["cat"] == "parallel"]
-        if not pool:  # pool disabled on this host: downgraded to fused
-            pytest.skip("parallel backend unavailable")
-        assert {e["name"] for e in pool} <= {"pool_dispatch", "pool_join"}
-        assert all(e["sim_time"] is None for e in pool)
-
 
 # --------------------------------------------------------------- exporters
 class TestJsonlRoundTrip:

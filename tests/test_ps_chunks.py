@@ -259,13 +259,6 @@ class TestChunkedMatrix:
         with pytest.raises(MemoryBudgetExceeded, match="dense-initialized"):
             ChunkedMatrix.from_dense(dense, chunk_rows=4, budget=budget)
 
-    def test_densify_to_rejects_wrong_target(self):
-        mat = ChunkedMatrix(40, 4, chunk_rows=16)
-        with pytest.raises(ValueError, match="densify_to target"):
-            mat.densify_to(np.zeros((40, 5), dtype=np.float32))
-        with pytest.raises(ValueError, match="densify_to target"):
-            mat.densify_to(np.zeros((40, 4), dtype=np.float64))
-
     def test_take_requires_axis_zero(self):
         with pytest.raises(ValueError):
             ChunkedMatrix(10, 2).take(np.array([0]), axis=1)
@@ -375,10 +368,7 @@ def _drive(rng, container, reference, steps=120):
             container[0] = reference[0]  # must not reach the clone
             container = clone
         elif op == 12 and rng.random() < 0.15:
-            if rng.random() < 0.5:
-                dense = container.densify()
-            else:
-                dense = container.densify_to(np.empty_like(reference))
+            dense = container.densify()
             _exact(dense, reference)
             # From here on the dense array *is* the state: write through it.
             row = int(rng.integers(0, NUM_ROWS))

@@ -90,8 +90,8 @@ class TestSmokeRoundTrip:
 
     def test_parallel_execution_matches_sequential(self):
         """Fork-worker scheduling never changes results, only wall-clock."""
-        seq = run_pipeline(only=["table2", "profile"], fast=True, jobs=1)
-        par = run_pipeline(only=["table2", "profile"], fast=True, jobs=2)
+        seq = run_pipeline(only=["table2", "fig03"], fast=True, jobs=1)
+        par = run_pipeline(only=["table2", "fig03"], fast=True, jobs=2)
         assert ([b["id"] for b in par["benchmarks"]]
                 == [b["id"] for b in seq["benchmarks"]])
         verdicts = [
@@ -107,35 +107,35 @@ class TestSmokeRoundTrip:
         assert seq_t2["stdout"] == par_t2["stdout"]
 
     def test_cli_reproduce_writes_reports(self, tmp_path, capsys):
-        exit_code = main(["reproduce", "--fast", "--only", "profile",
+        exit_code = main(["reproduce", "--fast", "--only", "fig03",
                           "--jobs", "1", "--output-dir", str(tmp_path)])
         assert exit_code == 0
         payload = json.loads((tmp_path / "REPRODUCTION.json").read_text())
         assert payload["mode"] == "fast"
-        assert [b["id"] for b in payload["benchmarks"]] == ["profile"]
+        assert [b["id"] for b in payload["benchmarks"]] == ["fig03"]
         markdown = (tmp_path / "REPRODUCTION.md").read_text()
         assert "# Reproduction report" in markdown
-        assert "profile" in markdown
+        assert "fig03" in markdown
 
     def test_cli_check_detects_regression(self, tmp_path):
-        # Commit a report where the profile claim passed...
+        # Commit a report where a fig03 claim passed...
         committed = {
-            "benchmarks": [{"id": "profile", "claims": [
-                {"id": "profile.hot_spots_reported", "passed": True}]}],
+            "benchmarks": [{"id": "fig03", "claims": [
+                {"id": "fig03.kge.sampling_present", "passed": True}]}],
         }
         committed_path = tmp_path / "committed.json"
         committed_path.write_text(json.dumps(committed))
         # ...then break the benchmark so the fresh claim fails.
         bench_dir = tmp_path / "benchmarks"
         bench_dir.mkdir()
-        (bench_dir / "bench_profile.py").write_text(
+        (bench_dir / "bench_fig03_skew.py").write_text(
             "def run():\n    raise RuntimeError('broken')\n")
         from repro.report.claims import compare_verdicts
-        fresh = run_pipeline(only=["profile"], fast=True, jobs=1,
+        fresh = run_pipeline(only=["fig03"], fast=True, jobs=1,
                              benchmarks_dir=bench_dir)
         regressions = compare_verdicts(committed, fresh)
         assert len(regressions) == 1
-        assert "profile.hot_spots_reported" in regressions[0]
+        assert "fig03.kge.sampling_present" in regressions[0]
 
     def test_cli_rejects_unknown_only(self, tmp_path):
         exit_code = main(["reproduce", "--fast", "--only", "nope",
@@ -144,14 +144,14 @@ class TestSmokeRoundTrip:
 
     def test_cli_rejects_bad_check_report_before_running(self, tmp_path, capsys):
         # A bad --check path must fail fast, not after the benchmarks ran.
-        exit_code = main(["reproduce", "--fast", "--only", "profile",
+        exit_code = main(["reproduce", "--fast", "--only", "fig03",
                           "--output-dir", str(tmp_path),
                           "--check", str(tmp_path / "missing.json")])
         assert exit_code == 2
         assert not (tmp_path / "REPRODUCTION.json").exists()
         bad = tmp_path / "corrupt.json"
         bad.write_text("{not json")
-        exit_code = main(["reproduce", "--fast", "--only", "profile",
+        exit_code = main(["reproduce", "--fast", "--only", "fig03",
                           "--output-dir", str(tmp_path), "--check", str(bad)])
         assert exit_code == 2
 
@@ -178,9 +178,9 @@ class TestTimeout:
 
         if not hasattr(os, "fork"):
             pytest.skip("preemptive timeouts need fork workers")
-        (tmp_path / "bench_profile.py").write_text(
+        (tmp_path / "bench_fig03_skew.py").write_text(
             "import time\n\ndef run():\n    time.sleep(60)\n    return {}\n")
-        payload = run_pipeline(only=["profile"], fast=True, jobs=1,
+        payload = run_pipeline(only=["fig03"], fast=True, jobs=1,
                                benchmarks_dir=tmp_path, timeout=0.5)
         entry = payload["benchmarks"][0]
         assert entry["status"] == "failed"
@@ -190,25 +190,25 @@ class TestTimeout:
         # Claims evaluate as failures; the pipeline itself completes.
         assert entry["claims"]
         assert all(not v["passed"] for v in entry["claims"])
-        assert payload["summary"]["benchmarks_failed"] == ["profile"]
+        assert payload["summary"]["benchmarks_failed"] == ["fig03"]
 
     def test_fast_benchmark_passes_within_the_limit(self, tmp_path):
         import os
 
         if not hasattr(os, "fork"):
             pytest.skip("preemptive timeouts need fork workers")
-        (tmp_path / "bench_profile.py").write_text(
+        (tmp_path / "bench_fig03_skew.py").write_text(
             "def run():\n    return {'hot_spots': ['x'], 'ok': True}\n")
-        payload = run_pipeline(only=["profile"], fast=True, jobs=1,
+        payload = run_pipeline(only=["fig03"], fast=True, jobs=1,
                                benchmarks_dir=tmp_path, timeout=30.0)
         entry = payload["benchmarks"][0]
         assert entry["status"] == "ok"
         assert entry["attempts"] == 1
 
     def test_non_positive_timeout_means_unlimited(self, tmp_path):
-        (tmp_path / "bench_profile.py").write_text(
+        (tmp_path / "bench_fig03_skew.py").write_text(
             "def run():\n    return {'ok': True}\n")
-        payload = run_pipeline(only=["profile"], fast=True, jobs=1,
+        payload = run_pipeline(only=["fig03"], fast=True, jobs=1,
                                benchmarks_dir=tmp_path, timeout=0.0)
         assert payload["benchmarks"][0]["status"] == "ok"
 
@@ -218,9 +218,9 @@ class TestTimeout:
         if not hasattr(os, "fork"):
             pytest.skip("preemptive timeouts need fork workers")
         monkeypatch.setenv("REPRO_BENCH_TIMEOUT", "0.4")
-        (tmp_path / "bench_profile.py").write_text(
+        (tmp_path / "bench_fig03_skew.py").write_text(
             "import time\n\ndef run():\n    time.sleep(60)\n    return {}\n")
-        payload = run_pipeline(only=["profile"], fast=True, jobs=1,
+        payload = run_pipeline(only=["fig03"], fast=True, jobs=1,
                                benchmarks_dir=tmp_path)
         entry = payload["benchmarks"][0]
         assert entry["status"] == "failed"

@@ -1,13 +1,14 @@
-"""Round-fused execution engine: equivalence, planning, and satellites.
+"""The production round path against its oracle: equivalence and satellites.
 
-The engine's contract is exact: ``run_round`` must be bit-identical to the
-sequential per-worker call chain on every architecture (clocks — per worker,
-background, and server — metrics, stored values, and returned pull values),
-and ``ExperimentConfig.round_fusion`` must not change a single bit of an
-:class:`~repro.runner.experiment.ExperimentResult` for any task, system, or
-scenario. This suite drives both paths on identical workloads and asserts
-exact equality, plus unit coverage for the conflict-group planner and the
-satellite fixes (worker-queue peek caching, dirty-set epoch metrics).
+The contract is exact: ``ExperimentConfig.round_fusion`` must not change a
+single bit of an :class:`~repro.runner.experiment.ExperimentResult` for any
+task, system, or scenario — nor of any clock, metric, stored value or piece
+of PS state behind it. This suite drives the production path
+(``direct_point_charger`` → ``charge_chunk`` / ``charge_sampling_chunk`` →
+``ChunkValues.read``/``add``) and the per-call oracle
+(``sequential_process_round``) on identical workloads and asserts exact
+equality, plus unit coverage for the satellite fixes (worker-queue peek
+caching, dirty-set epoch metrics).
 
 All three tasks run a charge replay and a value pass per worker chunk
 instead of PS calls per data point. The matrix-factorization section crosses
@@ -43,13 +44,11 @@ from repro.faults import FaultController, FaultTolerantParameterServer
 from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.negative_sampling import NegativeSampleStream
 from repro.ml.task import RoundWorkItem, sequential_process_round
-from repro.parallel import ParallelConfig
 from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
-from repro.ps.rounds import WorkerRound, duplicate_key_positions
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import _WorkerQueue, run_experiment
@@ -64,23 +63,7 @@ NUM_KEYS = 120
 VALUE_LENGTH = 4
 
 
-# --------------------------------------------------------------------- planner
-class TestPlanner:
-    def test_duplicate_key_positions(self):
-        keys = np.array([5, 1, 5, 2, 1, 9], dtype=np.int64)
-        assert list(duplicate_key_positions(keys)) == [
-            True, True, True, False, True, False,
-        ]
-        assert not duplicate_key_positions(np.array([3], dtype=np.int64)).any()
-
-    def test_duplicate_key_positions_empty_and_all_duplicates(self):
-        empty = np.empty(0, dtype=np.int64)
-        assert len(duplicate_key_positions(empty)) == 0
-        same = np.full(5, 7, dtype=np.int64)
-        assert duplicate_key_positions(same).all()
-
-
-# ------------------------------------------------------------ PS-level fusion
+# ---------------------------------------------------------------- PS builders
 def _cluster(num_nodes=3, workers_per_node=2) -> Cluster:
     return Cluster(ClusterConfig(num_nodes=num_nodes,
                                  workers_per_node=workers_per_node))
@@ -137,56 +120,6 @@ def _ps_builders():
     }
 
 
-def _round_workload(shape: str, rounds=4, batch=10, seed=11):
-    """Per-(round, worker) batches; ``shape`` controls cross-worker sharing."""
-    rng = np.random.default_rng(seed)
-    plans = []
-    for _ in range(rounds):
-        round_plan = []
-        for worker_index in range(6):
-            if shape == "disjoint":
-                lo = worker_index * (NUM_KEYS // 6)
-                keys = rng.integers(lo, lo + NUM_KEYS // 6,
-                                    size=batch).astype(np.int64)
-            elif shape == "shared":
-                weights = 1.0 / np.arange(1, NUM_KEYS + 1) ** 1.2
-                keys = rng.choice(NUM_KEYS, size=batch,
-                                  p=weights / weights.sum()).astype(np.int64)
-            else:  # tiny: 2-3 key batches, mixed sharing
-                size = int(rng.integers(2, 4))
-                keys = rng.integers(0, NUM_KEYS, size=size).astype(np.int64)
-            deltas = rng.normal(0, 0.01,
-                                size=(len(keys), VALUE_LENGTH)).astype(np.float32)
-            round_plan.append((keys, deltas))
-        plans.append(round_plan)
-    return plans
-
-
-def _drive_round_api(builder, plans, fused: bool):
-    cluster = _cluster()
-    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
-    ps = builder(store, cluster)
-    workers = list(cluster.workers())
-    pulled = []
-    for round_plan in plans:
-        if fused:
-            rounds = [
-                WorkerRound(worker, localize_keys=keys, pull_keys=keys,
-                            push_keys=keys, push_deltas=deltas)
-                for worker, (keys, deltas) in zip(workers, round_plan)
-            ]
-            pulled.extend(ps.run_round(rounds))
-        else:
-            for worker, (keys, deltas) in zip(workers, round_plan):
-                ps.localize(worker, keys)
-                pulled.append(ps.pull(worker, keys))
-                ps.push(worker, keys, deltas)
-                ps.advance_clock(worker)
-        ps.housekeeping(cluster.time)
-    ps.finish_epoch()
-    return cluster, store, pulled
-
-
 def _assert_cluster_identical(a: Cluster, b: Cluster) -> None:
     for node_a, node_b in zip(a.nodes, b.nodes):
         for clock_a, clock_b in zip(node_a.worker_clocks, node_b.worker_clocks):
@@ -196,91 +129,6 @@ def _assert_cluster_identical(a: Cluster, b: Cluster) -> None:
     assert a.metrics.counters() == b.metrics.counters()
     for node in range(a.num_nodes):
         assert a.metrics.node_counters(node) == b.metrics.node_counters(node)
-
-
-@pytest.mark.parametrize("shape", ["shared", "disjoint", "tiny"])
-@pytest.mark.parametrize("name", sorted(_ps_builders()))
-def test_run_round_bit_identical(name, shape):
-    """run_round == the sequential per-worker chain, to the last bit."""
-    builder = _ps_builders()[name]
-    plans = _round_workload(shape)
-    fused_cluster, fused_store, fused_pulled = _drive_round_api(
-        builder, plans, fused=True
-    )
-    seq_cluster, seq_store, seq_pulled = _drive_round_api(
-        builder, plans, fused=False
-    )
-    _assert_cluster_identical(fused_cluster, seq_cluster)
-    assert np.array_equal(fused_store.values, seq_store.values)
-    assert len(fused_pulled) == len(seq_pulled)
-    for fused_values, seq_values in zip(fused_pulled, seq_pulled):
-        assert np.array_equal(fused_values, seq_values)
-
-
-def test_run_round_partial_entries():
-    """Entries may skip localize/pull/push/advance independently."""
-    rng = np.random.default_rng(5)
-    for name in ("classic", "relocation", "ssp", "nups"):
-        builder = _ps_builders()[name]
-        cluster_a = _cluster()
-        cluster_b = _cluster()
-        store_a = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
-        store_b = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
-        ps_a = builder(store_a, cluster_a)
-        ps_b = builder(store_b, cluster_b)
-        workers_a = list(cluster_a.workers())
-        workers_b = list(cluster_b.workers())
-        keys = [rng.integers(0, NUM_KEYS, size=6).astype(np.int64)
-                for _ in workers_a]
-        deltas = [rng.normal(0, 0.01, size=(6, VALUE_LENGTH)).astype(np.float32)
-                  for _ in workers_a]
-        rounds = []
-        for i, worker in enumerate(workers_a):
-            rounds.append(WorkerRound(
-                worker,
-                localize_keys=keys[i] if i % 2 == 0 else None,
-                pull_keys=keys[i] if i % 3 != 0 else None,
-                push_keys=keys[i] if i % 3 != 1 else None,
-                push_deltas=deltas[i] if i % 3 != 1 else None,
-                advance=(i % 2 == 1),
-            ))
-        ps_a.run_round(rounds)
-        for i, worker in enumerate(workers_b):
-            if i % 2 == 0:
-                ps_b.localize(worker, keys[i])
-            if i % 3 != 0:
-                ps_b.pull(worker, keys[i])
-            if i % 3 != 1:
-                ps_b.push(worker, keys[i], deltas[i])
-            if i % 2 == 1:
-                ps_b.advance_clock(worker)
-        _assert_cluster_identical(cluster_a, cluster_b)
-        assert np.array_equal(store_a.values, store_b.values)
-
-
-def test_run_round_single_node_fallback():
-    """The base sequential fallback serves PSs without a fused override."""
-    cluster_a = Cluster(ClusterConfig(num_nodes=1, workers_per_node=3))
-    cluster_b = Cluster(ClusterConfig(num_nodes=1, workers_per_node=3))
-    store_a = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
-    store_b = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
-    ps_a = SingleNodePS(store_a, cluster_a)
-    ps_b = SingleNodePS(store_b, cluster_b)
-    rng = np.random.default_rng(9)
-    keys = [rng.integers(0, NUM_KEYS, size=5).astype(np.int64) for _ in range(3)]
-    deltas = [rng.normal(0, 0.01, size=(5, VALUE_LENGTH)).astype(np.float32)
-              for _ in range(3)]
-    ps_a.run_round([
-        WorkerRound(worker, pull_keys=keys[i], push_keys=keys[i],
-                    push_deltas=deltas[i])
-        for i, worker in enumerate(cluster_a.workers())
-    ])
-    for i, worker in enumerate(cluster_b.workers()):
-        ps_b.pull(worker, keys[i])
-        ps_b.push(worker, keys[i], deltas[i])
-        ps_b.advance_clock(worker)
-    _assert_cluster_identical(cluster_a, cluster_b)
-    assert np.array_equal(store_a.values, store_b.values)
 
 
 # ------------------------------------------------------- runner-level fusion
@@ -294,10 +142,10 @@ def _experiment(task_name, system, backend, scenario_name=None,
                 chunk_size=8, seed=5, epochs=2, telemetry=False,
                 storage=None, factory=None, task=None, straggler=False,
                 scenario=None, num_nodes=2):
-    """Run the test-scale experiment under one execution backend.
+    """Run the test-scale experiment on one side of the execution switch.
 
-    ``backend`` is an ``ExperimentConfig.execution_backend`` value:
-    ``"sequential"``, ``"fused"`` or ``"parallel"``. With ``telemetry`` the
+    ``backend`` is ``"fused"`` (the production round path) or
+    ``"sequential"`` (the oracle, ``round_fusion=False``). With ``telemetry`` the
     observability tracer rides along (it must not change a single bit):
     ``True`` records one event per PS call, ``"default"`` the default level.
     ``factory`` replaces the named system's PS factory and ``task`` the
@@ -307,12 +155,12 @@ def _experiment(task_name, system, backend, scenario_name=None,
 
     ``Run.calls`` counts the ``pull``/``push`` calls that reached the raw PS,
     ``Run.degraded_calls`` those of them issued by the runner's degraded
-    rounds (a node down or a partition live: per call on every backend).
+    rounds (a node down or a partition live: per call on both paths).
     """
     task = task or make_task(task_name, scale="test")
     if scenario is None and scenario_name:
         scenario = make_scenario(scenario_name)
-    parallel = ParallelConfig(num_workers=2) if backend == "parallel" else None
+    assert backend in ("fused", "sequential")
     telemetry_config = None
     if telemetry:
         from repro.obs import TelemetryConfig
@@ -323,7 +171,7 @@ def _experiment(task_name, system, backend, scenario_name=None,
             num_nodes=1 if system == "single-node" else num_nodes,
             workers_per_node=2),
         epochs=epochs, chunk_size=chunk_size, seed=seed, scenario=scenario,
-        execution_backend=backend, parallel=parallel,
+        round_fusion=backend == "fused",
         telemetry=telemetry_config, storage=storage,
     )
     inner = factory or make_ps_factory(system)
@@ -640,7 +488,7 @@ MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups", "single-node"]
 SPARSE = StorageConfig(backend="sparse", chunk_rows=64)
 
 
-@pytest.mark.parametrize("backend", ["fused", "parallel"])
+@pytest.mark.parametrize("backend", ["fused"])
 @pytest.mark.parametrize("system", MF_SYSTEMS)
 @pytest.mark.parametrize("chunk_size", [4, 32])
 def test_round_fusion_bit_identical_mf(system, chunk_size, backend):
@@ -652,10 +500,10 @@ def test_round_fusion_bit_identical_mf(system, chunk_size, backend):
     )
 
 
-@pytest.mark.parametrize("backend", ["fused", "parallel"])
+@pytest.mark.parametrize("backend", ["fused"])
 @pytest.mark.parametrize("system", ["lapse", "essp", "nups"])
 def test_round_fusion_bit_identical_mf_with_telemetry(system, backend):
-    """The default-level tracer rides along on every backend without
+    """The default-level tracer rides along on both paths without
     perturbing a bit (an access-level tracer selects the per-call path, see
     ``MF_FALLBACKS``)."""
     _assert_results_identical(
@@ -798,16 +646,14 @@ def _mf_with_bad_row(bad_key: int):
 @pytest.mark.parametrize("system", MF_SYSTEMS)
 def test_mf_bad_keys_raise_the_sequential_exception(system, bad_key):
     """A key outside the store raises the sequential path's exception type
-    on the replay path and under the worker pool too — ``IndexError`` where
-    an owner / replica lookup comes first, ``KeyError`` from the store's
-    range check."""
+    on the replay path too — ``IndexError`` where an owner / replica lookup
+    comes first, ``KeyError`` from the store's range check."""
     with pytest.raises((IndexError, KeyError)) as sequential:
         _experiment("matrix_factorization", system, "sequential", epochs=1,
                     task=_mf_with_bad_row(bad_key))
-    for backend in ("fused", "parallel"):
-        with pytest.raises(sequential.type):
-            _experiment("matrix_factorization", system, backend, epochs=1,
-                        task=_mf_with_bad_row(bad_key))
+    with pytest.raises(sequential.type):
+        _experiment("matrix_factorization", system, "fused", epochs=1,
+                    task=_mf_with_bad_row(bad_key))
 
 
 @pytest.mark.parametrize("scenario_name",
@@ -830,7 +676,7 @@ def test_round_fusion_respects_remapped_ps():
     """Post-drift, the remapping proxy must keep fused paths translated.
 
     Regression: the proxy's ``__getattr__`` used to leak the inner PS's
-    ``direct_point_charger``/``run_round``, letting the fused MF walk access
+    ``direct_point_charger``, letting the fused MF walk access
     the raw store with logical keys once the mapping was no longer the
     identity. The fused drift run must keep relocating effectively after the
     drift, exactly like the sequential one.
@@ -1182,14 +1028,11 @@ def _wrapped_matrix(seeds, tier_one: bool):
 
 
 def _check_wrapped_cell(task_name, kind, storage, seed, epochs):
-    """Every backend == sequential behind the wrappers and under the tap,
-    on all state including the sketch; the fused run issues ``pull``/``push``
-    only from the rounds the runner degrades."""
-    backends = ["fused", "sequential"]
-    if task_name == "matrix_factorization":
-        backends.insert(1, "parallel")  # the only task the worker pool takes
+    """Fused == sequential behind the wrappers and under the tap, on all
+    state including the sketch; the fused run issues ``pull``/``push`` only
+    from the rounds the runner degrades."""
     runs = {}
-    for backend in backends:
+    for backend in ("fused", "sequential"):
         task = make_task(task_name, scale="test")
         system, factory, scenario = _wrapped_cell(task, kind)
         runs[backend] = _experiment(
@@ -1199,17 +1042,16 @@ def _check_wrapped_cell(task_name, kind, storage, seed, epochs):
             # Four nodes: two can crash at once, and a majority side of
             # three owns keys that its own workers can still reach.
             num_nodes=4)
-    sequential = runs.pop("sequential")
+    fused, sequential = runs["fused"], runs["sequential"]
     assert sequential.calls["pull"] > 0 and sequential.calls["push"] > 0
-    for run in runs.values():
-        _assert_results_identical(run, sequential)
-        if kind == "drift":
-            assert run.calls == {"pull": 0, "push": 0}
-        else:
-            # Per call only while a node is down / the partition is live.
-            assert run.calls == sequential.degraded_calls
-            for name, count in run.calls.items():
-                assert count < sequential.calls[name]
+    _assert_results_identical(fused, sequential)
+    if kind == "drift":
+        assert fused.calls == {"pull": 0, "push": 0}
+    else:
+        # Per call only while a node is down / the partition is live.
+        assert fused.calls == sequential.degraded_calls
+        for name, count in fused.calls.items():
+            assert count < sequential.calls[name]
     if kind == "drift":
         # The mapping is not the identity while fused rounds run (from
         # epoch 1), the sketch is full and evicting, the policy re-manages.

@@ -138,38 +138,6 @@ class TestSparseStoreMatchesDenseOracle:
         assert dense_view[11].sum() == 4.0
 
 
-class TestSharedMemoryRoundTrip:
-    """``share_values`` pins the chunked matrix into a shared segment (the
-    parallel backend's export) and ``unshare_values`` pins it back out."""
-
-    def test_sparse_store_stays_coherent_there_and_back(self):
-        from repro.parallel.shm import SharedArray
-
-        ones = np.ones((1, 4), dtype=np.float32)
-        store = ParameterStore(1000, 4, storage=SPARSE)
-        store.add(np.array([130]), ones)
-        spec = store.share_values()
-        worker = SharedArray.attach(spec)  # what a worker process maps
-        try:
-            assert store.values_shared
-            assert worker.array[130].sum() == 4.0
-            store.add(np.array([700]), ones)  # chunked write, shared read
-            assert worker.array[700].sum() == 4.0
-            worker.array[5] = 2.0  # shared write, chunked read
-            np.testing.assert_array_equal(store.get(np.array([5]))[0],
-                                          np.full(4, 2.0, np.float32))
-        finally:
-            worker.close()
-            store.unshare_values()
-        assert not store.values_shared
-        keys = np.array([5, 130, 700, 999])
-        np.testing.assert_array_equal(store.get(keys).sum(axis=1),
-                                      [8.0, 4.0, 4.0, 0.0])
-        store.add(np.array([999]), ones)  # the chunked API is still live
-        assert store.get(np.array([999])).sum() == 4.0
-        np.testing.assert_array_equal(store.read_versions(keys), [0, 1, 1, 1])
-
-
 class TestWithStorageConversion:
     def test_round_trip_preserves_contents(self):
         dense = ParameterStore(300, 4, seed=2, init_scale=0.05)
