@@ -38,12 +38,6 @@ class ManagementPolicy:
         """The keys the policy wants replicated (sorted, unique)."""
         raise NotImplementedError
 
-    def desired_plan(self, stats: AccessStats,
-                     current: ManagementPlan) -> ManagementPlan:
-        """The desired plan over the current plan's key space."""
-        return ManagementPlan(current.num_keys,
-                              self.desired_replicated(stats, current))
-
     def describe(self) -> dict:
         return {"policy": self.name}
 

@@ -151,12 +151,6 @@ class SpaceSavingSketch:
         order = np.lexsort((keys, -counts))
         return keys[order].copy(), counts[order].copy()
 
-    def min_estimate(self) -> float:
-        """The smallest tracked estimate (the sketch's error bound)."""
-        if self._size == 0:
-            return 0.0
-        return float(self._counts[: self._size].min())
-
 
 class AccessStats:
     """Decayed access statistics observed from the PS hot path.

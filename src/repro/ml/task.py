@@ -187,16 +187,6 @@ class TrainingTask(ABC):
     def evaluate(self, store: ParameterStore) -> Dict[str, float]:
         """Compute model quality metrics from the current parameter values."""
 
-    def quality_of(self, metrics: Dict[str, float]) -> float:
-        """Extract the primary quality metric from an evaluation result."""
-        return float(metrics[self.quality_metric])
-
-    def is_better(self, quality_a: float, quality_b: float) -> bool:
-        """Whether ``quality_a`` is strictly better than ``quality_b``."""
-        if self.higher_is_better:
-            return quality_a > quality_b
-        return quality_a < quality_b
-
     # ------------------------------------------------------------------ helpers
     @staticmethod
     def partition_round_robin(indices: np.ndarray, num_parts: int,

@@ -86,11 +86,6 @@ class SampleHandle:
         return self.total - self.delivered
 
     @property
-    def pending_count(self) -> int:
-        """Number of not-yet-delivered keys physically held by the handle."""
-        return len(self._keys) - self._cursor + len(self._tail)
-
-    @property
     def pending(self) -> list:
         """The not-yet-delivered keys as a list (read-only convenience view)."""
         return self._keys[self._cursor:].tolist() + list(self._tail)
@@ -539,24 +534,6 @@ class ParameterServer(ABC):
         self.metrics.increment(
             "network.bytes", count * self._cached_value_bytes, node=worker.node_id
         )
-
-    def _charge_remote_keys(self, worker: WorkerContext, keys: np.ndarray,
-                            kind: str) -> None:
-        """Charge remote accesses for ``keys``, routed to their home servers."""
-        if len(keys) == 0:
-            return
-        owners = self.partitioner.owners(np.asarray(keys, dtype=np.int64))
-        if len(keys) <= 64:
-            # Group by server with a dict: sorting tiny batches costs more.
-            counts: Dict[int, int] = {}
-            for owner in owners.tolist():
-                counts[owner] = counts.get(owner, 0) + 1
-            for server in sorted(counts):
-                self._charge_remote(worker, counts[server], kind, server_id=server)
-            return
-        servers, group_counts = np.unique(owners, return_counts=True)
-        for server, count in zip(servers.tolist(), group_counts.tolist()):
-            self._charge_remote(worker, int(count), kind, server_id=int(server))
 
     @property
     def value_bytes(self) -> int:

@@ -7,23 +7,30 @@ is materialized only when it is first *written*. Reads of untouched chunks
 return the fill value (zeros for values and update buffers, ``-1`` for slot
 tables, the static partition for owner maps) without allocating anything.
 
-A container is a **page table** over **one contiguous pool**::
+A key space is **one page table** (:class:`ChunkedTable`) over **one
+contiguous pool per column** (:class:`ChunkedArray`; a standalone
+``ChunkedVector``/``ChunkedMatrix`` is a one-column table)::
 
-    key k --> chunk k // chunk_rows --> _shift[chunk] --> pool row k + shift
+    key k --> chunk k // chunk_rows --> _shift[chunk] --> row k + shift
+                                                           of every pool
 
-The pool's first ``chunk_rows`` rows are a shared, never-written *fill page*;
-every unmaterialized chunk is mapped onto it, so a read needs no branch:
-two vectorised index operations translate a key batch to pool rows, and the
-ordinary dense operation (``take``, fancy assignment, ``np.add.at``) then
-runs on the pool. The whole batch hits one array in batch order, so the
-result is bit-identical to the dense backend because it *is* the same NumPy
-call. The containers duck-type the slice of the :class:`numpy.ndarray` API
-the parameter-server hot paths use, so the servers run unchanged on either.
+Every pool's first ``chunk_rows`` rows are a shared, never-written *fill
+page*; every unmaterialized chunk is mapped onto it, so a read needs no
+branch: two vectorised index operations translate a key batch to pool rows
+— once per batch, whatever the number of columns touched — and the ordinary
+dense operation (``take``, fancy assignment, ``np.add.at``) then runs on a
+pool. The whole batch hits one array in batch order, so the result is
+bit-identical to the dense backend because it *is* the same NumPy call. The
+columns duck-type the slice of the :class:`numpy.ndarray` API the
+parameter-server hot paths use, so the servers run unchanged on either.
 
-Materialization appends the chunk to the pool and is charged against an
-optional :class:`MemoryBudget` *before* the pool grows (over budget raises
-:class:`MemoryBudgetExceeded` with an actionable message). The pool grows
-geometrically into zeroed, untouched capacity: not charged, not resident.
+Materialization appends the chunk to every pool of the table and is charged
+once against an optional :class:`MemoryBudget` *before* the pools grow (over
+budget raises :class:`MemoryBudgetExceeded` with an actionable message). A
+zero-fill column writes nothing: pools grow geometrically into zeroed,
+untouched capacity, which is not charged and not resident. The fixed cost
+of a key space is its page table, ``num_keys / chunk_rows x 8`` bytes; a
+touched key then costs one 4 KiB page per column.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "MemoryBudget",
     "MemoryBudgetExceeded",
     "ChunkedArray",
+    "ChunkedTable",
     "ChunkedMatrix",
     "ChunkedVector",
     "StorageConfig",
@@ -108,9 +116,6 @@ class MemoryBudget:
                 "reduce the number of distinct keys touched"
             )
         self.used_bytes += nbytes
-
-    def release(self, nbytes: int) -> None:
-        self.used_bytes = max(self.used_bytes - int(nbytes), 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -184,32 +189,21 @@ def _copy_nonzero_pages(source: np.ndarray, zeroed: np.ndarray) -> None:
     zeroed[whole:] = source[whole:]
 
 
-class ChunkedArray:
-    """``num_rows`` rows of shape ``row_shape``, materialized chunk-by-chunk.
+class ChunkedTable:
+    """The page table of one key space, shared by its named columns.
 
-    Reads of untouched chunks return ``fill_value``, or ``fill_fn(keys)`` (a
-    vectorized key-wise default, e.g. the static partition for owner maps)
-    when one is given. Supports the ndarray subset used by the PS hot paths:
-    ``take``, integer/slice/fancy get and set, ``add_at``, and for vectors
-    ``where_equal``/``any``/``count_nonzero``. Keys outside
-    ``[0, num_rows)`` raise :class:`IndexError` (an integer index may be
-    negative and then counts from the end, like NumPy).
-
-    **View contract.** Fancy, slice and ``take`` reads return copies. An
-    integer index into a multi-dimensional container returns a *view* of the
-    row, like dense row indexing: live (writes go through) when the row's
-    chunk is materialized, read-only (writes raise) when it is not — write
-    through ``container[k] = ...`` or ``add_at`` to materialize. Views, and
-    blocks from :meth:`block`, stay attached until the container next
-    materializes a chunk or is densified; do not hold them across writes.
+    The table owns translation (``_shift``), the budget and materialization:
+    a chunk materializes in every column or in none and is charged once, at
+    ``rows x (sum of the columns' row bytes)``. A column
+    (:class:`ChunkedArray`) owns only its pool; every pool has the same
+    slots, so one translation (:meth:`rows` / :meth:`writable_rows`) indexes
+    ``column.pool`` of every column. Keys outside ``[0, num_rows)`` raise
+    :class:`IndexError`.
     """
 
-    def __init__(self, num_rows: int, row_shape: Tuple[int, ...], dtype,
-                 fill_value=0,
-                 fill_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    def __init__(self, num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  budget: Optional[MemoryBudget] = None,
-                 label: str = "array") -> None:
+                 label: str = "table") -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
         if chunk_rows <= 0:
@@ -218,32 +212,31 @@ class ChunkedArray:
         # One chunk already covers a smaller key space; do not pad beyond it.
         self.chunk_rows = min(int(chunk_rows), self.num_rows)
         self.num_chunks = -(-self.num_rows // self.chunk_rows)
-        self.row_shape = tuple(int(n) for n in row_shape)
-        self.shape = (self.num_rows,) + self.row_shape
-        self.ndim = len(self.shape)
-        self.dtype = np.dtype(dtype)
-        self.fill_value = fill_value
-        self.fill_fn = fill_fn
         self.budget = budget
         self.label = label
-        self._row_nbytes = self.dtype.itemsize * int(np.prod(self.row_shape))
+        self.columns: list = []
+        #: Bytes of one row across all columns.
+        self._row_nbytes = 0
         #: Pool rows below this bound are the fill page. 0 once densified:
-        #: the pool is then the dense array itself, keys are rows.
+        #: the pools are then the dense arrays themselves, keys are rows.
         self._fill_end = self.chunk_rows
-        #: The fill page, then one ``chunk_rows`` slot per materialized chunk
-        #: in materialization order, then zeroed spare capacity. Padding rows
-        #: of a partial last chunk stay zero.
-        self._pool = self._zeroed(self.chunk_rows)
-        if fill_fn is None and fill_value:
-            self._pool[...] = fill_value
+        #: Every pool: the fill page, then one ``chunk_rows`` slot per
+        #: materialized chunk in materialization order, then zeroed spare
+        #: capacity. Padding rows of a partial last chunk stay zero.
         self._used_rows = self.chunk_rows
         #: Page table: pool row of key ``k`` is ``k + _shift[k // chunk_rows]``.
         self._shift = -self.chunk_rows * np.arange(self.num_chunks,
                                                    dtype=np.int64)
         #: Chunk id held by every used slot (slot 0, the fill page: none).
         self._chunk_of_slot = [-1]
-        #: Resident bytes: only materialized chunks count.
-        self.nbytes = 0
+        #: Rows of the materialized chunks (padding excluded).
+        self.resident_rows = 0
+
+    def column(self, name: str, dtype, row_shape: Tuple[int, ...] = (),
+               fill_value=0, fill_fn=None) -> "ChunkedArray":
+        """Add a column; only before the first chunk materializes."""
+        return ChunkedArray(self, f"{self.label}.{name}", row_shape, dtype,
+                            fill_value, fill_fn)
 
     @property
     def materialized_chunks(self) -> int:
@@ -252,6 +245,26 @@ class ChunkedArray:
         return len(self._chunk_of_slot) - 1
 
     # ------------------------------------------------------------- translation
+    def rows(self, keys) -> np.ndarray:
+        """Validated pool rows of ``keys`` in every column's ``pool``.
+
+        Unmaterialized keys land on the fill page, which holds a column's
+        ``fill_value`` but not its ``fill_fn``. Rows of materialized chunks
+        stay valid until the table is densified, a ``pool`` only until the
+        table next materializes a chunk.
+        """
+        return self._rows(self._keys(keys))
+
+    def writable_rows(self, keys) -> np.ndarray:
+        """:meth:`rows` after materializing every chunk ``keys`` touch."""
+        keys = self._keys(keys)
+        rows = self._rows(keys)
+        if keys.size and self._on_fill_page(rows):
+            fresh = keys[rows < self._fill_end]
+            self._materialize(np.unique(fresh // self.chunk_rows))
+            rows = self._rows(keys)
+        return rows
+
     def _out_of_range(self, key) -> IndexError:
         return IndexError(f"key {key} is out of range [0, {self.num_rows}) "
                           f"of {self.label}")
@@ -288,15 +301,6 @@ class ChunkedArray:
         """Pool rows of (valid) ``keys``; unmaterialized ones hit the fill page."""
         return keys + self._shift.take(keys // self.chunk_rows)
 
-    def _writable_rows(self, keys: np.ndarray) -> np.ndarray:
-        """:meth:`_rows` after materializing every chunk ``keys`` touch."""
-        rows = self._rows(keys)
-        if self._on_fill_page(rows):
-            fresh = keys[rows < self._fill_end]
-            self._materialize(np.unique(fresh // self.chunk_rows))
-            rows = self._rows(keys)
-        return rows
-
     def _on_fill_page(self, rows: np.ndarray) -> bool:
         """Whether any of the (non-empty) pool ``rows`` is on the fill page."""
         lowest = min(rows.tolist()) if rows.size <= 64 else int(rows.min())
@@ -316,15 +320,24 @@ class ChunkedArray:
         return (cids[:, None] * self.chunk_rows
                 + np.arange(self.chunk_rows, dtype=np.int64)).ravel()
 
-    def _fill(self, keys: np.ndarray) -> np.ndarray:
-        """The key-wise default contents of ``keys``."""
-        return np.asarray(self.fill_fn(keys), dtype=self.dtype)
+    def _unmaterialized_keys(self) -> Iterator[np.ndarray]:
+        """Ascending keys of the unmaterialized chunks, in bounded blocks."""
+        if not self._fill_end:
+            return
+        missing = np.ones(self.num_chunks, dtype=bool)
+        missing[self._chunk_of_slot[1:]] = False
+        cids = np.flatnonzero(missing)
+        step = max(1, _SCAN_ROWS // self.chunk_rows)
+        for at in range(0, len(cids), step):
+            keys = self._chunk_keys(cids[at:at + step])
+            yield keys[keys < self.num_rows]
 
     # ---------------------------------------------------------- materialization
     def _materialize(self, cids: np.ndarray) -> None:
-        """Append the ascending, distinct, unmaterialized chunks ``cids``.
+        """Append the ascending, distinct, unmaterialized chunks ``cids`` to
+        every column's pool.
 
-        The pool grows only for what was charged: when the budget runs out
+        The pools grow only for what was charged: when the budget runs out
         at some chunk, those before it materialize and its charge raises.
         """
         first = cids * self.chunk_rows
@@ -335,42 +348,146 @@ class ChunkedArray:
             fits = int(np.searchsorted(np.cumsum(sizes),
                                        self.budget.remaining_bytes, "right"))
             if fits < len(cids):
-                refused = (int(sizes[fits]),
-                           f"chunk {int(cids[fits])} of {self.label}")
+                names = ", ".join(c.label for c in self.columns)
+                refused = (int(sizes[fits]), f"chunk {int(cids[fits])} of "
+                           f"{self.label} in its columns {names}")
                 cids, first, sizes = cids[:fits], first[:fits], sizes[:fits]
-        total = int(sizes.sum())
         if len(cids):
+            total = int(sizes.sum())
             if self.budget is not None:
                 self.budget.charge(total, f"{len(cids)} chunks of {self.label}")
             start = self._used_rows
             end = start + len(cids) * self.chunk_rows
-            if end > len(self._pool):
-                self._grow(end)
-            fresh = self._pool[start:end]
-            # Zero fills are already in place: spare capacity is zeroed.
-            if self.fill_fn is not None:
-                fresh[...] = self._fill(
-                    np.minimum(self._chunk_keys(cids), self.num_rows - 1))
-            elif self.fill_value:
-                fresh[...] = self.fill_value
-            padding = self.num_chunks * self.chunk_rows - self.num_rows
-            if padding and cids[-1] == self.num_chunks - 1:
-                fresh[len(fresh) - padding:] = 0
+            padding = self.num_chunks * self.chunk_rows - self.num_rows \
+                if cids[-1] == self.num_chunks - 1 else 0
+            for column in self.columns:
+                column._append(cids, start, end, padding)
             self._shift[cids] = np.arange(start, end, self.chunk_rows) - first
             self._chunk_of_slot.extend(cids.tolist())
             self._used_rows = end
-            self.nbytes += total
+            self.resident_rows += total // self._row_nbytes
         if refused is not None:
             self.budget.charge(*refused)
+
+    def _densify(self, column: "ChunkedArray", initial) -> None:
+        """Materialize everything in every column (budget charged): identity
+        page table, no fill page. ``initial`` becomes ``column``'s contents."""
+        if self.budget is not None:
+            how = "densified" if initial is None else "dense-initialized"
+            self.budget.charge((self.num_rows - self.resident_rows)
+                               * self._row_nbytes, f"{how} {self.label}")
+        pools = [initial if c is column and initial is not None
+                 else c._dense() for c in self.columns]
+        for c, pool in zip(self.columns, pools):
+            c.pool = pool
+        self._shift = np.zeros(self.num_chunks, dtype=np.int64)
+        self._fill_end = 0
+        self._used_rows = self.resident_rows = self.num_rows
+
+    def copy(self) -> "ChunkedTable":
+        """An independent, budget-free clone (materialized chunks only, and
+        of those only the pages that hold something)."""
+        clone = copy.copy(self)
+        clone.budget = None
+        clone._shift = self._shift.copy()
+        clone._chunk_of_slot = list(self._chunk_of_slot)
+        clone.columns = []
+        for column in self.columns:
+            twin = copy.copy(column)
+            twin.table = clone
+            twin.pool = twin._zeroed(self._used_rows)
+            _copy_nonzero_pages(column.pool[:self._used_rows], twin.pool)
+            clone.columns.append(twin)
+        return clone
+
+
+class ChunkedArray:
+    """One column of a :class:`ChunkedTable`: ``num_rows`` rows of shape
+    ``row_shape`` in a pool of its own, materialized chunk-by-chunk.
+
+    Reads of untouched chunks return ``fill_value``, or ``fill_fn(keys)`` (a
+    vectorized key-wise default, e.g. the static partition for owner maps)
+    when one is given. Supports the ndarray subset used by the PS hot paths:
+    ``take``, integer/slice/fancy get and set, ``add_at``, and for vectors
+    ``where_equal``/``any``/``count_nonzero``. Keys outside
+    ``[0, num_rows)`` raise :class:`IndexError` (an integer index may be
+    negative and then counts from the end, like NumPy).
+
+    **View contract.** Fancy, slice and ``take`` reads return copies. An
+    integer index into a multi-dimensional container returns a *view* of the
+    row, like dense row indexing: live (writes go through) when the row's
+    chunk is materialized, read-only (writes raise) when it is not — write
+    through ``container[k] = ...`` or ``add_at`` to materialize. Views, and
+    blocks from :meth:`block`, stay attached until the table next
+    materializes a chunk (through any column) or is densified; do not hold
+    them across writes.
+    """
+
+    def __init__(self, table: ChunkedTable, label: str,
+                 row_shape: Tuple[int, ...], dtype, fill_value=0,
+                 fill_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                 ) -> None:
+        if table.materialized_chunks:
+            raise ValueError(f"{table.label} has materialized chunks: "
+                             f"column {label} comes too late")
+        self.table = table
+        self.label = label
+        self.num_rows = table.num_rows
+        self.chunk_rows = table.chunk_rows
+        self.num_chunks = table.num_chunks
+        self.row_shape = tuple(int(n) for n in row_shape)
+        self.shape = (self.num_rows,) + self.row_shape
+        self.ndim = len(self.shape)
+        self.dtype = np.dtype(dtype)
+        self.fill_value = fill_value
+        self.fill_fn = fill_fn
+        self._row_nbytes = self.dtype.itemsize * int(np.prod(self.row_shape))
+        #: Indexed by the table's rows; a new array whenever the table grows.
+        self.pool = self._zeroed(self.chunk_rows)
+        if fill_fn is None and fill_value:
+            self.pool[...] = fill_value
+        table.columns.append(self)
+        table._row_nbytes += self._row_nbytes
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes: only materialized chunks count."""
+        return self.table.resident_rows * self._row_nbytes
+
+    @property
+    def materialized_chunks(self) -> int:
+        return self.table.materialized_chunks
+
+    def _fill(self, keys: np.ndarray) -> np.ndarray:
+        """The key-wise default contents of ``keys``."""
+        return np.asarray(self.fill_fn(keys), dtype=self.dtype)
+
+    # ---------------------------------------------------------- materialization
+    def _append(self, cids: np.ndarray, start: int, end: int,
+                padding: int) -> None:
+        """Make pool rows ``[start, end)`` the fresh chunks ``cids``. A zero
+        fill writes nothing: spare capacity is zeroed, untouched memory."""
+        if end > len(self.pool):
+            self._grow(end)
+        if self.fill_fn is None and not self.fill_value:
+            return
+        fresh = self.pool[start:end]
+        if self.fill_fn is not None:
+            fresh[...] = self._fill(np.minimum(
+                self.table._chunk_keys(cids), self.num_rows - 1))
+        else:
+            fresh[...] = self.fill_value
+        if padding:
+            fresh[len(fresh) - padding:] = 0
 
     def _grow(self, rows_needed: int) -> None:
         """Move to a pool of ``rows_needed`` rows or double the capacity (at
         most one slot per chunk): ``n`` materializations copy ``O(n)`` rows."""
-        pool = self._zeroed(min(max(rows_needed, 2 * len(self._pool)),
+        pool = self._zeroed(min(max(rows_needed, 2 * len(self.pool)),
                                 (self.num_chunks + 1) * self.chunk_rows))
-        _copy_nonzero_pages(self._pool[:self._used_rows],
-                            pool[:self._used_rows])
-        self._pool = pool
+        used = self.table._used_rows
+        _copy_nonzero_pages(self.pool[:used], pool[:used])
+        self.pool = pool
 
     def _zeroed(self, rows: int) -> np.ndarray:
         """``rows`` zero rows in a private anonymous mapping of their own.
@@ -384,25 +501,35 @@ class ChunkedArray:
         return np.frombuffer(pages, dtype=self.dtype).reshape(
             (rows,) + self.row_shape)
 
+    def _dense(self) -> np.ndarray:
+        """All ``num_rows`` rows in one array; pages of zeros stay untouched."""
+        dense = self._zeroed(self.num_rows)
+        for lo in range(0, self.num_rows, _SCAN_ROWS):
+            hi = min(lo + _SCAN_ROWS, self.num_rows)
+            _copy_nonzero_pages(self.take(np.arange(lo, hi, dtype=np.int64)),
+                                dense[lo:hi])
+        return dense
+
     # ---------------------------------------------------------------- reading
     def take(self, keys, axis: int = 0) -> np.ndarray:
         if axis != 0:
             raise ValueError(f"take of {self.label} supports axis=0 only")
-        keys = self._keys(keys)
-        rows = self._rows(keys)
-        out = self._pool.take(rows, axis=0)
-        if self.fill_fn is not None and keys.size and self._on_fill_page(rows):
-            unmaterialized = rows < self._fill_end
+        table = self.table
+        keys = table._keys(keys)
+        rows = table._rows(keys)
+        out = self.pool.take(rows, axis=0)
+        if self.fill_fn is not None and keys.size and table._on_fill_page(rows):
+            unmaterialized = rows < table._fill_end
             out[unmaterialized] = self._fill(keys[unmaterialized])
         return out
 
     def __getitem__(self, index):
         if not isinstance(index, (int, np.integer)):
             return self.take(index)
-        key = self._key(index)
-        row = self._row(key)
-        value = self._pool[row]
-        if row < self._fill_end:
+        key = self.table._key(index)
+        row = self.table._row(key)
+        value = self.pool[row]
+        if row < self.table._fill_end:
             if self.fill_fn is not None:
                 return self._fill(np.array([key], dtype=np.int64))[0]
             if self.row_shape:
@@ -412,55 +539,37 @@ class ChunkedArray:
     def block(self, lo: int, hi: int) -> np.ndarray | None:
         """A zero-copy view of rows ``[lo, hi)``: ``None`` unless the range lies
         inside one materialized chunk (any range once densified)."""
-        if not self._fill_end:
-            return self._pool[lo:hi]
-        row = self._row(lo)
+        if not self.table._fill_end:
+            return self.pool[lo:hi]
+        row = self.table._row(lo)
         if (hi - 1) // self.chunk_rows != lo // self.chunk_rows \
-                or row < self._fill_end:
+                or row < self.table._fill_end:
             return None
-        return self._pool[row:row + hi - lo]
+        return self.pool[row:row + hi - lo]
 
     # ---------------------------------------------------------------- writing
     def __setitem__(self, index, value) -> None:
-        # Rows first: materializing may move the pool to a new allocation.
+        # Rows first: materializing moves the pool to a new allocation.
         if isinstance(index, (int, np.integer)):
-            rows = self._row(self._key(index), writable=True)
+            rows = self.table._row(self.table._key(index), writable=True)
         else:
-            keys = self._keys(index)
-            if not keys.size:
-                return
-            rows = self._writable_rows(keys)
-        self._pool[rows] = value
+            rows = self.table.writable_rows(index)
+        self.pool[rows] = value
 
     def add_at(self, keys, deltas) -> None:
         """``np.add.at`` semantics (duplicate keys accumulate in batch order)."""
-        keys = self._keys(keys)
-        if not keys.size:
-            return
-        rows = self._writable_rows(keys)
+        rows = self.table.writable_rows(keys)
         # Distinct rows take exactly one addition each, so fancy ``+=`` is
         # bit-identical to the (much slower) unbuffered ``np.add.at``.
-        if keys.size <= 64 and len(set(rows.tolist())) == keys.size:
-            self._pool[rows] += deltas
+        if rows.size <= 64 and len(set(rows.tolist())) == rows.size:
+            self.pool[rows] += deltas
         else:
-            np.add.at(self._pool, rows, deltas)
+            np.add.at(self.pool, rows, deltas)
 
     # ------------------------------------------------------------- predicates
     def _materialized_rows(self) -> np.ndarray:
         """The pool rows that back chunks (padding rows read as zero)."""
-        return self._pool[self._fill_end:self._used_rows]
-
-    def _unmaterialized_keys(self) -> Iterator[np.ndarray]:
-        """Ascending keys of the unmaterialized chunks, in bounded blocks."""
-        if not self._fill_end:
-            return
-        missing = np.ones(self.num_chunks, dtype=bool)
-        missing[self._chunk_of_slot[1:]] = False
-        cids = np.flatnonzero(missing)
-        step = max(1, _SCAN_ROWS // self.chunk_rows)
-        for at in range(0, len(cids), step):
-            keys = self._chunk_keys(cids[at:at + step])
-            yield keys[keys < self.num_rows]
+        return self.pool[self.table._fill_end:self.table._used_rows]
 
     def where_equal(self, value) -> np.ndarray:
         """Ascending row indices whose element equals ``value``.
@@ -468,19 +577,20 @@ class ChunkedArray:
         Scans the pool; untouched chunks are evaluated through their fill
         only when it can match, and never materialized.
         """
+        table = self.table
         rows = np.flatnonzero(self._materialized_rows() == value) \
-            + self._fill_end
-        if self._fill_end:
+            + table._fill_end
+        if table._fill_end:
             slots = rows // self.chunk_rows
-            chunk_of_slot = np.asarray(self._chunk_of_slot, dtype=np.int64)
+            chunk_of_slot = np.asarray(table._chunk_of_slot, dtype=np.int64)
             rows += (chunk_of_slot[slots] - slots) * self.chunk_rows
             rows = rows[rows < self.num_rows]  # zero padding can match zero
         pieces = [rows]
         if self.fill_fn is not None:
             pieces += [keys[self._fill(keys) == value]
-                       for keys in self._unmaterialized_keys()]
+                       for keys in table._unmaterialized_keys()]
         elif self.fill_value == value:
-            pieces += self._unmaterialized_keys()
+            pieces += table._unmaterialized_keys()
         return np.sort(np.concatenate(pieces))
 
     def any(self) -> bool:
@@ -489,7 +599,7 @@ class ChunkedArray:
             return True
         if self.fill_fn is not None:
             return any(self._fill(keys).any()
-                       for keys in self._unmaterialized_keys())
+                       for keys in self.table._unmaterialized_keys())
         return bool(self.fill_value) \
             and self.materialized_chunks < self.num_chunks
 
@@ -497,32 +607,25 @@ class ChunkedArray:
         total = int(np.count_nonzero(self._materialized_rows()))
         if self.fill_fn is not None:
             total += sum(int(np.count_nonzero(self._fill(keys)))
-                         for keys in self._unmaterialized_keys())
+                         for keys in self.table._unmaterialized_keys())
         elif self.fill_value:
-            total += self.num_rows - self.nbytes // self._row_nbytes
+            total += self.num_rows - self.table.resident_rows
         return total
 
     # ----------------------------------------------------------------- lifecycle
     def copy(self) -> "ChunkedArray":
-        """An independent, budget-free clone (materialized chunks only)."""
-        clone = copy.copy(self)
-        clone.budget = None
-        clone._pool = self._pool[:self._used_rows].copy()
-        clone._shift = self._shift.copy()
-        clone._chunk_of_slot = list(self._chunk_of_slot)
-        return clone
+        """This column of an independent clone of the table
+        (:meth:`ChunkedTable.copy`)."""
+        return self.table.copy().columns[self.table.columns.index(self)]
 
-    def densify(self) -> np.ndarray:
-        """Materialize everything (budget charged); the returned array *is*
-        the pool from then on, so chunked and direct writes see each other."""
-        if self._fill_end:
-            dense = np.empty(self.shape, dtype=self.dtype)
-            self._charge_dense(dense.nbytes, "densified")
-            for lo in range(0, self.num_rows, _SCAN_ROWS):
-                hi = min(lo + _SCAN_ROWS, self.num_rows)
-                dense[lo:hi] = self.take(np.arange(lo, hi, dtype=np.int64))
-            self._bind(dense)
-        return self._pool
+    def densify(self, initial: Optional[np.ndarray] = None) -> np.ndarray:
+        """Materialize everything, in every column of the table (budget
+        charged); the returned array *is* this column's pool from then on,
+        so chunked and direct writes see each other. ``initial`` (only on a
+        fresh table) is adopted as that array instead of the fills."""
+        if self.table._fill_end:
+            self.table._densify(self, initial)
+        return self.pool
 
     @classmethod
     def from_dense(cls, dense: np.ndarray,
@@ -531,25 +634,11 @@ class ChunkedArray:
                    label: str = "matrix") -> "ChunkedArray":
         """Wrap an existing dense array (identity page table over it)."""
         self = cls.__new__(cls)
-        ChunkedArray.__init__(self, dense.shape[0], dense.shape[1:],
-                              dense.dtype, chunk_rows=chunk_rows,
-                              budget=budget, label=label)
-        self._charge_dense(dense.nbytes, "dense-initialized")
-        self._bind(dense)
+        ChunkedArray.__init__(
+            self, ChunkedTable(dense.shape[0], chunk_rows, budget, label),
+            label, dense.shape[1:], dense.dtype)
+        self.densify(dense)
         return self
-
-    def _charge_dense(self, nbytes: int, how: str) -> None:
-        """Charge what a fully resident ``nbytes`` adds to the current count."""
-        if self.budget is not None:
-            self.budget.charge(nbytes - self.nbytes, f"{how} {self.label}")
-        self.nbytes = nbytes
-
-    def _bind(self, dense: np.ndarray) -> None:
-        """Make ``dense`` the pool: identity page table, no fill page."""
-        self._pool = dense
-        self._shift = np.zeros(self.num_chunks, dtype=np.int64)
-        self._fill_end = 0
-        self._used_rows = self.num_rows
 
 
 class ChunkedVector(ChunkedArray):
@@ -560,8 +649,8 @@ class ChunkedVector(ChunkedArray):
                  chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  budget: Optional[MemoryBudget] = None,
                  label: str = "vector") -> None:
-        super().__init__(num_rows, (), dtype, fill_value, fill_fn,
-                         chunk_rows, budget, label)
+        super().__init__(ChunkedTable(num_rows, chunk_rows, budget, label),
+                         label, (), dtype, fill_value, fill_fn)
 
 
 class ChunkedMatrix(ChunkedArray):
@@ -573,8 +662,8 @@ class ChunkedMatrix(ChunkedArray):
                  label: str = "matrix") -> None:
         if row_length <= 0:
             raise ValueError("row_length must be positive")
-        super().__init__(num_rows, (row_length,), dtype, 0, None,
-                         chunk_rows, budget, label)
+        super().__init__(ChunkedTable(num_rows, chunk_rows, budget, label),
+                         label, (row_length,), dtype)
 
 
 # --------------------------------------------------------------- dispatch helpers

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.ps.base import ParameterServer
-from repro.ps.chunks import ChunkedVector, flatnonzero_equal
+from repro.ps.chunks import ChunkedTable, flatnonzero_equal
 from repro.ps.rounds import (
     ChunkValues,
     RoundAccounting,
@@ -104,16 +104,14 @@ class RelocationPS(ParameterServer):
             # partition (evaluated key-wise, never stored) and as
             # "already arrived" — exactly the dense initial state — so the
             # resident footprint tracks the keys that actually relocated.
-            chunk_rows = store.storage.chunk_rows
+            table = ChunkedTable(store.num_keys, store.storage.chunk_rows,
+                                 label="relocation")
             #: Current owner node of every key; starts at the static partition.
-            self.current_owner = ChunkedVector(
-                store.num_keys, np.int64, fill_fn=self.partitioner.owners,
-                chunk_rows=chunk_rows, label="relocation.current_owner")
+            self.current_owner = table.column(
+                "current_owner", np.int64, fill_fn=self.partitioner.owners)
             #: Simulated time at which the most recent relocation of a key
             #: completes at its new owner. Accesses before that time must wait.
-            self.arrival_time = ChunkedVector(
-                store.num_keys, np.float64, 0.0,
-                chunk_rows=chunk_rows, label="relocation.arrival_time")
+            self.arrival_time = table.column("arrival_time", np.float64)
         else:
             all_keys = np.arange(store.num_keys, dtype=np.int64)
             self.current_owner = self.partitioner.owners(all_keys).astype(np.int64)

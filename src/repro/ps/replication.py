@@ -30,12 +30,13 @@ produce bit-identical simulated clocks and metrics.
 from __future__ import annotations
 
 import enum
+from types import SimpleNamespace
 from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.ps.base import ParameterServer
-from repro.ps.chunks import ChunkedMatrix, ChunkedVector, MemoryBudget, StorageConfig
+from repro.ps.chunks import ChunkedTable, MemoryBudget, StorageConfig
 from repro.ps.relocation import SMALL_BATCH, first_occurrence_in_order
 from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import Cluster, WorkerContext
@@ -54,60 +55,47 @@ class ReplicationProtocol(enum.Enum):
 #: messaging instead of shared memory.
 INTRA_PROCESS_FACTOR = 10.0
 
-#: Replica-clock value of keys that have never been replicated (always stale).
-_NEVER = -10**9
-
 
 class _NodeReplicaState:
     """Replica cache, clocks and update buffer of one node.
 
     On the dense backend (the oracle) every structure is a full
-    ``num_keys``-length array, exactly as before. On the sparse backend the
-    same structures are chunked (:mod:`repro.ps.chunks`) and materialize on
-    first write — the fills (mask ``False``, clock ``_NEVER``, buffers zero)
-    are precisely the dense initial values, so reads of untouched keys are
-    bit-identical and the node's resident memory is proportional to the keys
-    it actually replicates, bounded by an optional per-node budget.
+    ``num_keys``-length array. On the sparse backend the same five
+    structures are the columns of one :class:`~repro.ps.chunks.ChunkedTable`
+    and materialize together on first write — the fills are all zero (mask
+    ``False``, clock 0: every read of a clock is gated by ``replica_mask``),
+    precisely the dense initial values, so reads of untouched keys are
+    bit-identical and a fresh chunk is untouched memory. Resident memory is
+    one page table per node (``num_keys / chunk_rows x 8`` bytes) plus the
+    pages of the keys the node replicates, bounded by an optional per-node
+    budget.
     """
 
     def __init__(self, num_keys: int, value_length: int,
                  storage: StorageConfig | None = None,
                  node_id: int | None = None) -> None:
         self.value_length = value_length
-        sparse = storage is not None and storage.backend == "sparse"
-        if not sparse:
-            self.replica_mask = np.zeros(num_keys, dtype=bool)
-            self.replica_values = np.zeros((num_keys, value_length),
-                                           dtype=np.float32)
-            self.replica_clock = np.full(num_keys, _NEVER, dtype=np.int64)
-            self.update_mask = np.zeros(num_keys, dtype=bool)
-            self.update_values = np.zeros((num_keys, value_length),
-                                          dtype=np.float32)
-        else:
-            budget = None
+        self.table = None
+        if storage is not None and storage.backend == "sparse":
+            self.budget = None
             if storage.node_budget_bytes is not None:
-                budget = MemoryBudget(
+                self.budget = MemoryBudget(
                     storage.node_budget_bytes,
                     label=f"replica state of node {node_id}",
                 )
-            self.budget = budget
-            rows = storage.chunk_rows
-            prefix = f"node{node_id}"
-            self.replica_mask = ChunkedVector(
-                num_keys, bool, False, None, rows, budget,
-                f"{prefix}.replica_mask")
-            self.replica_values = ChunkedMatrix(
-                num_keys, value_length, np.float32, rows, budget,
-                f"{prefix}.replica_values")
-            self.replica_clock = ChunkedVector(
-                num_keys, np.int64, _NEVER, None, rows, budget,
-                f"{prefix}.replica_clock")
-            self.update_mask = ChunkedVector(
-                num_keys, bool, False, None, rows, budget,
-                f"{prefix}.update_mask")
-            self.update_values = ChunkedMatrix(
-                num_keys, value_length, np.float32, rows, budget,
-                f"{prefix}.update_values")
+            self.table = ChunkedTable(num_keys, storage.chunk_rows,
+                                      self.budget, f"node{node_id}")
+            column = self.table.column
+        else:
+            def column(name, dtype, row_shape=()):
+                return np.zeros((num_keys,) + row_shape, dtype=dtype)
+        self.replica_mask = column("replica_mask", bool)
+        self.replica_values = column("replica_values", np.float32,
+                                     (value_length,))
+        self.replica_clock = column("replica_clock", np.int64)
+        self.update_mask = column("update_mask", bool)
+        self.update_values = column("update_values", np.float32,
+                                    (value_length,))
         # Key batches pushed since the last flush. A superset of the set bits
         # in ``update_mask`` (which stays authoritative): flushes enumerate
         # their keys from this list instead of scanning the full mask, which
@@ -140,6 +128,25 @@ class _NodeReplicaState:
             + self.replica_clock.nbytes + self.update_mask.nbytes
             + self.update_values.nbytes
         )
+
+    def at(self, keys: np.ndarray, writable: bool = False):
+        """``(index, arrays)``: ``arrays.<structure>[index]`` addresses ``keys``.
+
+        Dense: the keys and this state. Sparse: the pool rows — one
+        validation and translation for all five structures, the chunks
+        materialized first when ``writable`` — and the pools, current until
+        this node next materializes a chunk.
+        """
+        if self.table is None:
+            return keys, self
+        rows = self.table.writable_rows(keys) if writable \
+            else self.table.rows(keys)
+        return rows, SimpleNamespace(
+            replica_mask=self.replica_mask.pool,
+            replica_values=self.replica_values.pool,
+            replica_clock=self.replica_clock.pool,
+            update_mask=self.update_mask.pool,
+            update_values=self.update_values.pool)
 
 
 class ReplicationPS(ParameterServer):
@@ -198,7 +205,8 @@ class ReplicationPS(ParameterServer):
             return self._pull_small(worker, state, keys, worker_clock)
 
         threshold = worker_clock - self.staleness
-        fresh = state.replica_mask[keys] & (state.replica_clock[keys] >= threshold)
+        index, at = state.at(keys)
+        fresh = at.replica_mask[index] & (at.replica_clock[index] >= threshold)
         stale_idx = np.flatnonzero(~fresh)
         # Only the first occurrence of a stale key refreshes; by the time a
         # duplicate comes up its replica clock equals the worker clock, so it
@@ -276,9 +284,10 @@ class ReplicationPS(ParameterServer):
 
         # Apply the deltas to the replica and buffer them for the next flush
         # (duplicate keys accumulate in batch order).
-        scatter_add_rows(state.replica_values, keys, deltas)
-        scatter_add_rows(state.update_values, keys, deltas)
-        state.update_mask[keys] = True
+        index, at = state.at(keys, writable=True)
+        scatter_add_rows(at.replica_values, index, deltas)
+        scatter_add_rows(at.update_values, index, deltas)
+        at.update_mask[index] = True
         state.pending_updates.append(keys)
 
         self.metrics.record_access_batch(worker.node_id, {
@@ -361,14 +370,14 @@ class ReplicationPS(ParameterServer):
         updates (Petuum reads its own writes).
         """
         refreshed = self.store.get(refresh_keys)
-        buffered = state.update_mask.take(refresh_keys)
+        index, at = state.at(refresh_keys, writable=True)
+        buffered = at.update_mask.take(index)
         if buffered.any():
-            buffered_keys = refresh_keys[buffered]
             refreshed[buffered] = refreshed[buffered] \
-                + state.update_values[buffered_keys]
-        state.replica_values[refresh_keys] = refreshed
-        state.replica_mask[refresh_keys] = True
-        state.replica_clock[refresh_keys] = worker_clock
+                + at.update_values[index[buffered]]
+        at.replica_values[index] = refreshed
+        at.replica_mask[index] = True
+        at.replica_clock[index] = worker_clock
 
     # ---------------------------------------------------- small-batch hybrid
     def _pull_small(self, worker: WorkerContext, state: _NodeReplicaState,
@@ -385,12 +394,13 @@ class ReplicationPS(ParameterServer):
         clock = worker.clock
         now = clock.now
         keys_list = keys.tolist()
-        has_replica = state.replica_mask.take(keys).tolist()
-        replica_clock = state.replica_clock.take(keys).tolist()
+        index, at = state.at(keys)
+        has_replica = at.replica_mask.take(index).tolist()
+        replica_clock = at.replica_clock.take(index).tolist()
         if all(has_replica) and min(replica_clock) >= threshold:
             # Every key is a fresh replica (the steady state): one fancy
             # index, one repeated clock fold, one metrics write.
-            values = state.replica_values[keys]
+            values = at.replica_values[index]
             clock.advance_repeated(intra_cost, len(keys_list))
             self.metrics.record_access("pull.replica", node_id, len(keys_list))
             return values
@@ -475,9 +485,11 @@ class ReplicationPS(ParameterServer):
 
         # Apply the deltas to the replica and buffer them for the next flush
         # (duplicate keys accumulate in batch order).
-        scatter_add_rows(state.replica_values, keys, deltas, keys_list)
-        scatter_add_rows(state.update_values, keys, deltas, keys_list)
-        state.update_mask[keys] = True
+        index, at = state.at(keys, writable=True)
+        index_list = keys_list if index is keys else index.tolist()
+        scatter_add_rows(at.replica_values, index, deltas, index_list)
+        scatter_add_rows(at.update_values, index, deltas, index_list)
+        at.update_mask[index] = True
         state.pending_updates.append(keys)
         self._finish_group_charge(node_id, server_counts,
                                   len(keys_list), "push.replica",
@@ -572,11 +584,12 @@ class ReplicationPS(ParameterServer):
             keys = np.array(sorted(set(candidates.tolist())), dtype=np.int64)
         else:
             keys = np.unique(candidates)
-        keys = keys[state.update_mask[keys]]
+        index, at = state.at(keys)
+        buffered = at.update_mask[index]
+        keys, index = keys[buffered], index[buffered]
         if not len(keys):
             return
-        deltas = state.update_values[keys]
-        self.store.add_distinct(keys, deltas)
+        self.store.add_distinct(keys, at.update_values[index])
 
         owners = self.partitioner.owners(keys)
         background = self.cluster.node(node_id).background_clock
@@ -606,8 +619,8 @@ class ReplicationPS(ParameterServer):
         self.metrics.increment(
             "replication.flushed_keys", len(keys), node=node_id
         )
-        state.update_values[keys] = 0.0
-        state.update_mask[keys] = False
+        at.update_values[index] = 0.0
+        at.update_mask[index] = False
         tracer = self.tracer
         if tracer is not None:
             tracer.event("replica_flush", "replica", background.now,
@@ -619,8 +632,9 @@ class ReplicationPS(ParameterServer):
         if not state.replica_mask.any():
             return
         keys = state.replicated_keys()
-        state.replica_values[keys] = self.store.get(keys)
-        state.replica_clock[keys] = state.clock
+        index, at = state.at(keys)
+        at.replica_values[index] = self.store.get(keys)
+        at.replica_clock[index] = state.clock
 
         owners = self.partitioner.owners(keys)
         background = self.cluster.node(node_id).background_clock
@@ -680,12 +694,12 @@ class ReplicationPS(ParameterServer):
         keys = np.asarray(keys, dtype=np.int64)
         values = np.zeros((len(keys), self.store.value_length), dtype=np.float32)
         mask = np.zeros(len(keys), dtype=bool)
-        best_clock = np.full(len(keys), _NEVER - 1, dtype=np.int64)
+        best_clock = np.zeros(len(keys), dtype=np.int64)
         for node_id, state in self._nodes.items():
             if node_id in self.cluster.failed:
                 continue
             clocks = state.replica_clock[keys]
-            better = state.replica_mask[keys] & (clocks > best_clock)
+            better = state.replica_mask[keys] & (~mask | (clocks > best_clock))
             if np.any(better):
                 idx = np.flatnonzero(better)
                 values[idx] = state.replica_values[keys[idx]]
@@ -757,10 +771,11 @@ class _ReplicationPointCharger(ChunkValues):
     Values live in the node's replica: :meth:`read` serves
     ``replica_values``, :meth:`add` lands in ``replica_values`` and
     ``update_values``; the chunk's keys enter ``update_mask`` and
-    ``pending_updates`` once, when it is charged.
+    ``pending_updates`` once, when it is charged, and are translated to the
+    node's rows (:meth:`_NodeReplicaState.at`) once for the whole value pass.
     """
 
-    __slots__ = ("acc", "state")
+    __slots__ = ("acc", "values", "updates")
 
     def __init__(self, ps: ReplicationPS) -> None:
         self.ps = ps
@@ -775,13 +790,14 @@ class _ReplicationPointCharger(ChunkValues):
         """
         ps = self.ps
         node_id = worker.node_id
-        state = self.state = ps._nodes[node_id]
+        state = ps._nodes[node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
         keys_per_point = keys2d.shape[1]
         flat = keys2d.ravel()
         n = len(flat)
-        fresh = state.replica_mask.take(flat) & (
-            state.replica_clock.take(flat) >= worker_clock - ps.staleness
+        index, at = state.at(flat)
+        fresh = at.replica_mask.take(index) & (
+            at.replica_clock.take(index) >= worker_clock - ps.staleness
         )
         self._bind(flat)
         if n == 0:
@@ -823,8 +839,15 @@ class _ReplicationPointCharger(ChunkValues):
             now += compute
         worker.clock.advance_to(now)
 
-        state.update_mask[flat] = True
         state.pending_updates.append(flat)
+        # From here on ``keys`` index the node's arrays (sparse: pool rows,
+        # translated once for the whole value pass; nothing materializes on
+        # this node before the next chunk is charged).
+        self.keys, at = state.at(self.keys, writable=True)
+        if at is not state:
+            self.keys_list = self.keys.tolist()
+        self.values, self.updates = at.replica_values, at.update_values
+        at.update_mask[self.keys] = True
 
         acc = self.acc
         acc.add_access(node_id, "pull.replica", n - n_refresh)
@@ -837,14 +860,13 @@ class _ReplicationPointCharger(ChunkValues):
                             n_remote * ps._cached_value_bytes)
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        return self.state.replica_values.take(self.keys[lo:hi], axis=0)
+        return self.values.take(self.keys[lo:hi], axis=0)
 
     def _add_rows(self, keys: np.ndarray, keys_list: list,
                   deltas: np.ndarray) -> None:
         """Apply to the replica and buffer for the next flush."""
-        state = self.state
-        scatter_add_rows(state.replica_values, keys, deltas, keys_list)
-        scatter_add_rows(state.update_values, keys, deltas, keys_list)
+        scatter_add_rows(self.values, keys, deltas, keys_list)
+        scatter_add_rows(self.updates, keys, deltas, keys_list)
 
     def finish(self) -> None:
         """Write the round's aggregated counters."""

@@ -15,7 +15,8 @@ Two storage backends sit behind the same API (selected via
 * ``sparse`` — fixed-size chunks materialized on first write (see
   :mod:`repro.ps.chunks`), with an optional memory budget. Untouched chunks
   read as zeros without being allocated, so a store over 10^8+ logical keys
-  costs memory proportional to the *touched* key set, not the key space.
+  costs one page table (``num_keys / chunk_rows x 8`` bytes) plus memory
+  proportional to the *touched* key set.
 
 Updates are *additive* (``add``), which matches how the paper's workloads use
 a PS: workers push gradients or gradient-like deltas that the server adds to
@@ -31,8 +32,7 @@ import numpy as np
 
 from repro.ps.chunks import (
     DENSE_STORAGE,
-    ChunkedMatrix,
-    ChunkedVector,
+    ChunkedTable,
     MemoryBudget,
     StorageConfig,
 )
@@ -84,48 +84,35 @@ class ParameterStore:
         self.value_length = int(value_length)
         self.storage = storage if storage is not None else DENSE_STORAGE
         rng = np.random.default_rng(seed)
+        #: Sparse backend: the page table ``_values`` and ``_versions`` share.
+        self._table = self._budget = None
+        if init_scale:
+            # One RNG stream over the *full* matrix; reproducing it lazily per
+            # chunk is impossible, so the sparse backend materializes eagerly
+            # (budget checked) to stay bit-identical to the dense oracle.
+            # Lazy sparseness pays off for zero-initialized stores (scale
+            # sweeps, embedding output vectors) and API-driven init.
+            initial = rng.normal(
+                0.0, init_scale, size=(num_keys, value_length)
+            ).astype(np.float32)
         if self.storage.backend == "dense":
-            self._budget = None
-            if init_scale:
-                self._values = rng.normal(
-                    0.0, init_scale, size=(num_keys, value_length)
-                ).astype(np.float32)
-            else:
-                self._values = np.zeros((num_keys, value_length), dtype=np.float32)
+            self._values = initial if init_scale else \
+                np.zeros((num_keys, value_length), dtype=np.float32)
             # Monotonic per-key version counters; bumped on every write. Used
             # by tests and by replica managers to detect missed updates.
             self._versions = np.zeros(num_keys, dtype=np.int64)
         else:
-            budget = None
             if self.storage.store_budget_bytes is not None:
-                budget = MemoryBudget(
+                self._budget = MemoryBudget(
                     self.storage.store_budget_bytes,
                     label=f"parameter store ({self.num_keys} keys)",
                 )
-            self._budget = budget
-            chunk_rows = self.storage.chunk_rows
+            self._table = table = ChunkedTable(
+                num_keys, self.storage.chunk_rows, self._budget, "store")
+            self._values = table.column("values", np.float32, (value_length,))
+            self._versions = table.column("versions", np.int64)
             if init_scale:
-                # A random initialization is one RNG stream over the *full*
-                # matrix; reproducing it lazily per chunk is impossible, so
-                # the sparse backend materializes eagerly here (budget
-                # checked) to stay bit-identical to the dense oracle. Lazy
-                # sparseness pays off for zero-initialized stores (scale
-                # sweeps, embedding output vectors) and API-driven init.
-                full = rng.normal(
-                    0.0, init_scale, size=(num_keys, value_length)
-                ).astype(np.float32)
-                self._values = ChunkedMatrix.from_dense(
-                    full, chunk_rows, budget, label="store.values"
-                )
-            else:
-                self._values = ChunkedMatrix(
-                    num_keys, value_length, np.float32, chunk_rows,
-                    budget, label="store.values"
-                )
-            self._versions = ChunkedVector(
-                num_keys, np.int64, 0, None, chunk_rows,
-                budget, label="store.versions"
-            )
+                self._values.densify(initial)
 
     # ---------------------------------------------------------------- access
     def get(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -204,8 +191,12 @@ class ParameterStore:
         flushes, the round-fused engine) whose key sets come from
         ``np.unique``/``flatnonzero``.
         """
-        self._values[keys] += deltas
-        self._versions[keys] += 1
+        values, versions = self._values, self._versions
+        if self._table is not None:  # one translation serves both columns
+            keys = self._table.writable_rows(keys)
+            values, versions = values.pool, versions.pool
+        values[keys] += deltas
+        versions[keys] += 1
 
     def add_rows(self, keys: np.ndarray, deltas: np.ndarray,
                  keys_list: list | None = None) -> None:
@@ -382,16 +373,21 @@ class ParameterStore:
 
         Built without the throwaway zero allocation a ``__init__`` round-trip
         would make (at scale that would double checkpoint peak memory); on
-        the sparse backend only materialized chunks are copied. The clone is
-        not budget-tracked — snapshots model stable storage, not node RAM.
+        the sparse backend only the written pages of materialized chunks
+        become resident. The clone is not budget-tracked — snapshots model
+        stable storage, not node RAM.
         """
         clone = ParameterStore.__new__(ParameterStore)
         clone.num_keys = self.num_keys
         clone.value_length = self.value_length
         clone.storage = self.storage
-        clone._budget = None
-        clone._values = self._values.copy()
-        clone._versions = self._versions.copy()
+        clone._table = clone._budget = None
+        if self._table is None:
+            clone._values = self._values.copy()
+            clone._versions = self._versions.copy()
+        else:
+            clone._table = self._table.copy()
+            clone._values, clone._versions = clone._table.columns
         return clone
 
     def with_storage(self, storage: StorageConfig) -> "ParameterStore":

@@ -242,9 +242,6 @@ class Cluster:
             node.background_clock.advance_to(now)
             node.server_clock.advance_to(now)
 
-    def is_failed(self, node_id: int) -> bool:
-        return node_id in self.failed
-
     @property
     def active_nodes(self) -> List[int]:
         """Ids of nodes whose shard is currently reachable, in order."""

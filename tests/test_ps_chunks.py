@@ -11,6 +11,7 @@ import pytest
 from repro.ps.chunks import (
     DEFAULT_CHUNK_ROWS,
     ChunkedMatrix,
+    ChunkedTable,
     ChunkedVector,
     MemoryBudget,
     MemoryBudgetExceeded,
@@ -26,13 +27,11 @@ from repro.simulation.cluster import ClusterConfig
 
 
 class TestMemoryBudget:
-    def test_charge_accumulates_and_release_frees(self):
+    def test_charge_accumulates(self):
         budget = MemoryBudget(1000, label="test")
         budget.charge(600, "a")
         assert budget.used_bytes == 600
         assert budget.remaining_bytes == 400
-        budget.release(200)
-        assert budget.used_bytes == 400
 
     def test_over_budget_raises_before_allocation(self):
         budget = MemoryBudget(1000, label="node 3 state")
@@ -413,6 +412,165 @@ def test_from_dense_matches_ndarray_reference(chunk_rows):
     _drive(rng, container, reference)
 
 
+#: (name, dtype, row_shape, fill): the first ``k`` are a ``k``-column table.
+TABLE_COLUMNS = (
+    ("mask", np.bool_, (), "zero"),
+    ("values", np.float32, (3,), "zero"),
+    ("owner", np.int64, (), "key-wise"),
+    ("clock", np.int64, (), "constant"),
+    ("wide", np.float64, (2,), "zero"),
+)
+
+
+def _owner_fill(keys):
+    return keys % 5 - 1
+
+
+def _table(num_columns, chunk_rows, budget=None):
+    """A ``num_columns``-column table and the ndarrays it must equal."""
+    table = ChunkedTable(NUM_ROWS, chunk_rows, budget, label="t")
+    references = []
+    for name, dtype, row_shape, fill in TABLE_COLUMNS[:num_columns]:
+        if fill == "key-wise":
+            table.column(name, dtype, row_shape, fill_fn=_owner_fill)
+            references.append(_owner_fill(np.arange(NUM_ROWS)).astype(dtype))
+        else:
+            value = 0 if fill == "zero" else 7
+            table.column(name, dtype, row_shape, fill_value=value)
+            references.append(np.full((NUM_ROWS,) + row_shape, value, dtype))
+    return table, references
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("num_columns", [2, 3, 4, 5])
+def test_table_matches_one_ndarray_per_column(chunk_rows, num_columns):
+    """The single-container differential, one random column at a time: an
+    operation on one column (materialization, ``copy``, ``densify``
+    included) must leave every column of the table exact."""
+    rng = np.random.default_rng([chunk_rows, num_columns])
+    table, references = _table(num_columns, chunk_rows)
+    everything = np.arange(NUM_ROWS)
+    for _ in range(150):
+        at = int(rng.integers(0, num_columns))
+        column = _drive(rng, table.columns[at], references[at], steps=1)
+        table = column.table  # a clone's after ``copy``
+        assert table.columns[at] is column
+        for column, reference in zip(table.columns, references):
+            _exact(column.take(everything), reference)
+            assert column.nbytes == table.resident_rows * reference[0].nbytes
+    assert table.materialized_chunks > 0
+
+
+class TestTable:
+    def test_one_page_table_for_all_columns(self):
+        table, _ = _table(5, 7)
+        assert len({id(column.table._shift) for column in table.columns}) == 1
+        table.columns[1][100] = 1.0  # through one column: every column's chunk
+        assert [c.materialized_chunks for c in table.columns] == [1] * 5
+        rows = table.rows(np.array([100, 5]))
+        assert table.columns[1].pool[rows].tolist() == [[1.0] * 3, [0.0] * 3]
+        assert table.columns[3].pool[rows].tolist() == [7, 7]
+
+    def test_store_add_distinct_translates_once(self, monkeypatch):
+        """Values and versions share the rows (it was get + set for each)."""
+        store = ParameterStore(10**6, 8,
+                               storage=StorageConfig(backend="sparse"))
+        keys = np.array([5, 70_000], dtype=np.int64)
+        ones = np.ones((2, 8), dtype=np.float32)
+        store.add_distinct(keys, ones)  # materializes: translates twice
+        translations = []
+        rows = ChunkedTable._rows
+        monkeypatch.setattr(
+            ChunkedTable, "_rows",
+            lambda table, keys: translations.append(table) or rows(table, keys))
+        store.add_distinct(keys, ones)
+        assert len(translations) == 1
+        assert store.get(keys).tolist() == [[2.0] * 8] * 2
+        assert store.read_versions(keys).tolist() == [2, 2]
+
+    def test_a_column_comes_before_the_first_chunk(self):
+        table, _ = _table(2, 7)
+        table.columns[0][3] = True
+        with pytest.raises(ValueError, match="comes too late"):
+            table.column("late", np.int64)
+
+    def test_a_view_taken_before_a_materialization(self):
+        """It stays readable (its pool outlives the move) but is detached:
+        the view contract ends at the table's next materialization,
+        through whichever column."""
+        table, references = _table(3, 7)
+        mask, values, _ = table.columns
+        values[10] = np.array([1.0, 2.0, 3.0])
+        references[1][10] = [1.0, 2.0, 3.0]
+        view = values[10]
+        mask[np.arange(50, 300)] = True  # many chunks: every pool moves
+        references[0][50:300] = True
+        assert view.tolist() == [1.0, 2.0, 3.0]
+        for column, reference in zip(table.columns, references):
+            _exact(column.take(np.arange(NUM_ROWS)), reference)
+
+    def test_budget_runs_out_mid_batch(self):
+        """Chunks that fit materialize in every column, the first that does
+        not raises, and the budget holds the sum over the columns."""
+        chunk_bytes = 7 * (1 + 12 + 8 + 8)  # one 7-row chunk of 4 columns
+        budget = MemoryBudget(2 * chunk_bytes + 5, label="node 0")
+        table, references = _table(4, 7, budget)
+        with pytest.raises(MemoryBudgetExceeded, match="chunk 20 of t "):
+            table.columns[1][np.array([140, 3, 70])] = 1.0  # chunks 0, 10, 20
+        assert table.materialized_chunks == 2
+        assert [c.materialized_chunks for c in table.columns] == [2] * 4
+        assert budget.used_bytes == 2 * chunk_bytes \
+            == sum(column.nbytes for column in table.columns)
+        for column, reference in zip(table.columns, references):
+            _exact(column.take(np.arange(NUM_ROWS)), reference)  # not written
+        table.columns[1][np.array([3, 70])] = 1.0  # what fitted is writable
+        assert table.columns[1][70].tolist() == [1.0] * 3
+
+    #: What the message must name, and the three remedies it gives.
+    MESSAGE_PARTS = {
+        "table": "chunk 20 of t ",
+        "columns": "in its columns t.mask, t.values, t.owner, t.clock",
+        "one chunk across all columns": "(203.0 B)",
+        "used / limit": "the 411.0 B memory budget of node 0 (used: 406.0 B)",
+        "remedy: budget": "Raise the budget (StorageConfig budget bytes)",
+        "remedy: chunk size": "reduce chunk_rows so each touched key "
+                              "materializes less state",
+        "remedy: touched keys": "reduce the number of distinct keys touched",
+    }
+
+    @pytest.mark.parametrize("part", MESSAGE_PARTS)
+    def test_budget_message(self, part):
+        table, _ = _table(4, 7, MemoryBudget(2 * 203 + 5, label="node 0"))
+        with pytest.raises(MemoryBudgetExceeded) as excinfo:
+            table.columns[0][np.array([140, 3, 70])] = True
+        assert self.MESSAGE_PARTS[part] in str(excinfo.value)
+
+    def test_snapshot_of_a_sparse_store_touches_only_written_pages(self):
+        """Regression: ``copy`` cloned pools on the heap, every materialized
+        row resident (here 100 chunks x 4096 rows x 40 B = 16 MiB)."""
+        store = ParameterStore(10**7, 8,
+                               storage=StorageConfig(backend="sparse"))
+        keys = np.arange(100, dtype=np.int64) * 99_991
+        store.add(keys, np.ones((100, 8), dtype=np.float32))
+        assert store.materialized_chunks() == 100
+        before = _resident_mib()
+        snapshot = store.copy()
+        assert _resident_mib() - before < 8
+        assert snapshot.nbytes() == store.nbytes()
+        _exact(snapshot.get(keys), store.get(keys))
+        _exact(snapshot.read_versions(keys), store.read_versions(keys))
+        snapshot.add(keys[:1], np.ones((1, 8), dtype=np.float32))
+        assert store.version(0) == 1 and snapshot.version(0) == 2
+
+
+def _resident_mib() -> float:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise AssertionError("no VmRSS in /proc/self/status")
+
+
 # --------------------------------------------------------------------------
 # Budgets: charge before the pool grows, charge exactly what is materialized.
 # --------------------------------------------------------------------------
@@ -424,10 +582,10 @@ class TestBudgets:
                             budget=budget)
         vec[0] = 1  # one 16-row int64 chunk = 128 bytes
         assert budget.used_bytes == 128
-        pool = vec._pool
+        pool = vec.pool
         with pytest.raises(MemoryBudgetExceeded, match="chunk 31 of vector"):
             vec[500] = 1  # second chunk would exceed 200 bytes
-        assert vec._pool is pool  # refused before any allocation
+        assert vec.pool is pool  # refused before any allocation
         assert budget.used_bytes == vec.nbytes == 128
         assert vec.materialized_chunks == 1
         assert vec[500] == 0
@@ -457,7 +615,7 @@ class TestBudgets:
         mat[1002] = 1.0
         full = mat.materialized_chunks - 1
         assert mat.nbytes == (full * 8 + 3) * 16 == budget.used_bytes
-        assert mat._pool.nbytes > mat.nbytes
+        assert mat.pool.nbytes > mat.nbytes
 
     def test_densify_is_charged_and_refused_over_budget(self):
         budget = MemoryBudget(1000)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
+from repro.ps.storage import ParameterStore
+from repro.simulation.cluster import Cluster, ClusterConfig
 
 
 def make_ps(store, cluster, protocol=ReplicationProtocol.SSP, staleness=1):
@@ -149,3 +151,69 @@ class TestCosts:
         local_key = int(ps.partitioner.keys_of(0)[0])
         ps.pull(worker, [local_key])
         assert worker.clock.now > cluster.network.local_access_cost
+
+
+class TestReplicaClockIsGatedByTheMask:
+    """Every read of ``replica_clock`` sits behind ``replica_mask``: the clock
+    of a key without a replica is never looked at, so it may start at 0 (an
+    untouched page on the sparse backend) instead of a "never" sentinel."""
+
+    @staticmethod
+    def _run(protocol, batch_charging, poison):
+        store = ParameterStore(num_keys=300, value_length=4, seed=7,
+                               init_scale=0.5)
+        cluster = Cluster(ClusterConfig(num_nodes=4, workers_per_node=2))
+        ps = ReplicationPS(store, cluster, protocol=protocol, staleness=1,
+                           batch_charging=batch_charging)
+        rng = np.random.default_rng(3)
+
+        def poison_unreplicated():
+            if poison:
+                for state in ps._nodes.values():
+                    state.replica_clock[~state.replica_mask] = 2**40
+
+        for _ in range(5):
+            for worker in cluster.workers():
+                for size in (3, 100):  # the small-batch and the masked paths
+                    keys = rng.integers(0, 300, size=size)
+                    deltas = rng.normal(size=(size, 4)).astype(np.float32)
+                    poison_unreplicated()
+                    ps.pull(worker, keys)
+                    poison_unreplicated()
+                    ps.push(worker, keys, deltas)
+                charger = ps.direct_point_charger()
+                if charger is not None:  # the production round path
+                    poison_unreplicated()
+                    charger.charge_chunk(
+                        worker, rng.integers(0, 300, size=(6, 2)), 1e-5)
+                    for lo in range(0, 12, 2):
+                        charger.add(lo, lo + 2, 0.1 * charger.read(lo, lo + 2))
+                    charger.finish()
+                poison_unreplicated()
+                ps.advance_clock(worker)
+        poison_unreplicated()
+        recovered, found = ps.recover_values(np.arange(300))
+        ps.finish_epoch()
+        nodes = [cluster.node(node_id) for node_id in range(4)]
+        return {
+            "clocks": [worker.clock.now for worker in cluster.workers()]
+            + [node.server_clock.now for node in nodes]
+            + [node.background_clock.now for node in nodes],
+            "metrics": cluster.metrics.counters(),
+            "values": store.values.tobytes(),
+            "versions": store.versions.tobytes(),
+            "recovered": (recovered.tobytes(), found.tobytes()),
+            "replicas": [
+                (state.replica_mask.tobytes(),
+                 state.replica_clock[state.replica_mask].tobytes(),
+                 state.replica_values.tobytes())
+                for state in ps._nodes.values()],
+        }
+
+    @pytest.mark.parametrize("batch_charging", [True, False])
+    @pytest.mark.parametrize("protocol", list(ReplicationProtocol))
+    def test_poisoned_clocks_of_unreplicated_keys_change_nothing(
+            self, protocol, batch_charging):
+        clean = self._run(protocol, batch_charging, poison=False)
+        assert clean == self._run(protocol, batch_charging, poison=True)
+        assert clean["metrics"]["access.pull.remote"] > 0

@@ -10,6 +10,11 @@ dense backend could not possibly meet.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -268,6 +273,67 @@ class TestMemoryBudgetRegression:
         assert "memory budget" in message
         assert "chunk_rows" in message
         assert "Raise the budget" in message
+
+
+#: The scale cell of ``perfbench``'s ``sparse_store`` workload in small, in
+#: a process of its own: pools are anonymous mappings whose pages count only
+#: once written. The peak is ``VmHWM``, not ``ru_maxrss``, which a child
+#: inherits across ``exec`` from the (much larger) pytest process.
+_SCALE_CELL = """
+import gc, json
+import numpy as np
+from repro.ps.chunks import ChunkedTable, StorageConfig
+from repro.ps.storage import ParameterStore
+from repro.runner.systems import build_parameter_server
+from repro.simulation.cluster import Cluster, ClusterConfig
+
+def peak_mib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:")) / 1024
+
+baseline = peak_mib()
+store = ParameterStore(10**8, 8, storage=StorageConfig(
+    backend="sparse", chunk_rows=2048))
+cluster = Cluster(ClusterConfig(num_nodes=8, workers_per_node=2))
+ps = build_parameter_server("essp", store, cluster, None)
+rng = np.random.default_rng(0)
+delta = np.full((128, 8), 0.01, dtype=np.float32)
+for node_id in range(8):
+    worker = cluster.worker(node_id, 0)
+    keys = rng.integers(0, 10**8, size=128)
+    ps.localize(worker, keys)
+    ps.pull(worker, keys)
+    ps.push(worker, keys, delta)
+for worker in cluster.workers():
+    ps.advance_clock(worker)
+ps.finish_epoch()
+grown = peak_mib() - baseline
+tables = {id(obj._shift) for obj in gc.get_objects()
+          if isinstance(obj, ChunkedTable) and len(obj._shift) == 48829}
+print(json.dumps({"grown_mib": grown,
+                  "page_tables": len(tables),
+                  "stored": float(store.get(np.arange(10**8 - 5, 10**8)).sum()),
+                  "chunks": store.materialized_chunks()}))
+"""
+
+
+def test_scale_cell_resident_memory_and_page_tables():
+    """10^8 keys, 8-node ESSP, 1024 touched keys: one page table for the
+    store and one per node (9 x 0.37 MiB), then one 4 KiB page per touched
+    key and column (7 x 4 MiB); measured 38 MiB. It was 62 MiB with a page
+    table per container (42 of them) and replica clocks filled with a
+    "never" value on materialization."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", _SCALE_CELL], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["page_tables"] == 9
+    assert report["chunks"] >= 1000 and report["stored"] == 0.0
+    assert report["grown_mib"] < 46, report
 
 
 # --------------------------------------------------------------------------
