@@ -49,24 +49,11 @@ def _partition_mask(mask: np.ndarray):
     A ``None`` on either side signals a homogeneous mask (all-False when the
     first element is None, all-True when the second is), so callers can take
     whole-batch fast paths; the placeholder on the opposite side is unused.
-    Small masks are partitioned with a Python loop (cheaper than two
-    ``flatnonzero`` calls at that size).
     """
-    n = len(mask)
-    if n <= 64:
-        as_list = mask.tolist()
-        true_positions = [i for i, m in enumerate(as_list) if m]
-        if not true_positions:
-            return None, ()
-        if len(true_positions) == n:
-            return (), None
-        false_positions = [i for i, m in enumerate(as_list) if not m]
-        return (np.asarray(true_positions, dtype=np.intp),
-                np.asarray(false_positions, dtype=np.intp))
     true_idx = np.flatnonzero(mask)
     if len(true_idx) == 0:
         return None, ()
-    if len(true_idx) == n:
+    if len(true_idx) == len(mask):
         return (), None
     return true_idx, np.flatnonzero(~mask)
 
@@ -140,21 +127,13 @@ class NuPS(RelocationPS, SamplingHost):
 
     def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("pull", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("pull", worker, keys)
         return self._pull(worker, keys, sampling=False)
 
     def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
              deltas: np.ndarray) -> None:
         keys, deltas = self._validate_push(keys, deltas)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("push", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("push", worker, keys)
         self._push(worker, keys, deltas, sampling=False)
 
     def remanage(self, plan: ManagementPlan, now: Optional[float] = None) -> None:
@@ -305,35 +284,10 @@ class NuPS(RelocationPS, SamplingHost):
         keys = keys[~self.plan.replicated_mask(keys)]
         if len(keys) == 0:
             return
-        if not self.batch_charging:
-            self._localize_async_scalar(node_id, keys)
-            return
         # Background-issued relocations start at the communication thread's
         # own time (no worker is blocked) and count toward the sampling
-        # relocation metric; the batch mechanics are shared with localize.
+        # relocation metric; the mechanics are shared with localize.
         self._relocate_batch(node_id, keys, worker_clock=None, sampling=True)
-
-    def _localize_async_scalar(self, node_id: int, keys: np.ndarray) -> None:
-        """Per-key reference implementation of :meth:`localize_async`."""
-        background = self.cluster.node(node_id).background_clock
-        value_bytes = self.store.value_bytes()
-        relocation_latency = self.network.relocation_cost(value_bytes)
-        occupancy = self.network.relocation_occupancy(value_bytes)
-        for key in keys:
-            key = int(key)
-            if self.current_owner[key] == node_id:
-                continue
-            start = background.now
-            background.advance(occupancy)
-            arrival = max(start + relocation_latency, background.now)
-            self.current_owner[key] = node_id
-            self.arrival_time[key] = arrival
-            self.metrics.increment("relocation.count", 1, node=node_id)
-            self.metrics.increment("relocation.sampling", 1, node=node_id)
-            self.metrics.increment("network.messages", 3, node=node_id)
-            self.metrics.increment(
-                "network.bytes", value_bytes, node=node_id
-            )
 
     def key_is_local(self, node_id: int, key: int) -> bool:
         key = int(key)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.errors import DeadOwnerError, RemovedOwnerError
-from repro.ps.base import PullResult, SampleHandle
 from repro.simulation.cluster import WorkerContext
 
 __all__ = ["FaultTolerantParameterServer"]
@@ -71,26 +70,6 @@ class FaultTolerantParameterServer:
     @property
     def inner(self):
         return self._inner
-
-    @property
-    def name(self) -> str:
-        return self._inner.name
-
-    @property
-    def store(self):
-        return self._inner.store
-
-    @property
-    def network(self):
-        return self._inner.network
-
-    @property
-    def cluster(self):
-        return self._inner.cluster
-
-    @property
-    def metrics(self):
-        return self._inner.metrics
 
     def __getattr__(self, attribute):
         return getattr(self._inner, attribute)
@@ -260,26 +239,6 @@ class FaultTolerantParameterServer:
             # buffered-update flush (it would cross the partition).
             return
         self._inner.advance_clock(worker)
-
-    def housekeeping(self, now: float) -> None:
-        self._inner.housekeeping(now)
-
-    def finish_epoch(self) -> None:
-        self._inner.finish_epoch()
-
-    # ---------------------------------------------------------- sampling API
-    def register_distribution(self, distribution, level=None) -> int:
-        if level is None:
-            return self._inner.register_distribution(distribution)
-        return self._inner.register_distribution(distribution, level)
-
-    def prepare_sample(self, worker: WorkerContext, distribution_id: int,
-                       count: int) -> SampleHandle:
-        return self._inner.prepare_sample(worker, distribution_id, count)
-
-    def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
-                    count=None) -> PullResult:
-        return self._inner.pull_sample(worker, handle, count)
 
     def push_sample(self, worker: WorkerContext, keys, deltas) -> None:
         partition = self.partition

@@ -164,9 +164,8 @@ class ParameterServer(ABC):
             )
         self.metrics = cluster.metrics
         #: Optional telemetry tracer, installed on the cluster by the runner
-        #: before the PS is built (None = telemetry off). Hot paths guard
-        #: every record with ``tracer is not None and tracer.access_events``
-        #: so the off path costs one attribute read and a None check.
+        #: before the PS is built (None = telemetry off). Per-call paths
+        #: record through :meth:`_trace_access`.
         self.tracer = getattr(cluster, "tracer", None)
         self.rng = np.random.default_rng(seed)
         self._distributions: Dict[int, object] = {}
@@ -492,6 +491,13 @@ class ParameterServer(ABC):
         """Whether an access-level tracer wants one event per PS call."""
         tracer = self.tracer
         return tracer is not None and tracer.access_events
+
+    def _trace_access(self, kind: str, worker: WorkerContext, keys) -> None:
+        """Record one ``pull``/``push``/``localize`` call as an access event."""
+        if self._traces_accesses():
+            self.tracer.event(kind, "access", worker.clock.now,
+                              node=worker.node_id, worker=worker.worker_id,
+                              keys=len(keys))
 
     def _validate_push(self, keys: np.ndarray, deltas: np.ndarray) -> tuple:
         keys = np.asarray(keys, dtype=np.int64)

@@ -26,22 +26,14 @@ class ClassicPS(ParameterServer):
 
     def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("pull", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("pull", worker, keys)
         self._charge_partitioned(worker, keys, "pull")
         return self.store.get(keys)
 
     def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
              deltas: np.ndarray) -> None:
         keys, deltas = self._validate_push(keys, deltas)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("push", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("push", worker, keys)
         self._charge_partitioned(worker, keys, "push")
         self.store.add(keys, deltas)
 
@@ -61,51 +53,29 @@ class ClassicPS(ParameterServer):
     def _charge_partitioned(self, worker: WorkerContext, keys: np.ndarray,
                             kind: str) -> None:
         """Charge local cost for home-partition keys, remote cost otherwise."""
-        n = len(keys)
-        if n == 0:
+        if len(keys) == 0:
             return
-        owners = self.partitioner.owners(keys)
         node_id = worker.node_id
-        if n <= 8:
-            # Group by server with a dict; bincount on tiny batches costs
-            # more (these are the per-data-point task calls).
-            n_local = 0
-            counts: dict[int, int] = {}
-            for owner in owners.tolist():
-                if owner == node_id:
-                    n_local += 1
-                else:
-                    counts[owner] = counts.get(owner, 0) + 1
-            self._charge_local(worker, n_local, kind)
-            if counts:
-                # Clocks are charged per serving node (in server order, as
-                # the scalar oracle does); the additive metrics are written
-                # once for the whole remote group.
-                n_remote = 0
-                for server in sorted(counts):
-                    count = counts[server]
-                    n_remote += count
-                    worker.clock.advance(count * self._remote_access_cost)
-                    self.cluster.node(server).server_clock.advance(
-                        count * self._server_occupancy
-                    )
-                self._record_remote_group(node_id, kind, n_remote)
-            return
-        count_list = np.bincount(owners, minlength=self.cluster.num_nodes) \
-            .tolist()
-        n_local = count_list[node_id]
+        n_local = 0
+        counts: dict[int, int] = {}
+        for owner in self.partitioner.owners(keys).tolist():
+            if owner == node_id:
+                n_local += 1
+            else:
+                counts[owner] = counts.get(owner, 0) + 1
         self._charge_local(worker, n_local, kind)
-        n_remote = n - n_local
-        if n_remote:
-            remote_cost = self._remote_access_cost
-            occupancy = self._server_occupancy
-            clock = worker.clock
-            for server, count in enumerate(count_list):
-                if count and server != node_id:
-                    clock.advance(count * remote_cost)
-                    self.cluster.node(server).server_clock.advance(
-                        count * occupancy
-                    )
+        if counts:
+            # Clocks are charged per serving node, in server order (the
+            # grouping ``_ClassicPointCharger`` replays); the additive
+            # metrics are written once for the whole remote group.
+            n_remote = 0
+            for server in sorted(counts):
+                count = counts[server]
+                n_remote += count
+                worker.clock.advance(count * self._remote_access_cost)
+                self.cluster.node(server).server_clock.advance(
+                    count * self._server_occupancy
+                )
             self._record_remote_group(node_id, kind, n_remote)
 
     def _record_remote_group(self, node_id: int, kind: str,

@@ -33,22 +33,14 @@ class SingleNodePS(ParameterServer):
 
     def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("pull", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("pull", worker, keys)
         self._charge_local(worker, len(keys), "pull")
         return self.store.get(keys)
 
     def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
              deltas: np.ndarray) -> None:
         keys, deltas = self._validate_push(keys, deltas)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("push", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("push", worker, keys)
         self._charge_local(worker, len(keys), "push")
         self.store.add(keys, deltas)
 

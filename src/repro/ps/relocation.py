@@ -14,12 +14,11 @@ contention: when several nodes localize the same key in quick succession, the
 key keeps moving, accesses find it gone, and workers either wait for an
 in-flight relocation or fall back to remote access.
 
-Charging is implemented twice: a vectorized batch fast path that partitions
-each key batch with NumPy masks and charges clocks/metrics once per group,
-and the original per-key scalar path kept behind ``batch_charging=False`` as
-a debugging/equivalence oracle. Both produce bit-identical simulated clocks
-and metrics (the batch path folds per-access costs with the exact
-left-to-right prefix sums of :mod:`repro.simulation.clock`).
+Per-call charging is one loop over the keys of a call, at every batch size:
+clock additions happen per key, in batch order, and metrics and server
+occupancy are written once per call. The per-key scalar path behind
+``batch_charging=False`` is the reference the tests hold that loop against;
+both produce bit-identical simulated clocks and metrics.
 """
 
 from __future__ import annotations
@@ -36,36 +35,9 @@ from repro.ps.rounds import (
     segment_bounds,
     segment_counts,
 )
-from repro.simulation.clock import fold_costs
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.partition import Partitioner
 from repro.ps.storage import ParameterStore
-
-
-def first_occurrence_in_order(keys: np.ndarray) -> np.ndarray:
-    """Positions of the first occurrence of each distinct key, in batch order."""
-    if len(keys) <= 64:
-        # A set walk beats np.unique's sort at this size; positions come out
-        # ascending either way.
-        seen: set = set()
-        first_list = []
-        for position, key in enumerate(keys.tolist()):
-            if key not in seen:
-                seen.add(key)
-                first_list.append(position)
-        if len(first_list) == len(keys):
-            return np.arange(len(keys), dtype=np.int64)
-        return np.asarray(first_list, dtype=np.int64)
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return first
-
-
-#: Batches at or below this size take the hybrid path: a Python loop over the
-#: keys (NumPy dispatch overhead dominates at this size) that still defers
-#: clock and metrics updates to one grouped write per batch. Above it, the
-#: mask-based NumPy path wins. Both are bit-identical to the scalar oracle.
-SMALL_BATCH = 64
 
 
 class RelocationPS(ParameterServer):
@@ -96,8 +68,8 @@ class RelocationPS(ParameterServer):
         #: ``relocation_enabled=False`` degrades this PS to a classic PS
         #: (the paper uses exactly this configuration as its classic baseline).
         self.relocation_enabled = relocation_enabled
-        #: Vectorized batch charging (the fast path). ``False`` selects the
-        #: per-key scalar reference path; both are bit-identical.
+        #: ``False`` selects the per-key scalar reference instead of the
+        #: grouped per-call loop; both are bit-identical.
         self.batch_charging = bool(batch_charging)
         if store.backend == "sparse":
             # Chunked owner state: untouched chunks read as the static
@@ -139,77 +111,56 @@ class RelocationPS(ParameterServer):
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys) == 0:
             return
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("localize", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
-        if not self.batch_charging:
-            self._localize_scalar(worker, keys)
-            return
+        self._trace_access("localize", worker, keys)
         self._relocate_batch(worker.node_id, keys, worker_clock=worker.clock.now)
 
     def _relocate_batch(self, node_id: int, keys: np.ndarray,
                         worker_clock: float | None = None,
                         sampling: bool = False) -> None:
-        """Batch relocation shared by :meth:`localize` and ``localize_async``.
+        """Relocation shared by :meth:`localize` and ``localize_async``.
 
         ``worker_clock`` is the issuing worker's time for synchronous hints
         (the communication thread starts no earlier than the worker); ``None``
         means background-issued relocations that start at the thread's own
         time. ``sampling`` additionally counts ``relocation.sampling``.
-        Bit-identical to the per-key scalar oracles.
         """
+        if not self.batch_charging:
+            self._relocate_scalar(node_id, keys, worker_clock, sampling)
+            return
         # Within one call only the first occurrence of a key relocates (the
         # second finds the key already owned by this node), and keys that are
         # already local are free.
-        if len(keys) <= SMALL_BATCH:
-            seen = set()
-            moving_list = []
-            owners = self.current_owner.take(keys).tolist()
-            for key, owner in zip(keys.tolist(), owners):
-                if owner != node_id and key not in seen:
-                    seen.add(key)
-                    moving_list.append(key)
-            if not moving_list:
-                return
-            moving = np.asarray(moving_list, dtype=np.int64)
-        else:
-            ordered = keys[first_occurrence_in_order(keys)]
-            moving = ordered[self.current_owner[ordered] != node_id]
-        n = len(moving)
-        if n == 0:
+        seen = set()
+        moving = []
+        owners = self.current_owner.take(keys).tolist()
+        for key, owner in zip(keys.tolist(), owners):
+            if owner != node_id and key not in seen:
+                seen.add(key)
+                moving.append(key)
+        if not moving:
             return
+        n = len(moving)
         background = self.cluster.node(node_id).background_clock
         relocation_latency = self._relocation_latency
         occupancy = self._relocation_occupancy
         # The relocations are handled back to back by the node's communication
         # thread: relocation k starts when relocation k-1 releases the thread,
-        # so the start times are an exact prefix sum of the occupancies.
+        # so the start times are a running sum of the occupancies.
         if worker_clock is None:
-            first_start = background.now
+            start = background.now
         else:
-            first_start = max(worker_clock, background.now)
-        if n <= SMALL_BATCH:
-            # ``max(start + latency, start + occupancy)`` equals
-            # ``start + max(latency, occupancy)`` bit-for-bit (IEEE addition
-            # is monotone and both candidates are computed as plain sums).
-            effective = relocation_latency if relocation_latency >= occupancy \
-                else occupancy
-            start = first_start
-            arrival_list = []
-            for _ in range(n):
-                arrival_list.append(start + effective)
-                start = start + occupancy
-            background.advance_to(start)
-            arrivals: np.ndarray | list = arrival_list
-        else:
-            starts = np.empty(n, dtype=np.float64)
-            starts[0] = first_start
-            starts[1:] = occupancy
-            np.add.accumulate(starts, out=starts)
-            background.advance_to(float(starts[-1]) + occupancy)
-            arrivals = np.maximum(starts + relocation_latency, starts + occupancy)
+            start = max(worker_clock, background.now)
+        # ``max(start + latency, start + occupancy)`` equals
+        # ``start + max(latency, occupancy)`` bit-for-bit (IEEE addition
+        # is monotone and both candidates are computed as plain sums).
+        effective = relocation_latency if relocation_latency >= occupancy \
+            else occupancy
+        arrivals = []
+        for _ in range(n):
+            arrivals.append(start + effective)
+            start = start + occupancy
+        background.advance_to(start)
+        moving = np.asarray(moving, dtype=np.int64)
         self.current_owner[moving] = node_id
         self.arrival_time[moving] = arrivals
         self.metrics.increment("relocation.count", n, node=node_id)
@@ -220,9 +171,9 @@ class RelocationPS(ParameterServer):
             "network.bytes", n * self._cached_value_bytes, node=node_id
         )
 
-    def _localize_scalar(self, worker: WorkerContext, keys: np.ndarray) -> None:
-        """Per-key reference implementation of :meth:`localize`."""
-        node_id = worker.node_id
+    def _relocate_scalar(self, node_id: int, keys: np.ndarray,
+                         worker_clock: float | None, sampling: bool) -> None:
+        """Per-key reference implementation of :meth:`_relocate_batch`."""
         background = self.cluster.node(node_id).background_clock
         value_bytes = self.store.value_bytes()
         relocation_latency = self.network.relocation_cost(value_bytes)
@@ -235,12 +186,15 @@ class RelocationPS(ParameterServer):
             # communication thread: the thread is busy for ``occupancy`` per
             # relocation, and the key arrives one protocol round-trip after
             # the request leaves (whichever of the two finishes later).
-            start = max(worker.clock.now, background.now)
+            start = background.now if worker_clock is None \
+                else max(worker_clock, background.now)
             background.advance_to(start + occupancy)
             arrival = max(start + relocation_latency, background.now)
             self.current_owner[key] = node_id
             self.arrival_time[key] = arrival
             self.metrics.increment("relocation.count", 1, node=node_id)
+            if sampling:
+                self.metrics.increment("relocation.sampling", 1, node=node_id)
             self.metrics.increment("network.messages", 3, node=node_id)
             self.metrics.increment(
                 "network.bytes", value_bytes, node=node_id
@@ -248,22 +202,14 @@ class RelocationPS(ParameterServer):
 
     def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("pull", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("pull", worker, keys)
         self._charge_access(worker, keys, "pull")
         return self.store.get(keys)
 
     def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
              deltas: np.ndarray) -> None:
         keys, deltas = self._validate_push(keys, deltas)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("push", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("push", worker, keys)
         self._charge_access(worker, keys, "push")
         self.store.add(keys, deltas)
 
@@ -282,101 +228,17 @@ class RelocationPS(ParameterServer):
 
     # --------------------------------------------------------------- internals
     def _charge_access(self, worker: WorkerContext, keys: np.ndarray, kind: str) -> None:
-        """Charge each access as local, wait-then-local, or routed-remote."""
+        """Charge each access as local, wait-then-local, or routed-remote.
+
+        One loop over the keys performs the same sequence of clock additions
+        as the scalar reference (so simulated times are bit-identical);
+        metrics and server occupancy are one grouped update per call.
+        """
         if len(keys) == 0:
             return
         if not self.batch_charging:
             self._charge_access_scalar(worker, keys, kind)
             return
-        if len(keys) <= SMALL_BATCH:
-            self._charge_access_small(worker, keys, kind)
-            return
-        node_id = worker.node_id
-        owners = self.current_owner[keys]
-        local_mask = owners == node_id
-        n = len(keys)
-        n_local = int(np.count_nonzero(local_mask))
-        n_remote = n - n_local
-        value_bytes = self._cached_value_bytes
-
-        # Per-position worker-clock cost, in batch order.
-        costs = np.empty(n, dtype=np.float64)
-        if n_local:
-            costs[local_mask] = 1 * self._local_access_cost
-        routed_extra = 0
-        if n_remote:
-            remote_idx = np.flatnonzero(~local_mask)
-            remote_keys = keys[remote_idx]
-            remote_owners = owners[remote_idx]
-            homes = self.partitioner.owners(remote_keys)
-            # If the key still resides at its home node the access takes the
-            # same two messages as in a classic PS; if it has been relocated
-            # elsewhere the home node forwards the request (third message).
-            routed = remote_owners != homes
-            routed_extra = int(np.count_nonzero(routed))
-            costs[remote_idx] = np.where(
-                routed, self._cost_three_messages, self._cost_two_messages
-            )
-
-        # Fold the costs into the worker clock, pausing at in-flight
-        # relocations: a local key whose relocation has not arrived yet blocks
-        # the worker until the arrival time.
-        clock = worker.clock
-        waits = 0
-        wait_candidates: np.ndarray | tuple = ()
-        if n_local:
-            arrivals = self.arrival_time[keys]
-            wait_candidates = np.flatnonzero(local_mask & (arrivals > clock.now))
-        if len(wait_candidates) == 0:
-            clock.advance_sequence(costs)
-        else:
-            now = clock.now
-            segment_start = 0
-            for position in wait_candidates.tolist():
-                now = fold_costs(now, costs[segment_start:position])
-                arrival = float(arrivals[position])
-                if arrival > now:
-                    # The key is on its way here: wait for the relocation to
-                    # finish, then access through shared memory.
-                    now = arrival
-                    waits += 1
-                segment_start = position
-            now = fold_costs(now, costs[segment_start:])
-            clock.advance_to(now)
-
-        # The serving nodes' request threads are occupied once per remote
-        # access (grouped by current owner; each clock is independent, so the
-        # per-server fold is bit-identical to the interleaved per-key loop).
-        if n_remote:
-            server_occupancy = self._server_occupancy
-            servers, counts = np.unique(remote_owners, return_counts=True)
-            for server, count in zip(servers.tolist(), counts.tolist()):
-                self.cluster.node(server).server_clock.advance_repeated(
-                    server_occupancy, count
-                )
-
-        metrics = self.metrics
-        if n_local:
-            metrics.record_access(f"{kind}.local", node_id, n_local)
-        if waits:
-            metrics.increment("relocation.waits", waits, node=node_id)
-        if n_remote:
-            metrics.record_access(f"{kind}.remote", node_id, n_remote)
-            metrics.increment(
-                "network.messages", 2 * n_remote + routed_extra, node=node_id
-            )
-            metrics.increment(
-                "network.bytes", n_remote * value_bytes, node=node_id
-            )
-
-    def _charge_access_small(self, worker: WorkerContext, keys: np.ndarray,
-                             kind: str) -> None:
-        """Hybrid path for small batches: Python loop, grouped bookkeeping.
-
-        Performs the same sequence of clock additions as the scalar oracle
-        (so simulated times are bit-identical) but defers metrics and server
-        occupancy to one grouped update per batch.
-        """
         node_id = worker.node_id
         owners = self.current_owner.take(keys).tolist()
         arrivals = self.arrival_time.take(keys).tolist()
@@ -412,6 +274,8 @@ class RelocationPS(ParameterServer):
                     homes = self.partitioner.owners(keys).tolist()
                     cost_two = self._cost_two_messages
                     cost_three = self._cost_three_messages
+                # Still at its home node: the classic two messages; relocated
+                # elsewhere, the home node forwards the request (a third).
                 if owner == homes[i]:
                     now = now + cost_two
                     messages += 2
@@ -519,13 +383,17 @@ class RelocationPS(ParameterServer):
         """
         lost = self.local_keys(node_id)
         super().fail_over(node_id, survivors, available_at)
-        if len(lost):
-            survivors_arr = np.asarray(list(survivors), dtype=np.int64)
-            self.current_owner[lost] = survivors_arr[
-                np.arange(len(lost)) % len(survivors_arr)
-            ]
-            self.arrival_time[lost] = float(available_at)
+        self._rehome(lost, survivors, available_at)
         return lost
+
+    def _rehome(self, keys: np.ndarray, nodes: Sequence[int],
+                available_at: float) -> None:
+        """Hand the current copies of ``keys`` round-robin to ``nodes``,
+        accessible from ``available_at`` on (the native arrival gate)."""
+        if len(keys):
+            nodes = np.asarray(list(nodes), dtype=np.int64)
+            self.current_owner[keys] = nodes[np.arange(len(keys)) % len(nodes)]
+            self.arrival_time[keys] = float(available_at)
 
     # --------------------------------------------------------- membership API
     def on_node_added(self, node_id: int, available_at: float) -> np.ndarray:
@@ -538,9 +406,7 @@ class RelocationPS(ParameterServer):
         mechanism in-flight relocations use.
         """
         moved = super().on_node_added(node_id, available_at)
-        if len(moved):
-            self.current_owner[moved] = node_id
-            self.arrival_time[moved] = float(available_at)
+        self._rehome(moved, [node_id], available_at)
         return moved
 
     def migrate_out(self, node_id: int, successors: Sequence[int],
@@ -554,12 +420,7 @@ class RelocationPS(ParameterServer):
         """
         lost = self.local_keys(node_id)
         super().migrate_out(node_id, successors, available_at)
-        if len(lost):
-            successors_arr = np.asarray(list(successors), dtype=np.int64)
-            self.current_owner[lost] = successors_arr[
-                np.arange(len(lost)) % len(successors_arr)
-            ]
-            self.arrival_time[lost] = float(available_at)
+        self._rehome(lost, successors, available_at)
         return lost
 
 

@@ -19,12 +19,13 @@ shared memory, even local-partition accesses are charged a (small) messaging
 overhead; this reproduces the paper's observation that Petuum is slower than
 shared-memory systems even on a single node (Section 5.4).
 
-Node state is array-backed: each node holds a dense replica mask, a dense
-replica-value matrix, replica clocks, and a dense update buffer, so that
-``pull``/``push``/``_flush_node``/``_eager_refresh`` operate on whole key
-batches with NumPy masks. The original per-key scalar path is kept behind
-``batch_charging=False`` as a debugging/equivalence oracle; both paths
-produce bit-identical simulated clocks and metrics.
+Node state is array-backed: each node holds a replica mask, a replica-value
+matrix, replica clocks, and an update buffer over the whole key space, which
+``_flush_node``/``_eager_refresh`` process as whole key batches. Per-call
+``pull``/``push`` charge one loop over the keys of a call, at every batch
+size, with metrics and server occupancy written once per call; the per-key
+scalar path behind ``batch_charging=False`` is the reference the tests hold
+that loop against. Both produce bit-identical simulated clocks and metrics.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 
 from repro.ps.base import ParameterServer
 from repro.ps.chunks import ChunkedTable, MemoryBudget, StorageConfig
-from repro.ps.relocation import SMALL_BATCH, first_occurrence_in_order
 from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.partition import Partitioner
@@ -170,8 +170,8 @@ class ReplicationPS(ParameterServer):
         self.protocol = protocol
         self.staleness = int(staleness)
         self.name = f"replication-{protocol.value}"
-        #: Vectorized batch charging (the fast path). ``False`` selects the
-        #: per-key scalar reference path; both are bit-identical.
+        #: ``False`` selects the per-key scalar reference instead of the
+        #: grouped per-call loop; both are bit-identical.
         self.batch_charging = bool(batch_charging)
         self._nodes: Dict[int, _NodeReplicaState] = {
             node_id: _NodeReplicaState(store.num_keys, store.value_length,
@@ -188,206 +188,20 @@ class ReplicationPS(ParameterServer):
 
     # -------------------------------------------------------------- direct API
     def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Read ``keys`` through the node's replicas, refreshing stale ones.
+
+        One loop over the keys performs the same clock-addition sequence as
+        the scalar reference (bit-identical simulated times); metrics and
+        server occupancy are written once per call.
+        """
         keys = np.asarray(keys, dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("pull", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
+        self._trace_access("pull", worker, keys)
         state = self._nodes[worker.node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
         if not self.batch_charging:
             return self._pull_scalar(worker, state, keys, worker_clock)
-        n = len(keys)
-        if n == 0:
+        if len(keys) == 0:
             return np.empty((0, self.store.value_length), dtype=np.float32)
-        if n <= SMALL_BATCH:
-            return self._pull_small(worker, state, keys, worker_clock)
-
-        threshold = worker_clock - self.staleness
-        index, at = state.at(keys)
-        fresh = at.replica_mask[index] & (at.replica_clock[index] >= threshold)
-        stale_idx = np.flatnonzero(~fresh)
-        # Only the first occurrence of a stale key refreshes; by the time a
-        # duplicate comes up its replica clock equals the worker clock, so it
-        # reads the (just refreshed) replica like any fresh access.
-        refresh_pos = stale_idx[first_occurrence_in_order(keys[stale_idx])] \
-            if len(stale_idx) else stale_idx
-        n_refresh = len(refresh_pos)
-
-        intra_cost = self._intra_process_cost
-        costs = np.full(n, intra_cost, dtype=np.float64)
-        n_local_server = 0
-        n_remote = 0
-        if n_refresh:
-            refresh_costs, n_local_server, n_remote = self._refresh_batch(
-                worker, state, keys[refresh_pos], worker_clock
-            )
-            costs[refresh_pos] = refresh_costs
-
-        worker.clock.advance_sequence(costs)
-        self.metrics.record_access_batch(worker.node_id, {
-            "pull.replica": n - n_refresh,
-            "pull.local_server": n_local_server,
-            "pull.remote": n_remote,
-        })
-        if n_remote:
-            self.metrics.increment("network.messages", 2 * n_remote,
-                                   node=worker.node_id)
-            self.metrics.increment("network.bytes",
-                                   n_remote * self._cached_value_bytes,
-                                   node=worker.node_id)
-        return state.replica_values[keys]
-
-    def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
-             deltas: np.ndarray) -> None:
-        keys, deltas = self._validate_push(keys, deltas)
-        tracer = self.tracer
-        if tracer is not None and tracer.access_events:
-            tracer.event("push", "access", worker.clock.now,
-                         node=worker.node_id, worker=worker.worker_id,
-                         keys=len(keys))
-        state = self._nodes[worker.node_id]
-        worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-        if not self.batch_charging:
-            self._push_scalar(worker, state, keys, deltas, worker_clock)
-            return
-        n = len(keys)
-        if n == 0:
-            return
-        if n <= SMALL_BATCH:
-            self._push_small(worker, state, keys, deltas, worker_clock)
-            return
-
-        # Writing to a parameter that was never pulled: create the replica
-        # first (Petuum reads-before-writes via the cache). Only the first
-        # occurrence of a missing key refreshes.
-        missing_idx = np.flatnonzero(~state.replica_mask[keys])
-        refresh_pos = missing_idx[first_occurrence_in_order(keys[missing_idx])] \
-            if len(missing_idx) else missing_idx
-        n_refresh = len(refresh_pos)
-
-        intra_cost = self._intra_process_cost
-        n_local_server = 0
-        n_remote = 0
-        if n_refresh:
-            refresh_costs, n_local_server, n_remote = self._refresh_batch(
-                worker, state, keys[refresh_pos], worker_clock
-            )
-            # Interleave the refresh cost of each missing key right before
-            # that key's push cost, exactly as the scalar loop charges them.
-            costs = np.full(n + n_refresh, intra_cost, dtype=np.float64)
-            costs[refresh_pos + np.arange(n_refresh)] = refresh_costs
-        else:
-            costs = np.full(n, intra_cost, dtype=np.float64)
-        worker.clock.advance_sequence(costs)
-
-        # Apply the deltas to the replica and buffer them for the next flush
-        # (duplicate keys accumulate in batch order).
-        index, at = state.at(keys, writable=True)
-        scatter_add_rows(at.replica_values, index, deltas)
-        scatter_add_rows(at.update_values, index, deltas)
-        at.update_mask[index] = True
-        state.pending_updates.append(keys)
-
-        self.metrics.record_access_batch(worker.node_id, {
-            "push.replica": n,
-            "pull.local_server": n_local_server,
-            "pull.remote": n_remote,
-        })
-        if n_remote:
-            self.metrics.increment("network.messages", 2 * n_remote,
-                                   node=worker.node_id)
-            self.metrics.increment("network.bytes",
-                                   n_remote * self._cached_value_bytes,
-                                   node=worker.node_id)
-
-    def advance_clock(self, worker: WorkerContext) -> None:
-        """Advance the worker's clock; flush and (ESSP) refresh at node level."""
-        state = self._nodes[worker.node_id]
-        state.worker_clocks[worker.worker_id] = (
-            state.worker_clocks.get(worker.worker_id, 0) + 1
-        )
-        expected_workers = self.cluster.workers_per_node
-        if len(state.worker_clocks) < expected_workers:
-            # Not all workers have started clocking yet; the node clock is
-            # still effectively zero, so there is nothing to flush.
-            return
-        self._flush_node(worker.node_id, state)
-        if self.protocol is ReplicationProtocol.ESSP:
-            self._eager_refresh(worker.node_id, state)
-
-    # -------------------------------------------------------------- round API
-    def direct_point_charger(self, distribution_id: int | None = None):
-        """Per-point charge replay for the task-level round engine.
-
-        Serves SSP and ESSP alike — the protocols differ only in
-        :meth:`advance_clock`, which the round engine still calls per chunk.
-        The replay covers the pull-then-push shape of direct access (matrix
-        factorization); the sampling tasks, the scalar oracle and an
-        access-level tracer keep the sequential path.
-        """
-        if (distribution_id is not None or not self.batch_charging
-                or self._traces_accesses()):
-            return None
-        return _ReplicationPointCharger(self)
-
-    def _refresh_batch(self, worker: WorkerContext, state: _NodeReplicaState,
-                       refresh_keys: np.ndarray, worker_clock: int):
-        """(Re)fetch a batch of distinct keys from their owning servers.
-
-        Shared by the large-batch pull and push paths: fetches the global
-        values, overlays the node's not-yet-flushed updates (Petuum reads its
-        own writes), installs the refreshed replicas, and charges the serving
-        nodes' request threads. Returns ``(per-key worker costs,
-        n_local_server, n_remote)`` for the caller's clock fold and metrics.
-        """
-        owners = self.partitioner.owners(refresh_keys)
-        local_server = owners == worker.node_id
-        n_local_server = int(np.count_nonzero(local_server))
-        n_remote = len(refresh_keys) - n_local_server
-        refresh_costs = np.where(
-            local_server, self._intra_process_cost, self._remote_access_cost
-        )
-
-        self._install_refreshed(state, refresh_keys, worker_clock)
-
-        if n_remote:
-            servers, counts = np.unique(owners[~local_server],
-                                        return_counts=True)
-            occupancy = self._server_occupancy
-            for server, count in zip(servers.tolist(), counts.tolist()):
-                self.cluster.node(server).server_clock.advance_repeated(
-                    occupancy, count
-                )
-        return refresh_costs, n_local_server, n_remote
-
-    def _install_refreshed(self, state: _NodeReplicaState,
-                           refresh_keys: np.ndarray, worker_clock: int) -> None:
-        """Install replicas of distinct ``refresh_keys`` as of ``worker_clock``.
-
-        The value is the global one overlaid with the node's not-yet-flushed
-        updates (Petuum reads its own writes).
-        """
-        refreshed = self.store.get(refresh_keys)
-        index, at = state.at(refresh_keys, writable=True)
-        buffered = at.update_mask.take(index)
-        if buffered.any():
-            refreshed[buffered] = refreshed[buffered] \
-                + at.update_values[index[buffered]]
-        at.replica_values[index] = refreshed
-        at.replica_mask[index] = True
-        at.replica_clock[index] = worker_clock
-
-    # ---------------------------------------------------- small-batch hybrid
-    def _pull_small(self, worker: WorkerContext, state: _NodeReplicaState,
-                    keys: np.ndarray, worker_clock: int) -> np.ndarray:
-        """Hybrid pull for small batches: Python loop, grouped bookkeeping.
-
-        Same clock-addition sequence as the scalar oracle (bit-identical
-        simulated times); metrics and server occupancy are written once per
-        batch.
-        """
         node_id = worker.node_id
         threshold = worker_clock - self.staleness
         intra_cost = self._intra_process_cost
@@ -444,10 +258,19 @@ class ReplicationPS(ParameterServer):
                                   n_local_server, n_remote)
         return values
 
-    def _push_small(self, worker: WorkerContext, state: _NodeReplicaState,
-                    keys: np.ndarray, deltas: np.ndarray,
-                    worker_clock: int) -> None:
-        """Hybrid push for small batches (see :meth:`_pull_small`)."""
+    def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
+             deltas: np.ndarray) -> None:
+        """Add ``deltas`` to the node's replicas and its update buffer
+        (charged like :meth:`pull`: one loop, grouped bookkeeping)."""
+        keys, deltas = self._validate_push(keys, deltas)
+        self._trace_access("push", worker, keys)
+        state = self._nodes[worker.node_id]
+        worker_clock = state.worker_clocks.get(worker.worker_id, 0)
+        if not self.batch_charging:
+            self._push_scalar(worker, state, keys, deltas, worker_clock)
+            return
+        if len(keys) == 0:
+            return
         node_id = worker.node_id
         intra_cost = self._intra_process_cost
         clock = worker.clock
@@ -495,10 +318,57 @@ class ReplicationPS(ParameterServer):
                                   len(keys_list), "push.replica",
                                   n_local_server, n_remote)
 
+    def advance_clock(self, worker: WorkerContext) -> None:
+        """Advance the worker's clock; flush and (ESSP) refresh at node level."""
+        state = self._nodes[worker.node_id]
+        state.worker_clocks[worker.worker_id] = (
+            state.worker_clocks.get(worker.worker_id, 0) + 1
+        )
+        expected_workers = self.cluster.workers_per_node
+        if len(state.worker_clocks) < expected_workers:
+            # Not all workers have started clocking yet; the node clock is
+            # still effectively zero, so there is nothing to flush.
+            return
+        self._flush_node(worker.node_id, state)
+        if self.protocol is ReplicationProtocol.ESSP:
+            self._eager_refresh(worker.node_id, state)
+
+    # -------------------------------------------------------------- round API
+    def direct_point_charger(self, distribution_id: int | None = None):
+        """Per-point charge replay for the task-level round engine.
+
+        Serves SSP and ESSP alike — the protocols differ only in
+        :meth:`advance_clock`, which the round engine still calls per chunk.
+        The replay covers the pull-then-push shape of direct access (matrix
+        factorization); the sampling tasks, the scalar oracle and an
+        access-level tracer keep the sequential path.
+        """
+        if (distribution_id is not None or not self.batch_charging
+                or self._traces_accesses()):
+            return None
+        return _ReplicationPointCharger(self)
+
+    def _install_refreshed(self, state: _NodeReplicaState,
+                           refresh_keys: np.ndarray, worker_clock: int) -> None:
+        """Install replicas of distinct ``refresh_keys`` as of ``worker_clock``.
+
+        The value is the global one overlaid with the node's not-yet-flushed
+        updates (Petuum reads its own writes).
+        """
+        refreshed = self.store.get(refresh_keys)
+        index, at = state.at(refresh_keys, writable=True)
+        buffered = at.update_mask.take(index)
+        if buffered.any():
+            refreshed[buffered] = refreshed[buffered] \
+                + at.update_values[index[buffered]]
+        at.replica_values[index] = refreshed
+        at.replica_mask[index] = True
+        at.replica_clock[index] = worker_clock
+
     def _finish_group_charge(self, node_id: int, server_counts: dict,
                              n_primary: int, primary_kind: str,
                              n_local_server: int, n_remote: int) -> None:
-        """Grouped server occupancy + metrics shared by the hybrid paths."""
+        """Grouped server occupancy + metrics of one ``pull``/``push`` call."""
         if n_remote:
             occupancy = self._server_occupancy
             for server, count in server_counts.items():
@@ -577,13 +447,10 @@ class ReplicationPS(ParameterServer):
         state.pending_updates = []
         # Sorted distinct candidates filtered by the (authoritative) buffer
         # mask — identical to ``flatnonzero(update_mask)`` because every bit
-        # set in the mask has its key batch recorded in ``pending_updates``.
-        if len(candidates) <= SMALL_BATCH:
-            # One worker chunk between two clock advances: a set beats
-            # ``np.unique``'s sort machinery at this size.
-            keys = np.array(sorted(set(candidates.tolist())), dtype=np.int64)
-        else:
-            keys = np.unique(candidates)
+        # set in the mask has its key batch recorded in ``pending_updates``
+        # (one worker chunk between two clock advances, where a set beats
+        # ``np.unique``'s sort machinery).
+        keys = np.array(sorted(set(candidates.tolist())), dtype=np.int64)
         index, at = state.at(keys)
         buffered = at.update_mask[index]
         keys, index = keys[buffered], index[buffered]
@@ -748,6 +615,17 @@ class ReplicationPS(ParameterServer):
         cost = count * self.network.local_access_cost * INTRA_PROCESS_FACTOR
         worker.clock.advance(cost)
         self.metrics.record_access(kind, worker.node_id, count)
+
+
+def first_occurrence_in_order(keys: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct key, in batch order."""
+    seen: set = set()
+    first = []
+    for position, key in enumerate(keys.tolist()):
+        if key not in seen:
+            seen.add(key)
+            first.append(position)
+    return np.asarray(first, dtype=np.int64)
 
 
 class _ReplicationPointCharger(ChunkValues):

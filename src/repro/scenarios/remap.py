@@ -243,26 +243,6 @@ class RemappedParameterServer:
     def remapper(self) -> KeyRemapper:
         return self._remapper
 
-    @property
-    def name(self) -> str:
-        return self._inner.name
-
-    @property
-    def store(self):
-        return self._inner.store
-
-    @property
-    def network(self):
-        return self._inner.network
-
-    @property
-    def cluster(self):
-        return self._inner.cluster
-
-    @property
-    def metrics(self):
-        return self._inner.metrics
-
     def __getattr__(self, attribute):
         return getattr(self._inner, attribute)
 
@@ -292,25 +272,12 @@ class RemappedParameterServer:
     def localize(self, worker: WorkerContext, keys) -> None:
         self._inner.localize(worker, self._remapper.to_physical(keys))
 
-    def advance_clock(self, worker: WorkerContext) -> None:
-        self._inner.advance_clock(worker)
-
-    def housekeeping(self, now: float) -> None:
-        self._inner.housekeeping(now)
-
-    def finish_epoch(self) -> None:
-        self._inner.finish_epoch()
-
     # ---------------------------------------------------------- sampling API
     def register_distribution(self, distribution, level=None) -> int:
         wrapped = RemappedDistribution(distribution, self._remapper)
         if level is None:
             return self._inner.register_distribution(wrapped)
         return self._inner.register_distribution(wrapped, level)
-
-    def prepare_sample(self, worker: WorkerContext, distribution_id: int,
-                       count: int) -> SampleHandle:
-        return self._inner.prepare_sample(worker, distribution_id, count)
 
     def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
                     count=None) -> PullResult:

@@ -7,13 +7,12 @@ preparation) advance the clock of the background thread that runs them. The
 run time of an epoch is the maximum clock value across all workers, which
 mirrors how wall-clock epoch time is determined on a real cluster.
 
-The batch helpers (:meth:`SimulatedClock.advance_sequence`,
-:meth:`SimulatedClock.advance_repeated` and :func:`fold_costs`) replace a
-Python-level loop of ``advance`` calls with one NumPy prefix sum. They are
-*bit-identical* to the loop they replace: ``np.add.accumulate`` performs the
-same left-to-right sequence of IEEE-754 additions that repeated ``advance``
-calls would, so simulated epoch times do not change when the parameter
-servers switch to their vectorized fast paths.
+The batch helpers (:meth:`SimulatedClock.advance_repeated` and
+:func:`fold_costs`) replace a Python-level loop of ``advance`` calls with one
+NumPy prefix sum. They are *bit-identical* to the loop they replace:
+``np.add.accumulate`` performs the same left-to-right sequence of IEEE-754
+additions that repeated ``advance`` calls would, so simulated epoch times do
+not depend on how a parameter server groups its charges.
 """
 
 from __future__ import annotations
@@ -71,31 +70,6 @@ class SimulatedClock:
         """
         if timestamp > self._now:
             self._now = float(timestamp)
-        return self._now
-
-    def advance_sequence(self, costs: np.ndarray) -> float:
-        """Advance by every cost in ``costs``, in order, in one call.
-
-        Bit-identical to calling :meth:`advance` once per element (see
-        :func:`fold_costs`); used by the parameter servers' batch fast paths.
-        """
-        n = len(costs)
-        if n == 0:
-            return self._now
-        if n <= 64:
-            # Python float adds are the same IEEE-754 doubles; a short loop
-            # beats NumPy dispatch at this size (the round-fused engine folds
-            # one small sequence per worker per round).
-            now = self._now
-            for cost in costs.tolist():
-                if cost < 0:
-                    raise ValueError("cannot advance clock by negative time")
-                now += cost
-            self._now = now
-            return now
-        if np.min(costs) < 0:
-            raise ValueError("cannot advance clock by negative time")
-        self._now = fold_costs(self._now, costs)
         return self._now
 
     def advance_repeated(self, cost: float, count: int) -> float:

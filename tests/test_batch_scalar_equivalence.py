@@ -1,10 +1,10 @@
-"""Scalar/vector equivalence suite for the batch charging fast paths.
+"""Loop/scalar equivalence suite for per-call charging.
 
-The relocation, replication and NuPS parameter servers each have a vectorized
-batch fast path (the default) and the original per-key scalar path kept
-behind ``batch_charging=False``. The batch paths are built on exact
-left-to-right prefix sums (:mod:`repro.simulation.clock`), so the two paths
-must produce *bit-identical* simulated clocks and *identical* metrics
+The relocation, replication and NuPS parameter servers each charge a call
+with one loop over its keys that groups bookkeeping (the default) and keep
+the per-key scalar path behind ``batch_charging=False`` as the reference.
+The loop performs the scalar path's clock additions in the same order, so
+the two must produce *bit-identical* simulated clocks and *identical* metrics
 counters on any workload. This suite replays one deterministic workload —
 with duplicate keys, relocation waits, stale replicas and sampling — on both
 paths, per PS architecture, and asserts exact equality.
@@ -21,6 +21,7 @@ from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import CategoricalDistribution
 from repro.core.sampling.manager import SamplingConfig
 from repro.core.sampling.schemes import SchemeConfig
+from repro.ps.chunks import StorageConfig
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
 from repro.ps.storage import ParameterStore
@@ -159,10 +160,11 @@ class TestNuPSEquivalence:
 
 
 class TestLargeBatchEquivalence:
-    """Batches above SMALL_BATCH take the NumPy mask paths; cover them too."""
+    """The one loop against the scalar reference at any batch size: above the
+    former 64-key tier boundary, with heavy key repeats, on both backends."""
 
     @staticmethod
-    def _drive_large(ps, cluster):
+    def _drive_large(ps, cluster, size):
         rng = np.random.default_rng(9)
         weights = 1.0 / np.arange(1, NUM_KEYS + 1) ** 1.1
         probs = weights / weights.sum()
@@ -170,15 +172,19 @@ class TestLargeBatchEquivalence:
             for node in range(NUM_NODES):
                 for worker_id in range(WORKERS_PER_NODE):
                     worker = cluster.worker(node, worker_id)
-                    keys = rng.choice(NUM_KEYS, size=130, p=probs).astype(np.int64)
-                    deltas = rng.normal(0, 0.01, size=(130, VALUE_LENGTH)) \
+                    keys = rng.choice(NUM_KEYS, size=size, p=probs).astype(np.int64)
+                    deltas = rng.normal(0, 0.01, size=(size, VALUE_LENGTH)) \
                         .astype(np.float32)
+                    if isinstance(ps, NuPS):  # the background-thread hint
+                        ps.localize_async((node + 1) % NUM_NODES, keys[::-1])
                     ps.localize(worker, keys)
                     ps.pull(worker, keys)
                     ps.push(worker, keys, deltas)
                     ps.advance_clock(worker)
         ps.finish_epoch()
 
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("size", [65, 130, 1000])
     @pytest.mark.parametrize("factory", [
         lambda store, cluster, batch: RelocationPS(store, cluster,
                                                    batch_charging=batch),
@@ -190,14 +196,20 @@ class TestLargeBatchEquivalence:
             plan=ManagementPlan(NUM_KEYS, np.arange(8, dtype=np.int64)),
             sync_interval=1e-4, seed=5, batch_charging=batch,
         ),
+        lambda store, cluster, batch: ReplicationPS(
+            store, cluster, protocol=ReplicationProtocol.ESSP, staleness=1,
+            batch_charging=batch,
+        ),
     ])
-    def test_large_batches_match_scalar(self, factory):
+    def test_large_batches_match_scalar(self, factory, size, backend):
         results = {}
         for batch in (True, False):
             cluster = _make_cluster()
-            store = _make_store()
+            store = ParameterStore(
+                NUM_KEYS, VALUE_LENGTH, seed=7, init_scale=0.1,
+                storage=StorageConfig(backend=backend, chunk_rows=16))
             ps = factory(store, cluster, batch)
-            self._drive_large(ps, cluster)
+            self._drive_large(ps, cluster, size)
             results[batch] = (cluster, store)
         cluster_b, store_b = results[True]
         cluster_s, store_s = results[False]

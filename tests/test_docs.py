@@ -10,6 +10,7 @@ convention machine-enforced so new modules cannot silently drop it.
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,3 +130,37 @@ def test_no_unused_imports():
         for path in LINTED_FILES for line, name in unused_imports(path)
     ]
     assert not offenders, "\n".join(offenders)
+
+
+# ------------------------------------------------------- dead definitions
+def _names_used(tree):
+    """Every identifier ``tree`` reads, calls, accesses or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_every_definition_is_named_outside_itself():
+    """No function, method or class of ``src/repro`` is unreferenced code.
+
+    A definition counts as used when its name occurs anywhere in src, tests,
+    benchmarks, examples or perfbench other than inside its own body
+    (dunder methods are called by the language).
+    """
+    trees = {path: ast.parse(path.read_text())
+             for top in ("src", "tests", "benchmarks", "examples", "perfbench")
+             for path in (REPO_ROOT / top).rglob("*.py")}
+    used = Counter(name for tree in trees.values() for name in _names_used(tree))
+    dead = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {node.name}"
+        for path, tree in trees.items() if SRC_ROOT in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and used[node.name] == sum(n == node.name for n in _names_used(node))
+    ]
+    assert not dead, "defined but never used:\n" + "\n".join(dead)
