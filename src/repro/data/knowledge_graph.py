@@ -20,6 +20,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.data.rows import unique_rows
 from repro.data.zipf import zipf_probabilities
 
 
@@ -97,24 +98,33 @@ def generate_knowledge_graph(
     subjects = rng.choice(num_entities, size=num_triples, p=entity_probs)
     relations = rng.choice(num_relations, size=num_triples, p=relation_probs)
 
-    objects = np.empty(num_triples, dtype=np.int64)
-    random_objects = rng.choice(num_entities, size=num_triples, p=entity_probs)
+    # Noise triples keep their object from this draw; the others take one
+    # from the relation's target cluster, preferring frequent entities to
+    # keep object access skewed.
+    objects = rng.choice(num_entities, size=num_triples, p=entity_probs).astype(np.int64)
     use_noise = rng.random(num_triples) < noise
-    for i in range(num_triples):
-        if use_noise[i]:
-            objects[i] = random_objects[i]
-            continue
-        target_cluster = relation_cluster_map[relations[i], entity_clusters[subjects[i]]]
-        members = cluster_members[int(target_cluster)]
-        # Prefer frequent entities inside the cluster to keep object access skewed.
+    structured = np.flatnonzero(~use_noise)
+    target_clusters = relation_cluster_map[
+        relations[structured], entity_clusters[subjects[structured]]
+    ]
+    # ``rng.choice(members, p=member_probs)`` per structured triple, in
+    # triple order, is one double each looked up in the members' CDF: draw
+    # the doubles at once and look them up per cluster.
+    uniforms = rng.random(len(structured))
+    for c, members in cluster_members.items():
+        in_cluster = target_clusters == c
         member_probs = entity_probs[members]
         member_probs = member_probs / member_probs.sum()
-        objects[i] = rng.choice(members, p=member_probs)
+        cdf = member_probs.cumsum()
+        cdf /= cdf[-1]
+        objects[structured[in_cluster]] = members[
+            cdf.searchsorted(uniforms[in_cluster], side="right")
+        ]
 
     triples = np.stack(
         [subjects.astype(np.int64), relations.astype(np.int64), objects], axis=1
     )
-    triples = np.unique(triples, axis=0)
+    triples = unique_rows(triples)
     rng.shuffle(triples)
 
     num_test = max(1, int(round(test_fraction * len(triples))))

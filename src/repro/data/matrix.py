@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.rows import unique_rows
 from repro.data.zipf import zipf_probabilities
 
 
@@ -74,7 +75,7 @@ def generate_matrix(
     cols = rng.choice(num_cols, size=num_cells, p=col_probs)
     cells = np.stack([rows, cols], axis=1).astype(np.int64)
     # Deduplicate revealed cells, keeping the realized skew.
-    cells = np.unique(cells, axis=0)
+    cells = unique_rows(cells)
     rng.shuffle(cells)
 
     # Ground-truth low-rank factors.

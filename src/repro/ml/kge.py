@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UniformDistribution
 from repro.data.knowledge_graph import KnowledgeGraph
+from repro.data.rows import unique_rows
 from repro.ml.negative_sampling import (
     NegativeSampleStream,
     replayed_sampling_round,
@@ -507,8 +508,8 @@ class KGETask(TrainingTask):
         sliced out of one grouped array per direction.
         """
         graph = self.graph
-        triples = np.unique(
-            np.concatenate([graph.train_triples, graph.test_triples]), axis=0
+        triples = unique_rows(
+            np.concatenate([graph.train_triples, graph.test_triples])
         ).astype(np.int64)
         test = np.asarray(graph.test_triples, dtype=np.int64)
         span = max(graph.num_entities, graph.num_relations)

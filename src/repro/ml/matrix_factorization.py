@@ -121,10 +121,12 @@ class MatrixFactorizationTask(TrainingTask):
         """Visit columns in random order, points within a column in random order."""
         if len(indices) == 0:
             return indices
-        column_order = {c: r for r, c in enumerate(rng.permutation(np.unique(columns)))}
+        distinct, column_of_point = np.unique(columns, return_inverse=True)
+        visit = rng.permutation(distinct)
         jitter = rng.random(len(indices))
-        sort_keys = np.array([column_order[c] for c in columns], dtype=np.float64)
-        order = np.lexsort((jitter, sort_keys))
+        rank = np.empty(len(distinct), dtype=np.int64)
+        rank[np.searchsorted(distinct, visit)] = np.arange(len(distinct))
+        order = np.lexsort((jitter, rank[column_of_point]))
         return indices[order]
 
     def prefetch(self, ps: ParameterServer, worker: WorkerContext,

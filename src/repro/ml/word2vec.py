@@ -72,25 +72,35 @@ class WordVectorsTask(TrainingTask):
         self.sampling_level = sampling_level
         self._clipper = UpdateNormClipper(clip_factor) if clip_factor > 0 else None
         self._distribution_id: Optional[int] = None
-        self._centers, self._contexts = self._build_positions(corpus, self.window)
+        self._centers, self._context_keys, self._context_offsets = \
+            self._build_positions(corpus, self.window)
 
     @staticmethod
     def _build_positions(corpus: Corpus, window: int
-                         ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """One data point per token: its word id and the context word ids."""
-        centers: List[int] = []
-        contexts: List[np.ndarray] = []
-        for sentence in corpus.sentences:
-            length = len(sentence)
-            for i in range(length):
-                lo = max(0, i - window)
-                hi = min(length, i + window + 1)
-                context = np.concatenate([sentence[lo:i], sentence[i + 1: hi]])
-                if len(context) == 0:
-                    continue
-                centers.append(int(sentence[i]))
-                contexts.append(context.astype(np.int64))
-        return np.asarray(centers, dtype=np.int64), contexts
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One data point per token with a context: its word id and context keys.
+
+        The context is stored flat (CSR): data point ``t``'s output keys are
+        ``keys[offsets[t]:offsets[t + 1]]``, the words up to ``window``
+        positions before the token and then after it, within its sentence.
+        A token with no other word of its sentence in the window is not a
+        data point.
+        """
+        tokens = np.concatenate(corpus.sentences).astype(np.int64, copy=False)
+        lengths = [len(sentence) for sentence in corpus.sentences]
+        sentence_of = np.repeat(np.arange(len(lengths)), lengths)
+        shifts = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+        neighbours = np.arange(len(tokens))[:, None] + shifts
+        inside = (neighbours >= 0) & (neighbours < len(tokens))
+        neighbours[~inside] = 0
+        inside &= sentence_of[neighbours] == sentence_of[:, None]
+        widths = inside.sum(axis=1)
+        has_context = widths > 0
+        offsets = np.zeros(int(has_context.sum()) + 1, dtype=np.int64)
+        np.cumsum(widths[has_context], out=offsets[1:])
+        # Row-major selection keeps each token's neighbours in sentence order.
+        keys = corpus.vocab_size + tokens[neighbours[inside]]
+        return tokens[has_context], keys, offsets
 
     # -------------------------------------------------------------- model layout
     def num_keys(self) -> int:
@@ -123,7 +133,7 @@ class WordVectorsTask(TrainingTask):
         counts = np.zeros(self.num_keys(), dtype=np.float64)
         weights = np.power(self.corpus.word_frequencies + 1e-12, self.unigram_power)
         probabilities = weights / weights.sum()
-        total_pairs = sum(len(c) for c in self._contexts)
+        total_pairs = len(self._context_keys)
         total_samples = total_pairs * self.num_negatives
         counts[self.corpus.vocab_size:] = total_samples * probabilities
         return counts
@@ -165,7 +175,9 @@ class WordVectorsTask(TrainingTask):
         data_indices = np.asarray(data_indices, dtype=np.int64)
         if len(data_indices) == 0:
             return
-        context_keys = [self.corpus.vocab_size + self._contexts[i] for i in data_indices]
+        offsets, keys = self._context_offsets, self._context_keys
+        context_keys = [keys[lo:hi] for lo, hi in zip(
+            offsets[data_indices].tolist(), offsets[data_indices + 1].tolist())]
         direct_keys = np.unique(np.concatenate(
             [self._centers[data_indices]] + context_keys
         ))
@@ -192,8 +204,9 @@ class WordVectorsTask(TrainingTask):
         data_indices = np.asarray(data_indices, dtype=np.int64)
         if len(data_indices) == 0:
             return
-        contexts = [self._contexts[i] for i in data_indices]
-        pairs = [len(context) for context in contexts]
+        starts = self._context_offsets[data_indices]
+        ends = self._context_offsets[data_indices + 1]
+        pairs = (ends - starts).tolist()
         stream = NegativeSampleStream(
             ps, worker, self._distribution_id, sum(pairs) * self.num_negatives
         )
@@ -203,11 +216,12 @@ class WordVectorsTask(TrainingTask):
         # Per token: center, context words, then the token's negatives.
         keys = np.empty(sum(direct_widths) + len(samples), dtype=np.int64)
         position = taken = 0
-        for center, context, n_sample in zip(
-                self._centers[data_indices].tolist(), contexts, sample_widths):
-            split = position + 1 + len(context)
+        for center, lo, hi, n_sample in zip(
+                self._centers[data_indices].tolist(), starts.tolist(),
+                ends.tolist(), sample_widths):
+            split = position + 1 + hi - lo
             keys[position] = center
-            keys[position + 1:split] = self.corpus.vocab_size + context
+            keys[position + 1:split] = self._context_keys[lo:hi]
             keys[split:split + n_sample] = samples[taken:taken + n_sample]
             position = split + n_sample
             taken += n_sample
@@ -232,7 +246,8 @@ class WordVectorsTask(TrainingTask):
         if len(data_indices) == 0:
             return 0
 
-        total_pairs = int(sum(len(self._contexts[i]) for i in data_indices))
+        total_pairs = int((self._context_offsets[data_indices + 1]
+                           - self._context_offsets[data_indices]).sum())
         stream = NegativeSampleStream(
             ps, worker, self._distribution_id, total_pairs * self.num_negatives
         )
@@ -248,12 +263,13 @@ class WordVectorsTask(TrainingTask):
     def _train_token(self, ps: ParameterServer, worker: WorkerContext,
                      index: int, stream: NegativeSampleStream) -> None:
         center = int(self._centers[index])
-        contexts = self._contexts[index]
-        num_pairs = len(contexts)
+        context_keys = self._context_keys[
+            self._context_offsets[index]:self._context_offsets[index + 1]]
+        num_pairs = len(context_keys)
 
         direct_keys = np.empty(num_pairs + 1, dtype=np.int64)
         direct_keys[0] = center
-        direct_keys[1:] = self.corpus.vocab_size + contexts
+        direct_keys[1:] = context_keys
         direct_values = ps.pull(worker, direct_keys)
         negatives = stream.next(num_pairs * self.num_negatives)
         deltas = self._token_deltas(

@@ -1,5 +1,10 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from repro.data.corpus import generate_corpus
 from repro.data.knowledge_graph import generate_knowledge_graph
 from repro.data.matrix import generate_matrix
+from repro.data.rows import unique_rows
 from repro.data.zipf import empirical_skew_summary, zipf_probabilities, zipf_sample
+from repro.runner.workloads import make_task
 
 
 class TestZipfUtilities:
@@ -201,3 +208,125 @@ def test_kg_generator_is_well_formed_for_any_size(num_entities, num_triples):
     assert graph.num_train + graph.num_test <= num_triples
     assert graph.num_train > 0 and graph.num_test > 0
     assert len(graph.entity_frequencies) == num_entities
+
+
+# --------------------------------------------------------------------------
+# Golden digests: datasets and task structures are byte-identical to the
+# per-item loops the array forms replaced (the constants were computed with
+# those loops), so every counter and cell digest downstream is unchanged.
+# --------------------------------------------------------------------------
+
+def _digest(*values) -> str:
+    """sha256 prefix of arrays (dtype, shape, bytes), ragged lists and scalars."""
+    sha = hashlib.sha256()
+    for value in values:
+        if isinstance(value, list):
+            arrays = [np.asarray(item) for item in value]
+            sha.update(b"list")
+            sha.update(np.asarray([len(a) for a in arrays], dtype=np.int64).tobytes())
+            for array in arrays:
+                sha.update(array.dtype.str.encode())
+                sha.update(np.ascontiguousarray(array).tobytes())
+        elif isinstance(value, np.ndarray):
+            sha.update(value.dtype.str.encode())
+            sha.update(repr(value.shape).encode())
+            sha.update(np.ascontiguousarray(value).tobytes())
+        else:
+            sha.update(repr(value).encode())
+    return sha.hexdigest()[:16]
+
+
+def _dataset_digest(dataset) -> str:
+    fields = vars(dataset)
+    return _digest(*[fields[name] for name in sorted(fields)])
+
+
+def _task_digest(task) -> str:
+    """The structures a task builds from its dataset at construction."""
+    if task.name == "kge":
+        return _digest(task._known_objects, task._known_subjects)
+    if task.name == "word_vectors":
+        words = task._context_keys - task.corpus.vocab_size
+        contexts = np.split(words, task._context_offsets[1:-1])
+        return _digest(task._centers, contexts)
+    return _digest([shard for node in task.create_shards(2, 3, seed=0)
+                    for shard in node])
+
+
+#: (task, preset, dataset seed) -> (dataset digest, task digest).
+GOLDEN_DIGESTS = {
+    ("kge", "bench", 0): ("2fe1e0b5cea6f7ba", "ebd5d76ccb7fcc47"),
+    ("kge", "bench", 1): ("1ae47f766828528a", "14809cdb0b66e48c"),
+    ("kge", "bench", 2): ("440b39ef3a863c35", "c191f8e1c952ed03"),
+    ("kge", "test", 0): ("9a47b07bfd5a560f", "448aa95535352b3c"),
+    ("kge", "test", 1): ("fb33d77d16cb5124", "802e22ab408a69fa"),
+    ("kge", "test", 2): ("d2d28a5add962fd2", "4389401827a61751"),
+    ("word_vectors", "bench", 0): ("72e451e349b2be92", "21b8dba4774ac6a0"),
+    ("word_vectors", "bench", 1): ("efc879ade810a8f8", "ffd8fef59768f7c5"),
+    ("word_vectors", "bench", 2): ("819766f36d221e62", "1f87e2acc602e8ae"),
+    ("word_vectors", "test", 0): ("d0d12c8df5c84242", "2677ebcd1b43125b"),
+    ("word_vectors", "test", 1): ("66f19ffd7f56ea6b", "4a5e1e8baccb4a6f"),
+    ("word_vectors", "test", 2): ("9bfea600258ef173", "881272dba99d583a"),
+    ("matrix_factorization", "bench", 0): ("9f8e79e75ede0a8f", "2ae8988bf3d476eb"),
+    ("matrix_factorization", "bench", 1): ("c4e2a0efd37a1992", "89c5fcaed7513d9c"),
+    ("matrix_factorization", "bench", 2): ("d7f0ae1861047d8e", "3e79483c1797e38e"),
+    ("matrix_factorization", "test", 0): ("89fcd11b9b35a720", "2a67d3fd9adc479c"),
+    ("matrix_factorization", "test", 1): ("499dc426cca3660b", "bbdba4c1e0e9b4ef"),
+    ("matrix_factorization", "test", 2): ("9c6214a24e7f3829", "2a826fd9789839b9"),
+}
+
+
+@pytest.mark.parametrize("name,scale,seed", sorted(GOLDEN_DIGESTS))
+def test_generated_datasets_and_tasks_match_golden_digests(name, scale, seed):
+    task = make_task(name, scale, seed=seed)
+    dataset = {"kge": "graph", "word_vectors": "corpus"}.get(name, "dataset")
+    assert (_dataset_digest(getattr(task, dataset)), _task_digest(task)) \
+        == GOLDEN_DIGESTS[(name, scale, seed)]
+
+
+def test_scalar_choice_is_one_double_through_the_cdf():
+    """The identity the KG object draw rests on: ``Generator.choice`` with a
+    scalar size and ``p`` consumes one ``random()`` double and returns the
+    member at ``cdf.searchsorted(u, side="right")`` of the normalised CDF."""
+    probs = zipf_probabilities(40, 1.1, shuffle=True, rng=np.random.default_rng(1))
+    members = np.arange(100, 140)
+    scalar, batched = np.random.default_rng(5), np.random.default_rng(5)
+    expected = [scalar.choice(members, p=probs) for _ in range(500)]
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    drawn = members[cdf.searchsorted(batched.random(500), side="right")]
+    np.testing.assert_array_equal(drawn, expected)
+    assert scalar.random() == batched.random()
+
+
+@pytest.mark.parametrize("shape,low,high", [
+    ((0, 3), 0, 5), ((1, 3), 0, 5), ((200, 1), -3, 4), ((500, 3), 0, 6),
+    ((300, 2), -(2 ** 40), 2 ** 40), ((400, 4), -2, 2),
+])
+def test_unique_rows_matches_numpy_unique(shape, low, high):
+    rows = np.random.default_rng(shape[0]).integers(low, high, size=shape)
+    expected = np.unique(rows, axis=0)
+    got = unique_rows(rows)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+_START_UP = """
+import sys
+from repro.runner.workloads import make_task
+for name in ("kge", "word_vectors", "matrix_factorization"):
+    make_task(name, "bench")
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_building_the_bench_tasks_does_not_import_numpy_ma():
+    """``np.unique(..., axis=0)`` imports ``numpy.ma`` (15-45 ms in every fresh
+    interpreter); dataset and task construction must not bring it back."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", _START_UP], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

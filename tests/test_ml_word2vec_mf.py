@@ -56,8 +56,31 @@ class TestWordVectorsLayout:
         task = WordVectorsTask(corpus, dim=4, window=2)
         assert 0 < task.num_data_points() <= corpus.num_tokens
         # Every data point has at least one context word within the window.
-        assert all(len(c) >= 1 for c in task._contexts)
-        assert all(len(c) <= 4 for c in task._contexts)
+        widths = np.diff(task._context_offsets)
+        assert len(widths) == task.num_data_points()
+        assert widths.min() >= 1 and widths.max() <= 2 * task.window
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 5])
+    def test_context_windows_match_per_token_reference(self, window):
+        """The CSR context arrays hold, token by token, what slicing each
+        sentence around the token gives (sentences of uneven length)."""
+        sentences = [np.arange(length, dtype=np.int64) + 10 * length
+                     for length in (1, 3, 0, 8, 2, 5)]
+        corpus = generate_corpus(vocab_size=100, num_sentences=6, seed=0)
+        corpus.sentences = sentences
+        task = WordVectorsTask(corpus, dim=4, window=window)
+        centers, contexts = [], []
+        for sentence in sentences:
+            for i in range(len(sentence)):
+                context = np.concatenate([sentence[max(0, i - window):i],
+                                          sentence[i + 1:i + window + 1]])
+                if len(context):
+                    centers.append(sentence[i])
+                    contexts.append(corpus.vocab_size + context)
+        np.testing.assert_array_equal(task._centers, centers)
+        offsets = task._context_offsets
+        assert [task._context_keys[lo:hi].tolist() for lo, hi in
+                zip(offsets[:-1], offsets[1:])] == [c.tolist() for c in contexts]
 
     def test_access_counts_output_layer_hotter(self, corpus):
         task = WordVectorsTask(corpus, dim=4, window=2)
