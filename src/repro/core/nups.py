@@ -36,7 +36,6 @@ from repro.core.sampling.distributions import SamplingDistribution
 from repro.core.sampling.manager import SamplingConfig, SamplingManager
 from repro.core.sampling.schemes import SamplingHost
 from repro.ps.base import PullResult, SampleHandle
-from repro.ps.partition import Partitioner
 from repro.ps.relocation import RelocationPS, RelocationPointCharger
 from repro.ps.rounds import segment_bounds, segment_counts
 from repro.ps.storage import ParameterStore
@@ -71,11 +70,10 @@ class NuPS(RelocationPS, SamplingHost):
         sampling_config: Optional[SamplingConfig] = None,
         sync_interval: Optional[float] = DEFAULT_SYNC_INTERVAL,
         integrate_sampling: bool = True,
-        partitioner: Optional[Partitioner] = None,
         seed: int = 0,
         batch_charging: bool = True,
     ) -> None:
-        super().__init__(store, cluster, partitioner, relocation_enabled=True,
+        super().__init__(store, cluster, relocation_enabled=True,
                          seed=seed, batch_charging=batch_charging)
         self.plan = plan or ManagementPlan.relocate_all(store.num_keys)
         self.replica_manager = ReplicaManager(
@@ -417,20 +415,17 @@ class NuPS(RelocationPS, SamplingHost):
         return values, mask
 
     def on_node_restored(self, node_id: int, now: float) -> None:
-        """Rebuild the home map and repair the rejoining node's replica."""
-        super().on_node_restored(node_id, now)
+        """Repair the rejoining node's replica."""
         self.replica_manager.refresh_node(node_id)
 
     # --------------------------------------------------------- membership API
-    def on_node_added(self, node_id: int, available_at: float) -> np.ndarray:
-        """Wire a joining node into relocation, replication and sampling.
+    def on_node_added(self, node_id: int, available_at: float) -> None:
+        """Wire a joining node into replication and sampling.
 
-        The relocation layer cedes a share of current copies (base class);
-        the replica manager seeds the node's hot-set replica from the store;
+        The replica manager seeds the node's hot-set replica from the store;
         sampling gets the node's deterministic RNG and repurpose buffer. The
         adaptive controller, if attached, re-plans at the next housekeeping.
         """
-        moved = super().on_node_added(node_id, available_at)
         self.replica_manager.add_node(node_id)
         if node_id not in self._node_rngs:
             self._node_rngs[node_id] = np.random.default_rng(
@@ -441,21 +436,18 @@ class NuPS(RelocationPS, SamplingHost):
             )
         if self.adaptive_controller is not None:
             self.adaptive_controller.on_membership_change(available_at)
-        return moved
 
     def drain_node(self, node_id: int, now: float) -> int:
         """Flush the leaving node's buffered replica updates (zero loss)."""
         return self.replica_manager.drop_node(node_id, flush=True)
 
-    def migrate_out(self, node_id: int, successors, available_at: float) -> np.ndarray:
-        """Re-home the leaving node's keys and detach it from replication."""
-        moved = super().migrate_out(node_id, successors, available_at)
+    def on_node_removed(self, node_id: int, available_at: float) -> None:
+        """Detach the leaving node from replication."""
         # drain_node already dropped the replica state; make sure it is gone
         # even if the caller skipped the drain (lossy removal in tests).
         self.replica_manager.drop_node(node_id, flush=False)
         if self.adaptive_controller is not None:
             self.adaptive_controller.on_membership_change(available_at)
-        return moved
 
     # ------------------------------------------------------------------ reports
     def replica_access_share(self) -> float:

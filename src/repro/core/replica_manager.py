@@ -103,7 +103,6 @@ class ReplicaManager:
             self.schedule = PeriodicSchedule(sync_interval, start=start_time)
         self.sync_interval = sync_interval
         self.syncs_performed = 0
-        self.total_sync_payload_bytes = 0
 
     # ------------------------------------------------------------------ access
     @property
@@ -316,7 +315,6 @@ class ReplicaManager:
             background.advance_to(start + occupancy)
         self.schedule.fire(now, duration)
         self.syncs_performed += 1
-        self.total_sync_payload_bytes += payload
         self.metrics.increment("replica.syncs", 1)
         self.metrics.increment("replica.sync_bytes", payload)
         tracer = getattr(self.cluster, "tracer", None)

@@ -176,8 +176,6 @@ class _NodePoolState:
         self.chunks: Deque[np.ndarray] = deque()
         self.offset = 0  # consumed prefix of the head chunk
         self.size = 0
-        self.pools_prepared = 0
-        self.samples_consumed = 0
 
     def __len__(self) -> int:
         return self.size
@@ -229,7 +227,6 @@ class PoolSampleReuseScheme(SamplingScheme):
         state = self._state(worker.node_id)
         self._ensure_prepared(worker.node_id, state, count)
         keys = state.take(count)
-        state.samples_consumed += count
         # Re-localize keys that have been relocated away since pool preparation.
         moved = keys[~self.host.keys_are_local(worker.node_id, keys)]
         if len(moved):
@@ -267,7 +264,6 @@ class PoolSampleReuseScheme(SamplingScheme):
         for _ in range(self.config.use_frequency):
             order = rng.permutation(len(pool))
             state.extend(pool[order])
-        state.pools_prepared += 1
 
 
 class PostponingSampleReuseScheme(PoolSampleReuseScheme):

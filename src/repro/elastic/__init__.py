@@ -15,8 +15,9 @@ This package turns the fixed-size simulated cluster into an elastic one:
   :class:`NetworkPartition`) driving both through the scenario engine.
 
 Elasticity-off runs are bit-identical to a build without this package: the
-cluster's ``removed`` set stays empty, no partitioner is wrapped, and no
-proxy is installed unless a perturbation asks for one.
+cluster's ``removed`` set stays empty, the ownership map keeps answering
+from the range formula, and no proxy is installed unless a perturbation asks
+for one.
 """
 
 from repro.elastic.controller import ElasticConfig, ElasticityController

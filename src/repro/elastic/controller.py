@@ -31,8 +31,8 @@ class ElasticConfig:
     ----------
     join_delay:
         Coordination overhead of one membership change (join handshake or
-        leave announcement): the epoch bump, partitioner rebuild, and route
-        refresh take this long before any state moves.
+        leave announcement): the epoch bump, ownership-map rewrite, and
+        route refresh take this long before any state moves.
     """
 
     join_delay: float = 0.002
@@ -63,33 +63,21 @@ class ElasticityController:
         """Join a fresh node at simulated time ``now``; return its node id.
 
         The cluster allocates the node (bumping the membership epoch), the
-        parameter server cedes a proportional share of its key space to it
-        (:meth:`~repro.ps.base.ParameterServer.on_node_added`), and the ceded
-        keys' values are shipped to the new node: the transfer occupies the
+        ownership map cedes a proportional share of the key space to it
+        (:meth:`~repro.ps.partition.OwnershipMap.join`), and the ceded keys'
+        values are shipped to the new node: the transfer occupies the
         donors' background threads (split evenly) and the new node's
         background thread (it receives everything), and the keys become
-        usable on the new node at ``available_at``.
+        usable on the new node at ``available_at``. The parameter server
+        then moves its copies along and sets up the node's state.
         """
         now = float(now)
         node_id = self.cluster.add_node(now=now)
-        network = self.cluster.network
         donors = [n for n in self.cluster.active_nodes if n != node_id]
-        # Cost shape mirrors crash recovery: announcement + state transfer.
-        # The transfer size is known only after the rebalance, so compute the
-        # availability time from the prospective move with the same formula.
-        moved = self.ps.on_node_added(
-            node_id,
-            available_at=now + self.config.join_delay + network.message_cost(0),
-        )
-        payload = len(moved) * self.ps.store.value_bytes()
-        transfer = network.transfer_cost(payload)
-        available_at = (
-            now + self.config.join_delay + network.message_cost(0) + transfer
-        )
-        if len(moved) and hasattr(self.ps, "arrival_time"):
-            # Relocation-style servers gate access on arrival; stretch the
-            # provisional arrival to cover the actual transfer size.
-            self.ps.arrival_time[moved] = available_at
+        moved = self.ps.partitioner.join(node_id, self.cluster.active_nodes)
+        payload, available_at = self._migration(now, moved)
+        self.ps._rehome(moved, [node_id], available_at)
+        self.ps.on_node_added(node_id, available_at)
         self._charge_migration(now, payload, donors, receiver=node_id)
 
         self.scale_outs += 1
@@ -122,18 +110,11 @@ class ElasticityController:
         drained = int(self.ps.drain_node(node_id, now))
         self.cluster.remove_node(node_id)
         successors = self.cluster.active_nodes
-        network = self.cluster.network
-        moved = self.ps.migrate_out(
-            node_id, successors,
-            available_at=now + self.config.join_delay + network.message_cost(0),
-        )
-        payload = len(moved) * self.ps.store.value_bytes()
-        transfer = network.transfer_cost(payload)
-        available_at = (
-            now + self.config.join_delay + network.message_cost(0) + transfer
-        )
-        if len(moved) and hasattr(self.ps, "arrival_time"):
-            self.ps.arrival_time[moved] = available_at
+        moved = self.ps.keys_owned_by(node_id)
+        self.ps.partitioner.leave(node_id, successors)
+        payload, available_at = self._migration(now, moved)
+        self.ps._rehome(moved, successors, available_at)
+        self.ps.on_node_removed(node_id, available_at)
         self._charge_migration(now, payload, successors, receiver=node_id)
 
         self.scale_ins += 1
@@ -164,6 +145,20 @@ class ElasticityController:
         }
 
     # ------------------------------------------------------------- internals
+    def _migration(self, now: float, moved) -> tuple:
+        """``(payload_bytes, available_at)`` of migrating ``moved`` keys.
+
+        The cost shape mirrors crash recovery: announcement plus state
+        transfer.
+        """
+        network = self.cluster.network
+        payload = len(moved) * self.ps.store.value_bytes()
+        available_at = (
+            now + self.config.join_delay + network.message_cost(0)
+            + network.transfer_cost(payload)
+        )
+        return payload, available_at
+
     def _charge_migration(self, now: float, payload_bytes: float, peers,
                           receiver: int) -> None:
         """Charge one migration: peers split the transfer, the hub takes it all.

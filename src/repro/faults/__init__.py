@@ -11,7 +11,7 @@ architecture and the scenario engine:
   :class:`~repro.faults.network.FaultyNetworkModel`.
 * **Recovery mechanisms** — periodic consistent checkpoints
   (:class:`~repro.faults.checkpoint.CheckpointManager`), owner failover by
-  live re-partitioning (``ParameterServer.fail_over``), replica repair, and
+  rewriting the ownership map (``OwnershipMap.fail``), replica repair, and
   retry-with-backoff semantics
   (:class:`~repro.faults.proxy.FaultTolerantParameterServer`) for
   architectures without native waiting.

@@ -4,8 +4,9 @@ One :class:`FaultController` per experiment coordinates what happens when a
 server node dies:
 
 1. the node is marked failed in the cluster (its shard becomes unreachable),
-2. the keys it owned are re-assigned to the survivors by live
-   re-partitioning (``ParameterServer.fail_over``), and
+2. the keys it owned are re-assigned to the survivors: the ownership map
+   fails the node over (``OwnershipMap.fail``) and the parameter server
+   moves its dynamic copies along (``ParameterServer._rehome``), and
 3. each lost key's *value* is repaired from the freshest available source —
    a surviving replica if the architecture keeps one
    (``ParameterServer.recover_values``), else the latest checkpoint.
@@ -156,7 +157,8 @@ class FaultController:
             + network.message_cost(0)
             + transfer
         )
-        self.ps.fail_over(node_id, survivors, available_at=t_recovered)
+        self.ps.partitioner.fail(node_id, survivors)
+        self.ps._rehome(lost, survivors, t_recovered)
         # The survivors split the state transfer on their background threads.
         if survivors and transfer:
             share = transfer / len(survivors)
@@ -195,6 +197,7 @@ class FaultController:
         t = max(float(now), self.down.pop(node_id))
         self._moved.pop(node_id, None)
         self.cluster.restore_node(node_id, t)
+        self.ps.partitioner.restore(node_id, self.cluster.active_nodes)
         self.ps.on_node_restored(node_id, t)
         self.metrics.increment("faults.restores", 1)
         tracer = getattr(self.cluster, "tracer", None)

@@ -4,7 +4,7 @@ Relocation-based parameter servers track per-key arrival times, so an access
 to a key still in flight after a failover simply *waits* — crash recovery
 falls out of the existing machinery. Statically partitioned architectures
 (Classic, SSP/ESSP replication) have no such notion: their accesses resolve
-owners through the partitioner and would happily read a key whose new owner
+owners through the ownership map and would happily read a key whose new owner
 has not received its state yet. The
 :class:`FaultTolerantParameterServer` proxy closes that gap: every pull and
 push first passes a gate that checks whether any requested key's ownership

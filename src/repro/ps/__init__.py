@@ -2,10 +2,10 @@
 
 This package provides the parameter-server substrate of the reproduction:
 
-* :class:`~repro.ps.storage.ParameterStore` — the dense key/value store that
-  holds the model.
-* :class:`~repro.ps.partition.RangePartitioner` /
-  :class:`~repro.ps.partition.HashPartitioner` — static key-to-server maps.
+* :class:`~repro.ps.storage.ParameterStore` — the key/value store that
+  holds the model (dense, or chunked sparse for huge key spaces).
+* :class:`~repro.ps.partition.OwnershipMap` — the key-to-node map: a range
+  partition that crashes, restores and membership changes rewrite.
 * :class:`~repro.ps.base.ParameterServer` — the common API (``pull``,
   ``push``, ``localize``, ``advance_clock``, sampling hooks).
 * Baseline architectures from the paper's Section 3.1:
@@ -19,7 +19,7 @@ NuPS itself, the paper's contribution, lives in :mod:`repro.core`.
 
 from repro.ps.base import ParameterServer, PullResult
 from repro.ps.storage import ParameterStore
-from repro.ps.partition import HashPartitioner, Partitioner, RangePartitioner
+from repro.ps.partition import OwnershipMap
 from repro.ps.local import SingleNodePS
 from repro.ps.classic import ClassicPS
 from repro.ps.replication import ReplicationPS, ReplicationProtocol
@@ -29,9 +29,7 @@ __all__ = [
     "ParameterServer",
     "PullResult",
     "ParameterStore",
-    "Partitioner",
-    "RangePartitioner",
-    "HashPartitioner",
+    "OwnershipMap",
     "SingleNodePS",
     "ClassicPS",
     "ReplicationPS",

@@ -29,12 +29,7 @@ from typing import Dict, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.simulation.cluster import Cluster, WorkerContext
-from repro.ps.partition import (
-    ElasticPartitioner,
-    FailoverPartitioner,
-    Partitioner,
-    RangePartitioner,
-)
+from repro.ps.partition import OwnershipMap
 from repro.ps.storage import ParameterStore
 
 
@@ -149,19 +144,13 @@ class ParameterServer(ABC):
         self,
         store: ParameterStore,
         cluster: Cluster,
-        partitioner: Optional[Partitioner] = None,
         seed: int = 0,
     ) -> None:
         self.store = store
         self.cluster = cluster
-        self.partitioner = partitioner or RangePartitioner(
-            store.num_keys, cluster.num_nodes
-        )
-        if self.partitioner.num_keys != store.num_keys:
-            raise ValueError(
-                "partitioner covers a different key space than the store: "
-                f"{self.partitioner.num_keys} != {store.num_keys}"
-            )
+        #: Key -> home node map. The fault and elasticity controllers rewrite
+        #: it on every membership change; access paths read it live.
+        self.partitioner = OwnershipMap(store.num_keys, cluster.num_nodes)
         self.metrics = cluster.metrics
         #: Optional telemetry tracer, installed on the cluster by the runner
         #: before the PS is built (None = telemetry off). Per-call paths
@@ -237,52 +226,32 @@ class ParameterServer(ABC):
 
         These are the keys that become unreachable (and whose un-checkpointed
         updates are lost) when the node crashes. The default answers from the
-        live partitioner; relocation PSs override it to answer from the
+        ownership map; relocation PSs override it to answer from the
         dynamic ownership array.
         """
         return self.partitioner.keys_of(node_id)
 
-    def fail_over(self, node_id: int, survivors: Sequence[int],
-                  available_at: float) -> np.ndarray:
-        """Re-home ``node_id``'s keys onto ``survivors``; return the moved keys.
+    def _rehome(self, keys: np.ndarray, nodes: Sequence[int],
+                available_at: float) -> None:
+        """Hand the current copies of ``keys`` to ``nodes`` (a transition).
 
-        ``available_at`` is the simulated time at which the re-homed keys
-        become reachable again (detection plus state transfer); the default
-        static-architecture implementation ignores it — the retry/timeout
-        proxy (:mod:`repro.faults.proxy`) enforces the availability gap for
-        architectures without native waiting.
-
-        The default swaps the live partitioner for a
-        :class:`~repro.ps.partition.FailoverPartitioner`. Classic and
-        replication PSs resolve every ownership lookup through the
-        partitioner at access time, so the swap alone re-routes all future
-        traffic to the survivors.
+        Called by the fault and elasticity controllers right after they
+        rewrote the ownership map. ``available_at`` is the simulated time at
+        which the moved keys become reachable again (detection or handshake
+        plus state transfer). Static architectures resolve every access
+        through the map, so there is nothing else to move, and the
+        retry/timeout proxy (:mod:`repro.faults.proxy`) enforces their
+        availability gap; the relocation family moves its dynamic copies
+        here and waits on its native arrival times.
         """
-        if getattr(self, "_pre_fault_partitioner", None) is None:
-            self._pre_fault_partitioner = self.partitioner
-        failover = FailoverPartitioner(self.partitioner, node_id, list(survivors))
-        self.partitioner = failover
-        return failover.moved_keys
 
     def on_node_restored(self, node_id: int, now: float) -> None:
-        """Undo the failover for ``node_id`` after it rejoins the cluster.
+        """Repair per-node state of ``node_id`` after it rejoins the cluster.
 
-        Rebuilds the partitioner from the pre-fault one, re-applying
-        failovers for any nodes that are *still* down (in node order). Called
-        after :meth:`~repro.simulation.cluster.Cluster.restore_node`, so the
-        cluster's failed set no longer contains ``node_id``.
+        Called after :meth:`~repro.simulation.cluster.Cluster.restore_node`
+        and after the ownership map has undone the node's failover. The
+        default PS keeps no per-node state.
         """
-        base = getattr(self, "_pre_fault_partitioner", None)
-        if base is None:
-            return
-        partitioner = base
-        still_failed = sorted(self.cluster.failed)
-        for failed in still_failed:
-            survivors = self.cluster.active_nodes
-            partitioner = FailoverPartitioner(partitioner, failed, survivors)
-        self.partitioner = partitioner
-        if not still_failed:
-            self._pre_fault_partitioner = None
 
     def recover_values(self, keys: np.ndarray) -> tuple:
         """Best-effort recovery of current values for ``keys`` after a crash.
@@ -296,44 +265,14 @@ class ParameterServer(ABC):
         return None, np.zeros(len(keys), dtype=bool)
 
     # -------------------------------------------------------- membership API
-    def _elastic_partitioner(self) -> ElasticPartitioner:
-        """Swap the live partitioner for its elastic wrapper (idempotent).
+    def on_node_added(self, node_id: int, available_at: float) -> None:
+        """Create per-node state for freshly joined ``node_id``.
 
-        If a failover chain is active (some node crashed), the *pre-fault*
-        base is wrapped too, so that a later restore rebuilds the chain on
-        top of the rebalanced map instead of resurrecting stale ownership.
+        Called after :meth:`~repro.simulation.cluster.Cluster.add_node`, the
+        ownership map's rebalance and :meth:`_rehome`. ``available_at`` is
+        the simulated time at which the migrated keys are usable on the new
+        node. The default PS keeps no per-node state.
         """
-        pre = getattr(self, "_pre_fault_partitioner", None)
-        if pre is not None:
-            self._pre_fault_partitioner = ElasticPartitioner.ensure(
-                pre, epoch=self.cluster.membership_epoch
-            )
-        elastic = ElasticPartitioner.ensure(
-            self.partitioner, epoch=self.cluster.membership_epoch
-        )
-        self.partitioner = elastic
-        return elastic
-
-    def on_node_added(self, node_id: int, available_at: float) -> np.ndarray:
-        """Rebalance ownership onto freshly joined ``node_id``; return moved keys.
-
-        Called after :meth:`~repro.simulation.cluster.Cluster.add_node`.
-        ``available_at`` is the simulated time at which migrated keys are
-        usable on the new node (join handshake plus state transfer); static
-        architectures serve from the updated map immediately — the migration
-        cost is charged by the elasticity controller — while relocation PSs
-        gate access through their native arrival times.
-        """
-        elastic = self._elastic_partitioner()
-        moved = elastic.rebalance_add(
-            node_id, self.cluster.active_nodes, self.cluster.membership_epoch
-        )
-        pre = getattr(self, "_pre_fault_partitioner", None)
-        if pre is not None and pre is not elastic:
-            pre.rebalance_add(
-                node_id, self.cluster.active_nodes, self.cluster.membership_epoch
-            )
-        return moved
 
     def drain_node(self, node_id: int, now: float) -> int:
         """Flush state buffered on ``node_id`` ahead of a planned removal.
@@ -344,25 +283,13 @@ class ParameterServer(ABC):
         """
         return 0
 
-    def migrate_out(self, node_id: int, successors: Sequence[int],
-                    available_at: float) -> np.ndarray:
-        """Re-home ``node_id``'s keys onto ``successors`` (planned scale-in).
+    def on_node_removed(self, node_id: int, available_at: float) -> None:
+        """Drop per-node state of ``node_id`` after a planned removal.
 
-        Unlike :meth:`fail_over` this is a *permanent* ownership rewrite —
-        no failover chain, no later restore — and the state arrives intact
-        (the elasticity controller drains buffers first and charges the
-        transfer), so no updates are lost. Returns the moved keys.
+        Called after the ownership map handed the node's keys to its
+        successors and :meth:`_rehome` moved the drained state along. The
+        default PS keeps no per-node state.
         """
-        elastic = self._elastic_partitioner()
-        moved = elastic.rebalance_remove(
-            node_id, list(successors), self.cluster.membership_epoch
-        )
-        pre = getattr(self, "_pre_fault_partitioner", None)
-        if pre is not None and pre is not elastic:
-            pre.rebalance_remove(
-                node_id, list(successors), self.cluster.membership_epoch
-            )
-        return moved
 
     # ------------------------------------------------------------- round API
     def direct_point_charger(self, distribution_id: Optional[int] = None):

@@ -23,8 +23,8 @@ class SingleNodePS(ParameterServer):
 
     name = "single-node"
 
-    def __init__(self, store, cluster, partitioner=None, seed: int = 0) -> None:
-        super().__init__(store, cluster, partitioner, seed)
+    def __init__(self, store, cluster, seed: int = 0) -> None:
+        super().__init__(store, cluster, seed)
         if cluster.num_nodes != 1:
             raise ValueError(
                 "SingleNodePS requires a single-node cluster; got "

@@ -1,38 +1,43 @@
-"""Static key-to-server partitioning.
+"""The key-to-node ownership map of a parameter server.
 
 Classic parameter servers allocate parameters to servers statically
-(Section 3.1.1), typically by range-partitioning the key space. The same
-static map doubles as the *home node* map in a relocation PS: the home node
-always knows which node currently owns a key, so a requester contacts the
-home node first (the first of Lapse's three relocation messages).
+(Section 3.1.1) by range-partitioning the key space. The same map doubles as
+the *home node* map in a relocation PS: the home node always knows which node
+currently owns a key, so a requester contacts the home node first (the first
+of Lapse's three relocation messages).
+
+Membership changes rewrite the map: a crash hands the victim's keys to the
+survivors, a restore puts them back, a scale-out cedes a fair share to the
+new node, a scale-in hands the leaving node's keys to its successors.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from typing import Sequence
 
 import numpy as np
 
 
-#: Key spaces at or below this size serve :meth:`Partitioner.owners` from a
-#: dense key -> owner table (one ``take`` per call). Above it the table would
-#: dominate memory (8 GiB at 10^9 keys), so lookups go hierarchical:
-#: chunk-level table first, partition formula for the mixed boundary chunks.
+#: Key spaces at or below this size serve :meth:`OwnershipMap.owners` from a
+#: dense key -> owner table (one ``take`` per call) even before the first
+#: membership change. Above it the table would dominate memory (8 GiB at
+#: 10^9 keys), so lookups evaluate the range formula until a change forces
+#: the table into existence.
 DENSE_TABLE_MAX_KEYS = 1 << 22
 
-#: Keys per chunk of the hierarchical owner table. At 10^9 logical keys the
-#: chunk table is ~2 MB instead of an 8 GiB per-key table.
-OWNER_CHUNK_KEYS = 1 << 12
 
+class OwnershipMap:
+    """Maps parameter keys to the node that owns (is home to) them.
 
-class Partitioner(ABC):
-    """Maps parameter keys to the server (node) that statically owns them."""
-
-    #: Whether :meth:`owner` is non-decreasing in the key. Monotone
-    #: partitioners (range partitioning) get exact chunk-homogeneity
-    #: detection in the hierarchical lookup; non-monotone ones (hashing)
-    #: fall back to the vectorized partition formula per call.
-    monotone_owners = False
+    Until the first membership change every key ``k`` belongs to node
+    ``k // ceil(num_keys / num_servers)``: contiguous, nearly equal ranges.
+    From the first change on lookups answer from one dense key -> home table
+    that :meth:`fail`, :meth:`restore`, :meth:`join` and :meth:`leave`
+    rewrite. While a node is down the map also keeps the *planned* table —
+    the placement without any failover — which joins and leaves update
+    alongside the live one, so a restore returns each key to where the
+    membership history, not the crash, put it.
+    """
 
     def __init__(self, num_keys: int, num_servers: int) -> None:
         if num_keys <= 0:
@@ -41,30 +46,33 @@ class Partitioner(ABC):
             raise ValueError("num_servers must be positive")
         self.num_keys = int(num_keys)
         self.num_servers = int(num_servers)
-        self._owner_table: np.ndarray | None = None
-        self._chunk_owner_table: np.ndarray | None = None
+        self._range_size = -(-self.num_keys // self.num_servers)  # ceil division
+        #: Dense key -> owner table: the live map after the first change,
+        #: before it a cache of the range formula (small key spaces only).
+        self._table: np.ndarray | None = None
+        #: Whether a transition has rewritten the table (scalar lookups
+        #: evaluate the formula until then).
+        self._changed = False
+        #: The planned table while any node is down, else None.
+        self._planned: np.ndarray | None = None
+        self._down: set[int] = set()
 
-    @abstractmethod
+    # ---------------------------------------------------------------- lookups
     def owner(self, key: int) -> int:
-        """Server id of ``key``."""
+        """Node id of ``key``."""
+        if not 0 <= key < self.num_keys:
+            raise KeyError(f"key {key} out of range [0, {self.num_keys})")
+        if self._changed:
+            return int(self._table[key])
+        return key // self._range_size
 
     def owners(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`owner` for an array of keys.
 
-        Small key spaces are served from a precomputed key -> owner lookup
-        table: ``owners`` sits on the access-charging hot path, and one
-        ``take`` beats re-evaluating the partition formula on every call.
-        Beyond :data:`DENSE_TABLE_MAX_KEYS` the lookup goes hierarchical
-        (chunk-then-offset): a chunk-level table resolves chunks owned by a
-        single server, and only keys in mixed (boundary) chunks re-evaluate
-        the partition formula — O(1) per key with no ``num_keys``-length
-        allocation.
-
-        Out-of-range keys raise ``KeyError`` exactly like scalar
-        :meth:`owner`: negative keys are rejected by an explicit (cheap,
-        once-per-batch) check rather than silently wrapping through
-        ``take``'s negative indexing, and too-large keys by ``take``'s
-        bounds check or the explicit check on the hierarchical path.
+        Negative keys raise ``KeyError`` like scalar :meth:`owner` (an
+        explicit once-per-batch check, not ``take``'s wrap-around); too-large
+        keys raise from ``take``'s bounds check on the table path and
+        ``KeyError`` on the formula path.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size:
@@ -73,235 +81,137 @@ class Partitioner(ABC):
             raise KeyError(
                 f"keys out of range [0, {self.num_keys}): min={int(keys.min())}"
             )
-        if self.num_keys <= DENSE_TABLE_MAX_KEYS:
-            if self._owner_table is None:
-                all_keys = np.arange(self.num_keys, dtype=np.int64)
-                self._owner_table = self._compute_owners(all_keys)
-            return self._owner_table.take(keys, mode="raise")
-        hi = int(keys.max())
-        if hi >= self.num_keys:
-            raise KeyError(
-                f"keys out of range [0, {self.num_keys}): max={hi}"
-            )
-        if self._chunk_owner_table is None:
-            self._chunk_owner_table = self._build_chunk_owner_table()
-        chunk_ids = keys >> (OWNER_CHUNK_KEYS.bit_length() - 1)
-        owners = self._chunk_owner_table.take(chunk_ids)
-        mixed = owners < 0
-        if mixed.any():
-            owners[mixed] = self._compute_owners(keys[mixed])
-        return owners
+        table = self._table
+        if table is None:
+            if self.num_keys > DENSE_TABLE_MAX_KEYS:
+                hi = int(keys.max())
+                if hi >= self.num_keys:
+                    raise KeyError(
+                        f"keys out of range [0, {self.num_keys}): max={hi}"
+                    )
+                return keys // self._range_size
+            table = self._table = self.range_owners(
+                np.arange(self.num_keys, dtype=np.int64))
+        return table.take(keys, mode="raise")
 
-    def _build_chunk_owner_table(self) -> np.ndarray:
-        """Chunk id -> owner, or -1 where a chunk spans multiple servers."""
-        num_chunks = -(-self.num_keys // OWNER_CHUNK_KEYS)
-        starts = np.arange(num_chunks, dtype=np.int64) * OWNER_CHUNK_KEYS
-        ends = np.minimum(starts + OWNER_CHUNK_KEYS - 1, self.num_keys - 1)
-        if not self.monotone_owners:
-            # Without monotonicity equal endpoints prove nothing; every
-            # chunk goes through the partition formula.
-            return np.full(num_chunks, -1, dtype=np.int64)
-        start_owners = self._compute_owners(starts)
-        end_owners = self._compute_owners(ends)
-        return np.where(start_owners == end_owners, start_owners, -1)
-
-    @abstractmethod
-    def _compute_owners(self, keys: np.ndarray) -> np.ndarray:
-        """Evaluate the partition formula for an array of (valid) keys."""
+    def range_owners(self, keys: np.ndarray) -> np.ndarray:
+        """The static range partition of (valid) ``keys``, whatever the
+        membership history — the placement every node starts from."""
+        return keys // self._range_size
 
     def keys_of(self, server: int) -> np.ndarray:
-        """All keys statically assigned to ``server``."""
+        """All keys ``server`` owns right now."""
         if not 0 <= server < self.num_servers:
             raise ValueError(f"server {server} out of range [0, {self.num_servers})")
-        all_keys = np.arange(self.num_keys, dtype=np.int64)
-        return all_keys[self.owners(all_keys) == server]
+        return np.flatnonzero(self._all_owners() == server)
 
     def partition_sizes(self) -> np.ndarray:
         """Number of keys per server (length ``num_servers``)."""
-        all_keys = np.arange(self.num_keys, dtype=np.int64)
-        return np.bincount(self.owners(all_keys), minlength=self.num_servers)
+        return np.bincount(self._all_owners(), minlength=self.num_servers)
 
+    # ------------------------------------------------------------ transitions
+    def fail(self, node_id: int, survivors: Sequence[int]) -> np.ndarray:
+        """Hand ``node_id``'s keys round-robin to ``survivors``; return them.
 
-class RangePartitioner(Partitioner):
-    """Contiguous range partitioning (the classic-PS default).
+        Failovers stack: a second crash while the first node is down moves
+        the second node's keys, including those it took over from the first.
+        """
+        table = self._rewrite()
+        planned = table.copy() if self._planned is None else self._planned
+        moved = _hand_over(table, node_id, survivors)
+        self._planned = planned
+        self._down.add(int(node_id))
+        return moved
 
-    Key ``k`` belongs to server ``k // ceil(num_keys / num_servers)``, i.e.
-    servers own contiguous, nearly equal-sized ranges.
-    """
+    def restore(self, node_id: int, active_nodes: Sequence[int]) -> np.ndarray:
+        """Undo ``node_id``'s failover; return the keys whose owner changed.
 
-    monotone_owners = True
+        The live table is rebuilt from the planned one, re-applying the
+        failover of every node that is still down, in node order, over
+        ``active_nodes`` (the membership after the restore).
+        """
+        if int(node_id) not in self._down:
+            return np.empty(0, dtype=np.int64)
+        self._down.discard(int(node_id))
+        before = self._table
+        table = self._planned.copy()
+        for failed in sorted(self._down):
+            _hand_over(table, failed, active_nodes)
+        if not self._down:
+            self._planned = None
+        self._table = table
+        return np.flatnonzero(before != table)
 
-    def __init__(self, num_keys: int, num_servers: int) -> None:
-        super().__init__(num_keys, num_servers)
-        self._range_size = -(-self.num_keys // self.num_servers)  # ceil division
-
-    def owner(self, key: int) -> int:
-        self._check_key(key)
-        return min(key // self._range_size, self.num_servers - 1)
-
-    def _compute_owners(self, keys: np.ndarray) -> np.ndarray:
-        return np.minimum(keys // self._range_size, self.num_servers - 1)
-
-    def _check_key(self, key: int) -> None:
-        if not 0 <= key < self.num_keys:
-            raise KeyError(f"key {key} out of range [0, {self.num_keys})")
-
-
-class FailoverPartitioner(Partitioner):
-    """A partitioner with one server's keys re-assigned to the survivors.
-
-    Wraps an existing partitioner (the ``base``) and redistributes the keys of
-    ``failed_server`` round-robin over ``survivors``. Because every ownership
-    lookup in the static architectures (classic, replication) goes through the
-    live partitioner, installing a ``FailoverPartitioner`` *is* the complete
-    owner-failover mechanism for them: subsequent accesses route to the
-    survivor that took over the key, with no change to the access hot paths.
-
-    Instances chain: when a second node fails while the first is still down,
-    the second failover wraps the first. ``base`` always names the partitioner
-    that was active immediately before this failover, so restores can rebuild
-    the chain for the nodes that are still down.
-    """
-
-    def __init__(self, base: Partitioner, failed_server: int,
-                 survivors: "np.ndarray | list[int]") -> None:
-        super().__init__(base.num_keys, base.num_servers)
-        survivors = np.asarray(survivors, dtype=np.int64)
-        if len(survivors) == 0:
-            raise ValueError("failover needs at least one surviving server")
-        if failed_server in survivors:
-            raise ValueError(
-                f"failed server {failed_server} cannot be its own survivor"
-            )
-        self.base = base
-        self.failed_server = int(failed_server)
-        self.survivors = survivors
-        all_keys = np.arange(self.num_keys, dtype=np.int64)
-        table = base.owners(all_keys).copy()
-        moved = np.flatnonzero(table == failed_server)
-        table[moved] = survivors[np.arange(len(moved)) % len(survivors)]
-        self._owner_table = table
-        #: Keys whose ownership this failover moved off the failed server.
-        self.moved_keys = moved
-
-    def owner(self, key: int) -> int:
-        if not 0 <= key < self.num_keys:
-            raise KeyError(f"key {key} out of range [0, {self.num_keys})")
-        return int(self._owner_table[key])
-
-    def _compute_owners(self, keys: np.ndarray) -> np.ndarray:
-        return self._owner_table.take(keys)
-
-
-class ElasticPartitioner(Partitioner):
-    """An explicit owner-table partitioner that rebalances on membership changes.
-
-    Wraps the partitioner that was live when the first membership change
-    happened and keeps a dense key -> owner table that
-    :meth:`rebalance_add` / :meth:`rebalance_remove` rewrite incrementally:
-
-    * **add** — every existing owner cedes its fair share (``1 / n_active``
-      of its keys, taken from the tail of its key range) to the new node, so
-      the table converges to balance while moving only ``~1/n_active`` of
-      the key space (incremental rebalancing, not a full reshuffle).
-    * **remove** — the leaving node's keys are re-assigned round-robin over
-      its successors, exactly like a failover, except the caller drains the
-      state *before* the switch (planned scale-in loses nothing).
-
-    ``epoch`` records the cluster membership epoch the table was last
-    rebalanced for, so proxies can diagnose stale ownership.
-    """
-
-    def __init__(self, base: Partitioner, epoch: int = 0) -> None:
-        super().__init__(base.num_keys, base.num_servers)
-        self.base = base
-        self.epoch = int(epoch)
-        all_keys = np.arange(self.num_keys, dtype=np.int64)
-        self._owner_table = base.owners(all_keys).copy()
-        #: Keys moved by the most recent rebalance (empty before the first).
-        self.last_moved = np.empty(0, dtype=np.int64)
-
-    @classmethod
-    def ensure(cls, partitioner: Partitioner, epoch: int = 0) -> "ElasticPartitioner":
-        """``partitioner`` itself if already elastic, else a wrapping instance."""
-        if isinstance(partitioner, cls):
-            return partitioner
-        return cls(partitioner, epoch=epoch)
-
-    def owner(self, key: int) -> int:
-        if not 0 <= key < self.num_keys:
-            raise KeyError(f"key {key} out of range [0, {self.num_keys})")
-        return int(self._owner_table[key])
-
-    def _compute_owners(self, keys: np.ndarray) -> np.ndarray:
-        return self._owner_table.take(keys)
-
-    # ---------------------------------------------------------- rebalancing
-    def rebalance_add(self, new_node: int, active_nodes: "list[int]",
-                      epoch: int) -> np.ndarray:
-        """Cede each active owner's fair share to ``new_node``; return moved keys.
+    def join(self, node_id: int, active_nodes: Sequence[int]) -> np.ndarray:
+        """Cede each active owner's fair share to ``node_id``; return moved keys.
 
         ``active_nodes`` is the post-join active set (including
-        ``new_node``). Each pre-existing owner gives ``count // n_active``
-        of its keys — the tail of its sorted key list, so range partitions
-        stay mostly contiguous — which lands the new node within one key per
-        donor of the ideal ``num_keys / n_active`` share.
+        ``node_id``). Each pre-existing owner gives ``count // n_active`` of
+        its keys — the tail of its sorted key list, so range partitions stay
+        mostly contiguous — which lands the new node within one key per donor
+        of the ideal ``num_keys / n_active`` share. While a node is down the
+        planned table cedes its own shares independently.
         """
-        new_node = int(new_node)
-        if new_node < 0:
-            raise ValueError(f"new_node must be non-negative, got {new_node}")
-        n_active = len(active_nodes)
-        if n_active < 2:
-            raise ValueError("rebalance_add needs at least one donor node")
-        self.num_servers = max(self.num_servers, new_node + 1)
-        moved_parts = []
-        for owner in sorted(int(n) for n in active_nodes):
-            if owner == new_node:
-                continue
-            owned = np.flatnonzero(self._owner_table == owner)
-            share = len(owned) // n_active
-            if share:
-                moved_parts.append(owned[-share:])
-        moved = np.concatenate(moved_parts) if moved_parts else \
-            np.empty(0, dtype=np.int64)
-        self._owner_table[moved] = new_node
-        self._chunk_owner_table = None
-        self.epoch = int(epoch)
-        self.last_moved = moved
+        node_id = int(node_id)
+        if node_id < 0:
+            raise ValueError(f"new_node must be non-negative, got {node_id}")
+        if len(active_nodes) < 2:
+            raise ValueError("a join needs at least one donor node")
+        self.num_servers = max(self.num_servers, node_id + 1)
+        moved = _cede_shares(self._rewrite(), node_id, active_nodes)
+        if self._planned is not None:
+            _cede_shares(self._planned, node_id, active_nodes)
         return moved
 
-    def rebalance_remove(self, node_id: int, successors: "list[int]",
-                         epoch: int) -> np.ndarray:
-        """Re-home ``node_id``'s keys round-robin over ``successors``."""
-        successors_arr = np.asarray(list(successors), dtype=np.int64)
-        if len(successors_arr) == 0:
-            raise ValueError("rebalance_remove needs at least one successor")
-        if int(node_id) in successors_arr:
-            raise ValueError(
-                f"removed node {node_id} cannot be its own successor"
-            )
-        moved = np.flatnonzero(self._owner_table == int(node_id))
-        self._owner_table[moved] = successors_arr[
-            np.arange(len(moved)) % len(successors_arr)
-        ]
-        self._chunk_owner_table = None
-        self.epoch = int(epoch)
-        self.last_moved = moved
+    def leave(self, node_id: int, successors: Sequence[int]) -> np.ndarray:
+        """Hand ``node_id``'s keys round-robin to ``successors`` for good
+        (no later restore); return the live table's moved keys."""
+        moved = _hand_over(self._rewrite(), node_id, successors)
+        if self._planned is not None:
+            _hand_over(self._planned, node_id, successors)
         return moved
 
+    def _all_owners(self) -> np.ndarray:
+        """The owner of every key (the live table itself once it exists)."""
+        if self._table is not None:
+            return self._table
+        return self.range_owners(np.arange(self.num_keys, dtype=np.int64))
 
-class HashPartitioner(Partitioner):
-    """Hash (modulo) partitioning.
+    def _rewrite(self) -> np.ndarray:
+        """The live table, about to be rewritten by a transition."""
+        if self._table is None:
+            self._table = self.range_owners(
+                np.arange(self.num_keys, dtype=np.int64))
+        self._changed = True
+        return self._table
 
-    Spreads adjacent keys across servers, which avoids placing all hot keys of
-    a frequency-sorted key space on one server. Used by some PSs and useful
-    for ablations.
-    """
 
-    def owner(self, key: int) -> int:
-        if not 0 <= key < self.num_keys:
-            raise KeyError(f"key {key} out of range [0, {self.num_keys})")
-        return int(key % self.num_servers)
+def _hand_over(table: np.ndarray, node_id: int,
+               receivers: Sequence[int]) -> np.ndarray:
+    """Re-assign ``node_id``'s keys in ``table`` round-robin to ``receivers``."""
+    receivers = np.asarray(list(receivers), dtype=np.int64)
+    if len(receivers) == 0:
+        raise ValueError("a hand-over needs at least one receiving node")
+    if int(node_id) in receivers:
+        raise ValueError(f"node {node_id} cannot take over its own keys")
+    moved = np.flatnonzero(table == int(node_id))
+    table[moved] = receivers[np.arange(len(moved)) % len(receivers)]
+    return moved
 
-    def _compute_owners(self, keys: np.ndarray) -> np.ndarray:
-        return keys % self.num_servers
+
+def _cede_shares(table: np.ndarray, node_id: int,
+                 active_nodes: Sequence[int]) -> np.ndarray:
+    """Move each other active owner's tail share of ``table`` to ``node_id``."""
+    n_active = len(active_nodes)
+    moved_parts = []
+    for owner in sorted(int(n) for n in active_nodes):
+        if owner == node_id:
+            continue
+        owned = np.flatnonzero(table == owner)
+        share = len(owned) // n_active
+        if share:
+            moved_parts.append(owned[-share:])
+    moved = np.concatenate(moved_parts) if moved_parts else \
+        np.empty(0, dtype=np.int64)
+    table[moved] = node_id
+    return moved

@@ -36,7 +36,6 @@ from repro.ps.rounds import (
     segment_counts,
 )
 from repro.simulation.cluster import Cluster, WorkerContext
-from repro.ps.partition import Partitioner
 from repro.ps.storage import ParameterStore
 
 
@@ -59,12 +58,11 @@ class RelocationPS(ParameterServer):
         self,
         store: ParameterStore,
         cluster: Cluster,
-        partitioner: Partitioner | None = None,
         relocation_enabled: bool = True,
         seed: int = 0,
         batch_charging: bool = True,
     ) -> None:
-        super().__init__(store, cluster, partitioner, seed)
+        super().__init__(store, cluster, seed)
         #: ``relocation_enabled=False`` degrades this PS to a classic PS
         #: (the paper uses exactly this configuration as its classic baseline).
         self.relocation_enabled = relocation_enabled
@@ -76,11 +74,14 @@ class RelocationPS(ParameterServer):
             # partition (evaluated key-wise, never stored) and as
             # "already arrived" — exactly the dense initial state — so the
             # resident footprint tracks the keys that actually relocated.
+            # The fill is the range formula, not the live map: a transition
+            # moves copies through ``_rehome``, never through the fill.
             table = ChunkedTable(store.num_keys, store.storage.chunk_rows,
                                  label="relocation")
             #: Current owner node of every key; starts at the static partition.
             self.current_owner = table.column(
-                "current_owner", np.int64, fill_fn=self.partitioner.owners)
+                "current_owner", np.int64,
+                fill_fn=self.partitioner.range_owners)
             #: Simulated time at which the most recent relocation of a key
             #: completes at its new owner. Accesses before that time must wait.
             self.arrival_time = table.column("arrival_time", np.float64)
@@ -370,58 +371,19 @@ class RelocationPS(ParameterServer):
         """Keys whose current (dynamic) copy lives on ``node_id``."""
         return self.local_keys(node_id)
 
-    def fail_over(self, node_id: int, survivors: Sequence[int],
-                  available_at: float) -> np.ndarray:
-        """Re-home the crashed node's keys and gate access on recovery.
-
-        The home map (static partitioner) is swapped as in the base class so
-        routed remote accesses stop consulting the dead home node. The
-        *current* copies the node held are reassigned round-robin to the
-        survivors with ``arrival_time = available_at``: subsequent accesses
-        reuse the existing wait-until-arrival path and block until the
-        recovered state has been transferred — no retry proxy needed.
-        """
-        lost = self.local_keys(node_id)
-        super().fail_over(node_id, survivors, available_at)
-        self._rehome(lost, survivors, available_at)
-        return lost
-
     def _rehome(self, keys: np.ndarray, nodes: Sequence[int],
                 available_at: float) -> None:
         """Hand the current copies of ``keys`` round-robin to ``nodes``,
-        accessible from ``available_at`` on (the native arrival gate)."""
+        accessible from ``available_at`` on.
+
+        The native arrival gate does the rest: accesses issued before the
+        recovered or migrated state arrives wait for it, exactly like an
+        in-flight relocation — no retry proxy needed.
+        """
         if len(keys):
             nodes = np.asarray(list(nodes), dtype=np.int64)
             self.current_owner[keys] = nodes[np.arange(len(keys)) % len(nodes)]
             self.arrival_time[keys] = float(available_at)
-
-    # --------------------------------------------------------- membership API
-    def on_node_added(self, node_id: int, available_at: float) -> np.ndarray:
-        """Re-home a share of current copies onto the joining node.
-
-        The home map is rebalanced as in the base class; the *current* copies
-        of the ceded keys move to the new node with
-        ``arrival_time = available_at``, so accesses issued before the
-        transfer completes wait on the native arrival gate — the same
-        mechanism in-flight relocations use.
-        """
-        moved = super().on_node_added(node_id, available_at)
-        self._rehome(moved, [node_id], available_at)
-        return moved
-
-    def migrate_out(self, node_id: int, successors: Sequence[int],
-                    available_at: float) -> np.ndarray:
-        """Permanently re-home the leaving node's current copies.
-
-        Mirrors :meth:`fail_over`'s round-robin reassignment, but rewrites
-        the home map through the elastic partitioner (no failover chain) and
-        moves *state*, not just routing: the drained values travel with the
-        keys, so nothing is lost.
-        """
-        lost = self.local_keys(node_id)
-        super().migrate_out(node_id, successors, available_at)
-        self._rehome(lost, successors, available_at)
-        return lost
 
 
 class RelocationPointCharger(ChunkValues):

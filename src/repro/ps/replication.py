@@ -40,7 +40,6 @@ from repro.ps.base import ParameterServer
 from repro.ps.chunks import ChunkedTable, MemoryBudget, StorageConfig
 from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import Cluster, WorkerContext
-from repro.ps.partition import Partitioner
 from repro.ps.storage import ParameterStore, scatter_add_rows
 
 
@@ -158,13 +157,12 @@ class ReplicationPS(ParameterServer):
         self,
         store: ParameterStore,
         cluster: Cluster,
-        partitioner: Partitioner | None = None,
         protocol: ReplicationProtocol = ReplicationProtocol.SSP,
         staleness: int = 1,
         seed: int = 0,
         batch_charging: bool = True,
     ) -> None:
-        super().__init__(store, cluster, partitioner, seed)
+        super().__init__(store, cluster, seed)
         if staleness < 0:
             raise ValueError("staleness must be non-negative")
         self.protocol = protocol
@@ -575,14 +573,13 @@ class ReplicationPS(ParameterServer):
         return values, mask
 
     # ---------------------------------------------------------- membership API
-    def on_node_added(self, node_id: int, available_at: float) -> np.ndarray:
-        """Create replica state for the joining node and rebalance shards."""
+    def on_node_added(self, node_id: int, available_at: float) -> None:
+        """Create replica state for the joining node."""
         if node_id not in self._nodes:
             self._nodes[node_id] = _NodeReplicaState(
                 self.store.num_keys, self.store.value_length,
                 storage=self.store.storage, node_id=node_id,
             )
-        return super().on_node_added(node_id, available_at)
 
     def drain_node(self, node_id: int, now: float) -> int:
         """Flush the leaving node's buffered updates into the global store.
@@ -601,12 +598,9 @@ class ReplicationPS(ParameterServer):
         self._flush_node(node_id, state)
         return drained
 
-    def migrate_out(self, node_id: int, successors: Sequence[int],
-                    available_at: float) -> np.ndarray:
-        """Drop the leaving node's replica state after re-homing its shard."""
-        moved = super().migrate_out(node_id, successors, available_at)
+    def on_node_removed(self, node_id: int, available_at: float) -> None:
+        """Drop the leaving node's replica state."""
         self._nodes.pop(node_id, None)
-        return moved
 
     # --------------------------------------------------------------- charging
     def _charge_intra_process(self, worker: WorkerContext, count: int, kind: str) -> None:

@@ -133,8 +133,8 @@ class Cluster:
         #: clocks freeze at removal time. Empty in elasticity-off runs.
         self.removed: set[int] = set()
         #: Monotone counter bumped by every :meth:`add_node` /
-        #: :meth:`remove_node`. Partitioners and proxies record the epoch
-        #: they were built against so stale ownership can be diagnosed.
+        #: :meth:`remove_node`. The fault proxy records the epoch it was
+        #: built at, so an access routed to a removed owner names both.
         self.membership_epoch: int = 0
         #: Optional :class:`~repro.obs.Tracer`. ``None`` — the default —
         #: means telemetry is off; the runner installs a tracer here before
@@ -257,9 +257,10 @@ class Cluster:
         The new node starts with ``workers_per_node`` workers whose clocks
         (and the background/server clocks) are advanced to ``now`` — a node
         joining mid-run does not start at simulated time zero. Bumps the
-        membership epoch. State rebalancing is the parameter server's job
-        (see :meth:`~repro.ps.base.ParameterServer.on_node_added`); the
-        cluster only tracks membership.
+        membership epoch. Rebalancing ownership and state is the elasticity
+        controller's job (see
+        :meth:`~repro.elastic.controller.ElasticityController.scale_out`);
+        the cluster only tracks membership.
         """
         node_id = len(self.nodes)
         node = Node(node_id, self.config.workers_per_node)

@@ -19,8 +19,8 @@ class PeriodicSchedule:
     Parameters
     ----------
     interval:
-        Target period in simulated seconds. ``float('inf')`` (or any
-        non-positive value via :meth:`disabled`) disables the schedule.
+        Target period in simulated seconds. ``float('inf')`` (what
+        :meth:`disabled` builds) disables the schedule.
     start:
         Simulated time of the first possible firing.
     """
@@ -38,10 +38,7 @@ class PeriodicSchedule:
     @classmethod
     def disabled(cls) -> "PeriodicSchedule":
         """A schedule that never fires."""
-        schedule = cls(interval=float("inf") if False else 1.0)
-        schedule.interval = float("inf")
-        schedule._next_due = float("inf")
-        return schedule
+        return cls(float("inf"))
 
     @property
     def enabled(self) -> bool:

@@ -144,6 +144,14 @@ def _names_used(tree):
             yield node.name.rsplit(".", 1)[-1]
 
 
+def _parsed_trees():
+    """``{path: tree}`` of every Python file in src, tests, benchmarks,
+    examples and perfbench."""
+    return {path: ast.parse(path.read_text())
+            for top in ("src", "tests", "benchmarks", "examples", "perfbench")
+            for path in (REPO_ROOT / top).rglob("*.py")}
+
+
 def test_every_definition_is_named_outside_itself():
     """No function, method or class of ``src/repro`` is unreferenced code.
 
@@ -151,9 +159,7 @@ def test_every_definition_is_named_outside_itself():
     benchmarks, examples or perfbench other than inside its own body
     (dunder methods are called by the language).
     """
-    trees = {path: ast.parse(path.read_text())
-             for top in ("src", "tests", "benchmarks", "examples", "perfbench")
-             for path in (REPO_ROOT / top).rglob("*.py")}
+    trees = _parsed_trees()
     used = Counter(name for tree in trees.values() for name in _names_used(tree))
     dead = [
         f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {node.name}"
@@ -164,3 +170,31 @@ def test_every_definition_is_named_outside_itself():
         and used[node.name] == sum(n == node.name for n in _names_used(node))
     ]
     assert not dead, "defined but never used:\n" + "\n".join(dead)
+
+
+def test_no_write_only_attribute():
+    """No attribute assigned on ``self`` in ``src/repro`` goes unread.
+
+    A read is an attribute load or a string constant (``getattr``, slots,
+    ``vars()`` keys) anywhere in src, tests, benchmarks, examples or
+    perfbench; ``+=`` is a store. State that is only ever written is dead
+    weight on every object that carries it.
+    """
+    trees = _parsed_trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    write_only = sorted({
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: self.{node.attr}"
+        for path, tree in trees.items() if SRC_ROOT in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read
+    })
+    assert not write_only, "assigned but never read:\n" + "\n".join(write_only)

@@ -1,186 +1,244 @@
-"""Tests for static key partitioning."""
+"""Tests for the key-to-node ownership map."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ps.partition import (
-    DENSE_TABLE_MAX_KEYS,
-    FailoverPartitioner,
-    HashPartitioner,
-    RangePartitioner,
-)
+from repro.ps.partition import DENSE_TABLE_MAX_KEYS, OwnershipMap
 
 
-class TestRangePartitioner:
+class TestRangePartition:
     def test_all_keys_assigned_within_range(self):
-        partitioner = RangePartitioner(100, 4)
-        owners = partitioner.owners(np.arange(100))
+        ownership = OwnershipMap(100, 4)
+        owners = ownership.owners(np.arange(100))
         assert owners.min() >= 0
         assert owners.max() < 4
 
     def test_contiguous_ranges(self):
-        partitioner = RangePartitioner(100, 4)
-        owners = partitioner.owners(np.arange(100))
-        # Owners must be non-decreasing for a range partitioner.
+        ownership = OwnershipMap(100, 4)
+        owners = ownership.owners(np.arange(100))
+        # Owners must be non-decreasing for a range partition.
         assert np.all(np.diff(owners) >= 0)
 
     def test_balanced_partition_sizes(self):
-        partitioner = RangePartitioner(100, 4)
-        sizes = partitioner.partition_sizes()
+        ownership = OwnershipMap(100, 4)
+        sizes = ownership.partition_sizes()
         assert sizes.sum() == 100
         assert sizes.max() - sizes.min() <= 25  # ceil-division imbalance only
 
     def test_uneven_key_count(self):
-        partitioner = RangePartitioner(10, 3)
-        sizes = partitioner.partition_sizes()
+        ownership = OwnershipMap(10, 3)
+        sizes = ownership.partition_sizes()
         assert sizes.sum() == 10
         assert all(size > 0 for size in sizes)
 
     def test_single_server_owns_everything(self):
-        partitioner = RangePartitioner(50, 1)
-        assert set(partitioner.owners(np.arange(50))) == {0}
+        ownership = OwnershipMap(50, 1)
+        assert set(ownership.owners(np.arange(50))) == {0}
 
     def test_owner_single_key(self):
-        partitioner = RangePartitioner(100, 4)
-        assert partitioner.owner(0) == 0
-        assert partitioner.owner(99) == 3
+        ownership = OwnershipMap(100, 4)
+        assert ownership.owner(0) == 0
+        assert ownership.owner(99) == 3
 
     def test_out_of_range_key_rejected(self):
-        partitioner = RangePartitioner(10, 2)
+        ownership = OwnershipMap(10, 2)
         with pytest.raises(KeyError):
-            partitioner.owner(10)
+            ownership.owner(10)
 
     def test_keys_of_inverse_of_owner(self):
-        partitioner = RangePartitioner(30, 4)
+        ownership = OwnershipMap(30, 4)
         for server in range(4):
-            for key in partitioner.keys_of(server):
-                assert partitioner.owner(int(key)) == server
+            for key in ownership.keys_of(server):
+                assert ownership.owner(int(key)) == server
 
     def test_keys_of_invalid_server(self):
         with pytest.raises(ValueError):
-            RangePartitioner(10, 2).keys_of(2)
+            OwnershipMap(10, 2).keys_of(2)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            RangePartitioner(0, 2)
+            OwnershipMap(0, 2)
         with pytest.raises(ValueError):
-            RangePartitioner(10, 0)
+            OwnershipMap(10, 0)
 
 
-class TestHashPartitioner:
-    def test_spreads_adjacent_keys(self):
-        partitioner = HashPartitioner(100, 4)
-        owners = partitioner.owners(np.arange(8))
-        assert list(owners) == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_owner_matches_owners(self):
-        partitioner = HashPartitioner(100, 7)
-        owners = partitioner.owners(np.arange(100))
-        for key in range(100):
-            assert partitioner.owner(key) == owners[key]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(KeyError):
-            HashPartitioner(10, 2).owner(-1)
+def _failed_over(num_keys=100, num_servers=4, node=1, survivors=(0, 2, 3)):
+    ownership = OwnershipMap(num_keys, num_servers)
+    ownership.fail(node, list(survivors))
+    return ownership
 
 
 class TestOwnersRejectsNegativeKeys:
     """Regression: ``owners`` used to wrap negative keys through ``take``'s
-    negative indexing — ``RangePartitioner(100, 4).owners([-1])`` silently
-    answered ``[3]`` while scalar ``owner(-1)`` raised. Both must raise."""
+    negative indexing — ``owners([-1])`` silently answered ``[3]`` while
+    scalar ``owner(-1)`` raised. Both must raise, before and after a
+    transition."""
 
-    def test_range_batch_negative_key_raises(self):
-        partitioner = RangePartitioner(100, 4)
+    def test_batch_negative_key_raises(self):
         with pytest.raises(KeyError):
-            partitioner.owners(np.array([-1]))
+            OwnershipMap(100, 4).owners(np.array([-1]))
 
-    def test_range_negative_key_hidden_in_batch(self):
-        partitioner = RangePartitioner(100, 4)
+    def test_negative_key_hidden_in_batch(self):
         with pytest.raises(KeyError):
-            partitioner.owners(np.array([5, 17, -1, 42]))
-
-    def test_hash_batch_negative_key_raises(self):
-        with pytest.raises(KeyError):
-            HashPartitioner(100, 4).owners(np.array([-3]))
+            OwnershipMap(100, 4).owners(np.array([5, 17, -1, 42]))
 
     def test_failover_batch_negative_key_raises(self):
-        failover = FailoverPartitioner(RangePartitioner(100, 4), 1, [0, 2, 3])
         with pytest.raises(KeyError):
-            failover.owners(np.array([-1]))
+            _failed_over().owners(np.array([-1]))
 
     def test_chained_failover_batch_negative_key_raises(self):
-        first = FailoverPartitioner(RangePartitioner(100, 4), 1, [0, 2, 3])
-        second = FailoverPartitioner(first, 2, [0, 3])
+        ownership = _failed_over()
+        ownership.fail(2, [0, 3])
         with pytest.raises(KeyError):
-            second.owners(np.array([-100]))
+            ownership.owners(np.array([-100]))
 
     def test_scalar_and_batch_agree_on_negative_keys(self):
-        for partitioner in (
-            RangePartitioner(100, 4),
-            HashPartitioner(100, 4),
-            FailoverPartitioner(RangePartitioner(100, 4), 0, [1, 2, 3]),
-        ):
+        for ownership in (OwnershipMap(100, 4), _failed_over()):
             with pytest.raises(KeyError):
-                partitioner.owner(-1)
+                ownership.owner(-1)
             with pytest.raises(KeyError):
-                partitioner.owners(np.array([-1]))
+                ownership.owners(np.array([-1]))
 
     def test_valid_batches_unaffected(self):
-        partitioner = RangePartitioner(100, 4)
         keys = np.array([0, 25, 50, 99])
-        assert list(partitioner.owners(keys)) == [0, 1, 2, 3]
+        assert list(OwnershipMap(100, 4).owners(keys)) == [0, 1, 2, 3]
 
 
-class TestHierarchicalOwnerLookup:
-    """Key spaces beyond the dense-table threshold answer ``owners`` from a
-    chunk-level table plus the partition formula — no per-key table."""
+class TestFormulaLookup:
+    """Key spaces beyond the dense-table threshold answer ``owners`` from the
+    range formula until a transition: no per-key table."""
 
-    NUM_KEYS = DENSE_TABLE_MAX_KEYS * 4  # 2^24 keys: hierarchical path
+    NUM_KEYS = DENSE_TABLE_MAX_KEYS * 4  # 2^24 keys: formula path
 
     def test_matches_partition_formula(self):
-        partitioner = RangePartitioner(self.NUM_KEYS, 8)
+        ownership = OwnershipMap(self.NUM_KEYS, 8)
         rng = np.random.default_rng(0)
         keys = rng.integers(0, self.NUM_KEYS, size=4096, dtype=np.int64)
-        expected = partitioner._compute_owners(keys)
-        np.testing.assert_array_equal(partitioner.owners(keys), expected)
+        np.testing.assert_array_equal(ownership.owners(keys),
+                                      keys // (self.NUM_KEYS // 8))
 
     def test_no_dense_table_built(self):
-        partitioner = RangePartitioner(self.NUM_KEYS, 8)
-        partitioner.owners(np.array([0, self.NUM_KEYS - 1]))
-        assert partitioner._owner_table is None
+        ownership = OwnershipMap(self.NUM_KEYS, 8)
+        ownership.owners(np.array([0, self.NUM_KEYS - 1]))
+        assert ownership._table is None
 
     def test_partition_boundaries_exact(self):
-        # Servers at 7 ways over 2^24 keys: every boundary chunk is mixed.
-        partitioner = RangePartitioner(self.NUM_KEYS, 7)
-        range_size = partitioner._range_size
-        boundary_keys = []
-        for server in range(1, 7):
-            edge = server * range_size
-            boundary_keys.extend([edge - 1, edge])
-        keys = np.asarray(boundary_keys, dtype=np.int64)
-        expected = partitioner._compute_owners(keys)
-        np.testing.assert_array_equal(partitioner.owners(keys), expected)
+        ownership = OwnershipMap(self.NUM_KEYS, 7)
+        range_size = -(-self.NUM_KEYS // 7)
+        edges = [edge for server in range(1, 7)
+                 for edge in (server * range_size - 1, server * range_size)]
+        owners = ownership.owners(np.asarray(edges, dtype=np.int64))
+        assert owners.tolist() == [server - 1 + side for server in range(1, 7)
+                                   for side in (0, 1)]
 
     def test_scalar_owner_matches_batch(self):
-        partitioner = RangePartitioner(self.NUM_KEYS, 8)
+        ownership = OwnershipMap(self.NUM_KEYS, 8)
         sample = np.linspace(0, self.NUM_KEYS - 1, 64, dtype=np.int64)
-        batch = partitioner.owners(sample)
+        batch = ownership.owners(sample)
         for key, owner in zip(sample.tolist(), batch.tolist()):
-            assert partitioner.owner(key) == owner
-
-    def test_hash_partitioner_uses_formula(self):
-        partitioner = HashPartitioner(self.NUM_KEYS, 8)
-        rng = np.random.default_rng(1)
-        keys = rng.integers(0, self.NUM_KEYS, size=1024, dtype=np.int64)
-        np.testing.assert_array_equal(partitioner.owners(keys), keys % 8)
+            assert ownership.owner(key) == owner
 
     def test_out_of_range_raises(self):
-        partitioner = RangePartitioner(self.NUM_KEYS, 8)
+        ownership = OwnershipMap(self.NUM_KEYS, 8)
         with pytest.raises(KeyError):
-            partitioner.owners(np.array([self.NUM_KEYS]))
+            ownership.owners(np.array([self.NUM_KEYS]))
         with pytest.raises(KeyError):
-            partitioner.owners(np.array([-1]))
+            ownership.owners(np.array([-1]))
+
+
+class TestTransitions:
+    def test_failover_hands_keys_round_robin_to_survivors(self):
+        ownership = _failed_over()
+        static = OwnershipMap(100, 4).owners(np.arange(100))
+        victims = np.flatnonzero(static == 1)
+        owners = ownership.owners(np.arange(100))
+        assert owners[victims].tolist() == \
+            [(0, 2, 3)[i % 3] for i in range(len(victims))]
+        untouched = static != 1
+        np.testing.assert_array_equal(owners[untouched], static[untouched])
+
+    def test_chained_failover_order(self):
+        """A second crash moves the second node's keys — including those it
+        took over from the first — round-robin over the remaining nodes."""
+        ownership = _failed_over()
+        expected = ownership.owners(np.arange(100))
+        second = np.flatnonzero(expected == 2)
+        expected[second] = np.array([0, 3])[np.arange(len(second)) % 2]
+        moved = ownership.fail(2, [0, 3])
+        np.testing.assert_array_equal(moved, second)
+        np.testing.assert_array_equal(ownership.owners(np.arange(100)),
+                                      expected)
+        assert ownership.owner(int(second[-1])) == int(expected[second[-1]])
+
+    def test_restore_reapplies_still_down_failovers_in_node_order(self):
+        ownership = _failed_over()
+        ownership.fail(2, [0, 3])
+        ownership.restore(1, [0, 1, 3])
+        # Node 2's failover replayed over the post-restore active set.
+        expected = OwnershipMap(100, 4)
+        expected.fail(2, [0, 1, 3])
+        np.testing.assert_array_equal(ownership.owners(np.arange(100)),
+                                      expected.owners(np.arange(100)))
+        ownership.restore(2, [0, 1, 2, 3])
+        np.testing.assert_array_equal(ownership.owners(np.arange(100)),
+                                      OwnershipMap(100, 4).owners(np.arange(100)))
+
+    def test_restore_of_a_node_that_is_not_down_moves_nothing(self):
+        ownership = _failed_over()
+        before = ownership.owners(np.arange(100))
+        assert len(ownership.restore(2, [0, 1, 2, 3])) == 0
+        np.testing.assert_array_equal(ownership.owners(np.arange(100)), before)
+
+    def test_failover_validates_survivors(self):
+        ownership = OwnershipMap(100, 4)
+        with pytest.raises(ValueError):
+            ownership.fail(1, [])
+        with pytest.raises(ValueError):
+            ownership.fail(1, [1, 2])
+        # A rejected failover leaves no node down.
+        assert len(ownership.restore(1, [0, 1, 2, 3])) == 0
+
+    def test_join_shares_within_one_key_per_donor(self):
+        ownership = OwnershipMap(1000, 3)
+        moved = ownership.join(3, [0, 1, 2, 3])
+        assert ownership.num_servers == 4
+        np.testing.assert_array_equal(ownership.keys_of(3), np.sort(moved))
+        ideal = 1000 / 4
+        assert abs(len(moved) - ideal) <= 3
+        # Each donor cedes the tail of its range.
+        for donor in range(3):
+            owned = np.flatnonzero(
+                OwnershipMap(1000, 3).owners(np.arange(1000)) == donor)
+            np.testing.assert_array_equal(
+                ownership.keys_of(donor), owned[:len(owned) - len(owned) // 4])
+
+    def test_join_needs_a_donor(self):
+        with pytest.raises(ValueError):
+            OwnershipMap(100, 1).join(1, [1])
+        with pytest.raises(ValueError):
+            OwnershipMap(100, 2).join(-1, [0, 1])
+
+    def test_leave_hands_keys_to_successors_for_good(self):
+        ownership = OwnershipMap(100, 4)
+        moved = ownership.leave(1, [0, 2, 3])
+        np.testing.assert_array_equal(moved, np.arange(25, 50))
+        assert len(ownership.keys_of(1)) == 0
+        assert ownership.partition_sizes().sum() == 100
+
+    def test_membership_change_while_down_updates_planned_table(self):
+        """A join while a node is down applies to the live and the planned
+        table independently; the restore returns to the planned one."""
+        ownership = _failed_over()
+        live_moved = ownership.join(4, [0, 2, 3, 4])
+        planned = OwnershipMap(100, 4)
+        planned_moved = planned.join(4, [0, 2, 3, 4])
+        # Node 1 (down) donates nothing in either table.
+        assert not np.isin(np.arange(25, 50), planned_moved).any()
+        assert not np.array_equal(live_moved, planned_moved)
+        ownership.restore(1, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(ownership.owners(np.arange(100)),
+                                      planned.owners(np.arange(100)))
 
 
 @settings(deadline=None, max_examples=50)
@@ -188,16 +246,15 @@ class TestHierarchicalOwnerLookup:
     num_keys=st.integers(min_value=1, max_value=500),
     num_servers=st.integers(min_value=1, max_value=16),
 )
-@pytest.mark.parametrize("partitioner_cls", [RangePartitioner, HashPartitioner])
-def test_partition_is_total_and_consistent(partitioner_cls, num_keys, num_servers):
+def test_partition_is_total_and_consistent(num_keys, num_servers):
     """Every key has exactly one owner, in range, and the scalar and
     vectorized owner functions agree."""
-    partitioner = partitioner_cls(num_keys, num_servers)
+    ownership = OwnershipMap(num_keys, num_servers)
     keys = np.arange(num_keys)
-    owners = partitioner.owners(keys)
+    owners = ownership.owners(keys)
     assert owners.shape == (num_keys,)
     assert owners.min() >= 0 and owners.max() < num_servers
     sample = keys if num_keys <= 50 else keys[:: num_keys // 50]
     for key in sample:
-        assert partitioner.owner(int(key)) == owners[key]
-    assert partitioner.partition_sizes().sum() == num_keys
+        assert ownership.owner(int(key)) == owners[key]
+    assert ownership.partition_sizes().sum() == num_keys
