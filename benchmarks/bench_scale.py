@@ -21,6 +21,7 @@ cell is kept even in fast mode — it is the point of the benchmark).
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -188,6 +189,39 @@ def _compare_fingerprints(dense: dict, sparse: dict) -> dict:
 # Part 2: the keys x nodes x skew sweep on the sparse backend.
 # --------------------------------------------------------------------------
 
+def _status_bytes(field: str) -> int | None:
+    """``VmRSS`` / ``VmHWM`` of this process in bytes (None off Linux)."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith(field + ":"):
+                    return 1024 * int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _fresh_rss(*cell) -> dict:
+    """``resident_bytes`` of the scale ``cell`` and ``peak_rss_bytes`` (its
+    ``VmHWM``, interpreter and imports included) in a fresh interpreter that
+    runs only that cell, so that no other cell's memory is counted."""
+    import subprocess
+
+    import repro
+
+    code = ("import json, bench_scale as b; "
+            f"cell = b._run_scale_cell{cell!r}; "
+            "print(json.dumps({'resident_bytes': cell['resident_bytes'], "
+            "'peak_rss_bytes': b._status_bytes('VmHWM')}))")
+    path = [str(Path(__file__).resolve().parent),
+            str(Path(repro.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def _node_working_sets(rng: np.random.Generator, num_keys: int,
                        num_nodes: int) -> list:
     """Disjoint per-node key working sets drawn from the full key space."""
@@ -205,6 +239,8 @@ def _access_probabilities(size: int, skew: float) -> np.ndarray:
 
 def _run_scale_cell(num_keys: int, num_nodes: int, skew: float,
                     system: str, seed: int) -> dict:
+    gc.collect()  # the previous cell's state is not this cell's memory
+    rss_before = _status_bytes("VmRSS")
     started = time.perf_counter()
     storage = StorageConfig(
         backend="sparse", chunk_rows=SCALE_CHUNK_ROWS,
@@ -256,6 +292,7 @@ def _run_scale_cell(num_keys: int, num_nodes: int, skew: float,
 
     state = {name: int(size) for name, size in ps.state_nbytes().items()}
     total_nbytes = sum(state.values())
+    rss_after = _status_bytes("VmRSS")
     budget = budget_total_bytes(num_nodes)
     dense_required = dense_required_bytes(system, num_keys, num_nodes)
     return {
@@ -278,6 +315,12 @@ def _run_scale_cell(num_keys: int, num_nodes: int, skew: float,
         "dense_required_bytes": int(dense_required),
         "dense_over_budget": dense_required / budget,
         "wall_seconds": time.perf_counter() - started,
+        # RSS growth while the cell's state is alive: ``total_nbytes`` counts
+        # whole materialized chunks, the process only the pages written (a
+        # record: other cells of a worker process can blur it; the headline
+        # cells are measured again alone).
+        "resident_bytes": None if rss_before is None
+        else rss_after - rss_before,
     }
 
 
@@ -293,6 +336,10 @@ def _run_job(kind: str, *args) -> dict:
 
 def _mib(num_bytes: float) -> str:
     return f"{num_bytes / 1024**2:.1f} MiB"
+
+
+def _mib_or_na(num_bytes: float | None) -> str:
+    return "n/a" if num_bytes is None else _mib(num_bytes)
 
 
 def run() -> dict:
@@ -390,6 +437,10 @@ def run() -> dict:
                                headline_skew, system)]
         for system in HEADLINE_SYSTEMS
     }
+    seeds = {job[1:5]: job[5] for job in scale_jobs}
+    for system, cell in headline.items():
+        key = (headline_keys, headline_nodes, headline_skew, system)
+        cell.update(_fresh_rss(*key, seeds[key]))
     peak_rss_bytes = 1024 * max(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
@@ -420,8 +471,11 @@ def run() -> dict:
         f"headline: {headline_keys:.0e} keys on {headline_nodes} nodes"
     )
     print(format_table(
-        ["system", "resident", "store", "dense would need", "x budget"],
+        ["system", "materialized", "store", "RSS growth", "peak RSS",
+         "dense would need", "x budget"],
         [[system, _mib(cell["total_nbytes"]), _mib(cell["store_nbytes"]),
+          _mib_or_na(cell["resident_bytes"]),
+          _mib_or_na(cell["peak_rss_bytes"]),
           _mib(cell["dense_required_bytes"]),
           f"{cell['dense_over_budget']:.1f}x"]
          for system, cell in headline.items()],

@@ -158,7 +158,7 @@ class MatrixFactorizationTask(TrainingTask):
         row 0 of ``error * factors[::-1] - regularization * factors`` is the
         row gradient ``error * col - regularization * row``, row 1 the column
         gradient, element for element. The stateful clipper sees the row
-        delta, then the column delta.
+        delta, then the column delta, in one ``clip_rows`` call.
         """
         error = value - float(factors[0].dot(factors[1]))
         self._epoch_squared_error += error * error
@@ -166,15 +166,8 @@ class MatrixFactorizationTask(TrainingTask):
         deltas = self.learning_rate * (
             error * factors[::-1] - self.regularization * factors
         )
-        clipper = self._clipper
-        if clipper is not None:
-            for index in (0, 1):
-                delta = deltas[index]
-                clipped = clipper.clip_given_norm(
-                    delta, float(np.sqrt(delta.dot(delta)))
-                )
-                if clipped is not delta:
-                    deltas[index] = clipped
+        if self._clipper is not None:
+            return self._clipper.clip_rows(deltas)
         return deltas
 
     def process_round(self, ps: ParameterServer, items) -> None:

@@ -8,29 +8,38 @@ return the fill value (zeros for values and update buffers, ``-1`` for slot
 tables, the static partition for owner maps) without allocating anything.
 
 A key space is **one page table** (:class:`ChunkedTable`) over **one
-contiguous pool per column** (:class:`ChunkedArray`; a standalone
-``ChunkedVector``/``ChunkedMatrix`` is a one-column table)::
+interleaved pool**: a pool row is an aligned structured record with one
+field per column, and a column (:class:`ChunkedArray`; a standalone
+``ChunkedVector``/``ChunkedMatrix`` is a one-column table) is the view of
+its field::
 
-    key k --> chunk k // chunk_rows --> _shift[chunk] --> row k + shift
-                                                           of every pool
+    key k --> chunk k // chunk_rows --> _shift[chunk] --> record k + shift
+                                                           of the pool
 
-Every pool's first ``chunk_rows`` rows are a shared, never-written *fill
+The pool's first ``chunk_rows`` records are a shared, never-written *fill
 page*; every unmaterialized chunk is mapped onto it, so a read needs no
 branch: two vectorised index operations translate a key batch to pool rows
 — once per batch, whatever the number of columns touched — and the ordinary
-dense operation (``take``, fancy assignment, ``np.add.at``) then runs on a
-pool. The whole batch hits one array in batch order, so the result is
+dense operation (fancy get and set, ``np.add.at``) then runs on a field
+view. The whole batch hits one array in batch order, so the result is
 bit-identical to the dense backend because it *is* the same NumPy call. The
 columns duck-type the slice of the :class:`numpy.ndarray` API the
 parameter-server hot paths use, so the servers run unchanged on either.
 
-Materialization appends the chunk to every pool of the table and is charged
-once against an optional :class:`MemoryBudget` *before* the pools grow (over
-budget raises :class:`MemoryBudgetExceeded` with an actionable message). A
-zero-fill column writes nothing: pools grow geometrically into zeroed,
-untouched capacity, which is not charged and not resident. The fixed cost
-of a key space is its page table, ``num_keys / chunk_rows x 8`` bytes; a
-touched key then costs one 4 KiB page per column.
+A field view is strided, and ``ndarray.take`` copies a non-contiguous array
+whole before it gathers: gathers from a pool go through fancy indexing
+(:meth:`ChunkedArray.gather`), never ``take``.
+
+Materialization appends the chunk to the pool and is charged once against
+an optional :class:`MemoryBudget` *before* the pool grows (over budget
+raises :class:`MemoryBudgetExceeded` with an actionable message). Charges
+and ``nbytes`` count the columns' own bytes, not the record's alignment
+padding. A zero-fill column writes nothing: the pool grows geometrically
+into zeroed, untouched capacity, which is not charged and not resident. The
+fixed cost of a key space is its page table, ``num_keys / chunk_rows x 8``
+bytes; a touched key then costs one 4 KiB page per table, since all of its
+bytes sit in one record. A column with a non-zero fill writes its field
+into every record of a fresh chunk, which makes the whole chunk resident.
 """
 
 from __future__ import annotations
@@ -173,6 +182,19 @@ class StorageConfig:
 DENSE_STORAGE = StorageConfig()
 
 
+def _zeroed(shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A zero array in a private anonymous mapping of its own.
+
+    Unlike heap memory, its pages are resident only once written and return
+    to the system when the array dies: spare capacity is free.
+    """
+    import mmap  # not needed by the dense backend: keep `import repro` lean
+
+    pages = mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize,
+                      access=mmap.ACCESS_COPY)
+    return np.frombuffer(pages, dtype=dtype).reshape(shape)
+
+
 def _copy_nonzero_pages(source: np.ndarray, zeroed: np.ndarray) -> None:
     """``zeroed[...] = source``, skipping the pages of ``source`` that are zero.
 
@@ -190,15 +212,19 @@ def _copy_nonzero_pages(source: np.ndarray, zeroed: np.ndarray) -> None:
 
 
 class ChunkedTable:
-    """The page table of one key space, shared by its named columns.
+    """The page table and the pool of one key space, shared by its columns.
 
-    The table owns translation (``_shift``), the budget and materialization:
-    a chunk materializes in every column or in none and is charged once, at
-    ``rows x (sum of the columns' row bytes)``. A column
-    (:class:`ChunkedArray`) owns only its pool; every pool has the same
-    slots, so one translation (:meth:`rows` / :meth:`writable_rows`) indexes
+    The table owns translation (``_shift``), the budget, materialization and
+    the pool, whose record holds one field per column: a chunk materializes
+    in every column or in none and is charged once, at ``rows x (sum of the
+    columns' row bytes)``. A column (:class:`ChunkedArray`) is a view of its
+    field, so one translation (:meth:`rows` / :meth:`writable_rows`) indexes
     ``column.pool`` of every column. Keys outside ``[0, num_rows)`` raise
     :class:`IndexError`.
+
+    Densification replaces the pool by one contiguous array per column (what
+    :meth:`ChunkedArray.densify` returns); the table has no pool from then
+    on.
     """
 
     def __init__(self, num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -215,14 +241,19 @@ class ChunkedTable:
         self.budget = budget
         self.label = label
         self.columns: list = []
-        #: Bytes of one row across all columns.
+        #: Bytes of one row across all columns (alignment padding excluded).
         self._row_nbytes = 0
         #: Pool rows below this bound are the fill page. 0 once densified:
-        #: the pools are then the dense arrays themselves, keys are rows.
+        #: the columns' pools are then dense arrays, keys are rows.
         self._fill_end = self.chunk_rows
-        #: Every pool: the fill page, then one ``chunk_rows`` slot per
+        #: The pool: the fill page, then one ``chunk_rows`` slot per
         #: materialized chunk in materialization order, then zeroed spare
-        #: capacity. Padding rows of a partial last chunk stay zero.
+        #: capacity. Padding rows of a partial last chunk stay zero. ``None``
+        #: once densified.
+        self._pool: Optional[np.ndarray] = None
+        #: The pool's record, and the same layout with every field an
+        #: opaque byte string (a matrix column's gather view).
+        self._record = self._opaque = None
         self._used_rows = self.chunk_rows
         #: Page table: pool row of key ``k`` is ``k + _shift[k // chunk_rows]``.
         self._shift = -self.chunk_rows * np.arange(self.num_chunks,
@@ -243,6 +274,40 @@ class ChunkedTable:
         if not self._fill_end:
             return self.num_chunks
         return len(self._chunk_of_slot) - 1
+
+    # ------------------------------------------------------------------ layout
+    def _add(self, column: "ChunkedArray") -> None:
+        """Give ``column`` a field: a new record and a fresh fill page."""
+        self.columns.append(column)
+        self._row_nbytes += column._row_nbytes
+        # Widest alignment first: every field then sits at a multiple of its
+        # own alignment, with padding only at the end of the record.
+        order = sorted(range(len(self.columns)),
+                       key=lambda i: -self.columns[i].dtype.alignment)
+        offsets = [0] * len(order)
+        end = 0
+        for i in order:
+            offsets[i] = end
+            end += self.columns[i]._row_nbytes
+        align = max(c.dtype.alignment for c in self.columns)
+        layout = {"names": [str(i) for i in range(len(order))],
+                  "offsets": offsets, "itemsize": -(-end // align) * align}
+        self._record = np.dtype(dict(layout, formats=[
+            (c.dtype, c.row_shape) for c in self.columns]))
+        self._opaque = np.dtype(dict(layout, formats=[
+            np.dtype((np.void, c._row_nbytes)) for c in self.columns]))
+        self._bind(_zeroed((self.chunk_rows,), self._record))
+        for c in self.columns:
+            if c.fill_fn is None and c.fill_value:
+                c.pool[...] = c.fill_value
+
+    def _bind(self, pool: np.ndarray) -> None:
+        """Make ``pool`` the table's pool and every column a view of it."""
+        self._pool = pool
+        opaque = pool.view(self._opaque)
+        for i, c in enumerate(self.columns):
+            c.pool = pool[str(i)]
+            c._items = opaque[str(i)] if c.row_shape else c.pool
 
     # ------------------------------------------------------------- translation
     def rows(self, keys) -> np.ndarray:
@@ -335,9 +400,9 @@ class ChunkedTable:
     # ---------------------------------------------------------- materialization
     def _materialize(self, cids: np.ndarray) -> None:
         """Append the ascending, distinct, unmaterialized chunks ``cids`` to
-        every column's pool.
+        the pool.
 
-        The pools grow only for what was charged: when the budget runs out
+        The pool grows only for what was charged: when the budget runs out
         at some chunk, those before it materialize and its charge raises.
         """
         first = cids * self.chunk_rows
@@ -358,6 +423,8 @@ class ChunkedTable:
                 self.budget.charge(total, f"{len(cids)} chunks of {self.label}")
             start = self._used_rows
             end = start + len(cids) * self.chunk_rows
+            if end > len(self._pool):
+                self._grow(end)
             padding = self.num_chunks * self.chunk_rows - self.num_rows \
                 if cids[-1] == self.num_chunks - 1 else 0
             for column in self.columns:
@@ -369,9 +436,20 @@ class ChunkedTable:
         if refused is not None:
             self.budget.charge(*refused)
 
+    def _grow(self, rows_needed: int) -> None:
+        """Move to a pool of ``rows_needed`` rows or double the capacity (at
+        most one slot per chunk): ``n`` materializations copy ``O(n)`` rows."""
+        pool = _zeroed((min(max(rows_needed, 2 * len(self._pool)),
+                            (self.num_chunks + 1) * self.chunk_rows),),
+                       self._record)
+        used = self._used_rows
+        _copy_nonzero_pages(self._pool[:used], pool[:used])
+        self._bind(pool)
+
     def _densify(self, column: "ChunkedArray", initial) -> None:
         """Materialize everything in every column (budget charged): identity
-        page table, no fill page. ``initial`` becomes ``column``'s contents."""
+        page table, no fill page, one contiguous array per column instead of
+        the pool. ``initial`` becomes ``column``'s contents."""
         if self.budget is not None:
             how = "densified" if initial is None else "dense-initialized"
             self.budget.charge((self.num_rows - self.resident_rows)
@@ -380,6 +458,8 @@ class ChunkedTable:
                  else c._dense() for c in self.columns]
         for c, pool in zip(self.columns, pools):
             c.pool = pool
+            c._items = None
+        self._pool = None
         self._shift = np.zeros(self.num_chunks, dtype=np.int64)
         self._fill_end = 0
         self._used_rows = self.resident_rows = self.num_rows
@@ -391,19 +471,24 @@ class ChunkedTable:
         clone.budget = None
         clone._shift = self._shift.copy()
         clone._chunk_of_slot = list(self._chunk_of_slot)
-        clone.columns = []
-        for column in self.columns:
-            twin = copy.copy(column)
+        clone.columns = [copy.copy(column) for column in self.columns]
+        for twin in clone.columns:
             twin.table = clone
-            twin.pool = twin._zeroed(self._used_rows)
-            _copy_nonzero_pages(column.pool[:self._used_rows], twin.pool)
-            clone.columns.append(twin)
+        if self._pool is not None:
+            pool = _zeroed((self._used_rows,), self._record)
+            _copy_nonzero_pages(self._pool[:self._used_rows], pool)
+            clone._bind(pool)
+            return clone
+        for column, twin in zip(self.columns, clone.columns):
+            twin.pool = _zeroed(column.pool.shape, column.dtype)
+            _copy_nonzero_pages(column.pool, twin.pool)
         return clone
 
 
 class ChunkedArray:
     """One column of a :class:`ChunkedTable`: ``num_rows`` rows of shape
-    ``row_shape`` in a pool of its own, materialized chunk-by-chunk.
+    ``row_shape`` in one field of the table's pool, materialized
+    chunk-by-chunk.
 
     Reads of untouched chunks return ``fill_value``, or ``fill_fn(keys)`` (a
     vectorized key-wise default, e.g. the static partition for owner maps)
@@ -442,12 +527,14 @@ class ChunkedArray:
         self.fill_value = fill_value
         self.fill_fn = fill_fn
         self._row_nbytes = self.dtype.itemsize * int(np.prod(self.row_shape))
-        #: Indexed by the table's rows; a new array whenever the table grows.
-        self.pool = self._zeroed(self.chunk_rows)
-        if fill_fn is None and fill_value:
-            self.pool[...] = fill_value
-        table.columns.append(self)
-        table._row_nbytes += self._row_nbytes
+        self._row_type = np.dtype((self.dtype, self.row_shape))
+        #: Indexed by the table's rows; a new array whenever the table grows:
+        #: the column's field of the pool, or its own array once densified.
+        self.pool: np.ndarray
+        #: What :meth:`gather` indexes: the field, as one opaque item per row
+        #: for a matrix; ``None`` once ``pool`` is contiguous.
+        self._items: Optional[np.ndarray]
+        table._add(self)
 
     @property
     def nbytes(self) -> int:
@@ -467,8 +554,6 @@ class ChunkedArray:
                 padding: int) -> None:
         """Make pool rows ``[start, end)`` the fresh chunks ``cids``. A zero
         fill writes nothing: spare capacity is zeroed, untouched memory."""
-        if end > len(self.pool):
-            self._grow(end)
         if self.fill_fn is None and not self.fill_value:
             return
         fresh = self.pool[start:end]
@@ -480,30 +565,9 @@ class ChunkedArray:
         if padding:
             fresh[len(fresh) - padding:] = 0
 
-    def _grow(self, rows_needed: int) -> None:
-        """Move to a pool of ``rows_needed`` rows or double the capacity (at
-        most one slot per chunk): ``n`` materializations copy ``O(n)`` rows."""
-        pool = self._zeroed(min(max(rows_needed, 2 * len(self.pool)),
-                                (self.num_chunks + 1) * self.chunk_rows))
-        used = self.table._used_rows
-        _copy_nonzero_pages(self.pool[:used], pool[:used])
-        self.pool = pool
-
-    def _zeroed(self, rows: int) -> np.ndarray:
-        """``rows`` zero rows in a private anonymous mapping of their own.
-
-        Unlike heap memory, its pages are resident only once written and
-        return to the system when the array dies: spare capacity is free.
-        """
-        import mmap  # not needed by the dense backend: keep `import repro` lean
-
-        pages = mmap.mmap(-1, rows * self._row_nbytes, access=mmap.ACCESS_COPY)
-        return np.frombuffer(pages, dtype=self.dtype).reshape(
-            (rows,) + self.row_shape)
-
     def _dense(self) -> np.ndarray:
         """All ``num_rows`` rows in one array; pages of zeros stay untouched."""
-        dense = self._zeroed(self.num_rows)
+        dense = _zeroed(self.shape, self.dtype)
         for lo in range(0, self.num_rows, _SCAN_ROWS):
             hi = min(lo + _SCAN_ROWS, self.num_rows)
             _copy_nonzero_pages(self.take(np.arange(lo, hi, dtype=np.int64)),
@@ -511,13 +575,27 @@ class ChunkedArray:
         return dense
 
     # ---------------------------------------------------------------- reading
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """A contiguous copy of ``pool[rows]`` for translated ``rows``.
+
+        ``ndarray.take`` copies a non-contiguous array whole before it
+        gathers, so it runs on a contiguous (densified) pool only; a field
+        view is fancy-indexed, a matrix's as one opaque item per row.
+        """
+        items = self._items
+        if items is None:
+            return self.pool.take(rows, axis=0)
+        if items is self.pool:
+            return items[rows]
+        return items[rows].view(self._row_type)
+
     def take(self, keys, axis: int = 0) -> np.ndarray:
         if axis != 0:
             raise ValueError(f"take of {self.label} supports axis=0 only")
         table = self.table
         keys = table._keys(keys)
         rows = table._rows(keys)
-        out = self.pool.take(rows, axis=0)
+        out = self.gather(rows)
         if self.fill_fn is not None and keys.size and table._on_fill_page(rows):
             unmaterialized = rows < table._fill_end
             out[unmaterialized] = self._fill(keys[unmaterialized])

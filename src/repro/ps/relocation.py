@@ -73,7 +73,9 @@ class RelocationPS(ParameterServer):
             # Chunked owner state: untouched chunks read as the static
             # partition (evaluated key-wise, never stored) and as
             # "already arrived" — exactly the dense initial state — so the
-            # resident footprint tracks the keys that actually relocated.
+            # resident footprint tracks the keys that actually relocated: a
+            # chunk materializes with the owner fill written into each of its
+            # records, so a relocated key's whole chunk is resident.
             # The fill is the range formula, not the live map: a transition
             # moves copies through ``_rehome``, never through the fill.
             table = ChunkedTable(store.num_keys, store.storage.chunk_rows,

@@ -65,9 +65,9 @@ class _NodeReplicaState:
     ``False``, clock 0: every read of a clock is gated by ``replica_mask``),
     precisely the dense initial values, so reads of untouched keys are
     bit-identical and a fresh chunk is untouched memory. Resident memory is
-    one page table per node (``num_keys / chunk_rows x 8`` bytes) plus the
-    pages of the keys the node replicates, bounded by an optional per-node
-    budget.
+    one page table per node (``num_keys / chunk_rows x 8`` bytes) plus about
+    one page per key the node replicates (its five structures share one
+    record of the table's pool), bounded by an optional per-node budget.
     """
 
     def __init__(self, num_keys: int, value_length: int,
@@ -128,13 +128,23 @@ class _NodeReplicaState:
             + self.update_values.nbytes
         )
 
+    def gather_values(self, index: np.ndarray) -> np.ndarray:
+        """A copy of the replica values at an :meth:`at` index: ``take`` on
+        the dense array, :meth:`~repro.ps.chunks.ChunkedArray.gather` on the
+        sparse pool (whose field view ``take`` would copy whole)."""
+        if self.table is None:
+            return self.replica_values.take(index, axis=0)
+        return self.replica_values.gather(index)
+
     def at(self, keys: np.ndarray, writable: bool = False):
         """``(index, arrays)``: ``arrays.<structure>[index]`` addresses ``keys``.
 
         Dense: the keys and this state. Sparse: the pool rows — one
         validation and translation for all five structures, the chunks
-        materialized first when ``writable`` — and the pools, current until
-        this node next materializes a chunk.
+        materialized first when ``writable`` — and the field views of the
+        pool, current until this node next materializes a chunk. Gather
+        from them by fancy indexing or :meth:`gather_values`, never
+        ``take`` (see :meth:`~repro.ps.chunks.ChunkedArray.gather`).
         """
         if self.table is None:
             return keys, self
@@ -207,12 +217,12 @@ class ReplicationPS(ParameterServer):
         now = clock.now
         keys_list = keys.tolist()
         index, at = state.at(keys)
-        has_replica = at.replica_mask.take(index).tolist()
-        replica_clock = at.replica_clock.take(index).tolist()
+        has_replica = at.replica_mask[index].tolist()
+        replica_clock = at.replica_clock[index].tolist()
         if all(has_replica) and min(replica_clock) >= threshold:
-            # Every key is a fresh replica (the steady state): one fancy
-            # index, one repeated clock fold, one metrics write.
-            values = at.replica_values[index]
+            # Every key is a fresh replica (the steady state): one gather,
+            # one repeated clock fold, one metrics write.
+            values = state.gather_values(index)
             clock.advance_repeated(intra_cost, len(keys_list))
             self.metrics.record_access("pull.replica", node_id, len(keys_list))
             return values
@@ -355,7 +365,7 @@ class ReplicationPS(ParameterServer):
         """
         refreshed = self.store.get(refresh_keys)
         index, at = state.at(refresh_keys, writable=True)
-        buffered = at.update_mask.take(index)
+        buffered = at.update_mask[index]
         if buffered.any():
             refreshed[buffered] = refreshed[buffered] \
                 + at.update_values[index[buffered]]
@@ -647,7 +657,7 @@ class _ReplicationPointCharger(ChunkValues):
     node's rows (:meth:`_NodeReplicaState.at`) once for the whole value pass.
     """
 
-    __slots__ = ("acc", "values", "updates")
+    __slots__ = ("acc", "values", "updates", "gather")
 
     def __init__(self, ps: ReplicationPS) -> None:
         self.ps = ps
@@ -668,8 +678,8 @@ class _ReplicationPointCharger(ChunkValues):
         flat = keys2d.ravel()
         n = len(flat)
         index, at = state.at(flat)
-        fresh = at.replica_mask.take(index) & (
-            at.replica_clock.take(index) >= worker_clock - ps.staleness
+        fresh = at.replica_mask[index] & (
+            at.replica_clock[index] >= worker_clock - ps.staleness
         )
         self._bind(flat)
         if n == 0:
@@ -719,6 +729,9 @@ class _ReplicationPointCharger(ChunkValues):
         if at is not state:
             self.keys_list = self.keys.tolist()
         self.values, self.updates = at.replica_values, at.update_values
+        # Sparse: the pool field's gather; dense: ``None``, ``read`` takes
+        # straight from the array (one call less per point).
+        self.gather = None if at is state else state.replica_values.gather
         at.update_mask[self.keys] = True
 
         acc = self.acc
@@ -732,7 +745,9 @@ class _ReplicationPointCharger(ChunkValues):
                             n_remote * ps._cached_value_bytes)
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        return self.values.take(self.keys[lo:hi], axis=0)
+        if self.gather is None:
+            return self.values.take(self.keys[lo:hi], axis=0)
+        return self.gather(self.keys[lo:hi])
 
     def _add_rows(self, keys: np.ndarray, keys_list: list,
                   deltas: np.ndarray) -> None:

@@ -15,8 +15,8 @@ Two storage backends sit behind the same API (selected via
 * ``sparse`` — fixed-size chunks materialized on first write (see
   :mod:`repro.ps.chunks`), with an optional memory budget. Untouched chunks
   read as zeros without being allocated, so a store over 10^8+ logical keys
-  costs one page table (``num_keys / chunk_rows x 8`` bytes) plus memory
-  proportional to the *touched* key set.
+  costs one page table (``num_keys / chunk_rows x 8`` bytes) plus about one
+  resident page per *touched* key: its value and version share one record.
 
 Updates are *additive* (``add``), which matches how the paper's workloads use
 a PS: workers push gradients or gradient-like deltas that the server adds to
@@ -84,7 +84,8 @@ class ParameterStore:
         self.value_length = int(value_length)
         self.storage = storage if storage is not None else DENSE_STORAGE
         rng = np.random.default_rng(seed)
-        #: Sparse backend: the page table ``_values`` and ``_versions`` share.
+        #: Sparse backend: the page table and pool ``_values`` and
+        #: ``_versions`` share (one record per key).
         self._table = self._budget = None
         if init_scale:
             # One RNG stream over the *full* matrix; reproducing it lazily per

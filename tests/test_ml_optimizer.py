@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ml import optimizer
 from repro.ml.optimizer import (
     AdaGrad,
     BoldDriver,
@@ -129,21 +130,26 @@ class TestUpdateNormClipper:
 
 
     @pytest.mark.parametrize("strided", [False, True])
-    def test_batched_row_dots_are_the_per_row_blas_dots(self, strided):
-        """``clip_rows`` takes all squared norms from one stacked matmul and
-        relies on NumPy routing each ``[1, d] @ [d, 1]`` product to the same
-        BLAS dot ``row.dot(row)`` calls. A build that routes differently
-        (another summation order) must fail here, not drift silently."""
-        rng = np.random.default_rng(11)
-        for dim in (4, 5, 8, 16, 31, 50, 64, 100, 128):
-            for num_rows in (1, 2, 3, 20, 257, 1000):
-                rows = rng.normal(0, 1, size=(num_rows, 2 * dim)) \
-                    .astype(np.float32)
-                rows = rows[:, ::2] if strided else rows[:, :dim].copy()
-                expected = np.array([row.dot(row) for row in rows],
-                                    dtype=np.float32)
-                assert _row_dots(rows).tobytes() == expected.tobytes(), \
-                    (dim, num_rows)
+    def test_batched_row_dots_are_the_per_row_blas_dots(self, strided,
+                                                        monkeypatch):
+        """``clip_rows`` takes all squared norms from one ``np.vecdot`` call
+        (NumPy 2) or one stacked matmul of ``[1, d] @ [d, 1]`` products
+        (NumPy 1) and relies on NumPy routing each row to the same BLAS dot
+        ``row.dot(row)`` calls. A build that routes differently (another
+        summation order) must fail here, not drift silently. Both routes
+        are checked wherever NumPy has both."""
+        for vecdot in {optimizer._VECDOT, None}:
+            monkeypatch.setattr(optimizer, "_VECDOT", vecdot)
+            rng = np.random.default_rng(11)
+            for dim in (4, 5, 8, 16, 31, 50, 64, 100, 128):
+                for num_rows in (1, 2, 3, 20, 257, 1000):
+                    rows = rng.normal(0, 1, size=(num_rows, 2 * dim)) \
+                        .astype(np.float32)
+                    rows = rows[:, ::2] if strided else rows[:, :dim].copy()
+                    expected = np.array([row.dot(row) for row in rows],
+                                        dtype=np.float32)
+                    assert _row_dots(rows).tobytes() == expected.tobytes(), \
+                        (vecdot, dim, num_rows)
 
     def test_clip_rows_is_clip_row_by_row(self):
         """Rows, clipping decisions and the running mean, bit for bit — over

@@ -563,6 +563,129 @@ class TestTable:
         assert store.version(0) == 1 and snapshot.version(0) == 2
 
 
+#: The replication node layout: mask, replica, clock, update mask, update.
+NODE_COLUMNS = (("replica_mask", np.bool_, ()),
+                ("replica_values", np.float32, (8,)),
+                ("replica_clock", np.int64, ()),
+                ("update_mask", np.bool_, ()),
+                ("update_values", np.float32, (8,)))
+
+
+def _nonzero_pages(table) -> int:
+    """4 KiB pages holding a non-zero byte, over every mapping that backs
+    one of the table's columns (counted once however many columns it
+    backs)."""
+    mappings = {}
+    for column in table.columns:
+        root = column.pool
+        while isinstance(root, np.ndarray):
+            root = root.base
+        mappings[id(root)] = root
+    pages = 0
+    for mapping in mappings.values():
+        data = np.frombuffer(mapping, dtype=np.uint8)
+        whole = len(data) - len(data) % 4096
+        pages += int(data[:whole].reshape(-1, 4096).any(axis=1).sum())
+        pages += bool(data[whole:].any())
+    return pages
+
+
+def _record_pages(table, keys) -> int:
+    """Pages the records of ``keys`` span: one each, two where one
+    straddles a page boundary."""
+    record = table.columns[0].pool.strides[0]
+    first = table.rows(keys) * record
+    return int((first // 4096 != (first + record - 1) // 4096).sum()) \
+        + len(keys)
+
+
+@pytest.mark.parametrize("layout", ["node", "store"])
+def test_a_touched_key_makes_one_page_resident_per_table(layout):
+    """All of a key's columns share one record: ``k`` keys in ``k`` chunks
+    write about ``k`` pages, not ``k`` per column (5k and 2k here)."""
+    k = 24
+    rng = np.random.default_rng(3)
+    keys = np.arange(k, dtype=np.int64) * 3 * DEFAULT_CHUNK_ROWS \
+        + rng.integers(0, DEFAULT_CHUNK_ROWS, size=k)
+    if layout == "store":
+        store = ParameterStore(10**6, 8,
+                               storage=StorageConfig(backend="sparse"))
+        store.add(keys, np.full((k, 8), 1.5, dtype=np.float32))
+        table = store._table
+    else:
+        table = ChunkedTable(10**6, label="node0")
+        for name, dtype, row_shape in NODE_COLUMNS:
+            table.column(name, dtype, row_shape)
+        for column in table.columns:
+            column[keys] = 1
+    assert table.materialized_chunks == k
+    assert k <= _nonzero_pages(table) <= _record_pages(table, keys)
+
+
+def _gather_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGathersAreOBatch:
+    """A gather copies the batch, never a column: ``ndarray.take`` on a
+    strided field view copies the whole field first (here >= 1.3 MiB for the
+    narrowest column, 42 MiB for a replica-value one)."""
+
+    NUM_KEYS = 10**8
+    CHUNKS = 320
+    LIMIT = 2**20
+
+    def _touched(self):
+        return np.arange(self.CHUNKS, dtype=np.int64) * 300_007
+
+    def test_table_columns(self):
+        table = ChunkedTable(self.NUM_KEYS, label="node0")
+        columns = [table.column(name, dtype, row_shape)
+                   for name, dtype, row_shape in NODE_COLUMNS]
+        touched = self._touched()
+        columns[0][touched] = True
+        batch = touched[::40]
+        for column in columns:
+            assert _gather_peak(lambda: column.take(batch)) < self.LIMIT
+            assert _gather_peak(lambda: column[batch]) < self.LIMIT
+
+    def test_store_get(self):
+        store = ParameterStore(self.NUM_KEYS, 8,
+                               storage=StorageConfig(backend="sparse"))
+        touched = self._touched()
+        store.add(touched, np.ones((len(touched), 8), dtype=np.float32))
+        batch = touched[::40]
+        assert _gather_peak(lambda: store.get(batch)) < self.LIMIT
+        assert _gather_peak(lambda: store.read_versions(batch)) < self.LIMIT
+
+    def test_replication_pull_and_read(self):
+        from repro.ps.replication import ReplicationPS
+        from repro.simulation.cluster import Cluster
+
+        store = ParameterStore(self.NUM_KEYS, 8,
+                               storage=StorageConfig(backend="sparse"))
+        cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=1))
+        ps = ReplicationPS(store, cluster)
+        worker = cluster.worker(0, 0)
+        touched = self._touched()
+        ps.push(worker, touched, np.ones((len(touched), 8), dtype=np.float32))
+        batch = touched[::40]
+        assert _gather_peak(lambda: ps.pull(worker, batch)) < self.LIMIT
+        charger = ps.direct_point_charger()
+        charger.charge_chunk(worker, batch.reshape(-1, 2), 0.0)
+        assert _gather_peak(lambda: charger.read(0, 2)) < self.LIMIT
+        assert _gather_peak(
+            lambda: ps.pull(worker, batch + 1)) < self.LIMIT  # refreshes
+
+
 def _resident_mib() -> float:
     with open("/proc/self/status") as status:
         for line in status:
