@@ -16,7 +16,7 @@ This package turns the fixed-size simulated cluster into an elastic one:
 
 Elasticity-off runs are bit-identical to a build without this package: the
 cluster's ``removed`` set stays empty, the ownership map keeps answering
-from the range formula, and no proxy is installed unless a perturbation asks
+from the range formula, and no gate is installed unless a perturbation asks
 for one.
 """
 

@@ -114,6 +114,15 @@ class ElasticityController:
         self.ps.partitioner.leave(node_id, successors)
         payload, available_at = self._migration(now, moved)
         self.ps._rehome(moved, successors, available_at)
+        # A removed node never recovers, so no access may be routed at it:
+        # checked once here rather than on every access.
+        stale = len(self.ps.keys_owned_by(node_id))
+        if stale:
+            raise RuntimeError(
+                f"scale-in of node {node_id} left {stale} key(s) routed at it "
+                "after re-homing; the ownership map or the PS's _rehome did "
+                "not move every key the node owned"
+            )
         self.ps.on_node_removed(node_id, available_at)
         self._charge_migration(now, payload, successors, receiver=node_id)
 

@@ -12,28 +12,24 @@ architecture and the scenario engine:
 * **Recovery mechanisms** — periodic consistent checkpoints
   (:class:`~repro.faults.checkpoint.CheckpointManager`), owner failover by
   rewriting the ownership map (``OwnershipMap.fail``), replica repair, and
-  retry-with-backoff semantics
-  (:class:`~repro.faults.proxy.FaultTolerantParameterServer`) for
-  architectures without native waiting.
+  retry-with-backoff semantics for architectures without native waiting
+  (the dead-owner gate of
+  :class:`~repro.scenarios.interposer.ScenarioParameterServer`, which raises
+  this package's errors).
 * **Measurement** — ``benchmarks/bench_faults.py`` sweeps crash count x
   recovery mechanism x architecture and registers recovery-time, lost-work
   and quality-under-failure claims.
 
 Fault-off runs are bit-identical to a build without this package: all hooks
-default to empty state (an empty failed set, no proxy, no controller), so no
+default to empty state (an empty failed set, no gate, no controller), so no
 clock, metric or value ever moves unless a fault perturbation is active.
 """
 
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.controller import FaultConfig, FaultController
-from repro.faults.errors import (
-    DeadOwnerError,
-    PartitionedOwnerError,
-    RemovedOwnerError,
-)
+from repro.faults.errors import DeadOwnerError, PartitionedOwnerError
 from repro.faults.network import FaultyNetworkModel
 from repro.faults.perturbations import LossyNetwork, ServerCrashes, WorkerKill
-from repro.faults.proxy import FaultTolerantParameterServer
 
 __all__ = [
     "CheckpointManager",
@@ -41,10 +37,8 @@ __all__ = [
     "FaultConfig",
     "FaultController",
     "FaultyNetworkModel",
-    "FaultTolerantParameterServer",
     "LossyNetwork",
     "PartitionedOwnerError",
-    "RemovedOwnerError",
     "ServerCrashes",
     "WorkerKill",
 ]

@@ -14,8 +14,9 @@ server node dies:
 The repaired keys become reachable again only after a recovery delay
 (failure detection timeout + re-partition coordination + state transfer), so
 accesses racing the recovery either wait (architectures with native arrival
-tracking), retry with backoff (via the fault proxy), or time out. All of it
-is charged to simulated clocks and recorded under ``faults.*`` metrics.
+tracking), retry with backoff (the scenario interposer's dead-owner gate),
+or time out. All of it is charged to simulated clocks and recorded under
+``faults.*`` metrics.
 
 The controller is deliberately standalone — it needs only a parameter
 server and its cluster, no scenario runtime — so invariant tests can drive

@@ -2,31 +2,18 @@
 
 from __future__ import annotations
 
-__all__ = ["DeadOwnerError", "PartitionedOwnerError", "RemovedOwnerError"]
+__all__ = ["DeadOwnerError", "PartitionedOwnerError"]
 
 
 class DeadOwnerError(RuntimeError):
     """An access exhausted its retries against a crashed parameter owner.
 
-    Raised by :class:`~repro.faults.proxy.FaultTolerantParameterServer` when
-    a pull or push targets keys whose (pre-failover) owner is down and the
+    Raised by the dead-owner gate of
+    :class:`~repro.scenarios.interposer.ScenarioParameterServer` when an
+    access targets keys whose (pre-failover) owner is down and the
     bounded retry-with-backoff budget cannot bridge the remaining recovery
     time. The epoch loop catches it and drops the affected chunk — one
     round of lost work, not a crashed experiment.
-    """
-
-
-class RemovedOwnerError(DeadOwnerError):
-    """An access targeted a node that was *removed* from the cluster.
-
-    Unlike a crashed owner, a removed owner never recovers, so retrying with
-    backoff would burn the whole budget for nothing: the fault proxy raises
-    this immediately (fail fast). Seeing it means ownership state is stale —
-    a membership change happened without the corresponding re-partitioning
-    (the error message names the membership epochs involved).
-
-    Subclasses :class:`DeadOwnerError` so existing drop-the-chunk handling
-    still applies when nobody fixes the routing.
     """
 
 

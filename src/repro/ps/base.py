@@ -103,6 +103,15 @@ class SampleHandle:
         self._cursor += len(keys)
         return keys
 
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` pending keys, in order, left pending."""
+        keys = self._keys[self._cursor:self._cursor + max(count, 0)]
+        if len(keys) < count and self._tail:
+            keys = np.concatenate([
+                keys, np.asarray(self._tail[:count - len(keys)], dtype=np.int64)
+            ])
+        return keys
+
     def pop_front(self) -> Optional[int]:
         """Remove and return the next pending key (None when exhausted)."""
         if self._cursor < len(self._keys):
@@ -133,7 +142,7 @@ class ParameterServer(ABC):
     #: True for architectures whose access paths already block on in-flight
     #: ownership changes (the relocation family's wait-until-arrival
     #: machinery). Those handle dead-owner accesses natively and do not need
-    #: the retry/timeout proxy from :mod:`repro.faults.proxy`.
+    #: the dead-owner gate of :mod:`repro.scenarios.interposer`.
     native_failover_wait = False
 
     #: Whether :meth:`localize` acts on its hint. Tasks skip building the
@@ -240,7 +249,7 @@ class ParameterServer(ABC):
         which the moved keys become reachable again (detection or handshake
         plus state transfer). Static architectures resolve every access
         through the map, so there is nothing else to move, and the
-        retry/timeout proxy (:mod:`repro.faults.proxy`) enforces their
+        dead-owner gate (:mod:`repro.scenarios.interposer`) enforces their
         availability gap; the relocation family moves its dynamic copies
         here and waits on its native arrival times.
         """
@@ -332,15 +341,14 @@ class ParameterServer(ABC):
           pull time (postponing, local sampling, direct-access repurposing —
           anything that overrides :meth:`SamplingScheme.pull
           <repro.core.sampling.schemes.SamplingScheme.pull>`);
-        * behind the fault proxy, while one of its gates can fire: a
-          partition is live, a node is down, or the cluster has removed
-          members.
+        * behind a scenario's interposer, while one of its gates can fire:
+          a partition is live or a node it watches is down.
 
         Interposers act at the granularity at which their state changes,
-        not per call: the fault proxy settles its gates once per round (they
-        change in scenario hooks only), the drift remapper translates a
-        chunk's keys once, and NuPS feeds an attached ``access_observer``
-        the chunk's calls in call order.
+        not per call: the scenario interposer settles its gates once per
+        round (they change in scenario hooks only) and translates a chunk's
+        keys once, and NuPS feeds an attached ``access_observer`` the
+        chunk's calls in call order.
 
         This base answers ``None``; every architecture overrides it.
         """

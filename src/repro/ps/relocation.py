@@ -380,7 +380,7 @@ class RelocationPS(ParameterServer):
 
         The native arrival gate does the rest: accesses issued before the
         recovered or migrated state arrives wait for it, exactly like an
-        in-flight relocation — no retry proxy needed.
+        in-flight relocation — no dead-owner gate needed.
         """
         if len(keys):
             nodes = np.asarray(list(nodes), dtype=np.int64)

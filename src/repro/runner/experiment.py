@@ -165,9 +165,10 @@ def run_experiment(
         from repro.adaptive.controller import install_adaptive
 
         install_adaptive(ps, config.adaptive)
-    # A dynamic-workload scenario wraps the PS (key remapping for hot-set
-    # drift) and receives callbacks at epoch and round boundaries. Without a
-    # scenario the experiment runs on the raw PS, exactly as before.
+    # A dynamic-workload scenario may put its interposer in front of the PS
+    # (key translation for hot-set drift, fault and partition gates) and
+    # receives callbacks at epoch and round boundaries. Without a scenario
+    # the experiment runs on the raw PS, exactly as before.
     runtime = config.scenario.bind(task, ps, cluster, config) \
         if config.scenario is not None else None
     train_ps = runtime.training_ps if runtime is not None else ps
@@ -440,12 +441,13 @@ class _EpochState:
 def _degraded_process_round(task, ps, cluster, items, state=None) -> None:
     """Process a round item by item, surviving dead-owner timeouts.
 
-    Active only while a fault proxy is installed *and* a node is down or a
-    network partition is live (see ``ScenarioRuntime.fault_degraded`` /
-    ``ScenarioRuntime.elastic_degraded``): each worker's chunk runs through
-    the sequential reference path on its own so that a
-    :class:`~repro.faults.errors.DeadOwnerError` drops just that chunk —
-    one round of one worker's lost work — instead of aborting the epoch.
+    Active only while a gate of the scenario's interposer can fire — a node
+    it watches is down or a network partition is live (see
+    :meth:`~repro.scenarios.interposer.ScenarioParameterServer.degraded`):
+    each worker's chunk runs through the sequential reference path on its
+    own so that a :class:`~repro.faults.errors.DeadOwnerError` drops just
+    that chunk — one round of one worker's lost work — instead of aborting
+    the epoch.
 
     A :class:`~repro.faults.errors.PartitionedOwnerError` is admission
     control, not loss: the chunk is re-queued at the back of its worker's
@@ -491,8 +493,10 @@ def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
     state.
     """
     state = _EpochState(workers, shards, config.chunk_size)
+    interposer = None
     if runtime is not None:
         runtime.attach_epoch_state(state)
+        interposer = runtime.interposer
     # Prefetch the very first chunk of every worker so that its parameters
     # can be relocated before processing starts.
     first_pairs = []
@@ -524,9 +528,7 @@ def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
         if items:
             if tracer is not None:
                 starts = [item.worker.clock.now for item in items]
-            if runtime is not None and (
-                runtime.fault_degraded() or runtime.elastic_degraded()
-            ):
+            if interposer is not None and interposer.degraded():
                 _degraded_process_round(task, ps, cluster, items, state)
             elif fused:
                 task.process_round(ps, items)

@@ -29,11 +29,8 @@ from repro.scenarios.presets import (
     storm_scenario,
     straggler_scenario,
 )
-from repro.scenarios.remap import (
-    KeyRemapper,
-    RemappedDistribution,
-    RemappedParameterServer,
-)
+from repro.scenarios.remap import KeyRemapper, RemappedDistribution
+from repro.scenarios.interposer import ScenarioParameterServer
 
 __all__ = [
     "Scenario",
@@ -45,7 +42,7 @@ __all__ = [
     "NetworkDegradation",
     "KeyRemapper",
     "RemappedDistribution",
-    "RemappedParameterServer",
+    "ScenarioParameterServer",
     "SCENARIO_NAMES",
     "SCENARIO_PRESETS",
     "make_scenario",

@@ -16,9 +16,10 @@ Design notes
 * All randomness is seeded from the experiment seed plus a per-perturbation
   seed, so scenario runs are exactly reproducible (see
   ``tests/test_determinism.py``).
-* Hot-set drift needs the workload-to-key remapping layer from
-  :mod:`repro.scenarios.remap`; scenarios without drift run on the raw PS
-  with zero per-access overhead.
+* Hot-set drift, crash faults on statically partitioned architectures and
+  network partitions put one interposer between the workers and the PS
+  (:mod:`repro.scenarios.interposer`); every other scenario runs on the raw
+  PS with zero per-access overhead.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.management import ManagementPlan
-from repro.scenarios.remap import KeyRemapper, RemappedParameterServer
+from repro.scenarios.remap import KeyRemapper
 
 
 class Perturbation:
@@ -36,20 +37,21 @@ class Perturbation:
 
     #: Whether this perturbation rewires the workload-to-key mapping. Any
     #: perturbation with this flag makes the runner train through the
-    #: remapping proxy.
+    #: interposer's key translation
+    #: (:mod:`repro.scenarios.interposer`).
     needs_remap = False
 
     #: Whether this perturbation crashes parameter owners. Any perturbation
     #: with this flag makes architectures without native failover waiting
-    #: train through the dead-owner retry proxy (see :mod:`repro.faults`).
+    #: train through the interposer's dead-owner retry gate.
     needs_fault_proxy = False
 
     #: Whether this perturbation splits the cluster into reachability groups
     #: (see :class:`repro.elastic.perturbations.NetworkPartition`). The
-    #: partition guard lives in the fault proxy, and — unlike crash faults —
-    #: applies to *every* architecture: relocation's native arrival waiting
-    #: cannot model an unreachable-but-alive owner, so the proxy is installed
-    #: even for servers with ``native_failover_wait``.
+    #: partition guard is a gate of the interposer, and — unlike crash
+    #: faults — applies to *every* architecture: relocation's native arrival
+    #: waiting cannot model an unreachable-but-alive owner, so the gates are
+    #: installed even for servers with ``native_failover_wait``.
     needs_partition_guard = False
 
     def on_start(self, ctx: "ScenarioRuntime") -> None:
@@ -122,36 +124,31 @@ class ScenarioRuntime:
         #: The cost model the cluster started with; network schedules derive
         #: every stage from this base, so factors do not compound.
         self.base_network = cluster.network
-        #: Fault machinery (lazily completed by ``ensure_fault_controller``).
+        #: Fault and elasticity machinery (created lazily by
+        #: ``ensure_fault_controller`` / ``ensure_elasticity_controller``).
         self.fault_controller = None
-        self.fault_proxy = None
-        #: Elasticity machinery (lazily completed by
-        #: ``ensure_elasticity_controller``).
         self.elasticity_controller = None
-        base_for_training = ps
-        needs_proxy = scenario.needs_fault_proxy \
+        self.remapper: Optional[KeyRemapper] = KeyRemapper(
+            task.num_keys(), task.key_groups()
+        ) if scenario.needs_remap else None
+        # Statically partitioned architectures would read keys whose new
+        # owner has not received its state yet; the gates add retry/timeout
+        # semantics. Relocation-based servers wait natively via their
+        # arrival-time tracking and go ungated — except under network
+        # partitions, whose reachability guard applies to every
+        # architecture.
+        self._gated = scenario.needs_partition_guard or (
+            scenario.needs_fault_proxy
             and not getattr(ps, "native_failover_wait", False)
-        if needs_proxy or scenario.needs_partition_guard:
-            # Statically partitioned architectures would read keys whose new
-            # owner has not received its state yet; the proxy adds
-            # retry/timeout semantics. Relocation-based servers wait natively
-            # via their arrival-time tracking and skip the wrapper — except
-            # under network partitions, whose reachability guard applies to
-            # every architecture.
-            from repro.faults.proxy import FaultTolerantParameterServer
+        )
+        #: The :class:`~repro.scenarios.interposer.ScenarioParameterServer`
+        #: the workers train through, or None (they train on ``ps``).
+        self.interposer = None
+        if self._gated or self.remapper is not None:
+            from repro.scenarios.interposer import ScenarioParameterServer
 
-            self.fault_proxy = FaultTolerantParameterServer(ps)
-            base_for_training = self.fault_proxy
-        if scenario.needs_remap:
-            self.remapper: Optional[KeyRemapper] = KeyRemapper(
-                task.num_keys(), task.key_groups()
-            )
-            self.training_ps = RemappedParameterServer(
-                base_for_training, self.remapper
-            )
-        else:
-            self.remapper = None
-            self.training_ps = base_for_training
+            self.interposer = ScenarioParameterServer(ps, self.remapper)
+        self.training_ps = ps if self.interposer is None else self.interposer
         self.epoch = -1
         self.round = -1
         self.paused: set = set()
@@ -197,8 +194,8 @@ class ScenarioRuntime:
         """The run's :class:`~repro.faults.controller.FaultController`.
 
         Created on first call (with ``fault_config``, if given) and attached
-        to the fault proxy when one is installed; later calls return the
-        existing controller unchanged.
+        to the interposer's dead-owner gate when the run is gated; later
+        calls return the existing controller unchanged.
         """
         if self.fault_controller is None:
             from repro.faults.controller import FaultController
@@ -206,22 +203,9 @@ class ScenarioRuntime:
             self.fault_controller = FaultController(
                 self.ps, config=fault_config, start_time=self.cluster.time
             )
-            if self.fault_proxy is not None:
-                self.fault_proxy.controller = self.fault_controller
+            if self._gated:
+                self.interposer.controller = self.fault_controller
         return self.fault_controller
-
-    def fault_degraded(self) -> bool:
-        """Whether the epoch loop must expect ``DeadOwnerError`` this round.
-
-        True only while a retry proxy is installed *and* some node is down —
-        the only window in which an access can fail. Fault-free rounds (and
-        architectures with native failover waiting) keep the fused path.
-        """
-        return (
-            self.fault_proxy is not None
-            and self.fault_controller is not None
-            and bool(self.fault_controller.down)
-        )
 
     # ------------------------------------------------------------- elasticity
     def ensure_elasticity_controller(self, elastic_config=None):
@@ -261,23 +245,23 @@ class ScenarioRuntime:
     def begin_partition(self, minority) -> None:
         """Split the cluster: ``minority`` nodes lose the quorum side.
 
-        Requires the partition guard (a fault proxy installed for *all*
-        architectures via ``needs_partition_guard``). Minority-side accesses
+        Requires the partition guard (the interposer's gates, installed for
+        *all* architectures via ``needs_partition_guard``). Minority-side accesses
         degrade to bounded-staleness reads and buffered writes; majority
         accesses to minority-owned keys raise
         :class:`~repro.faults.errors.PartitionedOwnerError` and are deferred
         by the epoch loop.
         """
-        if self.fault_proxy is None:
+        if not self._gated:
             raise RuntimeError(
                 "begin_partition requires the partition guard; add a "
                 "perturbation with needs_partition_guard=True to the scenario"
             )
-        if self.fault_proxy.partition is not None:
+        if self.interposer.partition is not None:
             return
         from repro.elastic.partition_state import PartitionState
 
-        self.fault_proxy.partition = PartitionState(
+        self.interposer.partition = PartitionState(
             self.ps, minority, self.cluster.time
         )
         self.metrics.increment("elastic.partitions", 1)
@@ -288,21 +272,15 @@ class ScenarioRuntime:
 
     def heal_partition(self) -> None:
         """Heal the active partition: replay buffered minority writes."""
-        if self.fault_proxy is None or self.fault_proxy.partition is None:
+        interposer = self.interposer
+        if interposer is None or interposer.partition is None:
             return
-        state = self.fault_proxy.partition
-        self.fault_proxy.partition = None
+        state = interposer.partition
+        interposer.partition = None
         state.heal(self.cluster.time)
         tracer = self.tracer
         if tracer is not None:
             tracer.event("partition_heal", "scenario", self.cluster.time)
-
-    def elastic_degraded(self) -> bool:
-        """Whether the epoch loop must expect ``PartitionedOwnerError``."""
-        return (
-            self.fault_proxy is not None
-            and getattr(self.fault_proxy, "partition", None) is not None
-        )
 
     # ------------------------------------------------------------- inspection
     def worker_keys(self) -> List[Tuple[int, int]]:

@@ -16,10 +16,10 @@ replicas and management plans stay keyed by physical key, which is exactly
 what forces relocation and NuPS to re-adapt while statically partitioned
 baselines cannot.
 
-:class:`RemappedParameterServer` applies the mapping transparently at the PS
-API boundary: tasks keep speaking logical keys, the wrapped PS sees physical
-keys — per call on ``pull``/``push``/``localize``, and once per worker chunk
-on the round engine's charger (the mapping only changes between rounds).
+:class:`~repro.scenarios.interposer.ScenarioParameterServer` applies the
+mapping at the PS API boundary: tasks keep speaking logical keys, the PS sees
+physical keys — per call on the per-call path, and once per worker chunk on
+the round engine's charger (the mapping only changes between rounds).
 :class:`RemappedDistribution` does the same for sampling distributions,
 reading the mapping dynamically so registered distributions follow every
 drift without re-registration.
@@ -32,9 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.sampling.distributions import SamplingDistribution
-from repro.ps.base import PullResult, SampleHandle
-from repro.ps.rounds import segment_bounds
-from repro.simulation.cluster import WorkerContext
 
 
 class KeyRemapper:
@@ -181,113 +178,3 @@ class RemappedDistribution(SamplingDistribution):
 
     def probabilities_of(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         return self.inner.probabilities_of(self.remapper.to_logical(keys))
-
-
-class _RemappedPointCharger:
-    """A point charger that takes a chunk's keys in logical key space.
-
-    The chunk's keys translate once, range-checked, and the inner charger
-    does everything else; ``read``/``add``/``finish`` are the inner
-    charger's own, since they address the chunk by position.
-    """
-
-    __slots__ = ("_inner", "_remapper", "read", "add", "finish")
-
-    def __init__(self, inner, remapper: KeyRemapper) -> None:
-        self._inner = inner
-        self._remapper = remapper
-        self.read, self.add, self.finish = inner.read, inner.add, inner.finish
-
-    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
-                     compute_cost: float) -> None:
-        self._inner.charge_chunk(
-            worker, self._remapper.to_physical(keys2d), compute_cost
-        )
-
-    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                              direct_widths: list, sample_widths: list,
-                              compute_costs: list) -> None:
-        # Only the direct segments are logical: a handle's sample keys are
-        # physical already (``RemappedDistribution.sample`` translates them).
-        bounds = segment_bounds(direct_widths, sample_widths)
-        is_direct = np.zeros(len(bounds) - 1, dtype=bool)
-        is_direct[0::2] = True
-        direct = np.repeat(is_direct, np.diff(bounds))
-        physical = np.array(keys, dtype=np.int64)
-        physical[direct] = self._remapper.to_physical(physical[direct])
-        self._inner.charge_sampling_chunk(
-            worker, physical, direct_widths, sample_widths, compute_costs
-        )
-
-
-class RemappedParameterServer:
-    """Presents a parameter server's API in the workload's logical key space.
-
-    Wraps any :class:`~repro.ps.base.ParameterServer`; every key-carrying call
-    is translated through the remapper (and range-checked: logical keys come
-    from the workload), everything else is delegated unchanged. With the
-    identity mapping the translation is a single take per call; the wrapper
-    is only installed when a scenario actually drifts.
-    """
-
-    def __init__(self, inner, remapper: KeyRemapper) -> None:
-        self._inner = inner
-        self._remapper = remapper
-
-    # ----------------------------------------------------------- delegation
-    @property
-    def inner(self):
-        return self._inner
-
-    @property
-    def remapper(self) -> KeyRemapper:
-        return self._remapper
-
-    def __getattr__(self, attribute):
-        return getattr(self._inner, attribute)
-
-    # -------------------------------------------------------------- round API
-    def direct_point_charger(self, distribution_id=None):
-        """The inner PS's charger behind one key translation per chunk.
-
-        The bijection changes only in ``apply_drift`` (an epoch or round
-        hook), never inside a round, so a chunk's logical keys translate
-        once (:class:`_RemappedPointCharger`) and the inner charger replays
-        the chunk in physical key space. ``None`` where the inner PS (or a
-        fault proxy below this wrapper) answers ``None``: the round then
-        goes through the translating ``pull``/``push``/``localize``.
-        """
-        inner = self._inner.direct_point_charger(distribution_id)
-        if inner is None:
-            return None
-        return _RemappedPointCharger(inner, self._remapper)
-
-    # ------------------------------------------------------------ direct API
-    def pull(self, worker: WorkerContext, keys) -> np.ndarray:
-        return self._inner.pull(worker, self._remapper.to_physical(keys))
-
-    def push(self, worker: WorkerContext, keys, deltas) -> None:
-        self._inner.push(worker, self._remapper.to_physical(keys), deltas)
-
-    def localize(self, worker: WorkerContext, keys) -> None:
-        self._inner.localize(worker, self._remapper.to_physical(keys))
-
-    # ---------------------------------------------------------- sampling API
-    def register_distribution(self, distribution, level=None) -> int:
-        wrapped = RemappedDistribution(distribution, self._remapper)
-        if level is None:
-            return self._inner.register_distribution(wrapped)
-        return self._inner.register_distribution(wrapped, level)
-
-    def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
-                    count=None) -> PullResult:
-        result = self._inner.pull_sample(worker, handle, count)
-        return PullResult(
-            keys=self._remapper.to_logical(result.keys), values=result.values
-        )
-
-    def push_sample(self, worker: WorkerContext, keys, deltas) -> None:
-        self._inner.push_sample(worker, self._remapper.to_physical(keys), deltas)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemappedParameterServer({self._inner!r})"

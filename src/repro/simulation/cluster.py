@@ -133,8 +133,8 @@ class Cluster:
         #: clocks freeze at removal time. Empty in elasticity-off runs.
         self.removed: set[int] = set()
         #: Monotone counter bumped by every :meth:`add_node` /
-        #: :meth:`remove_node`. The fault proxy records the epoch it was
-        #: built at, so an access routed to a removed owner names both.
+        #: :meth:`remove_node` (reported by the elasticity controller and
+        #: in removal errors).
         self.membership_epoch: int = 0
         #: Optional :class:`~repro.obs.Tracer`. ``None`` — the default —
         #: means telemetry is off; the runner installs a tracer here before

@@ -198,3 +198,22 @@ def test_no_write_only_attribute():
         and node.attr not in read
     })
     assert not write_only, "assigned but never read:\n" + "\n".join(write_only)
+
+
+# ------------------------------------------------------- delegating wrappers
+def test_one_delegating_wrapper():
+    """At most one class of ``src/repro`` forwards unknown attributes.
+
+    Everything that sits between the workers and a parameter server is one
+    interposer (:mod:`repro.scenarios.interposer`); a second class with a
+    ``__getattr__`` is a second hand-written delegating wrapper.
+    """
+    delegating = sorted(
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {node.name}"
+        for path, tree in _parsed_trees().items() if SRC_ROOT in path.parents
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and any(isinstance(member, ast.FunctionDef)
+                and member.name == "__getattr__" for member in node.body)
+    )
+    assert len(delegating) <= 1, \
+        "more than one delegating wrapper:\n" + "\n".join(delegating)

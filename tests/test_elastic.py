@@ -14,12 +14,9 @@ from repro.elastic import (
     ScaleIn,
     ScaleOut,
 )
-from repro.faults import (
-    FaultConfig,
-    FaultTolerantParameterServer,
-    PartitionedOwnerError,
-    RemovedOwnerError,
-)
+from repro.core.sampling.distributions import UniformDistribution
+from repro.faults import FaultConfig, PartitionedOwnerError
+from repro.ps.base import SampleHandle
 from repro.ps.classic import ClassicPS
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
@@ -28,7 +25,11 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
-from repro.scenarios import SCENARIO_PRESETS, make_scenario
+from repro.scenarios import (
+    SCENARIO_PRESETS,
+    ScenarioParameterServer,
+    make_scenario,
+)
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.network import NetworkModel
 
@@ -213,7 +214,7 @@ class TestPartitionState:
 class TestPartitionGuard:
     def test_majority_access_to_minority_keys_defers(self):
         ps, cluster, store = _build("classic")
-        proxy = FaultTolerantParameterServer(ps)
+        proxy = ScenarioParameterServer(ps)
         proxy.partition = PartitionState(ps, [2], now=0.0)
         majority_worker = cluster.worker(0, 0)
         minority_keys = np.asarray(ps.keys_owned_by(2)[:2], dtype=np.int64)
@@ -229,7 +230,7 @@ class TestPartitionGuard:
 
     def test_minority_worker_degrades_instead_of_failing(self):
         ps, cluster, store = _build("classic")
-        proxy = FaultTolerantParameterServer(ps)
+        proxy = ScenarioParameterServer(ps)
         state = PartitionState(ps, [2], now=0.0)
         proxy.partition = state
         minority_worker = cluster.worker(2, 0)
@@ -242,32 +243,64 @@ class TestPartitionGuard:
 
     def test_localize_drops_unreachable_hints(self):
         ps, cluster, store = _build("relocation")
-        proxy = FaultTolerantParameterServer(ps)
+        proxy = ScenarioParameterServer(ps)
         proxy.partition = PartitionState(ps, [2], now=0.0)
         majority_worker = cluster.worker(0, 0)
         minority_keys = np.asarray(ps.keys_owned_by(2)[:2], dtype=np.int64)
         proxy.localize(majority_worker, minority_keys)  # dropped, no raise
         np.testing.assert_array_equal(ps.current_owner[minority_keys], 2)
 
-
-class TestRemovedOwnerFastFail:
-    def test_stale_routing_fails_fast_with_epochs(self):
-        """An access at a removed owner names the membership epochs."""
+    def test_majority_sample_calls_cross_no_partition(self):
+        """Regression: ``pull_sample`` reached the inner PS around the
+        partition rule. It now gates the keys the call delivers — the
+        handle's next ``count`` pending keys — before delegating."""
         ps, cluster, store = _build("classic")
-        proxy = FaultTolerantParameterServer(ps)
-        victim_keys = np.asarray(ps.keys_owned_by(1)[:2], dtype=np.int64)
-        # Remove the node from membership *without* re-homing its keys:
-        # exactly the stale-routing state the gate must catch.
-        cluster.remove_node(1)
-        with pytest.raises(RemovedOwnerError, match="membership epoch 1"):
-            proxy.pull(cluster.worker(0, 0), victim_keys)
-        assert cluster.metrics.get("elastic.removed_owner_errors") == 1
+        proxy = ScenarioParameterServer(ps)
+        distribution_id = proxy.register_distribution(
+            UniformDistribution(0, NUM_KEYS))
+        proxy.partition = PartitionState(ps, [2], now=0.0)
+        majority_worker = cluster.worker(0, 0)
+        majority_keys = np.asarray(ps.keys_owned_by(0)[:2], dtype=np.int64)
+        minority_keys = np.asarray(ps.keys_owned_by(2)[:2], dtype=np.int64)
+        handle = SampleHandle(distribution_id,
+                              np.concatenate([majority_keys, minority_keys]))
+        result = proxy.pull_sample(majority_worker, handle, 2)
+        np.testing.assert_array_equal(result.keys, majority_keys)
+        reads = cluster.metrics.get("access.total")
+        with pytest.raises(PartitionedOwnerError):
+            proxy.pull_sample(majority_worker, handle, 2)
+        assert handle.remaining == 2  # nothing delivered, nothing read
+        assert cluster.metrics.get("access.total") == reads
+        with pytest.raises(PartitionedOwnerError):
+            proxy.push_sample(majority_worker, minority_keys,
+                              np.zeros((2, VALUE_LENGTH), dtype=np.float32))
+        assert cluster.metrics.get("elastic.partition_rejections") == 2
+
+
+class TestScaleInRoutingCheck:
+    """A removed node never recovers, so scale-in checks once, at the
+    transition, that no key is routed at it any more."""
+
+    @pytest.mark.parametrize("kind", ["relocation", "replication"])
+    def test_check_fires_when_rehome_is_skipped(self, kind, monkeypatch):
+        ps, cluster, store = _build(kind)
+        owned = len(ps.keys_owned_by(1))
+        if kind == "replication":
+            # The home map is the routing of a static PS: leave it stale.
+            monkeypatch.setattr(ps.partitioner, "leave",
+                                lambda node_id, successors: None)
+        monkeypatch.setattr(ps, "_rehome", lambda *args: None)
+        with pytest.raises(RuntimeError,
+                           match=f"node 1 left {owned} key"):
+            ElasticityController(ps).scale_in(1, now=0.0)
 
     def test_no_false_positive_after_proper_scale_in(self):
         ps, cluster, store = _build("classic")
-        proxy = FaultTolerantParameterServer(ps)
+        proxy = ScenarioParameterServer(ps)
         victim_keys = np.asarray(ps.keys_owned_by(1)[:2], dtype=np.int64)
         ElasticityController(ps).scale_in(1, now=0.0)
+        assert not proxy.degraded()
+        assert proxy.direct_point_charger() is not None
         values = proxy.pull(cluster.worker(0, 0), victim_keys)
         assert values.shape == (2, VALUE_LENGTH)
 
@@ -284,7 +317,7 @@ class TestRetryJitter:
             ps, cluster, _ = _build("classic")
             from repro.faults import FaultController
 
-            proxy = FaultTolerantParameterServer(ps)
+            proxy = ScenarioParameterServer(ps)
             proxy.controller = FaultController(
                 ps, FaultConfig(retry_jitter=jitter, retry_seed=seed)
             )

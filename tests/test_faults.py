@@ -7,7 +7,7 @@ Covers the three layers separately and end to end:
   :class:`FaultController` crash/failover/restore cycle on every
   architecture,
 * access semantics — the retry/timeout gate of
-  :class:`FaultTolerantParameterServer`,
+  :class:`ScenarioParameterServer`, on direct and sampling calls,
 * scenario integration — crash-storm / lossy-network / worker-kill presets
   complete, and a fault-capable run with no fired fault stays bit-identical
   to a fault-free run.
@@ -25,7 +25,6 @@ from repro.faults import (
     DeadOwnerError,
     FaultConfig,
     FaultController,
-    FaultTolerantParameterServer,
     FaultyNetworkModel,
     LossyNetwork,
     ServerCrashes,
@@ -39,7 +38,14 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
-from repro.scenarios import Scenario, make_scenario
+from repro.core.sampling.distributions import UniformDistribution
+from repro.ps.base import SampleHandle
+from repro.scenarios import (
+    KeyRemapper,
+    Scenario,
+    ScenarioParameterServer,
+    make_scenario,
+)
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.network import NetworkModel
 
@@ -323,11 +329,11 @@ class TestFaultController:
             FaultConfig(max_retries=-1)
 
 
-# ------------------------------------------------------ retry/timeout proxy
-class TestFaultTolerantProxy:
-    def _crashed(self, config=None):
+# ------------------------------------------------------- dead-owner gate
+class TestDeadOwnerGate:
+    def _crashed(self, config=None, remapper=None):
         ps, cluster, store = _build("classic")
-        proxy = FaultTolerantParameterServer(ps)
+        proxy = ScenarioParameterServer(ps, remapper)
         controller = FaultController(ps, config)
         proxy.controller = controller
         t_recovered = controller.crash_node(1, now=cluster.time)
@@ -336,7 +342,7 @@ class TestFaultTolerantProxy:
 
     def test_gate_is_transparent_without_faults(self):
         ps, cluster, _ = _build("classic")
-        proxy = FaultTolerantParameterServer(ps)
+        proxy = ScenarioParameterServer(ps)
         worker = cluster.worker(0, 0)
         before = worker.clock.now
         values = proxy.pull(worker, np.array([1, 2, 3]))
@@ -383,16 +389,65 @@ class TestFaultTolerantProxy:
 
     def test_delegation(self):
         ps, cluster, _ = _build("classic")
-        proxy = FaultTolerantParameterServer(ps)
+        proxy = ScenarioParameterServer(ps)
         assert proxy.inner is ps
         assert proxy.store is ps.store
         assert proxy.name == ps.name
         assert proxy.describe() == ps.describe()
-        # No gate can fire (no partition, no node down, nobody removed): the
-        # round engine gets the inner PS's own charger, in both shapes.
+        # No gate can fire (no partition, no node down): the round engine
+        # gets the inner PS's own charger, in both shapes.
         for distribution_id in (None, 0):
             assert type(proxy.direct_point_charger(distribution_id)) \
                 is type(ps.direct_point_charger(distribution_id))
+
+    @pytest.mark.parametrize("drifted", [False, True])
+    def test_sample_calls_pass_the_gate(self, drifted):
+        """Regression: ``pull_sample`` of moved keys read them while their
+        owner was down and ``pull`` of the same keys timed out, and
+        ``push_sample`` skipped the gate. With a drifted remapper the gate
+        sees physical keys: the handle's as they are, pushed keys
+        translated."""
+        remapper = None
+        if drifted:
+            remapper = KeyRemapper(NUM_KEYS)
+            remapper.apply(remapper.rotation(0.3))
+        config = FaultConfig(detection_timeout=0.05, max_retries=2,
+                             retry_backoff=1e-6)
+        proxy, controller, cluster, moved, _ = self._crashed(config, remapper)
+        distribution_id = proxy.register_distribution(
+            UniformDistribution(0, NUM_KEYS))
+        worker = cluster.worker(0, 0)
+        physical = moved[:2]
+        logical = physical if remapper is None \
+            else remapper.to_logical(physical)
+        with pytest.raises(DeadOwnerError, match="gave up"):
+            proxy.pull(worker, logical)
+        handle = SampleHandle(distribution_id, physical)
+        reads = cluster.metrics.get("access.total")
+        with pytest.raises(DeadOwnerError, match="gave up"):
+            proxy.pull_sample(worker, handle)
+        assert handle.remaining == 2
+        assert cluster.metrics.get("access.total") == reads
+        before = proxy.store.values.copy()
+        with pytest.raises(DeadOwnerError, match="gave up"):
+            proxy.push_sample(worker, logical,
+                              np.ones((2, VALUE_LENGTH), dtype=np.float32))
+        assert np.array_equal(proxy.store.values, before)
+        assert cluster.metrics.get("faults.timeouts") == 3
+
+    def test_sample_pull_waits_out_a_short_recovery(self):
+        proxy, controller, cluster, moved, t_recovered = self._crashed()
+        distribution_id = proxy.register_distribution(
+            UniformDistribution(0, NUM_KEYS))
+        worker = cluster.worker(0, 0)
+        safe = np.setdiff1d(np.arange(NUM_KEYS), moved)[:1]
+        handle = SampleHandle(distribution_id, np.r_[safe, moved[:1]])
+        proxy.pull_sample(worker, handle, 1)  # an untouched key: no wait
+        assert worker.clock.now < t_recovered
+        result = proxy.pull_sample(worker, handle, 1)
+        np.testing.assert_array_equal(result.keys, moved[:1])
+        assert worker.clock.now >= t_recovered
+        assert cluster.metrics.get("faults.retries") >= 1
 
 
 # ------------------------------------------------------ scenario integration

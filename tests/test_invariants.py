@@ -345,15 +345,11 @@ def _run_fault_sequence(architecture: str, seed: int, num_ops: int):
     (no scenario runtime) against every architecture, checking after every
     step that the partition over the *active* nodes covers the key space
     exactly once and that no simulated clock moved backwards. Architectures
-    without native failover waiting go through the retry/timeout proxy;
+    without native failover waiting go through the dead-owner gate;
     a :class:`DeadOwnerError` is a tolerated outcome, never a crash.
     """
-    from repro.faults import (
-        DeadOwnerError,
-        FaultConfig,
-        FaultController,
-        FaultTolerantParameterServer,
-    )
+    from repro.faults import DeadOwnerError, FaultConfig, FaultController
+    from repro.scenarios import ScenarioParameterServer
 
     ps, cluster, store = _build(architecture)
     controller = FaultController(
@@ -361,7 +357,7 @@ def _run_fault_sequence(architecture: str, seed: int, num_ops: int):
     )
     access = ps
     if not getattr(ps, "native_failover_wait", False):
-        access = FaultTolerantParameterServer(ps)
+        access = ScenarioParameterServer(ps)
         access.controller = controller
     rng = np.random.default_rng(seed)
     watcher = _ClockWatcher(cluster)
@@ -457,11 +453,12 @@ def _run_membership_sequence(architecture: str, seed: int, num_ops: int):
       may disappear.
     """
     from repro.elastic import ElasticityController, PartitionState
-    from repro.faults import FaultTolerantParameterServer, PartitionedOwnerError
+    from repro.faults import PartitionedOwnerError
+    from repro.scenarios import ScenarioParameterServer
 
     ps, cluster, store = _build(architecture)
     controller = ElasticityController(ps)
-    access = FaultTolerantParameterServer(ps)
+    access = ScenarioParameterServer(ps)
     rng = np.random.default_rng(seed)
     watcher = _ClockWatcher(cluster)
     workers = list(cluster.workers())  # the launch-time worker pool is fixed

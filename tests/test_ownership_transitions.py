@@ -150,3 +150,44 @@ EXPECTED = {
 @pytest.mark.parametrize("system", sorted(EXPECTED))
 def test_transition_sequence_matches_golden_digests(system, backend):
     assert transition_digests(system, backend) == EXPECTED[system]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("system", sorted(EXPECTED))
+def test_no_key_routes_at_a_removed_node(system, backend, seed):
+    """Seeded interleavings of crash, restore, scale-out and scale-in.
+
+    After every step neither the home map nor the relocation family's
+    ``current_owner`` routes a key at a removed node. That is why no access
+    needs a removed-owner check: a removed node never recovers, and the
+    elasticity controller checks the same once, at the scale-in.
+    """
+    ps, cluster = _build(system, backend)
+    faults = FaultController(ps)
+    elastic = ElasticityController(ps)
+    rng = np.random.default_rng(seed)
+    all_keys = np.arange(NUM_KEYS, dtype=np.int64)
+    counts = {"crash": 0, "restore": 0, "scale-out": 0, "scale-in": 0}
+    for step in range(40):
+        now = 0.001 * (step + 1)
+        live = cluster.active_nodes
+        action = ("crash", "restore", "scale-out", "scale-in")[
+            int(rng.integers(4))]
+        if action == "crash" and len(live) > 1:
+            faults.crash_node(int(rng.choice(live)), now)
+        elif action == "restore" and faults.down:
+            faults.restore_node(int(rng.choice(sorted(faults.down))), now)
+        elif action == "scale-out" and cluster.num_nodes < 8:
+            elastic.scale_out(now)
+        elif action == "scale-in" and len(live) > 1:
+            elastic.scale_in(int(rng.choice(live)), now)
+        else:
+            continue
+        counts[action] += 1
+        removed = sorted(cluster.removed)
+        assert not np.isin(_homes(ps), removed).any(), (step, action)
+        if isinstance(ps, RelocationPS):
+            owners = np.asarray(ps.current_owner.take(all_keys))
+            assert not np.isin(owners, removed).any(), (step, action)
+    assert min(counts.values()) > 0, counts

@@ -18,8 +18,9 @@ sequence on twin parameter servers. Both compare whole experiments
 including every piece of PS state and pin both directions of the path
 selection: the default configuration issues no ``pull``/``push`` at all,
 each fallback condition issues them. A last section holds the wrapped and
-observed parameter servers — the drift remapper, the fault proxy, NuPS under
-a statistics tap — which are replay cells too: the comparison includes the
+observed parameter servers — the scenario interposer with its key
+translation and its gates, NuPS under a statistics tap — which are replay
+cells too: the comparison includes the
 tap's sketch, and ``pull``/``push`` reach the PS only from the rounds the
 runner degrades.
 """
@@ -40,7 +41,7 @@ from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
 from repro.core.sampling.schemes import SCHEMES_BY_NAME, SchemeConfig
 from repro.elastic import ElasticityController, PartitionState
-from repro.faults import FaultController, FaultTolerantParameterServer
+from repro.faults import FaultController
 from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.negative_sampling import NegativeSampleStream
 from repro.ml.task import RoundWorkItem, sequential_process_round
@@ -54,7 +55,7 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import _WorkerQueue, run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
-from repro.scenarios import KeyRemapper, RemappedParameterServer, make_scenario
+from repro.scenarios import KeyRemapper, ScenarioParameterServer, make_scenario
 from repro.scenarios.base import Perturbation, Scenario
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
@@ -228,7 +229,7 @@ def _assert_stats_identical(a, b) -> None:
 
 def _assert_ps_state_identical(a, b) -> None:
     """Everything a PS holds besides clocks and metrics, to the last bit."""
-    while hasattr(a, "inner"):  # the state lives below the wrappers
+    while hasattr(a, "inner"):  # the state lives below the interposer
         a, b = a.inner, b.inner
     all_keys = np.arange(a.store.num_keys, dtype=np.int64)
     assert a.store.get(all_keys).tobytes() == b.store.get(all_keys).tobytes()
@@ -331,7 +332,7 @@ SKETCH_SLOTS = 16
 def _drifted_adaptive(build_nups, groups):
     """``build_nups`` below a key remapping that is not the identity, with a
     small statistics tap whose top-k policy re-manages from
-    ``housekeeping``: the wrapper and the tap at once."""
+    ``housekeeping``: the interposer and the tap at once."""
     def build(store, cluster):
         remapper = KeyRemapper(store.num_keys, groups)
         sigma = remapper.rotation(0.3)
@@ -341,7 +342,7 @@ def _drifted_adaptive(build_nups, groups):
         install_adaptive(ps, AdaptiveConfig(
             policy="top-k", top_k=5, period=2e-4, half_life=1e-3,
             capacity=SKETCH_SLOTS, warmup_observations=50))
-        return RemappedParameterServer(ps, remapper)
+        return ScenarioParameterServer(ps, remapper)
     return build
 
 
@@ -663,7 +664,7 @@ def test_mf_bad_keys_raise_the_sequential_exception(system, bad_key):
 def test_round_fusion_composes_with_scenarios(system, scenario_name):
     # Four epochs so that the drift preset (epoch 2) actually rewires the
     # logical-to-physical mapping: post-drift epochs are where a fused path
-    # that bypassed the remapping proxy would diverge.
+    # that bypassed the key translation would diverge.
     _assert_results_identical(
         _experiment("matrix_factorization", system, "fused",
                     scenario_name=scenario_name, epochs=4),
@@ -673,9 +674,9 @@ def test_round_fusion_composes_with_scenarios(system, scenario_name):
 
 
 def test_round_fusion_respects_remapped_ps():
-    """Post-drift, the remapping proxy must keep fused paths translated.
+    """Post-drift, the interposer must keep fused paths translated.
 
-    Regression: the proxy's ``__getattr__`` used to leak the inner PS's
+    Regression: the remapper's ``__getattr__`` used to leak the inner PS's
     ``direct_point_charger``, letting the fused MF walk access
     the raw store with logical keys once the mapping was no longer the
     identity. The fused drift run must keep relocating effectively after the
@@ -988,7 +989,7 @@ def _wrapped_cell(task, kind):
     at epoch 1 without the oracle's re-management, so only the online top-k
     policy, fed by a statistics tap small enough to evict all the time,
     re-targets the six replicas. ``crash-storm``: a statically partitioned
-    PS behind the retry proxy (SSP has no sampling replay, the sampling
+    PS behind the dead-owner gate (SSP has no sampling replay, the sampling
     tasks take classic). ``split-brain``: NuPS behind the partition guard,
     with replicas that the heal has to flush and reload.
     """
@@ -1028,7 +1029,7 @@ def _wrapped_matrix(seeds, tier_one: bool):
 
 
 def _check_wrapped_cell(task_name, kind, storage, seed, epochs):
-    """Fused == sequential behind the wrappers and under the tap, on all
+    """Fused == sequential behind the interposer and under the tap, on all
     state including the sketch; the fused run issues ``pull``/``push`` only
     from the rounds the runner degrades."""
     runs = {}
@@ -1088,10 +1089,10 @@ def test_wrapped_round_bit_identical_full_cross(task, kind, storage, seed):
     _check_wrapped_cell(task, kind, storage, seed, epochs=3)
 
 
-#: The presets that were fallback conditions until the wrappers and the tap
+#: The presets that were fallback conditions until the interposer and the tap
 #: joined the replay path, as users run them: the default tap (512 slots,
 #: hot-spot policy), the drift preset (epoch 2) over ESSP and NuPS, the
-#: crash-storm preset behind the retry proxy.
+#: crash-storm preset behind the dead-owner gate.
 WRAPPED_PRESETS = {
     "mf-access-observer": dict(task="matrix_factorization",
                                system="nups-adaptive"),
@@ -1124,14 +1125,21 @@ def test_wrapped_presets_take_the_replay_path(preset):
         == preset.endswith("fault-proxy")
 
 
-def _proxied_world(condition):
-    """Classic PS behind the fault proxy with one gate condition set, a
-    round of work for workers the condition lets through, and the number of
-    ``pull`` calls that reached the proxy."""
-    task = make_task("matrix_factorization", scale="test")
+def _proxied_world(condition, task_name="matrix_factorization",
+                   system="classic"):
+    """A PS behind the interposer with one gate condition set, or after a
+    planned removal, a round of work for workers the condition lets through,
+    and the number of ``pull`` calls that reached the interposer."""
+    task = make_task(task_name, scale="test")
     cluster = Cluster(ClusterConfig(num_nodes=3, workers_per_node=2))
-    ps = ClassicPS(task.create_store(seed=5), cluster, seed=0)
-    proxy = FaultTolerantParameterServer(ps)
+    store = task.create_store(seed=5)
+    if system == "classic":
+        ps = ClassicPS(store, cluster, seed=0)
+    else:
+        ps = ReplicationPS(store, cluster, protocol=ReplicationProtocol.SSP,
+                           staleness=1, seed=0)
+    proxy = ScenarioParameterServer(ps)
+    task.register_sampling(proxy)
     if condition == "partition-live":
         # Minority workers: stale reads and buffered writes, no rejection.
         proxy.partition = PartitionState(ps, {2}, cluster.time)
@@ -1160,11 +1168,10 @@ def _proxied_world(condition):
     return task, cluster, proxy, items, pulls
 
 
-@pytest.mark.parametrize("condition",
-                         ["partition-live", "node-down", "member-removed"])
+@pytest.mark.parametrize("condition", ["partition-live", "node-down"])
 def test_fault_proxy_gate_conditions_keep_the_per_call_path(condition):
-    """While a gate of the proxy can fire it hands out no charger, and a
-    round asked of the task runs call by call through the gates, exactly
+    """While a gate of the interposer can fire it hands out no charger, and
+    a round asked of the task runs call by call through the gates, exactly
     like the sequential reference."""
     task, cluster, proxy, items, pulls = _proxied_world(condition)
     assert proxy.direct_point_charger() is None
@@ -1179,10 +1186,35 @@ def test_fault_proxy_gate_conditions_keep_the_per_call_path(condition):
     metrics = cluster.metrics
     if condition == "partition-live":
         assert metrics.get("elastic.stale_reads") == 2 * len(pulls)
-    elif condition == "node-down":
-        assert metrics.get("faults.retries") > 0
     else:
-        assert cluster.removed == {2}
+        assert metrics.get("faults.retries") > 0
+
+
+@pytest.mark.parametrize("system", ["classic", "ssp"])
+@pytest.mark.parametrize("task_name", ["matrix_factorization", "kge"])
+def test_planned_removal_behind_the_interposer_replays(task_name, system):
+    """After a proper scale-in no key routes at the removed node, so no gate
+    can fire: the interposer hands out the inner PS's charger, and the fused
+    round is bit-identical to the sequential reference in cluster and PS
+    state. (SSP has no sampling replay: on KGE its own answer is None.)"""
+    task, cluster, proxy, items, pulls = _proxied_world(
+        "member-removed", task_name, system)
+    assert cluster.removed == {2}
+    distribution_id = getattr(task, "_distribution_id", None)
+    charger = proxy.direct_point_charger(distribution_id)
+    assert type(charger) is type(proxy.inner.direct_point_charger(
+        distribution_id))
+    assert (charger is None) == (system == "ssp" and task_name == "kge")
+    task.process_round(proxy, items)
+    if charger is not None:
+        assert pulls == []
+
+    twin_task, twin_cluster, twin_proxy, twin_items, twin_pulls = \
+        _proxied_world("member-removed", task_name, system)
+    sequential_process_round(twin_task, twin_proxy, twin_items)
+    assert len(twin_pulls) > 0
+    _assert_cluster_identical(cluster, twin_cluster)
+    _assert_ps_state_identical(proxy, twin_proxy)
 
 
 def test_only_default_pull_schemes_deliver_prepared_keys():

@@ -22,8 +22,8 @@ from repro.scenarios import (
     HotSetDrift,
     KeyRemapper,
     RemappedDistribution,
-    RemappedParameterServer,
     Scenario,
+    ScenarioParameterServer,
     Stragglers,
     WorkerChurn,
     make_scenario,
@@ -112,13 +112,13 @@ class TestStorePermute:
 
 
 # --------------------------------------------------- remapped PS + sampling
-class TestRemappedParameterServer:
+class TestInterposerKeyTranslation:
     def make(self, num_keys=40):
         store = ParameterStore(num_keys, 2, seed=5, init_scale=0.5)
         cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=1))
         ps = RelocationPS(store, cluster)
         remapper = KeyRemapper(num_keys)
-        return RemappedParameterServer(ps, remapper), ps, remapper, cluster
+        return ScenarioParameterServer(ps, remapper), ps, remapper, cluster
 
     def test_pull_translates_after_drift(self):
         proxy, ps, remapper, cluster = self.make()
@@ -149,7 +149,7 @@ class TestRemappedParameterServer:
     def test_logical_keys_are_range_checked(self, bad_key, error):
         """Regression: ``_to_physical[-1]`` is the last key's mapping, so a
         negative logical key read and wrote another key's value where the
-        unwrapped PS raises. Per call and once per chunk the wrapper raises
+        unwrapped PS raises. Per call and once per chunk the interposer raises
         what the unwrapped PS raises."""
         proxy, ps, remapper, cluster = self.make()
         distribution_id = proxy.register_distribution(
