@@ -148,40 +148,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(task_name: str, scale: str, system: str, nodes: int, workers: int,
-             epochs: int, seed: int, scenario: Optional[str] = None,
-             sequential: bool = False,
-             storage_backend: Optional[str] = None,
-             trace: Optional[Path] = None) -> ExperimentResult:
-    task = make_task(task_name, scale=scale)
-    num_nodes = 1 if system == "single-node" else nodes
-    overrides = dict(NUPS_BENCH_OVERRIDES) if system.startswith(("nups", "relocation")) else {}
+def _config(args: argparse.Namespace, system: str,
+            trace: Optional[Path]) -> ExperimentConfig:
+    """The experiment configuration of ``args`` for ``system``.
+
+    Raises ``ValueError``/``TypeError`` naming the remedy when a flag is
+    out of range (``--epochs 0``, ``--nodes 0``, ...).
+    """
+    num_nodes = 1 if system == "single-node" else args.nodes
     telemetry = None
     if trace is not None:
         from repro.obs import TelemetryConfig
 
         telemetry = TelemetryConfig(path=str(trace))
     storage = None
-    if storage_backend is not None:
+    if args.storage_backend is not None:
         from repro.ps.chunks import StorageConfig
 
-        storage = StorageConfig(backend=storage_backend)
-    config = ExperimentConfig(
-        cluster=ClusterConfig(num_nodes=num_nodes, workers_per_node=workers),
-        epochs=epochs, chunk_size=8, seed=seed,
-        scenario=make_scenario(scenario) if scenario else None,
-        round_fusion=not sequential, storage=storage,
+        storage = StorageConfig(backend=args.storage_backend)
+    return ExperimentConfig(
+        cluster=ClusterConfig(num_nodes=num_nodes,
+                              workers_per_node=args.workers),
+        epochs=args.epochs, chunk_size=8, seed=args.seed,
+        scenario=make_scenario(args.scenario) if args.scenario else None,
+        round_fusion=not args.sequential, storage=storage,
         telemetry=telemetry,
     )
+
+
+def _config_error(args: argparse.Namespace, exc: Exception) -> int:
+    """Report a bad flag the way argparse reports its own errors."""
+    print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _run_one(args: argparse.Namespace, system: str,
+             config: ExperimentConfig) -> ExperimentResult:
+    task = make_task(args.task, scale=args.scale)
+    overrides = dict(NUPS_BENCH_OVERRIDES) if system.startswith(("nups", "relocation")) else {}
     return run_experiment(task, make_ps_factory(system, **overrides), config,
                           system_name=system)
 
 
 def command_run(args: argparse.Namespace) -> int:
-    result = _run_one(args.task, args.scale, args.system, args.nodes,
-                      args.workers, args.epochs, args.seed, args.scenario,
-                      sequential=args.sequential,
-                      storage_backend=args.storage_backend, trace=args.trace)
+    try:
+        config = _config(args, args.system, args.trace)
+    except (ValueError, TypeError) as exc:
+        return _config_error(args, exc)
+    result = _run_one(args, args.system, config)
     print(quality_over_time_table([result]))
     print()
     print(summary_table([result]))
@@ -197,18 +211,18 @@ def _system_trace_path(trace: Path, system: str) -> Path:
 
 
 def command_compare(args: argparse.Namespace) -> int:
+    traces = [None if args.trace is None
+              else _system_trace_path(args.trace, system)
+              for system in args.systems]
+    try:  # every configuration before any training starts
+        configs = [_config(args, system, trace)
+                   for system, trace in zip(args.systems, traces)]
+    except (ValueError, TypeError) as exc:
+        return _config_error(args, exc)
     results: List[ExperimentResult] = []
-    for system in args.systems:
+    for system, config in zip(args.systems, configs):
         print(f"running {args.task} on {system} ...", file=sys.stderr)
-        trace = None
-        if args.trace is not None:
-            trace = _system_trace_path(args.trace, system)
-        results.append(_run_one(args.task, args.scale, system, args.nodes,
-                                args.workers, args.epochs, args.seed,
-                                args.scenario,
-                                sequential=args.sequential,
-                                storage_backend=args.storage_backend,
-                                trace=trace))
+        results.append(_run_one(args, system, config))
     print(summary_table(results))
     if any(r.system == "single-node" for r in results) and len(results) > 1:
         print()

@@ -497,58 +497,42 @@ class _NuPSPointCharger(RelocationPointCharger):
 
     sample_kinds = ("sample", "sample_push")
 
-    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
-                     compute_cost: float) -> None:
-        """Charge one worker's chunk: per point, pull + push + compute.
-
-        Without a replicated key in the chunk this is the relocation
-        charger's fold plus the recent-access buffer; otherwise the sampling
-        replay with zero-width sample segments, which also plans the value
-        routes.
-        """
-        ps = self.ps
-        flat = keys2d.ravel()
-        if ps.plan.num_replicated and ps.plan.replicated_mask(flat).any():
-            num_points, keys_per_point = keys2d.shape
-            self.charge_sampling_chunk(
-                worker, flat, [keys_per_point] * num_points,
-                [0] * num_points, [compute_cost] * num_points,
-            )
-            return
-        self.node_id = worker.node_id
-        self.routes = {}
-        super().charge_chunk(worker, keys2d, compute_cost)
-        ps._recent_direct[worker.node_id].extend(self.keys_list)
-        if ps.access_observer is not None:
-            width = keys2d.shape[1]
-            self._observe(range(0, len(flat), width),
-                          range(width, len(flat) + 1, width))
-
-    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                              direct_widths: list, sample_widths: list,
-                              compute_costs: list) -> None:
+    def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                     direct_widths: list, sample_widths: list,
+                     compute_costs: list) -> None:
         """Charge one worker's chunk (see the relocation charger) and set
-        up the per-point value routes."""
+        up the per-point value routes.
+
+        Without a replicated key in the chunk this is the relocation fold
+        over all of it. Otherwise the fold runs over the relocated keys,
+        each call's replicated keys charged first as one product, and every
+        point holding replicated keys gets a value route.
+        """
         ps = self.ps
         node_id = self.node_id = worker.node_id
         self.routes = {}
-        bounds = segment_bounds(direct_widths, sample_widths)
-        relocated, relocated_bounds = keys, bounds
-        direct_replicas = sample_replicas = None
         replicated = ps.plan.replicated_mask(keys) \
             if ps.plan.num_replicated else None
-        if replicated is not None and replicated.any():
+        if replicated is None or not replicated.any():
+            self._fold(worker, keys, direct_widths, sample_widths,
+                       compute_costs)
+            self._bind(keys)
+            relocated = self.keys_list
+            relocated_direct, relocated_sample = direct_widths, sample_widths
+        else:
+            bounds = segment_bounds(direct_widths, sample_widths)
             replica_counts = segment_counts(replicated, bounds)
             direct_replicas = replica_counts[0::2].tolist()
             sample_replicas = replica_counts[1::2].tolist()
             relocated_mask = ~replicated
-            relocated = keys[relocated_mask]
-            relocated_bounds = bounds.copy()
-            relocated_bounds[1:] -= np.cumsum(replica_counts)
-        self._replay(worker, relocated, relocated_bounds, compute_costs,
-                     direct_replicas, sample_replicas)
-        self._bind(keys)
-        if direct_replicas is not None:
+            relocated_direct = [width - replicas for width, replicas
+                                in zip(direct_widths, direct_replicas)]
+            relocated_sample = [width - replicas for width, replicas
+                                in zip(sample_widths, sample_replicas)]
+            self._fold(worker, keys[relocated_mask], relocated_direct,
+                       relocated_sample, compute_costs, direct_replicas,
+                       sample_replicas)
+            self._bind(keys)
             acc = self.acc
             direct_total = sum(direct_replicas)
             sample_total = sum(sample_replicas)
@@ -557,17 +541,17 @@ class _NuPSPointCharger(RelocationPointCharger):
             acc.add_access(node_id, "sample.replica.local", sample_total)
             acc.add_access(node_id, "sample_push.replica.local", sample_total)
             self._plan_routes(replicated, relocated_mask, bounds[0::2])
-        if len(relocated):
-            # Direct accesses to relocated keys feed sampling repurposing.
-            is_direct = np.zeros(len(relocated_bounds) - 1, dtype=bool)
-            is_direct[0::2] = True
-            direct_keys = relocated[
-                np.repeat(is_direct, np.diff(relocated_bounds))
-            ]
-            ps._recent_direct[node_id].extend(direct_keys.tolist())
+            relocated = self.keys[relocated_mask].tolist()
+        # Direct accesses to relocated keys feed sampling repurposing.
+        recent = ps._recent_direct[node_id]
+        if any(relocated_sample):
+            for lo, hi in zip(*_direct_spans(relocated_direct,
+                                             relocated_sample)):
+                recent.extend(relocated[lo:hi])
+        else:
+            recent.extend(relocated)
         if ps.access_observer is not None:
-            edges = bounds.tolist()
-            self._observe(edges[0:-1:2], edges[1::2])
+            self._observe(*_direct_spans(direct_widths, sample_widths))
 
     def _observe(self, starts, stops) -> None:
         """Feed the statistics tap the chunk's direct-access calls.
@@ -628,3 +612,16 @@ class _NuPSPointCharger(RelocationPointCharger):
         self.ps.replica_manager.add_slots(
             self.node_id, slots, deltas.take(replica_positions, axis=0)
         )
+
+
+def _direct_spans(direct_widths: list, sample_widths: list):
+    """``(starts, stops)``: per point, the ``[lo, hi)`` of its direct keys
+    in a chunk laid out ``[direct | sample]`` point after point."""
+    starts, stops = [], []
+    position = 0
+    for n_direct, n_sample in zip(direct_widths, sample_widths):
+        starts.append(position)
+        position += n_direct
+        stops.append(position)
+        position += n_sample
+    return starts, stops

@@ -12,7 +12,8 @@
   bounded-staleness reads and buffered writes, the majority defers accesses
   to minority-owned keys, and the heal replays and reconciles.
 
-All schedules derive from the experiment seed with salts disjoint from the
+All schedules derive from the experiment seed through
+:func:`~repro.scenarios.base.perturbation_rng`, with salts disjoint from the
 standard and fault perturbations, so elastic runs are exactly reproducible.
 """
 
@@ -22,14 +23,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.scenarios.base import Perturbation, ScenarioRuntime
+from repro.scenarios.base import (
+    Perturbation,
+    ScenarioRuntime,
+    perturbation_rng,
+)
 
 __all__ = ["AutoscaleStorm", "NetworkPartition", "ScaleIn", "ScaleOut"]
-
-
-def _elastic_rng(ctx: ScenarioRuntime, salt: int) -> np.random.Generator:
-    """A per-run generator derived from the experiment seed and ``salt``."""
-    return np.random.default_rng((ctx.config.seed + 1) * 99_991 + salt)
 
 
 class ScaleOut(Perturbation):
@@ -89,7 +89,7 @@ class ScaleIn(Perturbation):
         self._fired = False
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
-        self._rng = _elastic_rng(ctx, 47 + self.seed)
+        self._rng = perturbation_rng(ctx, 47 + self.seed)
         self._fired = False
         ctx.ensure_elasticity_controller(self.elastic_config)
 
@@ -132,7 +132,7 @@ class AutoscaleStorm(Perturbation):
         self._grow_next = True
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
-        self._rng = _elastic_rng(ctx, 59 + self.seed)
+        self._rng = perturbation_rng(ctx, 59 + self.seed)
         self._added = []
         self._changes = 0
         self._grow_next = True
@@ -198,7 +198,7 @@ class NetworkPartition(Perturbation):
         self._heal_at: Optional[int] = None
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
-        self._rng = _elastic_rng(ctx, 53 + self.seed)
+        self._rng = perturbation_rng(ctx, 53 + self.seed)
         self._fired = False
         self._heal_at = None
 

@@ -11,8 +11,9 @@
   message loss, duplication, and retransmit timeouts priced into every
   access path.
 
-All schedules derive from the experiment seed (same formula as the standard
-perturbations, disjoint salts), so fault runs are exactly reproducible.
+All schedules derive from the experiment seed through
+:func:`~repro.scenarios.base.perturbation_rng` (disjoint salts), so fault
+runs are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.faults.network import FaultyNetworkModel
-from repro.scenarios.base import Perturbation, ScenarioRuntime
+from repro.scenarios.base import (
+    Perturbation,
+    ScenarioRuntime,
+    perturbation_rng,
+)
 
 __all__ = ["LossyNetwork", "ServerCrashes", "WorkerKill"]
-
-
-def _fault_rng(ctx: ScenarioRuntime, salt: int) -> np.random.Generator:
-    """A per-run generator derived from the experiment seed and ``salt``."""
-    return np.random.default_rng((ctx.config.seed + 1) * 99_991 + salt)
 
 
 class ServerCrashes(Perturbation):
@@ -83,7 +83,7 @@ class ServerCrashes(Perturbation):
 
     # ------------------------------------------------------------- lifecycle
     def on_start(self, ctx: ScenarioRuntime) -> None:
-        self._rng = _fault_rng(ctx, 41 + self.seed)
+        self._rng = perturbation_rng(ctx, 41 + self.seed)
         self._schedule = {}
         self._down = {}
         self._next_rolling = 1
@@ -175,7 +175,7 @@ class WorkerKill(Perturbation):
         self._fired = False
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
-        self._rng = _fault_rng(ctx, 43 + self.seed)
+        self._rng = perturbation_rng(ctx, 43 + self.seed)
         self._fired = False
 
     def on_round(self, ctx: ScenarioRuntime) -> None:

@@ -384,7 +384,7 @@ class KGETask(TrainingTask):
         keys[:, 1] = self.graph.num_entities + triples[:, 1]
         keys[:, 2] = triples[:, 2]
         keys[:, 3:] = stream.drain().reshape(num_points, num_sampled)
-        charger.charge_sampling_chunk(
+        charger.charge_chunk(
             worker, keys.ravel(), [3] * num_points,
             [num_sampled] * num_points,
             [self.network_compute_cost(ps)] * num_points,

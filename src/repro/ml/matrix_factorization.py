@@ -175,9 +175,10 @@ class MatrixFactorizationTask(TrainingTask):
 
         Per worker chunk, in worker order: the unchanged prefetch of the next
         chunk, one replay of all the chunk's ``pull → push → compute``
-        charges through the PS's point charger (charging never reads
-        parameter values), the chunk's cells in the sequential order — each
-        reads its two factors and adds its two deltas through the charger's
+        charges through the PS's point charger (per cell two direct keys and
+        a zero-width sample segment; charging never reads parameter values),
+        the chunk's cells in the sequential order — each reads its two
+        factors and adds its two deltas through the charger's
         uncharged ``read``/``add``, which route values wherever the
         architecture keeps them (store, node replica, NuPS replica slot) —
         and the clock advance. Every architecture has a charger; the round
@@ -202,7 +203,9 @@ class MatrixFactorizationTask(TrainingTask):
             indices = np.asarray(item.chunk, dtype=np.int64)
             if item.next_chunk is not None:
                 self.prefetch(ps, worker, item.next_chunk)
-            charger.charge_chunk(worker, self._cell_keys[indices], compute_cost)
+            n = len(indices)
+            charger.charge_chunk(worker, self._cell_keys[indices].ravel(),
+                                 [2] * n, [0] * n, [compute_cost] * n)
             lo = 0
             for value in train_values[indices].tolist():
                 add(lo, lo + 2, step(read(lo, lo + 2), value))

@@ -225,7 +225,7 @@ class WordVectorsTask(TrainingTask):
             keys[split:split + n_sample] = samples[taken:taken + n_sample]
             position = split + n_sample
             taken += n_sample
-        charger.charge_sampling_chunk(
+        charger.charge_chunk(
             worker, keys, direct_widths, sample_widths,
             [self._compute_cost(ps, p) for p in pairs],
         )

@@ -314,18 +314,18 @@ class ParameterServer(ABC):
         uncharged ``read``/``add`` (:class:`~repro.ps.rounds.ChunkValues`),
         which serve them from wherever the architecture keeps them: the
         store, the node's replica and update buffer (SSP/ESSP), a replica
-        slot (NuPS). Two shapes exist:
-
-        * ``charge_chunk`` — per point a pull and a push of the same keys,
-          then compute (matrix factorization; every architecture has it);
-        * ``charge_sampling_chunk`` — per point ``pull(direct)``,
-          ``pull_sample``, ``push(direct)``, ``push_sample``, then compute
-          (KGE, word vectors), requested by passing the ``distribution_id``
-          the samples are drawn from. Sample *selection* is as
-          value-independent as charging: the keys of a handle are fixed by
-          ``prepare_sample``, which the task still calls per chunk, in worker
-          order, so pools, cursors and RNG streams advance exactly as in the
-          sequential path.
+        slot (NuPS). One shape serves every task:
+        ``charge_chunk(worker, keys, direct_widths, sample_widths,
+        compute_costs)`` charges per point ``pull(direct)``,
+        ``pull_sample``, ``push(direct)``, ``push_sample``, then compute,
+        over ``keys`` laid out per point as its direct keys followed by its
+        sample keys. A zero-width segment is no call: matrix factorization
+        passes two direct keys and no sample per point; KGE and word vectors
+        request a charger for the ``distribution_id`` their samples are
+        drawn from. Sample *selection* is as value-independent as charging:
+        the keys of a handle are fixed by ``prepare_sample``, which the task
+        still calls per chunk, in worker order, so pools, cursors and RNG
+        streams advance exactly as in the sequential path.
 
         ``None`` tells the task to run
         :func:`~repro.ml.task.sequential_process_round` instead — the right

@@ -88,16 +88,16 @@ class ClassicPS(ParameterServer):
 
 
 class _ClassicPointCharger(ChunkValues):
-    """Exact per-point charge replay for a round of direct accesses.
+    """Exact per-point charge replay for a round of PS calls.
 
-    For every data point the sequential task issues a pull and a push over
-    the same few keys plus a compute charge. This charger replays that exact
-    cost sequence — one local advance, then per serving node in ascending
-    order one worker- and one server-advance, twice (pull then push), then
-    the scaled compute cost — from one owner lookup per chunk, with additive
-    metric counters aggregated into one write per round.
-    :meth:`charge_sampling_chunk` replays the sampling tasks' four calls per
-    point the same way.
+    Per data point the sequential task issues ``pull(direct)``,
+    ``pull_sample``, ``push(direct)``, ``push_sample`` and a compute charge;
+    on a classic PS both sampling calls are direct accesses, and matrix
+    factorization's points have zero-width sample segments (no call). This
+    charger replays that exact cost sequence — per call one local product,
+    then per serving node in ascending order one worker- and one
+    server-advance — from one owner lookup per chunk, with additive metric
+    counters aggregated into one write per round.
     """
 
     __slots__ = ("acc",)
@@ -106,68 +106,14 @@ class _ClassicPointCharger(ChunkValues):
         self.ps = ps
         self.acc = RoundAccounting()
 
-    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
-                     compute_cost: float) -> None:
-        """Charge one worker's chunk: per point, pull + push + compute.
-
-        Also binds the keys for the value pass: point ``i`` owns flat
-        positions ``[i * keys_per_point, (i + 1) * keys_per_point)``.
-        """
-        ps = self.ps
-        node_id = worker.node_id
-        num_points, keys_per_point = keys2d.shape
-        flat = keys2d.ravel()
-        owner_rows = ps.partitioner.owners(flat) \
-            .reshape(num_points, keys_per_point).tolist()
-        self._bind(flat)
-        local_cost = ps._local_access_cost
-        remote_cost = ps._remote_access_cost
-        occupancy = ps._server_occupancy
-        compute = compute_cost * worker.compute_scale
-        nodes = ps.cluster.nodes
-        clock = worker.clock
-        now = clock.now
-        local_side = 0
-        remote_side = 0
-        for row in owner_rows:
-            n_local = 0
-            groups: dict = {}
-            for owner in row:
-                if owner == node_id:
-                    n_local += 1
-                else:
-                    groups[owner] = groups.get(owner, 0) + 1
-            if groups:
-                servers = sorted(groups) if len(groups) > 1 else groups
-                for _ in range(2):  # the pull call, then the push call
-                    if n_local:
-                        now += n_local * local_cost
-                    for server in servers:
-                        count = groups[server]
-                        now += count * remote_cost
-                        nodes[server].server_clock.advance(count * occupancy)
-                remote_side += keys_per_point - n_local
-            else:
-                now += n_local * local_cost
-                now += n_local * local_cost
-            local_side += n_local
-            now += compute
-        clock.advance_to(now)
-        self._add_side_counters(node_id, local_side, remote_side)
-
-    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                              direct_widths: list, sample_widths: list,
-                              compute_costs: list) -> None:
-        """Charge one worker's chunk of a sampling task.
+    def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                     direct_widths: list, sample_widths: list,
+                     compute_costs: list) -> None:
+        """Charge one worker's chunk: per point, its calls + compute.
 
         ``keys`` holds, per point and in point order, the point's direct
         keys followed by its sample keys; the width lists give both counts
-        per point. Per point the sequential task issues ``pull(direct)``,
-        ``pull_sample``, ``push(direct)``, ``push_sample`` and a compute
-        charge; on a classic PS both sampling calls are direct accesses, so
-        each of the four is one partitioned charge — a local product, then
-        one worker- and one server-product per serving node in ascending
-        order. Also binds ``keys`` for the value pass (see
+        per point. Also binds ``keys`` for the value pass (see
         :class:`~repro.ps.rounds.ChunkValues`).
         """
         ps = self.ps
@@ -187,7 +133,9 @@ class _ClassicPointCharger(ChunkValues):
             split = position + n_direct
             end = split + n_sample
             calls = []
-            for lo, hi in ((position, split), (split, end)):
+            # An empty sample segment is no call.
+            for lo, hi in ((position, split), (split, end)) if n_sample \
+                    else ((position, split),):
                 n_local = 0
                 groups: dict = {}
                 for owner in owners[lo:hi]:
@@ -196,8 +144,9 @@ class _ClassicPointCharger(ChunkValues):
                     else:
                         groups[owner] = groups.get(owner, 0) + 1
                 local_side += n_local
-                calls.append((n_local, sorted(groups.items())))
-            for n_local, groups in calls + calls:  # the pulls, then the pushes
+                calls.append((n_local, sorted(groups.items())
+                              if len(groups) > 1 else groups.items()))
+            for n_local, groups in calls * 2:  # the pulls, then the pushes
                 if n_local:
                     now += n_local * local_cost
                 for server, count in groups:

@@ -66,24 +66,17 @@ class _LocalPointCharger(ChunkValues):
         self.ps = ps
         self.acc = RoundAccounting()
 
-    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
-                     compute_cost: float) -> None:
-        """Charge one worker's chunk: per point, pull + push + compute."""
-        num_points, keys_per_point = keys2d.shape
-        self.charge_sampling_chunk(
-            worker, keys2d.ravel(), [keys_per_point] * num_points,
-            [0] * num_points, [compute_cost] * num_points,
-        )
+    def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                     direct_widths: list, sample_widths: list,
+                     compute_costs: list) -> None:
+        """Charge one worker's chunk: per point, its calls + compute.
 
-    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                              direct_widths: list, sample_widths: list,
-                              compute_costs: list) -> None:
-        """Charge one worker's chunk of a sampling task.
-
-        Per point ``pull(direct)``, ``pull_sample``, ``push(direct)``,
+        ``keys`` holds, per point, its direct keys followed by its sample
+        keys. Per point ``pull(direct)``, ``pull_sample``, ``push(direct)``,
         ``push_sample`` — one product each, as ``_charge_local`` does, none
-        for an empty call — then the scaled compute charge. Also binds
-        ``keys`` for the value pass (:class:`~repro.ps.rounds.ChunkValues`).
+        for an empty call (matrix factorization's sample segments) — then the
+        scaled compute charge. Also binds ``keys`` for the value pass
+        (:class:`~repro.ps.rounds.ChunkValues`).
         """
         self._bind(keys)
         local_cost = self.ps._local_access_cost

@@ -23,18 +23,14 @@ both produce bit-identical simulated clocks and metrics.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from repro.ps.base import ParameterServer
 from repro.ps.chunks import ChunkedTable, flatnonzero_equal
-from repro.ps.rounds import (
-    ChunkValues,
-    RoundAccounting,
-    segment_bounds,
-    segment_counts,
-)
+from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.storage import ParameterStore
 
@@ -389,17 +385,19 @@ class RelocationPS(ParameterServer):
 
 
 class RelocationPointCharger(ChunkValues):
-    """Exact per-point charge replay for a round of direct accesses.
+    """Exact per-point charge replay for a round of PS calls.
 
-    Replays, per data point, the relocation PS's pull call, push call and
-    compute charge over the same keys: local keys wait for in-flight
-    relocations against the live running clock and cost one shared-memory
-    access; remote keys cost two or three messages depending on whether the
-    current owner is the home node, and occupy the owner's request thread
-    (a constant increment, so the per-server counts aggregate across the
-    round). Ownership state is read live at each worker's slot — after its
-    own localize hint, before any later worker's — exactly like the
-    sequential path.
+    Replays, per data point, the relocation PS's ``pull(direct)``,
+    ``pull_sample``, ``push(direct)`` and ``push_sample`` calls and its
+    compute charge; matrix factorization's points have zero-width sample
+    segments, which cost nothing. Local keys wait for in-flight relocations
+    against the live running clock and cost one shared-memory access; remote
+    keys cost two or three messages depending on whether the current owner
+    is the home node, and occupy the owner's request thread (a constant
+    increment, so the per-server counts aggregate across the round).
+    Ownership state is read live at each worker's slot — after its own
+    localize hint, before any later worker's — exactly like the sequential
+    path.
     """
 
     __slots__ = ("acc",)
@@ -412,26 +410,23 @@ class RelocationPointCharger(ChunkValues):
         self.ps = ps
         self.acc = RoundAccounting()
 
-    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                              direct_widths: list, sample_widths: list,
-                              compute_costs: list) -> None:
-        """Charge one worker's chunk of a sampling task.
+    def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                     direct_widths: list, sample_widths: list,
+                     compute_costs: list) -> None:
+        """Charge one worker's chunk: per point, its calls + compute.
 
         ``keys`` holds, per point and in point order, the point's direct
         keys followed by its sample keys; the width lists give both counts
-        per point. Replays ``pull(direct)``, ``pull_sample``,
-        ``push(direct)``, ``push_sample`` and the compute charge per point
-        (see :meth:`_replay`) and binds ``keys`` for the value pass
-        (:class:`~repro.ps.rounds.ChunkValues`).
+        per point. Replays the calls (see :meth:`_fold`) and binds ``keys``
+        for the value pass (:class:`~repro.ps.rounds.ChunkValues`).
         """
-        self._replay(worker, keys, segment_bounds(direct_widths, sample_widths),
-                     compute_costs)
+        self._fold(worker, keys, direct_widths, sample_widths, compute_costs)
         self._bind(keys)
 
-    def _replay(self, worker: WorkerContext, keys: np.ndarray,
-                bounds: np.ndarray, compute_costs: list,
-                direct_replicas: list | None = None,
-                sample_replicas: list | None = None) -> None:
+    def _fold(self, worker: WorkerContext, keys: np.ndarray,
+              direct_widths: list, sample_widths: list, compute_costs: list,
+              direct_replicas: list | None = None,
+              sample_replicas: list | None = None) -> None:
         """The per-point clock fold over the relocation-managed ``keys``.
 
         Ownership and arrival times are read once: inside a chunk nothing
@@ -440,161 +435,94 @@ class RelocationPointCharger(ChunkValues):
         right exactly like ``_charge_access`` — a local key waits for its
         in-flight relocation against the running clock and costs one
         shared-memory access, a remote key two or three messages — and the
-        compute charge follows. ``bounds`` are the :func:`segment_bounds` of
-        ``keys``; the ``*_replicas`` lists (NuPS) give per point how many
-        replicated keys each direct / sampling call additionally carries:
-        they are charged first, as one product, like ``_charge_local``.
+        compute charge follows. The ``*_replicas`` lists (NuPS) give per
+        point how many replicated keys each direct / sampling call
+        additionally carries: they are charged first, as one product, like
+        ``_charge_local``.
         """
         ps = self.ps
         node_id = worker.node_id
-        clock = worker.clock
-        now = clock.now
-        local_cost = 1 * ps._local_access_cost
-        n = len(keys)
-        costs: list = []
-        gates = None
-        local_direct = local_sample = n_remote = routed_extra = 0
-        if n:
-            owners = ps.current_owner.take(keys)
-            local_mask = owners == node_id
-            n_local = int(np.count_nonzero(local_mask))
-            n_remote = n - n_local
-            cost_array = np.full(n, local_cost, dtype=np.float64)
-            if n_remote:
-                remote_idx = np.flatnonzero(~local_mask)
-                remote_owners = owners[remote_idx]
-                routed = remote_owners != ps.partitioner.owners(keys[remote_idx])
-                routed_extra = int(np.count_nonzero(routed))
-                cost_array[remote_idx] = np.where(
-                    routed, ps._cost_three_messages, ps._cost_two_messages
-                )
-                # Pull and push of a key occupy its owner's request thread
-                # once each; a constant increment, so counts aggregate.
-                for server, count in enumerate(
-                        np.bincount(remote_owners).tolist()):
-                    self.acc.add_server(server, 2 * count)
-            costs = cost_array.tolist()
-            if n_local:
-                arrivals = ps.arrival_time.take(keys)
-                # The clock only moves forward, so a key that has arrived by
-                # now can never block later in the chunk: gate 0.0.
-                pending = local_mask & (arrivals > now)
-                if pending.any():
-                    gates = np.where(pending, arrivals, 0.0).tolist()
-                local_counts = segment_counts(local_mask, bounds)
-                local_direct = int(local_counts[0::2].sum())
-                local_sample = int(local_counts[1::2].sum())
-        replica_cost = ps._local_access_cost
-        scale = worker.compute_scale
-        waits = 0
-        edges = bounds.tolist()
-        for point, compute in enumerate(compute_costs):
-            start, split, end = edges[2 * point:2 * point + 3]
-            direct = (start, split,
-                      direct_replicas[point] if direct_replicas else 0)
-            sample = (split, end,
-                      sample_replicas[point] if sample_replicas else 0)
-            # pull(direct), pull_sample, push(direct), push_sample
-            for lo, hi, replicas in (direct, sample, direct, sample):
-                if replicas:
-                    now += replicas * replica_cost
-                if gates is None:
-                    for cost in costs[lo:hi]:
-                        now += cost
-                else:
-                    for position in range(lo, hi):
-                        gate = gates[position]
-                        if gate > now:
-                            now = gate
-                            waits += 1
-                        now += costs[position]
-            now += compute * scale
-        clock.advance_to(now)
-
-        acc = self.acc
-        pull_kind, push_kind = self.sample_kinds
-        acc.add_access(node_id, "pull.local", local_direct)
-        acc.add_access(node_id, "push.local", local_direct)
-        acc.add_access(node_id, f"{pull_kind}.local", local_sample)
-        acc.add_access(node_id, f"{push_kind}.local", local_sample)
-        if waits:
-            acc.add_counter(node_id, "relocation.waits", waits)
-        if n_remote:
-            sample_total = int((bounds[2::2] - bounds[1::2]).sum())
-            remote_sample = sample_total - local_sample
-            remote_direct = n_remote - remote_sample
-            acc.add_access(node_id, "pull.remote", remote_direct)
-            acc.add_access(node_id, "push.remote", remote_direct)
-            acc.add_access(node_id, f"{pull_kind}.remote", remote_sample)
-            acc.add_access(node_id, f"{push_kind}.remote", remote_sample)
-            acc.add_counter(node_id, "network.messages",
-                            2 * (2 * n_remote + routed_extra))
-            acc.add_counter(node_id, "network.bytes",
-                            2 * n_remote * ps._cached_value_bytes)
-
-    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
-                     compute_cost: float) -> None:
-        """Charge one worker's chunk: per point, pull + push + compute.
-
-        Also binds the keys for the value pass: point ``i`` owns flat
-        positions ``[i * keys_per_point, (i + 1) * keys_per_point)``.
-        """
-        ps = self.ps
-        node_id = worker.node_id
-        num_points, keys_per_point = keys2d.shape
-        flat = keys2d.ravel()
-        owners = ps.current_owner.take(flat)
-        self._bind(flat)
+        owners = ps.current_owner.take(keys)
         local_mask = owners == node_id
         n_local = int(np.count_nonzero(local_mask))
-        total = num_points * keys_per_point
-        n_remote = total - n_local
+        n_remote = len(keys) - n_local
         local_l = local_mask.tolist()
-        arrivals_l = ps.arrival_time.take(flat).tolist() if n_local else None
-        owners_l = None
-        homes_l = None
+        arrivals_l = ps.arrival_time.take(keys).tolist() if n_local else None
+        owners_l = homes_l = None
         cost_two = cost_three = 0.0
         if n_remote:
             owners_l = owners.tolist()
-            homes_l = ps.partitioner.owners(flat).tolist()
+            homes_l = ps.partitioner.owners(keys).tolist()
             cost_two = ps._cost_two_messages
             cost_three = ps._cost_three_messages
         local_cost = 1 * ps._local_access_cost
-        compute = compute_cost * worker.compute_scale
+        replica_cost = ps._local_access_cost
+        scale = worker.compute_scale
         clock = worker.clock
         now = clock.now
-        waits = 0
-        messages = 0
-        acc = self.acc
-        for point in range(num_points):
-            base = point * keys_per_point
-            for _call in range(2):  # the pull call, then the push call
-                for position in range(base, base + keys_per_point):
-                    if local_l[position]:
-                        arrival = arrivals_l[position]
+        waits = messages = local_sample = 0
+        servers: dict = {}
+        no_replicas = repeat(0)
+        position = 0
+        for n_direct, n_sample, compute, direct_extra, sample_extra in zip(
+                direct_widths, sample_widths, compute_costs,
+                direct_replicas or no_replicas,
+                sample_replicas or no_replicas):
+            split = position + n_direct
+            end = split + n_sample
+            if n_sample and n_local:
+                local_sample += local_l[split:end].count(True)
+            # pull(direct), pull_sample, push(direct), push_sample; an empty
+            # sampling call is none
+            calls = ((position, split, direct_extra),
+                     (split, end, sample_extra)) \
+                if n_sample or sample_extra \
+                else ((position, split, direct_extra),)
+            for lo, hi, replicas in calls * 2:
+                if replicas:
+                    now += replicas * replica_cost
+                for at in range(lo, hi):
+                    if local_l[at]:
+                        arrival = arrivals_l[at]
                         if arrival > now:
                             now = arrival
                             waits += 1
                         now += local_cost
                     else:
-                        owner = owners_l[position]
-                        if owner == homes_l[position]:
+                        owner = owners_l[at]
+                        if owner == homes_l[at]:
                             now += cost_two
                             messages += 2
                         else:
                             now += cost_three
                             messages += 3
-                        acc.add_server(owner, 1)
-            now += compute
+                        servers[owner] = servers.get(owner, 0) + 1
+            now += compute * scale
+            position = end
         clock.advance_to(now)
-        if n_local:
-            acc.add_access(node_id, "pull.local", n_local)
-            acc.add_access(node_id, "push.local", n_local)
+
+        acc = self.acc
+        pull_kind, push_kind = self.sample_kinds
+        local_direct = n_local - local_sample
+        if local_direct:
+            acc.add_access(node_id, "pull.local", local_direct)
+            acc.add_access(node_id, "push.local", local_direct)
+        if local_sample:
+            acc.add_access(node_id, f"{pull_kind}.local", local_sample)
+            acc.add_access(node_id, f"{push_kind}.local", local_sample)
         if waits:
             acc.add_counter(node_id, "relocation.waits", waits)
         if n_remote:
-            acc.add_access(node_id, "pull.remote", n_remote)
-            acc.add_access(node_id, "push.remote", n_remote)
+            for server, count in servers.items():
+                acc.add_server(server, count)
+            remote_sample = sum(sample_widths) - local_sample
+            remote_direct = n_remote - remote_sample
+            if remote_direct:
+                acc.add_access(node_id, "pull.remote", remote_direct)
+                acc.add_access(node_id, "push.remote", remote_direct)
+            if remote_sample:
+                acc.add_access(node_id, f"{pull_kind}.remote", remote_sample)
+                acc.add_access(node_id, f"{push_kind}.remote", remote_sample)
             acc.add_counter(node_id, "network.messages", messages)
             acc.add_counter(node_id, "network.bytes",
                             2 * n_remote * ps._cached_value_bytes)

@@ -663,25 +663,29 @@ class _ReplicationPointCharger(ChunkValues):
         self.ps = ps
         self.acc = RoundAccounting()
 
-    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
-                     compute_cost: float) -> None:
+    def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                     direct_widths: list, sample_widths: list,
+                     compute_costs: list) -> None:
         """Charge one worker's chunk: per point, pull + push + compute.
 
-        Also binds the keys for the value pass: point ``i`` owns flat
-        positions ``[i * keys_per_point, (i + 1) * keys_per_point)``.
+        Point ``i`` owns the next ``direct_widths[i]`` keys. Sample segments
+        are not replayed here (:meth:`ReplicationPS.direct_point_charger`
+        answers ``None`` for a distribution), so every sample width must be
+        zero. Also binds the keys for the value pass.
         """
+        if any(sample_widths):
+            raise ValueError("the SSP/ESSP point charger replays direct "
+                             "access only; sample widths must be zero")
         ps = self.ps
         node_id = worker.node_id
         state = ps._nodes[node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-        keys_per_point = keys2d.shape[1]
-        flat = keys2d.ravel()
-        n = len(flat)
-        index, at = state.at(flat)
+        n = len(keys)
+        index, at = state.at(keys)
         fresh = at.replica_mask[index] & (
             at.replica_clock[index] >= worker_clock - ps.staleness
         )
-        self._bind(flat)
+        self._bind(keys)
         if n == 0:
             return
 
@@ -692,8 +696,8 @@ class _ReplicationPointCharger(ChunkValues):
         n_refresh = n_remote = 0
         if not fresh.all():
             stale_idx = np.flatnonzero(~fresh)
-            refresh_pos = stale_idx[first_occurrence_in_order(flat[stale_idx])]
-            refresh_keys = flat[refresh_pos]
+            refresh_pos = stale_idx[first_occurrence_in_order(keys[stale_idx])]
+            refresh_keys = keys[refresh_pos]
             n_refresh = len(refresh_pos)
             ps._install_refreshed(state, refresh_keys, worker_clock)
             server_counts: dict = {}
@@ -711,17 +715,20 @@ class _ReplicationPointCharger(ChunkValues):
                     ps._server_occupancy, count
                 )
 
-        compute = compute_cost * worker.compute_scale
+        scale = worker.compute_scale
         now = worker.clock.now
-        for base in range(0, n, keys_per_point):
-            for cost in pull_costs[base:base + keys_per_point]:
+        position = 0
+        for width, compute in zip(direct_widths, compute_costs):
+            end = position + width
+            for cost in pull_costs[position:end]:
                 now += cost
-            for _ in range(keys_per_point):
+            for _ in range(width):
                 now += intra_cost
-            now += compute
+            now += compute * scale
+            position = end
         worker.clock.advance_to(now)
 
-        state.pending_updates.append(flat)
+        state.pending_updates.append(keys)
         # From here on ``keys`` index the node's arrays (sparse: pool rows,
         # translated once for the whole value pass; nothing materializes on
         # this node before the next chunk is charged).

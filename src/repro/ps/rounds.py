@@ -6,7 +6,8 @@ advance_clock()`` per data point. The production round path rests on one
 observation: access *charging* is value-independent — costs depend on keys,
 ownership, and replica state, never on pushed values. A whole worker chunk
 is therefore charged in one replay of its exact per-call cost sequence
-(``charge_chunk`` / ``charge_sampling_chunk`` on the point chargers, see
+(``charge_chunk`` on the point chargers — one shape for every task, a
+direct-access point being a sampling point with no samples; see
 :meth:`repro.ps.base.ParameterServer.direct_point_charger`), at its slot in
 worker order and against live state, while everything order-free is batched:
 additive metric counters aggregate into one write per round

@@ -151,9 +151,10 @@ def run_experiment(
         # sparse runs start from bit-identical state.
         store = store.with_storage(config.storage)
     ps = ps_factory(store, cluster, task)
-    # Evaluate against the store the PS actually trains: factories are
-    # allowed to swap backends themselves (make_ps_factory(storage=...)),
-    # and evaluating the pre-swap store would silently freeze quality.
+    # Evaluate against the store the PS actually trains: a caller's factory
+    # may hand the PS another store than the one it was given (a converted
+    # backend, a copy), and evaluating the given one would silently freeze
+    # quality.
     store = ps.store
     if config.adaptive is not None and getattr(ps, "adaptive_controller", None) is None:
         # Online adaptive management: attach the statistics tap and the

@@ -211,23 +211,19 @@ def build_parameter_server(name: str, store: ParameterStore, cluster: Cluster,
     return builder(store, cluster, task, **overrides)
 
 
-def make_ps_factory(name: str, storage=None, **overrides) -> Callable:
+def make_ps_factory(name: str, **overrides) -> Callable:
     """A ``(store, cluster, task) -> ParameterServer`` factory for ``name``.
 
     This is the factory shape :func:`repro.runner.experiment.run_experiment`
-    expects. ``storage`` optionally converts the store to another backend
-    (e.g. ``StorageConfig(backend="sparse")``) before the PS is built —
-    useful for harnesses that call factories directly; experiments driven by
-    :class:`~repro.runner.config.ExperimentConfig` should prefer its
-    ``storage`` field, which converts before the factory runs.
+    expects. The store's backend is chosen by the ``storage`` field of
+    :class:`~repro.runner.config.ExperimentConfig`, which converts the store
+    before the factory runs.
     """
     if name not in SYSTEM_BUILDERS:
         valid = ", ".join(SYSTEM_NAMES)
         raise ValueError(f"unknown system {name!r}; expected one of: {valid}")
 
     def factory(store: ParameterStore, cluster: Cluster, task: TrainingTask) -> ParameterServer:
-        if storage is not None and store.storage != storage:
-            store = store.with_storage(storage)
         return build_parameter_server(name, store, cluster, task, **overrides)
 
     return factory

@@ -70,6 +70,16 @@ class Perturbation:
         return f"{type(self).__name__}()"
 
 
+def perturbation_rng(ctx: "ScenarioRuntime", salt: int) -> np.random.Generator:
+    """A per-run generator derived from the experiment seed and ``salt``.
+
+    Every seeded perturbation (standard, fault and elastic) draws from one;
+    a per-class constant plus the perturbation's own ``seed`` makes its salt,
+    and the constants are disjoint across classes.
+    """
+    return np.random.default_rng((ctx.config.seed + 1) * 99_991 + salt)
+
+
 class Scenario:
     """A named composition of perturbations applied to one experiment."""
 

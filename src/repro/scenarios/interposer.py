@@ -77,24 +77,21 @@ class _RemappedPointCharger:
         self._remapper = remapper
         self.read, self.add, self.finish = inner.read, inner.add, inner.finish
 
-    def charge_chunk(self, worker: WorkerContext, keys2d: np.ndarray,
-                     compute_cost: float) -> None:
-        self._inner.charge_chunk(
-            worker, self._remapper.to_physical(keys2d), compute_cost
-        )
-
-    def charge_sampling_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                              direct_widths: list, sample_widths: list,
-                              compute_costs: list) -> None:
+    def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                     direct_widths: list, sample_widths: list,
+                     compute_costs: list) -> None:
         # Only the direct segments are logical: a handle's sample keys are
         # physical already (``RemappedDistribution.sample`` translates them).
-        bounds = segment_bounds(direct_widths, sample_widths)
-        is_direct = np.zeros(len(bounds) - 1, dtype=bool)
-        is_direct[0::2] = True
-        direct = np.repeat(is_direct, np.diff(bounds))
-        physical = np.array(keys, dtype=np.int64)
-        physical[direct] = self._remapper.to_physical(physical[direct])
-        self._inner.charge_sampling_chunk(
+        if any(sample_widths):
+            bounds = segment_bounds(direct_widths, sample_widths)
+            is_direct = np.zeros(len(bounds) - 1, dtype=bool)
+            is_direct[0::2] = True
+            direct = np.repeat(is_direct, np.diff(bounds))
+            physical = np.array(keys, dtype=np.int64)
+            physical[direct] = self._remapper.to_physical(physical[direct])
+        else:
+            physical = self._remapper.to_physical(keys)
+        self._inner.charge_chunk(
             worker, physical, direct_widths, sample_widths, compute_costs
         )
 

@@ -21,13 +21,12 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.scenarios.base import Perturbation, ScenarioRuntime
+from repro.scenarios.base import (
+    Perturbation,
+    ScenarioRuntime,
+    perturbation_rng,
+)
 from repro.simulation.network import NetworkSchedule
-
-
-def _perturbation_rng(ctx: ScenarioRuntime, salt: int) -> np.random.Generator:
-    """A per-run generator derived from the experiment seed and ``salt``."""
-    return np.random.default_rng((ctx.config.seed + 1) * 99_991 + salt)
 
 
 class HotSetDrift(Perturbation):
@@ -89,7 +88,7 @@ class Stragglers(Perturbation):
         self._rng: Optional[np.random.Generator] = None
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
-        self._rng = _perturbation_rng(ctx, 17 + self.seed)
+        self._rng = perturbation_rng(ctx, 17 + self.seed)
         self._draw(ctx)
 
     def on_epoch_start(self, ctx: ScenarioRuntime) -> None:
@@ -131,7 +130,7 @@ class WorkerChurn(Perturbation):
         self._victims: list = []
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
-        self._rng = _perturbation_rng(ctx, 29 + self.seed)
+        self._rng = perturbation_rng(ctx, 29 + self.seed)
         self._victims = []
 
     def on_epoch_start(self, ctx: ScenarioRuntime) -> None:

@@ -113,3 +113,24 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "raw speedup" in output
         assert "single-node" in output and "nups" in output
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--system", "nups"],
+        ["compare", "--systems", "single-node", "nups"],
+    ])
+    @pytest.mark.parametrize("flag, name", [("--epochs", "epochs"),
+                                            ("--nodes", "num_nodes"),
+                                            ("--workers", "workers_per_node")])
+    def test_configuration_errors_exit_2_without_traceback(
+            self, capsys, command, flag, name):
+        """A configuration the config classes reject is a usage error: one
+        ``repro <command>: error:`` line naming the remedy, exit code 2, and
+        no training starts."""
+        exit_code = main([*command, "--task", "kge", "--scale", "test",
+                          flag, "0"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {command[0]}: error: {name} must be")

@@ -217,3 +217,41 @@ def test_one_delegating_wrapper():
     )
     assert len(delegating) <= 1, \
         "more than one delegating wrapper:\n" + "\n".join(delegating)
+
+
+# ---------------------------------------------------------- point chargers
+CHARGE_CHUNK_ARGS = ["self", "worker", "keys", "direct_widths",
+                     "sample_widths", "compute_costs"]
+
+
+def test_one_charging_method():
+    """Every point charger has one charging method with one signature.
+
+    A direct-access chunk is a sampling chunk with zero-width sample
+    segments, so no class of ``src/repro`` defines a second method for it
+    (``charge_sampling_chunk``), and every ``charge_chunk`` takes the
+    segmented layout.
+    """
+    offenders = []
+    chargers = 0
+    for path, tree in _parsed_trees().items():
+        if SRC_ROOT not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                where = f"{path.relative_to(REPO_ROOT)}:{member.lineno}: " \
+                    f"{node.name}.{member.name}"
+                if member.name == "charge_sampling_chunk":
+                    offenders.append(where)
+                elif member.name == "charge_chunk":
+                    chargers += 1
+                    args = [arg.arg for arg in member.args.args]
+                    if args != CHARGE_CHUNK_ARGS or member.args.vararg \
+                            or member.args.kwarg or member.args.kwonlyargs:
+                        offenders.append(f"{where}({', '.join(args)})")
+    assert chargers >= 6, "the point chargers were not found"
+    assert not offenders, "\n".join(offenders)

@@ -680,7 +680,9 @@ class TestGathersAreOBatch:
         batch = touched[::40]
         assert _gather_peak(lambda: ps.pull(worker, batch)) < self.LIMIT
         charger = ps.direct_point_charger()
-        charger.charge_chunk(worker, batch.reshape(-1, 2), 0.0)
+        points = len(batch) // 2
+        charger.charge_chunk(worker, batch, [2] * points,
+                             [0] * points, [0.0] * points)
         assert _gather_peak(lambda: charger.read(0, 2)) < self.LIMIT
         assert _gather_peak(
             lambda: ps.pull(worker, batch + 1)) < self.LIMIT  # refreshes

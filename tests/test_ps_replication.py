@@ -185,7 +185,8 @@ class TestReplicaClockIsGatedByTheMask:
                 if charger is not None:  # the production round path
                     poison_unreplicated()
                     charger.charge_chunk(
-                        worker, rng.integers(0, 300, size=(6, 2)), 1e-5)
+                        worker, rng.integers(0, 300, size=(6, 2)).ravel(),
+                        [2] * 6, [0] * 6, [1e-5] * 6)
                     for lo in range(0, 12, 2):
                         charger.add(lo, lo + 2, 0.1 * charger.read(lo, lo + 2))
                     charger.finish()

@@ -4,8 +4,9 @@ The contract is exact: ``ExperimentConfig.round_fusion`` must not change a
 single bit of an :class:`~repro.runner.experiment.ExperimentResult` for any
 task, system, or scenario — nor of any clock, metric, stored value or piece
 of PS state behind it. This suite drives the production path
-(``direct_point_charger`` → ``charge_chunk`` / ``charge_sampling_chunk`` →
-``ChunkValues.read``/``add``) and the per-call oracle
+(``direct_point_charger`` → ``charge_chunk`` →
+``ChunkValues.read``/``add``; matrix factorization's points are sampling
+points with zero-width sample segments) and the per-call oracle
 (``sequential_process_round``) on identical workloads and asserts exact
 equality, plus unit coverage for the satellite fixes (worker-queue peek
 caching, dirty-set epoch metrics).
@@ -380,28 +381,35 @@ def _direct_ps_builders():
 
 
 def _direct_chunks(rng, workers, rounds=10):
-    """Per (round, worker): a ragged chunk of two-key points whose second
-    key repeats along the chunk (the column factor), deltas, and an optional
-    localize hint."""
+    """Per (round, worker): a ragged chunk of points with one to four direct
+    keys each — a row key, then up to three column keys that repeat along
+    the chunk (the column factors) —, the per-point widths, deltas, and an
+    optional localize hint."""
     plans = []
     for _ in range(rounds):
         for worker in workers:
             num_points = int(rng.integers(1, 10))
-            keys2d = np.empty((num_points, 2), dtype=np.int64)
-            keys2d[:, 0] = rng.integers(0, 90, size=num_points)
-            keys2d[:, 1] = 90 + np.sort(rng.integers(0, 4, size=num_points))
+            widths = rng.integers(1, 5, size=num_points).tolist()
+            rows = rng.integers(0, 90, size=num_points)
             if rng.random() < 0.3:
-                keys2d[-1, 0] = keys2d[0, 0]  # a repeated row key as well
-            deltas = rng.normal(0, 0.01, size=(num_points, 2, VALUE_LENGTH)) \
+                rows[-1] = rows[0]  # a repeated row key as well
+            columns = (90 + np.sort(rng.integers(
+                0, 4, size=sum(widths) - num_points))).tolist()
+            keys = []
+            for row, width in zip(rows.tolist(), widths):
+                keys.append(row)
+                keys.extend(columns[:width - 1])
+                del columns[:width - 1]
+            keys = np.array(keys, dtype=np.int64)
+            deltas = rng.normal(0, 0.01, size=(len(keys), VALUE_LENGTH)) \
                 .astype(np.float32)
-            hint = np.unique(keys2d) if rng.random() < 0.7 else None
-            plans.append((worker.global_worker_id, keys2d, deltas, hint))
+            hint = np.unique(keys) if rng.random() < 0.7 else None
+            plans.append((worker.global_worker_id, keys, widths, deltas, hint))
     return plans
 
 
-def _mixes_fresh_stale_and_repeated(ps, worker, keys2d) -> bool:
+def _mixes_fresh_stale_and_repeated(ps, worker, keys) -> bool:
     state = ps._nodes[worker.node_id]
-    keys = keys2d.ravel()
     fresh = state.replica_mask[keys] & (
         state.replica_clock[keys]
         >= state.worker_clocks.get(worker.worker_id, 0) - ps.staleness)
@@ -418,24 +426,26 @@ def _drive_direct(name, replay: bool):
     plans = _direct_chunks(np.random.default_rng(23), workers)
     seen = []
     mixed_chunks = 0
-    for index, (worker_key, keys2d, deltas, hint) in enumerate(plans):
+    for index, (worker_key, keys, widths, deltas, hint) in enumerate(plans):
         worker = cluster.worker(*worker_key)
         if hint is not None:
             ps.localize(worker, hint)  # in flight when the chunk starts
         if isinstance(ps, ReplicationPS):
-            mixed_chunks += _mixes_fresh_stale_and_repeated(ps, worker, keys2d)
+            mixed_chunks += _mixes_fresh_stale_and_repeated(ps, worker, keys)
+        bounds = np.cumsum([0] + widths).tolist()
         if replay:
             charger = ps.direct_point_charger()
-            charger.charge_chunk(worker, keys2d, 3e-6)
-            for point, point_deltas in enumerate(deltas):
-                seen.append(charger.read(2 * point, 2 * point + 2))
-                charger.add(2 * point, 2 * point + 2, point_deltas)
+            charger.charge_chunk(worker, keys, widths, [0] * len(widths),
+                                 [3e-6] * len(widths))
+            for lo, hi in zip(bounds, bounds[1:]):
+                seen.append(charger.read(lo, hi))
+                charger.add(lo, hi, deltas[lo:hi])
             ps.advance_clock(worker)
             charger.finish()
         else:
-            for keys, point_deltas in zip(keys2d, deltas):
-                seen.append(ps.pull(worker, keys))
-                ps.push(worker, keys, point_deltas)
+            for lo, hi in zip(bounds, bounds[1:]):
+                seen.append(ps.pull(worker, keys[lo:hi]))
+                ps.push(worker, keys[lo:hi], deltas[lo:hi])
                 worker.charge_compute(3e-6)
             ps.advance_clock(worker)
         if index % len(workers) == len(workers) - 1:
@@ -446,8 +456,9 @@ def _drive_direct(name, replay: bool):
 
 @pytest.mark.parametrize("name", sorted(_direct_ps_builders()))
 def test_point_charger_replays_direct_calls(name):
-    """``charge_chunk`` + ``read``/``add`` == a pull and a push per point,
-    on ragged chunks with repeated keys, in-flight relocations, replicated
+    """A zero-sample ``charge_chunk`` + ``read``/``add`` == a pull and a
+    push per point, on ragged chunks of one- to four-key points with
+    repeated keys, in-flight relocations, replicated
     keys, a straggler and — on SSP/ESSP — chunks that mix fresh replicas,
     stale ones and a repeated key, with flushes and eager refreshes between
     the chunks."""
@@ -481,8 +492,22 @@ def test_replication_charger_applies_server_occupancy_per_chunk():
     worker = cluster.worker(0, 0)
     remote = np.flatnonzero(ps.partitioner.owners(np.arange(NUM_KEYS)) == 2)
     charger = ps.direct_point_charger()
-    charger.charge_chunk(worker, remote[:2].reshape(1, 2), 0.0)
+    charger.charge_chunk(worker, remote[:2], [2], [0], [0.0])
     assert cluster.node(2).server_clock.now == 2 * ps._server_occupancy
+
+
+def test_replication_charger_refuses_sample_segments():
+    """SSP/ESSP replay direct access only (``direct_point_charger`` answers
+    ``None`` for a distribution): a chunk with samples is refused before
+    anything is charged, not charged as direct access."""
+    cluster = _cluster()
+    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
+    ps = ReplicationPS(store, cluster, seed=0)
+    worker = cluster.worker(0, 0)
+    with pytest.raises(ValueError, match="sample widths must be zero"):
+        ps.direct_point_charger().charge_chunk(
+            worker, np.array([1, 2, 3]), [2], [1], [0.0])
+    assert worker.clock.now == 0.0
 
 
 MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups", "single-node"]
@@ -771,7 +796,7 @@ def _drive_sampling(name, replay: bool):
             for direct, n_sample, _, _ in points:
                 keys += [direct, samples[taken:taken + n_sample]]
                 taken += n_sample
-            charger.charge_sampling_chunk(
+            charger.charge_chunk(
                 worker, np.concatenate(keys), [len(p[0]) for p in points],
                 [p[1] for p in points], [p[3] for p in points],
             )
@@ -798,7 +823,7 @@ def _drive_sampling(name, replay: bool):
 
 @pytest.mark.parametrize("name", sorted(_sampling_ps_builders()))
 def test_point_charger_replays_sampling_calls(name):
-    """``charge_sampling_chunk`` + ``read``/``add`` == the four calls per
+    """``charge_chunk`` + ``read``/``add`` == the four calls per
     point, on ragged points with repeated keys, in-flight relocations,
     replicated keys and a straggler."""
     replay_cluster, replay_ps, replay_seen = _drive_sampling(name, True)
@@ -821,11 +846,11 @@ def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
     charger = ClassicPS(store, cluster, seed=0).direct_point_charger(0)
     worker = cluster.worker(0, 0)
     with pytest.raises(IndexError):  # the owner lookup, as in ps.pull
-        charger.charge_sampling_chunk(
+        charger.charge_chunk(
             worker, np.array([1, NUM_KEYS + 3]), [1], [1], [0.0])
     with pytest.raises(KeyError):
-        charger.charge_sampling_chunk(worker, np.array([1, -2]), [1], [1], [0.0])
-    charger.charge_sampling_chunk(worker, np.array([5, 9, 5]), [2], [1], [0.0])
+        charger.charge_chunk(worker, np.array([1, -2]), [1], [1], [0.0])
+    charger.charge_chunk(worker, np.array([5, 9, 5]), [2], [1], [0.0])
     with pytest.raises(ValueError, match="deltas must have shape"):
         charger.add(0, 3, np.zeros((2, VALUE_LENGTH), dtype=np.float32))
     before = store.get(np.array([5, 9]))

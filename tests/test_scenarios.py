@@ -164,10 +164,10 @@ class TestInterposerKeyTranslation:
             lambda: proxy.push(worker, bad, deltas),
             lambda: proxy.push_sample(worker, bad, deltas),
             lambda: proxy.localize(worker, bad),
-            lambda: proxy.direct_point_charger().charge_chunk(
-                worker, bad.reshape(1, 2), 0.0),
-            lambda: proxy.direct_point_charger(distribution_id)
-            .charge_sampling_chunk(worker, bad, [2], [0], [0.0]),
+        ] + [
+            lambda sampled=sampled: proxy.direct_point_charger(sampled)
+            .charge_chunk(worker, bad, [2], [0], [0.0])
+            for sampled in (None, distribution_id)
         ]
         before = ps.store.values.copy()
         for call in calls:
