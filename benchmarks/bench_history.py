@@ -15,7 +15,8 @@ The two numbers a user of the repository waits on ride along in a
 ``user_facing`` column when they were measured in the same session:
 ``--tier1-seconds`` (wall seconds of ``python -m pytest -x -q``) and
 ``--reproduction`` (a ``REPRODUCTION.json`` written by ``repro reproduce
---fast``: its wall seconds, job count and claim counts).
+--fast``: its wall seconds in total and per benchmark, job count and claim
+counts).
 
 Usage::
 
@@ -64,6 +65,10 @@ def user_facing(tier1_seconds: Optional[float],
             "jobs": reproduction["jobs"],
             "claims_passed": summary["claims_passed"],
             "claims_total": summary["claims_total"],
+            "benchmark_seconds": {
+                benchmark["id"]: benchmark["seconds"]
+                for benchmark in reproduction["benchmarks"]
+            },
         }
     return column
 
@@ -158,6 +163,8 @@ def test_user_facing_column(tmp_path):
         "jobs": committed["jobs"],
         "claims_passed": committed["summary"]["claims_passed"],
         "claims_total": committed["summary"]["claims_total"],
+        "benchmark_seconds": {benchmark["id"]: benchmark["seconds"]
+                              for benchmark in committed["benchmarks"]},
     }
 
 

@@ -336,10 +336,10 @@ class ParameterServer(ABC):
           oracle, it is not replayed;
         * an access-level tracer (``TelemetryConfig(access_events=True)``
           wants one event per call);
-        * for sampling, SSP/ESSP replication (no sampling replay), and on
-          NuPS ``integrate_sampling=False`` or a scheme that decides keys at
-          pull time (postponing, local sampling, direct-access repurposing —
-          anything that overrides :meth:`SamplingScheme.pull
+        * for sampling, on NuPS ``integrate_sampling=False`` or a scheme
+          that decides keys at pull time (postponing, local sampling,
+          direct-access repurposing — anything that overrides
+          :meth:`SamplingScheme.pull
           <repro.core.sampling.schemes.SamplingScheme.pull>`);
         * behind a scenario's interposer, while one of its gates can fire:
           a partition is live or a node it watches is down.

@@ -22,10 +22,13 @@ shared-memory systems even on a single node (Section 5.4).
 Node state is array-backed: each node holds a replica mask, a replica-value
 matrix, replica clocks, and an update buffer over the whole key space, which
 ``_flush_node``/``_eager_refresh`` process as whole key batches. Per-call
-``pull``/``push`` charge one loop over the keys of a call, at every batch
-size, with metrics and server occupancy written once per call; the per-key
-scalar path behind ``batch_charging=False`` is the reference the tests hold
-that loop against. Both produce bit-identical simulated clocks and metrics.
+``pull``/``push`` and the round engine's point charger share one freshness
+step, ``ReplicationPS._refresh``: one lookup over the keys of a call or a
+chunk, one batch install of every stale or missing key at its first
+position, and per-position costs that the caller adds to the clock in key
+order. The per-key scalar path behind ``batch_charging=False`` is the
+reference the tests hold it against; both produce bit-identical simulated
+clocks and metrics.
 """
 
 from __future__ import annotations
@@ -172,14 +175,20 @@ class ReplicationPS(ParameterServer):
         seed: int = 0,
         batch_charging: bool = True,
     ) -> None:
+        """A replication PS over ``store`` on ``cluster``.
+
+        ``protocol`` picks SSP or ESSP replica maintenance, ``staleness`` the
+        bound in clocks. ``batch_charging=False`` selects the per-key scalar
+        reference instead of the shared freshness step (:meth:`_refresh`);
+        both are bit-identical, and only the latter is replayed per chunk
+        (:meth:`direct_point_charger`), for every task.
+        """
         super().__init__(store, cluster, seed)
         if staleness < 0:
             raise ValueError("staleness must be non-negative")
         self.protocol = protocol
         self.staleness = int(staleness)
         self.name = f"replication-{protocol.value}"
-        #: ``False`` selects the per-key scalar reference instead of the
-        #: grouped per-call loop; both are bit-identical.
         self.batch_charging = bool(batch_charging)
         self._nodes: Dict[int, _NodeReplicaState] = {
             node_id: _NodeReplicaState(store.num_keys, store.value_length,
@@ -198,9 +207,11 @@ class ReplicationPS(ParameterServer):
     def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """Read ``keys`` through the node's replicas, refreshing stale ones.
 
-        One loop over the keys performs the same clock-addition sequence as
-        the scalar reference (bit-identical simulated times); metrics and
-        server occupancy are written once per call.
+        A stale or missing key refreshes at its first position
+        (:meth:`_refresh`), every other position costs one intra-process
+        message; the clock adds the costs in key order, as the scalar
+        reference does, and metrics and server occupancy are written once
+        per call.
         """
         keys = np.asarray(keys, dtype=np.int64)
         self._trace_access("pull", worker, keys)
@@ -210,66 +221,31 @@ class ReplicationPS(ParameterServer):
             return self._pull_scalar(worker, state, keys, worker_clock)
         if len(keys) == 0:
             return np.empty((0, self.store.value_length), dtype=np.float32)
-        node_id = worker.node_id
-        threshold = worker_clock - self.staleness
-        intra_cost = self._intra_process_cost
+        positions, costs, server_counts = self._refresh(
+            worker.node_id, state, keys, worker_clock,
+            worker_clock - self.staleness)
         clock = worker.clock
-        now = clock.now
-        keys_list = keys.tolist()
-        index, at = state.at(keys)
-        has_replica = at.replica_mask[index].tolist()
-        replica_clock = at.replica_clock[index].tolist()
-        if all(has_replica) and min(replica_clock) >= threshold:
-            # Every key is a fresh replica (the steady state): one gather,
-            # one repeated clock fold, one metrics write.
-            values = state.gather_values(index)
-            clock.advance_repeated(intra_cost, len(keys_list))
-            self.metrics.record_access("pull.replica", node_id, len(keys_list))
-            return values
-        values = np.empty((len(keys), self.store.value_length), dtype=np.float32)
-        n_replica = 0
-        n_local_server = 0
-        n_remote = 0
-        remote_cost = None
-        refreshed: set[int] = set()
-        server_counts: dict[int, int] = {}
-        for i, key in enumerate(keys_list):
-            if (has_replica[i] and replica_clock[i] >= threshold) \
-                    or key in refreshed:
-                values[i] = state.replica_values[key]
-                now = now + intra_cost
-                n_replica += 1
-                continue
-            # Stale or missing: (re)fetch from the owning server, overlaying
-            # the node's not-yet-flushed updates (Petuum reads its own writes).
-            owner = self.partitioner.owner(key)
-            if owner == node_id:
-                now = now + intra_cost
-                n_local_server += 1
-            else:
-                if remote_cost is None:
-                    remote_cost = self._remote_access_cost
-                now = now + remote_cost
-                n_remote += 1
-                server_counts[owner] = server_counts.get(owner, 0) + 1
-            value = self.store.get_single(key)
-            if state.update_mask[key]:
-                value = value + state.update_values[key]
-            state.replica_values[key] = value
-            state.replica_mask[key] = True
-            state.replica_clock[key] = worker_clock
-            refreshed.add(key)
-            values[i] = value
-        clock.advance_to(now)
-        self._finish_group_charge(node_id, server_counts,
-                                  n_replica, "pull.replica",
-                                  n_local_server, n_remote)
-        return values
+        if costs is None:  # every key a fresh replica: the steady state
+            clock.advance_repeated(self._intra_process_cost, len(keys))
+        else:
+            now = clock.now
+            for cost in costs:
+                now += cost
+            clock.advance_to(now)
+        self._finish_group_charge(worker.node_id, server_counts,
+                                  len(keys) - len(positions), "pull.replica",
+                                  len(positions))
+        return state.gather_values(state.at(keys)[0])
 
     def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
              deltas: np.ndarray) -> None:
-        """Add ``deltas`` to the node's replicas and its update buffer
-        (charged like :meth:`pull`: one loop, grouped bookkeeping)."""
+        """Add ``deltas`` to the node's replicas and its update buffer.
+
+        A missing key is created at its first position (:meth:`_refresh`
+        without a staleness threshold: Petuum reads-before-writes via the
+        cache), then every key costs one intra-process message; bookkeeping
+        is grouped like :meth:`pull`'s.
+        """
         keys, deltas = self._validate_push(keys, deltas)
         self._trace_access("push", worker, keys)
         state = self._nodes[worker.node_id]
@@ -279,52 +255,31 @@ class ReplicationPS(ParameterServer):
             return
         if len(keys) == 0:
             return
-        node_id = worker.node_id
+        positions, costs, server_counts = self._refresh(
+            worker.node_id, state, keys, worker_clock)
         intra_cost = self._intra_process_cost
         clock = worker.clock
-        now = clock.now
-        keys_list = keys.tolist()
-        has_replica = state.replica_mask[keys].tolist()
-        n_local_server = 0
-        n_remote = 0
-        remote_cost = None
-        created: set[int] = set()
-        server_counts: dict[int, int] = {}
-        for i, key in enumerate(keys_list):
-            if not has_replica[i] and key not in created:
-                # Writing to a parameter that was never pulled: create the
-                # replica first (Petuum reads-before-writes via the cache).
-                owner = self.partitioner.owner(key)
-                if owner == node_id:
-                    now = now + intra_cost
-                    n_local_server += 1
-                else:
-                    if remote_cost is None:
-                        remote_cost = self._remote_access_cost
-                    now = now + remote_cost
-                    n_remote += 1
-                    server_counts[owner] = server_counts.get(owner, 0) + 1
-                value = self.store.get_single(key)
-                if state.update_mask[key]:
-                    value = value + state.update_values[key]
-                state.replica_values[key] = value
-                state.replica_mask[key] = True
-                state.replica_clock[key] = worker_clock
-                created.add(key)
-            now = now + intra_cost
-        clock.advance_to(now)
+        if costs is None:
+            clock.advance_repeated(intra_cost, len(keys))
+        else:
+            refreshing = set(positions)
+            now = clock.now
+            for position, cost in enumerate(costs):
+                if position in refreshing:  # a creation, before its push
+                    now += cost
+                now += intra_cost
+            clock.advance_to(now)
 
         # Apply the deltas to the replica and buffer them for the next flush
         # (duplicate keys accumulate in batch order).
         index, at = state.at(keys, writable=True)
-        index_list = keys_list if index is keys else index.tolist()
+        index_list = index.tolist()
         scatter_add_rows(at.replica_values, index, deltas, index_list)
         scatter_add_rows(at.update_values, index, deltas, index_list)
         at.update_mask[index] = True
         state.pending_updates.append(keys)
-        self._finish_group_charge(node_id, server_counts,
-                                  len(keys_list), "push.replica",
-                                  n_local_server, n_remote)
+        self._finish_group_charge(worker.node_id, server_counts, len(keys),
+                                  "push.replica", len(positions))
 
     def advance_clock(self, worker: WorkerContext) -> None:
         """Advance the worker's clock; flush and (ESSP) refresh at node level."""
@@ -346,46 +301,94 @@ class ReplicationPS(ParameterServer):
         """Per-point charge replay for the task-level round engine.
 
         Serves SSP and ESSP alike — the protocols differ only in
-        :meth:`advance_clock`, which the round engine still calls per chunk.
-        The replay covers the pull-then-push shape of direct access (matrix
-        factorization); the sampling tasks, the scalar oracle and an
-        access-level tracer keep the sequential path.
+        :meth:`advance_clock`, which the round engine still calls per chunk —
+        and the sampling tasks as well as matrix factorization: sampling is
+        application-side here (the base class's ``prepare_sample`` draws the
+        keys, ``pull_sample``/``push_sample`` are plain ``pull``/``push``).
+        Only the scalar oracle and an access-level tracer keep the
+        sequential path.
         """
-        if (distribution_id is not None or not self.batch_charging
-                or self._traces_accesses()):
+        if not self.batch_charging or self._traces_accesses():
             return None
         return _ReplicationPointCharger(self)
 
-    def _install_refreshed(self, state: _NodeReplicaState,
-                           refresh_keys: np.ndarray, worker_clock: int) -> None:
-        """Install replicas of distinct ``refresh_keys`` as of ``worker_clock``.
+    def _refresh(self, node_id: int, state: _NodeReplicaState,
+                 keys: np.ndarray, worker_clock: int,
+                 threshold: int | None = None) -> tuple:
+        """Refresh every key of ``keys`` without a usable replica at its
+        first position, and return what reading ``keys`` in order costs.
 
-        The value is the global one overlaid with the node's not-yet-flushed
-        updates (Petuum reads its own writes).
+        A replica is usable if it exists and, given a ``threshold``, its
+        clock is at least ``threshold``. A key without one refreshes from
+        its owning server — one intra-process message from the node's own
+        server, a remote access from any other — and is usable from then
+        on. The refreshed replicas install in one batch as of
+        ``worker_clock``: the global value overlaid with the node's
+        not-yet-flushed update (Petuum reads its own writes).
+
+        Returns ``(positions, costs, server_counts)``: the refreshing
+        positions in key order; the read cost of every position (one
+        intra-process message, or a remote refresh's remote cost), ``None``
+        when nothing refreshes; and the remote refreshes per serving node.
         """
+        index, at = state.at(keys)
+        usable = at.replica_mask[index]
+        clocks = None if threshold is None else at.replica_clock[index]
+        # The steady state, every replica usable, is checked on lists: a
+        # NumPy reduction costs more than the whole call on a few keys.
+        if all(usable.tolist()) and (
+                clocks is None
+                or min(clocks.tolist(), default=threshold) >= threshold):
+            return (), None, {}
+        if clocks is not None:
+            usable &= clocks >= threshold
+        stale = (~usable).nonzero()[0]
+        positions = stale.tolist()
+        refresh_keys = keys[stale]
+        first: dict = {}
+        for key, position in zip(refresh_keys.tolist(), positions):
+            first.setdefault(key, position)
+        if len(first) < len(positions):  # a repeated key refreshes once
+            positions = list(first.values())
+            refresh_keys = keys[positions]
+        owners = self.partitioner.owners(refresh_keys).tolist()
         refreshed = self.store.get(refresh_keys)
         index, at = state.at(refresh_keys, writable=True)
         buffered = at.update_mask[index]
         if buffered.any():
-            refreshed[buffered] = refreshed[buffered] \
-                + at.update_values[index[buffered]]
+            refreshed[buffered] += at.update_values[index[buffered]]
         at.replica_values[index] = refreshed
         at.replica_mask[index] = True
         at.replica_clock[index] = worker_clock
 
+        costs = [self._intra_process_cost] * len(keys)
+        server_counts: dict = {}
+        for position, owner in zip(positions, owners):
+            if owner != node_id:
+                costs[position] = self._remote_access_cost
+                server_counts[owner] = server_counts.get(owner, 0) + 1
+        return positions, costs, server_counts
+
+    def _occupy_servers(self, server_counts: dict) -> int:
+        """Occupy each serving node's request thread once per remote refresh
+        (:meth:`_refresh`'s ``server_counts``); return the refreshes."""
+        for server, count in server_counts.items():
+            self.cluster.node(server).server_clock.advance_repeated(
+                self._server_occupancy, count
+            )
+        return sum(server_counts.values())
+
     def _finish_group_charge(self, node_id: int, server_counts: dict,
                              n_primary: int, primary_kind: str,
-                             n_local_server: int, n_remote: int) -> None:
+                             n_refresh: int) -> None:
         """Grouped server occupancy + metrics of one ``pull``/``push`` call."""
-        if n_remote:
-            occupancy = self._server_occupancy
-            for server, count in server_counts.items():
-                self.cluster.node(server).server_clock.advance_repeated(
-                    occupancy, count
-                )
+        if not n_refresh:  # the steady state: one counter
+            self.metrics.record_access(primary_kind, node_id, n_primary)
+            return
+        n_remote = self._occupy_servers(server_counts) if server_counts else 0
         self.metrics.record_access_batch(node_id, {
             primary_kind: n_primary,
-            "pull.local_server": n_local_server,
+            "pull.local_server": n_refresh - n_remote,
             "pull.remote": n_remote,
         })
         if n_remote:
@@ -504,9 +507,9 @@ class ReplicationPS(ParameterServer):
 
     def _eager_refresh(self, node_id: int, state: _NodeReplicaState) -> None:
         """ESSP: refresh every replica the node holds from the servers."""
-        if not state.replica_mask.any():
-            return
         keys = state.replicated_keys()
+        if not len(keys):
+            return
         index, at = state.at(keys)
         at.replica_values[index] = self.store.get(keys)
         at.replica_clock[index] = state.clock
@@ -621,28 +624,22 @@ class ReplicationPS(ParameterServer):
         self.metrics.record_access(kind, worker.node_id, count)
 
 
-def first_occurrence_in_order(keys: np.ndarray) -> np.ndarray:
-    """Positions of the first occurrence of each distinct key, in batch order."""
-    seen: set = set()
-    first = []
-    for position, key in enumerate(keys.tolist()):
-        if key not in seen:
-            seen.add(key)
-            first.append(position)
-    return np.asarray(first, dtype=np.int64)
-
-
 class _ReplicationPointCharger(ChunkValues):
-    """Exact per-point charge replay for a chunk of direct accesses.
+    """Exact per-point charge replay for a chunk of direct and sampling
+    accesses.
 
     A worker's clock is fixed inside a chunk (``advance_clock`` follows it),
-    so one freshness lookup classifies the whole chunk: the *first*
-    occurrence of each key without a fresh replica refreshes at its position
-    — from the owning server, at intra-process or remote cost — and is fresh
-    from then on; every other access costs one intra-process message. The
-    refreshed values install in one batch before the value pass. That is
-    exact: no flush runs inside a chunk and a key's first access in a chunk
-    is a pull that precedes every push to it, so the store row and the node's
+    so one :meth:`ReplicationPS._refresh` over the whole chunk charges it:
+    the *first* occurrence of each key without a fresh replica refreshes at
+    its position and is fresh from then on; every other access costs one
+    intra-process message. A point's pulls walk its ``[direct | sample]``
+    positions in order, its pushes cost one intra-process message per key.
+    The refreshed values install in one batch before the value pass. That
+    is exact: sampling is application-side — the base class's
+    ``prepare_sample`` fixes the keys, ``pull_sample``/``push_sample`` are
+    plain ``pull``/``push`` —, no flush runs inside a chunk, and a key's
+    first access in a chunk is a pull that precedes every push to it (a
+    point only pushes keys it pulled), so the store row and the node's
     buffered update it reads are the pre-chunk ones.
 
     Counters aggregate into one write per round. Server occupancy is applied
@@ -666,63 +663,38 @@ class _ReplicationPointCharger(ChunkValues):
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
                      direct_widths: list, sample_widths: list,
                      compute_costs: list) -> None:
-        """Charge one worker's chunk: per point, pull + push + compute.
+        """Charge one worker's chunk: per point, its calls + compute.
 
-        Point ``i`` owns the next ``direct_widths[i]`` keys. Sample segments
-        are not replayed here (:meth:`ReplicationPS.direct_point_charger`
-        answers ``None`` for a distribution), so every sample width must be
-        zero. Also binds the keys for the value pass.
+        Point ``i`` owns the next ``direct_widths[i]`` direct keys followed
+        by ``sample_widths[i]`` sample keys. Also binds the keys for the
+        value pass.
         """
-        if any(sample_widths):
-            raise ValueError("the SSP/ESSP point charger replays direct "
-                             "access only; sample widths must be zero")
         ps = self.ps
         node_id = worker.node_id
         state = ps._nodes[node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-        n = len(keys)
-        index, at = state.at(keys)
-        fresh = at.replica_mask[index] & (
-            at.replica_clock[index] >= worker_clock - ps.staleness
-        )
+        positions, costs, server_counts = ps._refresh(
+            node_id, state, keys, worker_clock, worker_clock - ps.staleness)
         self._bind(keys)
+        n = len(keys)
         if n == 0:
             return
 
         intra_cost = ps._intra_process_cost
-        # Every pull and push costs one intra-process message (a refresh
-        # from the node's own server included), except a remote refresh.
-        pull_costs = [intra_cost] * n
-        n_refresh = n_remote = 0
-        if not fresh.all():
-            stale_idx = np.flatnonzero(~fresh)
-            refresh_pos = stale_idx[first_occurrence_in_order(keys[stale_idx])]
-            refresh_keys = keys[refresh_pos]
-            n_refresh = len(refresh_pos)
-            ps._install_refreshed(state, refresh_keys, worker_clock)
-            server_counts: dict = {}
-            for position, owner in zip(
-                    refresh_pos.tolist(),
-                    ps.partitioner.owners(refresh_keys).tolist()):
-                if owner != node_id:
-                    pull_costs[position] = ps._remote_access_cost
-                    server_counts[owner] = server_counts.get(owner, 0) + 1
-            # Applied now, not at the end of the round: see the class
-            # docstring.
-            for server, count in server_counts.items():
-                n_remote += count
-                ps.cluster.node(server).server_clock.advance_repeated(
-                    ps._server_occupancy, count
-                )
+        if costs is None:
+            costs = [intra_cost] * n
+        # Applied now, not at the end of the round: see the class docstring.
+        n_remote = ps._occupy_servers(server_counts) if server_counts else 0
 
         scale = worker.compute_scale
         now = worker.clock.now
         position = 0
-        for width, compute in zip(direct_widths, compute_costs):
-            end = position + width
-            for cost in pull_costs[position:end]:
+        for n_direct, n_sample, compute in zip(direct_widths, sample_widths,
+                                               compute_costs):
+            end = position + n_direct + n_sample
+            for cost in costs[position:end]:  # the pulls
                 now += cost
-            for _ in range(width):
+            for _ in range(position, end):  # the pushes
                 now += intra_cost
             now += compute * scale
             position = end
@@ -741,6 +713,7 @@ class _ReplicationPointCharger(ChunkValues):
         self.gather = None if at is state else state.replica_values.gather
         at.update_mask[self.keys] = True
 
+        n_refresh = len(positions)
         acc = self.acc
         acc.add_access(node_id, "pull.replica", n - n_refresh)
         acc.add_access(node_id, "pull.local_server", n_refresh - n_remote)

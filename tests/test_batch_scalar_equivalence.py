@@ -26,6 +26,7 @@ from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, ClusterConfig
+from repro.simulation.network import NetworkModel
 
 NUM_KEYS = 160
 VALUE_LENGTH = 4
@@ -59,8 +60,11 @@ def _workload(seed: int = 3):
 
 
 def _drive(ps, cluster, sampling: bool = False, dist_id: int | None = None):
-    """Replay the workload: localize-ahead, pull, push, clock, sampling."""
+    """Replay the workload: localize-ahead, pull, push, clock, sampling.
+    Returns the pulled values and the :func:`_replica_state` before every
+    clock advance."""
     pulled = []
+    replicas = []
     for _, node, worker_id, keys, deltas in _workload():
         worker = cluster.worker(node, worker_id)
         # Localize the chunk right before accessing it so that in-flight
@@ -73,14 +77,35 @@ def _drive(ps, cluster, sampling: bool = False, dist_id: int | None = None):
             result = ps.pull_sample(worker, handle, 4)
             pulled.append(result.values)
             ps.pull_sample(worker, handle)  # drain the rest
+        replicas.append(_replica_state(ps))  # buffered, before the flush
         ps.advance_clock(worker)
         ps.housekeeping(cluster.time)
     ps.finish_epoch()
-    return pulled
+    return pulled, replicas
+
+
+def _replica_state(ps):
+    """Per node of a ReplicationPS: worker clocks, replica values, mask and
+    clock, update values and mask, and the keys a flush would read (as a
+    set: the per-call path records one batch per push); ``None`` for any
+    other PS."""
+    if not isinstance(ps, ReplicationPS):
+        return None
+    all_keys = np.arange(ps.store.num_keys, dtype=np.int64)
+    return {
+        node: [state.worker_clocks] + [
+            getattr(state, name).take(all_keys, axis=0).tobytes()
+            for name in ("replica_values", "replica_mask", "replica_clock",
+                         "update_values", "update_mask")
+        ] + [set(np.concatenate(state.pending_updates).tolist())
+             if state.pending_updates else set()]
+        for node, state in ps._nodes.items()
+    }
 
 
 def _assert_identical(cluster_a: Cluster, cluster_b: Cluster,
-                      pulled_a, pulled_b, store_a, store_b) -> None:
+                      pulled_a, pulled_b, store_a, store_b,
+                      replicas_a=None, replicas_b=None) -> None:
     for node_a, node_b in zip(cluster_a.nodes, cluster_b.nodes):
         for clock_a, clock_b in zip(node_a.worker_clocks, node_b.worker_clocks):
             assert clock_a.now == clock_b.now  # bit-identical, no tolerance
@@ -93,6 +118,7 @@ def _assert_identical(cluster_a: Cluster, cluster_b: Cluster,
     for values_a, values_b in zip(pulled_a, pulled_b):
         np.testing.assert_array_equal(values_a, values_b)
     np.testing.assert_array_equal(store_a.values, store_b.values)
+    assert replicas_a == replicas_b
 
 
 def _run_pair(factory, sampling: bool = False):
@@ -107,11 +133,13 @@ def _run_pair(factory, sampling: bool = False):
             dist_id = ps.register_distribution(
                 CategoricalDistribution(weights), ConformityLevel.BOUNDED
             )
-        pulled = _drive(ps, cluster, sampling=sampling, dist_id=dist_id)
-        results[batch] = (cluster, pulled, store)
-    cluster_b, pulled_b, store_b = results[True]
-    cluster_s, pulled_s, store_s = results[False]
-    _assert_identical(cluster_b, cluster_s, pulled_b, pulled_s, store_b, store_s)
+        pulled, replicas = _drive(ps, cluster, sampling=sampling,
+                                  dist_id=dist_id)
+        results[batch] = (cluster, pulled, store, replicas)
+    cluster_b, pulled_b, store_b, replicas_b = results[True]
+    cluster_s, pulled_s, store_s, replicas_s = results[False]
+    _assert_identical(cluster_b, cluster_s, pulled_b, pulled_s, store_b,
+                      store_s, replicas_b, replicas_s)
 
 
 class TestRelocationEquivalence:
@@ -166,6 +194,7 @@ class TestLargeBatchEquivalence:
     @staticmethod
     def _drive_large(ps, cluster, size):
         rng = np.random.default_rng(9)
+        replicas = []
         weights = 1.0 / np.arange(1, NUM_KEYS + 1) ** 1.1
         probs = weights / weights.sum()
         for _ in range(3):
@@ -180,8 +209,10 @@ class TestLargeBatchEquivalence:
                     ps.localize(worker, keys)
                     ps.pull(worker, keys)
                     ps.push(worker, keys, deltas)
+                    replicas.append(_replica_state(ps))
                     ps.advance_clock(worker)
         ps.finish_epoch()
+        return replicas
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("size", [65, 130, 1000])
@@ -209,11 +240,12 @@ class TestLargeBatchEquivalence:
                 NUM_KEYS, VALUE_LENGTH, seed=7, init_scale=0.1,
                 storage=StorageConfig(backend=backend, chunk_rows=16))
             ps = factory(store, cluster, batch)
-            self._drive_large(ps, cluster, size)
-            results[batch] = (cluster, store)
-        cluster_b, store_b = results[True]
-        cluster_s, store_s = results[False]
-        _assert_identical(cluster_b, cluster_s, [], [], store_b, store_s)
+            results[batch] = (cluster, store,
+                              self._drive_large(ps, cluster, size))
+        cluster_b, store_b, replicas_b = results[True]
+        cluster_s, store_s, replicas_s = results[False]
+        _assert_identical(cluster_b, cluster_s, [], [], store_b, store_s,
+                          replicas_b, replicas_s)
 
 
 class TestBatchDuplicatesAndWaits:
@@ -238,6 +270,42 @@ class TestBatchDuplicatesAndWaits:
                 assert cluster.metrics.counters() == reference[0]
                 assert worker.clock.now == reference[1]
                 assert cluster.node(0).background_clock.now == reference[2]
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("protocol", list(ReplicationProtocol))
+    def test_replication_duplicate_keys_in_one_batch(self, protocol, backend):
+        """A stale key twice in one ``pull`` refreshes once, at its first
+        position, over its buffered update; a missing key twice in one
+        ``push`` is created once. Remote and node-local keys of both."""
+        # Costs whose clock sums depend on the order of the additions (with
+        # the default ones, these few keys would sum alike in any order).
+        network = NetworkModel(latency=0.3e-3 / 7, local_access_cost=0.1e-6 / 3)
+        runs = []
+        for batch in (True, False):
+            cluster = Cluster(ClusterConfig(
+                num_nodes=NUM_NODES, workers_per_node=WORKERS_PER_NODE,
+                network=network))
+            store = ParameterStore(
+                NUM_KEYS, VALUE_LENGTH, seed=7, init_scale=0.1,
+                storage=StorageConfig(backend=backend, chunk_rows=16))
+            ps = ReplicationPS(store, cluster, protocol=protocol, staleness=0,
+                               batch_charging=batch)
+            worker = cluster.worker(0, 0)
+            local, remote = ps.partitioner.keys_of(0), ps.partitioner.keys_of(2)
+            stale = np.array([remote[0], local[0]])
+            ps.pull(worker, stale)
+            ps.push(worker, stale, np.full((2, VALUE_LENGTH), 0.5, np.float32))
+            # One worker of two clocks: no flush, no eager refresh.
+            ps.advance_clock(worker)
+            pulled = ps.pull(worker, [stale[0], stale[1], stale[0], stale[1]])
+            missing = [remote[1], local[1], remote[1], local[1]]
+            ps.push(worker, missing, np.ones((4, VALUE_LENGTH), np.float32))
+            runs.append((worker.clock.now, cluster.node(2).server_clock.now,
+                         cluster.metrics.counters(), pulled.tobytes(),
+                         _replica_state(ps)))
+            assert cluster.metrics.get("access.pull.remote") == 3
+            assert cluster.metrics.get("access.pull.local_server") == 3
+        assert runs[0] == runs[1]
 
     def test_wait_happens_once_per_relocation(self):
         cluster = _make_cluster()

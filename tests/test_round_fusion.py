@@ -496,20 +496,6 @@ def test_replication_charger_applies_server_occupancy_per_chunk():
     assert cluster.node(2).server_clock.now == 2 * ps._server_occupancy
 
 
-def test_replication_charger_refuses_sample_segments():
-    """SSP/ESSP replay direct access only (``direct_point_charger`` answers
-    ``None`` for a distribution): a chunk with samples is refused before
-    anything is charged, not charged as direct access."""
-    cluster = _cluster()
-    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
-    ps = ReplicationPS(store, cluster, seed=0)
-    worker = cluster.worker(0, 0)
-    with pytest.raises(ValueError, match="sample widths must be zero"):
-        ps.direct_point_charger().charge_chunk(
-            worker, np.array([1, 2, 3]), [2], [1], [0.0])
-    assert worker.clock.now == 0.0
-
-
 MF_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups", "single-node"]
 SPARSE = StorageConfig(backend="sparse", chunk_rows=64)
 
@@ -744,6 +730,8 @@ def _sampling_ps_builders():
         "nups-drifted-adaptive": _drifted_adaptive(
             nups, [(0, 60), (60, NUM_KEYS)]),
         "single-node": lambda store, cluster: SingleNodePS(store, cluster),
+        **{name: build for name, build in _direct_ps_builders().items()
+           if name.startswith(("ssp-", "essp-"))},
     }
 
 
@@ -770,7 +758,40 @@ def _sampling_chunks(rng, workers, rounds=12):
     return plans
 
 
+def _replica_mix(ps, worker, keys, direct_widths, sample_widths) -> set:
+    """What an SSP/ESSP chunk holds: ``fresh``, ``stale`` and ``missing``
+    replicas, ``repeated`` keys, and a key whose first access is a sample
+    and a later one direct (``sample-then-direct``)."""
+    state = ps._nodes[worker.node_id]
+    replicated = state.replica_mask[keys]
+    fresh = replicated & (
+        state.replica_clock[keys]
+        >= state.worker_clocks.get(worker.worker_id, 0) - ps.staleness)
+    mix = {label for label, present in (
+        ("fresh", fresh.any()), ("stale", (replicated & ~fresh).any()),
+        ("missing", not replicated.all()),
+        ("repeated", len(set(keys.tolist())) < len(keys))) if present}
+    first_sampled = {}
+    position = 0
+    for n_direct, n_sample in zip(direct_widths, sample_widths):
+        for key in keys[position:position + n_direct].tolist():
+            if first_sampled.get(key) is True:
+                mix.add("sample-then-direct")
+            first_sampled.setdefault(key, False)
+        for key in keys[position + n_direct:
+                        position + n_direct + n_sample].tolist():
+            first_sampled.setdefault(key, True)
+        position += n_direct + n_sample
+    return mix
+
+
 def _drive_sampling(name, replay: bool):
+    """Both sides of one sampling workload; also returns, on the replay
+    side of an SSP/ESSP server, the :func:`_replica_mix` of every chunk.
+    Each chunk ends in a clock advance, except in the first five rounds
+    for a node's second worker: until it clocks, the node neither flushes
+    nor refreshes, so ESSP's replicas go stale too, and then its clock
+    lags."""
     # Five nodes: a call has up to four serving nodes, whose charging order
     # (ascending) shows in the float sums only from three on.
     cluster = _cluster(num_nodes=1 if name == "single-node" else 5)
@@ -782,6 +803,7 @@ def _drive_sampling(name, replay: bool):
     workers[1].compute_scale = 2.5  # a straggler: compute is scaled, access not
     plans = _sampling_chunks(np.random.default_rng(17), workers)
     seen = []
+    mixes = []
     for index, (worker_key, points, hint) in enumerate(plans):
         worker = cluster.worker(*worker_key)
         if hint is not None:
@@ -796,10 +818,14 @@ def _drive_sampling(name, replay: bool):
             for direct, n_sample, _, _ in points:
                 keys += [direct, samples[taken:taken + n_sample]]
                 taken += n_sample
-            charger.charge_chunk(
-                worker, np.concatenate(keys), [len(p[0]) for p in points],
-                [p[1] for p in points], [p[3] for p in points],
-            )
+            keys = np.concatenate(keys)
+            direct_widths = [len(p[0]) for p in points]
+            sample_widths = [p[1] for p in points]
+            if isinstance(ps, ReplicationPS):
+                mixes.append(_replica_mix(ps, worker, keys, direct_widths,
+                                          sample_widths))
+            charger.charge_chunk(worker, keys, direct_widths, sample_widths,
+                                 [p[3] for p in points])
             lo = 0
             for direct, n_sample, deltas, _ in points:
                 hi = lo + len(direct) + n_sample
@@ -815,19 +841,24 @@ def _drive_sampling(name, replay: bool):
                 ps.push(worker, direct, deltas[:len(direct)])
                 stream.push_updates(negatives.keys, deltas[len(direct):])
                 worker.charge_compute(compute)
+        if worker.worker_id == 0 or index // len(workers) >= 5:
+            ps.advance_clock(worker)
         if index % len(workers) == len(workers) - 1:
             ps.housekeeping(cluster.time)
     ps.finish_epoch()
-    return cluster, ps, seen
+    return cluster, ps, seen, mixes
 
 
 @pytest.mark.parametrize("name", sorted(_sampling_ps_builders()))
 def test_point_charger_replays_sampling_calls(name):
     """``charge_chunk`` + ``read``/``add`` == the four calls per
     point, on ragged points with repeated keys, in-flight relocations,
-    replicated keys and a straggler."""
-    replay_cluster, replay_ps, replay_seen = _drive_sampling(name, True)
-    call_cluster, call_ps, call_seen = _drive_sampling(name, False)
+    replicated keys, a straggler and — on SSP/ESSP at each staleness bound
+    — chunks that mix fresh, stale, missing and repeated keys, with a key
+    sampled before it is accessed directly, and flushes and eager refreshes
+    between the chunks."""
+    replay_cluster, replay_ps, replay_seen, mixes = _drive_sampling(name, True)
+    call_cluster, call_ps, call_seen, _ = _drive_sampling(name, False)
     _assert_cluster_identical(replay_cluster, call_cluster)
     _assert_ps_state_identical(replay_ps, call_ps)
     assert len(replay_seen) == len(call_seen)
@@ -838,6 +869,21 @@ def test_point_charger_replays_sampling_calls(name):
         assert call_cluster.metrics.get("relocation.waits") > 0
     if name == "nups-drifted-adaptive":
         _assert_drifted_adaptive_ran(call_ps)
+    if isinstance(call_ps, ReplicationPS):
+        wanted = [{"fresh", "stale", "missing", "repeated"}]
+        if name == "essp-s0":
+            # A replica is fresh at staleness 0 only at the clock it was
+            # installed at, and ESSP reinstalls a node's replicas at the
+            # node clock on every clock advance: no chunk of this schedule
+            # holds fresh and stale replicas at once.
+            wanted = [{"fresh", "missing", "repeated"},
+                      {"stale", "missing", "repeated"}]
+        for labels in wanted:
+            assert any(labels <= mix for mix in mixes)
+        assert any("sample-then-direct" in mix for mix in mixes)
+        assert call_cluster.metrics.get("replication.flushes") > 0
+        if call_ps.protocol is ReplicationProtocol.ESSP:
+            assert call_cluster.metrics.get("replication.eager_refreshes") > 0
 
 
 def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
@@ -861,7 +907,7 @@ def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
     assert store.version(5) == 2 and store.version(9) == 1
 
 
-SAMPLING_SYSTEMS = ["classic", "lapse", "nups"]
+SAMPLING_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups"]
 
 
 @pytest.mark.parametrize("telemetry", [False, True])
@@ -892,10 +938,10 @@ def test_single_node_replays_the_sampling_tasks(task):
 
 def _sampling_matrix(seeds, tier_one: bool):
     """(task, system, storage, chunk_size, seed) cells of the differential
-    matrix: {kge, wv} x {classic, lapse, nups} x {dense, sparse} x chunk
-    size {1, 8, 32} x seeds. Tier-1 runs one seed and, per system, one task
-    at each chunk size off 8 plus both tasks on the sparse backend; the
-    dense chunk-size-8 cells are the two tests above."""
+    matrix: {kge, wv} x {classic, lapse, ssp, essp, nups} x {dense, sparse}
+    x chunk size {1, 8, 32} x seeds. Tier-1 runs one seed and, per system,
+    one task at each chunk size off 8 plus both tasks on the sparse backend;
+    the dense chunk-size-8 cells are the two tests above."""
     for seed in seeds:
         for task in ("kge", "word_vectors"):
             for system in SAMPLING_SYSTEMS:
@@ -984,7 +1030,6 @@ SAMPLING_FALLBACKS = {
     "scalar-oracle-lapse": dict(task="word_vectors",
                                 factory=_oracle_factory("lapse")),
     "scalar-oracle-nups": dict(factory=_oracle_factory("nups")),
-    "no-replay-replication": dict(system="ssp"),
 }
 
 
@@ -1013,10 +1058,10 @@ def _wrapped_cell(task, kind):
     ``drift``: ``nups-adaptive`` below the key remapper; the mapping turns
     at epoch 1 without the oracle's re-management, so only the online top-k
     policy, fed by a statistics tap small enough to evict all the time,
-    re-targets the six replicas. ``crash-storm``: a statically partitioned
-    PS behind the dead-owner gate (SSP has no sampling replay, the sampling
-    tasks take classic). ``split-brain``: NuPS behind the partition guard,
-    with replicas that the heal has to flush and reload.
+    re-targets the six replicas. ``crash-storm``: SSP, a statically
+    partitioned PS, behind the dead-owner gate. ``split-brain``: NuPS
+    behind the partition guard, with replicas that the heal has to flush
+    and reload.
     """
     plan = ManagementPlan.top_k_by_count(task.access_counts(), 6)
     if kind == "drift":
@@ -1028,8 +1073,7 @@ def _wrapped_cell(task, kind):
         return "nups-adaptive", factory, make_scenario(
             "drift", at=((1, 0),), oracle_remanage=False)
     if kind == "crash-storm":
-        system = "ssp" if task.name == "matrix_factorization" else "classic"
-        return system, make_ps_factory(system), make_scenario("crash-storm")
+        return "ssp", make_ps_factory("ssp"), make_scenario("crash-storm")
     factory = make_ps_factory("nups", plan=plan, sync_interval=0.001)
     return "nups", factory, make_scenario("split-brain")
 
@@ -1221,7 +1265,7 @@ def test_planned_removal_behind_the_interposer_replays(task_name, system):
     """After a proper scale-in no key routes at the removed node, so no gate
     can fire: the interposer hands out the inner PS's charger, and the fused
     round is bit-identical to the sequential reference in cluster and PS
-    state. (SSP has no sampling replay: on KGE its own answer is None.)"""
+    state."""
     task, cluster, proxy, items, pulls = _proxied_world(
         "member-removed", task_name, system)
     assert cluster.removed == {2}
@@ -1229,10 +1273,9 @@ def test_planned_removal_behind_the_interposer_replays(task_name, system):
     charger = proxy.direct_point_charger(distribution_id)
     assert type(charger) is type(proxy.inner.direct_point_charger(
         distribution_id))
-    assert (charger is None) == (system == "ssp" and task_name == "kge")
+    assert charger is not None
     task.process_round(proxy, items)
-    if charger is not None:
-        assert pulls == []
+    assert pulls == []
 
     twin_task, twin_cluster, twin_proxy, twin_items, twin_pulls = \
         _proxied_world("member-removed", task_name, system)
