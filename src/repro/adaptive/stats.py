@@ -201,44 +201,45 @@ class AccessStats:
             unique, counts = np.unique(np.asarray(keys), return_counts=True)
             self.sketch.update(unique.tolist(), counts.tolist())
 
-    def observe_calls(self, keys: np.ndarray, starts, stops,
-                      repeat: int) -> None:
+    def observe_calls(self, keys: np.ndarray, spans) -> None:
         """Record a chunk's calls at once, exactly as if observed one by one.
 
-        Stands for ``observe(keys[lo:hi])`` called ``repeat`` times in a row
-        for each ``(lo, hi)`` of ``zip(starts, stops)``, in that order (the
-        point chargers' shape: a data point's direct keys are pulled, then
-        pushed), and leaves the sketch and both totals bit-equal to that
-        sequence. Counters are decayed floats, so every call adds its own
-        ``1`` per key and its own ``n`` to the totals; nothing is summed
-        ahead. A call whose keys are all tracked and distinct — the common
-        one — is a dictionary lookup and an addition per key. Any other call
-        (an untracked key, a key repeated within the call) goes through
-        :meth:`SpaceSavingSketch.update` like :meth:`observe`, so free
-        slots, eviction and batch overflow keep their one implementation.
+        Stands for ``observe(keys[lo:hi])`` for each ``(lo, hi)`` of
+        ``spans``, in that order (the point chargers' direct-access calls:
+        a data point's direct keys are pulled, then pushed), and leaves the
+        sketch and both totals bit-equal to that sequence. Counters are
+        decayed floats, so every call adds its own ``1`` per key and its own
+        ``n`` to the totals; nothing is summed ahead. A call whose keys are
+        all tracked and distinct — the common one — is a dictionary lookup
+        and an addition per key, and a call repeating the span before it
+        reuses that lookup. Any other call (an untracked key, a key repeated
+        within the call) goes through :meth:`SpaceSavingSketch.update` like
+        :meth:`observe`, so free slots, eviction and batch overflow keep
+        their one implementation.
         """
         keys_list = keys.tolist()
         counts = self.sketch._counts
         slot_of = self.sketch._index.get
         total, lifetime = self.total_observed, self.lifetime_observed
-        for lo, hi in zip(starts, stops):
+        last = slots = None
+        for span in spans:
+            lo, hi = span
             n = hi - lo
             if n == 0:
                 continue
-            slots = None
-            for _ in range(repeat):
-                total += n
-                lifetime += n
-                if slots is None:
-                    slots = [slot_of(key) for key in keys_list[lo:hi]]
-                    if None in slots or len(set(slots)) != n:
-                        slots = None
-                if slots is None:
-                    # May fill a slot or evict: the next call looks up again.
-                    self._update_sketch(keys[lo:hi])
-                else:
-                    for slot in slots:
-                        counts[slot] += 1
+            total += n
+            lifetime += n
+            if slots is None or span != last:
+                slots = [slot_of(key) for key in keys_list[lo:hi]]
+                if None in slots or len(set(slots)) != n:
+                    slots = None
+            last = span
+            if slots is None:
+                # May fill a slot or evict: the next call looks up again.
+                self._update_sketch(keys[lo:hi])
+            else:
+                for slot in slots:
+                    counts[slot] += 1
         self.total_observed, self.lifetime_observed = total, lifetime
 
     # ----------------------------------------------------------------- decay

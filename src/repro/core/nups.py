@@ -24,6 +24,7 @@ clock operations with NuPS.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, Optional, Sequence
 
@@ -36,25 +37,11 @@ from repro.core.sampling.distributions import SamplingDistribution
 from repro.core.sampling.manager import SamplingConfig, SamplingManager
 from repro.core.sampling.schemes import SamplingHost
 from repro.ps.base import PullResult, SampleHandle
-from repro.ps.relocation import RelocationPS, RelocationPointCharger
-from repro.ps.rounds import segment_bounds, segment_counts
+from repro.ps.relocation import (RelocationPS, RelocationPointCharger,
+                                 access_labels)
+from repro.ps.rounds import PULL, PULL_SAMPLE, PUSH_SAMPLE
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, WorkerContext
-
-
-def _partition_mask(mask: np.ndarray):
-    """Split a boolean mask into (true_idx, false_idx) index arrays.
-
-    A ``None`` on either side signals a homogeneous mask (all-False when the
-    first element is None, all-True when the second is), so callers can take
-    whole-batch fast paths; the placeholder on the opposite side is unused.
-    """
-    true_idx = np.flatnonzero(mask)
-    if len(true_idx) == 0:
-        return None, ()
-    if len(true_idx) == len(mask):
-        return (), None
-    return true_idx, np.flatnonzero(~mask)
 
 
 class NuPS(RelocationPS, SamplingHost):
@@ -71,10 +58,8 @@ class NuPS(RelocationPS, SamplingHost):
         sync_interval: Optional[float] = DEFAULT_SYNC_INTERVAL,
         integrate_sampling: bool = True,
         seed: int = 0,
-        batch_charging: bool = True,
     ) -> None:
-        super().__init__(store, cluster, relocation_enabled=True,
-                         seed=seed, batch_charging=batch_charging)
+        super().__init__(store, cluster, relocation_enabled=True, seed=seed)
         self.plan = plan or ManagementPlan.relocate_all(store.num_keys)
         self.replica_manager = ReplicaManager(
             store, cluster, self.plan, sync_interval=sync_interval
@@ -122,17 +107,6 @@ class NuPS(RelocationPS, SamplingHost):
             return
         relocated = keys[~self.plan.replicated_mask(keys)]
         super().localize(worker, relocated)
-
-    def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        self._trace_access("pull", worker, keys)
-        return self._pull(worker, keys, sampling=False)
-
-    def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
-             deltas: np.ndarray) -> None:
-        keys, deltas = self._validate_push(keys, deltas)
-        self._trace_access("push", worker, keys)
-        self._push(worker, keys, deltas, sampling=False)
 
     def remanage(self, plan: ManagementPlan, now: Optional[float] = None) -> None:
         """Install a new management plan mid-run (the re-management hook).
@@ -189,10 +163,9 @@ class NuPS(RelocationPS, SamplingHost):
 
         Installed by :func:`repro.adaptive.controller.install_adaptive`. The
         controller's :class:`~repro.adaptive.stats.AccessStats` becomes the
-        access observer fed from the direct-access paths — per call by
-        ``pull``/``push``, per chunk in call order by the round engine's
-        point charger, to the same sketch bit for bit — and the controller
-        itself runs from :meth:`housekeeping`.
+        access observer, fed the direct-access calls of every chunk in call
+        order by the point charger (a ``pull``/``push`` is a one-call
+        chunk), and the controller itself runs from :meth:`housekeeping`.
         """
         if self.adaptive_controller is not None:
             raise RuntimeError("an adaptive controller is already attached")
@@ -227,27 +200,16 @@ class NuPS(RelocationPS, SamplingHost):
         plan, ownership and arrival times only, so a chunk replays from one
         lookup of each (:class:`_NuPSPointCharger`) — direct access alone
         (matrix factorization) or with the samples of ``distribution_id``.
-        An attached ``access_observer`` is fed per chunk, in call order
-        (:meth:`_NuPSPointCharger._observe`). The answer is ``None`` where a
-        per-call effect cannot be replayed: the scalar oracle, an
-        access-level tracer and, for sampling, ``integrate_sampling=False``
-        or a scheme that decides keys at pull time. See the base class for
-        the full list.
+        Besides an access-level tracer, sampling falls back to the
+        sequential path under ``integrate_sampling=False`` or a scheme that
+        decides keys at pull time. See the base class for the full list.
         """
-        if not self.batch_charging or self._traces_accesses():
-            return None
         if distribution_id is not None and (
                 not self.integrate_sampling
                 or not self.sampling_manager.scheme_for(distribution_id)
                 .delivers_prepared_keys):
             return None
-        return _NuPSPointCharger(self)
-
-    def _split_managed(self, keys: np.ndarray):
-        """``(replicated_idx, relocated_idx)`` under the current plan."""
-        if self.plan.num_replicated == 0:
-            return None, ()
-        return _partition_mask(self.plan.replicated_mask(keys))
+        return super().direct_point_charger(distribution_id)
 
     # ------------------------------------------------------------- sampling API
     def register_distribution(self, distribution: SamplingDistribution,
@@ -271,7 +233,7 @@ class NuPS(RelocationPS, SamplingHost):
     def push_sample(self, worker: WorkerContext, keys: np.ndarray,
                     deltas: np.ndarray) -> None:
         keys, deltas = self._validate_push(keys, deltas)
-        self._push(worker, keys, deltas, sampling=True)
+        self._call(worker, keys, PUSH_SAMPLE).add(0, len(keys), deltas)
 
     # ---------------------------------------------------------- SamplingHost API
     def localize_async(self, node_id: int, keys: np.ndarray) -> None:
@@ -300,7 +262,9 @@ class NuPS(RelocationPS, SamplingHost):
 
     def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
                   sampling: bool = True) -> np.ndarray:
-        return self._pull(worker, np.asarray(keys, dtype=np.int64), sampling=sampling)
+        keys = np.asarray(keys, dtype=np.int64)
+        return self._call(worker, keys, PULL_SAMPLE if sampling else PULL) \
+            .read(0, len(keys))
 
     def local_support_keys(self, node_id: int,
                            distribution: SamplingDistribution) -> np.ndarray:
@@ -324,76 +288,6 @@ class NuPS(RelocationPS, SamplingHost):
     @property
     def value_length(self) -> int:
         return self.store.value_length
-
-    # ------------------------------------------------------------------ internals
-    def _pull(self, worker: WorkerContext, keys: np.ndarray, sampling: bool) -> np.ndarray:
-        """One pull call: charge by management technique, then route values.
-
-        Replicated keys cost one shared-memory product and read the node's
-        replica; relocated keys take the relocation fold and read the store
-        (and, for direct access, enter the node's recent-access buffer).
-        :class:`_NuPSPointCharger` replays exactly this charge sequence and
-        routing per chunk.
-        """
-        if len(keys) == 0:
-            return np.empty((0, self.store.value_length), dtype=np.float32)
-        if not sampling and self.access_observer is not None:
-            # Online access statistics observe the direct-access stream (the
-            # frequencies the paper's management heuristics are defined on);
-            # sampling access is managed by the sampling subsystem.
-            self.access_observer.observe(keys)
-        kind = "sample" if sampling else "pull"
-        node_id = worker.node_id
-        replicated_idx, relocated_idx = self._split_managed(keys)
-        if replicated_idx is None:
-            # Homogeneous batch (the common case): skip the index juggling.
-            self._charge_access(worker, keys, kind)
-            values = self.store.get(keys)
-            if not sampling:
-                self._recent_direct[node_id].extend(keys.tolist())
-            return values
-        if relocated_idx is None:
-            values = self.replica_manager.pull(node_id, keys)
-            self._charge_local(worker, len(keys), f"{kind}.replica")
-            return values
-
-        values = np.empty((len(keys), self.store.value_length), dtype=np.float32)
-        rep_keys = keys[replicated_idx]
-        values[replicated_idx] = self.replica_manager.pull(node_id, rep_keys)
-        self._charge_local(worker, len(rep_keys), f"{kind}.replica")
-
-        rel_keys = keys[relocated_idx]
-        self._charge_access(worker, rel_keys, kind)
-        values[relocated_idx] = self.store.get(rel_keys)
-        if not sampling:
-            self._recent_direct[node_id].extend(rel_keys.tolist())
-        return values
-
-    def _push(self, worker: WorkerContext, keys: np.ndarray, deltas: np.ndarray,
-              sampling: bool) -> None:
-        """One push call: the charging and routing of :meth:`_pull`, writing."""
-        if len(keys) == 0:
-            return
-        if not sampling and self.access_observer is not None:
-            self.access_observer.observe(keys)
-        kind = "sample_push" if sampling else "push"
-        replicated_idx, relocated_idx = self._split_managed(keys)
-        if replicated_idx is None:
-            self._charge_access(worker, keys, kind)
-            self.store.add(keys, deltas)
-            return
-        if relocated_idx is None:
-            self.replica_manager.push(worker.node_id, keys, deltas)
-            self._charge_local(worker, len(keys), f"{kind}.replica")
-            return
-
-        rep_keys = keys[replicated_idx]
-        self.replica_manager.push(worker.node_id, rep_keys, deltas[replicated_idx])
-        self._charge_local(worker, len(rep_keys), f"{kind}.replica")
-
-        rel_keys = keys[relocated_idx]
-        self._charge_access(worker, rel_keys, kind)
-        self.store.add(rel_keys, deltas[relocated_idx])
 
     # -------------------------------------------------------------- fault API
     def recover_values(self, keys: np.ndarray) -> tuple:
@@ -479,118 +373,97 @@ class NuPS(RelocationPS, SamplingHost):
 
 
 class _NuPSPointCharger(RelocationPointCharger):
-    """Chunk-level replay of NuPS's per-call charging and value routing.
+    """NuPS's access-charging fold and value routing.
 
     Charging: the management plan splits the chunk's keys once. Per call,
-    the replicated keys are one shared-memory product charged first (as
-    ``_pull``/``_push`` do), the relocated keys go through the inherited
-    relocation fold, the relocated *direct* keys extend the node's
-    recent-access buffer in access order, and an attached statistics tap is
-    fed the chunk's direct calls in call order. Values: a point whose keys
-    are all relocated uses the store like the base class; otherwise the
-    replicated positions are read from the node's replica and written
-    through the replica manager (replica, update buffer, dirty mask) by
-    slot, from one slot lookup per chunk.
+    the replicated keys are one shared-memory product charged first, the
+    relocated keys go through the inherited relocation fold, a direct pull's
+    relocated keys extend the node's recent-access buffer in access order,
+    and an attached statistics tap is fed every direct call in call order.
+    Values: a ``[lo, hi)`` span without replicated keys uses the store like
+    the base class; otherwise its replicated positions are read from the
+    node's replica and written through the replica manager (replica, update
+    buffer, dirty mask) by slot, from one slot lookup per chunk.
     """
 
-    __slots__ = ("node_id", "routes")
+    __slots__ = ("node_id", "replica_positions", "replica_at", "slots",
+                 "store_positions", "store_at", "store_keys", "last_route")
 
-    sample_kinds = ("sample", "sample_push")
+    kind_labels = access_labels(("pull", "sample", "push", "sample_push"))
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                     direct_widths: list, sample_widths: list,
-                     compute_costs: list) -> None:
-        """Charge one worker's chunk (see the relocation charger) and set
-        up the per-point value routes.
-
-        Without a replicated key in the chunk this is the relocation fold
-        over all of it. Otherwise the fold runs over the relocated keys,
-        each call's replicated keys charged first as one product, and every
-        point holding replicated keys gets a value route.
-        """
+                     calls) -> None:
+        """Charge one worker's chunk (see the class), bind its keys for the
+        value pass and locate its replicated keys."""
         ps = self.ps
         node_id = self.node_id = worker.node_id
-        self.routes = {}
         replicated = ps.plan.replicated_mask(keys) \
             if ps.plan.num_replicated else None
-        if replicated is None or not replicated.any():
-            self._fold(worker, keys, direct_widths, sample_widths,
-                       compute_costs)
-            self._bind(keys)
-            relocated = self.keys_list
-            relocated_direct, relocated_sample = direct_widths, sample_widths
-        else:
-            bounds = segment_bounds(direct_widths, sample_widths)
-            replica_counts = segment_counts(replicated, bounds)
-            direct_replicas = replica_counts[0::2].tolist()
-            sample_replicas = replica_counts[1::2].tolist()
-            relocated_mask = ~replicated
-            relocated_direct = [width - replicas for width, replicas
-                                in zip(direct_widths, direct_replicas)]
-            relocated_sample = [width - replicas for width, replicas
-                                in zip(sample_widths, sample_replicas)]
-            self._fold(worker, keys[relocated_mask], relocated_direct,
-                       relocated_sample, compute_costs, direct_replicas,
-                       sample_replicas)
-            self._bind(keys)
-            acc = self.acc
-            direct_total = sum(direct_replicas)
-            sample_total = sum(sample_replicas)
-            acc.add_access(node_id, "pull.replica.local", direct_total)
-            acc.add_access(node_id, "push.replica.local", direct_total)
-            acc.add_access(node_id, "sample.replica.local", sample_total)
-            acc.add_access(node_id, "sample_push.replica.local", sample_total)
-            self._plan_routes(replicated, relocated_mask, bounds[0::2])
-            relocated = self.keys[relocated_mask].tolist()
-        # Direct accesses to relocated keys feed sampling repurposing.
+        if replicated is not None and not replicated.any():
+            replicated = None
+        self._fold(worker, keys, calls, replicated)
+        self._bind(keys)
+        self.replica_positions = None
+        self.last_route = (0, 0, None)
+        if replicated is not None:
+            self._locate(replicated)
+            replicated = replicated.tolist()
+        keys_list = self.keys_list
         recent = ps._recent_direct[node_id]
-        if any(relocated_sample):
-            for lo, hi in zip(*_direct_spans(relocated_direct,
-                                             relocated_sample)):
-                recent.extend(relocated[lo:hi])
-        else:
-            recent.extend(relocated)
+        for kind, lo, hi, _ in calls:
+            if kind != PULL:
+                continue
+            if replicated is None:
+                recent.extend(keys_list[lo:hi])
+            else:  # only relocated keys enter the recent-access buffer
+                recent.extend(key for key, replica in zip(
+                    keys_list[lo:hi], replicated[lo:hi]) if not replica)
         if ps.access_observer is not None:
-            self._observe(*_direct_spans(direct_widths, sample_widths))
+            # The tap touches no clock, metric or value and is read only
+            # from ``housekeeping``, between rounds: feeding a whole chunk
+            # at its slot is exact.
+            ps.access_observer.observe_calls(self.keys, [
+                (lo, hi) for kind, lo, hi, _ in calls if not kind & 1])
 
-    def _observe(self, starts, stops) -> None:
-        """Feed the statistics tap the chunk's direct-access calls.
+    def _locate(self, replicated: np.ndarray) -> None:
+        """The positions of the replicated keys, their slots, and the
+        positions and keys of the others."""
+        replica_at = np.flatnonzero(replicated)
+        store_at = np.flatnonzero(~replicated)
+        self.replica_positions = replica_at.tolist()
+        self.replica_at = replica_at
+        self.slots = self.ps.replica_manager.slots(self.keys[replica_at])
+        self.store_positions = store_at.tolist()
+        self.store_at = store_at
+        self.store_keys = self.keys[store_at]
 
-        ``_pull``/``_push`` show the tap the keys of every direct call,
-        replicated or not: per point the direct segment ``[lo, hi)`` of the
-        bound keys once for the pull and once more for the push. Sampling
-        access is not observed. The tap touches no clock, metric or value
-        and is read only from ``housekeeping``, between rounds, so feeding a
-        whole chunk at its slot is exact.
-        """
-        self.ps.access_observer.observe_calls(self.keys, starts, stops,
-                                              repeat=2)
-
-    def _plan_routes(self, replicated: np.ndarray, relocated: np.ndarray,
-                     starts: np.ndarray) -> None:
-        """Per point with replicated keys: where they sit and their slots."""
-        keys = self.keys
-        sides = []
-        for mask in (replicated, relocated):
-            flat = np.flatnonzero(mask)
-            cuts = np.searchsorted(flat, starts)
-            # Positions relative to the start of their point.
-            flat -= np.repeat(starts[:-1], np.diff(cuts))
-            sides.append((flat, keys[mask], cuts.tolist()))
-        (replica_positions, replica_keys, replica_cuts), \
-            (store_positions, store_keys, store_cuts) = sides
-        slots = self.ps.replica_manager.slots(replica_keys)
-        routes = self.routes
-        for point, lo in enumerate(starts[:-1].tolist()):
-            first, last = replica_cuts[point], replica_cuts[point + 1]
-            if first != last:
-                cut = slice(store_cuts[point], store_cuts[point + 1])
-                routes[lo] = (replica_positions[first:last], slots[first:last],
-                              store_positions[cut], store_keys[cut])
+    def _route(self, lo: int, hi: int):
+        """``keys[lo:hi]``'s replicated positions (relative to ``lo``) and
+        slots, and its other positions and keys; ``None`` without a
+        replicated key. The last span's route is kept for the ``add`` that
+        follows its ``read``."""
+        positions = self.replica_positions
+        if positions is None:
+            return None
+        last_lo, last_hi, route = self.last_route
+        if lo == last_lo and hi == last_hi:
+            return route
+        first = bisect_left(positions, lo)
+        last = bisect_left(positions, hi, first)
+        if first == last:
+            route = None
+        else:
+            others = self.store_positions
+            begin = bisect_left(others, lo)
+            end = bisect_left(others, hi, begin)
+            route = (self.replica_at[first:last] - lo, self.slots[first:last],
+                     self.store_at[begin:end] - lo, self.store_keys[begin:end])
+        self.last_route = (lo, hi, route)
+        return route
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         values = super().read(lo, hi)
-        route = self.routes.get(lo)
+        route = self._route(lo, hi)
         if route is not None:
             # The store's rows of replicated keys lag behind the replica by
             # the unsynchronized updates; the node reads its replica.
@@ -600,7 +473,7 @@ class _NuPSPointCharger(RelocationPointCharger):
         return values
 
     def add(self, lo: int, hi: int, deltas: np.ndarray) -> None:
-        route = self.routes.get(lo)
+        route = self._route(lo, hi)
         if route is None:
             super().add(lo, hi, deltas)
             return
@@ -614,14 +487,4 @@ class _NuPSPointCharger(RelocationPointCharger):
         )
 
 
-def _direct_spans(direct_widths: list, sample_widths: list):
-    """``(starts, stops)``: per point, the ``[lo, hi)`` of its direct keys
-    in a chunk laid out ``[direct | sample]`` point after point."""
-    starts, stops = [], []
-    position = 0
-    for n_direct, n_sample in zip(direct_widths, sample_widths):
-        starts.append(position)
-        position += n_direct
-        stops.append(position)
-        position += n_sample
-    return starts, stops
+NuPS._charger = _NuPSPointCharger

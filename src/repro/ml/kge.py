@@ -34,6 +34,7 @@ from repro.ml.negative_sampling import (
 from repro.ml.optimizer import AdaGrad
 from repro.ml.task import TrainingTask
 from repro.ps.base import ParameterServer
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
 
@@ -384,11 +385,9 @@ class KGETask(TrainingTask):
         keys[:, 1] = self.graph.num_entities + triples[:, 1]
         keys[:, 2] = triples[:, 2]
         keys[:, 3:] = stream.drain().reshape(num_points, num_sampled)
-        charger.charge_chunk(
-            worker, keys.ravel(), [3] * num_points,
-            [num_sampled] * num_points,
-            [self.network_compute_cost(ps)] * num_points,
-        )
+        charger.charge_chunk(worker, keys.ravel(), point_calls(
+            [3] * num_points, [num_sampled] * num_points,
+            [self.network_compute_cost(ps)] * num_points))
         step = self._step(num_sampled)
         for lo in range(0, num_points * width, width):
             hi = lo + width

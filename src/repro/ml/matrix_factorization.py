@@ -28,6 +28,7 @@ from repro.data.matrix import MatrixDataset
 from repro.ml.optimizer import BoldDriver, UpdateNormClipper
 from repro.ml.task import TrainingTask, sequential_process_round
 from repro.ps.base import ParameterServer
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
 
@@ -205,7 +206,8 @@ class MatrixFactorizationTask(TrainingTask):
                 self.prefetch(ps, worker, item.next_chunk)
             n = len(indices)
             charger.charge_chunk(worker, self._cell_keys[indices].ravel(),
-                                 [2] * n, [0] * n, [compute_cost] * n)
+                                 point_calls([2] * n, [0] * n,
+                                             [compute_cost] * n))
             lo = 0
             for value in train_values[indices].tolist():
                 add(lo, lo + 2, step(read(lo, lo + 2), value))

@@ -35,6 +35,7 @@ from repro.ml.negative_sampling import (
 from repro.ml.optimizer import UpdateNormClipper
 from repro.ml.task import TrainingTask
 from repro.ps.base import ParameterServer
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
 
@@ -225,10 +226,9 @@ class WordVectorsTask(TrainingTask):
             keys[split:split + n_sample] = samples[taken:taken + n_sample]
             position = split + n_sample
             taken += n_sample
-        charger.charge_chunk(
-            worker, keys, direct_widths, sample_widths,
-            [self._compute_cost(ps, p) for p in pairs],
-        )
+        charger.charge_chunk(worker, keys, point_calls(
+            direct_widths, sample_widths,
+            [self._compute_cost(ps, p) for p in pairs]))
         lo = 0
         for n_direct, n_sample in zip(direct_widths, sample_widths):
             hi = lo + n_direct + n_sample

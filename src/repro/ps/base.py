@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.partition import OwnershipMap
+from repro.ps.rounds import PULL, PUSH
 from repro.ps.storage import ParameterStore
 
 
@@ -149,6 +150,10 @@ class ParameterServer(ABC):
     #: hint (a sorted distinct key set per chunk) for PSs that ignore it.
     relocates = False
 
+    #: The architecture's point charger class: its ``charge_chunk`` is the
+    #: one access-charging fold, and every access call is a chunk of it.
+    _charger = None
+
     def __init__(
         self,
         store: ParameterStore,
@@ -198,13 +203,23 @@ class ParameterServer(ABC):
 
     # ------------------------------------------------------------ direct API
     def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Read the current values of ``keys`` (a working copy per the paper)."""
-        raise NotImplementedError
+        """Read the current values of ``keys`` (a working copy per the paper).
+
+        One ``pull`` call is a one-call chunk of the architecture's point
+        charger (:meth:`_call`): charged by its fold, values served by its
+        ``read``.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        self._trace_access("pull", worker, keys)
+        return self._call(worker, keys, PULL).read(0, len(keys))
 
     def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
              deltas: np.ndarray) -> None:
-        """Additively apply ``deltas`` to ``keys``."""
-        raise NotImplementedError
+        """Additively apply ``deltas`` to ``keys`` (a one-call chunk, like
+        :meth:`pull`, written through the charger's ``add``)."""
+        keys, deltas = self._validate_push(keys, deltas)
+        self._trace_access("push", worker, keys)
+        self._call(worker, keys, PUSH).add(0, len(keys), deltas)
 
     def localize(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> None:
         """Hint that ``keys`` will soon be accessed at the worker's node.
@@ -307,33 +322,33 @@ class ParameterServer(ABC):
         Tasks whose data points each issue a few small PS calls split a round
         into *charging* and *values*. Charging is value-independent — costs
         depend on keys, ownership and management state, never on parameter
-        values — so a worker chunk's exact per-call cost sequence replays
-        from one state lookup per chunk through this object, which must
-        reproduce the PS's per-call cost grouping bit-exactly. The values
-        then move per point, in the sequential order, through the charger's
-        uncharged ``read``/``add`` (:class:`~repro.ps.rounds.ChunkValues`),
-        which serve them from wherever the architecture keeps them: the
-        store, the node's replica and update buffer (SSP/ESSP), a replica
-        slot (NuPS). One shape serves every task:
-        ``charge_chunk(worker, keys, direct_widths, sample_widths,
-        compute_costs)`` charges per point ``pull(direct)``,
-        ``pull_sample``, ``push(direct)``, ``push_sample``, then compute,
-        over ``keys`` laid out per point as its direct keys followed by its
-        sample keys. A zero-width segment is no call: matrix factorization
-        passes two direct keys and no sample per point; KGE and word vectors
-        request a charger for the ``distribution_id`` their samples are
-        drawn from. Sample *selection* is as value-independent as charging:
-        the keys of a handle are fixed by ``prepare_sample``, which the task
-        still calls per chunk, in worker order, so pools, cursors and RNG
-        streams advance exactly as in the sequential path.
+        values — so a worker chunk is charged by one fold over its *call
+        list*: ``charge_chunk(worker, keys, calls)``, where each entry of
+        ``calls`` is ``(kind, lo, hi, compute)`` — a ``pull``,
+        ``pull_sample``, ``push`` or ``push_sample``
+        (:data:`~repro.ps.rounds.PULL` ...) of ``keys[lo:hi]``, then
+        ``compute`` seconds of computation. That fold is the architecture's
+        only access charging: ``pull``/``push`` (and NuPS's sampling calls)
+        are one-call chunks of it. The values then move per point, in the
+        sequential order, through the charger's uncharged ``read``/``add``
+        (:class:`~repro.ps.rounds.ChunkValues`), which serve them from
+        wherever the architecture keeps them: the store, the node's replica
+        and update buffer (SSP/ESSP), a replica slot (NuPS). Tasks lay a
+        chunk out per point as its direct keys followed by its sample keys
+        (:func:`~repro.ps.rounds.point_calls`); matrix factorization's points
+        have no samples, KGE and word vectors request a charger for the
+        ``distribution_id`` their samples are drawn from. Sample *selection*
+        is as value-independent as charging: the keys of a handle are fixed
+        by ``prepare_sample``, which the task still calls per chunk, in
+        worker order, so pools, cursors and RNG streams advance exactly as
+        in the sequential path. The per-key scalar reference every fold is
+        tested against lives with the tests (``tests/scalar_oracle.py``).
 
         ``None`` tells the task to run
         :func:`~repro.ml.task.sequential_process_round` instead — the right
         answer whenever a per-call effect cannot be replayed from
         chunk-level state. Every fallback condition, in one place:
 
-        * ``batch_charging=False`` — the scalar per-key reference is the
-          oracle, it is not replayed;
         * an access-level tracer (``TelemetryConfig(access_events=True)``
           wants one event per call);
         * for sampling, on NuPS ``integrate_sampling=False`` or a scheme
@@ -349,10 +364,10 @@ class ParameterServer(ABC):
         round (they change in scenario hooks only) and translates a chunk's
         keys once, and NuPS feeds an attached ``access_observer`` the
         chunk's calls in call order.
-
-        This base answers ``None``; every architecture overrides it.
         """
-        return None
+        if self._traces_accesses():
+            return None
+        return self._charger(self)
 
     # ---------------------------------------------------------- sampling API
     def register_distribution(self, distribution: object, level: object = None) -> int:
@@ -444,37 +459,13 @@ class ParameterServer(ABC):
             )
         return keys, deltas
 
-    def _charge_local(self, worker: WorkerContext, count: int, kind: str) -> None:
-        """Charge ``count`` shared-memory accesses to the worker."""
-        if count <= 0:
-            return
-        worker.clock.advance(count * self._local_access_cost)
-        self.metrics.record_access(f"{kind}.local", worker.node_id, count)
-
-    def _charge_remote(self, worker: WorkerContext, count: int, kind: str,
-                       server_id: Optional[int] = None) -> None:
-        """Charge ``count`` classic remote accesses (2 messages each).
-
-        When ``server_id`` is given, each access also occupies that server's
-        request-processing thread; if the server is backed up (hot keys), the
-        worker experiences queueing delay on top of the wire latency.
-        """
-        if count <= 0:
-            return
-        worker.clock.advance(count * self._remote_access_cost)
-        if server_id is not None and server_id != worker.node_id:
-            # The serving node's request thread is busy for the handling and
-            # transfer time of every request. The cumulative busy time of the
-            # hottest server is a floor on the epoch's run time (throughput
-            # ceiling) — the mechanism that makes classic PSs collapse when
-            # hot keys concentrate traffic on one server.
-            server = self.cluster.node(server_id).server_clock
-            server.advance(count * self._server_occupancy)
-        self.metrics.record_access(f"{kind}.remote", worker.node_id, count)
-        self.metrics.increment("network.messages", 2 * count, node=worker.node_id)
-        self.metrics.increment(
-            "network.bytes", count * self._cached_value_bytes, node=worker.node_id
-        )
+    def _call(self, worker: WorkerContext, keys: np.ndarray, kind: int):
+        """Charge one ``kind`` call of ``keys`` as a one-call chunk and
+        return its charger, bound for the call's ``read``/``add``."""
+        charger = self._charger(self)
+        charger.charge_chunk(worker, keys, ((kind, 0, len(keys), 0.0),))
+        charger.finish()
+        return charger
 
     @property
     def value_bytes(self) -> int:

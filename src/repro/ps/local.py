@@ -9,8 +9,6 @@ there is no staleness — workers always see the latest values.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.ps.base import ParameterServer
@@ -19,7 +17,11 @@ from repro.simulation.cluster import WorkerContext
 
 
 class SingleNodePS(ParameterServer):
-    """Shared-memory parameter access on a single node."""
+    """Shared-memory parameter access on a single node.
+
+    Every call costs its key count times the shared-memory access cost,
+    sampling included (the base class samples application-side).
+    """
 
     name = "single-node"
 
@@ -30,31 +32,6 @@ class SingleNodePS(ParameterServer):
                 "SingleNodePS requires a single-node cluster; got "
                 f"{cluster.num_nodes} nodes"
             )
-
-    def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        self._trace_access("pull", worker, keys)
-        self._charge_local(worker, len(keys), "pull")
-        return self.store.get(keys)
-
-    def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
-             deltas: np.ndarray) -> None:
-        keys, deltas = self._validate_push(keys, deltas)
-        self._trace_access("push", worker, keys)
-        self._charge_local(worker, len(keys), "push")
-        self.store.add(keys, deltas)
-
-    def direct_point_charger(self, distribution_id: int | None = None):
-        """Per-point charge replay for the task-level round engine.
-
-        Every call costs its key count times the shared-memory access cost,
-        sampling included (the base class samples application-side); only an
-        access-level tracer, which wants one event per call, keeps a task
-        sequential.
-        """
-        if self._traces_accesses():
-            return None
-        return _LocalPointCharger(self)
 
 
 class _LocalPointCharger(ChunkValues):
@@ -67,31 +44,29 @@ class _LocalPointCharger(ChunkValues):
         self.acc = RoundAccounting()
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                     direct_widths: list, sample_widths: list,
-                     compute_costs: list) -> None:
-        """Charge one worker's chunk: per point, its calls + compute.
-
-        ``keys`` holds, per point, its direct keys followed by its sample
-        keys. Per point ``pull(direct)``, ``pull_sample``, ``push(direct)``,
-        ``push_sample`` — one product each, as ``_charge_local`` does, none
-        for an empty call (matrix factorization's sample segments) — then the
-        scaled compute charge. Also binds ``keys`` for the value pass
-        (:class:`~repro.ps.rounds.ChunkValues`).
-        """
+                     calls) -> None:
+        """Charge one worker's chunk: per call one shared-memory product of
+        its key count (none for an empty call), then its compute charge.
+        Also binds ``keys`` for the value pass
+        (:class:`~repro.ps.rounds.ChunkValues`)."""
         self._bind(keys)
         local_cost = self.ps._local_access_cost
         scale = worker.compute_scale
         now = worker.clock.now
-        for n_direct, n_sample, compute in zip(direct_widths, sample_widths,
-                                               compute_costs):
-            for count in (n_direct, n_sample, n_direct, n_sample):
-                if count:
-                    now += count * local_cost
-            now += compute * scale
+        counts = [0, 0]  # pulled, pushed
+        for kind, lo, hi, compute in calls:
+            if hi > lo:
+                now += (hi - lo) * local_cost
+                counts[kind >> 1] += hi - lo
+            if compute:
+                now += compute * scale
         worker.clock.advance_to(now)
-        self.acc.add_access(worker.node_id, "pull.local", len(self.keys))
-        self.acc.add_access(worker.node_id, "push.local", len(self.keys))
+        self.acc.add_access(worker.node_id, "pull.local", counts[0])
+        self.acc.add_access(worker.node_id, "push.local", counts[1])
 
     def finish(self) -> None:
         """Write the round's aggregated counters."""
         self.acc.flush(self.ps, 0.0)
+
+
+SingleNodePS._charger = _LocalPointCharger

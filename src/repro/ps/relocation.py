@@ -14,16 +14,14 @@ contention: when several nodes localize the same key in quick succession, the
 key keeps moving, accesses find it gone, and workers either wait for an
 in-flight relocation or fall back to remote access.
 
-Per-call charging is one loop over the keys of a call, at every batch size:
-clock additions happen per key, in batch order, and metrics and server
-occupancy are written once per call. The per-key scalar path behind
-``batch_charging=False`` is the reference the tests hold that loop against;
-both produce bit-identical simulated clocks and metrics.
+Access charging is one fold over a chunk's calls
+(:class:`RelocationPointCharger`); a single ``pull``/``push`` is a one-call
+chunk of it. Clock additions happen per key, in call order; metrics and
+server occupancy are written once per chunk.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -56,15 +54,11 @@ class RelocationPS(ParameterServer):
         cluster: Cluster,
         relocation_enabled: bool = True,
         seed: int = 0,
-        batch_charging: bool = True,
     ) -> None:
         super().__init__(store, cluster, seed)
         #: ``relocation_enabled=False`` degrades this PS to a classic PS
         #: (the paper uses exactly this configuration as its classic baseline).
         self.relocation_enabled = relocation_enabled
-        #: ``False`` selects the per-key scalar reference instead of the
-        #: grouped per-call loop; both are bit-identical.
-        self.batch_charging = bool(batch_charging)
         if store.backend == "sparse":
             # Chunked owner state: untouched chunks read as the static
             # partition (evaluated key-wise, never stored) and as
@@ -123,9 +117,6 @@ class RelocationPS(ParameterServer):
         means background-issued relocations that start at the thread's own
         time. ``sampling`` additionally counts ``relocation.sampling``.
         """
-        if not self.batch_charging:
-            self._relocate_scalar(node_id, keys, worker_clock, sampling)
-            return
         # Within one call only the first occurrence of a key relocates (the
         # second finds the key already owned by this node), and keys that are
         # already local are free.
@@ -170,180 +161,6 @@ class RelocationPS(ParameterServer):
             "network.bytes", n * self._cached_value_bytes, node=node_id
         )
 
-    def _relocate_scalar(self, node_id: int, keys: np.ndarray,
-                         worker_clock: float | None, sampling: bool) -> None:
-        """Per-key reference implementation of :meth:`_relocate_batch`."""
-        background = self.cluster.node(node_id).background_clock
-        value_bytes = self.store.value_bytes()
-        relocation_latency = self.network.relocation_cost(value_bytes)
-        occupancy = self.network.relocation_occupancy(value_bytes)
-        for key in keys:
-            key = int(key)
-            if self.current_owner[key] == node_id:
-                continue
-            # The relocation is handled asynchronously by the node's
-            # communication thread: the thread is busy for ``occupancy`` per
-            # relocation, and the key arrives one protocol round-trip after
-            # the request leaves (whichever of the two finishes later).
-            start = background.now if worker_clock is None \
-                else max(worker_clock, background.now)
-            background.advance_to(start + occupancy)
-            arrival = max(start + relocation_latency, background.now)
-            self.current_owner[key] = node_id
-            self.arrival_time[key] = arrival
-            self.metrics.increment("relocation.count", 1, node=node_id)
-            if sampling:
-                self.metrics.increment("relocation.sampling", 1, node=node_id)
-            self.metrics.increment("network.messages", 3, node=node_id)
-            self.metrics.increment(
-                "network.bytes", value_bytes, node=node_id
-            )
-
-    def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        self._trace_access("pull", worker, keys)
-        self._charge_access(worker, keys, "pull")
-        return self.store.get(keys)
-
-    def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
-             deltas: np.ndarray) -> None:
-        keys, deltas = self._validate_push(keys, deltas)
-        self._trace_access("push", worker, keys)
-        self._charge_access(worker, keys, "push")
-        self.store.add(keys, deltas)
-
-    # -------------------------------------------------------------- round API
-    def direct_point_charger(self, distribution_id: int | None = None):
-        """Per-point charge replay for the task-level round engine.
-
-        Like the classic PS, a relocation PS samples application-side, so
-        the charger also replays the sampling tasks' calls. The scalar
-        oracle is not replayed, and an access-level tracer wants one event
-        per call.
-        """
-        if not self.batch_charging or self._traces_accesses():
-            return None
-        return RelocationPointCharger(self)
-
-    # --------------------------------------------------------------- internals
-    def _charge_access(self, worker: WorkerContext, keys: np.ndarray, kind: str) -> None:
-        """Charge each access as local, wait-then-local, or routed-remote.
-
-        One loop over the keys performs the same sequence of clock additions
-        as the scalar reference (so simulated times are bit-identical);
-        metrics and server occupancy are one grouped update per call.
-        """
-        if len(keys) == 0:
-            return
-        if not self.batch_charging:
-            self._charge_access_scalar(worker, keys, kind)
-            return
-        node_id = worker.node_id
-        owners = self.current_owner.take(keys).tolist()
-        arrivals = self.arrival_time.take(keys).tolist()
-        local_cost = 1 * self._local_access_cost
-        clock = worker.clock
-        now = clock.now
-        n = len(owners)
-        if owners.count(node_id) == n and max(arrivals) <= now:
-            # Everything is already here and arrived (the localize-ahead
-            # steady state): one repeated fold, one metrics write.
-            clock.advance_repeated(local_cost, n)
-            self.metrics.record_access(f"{kind}.local", node_id, n)
-            return
-        n_local = 0
-        n_remote = 0
-        waits = 0
-        messages = 0
-        homes = None
-        cost_two = cost_three = 0.0
-        server_counts: dict[int, int] = {}
-        for i, owner in enumerate(owners):
-            if owner == node_id:
-                arrival = arrivals[i]
-                if arrival > now:
-                    # The key is on its way here: wait for the relocation to
-                    # finish, then access through shared memory.
-                    now = arrival
-                    waits += 1
-                now = now + local_cost
-                n_local += 1
-            else:
-                if homes is None:
-                    homes = self.partitioner.owners(keys).tolist()
-                    cost_two = self._cost_two_messages
-                    cost_three = self._cost_three_messages
-                # Still at its home node: the classic two messages; relocated
-                # elsewhere, the home node forwards the request (a third).
-                if owner == homes[i]:
-                    now = now + cost_two
-                    messages += 2
-                else:
-                    now = now + cost_three
-                    messages += 3
-                n_remote += 1
-                server_counts[owner] = server_counts.get(owner, 0) + 1
-        clock.advance_to(now)
-
-        metrics = self.metrics
-        if n_local:
-            metrics.record_access(f"{kind}.local", node_id, n_local)
-        if waits:
-            metrics.increment("relocation.waits", waits, node=node_id)
-        if n_remote:
-            server_occupancy = self._server_occupancy
-            for server, count in server_counts.items():
-                self.cluster.node(server).server_clock.advance_repeated(
-                    server_occupancy, count
-                )
-            metrics.record_access(f"{kind}.remote", node_id, n_remote)
-            metrics.increment("network.messages", messages, node=node_id)
-            metrics.increment(
-                "network.bytes", n_remote * self._cached_value_bytes, node=node_id
-            )
-
-    def _charge_access_scalar(self, worker: WorkerContext, keys: np.ndarray,
-                              kind: str) -> None:
-        """Per-key reference implementation of :meth:`_charge_access`."""
-        node_id = worker.node_id
-        for key in keys:
-            key = int(key)
-            if self.current_owner[key] == node_id:
-                arrival = self.arrival_time[key]
-                if arrival > worker.clock.now:
-                    # The key is on its way here: wait for the relocation to
-                    # finish, then access through shared memory.
-                    worker.clock.advance_to(arrival)
-                    self.metrics.increment(
-                        "relocation.waits", 1, node=node_id
-                    )
-                self._charge_local(worker, 1, kind)
-            else:
-                self._charge_routed_remote(worker, key, kind)
-
-    def _charge_routed_remote(self, worker: WorkerContext, key: int, kind: str) -> None:
-        """Synchronous remote access routed via the home node.
-
-        If the key still resides at its home node the access takes the same
-        two messages as in a classic PS; if it has been relocated elsewhere
-        the home node forwards the request, which adds a third message. The
-        serving node's request thread is occupied either way.
-        """
-        node_id = worker.node_id
-        value_bytes = self.store.value_bytes()
-        owner = int(self.current_owner[key])
-        home = self.partitioner.owner(key)
-        messages = 2 if owner == home else 3
-        cost = (messages - 1) * self.network.message_cost(0) \
-            + self.network.message_cost(value_bytes)
-        worker.clock.advance(cost)
-        if owner != node_id:
-            server = self.cluster.node(owner).server_clock
-            server.advance(self.network.server_occupancy(value_bytes))
-        self.metrics.record_access(f"{kind}.remote", node_id, 1)
-        self.metrics.increment("network.messages", messages, node=node_id)
-        self.metrics.increment("network.bytes", value_bytes, node=node_id)
-
     # ------------------------------------------------------------- inspection
     def is_local(self, node_id: int, key: int) -> bool:
         """Whether ``key`` is currently allocated at ``node_id``."""
@@ -384,149 +201,132 @@ class RelocationPS(ParameterServer):
             self.arrival_time[keys] = float(available_at)
 
 
-class RelocationPointCharger(ChunkValues):
-    """Exact per-point charge replay for a round of PS calls.
+def access_labels(names) -> tuple:
+    """Per call kind, the local, remote and replica counters of ``names``."""
+    return tuple((f"{name}.local", f"{name}.remote", f"{name}.replica.local")
+                 for name in names)
 
-    Replays, per data point, the relocation PS's ``pull(direct)``,
-    ``pull_sample``, ``push(direct)`` and ``push_sample`` calls and its
-    compute charge; matrix factorization's points have zero-width sample
-    segments, which cost nothing. Local keys wait for in-flight relocations
-    against the live running clock and cost one shared-memory access; remote
-    keys cost two or three messages depending on whether the current owner
-    is the home node, and occupy the owner's request thread (a constant
-    increment, so the per-server counts aggregate across the round).
-    Ownership state is read live at each worker's slot — after its own
-    localize hint, before any later worker's — exactly like the sequential
-    path.
+
+class RelocationPointCharger(ChunkValues):
+    """The relocation PS's access-charging fold.
+
+    Per call, key by key in order: a local key waits for its in-flight
+    relocation against the running clock and costs one shared-memory
+    access; a remote key costs two or three messages depending on whether
+    its current owner is the home node, and occupies the owner's request
+    thread (a constant increment, so the per-server counts aggregate across
+    the round). Then the call's compute charge. Ownership and arrival times
+    are read once per chunk: inside a chunk nothing moves keys — hints are
+    issued before it, ``prepare_sample`` has run — and at each worker's slot
+    the state is the one the worker's calls would see, after its own
+    localize hint and before any later worker's.
     """
 
     __slots__ = ("acc",)
 
-    #: Access kinds of ``pull_sample`` / ``push_sample``: direct access here
-    #: (the base-class sampling API), the sampling kinds on NuPS.
-    sample_kinds = ("pull", "push")
+    #: Per call kind (``pull``, ``pull_sample``, ``push``, ``push_sample``)
+    #: its local, remote and replica access counters: sampling is direct
+    #: access here (the base-class sampling API), NuPS gives it kinds of its
+    #: own.
+    kind_labels = access_labels(("pull", "pull", "push", "push"))
 
     def __init__(self, ps: RelocationPS) -> None:
         self.ps = ps
         self.acc = RoundAccounting()
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                     direct_widths: list, sample_widths: list,
-                     compute_costs: list) -> None:
-        """Charge one worker's chunk: per point, its calls + compute.
-
-        ``keys`` holds, per point and in point order, the point's direct
-        keys followed by its sample keys; the width lists give both counts
-        per point. Replays the calls (see :meth:`_fold`) and binds ``keys``
-        for the value pass (:class:`~repro.ps.rounds.ChunkValues`).
-        """
-        self._fold(worker, keys, direct_widths, sample_widths, compute_costs)
+                     calls) -> None:
+        """Charge one worker's chunk (:meth:`_fold`) and bind ``keys`` for
+        the value pass (:class:`~repro.ps.rounds.ChunkValues`)."""
+        self._fold(worker, keys, calls)
         self._bind(keys)
 
-    def _fold(self, worker: WorkerContext, keys: np.ndarray,
-              direct_widths: list, sample_widths: list, compute_costs: list,
-              direct_replicas: list | None = None,
-              sample_replicas: list | None = None) -> None:
-        """The per-point clock fold over the relocation-managed ``keys``.
+    def _fold(self, worker: WorkerContext, keys: np.ndarray, calls,
+              replicated: np.ndarray | None = None) -> None:
+        """The clock fold over ``calls`` (see the class).
 
-        Ownership and arrival times are read once: inside a chunk nothing
-        moves keys (hints are issued before it, ``prepare_sample`` has run).
-        Each of a point's four calls then folds its keys' costs left to
-        right exactly like ``_charge_access`` — a local key waits for its
-        in-flight relocation against the running clock and costs one
-        shared-memory access, a remote key two or three messages — and the
-        compute charge follows. The ``*_replicas`` lists (NuPS) give per
-        point how many replicated keys each direct / sampling call
-        additionally carries: they are charged first, as one product, like
-        ``_charge_local``.
+        ``replicated`` (NuPS) marks the positions managed by replication:
+        a call charges its replicated keys first, as one shared-memory
+        product, and folds the others.
         """
         ps = self.ps
         node_id = worker.node_id
         owners = ps.current_owner.take(keys)
-        local_mask = owners == node_id
-        n_local = int(np.count_nonzero(local_mask))
-        n_remote = len(keys) - n_local
-        local_l = local_mask.tolist()
-        arrivals_l = ps.arrival_time.take(keys).tolist() if n_local else None
-        owners_l = homes_l = None
+        # Per position: True local, False remote, None replicated.
+        codes = (owners == node_id).tolist()
+        if replicated is not None:
+            for at in np.flatnonzero(replicated).tolist():
+                codes[at] = None
+        arrivals = ps.arrival_time.take(keys).tolist() if True in codes \
+            else None
+        owners_l = homes = None
         cost_two = cost_three = 0.0
-        if n_remote:
+        if False in codes:
             owners_l = owners.tolist()
-            homes_l = ps.partitioner.owners(keys).tolist()
+            homes = ps.partitioner.owners(keys).tolist()
             cost_two = ps._cost_two_messages
             cost_three = ps._cost_three_messages
-        local_cost = 1 * ps._local_access_cost
-        replica_cost = ps._local_access_cost
+        access_cost = ps._local_access_cost
         scale = worker.compute_scale
         clock = worker.clock
         now = clock.now
-        waits = messages = local_sample = 0
+        waits = messages = 0
         servers: dict = {}
-        no_replicas = repeat(0)
-        position = 0
-        for n_direct, n_sample, compute, direct_extra, sample_extra in zip(
-                direct_widths, sample_widths, compute_costs,
-                direct_replicas or no_replicas,
-                sample_replicas or no_replicas):
-            split = position + n_direct
-            end = split + n_sample
-            if n_sample and n_local:
-                local_sample += local_l[split:end].count(True)
-            # pull(direct), pull_sample, push(direct), push_sample; an empty
-            # sampling call is none
-            calls = ((position, split, direct_extra),
-                     (split, end, sample_extra)) \
-                if n_sample or sample_extra \
-                else ((position, split, direct_extra),)
-            for lo, hi, replicas in calls * 2:
-                if replicas:
-                    now += replicas * replica_cost
-                for at in range(lo, hi):
-                    if local_l[at]:
-                        arrival = arrivals_l[at]
-                        if arrival > now:
-                            now = arrival
-                            waits += 1
-                        now += local_cost
+        widths = [0, 0, 0, 0]
+        replicas = [0, 0, 0, 0]
+        local = [0, 0, 0, 0]
+        for kind, lo, hi, compute in calls:
+            widths[kind] += hi - lo
+            if replicated is not None:
+                count = codes[lo:hi].count(None)
+                if count:
+                    now += count * access_cost
+                    replicas[kind] += count
+            count = 0
+            for at in range(lo, hi):
+                code = codes[at]
+                if code:
+                    count += 1
+                    arrival = arrivals[at]
+                    if arrival > now:
+                        now = arrival
+                        waits += 1
+                    now += access_cost
+                elif code is False:
+                    owner = owners_l[at]
+                    if owner == homes[at]:
+                        now += cost_two
+                        messages += 2
                     else:
-                        owner = owners_l[at]
-                        if owner == homes_l[at]:
-                            now += cost_two
-                            messages += 2
-                        else:
-                            now += cost_three
-                            messages += 3
-                        servers[owner] = servers.get(owner, 0) + 1
-            now += compute * scale
-            position = end
+                        now += cost_three
+                        messages += 3
+                    servers[owner] = servers.get(owner, 0) + 1
+            local[kind] += count
+            if compute:
+                now += compute * scale
         clock.advance_to(now)
 
         acc = self.acc
-        pull_kind, push_kind = self.sample_kinds
-        local_direct = n_local - local_sample
-        if local_direct:
-            acc.add_access(node_id, "pull.local", local_direct)
-            acc.add_access(node_id, "push.local", local_direct)
-        if local_sample:
-            acc.add_access(node_id, f"{pull_kind}.local", local_sample)
-            acc.add_access(node_id, f"{push_kind}.local", local_sample)
+        for kind, (local_label, remote_label, replica_label) in enumerate(
+                self.kind_labels):
+            if not widths[kind]:
+                continue
+            acc.add_access(node_id, local_label, local[kind])
+            acc.add_access(node_id, remote_label,
+                           widths[kind] - replicas[kind] - local[kind])
+            acc.add_access(node_id, replica_label, replicas[kind])
         if waits:
             acc.add_counter(node_id, "relocation.waits", waits)
-        if n_remote:
+        if servers:
             for server, count in servers.items():
                 acc.add_server(server, count)
-            remote_sample = sum(sample_widths) - local_sample
-            remote_direct = n_remote - remote_sample
-            if remote_direct:
-                acc.add_access(node_id, "pull.remote", remote_direct)
-                acc.add_access(node_id, "push.remote", remote_direct)
-            if remote_sample:
-                acc.add_access(node_id, f"{pull_kind}.remote", remote_sample)
-                acc.add_access(node_id, f"{push_kind}.remote", remote_sample)
             acc.add_counter(node_id, "network.messages", messages)
             acc.add_counter(node_id, "network.bytes",
-                            2 * n_remote * ps._cached_value_bytes)
+                            sum(servers.values()) * ps._cached_value_bytes)
 
     def finish(self) -> None:
         """Write the round's aggregated counters and server occupancy."""
         self.acc.flush(self.ps, self.ps._server_occupancy)
+
+
+RelocationPS._charger = RelocationPointCharger

@@ -21,21 +21,20 @@ shared-memory systems even on a single node (Section 5.4).
 
 Node state is array-backed: each node holds a replica mask, a replica-value
 matrix, replica clocks, and an update buffer over the whole key space, which
-``_flush_node``/``_eager_refresh`` process as whole key batches. Per-call
-``pull``/``push`` and the round engine's point charger share one freshness
-step, ``ReplicationPS._refresh``: one lookup over the keys of a call or a
-chunk, one batch install of every stale or missing key at its first
-position, and per-position costs that the caller adds to the clock in key
-order. The per-key scalar path behind ``batch_charging=False`` is the
-reference the tests hold it against; both produce bit-identical simulated
-clocks and metrics.
+``_flush_node``/``_eager_refresh`` process as whole key batches. Access
+charging is one fold over a chunk's calls (:class:`_ReplicationPointCharger`;
+a single ``pull``/``push`` is a one-call chunk of it) around one freshness
+step, ``ReplicationPS._refresh``: one lookup over the chunk's keys and one
+batch install of every key refreshed where a call first finds it without a
+usable replica.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from types import SimpleNamespace
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -131,14 +130,6 @@ class _NodeReplicaState:
             + self.update_values.nbytes
         )
 
-    def gather_values(self, index: np.ndarray) -> np.ndarray:
-        """A copy of the replica values at an :meth:`at` index: ``take`` on
-        the dense array, :meth:`~repro.ps.chunks.ChunkedArray.gather` on the
-        sparse pool (whose field view ``take`` would copy whole)."""
-        if self.table is None:
-            return self.replica_values.take(index, axis=0)
-        return self.replica_values.gather(index)
-
     def at(self, keys: np.ndarray, writable: bool = False):
         """``(index, arrays)``: ``arrays.<structure>[index]`` addresses ``keys``.
 
@@ -146,7 +137,7 @@ class _NodeReplicaState:
         validation and translation for all five structures, the chunks
         materialized first when ``writable`` — and the field views of the
         pool, current until this node next materializes a chunk. Gather
-        from them by fancy indexing or :meth:`gather_values`, never
+        from them by fancy indexing or the sparse column's ``gather``, never
         ``take`` (see :meth:`~repro.ps.chunks.ChunkedArray.gather`).
         """
         if self.table is None:
@@ -173,15 +164,14 @@ class ReplicationPS(ParameterServer):
         protocol: ReplicationProtocol = ReplicationProtocol.SSP,
         staleness: int = 1,
         seed: int = 0,
-        batch_charging: bool = True,
     ) -> None:
         """A replication PS over ``store`` on ``cluster``.
 
         ``protocol`` picks SSP or ESSP replica maintenance, ``staleness`` the
-        bound in clocks. ``batch_charging=False`` selects the per-key scalar
-        reference instead of the shared freshness step (:meth:`_refresh`);
-        both are bit-identical, and only the latter is replayed per chunk
-        (:meth:`direct_point_charger`), for every task.
+        bound in clocks. The protocols differ only in :meth:`advance_clock`,
+        so one point charger serves both, for every task: sampling is
+        application-side here (the base class's ``prepare_sample`` draws the
+        keys, ``pull_sample``/``push_sample`` are plain ``pull``/``push``).
         """
         super().__init__(store, cluster, seed)
         if staleness < 0:
@@ -189,7 +179,6 @@ class ReplicationPS(ParameterServer):
         self.protocol = protocol
         self.staleness = int(staleness)
         self.name = f"replication-{protocol.value}"
-        self.batch_charging = bool(batch_charging)
         self._nodes: Dict[int, _NodeReplicaState] = {
             node_id: _NodeReplicaState(store.num_keys, store.value_length,
                                        storage=store.storage, node_id=node_id)
@@ -204,83 +193,6 @@ class ReplicationPS(ParameterServer):
         )
 
     # -------------------------------------------------------------- direct API
-    def pull(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Read ``keys`` through the node's replicas, refreshing stale ones.
-
-        A stale or missing key refreshes at its first position
-        (:meth:`_refresh`), every other position costs one intra-process
-        message; the clock adds the costs in key order, as the scalar
-        reference does, and metrics and server occupancy are written once
-        per call.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        self._trace_access("pull", worker, keys)
-        state = self._nodes[worker.node_id]
-        worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-        if not self.batch_charging:
-            return self._pull_scalar(worker, state, keys, worker_clock)
-        if len(keys) == 0:
-            return np.empty((0, self.store.value_length), dtype=np.float32)
-        positions, costs, server_counts = self._refresh(
-            worker.node_id, state, keys, worker_clock,
-            worker_clock - self.staleness)
-        clock = worker.clock
-        if costs is None:  # every key a fresh replica: the steady state
-            clock.advance_repeated(self._intra_process_cost, len(keys))
-        else:
-            now = clock.now
-            for cost in costs:
-                now += cost
-            clock.advance_to(now)
-        self._finish_group_charge(worker.node_id, server_counts,
-                                  len(keys) - len(positions), "pull.replica",
-                                  len(positions))
-        return state.gather_values(state.at(keys)[0])
-
-    def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
-             deltas: np.ndarray) -> None:
-        """Add ``deltas`` to the node's replicas and its update buffer.
-
-        A missing key is created at its first position (:meth:`_refresh`
-        without a staleness threshold: Petuum reads-before-writes via the
-        cache), then every key costs one intra-process message; bookkeeping
-        is grouped like :meth:`pull`'s.
-        """
-        keys, deltas = self._validate_push(keys, deltas)
-        self._trace_access("push", worker, keys)
-        state = self._nodes[worker.node_id]
-        worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-        if not self.batch_charging:
-            self._push_scalar(worker, state, keys, deltas, worker_clock)
-            return
-        if len(keys) == 0:
-            return
-        positions, costs, server_counts = self._refresh(
-            worker.node_id, state, keys, worker_clock)
-        intra_cost = self._intra_process_cost
-        clock = worker.clock
-        if costs is None:
-            clock.advance_repeated(intra_cost, len(keys))
-        else:
-            refreshing = set(positions)
-            now = clock.now
-            for position, cost in enumerate(costs):
-                if position in refreshing:  # a creation, before its push
-                    now += cost
-                now += intra_cost
-            clock.advance_to(now)
-
-        # Apply the deltas to the replica and buffer them for the next flush
-        # (duplicate keys accumulate in batch order).
-        index, at = state.at(keys, writable=True)
-        index_list = index.tolist()
-        scatter_add_rows(at.replica_values, index, deltas, index_list)
-        scatter_add_rows(at.update_values, index, deltas, index_list)
-        at.update_mask[index] = True
-        state.pending_updates.append(keys)
-        self._finish_group_charge(worker.node_id, server_counts, len(keys),
-                                  "push.replica", len(positions))
-
     def advance_clock(self, worker: WorkerContext) -> None:
         """Advance the worker's clock; flush and (ESSP) refresh at node level."""
         state = self._nodes[worker.node_id]
@@ -296,61 +208,53 @@ class ReplicationPS(ParameterServer):
         if self.protocol is ReplicationProtocol.ESSP:
             self._eager_refresh(worker.node_id, state)
 
-    # -------------------------------------------------------------- round API
-    def direct_point_charger(self, distribution_id: int | None = None):
-        """Per-point charge replay for the task-level round engine.
-
-        Serves SSP and ESSP alike — the protocols differ only in
-        :meth:`advance_clock`, which the round engine still calls per chunk —
-        and the sampling tasks as well as matrix factorization: sampling is
-        application-side here (the base class's ``prepare_sample`` draws the
-        keys, ``pull_sample``/``push_sample`` are plain ``pull``/``push``).
-        Only the scalar oracle and an access-level tracer keep the
-        sequential path.
-        """
-        if not self.batch_charging or self._traces_accesses():
-            return None
-        return _ReplicationPointCharger(self)
-
+    # ----------------------------------------------------------------- charging
     def _refresh(self, node_id: int, state: _NodeReplicaState,
-                 keys: np.ndarray, worker_clock: int,
-                 threshold: int | None = None) -> tuple:
-        """Refresh every key of ``keys`` without a usable replica at its
-        first position, and return what reading ``keys`` in order costs.
+                 keys: np.ndarray, calls, worker_clock: int) -> tuple:
+        """Refresh, in call order, every key of ``calls`` that a call finds
+        without a usable replica, and say where that happened.
 
-        A replica is usable if it exists and, given a ``threshold``, its
-        clock is at least ``threshold``. A key without one refreshes from
-        its owning server — one intra-process message from the node's own
-        server, a remote access from any other — and is usable from then
-        on. The refreshed replicas install in one batch as of
-        ``worker_clock``: the global value overlaid with the node's
-        not-yet-flushed update (Petuum reads its own writes).
+        A pull needs a replica whose clock is at least ``worker_clock``
+        minus the staleness bound; a push needs a replica at all (Petuum
+        reads-before-writes via the cache). The first access that finds a
+        key without one refreshes it from its owning server — one
+        intra-process message from the node's own server, a remote access
+        from any other — and the key is usable from then on. The refreshed
+        replicas install in one batch as of ``worker_clock``: the global
+        value overlaid with the node's not-yet-flushed update (Petuum reads
+        its own writes). That is the value a refresh at the access would
+        read as long as no push of the chunk precedes the refresh of its
+        key — true of a one-call chunk and of points that pull every key
+        they push.
 
-        Returns ``(positions, costs, server_counts)``: the refreshing
-        positions in key order; the read cost of every position (one
-        intra-process message, or a remote refresh's remote cost), ``None``
-        when nothing refreshes; and the remote refreshes per serving node.
+        Returns ``(events, server_counts)``: per refreshing call index
+        ``{position: cost}``, the cost of each refresh (empty when nothing
+        refreshes: the steady state), and the remote refreshes per serving
+        node.
         """
         index, at = state.at(keys)
-        usable = at.replica_mask[index]
-        clocks = None if threshold is None else at.replica_clock[index]
+        mask = at.replica_mask[index]
+        clocks = at.replica_clock[index]
+        threshold = worker_clock - self.staleness
         # The steady state, every replica usable, is checked on lists: a
-        # NumPy reduction costs more than the whole call on a few keys.
-        if all(usable.tolist()) and (
-                clocks is None
-                or min(clocks.tolist(), default=threshold) >= threshold):
-            return (), None, {}
-        if clocks is not None:
-            usable &= clocks >= threshold
-        stale = (~usable).nonzero()[0]
-        positions = stale.tolist()
-        refresh_keys = keys[stale]
-        first: dict = {}
-        for key, position in zip(refresh_keys.tolist(), positions):
-            first.setdefault(key, position)
-        if len(first) < len(positions):  # a repeated key refreshes once
-            positions = list(first.values())
-            refresh_keys = keys[positions]
+        # NumPy reduction costs more than a whole call on a few keys.
+        if all(mask.tolist()) and min(clocks.tolist(),
+                                      default=threshold) >= threshold:
+            return {}, {}
+        stale = (~(mask & (clocks >= threshold))).nonzero()[0].tolist()
+        missing = (~mask).nonzero()[0].tolist()
+        keys_list = keys.tolist()
+        found: dict = {}  # key -> (call index, position), in refresh order
+        for call, (kind, lo, hi, _) in enumerate(calls):
+            needing = missing if kind & 2 else stale
+            first = bisect_left(needing, lo)
+            for position in needing[first:bisect_left(needing, hi, first)]:
+                found.setdefault(keys_list[position], (call, position))
+        events: dict = {}
+        server_counts: dict = {}
+        if not found:
+            return events, server_counts
+        refresh_keys = np.fromiter(found, dtype=np.int64, count=len(found))
         owners = self.partitioner.owners(refresh_keys).tolist()
         refreshed = self.store.get(refresh_keys)
         index, at = state.at(refresh_keys, writable=True)
@@ -361,13 +265,14 @@ class ReplicationPS(ParameterServer):
         at.replica_mask[index] = True
         at.replica_clock[index] = worker_clock
 
-        costs = [self._intra_process_cost] * len(keys)
-        server_counts: dict = {}
-        for position, owner in zip(positions, owners):
-            if owner != node_id:
-                costs[position] = self._remote_access_cost
+        for (call, position), owner in zip(found.values(), owners):
+            if owner == node_id:
+                cost = self._intra_process_cost
+            else:
+                cost = self._remote_access_cost
                 server_counts[owner] = server_counts.get(owner, 0) + 1
-        return positions, costs, server_counts
+            events.setdefault(call, {})[position] = cost
+        return events, server_counts
 
     def _occupy_servers(self, server_counts: dict) -> int:
         """Occupy each serving node's request thread once per remote refresh
@@ -378,77 +283,7 @@ class ReplicationPS(ParameterServer):
             )
         return sum(server_counts.values())
 
-    def _finish_group_charge(self, node_id: int, server_counts: dict,
-                             n_primary: int, primary_kind: str,
-                             n_refresh: int) -> None:
-        """Grouped server occupancy + metrics of one ``pull``/``push`` call."""
-        if not n_refresh:  # the steady state: one counter
-            self.metrics.record_access(primary_kind, node_id, n_primary)
-            return
-        n_remote = self._occupy_servers(server_counts) if server_counts else 0
-        self.metrics.record_access_batch(node_id, {
-            primary_kind: n_primary,
-            "pull.local_server": n_refresh - n_remote,
-            "pull.remote": n_remote,
-        })
-        if n_remote:
-            self.metrics.increment("network.messages", 2 * n_remote,
-                                   node=node_id)
-            self.metrics.increment("network.bytes",
-                                   n_remote * self._cached_value_bytes,
-                                   node=node_id)
-
-    # --------------------------------------------------------- scalar oracle
-    def _pull_scalar(self, worker: WorkerContext, state: _NodeReplicaState,
-                     keys: np.ndarray, worker_clock: int) -> np.ndarray:
-        """Per-key reference implementation of :meth:`pull`."""
-        values = np.empty((len(keys), self.store.value_length), dtype=np.float32)
-        for i, key in enumerate(keys):
-            key = int(key)
-            fresh = (
-                state.replica_mask[key]
-                and state.replica_clock[key] >= worker_clock - self.staleness
-            )
-            if fresh:
-                values[i] = state.replica_values[key]
-                self._charge_intra_process(worker, 1, "pull.replica")
-            else:
-                values[i] = self._refresh_replica(worker, state, key, worker_clock)
-        return values
-
-    def _push_scalar(self, worker: WorkerContext, state: _NodeReplicaState,
-                     keys: np.ndarray, deltas: np.ndarray,
-                     worker_clock: int) -> None:
-        """Per-key reference implementation of :meth:`push`."""
-        state.pending_updates.append(np.asarray(keys, dtype=np.int64))
-        for key, delta in zip(keys, deltas):
-            key = int(key)
-            if not state.replica_mask[key]:
-                # Writing to a parameter that was never pulled: create the
-                # replica first (Petuum reads-before-writes via the cache).
-                self._refresh_replica(worker, state, key, worker_clock)
-            state.replica_values[key] = state.replica_values[key] + delta
-            state.update_values[key] = state.update_values[key] + delta
-            state.update_mask[key] = True
-            self._charge_intra_process(worker, 1, "push.replica")
-
     # ------------------------------------------------------------- internals
-    def _refresh_replica(self, worker: WorkerContext, state: _NodeReplicaState,
-                         key: int, worker_clock: int) -> np.ndarray:
-        """Synchronously (re)fetch ``key`` from its owning server."""
-        owner = self.partitioner.owner(key)
-        if owner == worker.node_id:
-            self._charge_intra_process(worker, 1, "pull.local_server")
-        else:
-            self._charge_remote(worker, 1, "pull", server_id=owner)
-        value = self.store.get_single(key)
-        if state.update_mask[key]:
-            value = value + state.update_values[key]
-        state.replica_values[key] = value
-        state.replica_mask[key] = True
-        state.replica_clock[key] = worker_clock
-        return value.copy()
-
     def _flush_node(self, node_id: int, state: _NodeReplicaState) -> None:
         """Send the node's buffered updates to the owning servers."""
         if not state.pending_updates:
@@ -615,32 +450,17 @@ class ReplicationPS(ParameterServer):
         """Drop the leaving node's replica state."""
         self._nodes.pop(node_id, None)
 
-    # --------------------------------------------------------------- charging
-    def _charge_intra_process(self, worker: WorkerContext, count: int, kind: str) -> None:
-        if count <= 0:
-            return
-        cost = count * self.network.local_access_cost * INTRA_PROCESS_FACTOR
-        worker.clock.advance(cost)
-        self.metrics.record_access(kind, worker.node_id, count)
-
 
 class _ReplicationPointCharger(ChunkValues):
-    """Exact per-point charge replay for a chunk of direct and sampling
-    accesses.
+    """The replication PS's access-charging fold.
 
-    A worker's clock is fixed inside a chunk (``advance_clock`` follows it),
-    so one :meth:`ReplicationPS._refresh` over the whole chunk charges it:
-    the *first* occurrence of each key without a fresh replica refreshes at
-    its position and is fresh from then on; every other access costs one
-    intra-process message. A point's pulls walk its ``[direct | sample]``
-    positions in order, its pushes cost one intra-process message per key.
-    The refreshed values install in one batch before the value pass. That
-    is exact: sampling is application-side — the base class's
-    ``prepare_sample`` fixes the keys, ``pull_sample``/``push_sample`` are
-    plain ``pull``/``push`` —, no flush runs inside a chunk, and a key's
-    first access in a chunk is a pull that precedes every push to it (a
-    point only pushes keys it pulled), so the store row and the node's
-    buffered update it reads are the pre-chunk ones.
+    A worker's clock is fixed inside a chunk (``advance_clock`` follows
+    it), so one :meth:`ReplicationPS._refresh` over the chunk's calls finds
+    every refresh: a pull position that refreshes costs its refresh instead
+    of the intra-process message, a push position that creates its replica
+    costs the creation before its message, and every other access costs one
+    intra-process message. No flush runs inside a chunk, so the values the
+    refreshes install are the pre-chunk ones.
 
     Counters aggregate into one write per round. Server occupancy is applied
     per chunk instead: ESSP's eager refresh adds a different constant to the
@@ -649,9 +469,10 @@ class _ReplicationPointCharger(ChunkValues):
 
     Values live in the node's replica: :meth:`read` serves
     ``replica_values``, :meth:`add` lands in ``replica_values`` and
-    ``update_values``; the chunk's keys enter ``update_mask`` and
-    ``pending_updates`` once, when it is charged, and are translated to the
-    node's rows (:meth:`_NodeReplicaState.at`) once for the whole value pass.
+    ``update_values``; the pushed keys enter ``update_mask`` and
+    ``pending_updates`` once, when the chunk is charged, and the chunk's
+    keys are translated to the node's rows (:meth:`_NodeReplicaState.at`)
+    once for the whole value pass.
     """
 
     __slots__ = ("acc", "values", "updates", "gather")
@@ -661,64 +482,77 @@ class _ReplicationPointCharger(ChunkValues):
         self.acc = RoundAccounting()
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                     direct_widths: list, sample_widths: list,
-                     compute_costs: list) -> None:
-        """Charge one worker's chunk: per point, its calls + compute.
-
-        Point ``i`` owns the next ``direct_widths[i]`` direct keys followed
-        by ``sample_widths[i]`` sample keys. Also binds the keys for the
-        value pass.
-        """
+                     calls) -> None:
+        """Charge one worker's chunk, call by call (see the class), and
+        bind its keys for the value pass."""
         ps = self.ps
         node_id = worker.node_id
         state = ps._nodes[node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
-        positions, costs, server_counts = ps._refresh(
-            node_id, state, keys, worker_clock, worker_clock - ps.staleness)
+        events, server_counts = ps._refresh(node_id, state, keys, calls,
+                                            worker_clock)
         self._bind(keys)
-        n = len(keys)
-        if n == 0:
-            return
-
-        intra_cost = ps._intra_process_cost
-        if costs is None:
-            costs = [intra_cost] * n
         # Applied now, not at the end of the round: see the class docstring.
         n_remote = ps._occupy_servers(server_counts) if server_counts else 0
 
+        intra_cost = ps._intra_process_cost
         scale = worker.compute_scale
         now = worker.clock.now
-        position = 0
-        for n_direct, n_sample, compute in zip(direct_widths, sample_widths,
-                                               compute_costs):
-            end = position + n_direct + n_sample
-            for cost in costs[position:end]:  # the pulls
-                now += cost
-            for _ in range(position, end):  # the pushes
-                now += intra_cost
-            now += compute * scale
-            position = end
+        widths = [0, 0]  # pulled, pushed
+        pull_refreshes = 0
+        pushed = []  # the push spans, joined where one continues another
+        for call, (kind, lo, hi, compute) in enumerate(calls):
+            writes = kind >> 1
+            widths[writes] += hi - lo
+            refreshing = events.get(call) if events else None
+            if refreshing is None:
+                for _ in range(lo, hi):
+                    now += intra_cost
+            elif writes:  # a creation, before its push's message
+                for position in range(lo, hi):
+                    cost = refreshing.get(position)
+                    if cost is not None:
+                        now += cost
+                    now += intra_cost
+            else:
+                pull_refreshes += len(refreshing)
+                for position in range(lo, hi):
+                    now += refreshing.get(position, intra_cost)
+            if writes and hi > lo:
+                if pushed and pushed[-1][1] == lo:
+                    pushed[-1] = (pushed[-1][0], hi)
+                else:
+                    pushed.append((lo, hi))
+            if compute:
+                now += compute * scale
         worker.clock.advance_to(now)
 
-        state.pending_updates.append(keys)
         # From here on ``keys`` index the node's arrays (sparse: pool rows,
         # translated once for the whole value pass; nothing materializes on
         # this node before the next chunk is charged).
-        self.keys, at = state.at(self.keys, writable=True)
+        self.keys, at = state.at(self.keys, writable=bool(pushed))
         if at is not state:
             self.keys_list = self.keys.tolist()
         self.values, self.updates = at.replica_values, at.update_values
         # Sparse: the pool field's gather; dense: ``None``, ``read`` takes
         # straight from the array (one call less per point).
         self.gather = None if at is state else state.replica_values.gather
-        at.update_mask[self.keys] = True
+        if pushed == [(0, len(keys))]:  # every key pushed: the tasks' chunks
+            at.update_mask[self.keys] = True
+            state.pending_updates.append(keys)
+        elif pushed:
+            covered = np.zeros(len(keys), dtype=bool)
+            for lo, hi in pushed:
+                covered[lo:hi] = True
+            at.update_mask[self.keys[covered]] = True
+            state.pending_updates.append(keys[covered])
 
-        n_refresh = len(positions)
+        n_refresh = sum(map(len, events.values()))
         acc = self.acc
-        acc.add_access(node_id, "pull.replica", n - n_refresh)
+        acc.add_access(node_id, "pull.replica", widths[0] - pull_refreshes)
         acc.add_access(node_id, "pull.local_server", n_refresh - n_remote)
         acc.add_access(node_id, "pull.remote", n_remote)
-        acc.add_access(node_id, "push.replica", n)
+        acc.add_access(node_id, "push.replica", widths[1])
         if n_remote:
             acc.add_counter(node_id, "network.messages", 2 * n_remote)
             acc.add_counter(node_id, "network.bytes",
@@ -738,3 +572,6 @@ class _ReplicationPointCharger(ChunkValues):
     def finish(self) -> None:
         """Write the round's aggregated counters."""
         self.acc.flush(self.ps, 0.0)
+
+
+ReplicationPS._charger = _ReplicationPointCharger

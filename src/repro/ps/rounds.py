@@ -5,17 +5,18 @@ call chain ``localize(hint) -> pull(keys) -> push(keys, deltas) ->
 advance_clock()`` per data point. The production round path rests on one
 observation: access *charging* is value-independent — costs depend on keys,
 ownership, and replica state, never on pushed values. A whole worker chunk
-is therefore charged in one replay of its exact per-call cost sequence
-(``charge_chunk`` on the point chargers — one shape for every task, a
-direct-access point being a sampling point with no samples; see
+is therefore charged by one fold over its *call list* (``charge_chunk`` on
+the point chargers: per call its kind, its ``[lo, hi)`` span of the chunk's
+keys and the compute charge that follows it; see
 :meth:`repro.ps.base.ParameterServer.direct_point_charger`), at its slot in
 worker order and against live state, while everything order-free is batched:
 additive metric counters aggregate into one write per round
 (:class:`RoundAccounting`), and server occupancy charged as repeated
-additions of one constant sums across chunks. All clock folds use the exact
-left-to-right additions of :mod:`repro.simulation.clock`, so the replay is
-bit-identical to the per-call chain
-(:func:`repro.ml.task.sequential_process_round`, the oracle).
+additions of one constant sums across chunks. A single ``pull``/``push`` is
+a one-call chunk of the same fold. All clock folds use the exact
+left-to-right additions of :mod:`repro.simulation.clock`, so a chunk charges
+bit-identically to its calls issued one by one
+(:func:`repro.ml.task.sequential_process_round`).
 
 Values keep the sequential order: the points read and write current rows
 through the charger's :class:`ChunkValues` ``read``/``add``, one gather and
@@ -31,11 +32,18 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "PULL",
+    "PULL_SAMPLE",
+    "PUSH",
+    "PUSH_SAMPLE",
     "RoundAccounting",
     "ChunkValues",
-    "segment_bounds",
-    "segment_counts",
+    "point_calls",
 ]
+
+#: The kinds of a call-list entry: bit 1 is set for writes (``push``), bit 0
+#: for sampling access (``pull_sample``/``push_sample``).
+PULL, PULL_SAMPLE, PUSH, PUSH_SAMPLE = range(4)
 
 
 class RoundAccounting:
@@ -120,25 +128,29 @@ class ChunkValues:
         self.ps.store.add_rows(keys, deltas, keys_list)
 
 
-def segment_bounds(direct_widths, sample_widths) -> np.ndarray:
-    """Cumulative offsets of a chunk's ``[direct | sample]`` key segments.
+def point_calls(direct_widths, sample_widths, compute_costs) -> list:
+    """The call list of a chunk laid out per data point as its direct keys
+    followed by its sample keys.
 
-    Point ``i`` owns flat positions ``bounds[2i]:bounds[2i + 1]`` (direct
-    access) and ``bounds[2i + 1]:bounds[2i + 2]`` (sampling access).
+    Per point: ``pull(direct)``, ``pull_sample``, ``push(direct)``,
+    ``push_sample`` and the point's compute charge after the last of them,
+    as ``(kind, lo, hi, compute)`` entries; a point without samples has no
+    sampling calls (matrix factorization's two-key points).
     """
-    widths = np.empty(2 * len(direct_widths) + 1, dtype=np.int64)
-    widths[0] = 0
-    widths[1::2] = direct_widths
-    widths[2::2] = sample_widths
-    return np.cumsum(widths)
-
-
-def segment_counts(mask: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """How many ``mask`` positions are set in each segment of ``bounds``.
-
-    Entry ``2i`` counts point ``i``'s direct segment, ``2i + 1`` its sample
-    segment.
-    """
-    cumulative = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(mask, out=cumulative[1:])
-    return np.diff(cumulative[bounds])
+    calls = []
+    position = 0
+    for n_direct, n_sample, compute in zip(direct_widths, sample_widths,
+                                           compute_costs):
+        split = position + n_direct
+        if n_sample:
+            end = split + n_sample
+            calls += ((PULL, position, split, 0.0),
+                      (PULL_SAMPLE, split, end, 0.0),
+                      (PUSH, position, split, 0.0),
+                      (PUSH_SAMPLE, split, end, compute))
+        else:
+            end = split
+            calls += ((PULL, position, split, 0.0),
+                      (PUSH, position, split, compute))
+        position = end
+    return calls

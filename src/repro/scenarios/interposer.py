@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.faults.errors import DeadOwnerError, PartitionedOwnerError
 from repro.ps.base import PullResult, SampleHandle
-from repro.ps.rounds import segment_bounds
 from repro.scenarios.remap import KeyRemapper, RemappedDistribution
 from repro.simulation.cluster import WorkerContext
 
@@ -78,22 +77,20 @@ class _RemappedPointCharger:
         self.read, self.add, self.finish = inner.read, inner.add, inner.finish
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
-                     direct_widths: list, sample_widths: list,
-                     compute_costs: list) -> None:
-        # Only the direct segments are logical: a handle's sample keys are
-        # physical already (``RemappedDistribution.sample`` translates them).
-        if any(sample_widths):
-            bounds = segment_bounds(direct_widths, sample_widths)
-            is_direct = np.zeros(len(bounds) - 1, dtype=bool)
-            is_direct[0::2] = True
-            direct = np.repeat(is_direct, np.diff(bounds))
+                     calls) -> None:
+        # Only the keys of direct calls are logical: a handle's sample keys
+        # are physical already (``RemappedDistribution.sample`` translates
+        # them).
+        sampled = [(lo, hi) for kind, lo, hi, _ in calls if kind & 1]
+        if sampled:
+            direct = np.ones(len(keys), dtype=bool)
+            for lo, hi in sampled:
+                direct[lo:hi] = False
             physical = np.array(keys, dtype=np.int64)
             physical[direct] = self._remapper.to_physical(physical[direct])
         else:
             physical = self._remapper.to_physical(keys)
-        self._inner.charge_chunk(
-            worker, physical, direct_widths, sample_widths, compute_costs
-        )
+        self._inner.charge_chunk(worker, physical, calls)
 
 
 class ScenarioParameterServer:

@@ -1,0 +1,299 @@
+"""The per-key scalar reference of every architecture's access charging.
+
+Production charges every access through one fold per architecture, the
+point charger's ``charge_chunk`` over a chunk's call list; a ``pull`` or
+``push`` is a one-call chunk of it. The subclasses here are the independent
+reference those folds are tested against: their ``pull``/``push`` (and
+NuPS's sampling calls) charge the way the architectures are defined, key by
+key where the definition is per key (relocation, replication, NuPS's
+relocated keys) and call by call where it groups (a call's local keys as one
+product, its remote keys per serving node in ascending order), with their
+own cost lookups and metric writes, and move values through the store API
+directly. Their ``direct_point_charger`` answers ``None``, so a round on an
+oracle runs call by call (:func:`repro.ml.task.sequential_process_round`).
+
+Test-only: nothing in ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.nups import NuPS
+from repro.ps.classic import ClassicPS
+from repro.ps.local import SingleNodePS
+from repro.ps.relocation import RelocationPS
+from repro.ps.replication import INTRA_PROCESS_FACTOR, ReplicationPS
+
+__all__ = [
+    "ScalarClassicPS",
+    "ScalarNuPS",
+    "ScalarRelocationPS",
+    "ScalarReplicationPS",
+    "ScalarSingleNodePS",
+    "oracle_of",
+]
+
+
+def charge_local(ps, worker, count: int, kind: str) -> None:
+    """Charge ``count`` shared-memory accesses to the worker."""
+    if count <= 0:
+        return
+    worker.clock.advance(count * ps.network.local_access_cost)
+    ps.metrics.record_access(f"{kind}.local", worker.node_id, count)
+
+
+def charge_remote(ps, worker, count: int, kind: str, server_id: int) -> None:
+    """Charge ``count`` classic remote accesses (two messages each) served
+    by ``server_id``, whose request thread each of them occupies."""
+    if count <= 0:
+        return
+    value_bytes = ps.store.value_bytes()
+    worker.clock.advance(count * ps.network.remote_access_cost(value_bytes))
+    if server_id != worker.node_id:
+        ps.cluster.node(server_id).server_clock.advance(
+            count * ps.network.server_occupancy(value_bytes))
+    ps.metrics.record_access(f"{kind}.remote", worker.node_id, count)
+    ps.metrics.increment("network.messages", 2 * count, node=worker.node_id)
+    ps.metrics.increment("network.bytes", count * value_bytes,
+                         node=worker.node_id)
+
+
+def no_replay(ps, distribution_id=None):
+    """``direct_point_charger`` of every oracle: rounds run call by call."""
+    return None
+
+
+def pull_per_call(ps, worker, keys):
+    """``pull`` charged by the oracle's ``_charge``, values from the store."""
+    keys = np.asarray(keys, dtype=np.int64)
+    ps._trace_access("pull", worker, keys)
+    ps._charge(worker, keys, "pull")
+    return ps.store.get(keys)
+
+
+def push_per_call(ps, worker, keys, deltas):
+    """``push`` charged by the oracle's ``_charge``, values to the store."""
+    keys, deltas = ps._validate_push(keys, deltas)
+    ps._trace_access("push", worker, keys)
+    ps._charge(worker, keys, "push")
+    ps.store.add(keys, deltas)
+
+
+class ScalarSingleNodePS(SingleNodePS):
+    """Every call: its key count times the shared-memory access cost."""
+
+    direct_point_charger, pull, push = no_replay, pull_per_call, push_per_call
+
+    def _charge(self, worker, keys, kind):
+        charge_local(self, worker, len(keys), kind)
+
+
+class ScalarClassicPS(ClassicPS):
+    """Every call: its home-partition keys as one shared-memory product,
+    then its remote keys per serving node, in ascending node order."""
+
+    direct_point_charger, pull, push = no_replay, pull_per_call, push_per_call
+
+    def _charge(self, worker, keys, kind):
+        counts = {}
+        for key in keys.tolist():
+            owner = self.partitioner.owner(key)
+            counts[owner] = counts.get(owner, 0) + 1
+        charge_local(self, worker, counts.pop(worker.node_id, 0), kind)
+        for server in sorted(counts):
+            charge_remote(self, worker, counts[server], kind, server)
+
+
+class ScalarRelocationPS(RelocationPS):
+    """Relocation key by key: hints, local accesses with their arrival
+    waits, remote accesses routed via the home node."""
+
+    direct_point_charger, pull, push = no_replay, pull_per_call, push_per_call
+
+    def _relocate_batch(self, node_id, keys, worker_clock=None,
+                        sampling=False):
+        background = self.cluster.node(node_id).background_clock
+        value_bytes = self.store.value_bytes()
+        relocation_latency = self.network.relocation_cost(value_bytes)
+        occupancy = self.network.relocation_occupancy(value_bytes)
+        for key in keys.tolist():
+            if self.current_owner[key] == node_id:
+                continue
+            # The node's communication thread is busy for ``occupancy`` per
+            # relocation; the key arrives one protocol round trip after the
+            # request leaves, or when the thread is done, whichever is later.
+            start = background.now if worker_clock is None \
+                else max(worker_clock, background.now)
+            background.advance_to(start + occupancy)
+            self.current_owner[key] = node_id
+            self.arrival_time[key] = max(start + relocation_latency,
+                                         background.now)
+            self.metrics.increment("relocation.count", 1, node=node_id)
+            if sampling:
+                self.metrics.increment("relocation.sampling", 1, node=node_id)
+            self.metrics.increment("network.messages", 3, node=node_id)
+            self.metrics.increment("network.bytes", value_bytes, node=node_id)
+
+    def _charge(self, worker, keys, kind):
+        node_id = worker.node_id
+        for key in keys.tolist():
+            if self.current_owner[key] == node_id:
+                arrival = self.arrival_time[key]
+                if arrival > worker.clock.now:
+                    # On its way here: wait for the relocation, then access
+                    # through shared memory.
+                    worker.clock.advance_to(arrival)
+                    self.metrics.increment("relocation.waits", 1,
+                                           node=node_id)
+                charge_local(self, worker, 1, kind)
+            else:
+                self._charge_routed_remote(worker, key, kind)
+
+    def _charge_routed_remote(self, worker, key, kind):
+        """Two messages while the key is at its home node, three when the
+        home node forwards to where it was relocated."""
+        node_id = worker.node_id
+        value_bytes = self.store.value_bytes()
+        owner = int(self.current_owner[key])
+        messages = 2 if owner == self.partitioner.owner(key) else 3
+        worker.clock.advance((messages - 1) * self.network.message_cost(0)
+                             + self.network.message_cost(value_bytes))
+        self.cluster.node(owner).server_clock.advance(
+            self.network.server_occupancy(value_bytes))
+        self.metrics.record_access(f"{kind}.remote", node_id, 1)
+        self.metrics.increment("network.messages", messages, node=node_id)
+        self.metrics.increment("network.bytes", value_bytes, node=node_id)
+
+
+class ScalarNuPS(NuPS):
+    """NuPS call by call: a call's replicated keys as one shared-memory
+    product on the node's replica, then its relocated keys key by key."""
+
+    direct_point_charger = no_replay
+    _relocate_batch = ScalarRelocationPS._relocate_batch
+    _charge = ScalarRelocationPS._charge
+    _charge_routed_remote = ScalarRelocationPS._charge_routed_remote
+
+    def pull(self, worker, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        self._trace_access("pull", worker, keys)
+        return self._pull(worker, keys, sampling=False)
+
+    def push(self, worker, keys, deltas):
+        keys, deltas = self._validate_push(keys, deltas)
+        self._trace_access("push", worker, keys)
+        self._push(worker, keys, deltas, sampling=False)
+
+    def pull_keys(self, worker, keys, sampling=True):
+        return self._pull(worker, np.asarray(keys, dtype=np.int64), sampling)
+
+    def push_sample(self, worker, keys, deltas):
+        keys, deltas = self._validate_push(keys, deltas)
+        self._push(worker, keys, deltas, sampling=True)
+
+    def _pull(self, worker, keys, sampling):
+        if not sampling and self.access_observer is not None:
+            self.access_observer.observe(keys)
+        kind = "sample" if sampling else "pull"
+        replicated = self.plan.replicated_mask(keys)
+        values = self.store.get(keys)
+        if replicated.any():
+            values[replicated] = self.replica_manager.pull(
+                worker.node_id, keys[replicated])
+            charge_local(self, worker, int(replicated.sum()),
+                         f"{kind}.replica")
+        relocated = keys[~replicated]
+        self._charge(worker, relocated, kind)
+        if not sampling:
+            self._recent_direct[worker.node_id].extend(relocated.tolist())
+        return values
+
+    def _push(self, worker, keys, deltas, sampling):
+        if not sampling and self.access_observer is not None:
+            self.access_observer.observe(keys)
+        kind = "sample_push" if sampling else "push"
+        replicated = self.plan.replicated_mask(keys)
+        if replicated.any():
+            self.replica_manager.push(worker.node_id, keys[replicated],
+                                      deltas[replicated])
+            charge_local(self, worker, int(replicated.sum()),
+                         f"{kind}.replica")
+        self._charge(worker, keys[~replicated], kind)
+        self.store.add(keys[~replicated], deltas[~replicated])
+
+
+class ScalarReplicationPS(ReplicationPS):
+    """SSP/ESSP key by key: a fresh replica costs one intra-process
+    message, a stale or missing one refreshes first from its owner."""
+
+    direct_point_charger = no_replay
+
+    def pull(self, worker, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        self._trace_access("pull", worker, keys)
+        state = self._nodes[worker.node_id]
+        worker_clock = state.worker_clocks.get(worker.worker_id, 0)
+        values = np.empty((len(keys), self.store.value_length),
+                          dtype=np.float32)
+        for i, key in enumerate(keys.tolist()):
+            if state.replica_mask[key] and state.replica_clock[key] \
+                    >= worker_clock - self.staleness:
+                values[i] = state.replica_values[key]
+                self._charge_intra_process(worker, "pull.replica")
+            else:
+                values[i] = self._refresh_replica(worker, state, key,
+                                                  worker_clock)
+        return values
+
+    def push(self, worker, keys, deltas):
+        keys, deltas = self._validate_push(keys, deltas)
+        self._trace_access("push", worker, keys)
+        state = self._nodes[worker.node_id]
+        worker_clock = state.worker_clocks.get(worker.worker_id, 0)
+        state.pending_updates.append(keys)
+        for key, delta in zip(keys.tolist(), deltas):
+            if not state.replica_mask[key]:
+                # Petuum reads before it writes: create the replica first.
+                self._refresh_replica(worker, state, key, worker_clock)
+            state.replica_values[key] = state.replica_values[key] + delta
+            state.update_values[key] = state.update_values[key] + delta
+            state.update_mask[key] = True
+            self._charge_intra_process(worker, "push.replica")
+
+    def _refresh_replica(self, worker, state, key, worker_clock):
+        """Synchronously (re)fetch ``key`` from its owning server."""
+        owner = self.partitioner.owner(key)
+        if owner == worker.node_id:
+            self._charge_intra_process(worker, "pull.local_server")
+        else:
+            charge_remote(self, worker, 1, "pull", owner)
+        value = self.store.get_single(key)
+        if state.update_mask[key]:
+            value = value + state.update_values[key]
+        state.replica_values[key] = value
+        state.replica_mask[key] = True
+        state.replica_clock[key] = worker_clock
+        return value.copy()
+
+    def _charge_intra_process(self, worker, kind):
+        worker.clock.advance(
+            1 * self.network.local_access_cost * INTRA_PROCESS_FACTOR)
+        self.metrics.record_access(kind, worker.node_id, 1)
+
+
+#: Production class -> its oracle.
+ORACLES = {
+    SingleNodePS: ScalarSingleNodePS,
+    ClassicPS: ScalarClassicPS,
+    RelocationPS: ScalarRelocationPS,
+    NuPS: ScalarNuPS,
+    ReplicationPS: ScalarReplicationPS,
+}
+
+
+def oracle_of(ps):
+    """Turn the freshly built production PS ``ps`` into its oracle, in
+    place: same state, per-call reference charging."""
+    ps.__class__ = ORACLES[type(ps)]
+    return ps

@@ -214,7 +214,7 @@ class TestAccessStats:
         calls = 0
         now = 0.0
         while calls < 3000:
-            rows, starts, stops = [], [], []
+            rows, spans = [], []
             position = 0
             for _ in range(int(rng.integers(1, 10))):
                 row = rng.integers(0, 40, size=width)
@@ -224,14 +224,12 @@ class TestAccessStats:
                     row = row[:0]     # a point without direct keys
                 gap = rng.integers(0, 40, size=int(rng.integers(0, 3)))
                 rows += [row, gap]    # the gap: keys nobody observes
-                starts.append(position)
-                stops.append(position + len(row))
+                spans += [(position, position + len(row))] * 2
                 position += len(row) + len(gap)
                 for _ in range(2):
                     by_call.observe(row)
                 calls += 2
-            by_chunk.observe_calls(
-                np.concatenate(rows).astype(np.int64), starts, stops, repeat=2)
+            by_chunk.observe_calls(np.concatenate(rows).astype(np.int64), spans)
             if rng.random() < 0.2:
                 now += float(rng.random()) * 0.3
                 by_call.decay_to(now)

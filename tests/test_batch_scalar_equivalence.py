@@ -1,13 +1,14 @@
-"""Loop/scalar equivalence suite for per-call charging.
+"""Fold/scalar equivalence suite for per-call charging.
 
-The relocation, replication and NuPS parameter servers each charge a call
-with one loop over its keys that groups bookkeeping (the default) and keep
-the per-key scalar path behind ``batch_charging=False`` as the reference.
-The loop performs the scalar path's clock additions in the same order, so
-the two must produce *bit-identical* simulated clocks and *identical* metrics
-counters on any workload. This suite replays one deterministic workload —
-with duplicate keys, relocation waits, stale replicas and sampling — on both
-paths, per PS architecture, and asserts exact equality.
+Every architecture charges a ``pull``/``push`` as a one-call chunk of its
+point charger's fold; the per-key scalar reference is the test-only oracle
+subclass of :mod:`scalar_oracle`. The fold performs the reference's clock
+additions in the same order, so the two must produce *bit-identical*
+simulated clocks and *identical* metrics counters on any workload. This
+suite replays one deterministic workload — with duplicate keys, relocation
+waits, stale replicas and sampling — on both, per PS architecture, and
+asserts exact equality; the replication cases also drive call lists of
+several calls through the charger against the oracle's calls one by one.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from repro.core.sampling.schemes import SchemeConfig
 from repro.ps.chunks import StorageConfig
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
+from repro.ps.rounds import PULL, PUSH
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.network import NetworkModel
+from scalar_oracle import oracle_of
 
 NUM_KEYS = 160
 VALUE_LENGTH = 4
@@ -126,7 +129,9 @@ def _run_pair(factory, sampling: bool = False):
     for batch in (True, False):
         cluster = _make_cluster()
         store = _make_store()
-        ps = factory(store, cluster, batch)
+        ps = factory(store, cluster)
+        if not batch:
+            oracle_of(ps)
         dist_id = None
         if sampling:
             weights = 1.0 / np.arange(1, NUM_KEYS + 1) ** 0.9
@@ -144,14 +149,11 @@ def _run_pair(factory, sampling: bool = False):
 
 class TestRelocationEquivalence:
     def test_relocation_batch_matches_scalar(self):
-        _run_pair(lambda store, cluster, batch: RelocationPS(
-            store, cluster, batch_charging=batch
-        ))
+        _run_pair(RelocationPS)
 
     def test_relocation_disabled_batch_matches_scalar(self):
-        _run_pair(lambda store, cluster, batch: RelocationPS(
-            store, cluster, relocation_enabled=False, batch_charging=batch
-        ))
+        _run_pair(lambda store, cluster: RelocationPS(
+            store, cluster, relocation_enabled=False))
 
 
 class TestReplicationEquivalence:
@@ -159,23 +161,21 @@ class TestReplicationEquivalence:
                                           ReplicationProtocol.ESSP])
     @pytest.mark.parametrize("staleness", [0, 2])
     def test_replication_batch_matches_scalar(self, protocol, staleness):
-        _run_pair(lambda store, cluster, batch: ReplicationPS(
-            store, cluster, protocol=protocol, staleness=staleness,
-            batch_charging=batch,
-        ))
+        _run_pair(lambda store, cluster: ReplicationPS(
+            store, cluster, protocol=protocol, staleness=staleness))
 
 
 class TestNuPSEquivalence:
     @staticmethod
     def _factory(scheme_override=None):
-        def build(store, cluster, batch):
+        def build(store, cluster):
             plan = ManagementPlan(NUM_KEYS, np.arange(8, dtype=np.int64))
             config = SamplingConfig(
                 scheme_config=SchemeConfig(pool_size=16, use_frequency=2),
                 scheme_override=scheme_override,
             )
             return NuPS(store, cluster, plan=plan, sampling_config=config,
-                        sync_interval=1e-4, seed=5, batch_charging=batch)
+                        sync_interval=1e-4, seed=5)
         return build
 
     def test_nups_batch_matches_scalar(self):
@@ -217,20 +217,15 @@ class TestLargeBatchEquivalence:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("size", [65, 130, 1000])
     @pytest.mark.parametrize("factory", [
-        lambda store, cluster, batch: RelocationPS(store, cluster,
-                                                   batch_charging=batch),
-        lambda store, cluster, batch: ReplicationPS(store, cluster,
-                                                    staleness=1,
-                                                    batch_charging=batch),
-        lambda store, cluster, batch: NuPS(
+        RelocationPS,
+        lambda store, cluster: ReplicationPS(store, cluster, staleness=1),
+        lambda store, cluster: NuPS(
             store, cluster,
             plan=ManagementPlan(NUM_KEYS, np.arange(8, dtype=np.int64)),
-            sync_interval=1e-4, seed=5, batch_charging=batch,
+            sync_interval=1e-4, seed=5,
         ),
-        lambda store, cluster, batch: ReplicationPS(
-            store, cluster, protocol=ReplicationProtocol.ESSP, staleness=1,
-            batch_charging=batch,
-        ),
+        lambda store, cluster: ReplicationPS(
+            store, cluster, protocol=ReplicationProtocol.ESSP, staleness=1),
     ])
     def test_large_batches_match_scalar(self, factory, size, backend):
         results = {}
@@ -239,7 +234,9 @@ class TestLargeBatchEquivalence:
             store = ParameterStore(
                 NUM_KEYS, VALUE_LENGTH, seed=7, init_scale=0.1,
                 storage=StorageConfig(backend=backend, chunk_rows=16))
-            ps = factory(store, cluster, batch)
+            ps = factory(store, cluster)
+            if not batch:
+                oracle_of(ps)
             results[batch] = (cluster, store,
                               self._drive_large(ps, cluster, size))
         cluster_b, store_b, replicas_b = results[True]
@@ -255,7 +252,9 @@ class TestBatchDuplicatesAndWaits:
         for batch in (True, False):
             cluster = _make_cluster()
             store = _make_store()
-            ps = RelocationPS(store, cluster, batch_charging=batch)
+            ps = RelocationPS(store, cluster)
+            if not batch:
+                oracle_of(ps)
             worker = cluster.worker(0, 0)
             keys = np.array([5, 5, 150, 150, 5, 42], dtype=np.int64)
             ps.localize(worker, keys)
@@ -288,8 +287,9 @@ class TestBatchDuplicatesAndWaits:
             store = ParameterStore(
                 NUM_KEYS, VALUE_LENGTH, seed=7, init_scale=0.1,
                 storage=StorageConfig(backend=backend, chunk_rows=16))
-            ps = ReplicationPS(store, cluster, protocol=protocol, staleness=0,
-                               batch_charging=batch)
+            ps = ReplicationPS(store, cluster, protocol=protocol, staleness=0)
+            if not batch:
+                oracle_of(ps)
             worker = cluster.worker(0, 0)
             local, remote = ps.partitioner.keys_of(0), ps.partitioner.keys_of(2)
             stale = np.array([remote[0], local[0]])
@@ -305,6 +305,65 @@ class TestBatchDuplicatesAndWaits:
                          _replica_state(ps)))
             assert cluster.metrics.get("access.pull.remote") == 3
             assert cluster.metrics.get("access.pull.local_server") == 3
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("protocol", list(ReplicationProtocol))
+    def test_replication_call_list_matches_the_calls(self, protocol, backend):
+        """One chunk of calls no task issues, through the charger, against
+        the oracle's calls one by one: a ``push`` of keys without a replica
+        (each created once, before its intra-process message), then a
+        ``pull`` of a stale key twice, a pull of the created keys and a
+        push of the refreshed ones. Remote and node-local keys of each."""
+        network = NetworkModel(latency=0.3e-3 / 7, local_access_cost=0.1e-6 / 3)
+        runs = []
+        for oracle in (False, True):
+            cluster = Cluster(ClusterConfig(
+                num_nodes=NUM_NODES, workers_per_node=WORKERS_PER_NODE,
+                network=network))
+            store = ParameterStore(
+                NUM_KEYS, VALUE_LENGTH, seed=7, init_scale=0.1,
+                storage=StorageConfig(backend=backend, chunk_rows=16))
+            ps = ReplicationPS(store, cluster, protocol=protocol, staleness=0)
+            if oracle:
+                oracle_of(ps)
+            worker = cluster.worker(0, 0)
+            local, remote = ps.partitioner.keys_of(0), ps.partitioner.keys_of(2)
+            stale = np.array([remote[0], local[0]])
+            ps.pull(worker, stale)
+            ps.push(worker, stale, np.full((2, VALUE_LENGTH), 0.5, np.float32))
+            # One worker of two clocks: no flush, no eager refresh.
+            ps.advance_clock(worker)
+            missing = np.array([remote[1], local[1], remote[2], local[2],
+                                remote[3], local[3]])
+            keys = np.concatenate([missing, missing, stale, stale])
+            calls = [(PUSH, 0, 12, 1e-6), (PULL, 12, 16, 2e-6),
+                     (PULL, 0, 6, 0.0), (PUSH, 12, 14, 3e-6)]
+            deltas = {0: np.ones((12, VALUE_LENGTH), np.float32),
+                      3: np.full((2, VALUE_LENGTH), 0.25, np.float32)}
+            seen = []
+            if oracle:
+                for call, (kind, lo, hi, compute) in enumerate(calls):
+                    if kind == PULL:
+                        seen.append(ps.pull(worker, keys[lo:hi]))
+                    else:
+                        ps.push(worker, keys[lo:hi], deltas[call])
+                    worker.charge_compute(compute)
+            else:
+                charger = ps.direct_point_charger()
+                charger.charge_chunk(worker, keys, calls)
+                for call, (kind, lo, hi, _) in enumerate(calls):
+                    if kind == PULL:
+                        seen.append(charger.read(lo, hi))
+                    else:
+                        charger.add(lo, hi, deltas[call])
+                charger.finish()
+            runs.append((worker.clock.now, cluster.node(2).server_clock.now,
+                         cluster.metrics.counters(),
+                         [values.tobytes() for values in seen],
+                         _replica_state(ps)))
+            assert cluster.metrics.get("access.pull.remote") == 5
+            assert cluster.metrics.get("access.pull.local_server") == 5
         assert runs[0] == runs[1]
 
     def test_wait_happens_once_per_relocation(self):

@@ -10,6 +10,7 @@ convention machine-enforced so new modules cannot silently drop it.
 
 import ast
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -220,17 +221,17 @@ def test_one_delegating_wrapper():
 
 
 # ---------------------------------------------------------- point chargers
-CHARGE_CHUNK_ARGS = ["self", "worker", "keys", "direct_widths",
-                     "sample_widths", "compute_costs"]
+CHARGE_CHUNK_ARGS = ["self", "worker", "keys", "calls"]
 
 
 def test_one_charging_method():
     """Every point charger has one charging method with one signature.
 
-    A direct-access chunk is a sampling chunk with zero-width sample
-    segments, so no class of ``src/repro`` defines a second method for it
-    (``charge_sampling_chunk``), and every ``charge_chunk`` takes the
-    segmented layout.
+    A chunk is a call list — per call its kind, its key span and the
+    compute charge after it — and a single ``pull``/``push`` is a one-call
+    chunk, so no class of ``src/repro`` defines a second method for a kind
+    of chunk (``charge_sampling_chunk``), and every ``charge_chunk`` takes
+    the call list.
     """
     offenders = []
     chargers = 0
@@ -255,3 +256,63 @@ def test_one_charging_method():
                         offenders.append(f"{where}({', '.join(args)})")
     assert chargers >= 6, "the point chargers were not found"
     assert not offenders, "\n".join(offenders)
+
+
+def test_no_scalar_reference_in_src():
+    """The per-key scalar reference lives in ``tests/scalar_oracle.py``:
+    no module of ``src/repro`` names ``batch_charging`` or defines a
+    ``*_scalar`` function or method."""
+    offenders = []
+    for path, tree in _parsed_trees().items():
+        if SRC_ROOT not in path.parents:
+            continue
+        if "batch_charging" in path.read_text():
+            offenders.append(f"{path.relative_to(REPO_ROOT)}: batch_charging")
+        offenders += [
+            f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.endswith("_scalar")
+        ]
+    assert not offenders, "\n".join(offenders)
+
+
+# ------------------------------------------------------------ CHANGES.md
+#: Entries of this PR and later ones are capped; older ones predate the cap.
+CHANGES_CAP_FROM_PR = 32
+CHANGES_MAX_LINES = 10
+CHANGES_MAX_BYTES = 2048
+
+
+def changes_entries(text: str) -> dict:
+    """``{pr: entry}`` of CHANGES.md: an entry is a ``- PR <n> ...`` line
+    and the indented lines that continue it."""
+    entries = {}
+    current = None
+    for line in text.splitlines():
+        match = re.match(r"- PR (\d+)\b", line)
+        if match:
+            current = int(match.group(1))
+            entries[current] = [line]
+        elif current is not None and line[:1].isspace() and line.strip():
+            entries[current].append(line)
+        else:
+            current = None
+    return {pr: "\n".join(lines) for pr, lines in entries.items()}
+
+
+def test_changes_entries_are_capped():
+    """Every CHANGES.md entry from PR 32 on is at most ten lines and 2 KB."""
+    entries = changes_entries((REPO_ROOT / "CHANGES.md").read_text())
+    assert len(entries) >= 20, "the CHANGES.md entries were not found"
+    capped = {pr: entry for pr, entry in entries.items()
+              if pr >= CHANGES_CAP_FROM_PR}
+    assert capped, "no entry under the cap"
+    too_long = [
+        f"PR {pr}: {entry.count(chr(10)) + 1} lines, "
+        f"{len(entry.encode())} bytes"
+        for pr, entry in capped.items()
+        if entry.count("\n") + 1 > CHANGES_MAX_LINES
+        or len(entry.encode()) > CHANGES_MAX_BYTES
+    ]
+    assert not too_long, "\n".join(too_long)

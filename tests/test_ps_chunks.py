@@ -18,6 +18,7 @@ from repro.ps.chunks import (
     StorageConfig,
     flatnonzero_equal,
 )
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import run_experiment
@@ -681,8 +682,8 @@ class TestGathersAreOBatch:
         assert _gather_peak(lambda: ps.pull(worker, batch)) < self.LIMIT
         charger = ps.direct_point_charger()
         points = len(batch) // 2
-        charger.charge_chunk(worker, batch, [2] * points,
-                             [0] * points, [0.0] * points)
+        charger.charge_chunk(worker, batch, point_calls(
+            [2] * points, [0] * points, [0.0] * points))
         assert _gather_peak(lambda: charger.read(0, 2)) < self.LIMIT
         assert _gather_peak(
             lambda: ps.pull(worker, batch + 1)) < self.LIMIT  # refreshes

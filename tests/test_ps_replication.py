@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, ClusterConfig
+from scalar_oracle import oracle_of
 
 
 def make_ps(store, cluster, protocol=ReplicationProtocol.SSP, staleness=1):
@@ -159,12 +161,13 @@ class TestReplicaClockIsGatedByTheMask:
     untouched page on the sparse backend) instead of a "never" sentinel."""
 
     @staticmethod
-    def _run(protocol, batch_charging, poison):
+    def _run(protocol, fold, poison):
         store = ParameterStore(num_keys=300, value_length=4, seed=7,
                                init_scale=0.5)
         cluster = Cluster(ClusterConfig(num_nodes=4, workers_per_node=2))
-        ps = ReplicationPS(store, cluster, protocol=protocol, staleness=1,
-                           batch_charging=batch_charging)
+        ps = ReplicationPS(store, cluster, protocol=protocol, staleness=1)
+        if not fold:
+            oracle_of(ps)
         rng = np.random.default_rng(3)
 
         def poison_unreplicated():
@@ -186,7 +189,7 @@ class TestReplicaClockIsGatedByTheMask:
                     poison_unreplicated()
                     charger.charge_chunk(
                         worker, rng.integers(0, 300, size=(6, 2)).ravel(),
-                        [2] * 6, [0] * 6, [1e-5] * 6)
+                        point_calls([2] * 6, [0] * 6, [1e-5] * 6))
                     for lo in range(0, 12, 2):
                         charger.add(lo, lo + 2, 0.1 * charger.read(lo, lo + 2))
                     charger.finish()
@@ -211,10 +214,10 @@ class TestReplicaClockIsGatedByTheMask:
                 for state in ps._nodes.values()],
         }
 
-    @pytest.mark.parametrize("batch_charging", [True, False])
+    @pytest.mark.parametrize("fold", [True, False])
     @pytest.mark.parametrize("protocol", list(ReplicationProtocol))
     def test_poisoned_clocks_of_unreplicated_keys_change_nothing(
-            self, protocol, batch_charging):
-        clean = self._run(protocol, batch_charging, poison=False)
-        assert clean == self._run(protocol, batch_charging, poison=True)
+            self, protocol, fold):
+        clean = self._run(protocol, fold, poison=False)
+        assert clean == self._run(protocol, fold, poison=True)
         assert clean["metrics"]["access.pull.remote"] > 0

@@ -51,6 +51,7 @@ from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import _WorkerQueue, run_experiment
@@ -60,6 +61,7 @@ from repro.scenarios import KeyRemapper, ScenarioParameterServer, make_scenario
 from repro.scenarios.base import Perturbation, Scenario
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
+from scalar_oracle import oracle_of
 
 NUM_KEYS = 120
 VALUE_LENGTH = 4
@@ -72,33 +74,6 @@ def _cluster(num_nodes=3, workers_per_node=2) -> Cluster:
 
 
 def _ps_builders():
-    def classic(store, cluster):
-        return ClassicPS(store, cluster, seed=0)
-
-    def relocation(store, cluster):
-        return RelocationPS(store, cluster, seed=0)
-
-    def relocation_disabled(store, cluster):
-        return RelocationPS(store, cluster, relocation_enabled=False, seed=0)
-
-    def relocation_oracle(store, cluster):
-        return RelocationPS(store, cluster, seed=0, batch_charging=False)
-
-    def ssp(store, cluster):
-        return ReplicationPS(store, cluster,
-                             protocol=ReplicationProtocol.SSP, staleness=1,
-                             seed=0)
-
-    def essp(store, cluster):
-        return ReplicationPS(store, cluster,
-                             protocol=ReplicationProtocol.ESSP, staleness=1,
-                             seed=0)
-
-    def ssp_oracle(store, cluster):
-        return ReplicationPS(store, cluster,
-                             protocol=ReplicationProtocol.SSP, staleness=1,
-                             seed=0, batch_charging=False)
-
     def nups(store, cluster):
         plan = ManagementPlan(store.num_keys,
                               np.arange(12, dtype=np.int64))
@@ -109,17 +84,12 @@ def _ps_builders():
                     plan=ManagementPlan.relocate_all(store.num_keys),
                     sync_interval=None, seed=0)
 
-    return {
-        "classic": classic,
-        "relocation": relocation,
-        "relocation-disabled": relocation_disabled,
-        "relocation-oracle": relocation_oracle,
-        "ssp": ssp,
-        "essp": essp,
-        "ssp-oracle": ssp_oracle,
-        "nups": nups,
-        "nups-relocate-all": nups_relocate_all,
-    }
+    return {"nups": nups, "nups-relocate-all": nups_relocate_all}
+
+
+def _scalar(ps) -> None:
+    """Turn ``ps`` (below the interposer, if any) into its scalar oracle."""
+    oracle_of(getattr(ps, "inner", ps))
 
 
 def _assert_cluster_identical(a: Cluster, b: Cluster) -> None:
@@ -421,6 +391,8 @@ def _drive_direct(name, replay: bool):
     cluster = _cluster(num_nodes=1 if name == "single-node" else 5)
     store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
     ps = _direct_ps_builders()[name](store, cluster)
+    if not replay:
+        _scalar(ps)
     workers = list(cluster.workers())
     workers[1].compute_scale = 2.5  # a straggler: compute is scaled, access not
     plans = _direct_chunks(np.random.default_rng(23), workers)
@@ -435,8 +407,8 @@ def _drive_direct(name, replay: bool):
         bounds = np.cumsum([0] + widths).tolist()
         if replay:
             charger = ps.direct_point_charger()
-            charger.charge_chunk(worker, keys, widths, [0] * len(widths),
-                                 [3e-6] * len(widths))
+            charger.charge_chunk(worker, keys, point_calls(
+                widths, [0] * len(widths), [3e-6] * len(widths)))
             for lo, hi in zip(bounds, bounds[1:]):
                 seen.append(charger.read(lo, hi))
                 charger.add(lo, hi, deltas[lo:hi])
@@ -457,8 +429,8 @@ def _drive_direct(name, replay: bool):
 @pytest.mark.parametrize("name", sorted(_direct_ps_builders()))
 def test_point_charger_replays_direct_calls(name):
     """A zero-sample ``charge_chunk`` + ``read``/``add`` == a pull and a
-    push per point, on ragged chunks of one- to four-key points with
-    repeated keys, in-flight relocations, replicated
+    push per point on the scalar oracle, on ragged chunks of one- to
+    four-key points with repeated keys, in-flight relocations, replicated
     keys, a straggler and — on SSP/ESSP — chunks that mix fresh replicas,
     stale ones and a repeated key, with flushes and eager refreshes between
     the chunks."""
@@ -492,7 +464,7 @@ def test_replication_charger_applies_server_occupancy_per_chunk():
     worker = cluster.worker(0, 0)
     remote = np.flatnonzero(ps.partitioner.owners(np.arange(NUM_KEYS)) == 2)
     charger = ps.direct_point_charger()
-    charger.charge_chunk(worker, remote[:2], [2], [0], [0.0])
+    charger.charge_chunk(worker, remote[:2], point_calls([2], [0], [0.0]))
     assert cluster.node(2).server_clock.now == 2 * ps._server_occupancy
 
 
@@ -607,18 +579,30 @@ def test_default_config_mf_round_issues_no_pull_or_push(system):
     assert calls["pull"] > 0 and calls["push"] > 0
 
 
-def _oracle_factory(system):
-    """The named system on its scalar per-key reference path."""
-    def factory(store, cluster, task):
-        if system == "lapse":
-            return RelocationPS(store, cluster, seed=0, batch_charging=False)
-        if system == "ssp":
-            return ReplicationPS(store, cluster, staleness=1, seed=0,
-                                 batch_charging=False)
-        plan = ManagementPlan.from_access_counts(task.access_counts(), 20.0)
-        return NuPS(store, cluster, plan=plan, sync_interval=0.001, seed=0,
-                    batch_charging=False)
-    return factory
+@pytest.mark.parametrize("task_name", ["matrix_factorization", "kge"])
+@pytest.mark.parametrize("system", MF_SYSTEMS)
+def test_fused_round_matches_the_oracle_round(system, task_name):
+    """The production round — each architecture's one charging fold,
+    replayed per chunk — against a sequential round on the architecture's
+    scalar oracle (``tests/scalar_oracle.py``): independent code, every bit
+    of state equal, with a straggler, ragged chunks, NuPS's replicated keys
+    and an SSP/ESSP staleness bound of one."""
+    runs = []
+    for oracle in (False, True):
+        task = make_task(task_name, scale="test")
+        factory = _mf_factory(system, task, staleness=1)
+        if oracle:
+            def factory(store, cluster, task, inner=factory):
+                return oracle_of(inner(store, cluster, task))
+        runs.append(_experiment(
+            task_name, system, "sequential" if oracle else "fused",
+            chunk_size=7, straggler=True, task=task, factory=factory))
+    fused, sequential = runs
+    _assert_results_identical(fused, sequential)
+    assert fused.calls == {"pull": 0, "push": 0}
+    assert sequential.calls["pull"] > 0 and sequential.calls["push"] > 0
+    if system == "nups":
+        assert sequential.result.metrics["access.pull.replica.local"] > 0
 
 
 #: One entry per condition under which ``direct_point_charger`` must answer
@@ -626,8 +610,6 @@ def _oracle_factory(system):
 MF_FALLBACKS = {
     "access-events-ssp": dict(system="ssp", telemetry=True),
     "access-events-classic": dict(system="classic", telemetry=True),
-    "scalar-oracle-ssp": dict(factory=_oracle_factory("ssp")),
-    "scalar-oracle-nups": dict(factory=_oracle_factory("nups")),
 }
 
 
@@ -797,6 +779,8 @@ def _drive_sampling(name, replay: bool):
     cluster = _cluster(num_nodes=1 if name == "single-node" else 5)
     store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
     ps = _sampling_ps_builders()[name](store, cluster)
+    if not replay:
+        _scalar(ps)
     distribution_id = ps.register_distribution(UniformDistribution(0, 60),
                                                "bounded")
     workers = list(cluster.workers())
@@ -824,8 +808,8 @@ def _drive_sampling(name, replay: bool):
             if isinstance(ps, ReplicationPS):
                 mixes.append(_replica_mix(ps, worker, keys, direct_widths,
                                           sample_widths))
-            charger.charge_chunk(worker, keys, direct_widths, sample_widths,
-                                 [p[3] for p in points])
+            charger.charge_chunk(worker, keys, point_calls(
+                direct_widths, sample_widths, [p[3] for p in points]))
             lo = 0
             for direct, n_sample, deltas, _ in points:
                 hi = lo + len(direct) + n_sample
@@ -852,7 +836,7 @@ def _drive_sampling(name, replay: bool):
 @pytest.mark.parametrize("name", sorted(_sampling_ps_builders()))
 def test_point_charger_replays_sampling_calls(name):
     """``charge_chunk`` + ``read``/``add`` == the four calls per
-    point, on ragged points with repeated keys, in-flight relocations,
+    point on the scalar oracle, on ragged points with repeated keys, in-flight relocations,
     replicated keys, a straggler and — on SSP/ESSP at each staleness bound
     — chunks that mix fresh, stale, missing and repeated keys, with a key
     sampled before it is accessed directly, and flushes and eager refreshes
@@ -892,11 +876,13 @@ def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
     charger = ClassicPS(store, cluster, seed=0).direct_point_charger(0)
     worker = cluster.worker(0, 0)
     with pytest.raises(IndexError):  # the owner lookup, as in ps.pull
-        charger.charge_chunk(
-            worker, np.array([1, NUM_KEYS + 3]), [1], [1], [0.0])
+        charger.charge_chunk(worker, np.array([1, NUM_KEYS + 3]),
+                             point_calls([1], [1], [0.0]))
     with pytest.raises(KeyError):
-        charger.charge_chunk(worker, np.array([1, -2]), [1], [1], [0.0])
-    charger.charge_chunk(worker, np.array([5, 9, 5]), [2], [1], [0.0])
+        charger.charge_chunk(worker, np.array([1, -2]),
+                             point_calls([1], [1], [0.0]))
+    charger.charge_chunk(worker, np.array([5, 9, 5]),
+                         point_calls([2], [1], [0.0]))
     with pytest.raises(ValueError, match="deltas must have shape"):
         charger.add(0, 3, np.zeros((2, VALUE_LENGTH), dtype=np.float32))
     before = store.get(np.array([5, 9]))
@@ -1027,9 +1013,6 @@ SAMPLING_FALLBACKS = {
         factory=_nups_factory(scheme_override="direct_access_repurposing")),
     "access-events": dict(task="word_vectors", system="lapse", telemetry=True),
     "sampling-not-integrated": dict(system="relocation+replication"),
-    "scalar-oracle-lapse": dict(task="word_vectors",
-                                factory=_oracle_factory("lapse")),
-    "scalar-oracle-nups": dict(factory=_oracle_factory("nups")),
 }
 
 

@@ -13,6 +13,7 @@ from repro.core.sampling.distributions import (
 )
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import _EpochState, run_experiment
@@ -166,7 +167,7 @@ class TestInterposerKeyTranslation:
             lambda: proxy.localize(worker, bad),
         ] + [
             lambda sampled=sampled: proxy.direct_point_charger(sampled)
-            .charge_chunk(worker, bad, [2], [0], [0.0])
+            .charge_chunk(worker, bad, point_calls([2], [0], [0.0]))
             for sampled in (None, distribution_id)
         ]
         before = ps.store.values.copy()
