@@ -44,8 +44,11 @@ from common import (  # noqa: E402
     print_header,
 )
 
-from repro.elastic import ElasticityController  # noqa: E402
-from repro.faults import FaultConfig, ServerCrashes  # noqa: E402
+from repro.faults import (  # noqa: E402
+    FaultConfig,
+    MembershipController,
+    ServerCrashes,
+)
 from repro.runner.config import ExperimentConfig  # noqa: E402
 from repro.runner.experiment import ExperimentResult, run_experiment  # noqa: E402
 from repro.runner.reporting import format_table  # noqa: E402
@@ -150,7 +153,7 @@ def _rebalance_convergence() -> dict:
     cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=2))
     store = ParameterStore(num_keys, 4, seed=0, init_scale=0.1)
     ps = RelocationPS(store, cluster)
-    controller = ElasticityController(ps)
+    controller = MembershipController(ps)
     worst = 0.0
     joins = 3 if FAST else 6
     for _ in range(joins):
@@ -163,7 +166,7 @@ def _rebalance_convergence() -> dict:
     return {
         "joins": joins,
         "final_nodes": len(cluster.active_nodes),
-        "keys_migrated": controller.keys_migrated,
+        "keys_migrated": int(cluster.metrics.get("elastic.migrated_keys")),
         "worst_balance_ratio": worst,
         "bound": BALANCE_BOUND,
     }

@@ -178,7 +178,7 @@ class NuPS(RelocationPS, SamplingHost):
         self.replica_manager.maybe_sync(now)
         if self.integrate_sampling:
             # Dict-driven so membership changes follow along: added nodes are
-            # registered by on_node_added, removed ones stop doing upkeep.
+            # registered by on_node_arrived, removed ones stop doing upkeep.
             for node_id in self._node_rngs:
                 if node_id in self.cluster.removed:
                     continue
@@ -289,7 +289,7 @@ class NuPS(RelocationPS, SamplingHost):
     def value_length(self) -> int:
         return self.store.value_length
 
-    # -------------------------------------------------------------- fault API
+    # --------------------------------------------------------- membership API
     def recover_values(self, keys: np.ndarray) -> tuple:
         """Recover replicated ``keys`` from a surviving node's replica.
 
@@ -308,40 +308,35 @@ class NuPS(RelocationPS, SamplingHost):
             mask = np.zeros(len(keys), dtype=bool)
         return values, mask
 
-    def on_node_restored(self, node_id: int, now: float) -> None:
-        """Repair the rejoining node's replica."""
-        self.replica_manager.refresh_node(node_id)
+    def on_node_arrived(self, node_id: int, available_at: float) -> None:
+        """Seed the arriving node's hot-set replica from the store.
 
-    # --------------------------------------------------------- membership API
-    def on_node_added(self, node_id: int, available_at: float) -> None:
-        """Wire a joining node into replication and sampling.
-
-        The replica manager seeds the node's hot-set replica from the store;
-        sampling gets the node's deterministic RNG and repurpose buffer. The
-        adaptive controller, if attached, re-plans at the next housekeeping.
+        A restored node's replica (and whatever it buffered) died with it,
+        so it is re-seeded like a joining node's. A node new to the PS also
+        gets its deterministic sampling RNG and repurpose buffer, and the
+        adaptive controller, if attached, re-plans at the next housekeeping;
+        a restored node keeps its sampling state, and its crash and restore
+        leave the plan alone.
         """
-        self.replica_manager.add_node(node_id)
-        if node_id not in self._node_rngs:
-            self._node_rngs[node_id] = np.random.default_rng(
-                self._seed * 7919 + node_id + 1
-            )
-            self._recent_direct[node_id] = deque(
-                maxlen=self.sampling_manager.config.scheme_config.repurpose_buffer_size
-            )
+        self.replica_manager.seed_node(node_id)
+        if node_id in self._node_rngs:
+            return
+        self._node_rngs[node_id] = np.random.default_rng(
+            self._seed * 7919 + node_id + 1
+        )
+        self._recent_direct[node_id] = deque(
+            maxlen=self.sampling_manager.config.scheme_config.repurpose_buffer_size
+        )
         if self.adaptive_controller is not None:
             self.adaptive_controller.on_membership_change(available_at)
 
-    def drain_node(self, node_id: int, now: float) -> int:
-        """Flush the leaving node's buffered replica updates (zero loss)."""
-        return self.replica_manager.drop_node(node_id, flush=True)
-
-    def on_node_removed(self, node_id: int, available_at: float) -> None:
-        """Detach the leaving node from replication."""
-        # drain_node already dropped the replica state; make sure it is gone
-        # even if the caller skipped the drain (lossy removal in tests).
-        self.replica_manager.drop_node(node_id, flush=False)
+    def release_node(self, node_id: int, now: float) -> int:
+        """Flush the leaving node's buffered replica updates (zero loss) and
+        detach it from replication."""
+        drained = self.replica_manager.drop_node(node_id)
         if self.adaptive_controller is not None:
-            self.adaptive_controller.on_membership_change(available_at)
+            self.adaptive_controller.on_membership_change(now)
+        return drained
 
     # ------------------------------------------------------------------ reports
     def replica_access_share(self) -> float:

@@ -211,53 +211,36 @@ class ReplicaManager:
             self._buffers[node_id][...] = 0.0
             self._dirty[node_id][:] = False
 
-    def refresh_node(self, node_id: int) -> np.ndarray:
-        """Repair one node's replica from the store's current values.
-
-        Used when a crashed node rejoins: its replica (and any updates it
-        buffered before the crash) is gone, so it re-replicates from the
-        store. Returns the deltas the crash discarded from the node's buffer
-        (callers may account them as lost work); charges nothing — the
-        recovery transition is charged by the fault controller.
-        """
-        if not self.enabled:
-            return np.empty((0, self.store.value_length), dtype=np.float32)
-        dropped = self._buffers[node_id].copy()
-        self._replicas[node_id][...] = self.store.get(self.replicated_keys)
-        self._buffers[node_id][...] = 0.0
-        self._dirty[node_id][:] = False
-        return dropped
-
     # ------------------------------------------------------------- membership
-    def add_node(self, node_id: int) -> None:
-        """Start replicating on a freshly joined node (idempotent).
+    def seed_node(self, node_id: int) -> None:
+        """Replicate on ``node_id`` from the store's current values.
 
-        The new node's replica is seeded from the store's current values —
-        state copied as part of the join transfer, which the elasticity
-        controller charges — with empty buffers, exactly like the initial
-        replication at construction.
+        A joining node starts replicating, and a restored node repairs its
+        replica: its replica and the updates it buffered died in the crash.
+        Either way the replica is seeded from the store with empty buffers,
+        exactly like the initial replication at construction, and nothing is
+        charged — the state copy is part of the transition the membership
+        controller charges.
         """
-        if node_id in self._replicas:
-            return
         initial = self.store.get(self.replicated_keys) if self.num_replicated \
             else np.empty((0, self.store.value_length), dtype=np.float32)
         self._replicas[node_id] = initial
         self._buffers[node_id] = np.zeros_like(initial)
         self._dirty[node_id] = np.zeros(self.num_replicated, dtype=bool)
 
-    def drop_node(self, node_id: int, flush: bool = True) -> int:
+    def drop_node(self, node_id: int) -> int:
         """Stop replicating on ``node_id`` (planned removal); return drained slots.
 
-        With ``flush`` (the default) the node's buffered replica updates are
-        applied to the global store before the state is dropped — the drain
-        step that distinguishes a planned scale-in (zero lost updates) from a
-        crash (buffer gone). The transfer cost is charged by the caller.
+        The node's buffered replica updates are applied to the global store
+        before the state is dropped — the drain step that distinguishes a
+        planned scale-in (zero lost updates) from a crash (buffer gone). The
+        transfer cost is charged by the caller.
         """
         drained = 0
         if node_id in self._buffers:
             node_dirty = np.flatnonzero(self._dirty[node_id])
             drained = int(len(node_dirty))
-            if flush and drained:
+            if drained:
                 self.store.add(
                     self.replicated_keys[node_dirty],
                     self._buffers[node_id][node_dirty],

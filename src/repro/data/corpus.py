@@ -79,25 +79,34 @@ def generate_corpus(
         topic_words.append(members)
         topic_word_probs.append(probs / probs.sum())
 
-    sentences: List[np.ndarray] = []
-    for _ in range(num_sentences):
-        topic = int(rng.integers(0, num_topics))
-        from_topic = rng.random(sentence_length) < topic_purity
-        sentence = np.empty(sentence_length, dtype=np.int64)
-        num_topic_tokens = int(from_topic.sum())
-        if num_topic_tokens:
-            sentence[from_topic] = rng.choice(
-                topic_words[topic], size=num_topic_tokens, p=topic_word_probs[topic]
-            )
-        num_global_tokens = sentence_length - num_topic_tokens
-        if num_global_tokens:
-            sentence[~from_topic] = rng.choice(
-                vocab_size, size=num_global_tokens, p=global_probs
-            )
-        sentences.append(sentence)
+    # Each sentence draws its topic and then one block of doubles: which
+    # positions come from the topic, then its topic tokens' draws, then its
+    # global tokens' — the stream of one ``random`` and two ``choice(p=...)``
+    # calls per sentence, as ``choice(p=...)`` is
+    # ``cdf.searchsorted(random(n), side="right")`` over the normalised CDF.
+    length = sentence_length
+    topics = np.empty(num_sentences, dtype=np.int64)
+    uniforms = np.empty((num_sentences, 2 * length))
+    for index in range(num_sentences):
+        topics[index] = rng.integers(0, num_topics)
+        uniforms[index] = rng.random(2 * length)
+    from_topic = uniforms[:, :length] < topic_purity
+    topic_rank = np.cumsum(from_topic, axis=1)
+    global_rank = topic_rank[:, -1:] + np.arange(length) - topic_rank
+    draws = np.take_along_axis(
+        uniforms, length + np.where(from_topic, topic_rank - 1, global_rank),
+        axis=1)
+    tokens = np.empty((num_sentences, length), dtype=np.int64)
+    tokens[~from_topic] = _cdf(global_probs).searchsorted(
+        draws[~from_topic], side="right")
+    for topic in range(num_topics):
+        in_topic = from_topic & (topics == topic)[:, None]
+        tokens[in_topic] = topic_words[topic][_cdf(
+            topic_word_probs[topic]).searchsorted(draws[in_topic], side="right")]
+    sentences = list(tokens)
 
     word_frequencies = np.bincount(
-        np.concatenate(sentences), minlength=vocab_size
+        tokens.ravel(), minlength=vocab_size
     ).astype(np.float64)
 
     similarity_probes = _build_similarity_probes(
@@ -111,6 +120,13 @@ def generate_corpus(
         word_topics=word_topics,
         similarity_probes=similarity_probes,
     )
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalised CDF ``Generator.choice`` searches for ``p=probs``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _build_similarity_probes(

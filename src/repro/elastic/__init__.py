@@ -2,10 +2,12 @@
 
 This package turns the fixed-size simulated cluster into an elastic one:
 
-* :mod:`repro.elastic.controller` — the :class:`ElasticityController`
-  orchestrates planned scale-out/scale-in transitions: membership epochs,
-  state drains, key migration, and the network/background-clock charges the
-  transfer incurs.
+* :mod:`repro.elastic.config` — :class:`ElasticConfig`, the tunables of
+  planned scale-out/scale-in. The transitions themselves (membership epochs,
+  state drains, key migration and the network/background-clock charges of
+  the transfer) run on the membership controller
+  (:class:`~repro.faults.controller.MembershipController`), the same
+  departure and arrival steps as a crash and a restore.
 * :mod:`repro.elastic.partition_state` — :class:`PartitionState` models an
   active network partition: bounded-staleness minority reads, buffered
   minority writes replayed at heal, and per-key version vectors that detect
@@ -20,7 +22,7 @@ from the range formula, and no gate is installed unless a perturbation asks
 for one.
 """
 
-from repro.elastic.controller import ElasticConfig, ElasticityController
+from repro.elastic.config import ElasticConfig
 from repro.elastic.partition_state import PartitionState
 from repro.elastic.perturbations import (
     AutoscaleStorm,
@@ -32,7 +34,6 @@ from repro.elastic.perturbations import (
 __all__ = [
     "AutoscaleStorm",
     "ElasticConfig",
-    "ElasticityController",
     "NetworkPartition",
     "PartitionState",
     "ScaleIn",

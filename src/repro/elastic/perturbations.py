@@ -1,6 +1,6 @@
 """Elasticity perturbations for the scenario engine.
 
-* :class:`ScaleOut` — join fresh nodes mid-run; the elasticity controller
+* :class:`ScaleOut` — join fresh nodes mid-run; the membership controller
   rebalances a share of the key space onto each (state transfer charged).
 * :class:`ScaleIn` — drain and remove seeded victim nodes (planned removal:
   zero lost updates; the victims' workers pause and their shards
@@ -54,7 +54,7 @@ class ScaleOut(Perturbation):
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
         self._fired = False
-        ctx.ensure_elasticity_controller(self.elastic_config)
+        ctx.membership_controller()
 
     def on_round(self, ctx: ScenarioRuntime) -> None:
         if self._fired or ctx.epoch != self.at_epoch \
@@ -91,7 +91,7 @@ class ScaleIn(Perturbation):
     def on_start(self, ctx: ScenarioRuntime) -> None:
         self._rng = perturbation_rng(ctx, 47 + self.seed)
         self._fired = False
-        ctx.ensure_elasticity_controller(self.elastic_config)
+        ctx.membership_controller()
 
     def on_round(self, ctx: ScenarioRuntime) -> None:
         if self._fired or ctx.epoch != self.at_epoch \
@@ -136,7 +136,7 @@ class AutoscaleStorm(Perturbation):
         self._added = []
         self._changes = 0
         self._grow_next = True
-        ctx.ensure_elasticity_controller(self.elastic_config)
+        ctx.membership_controller()
 
     def on_round(self, ctx: ScenarioRuntime) -> None:
         if self.max_changes is not None and self._changes >= self.max_changes:

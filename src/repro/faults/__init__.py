@@ -9,7 +9,10 @@ architecture and the scenario engine:
   schedules via the cluster's ``fail_node``/``restore_node`` hooks, and
   message loss/duplication/timeout via
   :class:`~repro.faults.network.FaultyNetworkModel`.
-* **Recovery mechanisms** — periodic consistent checkpoints
+* **Recovery mechanisms** — the membership controller
+  (:class:`~repro.faults.controller.MembershipController`, which runs every
+  crash, restore, join and planned leave on one departure and one arrival
+  step), periodic consistent checkpoints
   (:class:`~repro.faults.checkpoint.CheckpointManager`), owner failover by
   rewriting the ownership map (``OwnershipMap.fail``), replica repair, and
   retry-with-backoff semantics for architectures without native waiting
@@ -26,7 +29,7 @@ clock, metric or value ever moves unless a fault perturbation is active.
 """
 
 from repro.faults.checkpoint import CheckpointManager
-from repro.faults.controller import FaultConfig, FaultController
+from repro.faults.controller import FaultConfig, MembershipController
 from repro.faults.errors import DeadOwnerError, PartitionedOwnerError
 from repro.faults.network import FaultyNetworkModel
 from repro.faults.perturbations import LossyNetwork, ServerCrashes, WorkerKill
@@ -35,9 +38,9 @@ __all__ = [
     "CheckpointManager",
     "DeadOwnerError",
     "FaultConfig",
-    "FaultController",
     "FaultyNetworkModel",
     "LossyNetwork",
+    "MembershipController",
     "PartitionedOwnerError",
     "ServerCrashes",
     "WorkerKill",

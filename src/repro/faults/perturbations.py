@@ -1,7 +1,7 @@
 """Fault perturbations for the scenario engine.
 
 * :class:`ServerCrashes` — seeded server crash/restart schedules: a node's
-  shard becomes unreachable mid-epoch, its workers stop, the fault
+  shard becomes unreachable mid-epoch, its workers stop, the membership
   controller repairs values and fails ownership over to the survivors, and
   (unless ``permanent``) the node rejoins a few rounds later.
 * :class:`WorkerKill` — permanent worker loss (not a pause-until-epoch-end:
@@ -42,9 +42,9 @@ class ServerCrashes(Perturbation):
     eligible nodes deterministically instead of sampling (a rolling-restart
     schedule); ``permanent=True`` never restarts a victim.
 
-    The perturbation owns the per-round upkeep of the fault controller, so a
-    scenario containing it automatically gets periodic checkpointing per the
-    supplied ``fault_config``.
+    The perturbation owns the per-round upkeep of the membership controller,
+    so a scenario containing it automatically gets periodic checkpointing per
+    the supplied ``fault_config``.
     """
 
     needs_fault_proxy = True
@@ -87,7 +87,7 @@ class ServerCrashes(Perturbation):
         self._schedule = {}
         self._down = {}
         self._next_rolling = 1
-        self.controller = ctx.ensure_fault_controller(self.fault_config)
+        self.controller = ctx.membership_controller()
 
     def on_epoch_start(self, ctx: ScenarioRuntime) -> None:
         self._schedule = {}

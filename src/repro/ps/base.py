@@ -162,8 +162,8 @@ class ParameterServer(ABC):
     ) -> None:
         self.store = store
         self.cluster = cluster
-        #: Key -> home node map. The fault and elasticity controllers rewrite
-        #: it on every membership change; access paths read it live.
+        #: Key -> home node map. The membership controller rewrites it on
+        #: every membership change; access paths read it live.
         self.partitioner = OwnershipMap(store.num_keys, cluster.num_nodes)
         self.metrics = cluster.metrics
         #: Optional telemetry tracer, installed on the cluster by the runner
@@ -244,7 +244,7 @@ class ParameterServer(ABC):
     def finish_epoch(self) -> None:
         """Flush any buffered state at an epoch boundary (default: no-op)."""
 
-    # ------------------------------------------------------------- fault API
+    # -------------------------------------------------------- membership API
     def keys_owned_by(self, node_id: int) -> np.ndarray:
         """The keys whose primary copy lives on ``node_id`` right now.
 
@@ -259,22 +259,14 @@ class ParameterServer(ABC):
                 available_at: float) -> None:
         """Hand the current copies of ``keys`` to ``nodes`` (a transition).
 
-        Called by the fault and elasticity controllers right after they
-        rewrote the ownership map. ``available_at`` is the simulated time at
-        which the moved keys become reachable again (detection or handshake
-        plus state transfer). Static architectures resolve every access
+        Called by the membership controller right after it rewrote the
+        ownership map. ``available_at`` is the simulated time at which the
+        moved keys become reachable again (detection or handshake plus state
+        transfer). Static architectures resolve every access
         through the map, so there is nothing else to move, and the
         dead-owner gate (:mod:`repro.scenarios.interposer`) enforces their
         availability gap; the relocation family moves its dynamic copies
         here and waits on its native arrival times.
-        """
-
-    def on_node_restored(self, node_id: int, now: float) -> None:
-        """Repair per-node state of ``node_id`` after it rejoins the cluster.
-
-        Called after :meth:`~repro.simulation.cluster.Cluster.restore_node`
-        and after the ownership map has undone the node's failover. The
-        default PS keeps no per-node state.
         """
 
     def recover_values(self, keys: np.ndarray) -> tuple:
@@ -288,32 +280,27 @@ class ParameterServer(ABC):
         """
         return None, np.zeros(len(keys), dtype=bool)
 
-    # -------------------------------------------------------- membership API
-    def on_node_added(self, node_id: int, available_at: float) -> None:
-        """Create per-node state for freshly joined ``node_id``.
+    def on_node_arrived(self, node_id: int, available_at: float) -> None:
+        """Set up per-node state of ``node_id``, which joined or was restored.
 
-        Called after :meth:`~repro.simulation.cluster.Cluster.add_node`, the
-        ownership map's rebalance and :meth:`_rehome`. ``available_at`` is
-        the simulated time at which the migrated keys are usable on the new
-        node. The default PS keeps no per-node state.
+        Called by the membership controller's arrival step, after the
+        cluster and the ownership map took the node in (and, for a join,
+        after :meth:`_rehome`). ``available_at`` is the simulated time from
+        which the node's keys are usable on it. A node the PS has not seen
+        before gets fresh state; a restored node gets back what its crash
+        destroyed. The default PS keeps no per-node state.
         """
 
-    def drain_node(self, node_id: int, now: float) -> int:
-        """Flush state buffered on ``node_id`` ahead of a planned removal.
+    def release_node(self, node_id: int, now: float) -> int:
+        """Drain and drop per-node state of ``node_id`` ahead of a planned leave.
 
-        Returns the number of keys whose buffered (acknowledged but not yet
-        globally applied) updates were pushed out — the updates a crash of
-        the same node would have lost. The default PS buffers nothing.
+        Called by the membership controller's departure step while the node
+        is still a member and still owns its keys. Returns the number of
+        keys whose buffered (acknowledged but not yet globally applied)
+        updates were flushed — the updates a crash of the same node would
+        have lost. The default PS buffers nothing.
         """
         return 0
-
-    def on_node_removed(self, node_id: int, available_at: float) -> None:
-        """Drop per-node state of ``node_id`` after a planned removal.
-
-        Called after the ownership map handed the node's keys to its
-        successors and :meth:`_rehome` moved the drained state along. The
-        default PS keeps no per-node state.
-        """
 
     # ------------------------------------------------------------- round API
     def direct_point_charger(self, distribution_id: Optional[int] = None):

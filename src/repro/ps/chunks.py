@@ -206,8 +206,10 @@ def _copy_nonzero_pages(source: np.ndarray, zeroed: np.ndarray) -> None:
     zeroed = zeroed.reshape(-1).view(np.uint8)
     whole = len(source) - len(source) % _PAGE_BYTES
     pages = source[:whole].view(np.uint64).reshape(-1, _PAGE_BYTES // 8)
-    live = pages.any(axis=1)
-    zeroed[:whole].view(np.uint64).reshape(pages.shape)[live] = pages[live]
+    # Masked in place: gathering the live pages first would hold a second
+    # copy of every one of them.
+    np.copyto(zeroed[:whole].view(np.uint64).reshape(pages.shape), pages,
+              where=pages.any(axis=1)[:, None])
     zeroed[whole:] = source[whole:]
 
 

@@ -181,7 +181,7 @@ class RelocationPS(ParameterServer):
         )
         return sizes
 
-    # -------------------------------------------------------------- fault API
+    # --------------------------------------------------------- membership API
     def keys_owned_by(self, node_id: int) -> np.ndarray:
         """Keys whose current (dynamic) copy lives on ``node_id``."""
         return self.local_keys(node_id)

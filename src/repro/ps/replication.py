@@ -393,7 +393,7 @@ class ReplicationPS(ParameterServer):
         )
         return sizes
 
-    # -------------------------------------------------------------- fault API
+    # --------------------------------------------------------- membership API
     def recover_values(self, keys: np.ndarray) -> tuple:
         """Recover ``keys`` from the freshest surviving replica of each.
 
@@ -420,23 +420,26 @@ class ReplicationPS(ParameterServer):
                 mask[idx] = True
         return values, mask
 
-    # ---------------------------------------------------------- membership API
-    def on_node_added(self, node_id: int, available_at: float) -> None:
-        """Create replica state for the joining node."""
+    def on_node_arrived(self, node_id: int, available_at: float) -> None:
+        """Create replica state for a joining node.
+
+        A restored node keeps the state it had: a crash does not clear a
+        node's replicas or write buffer here.
+        """
         if node_id not in self._nodes:
             self._nodes[node_id] = _NodeReplicaState(
                 self.store.num_keys, self.store.value_length,
                 storage=self.store.storage, node_id=node_id,
             )
 
-    def drain_node(self, node_id: int, now: float) -> int:
-        """Flush the leaving node's buffered updates into the global store.
+    def release_node(self, node_id: int, now: float) -> int:
+        """Flush the leaving node's buffered updates, then drop its state.
 
-        This is exactly the step a crash cannot perform: every acknowledged
-        push still sitting in the node's write buffer is applied before the
-        node goes away, so a planned scale-in loses zero updates.
+        The flush is exactly the step a crash cannot perform: every
+        acknowledged push still sitting in the node's write buffer is applied
+        before the node goes away, so a planned scale-in loses zero updates.
         """
-        state = self._nodes.get(node_id)
+        state = self._nodes.pop(node_id, None)
         if state is None:
             return 0
         if isinstance(state.update_mask, np.ndarray):
@@ -445,10 +448,6 @@ class ReplicationPS(ParameterServer):
             drained = state.update_mask.count_nonzero()
         self._flush_node(node_id, state)
         return drained
-
-    def on_node_removed(self, node_id: int, available_at: float) -> None:
-        """Drop the leaving node's replica state."""
-        self._nodes.pop(node_id, None)
 
 
 class _ReplicationPointCharger(ChunkValues):

@@ -134,10 +134,9 @@ class ScenarioRuntime:
         #: The cost model the cluster started with; network schedules derive
         #: every stage from this base, so factors do not compound.
         self.base_network = cluster.network
-        #: Fault and elasticity machinery (created lazily by
-        #: ``ensure_fault_controller`` / ``ensure_elasticity_controller``).
-        self.fault_controller = None
-        self.elasticity_controller = None
+        #: The membership controller (created lazily by
+        #: :meth:`membership_controller`).
+        self.membership = None
         self.remapper: Optional[KeyRemapper] = KeyRemapper(
             task.num_keys(), task.key_groups()
         ) if scenario.needs_remap else None
@@ -199,57 +198,47 @@ class ScenarioRuntime:
     def detach_epoch_state(self) -> None:
         self._epoch_state = None
 
-    # ----------------------------------------------------------------- faults
-    def ensure_fault_controller(self, fault_config=None):
-        """The run's :class:`~repro.faults.controller.FaultController`.
+    # ------------------------------------------------------------- membership
+    def membership_controller(self):
+        """The run's :class:`~repro.faults.controller.MembershipController`.
 
-        Created on first call (with ``fault_config``, if given) and attached
-        to the interposer's dead-owner gate when the run is gated; later
-        calls return the existing controller unchanged.
+        Created on first call, at the current simulated time, with the first
+        ``fault_config`` and the first ``elastic_config`` any of the
+        scenario's perturbations sets (the defaults where none does), and
+        attached to the interposer's dead-owner gate when the run is gated;
+        later calls return it unchanged.
         """
-        if self.fault_controller is None:
-            from repro.faults.controller import FaultController
+        if self.membership is None:
+            from repro.faults.controller import MembershipController
 
-            self.fault_controller = FaultController(
-                self.ps, config=fault_config, start_time=self.cluster.time
+            def first(name):
+                return next((getattr(p, name) for p in self.scenario.perturbations
+                             if getattr(p, name, None) is not None), None)
+
+            self.membership = MembershipController(
+                self.ps, first("fault_config"), first("elastic_config"),
+                start_time=self.cluster.time,
             )
             if self._gated:
-                self.interposer.controller = self.fault_controller
-        return self.fault_controller
-
-    # ------------------------------------------------------------- elasticity
-    def ensure_elasticity_controller(self, elastic_config=None):
-        """The run's :class:`~repro.elastic.controller.ElasticityController`.
-
-        Created on first call (with ``elastic_config``, if given); later
-        calls return the existing controller unchanged.
-        """
-        if self.elasticity_controller is None:
-            from repro.elastic.controller import ElasticityController
-
-            self.elasticity_controller = ElasticityController(
-                self.ps, config=elastic_config
-            )
-        return self.elasticity_controller
+                self.interposer.controller = self.membership
+        return self.membership
 
     def scale_out(self) -> int:
         """Join one node at the current simulated time; returns its id."""
-        controller = self.ensure_elasticity_controller()
-        return controller.scale_out(self.cluster.time)
+        return self.membership_controller().scale_out(self.cluster.time)
 
     def scale_in(self, node_id: int) -> dict:
         """Drain and remove ``node_id`` (planned scale-in).
 
         The node's workers are paused first (their remaining shards are
-        redistributed to the surviving workers), then the elasticity
+        redistributed to the surviving workers), then the membership
         controller drains the node's buffered state and migrates its keys to
         the survivors. Returns the controller's transition summary.
         """
         for nid, worker_id in self.worker_keys():
             if nid == node_id:
                 self.pause_worker(nid, worker_id)
-        controller = self.ensure_elasticity_controller()
-        return controller.scale_in(node_id, self.cluster.time)
+        return self.membership_controller().scale_in(node_id, self.cluster.time)
 
     # -------------------------------------------------------------- partitions
     def begin_partition(self, minority) -> None:

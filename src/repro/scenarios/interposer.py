@@ -22,10 +22,7 @@ outside, gate inside:
     still-unfinished recovery retries with exponential backoff; if the
     retry budget cannot bridge the remaining recovery time, it fails with
     :class:`~repro.faults.errors.DeadOwnerError`, which the epoch loop turns
-    into one dropped chunk. With ``FaultConfig.retry_jitter`` above zero
-    every retry delay is stretched by a factor drawn from a generator seeded
-    by ``FaultConfig.retry_seed``; at the default ``0.0`` the generator is
-    never consumed.
+    into one dropped chunk.
   - *Partition rule* (:class:`~repro.elastic.partition_state.PartitionState`).
     Minority-side pulls and pushes degrade to bounded-staleness reads and
     buffered writes; majority-side accesses to unreachable owners raise
@@ -107,13 +104,12 @@ class ScenarioParameterServer:
     def __init__(self, inner, remapper: Optional[KeyRemapper] = None) -> None:
         self.inner = inner
         self.remapper = remapper
-        #: The :class:`~repro.faults.controller.FaultController` whose down
-        #: nodes the dead-owner gate watches, or None.
+        #: The :class:`~repro.faults.controller.MembershipController` whose
+        #: down nodes the dead-owner gate watches, or None.
         self.controller = None
         #: The live :class:`~repro.elastic.partition_state.PartitionState`,
         #: or None.
         self.partition = None
-        self._retry_rng = None
 
     def __getattr__(self, attribute):
         return getattr(self.inner, attribute)
@@ -261,23 +257,13 @@ class ScenarioParameterServer:
                 "is deferred until the partition heals"
             )
 
-    def _retry_delay_factor(self) -> float:
-        """Deterministic jitter factor for one retry delay (1.0 unjittered)."""
-        config = self.controller.config
-        if config.retry_jitter <= 0.0:
-            return 1.0
-        if self._retry_rng is None:
-            self._retry_rng = np.random.default_rng(
-                (config.retry_seed + 1) * 7919)
-        return 1.0 + config.retry_jitter * float(self._retry_rng.random())
-
     def _dead_owner_gate(self, worker: WorkerContext, keys) -> None:
         """Block, retry, or fail an access touching keys in mid-recovery."""
         controller = self.controller
         if controller is None or not controller.down:
             return
         clock = worker.clock
-        config = controller.config
+        config = controller.fault_config
         for node_id in sorted(controller.down):
             available_at = controller.down[node_id]
             if available_at <= clock.now:
@@ -294,7 +280,7 @@ class ScenarioParameterServer:
                 retries = 0
                 delay = config.retry_backoff
                 while clock.now < available_at and retries < config.max_retries:
-                    clock.advance(delay * self._retry_delay_factor())
+                    clock.advance(delay)
                     delay *= 2.0
                     retries += 1
                 clock.advance_to(available_at)

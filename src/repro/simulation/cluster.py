@@ -133,7 +133,7 @@ class Cluster:
         #: clocks freeze at removal time. Empty in elasticity-off runs.
         self.removed: set[int] = set()
         #: Monotone counter bumped by every :meth:`add_node` /
-        #: :meth:`remove_node` (reported by the elasticity controller and
+        #: :meth:`remove_node` (reported by the membership controller and
         #: in removal errors).
         self.membership_epoch: int = 0
         #: Optional :class:`~repro.obs.Tracer`. ``None`` — the default —
@@ -257,9 +257,9 @@ class Cluster:
         The new node starts with ``workers_per_node`` workers whose clocks
         (and the background/server clocks) are advanced to ``now`` — a node
         joining mid-run does not start at simulated time zero. Bumps the
-        membership epoch. Rebalancing ownership and state is the elasticity
+        membership epoch. Rebalancing ownership and state is the membership
         controller's job (see
-        :meth:`~repro.elastic.controller.ElasticityController.scale_out`);
+        :meth:`~repro.faults.controller.MembershipController.scale_out`);
         the cluster only tracks membership.
         """
         node_id = len(self.nodes)
@@ -287,9 +287,9 @@ class Cluster:
         """Remove ``node_id`` permanently (planned scale-in).
 
         Idempotent. The caller must have drained the node's state first
-        (see :class:`~repro.elastic.controller.ElasticityController`); the
+        (see :class:`~repro.faults.controller.MembershipController`); the
         cluster only tracks membership. A crashed node cannot be removed —
-        restore it (or let the fault controller finish recovery) first, so
+        restore it (or let the membership controller finish recovery) first, so
         that drain semantics (zero lost updates) hold.
         """
         if not 0 <= node_id < self.num_nodes:

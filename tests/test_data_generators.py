@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.corpus import generate_corpus
+from repro.data.corpus import _build_similarity_probes, generate_corpus
 from repro.data.knowledge_graph import generate_knowledge_graph
 from repro.data.matrix import generate_matrix
 from repro.data.rows import unique_rows
@@ -151,6 +151,67 @@ class TestCorpusGenerator:
         a = generate_corpus(vocab_size=100, num_sentences=50, seed=3)
         b = generate_corpus(vocab_size=100, num_sentences=50, seed=3)
         np.testing.assert_array_equal(np.concatenate(a.sentences), np.concatenate(b.sentences))
+
+    # The bench and the test preset of the word-vector task (vocab_size,
+    # num_sentences, sentence_length, num_topics), and two odd shapes:
+    # purities that put no token, or every token, on the topic.
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    @pytest.mark.parametrize("sizes,purity", [
+        ((3000, 1500, 10, 10), 0.85), ((300, 150, 8, 6), 0.85),
+        ((40, 30, 5, 4), 0.0), ((40, 30, 5, 4), 1.0),
+    ])
+    def test_matches_the_per_sentence_choice_loop(self, sizes, purity, seed):
+        vocab_size, num_sentences, sentence_length, num_topics = sizes
+        corpus = generate_corpus(
+            vocab_size=vocab_size, num_sentences=num_sentences,
+            sentence_length=sentence_length, num_topics=num_topics,
+            topic_purity=purity, seed=seed)
+        sentences, frequencies, topics, probes = _loop_corpus(
+            vocab_size, num_sentences, sentence_length, num_topics, purity,
+            seed)
+        assert [s.dtype for s in corpus.sentences] == [s.dtype for s in sentences]
+        np.testing.assert_array_equal(np.stack(corpus.sentences),
+                                      np.stack(sentences))
+        np.testing.assert_array_equal(corpus.word_frequencies, frequencies)
+        np.testing.assert_array_equal(corpus.word_topics, topics)
+        np.testing.assert_array_equal(corpus.similarity_probes, probes)
+
+
+def _loop_corpus(vocab_size, num_sentences, sentence_length, num_topics,
+                 topic_purity, seed, frequency_exponent=1.1, num_probes=500):
+    """``generate_corpus`` as one ``random`` and two ``choice(p=...)`` calls
+    per sentence: the reference the array form must reproduce draw for draw."""
+    rng = np.random.default_rng(seed)
+    global_probs = zipf_probabilities(vocab_size, frequency_exponent,
+                                      shuffle=True, rng=rng)
+    word_topics = rng.integers(0, num_topics, size=vocab_size)
+    topic_words, topic_word_probs = [], []
+    for topic in range(num_topics):
+        members = np.flatnonzero(word_topics == topic)
+        if len(members) == 0:
+            members = rng.integers(0, vocab_size, size=2)
+        probs = global_probs[members]
+        topic_words.append(members)
+        topic_word_probs.append(probs / probs.sum())
+    sentences = []
+    for _ in range(num_sentences):
+        topic = int(rng.integers(0, num_topics))
+        from_topic = rng.random(sentence_length) < topic_purity
+        sentence = np.empty(sentence_length, dtype=np.int64)
+        num_topic_tokens = int(from_topic.sum())
+        if num_topic_tokens:
+            sentence[from_topic] = rng.choice(
+                topic_words[topic], size=num_topic_tokens,
+                p=topic_word_probs[topic])
+        if sentence_length - num_topic_tokens:
+            sentence[~from_topic] = rng.choice(
+                vocab_size, size=sentence_length - num_topic_tokens,
+                p=global_probs)
+        sentences.append(sentence)
+    frequencies = np.bincount(np.concatenate(sentences),
+                              minlength=vocab_size).astype(np.float64)
+    probes = _build_similarity_probes(rng, word_topics, frequencies, num_probes)
+    return sentences, frequencies, word_topics, probes
 
 
 class TestMatrixGenerator:

@@ -277,6 +277,53 @@ def test_no_scalar_reference_in_src():
     assert not offenders, "\n".join(offenders)
 
 
+# ------------------------------------------------------ membership transitions
+MEMBERSHIP_MODULE = SRC_ROOT / "faults" / "controller.py"
+#: The parameter server's membership hooks: all the membership controller
+#: asks of an architecture.
+MEMBERSHIP_HOOKS = {"keys_owned_by", "_rehome", "recover_values",
+                    "on_node_arrived", "release_node"}
+OWNERSHIP_TRANSITIONS = {"fail", "leave", "join", "restore"}
+
+
+def test_one_module_knows_the_transition_order():
+    """Outside ``repro/ps``, only the membership controller's module names
+    ``partitioner.fail``/``leave``/``join``/``restore`` or ``_rehome``: one
+    module orders every crash, restore, join and leave."""
+    offenders = sorted(
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {node.attr}"
+        for path, tree in _parsed_trees().items()
+        if SRC_ROOT in path.parents and path != MEMBERSHIP_MODULE
+        and SRC_ROOT / "ps" not in path.parents
+        for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        and (node.attr == "_rehome"
+             or node.attr in OWNERSHIP_TRANSITIONS
+             and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "partitioner")
+    )
+    assert not offenders, "\n".join(offenders)
+
+
+def _is_the_ps(node) -> bool:
+    """``ps`` or ``self.ps``."""
+    if isinstance(node, ast.Name):
+        return node.id == "ps"
+    return isinstance(node, ast.Attribute) and node.attr == "ps" \
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def test_membership_hooks_are_pinned():
+    """The PS methods the membership controller calls are exactly
+    :data:`MEMBERSHIP_HOOKS`, each defined on ``ParameterServer``; a new
+    per-architecture hook is a deliberate change of this list."""
+    tree = ast.parse(MEMBERSHIP_MODULE.read_text())
+    called = {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _is_the_ps(node.value)}
+    assert called - {"store", "partitioner", "cluster"} == MEMBERSHIP_HOOKS
+    for hook in MEMBERSHIP_HOOKS:
+        assert hook in vars(ParameterServer), hook
+
+
 # ------------------------------------------------------------ CHANGES.md
 #: Entries of this PR and later ones are capped; older ones predate the cap.
 CHANGES_CAP_FROM_PR = 32

@@ -8,14 +8,13 @@ import pytest
 from repro.elastic import (
     AutoscaleStorm,
     ElasticConfig,
-    ElasticityController,
     NetworkPartition,
     PartitionState,
     ScaleIn,
     ScaleOut,
 )
 from repro.core.sampling.distributions import UniformDistribution
-from repro.faults import FaultConfig, PartitionedOwnerError
+from repro.faults import FaultConfig, MembershipController, PartitionedOwnerError
 from repro.ps.base import SampleHandle
 from repro.ps.classic import ClassicPS
 from repro.ps.relocation import RelocationPS
@@ -83,12 +82,12 @@ class TestElasticConfig:
             ElasticConfig(join_delay=-1e-3)
 
 
-# ----------------------------------------------------- ElasticityController
+# ------------------------------------------------- joins and planned leaves
 class TestScaleOut:
     @pytest.mark.parametrize("kind", ["classic", "relocation", "replication"])
     def test_new_node_takes_over_key_share(self, kind):
         ps, cluster, store = _build(kind)
-        controller = ElasticityController(ps)
+        controller = MembershipController(ps)
         node_id = controller.scale_out(now=0.0)
         assert node_id == 3
         assert cluster.membership_epoch == 1
@@ -101,7 +100,7 @@ class TestScaleOut:
 
     def test_relocation_arrival_gating(self):
         ps, cluster, store = _build("relocation")
-        controller = ElasticityController(ps)
+        controller = MembershipController(ps)
         node_id = controller.scale_out(now=0.0)
         moved = ps.local_keys(node_id)
         assert len(moved) > 0
@@ -114,7 +113,7 @@ class TestScaleIn:
     @pytest.mark.parametrize("kind", ["classic", "relocation", "replication"])
     def test_planned_removal_rehomes_keys(self, kind):
         ps, cluster, store = _build(kind)
-        controller = ElasticityController(ps)
+        controller = MembershipController(ps)
         summary = controller.scale_in(1, now=0.0)
         assert summary["lost_updates"] == 0
         assert summary["moved_keys"] > 0
@@ -131,19 +130,17 @@ class TestScaleIn:
         before = store.get(keys).copy()
         deltas = np.full((3, VALUE_LENGTH), 0.5, dtype=np.float32)
         ps.push(worker, keys, deltas)
-        controller = ElasticityController(ps)
+        controller = MembershipController(ps)
         summary = controller.scale_in(1, now=0.0)
         assert summary["drained_updates"] >= 3
         np.testing.assert_allclose(store.get(keys), before + 0.5, rtol=1e-6)
 
     def test_headline_planned_vs_crash(self):
         """A planned scale-in drains what a crash would lose."""
-        from repro.faults import FaultController
-
         # Crash path: push, crash before any checkpoint refresh, recover.
         ps, cluster, store = _build("classic")
-        fc = FaultController(ps, FaultConfig(recovery="checkpoint",
-                                             checkpoint_interval=10.0))
+        fc = MembershipController(
+            ps, FaultConfig(recovery="checkpoint", checkpoint_interval=10.0))
         worker = cluster.worker(1, 0)
         keys = np.asarray(ps.keys_owned_by(1)[:3], dtype=np.int64)
         ps.push(worker, keys, np.full((len(keys), VALUE_LENGTH), 0.5,
@@ -159,7 +156,7 @@ class TestScaleIn:
         before = store2.get(keys2).copy()
         ps2.push(worker2, keys2, np.full((len(keys2), VALUE_LENGTH), 0.5,
                                          dtype=np.float32))
-        controller = ElasticityController(ps2)
+        controller = MembershipController(ps2)
         summary = controller.scale_in(1, now=0.001)
         assert summary["lost_updates"] == 0
         assert cluster2.metrics.get("elastic.lost_updates") == 0
@@ -292,42 +289,17 @@ class TestScaleInRoutingCheck:
         monkeypatch.setattr(ps, "_rehome", lambda *args: None)
         with pytest.raises(RuntimeError,
                            match=f"node 1 left {owned} key"):
-            ElasticityController(ps).scale_in(1, now=0.0)
+            MembershipController(ps).scale_in(1, now=0.0)
 
     def test_no_false_positive_after_proper_scale_in(self):
         ps, cluster, store = _build("classic")
         proxy = ScenarioParameterServer(ps)
         victim_keys = np.asarray(ps.keys_owned_by(1)[:2], dtype=np.int64)
-        ElasticityController(ps).scale_in(1, now=0.0)
+        MembershipController(ps).scale_in(1, now=0.0)
         assert not proxy.degraded()
         assert proxy.direct_point_charger() is not None
         values = proxy.pull(cluster.worker(0, 0), victim_keys)
         assert values.shape == (2, VALUE_LENGTH)
-
-
-class TestRetryJitter:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FaultConfig(retry_jitter=-0.1)
-        with pytest.raises(ValueError):
-            FaultConfig(retry_seed=-1)
-
-    def test_jitter_is_seeded_and_reproducible(self):
-        def factors(seed, jitter, count=5):
-            ps, cluster, _ = _build("classic")
-            from repro.faults import FaultController
-
-            proxy = ScenarioParameterServer(ps)
-            proxy.controller = FaultController(
-                ps, FaultConfig(retry_jitter=jitter, retry_seed=seed)
-            )
-            return [proxy._retry_delay_factor() for _ in range(count)]
-
-        assert factors(7, 0.5) == factors(7, 0.5)
-        assert factors(7, 0.5) != factors(8, 0.5)
-        assert all(1.0 <= f <= 1.5 for f in factors(7, 0.5))
-        # The default consumes no randomness at all.
-        assert factors(7, 0.0) == [1.0] * 5
 
 
 # ----------------------------------------------------------- perturbations

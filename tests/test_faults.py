@@ -4,7 +4,7 @@ Covers the three layers separately and end to end:
 
 * cost model — :class:`FaultyNetworkModel` expectation-based loss pricing,
 * recovery — :class:`CheckpointManager` rollback accounting and the
-  :class:`FaultController` crash/failover/restore cycle on every
+  :class:`MembershipController` crash/failover/restore cycle on every
   architecture,
 * access semantics — the retry/timeout gate of
   :class:`ScenarioParameterServer`, on direct and sampling calls,
@@ -24,9 +24,9 @@ from repro.faults import (
     CheckpointManager,
     DeadOwnerError,
     FaultConfig,
-    FaultController,
     FaultyNetworkModel,
     LossyNetwork,
+    MembershipController,
     ServerCrashes,
     WorkerKill,
 )
@@ -198,12 +198,12 @@ class TestCheckpointManager:
             CheckpointManager(ParameterStore(4, 1), _cluster(), interval=0.0)
 
 
-# ------------------------------------------------------------ FaultController
-class TestFaultController:
+# ------------------------------------------------------- crashes and restores
+class TestCrashAndRestore:
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     def test_crash_re_homes_keys_to_survivors(self, architecture):
         ps, cluster, store = _build(architecture)
-        controller = FaultController(ps)
+        controller = MembershipController(ps)
         victim = 1
         lost = np.asarray(ps.keys_owned_by(victim))
         assert len(lost) > 0
@@ -218,7 +218,7 @@ class TestFaultController:
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     def test_restore_rejoins_the_partition(self, architecture):
         ps, cluster, store = _build(architecture)
-        controller = FaultController(ps)
+        controller = MembershipController(ps)
         before = {node_id: set(np.asarray(ps.keys_owned_by(node_id)).tolist())
                   for node_id in range(cluster.num_nodes)}
         controller.crash_node(1, now=0.001)
@@ -237,7 +237,7 @@ class TestFaultController:
 
     def test_double_crash_is_idempotent(self):
         ps, cluster, _ = _build("classic")
-        controller = FaultController(ps)
+        controller = MembershipController(ps)
         t1 = controller.crash_node(1, now=0.001)
         t2 = controller.crash_node(1, now=0.002)
         assert t1 == t2
@@ -245,7 +245,7 @@ class TestFaultController:
 
     def test_overlapping_crashes_keep_single_owner(self):
         ps, cluster, _ = _build("classic")
-        controller = FaultController(ps)
+        controller = MembershipController(ps)
         controller.crash_node(1, now=0.001)
         controller.crash_node(2, now=0.002)
         _check_single_active_owner(ps, cluster)
@@ -257,7 +257,7 @@ class TestFaultController:
 
     def test_cannot_fail_last_survivor(self):
         ps, cluster, _ = _build("classic")
-        controller = FaultController(ps)
+        controller = MembershipController(ps)
         controller.crash_node(1, now=0.001)
         controller.crash_node(2, now=0.002)
         with pytest.raises(ValueError, match="last"):
@@ -265,7 +265,7 @@ class TestFaultController:
 
     def test_restart_recovery_loses_work(self):
         ps, cluster, store = _build("classic")
-        controller = FaultController(ps, FaultConfig(recovery="restart"))
+        controller = MembershipController(ps, FaultConfig(recovery="restart"))
         worker = cluster.worker(0, 0)
         victim_keys = np.asarray(ps.keys_owned_by(1))[:5]
         before = store.values[victim_keys].copy()
@@ -281,7 +281,7 @@ class TestFaultController:
 
     def test_checkpoint_recovery_keeps_checkpointed_work(self):
         ps, cluster, store = _build("classic")
-        controller = FaultController(
+        controller = MembershipController(
             ps, FaultConfig(recovery="checkpoint", checkpoint_interval=0.001)
         )
         worker = cluster.worker(0, 0)
@@ -297,7 +297,7 @@ class TestFaultController:
 
     def test_replication_recovers_values_from_replicas(self):
         ps, cluster, store = _build("replication-essp")
-        controller = FaultController(ps, FaultConfig(recovery="restart"))
+        controller = MembershipController(ps, FaultConfig(recovery="restart"))
         worker = cluster.worker(0, 0)
         victim_keys = np.asarray(ps.keys_owned_by(1))[:6]
         before = store.values[victim_keys].copy()
@@ -313,7 +313,7 @@ class TestFaultController:
 
     def test_survivors_pay_for_the_state_transfer(self):
         ps, cluster, _ = _build("classic")
-        controller = FaultController(ps)
+        controller = MembershipController(ps)
         controller.crash_node(1, now=0.01)
         for node_id in cluster.active_nodes:
             assert cluster.node(node_id).background_clock.now > 0.01
@@ -334,7 +334,7 @@ class TestDeadOwnerGate:
     def _crashed(self, config=None, remapper=None):
         ps, cluster, store = _build("classic")
         proxy = ScenarioParameterServer(ps, remapper)
-        controller = FaultController(ps, config)
+        controller = MembershipController(ps, config)
         proxy.controller = controller
         t_recovered = controller.crash_node(1, now=cluster.time)
         moved = np.flatnonzero(controller.moved_mask(1))

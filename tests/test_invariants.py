@@ -341,18 +341,18 @@ def _check_active_ownership(ps, cluster) -> None:
 def _run_fault_sequence(architecture: str, seed: int, num_ops: int):
     """Random pulls/pushes interleaved with crash/restore fault schedules.
 
-    Drives the :class:`~repro.faults.controller.FaultController` standalone
+    Drives the :class:`~repro.faults.controller.MembershipController` standalone
     (no scenario runtime) against every architecture, checking after every
     step that the partition over the *active* nodes covers the key space
     exactly once and that no simulated clock moved backwards. Architectures
     without native failover waiting go through the dead-owner gate;
     a :class:`DeadOwnerError` is a tolerated outcome, never a crash.
     """
-    from repro.faults import DeadOwnerError, FaultConfig, FaultController
+    from repro.faults import DeadOwnerError, FaultConfig, MembershipController
     from repro.scenarios import ScenarioParameterServer
 
     ps, cluster, store = _build(architecture)
-    controller = FaultController(
+    controller = MembershipController(
         ps, FaultConfig(recovery="checkpoint", checkpoint_interval=0.002)
     )
     access = ps
@@ -439,9 +439,9 @@ def _store_sum(store) -> float:
 def _run_membership_sequence(architecture: str, seed: int, num_ops: int):
     """Random accesses interleaved with live joins, leaves, and partitions.
 
-    Drives the :class:`~repro.elastic.ElasticityController` and the
-    partition guard standalone against every architecture, checking after
-    every step that
+    Drives the joins and leaves of the
+    :class:`~repro.faults.MembershipController` and the partition guard
+    standalone against every architecture, checking after every step that
 
     * every key is owned by exactly one *active* node (single active owner
       survives arbitrary add/remove/partition/heal interleavings),
@@ -452,12 +452,12 @@ def _run_membership_sequence(architecture: str, seed: int, num_ops: int):
       removals drain, partitions buffer-and-replay — nothing acknowledged
       may disappear.
     """
-    from repro.elastic import ElasticityController, PartitionState
-    from repro.faults import PartitionedOwnerError
+    from repro.elastic import PartitionState
+    from repro.faults import MembershipController, PartitionedOwnerError
     from repro.scenarios import ScenarioParameterServer
 
     ps, cluster, store = _build(architecture)
-    controller = ElasticityController(ps)
+    controller = MembershipController(ps)
     access = ScenarioParameterServer(ps)
     rng = np.random.default_rng(seed)
     watcher = _ClockWatcher(cluster)
@@ -527,7 +527,7 @@ def _run_membership_sequence(architecture: str, seed: int, num_ops: int):
         "an acknowledged update was lost across membership changes"
     metrics = cluster.metrics
     assert metrics.get("elastic.lost_updates") == 0
-    assert metrics.get("elastic.nodes_removed") == controller.scale_ins
+    assert metrics.get("elastic.nodes_removed") == metrics.get("elastic.scale_ins")
     return deferred
 
 

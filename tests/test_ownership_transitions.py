@@ -1,8 +1,8 @@
 """Golden ownership-transition test: crash, scale and restore interleaved.
 
-The fault and elasticity controllers drive four architectures, on the dense
-and the sparse storage backend, through one sequence in which membership
-changes while a node is down — the case in which the live owner table and the
+The membership controller drives four architectures, on the dense and the
+sparse storage backend, through one sequence in which membership changes
+while a node is down — the case in which the live owner table and the
 planned (pre-fault) table diverge:
 
     crash 1 -> scale-out -> crash 2 -> restore 1 -> scale-in 0 -> restore 2
@@ -24,8 +24,8 @@ import pytest
 
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
-from repro.elastic import ElasticityController
-from repro.faults import FaultController
+from repro.elastic import ElasticConfig
+from repro.faults import FaultConfig, MembershipController
 from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
 from repro.ps.relocation import RelocationPS
@@ -52,9 +52,9 @@ def _build(system: str, backend: str):
                            storage=storage)
     if system == "classic":
         ps = ClassicPS(store, cluster)
-    elif system == "ssp":
-        ps = ReplicationPS(store, cluster, protocol=ReplicationProtocol.SSP,
-                           staleness=1)
+    elif system in ("ssp", "essp"):
+        ps = ReplicationPS(store, cluster,
+                           protocol=ReplicationProtocol(system), staleness=1)
     elif system == "lapse":
         ps = RelocationPS(store, cluster)
     else:
@@ -108,26 +108,25 @@ def _snapshot(ps, cluster, moved, reported) -> str:
 def transition_digests(system: str, backend: str) -> list:
     """One digest per step of :data:`STEPS`."""
     ps, cluster = _build(system, backend)
-    faults = FaultController(ps)
-    elastic = ElasticityController(ps)
+    controller = MembershipController(ps)
     digests = []
     for step in STEPS:
         before = _homes(ps)
         reported = None
         if step == "crash 1":
-            faults.crash_node(1, now=0.001)
-            reported = np.flatnonzero(faults.moved_mask(1))
+            controller.crash_node(1, now=0.001)
+            reported = np.flatnonzero(controller.moved_mask(1))
         elif step == "scale-out":
-            reported = elastic.scale_out(now=0.002)
+            reported = controller.scale_out(now=0.002)
         elif step == "crash 2":
-            faults.crash_node(2, now=0.003)
-            reported = np.flatnonzero(faults.moved_mask(2))
+            controller.crash_node(2, now=0.003)
+            reported = np.flatnonzero(controller.moved_mask(2))
         elif step == "restore 1":
-            faults.restore_node(1, now=0.05)
+            controller.restore_node(1, now=0.05)
         elif step == "scale-in 0":
-            reported = sorted(elastic.scale_in(0, now=0.06).items())
+            reported = sorted(controller.scale_in(0, now=0.06).items())
         else:
-            faults.restore_node(2, now=0.07)
+            controller.restore_node(2, now=0.07)
         moved = np.flatnonzero(before != _homes(ps))
         digests.append(_snapshot(ps, cluster, moved, reported))
     return digests
@@ -161,11 +160,10 @@ def test_no_key_routes_at_a_removed_node(system, backend, seed):
     After every step neither the home map nor the relocation family's
     ``current_owner`` routes a key at a removed node. That is why no access
     needs a removed-owner check: a removed node never recovers, and the
-    elasticity controller checks the same once, at the scale-in.
+    membership controller checks the same once, at the scale-in.
     """
     ps, cluster = _build(system, backend)
-    faults = FaultController(ps)
-    elastic = ElasticityController(ps)
+    controller = MembershipController(ps)
     rng = np.random.default_rng(seed)
     all_keys = np.arange(NUM_KEYS, dtype=np.int64)
     counts = {"crash": 0, "restore": 0, "scale-out": 0, "scale-in": 0}
@@ -175,13 +173,13 @@ def test_no_key_routes_at_a_removed_node(system, backend, seed):
         action = ("crash", "restore", "scale-out", "scale-in")[
             int(rng.integers(4))]
         if action == "crash" and len(live) > 1:
-            faults.crash_node(int(rng.choice(live)), now)
-        elif action == "restore" and faults.down:
-            faults.restore_node(int(rng.choice(sorted(faults.down))), now)
+            controller.crash_node(int(rng.choice(live)), now)
+        elif action == "restore" and controller.down:
+            controller.restore_node(int(rng.choice(sorted(controller.down))), now)
         elif action == "scale-out" and cluster.num_nodes < 8:
-            elastic.scale_out(now)
+            controller.scale_out(now)
         elif action == "scale-in" and len(live) > 1:
-            elastic.scale_in(int(rng.choice(live)), now)
+            controller.scale_in(int(rng.choice(live)), now)
         else:
             continue
         counts[action] += 1
@@ -191,3 +189,156 @@ def test_no_key_routes_at_a_removed_node(system, backend, seed):
             owners = np.asarray(ps.current_owner.take(all_keys))
             assert not np.isin(owners, removed).any(), (step, action)
     assert min(counts.values()) > 0, counts
+
+
+# --------------------------------------------------------------------------
+# Crash and planned leave are one departure step with different inputs.
+# --------------------------------------------------------------------------
+
+TWIN_SYSTEMS = ("classic", "ssp", "essp", "lapse", "nups")
+LEAVING = 1
+NOW = 0.01
+#: The crash's detection timeout and the leave's announcement delay.
+DELAY = 0.004
+
+
+def _departed(system: str, backend: str, how: str):
+    """A freshly built PS after ``how`` ("crash", "leave", "drain" — the
+    leave's drain alone — or "none") of node :data:`LEAVING` at :data:`NOW`,
+    with every ``_rehome`` call recorded."""
+    ps, cluster = _build(system, backend)
+    controller = MembershipController(ps, FaultConfig(detection_timeout=DELAY),
+                                      ElasticConfig(join_delay=DELAY))
+    rehomed = []
+    rehome = ps._rehome
+
+    def recording_rehome(keys, nodes, available_at):
+        rehomed.append((np.array(keys), list(nodes), available_at))
+        rehome(keys, nodes, available_at)
+
+    ps._rehome = recording_rehome
+    if how == "crash":
+        controller.crash_node(LEAVING, NOW)
+    elif how == "leave":
+        controller.scale_in(LEAVING, NOW)
+    elif how == "drain":
+        ps.release_node(LEAVING, NOW)
+    return ps, cluster, rehomed
+
+
+def _clocks(cluster) -> dict:
+    return {(node.node_id, name): clock.now
+            for node in cluster.nodes
+            for name, clock in [("background", node.background_clock),
+                                ("server", node.server_clock)]
+            + [(f"worker {i}", c) for i, c in enumerate(node.worker_clocks)]}
+
+
+def _non_transition_counters(cluster) -> dict:
+    return {name: value for name, value in cluster.metrics.counters().items()
+            if not name.startswith(("faults.", "elastic."))}
+
+
+def _values(ps) -> np.ndarray:
+    return ps.store.get(np.arange(NUM_KEYS, dtype=np.int64))
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("system", TWIN_SYSTEMS)
+def test_crash_and_planned_leave_share_one_departure(system, backend):
+    """From one state, a crash and a planned leave of the same node (with
+    ``detection_timeout == join_delay``) hand over the same keys to the same
+    survivors at the same time and charge the survivors alike. They differ
+    only in what the leaving node does: a crashed node sends nothing, a
+    leaving one drains its buffered updates and then sends the state — its
+    background thread carries the whole transfer, counted under
+    ``network.*`` — while a crash repairs the lost keys instead."""
+    base_ps, base = _departed(system, backend, "none")[:2]
+    crash_ps, crash, crash_rehomed = _departed(system, backend, "crash")
+    leave_ps, leave, leave_rehomed = _departed(system, backend, "leave")
+    drain_ps, drain = _departed(system, backend, "drain")[:2]
+
+    # The live ownership table, the _rehome targets and available_at.
+    np.testing.assert_array_equal(_homes(crash_ps), _homes(leave_ps))
+    assert len(crash_rehomed) == len(leave_rehomed) == 1
+    (keys, nodes, available_at), (leave_keys, leave_nodes, leave_at) = \
+        crash_rehomed[0], leave_rehomed[0]
+    assert len(keys) > 0
+    np.testing.assert_array_equal(keys, leave_keys)
+    assert nodes == leave_nodes == [0, 2]
+    assert available_at == leave_at
+    if isinstance(crash_ps, RelocationPS):
+        for name in ("current_owner", "arrival_time"):
+            np.testing.assert_array_equal(
+                np.asarray(getattr(crash_ps, name).take(np.arange(NUM_KEYS))),
+                np.asarray(getattr(leave_ps, name).take(np.arange(NUM_KEYS))))
+    assert crash.metrics.get("faults.recovery_time") \
+        == leave.metrics.get("elastic.migration_time") \
+        == available_at - NOW
+    assert crash.metrics.get("faults.keys_recovered_from_replicas") \
+        + crash.metrics.get("faults.keys_recovered_from_checkpoint") \
+        == leave.metrics.get("elastic.migrated_keys") == len(keys)
+
+    # Every clock but the leaving node's background thread agrees — the
+    # survivors' split of the transfer included, which moved them.
+    hub = (LEAVING, "background")
+    crash_clocks, leave_clocks = _clocks(crash), _clocks(leave)
+    assert crash_clocks.pop(hub) == _clocks(base)[hub]  # a crash sends nothing
+    payload = len(keys) * leave_ps.store.value_bytes()
+    transfer = leave.network.transfer_cost(payload)
+    assert leave_clocks.pop(hub) \
+        == max(NOW, _clocks(drain)[hub]) + transfer
+    assert crash_clocks == leave_clocks
+    assert crash_clocks[(0, "background")] > _clocks(base)[(0, "background")]
+
+    # Counters: a crash counts only faults.*; a leave counts its drain, then
+    # one message to each survivor plus the hub's and the payload.
+    assert _non_transition_counters(crash) == _non_transition_counters(base)
+    expected = _non_transition_counters(drain)
+    expected["network.messages"] += 1 + len(nodes)
+    expected["network.bytes"] += payload
+    assert _non_transition_counters(leave) == expected
+
+    # Values: the crash rewrites only the lost keys; the leave's only value
+    # change is its drain.
+    kept = np.setdiff1d(np.arange(NUM_KEYS), keys)
+    np.testing.assert_array_equal(_values(crash_ps)[kept],
+                                  _values(base_ps)[kept])
+    np.testing.assert_array_equal(_values(leave_ps), _values(drain_ps))
+    drained = int(np.any(_values(drain_ps) != _values(base_ps), axis=1).sum())
+    assert leave.metrics.get("elastic.drained_updates") == drained
+    # SSP/ESSP buffer every push; node 1 pushes none of NuPS's replicated
+    # keys (the multiples of 9), and the other systems buffer nothing.
+    assert (drained > 0) == (system in ("ssp", "essp"))
+    assert leave.metrics.get("elastic.lost_updates") == 0
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("system", TWIN_SYSTEMS)
+def test_join_then_leave_round_trip(system, backend):
+    """A node that joins and then leaves again hands back exactly the keys
+    it took over; both transfers take one arrival/departure cost each, and
+    nothing it never held is drained."""
+    ps, cluster = _build(system, backend)
+    controller = MembershipController(ps, elastic_config=ElasticConfig(
+        join_delay=DELAY))
+    before = _non_transition_counters(cluster)
+    node = controller.scale_out(NOW)
+    taken = np.sort(np.asarray(ps.keys_owned_by(node), dtype=np.int64))
+    assert node == 3 and len(taken) > 0
+    summary = controller.scale_in(node, 2 * NOW)
+    assert summary["moved_keys"] == len(taken)
+    assert summary["drained_updates"] == summary["lost_updates"] == 0
+    assert cluster.active_nodes == [0, 1, 2]
+    assert not np.isin(_homes(ps), [node]).any()
+    # One arrival and one departure of the same payload and delay.
+    payload = len(taken) * ps.store.value_bytes()
+    one_way = DELAY + cluster.network.message_cost(0) \
+        + cluster.network.transfer_cost(payload)
+    assert cluster.metrics.get("elastic.migration_time") == pytest.approx(
+        2 * one_way, rel=1e-12)
+    assert summary["available_at"] == 2 * NOW + one_way
+    after = _non_transition_counters(cluster)
+    assert after["network.messages"] - before["network.messages"] \
+        == 2 * (1 + 3)
+    assert after["network.bytes"] - before["network.bytes"] == 2 * payload

@@ -16,6 +16,8 @@ from repro.ps.chunks import (
     MemoryBudget,
     MemoryBudgetExceeded,
     StorageConfig,
+    _copy_nonzero_pages,
+    _zeroed,
     flatnonzero_equal,
 )
 from repro.ps.rounds import point_calls
@@ -687,6 +689,22 @@ class TestGathersAreOBatch:
         assert _gather_peak(lambda: charger.read(0, 2)) < self.LIMIT
         assert _gather_peak(
             lambda: ps.pull(worker, batch + 1)) < self.LIMIT  # refreshes
+
+
+def test_pool_copy_holds_no_second_copy_of_the_live_pages():
+    """Moving a pool copies its live pages in place: copying a fully live
+    4 MiB pool traces under 1 MiB (gathering the live pages first would
+    trace 4 MiB), and the copy equals the source, dead pages included."""
+    rows = (4 * 2**20) // (8 * 4)
+    source = np.ones((rows, 8), dtype=np.float32)
+    target = _zeroed(source.shape, source.dtype)
+    assert _gather_peak(lambda: _copy_nonzero_pages(source, target)) < 2**20
+    np.testing.assert_array_equal(target, source)
+    source[: rows // 2] = 0.0
+    source[-1] = 2.0  # the partial tail page
+    target = _zeroed(source.shape, source.dtype)
+    _copy_nonzero_pages(source, target)
+    np.testing.assert_array_equal(target, source)
 
 
 def _resident_mib() -> float:

@@ -41,8 +41,8 @@ from repro.core.nups import NuPS
 from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
 from repro.core.sampling.schemes import SCHEMES_BY_NAME, SchemeConfig
-from repro.elastic import ElasticityController, PartitionState
-from repro.faults import FaultController
+from repro.elastic import PartitionState
+from repro.faults import MembershipController
 from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.negative_sampling import NegativeSampleStream
 from repro.ml.task import RoundWorkItem, sequential_process_round
@@ -1197,11 +1197,11 @@ def _proxied_world(condition, task_name="matrix_factorization",
         proxy.partition = PartitionState(ps, {2}, cluster.time)
         nodes = [2]
     elif condition == "node-down":
-        proxy.controller = FaultController(ps, start_time=cluster.time)
+        proxy.controller = MembershipController(ps, start_time=cluster.time)
         proxy.controller.crash_node(2, cluster.time)
         nodes = [0, 1]
     else:
-        ElasticityController(ps).scale_in(2, cluster.time)
+        MembershipController(ps).scale_in(2, cluster.time)
         nodes = [0, 1]
     pulls = []
     pull = proxy.pull
