@@ -140,12 +140,19 @@ def _fingerprint(result) -> dict:
 
 
 def _equivalence_job(system: str, backend: str) -> dict:
-    overrides = {"storage": EQ_STORAGE} if backend == "sparse" else None
     started = time.perf_counter()
     result = run_system(EQ_TASK, system, num_nodes=EQ_NODES,
-                        system_overrides=overrides)
+                        storage=EQ_STORAGE if backend == "sparse" else None)
     wall = time.perf_counter() - started
-    return dict(_fingerprint(result), wall_seconds=wall)
+    # The comparison means something only if each side trained on the
+    # backend it is named after.
+    if result.storage_backend != backend:
+        raise RuntimeError(
+            f"the {backend} equivalence run of {system} trained on the "
+            f"{result.storage_backend} backend"
+        )
+    return dict(_fingerprint(result), wall_seconds=wall,
+                storage_backend=result.storage_backend)
 
 
 def _compare_fingerprints(dense: dict, sparse: dict) -> dict:
@@ -172,6 +179,7 @@ def _compare_fingerprints(dense: dict, sparse: dict) -> dict:
     }
     flags["identical"] = all(flags.values())
     flags["epochs"] = len(dense["records"])
+    flags["backends"] = [dense["storage_backend"], sparse["storage_backend"]]
     flags["dense_total_time"] = (
         dense["records"][-1]["sim_time"] if dense["records"] else None
     )

@@ -30,6 +30,7 @@ import multiprocessing
 import os
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.ps.chunks import StorageConfig
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import ExperimentResult, run_experiment
 from repro.runner.systems import make_ps_factory
@@ -73,7 +74,9 @@ SYSTEM_OVERRIDES: Dict[str, Dict[str, object]] = {
 
 
 def experiment_config(num_nodes: int = DEFAULT_NODES, epochs: int = 3,
-                      seed: int = 0) -> ExperimentConfig:
+                      seed: int = 0,
+                      storage: Optional[StorageConfig] = None
+                      ) -> ExperimentConfig:
     """The standard experiment configuration used across benchmarks."""
     workers = WORKERS_PER_NODE
     return ExperimentConfig(
@@ -81,21 +84,28 @@ def experiment_config(num_nodes: int = DEFAULT_NODES, epochs: int = 3,
         epochs=epochs,
         chunk_size=8,
         seed=seed,
+        storage=storage,
     )
 
 
 def run_system(task_name: str, system: str, num_nodes: int = DEFAULT_NODES,
                epochs: Optional[int] = None, seed: int = 0,
                task_kwargs: Optional[dict] = None,
-               system_overrides: Optional[dict] = None) -> ExperimentResult:
-    """Run one (task, system) experiment at benchmark scale."""
+               system_overrides: Optional[dict] = None,
+               storage: Optional[StorageConfig] = None) -> ExperimentResult:
+    """Run one (task, system) experiment at benchmark scale.
+
+    ``storage`` selects the store's backend (``ExperimentConfig.storage``);
+    ``system_overrides`` are the system builder's keyword parameters.
+    """
     factory = TASK_FACTORIES[task_name]
     task = factory("bench", **(task_kwargs or {}))
     nodes = 1 if system == "single-node" else num_nodes
     overrides = dict(SYSTEM_OVERRIDES.get(system, {}))
     overrides.update(system_overrides or {})
     config = experiment_config(
-        num_nodes=nodes, epochs=epochs or EPOCHS[task_name], seed=seed
+        num_nodes=nodes, epochs=epochs or EPOCHS[task_name], seed=seed,
+        storage=storage,
     )
     return run_experiment(
         task, make_ps_factory(system, **overrides), config, system_name=system

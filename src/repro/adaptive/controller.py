@@ -6,10 +6,8 @@ in through the server's hot-path tap (:mod:`repro.adaptive.stats`), a
 :class:`~repro.adaptive.policy.ManagementPolicy` turns them into a desired
 :class:`~repro.core.management.ManagementPlan`, and the controller — driven
 by a :class:`~repro.simulation.events.PeriodicSchedule` in simulated time —
-diffs the desired plan against the installed one and issues *incremental*
-transitions through ``NuPS.remanage``: at most ``max_changes_per_step`` keys
-switch technique per adaptation step, hottest additions first, so a large
-drift is absorbed over a few steps instead of one bulk rebuild.
+diffs the desired plan against the installed one and issues the
+transition through ``NuPS.remanage``.
 
 Transitions are not free. Creating a replica ships the key's current value
 to every node (a recursive-doubling broadcast, charged to each node's
@@ -30,7 +28,7 @@ import numpy as np
 
 from repro.adaptive.policy import ManagementPolicy, make_policy
 from repro.adaptive.stats import AccessStats
-from repro.core.management import DEFAULT_HOT_SPOT_FACTOR, ManagementPlan
+from repro.core.management import ManagementPlan
 from repro.simulation.events import PeriodicSchedule
 
 __all__ = ["AdaptiveConfig", "AdaptiveController", "install_adaptive"]
@@ -45,41 +43,26 @@ class AdaptiveConfig:
     policy:
         ``"hot-spot"`` (the paper's 100x-mean heuristic computed online) or
         ``"top-k"`` (the tuned fixed-extent variant).
-    hot_spot_factor / exit_fraction:
-        Entry threshold factor and hysteresis exit band of the hot-spot
-        policy (a replicated key falls back to relocation only below
-        ``exit_fraction * factor * mean``).
-    top_k / slack:
-        Replication extent and rank-slack band of the top-k policy.
-        ``top_k=None`` adopts the extent of the plan installed at attach
-        time (re-target the same number of keys, online).
+    top_k:
+        Replication extent of the top-k policy. ``top_k=None`` adopts the
+        extent of the plan installed at attach time (re-target the same
+        number of keys, online).
     period:
         Adaptation period in *simulated* seconds (the controller's
         :class:`~repro.simulation.events.PeriodicSchedule` interval).
     half_life:
         Exponential-decay half-life of the access statistics, in simulated
         seconds. Shorter half-lives track drift faster but are noisier.
-    capacity:
-        Space-saving sketch size: the maximum number of keys tracked online
-        (cost stays O(hot set), independent of the key-space size).
     warmup_observations:
         Minimum number of observed accesses before the first adaptation
         (prevents re-managing on an empty histogram at startup).
-    max_changes_per_step:
-        Cap on keys switching technique per adaptation step (``None`` =
-        unbounded). Additions are prioritized over removals, hottest first.
     """
 
     policy: str = "hot-spot"
-    hot_spot_factor: float = DEFAULT_HOT_SPOT_FACTOR
-    exit_fraction: float = 0.5
     top_k: Optional[int] = None
-    slack: float = 0.25
     period: float = 0.01
     half_life: float = 0.02
-    capacity: int = 512
     warmup_observations: int = 2000
-    max_changes_per_step: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.policy not in ("hot-spot", "top-k"):
@@ -90,12 +73,8 @@ class AdaptiveConfig:
             raise ValueError("period must be positive")
         if self.half_life <= 0:
             raise ValueError("half_life must be positive")
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
         if self.warmup_observations < 0:
             raise ValueError("warmup_observations must be non-negative")
-        if self.max_changes_per_step is not None and self.max_changes_per_step < 1:
-            raise ValueError("max_changes_per_step must be >= 1 (or None)")
 
 
 class AdaptiveController:
@@ -157,7 +136,6 @@ class AdaptiveController:
                                assume_unique=False)
         if len(added) == 0 and len(removed) == 0:
             return
-        added, removed = self._cap_transition(added, removed)
         replicated = np.union1d(
             np.setdiff1d(current.replicated_keys, removed), added
         )
@@ -179,27 +157,6 @@ class AdaptiveController:
                 replicated=int(plan.num_replicated),
                 evaluations=self.evaluations,
             )
-
-    def _cap_transition(self, added: np.ndarray, removed: np.ndarray):
-        """Limit one step to ``max_changes_per_step`` keys (hottest first).
-
-        Additions cover currently unmanaged hot spots — the urgent half of a
-        transition — so they take the budget first, ordered by decreasing
-        estimate (ties by key). Removals fill the remainder, coldest first.
-        Whatever is cut here is reconsidered at the next step.
-        """
-        cap = self.config.max_changes_per_step
-        if cap is None or len(added) + len(removed) <= cap:
-            return added, removed
-        estimate = self.stats.sketch.estimate
-        if len(added) >= cap:
-            add_order = sorted(added.tolist(),
-                               key=lambda key: (-estimate(key), key))
-            return np.asarray(add_order[:cap], dtype=np.int64), removed[:0]
-        budget = cap - len(added)
-        remove_order = sorted(removed.tolist(),
-                              key=lambda key: (estimate(key), key))
-        return added, np.asarray(remove_order[:budget], dtype=np.int64)
 
     def _charge_transition(self, n_added: int, n_removed: int,
                            now: float) -> None:
@@ -245,7 +202,6 @@ class AdaptiveController:
             "policy": self.policy.describe(),
             "period": self.config.period,
             "half_life": self.config.half_life,
-            "capacity": self.config.capacity,
             "evaluations": self.evaluations,
             "adaptations": self.adaptations,
             "keys_added": self.keys_added,
@@ -274,15 +230,8 @@ def install_adaptive(ps, config: AdaptiveConfig) -> AdaptiveController:
     top_k = config.top_k
     if config.policy == "top-k" and top_k is None:
         top_k = ps.plan.num_replicated
-    policy = make_policy(
-        config.policy,
-        hot_spot_factor=config.hot_spot_factor,
-        exit_fraction=config.exit_fraction,
-        top_k=top_k or 0,
-        slack=config.slack,
-    )
-    stats = AccessStats(ps.store.num_keys, capacity=config.capacity,
-                        half_life=config.half_life)
+    policy = make_policy(config.policy, top_k=top_k or 0)
+    stats = AccessStats(ps.store.num_keys, half_life=config.half_life)
     controller = AdaptiveController(ps, stats, policy, config)
     ps.attach_adaptive(controller)
     return controller

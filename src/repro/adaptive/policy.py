@@ -120,13 +120,11 @@ class TopKPolicy(ManagementPolicy):
         return {"policy": self.name, "k": self.k, "slack": self.slack}
 
 
-def make_policy(name: str, *, hot_spot_factor: float = DEFAULT_HOT_SPOT_FACTOR,
-                exit_fraction: float = 0.5, top_k: int = 0,
-                slack: float = 0.25) -> ManagementPolicy:
-    """Build a policy by name (``"hot-spot"`` or ``"top-k"``)."""
+def make_policy(name: str, top_k: int = 0) -> ManagementPolicy:
+    """Build a policy by name (``"hot-spot"`` or ``"top-k"``) with its
+    default thresholds and bands."""
     if name == "hot-spot":
-        return HotSpotPolicy(factor=hot_spot_factor,
-                             exit_fraction=exit_fraction)
+        return HotSpotPolicy()
     if name == "top-k":
-        return TopKPolicy(k=top_k, slack=slack)
+        return TopKPolicy(k=top_k)
     raise ValueError(f"unknown policy {name!r}; expected 'hot-spot' or 'top-k'")

@@ -66,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="dynamic-workload scenario preset (drift, stragglers, "
                  "crash-storm, ...; default: static workload)")
         subparser.add_argument(
-            "--sequential", action="store_true",
-            help="run the per-call oracle loop instead of the production "
-                 "round path (bit-identical results, slower)")
-        subparser.add_argument(
             "--storage-backend", choices=["dense", "sparse"], default=None,
             help="parameter-store storage backend (default: keep the "
                  "task's store as created, i.e. dense)")
@@ -171,7 +167,7 @@ def _config(args: argparse.Namespace, system: str,
                               workers_per_node=args.workers),
         epochs=args.epochs, chunk_size=8, seed=args.seed,
         scenario=make_scenario(args.scenario) if args.scenario else None,
-        round_fusion=not args.sequential, storage=storage,
+        storage=storage,
         telemetry=telemetry,
     )
 

@@ -35,7 +35,7 @@ from repro.core.replica_manager import DEFAULT_SYNC_INTERVAL, ReplicaManager
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import SamplingDistribution
 from repro.core.sampling.manager import SamplingConfig, SamplingManager
-from repro.core.sampling.schemes import SamplingHost
+from repro.core.sampling.schemes import REPURPOSE_BUFFER_SIZE, SamplingHost
 from repro.ps.base import PullResult, SampleHandle
 from repro.ps.relocation import (RelocationPS, RelocationPointCharger,
                                  access_labels)
@@ -75,7 +75,7 @@ class NuPS(RelocationPS, SamplingHost):
             for node_id in range(cluster.num_nodes)
         }
         self._recent_direct: Dict[int, Deque[int]] = {
-            node_id: deque(maxlen=self.sampling_manager.config.scheme_config.repurpose_buffer_size)
+            node_id: deque(maxlen=REPURPOSE_BUFFER_SIZE)
             for node_id in range(cluster.num_nodes)
         }
         #: Optional online access-statistics tap (see :mod:`repro.adaptive`).
@@ -324,9 +324,7 @@ class NuPS(RelocationPS, SamplingHost):
         self._node_rngs[node_id] = np.random.default_rng(
             self._seed * 7919 + node_id + 1
         )
-        self._recent_direct[node_id] = deque(
-            maxlen=self.sampling_manager.config.scheme_config.repurpose_buffer_size
-        )
+        self._recent_direct[node_id] = deque(maxlen=REPURPOSE_BUFFER_SIZE)
         if self.adaptive_controller is not None:
             self.adaptive_controller.on_membership_change(available_at)
 

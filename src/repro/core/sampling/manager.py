@@ -31,15 +31,13 @@ class SamplingConfig:
 
     ``scheme_override`` forces a specific scheme by name (e.g. ``"local"`` for
     the paper's tuned KGE/WV configurations, or ``"direct_access_repurposing"``
-    for the DGL-KE-style scheme), regardless of the level-based default. The
-    override must still satisfy the registered conformity level unless
-    ``allow_weaker_override`` is set (the tuned configurations deliberately
-    drop to NON_CONFORM for speed).
+    for the DGL-KE-style scheme), regardless of the level-based default and
+    even when it provides a weaker conformity level than the registered one
+    (the tuned configurations deliberately drop to NON_CONFORM for speed).
     """
 
     scheme_config: SchemeConfig = field(default_factory=SchemeConfig)
     scheme_override: Optional[str] = None
-    allow_weaker_override: bool = True
 
     def __post_init__(self) -> None:
         if self.scheme_override is not None and self.scheme_override not in SCHEMES_BY_NAME:
@@ -132,13 +130,6 @@ class SamplingManager:
                       level: ConformityLevel) -> SamplingScheme:
         if self.config.scheme_override is not None:
             scheme_cls = SCHEMES_BY_NAME[self.config.scheme_override]
-            if (not scheme_cls.level.satisfies(level)
-                    and not self.config.allow_weaker_override):
-                raise ValueError(
-                    f"scheme {self.config.scheme_override!r} provides "
-                    f"{scheme_cls.level}, which does not satisfy the requested "
-                    f"level {level}"
-                )
         else:
             scheme_cls = DEFAULT_SCHEME_FOR_LEVEL[level]
         return scheme_cls(self.host, distribution, self.config.scheme_config)

@@ -75,6 +75,13 @@ class SamplingHost(ABC):
         """Length of one parameter value."""
 
 
+#: Samples a node's local sampler draws before it re-reads the local part of
+#: the support (local sampling).
+LOCAL_REFRESH_INTERVAL = 512
+#: Recent direct-access keys a node keeps for direct-access repurposing.
+REPURPOSE_BUFFER_SIZE = 1024
+
+
 @dataclass
 class SchemeConfig:
     """Tunable knobs shared by the schemes.
@@ -85,18 +92,12 @@ class SchemeConfig:
 
     pool_size: int = 250
     use_frequency: int = 16
-    local_refresh_interval: int = 512
-    repurpose_buffer_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.pool_size <= 0:
             raise ValueError("pool_size must be positive")
         if self.use_frequency <= 0:
             raise ValueError("use_frequency must be positive")
-        if self.local_refresh_interval <= 0:
-            raise ValueError("local_refresh_interval must be positive")
-        if self.repurpose_buffer_size <= 0:
-            raise ValueError("repurpose_buffer_size must be positive")
 
 
 class SamplingScheme(ABC):
@@ -368,7 +369,7 @@ class LocalSamplingScheme(SamplingScheme):
         state = self._node_state.setdefault(node_id, _NodeLocalSamplerState())
         refresh_due = (
             state.sampler is None
-            or state.samples_since_refresh >= self.config.local_refresh_interval
+            or state.samples_since_refresh >= LOCAL_REFRESH_INTERVAL
             # A (nearly) empty local candidate set forces expensive remote
             # fallbacks; re-check eagerly, because relocation changes the
             # local partition constantly and new candidates arrive quickly.

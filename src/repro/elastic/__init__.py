@@ -2,10 +2,9 @@
 
 This package turns the fixed-size simulated cluster into an elastic one:
 
-* :mod:`repro.elastic.config` — :class:`ElasticConfig`, the tunables of
-  planned scale-out/scale-in. The transitions themselves (membership epochs,
-  state drains, key migration and the network/background-clock charges of
-  the transfer) run on the membership controller
+* Planned scale-out and scale-in (membership epochs, state drains, key
+  migration and the network/background-clock charges of the transfer) run
+  on the membership controller
   (:class:`~repro.faults.controller.MembershipController`), the same
   departure and arrival steps as a crash and a restore.
 * :mod:`repro.elastic.partition_state` — :class:`PartitionState` models an
@@ -22,7 +21,6 @@ from the range formula, and no gate is installed unless a perturbation asks
 for one.
 """
 
-from repro.elastic.config import ElasticConfig
 from repro.elastic.partition_state import PartitionState
 from repro.elastic.perturbations import (
     AutoscaleStorm,
@@ -33,7 +31,6 @@ from repro.elastic.perturbations import (
 
 __all__ = [
     "AutoscaleStorm",
-    "ElasticConfig",
     "NetworkPartition",
     "PartitionState",
     "ScaleIn",

@@ -40,8 +40,8 @@ class ScaleOut(Perturbation):
     size — see :meth:`ScenarioRuntime.worker_keys`.
     """
 
-    def __init__(self, count: int = 1, at_epoch: int = 0, at_round: int = 1,
-                 elastic_config=None) -> None:
+    def __init__(self, count: int = 1, at_epoch: int = 0,
+                 at_round: int = 1) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
         if at_epoch < 0 or at_round < 0:
@@ -49,7 +49,6 @@ class ScaleOut(Perturbation):
         self.count = int(count)
         self.at_epoch = int(at_epoch)
         self.at_round = int(at_round)
-        self.elastic_config = elastic_config
         self._fired = False
 
     def on_start(self, ctx: ScenarioRuntime) -> None:
@@ -75,7 +74,7 @@ class ScaleIn(Perturbation):
     """
 
     def __init__(self, count: int = 1, at_epoch: int = 0, at_round: int = 1,
-                 elastic_config=None, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
         if at_epoch < 0 or at_round < 0:
@@ -83,7 +82,6 @@ class ScaleIn(Perturbation):
         self.count = int(count)
         self.at_epoch = int(at_epoch)
         self.at_round = int(at_round)
-        self.elastic_config = elastic_config
         self.seed = int(seed)
         self._rng: Optional[np.random.Generator] = None
         self._fired = False
@@ -117,14 +115,13 @@ class AutoscaleStorm(Perturbation):
     """
 
     def __init__(self, period_rounds: int = 2, max_changes: Optional[int] = None,
-                 elastic_config=None, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if period_rounds < 1:
             raise ValueError("period_rounds must be >= 1")
         if max_changes is not None and max_changes < 1:
             raise ValueError("max_changes must be >= 1 (or None)")
         self.period_rounds = int(period_rounds)
         self.max_changes = max_changes
-        self.elastic_config = elastic_config
         self.seed = int(seed)
         self._rng: Optional[np.random.Generator] = None
         self._added: List[int] = []

@@ -23,7 +23,6 @@ input             crash                               planned leave
 ================  ==================================  ==========================
 values from       surviving replicas, then the        a drain of the node's
                   latest checkpoint                   buffered updates
-delay             ``FaultConfig.detection_timeout``   ``ElasticConfig.join_delay``
 transfer charge   survivors split it                  survivors split it, the
                                                       leaving node sends it all
                                                       and ``network.*`` counts it
@@ -32,9 +31,9 @@ metrics           ``faults.*``                        ``elastic.*``
 
 A crashed node sends nothing, so only a planned transition charges the node
 all the state leaves or reaches. Moved keys become reachable at
-``now + delay + message_cost(0) + transfer``: accesses racing a crash
-recovery either wait (architectures with native arrival tracking) or retry
-with backoff (the scenario interposer's dead-owner gate, which reads
+``now + MEMBERSHIP_DELAY + message_cost(0) + transfer``: accesses racing a
+crash recovery either wait (architectures with native arrival tracking) or
+retry with backoff (the scenario interposer's dead-owner gate, which reads
 :attr:`MembershipController.down`).
 
 The controller is deliberately standalone — it needs only a parameter
@@ -49,10 +48,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.elastic.config import ElasticConfig
 from repro.faults.checkpoint import CheckpointManager
 
 __all__ = ["FaultConfig", "MembershipController"]
+
+#: Time from a membership change to its announcement, before any state
+#: moves: the survivors' detection of a silent node, or the handshake of a
+#: planned join or leave (epoch bump, ownership-map rewrite, route refresh).
+MEMBERSHIP_DELAY = 0.002
 
 
 @dataclass
@@ -67,20 +70,10 @@ class FaultConfig:
         baseline — every crash rolls its keys back to epoch zero).
     checkpoint_interval:
         Simulated seconds between checkpoints (``recovery="checkpoint"``).
-    detection_timeout:
-        Time until the survivors declare a silent node dead.
-    max_retries:
-        Retry budget of an access that hits a dead owner before it fails
-        with a :class:`~repro.faults.errors.DeadOwnerError`.
-    retry_backoff:
-        Initial retry delay; doubles on every attempt.
     """
 
     recovery: str = "checkpoint"
     checkpoint_interval: float = 0.010
-    detection_timeout: float = 0.002
-    max_retries: int = 3
-    retry_backoff: float = 0.001
 
     def __post_init__(self) -> None:
         if self.recovery not in ("checkpoint", "restart"):
@@ -90,12 +83,6 @@ class FaultConfig:
             )
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
-        if self.detection_timeout < 0:
-            raise ValueError("detection_timeout must be non-negative")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff <= 0:
-            raise ValueError("retry_backoff must be positive")
 
 
 class MembershipController:
@@ -105,16 +92,14 @@ class MembershipController:
         self,
         ps,
         fault_config: Optional[FaultConfig] = None,
-        elastic_config: Optional[ElasticConfig] = None,
         start_time: float = 0.0,
     ) -> None:
         self.ps = ps
         self.cluster = ps.cluster
-        self.fault_config = fault_config or FaultConfig()
-        self.elastic_config = elastic_config or ElasticConfig()
+        fault_config = fault_config or FaultConfig()
         interval = (
-            self.fault_config.checkpoint_interval
-            if self.fault_config.recovery == "checkpoint"
+            fault_config.checkpoint_interval
+            if fault_config.recovery == "checkpoint"
             else None
         )
         self.checkpoint = CheckpointManager(
@@ -224,10 +209,8 @@ class MembershipController:
         survivors = cluster.active_nodes
         hand_over = ps.partitioner.leave if planned else ps.partitioner.fail
         hand_over(node_id, survivors)
-        delay = self.elastic_config.join_delay if planned \
-            else self.fault_config.detection_timeout
         payload = len(keys) * ps.store.value_bytes()
-        available_at = self._available_at(now, delay, payload)
+        available_at = self._available_at(now, payload)
         ps._rehome(keys, survivors, available_at)
         if planned:
             # A removed node never recovers, so no access may be routed at
@@ -304,8 +287,7 @@ class MembershipController:
             active = cluster.active_nodes
             keys = ps.partitioner.join(node_id, active)
             payload = len(keys) * ps.store.value_bytes()
-            available_at = self._available_at(
-                now, self.elastic_config.join_delay, payload)
+            available_at = self._available_at(now, payload)
             ps._rehome(keys, [node_id], available_at)
         else:
             cluster.restore_node(node_id, now)
@@ -317,11 +299,12 @@ class MembershipController:
         return node_id, keys, available_at
 
     # ---------------------------------------------------------------- charges
-    def _available_at(self, now: float, delay: float, payload: int) -> float:
-        """When keys moved at ``now`` are usable: the announcement (``delay``
-        plus one message) and the state transfer of ``payload`` bytes."""
+    def _available_at(self, now: float, payload: int) -> float:
+        """When keys moved at ``now`` are usable: the announcement
+        (``MEMBERSHIP_DELAY`` plus one message) and the state transfer of
+        ``payload`` bytes."""
         network = self.cluster.network
-        return now + delay + network.message_cost(0) \
+        return now + MEMBERSHIP_DELAY + network.message_cost(0) \
             + network.transfer_cost(payload)
 
     def _ship(self, now: float, payload: int, peers, hub: Optional[int]) -> None:

@@ -195,7 +195,7 @@ def summarize(trace: dict, top: int = 10) -> str:
     lines = []
     run = " ".join(f"{key}={meta[key]}" for key in
                    ("system", "task", "num_nodes", "workers_per_node",
-                    "backend", "seed") if key in meta)
+                    "seed") if key in meta)
     lines.append(f"trace schema v{trace.get('schema')}  {run}".rstrip())
     lines.append(
         f"records: {len(trace.get('spans', []))} spans, "

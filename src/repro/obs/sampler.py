@@ -1,7 +1,7 @@
 """Periodic time-series sampling of the live experiment.
 
 The sampler turns the end-of-run aggregates the harness always had into a
-per-run *time series*: every ``sample_every_rounds`` scheduling rounds (and
+per-run *time series*: every ``SAMPLE_EVERY_ROUNDS`` scheduling rounds (and
 once, forced, at each epoch boundary) it snapshots
 
 * **metric deltas** since the previous sample — every counter the interval
@@ -23,6 +23,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: Scheduling-round period of the sampler.
+SAMPLE_EVERY_ROUNDS = 8
+
 
 class TelemetrySampler:
     """Snapshots cluster/PS state into the tracer on a round schedule."""
@@ -31,12 +34,11 @@ class TelemetrySampler:
         self.tracer = tracer
         self.cluster = cluster
         self.ps = ps
-        self.every_rounds = int(tracer.config.sample_every_rounds)
         self._baseline = cluster.metrics.snapshot()
 
     def maybe_sample(self, round_index: int, epoch_state=None) -> None:
         """Sample when ``round_index`` hits the configured period."""
-        if (round_index + 1) % self.every_rounds == 0:
+        if (round_index + 1) % SAMPLE_EVERY_ROUNDS == 0:
             self.take_sample(epoch_state)
 
     def take_sample(self, epoch_state=None) -> None:

@@ -28,13 +28,20 @@ claims of ``benchmarks/bench_obs.py``.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 #: Version of the JSONL trace schema (bumped on any record-shape change;
 #: pinned by the golden-file test in ``tests/test_obs.py``).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: Hard cap on recorded spans+events+samples. Past the cap the tracer drops
+#: new records (counting them in ``Tracer.dropped``) instead of growing
+#: without bound — a runaway detail-level trace degrades, it never OOMs the
+#: experiment.
+MAX_RECORDS = 1_000_000
 
 
 @dataclass
@@ -47,43 +54,29 @@ class TelemetryConfig:
         Optional file path; when set, the runner writes the JSONL event log
         there at the end of the experiment (see :mod:`repro.obs.export`).
         ``None`` keeps the trace in memory only
-        (``ExperimentResult.trace``).
+        (``ExperimentResult.trace``). The file's directory must exist when
+        the config is built, so a bad path fails before any training.
     access_events:
         Record one event per PS ``pull``/``push``/``localize`` call
         (the *detail* level). Off by default: per-access events multiply
         the record count by orders of magnitude and are the one
         instrumentation level whose overhead is **not** covered by the
         default ≤5% ceiling (``bench_obs.py`` measures both levels).
-    sample_every_rounds:
-        Scheduling-round period of the time-series sampler. Each sample
-        snapshots metric deltas, ``state_nbytes()`` residency, per-node
-        clock skew and queue depths; a forced sample closes every epoch.
-    max_records:
-        Hard cap on recorded spans+events+samples. Past the cap the tracer
-        drops new records (counting them in ``dropped``) instead of growing
-        without bound — a runaway detail-level trace degrades, it never
-        OOMs the experiment.
     """
 
     path: Optional[str] = None
     access_events: bool = False
-    sample_every_rounds: int = 8
-    max_records: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.sample_every_rounds < 1:
-            raise ValueError(
-                "sample_every_rounds must be >= 1 "
-                f"(got {self.sample_every_rounds}); the sampler runs every "
-                "N scheduling rounds and cannot be disabled short of "
-                "disabling telemetry"
-            )
-        if self.max_records < 1:
-            raise ValueError(
-                f"max_records must be >= 1 (got {self.max_records})"
-            )
-        if self.path is not None and not str(self.path):
-            raise ValueError("path must be a non-empty string or None")
+        if self.path is not None:
+            if not str(self.path):
+                raise ValueError("path must be a non-empty string or None")
+            directory = os.path.dirname(os.path.abspath(self.path))
+            if not os.path.isdir(directory):
+                raise ValueError(
+                    f"trace path {self.path!r}: directory {directory!r} does "
+                    "not exist; create it first or write the trace elsewhere"
+                )
 
 
 class Tracer:
@@ -105,12 +98,11 @@ class Tracer:
         self.spans: List[dict] = []
         self.events: List[dict] = []
         self.samples: List[dict] = []
-        #: Records dropped after ``max_records`` was reached.
+        #: Records dropped after ``MAX_RECORDS`` was reached.
         self.dropped = 0
         #: Run metadata for the trace header (system, task, cluster shape,
         #: final metric counters); filled by the runner.
         self.meta: Dict[str, object] = {}
-        self._max_records = int(self.config.max_records)
         self._count = 0
         self._next_span_id = 0
         self._open: List[dict] = []  # stack of open spans (parent linkage)
@@ -132,7 +124,7 @@ class Tracer:
         ``sim_end`` as ``None``, which the exporters render as "did not
         finish".
         """
-        if self._count >= self._max_records:
+        if self._count >= MAX_RECORDS:
             self.dropped += 1
             return None
         self._count += 1
@@ -178,7 +170,7 @@ class Tracer:
         worker's clock before and after the round and records the interval
         in one call, without touching the open-span stack.
         """
-        if self._count >= self._max_records:
+        if self._count >= MAX_RECORDS:
             self.dropped += 1
             return
         self._count += 1
@@ -206,7 +198,7 @@ class Tracer:
               node: Optional[int] = None, worker: Optional[int] = None,
               **attrs) -> None:
         """Record an instant event (``sim_time=None`` for wall-only events)."""
-        if self._count >= self._max_records:
+        if self._count >= MAX_RECORDS:
             self.dropped += 1
             return
         self._count += 1
@@ -226,7 +218,7 @@ class Tracer:
     # ---------------------------------------------------------------- samples
     def sample(self, sim_time: float, payload: Dict[str, object]) -> None:
         """Record one time-series sample (see ``TelemetrySampler``)."""
-        if self._count >= self._max_records:
+        if self._count >= MAX_RECORDS:
             self.dropped += 1
             return
         self._count += 1

@@ -2,9 +2,9 @@
 
 :class:`ExperimentConfig` bundles everything one training experiment needs
 beyond the task and the PS factory: the simulated cluster shape (the
-paper's main setting is 8 nodes x 8 workers, Section 5.1), the epoch and
-simulated-time budgets, the scheduling granularity, an optional
-dynamic-workload scenario, and the round-fusion execution toggle.
+paper's main setting is 8 nodes x 8 workers, Section 5.1), the epoch
+count, the scheduling granularity, the seed, an optional dynamic-workload
+scenario, the storage backend and telemetry.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.ps.chunks import StorageConfig
 from repro.simulation.cluster import ClusterConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.adaptive.controller import AdaptiveConfig
     from repro.obs import TelemetryConfig
     from repro.scenarios.base import Scenario
 
@@ -31,22 +30,14 @@ class ExperimentConfig:
         The simulated cluster (number of nodes, workers per node, network
         cost model). The paper's main setting is 8 nodes x 8 workers.
     epochs:
-        Maximum number of epochs to train.
-    time_budget:
-        Optional budget in *simulated* seconds; training stops at the first
-        epoch boundary after the budget is exhausted, mirroring the paper's
-        fixed 6-hour budget.
+        Number of epochs to train.
     chunk_size:
         Number of data points a worker processes per scheduling round. The
         runner interleaves chunks across all workers round-robin, which is
         how the simulation approximates parallel execution.
-    housekeeping_every_chunks:
-        How often (in scheduling rounds) PS housekeeping runs — replica
-        synchronization and sampling-pool maintenance.
-    evaluate_every:
-        Evaluate model quality every this many epochs.
     seed:
-        Random seed for sharding, model initialization and training.
+        Random seed for sharding, model initialization and training; a
+        non-negative integer.
     scenario:
         Optional dynamic-workload scenario (see :mod:`repro.scenarios`): a
         composition of time-varying perturbations — hot-set drift,
@@ -54,27 +45,6 @@ class ExperimentConfig:
         invokes at epoch and round boundaries. ``None`` (the default) runs
         the static experiment, bit-identical to a runner without scenario
         support.
-    adaptive:
-        Optional :class:`~repro.adaptive.controller.AdaptiveConfig` enabling
-        online adaptive parameter management (see :mod:`repro.adaptive`):
-        the runner attaches an adaptive controller to the experiment's
-        parameter server, which observes access skew from the hot path and
-        re-manages hot spots through ``remanage`` during training — no
-        oracle signal required. Requires a re-management-capable system
-        (NuPS). ``None`` (the default) collects no statistics and is
-        bit-identical to a runner without adaptive support.
-    round_fusion:
-        The one execution switch. ``True`` (default) routes each scheduling
-        round through the task's
-        :meth:`~repro.ml.task.TrainingTask.process_round` hook, the
-        production round path: charging replays per worker chunk and values
-        keep the sequential order (see :mod:`repro.ps.rounds`). ``False``
-        runs the oracle, the per-call loop of
-        :func:`~repro.ml.task.sequential_process_round`. Both produce
-        bit-identical
-        :class:`~repro.runner.experiment.ExperimentResult`\\ s. Scenario
-        perturbations (drift, churn, stragglers, networks) compose with
-        either setting.
     storage:
         Optional :class:`~repro.ps.chunks.StorageConfig` selecting the
         parameter store's storage backend. ``None`` (the default) keeps
@@ -97,14 +67,9 @@ class ExperimentConfig:
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     epochs: int = 3
-    time_budget: Optional[float] = None
     chunk_size: int = 16
-    housekeeping_every_chunks: int = 1
-    evaluate_every: int = 1
     seed: int = 0
     scenario: Optional["Scenario"] = None
-    adaptive: Optional["AdaptiveConfig"] = None
-    round_fusion: bool = True
     storage: Optional[StorageConfig] = None
     telemetry: Optional["TelemetryConfig"] = None
 
@@ -112,29 +77,17 @@ class ExperimentConfig:
         if self.epochs < 1:
             raise ValueError(
                 f"epochs must be >= 1 (got {self.epochs}); an experiment "
-                "trains at least one epoch — use time_budget to stop early"
+                "trains at least one epoch"
             )
         if self.chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1 (got {self.chunk_size}); it is the "
                 "number of data points a worker processes per scheduling round"
             )
-        if self.housekeeping_every_chunks < 1:
+        if self.seed < 0:
             raise ValueError(
-                "housekeeping_every_chunks must be >= 1 "
-                f"(got {self.housekeeping_every_chunks}); housekeeping runs "
-                "every N scheduling rounds and cannot be disabled"
-            )
-        if self.evaluate_every < 1:
-            raise ValueError(
-                f"evaluate_every must be >= 1 (got {self.evaluate_every}); "
-                "quality is evaluated every N epochs"
-            )
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError(
-                f"time_budget must be positive when set (got "
-                f"{self.time_budget}); it is a budget in simulated seconds, "
-                "or None for no budget"
+                f"seed must be >= 0 (got {self.seed}); NumPy seeds the run's "
+                "random streams from it — pass a non-negative integer"
             )
         if isinstance(self.scenario, str):
             from repro.scenarios.presets import SCENARIO_NAMES
@@ -149,17 +102,6 @@ class ExperimentConfig:
             raise TypeError(
                 "scenario must be a repro.scenarios.Scenario (or expose a "
                 f"compatible bind method), got {type(self.scenario).__name__}"
-            )
-        if isinstance(self.adaptive, str):
-            raise TypeError(
-                f"adaptive must be an AdaptiveConfig object, not the string "
-                f"{self.adaptive!r}; build it with "
-                f"repro.adaptive.AdaptiveConfig(policy={self.adaptive!r})"
-            )
-        if self.adaptive is not None and not hasattr(self.adaptive, "policy"):
-            raise TypeError(
-                "adaptive must be a repro.adaptive.AdaptiveConfig (or expose "
-                f"a compatible policy attribute), got {type(self.adaptive).__name__}"
             )
         if isinstance(self.storage, str):
             raise TypeError(

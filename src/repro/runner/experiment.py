@@ -57,6 +57,9 @@ class ExperimentResult:
     metrics: Dict[str, float] = field(default_factory=dict)
     quality_metric: str = "quality"
     higher_is_better: bool = True
+    #: Storage backend of the store the PS trained on (``"dense"`` or
+    #: ``"sparse"``).
+    storage_backend: str = "dense"
     #: In-memory telemetry trace (``Tracer.to_trace()``), set only when the
     #: experiment ran with ``config.telemetry``; ``None`` otherwise.
     trace: Optional[dict] = None
@@ -156,16 +159,6 @@ def run_experiment(
     # backend, a copy), and evaluating the given one would silently freeze
     # quality.
     store = ps.store
-    if config.adaptive is not None and getattr(ps, "adaptive_controller", None) is None:
-        # Online adaptive management: attach the statistics tap and the
-        # periodic controller to the raw PS (hot-set-drift scenarios remap
-        # keys *above* this layer, so the controller observes and re-manages
-        # physical keys — exactly the space management plans live in). A PS
-        # built by an adaptive system factory arrives with its controller
-        # already attached; the config then applies to plain factories.
-        from repro.adaptive.controller import install_adaptive
-
-        install_adaptive(ps, config.adaptive)
     # A dynamic-workload scenario may put its interposer in front of the PS
     # (key translation for hot-set drift, fault and partition gates) and
     # receives callbacks at epoch and round boundaries. Without a scenario
@@ -175,14 +168,12 @@ def run_experiment(
     train_ps = runtime.training_ps if runtime is not None else ps
     task.register_sampling(train_ps)
 
-    backend = "fused" if config.round_fusion else "sequential"
     if tracer is not None:
         tracer.meta.update({
             "system": system_name or ps.name,
             "task": task.name,
             "num_nodes": cluster.num_nodes,
             "workers_per_node": cluster.workers_per_node,
-            "backend": backend,
             "seed": config.seed,
             "epochs": config.epochs,
         })
@@ -206,8 +197,7 @@ def run_experiment(
 
         sampler = make_sampler(tracer, cluster, ps)
         experiment_span = tracer.begin_span(
-            "experiment", "run", cluster.time, backend=backend
-        )
+            "experiment", "run", cluster.time)
 
     def evaluate() -> Dict[str, float]:
         eval_store = runtime.logical_store(store) if runtime is not None else store
@@ -221,6 +211,7 @@ def run_experiment(
         initial_quality=evaluate(),
         quality_metric=task.quality_metric,
         higher_is_better=task.higher_is_better,
+        storage_backend=store.backend,
     )
 
     for epoch in range(config.epochs):
@@ -237,18 +228,13 @@ def run_experiment(
         if runtime is not None:
             runtime.begin_epoch(epoch)
         _run_epoch(task, train_ps, cluster, shards, workers, worker_rngs,
-                   config, runtime, fused=config.round_fusion,
-                   tracer=tracer, sampler=sampler)
+                   config, runtime, tracer=tracer, sampler=sampler)
         train_ps.finish_epoch()
         task.on_epoch_end(epoch)
         if runtime is not None:
             runtime.end_epoch(epoch)
 
-        if (epoch + 1) % config.evaluate_every == 0 or epoch + 1 == config.epochs:
-            quality = evaluate()
-        else:
-            quality = dict(result.records[-1].quality) if result.records else \
-                dict(result.initial_quality)
+        quality = evaluate()
         counters_after = cluster.metrics.counters()
         # Dirty-set snapshot rather than value diffing: a counter the epoch
         # touched is reported even when its delta is zero (+1 then -1 within
@@ -266,8 +252,6 @@ def run_experiment(
         ))
         if tracer is not None:
             tracer.end_span(epoch_span, cluster.time)
-        if config.time_budget is not None and cluster.time >= config.time_budget:
-            break
 
     if tracer is not None:
         tracer.end_span(experiment_span, cluster.time,
@@ -482,16 +466,17 @@ def _degraded_process_round(task, ps, cluster, items, state=None) -> None:
 
 
 def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
-               runtime=None, fused=True, tracer=None, sampler=None) -> None:
+               runtime=None, tracer=None, sampler=None) -> None:
     """One epoch: every worker processes its full shard, chunk by chunk.
 
     Per scheduling round the driver collects every active worker's next
     chunk into :class:`~repro.ml.task.RoundWorkItem`\\ s and hands the whole
-    round to the task. With ``fused`` (``config.round_fusion``) the task's
-    ``process_round`` hook runs, the production round path; otherwise the
-    per-call oracle loop. Both are bit-identical; assembling the round first
-    only reorders per-worker queue bookkeeping, which has no simulation
-    state.
+    round to the task's ``process_round`` hook, the production round path,
+    which is bit-identical to the per-call loop of
+    :func:`~repro.ml.task.sequential_process_round` (the degraded rounds'
+    path). Assembling the round first only reorders per-worker queue
+    bookkeeping, which has no simulation state. PS housekeeping runs after
+    every round.
     """
     state = _EpochState(workers, shards, config.chunk_size)
     interposer = None
@@ -507,7 +492,6 @@ def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
             first_pairs.append((worker, first_chunk))
     if first_pairs:
         task.prefetch_round(ps, first_pairs)
-    rounds_since_housekeeping = 0
     round_index = 0
     while state.has_pending():
         items = []
@@ -531,10 +515,8 @@ def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
                 starts = [item.worker.clock.now for item in items]
             if interposer is not None and interposer.degraded():
                 _degraded_process_round(task, ps, cluster, items, state)
-            elif fused:
-                task.process_round(ps, items)
             else:
-                sequential_process_round(task, ps, items)
+                task.process_round(ps, items)
             if tracer is not None:
                 # One retrospective span per worker: the simulated interval
                 # its clock advanced over while processing this round's
@@ -546,13 +528,10 @@ def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
                         node=worker.node_id, worker=worker.worker_id,
                         round=round_index, points=len(item.chunk),
                     )
-        rounds_since_housekeeping += 1
-        if rounds_since_housekeeping >= config.housekeeping_every_chunks:
-            now = cluster.time
-            ps.housekeeping(now)
-            if tracer is not None:
-                tracer.event("housekeeping", "round", now, round=round_index)
-            rounds_since_housekeeping = 0
+        now = cluster.time
+        ps.housekeeping(now)
+        if tracer is not None:
+            tracer.event("housekeeping", "round", now, round=round_index)
         if runtime is not None:
             runtime.on_round(round_index)
         if sampler is not None:

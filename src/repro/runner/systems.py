@@ -1,7 +1,12 @@
 """Factories for every parameter-server configuration the paper evaluates.
 
 The benchmark harness refers to systems by name. Each name maps to a builder
-``(store, cluster, task, **overrides) -> ParameterServer``:
+``(store, cluster, task, **overrides) -> ParameterServer`` whose overrides
+are keyword-only parameters: the NuPS family takes ``plan``, ``pool_size``,
+``use_frequency``, ``scheme_override``, ``sync_interval`` and
+``integrate_sampling`` (the adaptive variants also ``adaptive_config``), the
+other systems take none, and an unknown or inapplicable override raises
+``TypeError`` when the PS is built:
 
 ==========================  ====================================================
 Name                        Paper system
@@ -27,7 +32,7 @@ Name                        Paper system
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.adaptive.controller import AdaptiveConfig, install_adaptive
 from repro.core.management import DEFAULT_HOT_SPOT_FACTOR, ManagementPlan
@@ -57,11 +62,6 @@ DEFAULT_REPLICATION_STALENESS = 2
 TUNED_WV_REPLICATION_FACTOR = 64
 
 
-def _untuned_plan(task: TrainingTask,
-                  hot_spot_factor: float = DEFAULT_HOT_SPOT_FACTOR) -> ManagementPlan:
-    return ManagementPlan.from_access_counts(task.access_counts(), hot_spot_factor)
-
-
 def _tuned_plan(task: TrainingTask) -> ManagementPlan:
     """Tuned replication extent per task (Section 5.1).
 
@@ -76,111 +76,110 @@ def _tuned_plan(task: TrainingTask) -> ManagementPlan:
 
 
 def build_single_node(store: ParameterStore, cluster: Cluster,
-                      task: TrainingTask, **overrides) -> ParameterServer:
-    return SingleNodePS(store, cluster, seed=overrides.get("seed", 0))
+                      task: TrainingTask) -> ParameterServer:
+    return SingleNodePS(store, cluster, seed=0)
 
 
 def build_classic(store: ParameterStore, cluster: Cluster,
-                  task: TrainingTask, **overrides) -> ParameterServer:
-    return ClassicPS(store, cluster, seed=overrides.get("seed", 0))
+                  task: TrainingTask) -> ParameterServer:
+    return ClassicPS(store, cluster, seed=0)
 
 
 def build_ssp(store: ParameterStore, cluster: Cluster,
-              task: TrainingTask, **overrides) -> ParameterServer:
-    return ReplicationPS(
-        store, cluster,
-        protocol=ReplicationProtocol.SSP,
-        staleness=overrides.get("staleness", DEFAULT_REPLICATION_STALENESS),
-        seed=overrides.get("seed", 0),
-    )
+              task: TrainingTask) -> ParameterServer:
+    return ReplicationPS(store, cluster, protocol=ReplicationProtocol.SSP,
+                         staleness=DEFAULT_REPLICATION_STALENESS, seed=0)
 
 
 def build_essp(store: ParameterStore, cluster: Cluster,
-               task: TrainingTask, **overrides) -> ParameterServer:
-    return ReplicationPS(
-        store, cluster,
-        protocol=ReplicationProtocol.ESSP,
-        staleness=overrides.get("staleness", DEFAULT_REPLICATION_STALENESS),
-        seed=overrides.get("seed", 0),
-    )
+               task: TrainingTask) -> ParameterServer:
+    return ReplicationPS(store, cluster, protocol=ReplicationProtocol.ESSP,
+                         staleness=DEFAULT_REPLICATION_STALENESS, seed=0)
 
 
 def build_lapse(store: ParameterStore, cluster: Cluster,
-                task: TrainingTask, **overrides) -> ParameterServer:
-    return RelocationPS(store, cluster, seed=overrides.get("seed", 0))
+                task: TrainingTask) -> ParameterServer:
+    return RelocationPS(store, cluster, seed=0)
 
 
-def build_nups(store: ParameterStore, cluster: Cluster,
-               task: TrainingTask, **overrides) -> ParameterServer:
+def build_nups(store: ParameterStore, cluster: Cluster, task: TrainingTask, *,
+               plan: Optional[ManagementPlan] = None, pool_size: int = 250,
+               use_frequency: int = 16, scheme_override: Optional[str] = None,
+               sync_interval: Optional[float] = DEFAULT_SYNC_INTERVAL,
+               integrate_sampling: bool = True) -> ParameterServer:
     """NuPS untuned: hot-spot heuristic plus sample reuse (BOUNDED, U=16)."""
-    plan = overrides.get("plan")
     if plan is None:
-        plan = _untuned_plan(task, overrides.get("hot_spot_factor", DEFAULT_HOT_SPOT_FACTOR))
-    sampling_config = overrides.get("sampling_config")
-    if sampling_config is None:
-        sampling_config = SamplingConfig(
-            scheme_config=SchemeConfig(
-                pool_size=overrides.get("pool_size", 250),
-                use_frequency=overrides.get("use_frequency", 16),
-            ),
-            scheme_override=overrides.get("scheme_override"),
-        )
+        plan = ManagementPlan.from_access_counts(task.access_counts(),
+                                                 DEFAULT_HOT_SPOT_FACTOR)
     return NuPS(
         store, cluster,
         plan=plan,
-        sampling_config=sampling_config,
-        sync_interval=overrides.get("sync_interval", DEFAULT_SYNC_INTERVAL),
-        integrate_sampling=overrides.get("integrate_sampling", True),
-        seed=overrides.get("seed", 0),
+        sampling_config=SamplingConfig(
+            scheme_config=SchemeConfig(pool_size=pool_size,
+                                       use_frequency=use_frequency),
+            scheme_override=scheme_override,
+        ),
+        sync_interval=sync_interval,
+        integrate_sampling=integrate_sampling,
+        seed=0,
     )
 
 
 def build_nups_tuned(store: ParameterStore, cluster: Cluster,
-                     task: TrainingTask, **overrides) -> ParameterServer:
+                     task: TrainingTask, *,
+                     plan: Optional[ManagementPlan] = None,
+                     scheme_override: Optional[str] = "local",
+                     **nups) -> ParameterServer:
     """NuPS tuned: task-specific replication extent plus local sampling."""
-    overrides.setdefault("plan", _tuned_plan(task))
-    overrides.setdefault("scheme_override", "local")
-    return build_nups(store, cluster, task, **overrides)
+    if plan is None:
+        plan = _tuned_plan(task)
+    return build_nups(store, cluster, task, plan=plan,
+                      scheme_override=scheme_override, **nups)
 
 
 def build_nups_adaptive(store: ParameterStore, cluster: Cluster,
-                        task: TrainingTask, **overrides) -> ParameterServer:
+                        task: TrainingTask, *,
+                        adaptive_config: Optional[AdaptiveConfig] = None,
+                        **nups) -> ParameterServer:
     """NuPS + online adaptive management (no oracle re-management needed).
 
     Starts from the same dataset-statistics plan as ``nups`` and then lets
     an :class:`~repro.adaptive.controller.AdaptiveController` track observed
-    access skew and re-manage hot spots during training. Pass an
-    ``adaptive_config`` override to tune the controller.
+    access skew and re-manage hot spots during training. Pass
+    ``adaptive_config`` to tune the controller.
     """
-    adaptive_config = overrides.pop("adaptive_config", None) \
-        or AdaptiveConfig(policy="hot-spot")
-    ps = build_nups(store, cluster, task, **overrides)
-    install_adaptive(ps, adaptive_config)
+    ps = build_nups(store, cluster, task, **nups)
+    install_adaptive(ps, adaptive_config or AdaptiveConfig(policy="hot-spot"))
     return ps
 
 
 def build_nups_adaptive_tuned(store: ParameterStore, cluster: Cluster,
-                              task: TrainingTask, **overrides) -> ParameterServer:
+                              task: TrainingTask, *,
+                              adaptive_config: Optional[AdaptiveConfig] = None,
+                              **nups) -> ParameterServer:
     """NuPS tuned + online top-k re-targeting of the replication extent."""
-    adaptive_config = overrides.pop("adaptive_config", None) \
-        or AdaptiveConfig(policy="top-k")
-    ps = build_nups_tuned(store, cluster, task, **overrides)
-    install_adaptive(ps, adaptive_config)
+    ps = build_nups_tuned(store, cluster, task, **nups)
+    install_adaptive(ps, adaptive_config or AdaptiveConfig(policy="top-k"))
     return ps
 
 
 def build_relocation_replication(store: ParameterStore, cluster: Cluster,
-                                 task: TrainingTask, **overrides) -> ParameterServer:
+                                 task: TrainingTask, *,
+                                 integrate_sampling: bool = False,
+                                 **nups) -> ParameterServer:
     """Ablation: multi-technique management without sampling integration."""
-    overrides.setdefault("integrate_sampling", False)
-    return build_nups(store, cluster, task, **overrides)
+    return build_nups(store, cluster, task,
+                      integrate_sampling=integrate_sampling, **nups)
 
 
 def build_relocation_sampling(store: ParameterStore, cluster: Cluster,
-                              task: TrainingTask, **overrides) -> ParameterServer:
+                              task: TrainingTask, *,
+                              plan: Optional[ManagementPlan] = None,
+                              **nups) -> ParameterServer:
     """Ablation: relocation-only management with sampling integration."""
-    overrides.setdefault("plan", ManagementPlan.relocate_all(store.num_keys))
-    return build_nups(store, cluster, task, **overrides)
+    if plan is None:
+        plan = ManagementPlan.relocate_all(store.num_keys)
+    return build_nups(store, cluster, task, plan=plan, **nups)
 
 
 SYSTEM_BUILDERS: Dict[str, Callable[..., ParameterServer]] = {

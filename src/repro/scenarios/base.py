@@ -203,22 +203,19 @@ class ScenarioRuntime:
         """The run's :class:`~repro.faults.controller.MembershipController`.
 
         Created on first call, at the current simulated time, with the first
-        ``fault_config`` and the first ``elastic_config`` any of the
-        scenario's perturbations sets (the defaults where none does), and
+        ``fault_config`` any of the scenario's perturbations sets (the
+        defaults where none does), and
         attached to the interposer's dead-owner gate when the run is gated;
         later calls return it unchanged.
         """
         if self.membership is None:
             from repro.faults.controller import MembershipController
 
-            def first(name):
-                return next((getattr(p, name) for p in self.scenario.perturbations
-                             if getattr(p, name, None) is not None), None)
-
+            fault_config = next(
+                (p.fault_config for p in self.scenario.perturbations
+                 if getattr(p, "fault_config", None) is not None), None)
             self.membership = MembershipController(
-                self.ps, first("fault_config"), first("elastic_config"),
-                start_time=self.cluster.time,
-            )
+                self.ps, fault_config, start_time=self.cluster.time)
             if self._gated:
                 self.interposer.controller = self.membership
         return self.membership

@@ -57,6 +57,12 @@ from repro.simulation.cluster import WorkerContext
 
 __all__ = ["ScenarioParameterServer"]
 
+#: Retry budget of an access that hits a dead owner before it fails with a
+#: :class:`~repro.faults.errors.DeadOwnerError`.
+MAX_RETRIES = 3
+#: Initial retry delay of the dead-owner gate; doubles on every attempt.
+RETRY_BACKOFF = 0.001
+
 
 class _RemappedPointCharger:
     """A point charger that takes a chunk's keys in logical key space.
@@ -263,7 +269,6 @@ class ScenarioParameterServer:
         if controller is None or not controller.down:
             return
         clock = worker.clock
-        config = controller.fault_config
         for node_id in sorted(controller.down):
             available_at = controller.down[node_id]
             if available_at <= clock.now:
@@ -273,13 +278,13 @@ class ScenarioParameterServer:
                 continue
             if not np.any(moved[np.asarray(keys, dtype=np.int64)]):
                 continue
-            # Exponential backoff: delays b, 2b, 4b, ... for max_retries
+            # Exponential backoff: delays b, 2b, 4b, ... for MAX_RETRIES
             # attempts sum to b * (2^r - 1).
-            budget = config.retry_backoff * (2 ** config.max_retries - 1)
+            budget = RETRY_BACKOFF * (2 ** MAX_RETRIES - 1)
             if clock.now + budget >= available_at:
                 retries = 0
-                delay = config.retry_backoff
-                while clock.now < available_at and retries < config.max_retries:
+                delay = RETRY_BACKOFF
+                while clock.now < available_at and retries < MAX_RETRIES:
                     clock.advance(delay)
                     delay *= 2.0
                     retries += 1
@@ -290,7 +295,7 @@ class ScenarioParameterServer:
                 self.metrics.increment("faults.timeouts", 1)
                 raise DeadOwnerError(
                     f"worker ({worker.node_id}, {worker.worker_id}) gave up "
-                    f"after {config.max_retries} retries: owner of requested "
+                    f"after {MAX_RETRIES} retries: owner of requested "
                     f"keys (crashed node {node_id}) recovers at "
                     f"t={available_at:.6f}, beyond the retry budget"
                 )

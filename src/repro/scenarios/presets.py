@@ -144,24 +144,23 @@ def lossy_network_scenario(loss_rate: float = 0.05,
     )
 
 
-def scale_out_scenario(count: int = 1, at_epoch: int = 0, at_round: int = 1,
-                       elastic_config=None) -> Scenario:
+def scale_out_scenario(count: int = 1, at_epoch: int = 0,
+                       at_round: int = 1) -> Scenario:
     """Live scale-out: fresh nodes join mid-run and take over key ranges."""
     return Scenario(
         "scale-out",
-        [ScaleOut(count=count, at_epoch=at_epoch, at_round=at_round,
-                  elastic_config=elastic_config)],
+        [ScaleOut(count=count, at_epoch=at_epoch, at_round=at_round)],
         description="fresh server nodes join mid-run; keys rebalance onto them",
     )
 
 
 def scale_in_scenario(count: int = 1, at_epoch: int = 0, at_round: int = 1,
-                      elastic_config=None, seed: int = 0) -> Scenario:
+                      seed: int = 0) -> Scenario:
     """Planned scale-in: nodes drain their state and leave mid-run."""
     return Scenario(
         "scale-in",
         [ScaleIn(count=count, at_epoch=at_epoch, at_round=at_round,
-                 elastic_config=elastic_config, seed=seed)],
+                 seed=seed)],
         description="server nodes drain and leave; zero acknowledged updates "
                     "lost",
     )
@@ -169,12 +168,12 @@ def scale_in_scenario(count: int = 1, at_epoch: int = 0, at_round: int = 1,
 
 def autoscale_storm_scenario(period_rounds: int = 2,
                              max_changes: Optional[int] = None,
-                             elastic_config=None, seed: int = 0) -> Scenario:
+                             seed: int = 0) -> Scenario:
     """Sustained membership churn: alternating joins and planned removals."""
     return Scenario(
         "autoscale-storm",
         [AutoscaleStorm(period_rounds=period_rounds, max_changes=max_changes,
-                        elastic_config=elastic_config, seed=seed)],
+                        seed=seed)],
         description="nodes join and leave on a fixed cadence (churn stress)",
     )
 

@@ -11,15 +11,20 @@ product, its remote keys per serving node in ascending order), with their
 own cost lookups and metric writes, and move values through the store API
 directly. Their ``direct_point_charger`` answers ``None``, so a round on an
 oracle runs call by call (:func:`repro.ml.task.sequential_process_round`).
+:func:`sequential_rounds` makes a task run every round through that per-call
+loop, the production round path's oracle.
 
 Test-only: nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.nups import NuPS
+from repro.ml.task import sequential_process_round
 from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
@@ -32,6 +37,7 @@ __all__ = [
     "ScalarReplicationPS",
     "ScalarSingleNodePS",
     "oracle_of",
+    "sequential_rounds",
 ]
 
 
@@ -297,3 +303,11 @@ def oracle_of(ps):
     place: same state, per-call reference charging."""
     ps.__class__ = ORACLES[type(ps)]
     return ps
+
+
+def sequential_rounds(task):
+    """Make ``task`` run every round through the per-call loop
+    (:func:`repro.ml.task.sequential_process_round`) instead of its
+    ``process_round`` override; returns ``task``."""
+    task.process_round = functools.partial(sequential_process_round, task)
+    return task

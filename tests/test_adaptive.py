@@ -328,7 +328,7 @@ def _adaptive_nups(store, cluster, config=None, replicated=(0, 1, 2)):
     ps = NuPS(store, cluster, plan=plan, sync_interval=0.01, seed=3)
     config = config or AdaptiveConfig(
         policy="top-k", top_k=3, period=0.01, half_life=0.05,
-        warmup_observations=10, capacity=16,
+        warmup_observations=10,
     )
     controller = install_adaptive(ps, config)
     return ps, controller
@@ -389,26 +389,6 @@ class TestAdaptiveController:
         assert controller.adaptations == 1
         assert controller.schedule.due_count(1.0) == 0
 
-    def test_incremental_transitions_respect_the_cap(self, store, cluster):
-        config = AdaptiveConfig(policy="top-k", top_k=3, period=0.01,
-                                warmup_observations=10, capacity=16,
-                                max_changes_per_step=2)
-        ps, controller = _adaptive_nups(store, cluster, config)
-        _hammer(ps, cluster, [50, 51, 52])
-        ps.housekeeping(0.02)
-        # Step 1: the two hottest additions take the whole budget.
-        assert controller.adaptations == 1
-        assert controller.keys_added == 2
-        assert controller.keys_removed == 0
-        _hammer(ps, cluster, [50, 51, 52])
-        ps.housekeeping(0.04)
-        # Step 2: the remaining addition plus one removal.
-        assert controller.keys_added == 3
-        assert controller.keys_removed >= 1
-        _hammer(ps, cluster, [50, 51, 52])
-        ps.housekeeping(0.06)
-        assert ps.plan.replicated_keys.tolist() == [50, 51, 52]
-
     def test_no_transition_leaves_no_trace(self, network):
         def build(adaptive):
             cluster = Cluster(ClusterConfig(num_nodes=4, workers_per_node=2,
@@ -421,7 +401,7 @@ class TestAdaptiveController:
             if adaptive:
                 install_adaptive(ps, AdaptiveConfig(
                     policy="top-k", top_k=3, period=0.01,
-                    warmup_observations=10, capacity=16,
+                    warmup_observations=10,
                 ))
             _hammer(ps, cluster, [0, 1, 2])  # the hot set IS the plan
             ps.housekeeping(0.02)
@@ -474,11 +454,7 @@ class TestAdaptiveController:
         with pytest.raises(ValueError):
             AdaptiveConfig(half_life=0.0)
         with pytest.raises(ValueError):
-            AdaptiveConfig(capacity=0)
-        with pytest.raises(ValueError):
             AdaptiveConfig(warmup_observations=-1)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(max_changes_per_step=0)
 
     def test_describe_reports_adaptive_state(self, store, cluster):
         ps, _ = _adaptive_nups(store, cluster)
@@ -593,17 +569,16 @@ class TestRemanageEdgeCases:
 # runner wiring
 # --------------------------------------------------------------------------
 
-def _experiment_config(adaptive=None, scenario=None, seed=5):
+def _experiment_config(scenario=None, seed=5):
     return ExperimentConfig(
         cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
-        epochs=2, chunk_size=8, seed=seed,
-        scenario=scenario, adaptive=adaptive,
+        epochs=2, chunk_size=8, seed=seed, scenario=scenario,
     )
 
 
 def _fast_adaptive_config(**overrides):
     defaults = dict(policy="top-k", top_k=8, period=1e-4, half_life=1e-3,
-                    warmup_observations=100, capacity=64)
+                    warmup_observations=100)
     defaults.update(overrides)
     return AdaptiveConfig(**defaults)
 
@@ -620,25 +595,6 @@ def _assert_identical(first, second):
 
 
 class TestRunnerIntegration:
-    def test_config_attaches_controller_and_adapts(self):
-        task = make_task("matrix_factorization", scale="test")
-        plan = ManagementPlan.top_k_by_count(task.access_counts(), 8)
-        result = run_experiment(
-            task, make_ps_factory("nups", plan=plan),
-            _experiment_config(adaptive=_fast_adaptive_config()),
-        )
-        assert result.metrics.get("adaptive.adaptations", 0) >= 1
-
-    def test_config_rejects_non_remanaging_systems(self):
-        task = make_task("matrix_factorization", scale="test")
-        with pytest.raises(TypeError):
-            run_experiment(task, make_ps_factory("classic"),
-                           _experiment_config(adaptive=_fast_adaptive_config()))
-
-    def test_config_validates_adaptive_type(self):
-        with pytest.raises(TypeError):
-            ExperimentConfig(adaptive="yes please")
-
     def test_adaptive_system_factories_attach(self):
         task = make_task("matrix_factorization", scale="test")
         for system in ("nups-adaptive", "nups-adaptive-tuned"):

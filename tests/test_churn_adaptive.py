@@ -21,17 +21,16 @@ from repro.scenarios import Scenario, WorkerChurn
 from repro.simulation.cluster import ClusterConfig
 
 
-def _config(scenario=None, adaptive=None, epochs=3, seed=5):
+def _config(scenario=None, epochs=3, seed=5):
     return ExperimentConfig(
         cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
-        epochs=epochs, chunk_size=8, seed=seed,
-        scenario=scenario, adaptive=adaptive,
+        epochs=epochs, chunk_size=8, seed=seed, scenario=scenario,
     )
 
 
 def _adaptive_config(**overrides):
     defaults = dict(policy="top-k", top_k=8, period=1e-4, half_life=1e-3,
-                    warmup_observations=100, capacity=64)
+                    warmup_observations=100)
     defaults.update(overrides)
     return AdaptiveConfig(**defaults)
 
@@ -43,7 +42,9 @@ def _churn_scenario():
 def _run(scenario=None, adaptive=None, epochs=3, seed=5, capture=None):
     task = make_task("matrix_factorization", scale="test")
     plan = ManagementPlan.top_k_by_count(task.access_counts(), 8)
-    base_factory = make_ps_factory("nups", plan=plan)
+    base_factory = make_ps_factory("nups", plan=plan) if adaptive is None \
+        else make_ps_factory("nups-adaptive", plan=plan,
+                             adaptive_config=adaptive)
     if capture is None:
         factory = base_factory
     else:
@@ -52,7 +53,7 @@ def _run(scenario=None, adaptive=None, epochs=3, seed=5, capture=None):
             capture["ps"], capture["cluster"] = ps, cluster
             return ps
     return run_experiment(
-        task, factory, _config(scenario, adaptive, epochs, seed)
+        task, factory, _config(scenario, epochs, seed)
     )
 
 

@@ -24,21 +24,22 @@ class TestParser:
         assert args.task == "kge"
         assert args.system == "nups"
         assert args.scale == "test"
-        assert args.sequential is False
         assert args.storage_backend is None
         assert args.trace is None
 
     def test_backend_flags_round_trip(self):
         args = build_parser().parse_args([
-            "run", "--sequential", "--storage-backend", "sparse",
+            "run", "--storage-backend", "sparse",
         ])
-        assert args.sequential is True
         assert args.storage_backend == "sparse"
         args = build_parser().parse_args([
-            "compare", "--sequential", "--storage-backend", "dense",
+            "compare", "--storage-backend", "dense",
         ])
-        assert args.sequential is True
         assert args.storage_backend == "dense"
+
+    def test_sequential_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--sequential"])
 
     def test_rejects_unknown_backends(self):
         with pytest.raises(SystemExit):
@@ -87,7 +88,7 @@ class TestCommands:
         exit_code = main([
             "run", "--task", "matrix_factorization", "--system", "nups",
             "--nodes", "2", "--workers", "2", "--epochs", "1",
-            "--sequential", "--storage-backend", "sparse",
+            "--storage-backend", "sparse",
         ])
         assert exit_code == 0
         assert "epoch_time_s" in capsys.readouterr().out
@@ -101,7 +102,7 @@ class TestCommands:
             ]) == 0
             return capsys.readouterr().out
 
-        assert table("--sequential") == table()
+        assert table("--storage-backend", "sparse") == table()
 
     def test_compare_reports_speedups(self, capsys):
         exit_code = main([
@@ -134,3 +135,40 @@ class TestCommands:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"repro {command[0]}: error: {name} must be")
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        """Fail the test if any experiment starts."""
+        import repro.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(repro.cli, "run_experiment", refuse)
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--system", "nups"],
+        ["compare", "--systems", "single-node", "nups"],
+    ])
+    def test_negative_seed_exits_2(self, capsys, no_training, command):
+        """A negative seed is a usage error, not a NumPy traceback."""
+        assert main([*command, "--task", "kge", "--seed", "-1"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {command[0]}: error: seed must be")
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--system", "nups"],
+        ["compare", "--systems", "single-node", "nups"],
+    ])
+    def test_trace_into_missing_directory_exits_2(self, capsys, tmp_path,
+                                                  no_training, command):
+        """A trace path whose directory does not exist is rejected before
+        any training, instead of failing once the run is over."""
+        trace = tmp_path / "missing" / "x.jsonl"
+        assert main([*command, "--task", "kge", "--trace", str(trace)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {command[0]}: error: trace path")
+        assert "does not exist" in lines[0]
+        assert not trace.parent.exists()

@@ -15,10 +15,10 @@ from repro.simulation.cluster import ClusterConfig
 
 
 class TestExperimentConfigValidation:
-    def test_epochs_message_suggests_time_budget(self):
+    def test_epochs_message(self):
         with pytest.raises(ValueError, match=r"epochs must be >= 1 \(got 0\)"):
             ExperimentConfig(epochs=0)
-        with pytest.raises(ValueError, match="use time_budget to stop early"):
+        with pytest.raises(ValueError, match="at least one epoch"):
             ExperimentConfig(epochs=-3)
 
     def test_chunk_size_message_explains_the_knob(self):
@@ -28,24 +28,12 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError, match="per scheduling round"):
             ExperimentConfig(chunk_size=-1)
 
-    def test_housekeeping_message_says_cannot_disable(self):
-        with pytest.raises(ValueError,
-                           match="housekeeping_every_chunks must be >= 1"):
-            ExperimentConfig(housekeeping_every_chunks=0)
-        with pytest.raises(ValueError, match="cannot be disabled"):
-            ExperimentConfig(housekeeping_every_chunks=0)
-
-    def test_evaluate_every_message(self):
-        with pytest.raises(ValueError,
-                           match=r"evaluate_every must be >= 1 \(got 0\)"):
-            ExperimentConfig(evaluate_every=0)
-
-    def test_time_budget_message_mentions_none(self):
-        with pytest.raises(ValueError,
-                           match="time_budget must be positive when set"):
-            ExperimentConfig(time_budget=0.0)
-        with pytest.raises(ValueError, match="or None for no budget"):
-            ExperimentConfig(time_budget=-1.0)
+    def test_negative_seed_names_the_remedy(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0 \(got -1\)"):
+            ExperimentConfig(seed=-1)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ExperimentConfig(seed=-7)
+        assert ExperimentConfig(seed=0).seed == 0
 
     def test_scenario_string_suggests_make_scenario(self):
         with pytest.raises(TypeError, match="make_scenario"):
@@ -58,18 +46,10 @@ class TestExperimentConfigValidation:
         with pytest.raises(TypeError, match="compatible bind"):
             ExperimentConfig(scenario=object())
 
-    def test_adaptive_string_suggests_adaptive_config(self):
-        with pytest.raises(TypeError, match=r"AdaptiveConfig\(policy="):
-            ExperimentConfig(adaptive="hot-spot")
-
-    def test_adaptive_wrong_type(self):
-        with pytest.raises(TypeError, match="compatible policy"):
-            ExperimentConfig(adaptive=object())
-
     def test_valid_config_accepts_defaults(self):
         config = ExperimentConfig()
         assert config.epochs == 3
-        assert config.scenario is None and config.adaptive is None
+        assert config.scenario is None and config.storage is None
 
 
 class TestClusterConfigValidation:

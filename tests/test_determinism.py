@@ -16,10 +16,10 @@ from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
 from repro.scenarios import make_scenario
 from repro.simulation.cluster import ClusterConfig
+from scalar_oracle import sequential_rounds
 
 
-def _config(seed=5, scenario=None, epochs=2, round_fusion=True,
-            telemetry=False):
+def _config(seed=5, scenario=None, epochs=2, telemetry=False):
     telemetry_config = None
     if telemetry:
         from repro.obs import TelemetryConfig
@@ -28,18 +28,21 @@ def _config(seed=5, scenario=None, epochs=2, round_fusion=True,
     return ExperimentConfig(
         cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
         epochs=epochs, chunk_size=8, seed=seed, scenario=scenario,
-        round_fusion=round_fusion, telemetry=telemetry_config,
+        telemetry=telemetry_config,
     )
 
 
 def _run(task_name: str, system: str, scenario_name=None,
-         round_fusion=True, telemetry=False) -> ExperimentResult:
+         sequential=False, telemetry=False) -> ExperimentResult:
+    """One test-scale run; ``sequential`` runs every round through the
+    per-call loop instead of the task's production round path."""
     scenario = make_scenario(scenario_name) if scenario_name else None
     task = make_task(task_name, scale="test")
+    if sequential:
+        sequential_rounds(task)
     return run_experiment(
         task, make_ps_factory(system),
-        _config(scenario=scenario, round_fusion=round_fusion,
-                telemetry=telemetry)
+        _config(scenario=scenario, telemetry=telemetry)
     )
 
 
@@ -114,21 +117,21 @@ def test_compute_scale_default_is_bit_transparent():
 
 
 @pytest.mark.parametrize("system", SYSTEMS_FULL)
-def test_round_fusion_flag_is_bit_transparent(system):
-    """round_fusion=True and =False agree bit-for-bit, same seed."""
+def test_fused_rounds_are_bit_transparent(system):
+    """The production round path and the per-call loop agree bit-for-bit,
+    same seed."""
     _assert_identical(
-        _run("matrix_factorization", system, round_fusion=True),
-        _run("matrix_factorization", system, round_fusion=False),
+        _run("matrix_factorization", system),
+        _run("matrix_factorization", system, sequential=True),
     )
 
 
 @pytest.mark.parametrize("scenario_name", ["drift", "churn"])
-def test_round_fusion_flag_transparent_under_scenarios(scenario_name):
+def test_fused_rounds_transparent_under_scenarios(scenario_name):
     _assert_identical(
+        _run("matrix_factorization", "lapse", scenario_name),
         _run("matrix_factorization", "lapse", scenario_name,
-             round_fusion=True),
-        _run("matrix_factorization", "lapse", scenario_name,
-             round_fusion=False),
+             sequential=True),
     )
 
 
@@ -155,8 +158,7 @@ def test_telemetry_transparent_under_scenarios(scenario_name):
 def test_round_fusion_transparent_with_telemetry(system, telemetry):
     """Fusion equivalence holds with the tracer attached, too."""
     _assert_identical(
-        _run("matrix_factorization", system, round_fusion=True,
-             telemetry=telemetry),
-        _run("matrix_factorization", system, round_fusion=False,
+        _run("matrix_factorization", system, telemetry=telemetry),
+        _run("matrix_factorization", system, sequential=True,
              telemetry=telemetry),
     )

@@ -324,6 +324,83 @@ def test_membership_hooks_are_pinned():
         assert hook in vars(ParameterServer), hook
 
 
+# ------------------------------------------------------ configuration surface
+#: Every ``*Config`` dataclass of ``src/repro`` and its fields, in order: 27
+#: settable values. A new knob is a deliberate change of this table.
+CONFIG_FIELDS = {
+    "AdaptiveConfig": ("policy", "top_k", "period", "half_life",
+                       "warmup_observations"),
+    "ClusterConfig": ("num_nodes", "workers_per_node", "network"),
+    "ExperimentConfig": ("cluster", "epochs", "chunk_size", "seed",
+                         "scenario", "storage", "telemetry"),
+    "FaultConfig": ("recovery", "checkpoint_interval"),
+    "SamplingConfig": ("scheme_config", "scheme_override"),
+    "SchemeConfig": ("pool_size", "use_frequency"),
+    "StorageConfig": ("backend", "chunk_rows", "store_budget_bytes",
+                      "node_budget_bytes"),
+    "TelemetryConfig": ("path", "access_events"),
+}
+#: Each system builder's keyword-only parameters (its overrides), by system
+#: name; ``**nups`` marks a wrapper that forwards the rest to ``build_nups``.
+BUILDER_PARAMETERS = {
+    "single-node": (),
+    "classic": (),
+    "ssp": (),
+    "essp": (),
+    "lapse": (),
+    "nups": ("plan", "pool_size", "use_frequency", "scheme_override",
+             "sync_interval", "integrate_sampling"),
+    "nups-tuned": ("plan", "scheme_override", "**nups"),
+    "nups-adaptive": ("adaptive_config", "**nups"),
+    "nups-adaptive-tuned": ("adaptive_config", "**nups"),
+    "relocation+replication": ("integrate_sampling", "**nups"),
+    "relocation+sampling": ("plan", "**nups"),
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any((isinstance(d, ast.Name) and d.id == "dataclass")
+               or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "dataclass")
+               for d in node.decorator_list)
+
+
+def test_config_fields_are_pinned():
+    """The fields of every ``*Config`` dataclass are exactly
+    :data:`CONFIG_FIELDS`."""
+    found = {
+        node.name: tuple(item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign))
+        for path, tree in _parsed_trees().items() if SRC_ROOT in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+        and _is_dataclass(node)
+    }
+    assert found == CONFIG_FIELDS
+    assert sum(map(len, found.values())) == 27
+
+
+def test_builder_parameters_are_pinned():
+    """Each system builder takes ``(store, cluster, task)`` positionally and
+    exactly the keyword-only parameters of :data:`BUILDER_PARAMETERS`, so
+    an override it does not declare raises ``TypeError``."""
+    from repro.runner.systems import SYSTEM_BUILDERS
+
+    found = {}
+    for name, builder in SYSTEM_BUILDERS.items():
+        parameters = list(inspect.signature(builder).parameters.values())
+        assert [p.name for p in parameters[:3]] == ["store", "cluster", "task"]
+        found[name] = tuple(
+            f"**{p.name}" if p.kind is p.VAR_KEYWORD else p.name
+            for p in parameters[3:])
+        assert all(p.kind in (p.KEYWORD_ONLY, p.VAR_KEYWORD)
+                   for p in parameters[3:]), name
+    assert found == BUILDER_PARAMETERS
+    overrides = {p for names in found.values() for p in names
+                 if not p.startswith("**")}
+    assert len(overrides) == 7
+
+
 # ------------------------------------------------------------ CHANGES.md
 #: Entries of this PR and later ones are capped; older ones predate the cap.
 CHANGES_CAP_FROM_PR = 32

@@ -7,7 +7,6 @@ import pytest
 
 from repro.elastic import (
     AutoscaleStorm,
-    ElasticConfig,
     NetworkPartition,
     PartitionState,
     ScaleIn,
@@ -69,17 +68,6 @@ def _ownership_covers_active(ps, cluster):
     np.testing.assert_array_equal(
         np.sort(np.concatenate(owned)), np.arange(ps.store.num_keys)
     )
-
-
-# ------------------------------------------------------------ ElasticConfig
-class TestElasticConfig:
-    def test_defaults_are_valid(self):
-        config = ElasticConfig()
-        assert config.join_delay > 0
-
-    def test_rejects_negative_join_delay(self):
-        with pytest.raises(ValueError):
-            ElasticConfig(join_delay=-1e-3)
 
 
 # ------------------------------------------------- joins and planned leaves

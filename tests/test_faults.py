@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.faults.controller
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
 from repro.faults import (
@@ -323,18 +324,19 @@ class TestCrashAndRestore:
             FaultConfig(recovery="wishful-thinking")
         with pytest.raises(ValueError, match="checkpoint_interval"):
             FaultConfig(checkpoint_interval=0.0)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            FaultConfig(retry_backoff=0.0)
-        with pytest.raises(ValueError, match="max_retries"):
-            FaultConfig(max_retries=-1)
 
 
 # ------------------------------------------------------- dead-owner gate
 class TestDeadOwnerGate:
-    def _crashed(self, config=None, remapper=None):
+    @pytest.fixture
+    def slow_recovery(self, monkeypatch):
+        """A crash announced after 50 ms, beyond the 7 ms retry budget."""
+        monkeypatch.setattr(repro.faults.controller, "MEMBERSHIP_DELAY", 0.05)
+
+    def _crashed(self, remapper=None):
         ps, cluster, store = _build("classic")
         proxy = ScenarioParameterServer(ps, remapper)
-        controller = MembershipController(ps, config)
+        controller = MembershipController(ps)
         proxy.controller = controller
         t_recovered = controller.crash_node(1, now=cluster.time)
         moved = np.flatnonzero(controller.moved_mask(1))
@@ -368,10 +370,8 @@ class TestDeadOwnerGate:
         assert cluster.metrics.get("faults.retries") >= 1
         assert cluster.metrics.get("faults.timeouts") == 0
 
-    def test_times_out_when_budget_cannot_bridge(self):
-        config = FaultConfig(detection_timeout=0.05, max_retries=2,
-                             retry_backoff=1e-6)
-        proxy, controller, cluster, moved, _ = self._crashed(config)
+    def test_times_out_when_budget_cannot_bridge(self, slow_recovery):
+        proxy, controller, cluster, moved, _ = self._crashed()
         worker = cluster.worker(0, 0)
         before = worker.clock.now
         with pytest.raises(DeadOwnerError, match="gave up"):
@@ -401,7 +401,7 @@ class TestDeadOwnerGate:
                 is type(ps.direct_point_charger(distribution_id))
 
     @pytest.mark.parametrize("drifted", [False, True])
-    def test_sample_calls_pass_the_gate(self, drifted):
+    def test_sample_calls_pass_the_gate(self, drifted, slow_recovery):
         """Regression: ``pull_sample`` of moved keys read them while their
         owner was down and ``pull`` of the same keys timed out, and
         ``push_sample`` skipped the gate. With a drifted remapper the gate
@@ -411,9 +411,7 @@ class TestDeadOwnerGate:
         if drifted:
             remapper = KeyRemapper(NUM_KEYS)
             remapper.apply(remapper.rotation(0.3))
-        config = FaultConfig(detection_timeout=0.05, max_retries=2,
-                             retry_backoff=1e-6)
-        proxy, controller, cluster, moved, _ = self._crashed(config, remapper)
+        proxy, controller, cluster, moved, _ = self._crashed(remapper)
         distribution_id = proxy.register_distribution(
             UniformDistribution(0, NUM_KEYS))
         worker = cluster.worker(0, 0)

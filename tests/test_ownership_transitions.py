@@ -24,8 +24,8 @@ import pytest
 
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
-from repro.elastic import ElasticConfig
-from repro.faults import FaultConfig, MembershipController
+from repro.faults import MembershipController
+from repro.faults.controller import MEMBERSHIP_DELAY
 from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
 from repro.ps.relocation import RelocationPS
@@ -198,8 +198,9 @@ def test_no_key_routes_at_a_removed_node(system, backend, seed):
 TWIN_SYSTEMS = ("classic", "ssp", "essp", "lapse", "nups")
 LEAVING = 1
 NOW = 0.01
-#: The crash's detection timeout and the leave's announcement delay.
-DELAY = 0.004
+#: The crash's detection timeout and the leave's announcement delay: one
+#: constant.
+DELAY = MEMBERSHIP_DELAY
 
 
 def _departed(system: str, backend: str, how: str):
@@ -207,8 +208,7 @@ def _departed(system: str, backend: str, how: str):
     leave's drain alone — or "none") of node :data:`LEAVING` at :data:`NOW`,
     with every ``_rehome`` call recorded."""
     ps, cluster = _build(system, backend)
-    controller = MembershipController(ps, FaultConfig(detection_timeout=DELAY),
-                                      ElasticConfig(join_delay=DELAY))
+    controller = MembershipController(ps)
     rehomed = []
     rehome = ps._rehome
 
@@ -246,8 +246,8 @@ def _values(ps) -> np.ndarray:
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 @pytest.mark.parametrize("system", TWIN_SYSTEMS)
 def test_crash_and_planned_leave_share_one_departure(system, backend):
-    """From one state, a crash and a planned leave of the same node (with
-    ``detection_timeout == join_delay``) hand over the same keys to the same
+    """From one state, a crash and a planned leave of the same node (both
+    announced after ``MEMBERSHIP_DELAY``) hand over the same keys to the same
     survivors at the same time and charge the survivors alike. They differ
     only in what the leaving node does: a crashed node sends nothing, a
     leaving one drains its buffered updates and then sends the state — its
@@ -320,8 +320,7 @@ def test_join_then_leave_round_trip(system, backend):
     it took over; both transfers take one arrival/departure cost each, and
     nothing it never held is drained."""
     ps, cluster = _build(system, backend)
-    controller = MembershipController(ps, elastic_config=ElasticConfig(
-        join_delay=DELAY))
+    controller = MembershipController(ps)
     before = _non_transition_counters(cluster)
     node = controller.scale_out(NOW)
     taken = np.sort(np.asarray(ps.keys_owned_by(node), dtype=np.int64))
@@ -337,7 +336,10 @@ def test_join_then_leave_round_trip(system, backend):
         + cluster.network.transfer_cost(payload)
     assert cluster.metrics.get("elastic.migration_time") == pytest.approx(
         2 * one_way, rel=1e-12)
-    assert summary["available_at"] == 2 * NOW + one_way
+    # The same left fold as the departure step's.
+    assert summary["available_at"] == 2 * NOW + DELAY \
+        + cluster.network.message_cost(0) \
+        + cluster.network.transfer_cost(payload)
     after = _non_transition_counters(cluster)
     assert after["network.messages"] - before["network.messages"] \
         == 2 * (1 + 3)

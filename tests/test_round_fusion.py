@@ -1,9 +1,11 @@
 """The production round path against its oracle: equivalence and satellites.
 
-The contract is exact: ``ExperimentConfig.round_fusion`` must not change a
-single bit of an :class:`~repro.runner.experiment.ExperimentResult` for any
-task, system, or scenario — nor of any clock, metric, stored value or piece
-of PS state behind it. This suite drives the production path
+The contract is exact: a task's ``process_round`` (the production round
+path) must not change a single bit of an
+:class:`~repro.runner.experiment.ExperimentResult` against the per-call
+loop (:func:`scalar_oracle.sequential_rounds`) for any task, system, or
+scenario — nor of any clock, metric, stored value or piece of PS state
+behind it. This suite drives the production path
 (``direct_point_charger`` → ``charge_chunk`` →
 ``ChunkValues.read``/``add``; matrix factorization's points are sampling
 points with zero-width sample segments) and the per-call oracle
@@ -35,7 +37,7 @@ import numpy as np
 import pytest
 
 import repro.runner.experiment as experiment_module
-from repro.adaptive import AdaptiveConfig, install_adaptive
+from repro.adaptive import AdaptiveConfig
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
 from repro.core.sampling.distributions import UniformDistribution
@@ -61,7 +63,8 @@ from repro.scenarios import KeyRemapper, ScenarioParameterServer, make_scenario
 from repro.scenarios.base import Perturbation, Scenario
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
-from scalar_oracle import oracle_of
+from adaptive_tap import install_tap
+from scalar_oracle import oracle_of, sequential_rounds
 
 NUM_KEYS = 120
 VALUE_LENGTH = 4
@@ -117,7 +120,8 @@ def _experiment(task_name, system, backend, scenario_name=None,
     """Run the test-scale experiment on one side of the execution switch.
 
     ``backend`` is ``"fused"`` (the production round path) or
-    ``"sequential"`` (the oracle, ``round_fusion=False``). With ``telemetry`` the
+    ``"sequential"`` (the oracle,
+    :func:`scalar_oracle.sequential_rounds`). With ``telemetry`` the
     observability tracer rides along (it must not change a single bit):
     ``True`` records one event per PS call, ``"default"`` the default level.
     ``factory`` replaces the named system's PS factory and ``task`` the
@@ -133,6 +137,8 @@ def _experiment(task_name, system, backend, scenario_name=None,
     if scenario is None and scenario_name:
         scenario = make_scenario(scenario_name)
     assert backend in ("fused", "sequential")
+    if backend == "sequential":
+        sequential_rounds(task)
     telemetry_config = None
     if telemetry:
         from repro.obs import TelemetryConfig
@@ -143,7 +149,6 @@ def _experiment(task_name, system, backend, scenario_name=None,
             num_nodes=1 if system == "single-node" else num_nodes,
             workers_per_node=2),
         epochs=epochs, chunk_size=chunk_size, seed=seed, scenario=scenario,
-        round_fusion=backend == "fused",
         telemetry=telemetry_config, storage=storage,
     )
     inner = factory or make_ps_factory(system)
@@ -310,9 +315,9 @@ def _drifted_adaptive(build_nups, groups):
         store.permute(sigma)
         remapper.apply(sigma)
         ps = build_nups(store, cluster)
-        install_adaptive(ps, AdaptiveConfig(
+        install_tap(ps, AdaptiveConfig(
             policy="top-k", top_k=5, period=2e-4, half_life=1e-3,
-            capacity=SKETCH_SLOTS, warmup_observations=50))
+            warmup_observations=50), SKETCH_SLOTS)
         return ScenarioParameterServer(ps, remapper)
     return build
 
@@ -506,7 +511,11 @@ def _mf_factory(system, task, staleness):
         plan = ManagementPlan.top_k_by_count(task.access_counts(), 6)
         return make_ps_factory("nups", plan=plan, sync_interval=0.001)
     if system in ("ssp", "essp"):
-        return make_ps_factory(system, staleness=staleness)
+        def factory(store, cluster, task):
+            return ReplicationPS(store, cluster,
+                                 protocol=ReplicationProtocol(system),
+                                 staleness=staleness)
+        return factory
     return make_ps_factory(system)
 
 
@@ -1050,9 +1059,13 @@ def _wrapped_cell(task, kind):
     if kind == "drift":
         adaptive = AdaptiveConfig(
             policy="top-k", top_k=6, period=0.002, half_life=0.004,
-            capacity=SKETCH_SLOTS, warmup_observations=100)
-        factory = make_ps_factory("nups-adaptive", plan=plan,
-                                  sync_interval=0.001, adaptive_config=adaptive)
+            warmup_observations=100)
+        nups = make_ps_factory("nups", plan=plan, sync_interval=0.001)
+
+        def factory(store, cluster, task):
+            ps = nups(store, cluster, task)
+            install_tap(ps, adaptive, SKETCH_SLOTS)
+            return ps
         return "nups-adaptive", factory, make_scenario(
             "drift", at=((1, 0),), oracle_remanage=False)
     if kind == "crash-storm":

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.nups import NuPS
 from repro.ml.task import TrainingTask
+from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
@@ -79,11 +80,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(chunk_size=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(evaluate_every=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(housekeeping_every_chunks=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(time_budget=0.0)
+            ExperimentConfig(seed=-1)
 
 
 class TestRunExperiment:
@@ -117,12 +114,6 @@ class TestRunExperiment:
         result = run_experiment(task, make_ps_factory("classic"), self._config(epochs=1))
         # Every data point pushes a (1, 1) delta: total sum = 2 * points.
         assert result.final_quality() == pytest.approx(80.0)
-
-    def test_time_budget_stops_training(self):
-        task = CountingTask(num_points=40)
-        config = self._config(epochs=50, time_budget=1e-9)
-        result = run_experiment(task, make_ps_factory("classic"), config)
-        assert result.epochs_completed == 1
 
     def test_metrics_snapshot_present(self):
         task = CountingTask()
@@ -254,6 +245,34 @@ class TestSystemRegistry:
         assert scheme_config.pool_size == 7
         assert scheme_config.use_frequency == 3
         assert ps.replica_manager.sync_interval == 0.5
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("nups", {"pool_sise": 3}),         # a misspelled NuPS parameter
+        ("classic", {"pool_size": 3}),      # a NuPS parameter elsewhere
+    ])
+    def test_wrong_override_fails_before_any_round(self, name, overrides):
+        """A builder declares its parameters: an override it does not take
+        raises instead of silently running the default."""
+        task = CountingTask(num_points=40)
+        factory = make_ps_factory(name, **overrides)
+        config = ExperimentConfig(
+            cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
+            epochs=1, chunk_size=4)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            run_experiment(task, factory, config)
+        assert task.processed == 0 and task.prefetched == 0
+
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_every_system_rejects_unknown_overrides(self, env, name):
+        task, cluster, store = env
+        if name == "single-node":
+            cluster = Cluster(ClusterConfig(num_nodes=1, workers_per_node=2))
+        with pytest.raises(TypeError, match="pool_sise"):
+            build_parameter_server(name, store, cluster, task, pool_sise=3)
+        # The storage backend is an experiment setting, not a PS override.
+        with pytest.raises(TypeError, match="storage"):
+            build_parameter_server(name, store, cluster, task,
+                                   storage=StorageConfig(backend="sparse"))
 
 
 class TestWorkloadPresets:

@@ -1,9 +1,8 @@
 """Edge-case coverage for ``run_experiment`` and the cached workloads.
 
-Covers the corners the main runner tests skip: ``evaluate_every`` larger than
-the epoch count, a ``time_budget`` that expires mid-run, workers whose shard
-is empty, and the read-only guarantee of the ``lru_cache``'d benchmark
-datasets.
+Covers the corners the main runner tests skip: quality evaluated after
+every epoch, workers whose shard is empty, and the read-only guarantee of
+the ``lru_cache``'d benchmark datasets.
 """
 
 from __future__ import annotations
@@ -84,36 +83,16 @@ def _config(**kwargs):
 
 
 class TestRunExperimentEdgeCases:
-    def test_evaluate_every_larger_than_epochs(self):
+    def test_every_epoch_is_evaluated(self):
         task = TinyTask(num_points=16)
         result = run_experiment(
-            task, make_ps_factory("classic"),
-            _config(epochs=2, evaluate_every=10),
+            task, make_ps_factory("classic"), _config(epochs=2),
         )
-        # Intermediate epochs reuse the previous quality; the final epoch is
-        # always evaluated even though evaluate_every was never reached.
+        # Each record carries the quality after its own epoch: 16 pushes of
+        # value_length ones per epoch.
         assert result.epochs_completed == 2
-        assert result.records[0].quality == result.initial_quality
-        assert result.records[1].quality["progress"] == pytest.approx(
-            2 * 16 * 2  # two epochs x 16 pushes x value_length ones
-        )
-
-    def test_time_budget_hit_mid_run(self):
-        task = TinyTask(num_points=64)
-        generous = run_experiment(
-            task, make_ps_factory("classic"), _config(epochs=6)
-        )
-        per_epoch = generous.records[0].epoch_duration
-        budget = 2.5 * per_epoch
-        result = run_experiment(
-            TinyTask(num_points=64), make_ps_factory("classic"),
-            _config(epochs=6, time_budget=budget),
-        )
-        assert 0 < result.epochs_completed < 6
-        assert result.total_time >= budget
-        # All epochs before the stopping one finished under the budget.
-        for record in result.records[:-1]:
-            assert record.sim_time < budget
+        assert [record.quality["progress"] for record in result.records] \
+            == pytest.approx([16 * 2, 2 * 16 * 2])
 
     def test_empty_worker_shards_are_skipped(self):
         task = TinyTask(num_points=10)
