@@ -376,11 +376,14 @@ class _NuPSPointCharger(RelocationPointCharger):
     Values: a ``[lo, hi)`` span without replicated keys uses the store like
     the base class; otherwise its replicated positions are read from the
     node's replica and written through the replica manager (replica, update
-    buffer, dirty mask) by slot, from one slot lookup per chunk.
+    buffer, dirty mask) by slot, from one slot lookup per chunk. Only the
+    store rows of pushed, non-replicated positions are bound writable: a
+    replicated key's updates reach the store through replica
+    synchronization, as they would call by call.
     """
 
     __slots__ = ("node_id", "replica_positions", "replica_at", "slots",
-                 "store_positions", "store_at", "store_keys", "last_route")
+                 "store_positions", "store_at", "store_rows", "last_route")
 
     kind_labels = access_labels(("pull", "sample", "push", "sample_push"))
 
@@ -395,13 +398,15 @@ class _NuPSPointCharger(RelocationPointCharger):
         if replicated is not None and not replicated.any():
             replicated = None
         self._fold(worker, keys, calls, replicated)
-        self._bind(keys)
+        self._bind(keys, calls, replicated)
         self.replica_positions = None
         self.last_route = (0, 0, None)
         if replicated is not None:
             self._locate(replicated)
             replicated = replicated.tolist()
-        keys_list = self.keys_list
+        # Dense: the rows are the keys.
+        keys_list = self.rows_list if self.rows is self.keys \
+            else self.keys.tolist()
         recent = ps._recent_direct[node_id]
         for kind, lo, hi, _ in calls:
             if kind != PULL:
@@ -420,7 +425,7 @@ class _NuPSPointCharger(RelocationPointCharger):
 
     def _locate(self, replicated: np.ndarray) -> None:
         """The positions of the replicated keys, their slots, and the
-        positions and keys of the others."""
+        positions and store rows of the others."""
         replica_at = np.flatnonzero(replicated)
         store_at = np.flatnonzero(~replicated)
         self.replica_positions = replica_at.tolist()
@@ -428,11 +433,11 @@ class _NuPSPointCharger(RelocationPointCharger):
         self.slots = self.ps.replica_manager.slots(self.keys[replica_at])
         self.store_positions = store_at.tolist()
         self.store_at = store_at
-        self.store_keys = self.keys[store_at]
+        self.store_rows = self.rows[store_at]
 
     def _route(self, lo: int, hi: int):
         """``keys[lo:hi]``'s replicated positions (relative to ``lo``) and
-        slots, and its other positions and keys; ``None`` without a
+        slots, and its other positions and store rows; ``None`` without a
         replicated key. The last span's route is kept for the ``add`` that
         follows its ``read``."""
         positions = self.replica_positions
@@ -450,7 +455,7 @@ class _NuPSPointCharger(RelocationPointCharger):
             begin = bisect_left(others, lo)
             end = bisect_left(others, hi, begin)
             route = (self.replica_at[first:last] - lo, self.slots[first:last],
-                     self.store_at[begin:end] - lo, self.store_keys[begin:end])
+                     self.store_at[begin:end] - lo, self.store_rows[begin:end])
         self.last_route = (lo, hi, route)
         return route
 
@@ -471,9 +476,9 @@ class _NuPSPointCharger(RelocationPointCharger):
             super().add(lo, hi, deltas)
             return
         _, deltas = self.ps._validate_push(self.keys[lo:hi], deltas)
-        replica_positions, slots, store_positions, store_keys = route
-        if len(store_keys):
-            self._add_rows(store_keys, store_keys.tolist(),
+        replica_positions, slots, store_positions, store_rows = route
+        if len(store_rows):
+            self._add_rows(store_rows, store_rows.tolist(),
                            deltas.take(store_positions, axis=0))
         self.ps.replica_manager.add_slots(
             self.node_id, slots, deltas.take(replica_positions, axis=0)

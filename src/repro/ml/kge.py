@@ -446,7 +446,10 @@ class KGETask(TrainingTask):
         if self.graph.num_test == 0:
             return {"mrr_filtered": 0.0, "hits_at_10": 0.0}
         dim2 = 2 * self.dim
-        entity_w = store.values[: self.graph.num_entities, :dim2]
+        # One gather of every key: ``store.values`` would densify a sparse
+        # store for good.
+        weights = store.get(np.arange(self.num_keys()))[:, :dim2]
+        entity_w = weights[: self.graph.num_entities]
         # The entity matrix is shared by every ranking query of this
         # evaluation round: convert it to complex form once, not per triple.
         entities_c = self.model.to_complex(entity_w)
@@ -456,7 +459,7 @@ class KGETask(TrainingTask):
         total = 0
         for index, (subject, relation, obj) in enumerate(self.graph.test_triples):
             subject, relation, obj = int(subject), int(relation), int(obj)
-            relation_w = store.values[self.relation_key(relation), :dim2]
+            relation_w = weights[self.relation_key(relation)]
             subject_w = entity_w[subject]
             object_w = entity_w[obj]
 

@@ -231,8 +231,8 @@ class MatrixFactorizationTask(TrainingTask):
         cells = self.dataset.test_cells
         if len(cells) == 0:
             return {"test_rmse": float("nan")}
-        row_factors = store.values[cells[:, 0]]
-        col_factors = store.values[self.dataset.num_rows + cells[:, 1]]
+        row_factors = store.get(cells[:, 0])
+        col_factors = store.get(self.dataset.num_rows + cells[:, 1])
         predictions = np.einsum("ij,ij->i", row_factors, col_factors)
         errors = self.dataset.test_values - predictions
         return {"test_rmse": float(np.sqrt(np.mean(errors * errors)))}

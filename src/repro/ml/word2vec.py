@@ -312,7 +312,7 @@ class WordVectorsTask(TrainingTask):
         probes = self.corpus.similarity_probes
         if len(probes) == 0:
             return {"similarity_accuracy": 0.0}
-        vectors = store.values[: self.corpus.vocab_size]
+        vectors = store.get(np.arange(self.corpus.vocab_size))
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         normalized = vectors / np.maximum(norms, 1e-12)
         anchor = normalized[probes[:, 0]]

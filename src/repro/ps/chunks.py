@@ -2,44 +2,49 @@
 
 The dense backend allocates ``num_keys``-length arrays per structure (the
 replication architectures *per node*), which caps scale sweeps at a few
-million keys. Here state is split into fixed-size chunks of rows, and a chunk
-is materialized only when it is first *written*. Reads of untouched chunks
-return the fill value (zeros for values and update buffers, ``-1`` for slot
-tables, the static partition for owner maps) without allocating anything.
+million keys. Here a key space costs what is written into it: a key gets a
+record on its first *write*, and reads of keys without one return the fill
+value (zeros for values and update buffers, ``-1`` for slot tables, the
+static partition for owner maps) without allocating anything.
 
-A key space is **one page table** (:class:`ChunkedTable`) over **one
-interleaved pool**: a pool row is an aligned structured record with one
-field per column, and a column (:class:`ChunkedArray`; a standalone
-``ChunkedVector``/``ChunkedMatrix`` is a one-column table) is the view of
-its field::
+A key space (:class:`ChunkedTable`) is **a sorted index of its written
+keys** over **one compact pool** that holds one aligned structured record
+per written key, with one field per column; a column (:class:`ChunkedArray`;
+a standalone ``ChunkedVector``/``ChunkedMatrix`` is a one-column table) is
+the view of its field::
 
-    key k --> chunk k // chunk_rows --> _shift[chunk] --> record k + shift
-                                                           of the pool
+    key k --> position of k in the sorted written keys --> pool record
+              (not written: the shared fill record, pool row 0)
 
-The pool's first ``chunk_rows`` records are a shared, never-written *fill
-page*; every unmaterialized chunk is mapped onto it, so a read needs no
-branch: two vectorised index operations translate a key batch to pool rows
-— once per batch, whatever the number of columns touched — and the ordinary
-dense operation (fancy get and set, ``np.add.at``) then runs on a field
-view. The whole batch hits one array in batch order, so the result is
-bit-identical to the dense backend because it *is* the same NumPy call. The
-columns duck-type the slice of the :class:`numpy.ndarray` API the
+Every unwritten key maps onto the *fill record*, which is never written, so
+a read needs no branch: one vectorised ``searchsorted`` translates a key
+batch to pool rows — once per batch, whatever the number of columns touched
+— and the ordinary dense operation (fancy get and set, ``np.add.at``) then
+runs on a field view. The whole batch hits one array in batch order, so the
+result is bit-identical to the dense backend because it *is* the same NumPy
+call. The columns duck-type the slice of the :class:`numpy.ndarray` API the
 parameter-server hot paths use, so the servers run unchanged on either.
+Callers that address the same keys many times (a charged chunk's value
+pass) translate once and keep the rows.
 
 A field view is strided, and ``ndarray.take`` copies a non-contiguous array
 whole before it gathers: gathers from a pool go through fancy indexing
 (:meth:`ChunkedArray.gather`), never ``take``.
 
-Materialization appends the chunk to the pool and is charged once against
-an optional :class:`MemoryBudget` *before* the pool grows (over budget
-raises :class:`MemoryBudgetExceeded` with an actionable message). Charges
-and ``nbytes`` count the columns' own bytes, not the record's alignment
-padding. A zero-fill column writes nothing: the pool grows geometrically
-into zeroed, untouched capacity, which is not charged and not resident. The
-fixed cost of a key space is its page table, ``num_keys / chunk_rows x 8``
-bytes; a touched key then costs one 4 KiB page per table, since all of its
-bytes sit in one record. A column with a non-zero fill writes its field
-into every record of a fresh chunk, which makes the whole chunk resident.
+**Chunks are the unit of accounting.** Keys fall into fixed-size chunks of
+``chunk_rows`` keys, and the first write into a chunk *materializes* it: the
+chunk is charged once against an optional :class:`MemoryBudget`, at ``rows
+x (sum of the columns' row bytes)``, *before* anything is recorded (over
+budget raises :class:`MemoryBudgetExceeded` with an actionable message).
+``materialized_chunks`` and ``nbytes`` count those chunks, whatever the
+number of records written into them. Residency is finer: a key space costs
+its index (16 bytes per written key) plus one record per written key — a
+scattered key makes its record resident, not a page of its own, since
+records are appended to the pool in order of first write. The pool is an
+anonymous mapping whose capacity covers every charged row; spare capacity is
+zeroed, untouched and not resident, and the pool moves (and ``column.pool``
+becomes a new array) only when a chunk is charged. A column with a non-zero
+fill writes it into each fresh record.
 """
 
 from __future__ import annotations
@@ -64,16 +69,13 @@ __all__ = [
 
 
 #: Default number of rows per chunk. Small enough that one touched key
-#: materializes kilobytes, not the whole key space; large enough that chunk
-#: bookkeeping stays off the profile.
+#: charges kilobytes against a budget, not the whole key space; large enough
+#: that chunk bookkeeping stays off the profile.
 DEFAULT_CHUNK_ROWS = 4096
 
 #: Rows per block when an operation walks the whole key space (key-wise fills
-#: of unmaterialized chunks, densification): bounds the temporaries.
+#: of unwritten keys, densification): bounds the temporaries.
 _SCAN_ROWS = 1 << 20
-
-#: Granule of residency: the system's page size (4 KiB wherever this runs).
-_PAGE_BYTES = 4096
 
 
 def _format_bytes(n: float) -> str:
@@ -141,10 +143,11 @@ class StorageConfig:
     ----------
     backend:
         ``"dense"`` (the default: contiguous arrays, the bit-identity oracle)
-        or ``"sparse"`` (chunks materialized on first write).
+        or ``"sparse"`` (a record per key on its first write).
     chunk_rows:
-        Rows per chunk for the sparse backend (and for the chunked per-node
-        state the parameter servers derive from it).
+        Keys per chunk, the unit in which the sparse backend charges its
+        budgets (the store's and the per-node state the parameter servers
+        derive from it).
     store_budget_bytes:
         Optional cap on the store's resident bytes (values + versions).
         Exceeding it raises :class:`MemoryBudgetExceeded`.
@@ -195,30 +198,13 @@ def _zeroed(shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(pages, dtype=dtype).reshape(shape)
 
 
-def _copy_nonzero_pages(source: np.ndarray, zeroed: np.ndarray) -> None:
-    """``zeroed[...] = source``, skipping the pages of ``source`` that are zero.
-
-    Both are contiguous and of one shape; ``zeroed`` reads as zeros. Rows
-    never written in a zero-filled chunk stay untouched (not resident)
-    instead of every used row becoming resident each time a pool moves.
-    """
-    source = source.reshape(-1).view(np.uint8)
-    zeroed = zeroed.reshape(-1).view(np.uint8)
-    whole = len(source) - len(source) % _PAGE_BYTES
-    pages = source[:whole].view(np.uint64).reshape(-1, _PAGE_BYTES // 8)
-    # Masked in place: gathering the live pages first would hold a second
-    # copy of every one of them.
-    np.copyto(zeroed[:whole].view(np.uint64).reshape(pages.shape), pages,
-              where=pages.any(axis=1)[:, None])
-    zeroed[whole:] = source[whole:]
-
-
 class ChunkedTable:
-    """The page table and the pool of one key space, shared by its columns.
+    """The index and the pool of one key space, shared by its columns.
 
-    The table owns translation (``_shift``), the budget, materialization and
-    the pool, whose record holds one field per column: a chunk materializes
-    in every column or in none and is charged once, at ``rows x (sum of the
+    The table owns translation (the sorted written keys ``_written`` and
+    their pool rows ``_slot``), the budget, materialization and the pool,
+    whose record holds one field per column: a key is written in every
+    column or in none, and a chunk is charged once, at ``rows x (sum of the
     columns' row bytes)``. A column (:class:`ChunkedArray`) is a view of its
     field, so one translation (:meth:`rows` / :meth:`writable_rows`) indexes
     ``column.pool`` of every column. Keys outside ``[0, num_rows)`` raise
@@ -226,7 +212,7 @@ class ChunkedTable:
 
     Densification replaces the pool by one contiguous array per column (what
     :meth:`ChunkedArray.densify` returns); the table has no pool from then
-    on.
+    on, and keys are rows.
     """
 
     def __init__(self, num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -245,24 +231,27 @@ class ChunkedTable:
         self.columns: list = []
         #: Bytes of one row across all columns (alignment padding excluded).
         self._row_nbytes = 0
-        #: Pool rows below this bound are the fill page. 0 once densified:
+        #: Pool rows below this bound are the fill record. 0 once densified:
         #: the columns' pools are then dense arrays, keys are rows.
-        self._fill_end = self.chunk_rows
-        #: The pool: the fill page, then one ``chunk_rows`` slot per
-        #: materialized chunk in materialization order, then zeroed spare
-        #: capacity. Padding rows of a partial last chunk stay zero. ``None``
-        #: once densified.
+        self._fill_end = 1
+        #: The pool: the fill record, then one record per written key in
+        #: order of first write, then zeroed spare capacity. ``None`` once
+        #: densified.
         self._pool: Optional[np.ndarray] = None
         #: The pool's record, and the same layout with every field an
         #: opaque byte string (a matrix column's gather view).
         self._record = self._opaque = None
-        self._used_rows = self.chunk_rows
-        #: Page table: pool row of key ``k`` is ``k + _shift[k // chunk_rows]``.
-        self._shift = -self.chunk_rows * np.arange(self.num_chunks,
-                                                   dtype=np.int64)
-        #: Chunk id held by every used slot (slot 0, the fill page: none).
-        self._chunk_of_slot = [-1]
-        #: Rows of the materialized chunks (padding excluded).
+        self._used_rows = 1
+        #: The written keys, ascending, and the pool row of each. Both end
+        #: in a sentinel, key ``num_rows`` on the fill record, so a lookup
+        #: needs no bounds check. Replaced on every write (``np.insert``
+        #: returns a new array), never mutated: a clone may share them.
+        self._written = np.array([self.num_rows], dtype=np.int64)
+        self._slot = np.zeros(1, dtype=np.int64)
+        #: The materialized chunks, ascending, ending in sentinel
+        #: ``num_chunks``.
+        self._chunks = np.array([self.num_chunks], dtype=np.int64)
+        #: Rows of the materialized chunks (what is charged and reported).
         self.resident_rows = 0
 
     def column(self, name: str, dtype, row_shape: Tuple[int, ...] = (),
@@ -275,11 +264,11 @@ class ChunkedTable:
     def materialized_chunks(self) -> int:
         if not self._fill_end:
             return self.num_chunks
-        return len(self._chunk_of_slot) - 1
+        return len(self._chunks) - 1
 
     # ------------------------------------------------------------------ layout
     def _add(self, column: "ChunkedArray") -> None:
-        """Give ``column`` a field: a new record and a fresh fill page."""
+        """Give ``column`` a field: a new record and a fresh fill record."""
         self.columns.append(column)
         self._row_nbytes += column._row_nbytes
         # Widest alignment first: every field then sits at a multiple of its
@@ -298,7 +287,7 @@ class ChunkedTable:
             (c.dtype, c.row_shape) for c in self.columns]))
         self._opaque = np.dtype(dict(layout, formats=[
             np.dtype((np.void, c._row_nbytes)) for c in self.columns]))
-        self._bind(_zeroed((self.chunk_rows,), self._record))
+        self._bind(_zeroed((1,), self._record))
         for c in self.columns:
             if c.fill_fn is None and c.fill_value:
                 c.pool[...] = c.fill_value
@@ -315,20 +304,19 @@ class ChunkedTable:
     def rows(self, keys) -> np.ndarray:
         """Validated pool rows of ``keys`` in every column's ``pool``.
 
-        Unmaterialized keys land on the fill page, which holds a column's
-        ``fill_value`` but not its ``fill_fn``. Rows of materialized chunks
-        stay valid until the table is densified, a ``pool`` only until the
-        table next materializes a chunk.
+        Unwritten keys land on the fill record, which holds a column's
+        ``fill_value`` but not its ``fill_fn``. Rows of written keys stay
+        valid until the table is densified, a ``pool`` only until the table
+        next materializes a chunk.
         """
         return self._rows(self._keys(keys))
 
     def writable_rows(self, keys) -> np.ndarray:
-        """:meth:`rows` after materializing every chunk ``keys`` touch."""
+        """:meth:`rows` after giving every key a record of its own."""
         keys = self._keys(keys)
         rows = self._rows(keys)
-        if keys.size and self._on_fill_page(rows):
-            fresh = keys[rows < self._fill_end]
-            self._materialize(np.unique(fresh // self.chunk_rows))
+        if keys.size and self._on_fill_record(rows):
+            self._write(np.unique(keys[rows < self._fill_end]))
             rows = self._rows(keys)
         return rows
 
@@ -365,93 +353,104 @@ class ChunkedTable:
         return keys
 
     def _rows(self, keys: np.ndarray) -> np.ndarray:
-        """Pool rows of (valid) ``keys``; unmaterialized ones hit the fill page."""
-        return keys + self._shift.take(keys // self.chunk_rows)
+        """Pool rows of (valid) ``keys``; unwritten ones hit the fill record."""
+        if not self._fill_end:
+            return keys
+        at = self._written.searchsorted(keys)
+        return np.where(self._written.take(at) == keys, self._slot.take(at), 0)
 
-    def _on_fill_page(self, rows: np.ndarray) -> bool:
-        """Whether any of the (non-empty) pool ``rows`` is on the fill page."""
+    def _on_fill_record(self, rows: np.ndarray) -> bool:
+        """Whether any of the (non-empty) pool ``rows`` is the fill record."""
         lowest = min(rows.tolist()) if rows.size <= 64 else int(rows.min())
         return lowest < self._fill_end
 
     def _row(self, key: int, writable: bool = False) -> int:
-        """Pool row of one (valid) key; ``writable`` materializes its chunk."""
-        cid = key // self.chunk_rows
-        row = key + self._shift.item(cid)
-        if writable and row < self._fill_end:
-            self._materialize(np.array([cid], dtype=np.int64))
-            row = key + self._shift.item(cid)
-        return row
+        """Pool row of one (valid) key; ``writable`` gives it a record."""
+        if not self._fill_end:
+            return key
+        at = int(self._written.searchsorted(key))
+        if self._written.item(at) == key:
+            return self._slot.item(at)
+        if not writable:
+            return 0
+        self._write(np.array([key], dtype=np.int64))
+        return self._row(key)
 
-    def _chunk_keys(self, cids: np.ndarray) -> np.ndarray:
-        """Keys of every row of chunks ``cids``, padding rows included."""
-        return (cids[:, None] * self.chunk_rows
-                + np.arange(self.chunk_rows, dtype=np.int64)).ravel()
-
-    def _unmaterialized_keys(self) -> Iterator[np.ndarray]:
-        """Ascending keys of the unmaterialized chunks, in bounded blocks."""
+    def _unwritten_keys(self) -> Iterator[np.ndarray]:
+        """Ascending keys without a record, in bounded blocks."""
         if not self._fill_end:
             return
-        missing = np.ones(self.num_chunks, dtype=bool)
-        missing[self._chunk_of_slot[1:]] = False
-        cids = np.flatnonzero(missing)
-        step = max(1, _SCAN_ROWS // self.chunk_rows)
-        for at in range(0, len(cids), step):
-            keys = self._chunk_keys(cids[at:at + step])
-            yield keys[keys < self.num_rows]
+        written = self._written
+        for lo in range(0, self.num_rows, _SCAN_ROWS):
+            hi = min(lo + _SCAN_ROWS, self.num_rows)
+            keep = np.ones(hi - lo, dtype=bool)
+            first, last = written.searchsorted((lo, hi)).tolist()
+            keep[written[first:last] - lo] = False
+            yield np.flatnonzero(keep) + lo
 
     # ---------------------------------------------------------- materialization
-    def _materialize(self, cids: np.ndarray) -> None:
-        """Append the ascending, distinct, unmaterialized chunks ``cids`` to
-        the pool.
+    def _write(self, fresh: np.ndarray) -> None:
+        """Give the ascending, distinct, unwritten keys ``fresh`` records,
+        after charging the chunks they are the first to write into.
 
-        The pool grows only for what was charged: when the budget runs out
-        at some chunk, those before it materialize and its charge raises.
+        Chunks are charged in ascending order: when the budget runs out at
+        some chunk, those before it materialize, its charge raises, and no
+        key is written.
         """
-        first = cids * self.chunk_rows
-        sizes = (np.minimum(first + self.chunk_rows, self.num_rows)
-                 - first) * self._row_nbytes
+        cids = np.unique(fresh // self.chunk_rows)
+        cids = cids[self._chunks.take(self._chunks.searchsorted(cids)) != cids]
         refused = None
-        if self.budget is not None:
-            fits = int(np.searchsorted(np.cumsum(sizes),
-                                       self.budget.remaining_bytes, "right"))
-            if fits < len(cids):
-                names = ", ".join(c.label for c in self.columns)
-                refused = (int(sizes[fits]), f"chunk {int(cids[fits])} of "
-                           f"{self.label} in its columns {names}")
-                cids, first, sizes = cids[:fits], first[:fits], sizes[:fits]
         if len(cids):
-            total = int(sizes.sum())
+            first = cids * self.chunk_rows
+            sizes = (np.minimum(first + self.chunk_rows, self.num_rows)
+                     - first) * self._row_nbytes
             if self.budget is not None:
-                self.budget.charge(total, f"{len(cids)} chunks of {self.label}")
-            start = self._used_rows
-            end = start + len(cids) * self.chunk_rows
-            if end > len(self._pool):
-                self._grow(end)
-            padding = self.num_chunks * self.chunk_rows - self.num_rows \
-                if cids[-1] == self.num_chunks - 1 else 0
-            for column in self.columns:
-                column._append(cids, start, end, padding)
-            self._shift[cids] = np.arange(start, end, self.chunk_rows) - first
-            self._chunk_of_slot.extend(cids.tolist())
-            self._used_rows = end
-            self.resident_rows += total // self._row_nbytes
+                fits = int(np.searchsorted(np.cumsum(sizes),
+                                           self.budget.remaining_bytes,
+                                           "right"))
+                if fits < len(cids):
+                    names = ", ".join(c.label for c in self.columns)
+                    refused = (int(sizes[fits]), f"chunk {int(cids[fits])} "
+                               f"of {self.label} in its columns {names}")
+                    cids, sizes = cids[:fits], sizes[:fits]
+            if len(cids):
+                total = int(sizes.sum())
+                if self.budget is not None:
+                    self.budget.charge(total,
+                                       f"{len(cids)} chunks of {self.label}")
+                self._chunks = np.insert(
+                    self._chunks, self._chunks.searchsorted(cids), cids)
+                self.resident_rows += total // self._row_nbytes
         if refused is not None:
             self.budget.charge(*refused)
+        start = self._used_rows
+        end = start + len(fresh)
+        # Capacity covers every charged row, so the records (at most one
+        # per charged row) fit and the pool moves only when a chunk is
+        # charged; spare capacity is never resident.
+        if self.resident_rows + 1 > len(self._pool):
+            self._grow(self.resident_rows + 1)
+        for column in self.columns:
+            column._append(fresh, start, end)
+        at = self._written.searchsorted(fresh)
+        self._slot = np.insert(self._slot, at,
+                               np.arange(start, end, dtype=np.int64))
+        self._written = np.insert(self._written, at, fresh)
+        self._used_rows = end
 
     def _grow(self, rows_needed: int) -> None:
         """Move to a pool of ``rows_needed`` rows or double the capacity (at
-        most one slot per chunk): ``n`` materializations copy ``O(n)`` rows."""
+        most one record per key): ``n`` moves copy ``O(n)`` records."""
         pool = _zeroed((min(max(rows_needed, 2 * len(self._pool)),
-                            (self.num_chunks + 1) * self.chunk_rows),),
-                       self._record)
+                            self.num_rows + 1),), self._record)
         used = self._used_rows
-        _copy_nonzero_pages(self._pool[:used], pool[:used])
+        pool[:used] = self._pool[:used]
         self._bind(pool)
 
     def _densify(self, column: "ChunkedArray", initial) -> None:
-        """Materialize everything in every column (budget charged): identity
-        page table, no fill page, one contiguous array per column instead of
-        the pool. ``initial`` becomes ``column``'s contents."""
+        """Materialize everything in every column (budget charged): no index,
+        no fill record, one contiguous array per column instead of the pool.
+        ``initial`` becomes ``column``'s contents."""
         if self.budget is not None:
             how = "densified" if initial is None else "dense-initialized"
             self.budget.charge((self.num_rows - self.resident_rows)
@@ -462,37 +461,31 @@ class ChunkedTable:
             c.pool = pool
             c._items = None
         self._pool = None
-        self._shift = np.zeros(self.num_chunks, dtype=np.int64)
         self._fill_end = 0
         self._used_rows = self.resident_rows = self.num_rows
 
     def copy(self) -> "ChunkedTable":
-        """An independent, budget-free clone (materialized chunks only, and
-        of those only the pages that hold something)."""
+        """An independent, budget-free clone (written records only)."""
         clone = copy.copy(self)
         clone.budget = None
-        clone._shift = self._shift.copy()
-        clone._chunk_of_slot = list(self._chunk_of_slot)
         clone.columns = [copy.copy(column) for column in self.columns]
         for twin in clone.columns:
             twin.table = clone
         if self._pool is not None:
-            pool = _zeroed((self._used_rows,), self._record)
-            _copy_nonzero_pages(self._pool[:self._used_rows], pool)
+            pool = _zeroed(self._pool.shape, self._record)
+            pool[:self._used_rows] = self._pool[:self._used_rows]
             clone._bind(pool)
             return clone
         for column, twin in zip(self.columns, clone.columns):
-            twin.pool = _zeroed(column.pool.shape, column.dtype)
-            _copy_nonzero_pages(column.pool, twin.pool)
+            twin.pool = column.pool.copy()
         return clone
 
 
 class ChunkedArray:
     """One column of a :class:`ChunkedTable`: ``num_rows`` rows of shape
-    ``row_shape`` in one field of the table's pool, materialized
-    chunk-by-chunk.
+    ``row_shape`` in one field of the table's pool, a record per written key.
 
-    Reads of untouched chunks return ``fill_value``, or ``fill_fn(keys)`` (a
+    Reads of unwritten keys return ``fill_value``, or ``fill_fn(keys)`` (a
     vectorized key-wise default, e.g. the static partition for owner maps)
     when one is given. Supports the ndarray subset used by the PS hot paths:
     ``take``, integer/slice/fancy get and set, ``add_at``, and for vectors
@@ -502,9 +495,9 @@ class ChunkedArray:
 
     **View contract.** Fancy, slice and ``take`` reads return copies. An
     integer index into a multi-dimensional container returns a *view* of the
-    row, like dense row indexing: live (writes go through) when the row's
-    chunk is materialized, read-only (writes raise) when it is not — write
-    through ``container[k] = ...`` or ``add_at`` to materialize. Views, and
+    row, like dense row indexing: live (writes go through) when the key is
+    written, read-only (writes raise) when it is not — write through
+    ``container[k] = ...`` or ``add_at`` to give it a record. Views, and
     blocks from :meth:`block`, stay attached until the table next
     materializes a chunk (through any column) or is densified; do not hold
     them across writes.
@@ -540,7 +533,8 @@ class ChunkedArray:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: only materialized chunks count."""
+        """Charged bytes: the rows of the materialized chunks (what the
+        budget holds; the records actually written are fewer)."""
         return self.table.resident_rows * self._row_nbytes
 
     @property
@@ -552,28 +546,27 @@ class ChunkedArray:
         return np.asarray(self.fill_fn(keys), dtype=self.dtype)
 
     # ---------------------------------------------------------- materialization
-    def _append(self, cids: np.ndarray, start: int, end: int,
-                padding: int) -> None:
-        """Make pool rows ``[start, end)`` the fresh chunks ``cids``. A zero
-        fill writes nothing: spare capacity is zeroed, untouched memory."""
-        if self.fill_fn is None and not self.fill_value:
-            return
-        fresh = self.pool[start:end]
+    def _append(self, keys: np.ndarray, start: int, end: int) -> None:
+        """Make pool rows ``[start, end)`` the fresh records of ``keys``. A
+        zero fill writes nothing: spare capacity is zeroed, untouched
+        memory."""
         if self.fill_fn is not None:
-            fresh[...] = self._fill(np.minimum(
-                self.table._chunk_keys(cids), self.num_rows - 1))
-        else:
-            fresh[...] = self.fill_value
-        if padding:
-            fresh[len(fresh) - padding:] = 0
+            self.pool[start:end] = self._fill(keys)
+        elif self.fill_value:
+            self.pool[start:end] = self.fill_value
 
     def _dense(self) -> np.ndarray:
-        """All ``num_rows`` rows in one array; pages of zeros stay untouched."""
+        """All ``num_rows`` rows in one array; a zero fill leaves every page
+        without a written key untouched."""
         dense = _zeroed(self.shape, self.dtype)
-        for lo in range(0, self.num_rows, _SCAN_ROWS):
-            hi = min(lo + _SCAN_ROWS, self.num_rows)
-            _copy_nonzero_pages(self.take(np.arange(lo, hi, dtype=np.int64)),
-                                dense[lo:hi])
+        if self.fill_fn is not None:
+            for lo in range(0, self.num_rows, _SCAN_ROWS):
+                hi = min(lo + _SCAN_ROWS, self.num_rows)
+                dense[lo:hi] = self._fill(np.arange(lo, hi, dtype=np.int64))
+        elif self.fill_value:
+            dense[...] = self.fill_value
+        table = self.table
+        dense[table._written[:-1]] = self.gather(table._slot[:-1])
         return dense
 
     # ---------------------------------------------------------------- reading
@@ -598,9 +591,9 @@ class ChunkedArray:
         keys = table._keys(keys)
         rows = table._rows(keys)
         out = self.gather(rows)
-        if self.fill_fn is not None and keys.size and table._on_fill_page(rows):
-            unmaterialized = rows < table._fill_end
-            out[unmaterialized] = self._fill(keys[unmaterialized])
+        if self.fill_fn is not None and keys.size and table._on_fill_record(rows):
+            unwritten = rows < table._fill_end
+            out[unwritten] = self._fill(keys[unwritten])
         return out
 
     def __getitem__(self, index):
@@ -613,19 +606,19 @@ class ChunkedArray:
             if self.fill_fn is not None:
                 return self._fill(np.array([key], dtype=np.int64))[0]
             if self.row_shape:
-                value.flags.writeable = False  # a view of the shared fill page
+                value.flags.writeable = False  # a view of the fill record
         return value
 
     def block(self, lo: int, hi: int) -> np.ndarray | None:
-        """A zero-copy view of rows ``[lo, hi)``: ``None`` unless the range lies
-        inside one materialized chunk (any range once densified)."""
-        if not self.table._fill_end:
-            return self.pool[lo:hi]
-        row = self.table._row(lo)
-        if (hi - 1) // self.chunk_rows != lo // self.chunk_rows \
-                or row < self.table._fill_end:
+        """A zero-copy view of rows ``[lo, hi)``: ``None`` unless every key
+        of the range is written and their records are consecutive (any range
+        once densified)."""
+        rows = self.table._rows(np.arange(lo, hi, dtype=np.int64))
+        first = int(rows[0])
+        if first < self.table._fill_end or int(rows[-1]) - first != hi - lo - 1 \
+                or (hi - lo > 1 and not (np.diff(rows) == 1).all()):
             return None
-        return self.pool[row:row + hi - lo]
+        return self.pool[first:first + hi - lo]
 
     # ---------------------------------------------------------------- writing
     def __setitem__(self, index, value) -> None:
@@ -647,49 +640,49 @@ class ChunkedArray:
             np.add.at(self.pool, rows, deltas)
 
     # ------------------------------------------------------------- predicates
-    def _materialized_rows(self) -> np.ndarray:
-        """The pool rows that back chunks (padding rows read as zero)."""
+    def _written_rows(self) -> np.ndarray:
+        """The records of the written keys (every row once densified)."""
         return self.pool[self.table._fill_end:self.table._used_rows]
+
+    def _unwritten_count(self) -> int:
+        table = self.table
+        return self.num_rows - (table._used_rows - table._fill_end)
 
     def where_equal(self, value) -> np.ndarray:
         """Ascending row indices whose element equals ``value``.
 
-        Scans the pool; untouched chunks are evaluated through their fill
-        only when it can match, and never materialized.
+        Scans the written records; unwritten keys are evaluated through
+        their fill only when it can match, and never written.
         """
         table = self.table
-        rows = np.flatnonzero(self._materialized_rows() == value) \
-            + table._fill_end
-        if table._fill_end:
-            slots = rows // self.chunk_rows
-            chunk_of_slot = np.asarray(table._chunk_of_slot, dtype=np.int64)
-            rows += (chunk_of_slot[slots] - slots) * self.chunk_rows
-            rows = rows[rows < self.num_rows]  # zero padding can match zero
-        pieces = [rows]
+        if not table._fill_end:
+            return np.flatnonzero(self.pool == value)
+        pieces = [table._written[:-1][self.gather(table._slot[:-1]) == value]]
         if self.fill_fn is not None:
             pieces += [keys[self._fill(keys) == value]
-                       for keys in table._unmaterialized_keys()]
+                       for keys in table._unwritten_keys()]
         elif self.fill_value == value:
-            pieces += table._unmaterialized_keys()
+            pieces += table._unwritten_keys()
+        if len(pieces) == 1:
+            return pieces[0]
         return np.sort(np.concatenate(pieces))
 
     def any(self) -> bool:
-        """Whether any element is truthy (fills of untouched chunks included)."""
-        if self._materialized_rows().any():
+        """Whether any element is truthy (fills of unwritten keys included)."""
+        if self._written_rows().any():
             return True
         if self.fill_fn is not None:
             return any(self._fill(keys).any()
-                       for keys in self.table._unmaterialized_keys())
-        return bool(self.fill_value) \
-            and self.materialized_chunks < self.num_chunks
+                       for keys in self.table._unwritten_keys())
+        return bool(self.fill_value) and self._unwritten_count() > 0
 
     def count_nonzero(self) -> int:
-        total = int(np.count_nonzero(self._materialized_rows()))
+        total = int(np.count_nonzero(self._written_rows()))
         if self.fill_fn is not None:
             total += sum(int(np.count_nonzero(self._fill(keys)))
-                         for keys in self.table._unmaterialized_keys())
+                         for keys in self.table._unwritten_keys())
         elif self.fill_value:
-            total += self.num_rows - self.table.resident_rows
+            total += self._unwritten_count()
         return total
 
     # ----------------------------------------------------------------- lifecycle
@@ -712,7 +705,7 @@ class ChunkedArray:
                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
                    budget: Optional[MemoryBudget] = None,
                    label: str = "matrix") -> "ChunkedArray":
-        """Wrap an existing dense array (identity page table over it)."""
+        """Wrap an existing dense array (densified: keys are its rows)."""
         self = cls.__new__(cls)
         ChunkedArray.__init__(
             self, ChunkedTable(dense.shape[0], chunk_rows, budget, label),

@@ -52,7 +52,7 @@ class _ClassicPointCharger(ChunkValues):
         ps = self.ps
         node_id = worker.node_id
         owners = ps.partitioner.owners(keys).tolist()
-        self._bind(keys)
+        self._bind(keys, calls)
         local_cost = ps._local_access_cost
         remote_cost = ps._remote_access_cost
         occupancy = ps._server_occupancy

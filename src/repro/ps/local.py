@@ -49,7 +49,7 @@ class _LocalPointCharger(ChunkValues):
         its key count (none for an empty call), then its compute charge.
         Also binds ``keys`` for the value pass
         (:class:`~repro.ps.rounds.ChunkValues`)."""
-        self._bind(keys)
+        self._bind(keys, calls)
         local_cost = self.ps._local_access_cost
         scale = worker.compute_scale
         now = worker.clock.now

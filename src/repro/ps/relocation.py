@@ -239,7 +239,7 @@ class RelocationPointCharger(ChunkValues):
         """Charge one worker's chunk (:meth:`_fold`) and bind ``keys`` for
         the value pass (:class:`~repro.ps.rounds.ChunkValues`)."""
         self._fold(worker, keys, calls)
-        self._bind(keys)
+        self._bind(keys, calls)
 
     def _fold(self, worker: WorkerContext, keys: np.ndarray, calls,
               replicated: np.ndarray | None = None) -> None:

@@ -40,7 +40,12 @@ import numpy as np
 
 from repro.ps.base import ParameterServer
 from repro.ps.chunks import ChunkedTable, MemoryBudget, StorageConfig
-from repro.ps.rounds import ChunkValues, RoundAccounting
+from repro.ps.rounds import (
+    ChunkValues,
+    RoundAccounting,
+    pushed_spans,
+    span_mask,
+)
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.storage import ParameterStore, scatter_add_rows
 
@@ -63,13 +68,13 @@ class _NodeReplicaState:
     On the dense backend (the oracle) every structure is a full
     ``num_keys``-length array. On the sparse backend the same five
     structures are the columns of one :class:`~repro.ps.chunks.ChunkedTable`
-    and materialize together on first write — the fills are all zero (mask
-    ``False``, clock 0: every read of a clock is gated by ``replica_mask``),
-    precisely the dense initial values, so reads of untouched keys are
-    bit-identical and a fresh chunk is untouched memory. Resident memory is
-    one page table per node (``num_keys / chunk_rows x 8`` bytes) plus about
-    one page per key the node replicates (its five structures share one
-    record of the table's pool), bounded by an optional per-node budget.
+    and a key gets its record in all of them on first write — the fills are
+    all zero (mask ``False``, clock 0: every read of a clock is gated by
+    ``replica_mask``), precisely the dense initial values, so reads of
+    untouched keys are bit-identical and a fresh record is untouched memory.
+    Resident memory is an index of the keys the node has written (16 bytes
+    each) plus one record per such key (its five structures share it), and
+    an optional per-node budget is charged per chunk of keys.
     """
 
     def __init__(self, num_keys: int, value_length: int,
@@ -474,7 +479,7 @@ class _ReplicationPointCharger(ChunkValues):
     once for the whole value pass.
     """
 
-    __slots__ = ("acc", "values", "updates", "gather")
+    __slots__ = ("acc", "updates")
 
     def __init__(self, ps: ReplicationPS) -> None:
         self.ps = ps
@@ -490,7 +495,7 @@ class _ReplicationPointCharger(ChunkValues):
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
         events, server_counts = ps._refresh(node_id, state, keys, calls,
                                             worker_clock)
-        self._bind(keys)
+        self.keys = keys = ps.store.check_keys(keys)
         # Applied now, not at the end of the round: see the class docstring.
         n_remote = ps._occupy_servers(server_counts) if server_counts else 0
 
@@ -499,7 +504,6 @@ class _ReplicationPointCharger(ChunkValues):
         now = worker.clock.now
         widths = [0, 0]  # pulled, pushed
         pull_refreshes = 0
-        pushed = []  # the push spans, joined where one continues another
         for call, (kind, lo, hi, compute) in enumerate(calls):
             writes = kind >> 1
             widths[writes] += hi - lo
@@ -517,33 +521,26 @@ class _ReplicationPointCharger(ChunkValues):
                 pull_refreshes += len(refreshing)
                 for position in range(lo, hi):
                     now += refreshing.get(position, intra_cost)
-            if writes and hi > lo:
-                if pushed and pushed[-1][1] == lo:
-                    pushed[-1] = (pushed[-1][0], hi)
-                else:
-                    pushed.append((lo, hi))
             if compute:
                 now += compute * scale
         worker.clock.advance_to(now)
 
-        # From here on ``keys`` index the node's arrays (sparse: pool rows,
-        # translated once for the whole value pass; nothing materializes on
-        # this node before the next chunk is charged).
-        self.keys, at = state.at(self.keys, writable=bool(pushed))
-        if at is not state:
-            self.keys_list = self.keys.tolist()
+        # The node's rows of ``keys`` (sparse: pool rows, translated once
+        # for the whole value pass; nothing materializes on this node before
+        # the next chunk is charged).
+        pushed = pushed_spans(calls)
+        self.rows, at = state.at(keys, writable=bool(pushed))
+        self.rows_list = self.rows.tolist()
         self.values, self.updates = at.replica_values, at.update_values
         # Sparse: the pool field's gather; dense: ``None``, ``read`` takes
         # straight from the array (one call less per point).
         self.gather = None if at is state else state.replica_values.gather
         if pushed == [(0, len(keys))]:  # every key pushed: the tasks' chunks
-            at.update_mask[self.keys] = True
+            at.update_mask[self.rows] = True
             state.pending_updates.append(keys)
         elif pushed:
-            covered = np.zeros(len(keys), dtype=bool)
-            for lo, hi in pushed:
-                covered[lo:hi] = True
-            at.update_mask[self.keys[covered]] = True
+            covered = span_mask(pushed, len(keys))
+            at.update_mask[self.rows[covered]] = True
             state.pending_updates.append(keys[covered])
 
         n_refresh = sum(map(len, events.values()))
@@ -557,16 +554,11 @@ class _ReplicationPointCharger(ChunkValues):
             acc.add_counter(node_id, "network.bytes",
                             n_remote * ps._cached_value_bytes)
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        if self.gather is None:
-            return self.values.take(self.keys[lo:hi], axis=0)
-        return self.gather(self.keys[lo:hi])
-
-    def _add_rows(self, keys: np.ndarray, keys_list: list,
+    def _add_rows(self, rows: np.ndarray, rows_list: list,
                   deltas: np.ndarray) -> None:
         """Apply to the replica and buffer for the next flush."""
-        scatter_add_rows(self.values, keys, deltas, keys_list)
-        scatter_add_rows(self.updates, keys, deltas, keys_list)
+        scatter_add_rows(self.values, rows, deltas, rows_list)
+        scatter_add_rows(self.updates, rows, deltas, rows_list)
 
     def finish(self) -> None:
         """Write the round's aggregated counters."""

@@ -20,16 +20,18 @@ bit-identically to its calls issued one by one
 
 Values keep the sequential order: the points read and write current rows
 through the charger's :class:`ChunkValues` ``read``/``add``, one gather and
-one scatter each, validated per chunk instead of per call. Moving values
-across data points is not done: a pull must observe every earlier push to
-the same key, and on the bench matrix factorization 1.1 % of a round's
-points (about 6 % of the bench knowledge graph's triples) touch keys no
-other point of the round touches.
+one scatter each, validated and translated to rows per chunk instead of per
+call. Moving values across data points is not done: a pull must observe
+every earlier push to the same key, and on the bench matrix factorization
+1.1 % of a round's points (about 6 % of the bench knowledge graph's triples)
+touch keys no other point of the round touches.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.ps.storage import add_versioned
 
 __all__ = [
     "PULL",
@@ -39,6 +41,8 @@ __all__ = [
     "RoundAccounting",
     "ChunkValues",
     "point_calls",
+    "pushed_spans",
+    "span_mask",
 ]
 
 #: The kinds of a call-list entry: bit 1 is set for writes (``push``), bit 0
@@ -99,33 +103,79 @@ class ChunkValues:
     charger first and then run the per-point arithmetic on current rows: one
     gather and one duplicate-aware scatter per data point, addressed as a
     ``[lo, hi)`` slice of the chunk's flat key array. Keys are range-checked
-    once per chunk (when the charger binds them), delta shapes once per point
-    (:meth:`add`). This base serves the store directly; the replication PS
-    serves the node's replica and update buffer, NuPS routes replicated keys
-    through its replica manager.
+    and translated to rows once per chunk, when the charger binds them
+    (:meth:`_bind`), delta shapes once per point (:meth:`add`). This base
+    serves the store's rows (:meth:`~repro.ps.storage.ParameterStore.at`);
+    the replication PS binds the node's replica and update buffer instead,
+    NuPS routes replicated keys through its replica manager.
     """
 
     #: ``ps`` is set by the charger that inherits this class.
-    __slots__ = ("ps", "keys", "keys_list")
+    __slots__ = ("ps", "keys", "rows", "rows_list", "values", "versions",
+                 "gather")
 
-    def _bind(self, keys: np.ndarray) -> None:
-        """Range-check ``keys`` (``KeyError``) and make them current."""
-        self.keys = self.ps.store.check_keys(keys)
-        self.keys_list = self.keys.tolist()
+    def _bind(self, keys: np.ndarray, calls,
+              routed: np.ndarray | None = None) -> None:
+        """Range-check ``keys`` (``KeyError``) and bind their store rows.
+
+        On the sparse backend the positions some call of ``calls`` pushes —
+        except those ``routed`` elsewhere — get records first, so their rows
+        take writes; nothing materializes in the store before the next
+        chunk is bound.
+        """
+        store = self.ps.store
+        self.keys = keys = store.check_keys(keys)
+        writable = False
+        if store.backend == "sparse":
+            pushed = pushed_spans(calls)
+            if routed is None and pushed == [(0, len(keys))]:
+                writable = True
+            elif pushed:
+                writable = span_mask(pushed, len(keys))
+                if routed is not None:
+                    writable &= ~routed
+        self.rows, at = store.at(keys, writable)
+        self.rows_list = self.rows.tolist()
+        self.values, self.versions, self.gather = \
+            at.values, at.versions, at.gather
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """A copy of the current values of ``keys[lo:hi]``."""
-        return self.ps.store.rows(self.keys[lo:hi])
+        if self.gather is None:
+            return self.values.take(self.rows[lo:hi], axis=0)
+        return self.gather(self.rows[lo:hi])
 
     def add(self, lo: int, hi: int, deltas: np.ndarray) -> None:
         """Add ``deltas`` to ``keys[lo:hi]``; repeated keys accumulate in order."""
-        keys, deltas = self.ps._validate_push(self.keys[lo:hi], deltas)
-        self._add_rows(keys, self.keys_list[lo:hi], deltas)
+        _, deltas = self.ps._validate_push(self.keys[lo:hi], deltas)
+        self._add_rows(self.rows[lo:hi], self.rows_list[lo:hi], deltas)
 
-    def _add_rows(self, keys: np.ndarray, keys_list: list,
+    def _add_rows(self, rows: np.ndarray, rows_list: list,
                   deltas: np.ndarray) -> None:
-        """Scatter into the store; repeated keys accumulate in order."""
-        self.ps.store.add_rows(keys, deltas, keys_list)
+        """Scatter into the bound rows; repeated keys accumulate in order."""
+        add_versioned(self.values, self.versions, rows, deltas, rows_list)
+
+
+def pushed_spans(calls) -> list:
+    """The ``[lo, hi)`` spans of a call list's pushes, joined where one
+    continues another: ``[(0, n)]`` when a push covers every key of an
+    ``n``-key chunk (the tasks' chunks)."""
+    spans = []
+    for kind, lo, hi, _ in calls:
+        if kind & 2 and hi > lo:
+            if spans and spans[-1][1] == lo:
+                spans[-1] = (spans[-1][0], hi)
+            else:
+                spans.append((lo, hi))
+    return spans
+
+
+def span_mask(spans, n: int) -> np.ndarray:
+    """The positions of an ``n``-key chunk that ``spans`` cover."""
+    mask = np.zeros(n, dtype=bool)
+    for lo, hi in spans:
+        mask[lo:hi] = True
+    return mask
 
 
 def point_calls(direct_widths, sample_widths, compute_costs) -> list:

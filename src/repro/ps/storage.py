@@ -12,11 +12,12 @@ Two storage backends sit behind the same API (selected via
 * ``dense`` — the original contiguous arrays. This is the bit-identity
   oracle: every sparse-backend operation must produce exactly the values,
   versions, clocks and metrics the dense backend produces.
-* ``sparse`` — fixed-size chunks materialized on first write (see
-  :mod:`repro.ps.chunks`), with an optional memory budget. Untouched chunks
-  read as zeros without being allocated, so a store over 10^8+ logical keys
-  costs one page table (``num_keys / chunk_rows x 8`` bytes) plus about one
-  resident page per *touched* key: its value and version share one record.
+* ``sparse`` — a record per key, given on its first write (see
+  :mod:`repro.ps.chunks`), with an optional memory budget charged per
+  fixed-size chunk. Unwritten keys read as zeros without being allocated,
+  so a store over 10^8+ logical keys costs an index of its written keys
+  (16 bytes each) plus one resident record per *written* key: its value and
+  version share it.
 
 Updates are *additive* (``add``), which matches how the paper's workloads use
 a PS: workers push gradients or gradient-like deltas that the server adds to
@@ -26,6 +27,7 @@ replica synchronization.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +40,7 @@ from repro.ps.chunks import (
 )
 
 
-def scatter_add_rows(target, keys: np.ndarray, deltas,
+def scatter_add_rows(target: np.ndarray, keys: np.ndarray, deltas,
                      keys_list: list | None = None) -> None:
     """``np.add.at(target, keys, deltas)`` with a duplicate-free fast path.
 
@@ -46,13 +48,8 @@ def scatter_add_rows(target, keys: np.ndarray, deltas,
     keys of a small batch are distinct the two are bit-identical (exactly one
     addition lands on every row either way), so the fast path applies there
     and the general unbuffered path only when duplicates are present.
-
-    Chunked targets (:mod:`repro.ps.chunks`) implement the same accumulation
-    semantics per materialized chunk and are dispatched to directly.
+    ``target`` is an array: dense, or a pool field addressed by rows.
     """
-    if not isinstance(target, np.ndarray):
-        target.add_at(keys, deltas)
-        return
     n = len(keys)
     if n <= 2 and target.ndim > 1 and isinstance(deltas, np.ndarray):
         # A row or two through basic indexing: cheaper than the fancy-index
@@ -70,6 +67,34 @@ def scatter_add_rows(target, keys: np.ndarray, deltas,
     np.add.at(target, keys, deltas)
 
 
+def add_versioned(values: np.ndarray, versions: np.ndarray, rows: np.ndarray,
+                  deltas: np.ndarray, rows_list: list | None = None) -> None:
+    """Add ``deltas`` to ``values[rows]`` and count one write per occurrence
+    in ``versions[rows]``; repeated rows accumulate in order (``np.add.at``
+    semantics). ``rows_list`` is ``rows.tolist()`` where the caller has it
+    (small batches).
+
+    A row or two — the per-data-point shape of matrix factorization — go
+    row by row through basic indexing, which accumulates in order by
+    construction and skips the fancy-index machinery; a distinct batch is
+    one fancy ``+=``, bit-identical because exactly one addition lands on
+    every row; anything else takes the unbuffered ``np.add.at``.
+    """
+    if rows_list is not None:
+        if len(rows_list) <= 2:
+            for row, delta in zip(rows_list, deltas):
+                view = values[row]  # a view: ``+=`` writes through
+                view += delta
+                versions[row] += 1
+            return
+        if len(set(rows_list)) == len(rows_list):
+            values[rows] += deltas
+            versions[rows] += 1
+            return
+    np.add.at(values, rows, deltas)
+    np.add.at(versions, rows, 1)
+
+
 class ParameterStore:
     """``num_keys x value_length`` float32 parameter storage (dense or sparse)."""
 
@@ -84,8 +109,8 @@ class ParameterStore:
         self.value_length = int(value_length)
         self.storage = storage if storage is not None else DENSE_STORAGE
         rng = np.random.default_rng(seed)
-        #: Sparse backend: the page table and pool ``_values`` and
-        #: ``_versions`` share (one record per key).
+        #: Sparse backend: the index and pool ``_values`` and ``_versions``
+        #: share (one record per written key).
         self._table = self._budget = None
         if init_scale:
             # One RNG stream over the *full* matrix; reproducing it lazily per
@@ -132,8 +157,9 @@ class ParameterStore:
 
         For a contiguous ascending key range ``k, k+1, ..., k+n-1`` the result
         is a true zero-copy, read-only *view* of the backing storage (on the
-        sparse backend this holds when the range lies inside one materialized
-        chunk). Any other key shape falls back to fancy indexing, which
+        sparse backend this holds when every key of the range is written and
+        their records are consecutive: keys first written together, in
+        order). Any other key shape falls back to fancy indexing, which
         returns a read-only *copy*. Callers must not mutate the returned
         array either way; writers go through :meth:`add`/:meth:`set`.
         """
@@ -158,30 +184,57 @@ class ParameterStore:
         """A zero-copy slice of rows ``[lo, hi)``, if the backend has one."""
         if isinstance(self._values, np.ndarray):
             return self._values[lo:hi]
-        # None when the range spans chunks or is not materialized: view()
-        # falls back to a copy.
+        # None when the range's records are not consecutive: view() falls
+        # back to a copy.
         return self._values.block(lo, hi)
 
     def add(self, keys: Sequence[int] | np.ndarray, deltas: np.ndarray) -> None:
         """Add ``deltas`` to the values of ``keys`` (duplicate keys accumulate)."""
         keys = self._validate_keys(keys)
         deltas = self._validate_deltas(keys, deltas)
-        self.add_rows(keys, deltas, keys.tolist() if keys.size <= 64 else None)
+        rows, at = self.at(keys, writable=True)
+        add_versioned(at.values, at.versions, rows, deltas,
+                      rows.tolist() if rows.size <= 64 else None)
 
     def check_keys(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """Range-check ``keys`` once for a batch of unvalidated accesses.
 
         Returns the keys as an ``int64`` array; raises the ``KeyError`` that
         :meth:`get`/:meth:`add` raise for a key outside ``[0, num_keys)``.
-        Callers that issue many small accesses over one key set (the
-        per-chunk charge replay of the sampling tasks) validate here and then
-        move values through :meth:`rows` and :meth:`add_distinct`.
+        Callers that issue many small accesses over one key set (the value
+        pass of a charged chunk) validate here, translate once with
+        :meth:`at` and then move values by row.
         """
         return self._validate_keys(keys)
 
-    def rows(self, keys: np.ndarray) -> np.ndarray:
-        """:meth:`get` for callers that already range-checked ``keys``."""
-        return self._values.take(keys, axis=0)
+    def at(self, keys: np.ndarray, writable=False) -> tuple:
+        """``(rows, arrays)``: ``arrays.values[rows]`` and
+        ``arrays.versions[rows]`` address the range-checked ``keys``.
+
+        Dense: the keys and the store's arrays. Sparse: the pool rows — one
+        translation for both columns — and the pool's field views, current
+        until the store next materializes a chunk. ``writable`` (``True``,
+        or a boolean mask over ``keys``) gives the keys it selects a record
+        first, so that writes through their rows land; an unwritten key's
+        row is the shared fill record, for reading only. Read rows through
+        ``arrays.gather`` where it is set (a field view is fancy-indexed,
+        never passed to ``take``; see
+        :meth:`~repro.ps.chunks.ChunkedArray.gather`), else through
+        ``arrays.values.take(rows, axis=0)``.
+        """
+        table = self._table
+        if table is None:
+            return keys, SimpleNamespace(values=self._values,
+                                         versions=self._versions, gather=None)
+        if writable is True:
+            rows = table.writable_rows(keys)
+        else:
+            if writable is not False and writable.any():
+                table.writable_rows(keys[writable])
+            rows = table.rows(keys)
+        return rows, SimpleNamespace(values=self._values.pool,
+                                     versions=self._versions.pool,
+                                     gather=self._values.gather)
 
     def add_distinct(self, keys: np.ndarray, deltas: np.ndarray) -> None:
         """:meth:`add` for callers that guarantee distinct, in-range keys.
@@ -189,52 +242,22 @@ class ParameterStore:
         Fancy ``+=`` lands exactly one addition per row when the keys are
         distinct — bit-identical to :meth:`add` — while skipping validation
         and duplicate detection. Used by internal hot paths (replication
-        flushes, the round-fused engine) whose key sets come from
+        flushes, replica synchronization) whose key sets come from
         ``np.unique``/``flatnonzero``.
         """
-        values, versions = self._values, self._versions
-        if self._table is not None:  # one translation serves both columns
-            keys = self._table.writable_rows(keys)
-            values, versions = values.pool, versions.pool
-        values[keys] += deltas
-        versions[keys] += 1
-
-    def add_rows(self, keys: np.ndarray, deltas: np.ndarray,
-                 keys_list: list | None = None) -> None:
-        """:meth:`add` for callers that already range-checked ``keys`` and
-        shaped ``deltas``; ``keys_list`` is ``keys.tolist()`` where the
-        caller has it (small batches).
-
-        Repeated keys must accumulate (``np.add.at`` semantics, unlike
-        fancy-index ``+=``). A key or two — the per-data-point shape of
-        matrix factorization — go row by row through basic indexing, which
-        accumulates in order by construction and skips the fancy-index
-        machinery; a distinct batch is :meth:`add_distinct`; anything else
-        takes :func:`scatter_add_rows`' unbuffered route.
-        """
-        if keys_list is not None:
-            values = self._values
-            if len(keys_list) <= 2 and isinstance(values, np.ndarray):
-                versions = self._versions
-                for index, delta in zip(keys_list, deltas):
-                    row = values[index]  # a view: ``+=`` writes through
-                    row += delta
-                    versions[index] += 1
-                return
-            if len(set(keys_list)) == len(keys_list):
-                self.add_distinct(keys, deltas)
-                return
-        scatter_add_rows(self._values, keys, deltas, keys_list)
-        scatter_add_rows(self._versions, keys, 1, keys_list)
+        rows, at = self.at(keys, writable=True)
+        at.values[rows] += deltas
+        at.versions[rows] += 1
 
     def set(self, keys: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Overwrite the values of ``keys`` with ``values``."""
         keys = self._validate_keys(keys)
         values = self._validate_deltas(keys, values)
-        self._values[keys] = values
+        rows, at = self.at(keys, writable=True)
+        at.values[rows] = values
         # The version bumps once per occurrence, consistent with add
         # (fancy-index += would silently drop duplicate keys).
-        scatter_add_rows(self._versions, keys, 1)
+        scatter_add_rows(at.versions, rows, 1)
 
     def write_rows(self, keys: Sequence[int] | np.ndarray,
                    values: np.ndarray) -> None:
@@ -356,10 +379,11 @@ class ParameterStore:
         return self.num_keys * self.value_bytes()
 
     def nbytes(self) -> int:
-        """Resident bytes of the backing storage (values + versions).
+        """Charged bytes of the backing storage (values + versions).
 
         Dense: the full arrays. Sparse: materialized chunks only — the
-        number the scale benchmarks hold against the memory budget.
+        number the scale benchmarks hold against the memory budget (what is
+        resident is finer: one record per written key).
         """
         return int(self._values.nbytes) + int(self._versions.nbytes)
 
@@ -374,8 +398,7 @@ class ParameterStore:
 
         Built without the throwaway zero allocation a ``__init__`` round-trip
         would make (at scale that would double checkpoint peak memory); on
-        the sparse backend only the written pages of materialized chunks
-        become resident. The clone is not budget-tracked — snapshots model
+        the sparse backend only the records of written keys are copied. The clone is not budget-tracked — snapshots model
         stable storage, not node RAM.
         """
         clone = ParameterStore.__new__(ParameterStore)
@@ -394,8 +417,8 @@ class ParameterStore:
     def with_storage(self, storage: StorageConfig) -> "ParameterStore":
         """A copy of this store on a different storage backend.
 
-        Converting to ``sparse`` materializes only the chunks that hold a
-        nonzero value or version (zero-initialized regions — e.g. untouched
+        Converting to ``sparse`` writes only the chunk-sized blocks that hold
+        a nonzero value or version (zero-initialized regions — e.g. untouched
         embedding output vectors — stay unmaterialized), charged against the
         new store's budget. Converting to ``dense`` assembles the full
         arrays. Either way the logical contents are identical, which is what

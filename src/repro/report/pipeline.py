@@ -14,7 +14,10 @@ module is the scheduler that executes them all as one evaluation run:
   exactly like the standalone scripts do;
 * **per-benchmark timing and failure isolation** — a crashing benchmark is
   reported (status ``failed`` plus traceback) and its claims fail, but the
-  remaining benchmarks still run and the report still renders.
+  remaining benchmarks still run and the report still renders;
+* **shared cells** — a benchmark whose cells another one's include
+  (:attr:`BenchmarkSpec.reads`) derives its result from that one's when
+  both run, instead of running the same experiments twice.
 
 After execution the paper-claim registry (:mod:`repro.report.claims`)
 evaluates every registered claim against each benchmark's result dict; the
@@ -54,12 +57,17 @@ class BenchmarkSpec:
     module: str   #: module name inside ``benchmarks/``
     title: str    #: human-readable paper element
     kind: str     #: ``figure`` | ``table`` | ``section`` | ``appendix``
+    #: The id of a benchmark whose cells include all of this one's. When
+    #: both run, this one's ``run(source_result)`` derives its result from
+    #: the other's instead of running the cells again.
+    reads: Optional[str] = None
 
 
 #: Execution order: figures/tables first, engineering appendices last.
 REGISTRY: List[BenchmarkSpec] = [
     BenchmarkSpec("fig01", "bench_fig01_headline",
-                  "Figure 1: headline comparison on KGE", "figure"),
+                  "Figure 1: headline comparison on KGE", "figure",
+                  reads="fig06"),
     BenchmarkSpec("fig03", "bench_fig03_skew",
                   "Figure 3: accesses per parameter (skew)", "figure"),
     BenchmarkSpec("fig06", "bench_fig06_end_to_end",
@@ -143,8 +151,11 @@ def _worker_count(num_jobs: int, jobs: Optional[int]) -> int:
     return max(1, min(os.cpu_count() or 1, num_jobs))
 
 
-def _execute_benchmark(args: Sequence[str]) -> Dict[str, object]:
-    """Import one benchmark module and call its ``run()`` (worker side).
+def _execute_benchmark(args: Sequence[str],
+                       source: Optional[Dict[str, object]] = None
+                       ) -> Dict[str, object]:
+    """Import one benchmark module and call its ``run()`` (worker side), or
+    ``run(source["result"])`` given the entry of the benchmark it reads.
 
     Captures stdout, measures wall-clock time, and turns any exception —
     import-time or run-time — into a ``failed`` entry instead of letting it
@@ -164,7 +175,13 @@ def _execute_benchmark(args: Sequence[str]) -> Dict[str, object]:
     try:
         with contextlib.redirect_stdout(buffer):
             module = importlib.import_module(module_name)
-            result = module.run()
+            if source is None:
+                result = module.run()
+            elif source["status"] != "ok":
+                raise RuntimeError(
+                    f"reads benchmark {source['id']}, which failed")
+            else:
+                result = module.run(source["result"])
         entry["result"] = to_jsonable(result)
     except Exception:
         entry["status"] = "failed"
@@ -301,8 +318,11 @@ def run_pipeline(only: Optional[Sequence[str]] = None, fast: bool = False,
     directory = Path(benchmarks_dir or DEFAULT_BENCHMARKS_DIR)
     if not directory.is_dir():
         raise FileNotFoundError(f"benchmarks directory not found: {directory}")
-    job_args = [(spec.id, spec.module, str(directory)) for spec in specs]
-    workers = _worker_count(len(specs), jobs)
+    selected = {spec.id for spec in specs}
+    derived = [spec for spec in specs if spec.reads in selected]
+    job_args = [(spec.id, spec.module, str(directory)) for spec in specs
+                if spec not in derived]
+    workers = _worker_count(len(job_args), jobs)
     if timeout is None:
         setting = os.environ.get("REPRO_BENCH_TIMEOUT", "")
         if setting:
@@ -345,6 +365,13 @@ def run_pipeline(only: Optional[Sequence[str]] = None, fast: bool = False,
                 entries_by_id[str(entry["id"])] = entry
                 if progress is not None:
                     progress(entry)
+        for spec in derived:
+            entry = _execute_benchmark((spec.id, spec.module, str(directory)),
+                                       entries_by_id[spec.reads])
+            entry["attempts"] = 1
+            entries_by_id[spec.id] = entry
+            if progress is not None:
+                progress(entry)
     finally:
         for name, value in saved_env.items():
             if value is None:

@@ -405,5 +405,5 @@ class ScenarioRuntime:
         from repro.ps.storage import ParameterStore
 
         view = ParameterStore(store.num_keys, store.value_length)
-        view.values[...] = store.values[self.remapper.physical_index]
+        view.values[...] = store.get(self.remapper.physical_index)
         return view

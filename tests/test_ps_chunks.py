@@ -16,8 +16,6 @@ from repro.ps.chunks import (
     MemoryBudget,
     MemoryBudgetExceeded,
     StorageConfig,
-    _copy_nonzero_pages,
-    _zeroed,
     flatnonzero_equal,
 )
 from repro.ps.rounds import point_calls
@@ -465,11 +463,12 @@ def test_table_matches_one_ndarray_per_column(chunk_rows, num_columns):
 
 
 class TestTable:
-    def test_one_page_table_for_all_columns(self):
+    def test_one_index_for_all_columns(self):
         table, _ = _table(5, 7)
-        assert len({id(column.table._shift) for column in table.columns}) == 1
-        table.columns[1][100] = 1.0  # through one column: every column's chunk
+        assert len({id(column.table) for column in table.columns}) == 1
+        table.columns[1][100] = 1.0  # through one column: every column's record
         assert [c.materialized_chunks for c in table.columns] == [1] * 5
+        assert table._written[:-1].tolist() == [100]
         rows = table.rows(np.array([100, 5]))
         assert table.columns[1].pool[rows].tolist() == [[1.0] * 3, [0.0] * 3]
         assert table.columns[3].pool[rows].tolist() == [7, 7]
@@ -593,19 +592,12 @@ def _nonzero_pages(table) -> int:
     return pages
 
 
-def _record_pages(table, keys) -> int:
-    """Pages the records of ``keys`` span: one each, two where one
-    straddles a page boundary."""
-    record = table.columns[0].pool.strides[0]
-    first = table.rows(keys) * record
-    return int((first // 4096 != (first + record - 1) // 4096).sum()) \
-        + len(keys)
-
-
 @pytest.mark.parametrize("layout", ["node", "store"])
-def test_a_touched_key_makes_one_page_resident_per_table(layout):
-    """All of a key's columns share one record: ``k`` keys in ``k`` chunks
-    write about ``k`` pages, not ``k`` per column (5k and 2k here)."""
+def test_touched_keys_make_their_records_resident_not_a_page_each(layout):
+    """A key's columns share one record, and records are appended in order
+    of first write: ``k`` keys in ``k`` chunks write at most
+    ``ceil(k x record / 4 KiB) + 1`` pages (it was ``k`` pages: one per
+    touched chunk)."""
     k = 24
     rng = np.random.default_rng(3)
     keys = np.arange(k, dtype=np.int64) * 3 * DEFAULT_CHUNK_ROWS \
@@ -622,7 +614,20 @@ def test_a_touched_key_makes_one_page_resident_per_table(layout):
         for column in table.columns:
             column[keys] = 1
     assert table.materialized_chunks == k
-    assert k <= _nonzero_pages(table) <= _record_pages(table, keys)
+    record = table.columns[0].pool.strides[0]
+    assert 1 <= _nonzero_pages(table) <= -(-k * record // 4096) + 1
+
+
+def test_an_unwritten_key_space_allocates_no_table():
+    """``ChunkedTable(10**8)`` with one column: nothing per chunk is
+    allocated before the first write (building a page table over its
+    24 415 chunks peaked at 390 KiB)."""
+    def build():
+        column = ChunkedTable(10**8, label="huge").column(
+            "values", np.float32, (8,))
+        assert column.take(np.array([5, 10**8 - 1])).sum() == 0.0
+
+    assert _gather_peak(build) < 64 * 1024
 
 
 def _gather_peak(call) -> int:
@@ -689,22 +694,6 @@ class TestGathersAreOBatch:
         assert _gather_peak(lambda: charger.read(0, 2)) < self.LIMIT
         assert _gather_peak(
             lambda: ps.pull(worker, batch + 1)) < self.LIMIT  # refreshes
-
-
-def test_pool_copy_holds_no_second_copy_of_the_live_pages():
-    """Moving a pool copies its live pages in place: copying a fully live
-    4 MiB pool traces under 1 MiB (gathering the live pages first would
-    trace 4 MiB), and the copy equals the source, dead pages included."""
-    rows = (4 * 2**20) // (8 * 4)
-    source = np.ones((rows, 8), dtype=np.float32)
-    target = _zeroed(source.shape, source.dtype)
-    assert _gather_peak(lambda: _copy_nonzero_pages(source, target)) < 2**20
-    np.testing.assert_array_equal(target, source)
-    source[: rows // 2] = 0.0
-    source[-1] = 2.0  # the partial tail page
-    target = _zeroed(source.shape, source.dtype)
-    _copy_nonzero_pages(source, target)
-    np.testing.assert_array_equal(target, source)
 
 
 def _resident_mib() -> float:

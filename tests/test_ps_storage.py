@@ -61,13 +61,12 @@ class TestAccess:
     def test_empty_key_list(self, store):
         assert store.get([]).shape == (0, store.value_length)
 
-    def test_check_keys_then_rows_is_get(self, store):
+    def test_check_keys_then_at_reads_like_get(self, store):
         keys = store.check_keys([3, 0, 3, store.num_keys - 1])
         assert keys.dtype == np.int64
-        rows = store.rows(keys)
-        assert np.array_equal(rows, store.get(keys))
-        rows[0, 0] += 1.0  # a copy, like get
-        assert np.array_equal(store.rows(keys), store.get(keys))
+        rows, at = store.at(keys)
+        assert at.gather is None  # dense: the rows are the keys
+        assert np.array_equal(at.values.take(rows, axis=0), store.get(keys))
         for bad in ([store.num_keys], [-1], [0, 5, store.num_keys + 7]):
             with pytest.raises(KeyError):
                 store.check_keys(bad)

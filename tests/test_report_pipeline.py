@@ -71,6 +71,38 @@ class TestFailureIsolation:
         assert "ZeroDivisionError" in payload["benchmarks"][0]["error"]
 
 
+class TestSharedCells:
+    """fig01's five KGE cells are fig06's: when both run, fig01 reads them."""
+
+    def _stubs(self, directory, fig06_body="return {'kge': 6}"):
+        (directory / "bench_fig06_end_to_end.py").write_text(
+            f"def run():\n    {fig06_body}\n")
+        (directory / "bench_fig01_headline.py").write_text(
+            "def run(figure6=None):\n    return {'read': figure6}\n")
+
+    def _results(self, directory, only):
+        payload = run_pipeline(only=only, fast=True, jobs=1,
+                               benchmarks_dir=directory)
+        return {entry["id"]: entry for entry in payload["benchmarks"]}
+
+    def test_fig01_reads_fig06_when_both_run(self, tmp_path):
+        self._stubs(tmp_path)
+        entries = self._results(tmp_path, ["fig01", "fig06"])
+        assert entries["fig01"]["result"] == {"read": {"kge": 6}}
+        assert list(entries) == ["fig01", "fig06"]  # registry order kept
+
+    def test_fig01_alone_runs_its_own_cells(self, tmp_path):
+        self._stubs(tmp_path)
+        assert self._results(tmp_path, ["fig01"])["fig01"]["result"] \
+            == {"read": None}
+
+    def test_a_failed_source_fails_its_reader(self, tmp_path):
+        self._stubs(tmp_path, "raise RuntimeError('broken')")
+        entry = self._results(tmp_path, ["fig01", "fig06"])["fig01"]
+        assert entry["status"] == "failed"
+        assert "reads benchmark fig06, which failed" in entry["error"]
+
+
 class TestSmokeRoundTrip:
     """End-to-end: one real (cheap) benchmark through pipeline + CLI."""
 
