@@ -44,16 +44,12 @@ from common import (  # noqa: E402
     print_header,
 )
 
-from repro.faults import (  # noqa: E402
-    FaultConfig,
-    MembershipController,
-    ServerCrashes,
-)
+from repro.faults import FaultConfig, MembershipController  # noqa: E402
 from repro.runner.config import ExperimentConfig  # noqa: E402
 from repro.runner.experiment import ExperimentResult, run_experiment  # noqa: E402
 from repro.runner.reporting import format_table  # noqa: E402
 from repro.runner.systems import make_ps_factory  # noqa: E402
-from repro.scenarios import make_scenario  # noqa: E402
+from repro.scenarios import ServerCrashes, make_scenario  # noqa: E402
 from repro.scenarios.base import Scenario  # noqa: E402
 from repro.simulation.cluster import Cluster, ClusterConfig  # noqa: E402
 

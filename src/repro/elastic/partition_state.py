@@ -1,6 +1,6 @@
 """Split-brain state of an active network partition.
 
-While a :class:`~repro.elastic.perturbations.NetworkPartition` is active, the
+While a :class:`~repro.scenarios.perturbations.NetworkPartition` is active, the
 cluster is split into a majority side (which keeps quorum and trains
 normally) and a minority side that cannot reach it. The
 :class:`PartitionState` models the minority's graceful degradation — the

@@ -21,7 +21,7 @@ class PartitionedOwnerError(RuntimeError):
     """An access crossed an active network partition and cannot be served.
 
     Raised by the partition guard when a worker on one side of a
-    :class:`~repro.elastic.perturbations.NetworkPartition` addresses keys
+    :class:`~repro.scenarios.perturbations.NetworkPartition` addresses keys
     owned by the other side and no graceful-degradation path applies (the
     majority side has no stale replica discipline for minority-owned keys).
     Deliberately *not* a :class:`DeadOwnerError`: the epoch loop defers the

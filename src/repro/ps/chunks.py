@@ -391,13 +391,46 @@ class ChunkedTable:
     # ---------------------------------------------------------- materialization
     def _write(self, fresh: np.ndarray) -> None:
         """Give the ascending, distinct, unwritten keys ``fresh`` records,
-        after charging the chunks they are the first to write into.
+        after charging the chunks they are the first to write into."""
+        self._charge(fresh)
+        start = self._used_rows
+        end = start + len(fresh)
+        for column in self.columns:
+            column._append(fresh, start, end)
+        at = self._written.searchsorted(fresh)
+        self._slot = np.insert(self._slot, at,
+                               np.arange(start, end, dtype=np.int64))
+        self._written = np.insert(self._written, at, fresh)
+        self._used_rows = end
+
+    def relabel(self, new_key_of: np.ndarray) -> None:
+        """Move key ``k``'s contents to key ``new_key_of[k]`` (a permutation).
+
+        Records stay where they are in the pool: the index maps the written
+        keys through the permutation, after charging the chunks they land
+        in first. A densified table permutes its arrays.
+        """
+        if not self._fill_end:
+            for column in self.columns:
+                moved = np.empty_like(column.pool)
+                moved[new_key_of] = column.pool
+                column.pool[...] = moved
+            return
+        keys = new_key_of[self._written[:-1]]
+        order = np.argsort(keys)
+        keys = keys[order]
+        self._charge(keys)
+        self._written = np.append(keys, self.num_rows)
+        self._slot = np.append(self._slot[:-1][order], 0)
+
+    def _charge(self, keys: np.ndarray) -> None:
+        """Charge the chunks the ascending ``keys`` are the first to write
+        into, and grow the pool to cover every charged row.
 
         Chunks are charged in ascending order: when the budget runs out at
-        some chunk, those before it materialize, its charge raises, and no
-        key is written.
+        some chunk, those before it materialize and its charge raises.
         """
-        cids = np.unique(fresh // self.chunk_rows)
+        cids = np.unique(keys // self.chunk_rows)
         cids = cids[self._chunks.take(self._chunks.searchsorted(cids)) != cids]
         refused = None
         if len(cids):
@@ -423,20 +456,11 @@ class ChunkedTable:
                 self.resident_rows += total // self._row_nbytes
         if refused is not None:
             self.budget.charge(*refused)
-        start = self._used_rows
-        end = start + len(fresh)
         # Capacity covers every charged row, so the records (at most one
         # per charged row) fit and the pool moves only when a chunk is
         # charged; spare capacity is never resident.
         if self.resident_rows + 1 > len(self._pool):
             self._grow(self.resident_rows + 1)
-        for column in self.columns:
-            column._append(fresh, start, end)
-        at = self._written.searchsorted(fresh)
-        self._slot = np.insert(self._slot, at,
-                               np.arange(start, end, dtype=np.int64))
-        self._written = np.insert(self._written, at, fresh)
-        self._used_rows = end
 
     def _grow(self, rows_needed: int) -> None:
         """Move to a pool of ``rows_needed`` rows or double the capacity (at

@@ -309,25 +309,15 @@ class ParameterStore:
         check[perm] = True
         if not check.all():
             raise ValueError("new_key_of is not a permutation of the key space")
-        if isinstance(self._values, np.ndarray):
-            values = np.empty_like(self._values)
-            values[perm] = self._values
-            self._values = values
-            versions = np.empty_like(self._versions)
-            versions[perm] = self._versions
-            self._versions = versions
+        if self._table is not None:
+            self._table.relabel(perm)
             return
-        # Sparse backend: a permutation scatters rows across the whole key
-        # space, so the store densifies (budget checked) and permutes in
-        # place — the chunk views stay bound to the same backing arrays.
-        dense_values = self._values.densify()
-        dense_versions = self._versions.densify()
-        values = np.empty_like(dense_values)
-        versions = np.empty_like(dense_versions)
-        values[perm] = dense_values
-        versions[perm] = dense_versions
-        dense_values[...] = values
-        dense_versions[...] = versions
+        values = np.empty_like(self._values)
+        values[perm] = self._values
+        self._values = values
+        versions = np.empty_like(self._versions)
+        versions[perm] = self._versions
+        self._versions = versions
 
     def version(self, key: int) -> int:
         """The number of writes applied to ``key`` so far."""

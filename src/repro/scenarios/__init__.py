@@ -2,33 +2,29 @@
 
 The paper's premise is that parameter access is non-uniform; this package
 makes the non-uniformity *time-varying*. A :class:`Scenario` composes
-perturbations — hot-set drift, stragglers, worker churn, degrading networks —
-onto any experiment via :class:`~repro.runner.config.ExperimentConfig`'s
-``scenario`` field; the runner invokes the scenario at epoch and round
-boundaries. See README.md ("Dynamic-workload scenarios") and TESTING.md.
+perturbations, all in :mod:`repro.scenarios.perturbations` (drift,
+stragglers, churn, a degrading network, crashes, scale-in, autoscaling
+churn, partitions), onto any experiment via
+:class:`~repro.runner.config.ExperimentConfig`'s ``scenario`` field; the
+runner invokes the scenario at epoch and round boundaries, and
+:class:`ScenarioRuntime` applies the victim rules once for all of them.
+``make_scenario`` builds the nine named presets. See README.md
+("Dynamic-workload scenarios") and TESTING.md.
 """
 
-from repro.scenarios.base import Perturbation, Scenario, ScenarioRuntime
+from repro.scenarios.base import Scenario, ScenarioRuntime
 from repro.scenarios.perturbations import (
+    AutoscaleStorm,
     HotSetDrift,
     NetworkDegradation,
+    NetworkPartition,
+    Perturbation,
+    ScaleIn,
+    ServerCrashes,
     Stragglers,
     WorkerChurn,
 )
-from repro.scenarios.presets import (
-    SCENARIO_NAMES,
-    SCENARIO_PRESETS,
-    autoscale_storm_scenario,
-    churn_scenario,
-    degrading_network_scenario,
-    drift_scenario,
-    make_scenario,
-    scale_in_scenario,
-    scale_out_scenario,
-    split_brain_scenario,
-    storm_scenario,
-    straggler_scenario,
-)
+from repro.scenarios.presets import SCENARIO_NAMES, SCENARIO_PRESETS, make_scenario
 from repro.scenarios.remap import KeyRemapper, RemappedDistribution
 from repro.scenarios.interposer import ScenarioParameterServer
 
@@ -40,19 +36,14 @@ __all__ = [
     "Stragglers",
     "WorkerChurn",
     "NetworkDegradation",
+    "ServerCrashes",
+    "ScaleIn",
+    "AutoscaleStorm",
+    "NetworkPartition",
     "KeyRemapper",
     "RemappedDistribution",
     "ScenarioParameterServer",
     "SCENARIO_NAMES",
     "SCENARIO_PRESETS",
     "make_scenario",
-    "drift_scenario",
-    "straggler_scenario",
-    "churn_scenario",
-    "degrading_network_scenario",
-    "storm_scenario",
-    "scale_out_scenario",
-    "scale_in_scenario",
-    "autoscale_storm_scenario",
-    "split_brain_scenario",
 ]

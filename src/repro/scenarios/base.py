@@ -1,11 +1,11 @@
 """The dynamic-workload scenario engine.
 
-A :class:`Scenario` composes time-varying perturbations onto any experiment:
-hot-set drift, stragglers, worker churn, degrading networks — or any custom
-:class:`Perturbation`. The experiment runner invokes the scenario at well
-defined points (experiment start, epoch start, every scheduling round, epoch
-end); perturbations react by mutating the simulated world through the
-:class:`ScenarioRuntime` helpers, never by reaching into the runner.
+A :class:`Scenario` composes time-varying perturbations
+(:mod:`repro.scenarios.perturbations`) onto any experiment. The experiment
+runner invokes the scenario at well defined points (experiment start, epoch
+start, every scheduling round, epoch end); perturbations react by mutating
+the simulated world through the :class:`ScenarioRuntime` operations, never
+by reaching into the runner.
 
 Design notes
 ------------
@@ -13,9 +13,12 @@ Design notes
   per-run :class:`ScenarioRuntime` that holds all mutable state. Perturbations
   may keep per-run state on themselves but must (re)initialize it in
   ``on_start`` so a scenario object can be reused across sequential runs.
-* All randomness is seeded from the experiment seed plus a per-perturbation
-  seed, so scenario runs are exactly reproducible (see
+* All randomness is seeded from the experiment seed plus a per-class salt,
+  so scenario runs are exactly reproducible (see
   ``tests/test_determinism.py``).
+* The runtime owns the victim rules: node 0 is never a victim, a planned
+  leave keeps two nodes active, no crash or leave takes the last active
+  worker, and a node's workers pause and resume with the node.
 * Hot-set drift, crash faults on statically partitioned architectures and
   network partitions put one interposer between the workers and the PS
   (:mod:`repro.scenarios.interposer`); every other scenario runs on the raw
@@ -24,60 +27,15 @@ Design notes
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.management import ManagementPlan
+from repro.scenarios.perturbations import Perturbation
 from repro.scenarios.remap import KeyRemapper
 
-
-class Perturbation:
-    """One time-varying aspect of a scenario (base class: all hooks no-op)."""
-
-    #: Whether this perturbation rewires the workload-to-key mapping. Any
-    #: perturbation with this flag makes the runner train through the
-    #: interposer's key translation
-    #: (:mod:`repro.scenarios.interposer`).
-    needs_remap = False
-
-    #: Whether this perturbation crashes parameter owners. Any perturbation
-    #: with this flag makes architectures without native failover waiting
-    #: train through the interposer's dead-owner retry gate.
-    needs_fault_proxy = False
-
-    #: Whether this perturbation splits the cluster into reachability groups
-    #: (see :class:`repro.elastic.perturbations.NetworkPartition`). The
-    #: partition guard is a gate of the interposer, and — unlike crash
-    #: faults — applies to *every* architecture: relocation's native arrival
-    #: waiting cannot model an unreachable-but-alive owner, so the gates are
-    #: installed even for servers with ``native_failover_wait``.
-    needs_partition_guard = False
-
-    def on_start(self, ctx: "ScenarioRuntime") -> None:
-        """Called once before the first epoch (initialize per-run state here)."""
-
-    def on_epoch_start(self, ctx: "ScenarioRuntime") -> None:
-        """Called at the start of every epoch (``ctx.epoch`` is set)."""
-
-    def on_round(self, ctx: "ScenarioRuntime") -> None:
-        """Called after every scheduling round (``ctx.round`` is set)."""
-
-    def on_epoch_end(self, ctx: "ScenarioRuntime") -> None:
-        """Called after every epoch (after PS epoch flush)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
-
-def perturbation_rng(ctx: "ScenarioRuntime", salt: int) -> np.random.Generator:
-    """A per-run generator derived from the experiment seed and ``salt``.
-
-    Every seeded perturbation (standard, fault and elastic) draws from one;
-    a per-class constant plus the perturbation's own ``seed`` makes its salt,
-    and the constants are disjoint across classes.
-    """
-    return np.random.default_rng((ctx.config.seed + 1) * 99_991 + salt)
+WorkerKey = Tuple[int, int]
 
 
 class Scenario:
@@ -89,27 +47,9 @@ class Scenario:
         self.perturbations: List[Perturbation] = list(perturbations)
         self.description = description
 
-    @property
-    def needs_remap(self) -> bool:
-        return any(p.needs_remap for p in self.perturbations)
-
-    @property
-    def needs_fault_proxy(self) -> bool:
-        return any(p.needs_fault_proxy for p in self.perturbations)
-
-    @property
-    def needs_partition_guard(self) -> bool:
-        return any(p.needs_partition_guard for p in self.perturbations)
-
     def bind(self, task, ps, cluster, config) -> "ScenarioRuntime":
         """Create the per-run runtime driving this scenario."""
         return ScenarioRuntime(self, task, ps, cluster, config)
-
-    def describe(self) -> dict:
-        return {
-            "scenario": self.name,
-            "perturbations": [type(p).__name__ for p in self.perturbations],
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Scenario({self.name!r}, {self.perturbations!r})"
@@ -120,8 +60,9 @@ class ScenarioRuntime:
 
     The runner drives the lifecycle (``on_experiment_start`` /
     ``begin_epoch`` / ``on_round`` / ``end_epoch``); perturbations call the
-    helper operations (``set_compute_scale``, ``set_network``,
-    ``pause_worker`` / ``resume_worker``, ``apply_drift``).
+    operations (``set_compute_scale``, ``set_network``, ``pause_worker`` /
+    ``resume_worker``, ``apply_drift``, ``crash_node`` / ``restore_node``,
+    ``scale_out`` / ``scale_in``, ``begin_partition`` / ``heal_partition``).
     """
 
     def __init__(self, scenario: Scenario, task, ps, cluster, config) -> None:
@@ -134,20 +75,20 @@ class ScenarioRuntime:
         #: The cost model the cluster started with; network schedules derive
         #: every stage from this base, so factors do not compound.
         self.base_network = cluster.network
-        #: The membership controller (created lazily by
+        #: The membership controller (created by
         #: :meth:`membership_controller`).
         self.membership = None
         self.remapper: Optional[KeyRemapper] = KeyRemapper(
             task.num_keys(), task.key_groups()
-        ) if scenario.needs_remap else None
+        ) if self._needs("needs_remap") else None
         # Statically partitioned architectures would read keys whose new
         # owner has not received its state yet; the gates add retry/timeout
         # semantics. Relocation-based servers wait natively via their
         # arrival-time tracking and go ungated — except under network
         # partitions, whose reachability guard applies to every
         # architecture.
-        self._gated = scenario.needs_partition_guard or (
-            scenario.needs_fault_proxy
+        self._gated = self._needs("needs_partition_guard") or (
+            self._needs("needs_fault_proxy")
             and not getattr(ps, "native_failover_wait", False)
         )
         #: The :class:`~repro.scenarios.interposer.ScenarioParameterServer`
@@ -160,17 +101,25 @@ class ScenarioRuntime:
         self.training_ps = ps if self.interposer is None else self.interposer
         self.epoch = -1
         self.round = -1
-        self.paused: set = set()
+        #: Paused worker -> who holds its pause (a perturbation, or a node
+        #: for the node's own workers). A worker is active when no pause
+        #: holds it.
+        self._holds: Dict[WorkerKey, set] = {}
         self._epoch_state = None
         #: The worker pool is fixed at launch: nodes added by elastic
         #: scale-out contribute server/storage capacity but no new training
         #: workers (the runner's shard distribution is per-run static).
-        self._worker_pool: List[Tuple[int, int]] = [
+        self._worker_pool: List[WorkerKey] = [
             worker.global_worker_id for worker in cluster.workers()
         ]
 
+    def _needs(self, flag: str) -> bool:
+        return any(getattr(p, flag) for p in self.scenario.perturbations)
+
     # -------------------------------------------------------------- lifecycle
     def on_experiment_start(self) -> None:
+        if self._needs("needs_membership"):
+            self.membership_controller()
         for perturbation in self.scenario.perturbations:
             perturbation.on_start(self)
 
@@ -192,11 +141,66 @@ class ScenarioRuntime:
     def attach_epoch_state(self, state) -> None:
         """Bind this epoch's work queues; redistributes shards of down workers."""
         self._epoch_state = state
-        for key in sorted(self.paused):
+        for key in sorted(self._holds):
             state.redistribute(key, self._active_keys())
 
     def detach_epoch_state(self) -> None:
         self._epoch_state = None
+
+    # ------------------------------------------------------------- inspection
+    def worker_keys(self) -> List[WorkerKey]:
+        """All ``(node_id, worker_id)`` pairs of the launch-time pool, in order."""
+        return list(self._worker_pool)
+
+    def is_active(self, worker_key: WorkerKey) -> bool:
+        return worker_key not in self._holds
+
+    def _active_keys(self) -> List[WorkerKey]:
+        return [key for key in self._worker_pool if key not in self._holds]
+
+    @property
+    def tracer(self):
+        """The run's tracer, or None (perturbation activations are traced)."""
+        return getattr(self.cluster, "tracer", None)
+
+    def _record(self, name: str, counter: Optional[str] = None,
+                node: Optional[int] = None, **attrs) -> None:
+        """Count one ``counter`` (per ``node`` when given) and trace event
+        ``name``: every operation of the runtime reports here."""
+        if counter is not None:
+            self.metrics.increment(counter, 1, node=node)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.event(name, "scenario", self.cluster.time, node=node,
+                         **attrs)
+
+    # ------------------------------------------------------------ victim rules
+    def victim_nodes(self, active: bool = True) -> List[int]:
+        """The nodes a perturbation may pick, ascending: every node but node 0
+        (it anchors recovery donors, the quorum side and the worker pool),
+        among the active ones or, for a schedule drawn ahead, among all node
+        slots."""
+        nodes = self.cluster.active_nodes if active \
+            else range(self.cluster.num_nodes)
+        return [node_id for node_id in nodes if node_id != 0]
+
+    def draw_leaver(self, rng: np.random.Generator) -> Optional[int]:
+        """A seeded victim of a planned leave, or None when fewer than two
+        nodes would stay active."""
+        nodes = self.victim_nodes()
+        if len(nodes) < 2:
+            return None
+        return nodes[int(rng.integers(len(nodes)))]
+
+    def _may_take(self, node_id: int) -> bool:
+        """Whether ``node_id`` is active and a worker on another node is."""
+        return node_id in self.cluster.active_nodes and any(
+            key[0] != node_id for key in self._active_keys())
+
+    def _node_workers(self, node_id: int) -> List[WorkerKey]:
+        """The launch-time workers of ``node_id`` (their pauses are held by
+        ``("node", node_id)``)."""
+        return [key for key in self._worker_pool if key[0] == node_id]
 
     # ------------------------------------------------------------- membership
     def membership_controller(self):
@@ -204,9 +208,9 @@ class ScenarioRuntime:
 
         Created on first call, at the current simulated time, with the first
         ``fault_config`` any of the scenario's perturbations sets (the
-        defaults where none does), and
-        attached to the interposer's dead-owner gate when the run is gated;
-        later calls return it unchanged.
+        defaults where none does), and attached to the interposer's
+        dead-owner gate when the run is gated; later calls return it
+        unchanged.
         """
         if self.membership is None:
             from repro.faults.controller import MembershipController
@@ -220,31 +224,51 @@ class ScenarioRuntime:
                 self.interposer.controller = self.membership
         return self.membership
 
+    def crash_node(self, node_id: int, now: float) -> bool:
+        """Crash ``node_id`` at ``now`` and pause its workers; False, and
+        nothing happens, when the node is not active or its workers are the
+        last active ones."""
+        if not self._may_take(node_id):
+            return False
+        self.membership_controller().crash_node(node_id, now=now)
+        for key in self._node_workers(node_id):
+            self.pause_worker(*key, holder=("node", node_id))
+        return True
+
+    def restore_node(self, node_id: int, now: float) -> None:
+        """Bring a crashed node back at ``now``; its workers resume unless
+        another pause holds them."""
+        self.membership_controller().restore_node(node_id, now=now)
+        for key in self._node_workers(node_id):
+            self.resume_worker(*key, holder=("node", node_id))
+
     def scale_out(self) -> int:
         """Join one node at the current simulated time; returns its id."""
         return self.membership_controller().scale_out(self.cluster.time)
 
-    def scale_in(self, node_id: int) -> dict:
-        """Drain and remove ``node_id`` (planned scale-in).
+    def scale_in(self, node_id: int) -> None:
+        """Drain and remove ``node_id`` (planned scale-in); skipped when its
+        workers are the last active ones.
 
         The node's workers are paused first (their remaining shards are
         redistributed to the surviving workers), then the membership
         controller drains the node's buffered state and migrates its keys to
-        the survivors. Returns the controller's transition summary.
+        the survivors.
         """
-        for nid, worker_id in self.worker_keys():
-            if nid == node_id:
-                self.pause_worker(nid, worker_id)
-        return self.membership_controller().scale_in(node_id, self.cluster.time)
+        if not self._may_take(node_id):
+            return
+        for key in self._node_workers(node_id):
+            self.pause_worker(*key, holder=("node", node_id))
+        self.membership_controller().scale_in(node_id, self.cluster.time)
 
     # -------------------------------------------------------------- partitions
     def begin_partition(self, minority) -> None:
         """Split the cluster: ``minority`` nodes lose the quorum side.
 
         Requires the partition guard (the interposer's gates, installed for
-        *all* architectures via ``needs_partition_guard``). Minority-side accesses
-        degrade to bounded-staleness reads and buffered writes; majority
-        accesses to minority-owned keys raise
+        *all* architectures via ``needs_partition_guard``). Minority-side
+        accesses degrade to bounded-staleness reads and buffered writes;
+        majority accesses to minority-owned keys raise
         :class:`~repro.faults.errors.PartitionedOwnerError` and are deferred
         by the epoch loop.
         """
@@ -260,11 +284,8 @@ class ScenarioRuntime:
         self.interposer.partition = PartitionState(
             self.ps, minority, self.cluster.time
         )
-        self.metrics.increment("elastic.partitions", 1)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event("partition_begin", "scenario", self.cluster.time,
-                         minority=sorted(int(n) for n in minority))
+        self._record("partition_begin", "elastic.partitions",
+                     minority=sorted(int(n) for n in minority))
 
     def heal_partition(self) -> None:
         """Heal the active partition: replay buffered minority writes."""
@@ -274,77 +295,52 @@ class ScenarioRuntime:
         state = interposer.partition
         interposer.partition = None
         state.heal(self.cluster.time)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event("partition_heal", "scenario", self.cluster.time)
-
-    # ------------------------------------------------------------- inspection
-    def worker_keys(self) -> List[Tuple[int, int]]:
-        """All ``(node_id, worker_id)`` pairs of the launch-time pool, in order."""
-        return list(self._worker_pool)
-
-    def is_active(self, worker_key: Tuple[int, int]) -> bool:
-        return worker_key not in self.paused
-
-    def _active_keys(self) -> List[Tuple[int, int]]:
-        return [key for key in self.worker_keys() if key not in self.paused]
-
-    @property
-    def tracer(self):
-        """The run's tracer, or None (perturbation activations are traced)."""
-        return getattr(self.cluster, "tracer", None)
+        self._record("partition_heal")
 
     # ------------------------------------------------------------- operations
     def set_compute_scale(self, node_id: int, worker_id: int, scale: float) -> None:
         """Set one worker's compute-speed multiplier (stragglers)."""
         self.cluster.set_compute_scale(node_id, worker_id, scale)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event("compute_scale", "scenario", self.cluster.time,
-                         node=int(node_id), worker=int(worker_id),
-                         scale=float(scale))
+        self._record("compute_scale", node=int(node_id), worker=int(worker_id),
+                     scale=float(scale))
 
     def set_network(self, model) -> None:
         """Swap the cluster's network cost model and refresh the PS caches."""
         self.cluster.set_network(model)
         self.ps.refresh_network()
-        self.metrics.increment("scenario.network_changes", 1)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event("network_change", "scenario", self.cluster.time,
-                         model=type(model).__name__)
+        self._record("network_change", "scenario.network_changes",
+                     model=type(model).__name__)
 
-    def pause_worker(self, node_id: int, worker_id: int) -> None:
-        """Take a worker down; its remaining shard is redistributed.
+    def pause_worker(self, node_id: int, worker_id: int, holder) -> None:
+        """Hold a worker paused on behalf of ``holder``.
 
-        The pause persists across epochs until :meth:`resume_worker`. At least
-        one worker must stay active.
+        An active worker that pauses has its remaining shard redistributed
+        over the active workers; it stays paused, across epochs, until every
+        holder resumes it. At least one worker must stay active.
         """
         key = (int(node_id), int(worker_id))
-        if key in self.paused:
-            return
-        if len(self.paused) + 1 >= len(self.worker_keys()):
-            raise ValueError("cannot pause the last active worker")
-        self.paused.add(key)
-        if self._epoch_state is not None:
-            self._epoch_state.redistribute(key, self._active_keys())
-        self.metrics.increment("scenario.worker_pauses", 1, node=key[0])
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event("worker_pause", "scenario", self.cluster.time,
+        if key not in self._holds:
+            if len(self._holds) + 1 >= len(self._worker_pool):
+                raise ValueError("cannot pause the last active worker")
+            self._holds[key] = set()
+            if self._epoch_state is not None:
+                self._epoch_state.redistribute(key, self._active_keys())
+            self._record("worker_pause", "scenario.worker_pauses",
                          node=key[0], worker=key[1])
+        self._holds[key].add(holder)
 
-    def resume_worker(self, node_id: int, worker_id: int) -> None:
-        """Bring a paused worker back (it rejoins from the next redistribution
-        or epoch; already-redistributed work is not taken back)."""
+    def resume_worker(self, node_id: int, worker_id: int, holder) -> None:
+        """Release ``holder``'s pause of a worker; the worker is back when no
+        pause holds it (it rejoins from the next redistribution or epoch;
+        already-redistributed work is not taken back)."""
         key = (int(node_id), int(worker_id))
-        if key not in self.paused:
+        holders = self._holds.get(key, ())
+        if holder not in holders:
             return
-        self.paused.discard(key)
-        self.metrics.increment("scenario.worker_resumes", 1, node=key[0])
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event("worker_resume", "scenario", self.cluster.time,
+        holders.discard(holder)
+        if not holders:
+            del self._holds[key]
+            self._record("worker_resume", "scenario.worker_resumes",
                          node=key[0], worker=key[1])
 
     def apply_drift(self, shift: float, oracle_remanage: bool = True) -> None:
@@ -387,12 +383,8 @@ class ScenarioRuntime:
                 counts, self.ps.plan.num_replicated
             )
             self.ps.remanage(plan, now=self.cluster.time)
-        self.metrics.increment("scenario.drifts", 1)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event("drift", "scenario", self.cluster.time,
-                         shift=float(shift),
-                         oracle_remanage=bool(oracle_remanage))
+        self._record("drift", "scenario.drifts", shift=float(shift),
+                     oracle_remanage=bool(oracle_remanage))
 
     def logical_store(self, store):
         """A logical-key view of ``store`` for evaluation.

@@ -9,15 +9,15 @@ simulated time) and stays exactly deterministic.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.adaptive import AdaptiveConfig
 from repro.core.management import ManagementPlan
-from repro.faults.perturbations import ServerCrashes
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
-from repro.scenarios import Scenario, WorkerChurn
+from repro.scenarios import Perturbation, Scenario, ServerCrashes, WorkerChurn
 from repro.simulation.cluster import ClusterConfig
 
 
@@ -37,6 +37,31 @@ def _adaptive_config(**overrides):
 
 def _churn_scenario():
     return Scenario("churn", [WorkerChurn(fraction=0.4, pause_at_round=1)])
+
+
+#: 2 and 6: churn pauses node 0's workers and a crash of node 1 would
+#: leave no active worker; 5: a crash hits a node with a churned worker.
+COMPOSITION_SEEDS = (2, 5, 6)
+
+
+def _churn_and_crashes():
+    return [WorkerChurn(fraction=0.4, pause_at_round=1),
+            ServerCrashes(crashes_per_epoch=1, down_rounds=2)]
+
+
+class _PauseSpy(Perturbation):
+    """Logs per round whether each churn victim is paused and whether a
+    victim's node is down."""
+
+    def __init__(self, churn):
+        self.churn = churn
+        self.log = []
+
+    def on_round(self, ctx):
+        victims = self.churn.victims
+        self.log.append((
+            ctx.epoch, ctx.round, [not ctx.is_active(key) for key in victims],
+            any(node in ctx.cluster.failed for node, _ in victims)))
 
 
 def _run(scenario=None, adaptive=None, epochs=3, seed=5, capture=None):
@@ -115,27 +140,34 @@ class TestChurnAdaptiveComposition:
         if churn_obs and steady_obs:
             assert 0.5 <= churn_obs / steady_obs <= 2.0
 
-    def test_churn_adaptive_and_crashes_compose(self):
+    @pytest.mark.parametrize("seed", COMPOSITION_SEEDS)
+    def test_churn_adaptive_and_crashes_compose(self, seed):
         capture = {}
-        scenario = Scenario("storm+", [
-            WorkerChurn(fraction=0.4, pause_at_round=1),
-            ServerCrashes(crashes_per_epoch=1, down_rounds=2),
-        ])
-        result = _run(scenario=scenario, adaptive=_adaptive_config(),
-                      capture=capture)
+        result = _run(scenario=Scenario("storm+", _churn_and_crashes()),
+                      adaptive=_adaptive_config(), seed=seed, capture=capture)
         assert result.epochs_completed == 3
         assert result.metrics["faults.crashes"] >= 1
         assert result.metrics["faults.restores"] >= 1
         assert result.metrics.get("adaptive.adaptations", 0) >= 1
         _assert_invariants(result, capture)
 
-    def test_triple_composition_is_deterministic(self):
-        def build():
-            return Scenario("storm+", [
-                WorkerChurn(fraction=0.4, pause_at_round=1),
-                ServerCrashes(crashes_per_epoch=1, down_rounds=2),
-            ])
-
-        first = _run(scenario=build(), adaptive=_adaptive_config())
-        second = _run(scenario=build(), adaptive=_adaptive_config())
+    @pytest.mark.parametrize("seed", COMPOSITION_SEEDS)
+    def test_triple_composition_is_deterministic(self, seed):
+        first, second = (
+            _run(scenario=Scenario("storm+", _churn_and_crashes()),
+                 adaptive=_adaptive_config(), seed=seed)
+            for _ in range(2))
         _assert_identical(first, second)
+
+    def test_a_restore_keeps_workers_churn_paused(self):
+        """Churn holds its victims paused until the epoch's end; a crash of
+        a victim's node and its restore take and release only the node's
+        own hold (at seed 5 node 1 crashes while churn holds (1, 1))."""
+        churn, crashes = _churn_and_crashes()
+        spy = _PauseSpy(churn)
+        _run(scenario=Scenario("spied", [churn, crashes, spy]), seed=5)
+        assert any(down for *_, down in spy.log), "no victim's node crashed"
+        for epoch, round_index, paused, _ in spy.log:
+            if round_index >= churn.pause_at_round:
+                assert all(paused), (epoch, round_index)
+

@@ -145,7 +145,8 @@ def test_telemetry_is_bit_transparent(system):
 
 
 @pytest.mark.parametrize("scenario_name",
-                         ["drift", "churn", "crash-storm", "scale-out"])
+                         ["drift", "churn", "crash-storm",
+                          "autoscale-storm"])
 def test_telemetry_transparent_under_scenarios(scenario_name):
     _assert_identical(
         _run("matrix_factorization", "nups", scenario_name, telemetry=True),

@@ -401,6 +401,98 @@ def test_builder_parameters_are_pinned():
     assert len(overrides) == 7
 
 
+# ------------------------------------------------------------ perturbations
+#: Each perturbation class's parameters: every one is set by a benchmark,
+#: an example or a preset; what only tests set is a constant.
+PERTURBATION_PARAMETERS = {
+    "HotSetDrift": ("at", "shift", "oracle_remanage"),
+    "Stragglers": ("severity", "redraw_each_epoch"),
+    "WorkerChurn": ("fraction", "pause_at_round"),
+    "NetworkDegradation": ("start_epoch", "latency_growth", "bandwidth_decay",
+                           "steps"),
+    "ServerCrashes": ("crashes_per_epoch", "down_rounds", "fault_config",
+                      "epochs"),
+    "ScaleIn": ("at_epoch",),
+    "AutoscaleStorm": ("period_rounds",),
+    "NetworkPartition": ("heal_after_rounds",),
+}
+#: Each preset's keywords: the parameters of its one perturbation class
+#: (named), or its own.
+PRESET_KEYWORDS = {
+    "drift": "HotSetDrift",
+    "stragglers": "Stragglers",
+    "churn": "WorkerChurn",
+    "degrading-network": "NetworkDegradation",
+    "storm": ("oracle_remanage",),
+    "crash-storm": "ServerCrashes",
+    "scale-in": "ScaleIn",
+    "autoscale-storm": "AutoscaleStorm",
+    "split-brain": "NetworkPartition",
+}
+
+
+def test_perturbation_surface_is_pinned():
+    """The perturbation classes' parameters and the presets' keywords are
+    exactly :data:`PERTURBATION_PARAMETERS` and :data:`PRESET_KEYWORDS`:
+    19 settable values."""
+    from repro.scenarios import SCENARIO_PRESETS, Perturbation, perturbations
+
+    found = {
+        name: tuple(inspect.signature(cls).parameters)
+        for name, cls in vars(perturbations).items()
+        if isinstance(cls, type) and issubclass(cls, Perturbation)
+        and cls is not Perturbation
+    }
+    assert found == PERTURBATION_PARAMETERS
+    presets = {
+        name: build.__name__ if isinstance(build, type)
+        else tuple(inspect.signature(build).parameters)
+        for name, (build, _, _) in SCENARIO_PRESETS.items()
+    }
+    assert presets == PRESET_KEYWORDS
+    own = [keywords for keywords in presets.values()
+           if isinstance(keywords, tuple)]
+    assert sum(map(len, found.values())) + sum(map(len, own)) == 19
+
+
+def test_every_perturbation_lives_in_one_module():
+    """Every ``Perturbation`` subclass of ``src/repro`` is defined in
+    :mod:`repro.scenarios.perturbations`."""
+    classes = [(path, node) for path, tree in _parsed_trees().items()
+               if SRC_ROOT in path.parents for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    perturbation_classes = {"Perturbation"}
+    grew = True
+    while grew:
+        grew = False
+        for _, node in classes:
+            bases = {getattr(base, "id", getattr(base, "attr", None))
+                     for base in node.bases}
+            if node.name not in perturbation_classes \
+                    and bases & perturbation_classes:
+                perturbation_classes.add(node.name)
+                grew = True
+    home = SRC_ROOT / "scenarios" / "perturbations.py"
+    strays = [f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {node.name}"
+              for path, node in classes
+              if node.name in perturbation_classes and path != home]
+    assert len(perturbation_classes) == len(PERTURBATION_PARAMETERS) + 1
+    assert not strays, "perturbations outside their module:\n" + "\n".join(
+        strays)
+
+
+def test_readme_lists_every_preset():
+    """The preset table of README.md's scenario section names exactly
+    ``SCENARIO_NAMES``, in order."""
+    from repro.scenarios import SCENARIO_NAMES
+
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("\n## Dynamic-workload scenarios\n")[1]
+    section = section.split("\n## ")[0]
+    listed = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+    assert tuple(listed) == SCENARIO_NAMES
+
+
 # ------------------------------------------------------------ CHANGES.md
 #: Entries of this PR and later ones are capped; older ones predate the cap.
 CHANGES_CAP_FROM_PR = 32

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.elastic import (
-    AutoscaleStorm,
-    NetworkPartition,
-    PartitionState,
-    ScaleIn,
-    ScaleOut,
-)
+from repro.elastic import PartitionState
 from repro.core.sampling.distributions import UniformDistribution
 from repro.faults import FaultConfig, MembershipController, PartitionedOwnerError
 from repro.ps.base import SampleHandle
@@ -25,6 +19,9 @@ from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
 from repro.scenarios import (
     SCENARIO_PRESETS,
+    AutoscaleStorm,
+    NetworkPartition,
+    ScaleIn,
     ScenarioParameterServer,
     make_scenario,
 )
@@ -302,25 +299,16 @@ def _run(system, scenario, nodes=3, epochs=2, seed=0):
 
 class TestElasticScenarios:
     def test_presets_are_registered(self):
-        for name in ("scale-out", "scale-in", "autoscale-storm",
-                     "split-brain"):
+        for name in ("scale-in", "autoscale-storm", "split-brain"):
             assert name in SCENARIO_PRESETS
 
     def test_perturbation_validation(self):
         with pytest.raises(ValueError):
-            ScaleOut(count=0)
-        with pytest.raises(ValueError):
-            ScaleIn(count=0)
+            ScaleIn(at_epoch=-1)
         with pytest.raises(ValueError):
             AutoscaleStorm(period_rounds=0)
         with pytest.raises(ValueError):
             NetworkPartition(heal_after_rounds=0)
-
-    @pytest.mark.parametrize("system", ["classic", "lapse", "essp", "nups"])
-    def test_scale_out_completes(self, system):
-        result = _run(system, make_scenario("scale-out"))
-        assert result.epochs_completed == 2
-        assert result.metrics.get("elastic.scale_outs") == 1
 
     @pytest.mark.parametrize("system", ["classic", "lapse", "essp", "nups"])
     def test_scale_in_loses_nothing(self, system):

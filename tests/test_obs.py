@@ -226,13 +226,13 @@ class TestSubsystemEvents:
         assert "recovery_time" in crash["attrs"]
 
     def test_checkpoint_events_recorded(self):
-        trace = _run_traced(system="classic", scenario="rolling-restart",
+        trace = _run_traced(system="classic", scenario="crash-storm",
                             epochs=3).trace
-        cats = {e["cat"] for e in trace["events"]}
-        assert "faults" in cats
+        names = {(e["cat"], e["name"]) for e in trace["events"]}
+        assert ("faults", "checkpoint") in names
 
     def test_membership_and_migration_events_in_scale_out(self):
-        trace = _run_traced(system="lapse", scenario="scale-out",
+        trace = _run_traced(system="lapse", scenario="autoscale-storm",
                             epochs=3).trace
         events = {(e["cat"], e["name"]) for e in trace["events"]}
         assert ("membership", "node_added") in events

@@ -59,8 +59,13 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import _WorkerQueue, run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
-from repro.scenarios import KeyRemapper, ScenarioParameterServer, make_scenario
-from repro.scenarios.base import Perturbation, Scenario
+from repro.scenarios import (
+    KeyRemapper,
+    Perturbation,
+    Scenario,
+    ScenarioParameterServer,
+    make_scenario,
+)
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
 from adaptive_tap import install_tap

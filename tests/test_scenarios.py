@@ -457,11 +457,29 @@ class TestScenarioExperiments:
         store = task.create_store(seed=0)
         ps = make_ps_factory("classic")(store, cluster, task)
         runtime = Scenario("x", []).bind(task, ps, cluster, small_config())
-        runtime.pause_worker(0, 0)
+        runtime.pause_worker(0, 0, holder="a")
         with pytest.raises(ValueError, match="last active worker"):
-            runtime.pause_worker(0, 1)
-        runtime.resume_worker(0, 0)
-        runtime.pause_worker(0, 1)
+            runtime.pause_worker(0, 1, holder="a")
+        runtime.resume_worker(0, 0, holder="a")
+        runtime.pause_worker(0, 1, holder="a")
+
+    def test_a_worker_stays_paused_while_any_pause_holds_it(self):
+        task = make_task("kge", scale="test")
+        cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=1))
+        ps = make_ps_factory("classic")(task.create_store(seed=0), cluster,
+                                        task)
+        runtime = Scenario("x", []).bind(task, ps, cluster, small_config())
+        runtime.pause_worker(1, 0, holder="churn")
+        runtime.pause_worker(1, 0, holder=("node", 1))
+        runtime.resume_worker(1, 0, holder=("node", 1))
+        assert not runtime.is_active((1, 0))
+        runtime.resume_worker(1, 0, holder="nobody")
+        assert not runtime.is_active((1, 0))
+        runtime.resume_worker(1, 0, holder="churn")
+        assert runtime.is_active((1, 0))
+        # Counted per active <-> paused transition, not per hold.
+        assert cluster.metrics.get("scenario.worker_pauses") == 1
+        assert cluster.metrics.get("scenario.worker_resumes") == 1
 
     def test_worker_compute_scale_validation(self):
         cluster = Cluster(ClusterConfig(num_nodes=1, workers_per_node=1))

@@ -391,13 +391,21 @@ def test_sparse_backend_bit_identical_under_faults():
     )
 
 
-@pytest.mark.parametrize("task_name",
-                         ["kge", "word_vectors", "matrix_factorization"])
+TASK_NAMES = ("kge", "word_vectors", "matrix_factorization")
+
+
+@pytest.mark.parametrize(
+    ("task_name", "scenario_name"),
+    [(task, None) for task in TASK_NAMES]
+    + [(task, "drift") for task in TASK_NAMES],
+    ids=list(TASK_NAMES) + [f"{task}-drift" for task in TASK_NAMES])
 def test_a_sparse_store_stays_chunked_through_training(task_name,
+                                                       scenario_name,
                                                        monkeypatch):
     """Evaluation reads rows with ``get``. It read ``store.values``, which
     densified a sparse store at the initial evaluation, so every sparse run
-    trained on a dense table while reporting the sparse backend."""
+    trained on a dense table while reporting the sparse backend. A drift
+    relabels the written keys; it densified the store."""
     densified = []
     densify = ChunkedTable._densify
     monkeypatch.setattr(
@@ -412,11 +420,38 @@ def test_a_sparse_store_stays_chunked_through_training(task_name,
 
     config = ExperimentConfig(
         cluster=ClusterConfig(num_nodes=2, workers_per_node=2),
-        epochs=1, chunk_size=8, seed=5, storage=SPARSE_RUN,
+        epochs=3 if scenario_name else 1, chunk_size=8, seed=5,
+        storage=SPARSE_RUN,
+        scenario=make_scenario(scenario_name) if scenario_name else None,
     )
     result = run_experiment(make_task(task_name, scale="test"), factory,
                             config)
     assert result.storage_backend == "sparse"
+    assert result.metrics.get("scenario.drifts", 0) == bool(scenario_name)
     assert densified == []
     assert held["ps"].store._table._fill_end == 1  # not densified
 
+
+
+def test_permute_relabels_a_sparse_store_like_a_dense_one():
+    """A sparse store's permutation moves its written keys' records to the
+    new keys, charging the chunks they land in; nothing is densified."""
+    dense = ParameterStore(12, 2)
+    sparse = ParameterStore(12, 2, storage=StorageConfig(
+        backend="sparse", chunk_rows=3, store_budget_bytes=12 * 16))
+    keys = np.array([0, 4, 5])
+    for store in (dense, sparse):
+        store.add(keys, np.arange(6, dtype=np.float32).reshape(3, 2) + 1)
+        store.add(keys[:1], np.ones((1, 2), dtype=np.float32))
+    sigma = np.roll(np.arange(12), 6)  # key k -> (k + 6) % 12
+    for _ in range(2):
+        for store in (dense, sparse):
+            store.permute(sigma)
+        every = np.arange(12)
+        np.testing.assert_array_equal(sparse.get(every), dense.get(every))
+        np.testing.assert_array_equal(sparse.read_versions(every),
+                                      dense.read_versions(every))
+    assert sparse._table._fill_end == 1  # not densified
+    # Chunks {0, 1} held the keys, {2, 3} after the first permutation.
+    assert sparse.materialized_chunks() == 4
+    assert sparse.nbytes() == 4 * 3 * 16
