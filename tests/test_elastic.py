@@ -21,7 +21,9 @@ from repro.scenarios import (
     SCENARIO_PRESETS,
     AutoscaleStorm,
     NetworkPartition,
+    Perturbation,
     ScaleIn,
+    Scenario,
     ScenarioParameterServer,
     make_scenario,
 )
@@ -297,6 +299,16 @@ def _run(system, scenario, nodes=3, epochs=2, seed=0):
     return run_experiment(task, make_ps_factory(system), config)
 
 
+class _JoinOnce(Perturbation):
+    """One fresh node joins after round 1 of epoch 0 and stays to the end."""
+
+    needs_membership = True
+    at = ((0, 1),)
+
+    def fire(self, ctx):
+        ctx.scale_out()
+
+
 class TestElasticScenarios:
     def test_presets_are_registered(self):
         for name in ("scale-in", "autoscale-storm", "split-brain"):
@@ -309,6 +321,15 @@ class TestElasticScenarios:
             AutoscaleStorm(period_rounds=0)
         with pytest.raises(ValueError):
             NetworkPartition(heal_after_rounds=0)
+
+    @pytest.mark.parametrize("system", ["classic", "lapse", "essp", "nups"])
+    def test_scale_out_completes(self, system):
+        # A join no leave follows (autoscale-storm pairs each join with one):
+        # the new node serves its key share through every later epoch.
+        result = _run(system, Scenario("scale-out", [_JoinOnce()]))
+        assert result.epochs_completed == 2
+        assert result.metrics.get("elastic.scale_outs") == 1
+        assert result.metrics.get("elastic.scale_ins", 0) == 0
 
     @pytest.mark.parametrize("system", ["classic", "lapse", "essp", "nups"])
     def test_scale_in_loses_nothing(self, system):

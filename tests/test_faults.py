@@ -38,6 +38,7 @@ from repro.core.sampling.distributions import UniformDistribution
 from repro.ps.base import SampleHandle
 from repro.scenarios import (
     KeyRemapper,
+    Perturbation,
     Scenario,
     ScenarioParameterServer,
     ServerCrashes,
@@ -413,6 +414,26 @@ def _run(scenario=None, system="classic", epochs=3, seed=0):
     )
 
 
+class _KillWorkers(Perturbation):
+    """Pauses two workers off node 0 after round 1 of epoch 0 on its own
+    behalf and never resumes them."""
+
+    at = ((0, 1),)
+
+    def __init__(self):
+        self.victims = []
+        self.paused_at_epoch_end = []
+
+    def fire(self, ctx):
+        self.victims = [key for key in ctx.worker_keys() if key[0] != 0][:2]
+        for key in self.victims:
+            ctx.pause_worker(*key, holder=self)
+
+    def on_epoch_end(self, ctx):
+        self.paused_at_epoch_end.append(
+            [not ctx.is_active(key) for key in self.victims])
+
+
 class TestFaultScenarios:
     @pytest.mark.parametrize("system", ["classic", "lapse", "essp", "nups"])
     def test_crash_storm_completes_everywhere(self, system):
@@ -451,6 +472,15 @@ class TestFaultScenarios:
         assert first.total_time == second.total_time
         assert first.metrics["faults.crashes"] == \
             second.metrics["faults.crashes"]
+
+    def test_worker_kill_finishes_short_handed(self):
+        # A pause its holder never releases outlasts the epoch boundary.
+        kill = _KillWorkers()
+        result = _run(scenario=Scenario("kill", [kill]), epochs=2)
+        assert result.epochs_completed == 2
+        assert kill.paused_at_epoch_end == [[True, True], [True, True]]
+        assert result.metrics["scenario.worker_pauses"] == 2
+        assert result.metrics.get("scenario.worker_resumes", 0) == 0
 
     def test_presets_registered(self):
         from repro.scenarios.presets import SCENARIO_NAMES
