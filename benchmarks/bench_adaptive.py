@@ -108,7 +108,7 @@ def scenario_for(name: str, oracle: bool):
     if name == "stationary":
         return None
     if name == "drift":
-        return make_scenario("drift", at=((DRIFT_EPOCH, 0),), shift=0.5,
+        return make_scenario("drift", at=((DRIFT_EPOCH, 0),),
                              oracle_remanage=oracle)
     if name == "storm":
         return make_scenario("storm", oracle_remanage=oracle)

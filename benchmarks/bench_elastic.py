@@ -81,7 +81,7 @@ def _crash_scenario() -> Scenario:
     """One unplanned crash, same cadence as the planned scale-in above."""
     return Scenario(
         "late-crash",
-        [ServerCrashes(crashes_per_epoch=1, down_rounds=2,
+        [ServerCrashes(crashes_per_epoch=1,
                        fault_config=FaultConfig(recovery="checkpoint"),
                        epochs=(EPOCHS - 1,))],
         description="one crash in the final epoch",
@@ -115,7 +115,7 @@ def _run_job(cell: str, system: str, variant) -> dict:
         scenario = make_scenario("autoscale-storm",
                                  period_rounds=int(variant))
     elif cell == "split_brain":
-        scenario = make_scenario("split-brain", heal_after_rounds=3)
+        scenario = make_scenario("split-brain")
     elif cell == "healthy":
         scenario = None
     elif cell == "headline":

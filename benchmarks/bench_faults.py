@@ -70,8 +70,8 @@ def _late_crash_scenario(fault_config: FaultConfig) -> Scenario:
     """Crashes in the last epoch only: maximal lost work for the rollback."""
     return Scenario(
         "late-crash",
-        [ServerCrashes(crashes_per_epoch=2, down_rounds=2,
-                       fault_config=fault_config, epochs=(EPOCHS - 1,))],
+        [ServerCrashes(crashes_per_epoch=2, fault_config=fault_config,
+                       epochs=(EPOCHS - 1,))],
         description="two crashes in the final epoch",
     )
 

@@ -68,14 +68,13 @@ def scenario_for(name: str):
     if name == "static":
         return None
     if name == "drift":
-        return make_scenario("drift", at=((DRIFT_EPOCH, 0),), shift=0.5)
+        return make_scenario("drift", at=((DRIFT_EPOCH, 0),))
     if name == "stragglers":
-        return make_scenario("stragglers", severity=3.0, redraw_each_epoch=True)
+        return make_scenario("stragglers", severity=3.0)
     if name == "churn":
         return make_scenario("churn", fraction=0.25, pause_at_round=2)
     if name == "degrading-network":
-        return make_scenario("degrading-network", start_epoch=1,
-                             latency_growth=2.0, bandwidth_decay=0.5, steps=3)
+        return make_scenario("degrading-network", steps=3)
     raise ValueError(name)
 
 

@@ -39,7 +39,7 @@ def build_scenario(name):
         return None
     if name == "drift":
         # Fire at the first round boundary of epoch 2 (mid-run, mid-epoch).
-        return Scenario("drift", [HotSetDrift(at=((DRIFT_EPOCH, 0),), shift=0.5)])
+        return Scenario("drift", [HotSetDrift(at=((DRIFT_EPOCH, 0),))])
     return make_scenario(name)
 
 
@@ -98,7 +98,7 @@ def adaptive_coda():
             cluster=ClusterConfig(num_nodes=4, workers_per_node=2),
             epochs=EPOCHS, chunk_size=8, seed=0,
             scenario=Scenario("drift-no-oracle", [HotSetDrift(
-                at=((DRIFT_EPOCH, 0),), shift=0.5, oracle_remanage=False,
+                at=((DRIFT_EPOCH, 0),), oracle_remanage=False,
             )]),
         )
         result = run_experiment(task, make_ps_factory(system, **overrides),

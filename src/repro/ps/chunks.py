@@ -408,8 +408,12 @@ class ChunkedTable:
 
         Records stay where they are in the pool: the index maps the written
         keys through the permutation, after charging the chunks they land
-        in first. A densified table permutes its arrays.
+        in first. A densified table permutes its arrays. Refused for a
+        column with a key-wise fill: an unwritten key would read the fill of
+        the key it moved from.
         """
+        if any(column.fill_fn is not None for column in self.columns):
+            raise ValueError("cannot relabel a table with a key-wise fill")
         if not self._fill_end:
             for column in self.columns:
                 moved = np.empty_like(column.pool)

@@ -17,8 +17,9 @@ Design notes
   so scenario runs are exactly reproducible (see
   ``tests/test_determinism.py``).
 * The runtime owns the victim rules: node 0 is never a victim, a planned
-  leave keeps two nodes active, no crash or leave takes the last active
-  worker, and a node's workers pause and resume with the node.
+  leave keeps two nodes active, no pause takes the last active worker (a
+  crash or leave that would is skipped), and a node's workers pause and
+  resume with the node.
 * Hot-set drift, crash faults on statically partitioned architectures and
   network partitions put one interposer between the workers and the PS
   (:mod:`repro.scenarios.interposer`); every other scenario runs on the raw
@@ -175,14 +176,12 @@ class ScenarioRuntime:
                          **attrs)
 
     # ------------------------------------------------------------ victim rules
-    def victim_nodes(self, active: bool = True) -> List[int]:
-        """The nodes a perturbation may pick, ascending: every node but node 0
-        (it anchors recovery donors, the quorum side and the worker pool),
-        among the active ones or, for a schedule drawn ahead, among all node
-        slots."""
-        nodes = self.cluster.active_nodes if active \
-            else range(self.cluster.num_nodes)
-        return [node_id for node_id in nodes if node_id != 0]
+    def victim_nodes(self) -> List[int]:
+        """The active nodes a perturbation may pick, ascending: every one but
+        node 0 (it anchors recovery donors, the quorum side and the worker
+        pool)."""
+        return [node_id for node_id in self.cluster.active_nodes
+                if node_id != 0]
 
     def draw_leaver(self, rng: np.random.Generator) -> Optional[int]:
         """A seeded victim of a planned leave, or None when fewer than two
@@ -311,23 +310,25 @@ class ScenarioRuntime:
         self._record("network_change", "scenario.network_changes",
                      model=type(model).__name__)
 
-    def pause_worker(self, node_id: int, worker_id: int, holder) -> None:
-        """Hold a worker paused on behalf of ``holder``.
+    def pause_worker(self, node_id: int, worker_id: int, holder) -> bool:
+        """Hold a worker paused on behalf of ``holder``; False, and nothing
+        happens, when the worker is the last active one.
 
         An active worker that pauses has its remaining shard redistributed
         over the active workers; it stays paused, across epochs, until every
-        holder resumes it. At least one worker must stay active.
+        holder resumes it.
         """
         key = (int(node_id), int(worker_id))
         if key not in self._holds:
             if len(self._holds) + 1 >= len(self._worker_pool):
-                raise ValueError("cannot pause the last active worker")
+                return False
             self._holds[key] = set()
             if self._epoch_state is not None:
                 self._epoch_state.redistribute(key, self._active_keys())
             self._record("worker_pause", "scenario.worker_pauses",
                          node=key[0], worker=key[1])
         self._holds[key].add(holder)
+        return True
 
     def resume_worker(self, node_id: int, worker_id: int, holder) -> None:
         """Release ``holder``'s pause of a worker; the worker is back when no

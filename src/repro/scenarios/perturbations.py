@@ -90,7 +90,7 @@ class Perturbation:
 class HotSetDrift(Perturbation):
     """Rotate the workload-to-key mapping after the rounds ``at``.
 
-    ``at`` holds ``(epoch, round)`` moments; ``shift`` is the rotation
+    ``at`` holds ``(epoch, round)`` moments; ``SHIFT`` is the rotation
     distance as a fraction of each key group's size. With
     ``oracle_remanage`` re-management-capable servers (NuPS) receive a plan
     re-derived from the post-drift statistics, an oracle intent signal;
@@ -99,17 +99,15 @@ class HotSetDrift(Perturbation):
     """
 
     needs_remap = True
+    SHIFT = 0.5
 
     def __init__(self, at: Sequence[Tuple[int, int]] = ((2, 0),),
-                 shift: float = 0.5, oracle_remanage: bool = True) -> None:
-        if not 0 < shift < 1:
-            raise ValueError("shift must be a fraction in (0, 1)")
+                 oracle_remanage: bool = True) -> None:
         self.at = tuple((int(epoch), int(rnd)) for epoch, rnd in at)
-        self.shift = float(shift)
         self.oracle_remanage = bool(oracle_remanage)
 
     def fire(self, ctx: "ScenarioRuntime") -> None:
-        ctx.apply_drift(self.shift, oracle_remanage=self.oracle_remanage)
+        ctx.apply_drift(self.SHIFT, oracle_remanage=self.oracle_remanage)
 
 
 class Stragglers(Perturbation):
@@ -117,25 +115,23 @@ class Stragglers(Perturbation):
 
     Each worker's multiplier is ``1 + (severity - 1) * Pareto(2)``: mean
     ``severity`` with a heavy upper tail, so a few workers are much slower
-    than the rest. ``redraw_each_epoch`` moves the slow spots around.
+    than the rest; each epoch's redraw moves the slow spots around.
     """
 
-    salt = 17 + 1
+    salt = 18  # fixed: another salt would change every benchmarked draw
     TAIL_INDEX = 2.0
 
-    def __init__(self, severity: float = 3.0,
-                 redraw_each_epoch: bool = True) -> None:
+    def __init__(self, severity: float = 3.0) -> None:
         if severity < 1:
             raise ValueError("severity must be >= 1")
         self.severity = float(severity)
-        self.redraw_each_epoch = bool(redraw_each_epoch)
 
     def on_start(self, ctx: "ScenarioRuntime") -> None:
         super().on_start(ctx)
         self._draw(ctx)
 
     def on_epoch_start(self, ctx: "ScenarioRuntime") -> None:
-        if self.redraw_each_epoch and ctx.epoch > 0:
+        if ctx.epoch > 0:
             self._draw(ctx)
 
     def _draw(self, ctx: "ScenarioRuntime") -> None:
@@ -154,7 +150,7 @@ class WorkerChurn(Perturbation):
     and broken access locality.
     """
 
-    salt = 29 + 2
+    salt = 31  # fixed: another salt would change every benchmarked draw
 
     def __init__(self, fraction: float = 0.25, pause_at_round: int = 1) -> None:
         if not 0 < fraction < 1:
@@ -181,14 +177,18 @@ class WorkerChurn(Perturbation):
 
 
 class NetworkDegradation(Perturbation):
-    """From ``start_epoch`` on, each of ``steps`` epochs multiplies the
-    latency by ``latency_growth`` and the bandwidth by ``bandwidth_decay``
+    """From ``START_EPOCH`` on, each of ``steps`` epochs multiplies the
+    latency by ``LATENCY_GROWTH`` and the bandwidth by ``BANDWIDTH_DECAY``
     (:meth:`~repro.simulation.network.NetworkSchedule.degrading`)."""
 
-    def __init__(self, start_epoch: int = 1, latency_growth: float = 2.0,
-                 bandwidth_decay: float = 0.5, steps: int = 3) -> None:
+    START_EPOCH = 1
+    LATENCY_GROWTH = 2.0
+    BANDWIDTH_DECAY = 0.5
+
+    def __init__(self, steps: int = 3) -> None:
         self.schedule = NetworkSchedule.degrading(
-            start_epoch, latency_growth, bandwidth_decay, steps)
+            self.START_EPOCH, self.LATENCY_GROWTH, self.BANDWIDTH_DECAY,
+            steps)
 
     def on_epoch_start(self, ctx: "ScenarioRuntime") -> None:
         model = self.schedule.model_at(ctx.base_network, ctx.epoch)
@@ -198,12 +198,11 @@ class NetworkDegradation(Perturbation):
 
 class ServerCrashes(Perturbation):
     """Crash ``crashes_per_epoch`` nodes per epoch (of ``epochs``, or every
-    epoch); each restarts ``down_rounds`` rounds later.
+    epoch); each restarts ``DOWN_ROUNDS`` rounds later.
 
     At each epoch's start the crash rounds are drawn from ``CRASH_ROUNDS``
-    (half-open) and the victims, without replacement, from
-    :meth:`~repro.scenarios.base.ScenarioRuntime.victim_nodes` over all
-    node slots. :meth:`~repro.scenarios.base.ScenarioRuntime.crash_node`
+    (half-open) and the victims, without replacement, from every node slot
+    but node 0's. :meth:`~repro.scenarios.base.ScenarioRuntime.crash_node`
     skips a victim that is not active when its round comes. Nodes still
     down at the epoch's end rejoin before the next one. ``fault_config``
     sets the recovery machinery; the per-round checkpoint upkeep runs here.
@@ -213,16 +212,13 @@ class ServerCrashes(Perturbation):
     needs_membership = True
     salt = 41
     CRASH_ROUNDS = (1, 5)
+    DOWN_ROUNDS = 2
 
-    def __init__(self, crashes_per_epoch: int = 2, down_rounds: int = 2,
-                 fault_config=None,
+    def __init__(self, crashes_per_epoch: int = 2, fault_config=None,
                  epochs: Optional[Sequence[int]] = None) -> None:
         if crashes_per_epoch < 1:
             raise ValueError("crashes_per_epoch must be >= 1")
-        if down_rounds < 1:
-            raise ValueError("down_rounds must be >= 1")
         self.crashes_per_epoch = int(crashes_per_epoch)
-        self.down_rounds = int(down_rounds)
         self.fault_config = fault_config
         self.epochs = None if epochs is None else {int(e) for e in epochs}
 
@@ -235,7 +231,9 @@ class ServerCrashes(Perturbation):
         self._schedule = {}
         if self.epochs is not None and ctx.epoch not in self.epochs:
             return
-        nodes = ctx.victim_nodes(active=False)
+        # Drawn ahead over every slot, down or not, but node 0's (see
+        # ScenarioRuntime.victim_nodes); crash_node skips an inactive one.
+        nodes = list(range(1, ctx.cluster.num_nodes))
         if not nodes:
             return
         count = min(self.crashes_per_epoch, len(nodes))
@@ -250,7 +248,7 @@ class ServerCrashes(Perturbation):
             self._restore(ctx, node_id, now)
         for node_id in self._schedule.pop(ctx.round, []):
             if ctx.crash_node(node_id, now):
-                self._down[node_id] = ctx.round + self.down_rounds
+                self._down[node_id] = ctx.round + self.DOWN_ROUNDS
         ctx.membership.on_round(now)
 
     def on_epoch_end(self, ctx: "ScenarioRuntime") -> None:
@@ -328,18 +326,14 @@ class NetworkPartition(Perturbation):
     The majority keeps training; the minority degrades to bounded-staleness
     reads and buffered writes
     (:class:`~repro.elastic.partition_state.PartitionState`). The partition
-    heals ``heal_after_rounds`` rounds later, or at the epoch's end,
+    heals ``HEAL_AFTER_ROUNDS`` rounds later, or at the epoch's end,
     replaying the buffered writes and counting divergent keys.
     """
 
     needs_partition_guard = True
     salt = 53
     at = ((0, 1),)
-
-    def __init__(self, heal_after_rounds: int = 3) -> None:
-        if heal_after_rounds < 1:
-            raise ValueError("heal_after_rounds must be >= 1")
-        self.heal_after_rounds = int(heal_after_rounds)
+    HEAL_AFTER_ROUNDS = 3
 
     def on_start(self, ctx: "ScenarioRuntime") -> None:
         super().on_start(ctx)
@@ -358,7 +352,7 @@ class NetworkPartition(Perturbation):
             return
         chosen = self.rng.choice(len(nodes), size=1, replace=False)
         ctx.begin_partition([nodes[int(chosen[0])]])
-        self._heal_at = ctx.round + self.heal_after_rounds
+        self._heal_at = ctx.round + self.HEAL_AFTER_ROUNDS
 
     def on_epoch_end(self, ctx: "ScenarioRuntime") -> None:
         # Never carry a live partition across an epoch boundary: the epoch

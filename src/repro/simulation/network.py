@@ -218,8 +218,8 @@ class NetworkSchedule:
         self.stages = sorted(normalized, key=lambda s: s.from_epoch)
 
     @classmethod
-    def degrading(cls, start_epoch: int = 1, latency_growth: float = 2.0,
-                  bandwidth_decay: float = 0.5, steps: int = 3) -> "NetworkSchedule":
+    def degrading(cls, start_epoch: int, latency_growth: float,
+                  bandwidth_decay: float, steps: int) -> "NetworkSchedule":
         """A steadily degrading interconnect: each step multiplies the latency
         by ``latency_growth`` and the bandwidth by ``bandwidth_decay``."""
         if steps < 1:

@@ -625,7 +625,7 @@ class TestRunnerIntegration:
         def run(adaptive):
             task = make_task("matrix_factorization", scale="test")
             plan = ManagementPlan.top_k_by_count(task.access_counts(), 8)
-            scenario = make_scenario("drift", at=((1, 0),), shift=0.5,
+            scenario = make_scenario("drift", at=((1, 0),),
                                      oracle_remanage=False)
             factory = make_ps_factory(
                 "nups-adaptive", plan=plan,
@@ -659,7 +659,7 @@ class TestRunnerIntegration:
 
     def test_oracle_default_unchanged_without_flag(self):
         """drift presets keep their oracle behavior unless asked otherwise."""
-        scenario = make_scenario("drift", at=((1, 0),), shift=0.5)
+        scenario = make_scenario("drift", at=((1, 0),))
         assert scenario.perturbations[0].oracle_remanage is True
         scenario = make_scenario("storm", oracle_remanage=False)
         drift = [p for p in scenario.perturbations

@@ -40,13 +40,16 @@ def _churn_scenario():
 
 
 #: 2 and 6: churn pauses node 0's workers and a crash of node 1 would
-#: leave no active worker; 5: a crash hits a node with a churned worker.
+#: leave no active worker (crashes first, at 6: the crash pauses node 1's
+#: workers and churn draws node 0's); 5: a crash hits a node with a churned
+#: worker.
 COMPOSITION_SEEDS = (2, 5, 6)
 
 
-def _churn_and_crashes():
-    return [WorkerChurn(fraction=0.4, pause_at_round=1),
-            ServerCrashes(crashes_per_epoch=1, down_rounds=2)]
+def _churn_and_crashes(crashes_first=False):
+    perturbations = [WorkerChurn(fraction=0.4, pause_at_round=1),
+                     ServerCrashes(crashes_per_epoch=1)]
+    return perturbations[::-1] if crashes_first else perturbations
 
 
 class _PauseSpy(Perturbation):
@@ -140,11 +143,13 @@ class TestChurnAdaptiveComposition:
         if churn_obs and steady_obs:
             assert 0.5 <= churn_obs / steady_obs <= 2.0
 
+    @pytest.mark.parametrize("crashes_first", [False, True])
     @pytest.mark.parametrize("seed", COMPOSITION_SEEDS)
-    def test_churn_adaptive_and_crashes_compose(self, seed):
+    def test_churn_adaptive_and_crashes_compose(self, seed, crashes_first):
         capture = {}
-        result = _run(scenario=Scenario("storm+", _churn_and_crashes()),
-                      adaptive=_adaptive_config(), seed=seed, capture=capture)
+        result = _run(scenario=Scenario(
+            "storm+", _churn_and_crashes(crashes_first)),
+            adaptive=_adaptive_config(), seed=seed, capture=capture)
         assert result.epochs_completed == 3
         assert result.metrics["faults.crashes"] >= 1
         assert result.metrics["faults.restores"] >= 1

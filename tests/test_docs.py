@@ -405,16 +405,14 @@ def test_builder_parameters_are_pinned():
 #: Each perturbation class's parameters: every one is set by a benchmark,
 #: an example or a preset; what only tests set is a constant.
 PERTURBATION_PARAMETERS = {
-    "HotSetDrift": ("at", "shift", "oracle_remanage"),
-    "Stragglers": ("severity", "redraw_each_epoch"),
+    "HotSetDrift": ("at", "oracle_remanage"),
+    "Stragglers": ("severity",),
     "WorkerChurn": ("fraction", "pause_at_round"),
-    "NetworkDegradation": ("start_epoch", "latency_growth", "bandwidth_decay",
-                           "steps"),
-    "ServerCrashes": ("crashes_per_epoch", "down_rounds", "fault_config",
-                      "epochs"),
+    "NetworkDegradation": ("steps",),
+    "ServerCrashes": ("crashes_per_epoch", "fault_config", "epochs"),
     "ScaleIn": ("at_epoch",),
     "AutoscaleStorm": ("period_rounds",),
-    "NetworkPartition": ("heal_after_rounds",),
+    "NetworkPartition": (),
 }
 #: Each preset's keywords: the parameters of its one perturbation class
 #: (named), or its own.
@@ -434,7 +432,7 @@ PRESET_KEYWORDS = {
 def test_perturbation_surface_is_pinned():
     """The perturbation classes' parameters and the presets' keywords are
     exactly :data:`PERTURBATION_PARAMETERS` and :data:`PRESET_KEYWORDS`:
-    19 settable values."""
+    12 settable values."""
     from repro.scenarios import SCENARIO_PRESETS, Perturbation, perturbations
 
     found = {
@@ -452,7 +450,7 @@ def test_perturbation_surface_is_pinned():
     assert presets == PRESET_KEYWORDS
     own = [keywords for keywords in presets.values()
            if isinstance(keywords, tuple)]
-    assert sum(map(len, found.values())) + sum(map(len, own)) == 19
+    assert sum(map(len, found.values())) + sum(map(len, own)) == 12
 
 
 def test_every_perturbation_lives_in_one_module():

@@ -20,7 +20,6 @@ from repro.runner.workloads import make_task
 from repro.scenarios import (
     SCENARIO_PRESETS,
     AutoscaleStorm,
-    NetworkPartition,
     Perturbation,
     ScaleIn,
     Scenario,
@@ -319,8 +318,6 @@ class TestElasticScenarios:
             ScaleIn(at_epoch=-1)
         with pytest.raises(ValueError):
             AutoscaleStorm(period_rounds=0)
-        with pytest.raises(ValueError):
-            NetworkPartition(heal_after_rounds=0)
 
     @pytest.mark.parametrize("system", ["classic", "lapse", "essp", "nups"])
     def test_scale_out_completes(self, system):

@@ -490,6 +490,12 @@ class TestTable:
         assert store.get(keys).tolist() == [[2.0] * 8] * 2
         assert store.read_versions(keys).tolist() == [2, 2]
 
+    def test_relabel_refuses_a_key_wise_fill(self):
+        vec = ChunkedVector(100, np.int64, fill_fn=lambda keys: keys,
+                            chunk_rows=16)
+        with pytest.raises(ValueError, match="key-wise fill"):
+            vec.table.relabel(np.arange(100)[::-1].copy())
+
     def test_a_column_comes_before_the_first_chunk(self):
         table, _ = _table(2, 7)
         table.columns[0][3] = True

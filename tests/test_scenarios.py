@@ -22,6 +22,7 @@ from repro.runner.workloads import make_task
 from repro.scenarios import (
     HotSetDrift,
     KeyRemapper,
+    NetworkDegradation,
     RemappedDistribution,
     Scenario,
     ScenarioParameterServer,
@@ -46,6 +47,13 @@ def run_kge(scenario=None, system="lapse", epochs=3, seed=0):
     return run_experiment(
         task, make_ps_factory(system), small_config(epochs, scenario, seed)
     )
+
+
+class _SteepDegradation(NetworkDegradation):
+    """A network that degrades faster than the preset's."""
+
+    LATENCY_GROWTH = 3.0
+    BANDWIDTH_DECAY = 0.3
 
 
 # --------------------------------------------------------------- KeyRemapper
@@ -355,7 +363,7 @@ class TestScenarioExperiments:
     def test_stragglers_slow_the_cluster_down(self):
         baseline = run_kge(scenario=None)
         slowed = run_kge(scenario=Scenario(
-            "s", [Stragglers(severity=4.0, redraw_each_epoch=True)]
+            "s", [Stragglers(severity=4.0)]
         ))
         assert slowed.total_time > baseline.total_time * 1.05
         # Quality trajectory is untouched: stragglers change time, not math.
@@ -382,8 +390,7 @@ class TestScenarioExperiments:
         assert total > 0 and baseline_total > 0
 
     def test_degrading_network_inflates_network_bound_systems(self):
-        scenario = make_scenario("degrading-network", start_epoch=1,
-                                 latency_growth=3.0, bandwidth_decay=0.3, steps=2)
+        scenario = Scenario("d", [_SteepDegradation(steps=2)])
         degraded = run_kge(scenario=scenario, system="classic")
         baseline = run_kge(scenario=None, system="classic")
         assert degraded.metrics["scenario.network_changes"] >= 1
@@ -397,7 +404,7 @@ class TestScenarioExperiments:
         # the relocation PS reaches a steady state that a mid-run drift
         # visibly disturbs — and re-adapts from within one epoch.
         task_name = "matrix_factorization"
-        scenario = Scenario("d", [HotSetDrift(at=((2, 0),), shift=0.5)])
+        scenario = Scenario("d", [HotSetDrift(at=((2, 0),))])
         task = make_task(task_name, scale="test")
         result = run_experiment(
             task, make_ps_factory("lapse"), small_config(4, scenario)
@@ -424,7 +431,7 @@ class TestScenarioExperiments:
             captured["initial_replicated"] = ps.plan.replicated_keys.copy()
             return ps
 
-        scenario = Scenario("d", [HotSetDrift(at=((1, 0),), shift=0.5)])
+        scenario = Scenario("d", [HotSetDrift(at=((1, 0),))])
         result = run_experiment(task, factory, small_config(2, scenario))
         ps = captured["ps"]
         assert result.metrics.get("management.replans", 0) == 1
@@ -446,7 +453,7 @@ class TestScenarioExperiments:
         # Same seed, same task: a drift changes *where* parameters live, not
         # what the model learns on a system without caches (classic PS), so
         # quality stays identical while key traffic moves.
-        scenario = Scenario("d", [HotSetDrift(at=((1, 0),), shift=0.5)])
+        scenario = Scenario("d", [HotSetDrift(at=((1, 0),))])
         drifted = run_kge(scenario=scenario, system="classic", epochs=2)
         baseline = run_kge(scenario=None, system="classic", epochs=2)
         assert drifted.qualities() == baseline.qualities()
@@ -457,11 +464,12 @@ class TestScenarioExperiments:
         store = task.create_store(seed=0)
         ps = make_ps_factory("classic")(store, cluster, task)
         runtime = Scenario("x", []).bind(task, ps, cluster, small_config())
-        runtime.pause_worker(0, 0, holder="a")
-        with pytest.raises(ValueError, match="last active worker"):
-            runtime.pause_worker(0, 1, holder="a")
+        assert runtime.pause_worker(0, 0, holder="a")
+        assert not runtime.pause_worker(0, 1, holder="a")
+        assert runtime.is_active((0, 1))
         runtime.resume_worker(0, 0, holder="a")
-        runtime.pause_worker(0, 1, holder="a")
+        assert runtime.pause_worker(0, 1, holder="a")
+        assert cluster.metrics.get("scenario.worker_pauses") == 2
 
     def test_a_worker_stays_paused_while_any_pause_holds_it(self):
         task = make_task("kge", scale="test")
