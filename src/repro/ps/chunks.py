@@ -244,8 +244,9 @@ class ChunkedTable:
         self._used_rows = 1
         #: The written keys, ascending, and the pool row of each. Both end
         #: in a sentinel, key ``num_rows`` on the fill record, so a lookup
-        #: needs no bounds check. Replaced on every write (``np.insert``
-        #: returns a new array), never mutated: a clone may share them.
+        #: needs no bounds check. A write merges the fresh keys into new
+        #: arrays (:meth:`_write`); these are never mutated, so a clone may
+        #: share them.
         self._written = np.array([self.num_rows], dtype=np.int64)
         self._slot = np.zeros(1, dtype=np.int64)
         #: The materialized chunks, ascending, ending in sentinel
@@ -314,9 +315,18 @@ class ChunkedTable:
     def writable_rows(self, keys) -> np.ndarray:
         """:meth:`rows` after giving every key a record of its own."""
         keys = self._keys(keys)
-        rows = self._rows(keys)
-        if keys.size and self._on_fill_record(rows):
-            self._write(np.unique(keys[rows < self._fill_end]))
+        return self.claim(keys, self._rows(keys))
+
+    def claim(self, keys: np.ndarray, rows: np.ndarray,
+              select=None) -> np.ndarray:
+        """``rows`` (the :meth:`rows` of the valid ``keys``) once the keys
+        ``select`` picks (a mask or positions; all without one) have records
+        of their own: the selected keys on the fill record get one, and the
+        batch is translated again only after such a write."""
+        picked = rows if select is None else rows[select]
+        if picked.size and self._on_fill_record(picked):
+            fresh = keys if select is None else keys[select]
+            self._write(np.unique(fresh[picked < self._fill_end]))
             rows = self._rows(keys)
         return rows
 
@@ -356,6 +366,9 @@ class ChunkedTable:
         """Pool rows of (valid) ``keys``; unwritten ones hit the fill record."""
         if not self._fill_end:
             return keys
+        if len(self._written) > self.num_rows:
+            # Every key written: the index is 0 .. num_rows - 1 in order.
+            return self._slot.take(keys)
         at = self._written.searchsorted(keys)
         return np.where(self._written.take(at) == keys, self._slot.take(at), 0)
 
@@ -397,10 +410,19 @@ class ChunkedTable:
         end = start + len(fresh)
         for column in self.columns:
             column._append(fresh, start, end)
-        at = self._written.searchsorted(fresh)
-        self._slot = np.insert(self._slot, at,
-                               np.arange(start, end, dtype=np.int64))
-        self._written = np.insert(self._written, at, fresh)
+        # One merge for both arrays: the fresh keys' positions in the merged
+        # index are computed once; the old entries fill the rest in order.
+        size = len(self._written) + len(fresh)
+        placed = self._written.searchsorted(fresh) + np.arange(len(fresh))
+        old = np.ones(size, dtype=bool)
+        old[placed] = False
+        written = np.empty(size, dtype=np.int64)
+        written[placed] = fresh
+        written[old] = self._written
+        slot = np.empty(size, dtype=np.int64)
+        slot[placed] = np.arange(start, end, dtype=np.int64)
+        slot[old] = self._slot
+        self._written, self._slot = written, slot
         self._used_rows = end
 
     def relabel(self, new_key_of: np.ndarray) -> None:
@@ -434,10 +456,11 @@ class ChunkedTable:
         Chunks are charged in ascending order: when the budget runs out at
         some chunk, those before it materialize and its charge raises.
         """
-        cids = np.unique(keys // self.chunk_rows)
+        cids = keys // self.chunk_rows
         cids = cids[self._chunks.take(self._chunks.searchsorted(cids)) != cids]
         refused = None
         if len(cids):
+            cids = np.unique(cids)  # only when some chunk is new
             first = cids * self.chunk_rows
             sizes = (np.minimum(first + self.chunk_rows, self.num_rows)
                      - first) * self._row_nbytes
@@ -612,17 +635,22 @@ class ChunkedArray:
             return items[rows]
         return items[rows].view(self._row_type)
 
-    def take(self, keys, axis: int = 0) -> np.ndarray:
-        if axis != 0:
-            raise ValueError(f"take of {self.label} supports axis=0 only")
-        table = self.table
-        keys = table._keys(keys)
-        rows = table._rows(keys)
+    def read_rows(self, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The contents of the valid ``keys`` from their translated ``rows``:
+        :meth:`gather`, with ``fill_fn(keys)`` where a row is the fill
+        record."""
         out = self.gather(rows)
+        table = self.table
         if self.fill_fn is not None and keys.size and table._on_fill_record(rows):
             unwritten = rows < table._fill_end
             out[unwritten] = self._fill(keys[unwritten])
         return out
+
+    def take(self, keys, axis: int = 0) -> np.ndarray:
+        if axis != 0:
+            raise ValueError(f"take of {self.label} supports axis=0 only")
+        keys = self.table._keys(keys)
+        return self.read_rows(keys, self.table._rows(keys))
 
     def __getitem__(self, index):
         if not isinstance(index, (int, np.integer)):

@@ -59,17 +59,19 @@ class RelocationPS(ParameterServer):
         #: ``relocation_enabled=False`` degrades this PS to a classic PS
         #: (the paper uses exactly this configuration as its classic baseline).
         self.relocation_enabled = relocation_enabled
+        #: Sparse backend: the table of both ownership columns, translated
+        #: once per batch for both (:meth:`ownership_at`); ``None`` on dense.
+        self._ownership = None
         if store.backend == "sparse":
-            # Chunked owner state: untouched chunks read as the static
+            # Chunked owner state: keys without a record read as the static
             # partition (evaluated key-wise, never stored) and as
             # "already arrived" — exactly the dense initial state — so the
             # resident footprint tracks the keys that actually relocated: a
-            # chunk materializes with the owner fill written into each of its
-            # records, so a relocated key's whole chunk is resident.
+            # relocated key gets a record, the owner fill written into it.
             # The fill is the range formula, not the live map: a transition
             # moves copies through ``_rehome``, never through the fill.
-            table = ChunkedTable(store.num_keys, store.storage.chunk_rows,
-                                 label="relocation")
+            table = self._ownership = ChunkedTable(
+                store.num_keys, store.storage.chunk_rows, label="relocation")
             #: Current owner node of every key; starts at the static partition.
             self.current_owner = table.column(
                 "current_owner", np.int64,
@@ -120,15 +122,25 @@ class RelocationPS(ParameterServer):
         # Within one call only the first occurrence of a key relocates (the
         # second finds the key already owned by this node), and keys that are
         # already local are free.
+        index, owners, _ = self.ownership_at(keys)
+        if self._ownership is not None:
+            # The keys that move get records first: their rows, distinct
+            # per key from then on, stand for them below.
+            index = self._ownership.claim(keys, index, owners != node_id)
         seen = set()
         moving = []
-        owners = self.current_owner.take(keys).tolist()
-        for key, owner in zip(keys.tolist(), owners):
-            if owner != node_id and key not in seen:
-                seen.add(key)
-                moving.append(key)
-        if not moving:
-            return
+        for at, owner in zip(index.tolist(), owners.tolist()):
+            if owner != node_id and at not in seen:
+                seen.add(at)
+                moving.append(at)
+        if moving:
+            self._relocate(node_id, moving, worker_clock, sampling)
+
+    def _relocate(self, node_id: int, moving: list,
+                  worker_clock: float | None, sampling: bool) -> None:
+        """Move the distinct keys at ``moving`` (their ownership index, with
+        records), none of them owned by ``node_id``, there in order (see
+        :meth:`_relocate_batch`)."""
         n = len(moving)
         background = self.cluster.node(node_id).background_clock
         relocation_latency = self._relocation_latency
@@ -150,9 +162,8 @@ class RelocationPS(ParameterServer):
             arrivals.append(start + effective)
             start = start + occupancy
         background.advance_to(start)
-        moving = np.asarray(moving, dtype=np.int64)
-        self.current_owner[moving] = node_id
-        self.arrival_time[moving] = arrivals
+        self._set_ownership(np.asarray(moving, dtype=np.int64), node_id,
+                            arrivals)
         self.metrics.increment("relocation.count", n, node=node_id)
         if sampling:
             self.metrics.increment("relocation.sampling", n, node=node_id)
@@ -160,6 +171,37 @@ class RelocationPS(ParameterServer):
         self.metrics.increment(
             "network.bytes", n * self._cached_value_bytes, node=node_id
         )
+
+    # ------------------------------------------------------------- ownership
+    def ownership_at(self, keys: np.ndarray) -> tuple:
+        """``(index, owners, arrival)``: the current owners of ``keys``, and
+        ``arrival[index]`` their arrival times.
+
+        Dense: the keys, a gather and the array. Sparse: the table's rows —
+        one translation for both columns — the owners read from them (a row
+        on the fill record reads ``fill_fn(keys)``, the static partition)
+        and the arrival column's field view, current until the table next
+        gives a key a record. Keys outside the key space raise
+        ``IndexError`` on both. Writes go through the index
+        (:meth:`_set_ownership`) once the written keys have records
+        (``ChunkedTable.claim``).
+        """
+        table = self._ownership
+        if table is None:
+            return keys, self.current_owner.take(keys), self.arrival_time
+        rows = table.rows(keys)
+        return (rows, self.current_owner.read_rows(keys, rows),
+                self.arrival_time.pool)
+
+    def _set_ownership(self, index: np.ndarray, owners, arrivals) -> None:
+        """Write ``owners`` and ``arrivals`` at ``index``: keys (dense) or
+        the rows of keys with records (sparse)."""
+        if self._ownership is None:
+            owner, arrival = self.current_owner, self.arrival_time
+        else:  # the field views, current once the keys have records
+            owner, arrival = self.current_owner.pool, self.arrival_time.pool
+        owner[index] = owners
+        arrival[index] = arrivals
 
     # ------------------------------------------------------------- inspection
     def is_local(self, node_id: int, key: int) -> bool:
@@ -197,8 +239,10 @@ class RelocationPS(ParameterServer):
         """
         if len(keys):
             nodes = np.asarray(list(nodes), dtype=np.int64)
-            self.current_owner[keys] = nodes[np.arange(len(keys)) % len(nodes)]
-            self.arrival_time[keys] = float(available_at)
+            index = keys if self._ownership is None \
+                else self._ownership.writable_rows(keys)
+            self._set_ownership(index, nodes[np.arange(len(keys)) % len(nodes)],
+                                float(available_at))
 
 
 def access_labels(names) -> tuple:
@@ -251,14 +295,13 @@ class RelocationPointCharger(ChunkValues):
         """
         ps = self.ps
         node_id = worker.node_id
-        owners = ps.current_owner.take(keys)
+        index, owners, arrival = ps.ownership_at(keys)
         # Per position: True local, False remote, None replicated.
         codes = (owners == node_id).tolist()
         if replicated is not None:
             for at in np.flatnonzero(replicated).tolist():
                 codes[at] = None
-        arrivals = ps.arrival_time.take(keys).tolist() if True in codes \
-            else None
+        arrivals = arrival[index].tolist() if True in codes else None
         owners_l = homes = None
         cost_two = cost_three = 0.0
         if False in codes:

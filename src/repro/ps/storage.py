@@ -215,10 +215,11 @@ class ParameterStore:
         translation for both columns — and the pool's field views, current
         until the store next materializes a chunk. ``writable`` (``True``,
         or a boolean mask over ``keys``) gives the keys it selects a record
-        first, so that writes through their rows land; an unwritten key's
-        row is the shared fill record, for reading only. Read rows through
-        ``arrays.gather`` where it is set (a field view is fancy-indexed,
-        never passed to ``take``; see
+        first, so that writes through their rows land (the batch is
+        translated again only after a selected key got one); an unwritten
+        key's row is the shared fill record, for reading only. Read rows
+        through ``arrays.gather`` where it is set (a field view is
+        fancy-indexed, never passed to ``take``; see
         :meth:`~repro.ps.chunks.ChunkedArray.gather`), else through
         ``arrays.values.take(rows, axis=0)``.
         """
@@ -229,9 +230,9 @@ class ParameterStore:
         if writable is True:
             rows = table.writable_rows(keys)
         else:
-            if writable is not False and writable.any():
-                table.writable_rows(keys[writable])
             rows = table.rows(keys)
+            if writable is not False:
+                rows = table.claim(keys, rows, writable)
         return rows, SimpleNamespace(values=self._values.pool,
                                      versions=self._versions.pool,
                                      gather=self._values.gather)

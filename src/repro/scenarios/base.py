@@ -390,13 +390,27 @@ class ScenarioRuntime:
     def logical_store(self, store):
         """A logical-key view of ``store`` for evaluation.
 
-        Identity mapping: the store itself. After drifts: a read-only copy
-        whose row ``k`` holds the value of logical key ``k``.
+        Identity mapping: the store itself. After drifts: a read-only
+        :class:`LogicalStoreView` whose key ``k`` reads the value of logical
+        key ``k``, gathered from the store on each ``get`` (no copy of the
+        key space).
         """
         if self.remapper is None or self.remapper.is_identity:
             return store
-        from repro.ps.storage import ParameterStore
+        return LogicalStoreView(store, self.remapper.physical_index)
 
-        view = ParameterStore(store.num_keys, store.value_length)
-        view.values[...] = store.get(self.remapper.physical_index)
-        return view
+
+class LogicalStoreView:
+    """What evaluation reads of a store after drifts: ``get(keys)`` returns
+    the values of logical ``keys`` from their physical rows, with the
+    store's own range check. Reads the live store and mapping: use it at
+    once, not across training."""
+
+    def __init__(self, store, physical_index: np.ndarray) -> None:
+        self._store = store
+        self._physical = physical_index
+        self.num_keys = store.num_keys
+        self.value_length = store.value_length
+
+    def get(self, keys) -> np.ndarray:
+        return self._store.get(self._physical[self._store.check_keys(keys)])

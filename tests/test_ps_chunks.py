@@ -7,6 +7,7 @@ result, because bit-identity with the dense backend is the contract.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ps.chunks import (
     DEFAULT_CHUNK_ROWS,
@@ -460,6 +461,88 @@ def test_table_matches_one_ndarray_per_column(chunk_rows, num_columns):
             _exact(column.take(everything), reference)
             assert column.nbytes == table.resident_rows * reference[0].nbytes
     assert table.materialized_chunks > 0
+
+
+class _ReferenceIndex:
+    """The index a table must hold, kept the plain way: ``np.insert`` per
+    first write, a re-sort per relabel."""
+
+    def __init__(self, num_rows: int) -> None:
+        self.num_rows = num_rows
+        self.written = np.array([num_rows], dtype=np.int64)
+        self.slot = np.zeros(1, dtype=np.int64)
+        self.used = 1
+
+    def rows(self, keys: np.ndarray) -> list:
+        slot_of = dict(zip(self.written[:-1].tolist(), self.slot.tolist()))
+        return [slot_of.get(key, 0) for key in keys.tolist()]
+
+    def write(self, keys: np.ndarray) -> None:
+        fresh = np.setdiff1d(keys, self.written[:-1])
+        at = self.written.searchsorted(fresh)
+        self.slot = np.insert(self.slot, at, np.arange(
+            self.used, self.used + len(fresh), dtype=np.int64))
+        self.written = np.insert(self.written, at, fresh)
+        self.used += len(fresh)
+
+    def relabel(self, new_key_of: np.ndarray) -> None:
+        moved = dict(zip(new_key_of[self.written[:-1]].tolist(),
+                         self.slot[:-1].tolist()))
+        keys = sorted(moved)
+        self.written = np.array(keys + [self.num_rows], dtype=np.int64)
+        self.slot = np.array([moved[key] for key in keys] + [0],
+                             dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_first_writes_merge_into_the_index_like_np_insert(data):
+    """Reads, first writes (whole batches and selected keys of a batch)
+    and relabels, interleaved: the table's index equals one kept with
+    ``np.insert``, and its contents a dense array's. Keys 0 and
+    ``num_rows - 1`` (next to the sentinel) and repeated keys within one
+    batch come up often."""
+    num_rows = data.draw(st.sampled_from([1, 2, 5, 50]), label="num_rows")
+    chunk_rows = data.draw(st.sampled_from([1, 3, 16, 64]), label="chunk_rows")
+    table = ChunkedTable(num_rows, chunk_rows, label="t")
+    column = table.column("v", np.int64)
+    dense = np.zeros(num_rows, dtype=np.int64)
+    reference = _ReferenceIndex(num_rows)
+    edges = sorted({0, 1, num_rows - 2, num_rows - 1} & set(range(num_rows)))
+    key = st.sampled_from(edges) | st.integers(0, num_rows - 1)
+    batches = st.lists(key, max_size=10).map(
+        lambda keys: np.array(keys + keys[::2], dtype=np.int64))
+    everything = np.arange(num_rows)
+    for step in range(data.draw(st.integers(1, 12), label="steps")):
+        op = data.draw(st.sampled_from(["read", "set", "claim", "relabel"]))
+        if op == "relabel":
+            new_key_of = np.asarray(data.draw(st.permutations(range(num_rows))),
+                                    dtype=np.int64)
+            table.relabel(new_key_of)
+            reference.relabel(new_key_of)
+            moved = np.empty_like(dense)
+            moved[new_key_of] = dense
+            dense = moved
+            continue
+        keys = data.draw(batches)
+        if op == "read":
+            assert table.rows(keys).tolist() == reference.rows(keys)
+        elif op == "set":  # fancy set: the last of repeated keys wins
+            column[keys] = keys * 10 + step
+            reference.write(keys)
+            dense[keys] = keys * 10 + step
+        else:
+            select = np.array(data.draw(st.lists(
+                st.booleans(), min_size=len(keys), max_size=len(keys))),
+                dtype=bool)
+            rows = table.claim(keys, table.rows(keys), select)
+            reference.write(keys[select])
+            assert rows.tolist() == reference.rows(keys)
+            column.pool[rows[select]] = -keys[select]
+            dense[keys[select]] = -keys[select]
+        assert table._written.tolist() == reference.written.tolist()
+        assert table._slot.tolist() == reference.slot.tolist()
+        _exact(column.take(everything), dense)
 
 
 class TestTable:

@@ -11,6 +11,8 @@ from repro.core.sampling.distributions import (
     CategoricalDistribution,
     UniformDistribution,
 )
+from repro.ps.chunks import StorageConfig
+from repro.ps.classic import ClassicPS
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
 from repro.ps.rounds import point_calls
@@ -30,6 +32,7 @@ from repro.scenarios import (
     WorkerChurn,
     make_scenario,
 )
+from repro.scenarios.base import ScenarioRuntime
 from repro.scenarios.presets import SCENARIO_NAMES
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.network import NetworkSchedule, NetworkStage
@@ -457,6 +460,48 @@ class TestScenarioExperiments:
         drifted = run_kge(scenario=scenario, system="classic", epochs=2)
         baseline = run_kge(scenario=None, system="classic", epochs=2)
         assert drifted.qualities() == baseline.qualities()
+
+    def test_evaluation_after_a_drift_copies_no_key_space(self):
+        """Evaluation after a drift read a dense full-size copy of the store
+        (76 MiB peak on a 10^6-key sparse store). The logical view gathers
+        what is read: the bytes of the store's physical rows, nothing more."""
+        import tracemalloc
+
+        num_keys = 10**6
+        store = ParameterStore(num_keys, 8,
+                               storage=StorageConfig(backend="sparse"))
+        written = np.arange(0, num_keys, 997)
+        store.add(written, np.arange(len(written) * 8, dtype=np.float32)
+                  .reshape(-1, 8))
+        cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=1))
+
+        class _Task:
+            def num_keys(self):
+                return num_keys
+
+            def key_groups(self):
+                return [(0, num_keys)]
+
+        runtime = ScenarioRuntime(Scenario("d", [HotSetDrift()]), _Task(),
+                                  ClassicPS(store, cluster), cluster,
+                                  small_config())
+        runtime.apply_drift(0.5, oracle_remanage=False)
+        # The written keys' values moved with their logical keys.
+        logical = np.concatenate([written[:50], np.arange(0, num_keys, 4999)])
+        tracemalloc.start()
+        try:
+            view = runtime.logical_store(store)
+            values = view.get(logical)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        expected = store.get(runtime.remapper.physical_index[logical])
+        assert values.tobytes() == expected.tobytes()
+        assert values[:50].any()
+        assert (view.num_keys, view.value_length) == (num_keys, 8)
+        with pytest.raises(KeyError):
+            view.get([num_keys])
 
     def test_cannot_pause_last_worker(self):
         task = make_task("kge", scale="test")

@@ -18,14 +18,20 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.management import ManagementPlan
+from repro.core.nups import NuPS, _NuPSPointCharger
+from repro.core.sampling.distributions import UniformDistribution
+from repro.core.sampling.manager import SamplingConfig
+from repro.core.sampling.schemes import SchemeConfig
 from repro.ps.chunks import ChunkedTable, MemoryBudgetExceeded, StorageConfig
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import ExperimentResult, run_experiment
 from repro.runner.systems import make_ps_factory
 from repro.runner.workloads import make_task
 from repro.scenarios import make_scenario
-from repro.simulation.cluster import ClusterConfig
+from repro.simulation.cluster import Cluster, ClusterConfig
 
 
 SPARSE = StorageConfig(backend="sparse", chunk_rows=64)
@@ -455,3 +461,95 @@ def test_permute_relabels_a_sparse_store_like_a_dense_one():
     # Chunks {0, 1} held the keys, {2, 3} after the first permutation.
     assert sparse.materialized_chunks() == 4
     assert sparse.nbytes() == 4 * 3 * 16
+
+
+# --------------------------------------------------------------------------
+# Relocation ownership: the sparse table against the dense arrays.
+# --------------------------------------------------------------------------
+
+OWNERSHIP_KEYS = 300
+
+
+def _drive_ownership(backend: str):
+    """One NuPS per backend through ``localize``, ``localize_async``,
+    pool-reuse ``prepare`` (which re-localizes what moved away), the fold
+    and ``_rehome``, on batches with repeated, already-local, replicated
+    and never-written keys."""
+    cluster = Cluster(ClusterConfig(num_nodes=3, workers_per_node=2))
+    store = ParameterStore(OWNERSHIP_KEYS, 4, storage=StorageConfig(
+        backend=backend, chunk_rows=16))
+    ps = NuPS(store, cluster,
+              plan=ManagementPlan(OWNERSHIP_KEYS, np.array([7, 8, 9])),
+              sampling_config=SamplingConfig(scheme_config=SchemeConfig(
+                  pool_size=12, use_frequency=2)),
+              sync_interval=1e-4, seed=5)
+    distribution = ps.register_distribution(UniformDistribution(0, 200),
+                                            "bounded")
+    rng = np.random.default_rng(17)
+    home = ps.partitioner.range_owners(np.arange(OWNERSHIP_KEYS))
+    for step in range(30):
+        worker = cluster.worker(step % 3, step // 3 % 2)
+        node = worker.node_id
+        keys = rng.integers(0, 150, size=int(rng.integers(1, 12)))
+        keys = np.concatenate([
+            keys, keys[:3],                                 # repeated
+            rng.choice(np.flatnonzero(home == node), 2),    # local at home
+            [7, 250 + step % 50],               # replicated, not written yet
+        ]).astype(np.int64)
+        ps.localize(worker, keys)
+        ps.localize_async((node + 1) % 3, keys[::-1])
+        ps.prepare_sample(worker, distribution, int(rng.integers(1, 20)))
+        charger = ps.direct_point_charger()
+        charger.charge_chunk(worker, keys,
+                             point_calls([len(keys)], [0], [1e-6]))
+        charger.finish()
+        if step == 20:
+            ps._rehome(ps.keys_owned_by(2), [0, 1], cluster.time + 1e-3)
+    return ps, cluster
+
+
+def test_relocation_ownership_is_bit_identical_on_both_backends():
+    """Owners, arrivals, every clock and every metric agree, and the sparse
+    table holds records for exactly the keys that moved."""
+    (dense, dense_cluster), (sparse, sparse_cluster) = (
+        _drive_ownership("dense"), _drive_ownership("sparse"))
+    every = np.arange(OWNERSHIP_KEYS)
+    np.testing.assert_array_equal(dense.current_owner,
+                                  sparse.current_owner.take(every))
+    np.testing.assert_array_equal(dense.arrival_time,
+                                  sparse.arrival_time.take(every))
+    clocks = [
+        [(node.background_clock.now, node.server_clock.now)
+         for node in cluster.nodes]
+        + [worker.clock.now for worker in cluster.workers()]
+        for cluster in (dense_cluster, sparse_cluster)]
+    assert clocks[0] == clocks[1]
+    assert dense_cluster.metrics.counters() == sparse_cluster.metrics.counters()
+    assert dense_cluster.metrics.get("relocation.sampling") > 0
+    moved = np.flatnonzero(dense.arrival_time > 0)
+    assert sparse._ownership._written[:-1].tolist() == moved.tolist()
+    assert 0 < len(moved) < OWNERSHIP_KEYS
+
+
+def test_sparse_nups_translates_a_batch_once_per_key_space(monkeypatch):
+    """Per charged chunk: one translation each for the localize hint, the
+    sample re-localization, the fold (owners and arrivals), the store rows
+    and the replica slots — plus the re-translations after first writes.
+    Translating once per column read 10.6 per chunk here."""
+    translations = []
+    rows = ChunkedTable._rows
+    monkeypatch.setattr(
+        ChunkedTable, "_rows",
+        lambda table, keys: translations.append(table) or rows(table, keys))
+    chunks = []
+    charge_chunk = _NuPSPointCharger.charge_chunk
+    monkeypatch.setattr(
+        _NuPSPointCharger, "charge_chunk",
+        lambda charger, *args: chunks.append(1) or charge_chunk(charger, *args))
+    config = ExperimentConfig(
+        cluster=ClusterConfig(num_nodes=2, workers_per_node=2), epochs=1,
+        chunk_size=8, seed=5, storage=SPARSE_RUN)
+    run_experiment(make_task("kge", scale="test"), make_ps_factory("nups"),
+                   config)
+    assert len(chunks) > 50
+    assert len(translations) <= 5 * len(chunks)
