@@ -261,20 +261,6 @@ class NuPS(RelocationPS, SamplingHost):
         return self.plan.replicated_mask(keys) \
             | (self.ownership_at(keys)[1] == node_id)
 
-    def localize_missing(self, node_id: int, keys: np.ndarray) -> None:
-        """:meth:`localize_async` of the keys not local to ``node_id``, from
-        the one ownership lookup that finds them: none is replicated or
-        owned there, so the first occurrence of each moves."""
-        keys = np.asarray(keys, dtype=np.int64)
-        index, owners, _ = self.ownership_at(keys)
-        away = ~(self.plan.replicated_mask(keys) | (owners == node_id))
-        if self._ownership is not None:
-            index = self._ownership.claim(keys, index, away)
-        moved = index[away].tolist()
-        if moved:
-            self._relocate(node_id, list(dict.fromkeys(moved)), None,
-                           sampling=True)
-
     def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
                   sampling: bool = True) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)

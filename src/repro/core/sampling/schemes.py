@@ -52,11 +52,6 @@ class SamplingHost(ABC):
         )
 
     @abstractmethod
-    def localize_missing(self, node_id: int, keys: np.ndarray) -> None:
-        """:meth:`localize_async` the keys of ``keys`` not local to
-        ``node_id``."""
-
-    @abstractmethod
     def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
                   sampling: bool = True) -> np.ndarray:
         """Pull values for ``keys``, charging costs to ``worker``."""
@@ -233,8 +228,9 @@ class PoolSampleReuseScheme(SamplingScheme):
         state = self._state(worker.node_id)
         self._ensure_prepared(worker.node_id, state, count)
         keys = state.take(count)
-        # Re-localize keys that have been relocated away since pool preparation.
-        self.host.localize_missing(worker.node_id, keys)
+        # Re-localize keys that have been relocated away since pool
+        # preparation; ``localize_async`` leaves the local ones where they are.
+        self.host.localize_async(worker.node_id, keys)
         return SampleHandle(distribution_id, keys)
 
     def housekeeping(self, node_id: int, now: float) -> None:

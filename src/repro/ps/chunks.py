@@ -320,8 +320,8 @@ class ChunkedTable:
     def claim(self, keys: np.ndarray, rows: np.ndarray,
               select=None) -> np.ndarray:
         """``rows`` (the :meth:`rows` of the valid ``keys``) once the keys
-        ``select`` picks (a mask or positions; all without one) have records
-        of their own: the selected keys on the fill record get one, and the
+        the boolean mask ``select`` picks (all without one) have records of
+        their own: the selected keys on the fill record get one, and the
         batch is translated again only after such a write."""
         picked = rows if select is None else rows[select]
         if picked.size and self._on_fill_record(picked):
@@ -366,9 +366,6 @@ class ChunkedTable:
         """Pool rows of (valid) ``keys``; unwritten ones hit the fill record."""
         if not self._fill_end:
             return keys
-        if len(self._written) > self.num_rows:
-            # Every key written: the index is 0 .. num_rows - 1 in order.
-            return self._slot.take(keys)
         at = self._written.searchsorted(keys)
         return np.where(self._written.take(at) == keys, self._slot.take(at), 0)
 
@@ -457,10 +454,11 @@ class ChunkedTable:
         some chunk, those before it materialize and its charge raises.
         """
         cids = keys // self.chunk_rows
+        if len(cids) > 1:  # a single key is distinct already
+            cids = np.unique(cids)
         cids = cids[self._chunks.take(self._chunks.searchsorted(cids)) != cids]
         refused = None
         if len(cids):
-            cids = np.unique(cids)  # only when some chunk is new
             first = cids * self.chunk_rows
             sizes = (np.minimum(first + self.chunk_rows, self.num_rows)
                      - first) * self._row_nbytes

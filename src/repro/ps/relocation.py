@@ -123,24 +123,14 @@ class RelocationPS(ParameterServer):
         # second finds the key already owned by this node), and keys that are
         # already local are free.
         index, owners, _ = self.ownership_at(keys)
+        away = owners != node_id
         if self._ownership is not None:
             # The keys that move get records first: their rows, distinct
             # per key from then on, stand for them below.
-            index = self._ownership.claim(keys, index, owners != node_id)
-        seen = set()
-        moving = []
-        for at, owner in zip(index.tolist(), owners.tolist()):
-            if owner != node_id and at not in seen:
-                seen.add(at)
-                moving.append(at)
-        if moving:
-            self._relocate(node_id, moving, worker_clock, sampling)
-
-    def _relocate(self, node_id: int, moving: list,
-                  worker_clock: float | None, sampling: bool) -> None:
-        """Move the distinct keys at ``moving`` (their ownership index, with
-        records), none of them owned by ``node_id``, there in order (see
-        :meth:`_relocate_batch`)."""
+            index = self._ownership.claim(keys, index, away)
+        moving = list(dict.fromkeys(index[away].tolist()))
+        if not moving:
+            return
         n = len(moving)
         background = self.cluster.node(node_id).background_clock
         relocation_latency = self._relocation_latency
