@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.management import ManagementPlan
 from repro.simulation.cluster import Cluster
 from repro.simulation.events import PeriodicSchedule
-from repro.ps.chunks import ChunkedVector
 from repro.ps.storage import ParameterStore, scatter_add_rows
 
 
@@ -55,24 +54,20 @@ class ReplicaManager:
         self.replicated_keys = plan.replicated_keys
         self.num_replicated = len(self.replicated_keys)
         # Map absolute key -> slot in the dense replica arrays (-1 if not
-        # replicated). The replica arrays themselves are already slot-indexed
-        # (num_replicated rows); only this lookup used to be a full
-        # num_keys-length table. With no replicated keys it is skipped
-        # entirely, and on the sparse backend it is chunked so only chunks
-        # containing replicated keys materialize.
-        if self.num_replicated == 0:
-            self._slot_of_key = None
-        elif store.backend == "sparse":
-            self._slot_of_key = ChunkedVector(
-                store.num_keys, np.int64, -1, None,
-                store.storage.chunk_rows, None, "replica_manager.slot_of_key"
-            )
+        # replicated): a column on the store's backend, so on the sparse one
+        # only the replicated keys get records. The replica arrays
+        # themselves are slot-indexed (num_replicated rows). With no
+        # replicated keys the lookup is skipped entirely. The manager holds
+        # the table: its column refers to it weakly.
+        self._slot_table = self._slot_of_key = None
+        if self.num_replicated:
+            self._slot_table = store.storage.table(store.num_keys,
+                                                   label="replica_manager")
+            self._slot_of_key = self._slot_table.column(
+                "slot_of_key", np.int64, fill_value=-1)
             self._slot_of_key[self.replicated_keys] = np.arange(
                 self.num_replicated, dtype=np.int64
             )
-        else:
-            self._slot_of_key = np.full(store.num_keys, -1, dtype=np.int64)
-            self._slot_of_key[self.replicated_keys] = np.arange(self.num_replicated)
 
         # Per-node replica values and not-yet-synchronized update buffers.
         initial = store.get(self.replicated_keys) if self.num_replicated else \
@@ -130,7 +125,7 @@ class ReplicaManager:
 
     def nbytes(self) -> int:
         """Resident bytes of the slot table, replicas, buffers and dirty masks."""
-        total = 0 if self._slot_of_key is None else int(self._slot_of_key.nbytes)
+        total = 0 if self._slot_table is None else self._slot_table.nbytes
         for node_id in self._replicas:
             total += int(self._replicas[node_id].nbytes)
             total += int(self._buffers[node_id].nbytes)

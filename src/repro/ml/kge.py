@@ -446,8 +446,7 @@ class KGETask(TrainingTask):
         if self.graph.num_test == 0:
             return {"mrr_filtered": 0.0, "hits_at_10": 0.0}
         dim2 = 2 * self.dim
-        # One gather of every key: ``store.values`` would densify a sparse
-        # store for good.
+        # One gather of every key.
         weights = store.get(np.arange(self.num_keys()))[:, :dim2]
         entity_w = weights[: self.graph.num_entities]
         # The entity matrix is shared by every ranking query of this

@@ -1,55 +1,53 @@
-"""Chunked sparse state containers with explicit memory budgets.
+"""Key-space containers with explicit memory budgets.
 
-The dense backend allocates ``num_keys``-length arrays per structure (the
-replication architectures *per node*), which caps scale sweeps at a few
-million keys. Here a key space costs what is written into it: a key gets a
-record on its first *write*, and reads of keys without one return the fill
-value (zeros for values and update buffers, ``-1`` for slot tables, the
-static partition for owner maps) without allocating anything.
+Every per-key structure of the parameter servers — the store's values and
+versions, relocation's owners and arrival times, a replication node's
+replica and update buffer, NuPS's replica slots — is a column
+(:class:`ChunkedArray`) of one key space (:class:`ChunkedTable`), on both
+storage backends:
 
-A key space (:class:`ChunkedTable`) is **a sorted index of its written
-keys** over **one compact pool** that holds one aligned structured record
-per written key, with one field per column; a column (:class:`ChunkedArray`;
-a standalone ``ChunkedVector``/``ChunkedMatrix`` is a one-column table) is
-the view of its field::
+* **dense** (``ChunkedTable(dense=True)``): one contiguous array per column,
+  keys are rows. The speed path and the bit-identity oracle.
+* **sparse**: a key costs what is written into it. A key gets a record on
+  its first *write*, and reads of keys without one return the fill value
+  (zeros for values and update buffers, ``-1`` for slot tables, the static
+  partition for owner maps) without allocating anything.
+
+A sparse table is **a sorted index of its written keys** over **one compact
+pool** that holds one aligned structured record per written key, with one
+field per column; a column is the view of its field::
 
     key k --> position of k in the sorted written keys --> pool record
               (not written: the shared fill record, pool row 0)
 
 Every unwritten key maps onto the *fill record*, which is never written, so
-a read needs no branch: one vectorised ``searchsorted`` translates a key
-batch to pool rows — once per batch, whatever the number of columns touched
-— and the ordinary dense operation (fancy get and set, ``np.add.at``) then
-runs on a field view. The whole batch hits one array in batch order, so the
-result is bit-identical to the dense backend because it *is* the same NumPy
-call. The columns duck-type the slice of the :class:`numpy.ndarray` API the
-parameter-server hot paths use, so the servers run unchanged on either.
-Callers that address the same keys many times (a charged chunk's value
-pass) translate once and keep the rows.
-
-A field view is strided, and ``ndarray.take`` copies a non-contiguous array
-whole before it gathers: gathers from a pool go through fancy indexing
-(:meth:`ChunkedArray.gather`), never ``take``.
+a read needs no branch. Callers translate a key batch to rows once —
+whatever the number of columns they touch (:meth:`ChunkedTable.rows`, one
+vectorised ``searchsorted``; on a dense table the keys themselves) — and run
+the ordinary NumPy operation (fancy get and set, ``np.add.at``) on
+``column.pool``; the result is the dense backend's because it *is* the same
+NumPy call. A field view is strided, and ``ndarray.take`` copies a
+non-contiguous array whole before it gathers: gathers go through
+:meth:`ChunkedArray.gather`, never ``take`` on a pool.
 
 **Chunks are the unit of accounting.** Keys fall into fixed-size chunks of
 ``chunk_rows`` keys, and the first write into a chunk *materializes* it: the
 chunk is charged once against an optional :class:`MemoryBudget`, at ``rows
 x (sum of the columns' row bytes)``, *before* anything is recorded (over
-budget raises :class:`MemoryBudgetExceeded` with an actionable message).
-``materialized_chunks`` and ``nbytes`` count those chunks, whatever the
-number of records written into them. Residency is finer: a key space costs
-its index (16 bytes per written key) plus one record per written key — a
-scattered key makes its record resident, not a page of its own, since
-records are appended to the pool in order of first write. The pool is an
-anonymous mapping whose capacity covers every charged row; spare capacity is
-zeroed, untouched and not resident, and the pool moves (and ``column.pool``
-becomes a new array) only when a chunk is charged. A column with a non-zero
-fill writes it into each fresh record.
+budget raises :class:`MemoryBudgetExceeded` with an actionable message); a
+dense table charges every column whole when it is added.
+``materialized_chunks`` and ``nbytes`` count those chunks. Residency is
+finer: a sparse key space costs its index (16 bytes per written key) plus
+one record per written key, appended to the pool in order of first write.
+The pool is an anonymous mapping whose capacity covers every charged row;
+spare capacity is zeroed, untouched and not resident, and the pool moves
+(and ``column.pool`` becomes a new array) only when a chunk is charged.
 """
 
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -64,7 +62,6 @@ __all__ = [
     "ChunkedMatrix",
     "ChunkedVector",
     "StorageConfig",
-    "flatnonzero_equal",
 ]
 
 
@@ -74,7 +71,7 @@ __all__ = [
 DEFAULT_CHUNK_ROWS = 4096
 
 #: Rows per block when an operation walks the whole key space (key-wise fills
-#: of unwritten keys, densification): bounds the temporaries.
+#: of unwritten keys and of dense columns): bounds the temporaries.
 _SCAN_ROWS = 1 << 20
 
 
@@ -97,10 +94,12 @@ class MemoryBudget:
     One budget instance can be shared by several containers (e.g. a store's
     value and version chunks), so the limit covers their combined resident
     bytes. ``charge`` raises :class:`MemoryBudgetExceeded` *before* the
-    allocation happens.
+    allocation happens; its message names ``setting``, the field to raise
+    (e.g. ``StorageConfig.store_budget_bytes``).
     """
 
-    def __init__(self, limit_bytes: int, label: str = "storage") -> None:
+    def __init__(self, limit_bytes: int, label: str = "storage",
+                 setting: str = "the budget") -> None:
         limit_bytes = int(limit_bytes)
         if limit_bytes <= 0:
             raise ValueError(
@@ -109,6 +108,7 @@ class MemoryBudget:
             )
         self.limit_bytes = limit_bytes
         self.label = str(label)
+        self.setting = setting
         self.used_bytes = 0
 
     @property
@@ -122,9 +122,9 @@ class MemoryBudget:
                 f"materializing {what} ({_format_bytes(nbytes)}) would exceed "
                 f"the {_format_bytes(self.limit_bytes)} memory budget of "
                 f"{self.label} (used: {_format_bytes(self.used_bytes)}). "
-                "Raise the budget (StorageConfig budget bytes), reduce "
-                "chunk_rows so each touched key materializes less state, or "
-                "reduce the number of distinct keys touched"
+                f"Raise {self.setting}, reduce chunk_rows so each touched "
+                "key materializes less state, or reduce the number of "
+                "distinct keys touched"
             )
         self.used_bytes += nbytes
 
@@ -180,6 +180,12 @@ class StorageConfig:
                     "use None for unbounded storage"
                 )
 
+    def table(self, num_rows: int, budget: Optional[MemoryBudget] = None,
+              label: str = "table") -> "ChunkedTable":
+        """A key space of ``num_rows`` keys on this backend."""
+        return ChunkedTable(num_rows, self.chunk_rows, budget, label,
+                            dense=self.backend == "dense")
+
 
 #: The default configuration: the dense oracle backend.
 DENSE_STORAGE = StorageConfig()
@@ -210,14 +216,14 @@ class ChunkedTable:
     ``column.pool`` of every column. Keys outside ``[0, num_rows)`` raise
     :class:`IndexError`.
 
-    Densification replaces the pool by one contiguous array per column (what
-    :meth:`ChunkedArray.densify` returns); the table has no pool from then
-    on, and keys are rows.
+    A dense table (``dense=True``, or one that adopted a dense array through
+    :meth:`ChunkedArray.densify`) has no index and no pool: every column is
+    one contiguous array, keys are rows, and the same methods run on it.
     """
 
     def __init__(self, num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  budget: Optional[MemoryBudget] = None,
-                 label: str = "table") -> None:
+                 label: str = "table", dense: bool = False) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
         if chunk_rows <= 0:
@@ -231,17 +237,17 @@ class ChunkedTable:
         self.columns: list = []
         #: Bytes of one row across all columns (alignment padding excluded).
         self._row_nbytes = 0
-        #: Pool rows below this bound are the fill record. 0 once densified:
-        #: the columns' pools are then dense arrays, keys are rows.
-        self._fill_end = 1
+        #: Pool rows below this bound are the fill record. 0 on a dense
+        #: table: the columns' pools are then dense arrays, keys are rows.
+        self._fill_end = 0 if dense else 1
         #: The pool: the fill record, then one record per written key in
-        #: order of first write, then zeroed spare capacity. ``None`` once
-        #: densified.
+        #: order of first write, then zeroed spare capacity. ``None`` on a
+        #: dense table.
         self._pool: Optional[np.ndarray] = None
         #: The pool's record, and the same layout with every field an
         #: opaque byte string (a matrix column's gather view).
         self._record = self._opaque = None
-        self._used_rows = 1
+        self._used_rows = self.num_rows if dense else 1
         #: The written keys, ascending, and the pool row of each. Both end
         #: in a sentinel, key ``num_rows`` on the fill record, so a lookup
         #: needs no bounds check. A write merges the fresh keys into new
@@ -253,11 +259,12 @@ class ChunkedTable:
         #: ``num_chunks``.
         self._chunks = np.array([self.num_chunks], dtype=np.int64)
         #: Rows of the materialized chunks (what is charged and reported).
-        self.resident_rows = 0
+        self.resident_rows = self.num_rows if dense else 0
 
     def column(self, name: str, dtype, row_shape: Tuple[int, ...] = (),
                fill_value=0, fill_fn=None) -> "ChunkedArray":
-        """Add a column; only before the first chunk materializes."""
+        """Add a column; on a sparse table only before the first chunk
+        materializes."""
         return ChunkedArray(self, f"{self.label}.{name}", row_shape, dtype,
                             fill_value, fill_fn)
 
@@ -267,11 +274,26 @@ class ChunkedTable:
             return self.num_chunks
         return len(self._chunks) - 1
 
+    @property
+    def nbytes(self) -> int:
+        """Charged bytes of every column: the rows of the materialized
+        chunks."""
+        return self.resident_rows * self._row_nbytes
+
     # ------------------------------------------------------------------ layout
     def _add(self, column: "ChunkedArray") -> None:
-        """Give ``column`` a field: a new record and a fresh fill record."""
+        """Give ``column`` its storage: an array of its own on a dense table
+        (charged whole), else a field: a new record and a fresh fill
+        record."""
         self.columns.append(column)
         self._row_nbytes += column._row_nbytes
+        if not self._fill_end:
+            if self.budget is not None:
+                self.budget.charge(self.num_rows * column._row_nbytes,
+                                   f"dense {column.label}")
+            column.pool = column._full()
+            column._items = None
+            return
         # Widest alignment first: every field then sits at a multiple of its
         # own alignment, with padding only at the end of the record.
         order = sorted(range(len(self.columns)),
@@ -303,12 +325,14 @@ class ChunkedTable:
 
     # ------------------------------------------------------------- translation
     def rows(self, keys) -> np.ndarray:
-        """Validated pool rows of ``keys`` in every column's ``pool``.
+        """Validated pool rows of ``keys`` in every column's ``pool`` (on a
+        dense table, the keys).
 
         Unwritten keys land on the fill record, which holds a column's
         ``fill_value`` but not its ``fill_fn``. Rows of written keys stay
-        valid until the table is densified, a ``pool`` only until the table
-        next materializes a chunk.
+        valid, a ``pool`` only until the table next materializes a chunk.
+        Callers that range-checked ``keys`` already translate with
+        :meth:`_rows`.
         """
         return self._rows(self._keys(keys))
 
@@ -319,14 +343,17 @@ class ChunkedTable:
 
     def claim(self, keys: np.ndarray, rows: np.ndarray,
               select=None) -> np.ndarray:
-        """``rows`` (the :meth:`rows` of the valid ``keys``) once the keys
-        the boolean mask ``select`` picks (all without one) have records of
-        their own: the selected keys on the fill record get one, and the
-        batch is translated again only after such a write."""
+        """``rows`` (the :meth:`rows` of ``keys``) once the keys the boolean
+        mask ``select`` picks (all without one) have records of their own:
+        the selected keys on the fill record get one — range-checked first —
+        and the batch is translated again only after such a write. On a
+        dense table every key has its row already."""
+        if not self._fill_end:
+            return rows
         picked = rows if select is None else rows[select]
-        if picked.size and self._on_fill_record(picked):
+        if self._on_fill_record(picked):
             fresh = keys if select is None else keys[select]
-            self._write(np.unique(fresh[picked < self._fill_end]))
+            self._write(np.unique(self._keys(fresh[picked < self._fill_end])))
             rows = self._rows(keys)
         return rows
 
@@ -370,7 +397,9 @@ class ChunkedTable:
         return np.where(self._written.take(at) == keys, self._slot.take(at), 0)
 
     def _on_fill_record(self, rows: np.ndarray) -> bool:
-        """Whether any of the (non-empty) pool ``rows`` is the fill record."""
+        """Whether any of the pool ``rows`` is the fill record."""
+        if not (self._fill_end and rows.size):
+            return False
         lowest = min(rows.tolist()) if rows.size <= 64 else int(rows.min())
         return lowest < self._fill_end
 
@@ -427,9 +456,9 @@ class ChunkedTable:
 
         Records stay where they are in the pool: the index maps the written
         keys through the permutation, after charging the chunks they land
-        in first. A densified table permutes its arrays. Refused for a
-        column with a key-wise fill: an unwritten key would read the fill of
-        the key it moved from.
+        in first. A dense table replaces each column's array by its
+        permutation. Refused for a column with a key-wise fill: an unwritten
+        key would read the fill of the key it moved from.
         """
         if any(column.fill_fn is not None for column in self.columns):
             raise ValueError("cannot relabel a table with a key-wise fill")
@@ -437,7 +466,7 @@ class ChunkedTable:
             for column in self.columns:
                 moved = np.empty_like(column.pool)
                 moved[new_key_of] = column.pool
-                column.pool[...] = moved
+                column.pool = moved
             return
         keys = new_key_of[self._written[:-1]]
         order = np.argsort(keys)
@@ -496,18 +525,15 @@ class ChunkedTable:
         pool[:used] = self._pool[:used]
         self._bind(pool)
 
-    def _densify(self, column: "ChunkedArray", initial) -> None:
-        """Materialize everything in every column (budget charged): no index,
-        no fill record, one contiguous array per column instead of the pool.
-        ``initial`` becomes ``column``'s contents."""
+    def _densify(self, column: "ChunkedArray", initial: np.ndarray) -> None:
+        """Turn the fresh table dense (budget charged): no index, no fill
+        record, one contiguous array per column instead of the pool,
+        ``initial`` as ``column``'s."""
         if self.budget is not None:
-            how = "densified" if initial is None else "dense-initialized"
-            self.budget.charge((self.num_rows - self.resident_rows)
-                               * self._row_nbytes, f"{how} {self.label}")
-        pools = [initial if c is column and initial is not None
-                 else c._dense() for c in self.columns]
-        for c, pool in zip(self.columns, pools):
-            c.pool = pool
+            self.budget.charge(self.num_rows * self._row_nbytes,
+                               f"dense-initialized {self.label}")
+        for c in self.columns:
+            c.pool = initial if c is column else c._full()
             c._items = None
         self._pool = None
         self._fill_end = 0
@@ -519,7 +545,7 @@ class ChunkedTable:
         clone.budget = None
         clone.columns = [copy.copy(column) for column in self.columns]
         for twin in clone.columns:
-            twin.table = clone
+            twin.table = weakref.proxy(clone)
         if self._pool is not None:
             pool = _zeroed(self._pool.shape, self._record)
             pool[:self._used_rows] = self._pool[:self._used_rows]
@@ -546,20 +572,24 @@ class ChunkedArray:
     integer index into a multi-dimensional container returns a *view* of the
     row, like dense row indexing: live (writes go through) when the key is
     written, read-only (writes raise) when it is not — write through
-    ``container[k] = ...`` or ``add_at`` to give it a record. Views, and
-    blocks from :meth:`block`, stay attached until the table next
-    materializes a chunk (through any column) or is densified; do not hold
-    them across writes.
+    ``container[k] = ...`` or ``add_at`` to give it a record. Views stay
+    attached until the table next materializes a chunk (through any column);
+    do not hold them across writes. A column of a table nobody holds any
+    more raises :class:`ReferenceError`.
     """
 
     def __init__(self, table: ChunkedTable, label: str,
                  row_shape: Tuple[int, ...], dtype, fill_value=0,
                  fill_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
                  ) -> None:
-        if table.materialized_chunks:
+        if table._fill_end and table.materialized_chunks:
             raise ValueError(f"{table.label} has materialized chunks: "
                              f"column {label} comes too late")
-        self.table = table
+        #: The key space, referred to weakly: the table holds its columns,
+        #: and a strong reference back would make every table a reference
+        #: cycle that only the cyclic collector frees, arrays and all. Whoever
+        #: builds a table keeps it; a standalone container holds its own.
+        self.table = weakref.proxy(table)
         self.label = label
         self.num_rows = table.num_rows
         self.chunk_rows = table.chunk_rows
@@ -572,11 +602,12 @@ class ChunkedArray:
         self.fill_fn = fill_fn
         self._row_nbytes = self.dtype.itemsize * int(np.prod(self.row_shape))
         self._row_type = np.dtype((self.dtype, self.row_shape))
-        #: Indexed by the table's rows; a new array whenever the table grows:
-        #: the column's field of the pool, or its own array once densified.
+        #: Indexed by the table's rows; a new array whenever the table grows
+        #: or, dense, is relabelled: the column's field of the pool, or its
+        #: own array on a dense table.
         self.pool: np.ndarray
         #: What :meth:`gather` indexes: the field, as one opaque item per row
-        #: for a matrix; ``None`` once ``pool`` is contiguous.
+        #: for a matrix; ``None`` when ``pool`` is contiguous.
         self._items: Optional[np.ndarray]
         table._add(self)
 
@@ -604,26 +635,24 @@ class ChunkedArray:
         elif self.fill_value:
             self.pool[start:end] = self.fill_value
 
-    def _dense(self) -> np.ndarray:
-        """All ``num_rows`` rows in one array; a zero fill leaves every page
-        without a written key untouched."""
-        dense = _zeroed(self.shape, self.dtype)
+    def _full(self) -> np.ndarray:
+        """All ``num_rows`` rows holding the fill, in an array of their own
+        (zeroed on allocation: a zero fill writes nothing)."""
+        full = np.zeros(self.shape, self.dtype)
         if self.fill_fn is not None:
             for lo in range(0, self.num_rows, _SCAN_ROWS):
                 hi = min(lo + _SCAN_ROWS, self.num_rows)
-                dense[lo:hi] = self._fill(np.arange(lo, hi, dtype=np.int64))
+                full[lo:hi] = self._fill(np.arange(lo, hi, dtype=np.int64))
         elif self.fill_value:
-            dense[...] = self.fill_value
-        table = self.table
-        dense[table._written[:-1]] = self.gather(table._slot[:-1])
-        return dense
+            full[...] = self.fill_value
+        return full
 
     # ---------------------------------------------------------------- reading
     def gather(self, rows: np.ndarray) -> np.ndarray:
         """A contiguous copy of ``pool[rows]`` for translated ``rows``.
 
         ``ndarray.take`` copies a non-contiguous array whole before it
-        gathers, so it runs on a contiguous (densified) pool only; a field
+        gathers, so it runs on a contiguous (dense) pool only; a field
         view is fancy-indexed, a matrix's as one opaque item per row.
         """
         items = self._items
@@ -639,7 +668,7 @@ class ChunkedArray:
         record."""
         out = self.gather(rows)
         table = self.table
-        if self.fill_fn is not None and keys.size and table._on_fill_record(rows):
+        if self.fill_fn is not None and table._on_fill_record(rows):
             unwritten = rows < table._fill_end
             out[unwritten] = self._fill(keys[unwritten])
         return out
@@ -663,17 +692,6 @@ class ChunkedArray:
                 value.flags.writeable = False  # a view of the fill record
         return value
 
-    def block(self, lo: int, hi: int) -> np.ndarray | None:
-        """A zero-copy view of rows ``[lo, hi)``: ``None`` unless every key
-        of the range is written and their records are consecutive (any range
-        once densified)."""
-        rows = self.table._rows(np.arange(lo, hi, dtype=np.int64))
-        first = int(rows[0])
-        if first < self.table._fill_end or int(rows[-1]) - first != hi - lo - 1 \
-                or (hi - lo > 1 and not (np.diff(rows) == 1).all()):
-            return None
-        return self.pool[first:first + hi - lo]
-
     # ---------------------------------------------------------------- writing
     def __setitem__(self, index, value) -> None:
         # Rows first: materializing moves the pool to a new allocation.
@@ -695,7 +713,7 @@ class ChunkedArray:
 
     # ------------------------------------------------------------- predicates
     def _written_rows(self) -> np.ndarray:
-        """The records of the written keys (every row once densified)."""
+        """The records of the written keys (every row on a dense table)."""
         return self.pool[self.table._fill_end:self.table._used_rows]
 
     def _unwritten_count(self) -> int:
@@ -742,16 +760,25 @@ class ChunkedArray:
     # ----------------------------------------------------------------- lifecycle
     def copy(self) -> "ChunkedArray":
         """This column of an independent clone of the table
-        (:meth:`ChunkedTable.copy`)."""
-        return self.table.copy().columns[self.table.columns.index(self)]
+        (:meth:`ChunkedTable.copy`), standalone: it holds the clone."""
+        clone = self.table.copy()
+        twin = clone.columns[self.table.columns.index(self)]
+        twin.table = clone
+        return twin
 
-    def densify(self, initial: Optional[np.ndarray] = None) -> np.ndarray:
-        """Materialize everything, in every column of the table (budget
-        charged); the returned array *is* this column's pool from then on,
-        so chunked and direct writes see each other. ``initial`` (only on a
-        fresh table) is adopted as that array instead of the fills."""
-        if self.table._fill_end:
-            self.table._densify(self, initial)
+    def densify(self, initial: np.ndarray) -> np.ndarray:
+        """Adopt the array ``initial`` as this column's contents on a fresh
+        table (nothing written): a sparse table turns dense around it (every
+        column materialized, budget charged). The array *is* this column's
+        pool from then on."""
+        table = self.table
+        if not table._fill_end:
+            self.pool = initial
+        elif table.materialized_chunks:
+            raise ValueError(f"{table.label} has materialized chunks: only a "
+                             "fresh table adopts an array")
+        else:
+            table._densify(self, initial)
         return self.pool
 
     @classmethod
@@ -759,29 +786,31 @@ class ChunkedArray:
                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
                    budget: Optional[MemoryBudget] = None,
                    label: str = "matrix") -> "ChunkedArray":
-        """Wrap an existing dense array (densified: keys are its rows)."""
+        """Wrap an existing dense array (a dense table: keys are its rows)."""
         self = cls.__new__(cls)
-        ChunkedArray.__init__(
-            self, ChunkedTable(dense.shape[0], chunk_rows, budget, label),
-            label, dense.shape[1:], dense.dtype)
+        table = ChunkedTable(dense.shape[0], chunk_rows, budget, label)
+        ChunkedArray.__init__(self, table, label, dense.shape[1:], dense.dtype)
+        self.table = table  # standalone: the column holds its table
         self.densify(dense)
         return self
 
 
 class ChunkedVector(ChunkedArray):
-    """A chunked 1-D array (masks, clocks, owner maps, slot tables)."""
+    """A one-column key space of scalars (its own :class:`ChunkedTable`)."""
 
     def __init__(self, num_rows: int, dtype, fill_value=0,
                  fill_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  budget: Optional[MemoryBudget] = None,
                  label: str = "vector") -> None:
-        super().__init__(ChunkedTable(num_rows, chunk_rows, budget, label),
-                         label, (), dtype, fill_value, fill_fn)
+        table = ChunkedTable(num_rows, chunk_rows, budget, label)
+        super().__init__(table, label, (), dtype, fill_value, fill_fn)
+        self.table = table  # standalone: the column holds its table
 
 
 class ChunkedMatrix(ChunkedArray):
-    """A chunked ``num_rows x row_length`` matrix; untouched rows are zero."""
+    """A one-column ``num_rows x row_length`` key space; untouched rows are
+    zero."""
 
     def __init__(self, num_rows: int, row_length: int, dtype=np.float32,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -789,13 +818,6 @@ class ChunkedMatrix(ChunkedArray):
                  label: str = "matrix") -> None:
         if row_length <= 0:
             raise ValueError("row_length must be positive")
-        super().__init__(ChunkedTable(num_rows, chunk_rows, budget, label),
-                         label, (row_length,), dtype)
-
-
-# --------------------------------------------------------------- dispatch helpers
-def flatnonzero_equal(vector, value) -> np.ndarray:
-    """``np.flatnonzero(vector == value)`` for dense or chunked vectors."""
-    if isinstance(vector, np.ndarray):
-        return np.flatnonzero(vector == value).astype(np.int64)
-    return vector.where_equal(value)
+        table = ChunkedTable(num_rows, chunk_rows, budget, label)
+        super().__init__(table, label, (row_length,), dtype)
+        self.table = table  # standalone: the column holds its table

@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.ps.base import ParameterServer
-from repro.ps.chunks import ChunkedTable, flatnonzero_equal
 from repro.ps.rounds import ChunkValues, RoundAccounting
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.storage import ParameterStore
@@ -59,30 +58,23 @@ class RelocationPS(ParameterServer):
         #: ``relocation_enabled=False`` degrades this PS to a classic PS
         #: (the paper uses exactly this configuration as its classic baseline).
         self.relocation_enabled = relocation_enabled
-        #: Sparse backend: the table of both ownership columns, translated
-        #: once per batch for both (:meth:`ownership_at`); ``None`` on dense.
-        self._ownership = None
-        if store.backend == "sparse":
-            # Chunked owner state: keys without a record read as the static
-            # partition (evaluated key-wise, never stored) and as
-            # "already arrived" — exactly the dense initial state — so the
-            # resident footprint tracks the keys that actually relocated: a
-            # relocated key gets a record, the owner fill written into it.
-            # The fill is the range formula, not the live map: a transition
-            # moves copies through ``_rehome``, never through the fill.
-            table = self._ownership = ChunkedTable(
-                store.num_keys, store.storage.chunk_rows, label="relocation")
-            #: Current owner node of every key; starts at the static partition.
-            self.current_owner = table.column(
-                "current_owner", np.int64,
-                fill_fn=self.partitioner.range_owners)
-            #: Simulated time at which the most recent relocation of a key
-            #: completes at its new owner. Accesses before that time must wait.
-            self.arrival_time = table.column("arrival_time", np.float64)
-        else:
-            all_keys = np.arange(store.num_keys, dtype=np.int64)
-            self.current_owner = self.partitioner.owners(all_keys).astype(np.int64)
-            self.arrival_time = np.zeros(store.num_keys, dtype=np.float64)
+        #: The key space of both ownership columns, translated once per
+        #: batch for both (:meth:`ownership_at`). On the sparse backend keys
+        #: without a record read as the static partition (evaluated
+        #: key-wise, never stored) and as "already arrived" — the dense
+        #: initial state — so the resident footprint tracks the keys that
+        #: actually relocated: a relocated key gets a record, the owner fill
+        #: written into it. The fill is the range formula, not the live
+        #: map: a transition moves copies through ``_rehome``, never through
+        #: the fill.
+        self._ownership = table = store.storage.table(store.num_keys,
+                                                      label="relocation")
+        #: Current owner node of every key; starts at the static partition.
+        self.current_owner = table.column(
+            "current_owner", np.int64, fill_fn=self.partitioner.range_owners)
+        #: Simulated time at which the most recent relocation of a key
+        #: completes at its new owner. Accesses before that time must wait.
+        self.arrival_time = table.column("arrival_time", np.float64)
 
     def refresh_network(self) -> None:
         """Re-derive the cached cost constants (see the base class)."""
@@ -122,12 +114,11 @@ class RelocationPS(ParameterServer):
         # Within one call only the first occurrence of a key relocates (the
         # second finds the key already owned by this node), and keys that are
         # already local are free.
-        index, owners, _ = self.ownership_at(keys)
+        index, owners = self.ownership_at(keys)
         away = owners != node_id
-        if self._ownership is not None:
-            # The keys that move get records first: their rows, distinct
-            # per key from then on, stand for them below.
-            index = self._ownership.claim(keys, index, away)
+        # The keys that move get records first: their rows, distinct per
+        # key from then on, stand for them below.
+        index = self._ownership.claim(keys, index, away)
         moving = list(dict.fromkeys(index[away].tolist()))
         if not moving:
             return
@@ -164,34 +155,23 @@ class RelocationPS(ParameterServer):
 
     # ------------------------------------------------------------- ownership
     def ownership_at(self, keys: np.ndarray) -> tuple:
-        """``(index, owners, arrival)``: the current owners of ``keys``, and
-        ``arrival[index]`` their arrival times.
-
-        Dense: the keys, a gather and the array. Sparse: the table's rows —
-        one translation for both columns — the owners read from them (a row
-        on the fill record reads ``fill_fn(keys)``, the static partition)
-        and the arrival column's field view, current until the table next
-        gives a key a record. Keys outside the key space raise
-        ``IndexError`` on both. Writes go through the index
-        (:meth:`_set_ownership`) once the written keys have records
-        (``ChunkedTable.claim``).
+        """``(rows, owners)``: the rows of ``keys`` in the ownership table —
+        one translation for both columns (on dense, the keys) — and their
+        current owners (a row on the fill record reads ``fill_fn(keys)``,
+        the static partition); ``arrival_time.pool[rows]`` are their
+        arrival times. Keys are not range-checked here: the store checks
+        every key it serves, and ``ChunkedTable.claim`` every key it writes.
+        Writes go through the rows (:meth:`_set_ownership`) once the
+        written keys have records (``claim``).
         """
-        table = self._ownership
-        if table is None:
-            return keys, self.current_owner.take(keys), self.arrival_time
-        rows = table.rows(keys)
-        return (rows, self.current_owner.read_rows(keys, rows),
-                self.arrival_time.pool)
+        rows = self._ownership._rows(keys)
+        return rows, self.current_owner.read_rows(keys, rows)
 
-    def _set_ownership(self, index: np.ndarray, owners, arrivals) -> None:
-        """Write ``owners`` and ``arrivals`` at ``index``: keys (dense) or
-        the rows of keys with records (sparse)."""
-        if self._ownership is None:
-            owner, arrival = self.current_owner, self.arrival_time
-        else:  # the field views, current once the keys have records
-            owner, arrival = self.current_owner.pool, self.arrival_time.pool
-        owner[index] = owners
-        arrival[index] = arrivals
+    def _set_ownership(self, rows: np.ndarray, owners, arrivals) -> None:
+        """Write ``owners`` and ``arrivals`` at the rows of keys with
+        records."""
+        self.current_owner.pool[rows] = owners
+        self.arrival_time.pool[rows] = arrivals
 
     # ------------------------------------------------------------- inspection
     def is_local(self, node_id: int, key: int) -> bool:
@@ -200,7 +180,7 @@ class RelocationPS(ParameterServer):
 
     def local_keys(self, node_id: int) -> np.ndarray:
         """All keys currently allocated at ``node_id``."""
-        return flatnonzero_equal(self.current_owner, node_id)
+        return self.current_owner.where_equal(node_id)
 
     def owner_of(self, key: int) -> int:
         """Current owner node of ``key``."""
@@ -208,9 +188,7 @@ class RelocationPS(ParameterServer):
 
     def state_nbytes(self) -> dict:
         sizes = super().state_nbytes()
-        sizes["ownership"] = (
-            int(self.current_owner.nbytes) + int(self.arrival_time.nbytes)
-        )
+        sizes["ownership"] = self._ownership.nbytes
         return sizes
 
     # --------------------------------------------------------- membership API
@@ -229,9 +207,8 @@ class RelocationPS(ParameterServer):
         """
         if len(keys):
             nodes = np.asarray(list(nodes), dtype=np.int64)
-            index = keys if self._ownership is None \
-                else self._ownership.writable_rows(keys)
-            self._set_ownership(index, nodes[np.arange(len(keys)) % len(nodes)],
+            self._set_ownership(self._ownership.writable_rows(keys),
+                                nodes[np.arange(len(keys)) % len(nodes)],
                                 float(available_at))
 
 
@@ -285,13 +262,14 @@ class RelocationPointCharger(ChunkValues):
         """
         ps = self.ps
         node_id = worker.node_id
-        index, owners, arrival = ps.ownership_at(keys)
+        index, owners = ps.ownership_at(keys)
         # Per position: True local, False remote, None replicated.
         codes = (owners == node_id).tolist()
         if replicated is not None:
             for at in np.flatnonzero(replicated).tolist():
                 codes[at] = None
-        arrivals = arrival[index].tolist() if True in codes else None
+        arrivals = ps.arrival_time.pool[index].tolist() \
+            if True in codes else None
         owners_l = homes = None
         cost_two = cost_three = 0.0
         if False in codes:

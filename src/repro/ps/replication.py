@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from types import SimpleNamespace
 from typing import Dict
 
 import numpy as np
 
 from repro.ps.base import ParameterServer
-from repro.ps.chunks import ChunkedTable, MemoryBudget, StorageConfig
+from repro.ps.chunks import MemoryBudget, StorageConfig
 from repro.ps.rounds import (
     ChunkValues,
     RoundAccounting,
@@ -65,43 +64,33 @@ INTRA_PROCESS_FACTOR = 10.0
 class _NodeReplicaState:
     """Replica cache, clocks and update buffer of one node.
 
-    On the dense backend (the oracle) every structure is a full
-    ``num_keys``-length array. On the sparse backend the same five
-    structures are the columns of one :class:`~repro.ps.chunks.ChunkedTable`
-    and a key gets its record in all of them on first write — the fills are
-    all zero (mask ``False``, clock 0: every read of a clock is gated by
-    ``replica_mask``), precisely the dense initial values, so reads of
-    untouched keys are bit-identical and a fresh record is untouched memory.
-    Resident memory is an index of the keys the node has written (16 bytes
-    each) plus one record per such key (its five structures share it), and
-    an optional per-node budget is charged per chunk of keys.
+    The five structures are the columns of one
+    :class:`~repro.ps.chunks.ChunkedTable` on the store's backend. On the
+    sparse backend a key gets its record in all of them on first write — the
+    fills are all zero (mask ``False``, clock 0: every read of a clock is
+    gated by ``replica_mask``), precisely the dense initial values, so reads
+    of untouched keys are bit-identical and a fresh record is untouched
+    memory. Resident memory is then an index of the keys the node has
+    written (16 bytes each) plus one record per such key, and an optional
+    per-node budget is charged per chunk of keys.
     """
 
     def __init__(self, num_keys: int, value_length: int,
-                 storage: StorageConfig | None = None,
-                 node_id: int | None = None) -> None:
+                 storage: StorageConfig, node_id: int) -> None:
         self.value_length = value_length
-        self.table = None
-        if storage is not None and storage.backend == "sparse":
-            self.budget = None
-            if storage.node_budget_bytes is not None:
-                self.budget = MemoryBudget(
-                    storage.node_budget_bytes,
-                    label=f"replica state of node {node_id}",
-                )
-            self.table = ChunkedTable(num_keys, storage.chunk_rows,
-                                      self.budget, f"node{node_id}")
-            column = self.table.column
-        else:
-            def column(name, dtype, row_shape=()):
-                return np.zeros((num_keys,) + row_shape, dtype=dtype)
-        self.replica_mask = column("replica_mask", bool)
-        self.replica_values = column("replica_values", np.float32,
-                                     (value_length,))
-        self.replica_clock = column("replica_clock", np.int64)
-        self.update_mask = column("update_mask", bool)
-        self.update_values = column("update_values", np.float32,
-                                    (value_length,))
+        budget = None
+        if storage.node_budget_bytes is not None:
+            budget = MemoryBudget(storage.node_budget_bytes,
+                                  label=f"replica state of node {node_id}",
+                                  setting="StorageConfig.node_budget_bytes")
+        self.table = table = storage.table(num_keys, budget, f"node{node_id}")
+        self.replica_mask = table.column("replica_mask", bool)
+        self.replica_values = table.column("replica_values", np.float32,
+                                           (value_length,))
+        self.replica_clock = table.column("replica_clock", np.int64)
+        self.update_mask = table.column("update_mask", bool)
+        self.update_values = table.column("update_values", np.float32,
+                                          (value_length,))
         # Key batches pushed since the last flush. A superset of the set bits
         # in ``update_mask`` (which stays authoritative): flushes enumerate
         # their keys from this list instead of scanning the full mask, which
@@ -117,44 +106,24 @@ class _NodeReplicaState:
         return min(self.worker_clocks.values())
 
     def replicated_keys(self) -> np.ndarray:
-        """Ascending keys with a replica (``flatnonzero`` of the mask)."""
-        if isinstance(self.replica_mask, np.ndarray):
-            return np.flatnonzero(self.replica_mask).astype(np.int64)
+        """Ascending keys with a replica."""
         return self.replica_mask.where_equal(True)
-
-    def count_replicas(self) -> int:
-        if isinstance(self.replica_mask, np.ndarray):
-            return int(np.count_nonzero(self.replica_mask))
-        return self.replica_mask.count_nonzero()
 
     def nbytes(self) -> int:
         """Resident bytes of the node's replica/update state."""
-        return int(
-            self.replica_mask.nbytes + self.replica_values.nbytes
-            + self.replica_clock.nbytes + self.update_mask.nbytes
-            + self.update_values.nbytes
-        )
+        return self.table.nbytes
 
-    def at(self, keys: np.ndarray, writable: bool = False):
-        """``(index, arrays)``: ``arrays.<structure>[index]`` addresses ``keys``.
-
-        Dense: the keys and this state. Sparse: the pool rows — one
-        validation and translation for all five structures, the chunks
-        materialized first when ``writable`` — and the field views of the
-        pool, current until this node next materializes a chunk. Gather
-        from them by fancy indexing or the sparse column's ``gather``, never
-        ``take`` (see :meth:`~repro.ps.chunks.ChunkedArray.gather`).
+    def at(self, keys: np.ndarray, writable: bool = False) -> np.ndarray:
+        """The rows of ``keys`` in every column's ``pool`` — one translation
+        for all five structures (on dense, the keys), the keys given records
+        first when ``writable``. A ``pool`` is current until this node next
+        materializes a chunk; gather from it by fancy indexing or a column's
+        ``gather``, never ``take`` (see
+        :meth:`~repro.ps.chunks.ChunkedArray.gather`). Keys are not
+        range-checked here: the store checks every key it serves.
         """
-        if self.table is None:
-            return keys, self
-        rows = self.table.writable_rows(keys) if writable \
-            else self.table.rows(keys)
-        return rows, SimpleNamespace(
-            replica_mask=self.replica_mask.pool,
-            replica_values=self.replica_values.pool,
-            replica_clock=self.replica_clock.pool,
-            update_mask=self.update_mask.pool,
-            update_values=self.update_values.pool)
+        rows = self.table._rows(keys)
+        return self.table.claim(keys, rows) if writable else rows
 
 
 class ReplicationPS(ParameterServer):
@@ -237,9 +206,9 @@ class ReplicationPS(ParameterServer):
         refreshes: the steady state), and the remote refreshes per serving
         node.
         """
-        index, at = state.at(keys)
-        mask = at.replica_mask[index]
-        clocks = at.replica_clock[index]
+        index = state.at(keys)
+        mask = state.replica_mask.pool[index]
+        clocks = state.replica_clock.pool[index]
         threshold = worker_clock - self.staleness
         # The steady state, every replica usable, is checked on lists: a
         # NumPy reduction costs more than a whole call on a few keys.
@@ -262,13 +231,13 @@ class ReplicationPS(ParameterServer):
         refresh_keys = np.fromiter(found, dtype=np.int64, count=len(found))
         owners = self.partitioner.owners(refresh_keys).tolist()
         refreshed = self.store.get(refresh_keys)
-        index, at = state.at(refresh_keys, writable=True)
-        buffered = at.update_mask[index]
+        index = state.at(refresh_keys, writable=True)
+        buffered = state.update_mask.pool[index]
         if buffered.any():
-            refreshed[buffered] += at.update_values[index[buffered]]
-        at.replica_values[index] = refreshed
-        at.replica_mask[index] = True
-        at.replica_clock[index] = worker_clock
+            refreshed[buffered] += state.update_values.pool[index[buffered]]
+        state.replica_values.pool[index] = refreshed
+        state.replica_mask.pool[index] = True
+        state.replica_clock.pool[index] = worker_clock
 
         for (call, position), owner in zip(found.values(), owners):
             if owner == node_id:
@@ -302,12 +271,12 @@ class ReplicationPS(ParameterServer):
         # (one worker chunk between two clock advances, where a set beats
         # ``np.unique``'s sort machinery).
         keys = np.array(sorted(set(candidates.tolist())), dtype=np.int64)
-        index, at = state.at(keys)
-        buffered = at.update_mask[index]
+        index = state.at(keys)
+        buffered = state.update_mask.pool[index]
         keys, index = keys[buffered], index[buffered]
         if not len(keys):
             return
-        self.store.add_distinct(keys, at.update_values[index])
+        self.store.add_distinct(keys, state.update_values.pool[index])
 
         owners = self.partitioner.owners(keys)
         background = self.cluster.node(node_id).background_clock
@@ -337,8 +306,8 @@ class ReplicationPS(ParameterServer):
         self.metrics.increment(
             "replication.flushed_keys", len(keys), node=node_id
         )
-        at.update_values[index] = 0.0
-        at.update_mask[index] = False
+        state.update_values.pool[index] = 0.0
+        state.update_mask.pool[index] = False
         tracer = self.tracer
         if tracer is not None:
             tracer.event("replica_flush", "replica", background.now,
@@ -350,9 +319,9 @@ class ReplicationPS(ParameterServer):
         keys = state.replicated_keys()
         if not len(keys):
             return
-        index, at = state.at(keys)
-        at.replica_values[index] = self.store.get(keys)
-        at.replica_clock[index] = state.clock
+        index = state.at(keys)
+        state.replica_values.pool[index] = self.store.get(keys)
+        state.replica_clock.pool[index] = state.clock
 
         owners = self.partitioner.owners(keys)
         background = self.cluster.node(node_id).background_clock
@@ -389,7 +358,7 @@ class ReplicationPS(ParameterServer):
 
     def replica_count(self, node_id: int) -> int:
         """Number of replicas currently held by ``node_id`` (for tests/reports)."""
-        return self._nodes[node_id].count_replicas()
+        return self._nodes[node_id].replica_mask.count_nonzero()
 
     def state_nbytes(self) -> Dict[str, int]:
         sizes = super().state_nbytes()
@@ -447,10 +416,7 @@ class ReplicationPS(ParameterServer):
         state = self._nodes.pop(node_id, None)
         if state is None:
             return 0
-        if isinstance(state.update_mask, np.ndarray):
-            drained = int(np.count_nonzero(state.update_mask))
-        else:
-            drained = state.update_mask.count_nonzero()
+        drained = state.update_mask.count_nonzero()
         self._flush_node(node_id, state)
         return drained
 
@@ -525,22 +491,21 @@ class _ReplicationPointCharger(ChunkValues):
                 now += compute * scale
         worker.clock.advance_to(now)
 
-        # The node's rows of ``keys`` (sparse: pool rows, translated once
-        # for the whole value pass; nothing materializes on this node before
-        # the next chunk is charged).
+        # The node's rows of ``keys``, translated once for the whole value
+        # pass; nothing materializes on this node before the next chunk is
+        # charged.
         pushed = pushed_spans(calls)
-        self.rows, at = state.at(keys, writable=bool(pushed))
+        self.rows = state.at(keys, writable=bool(pushed))
         self.rows_list = self.rows.tolist()
-        self.values, self.updates = at.replica_values, at.update_values
-        # Sparse: the pool field's gather; dense: ``None``, ``read`` takes
-        # straight from the array (one call less per point).
-        self.gather = None if at is state else state.replica_values.gather
+        self.values = state.replica_values.pool
+        self.updates = state.update_values.pool
+        self.gather = state.replica_values.gather
         if pushed == [(0, len(keys))]:  # every key pushed: the tasks' chunks
-            at.update_mask[self.rows] = True
+            state.update_mask.pool[self.rows] = True
             state.pending_updates.append(keys)
         elif pushed:
             covered = span_mask(pushed, len(keys))
-            at.update_mask[self.rows[covered]] = True
+            state.update_mask.pool[self.rows[covered]] = True
             state.pending_updates.append(keys[covered])
 
         n_refresh = sum(map(len, events.values()))

@@ -118,31 +118,29 @@ class ChunkValues:
               routed: np.ndarray | None = None) -> None:
         """Range-check ``keys`` (``KeyError``) and bind their store rows.
 
-        On the sparse backend the positions some call of ``calls`` pushes —
-        except those ``routed`` elsewhere — get records first, so their rows
-        take writes; nothing materializes in the store before the next
-        chunk is bound.
+        The positions some call of ``calls`` pushes — except those
+        ``routed`` elsewhere — get records first (on a sparse store), so
+        their rows take writes; nothing materializes in the store before
+        the next chunk is bound.
         """
         store = self.ps.store
         self.keys = keys = store.check_keys(keys)
+        pushed = pushed_spans(calls)
         writable = False
-        if store.backend == "sparse":
-            pushed = pushed_spans(calls)
-            if routed is None and pushed == [(0, len(keys))]:
-                writable = True
-            elif pushed:
-                writable = span_mask(pushed, len(keys))
-                if routed is not None:
-                    writable &= ~routed
-        self.rows, at = store.at(keys, writable)
+        if routed is None and pushed == [(0, len(keys))]:
+            writable = True
+        elif pushed:
+            writable = span_mask(pushed, len(keys))
+            if routed is not None:
+                writable &= ~routed
+        self.rows = store.at(keys, writable)
         self.rows_list = self.rows.tolist()
-        self.values, self.versions, self.gather = \
-            at.values, at.versions, at.gather
+        self.values = store.value_column.pool
+        self.versions = store.version_column.pool
+        self.gather = store.value_column.gather
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """A copy of the current values of ``keys[lo:hi]``."""
-        if self.gather is None:
-            return self.values.take(self.rows[lo:hi], axis=0)
         return self.gather(self.rows[lo:hi])
 
     def add(self, lo: int, hi: int, deltas: np.ndarray) -> None:

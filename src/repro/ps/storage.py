@@ -1,4 +1,4 @@
-"""Parameter storage with pluggable dense/sparse backends.
+"""Parameter storage on a dense or a sparse key space.
 
 The parameter store is the ground-truth home of all model parameters. Keys
 are contiguous integers ``0 .. num_keys - 1`` and every key maps to a fixed
@@ -6,18 +6,14 @@ length ``float32`` vector. Parameter servers layer their management
 techniques (replication, relocation, caching) on top of one shared store;
 the store itself knows nothing about nodes or the network.
 
-Two storage backends sit behind the same API (selected via
-:class:`~repro.ps.chunks.StorageConfig`):
-
-* ``dense`` — the original contiguous arrays. This is the bit-identity
-  oracle: every sparse-backend operation must produce exactly the values,
-  versions, clocks and metrics the dense backend produces.
-* ``sparse`` — a record per key, given on its first write (see
-  :mod:`repro.ps.chunks`), with an optional memory budget charged per
-  fixed-size chunk. Unwritten keys read as zeros without being allocated,
-  so a store over 10^8+ logical keys costs an index of its written keys
-  (16 bytes each) plus one resident record per *written* key: its value and
-  version share it.
+Values and version counters are the two columns of one
+:class:`~repro.ps.chunks.ChunkedTable` on the backend that
+:class:`~repro.ps.chunks.StorageConfig` selects: ``dense`` (contiguous
+arrays; the bit-identity oracle) or ``sparse`` (a record per key, given on
+its first write, with an optional budget charged per fixed-size chunk, so a
+store over 10^8+ logical keys costs what is written into it). Both run the
+same code: callers translate keys to rows once (:meth:`ParameterStore.at`)
+and address both columns' ``pool`` with them.
 
 Updates are *additive* (``add``), which matches how the paper's workloads use
 a PS: workers push gradients or gradient-like deltas that the server adds to
@@ -27,17 +23,11 @@ replica synchronization.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from repro.ps.chunks import (
-    DENSE_STORAGE,
-    ChunkedTable,
-    MemoryBudget,
-    StorageConfig,
-)
+from repro.ps.chunks import DENSE_STORAGE, MemoryBudget, StorageConfig
 
 
 def scatter_add_rows(target: np.ndarray, keys: np.ndarray, deltas,
@@ -108,93 +98,42 @@ class ParameterStore:
         self.num_keys = int(num_keys)
         self.value_length = int(value_length)
         self.storage = storage if storage is not None else DENSE_STORAGE
-        rng = np.random.default_rng(seed)
-        #: Sparse backend: the index and pool ``_values`` and ``_versions``
-        #: share (one record per written key).
-        self._table = self._budget = None
+        budget = None
+        if self.storage.store_budget_bytes is not None:
+            budget = MemoryBudget(self.storage.store_budget_bytes,
+                                  label=f"parameter store ({num_keys} keys)",
+                                  setting="StorageConfig.store_budget_bytes")
+        self._table = table = self.storage.table(num_keys, budget, "store")
+        #: The values and the per-key write counters (bumped on every write;
+        #: replica managers and tests detect missed updates with them), as
+        #: columns: address them through the rows of :meth:`at`.
+        self.value_column = table.column("values", np.float32,
+                                         (value_length,))
+        self.version_column = table.column("versions", np.int64)
         if init_scale:
             # One RNG stream over the *full* matrix; reproducing it lazily per
-            # chunk is impossible, so the sparse backend materializes eagerly
-            # (budget checked) to stay bit-identical to the dense oracle.
-            # Lazy sparseness pays off for zero-initialized stores (scale
-            # sweeps, embedding output vectors) and API-driven init.
-            initial = rng.normal(
+            # chunk is impossible, so a sparse store turns dense (budget
+            # checked) to stay bit-identical to the dense oracle. Lazy
+            # sparseness pays off for zero-initialized stores (scale sweeps,
+            # embedding output vectors) and API-driven init.
+            rng = np.random.default_rng(seed)
+            self.value_column.densify(rng.normal(
                 0.0, init_scale, size=(num_keys, value_length)
-            ).astype(np.float32)
-        if self.storage.backend == "dense":
-            self._values = initial if init_scale else \
-                np.zeros((num_keys, value_length), dtype=np.float32)
-            # Monotonic per-key version counters; bumped on every write. Used
-            # by tests and by replica managers to detect missed updates.
-            self._versions = np.zeros(num_keys, dtype=np.int64)
-        else:
-            if self.storage.store_budget_bytes is not None:
-                self._budget = MemoryBudget(
-                    self.storage.store_budget_bytes,
-                    label=f"parameter store ({self.num_keys} keys)",
-                )
-            self._table = table = ChunkedTable(
-                num_keys, self.storage.chunk_rows, self._budget, "store")
-            self._values = table.column("values", np.float32, (value_length,))
-            self._versions = table.column("versions", np.int64)
-            if init_scale:
-                self._values.densify(initial)
+            ).astype(np.float32))
 
     # ---------------------------------------------------------------- access
     def get(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """Return a *copy* of the values for ``keys`` (shape ``(len, dim)``)."""
         keys = self._validate_keys(keys)
-        # take() copies like fancy indexing but skips its dispatch overhead.
-        return self._values.take(keys, axis=0)
-
-    def get_single(self, key: int) -> np.ndarray:
-        """Return a copy of the value for one key."""
-        self._validate_key(key)
-        return self._values[key].copy()
-
-    def view(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Return the values for ``keys`` without copying when possible.
-
-        For a contiguous ascending key range ``k, k+1, ..., k+n-1`` the result
-        is a true zero-copy, read-only *view* of the backing storage (on the
-        sparse backend this holds when every key of the range is written and
-        their records are consecutive: keys first written together, in
-        order). Any other key shape falls back to fancy indexing, which
-        returns a read-only *copy*. Callers must not mutate the returned
-        array either way; writers go through :meth:`add`/:meth:`set`.
-        """
-        keys = self._validate_keys(keys)
-        n = len(keys)
-        if n:
-            first = int(keys[0])
-            contiguous = (
-                int(keys[-1]) - first == n - 1
-                and (n == 1 or bool((np.diff(keys) == 1).all()))
-            )
-            if contiguous:
-                block = self._contiguous_block(first, first + n)
-                if block is not None:
-                    block.flags.writeable = False
-                    return block
-        values = self._values.take(keys, axis=0)
-        values.flags.writeable = False
-        return values
-
-    def _contiguous_block(self, lo: int, hi: int) -> np.ndarray | None:
-        """A zero-copy slice of rows ``[lo, hi)``, if the backend has one."""
-        if isinstance(self._values, np.ndarray):
-            return self._values[lo:hi]
-        # None when the range's records are not consecutive: view() falls
-        # back to a copy.
-        return self._values.block(lo, hi)
+        return self.value_column.gather(self._table._rows(keys))
 
     def add(self, keys: Sequence[int] | np.ndarray, deltas: np.ndarray) -> None:
         """Add ``deltas`` to the values of ``keys`` (duplicate keys accumulate)."""
         keys = self._validate_keys(keys)
         deltas = self._validate_deltas(keys, deltas)
-        rows, at = self.at(keys, writable=True)
-        add_versioned(at.values, at.versions, rows, deltas,
-                      rows.tolist() if rows.size <= 64 else None)
+        rows = self.at(keys, writable=True)
+        add_versioned(self.value_column.pool, self.version_column.pool, rows,
+                      deltas, rows.tolist() if rows.size <= 64 else None)
 
     def check_keys(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """Range-check ``keys`` once for a batch of unvalidated accesses.
@@ -207,35 +146,24 @@ class ParameterStore:
         """
         return self._validate_keys(keys)
 
-    def at(self, keys: np.ndarray, writable=False) -> tuple:
-        """``(rows, arrays)``: ``arrays.values[rows]`` and
-        ``arrays.versions[rows]`` address the range-checked ``keys``.
+    def at(self, keys: np.ndarray, writable=False) -> np.ndarray:
+        """The rows of the range-checked ``keys``: ``value_column.pool[rows]``
+        and ``version_column.pool[rows]`` address them — one translation for
+        both columns (on dense, the keys).
 
-        Dense: the keys and the store's arrays. Sparse: the pool rows — one
-        translation for both columns — and the pool's field views, current
-        until the store next materializes a chunk. ``writable`` (``True``,
-        or a boolean mask over ``keys``) gives the keys it selects a record
-        first, so that writes through their rows land (the batch is
-        translated again only after a selected key got one); an unwritten
-        key's row is the shared fill record, for reading only. Read rows
-        through ``arrays.gather`` where it is set (a field view is
-        fancy-indexed, never passed to ``take``; see
-        :meth:`~repro.ps.chunks.ChunkedArray.gather`), else through
-        ``arrays.values.take(rows, axis=0)``.
+        A ``pool`` is current until the store next materializes a chunk.
+        ``writable`` (``True``, or a boolean mask over ``keys``) gives the
+        keys it selects a record first, so that writes through their rows
+        land (the batch is translated again only after a selected key got
+        one); an unwritten key's row is the shared fill record, for reading
+        only. Gather rows through ``value_column.gather``, never ``take`` on
+        a pool (see :meth:`~repro.ps.chunks.ChunkedArray.gather`).
         """
-        table = self._table
-        if table is None:
-            return keys, SimpleNamespace(values=self._values,
-                                         versions=self._versions, gather=None)
-        if writable is True:
-            rows = table.writable_rows(keys)
-        else:
-            rows = table.rows(keys)
-            if writable is not False:
-                rows = table.claim(keys, rows, writable)
-        return rows, SimpleNamespace(values=self._values.pool,
-                                     versions=self._versions.pool,
-                                     gather=self._values.gather)
+        rows = self._table._rows(keys)
+        if writable is not False:
+            rows = self._table.claim(keys, rows,
+                                     None if writable is True else writable)
+        return rows
 
     def add_distinct(self, keys: np.ndarray, deltas: np.ndarray) -> None:
         """:meth:`add` for callers that guarantee distinct, in-range keys.
@@ -246,19 +174,19 @@ class ParameterStore:
         flushes, replica synchronization) whose key sets come from
         ``np.unique``/``flatnonzero``.
         """
-        rows, at = self.at(keys, writable=True)
-        at.values[rows] += deltas
-        at.versions[rows] += 1
+        rows = self.at(keys, writable=True)
+        self.value_column.pool[rows] += deltas
+        self.version_column.pool[rows] += 1
 
     def set(self, keys: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Overwrite the values of ``keys`` with ``values``."""
         keys = self._validate_keys(keys)
         values = self._validate_deltas(keys, values)
-        rows, at = self.at(keys, writable=True)
-        at.values[rows] = values
+        rows = self.at(keys, writable=True)
+        self.value_column.pool[rows] = values
         # The version bumps once per occurrence, consistent with add
         # (fancy-index += would silently drop duplicate keys).
-        scatter_add_rows(at.versions, rows, 1)
+        scatter_add_rows(self.version_column.pool, rows, 1)
 
     def write_rows(self, keys: Sequence[int] | np.ndarray,
                    values: np.ndarray) -> None:
@@ -267,17 +195,17 @@ class ParameterStore:
         The restore/recovery entry point: fault handlers re-install
         recovered or checkpointed values without counting the write as a
         training update, so version deltas keep measuring exactly the lost
-        work. Works on both backends (the sparse backend materializes the
-        touched chunks), unlike direct writes through :attr:`values`.
+        work.
         """
         keys = self._validate_keys(keys)
         values = self._validate_deltas(keys, values)
-        self._values[keys] = values
+        rows = self.at(keys, writable=True)  # first: a write moves the pool
+        self.value_column.pool[rows] = values
 
     def read_versions(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """A copy of the version counters for ``keys``."""
         keys = self._validate_keys(keys)
-        return self._versions.take(keys)
+        return self.version_column.gather(self._table._rows(keys))
 
     def write_versions(self, keys: Sequence[int] | np.ndarray,
                        versions: np.ndarray) -> None:
@@ -288,7 +216,8 @@ class ParameterStore:
             raise ValueError(
                 f"versions must have shape ({len(keys)},), got {versions.shape}"
             )
-        self._versions[keys] = versions
+        rows = self.at(keys, writable=True)
+        self.version_column.pool[rows] = versions
 
     def permute(self, new_key_of: Sequence[int] | np.ndarray) -> None:
         """Relabel the key space: old key ``k`` becomes key ``new_key_of[k]``.
@@ -310,51 +239,13 @@ class ParameterStore:
         check[perm] = True
         if not check.all():
             raise ValueError("new_key_of is not a permutation of the key space")
-        if self._table is not None:
-            self._table.relabel(perm)
-            return
-        values = np.empty_like(self._values)
-        values[perm] = self._values
-        self._values = values
-        versions = np.empty_like(self._versions)
-        versions[perm] = self._versions
-        self._versions = versions
-
-    def version(self, key: int) -> int:
-        """The number of writes applied to ``key`` so far."""
-        self._validate_key(key)
-        return int(self._versions[key])
+        self._table.relabel(perm)
 
     # ------------------------------------------------------------- inspection
     @property
     def backend(self) -> str:
         """The active storage backend (``"dense"`` or ``"sparse"``)."""
         return self.storage.backend
-
-    @property
-    def values(self) -> np.ndarray:
-        """The full value matrix (read-write; owned by the store).
-
-        On the sparse backend this densifies on demand (budget checked):
-        the full matrix is materialized once and the chunks become views
-        into it, so chunked operations and direct writes stay coherent.
-        """
-        if isinstance(self._values, np.ndarray):
-            return self._values
-        return self._values.densify()
-
-    @property
-    def versions(self) -> np.ndarray:
-        """Per-key write counters (owned by the store).
-
-        Direct writes through :attr:`values` bypass the counters: recovery
-        code uses that to restore values without counting the restore itself
-        as an update, so version deltas measure exactly the lost work.
-        Densifies on demand on the sparse backend, like :attr:`values`.
-        """
-        if isinstance(self._versions, np.ndarray):
-            return self._versions
-        return self._versions.densify()
 
     def value_bytes(self) -> int:
         """Wire size in bytes of one parameter value."""
@@ -376,33 +267,27 @@ class ParameterStore:
         number the scale benchmarks hold against the memory budget (what is
         resident is finer: one record per written key).
         """
-        return int(self._values.nbytes) + int(self._versions.nbytes)
+        return self._table.nbytes
 
     def materialized_chunks(self) -> int:
         """Materialized chunk count (0 on a fresh sparse store; dense: all)."""
-        if isinstance(self._values, np.ndarray):
-            return -(-self.num_keys // self.storage.chunk_rows)
-        return self._values.materialized_chunks
+        return self._table.materialized_chunks
 
     def copy(self) -> "ParameterStore":
         """Deep copy (used by experiments that restart from a checkpoint).
 
         Built without the throwaway zero allocation a ``__init__`` round-trip
         would make (at scale that would double checkpoint peak memory); on
-        the sparse backend only the records of written keys are copied. The clone is not budget-tracked — snapshots model
-        stable storage, not node RAM.
+        the sparse backend only the records of written keys are copied. The
+        clone is not budget-tracked — snapshots model stable storage, not
+        node RAM.
         """
         clone = ParameterStore.__new__(ParameterStore)
         clone.num_keys = self.num_keys
         clone.value_length = self.value_length
         clone.storage = self.storage
-        clone._table = clone._budget = None
-        if self._table is None:
-            clone._values = self._values.copy()
-            clone._versions = self._versions.copy()
-        else:
-            clone._table = self._table.copy()
-            clone._values, clone._versions = clone._table.columns
+        clone._table = self._table.copy()
+        clone.value_column, clone.version_column = clone._table.columns
         return clone
 
     def with_storage(self, storage: StorageConfig) -> "ParameterStore":
@@ -422,24 +307,18 @@ class ParameterStore:
             )
         clone = ParameterStore(self.num_keys, self.value_length,
                                storage=storage)
-        step = storage.chunk_rows if storage.backend == "sparse" \
-            else DENSE_STORAGE.chunk_rows
+        step = clone._table.chunk_rows
         for lo in range(0, self.num_keys, step):
-            hi = min(lo + step, self.num_keys)
-            block = np.arange(lo, hi, dtype=np.int64)
-            values = self._values.take(block, axis=0)
+            block = np.arange(lo, min(lo + step, self.num_keys), dtype=np.int64)
+            values = self.get(block)
             if values.any():
-                clone._values[block] = values
-            versions = self._versions.take(block)
+                clone.value_column[block] = values
+            versions = self.read_versions(block)
             if versions.any():
-                clone._versions[block] = versions
+                clone.version_column[block] = versions
         return clone
 
     # ------------------------------------------------------------ validation
-    def _validate_key(self, key: int) -> None:
-        if not 0 <= key < self.num_keys:
-            raise KeyError(f"key {key} out of range [0, {self.num_keys})")
-
     def _validate_keys(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1:

@@ -274,7 +274,7 @@ class ScalarReplicationPS(ReplicationPS):
             self._charge_intra_process(worker, "pull.local_server")
         else:
             charge_remote(self, worker, 1, "pull", owner)
-        value = self.store.get_single(key)
+        value = self.store.get([key])[0]
         if state.update_mask[key]:
             value = value + state.update_values[key]
         state.replica_values[key] = value

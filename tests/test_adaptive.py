@@ -481,15 +481,15 @@ class TestRemanageEdgeCases:
     def test_shrinking_mid_sync_interval_flushes_buffered_updates(
             self, nups, cluster):
         worker = cluster.worker(0, 0)
-        before = nups.store.get_single(4).copy()
+        before = nups.store.get([4])[0].copy()
         delta = np.ones((1, nups.store.value_length), dtype=np.float32)
         nups.push(worker, [4], delta)  # buffered, not yet synchronized
-        np.testing.assert_array_equal(nups.store.get_single(4), before)
+        np.testing.assert_array_equal(nups.store.get([4])[0], before)
         # Shrink the replica set before the 0.01s sync interval elapses;
         # key 4 leaves replication management mid-interval.
         nups.remanage(ManagementPlan(nups.store.num_keys, np.arange(4)),
                       now=0.005)
-        np.testing.assert_allclose(nups.store.get_single(4), before + 1.0,
+        np.testing.assert_allclose(nups.store.get([4])[0], before + 1.0,
                                    rtol=1e-6)
         assert not nups.plan.is_replicated(4)
         # The key is served by relocation now; a pull sees the merged value.
@@ -518,7 +518,7 @@ class TestRemanageEdgeCases:
         assert nups.replica_manager.max_replica_divergence() == 0.0
         worker = cluster.worker(0, 0)
         np.testing.assert_array_equal(
-            nups.pull(worker, np.array([0]))[0], nups.store.get_single(0)
+            nups.pull(worker, np.array([0]))[0], nups.store.get([0])[0]
         )
 
     def test_refresh_all_reloads_and_clears_buffers(self, nups, cluster):
@@ -536,7 +536,7 @@ class TestRemanageEdgeCases:
         # Buffers were discarded: a sync must not re-apply the old delta.
         nups.replica_manager.force_sync(1.0)
         np.testing.assert_array_equal(
-            nups.store.get_single(0),
+            nups.store.get([0])[0],
             np.zeros(nups.store.value_length, dtype=np.float32),
         )
 
@@ -561,7 +561,7 @@ class TestRemanageEdgeCases:
         # New replicas hold the post-flush values.
         np.testing.assert_allclose(
             nups.replica_manager.pull(0, np.array([0]))[0],
-            nups.store.get_single(0), rtol=1e-6,
+            nups.store.get([0])[0], rtol=1e-6,
         )
 
 

@@ -120,7 +120,8 @@ def _assert_identical(cluster_a: Cluster, cluster_b: Cluster,
             cluster_b.metrics.node_counters(node)
     for values_a, values_b in zip(pulled_a, pulled_b):
         np.testing.assert_array_equal(values_a, values_b)
-    np.testing.assert_array_equal(store_a.values, store_b.values)
+    every = np.arange(store_a.num_keys)
+    np.testing.assert_array_equal(store_a.get(every), store_b.get(every))
     assert replicas_a == replicas_b
 
 

@@ -36,26 +36,26 @@ class TestManagementIntegration:
         keys = np.array([50, 0, 99, 1])
         values = nups.pull(worker, keys)
         expected = np.stack([
-            nups.store.get_single(50),
+            nups.store.get([50])[0],
             nups.replica_manager.pull(0, np.array([0]))[0],
-            nups.store.get_single(99),
+            nups.store.get([99])[0],
             nups.replica_manager.pull(0, np.array([1]))[0],
         ])
         np.testing.assert_allclose(values, expected, rtol=1e-6)
 
     def test_push_to_replicated_key_is_deferred_until_sync(self, nups, cluster):
         worker = cluster.worker(0, 0)
-        before = nups.store.get_single(0).copy()
+        before = nups.store.get([0])[0].copy()
         nups.push(worker, [0], np.ones((1, nups.store.value_length), dtype=np.float32))
-        np.testing.assert_array_equal(nups.store.get_single(0), before)
+        np.testing.assert_array_equal(nups.store.get([0])[0], before)
         nups.finish_epoch()
-        np.testing.assert_allclose(nups.store.get_single(0), before + 1.0, rtol=1e-6)
+        np.testing.assert_allclose(nups.store.get([0])[0], before + 1.0, rtol=1e-6)
 
     def test_push_to_relocated_key_is_immediate(self, nups, cluster):
         worker = cluster.worker(0, 0)
-        before = nups.store.get_single(50).copy()
+        before = nups.store.get([50])[0].copy()
         nups.push(worker, [50], np.ones((1, nups.store.value_length), dtype=np.float32))
-        np.testing.assert_allclose(nups.store.get_single(50), before + 1.0, rtol=1e-6)
+        np.testing.assert_allclose(nups.store.get([50])[0], before + 1.0, rtol=1e-6)
 
     def test_localize_skips_replicated_keys(self, nups, cluster):
         worker = cluster.worker(0, 0)
@@ -82,13 +82,13 @@ class TestManagementIntegration:
         assert cluster.metrics.get("replica.syncs") >= 1
 
     def test_replica_updates_from_all_nodes_merge(self, nups, cluster):
-        before = nups.store.get_single(0).copy()
+        before = nups.store.get([0])[0].copy()
         delta = np.ones((1, nups.store.value_length), dtype=np.float32)
         nups.push(cluster.worker(0, 0), [0], delta)
         nups.push(cluster.worker(1, 0), [0], delta)
         nups.push(cluster.worker(2, 0), [0], delta)
         nups.finish_epoch()
-        np.testing.assert_allclose(nups.store.get_single(0), before + 3.0, rtol=1e-6)
+        np.testing.assert_allclose(nups.store.get([0])[0], before + 3.0, rtol=1e-6)
 
     def test_from_access_counts_factory(self, store, cluster):
         counts = np.ones(store.num_keys)
@@ -143,10 +143,10 @@ class TestSamplingIntegration:
     def test_push_sample_routes_through_management(self, nups, cluster):
         worker = cluster.worker(0, 0)
         keys = np.array([0, 50])
-        before_store = nups.store.get_single(50).copy()
+        before_store = nups.store.get([50])[0].copy()
         nups.push_sample(worker, keys, np.ones((2, nups.store.value_length), dtype=np.float32))
         # Relocated key updated immediately, replicated key deferred.
-        np.testing.assert_allclose(nups.store.get_single(50), before_store + 1.0, rtol=1e-6)
+        np.testing.assert_allclose(nups.store.get([50])[0], before_store + 1.0, rtol=1e-6)
         assert cluster.metrics.get("access.sample_push.replica.local") == 1
 
     def test_sampling_disabled_falls_back_to_application_side(self, store, cluster):

@@ -57,9 +57,9 @@ class TestPushPull:
         np.testing.assert_array_equal(manager.pull(1, np.array([2])), before)
 
     def test_push_not_in_store_before_sync(self, manager, store):
-        before = store.get_single(2).copy()
+        before = store.get([2])[0].copy()
         manager.push(0, np.array([2]), np.ones((1, store.value_length), dtype=np.float32))
-        np.testing.assert_array_equal(store.get_single(2), before)
+        np.testing.assert_array_equal(store.get([2])[0], before)
 
     def test_slot_access_is_pull_and_push_by_slot(self, manager, store, cluster, plan):
         """``read_slots``/``add_slots`` after one ``slots`` lookup leave the
@@ -89,20 +89,20 @@ class TestPushPull:
 class TestSync:
     def test_sync_merges_all_nodes_updates(self, manager, store):
         delta = np.ones((1, store.value_length), dtype=np.float32)
-        before = store.get_single(3).copy()
+        before = store.get([3])[0].copy()
         manager.push(0, np.array([3]), delta)
         manager.push(1, np.array([3]), 2 * delta)
         manager.force_sync()
-        np.testing.assert_allclose(store.get_single(3), before + 3.0, rtol=1e-6)
+        np.testing.assert_allclose(store.get([3])[0], before + 3.0, rtol=1e-6)
         # After the sync every replica agrees with the store.
         assert manager.max_replica_divergence() == pytest.approx(0.0, abs=1e-6)
 
     def test_sync_is_idempotent_without_new_updates(self, manager, store):
         manager.push(0, np.array([3]), np.ones((1, store.value_length), dtype=np.float32))
         manager.force_sync()
-        after_first = store.get_single(3).copy()
+        after_first = store.get([3])[0].copy()
         manager.force_sync()
-        np.testing.assert_array_equal(store.get_single(3), after_first)
+        np.testing.assert_array_equal(store.get([3])[0], after_first)
 
     def test_updates_survive_interleaved_pushes_and_syncs(self, manager, store):
         """The sum of all pushed deltas ends up in the store exactly once."""

@@ -101,12 +101,12 @@ class TestCheckpointManager:
         cluster = _cluster()
         store = ParameterStore(20, 2, seed=1, init_scale=0.5)
         manager = CheckpointManager(store, cluster, interval=None)
-        before = store.values[[3, 4]].copy()
+        before = store.get(np.arange(store.num_keys))[[3, 4]].copy()
         delta = np.ones((2, 2), dtype=np.float32)
         store.add(np.array([3, 4]), delta)
         store.add(np.array([3, 4]), delta)
         assert manager.restore(np.array([3, 4])) == 4
-        np.testing.assert_array_equal(store.values[[3, 4]], before)
+        np.testing.assert_array_equal(store.get(np.arange(store.num_keys))[[3, 4]], before)
         # Version counters roll back too: restoring twice discards nothing.
         assert manager.restore(np.array([3, 4])) == 0
 
@@ -220,13 +220,13 @@ class TestCrashAndRestore:
         controller = MembershipController(ps, FaultConfig(recovery="restart"))
         worker = cluster.worker(0, 0)
         victim_keys = np.asarray(ps.keys_owned_by(1))[:5]
-        before = store.values[victim_keys].copy()
+        before = store.get(np.arange(store.num_keys))[victim_keys].copy()
         deltas = np.ones((len(victim_keys), VALUE_LENGTH), dtype=np.float32)
         for _ in range(3):
             ps.push(worker, victim_keys, deltas)
         controller.crash_node(1, now=cluster.time)
         # Restart-from-scratch rolls the victim's keys back to t0 ...
-        np.testing.assert_array_equal(store.values[victim_keys], before)
+        np.testing.assert_array_equal(store.get(np.arange(store.num_keys))[victim_keys], before)
         # ... and the version counters price the discarded work.
         assert cluster.metrics.get("faults.lost_updates") == 3 * len(victim_keys)
         assert cluster.metrics.get("faults.keys_recovered_from_checkpoint") > 0
@@ -240,10 +240,10 @@ class TestCrashAndRestore:
         victim_keys = np.asarray(ps.keys_owned_by(1))[:5]
         deltas = np.ones((len(victim_keys), VALUE_LENGTH), dtype=np.float32)
         ps.push(worker, victim_keys, deltas)
-        after_push = store.values[victim_keys].copy()
+        after_push = store.get(np.arange(store.num_keys))[victim_keys].copy()
         controller.on_round(cluster.time + 0.01)  # checkpoint covers the push
         controller.crash_node(1, now=cluster.time + 0.02)
-        np.testing.assert_array_equal(store.values[victim_keys], after_push)
+        np.testing.assert_array_equal(store.get(np.arange(store.num_keys))[victim_keys], after_push)
         assert cluster.metrics.get("faults.lost_updates") == 0
         assert controller.checkpoint.checkpoints_taken >= 1
 
@@ -252,14 +252,14 @@ class TestCrashAndRestore:
         controller = MembershipController(ps, FaultConfig(recovery="restart"))
         worker = cluster.worker(0, 0)
         victim_keys = np.asarray(ps.keys_owned_by(1))[:6]
-        before = store.values[victim_keys].copy()
+        before = store.get(np.arange(store.num_keys))[victim_keys].copy()
         deltas = np.ones((len(victim_keys), VALUE_LENGTH), dtype=np.float32)
         ps.push(worker, victim_keys, deltas)
         controller.crash_node(1, now=cluster.time + 0.02)
         # The pusher's replica (which already absorbed the delta) covers the
         # crashed keys: no rollback to t0 despite the restart-from-scratch
         # fallback — the delta survives the crash.
-        np.testing.assert_allclose(store.values[victim_keys], before + 1.0,
+        np.testing.assert_allclose(store.get(np.arange(store.num_keys))[victim_keys], before + 1.0,
                                    rtol=1e-6)
         assert cluster.metrics.get("faults.keys_recovered_from_replicas") > 0
 
@@ -377,11 +377,11 @@ class TestDeadOwnerGate:
             proxy.pull_sample(worker, handle)
         assert handle.remaining == 2
         assert cluster.metrics.get("access.total") == reads
-        before = proxy.store.values.copy()
+        before = proxy.store.get(np.arange(proxy.store.num_keys)).copy()
         with pytest.raises(DeadOwnerError, match="gave up"):
             proxy.push_sample(worker, logical,
                               np.ones((2, VALUE_LENGTH), dtype=np.float32))
-        assert np.array_equal(proxy.store.values, before)
+        assert np.array_equal(proxy.store.get(np.arange(proxy.store.num_keys)), before)
         assert cluster.metrics.get("faults.timeouts") == 3
 
     def test_sample_pull_waits_out_a_short_recovery(self):

@@ -194,7 +194,7 @@ def _check_ownership(ps, cluster) -> None:
     """Every key is owned by exactly one node after any relocation sequence."""
     if not isinstance(ps, RelocationPS):
         return
-    owners = ps.current_owner
+    owners = ps.current_owner.take(np.arange(ps.store.num_keys))
     assert owners.shape == (ps.store.num_keys,)
     assert owners.min() >= 0 and owners.max() < cluster.num_nodes
     sizes = [len(ps.local_keys(node_id)) for node_id in range(cluster.num_nodes)]
@@ -267,9 +267,9 @@ def test_remapper_invariants_under_random_drifts():
 
     rng = np.random.default_rng(7)
     store = ParameterStore(90, 2, seed=1, init_scale=1.0)
-    reference = np.sort(store.values.copy(), axis=0)
+    reference = np.sort(store.get(np.arange(store.num_keys)).copy(), axis=0)
     remapper = KeyRemapper(90, groups=[(0, 50), (50, 90)])
-    logical_snapshot = store.values[remapper.physical_index].copy()
+    logical_snapshot = store.get(np.arange(store.num_keys))[remapper.physical_index].copy()
     for _ in range(12):
         sigma = remapper.rotation(float(rng.uniform(0.05, 0.95)))
         store.permute(sigma)
@@ -280,9 +280,9 @@ def test_remapper_invariants_under_random_drifts():
         )
         # Logical view is invariant; physical rows are merely rearranged.
         np.testing.assert_array_equal(
-            store.values[remapper.physical_index], logical_snapshot
+            store.get(np.arange(store.num_keys))[remapper.physical_index], logical_snapshot
         )
-        np.testing.assert_array_equal(np.sort(store.values, axis=0), reference)
+        np.testing.assert_array_equal(np.sort(store.get(np.arange(store.num_keys)), axis=0), reference)
 
 
 @pytest.mark.slow

@@ -194,8 +194,8 @@ class TestKGETaskLayout:
 
     def test_store_initialization(self, task):
         store = task.create_store(seed=0)
-        weights = store.values[:, : 2 * task.dim]
-        accumulators = store.values[:, 2 * task.dim:]
+        weights = store.get(np.arange(store.num_keys))[:, : 2 * task.dim]
+        accumulators = store.get(np.arange(store.num_keys))[:, 2 * task.dim:]
         assert np.abs(weights).max() > 0
         assert np.all(accumulators == 0)
 
@@ -256,7 +256,7 @@ class TestKGETraining:
         ps = SingleNodePS(store, cluster)
         task.register_sampling(ps)
         task.process_chunk(ps, cluster.worker(0, 0), np.arange(50), np.random.default_rng(0))
-        accumulators = store.values[:, 2 * task.dim:]
+        accumulators = store.get(np.arange(store.num_keys))[:, 2 * task.dim:]
         assert accumulators.max() > 0
         assert accumulators.min() >= 0
 
@@ -297,12 +297,12 @@ class TestKGETraining:
         known-true entities (the implementation this index replaced)."""
         store = task.create_store(seed=3)
         dim2 = 2 * task.dim
-        entity_w = store.values[: graph.num_entities, :dim2]
+        entity_w = store.get(np.arange(store.num_keys))[: graph.num_entities, :dim2]
         true_triples = graph.all_true_triples()
         reciprocal_ranks = []
         hits = 0
         for s, r, o in graph.test_triples.tolist():
-            relation_w = store.values[task.relation_key(r), :dim2]
+            relation_w = store.get(np.arange(store.num_keys))[task.relation_key(r), :dim2]
             queries = (
                 (task.model.score_against_all(entity_w[s], relation_w, entity_w),
                  o, {e for (s2, r2, e) in true_triples if (s2, r2) == (s, r)}),

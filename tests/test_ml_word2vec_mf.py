@@ -49,8 +49,8 @@ class TestWordVectorsLayout:
     def test_store_init_input_random_output_zero(self, corpus):
         task = WordVectorsTask(corpus, dim=4)
         store = task.create_store(seed=0)
-        assert np.abs(store.values[: corpus.vocab_size]).max() > 0
-        assert np.all(store.values[corpus.vocab_size:] == 0)
+        assert np.abs(store.get(np.arange(store.num_keys))[: corpus.vocab_size]).max() > 0
+        assert np.all(store.get(np.arange(store.num_keys))[corpus.vocab_size:] == 0)
 
     def test_data_points_are_tokens_with_context(self, corpus):
         task = WordVectorsTask(corpus, dim=4, window=2)
@@ -111,7 +111,7 @@ class TestWordVectorsTraining:
     def test_output_vectors_receive_updates(self, corpus):
         task = WordVectorsTask(corpus, dim=4, window=2, num_negatives=2)
         _, _, store = train_on_single_node(task, epochs=1)
-        assert np.abs(store.values[corpus.vocab_size:]).max() > 0
+        assert np.abs(store.get(np.arange(store.num_keys))[corpus.vocab_size:]).max() > 0
 
     def test_requires_sampling_registration(self, corpus):
         task = WordVectorsTask(corpus, dim=4)

@@ -17,7 +17,6 @@ from repro.ps.chunks import (
     MemoryBudget,
     MemoryBudgetExceeded,
     StorageConfig,
-    flatnonzero_equal,
 )
 from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
@@ -131,17 +130,19 @@ class TestChunkedVector:
         assert vec[10] == 1 and clone[10] == 2
         assert vec.materialized_chunks == 1 and clone.materialized_chunks == 2
 
-    def test_densify_makes_the_array_the_pool(self):
+    def test_densify_adopts_an_array_on_a_fresh_table_only(self):
         vec = ChunkedVector(50, np.int64, fill_value=7, chunk_rows=16)
-        vec[3] = 1
-        dense = vec.densify()
-        assert dense[4] == 7 and dense[3] == 1
-        dense[20] = 99  # direct write must be visible through chunked reads
+        array = np.arange(50, dtype=np.int64)
+        assert vec.densify(array) is array is vec.pool
+        array[20] = 99  # direct write must be visible through chunked reads
         assert vec[20] == 99
-        vec[21] = 4  # chunked write must be visible through the dense array
-        assert dense[21] == 4
-        assert vec.densify() is dense  # idempotent
+        vec[21] = 4  # chunked write must be visible through the array
+        assert array[21] == 4
         assert vec.materialized_chunks == vec.num_chunks
+        written = ChunkedVector(50, np.int64, chunk_rows=16)
+        written[3] = 1
+        with pytest.raises(ValueError, match="only a fresh table"):
+            written.densify(np.zeros(50, dtype=np.int64))
 
     def test_integer_index_follows_numpy(self):
         vec = ChunkedVector(100, np.int64, fill_value=0, chunk_rows=16)
@@ -265,18 +266,38 @@ class TestChunkedMatrix:
             ChunkedMatrix(10, 2).take(np.array([0]), axis=1)
 
 
-class TestFlatnonzeroEqual:
-    def test_dense_and_chunked_agree(self):
-        dense = np.full(50, 2, dtype=np.int64)
-        dense[[7, 30]] = 5
-        vec = ChunkedVector(50, np.int64, fill_value=2, chunk_rows=16)
-        vec[np.array([7, 30])] = 5
-        np.testing.assert_array_equal(
-            flatnonzero_equal(dense, 5), flatnonzero_equal(vec, 5)
-        )
-        np.testing.assert_array_equal(
-            flatnonzero_equal(dense, 2), flatnonzero_equal(vec, 2)
-        )
+class TestDenseTable:
+    def test_dense_and_sparse_columns_agree(self):
+        tables = [ChunkedTable(50, 16, dense=dense) for dense in (True, False)]
+        columns = [table.column("owner", np.int64, fill_value=2)
+                   for table in tables]
+        for column in columns:
+            column[np.array([7, 30])] = 5
+        assert columns[0].pool.shape == (50,)  # keys are rows
+        for value in (5, 2):
+            np.testing.assert_array_equal(columns[0].where_equal(value),
+                                          columns[1].where_equal(value))
+        assert columns[0].count_nonzero() == columns[1].count_nonzero() == 50
+
+    def test_a_dense_table_charges_each_column_whole(self):
+        budget = MemoryBudget(1000)
+        table = ChunkedTable(100, 16, budget, label="t", dense=True)
+        table.column("v", np.int64, fill_fn=lambda keys: keys % 3)
+        assert budget.used_bytes == table.columns[0].nbytes == 800
+        assert table.columns[0].pool.tolist() == [k % 3 for k in range(100)]
+        assert table.materialized_chunks == table.num_chunks
+        with pytest.raises(MemoryBudgetExceeded, match="dense t.w"):
+            table.column("w", np.int64)
+        assert budget.used_bytes == 800
+
+    def test_rows_are_the_keys_and_claims_write_nothing(self):
+        table = ChunkedTable(100, 16, dense=True)
+        table.column("v", np.float32, (2,))
+        keys = np.array([5, 99, 5])
+        assert table.rows(keys).tolist() == [5, 99, 5]
+        assert table._rows(keys) is keys
+        assert table.claim(keys, keys, keys > 50) is keys
+        assert table._written.tolist() == [100]
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +340,7 @@ def _drive(rng, container, reference, steps=120):
         return slice(lo, hi, int(rng.integers(1, 4)))
 
     for _ in range(steps):
-        op = int(rng.integers(0, 13))
+        op = int(rng.integers(0, 12))
         if op == 0:
             k = keys()
             _exact(container.take(k), reference.take(k, axis=0))
@@ -368,12 +389,6 @@ def _drive(rng, container, reference, steps=120):
             clone = container.copy()
             container[0] = reference[0]  # must not reach the clone
             container = clone
-        elif op == 12 and rng.random() < 0.15:
-            dense = container.densify()
-            _exact(dense, reference)
-            # From here on the dense array *is* the state: write through it.
-            row = int(rng.integers(0, NUM_ROWS))
-            dense[row] = reference[row] = _values(rng, dtype, row_shape)
         _exact(container.take(everything), reference)
     return container
 
@@ -428,9 +443,9 @@ def _owner_fill(keys):
     return keys % 5 - 1
 
 
-def _table(num_columns, chunk_rows, budget=None):
+def _table(num_columns, chunk_rows, budget=None, dense=False):
     """A ``num_columns``-column table and the ndarrays it must equal."""
-    table = ChunkedTable(NUM_ROWS, chunk_rows, budget, label="t")
+    table = ChunkedTable(NUM_ROWS, chunk_rows, budget, label="t", dense=dense)
     references = []
     for name, dtype, row_shape, fill in TABLE_COLUMNS[:num_columns]:
         if fill == "key-wise":
@@ -447,15 +462,27 @@ def _table(num_columns, chunk_rows, budget=None):
 @pytest.mark.parametrize("num_columns", [2, 3, 4, 5])
 def test_table_matches_one_ndarray_per_column(chunk_rows, num_columns):
     """The single-container differential, one random column at a time: an
-    operation on one column (materialization, ``copy``, ``densify``
-    included) must leave every column of the table exact."""
+    operation on one column (materialization and ``copy`` included) must
+    leave every column of the table exact."""
+    _drive_table(chunk_rows, num_columns, dense=False)
+
+
+@pytest.mark.parametrize("num_columns", [1, 5])
+def test_dense_table_matches_one_ndarray_per_column(num_columns):
+    """The same differential on a dense table, the dense backend's
+    container: every column one array, keys as rows."""
+    _drive_table(7, num_columns, dense=True)
+
+
+def _drive_table(chunk_rows, num_columns, dense):
     rng = np.random.default_rng([chunk_rows, num_columns])
-    table, references = _table(num_columns, chunk_rows)
+    table, references = _table(num_columns, chunk_rows, dense=dense)
     everything = np.arange(NUM_ROWS)
     for _ in range(150):
         at = int(rng.integers(0, num_columns))
         column = _drive(rng, table.columns[at], references[at], steps=1)
-        table = column.table  # a clone's after ``copy``
+        if table.columns[at] is not column:  # a copy, which holds its clone
+            table = column.table
         assert table.columns[at] is column
         for column, reference in zip(table.columns, references):
             _exact(column.take(everything), reference)
@@ -623,7 +650,7 @@ class TestTable:
         "columns": "in its columns t.mask, t.values, t.owner, t.clock",
         "one chunk across all columns": "(203.0 B)",
         "used / limit": "the 411.0 B memory budget of node 0 (used: 406.0 B)",
-        "remedy: budget": "Raise the budget (StorageConfig budget bytes)",
+        "remedy: budget": "Raise StorageConfig.node_budget_bytes,",
         "remedy: chunk size": "reduce chunk_rows so each touched key "
                               "materializes less state",
         "remedy: touched keys": "reduce the number of distinct keys touched",
@@ -631,7 +658,9 @@ class TestTable:
 
     @pytest.mark.parametrize("part", MESSAGE_PARTS)
     def test_budget_message(self, part):
-        table, _ = _table(4, 7, MemoryBudget(2 * 203 + 5, label="node 0"))
+        table, _ = _table(4, 7, MemoryBudget(
+            2 * 203 + 5, label="node 0",
+            setting="StorageConfig.node_budget_bytes"))
         with pytest.raises(MemoryBudgetExceeded) as excinfo:
             table.columns[0][np.array([140, 3, 70])] = True
         assert self.MESSAGE_PARTS[part] in str(excinfo.value)
@@ -651,7 +680,8 @@ class TestTable:
         _exact(snapshot.get(keys), store.get(keys))
         _exact(snapshot.read_versions(keys), store.read_versions(keys))
         snapshot.add(keys[:1], np.ones((1, 8), dtype=np.float32))
-        assert store.version(0) == 1 and snapshot.version(0) == 2
+        assert store.read_versions([0])[0] == 1
+        assert snapshot.read_versions([0])[0] == 2
 
 
 #: The replication node layout: mask, replica, clock, update mask, update.
@@ -712,8 +742,8 @@ def test_an_unwritten_key_space_allocates_no_table():
     allocated before the first write (building a page table over its
     24 415 chunks peaked at 390 KiB)."""
     def build():
-        column = ChunkedTable(10**8, label="huge").column(
-            "values", np.float32, (8,))
+        table = ChunkedTable(10**8, label="huge")
+        column = table.column("values", np.float32, (8,))
         assert column.take(np.array([5, 10**8 - 1])).sum() == 0.0
 
     assert _gather_peak(build) < 64 * 1024
@@ -839,17 +869,26 @@ class TestBudgets:
         assert mat.nbytes == (full * 8 + 3) * 16 == budget.used_bytes
         assert mat.pool.nbytes > mat.nbytes
 
-    def test_densify_is_charged_and_refused_over_budget(self):
-        budget = MemoryBudget(1000)
-        vec = ChunkedVector(100, np.int64, chunk_rows=16, budget=budget)
-        vec[0] = 1
-        vec.densify()
-        assert budget.used_bytes == vec.nbytes == 800
-        small = ChunkedVector(100, np.int64, chunk_rows=16,
-                              budget=MemoryBudget(500))
-        with pytest.raises(MemoryBudgetExceeded, match="densified vector"):
-            small.densify()
-        assert small.materialized_chunks == 0 and small.nbytes == 0
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_a_store_over_budget_names_its_setting(self, backend):
+        config = StorageConfig(backend=backend, store_budget_bytes=1000)
+        with pytest.raises(MemoryBudgetExceeded,
+                           match=r"Raise StorageConfig\.store_budget_bytes,"):
+            store = ParameterStore(10**4, 8, storage=config)
+            store.add(np.array([5]), np.ones((1, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_a_node_over_budget_names_its_setting(self, backend):
+        from repro.ps.replication import ReplicationPS
+        from repro.simulation.cluster import Cluster
+
+        config = StorageConfig(backend=backend, node_budget_bytes=1000)
+        cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=1))
+        with pytest.raises(MemoryBudgetExceeded,
+                           match=r"Raise StorageConfig\.node_budget_bytes,"):
+            ps = ReplicationPS(ParameterStore(10**4, 8, storage=config),
+                               cluster)
+            ps.pull(cluster.worker(0, 0), np.array([5]))
 
     def test_hundred_million_keys_report_the_same_bytes_as_chunk_dicts(self):
         """The 10^8-key / 64 MiB regression of test_storage_backends, with
@@ -862,7 +901,7 @@ class TestBudgets:
         touched = rng.integers(0, 10**8, size=10_000, dtype=np.int64)
         store.add(touched, rng.normal(size=(10_000, 8)).astype(np.float32))
         assert store.materialized_chunks() == 9969
-        assert store.nbytes() == store._budget.used_bytes == 25_520_640
+        assert store.nbytes() == store._table.budget.used_bytes == 25_520_640
 
     @pytest.mark.parametrize("system, expected", [
         ("lapse", {"store": 36576, "ownership": 8128}),
@@ -886,3 +925,25 @@ class TestBudgets:
         run_experiment(make_task("kge", scale="test"), factory, config)
         assert dict(held["ps"].state_nbytes()) == expected
         assert held["ps"].store.materialized_chunks() == 2
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_a_store_dies_with_its_last_reference(dense):
+    """A column refers to its table weakly: a store's arrays are freed when
+    the store goes, not when the cyclic collector next runs (a table and
+    its columns made a cycle, so a finished experiment's dense state stayed
+    allocated past the next ones)."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        store = ParameterStore(1000, 8, storage=StorageConfig(
+            backend="dense" if dense else "sparse"))
+        store.add(np.array([3]), np.ones((1, 8), dtype=np.float32))
+        table = weakref.ref(store._table)
+        values = weakref.ref(store.value_column)
+        del store
+        assert table() is None and values() is None
+    finally:
+        gc.enable()

@@ -22,9 +22,9 @@ class TestSingleNodePS:
     def test_push_applies_to_store(self, store, single_node_cluster):
         ps = SingleNodePS(store, single_node_cluster)
         worker = single_node_cluster.worker(0, 0)
-        before = store.get_single(5)
+        before = store.get([5])[0]
         ps.push(worker, [5], np.ones((1, store.value_length), dtype=np.float32))
-        np.testing.assert_allclose(store.get_single(5), before + 1.0, rtol=1e-6)
+        np.testing.assert_allclose(store.get([5])[0], before + 1.0, rtol=1e-6)
 
     def test_accesses_are_local_and_cheap(self, store, single_node_cluster):
         ps = SingleNodePS(store, single_node_cluster)

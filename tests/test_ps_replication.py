@@ -52,34 +52,34 @@ class TestWriteVisibility:
     def test_writes_not_in_global_store_before_flush(self, store, cluster):
         ps = make_ps(store, cluster)
         worker = cluster.worker(0, 0)
-        before = store.get_single(5).copy()
+        before = store.get([5])[0].copy()
         ps.push(worker, [5], np.ones((1, store.value_length), dtype=np.float32))
-        np.testing.assert_array_equal(store.get_single(5), before)
+        np.testing.assert_array_equal(store.get([5])[0], before)
 
     def test_flush_propagates_updates_to_store(self, store, cluster):
         ps = make_ps(store, cluster)
         worker = cluster.worker(0, 0)
-        before = store.get_single(5).copy()
+        before = store.get([5])[0].copy()
         ps.push(worker, [5], np.ones((1, store.value_length), dtype=np.float32))
         advance_all_workers(ps, cluster, 0)
-        np.testing.assert_allclose(store.get_single(5), before + 1.0, rtol=1e-6)
+        np.testing.assert_allclose(store.get([5])[0], before + 1.0, rtol=1e-6)
 
     def test_finish_epoch_flushes_all_nodes(self, store, cluster):
         ps = make_ps(store, cluster)
-        before = store.get_single(5).copy()
+        before = store.get([5])[0].copy()
         ps.push(cluster.worker(0, 0), [5], np.ones((1, store.value_length), dtype=np.float32))
         ps.push(cluster.worker(2, 1), [5], np.ones((1, store.value_length), dtype=np.float32))
         ps.finish_epoch()
-        np.testing.assert_allclose(store.get_single(5), before + 2.0, rtol=1e-6)
+        np.testing.assert_allclose(store.get([5])[0], before + 2.0, rtol=1e-6)
 
     def test_flush_only_after_all_workers_clock(self, store, cluster):
         """The node clock is the slowest worker; flushing waits for it."""
         ps = make_ps(store, cluster)
         worker = cluster.worker(0, 0)
-        before = store.get_single(5).copy()
+        before = store.get([5])[0].copy()
         ps.push(worker, [5], np.ones((1, store.value_length), dtype=np.float32))
         ps.advance_clock(worker)  # only one of two workers has clocked
-        np.testing.assert_array_equal(store.get_single(5), before)
+        np.testing.assert_array_equal(store.get([5])[0], before)
 
 
 class TestStaleness:
@@ -173,7 +173,8 @@ class TestReplicaClockIsGatedByTheMask:
         def poison_unreplicated():
             if poison:
                 for state in ps._nodes.values():
-                    state.replica_clock[~state.replica_mask] = 2**40
+                    # Dense columns: a pool is the whole array.
+                    state.replica_clock.pool[~state.replica_mask.pool] = 2**40
 
         for _ in range(5):
             for worker in cluster.workers():
@@ -199,18 +200,20 @@ class TestReplicaClockIsGatedByTheMask:
         recovered, found = ps.recover_values(np.arange(300))
         ps.finish_epoch()
         nodes = [cluster.node(node_id) for node_id in range(4)]
+        every = np.arange(300)
         return {
             "clocks": [worker.clock.now for worker in cluster.workers()]
             + [node.server_clock.now for node in nodes]
             + [node.background_clock.now for node in nodes],
             "metrics": cluster.metrics.counters(),
-            "values": store.values.tobytes(),
-            "versions": store.versions.tobytes(),
+            "values": store.get(every).tobytes(),
+            "versions": store.read_versions(every).tobytes(),
             "recovered": (recovered.tobytes(), found.tobytes()),
             "replicas": [
-                (state.replica_mask.tobytes(),
-                 state.replica_clock[state.replica_mask].tobytes(),
-                 state.replica_values.tobytes())
+                (state.replica_mask.take(every).tobytes(),
+                 state.replica_clock.take(every)[
+                     state.replica_mask.take(every)].tobytes(),
+                 state.replica_values.take(every).tobytes())
                 for state in ps._nodes.values()],
         }
 

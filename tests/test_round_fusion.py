@@ -904,7 +904,7 @@ def test_chunk_values_checks_keys_per_chunk_and_deltas_per_point():
     # Key 5 occurs twice in the point: both deltas land, in order.
     assert np.array_equal(store.get(np.array([5, 9])),
                           before + np.array([[2.0], [1.0]], dtype=np.float32))
-    assert store.version(5) == 2 and store.version(9) == 1
+    assert store.read_versions([5])[0] == 2 and store.read_versions([9])[0] == 1
 
 
 SAMPLING_SYSTEMS = ["classic", "lapse", "ssp", "essp", "nups"]

@@ -108,12 +108,12 @@ class TestStorePermute:
     def test_values_and_versions_move_with_keys(self):
         store = ParameterStore(6, 2, seed=1, init_scale=1.0)
         store.add(np.array([3]), np.ones((1, 2), dtype=np.float32))
-        before = store.values.copy()
+        before = store.get(np.arange(store.num_keys)).copy()
         sigma = np.array([1, 2, 3, 4, 5, 0])
         store.permute(sigma)
-        np.testing.assert_array_equal(store.values[sigma], before)
-        assert store.version(int(sigma[3])) == 1
-        assert store.version(int(sigma[0])) == 0
+        np.testing.assert_array_equal(store.get(np.arange(store.num_keys))[sigma], before)
+        assert store.read_versions([int(sigma[3])])[0] == 1
+        assert store.read_versions([int(sigma[0])])[0] == 0
 
     def test_rejects_non_permutation(self):
         store = ParameterStore(4, 1)
@@ -150,10 +150,10 @@ class TestInterposerKeyTranslation:
         worker = cluster.worker(0, 0)
         remapper.apply(remapper.rotation(0.5))
         physical = int(remapper.to_physical(np.array([3]))[0])
-        before = ps.store.get_single(physical)
+        before = ps.store.get([physical])[0]
         proxy.push(worker, np.array([3]), np.ones((1, 2), dtype=np.float32))
         np.testing.assert_allclose(
-            ps.store.get_single(physical), before + 1.0, rtol=1e-6
+            ps.store.get([physical])[0], before + 1.0, rtol=1e-6
         )
 
     @pytest.mark.parametrize("bad_key, error", [(-1, KeyError),
@@ -181,11 +181,11 @@ class TestInterposerKeyTranslation:
             .charge_chunk(worker, bad, point_calls([2], [0], [0.0]))
             for sampled in (None, distribution_id)
         ]
-        before = ps.store.values.copy()
+        before = ps.store.get(np.arange(ps.store.num_keys)).copy()
         for call in calls:
             with pytest.raises(error):
                 call()
-        assert np.array_equal(ps.store.values, before)
+        assert np.array_equal(ps.store.get(np.arange(ps.store.num_keys)), before)
 
     def test_delegates_unlisted_attributes(self):
         proxy, ps, _, _ = self.make()
@@ -250,10 +250,10 @@ class TestRemanage:
         nups = NuPS(store, cluster, plan=plan, sync_interval=0.01)
         worker = cluster.worker(0, 0)
         delta = np.ones((1, store.value_length), dtype=np.float32)
-        before = store.get_single(2)
+        before = store.get([2])[0]
         nups.push(worker, np.array([2]), delta)
         nups.remanage(ManagementPlan.relocate_all(store.num_keys), now=0.5)
-        np.testing.assert_allclose(store.get_single(2), before + 1.0, rtol=1e-6)
+        np.testing.assert_allclose(store.get([2])[0], before + 1.0, rtol=1e-6)
 
     def test_schedule_anchored_at_remanage_time(self, store, cluster):
         plan = ManagementPlan(store.num_keys, np.arange(5))

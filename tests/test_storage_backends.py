@@ -23,7 +23,14 @@ from repro.core.nups import NuPS, _NuPSPointCharger
 from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
 from repro.core.sampling.schemes import SchemeConfig
-from repro.ps.chunks import ChunkedTable, MemoryBudgetExceeded, StorageConfig
+from repro.ps.chunks import (
+    ChunkedArray,
+    ChunkedTable,
+    MemoryBudgetExceeded,
+    StorageConfig,
+)
+from repro.ps.relocation import RelocationPS
+from repro.ps.replication import ReplicationPS
 from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
@@ -89,7 +96,7 @@ class TestSparseStoreMatchesDenseOracle:
         dense.add(keys, deltas)
         sparse.add(keys, deltas)
         _assert_stores_equal(dense, sparse)
-        assert sparse.version(10) == 4
+        assert sparse.read_versions([10])[0] == 4
 
     @pytest.mark.parametrize("size", [3, 16])
     def test_small_batches_with_repeated_keys(self, size):
@@ -135,19 +142,6 @@ class TestSparseStoreMatchesDenseOracle:
             store.write_versions(keys, np.array([10, 20]))
             np.testing.assert_array_equal(store.read_versions(keys), [10, 20])
 
-    def test_values_property_densifies_coherently(self):
-        _, sparse = _dense_and_sparse()
-        sparse.add(np.array([7]), np.ones((1, 4), dtype=np.float32))
-        dense_view = sparse.values
-        assert dense_view.shape == (500, 4)
-        assert dense_view[7].sum() == 4.0
-        # Direct writes and chunked ops must stay coherent after densify.
-        dense_view[9] = 2.0
-        np.testing.assert_array_equal(sparse.get(np.array([9]))[0],
-                                      np.full(4, 2.0, np.float32))
-        sparse.add(np.array([11]), np.ones((1, 4), dtype=np.float32))
-        assert dense_view[11].sum() == 4.0
-
 
 class TestWithStorageConversion:
     def test_round_trip_preserves_contents(self):
@@ -173,58 +167,6 @@ class TestWithStorageConversion:
             ParameterStore(10, 2).with_storage("sparse")
 
 
-class TestViewContract:
-    """``view`` promises a zero-copy read-only view for contiguous ranges
-    and documents the copy fallback for everything else (regression: fancy
-    indexing silently returned a copy while the docstring said view)."""
-
-    def test_contiguous_range_is_zero_copy_on_dense(self):
-        store = ParameterStore(100, 4, seed=0, init_scale=0.1)
-        view = store.view(np.arange(10, 20))
-        assert np.shares_memory(view, store.values)
-        assert not view.flags.writeable
-
-    def test_single_key_is_zero_copy_on_dense(self):
-        store = ParameterStore(100, 4)
-        assert np.shares_memory(store.view(np.array([42])), store.values)
-
-    def test_view_tracks_subsequent_writes(self):
-        # The zero-copy contract, observably: a true view sees later writes.
-        store = ParameterStore(100, 4)
-        view = store.view(np.arange(5, 8))
-        store.add(np.array([6]), np.ones((1, 4), dtype=np.float32))
-        assert view[1].sum() == 4.0
-
-    def test_non_contiguous_falls_back_to_copy(self):
-        store = ParameterStore(100, 4, seed=0, init_scale=0.1)
-        view = store.view(np.array([3, 7, 50]))
-        assert not np.shares_memory(view, store.values)
-        assert not view.flags.writeable
-        np.testing.assert_array_equal(view, store.get(np.array([3, 7, 50])))
-
-    def test_sparse_range_written_in_order_is_zero_copy(self):
-        store = ParameterStore(1000, 4, storage=SPARSE)
-        store.add(np.arange(128, 140), np.ones((12, 4), dtype=np.float32))
-        view = store.view(np.arange(130, 136))  # consecutive records
-        assert np.shares_memory(view, store._values[130])  # the live row
-        assert not view.flags.writeable
-        store.add(np.array([135]), np.ones((1, 4), dtype=np.float32))
-        assert view[5].sum() == 8.0  # zero-copy: sees the later write
-
-    def test_sparse_range_with_an_unwritten_key_copies(self):
-        store = ParameterStore(1000, 4, storage=SPARSE)
-        store.add(np.array([130]), np.ones((1, 4), dtype=np.float32))
-        view = store.view(np.arange(128, 140))  # in a materialized chunk
-        assert not np.shares_memory(view, store._values[130])
-        assert view[2].sum() == 4.0 and view.sum() == 4.0
-
-    def test_sparse_unmaterialized_range_copies(self):
-        store = ParameterStore(1000, 4, storage=SPARSE)
-        view = store.view(np.arange(200, 210))
-        assert not view.flags.writeable
-        assert view.sum() == 0.0
-
-
 class TestCopyWithoutThrowawayAllocation:
     def test_copy_never_calls_init(self, monkeypatch):
         """Regression: ``copy`` used to build the clone through ``__init__``,
@@ -236,7 +178,8 @@ class TestCopyWithoutThrowawayAllocation:
 
         monkeypatch.setattr(ParameterStore, "__init__", _boom)
         clone = store.copy()
-        np.testing.assert_array_equal(clone.values, store.values)
+        every = np.arange(100)
+        np.testing.assert_array_equal(clone.get(every), store.get(every))
 
     def test_sparse_copy_clones_materialized_chunks_only(self):
         store = ParameterStore(10_000, 4, storage=SPARSE)
@@ -272,7 +215,7 @@ class TestMemoryBudgetRegression:
         # Reads of untouched keys stay free and correct.
         probe = np.array([1, self.NUM_KEYS - 2], dtype=np.int64)
         assert store.get(probe).sum() == 0.0
-        assert store.version(1) == 0
+        assert store.read_versions([1])[0] == 0
 
     def test_exceeding_budget_raises_actionable_error(self):
         config = StorageConfig(backend="sparse", chunk_rows=4096,
@@ -285,7 +228,7 @@ class TestMemoryBudgetRegression:
         message = str(excinfo.value)
         assert "memory budget" in message
         assert "chunk_rows" in message
-        assert "Raise the budget" in message
+        assert "Raise StorageConfig.store_budget_bytes" in message
 
 
 #: The scale cell of ``perfbench``'s ``sparse_store`` workload in small, in
@@ -322,8 +265,8 @@ for worker in cluster.workers():
     ps.advance_clock(worker)
 ps.finish_epoch()
 grown = peak_mib() - baseline
-tables = [obj for obj in gc.get_objects()
-          if isinstance(obj, ChunkedTable) and obj.num_rows == 10**8]
+tables = [obj for obj in gc.get_objects()  # not the columns' weak proxies
+          if type(obj) is ChunkedTable and obj.num_rows == 10**8]
 print(json.dumps({"grown_mib": grown,
                   "tables": len(tables),
                   "records": sum(len(t._written) - 1 for t in tables),
@@ -514,9 +457,9 @@ def test_relocation_ownership_is_bit_identical_on_both_backends():
     (dense, dense_cluster), (sparse, sparse_cluster) = (
         _drive_ownership("dense"), _drive_ownership("sparse"))
     every = np.arange(OWNERSHIP_KEYS)
-    np.testing.assert_array_equal(dense.current_owner,
+    np.testing.assert_array_equal(dense.current_owner.take(every),
                                   sparse.current_owner.take(every))
-    np.testing.assert_array_equal(dense.arrival_time,
+    np.testing.assert_array_equal(dense.arrival_time.take(every),
                                   sparse.arrival_time.take(every))
     clocks = [
         [(node.background_clock.now, node.server_clock.now)
@@ -526,7 +469,7 @@ def test_relocation_ownership_is_bit_identical_on_both_backends():
     assert clocks[0] == clocks[1]
     assert dense_cluster.metrics.counters() == sparse_cluster.metrics.counters()
     assert dense_cluster.metrics.get("relocation.sampling") > 0
-    moved = np.flatnonzero(dense.arrival_time > 0)
+    moved = np.flatnonzero(dense.arrival_time.take(every) > 0)
     assert sparse._ownership._written[:-1].tolist() == moved.tolist()
     assert 0 < len(moved) < OWNERSHIP_KEYS
 
@@ -553,3 +496,70 @@ def test_sparse_nups_translates_a_batch_once_per_key_space(monkeypatch):
                    config)
     assert len(chunks) > 50
     assert len(translations) <= 5 * len(chunks)
+
+
+# --------------------------------------------------------------------------
+# One container on both backends.
+# --------------------------------------------------------------------------
+
+def _per_key_columns(ps) -> list:
+    """Every per-key state structure of ``ps`` and of its store."""
+    columns = [ps.store.value_column, ps.store.version_column]
+    if isinstance(ps, RelocationPS):
+        columns += [ps.current_owner, ps.arrival_time]
+    if isinstance(ps, ReplicationPS):
+        for state in ps._nodes.values():
+            columns += [state.replica_mask, state.replica_values,
+                        state.replica_clock, state.update_mask,
+                        state.update_values]
+    if isinstance(ps, NuPS):
+        assert ps.replica_manager.enabled
+        columns.append(ps.replica_manager._slot_of_key)
+    return columns
+
+
+@pytest.mark.parametrize("system", ["classic", "lapse", "ssp", "essp", "nups"])
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_per_key_state_is_one_container_on_both_backends(backend, system):
+    """Each per-key structure is a column of a ``ChunkedTable`` — dense on
+    the dense backend — no holder keeps a key-length array of its own, and
+    the key-to-row translations return the same kind of result on both
+    backends: an ``int64`` row array (with the owners, for ownership)."""
+    task = make_task("kge", scale="test")
+    store = task.create_store(seed=5).with_storage(
+        StorageConfig(backend=backend, chunk_rows=64))
+    cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=2))
+    overrides = {"plan": ManagementPlan(store.num_keys, np.array([7, 8]))} \
+        if system == "nups" else {}
+    ps = make_ps_factory(system, **overrides)(store, cluster, task)
+    for column in _per_key_columns(ps):
+        assert isinstance(column, ChunkedArray)
+        assert isinstance(column.table, ChunkedTable)
+        assert any(twin is column for twin in column.table.columns)
+        assert column.num_rows == store.num_keys
+        assert (column.table._fill_end == 0) == (backend == "dense")
+    holders = [store, ps] + list(getattr(ps, "_nodes", {}).values())
+    if isinstance(ps, NuPS):
+        holders.append(ps.replica_manager)
+    for holder in holders:
+        for name, value in vars(holder).items():
+            assert not (isinstance(value, np.ndarray) and value.ndim
+                        and len(value) == store.num_keys), name
+
+    def assert_rows(rows):
+        assert type(rows) is np.ndarray and rows.dtype == np.int64
+        assert rows.shape == keys.shape
+
+    keys = np.array([3, 0, 3, store.num_keys - 1], dtype=np.int64)
+    rows = store.at(keys)
+    assert_rows(rows)
+    np.testing.assert_array_equal(store.value_column.gather(rows),
+                                  store.get(keys))
+    if isinstance(ps, RelocationPS):
+        rows, owners = ps.ownership_at(keys)
+        assert_rows(rows)
+        assert_rows(owners)
+        np.testing.assert_array_equal(owners, ps.partitioner.owners(keys))
+    if isinstance(ps, ReplicationPS):
+        for state in ps._nodes.values():
+            assert_rows(state.at(keys))
