@@ -74,8 +74,9 @@ VALUE_LENGTH = 8
 SCALE_CHUNK_ROWS = 2048
 SCALE_WORKERS_PER_NODE = 2
 #: The stated memory budget of every scale cell: the store plus a per-node
-#: allowance for replica state. ``MemoryBudget`` enforces both *during* the
-#: run; the cells additionally record the resident bytes they ended at.
+#: allowance for replica state. Each key space refuses a write that would
+#: take its charged chunks over its budget *during* the run; the cells
+#: additionally record the resident bytes they ended at.
 STORE_BUDGET_BYTES = 256 * 1024**2
 NODE_BUDGET_BYTES = 64 * 1024**2
 

@@ -67,7 +67,6 @@ SYSTEM_OVERRIDES: Dict[str, Dict[str, object]] = {
     "nups": dict(NUPS_BENCH_OVERRIDES),
     "nups-tuned": dict(NUPS_BENCH_OVERRIDES),
     "nups-adaptive": dict(NUPS_BENCH_OVERRIDES),
-    "nups-adaptive-tuned": dict(NUPS_BENCH_OVERRIDES),
     "relocation+replication": dict(NUPS_BENCH_OVERRIDES),
     "relocation+sampling": dict(NUPS_BENCH_OVERRIDES),
 }

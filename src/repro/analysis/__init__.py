@@ -5,7 +5,6 @@ from repro.analysis.speedup import (
     effective_speedup,
     effective_speedup_from_results,
     raw_speedup,
-    scaling_table,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "raw_speedup",
     "effective_speedup",
     "effective_speedup_from_results",
-    "scaling_table",
 ]

@@ -9,7 +9,7 @@ The paper reports two speedups relative to the shared-memory single node:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.runner.experiment import ExperimentResult
 
@@ -76,21 +76,6 @@ def raw_speedup_from_results(results: Sequence[ExperimentResult],
         for result in results
         if result is not single
     }
-
-
-def scaling_table(results_by_nodes: Dict[int, ExperimentResult],
-                  baseline: ExperimentResult) -> List[List[object]]:
-    """Rows of (nodes, epoch time, raw speedup) for a scalability figure."""
-    rows: List[List[object]] = []
-    baseline_time = baseline.mean_epoch_time()
-    for nodes in sorted(results_by_nodes):
-        result = results_by_nodes[nodes]
-        rows.append([
-            nodes,
-            result.mean_epoch_time(),
-            raw_speedup(baseline_time, result.mean_epoch_time()),
-        ])
-    return rows
 
 
 def _find_single(results: Iterable[ExperimentResult], system: str) -> ExperimentResult:

@@ -8,14 +8,13 @@ while also embedding enough latent structure that the models can actually
 learn something (so that model-quality-over-time curves are meaningful).
 """
 
-from repro.data.zipf import zipf_probabilities, zipf_sample
+from repro.data.zipf import zipf_probabilities
 from repro.data.knowledge_graph import KnowledgeGraph, generate_knowledge_graph
 from repro.data.corpus import Corpus, generate_corpus
 from repro.data.matrix import MatrixDataset, generate_matrix
 
 __all__ = [
     "zipf_probabilities",
-    "zipf_sample",
     "KnowledgeGraph",
     "generate_knowledge_graph",
     "Corpus",

@@ -34,17 +34,6 @@ def zipf_probabilities(num_items: int, exponent: float = 1.1,
     return probabilities
 
 
-def zipf_sample(rng: np.random.Generator, num_items: int, size: int,
-                exponent: float = 1.1,
-                probabilities: np.ndarray | None = None) -> np.ndarray:
-    """Draw ``size`` item ids from a Zipf distribution over ``num_items`` items."""
-    if probabilities is None:
-        probabilities = zipf_probabilities(num_items, exponent)
-    if len(probabilities) != num_items:
-        raise ValueError("probabilities length must equal num_items")
-    return rng.choice(num_items, size=size, p=probabilities).astype(np.int64)
-
-
 def frequency_histogram(counts: np.ndarray) -> np.ndarray:
     """Per-item frequencies sorted in decreasing order.
 

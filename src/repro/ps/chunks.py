@@ -30,13 +30,14 @@ NumPy call. A field view is strided, and ``ndarray.take`` copies a
 non-contiguous array whole before it gathers: gathers go through
 :meth:`ChunkedArray.gather`, never ``take`` on a pool.
 
-**Chunks are the unit of accounting.** Keys fall into fixed-size chunks of
-``chunk_rows`` keys, and the first write into a chunk *materializes* it: the
-chunk is charged once against an optional :class:`MemoryBudget`, at ``rows
-x (sum of the columns' row bytes)``, *before* anything is recorded (over
-budget raises :class:`MemoryBudgetExceeded` with an actionable message); a
-dense table charges every column whole when it is added.
-``materialized_chunks`` and ``nbytes`` count those chunks. Residency is
+**A key space is charged for the chunks its written keys lie in.** Keys
+fall into chunks of ``chunk_rows`` keys; a sparse chunk is charged, at
+``rows x (sum of the columns' row bytes)``, while a written key lies in it,
+so the index is the only record of the charge (``materialized_chunks``,
+``nbytes``; a chunk no key holds after a relabel is released). A dense
+table charges every column whole. A write or relabel that would go over the
+optional :class:`MemoryBudget` is refused whole, *before* anything changes
+(:class:`MemoryBudgetExceeded`, with an actionable message). Residency is
 finer: a sparse key space costs its index (16 bytes per written key) plus
 one record per written key, appended to the pool in order of first write.
 The pool is an anonymous mapping whose capacity covers every charged row;
@@ -59,8 +60,6 @@ __all__ = [
     "MemoryBudgetExceeded",
     "ChunkedArray",
     "ChunkedTable",
-    "ChunkedMatrix",
-    "ChunkedVector",
     "StorageConfig",
 ]
 
@@ -85,53 +84,38 @@ def _format_bytes(n: float) -> str:
 
 
 class MemoryBudgetExceeded(MemoryError):
-    """A chunk materialization would exceed the configured memory budget."""
+    """A write would take a key space over its memory budget."""
 
 
+@dataclass(frozen=True)
 class MemoryBudget:
-    """Byte accounting for lazily materialized state.
+    """The byte limit of one key space (:class:`ChunkedTable`), whose
+    ``nbytes`` is what it holds against it.
 
-    One budget instance can be shared by several containers (e.g. a store's
-    value and version chunks), so the limit covers their combined resident
-    bytes. ``charge`` raises :class:`MemoryBudgetExceeded` *before* the
-    allocation happens; its message names ``setting``, the field to raise
-    (e.g. ``StorageConfig.store_budget_bytes``).
+    ``label`` names the state in error messages, ``setting`` the field to
+    raise (e.g. ``StorageConfig.store_budget_bytes``).
     """
 
-    def __init__(self, limit_bytes: int, label: str = "storage",
-                 setting: str = "the budget") -> None:
-        limit_bytes = int(limit_bytes)
-        if limit_bytes <= 0:
+    limit_bytes: int
+    label: str = "storage"
+    setting: str = "the budget"
+
+    def __post_init__(self) -> None:
+        if self.limit_bytes <= 0:
             raise ValueError(
-                f"memory budget must be positive, got {limit_bytes} bytes; "
-                "use budget=None for unbounded storage"
+                f"memory budget must be positive, got {self.limit_bytes} "
+                "bytes; use budget=None for unbounded storage"
             )
-        self.limit_bytes = limit_bytes
-        self.label = str(label)
-        self.setting = setting
-        self.used_bytes = 0
 
-    @property
-    def remaining_bytes(self) -> int:
-        return max(self.limit_bytes - self.used_bytes, 0)
-
-    def charge(self, nbytes: int, what: str) -> None:
-        """Reserve ``nbytes`` for ``what``; raise if it would go over budget."""
-        if self.used_bytes + nbytes > self.limit_bytes:
-            raise MemoryBudgetExceeded(
-                f"materializing {what} ({_format_bytes(nbytes)}) would exceed "
-                f"the {_format_bytes(self.limit_bytes)} memory budget of "
-                f"{self.label} (used: {_format_bytes(self.used_bytes)}). "
-                f"Raise {self.setting}, reduce chunk_rows so each touched "
-                "key materializes less state, or reduce the number of "
-                "distinct keys touched"
-            )
-        self.used_bytes += nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoryBudget({_format_bytes(self.used_bytes)} / "
-            f"{_format_bytes(self.limit_bytes)}, label={self.label!r})"
+    def exceeded(self, what: str, used: int) -> MemoryBudgetExceeded:
+        """The error for a charge ``what`` (its bytes included) that does
+        not fit next to the ``used`` bytes held before it."""
+        return MemoryBudgetExceeded(
+            f"{what} would exceed the {_format_bytes(self.limit_bytes)} "
+            f"memory budget of {self.label} (used: {_format_bytes(used)}). "
+            f"Raise {self.setting}, reduce chunk_rows so each touched key "
+            "materializes less state, or reduce the number of distinct keys "
+            "touched"
         )
 
 
@@ -208,13 +192,13 @@ class ChunkedTable:
     """The index and the pool of one key space, shared by its columns.
 
     The table owns translation (the sorted written keys ``_written`` and
-    their pool rows ``_slot``), the budget, materialization and the pool,
-    whose record holds one field per column: a key is written in every
-    column or in none, and a chunk is charged once, at ``rows x (sum of the
-    columns' row bytes)``. A column (:class:`ChunkedArray`) is a view of its
-    field, so one translation (:meth:`rows` / :meth:`writable_rows`) indexes
-    ``column.pool`` of every column. Keys outside ``[0, num_rows)`` raise
-    :class:`IndexError`.
+    their pool rows ``_slot``), the charge derived from them, the budget and
+    the pool, whose record holds one field per column: a key is written in
+    every column or in none, and a chunk is charged once, at ``rows x (sum
+    of the columns' row bytes)``. A column (:class:`ChunkedArray`) is a view
+    of its field, so one translation (:meth:`rows` / :meth:`writable_rows`)
+    indexes ``column.pool`` of every column. Keys outside ``[0, num_rows)``
+    raise :class:`IndexError`.
 
     A dense table (``dense=True``, or one that adopted a dense array through
     :meth:`ChunkedArray.densify`) has no index and no pool: every column is
@@ -255,10 +239,9 @@ class ChunkedTable:
         #: share them.
         self._written = np.array([self.num_rows], dtype=np.int64)
         self._slot = np.zeros(1, dtype=np.int64)
-        #: The materialized chunks, ascending, ending in sentinel
-        #: ``num_chunks``.
-        self._chunks = np.array([self.num_chunks], dtype=np.int64)
-        #: Rows of the materialized chunks (what is charged and reported).
+        #: Rows of the chunks a written key lies in: the charge, derived
+        #: from the index (a first write adds its fresh chunks, a relabel
+        #: recounts).
         self.resident_rows = self.num_rows if dense else 0
 
     def column(self, name: str, dtype, row_shape: Tuple[int, ...] = (),
@@ -270,9 +253,10 @@ class ChunkedTable:
 
     @property
     def materialized_chunks(self) -> int:
+        """The chunks a written key lies in (dense: all)."""
         if not self._fill_end:
             return self.num_chunks
-        return len(self._chunks) - 1
+        return len(self._chunks_of(self._written[:-1])[0])
 
     @property
     def nbytes(self) -> int:
@@ -280,17 +264,34 @@ class ChunkedTable:
         chunks."""
         return self.resident_rows * self._row_nbytes
 
+    def _chunks_of(self, keys: np.ndarray):
+        """The chunks the ascending ``keys`` lie in, ascending, with each
+        one's first key and its end (the next chunk's first key, or
+        ``num_rows``)."""
+        cids = keys // self.chunk_rows
+        if len(cids) > 1:  # a single key is distinct already
+            cids = np.unique(cids)
+        first = cids * self.chunk_rows
+        return cids, first, np.minimum(first + self.chunk_rows, self.num_rows)
+
+    def _check_budget(self, total: int, what: str) -> None:
+        """Refuse, before anything changes, a charge that takes the table to
+        ``total`` bytes over its budget; ``what`` names it."""
+        if self.budget is not None and total > self.budget.limit_bytes:
+            raise self.budget.exceeded(what, self.nbytes)
+
     # ------------------------------------------------------------------ layout
     def _add(self, column: "ChunkedArray") -> None:
         """Give ``column`` its storage: an array of its own on a dense table
         (charged whole), else a field: a new record and a fresh fill
         record."""
+        if not self._fill_end:
+            size = self.num_rows * column._row_nbytes
+            self._check_budget(self.nbytes + size, f"materializing dense "
+                               f"{column.label} ({_format_bytes(size)})")
         self.columns.append(column)
         self._row_nbytes += column._row_nbytes
         if not self._fill_end:
-            if self.budget is not None:
-                self.budget.charge(self.num_rows * column._row_nbytes,
-                                   f"dense {column.label}")
             column.pool = column._full()
             column._items = None
             return
@@ -430,7 +431,8 @@ class ChunkedTable:
     # ---------------------------------------------------------- materialization
     def _write(self, fresh: np.ndarray) -> None:
         """Give the ascending, distinct, unwritten keys ``fresh`` records,
-        after charging the chunks they are the first to write into."""
+        after charging the chunks they are the first to write into (a batch
+        the budget refuses changes nothing)."""
         self._charge(fresh)
         start = self._used_rows
         end = start + len(fresh)
@@ -455,10 +457,11 @@ class ChunkedTable:
         """Move key ``k``'s contents to key ``new_key_of[k]`` (a permutation).
 
         Records stay where they are in the pool: the index maps the written
-        keys through the permutation, after charging the chunks they land
-        in first. A dense table replaces each column's array by its
-        permutation. Refused for a column with a key-wise fill: an unwritten
-        key would read the fill of the key it moved from.
+        keys through the permutation, and the charge becomes the chunks they
+        land in (a relabel the budget refuses changes nothing). A dense
+        table replaces each column's array by its permutation. Refused for a
+        column with a key-wise fill: an unwritten key would read the fill of
+        the key it moved from.
         """
         if any(column.fill_fn is not None for column in self.columns):
             raise ValueError("cannot relabel a table with a key-wise fill")
@@ -471,50 +474,51 @@ class ChunkedTable:
         keys = new_key_of[self._written[:-1]]
         order = np.argsort(keys)
         keys = keys[order]
-        self._charge(keys)
+        cids, first, end = self._chunks_of(keys)
+        rows = int((end - first).sum())
+        size = rows * self._row_nbytes
+        self._check_budget(size, f"relabelling {self.label} onto {len(cids)} "
+                           f"chunks ({_format_bytes(size)})")
         self._written = np.append(keys, self.num_rows)
         self._slot = np.append(self._slot[:-1][order], 0)
+        self._set_resident_rows(rows)
 
     def _charge(self, keys: np.ndarray) -> None:
-        """Charge the chunks the ascending ``keys`` are the first to write
-        into, and grow the pool to cover every charged row.
+        """Charge the chunks the ascending, unwritten ``keys`` are the first
+        to write into, and grow the pool to cover every charged row.
 
-        Chunks are charged in ascending order: when the budget runs out at
-        some chunk, those before it materialize and its charge raises.
+        A chunk is charged already when a written key lies in it. When the
+        fresh chunks do not all fit the budget, none is charged: the error
+        names the first chunk (in ascending order) that does not fit.
         """
-        cids = keys // self.chunk_rows
-        if len(cids) > 1:  # a single key is distinct already
-            cids = np.unique(cids)
-        cids = cids[self._chunks.take(self._chunks.searchsorted(cids)) != cids]
-        refused = None
-        if len(cids):
-            first = cids * self.chunk_rows
-            sizes = (np.minimum(first + self.chunk_rows, self.num_rows)
-                     - first) * self._row_nbytes
-            if self.budget is not None:
-                fits = int(np.searchsorted(np.cumsum(sizes),
-                                           self.budget.remaining_bytes,
-                                           "right"))
-                if fits < len(cids):
-                    names = ", ".join(c.label for c in self.columns)
-                    refused = (int(sizes[fits]), f"chunk {int(cids[fits])} "
-                               f"of {self.label} in its columns {names}")
-                    cids, sizes = cids[:fits], sizes[:fits]
-            if len(cids):
-                total = int(sizes.sum())
-                if self.budget is not None:
-                    self.budget.charge(total,
-                                       f"{len(cids)} chunks of {self.label}")
-                self._chunks = np.insert(
-                    self._chunks, self._chunks.searchsorted(cids), cids)
-                self.resident_rows += total // self._row_nbytes
-        if refused is not None:
-            self.budget.charge(*refused)
-        # Capacity covers every charged row, so the records (at most one
-        # per charged row) fit and the pool moves only when a chunk is
-        # charged; spare capacity is never resident.
-        if self.resident_rows + 1 > len(self._pool):
-            self._grow(self.resident_rows + 1)
+        cids, first, end = self._chunks_of(keys)
+        fresh = self._written.take(self._written.searchsorted(first)) >= end
+        if not fresh.any():
+            return
+        rows = (end - first)[fresh]
+        if self.budget is not None:
+            sizes = rows * self._row_nbytes
+            ends = np.cumsum(sizes)
+            room = self.budget.limit_bytes - self.nbytes
+            if ends[-1] > room:
+                at = int(ends.searchsorted(room, "right"))
+                names = ", ".join(c.label for c in self.columns)
+                what = (f"materializing chunk {int(cids[fresh][at])} of "
+                        f"{self.label} in its columns {names} "
+                        f"({_format_bytes(sizes[at])})")
+                if at:
+                    what += (f" after this write's {at} chunks before it "
+                             f"({_format_bytes(ends[at - 1])})")
+                raise self.budget.exceeded(what, self.nbytes)
+        self._set_resident_rows(self.resident_rows + int(rows.sum()))
+
+    def _set_resident_rows(self, rows: int) -> None:
+        """Charge ``rows`` rows, growing the pool to cover them: the records
+        (at most one per charged row) then fit, and the pool moves only when
+        a chunk is charged; spare capacity is never resident."""
+        self.resident_rows = rows
+        if rows + 1 > len(self._pool):
+            self._grow(rows + 1)
 
     def _grow(self, rows_needed: int) -> None:
         """Move to a pool of ``rows_needed`` rows or double the capacity (at
@@ -529,9 +533,9 @@ class ChunkedTable:
         """Turn the fresh table dense (budget charged): no index, no fill
         record, one contiguous array per column instead of the pool,
         ``initial`` as ``column``'s."""
-        if self.budget is not None:
-            self.budget.charge(self.num_rows * self._row_nbytes,
-                               f"dense-initialized {self.label}")
+        size = self.num_rows * self._row_nbytes
+        self._check_budget(size, f"materializing dense-initialized "
+                           f"{self.label} ({_format_bytes(size)})")
         for c in self.columns:
             c.pool = initial if c is column else c._full()
             c._items = None
@@ -563,37 +567,36 @@ class ChunkedArray:
     Reads of unwritten keys return ``fill_value``, or ``fill_fn(keys)`` (a
     vectorized key-wise default, e.g. the static partition for owner maps)
     when one is given. Supports the ndarray subset used by the PS hot paths:
-    ``take``, integer/slice/fancy get and set, ``add_at``, and for vectors
-    ``where_equal``/``any``/``count_nonzero``. Keys outside
-    ``[0, num_rows)`` raise :class:`IndexError` (an integer index may be
-    negative and then counts from the end, like NumPy).
+    ``take``, integer/slice/fancy get and set, and for vectors
+    ``where_equal``/``count_nonzero``. Keys outside ``[0, num_rows)`` raise
+    :class:`IndexError` (an integer index may be negative and then counts
+    from the end, like NumPy). Accumulating writes go through the rows of
+    :meth:`ChunkedTable.writable_rows` into ``pool``.
 
     **View contract.** Fancy, slice and ``take`` reads return copies. An
-    integer index into a multi-dimensional container returns a *view* of the
+    integer index into a multi-dimensional column returns a *view* of the
     row, like dense row indexing: live (writes go through) when the key is
     written, read-only (writes raise) when it is not — write through
-    ``container[k] = ...`` or ``add_at`` to give it a record. Views stay
-    attached until the table next materializes a chunk (through any column);
-    do not hold them across writes. A column of a table nobody holds any
-    more raises :class:`ReferenceError`.
+    ``column[k] = ...`` to give it a record. Views stay attached until the
+    table next materializes a chunk (through any column); do not hold them
+    across writes. A column of a table nobody holds any more raises
+    :class:`ReferenceError`.
     """
 
     def __init__(self, table: ChunkedTable, label: str,
                  row_shape: Tuple[int, ...], dtype, fill_value=0,
                  fill_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
                  ) -> None:
-        if table._fill_end and table.materialized_chunks:
+        if table._fill_end and len(table._written) > 1:
             raise ValueError(f"{table.label} has materialized chunks: "
                              f"column {label} comes too late")
         #: The key space, referred to weakly: the table holds its columns,
         #: and a strong reference back would make every table a reference
         #: cycle that only the cyclic collector frees, arrays and all. Whoever
-        #: builds a table keeps it; a standalone container holds its own.
+        #: builds a table keeps it.
         self.table = weakref.proxy(table)
         self.label = label
         self.num_rows = table.num_rows
-        self.chunk_rows = table.chunk_rows
-        self.num_chunks = table.num_chunks
         self.row_shape = tuple(int(n) for n in row_shape)
         self.shape = (self.num_rows,) + self.row_shape
         self.ndim = len(self.shape)
@@ -610,16 +613,6 @@ class ChunkedArray:
         #: for a matrix; ``None`` when ``pool`` is contiguous.
         self._items: Optional[np.ndarray]
         table._add(self)
-
-    @property
-    def nbytes(self) -> int:
-        """Charged bytes: the rows of the materialized chunks (what the
-        budget holds; the records actually written are fewer)."""
-        return self.table.resident_rows * self._row_nbytes
-
-    @property
-    def materialized_chunks(self) -> int:
-        return self.table.materialized_chunks
 
     def _fill(self, keys: np.ndarray) -> np.ndarray:
         """The key-wise default contents of ``keys``."""
@@ -701,25 +694,7 @@ class ChunkedArray:
             rows = self.table.writable_rows(index)
         self.pool[rows] = value
 
-    def add_at(self, keys, deltas) -> None:
-        """``np.add.at`` semantics (duplicate keys accumulate in batch order)."""
-        rows = self.table.writable_rows(keys)
-        # Distinct rows take exactly one addition each, so fancy ``+=`` is
-        # bit-identical to the (much slower) unbuffered ``np.add.at``.
-        if rows.size <= 64 and len(set(rows.tolist())) == rows.size:
-            self.pool[rows] += deltas
-        else:
-            np.add.at(self.pool, rows, deltas)
-
     # ------------------------------------------------------------- predicates
-    def _written_rows(self) -> np.ndarray:
-        """The records of the written keys (every row on a dense table)."""
-        return self.pool[self.table._fill_end:self.table._used_rows]
-
-    def _unwritten_count(self) -> int:
-        table = self.table
-        return self.num_rows - (table._used_rows - table._fill_end)
-
     def where_equal(self, value) -> np.ndarray:
         """Ascending row indices whose element equals ``value``.
 
@@ -739,33 +714,19 @@ class ChunkedArray:
             return pieces[0]
         return np.sort(np.concatenate(pieces))
 
-    def any(self) -> bool:
-        """Whether any element is truthy (fills of unwritten keys included)."""
-        if self._written_rows().any():
-            return True
-        if self.fill_fn is not None:
-            return any(self._fill(keys).any()
-                       for keys in self.table._unwritten_keys())
-        return bool(self.fill_value) and self._unwritten_count() > 0
-
     def count_nonzero(self) -> int:
-        total = int(np.count_nonzero(self._written_rows()))
+        table = self.table
+        # The records of the written keys: every row on a dense table.
+        written = self.pool[table._fill_end:table._used_rows]
+        total = int(np.count_nonzero(written))
         if self.fill_fn is not None:
             total += sum(int(np.count_nonzero(self._fill(keys)))
-                         for keys in self.table._unwritten_keys())
+                         for keys in table._unwritten_keys())
         elif self.fill_value:
-            total += self._unwritten_count()
+            total += self.num_rows - len(written)
         return total
 
     # ----------------------------------------------------------------- lifecycle
-    def copy(self) -> "ChunkedArray":
-        """This column of an independent clone of the table
-        (:meth:`ChunkedTable.copy`), standalone: it holds the clone."""
-        clone = self.table.copy()
-        twin = clone.columns[self.table.columns.index(self)]
-        twin.table = clone
-        return twin
-
     def densify(self, initial: np.ndarray) -> np.ndarray:
         """Adopt the array ``initial`` as this column's contents on a fresh
         table (nothing written): a sparse table turns dense around it (every
@@ -774,50 +735,9 @@ class ChunkedArray:
         table = self.table
         if not table._fill_end:
             self.pool = initial
-        elif table.materialized_chunks:
+        elif len(table._written) > 1:
             raise ValueError(f"{table.label} has materialized chunks: only a "
                              "fresh table adopts an array")
         else:
             table._densify(self, initial)
         return self.pool
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray,
-                   chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                   budget: Optional[MemoryBudget] = None,
-                   label: str = "matrix") -> "ChunkedArray":
-        """Wrap an existing dense array (a dense table: keys are its rows)."""
-        self = cls.__new__(cls)
-        table = ChunkedTable(dense.shape[0], chunk_rows, budget, label)
-        ChunkedArray.__init__(self, table, label, dense.shape[1:], dense.dtype)
-        self.table = table  # standalone: the column holds its table
-        self.densify(dense)
-        return self
-
-
-class ChunkedVector(ChunkedArray):
-    """A one-column key space of scalars (its own :class:`ChunkedTable`)."""
-
-    def __init__(self, num_rows: int, dtype, fill_value=0,
-                 fill_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 budget: Optional[MemoryBudget] = None,
-                 label: str = "vector") -> None:
-        table = ChunkedTable(num_rows, chunk_rows, budget, label)
-        super().__init__(table, label, (), dtype, fill_value, fill_fn)
-        self.table = table  # standalone: the column holds its table
-
-
-class ChunkedMatrix(ChunkedArray):
-    """A one-column ``num_rows x row_length`` key space; untouched rows are
-    zero."""
-
-    def __init__(self, num_rows: int, row_length: int, dtype=np.float32,
-                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 budget: Optional[MemoryBudget] = None,
-                 label: str = "matrix") -> None:
-        if row_length <= 0:
-            raise ValueError("row_length must be positive")
-        table = ChunkedTable(num_rows, chunk_rows, budget, label)
-        super().__init__(table, label, (row_length,), dtype)
-        self.table = table  # standalone: the column holds its table

@@ -4,7 +4,7 @@ The benchmark harness refers to systems by name. Each name maps to a builder
 ``(store, cluster, task, **overrides) -> ParameterServer`` whose overrides
 are keyword-only parameters: the NuPS family takes ``plan``, ``pool_size``,
 ``use_frequency``, ``scheme_override``, ``sync_interval`` and
-``integrate_sampling`` (the adaptive variants also ``adaptive_config``), the
+``integrate_sampling`` (``nups-adaptive`` also ``adaptive_config``), the
 other systems take none, and an unknown or inapplicable override raises
 ``TypeError`` when the PS is built:
 
@@ -25,8 +25,6 @@ Name                        Paper system
 ``relocation+sampling``     ablation: relocation only, with sampling integration
 ``nups-adaptive``           NuPS + online adaptive management (hot-spot
                             heuristic re-derived from observed access skew)
-``nups-adaptive-tuned``     NuPS tuned + online adaptive management (top-k
-                            extent re-targeted from observed access skew)
 ==========================  ====================================================
 """
 
@@ -153,16 +151,6 @@ def build_nups_adaptive(store: ParameterStore, cluster: Cluster,
     return ps
 
 
-def build_nups_adaptive_tuned(store: ParameterStore, cluster: Cluster,
-                              task: TrainingTask, *,
-                              adaptive_config: Optional[AdaptiveConfig] = None,
-                              **nups) -> ParameterServer:
-    """NuPS tuned + online top-k re-targeting of the replication extent."""
-    ps = build_nups_tuned(store, cluster, task, **nups)
-    install_adaptive(ps, adaptive_config or AdaptiveConfig(policy="top-k"))
-    return ps
-
-
 def build_relocation_replication(store: ParameterStore, cluster: Cluster,
                                  task: TrainingTask, *,
                                  integrate_sampling: bool = False,
@@ -191,7 +179,6 @@ SYSTEM_BUILDERS: Dict[str, Callable[..., ParameterServer]] = {
     "nups": build_nups,
     "nups-tuned": build_nups_tuned,
     "nups-adaptive": build_nups_adaptive,
-    "nups-adaptive-tuned": build_nups_adaptive_tuned,
     "relocation+replication": build_relocation_replication,
     "relocation+sampling": build_relocation_sampling,
 }

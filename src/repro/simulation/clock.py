@@ -88,11 +88,5 @@ class SimulatedClock:
             self._now = fold_costs(self._now, np.full(count, cost, dtype=np.float64))
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock to ``start`` (used between epochs in experiments)."""
-        if start < 0:
-            raise ValueError(f"clock cannot be reset to negative time: {start}")
-        self._now = float(start)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulatedClock(now={self._now:.6f})"

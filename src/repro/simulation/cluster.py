@@ -75,12 +75,6 @@ class Node:
         worker_max = max(clock.now for clock in self.worker_clocks)
         return max(worker_max, self.background_clock.now, self.server_clock.now)
 
-    def reset_clocks(self) -> None:
-        for clock in self.worker_clocks:
-            clock.reset()
-        self.background_clock.reset()
-        self.server_clock.reset()
-
 
 @dataclass
 class WorkerContext:
@@ -183,11 +177,6 @@ class Cluster:
             clock.now for node in self.nodes for clock in node.worker_clocks
             if node.node_id not in self.removed
         )
-
-    def reset_clocks(self) -> None:
-        """Reset all clocks to zero (metrics are left untouched)."""
-        for node in self.nodes:
-            node.reset_clocks()
 
     # ---------------------------------------------------------------- faults
     def fail_node(self, node_id: int) -> None:
@@ -335,9 +324,6 @@ class Cluster:
         if scale <= 0:
             raise ValueError(f"compute_scale must be positive, got {scale}")
         self._worker_contexts[(node_id, worker_id)].compute_scale = float(scale)
-
-    def reset_metrics(self) -> None:
-        self.metrics.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

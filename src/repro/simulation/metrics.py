@@ -131,24 +131,11 @@ class MetricsRegistry:
         return sorted(self._per_node)
 
     # ------------------------------------------------------------- aggregates
-    def share(self, numerator: str, denominator: str) -> float:
-        """Ratio of two counters; 0.0 when the denominator is zero."""
-        denom = self.get(denominator)
-        if denom == 0:
-            return 0.0
-        return self.get(numerator) / denom
-
     def total_matching(self, prefix: str) -> float:
         """Sum of all global counters whose name starts with ``prefix``."""
         return sum(v for k, v in self._global.items() if k.startswith(prefix))
 
     # ----------------------------------------------------------------- control
-    def reset(self) -> None:
-        """Clear all counters."""
-        self._global.clear()
-        self._per_node.clear()
-        self._dirty.clear()
-
     def merge(self, other: "MetricsRegistry") -> None:
         """Add all counters from ``other`` into this registry."""
         for name, value in other._global.items():

@@ -10,7 +10,6 @@ from repro.analysis.speedup import (
     effective_speedup_from_results,
     raw_speedup,
     raw_speedup_from_results,
-    scaling_table,
 )
 from repro.runner.experiment import EpochRecord, ExperimentResult
 from repro.runner.workloads import kge_task, matrix_factorization_task, word_vectors_task
@@ -115,15 +114,3 @@ class TestEffectiveSpeedup:
         speedups = effective_speedup_from_results([single, variant])
         assert set(speedups) == {"nups"}
         assert speedups["nups"] == pytest.approx(5.0)
-
-
-class TestScalingTable:
-    def test_rows_sorted_by_nodes(self):
-        baseline = make_result("single-node", [1.0], epoch_time=8.0)
-        results = {
-            4: make_result("nups", [1.0], epoch_time=3.0),
-            2: make_result("nups", [1.0], epoch_time=5.0),
-        }
-        rows = scaling_table(results, baseline)
-        assert [row[0] for row in rows] == [2, 4]
-        assert rows[1][2] == pytest.approx(8.0 / 3.0)

@@ -13,7 +13,7 @@ from repro.data.corpus import _build_similarity_probes, generate_corpus
 from repro.data.knowledge_graph import generate_knowledge_graph
 from repro.data.matrix import generate_matrix
 from repro.data.rows import unique_rows
-from repro.data.zipf import empirical_skew_summary, zipf_probabilities, zipf_sample
+from repro.data.zipf import empirical_skew_summary, zipf_probabilities
 from repro.runner.workloads import make_task
 
 
@@ -36,14 +36,6 @@ class TestZipfUtilities:
             zipf_probabilities(0)
         with pytest.raises(ValueError):
             zipf_probabilities(10, -1.0)
-
-    def test_zipf_sample_range(self):
-        samples = zipf_sample(np.random.default_rng(0), 20, 500, 1.1)
-        assert samples.min() >= 0 and samples.max() < 20
-
-    def test_zipf_sample_probability_length_mismatch(self):
-        with pytest.raises(ValueError):
-            zipf_sample(np.random.default_rng(0), 20, 10, probabilities=np.ones(5) / 5)
 
     def test_skew_summary(self):
         counts = np.array([1000.0] + [1.0] * 999)

@@ -352,7 +352,6 @@ BUILDER_PARAMETERS = {
              "sync_interval", "integrate_sampling"),
     "nups-tuned": ("plan", "scheme_override", "**nups"),
     "nups-adaptive": ("adaptive_config", "**nups"),
-    "nups-adaptive-tuned": ("adaptive_config", "**nups"),
     "relocation+replication": ("integrate_sampling", "**nups"),
     "relocation+sampling": ("plan", "**nups"),
 }

@@ -1,8 +1,11 @@
-"""Unit tests for the chunked sparse state containers (repro.ps.chunks).
+"""Unit tests for the key-space containers (repro.ps.chunks).
 
-The containers duck-type the ndarray subset the parameter-server hot paths
+The columns duck-type the ndarray subset the parameter-server hot paths
 use; every operation here is checked against the equivalent dense-array
 result, because bit-identity with the dense backend is the contract.
+Tables are built the way the parameter servers build theirs, through
+:meth:`StorageConfig.table` and :meth:`ChunkedTable.column`, and the
+accumulating writes go through the production ``scatter_add_rows``.
 """
 
 import numpy as np
@@ -11,15 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ps.chunks import (
     DEFAULT_CHUNK_ROWS,
-    ChunkedMatrix,
     ChunkedTable,
-    ChunkedVector,
     MemoryBudget,
     MemoryBudgetExceeded,
     StorageConfig,
 )
 from repro.ps.rounds import point_calls
-from repro.ps.storage import ParameterStore
+from repro.ps.storage import ParameterStore, scatter_add_rows
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import run_experiment
 from repro.runner.systems import make_ps_factory
@@ -27,28 +28,33 @@ from repro.runner.workloads import make_task
 from repro.simulation.cluster import ClusterConfig
 
 
+def _key_space(num_rows, chunk_rows=DEFAULT_CHUNK_ROWS, budget=None,
+               label="t", backend="sparse") -> ChunkedTable:
+    """A key space of ``num_rows`` keys on ``backend``."""
+    return StorageConfig(backend=backend, chunk_rows=chunk_rows).table(
+        num_rows, budget, label)
+
+
+def _written_chunks(table) -> set:
+    """The chunks a written key of the sparse ``table`` lies in, read off
+    the index key by key."""
+    return {key // table.chunk_rows for key in table._written[:-1].tolist()}
+
+
+def _rows_of(table, chunks) -> int:
+    """The keys of ``chunks`` (the last chunk may be partial)."""
+    return sum(min(table.chunk_rows, table.num_rows - c * table.chunk_rows)
+               for c in chunks)
+
+
 class TestMemoryBudget:
-    def test_charge_accumulates(self):
-        budget = MemoryBudget(1000, label="test")
-        budget.charge(600, "a")
-        assert budget.used_bytes == 600
-        assert budget.remaining_bytes == 400
-
-    def test_over_budget_raises_before_allocation(self):
-        budget = MemoryBudget(1000, label="node 3 state")
-        budget.charge(900, "a")
-        with pytest.raises(MemoryBudgetExceeded):
-            budget.charge(200, "chunk 7 of replica values")
-        # The failed charge must not be recorded.
-        assert budget.used_bytes == 900
-
     def test_error_message_is_actionable(self):
         budget = MemoryBudget(1024, label="parameter store (10^8 keys)")
-        with pytest.raises(MemoryBudgetExceeded) as excinfo:
-            budget.charge(4096, "chunk 0 of store.values")
-        message = str(excinfo.value)
+        message = str(budget.exceeded(
+            "materializing chunk 0 of store.values (4.0 KiB)", 512))
         assert "parameter store (10^8 keys)" in message
         assert "chunk 0 of store.values" in message
+        assert "(used: 512.0 B)" in message
         assert "Raise the budget" in message
         assert "chunk_rows" in message
 
@@ -80,72 +86,85 @@ class TestStorageConfig:
             StorageConfig(node_budget_bytes=-1)
 
 
-class TestChunkedVector:
+class TestVectorColumn:
     def test_reads_of_untouched_rows_return_fill(self):
-        vec = ChunkedVector(100, np.int64, fill_value=-1, chunk_rows=16)
+        table = _key_space(100, 16)
+        vec = table.column("v", np.int64, fill_value=-1)
         assert vec[5] == -1
         assert vec.take(np.array([0, 50, 99])).tolist() == [-1, -1, -1]
-        assert vec.nbytes == 0
-        assert vec.materialized_chunks == 0
+        assert table.nbytes == 0
+        assert table.materialized_chunks == 0
 
     def test_write_materializes_only_touched_chunks(self):
-        vec = ChunkedVector(100, np.int64, fill_value=0, chunk_rows=16)
+        table = _key_space(100, 16)
+        vec = table.column("v", np.int64)
         vec[np.array([3, 80])] = np.array([7, 9])
-        assert vec.materialized_chunks == 2
+        assert table.materialized_chunks == 2
         assert vec[3] == 7 and vec[80] == 9
         assert vec[4] == 0  # same chunk, untouched row keeps the fill
 
     def test_fill_fn_computed_default(self):
-        vec = ChunkedVector(
-            100, np.int64, fill_fn=lambda keys: keys // 25, chunk_rows=16,
-        )
+        table = _key_space(100, 16)
+        vec = table.column("v", np.int64, fill_fn=lambda keys: keys // 25)
         assert vec[0] == 0 and vec[99] == 3
         assert vec.take(np.array([10, 30, 60, 90])).tolist() == [0, 1, 2, 3]
-        assert vec.materialized_chunks == 0  # reads never materialize
+        assert table.materialized_chunks == 0  # reads never materialize
         vec[30] = 7  # overrides the computed default in chunk 1 only
         assert vec[30] == 7
         assert vec[31] == 1  # same chunk, other rows keep the computed fill
 
     def test_where_equal_with_fill_fn(self):
-        vec = ChunkedVector(
-            64, np.int64, fill_fn=lambda keys: keys % 4, chunk_rows=16,
-        )
+        table = _key_space(64, 16)
+        vec = table.column("v", np.int64, fill_fn=lambda keys: keys % 4)
         vec[2] = 99  # chunk 0 materialized, row 2 no longer equals 2
         expected = [k for k in range(64) if k % 4 == 2 and k != 2]
         assert vec.where_equal(2).tolist() == expected
 
-    def test_any_ignores_padding_of_a_fully_written_partial_chunk(self):
-        vec = ChunkedVector(10, np.int64, fill_value=7, chunk_rows=4)
+    def test_count_nonzero_ignores_padding_of_a_fully_written_partial_chunk(
+            self):
+        table = _key_space(10, 4)
+        vec = table.column("v", np.int64, fill_value=7)
         vec[:] = 0  # every chunk materialized, the last one half padding
-        assert not vec.any()
         assert vec.count_nonzero() == 0
         assert vec.where_equal(0).tolist() == list(range(10))
 
-    def test_copy_is_independent(self):
-        vec = ChunkedVector(50, np.int64, fill_value=0, chunk_rows=16)
+    def test_table_copy_is_independent(self):
+        table = _key_space(50, 16)
+        vec = table.column("v", np.int64)
         vec[10] = 1
-        clone = vec.copy()
-        clone[10] = 2
-        clone[40] = 3  # grows the clone's pool only
-        assert vec[10] == 1 and clone[10] == 2
-        assert vec.materialized_chunks == 1 and clone.materialized_chunks == 2
+        clone = table.copy()
+        twin = clone.columns[0]
+        twin[10] = 2
+        twin[40] = 3  # grows the clone's pool only
+        assert vec[10] == 1 and twin[10] == 2
+        assert table.materialized_chunks == 1 and clone.materialized_chunks == 2
 
     def test_densify_adopts_an_array_on_a_fresh_table_only(self):
-        vec = ChunkedVector(50, np.int64, fill_value=7, chunk_rows=16)
+        table = _key_space(50, 16)
+        vec = table.column("v", np.int64, fill_value=7)
         array = np.arange(50, dtype=np.int64)
         assert vec.densify(array) is array is vec.pool
         array[20] = 99  # direct write must be visible through chunked reads
         assert vec[20] == 99
         vec[21] = 4  # chunked write must be visible through the array
         assert array[21] == 4
-        assert vec.materialized_chunks == vec.num_chunks
-        written = ChunkedVector(50, np.int64, chunk_rows=16)
-        written[3] = 1
+        assert table.materialized_chunks == table.num_chunks
+        written = _key_space(50, 16)
+        column = written.column("v", np.int64)
+        column[3] = 1
         with pytest.raises(ValueError, match="only a fresh table"):
-            written.densify(np.zeros(50, dtype=np.int64))
+            column.densify(np.zeros(50, dtype=np.int64))
+
+    def test_densify_is_charged_against_the_budget(self):
+        table = _key_space(8, 4, MemoryBudget(64, label="tiny"))
+        column = table.column("m", np.float32, (4,))
+        with pytest.raises(MemoryBudgetExceeded, match="dense-initialized"):
+            column.densify(np.zeros((8, 4), dtype=np.float32))  # 128 bytes
+        assert table.nbytes == 0 and table._fill_end == 1
 
     def test_integer_index_follows_numpy(self):
-        vec = ChunkedVector(100, np.int64, fill_value=0, chunk_rows=16)
+        table = _key_space(100, 16)
+        vec = table.column("v", np.int64)
         vec[-1] = 5
         assert vec[99] == 5 and vec[-1] == 5
         for bad in (100, -101):
@@ -162,12 +181,14 @@ class TestOutOfRangeKeys:
     @pytest.mark.parametrize("bad", [-1, 102, 100, 10**6])
     def test_every_entry_point_raises_and_materializes_nothing(self, bad):
         budget = MemoryBudget(10**6)
-        vec = ChunkedVector(100, np.int64, fill_value=3, chunk_rows=16,
-                            budget=budget, label="slots")
-        mat = ChunkedMatrix(100, 4, chunk_rows=16, budget=budget)
+        tables = [_key_space(100, 16, budget, label="slots"),
+                  _key_space(100, 16, budget)]
+        vec = tables[0].column("v", np.int64, fill_value=3)
+        mat = tables[1].column("m", np.float32, (4,))
         keys = np.array([5, bad, 7])
         message = rf"key {bad} is out of range \[0, 100\)"
-        for container, value in ((vec, 1), (mat, np.ones((3, 4)))):
+        for table, container, value in ((tables[0], vec, 1),
+                                        (tables[1], mat, np.ones((3, 4)))):
             with pytest.raises(IndexError, match=message):
                 container.take(keys)
             with pytest.raises(IndexError, match=message):
@@ -175,33 +196,36 @@ class TestOutOfRangeKeys:
             with pytest.raises(IndexError, match=message):
                 container[keys] = value
             with pytest.raises(IndexError, match=message):
-                container.add_at(keys, value)
-            assert container.materialized_chunks == 0
-            assert container.nbytes == 0
+                table.writable_rows(keys)
+            assert table.materialized_chunks == 0
+            assert table.nbytes == 0
         assert "slots" in str(pytest.raises(IndexError, vec.take, keys).value)
-        assert budget.used_bytes == 0
 
     def test_large_batches_are_checked_too(self):
-        vec = ChunkedVector(1000, np.int64, chunk_rows=16)
+        table = _key_space(1000, 16)
+        vec = table.column("v", np.int64)
         keys = np.arange(200)
         keys[150] = -3
         with pytest.raises(IndexError, match="key -3 "):
             vec.take(keys)
 
     def test_two_dimensional_keys_rejected(self):
+        table = _key_space(10)
         with pytest.raises(IndexError, match="one-dimensional"):
-            ChunkedVector(10, np.int64).take(np.zeros((2, 2), dtype=np.int64))
+            table.column("v", np.int64).take(np.zeros((2, 2), dtype=np.int64))
 
 
-class TestChunkedMatrix:
+class TestMatrixColumn:
     def test_reads_of_untouched_rows_are_zero(self):
-        mat = ChunkedMatrix(100, 4, chunk_rows=16)
+        table = _key_space(100, 16)
+        mat = table.column("m", np.float32, (4,))
         np.testing.assert_array_equal(mat[7], np.zeros(4, dtype=np.float32))
-        assert mat.nbytes == 0
+        assert table.nbytes == 0
         assert mat.shape == (100, 4) and mat.ndim == 2
 
     def test_row_view_semantics_on_materialized_chunk(self):
-        mat = ChunkedMatrix(100, 4, chunk_rows=16)
+        table = _key_space(100, 16)
+        mat = table.column("m", np.float32, (4,))
         mat[3] = np.ones(4)
         row = mat[3]
         row += 1.0  # in-place on the view mutates the chunk, like ndarray
@@ -210,11 +234,12 @@ class TestChunkedMatrix:
     def test_unmaterialized_row_is_read_only(self):
         """Regression: ``m[k]`` on an unmaterialized chunk returned a fresh
         writable zero row, so ``row = m[k]; row += d`` was silently lost."""
-        mat = ChunkedMatrix(100, 4, chunk_rows=16)
+        table = _key_space(100, 16)
+        mat = table.column("m", np.float32, (4,))
         row = mat[40]
         with pytest.raises(ValueError, match="read-only"):
             row += 1.0
-        assert mat.materialized_chunks == 0
+        assert table.materialized_chunks == 0
         np.testing.assert_array_equal(mat[41], np.zeros(4, dtype=np.float32))
         mat[40] = np.ones(4)  # the documented way to write
         live = mat[40]
@@ -226,7 +251,8 @@ class TestChunkedMatrix:
         bytes, and chunks of 2400 bytes straddle the 4 KiB page bounds."""
         rng = np.random.default_rng(11)
         reference = np.zeros((5000, 3), dtype=np.float64)
-        mat = ChunkedMatrix(5000, 3, np.float64, chunk_rows=100)
+        table = _key_space(5000, 100)
+        mat = table.column("m", np.float64, (3,))
         for _ in range(40):  # one or two new chunks a step: many moves
             keys = rng.integers(0, 5000, size=2)
             values = rng.choice([-0.0, 0.0, 1.5], size=(2, 3))
@@ -239,36 +265,24 @@ class TestChunkedMatrix:
         # `matrix[keys] += deltas` with distinct keys goes through
         # __getitem__ / += / __setitem__; must equal the dense result.
         dense = np.zeros((64, 4), dtype=np.float32)
-        mat = ChunkedMatrix(64, 4, chunk_rows=16)
+        table = _key_space(64, 16)
+        mat = table.column("m", np.float32, (4,))
         keys = np.array([1, 20, 40], dtype=np.int64)
         deltas = np.full((3, 4), 0.5, dtype=np.float32)
         dense[keys] += deltas
         mat[keys] += deltas
         np.testing.assert_array_equal(mat.take(np.arange(64)), dense)
 
-    def test_from_dense_shares_memory(self):
-        dense = np.arange(32, dtype=np.float32).reshape(8, 4)
-        mat = ChunkedMatrix.from_dense(dense, chunk_rows=4)
-        assert isinstance(mat, ChunkedMatrix)
-        assert mat.materialized_chunks == 2
-        assert mat.nbytes == dense.nbytes
-        mat[0] = np.zeros(4)
-        assert dense[0].sum() == 0  # chunk writes hit the wrapped array
-
-    def test_from_dense_charges_budget(self):
-        budget = MemoryBudget(64, label="tiny")
-        dense = np.zeros((8, 4), dtype=np.float32)  # 128 bytes
-        with pytest.raises(MemoryBudgetExceeded, match="dense-initialized"):
-            ChunkedMatrix.from_dense(dense, chunk_rows=4, budget=budget)
-
     def test_take_requires_axis_zero(self):
+        table = _key_space(10)
         with pytest.raises(ValueError):
-            ChunkedMatrix(10, 2).take(np.array([0]), axis=1)
+            table.column("m", np.float32, (2,)).take(np.array([0]), axis=1)
 
 
 class TestDenseTable:
     def test_dense_and_sparse_columns_agree(self):
-        tables = [ChunkedTable(50, 16, dense=dense) for dense in (True, False)]
+        tables = [_key_space(50, 16, backend=backend)
+                  for backend in ("dense", "sparse")]
         columns = [table.column("owner", np.int64, fill_value=2)
                    for table in tables]
         for column in columns:
@@ -280,18 +294,17 @@ class TestDenseTable:
         assert columns[0].count_nonzero() == columns[1].count_nonzero() == 50
 
     def test_a_dense_table_charges_each_column_whole(self):
-        budget = MemoryBudget(1000)
-        table = ChunkedTable(100, 16, budget, label="t", dense=True)
+        table = _key_space(100, 16, MemoryBudget(1000), backend="dense")
         table.column("v", np.int64, fill_fn=lambda keys: keys % 3)
-        assert budget.used_bytes == table.columns[0].nbytes == 800
+        assert table.nbytes == 800
         assert table.columns[0].pool.tolist() == [k % 3 for k in range(100)]
         assert table.materialized_chunks == table.num_chunks
         with pytest.raises(MemoryBudgetExceeded, match="dense t.w"):
             table.column("w", np.int64)
-        assert budget.used_bytes == 800
+        assert table.nbytes == 800 and len(table.columns) == 1
 
     def test_rows_are_the_keys_and_claims_write_nothing(self):
-        table = ChunkedTable(100, 16, dense=True)
+        table = _key_space(100, 16, backend="dense")
         table.column("v", np.float32, (2,))
         keys = np.array([5, 99, 5])
         assert table.rows(keys).tolist() == [5, 99, 5]
@@ -326,8 +339,11 @@ def _values(rng, dtype, shape):
     return rng.normal(size=shape).astype(dtype)
 
 
-def _drive(rng, container, reference, steps=120):
-    """Apply ``steps`` random operations to both; compare after each."""
+def _drive(rng, table, at, reference, steps=120):
+    """Apply ``steps`` random operations to column ``at`` of ``table`` and
+    to ``reference``; compare after each. Returns the table the column is
+    in at the end: a ``copy`` continues on the clone."""
+    container = table.columns[at]
     dtype, row_shape = reference.dtype.type, reference.shape[1:]
     everything = np.arange(NUM_ROWS)
 
@@ -377,20 +393,20 @@ def _drive(rng, container, reference, steps=120):
             k = keys() if op == 8 else rng.integers(
                 0, NUM_ROWS, size=int(rng.integers(65, 200)), dtype=np.int64)
             v = _values(rng, dtype, (len(k),) + row_shape)
-            container.add_at(k, v)
+            rows = table.writable_rows(k)  # first: a write moves the pool
+            scatter_add_rows(container.pool, rows, v)
             np.add.at(reference, k, v)
         elif op == 10 and not row_shape:
             value = reference[int(rng.integers(0, NUM_ROWS))]
             _exact(container.where_equal(value),
                    np.flatnonzero(reference == value))
-            assert container.any() == bool(reference.any())
             assert container.count_nonzero() == np.count_nonzero(reference)
         elif op == 11:  # continue on an independent clone
-            clone = container.copy()
+            clone = table.copy()
             container[0] = reference[0]  # must not reach the clone
-            container = clone
+            table, container = clone, clone.columns[at]
         _exact(container.take(everything), reference)
-    return container
+    return table
 
 
 @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
@@ -398,35 +414,38 @@ def _drive(rng, container, reference, steps=120):
 @pytest.mark.parametrize("fill", ["zero", "constant", "key-wise"])
 def test_vector_matches_ndarray_reference(chunk_rows, dtype, fill):
     rng = np.random.default_rng([chunk_rows, np.dtype(dtype).num, len(fill)])
+    table = _key_space(NUM_ROWS, chunk_rows)
     if fill == "key-wise":
         def fill_fn(keys):
             return (keys % 5 == 2) if dtype == np.bool_ else keys % 5 - 1
-        container = ChunkedVector(NUM_ROWS, dtype, fill_fn=fill_fn,
-                                  chunk_rows=chunk_rows)
+        table.column("v", dtype, fill_fn=fill_fn)
         reference = fill_fn(np.arange(NUM_ROWS)).astype(dtype)
     else:
         value = dtype(0 if fill == "zero" else 1)
-        container = ChunkedVector(NUM_ROWS, dtype, value,
-                                  chunk_rows=chunk_rows)
+        table.column("v", dtype, fill_value=value)
         reference = np.full(NUM_ROWS, value, dtype=dtype)
-    assert container.materialized_chunks == 0
-    _drive(rng, container, reference)
+    assert table.materialized_chunks == 0
+    _drive(rng, table, 0, reference)
 
 
 @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
 def test_matrix_matches_ndarray_reference(chunk_rows, dtype):
     rng = np.random.default_rng([chunk_rows, np.dtype(dtype).num])
-    container = ChunkedMatrix(NUM_ROWS, 3, dtype, chunk_rows=chunk_rows)
-    _drive(rng, container, np.zeros((NUM_ROWS, 3), dtype=dtype))
+    table = _key_space(NUM_ROWS, chunk_rows)
+    table.column("m", dtype, (3,))
+    _drive(rng, table, 0, np.zeros((NUM_ROWS, 3), dtype=dtype))
 
 
 @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
-def test_from_dense_matches_ndarray_reference(chunk_rows):
+def test_densified_column_matches_ndarray_reference(chunk_rows):
+    """A sparse table that adopted an initial array (the sparse store's
+    random init) behaves as that array."""
     rng = np.random.default_rng(chunk_rows)
     reference = rng.normal(size=(NUM_ROWS, 3)).astype(np.float32)
-    container = ChunkedMatrix.from_dense(reference.copy(), chunk_rows)
-    _drive(rng, container, reference)
+    table = _key_space(NUM_ROWS, chunk_rows)
+    table.column("m", np.float32, (3,)).densify(reference.copy())
+    _drive(rng, table, 0, reference)
 
 
 #: (name, dtype, row_shape, fill): the first ``k`` are a ``k``-column table.
@@ -445,7 +464,8 @@ def _owner_fill(keys):
 
 def _table(num_columns, chunk_rows, budget=None, dense=False):
     """A ``num_columns``-column table and the ndarrays it must equal."""
-    table = ChunkedTable(NUM_ROWS, chunk_rows, budget, label="t", dense=dense)
+    table = _key_space(NUM_ROWS, chunk_rows, budget,
+                       backend="dense" if dense else "sparse")
     references = []
     for name, dtype, row_shape, fill in TABLE_COLUMNS[:num_columns]:
         if fill == "key-wise":
@@ -461,9 +481,10 @@ def _table(num_columns, chunk_rows, budget=None, dense=False):
 @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @pytest.mark.parametrize("num_columns", [2, 3, 4, 5])
 def test_table_matches_one_ndarray_per_column(chunk_rows, num_columns):
-    """The single-container differential, one random column at a time: an
+    """The single-column differential, one random column at a time: an
     operation on one column (materialization and ``copy`` included) must
-    leave every column of the table exact."""
+    leave every column of the table exact, and the table charged for the
+    chunks its written keys lie in."""
     _drive_table(chunk_rows, num_columns, dense=False)
 
 
@@ -478,15 +499,16 @@ def _drive_table(chunk_rows, num_columns, dense):
     rng = np.random.default_rng([chunk_rows, num_columns])
     table, references = _table(num_columns, chunk_rows, dense=dense)
     everything = np.arange(NUM_ROWS)
+    row_nbytes = sum(reference[0].nbytes for reference in references)
     for _ in range(150):
         at = int(rng.integers(0, num_columns))
-        column = _drive(rng, table.columns[at], references[at], steps=1)
-        if table.columns[at] is not column:  # a copy, which holds its clone
-            table = column.table
-        assert table.columns[at] is column
+        table = _drive(rng, table, at, references[at], steps=1)
         for column, reference in zip(table.columns, references):
             _exact(column.take(everything), reference)
-            assert column.nbytes == table.resident_rows * reference[0].nbytes
+        if not dense:
+            chunks = _written_chunks(table)
+            assert table.materialized_chunks == len(chunks)
+            assert table.nbytes == _rows_of(table, chunks) * row_nbytes
     assert table.materialized_chunks > 0
 
 
@@ -523,15 +545,52 @@ class _ReferenceIndex:
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
+def test_a_budgeted_table_is_charged_its_written_chunks_or_refuses(data):
+    """First writes and relabels on a budgeted table, interleaved: each
+    either leaves the table charged for exactly the chunks its written keys
+    lie in, within the limit, or raises and changes nothing."""
+    num_rows = 60
+    chunk_rows = data.draw(st.sampled_from([1, 4, 7]), label="chunk_rows")
+    limit = data.draw(st.integers(1, 8), label="chunks") * chunk_rows * 8
+    table = _key_space(num_rows, chunk_rows, MemoryBudget(limit))
+    column = table.column("v", np.int64)
+    dense = np.zeros(num_rows, dtype=np.int64)
+    for step in range(data.draw(st.integers(1, 10), label="steps")):
+        before = (table._written, table._slot, table.nbytes)
+        try:
+            if data.draw(st.booleans(), label="relabel"):
+                new_key_of = np.asarray(data.draw(st.permutations(
+                    range(num_rows))), dtype=np.int64)
+                table.relabel(new_key_of)
+                moved = np.empty_like(dense)
+                moved[new_key_of] = dense
+                dense = moved
+            else:
+                keys = np.array(data.draw(st.lists(
+                    st.integers(0, num_rows - 1), max_size=6)), dtype=np.int64)
+                column[keys] = step + 1
+                dense[keys] = step + 1
+        except MemoryBudgetExceeded:
+            assert table._written is before[0] and table._slot is before[1]
+            assert table.nbytes == before[2]
+        chunks = _written_chunks(table)
+        assert table.nbytes == _rows_of(table, chunks) * 8 <= limit
+        assert table.materialized_chunks == len(chunks)
+        _exact(column.take(np.arange(num_rows)), dense)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
 def test_first_writes_merge_into_the_index_like_np_insert(data):
     """Reads, first writes (whole batches and selected keys of a batch)
     and relabels, interleaved: the table's index equals one kept with
-    ``np.insert``, and its contents a dense array's. Keys 0 and
+    ``np.insert``, its charge the chunks of that index's keys, and its
+    contents a dense array's. Keys 0 and
     ``num_rows - 1`` (next to the sentinel) and repeated keys within one
     batch come up often."""
     num_rows = data.draw(st.sampled_from([1, 2, 5, 50]), label="num_rows")
     chunk_rows = data.draw(st.sampled_from([1, 3, 16, 64]), label="chunk_rows")
-    table = ChunkedTable(num_rows, chunk_rows, label="t")
+    table = _key_space(num_rows, chunk_rows)
     column = table.column("v", np.int64)
     dense = np.zeros(num_rows, dtype=np.int64)
     reference = _ReferenceIndex(num_rows)
@@ -569,6 +628,9 @@ def test_first_writes_merge_into_the_index_like_np_insert(data):
             dense[keys[select]] = -keys[select]
         assert table._written.tolist() == reference.written.tolist()
         assert table._slot.tolist() == reference.slot.tolist()
+        chunks = {key // table.chunk_rows for key in reference.written[:-1]}
+        assert table.materialized_chunks == len(chunks)
+        assert table.nbytes == _rows_of(table, chunks) * 8
         _exact(column.take(everything), dense)
 
 
@@ -577,7 +639,7 @@ class TestTable:
         table, _ = _table(5, 7)
         assert len({id(column.table) for column in table.columns}) == 1
         table.columns[1][100] = 1.0  # through one column: every column's record
-        assert [c.materialized_chunks for c in table.columns] == [1] * 5
+        assert table.materialized_chunks == 1
         assert table._written[:-1].tolist() == [100]
         rows = table.rows(np.array([100, 5]))
         assert table.columns[1].pool[rows].tolist() == [[1.0] * 3, [0.0] * 3]
@@ -601,10 +663,10 @@ class TestTable:
         assert store.read_versions(keys).tolist() == [2, 2]
 
     def test_relabel_refuses_a_key_wise_fill(self):
-        vec = ChunkedVector(100, np.int64, fill_fn=lambda keys: keys,
-                            chunk_rows=16)
+        table = _key_space(100, 16)
+        table.column("v", np.int64, fill_fn=lambda keys: keys)
         with pytest.raises(ValueError, match="key-wise fill"):
-            vec.table.relabel(np.arange(100)[::-1].copy())
+            table.relabel(np.arange(100)[::-1].copy())
 
     def test_a_column_comes_before_the_first_chunk(self):
         table, _ = _table(2, 7)
@@ -628,21 +690,22 @@ class TestTable:
             _exact(column.take(np.arange(NUM_ROWS)), reference)
 
     def test_budget_runs_out_mid_batch(self):
-        """Chunks that fit materialize in every column, the first that does
-        not raises, and the budget holds the sum over the columns."""
+        """A batch whose chunks do not all fit is refused whole in every
+        column, naming the first chunk that does not fit; the chunks that
+        would have fitted are charged by the next write, summed over the
+        columns."""
         chunk_bytes = 7 * (1 + 12 + 8 + 8)  # one 7-row chunk of 4 columns
         budget = MemoryBudget(2 * chunk_bytes + 5, label="node 0")
         table, references = _table(4, 7, budget)
         with pytest.raises(MemoryBudgetExceeded, match="chunk 20 of t "):
             table.columns[1][np.array([140, 3, 70])] = 1.0  # chunks 0, 10, 20
-        assert table.materialized_chunks == 2
-        assert [c.materialized_chunks for c in table.columns] == [2] * 4
-        assert budget.used_bytes == 2 * chunk_bytes \
-            == sum(column.nbytes for column in table.columns)
+        assert table.materialized_chunks == 0 and table.nbytes == 0
         for column, reference in zip(table.columns, references):
             _exact(column.take(np.arange(NUM_ROWS)), reference)  # not written
-        table.columns[1][np.array([3, 70])] = 1.0  # what fitted is writable
+        table.columns[1][np.array([3, 70])] = 1.0  # two chunks fit
         assert table.columns[1][70].tolist() == [1.0] * 3
+        assert table.materialized_chunks == 2
+        assert table.nbytes == 2 * chunk_bytes
 
     #: What the message must name, and the three remedies it gives.
     MESSAGE_PARTS = {
@@ -661,6 +724,7 @@ class TestTable:
         table, _ = _table(4, 7, MemoryBudget(
             2 * 203 + 5, label="node 0",
             setting="StorageConfig.node_budget_bytes"))
+        table.columns[0][np.array([3, 70])] = True  # chunks 0 and 10
         with pytest.raises(MemoryBudgetExceeded) as excinfo:
             table.columns[0][np.array([140, 3, 70])] = True
         assert self.MESSAGE_PARTS[part] in str(excinfo.value)
@@ -727,7 +791,7 @@ def test_touched_keys_make_their_records_resident_not_a_page_each(layout):
         store.add(keys, np.full((k, 8), 1.5, dtype=np.float32))
         table = store._table
     else:
-        table = ChunkedTable(10**6, label="node0")
+        table = _key_space(10**6, label="node0")
         for name, dtype, row_shape in NODE_COLUMNS:
             table.column(name, dtype, row_shape)
         for column in table.columns:
@@ -738,11 +802,11 @@ def test_touched_keys_make_their_records_resident_not_a_page_each(layout):
 
 
 def test_an_unwritten_key_space_allocates_no_table():
-    """``ChunkedTable(10**8)`` with one column: nothing per chunk is
+    """A sparse ``10**8``-key table with one column: nothing per chunk is
     allocated before the first write (building a page table over its
     24 415 chunks peaked at 390 KiB)."""
     def build():
-        table = ChunkedTable(10**8, label="huge")
+        table = _key_space(10**8, label="huge")
         column = table.column("values", np.float32, (8,))
         assert column.take(np.array([5, 10**8 - 1])).sum() == 0.0
 
@@ -774,7 +838,7 @@ class TestGathersAreOBatch:
         return np.arange(self.CHUNKS, dtype=np.int64) * 300_007
 
     def test_table_columns(self):
-        table = ChunkedTable(self.NUM_KEYS, label="node0")
+        table = _key_space(self.NUM_KEYS, label="node0")
         columns = [table.column(name, dtype, row_shape)
                    for name, dtype, row_shape in NODE_COLUMNS]
         touched = self._touched()
@@ -829,45 +893,172 @@ def _resident_mib() -> float:
 
 class TestBudgets:
     def test_raised_before_the_pool_grows(self):
-        budget = MemoryBudget(200, label="test vector")
-        vec = ChunkedVector(1000, np.int64, fill_value=0, chunk_rows=16,
-                            budget=budget)
+        table = _key_space(1000, 16, MemoryBudget(200, label="test vector"),
+                           label="vector")
+        vec = table.column("v", np.int64)
         vec[0] = 1  # one 16-row int64 chunk = 128 bytes
-        assert budget.used_bytes == 128
+        assert table.nbytes == 128
         pool = vec.pool
         with pytest.raises(MemoryBudgetExceeded, match="chunk 31 of vector"):
             vec[500] = 1  # second chunk would exceed 200 bytes
         assert vec.pool is pool  # refused before any allocation
-        assert budget.used_bytes == vec.nbytes == 128
-        assert vec.materialized_chunks == 1
+        assert table.nbytes == 128
+        assert table.materialized_chunks == 1
         assert vec[500] == 0
 
-    def test_batch_materializes_what_fits_then_names_the_refused_chunk(self):
-        budget = MemoryBudget(300, label="node 0")
-        vec = ChunkedVector(1000, np.int64, chunk_rows=16, budget=budget,
-                            label="clock")
+    def test_batch_is_refused_whole_and_names_the_first_chunk_over(self):
+        table = _key_space(1000, 16, MemoryBudget(300, label="node 0"),
+                           label="clock")
+        vec = table.column("v", np.int64)
         with pytest.raises(MemoryBudgetExceeded) as excinfo:
             vec[np.array([900, 5, 400])] = 1  # chunks 0, 25 fit; 56 does not
         message = str(excinfo.value)
         assert "chunk 56 of clock" in message and "node 0" in message
-        assert "used: 256.0 B" in message
-        assert vec.materialized_chunks == 2
-        assert budget.used_bytes == vec.nbytes == 256
+        assert "after this write's 2 chunks before it (256.0 B)" in message
+        assert "used: 0.0 B" in message  # held before the batch
+        assert table.materialized_chunks == 0 and table.nbytes == 0
+
+    @pytest.mark.parametrize("entry", ["fancy set", "writable_rows", "claim"])
+    def test_a_refused_write_changes_nothing(self, entry):
+        """Regression: a refused batch charged and wrote the chunks before
+        the first one over the budget."""
+        table, references = _table(2, 7, MemoryBudget(3 * 7 * 13))
+        table.columns[1][np.array([3, 10])] = 2.0  # chunks 0 and 1
+        index = table._written, table._slot
+        before = (table.materialized_chunks, table.nbytes)
+        keys = np.array([40, 9, 70])  # chunk 5 would fit, 10 does not
+        with pytest.raises(MemoryBudgetExceeded, match="chunk 10 of t "):
+            if entry == "fancy set":
+                table.columns[0][keys] = True
+            elif entry == "writable_rows":
+                table.writable_rows(keys)
+            else:
+                table.claim(keys, table.rows(keys))
+        assert (table.materialized_chunks, table.nbytes) == before
+        assert table._written is index[0] and table._slot is index[1]
+        references[1][[3, 10]] = 2.0
+        for column, reference in zip(table.columns, references):
+            _exact(column.take(np.arange(NUM_ROWS)), reference)
+
+    def test_a_refused_relabel_changes_nothing(self):
+        """A relabel whose keys land in more chunks than the budget covers
+        raises, index and charge untouched (it charged the chunks that fit
+        before it raised)."""
+        table = _key_space(NUM_ROWS, 7, MemoryBudget(3 * 7 * 13), label="t")
+        table.column("mask", bool)
+        values = table.column("values", np.float32, (3,))
+        keys = np.arange(14)
+        values[keys] = np.arange(42, dtype=np.float32).reshape(14, 3)
+        index = table._written, table._slot
+        contents = values.take(np.arange(NUM_ROWS))
+        spread = np.arange(NUM_ROWS) * 7 % NUM_ROWS  # key k -> 7k mod 300
+        with pytest.raises(MemoryBudgetExceeded) as excinfo:
+            table.relabel(spread)
+        assert table._written is index[0] and table._slot is index[1]
+        assert (table.materialized_chunks, table.nbytes) == (2, 2 * 7 * 13)
+        _exact(values.take(np.arange(NUM_ROWS)), contents)
+        assert "relabelling t onto 14 chunks (1.2 KiB)" in str(excinfo.value)
+
+    def test_a_relabel_frees_room_for_a_write_refused_before(self):
+        """The chunks a relabel empties are released: a write the full
+        budget refused fits once the written keys share fewer chunks."""
+        table = _key_space(100, 10, MemoryBudget(2 * 10 * 8))
+        vec = table.column("v", np.int64)
+        vec[np.array([1, 2, 11, 12])] = np.array([5, 6, 7, 8])  # chunks 0, 1
+        with pytest.raises(MemoryBudgetExceeded, match="chunk 5 of t "):
+            vec[50] = 9
+        gather = np.arange(100)
+        gather[[11, 12, 3, 4]] = [3, 4, 11, 12]  # keys 11, 12 -> chunk 0
+        table.relabel(gather)
+        assert (table.materialized_chunks, table.nbytes) == (1, 10 * 8)
+        vec[50] = 9
+        assert (table.materialized_chunks, table.nbytes) == (2, 2 * 10 * 8)
+        assert vec.take(np.array([1, 2, 3, 4, 50])).tolist() == [5, 6, 7, 8, 9]
+        assert vec[11] == 0 and vec[12] == 0
+
+    def test_new_keys_in_charged_chunks_fit_a_full_budget(self):
+        """A chunk is charged once, for all its rows: first writes of
+        further keys inside it charge nothing, even at the limit."""
+        table = _key_space(100, 10, MemoryBudget(2 * 10 * 8))
+        vec = table.column("v", np.int64)
+        vec[np.array([0, 15])] = 1  # chunks 0 and 1: the whole budget
+        vec[np.arange(20)] = np.arange(20)  # the other 18 keys of them
+        assert (table.materialized_chunks, table.nbytes) == (2, 2 * 10 * 8)
+        assert vec.take(np.arange(20)).tolist() == list(range(20))
+        with pytest.raises(MemoryBudgetExceeded, match="chunk 2 of t "):
+            vec[20] = 1
+
+    @pytest.mark.parametrize("charge", ["write", "relabel"])
+    def test_a_charge_reaching_the_limit_exactly_fits(self, charge):
+        """The limit is inclusive for first writes and relabels alike; one
+        chunk more is refused."""
+        table = _key_space(100, 10, MemoryBudget(3 * 10 * 8))
+        vec = table.column("v", np.int64)
+        vec[np.array([0, 1, 2])] = np.array([4, 5, 6])  # chunk 0
+        if charge == "write":
+            vec[np.array([35, 99])] = 1  # chunks 3 and 9
+        else:
+            spread = np.arange(100)
+            spread[[1, 2, 35, 99]] = [35, 99, 1, 2]
+            table.relabel(spread)
+        assert (table.materialized_chunks, table.nbytes) == (3, 3 * 10 * 8)
+        with pytest.raises(MemoryBudgetExceeded):
+            vec[50] = 1
+        assert table.nbytes == 3 * 10 * 8
+
+    def test_a_relabel_of_an_unwritten_table_charges_nothing(self):
+        table = _key_space(100, 10, MemoryBudget(8))
+        vec = table.column("v", np.int64, fill_value=3)
+        table.relabel(np.arange(100)[::-1].copy())
+        assert (table.materialized_chunks, table.nbytes) == (0, 0)
+        assert vec.take(np.array([0, 99])).tolist() == [3, 3]
+
+    def test_a_relabel_into_the_partial_last_chunk_charges_its_rows(self):
+        """A key moved into the 3-row last chunk charges 3 rows, and moving
+        it back charges a full chunk again."""
+        table = _key_space(1003, 8, MemoryBudget(8 * 16))
+        mat = table.column("m", np.float32, (4,))
+        mat[5] = np.arange(4, dtype=np.float32)
+        swap = np.arange(1003)
+        swap[[5, 1001]] = [1001, 5]
+        table.relabel(swap)
+        assert (table.materialized_chunks, table.nbytes) == (1, 3 * 16)
+        assert mat[1001].tolist() == [0.0, 1.0, 2.0, 3.0]
+        table.relabel(swap)
+        assert (table.materialized_chunks, table.nbytes) == (1, 8 * 16)
+        assert mat[5].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_a_table_copy_keeps_the_charge_and_drops_the_budget(self):
+        """A clone is charged for the same chunks, unbounded, and its
+        writes charge the clone only."""
+        table = _key_space(100, 10, MemoryBudget(2 * 10 * 8))
+        vec = table.column("v", np.int64)
+        vec[np.array([3, 17])] = 1
+        clone = table.copy()
+        assert clone.budget is None
+        assert (clone.materialized_chunks, clone.nbytes) == (2, 2 * 10 * 8)
+        clone.columns[0][np.array([40, 60, 80])] = 2  # over the original's
+        assert (clone.materialized_chunks, clone.nbytes) == (5, 5 * 10 * 8)
+        assert (table.materialized_chunks, table.nbytes) == (2, 2 * 10 * 8)
+        assert vec[40] == 0
 
     def test_growth_charges_exactly_the_materialized_chunks(self):
-        budget = MemoryBudget(10**6)
-        mat = ChunkedMatrix(1003, 4, chunk_rows=8, budget=budget)
+        table = _key_space(1003, 8, MemoryBudget(10**6))
+        mat = table.column("m", np.float32, (4,))
         rng = np.random.default_rng(0)
         for _ in range(30):
             keys = rng.integers(0, 1003, size=5)
-            mat.add_at(keys, np.ones((5, 4), dtype=np.float32))
-            assert budget.used_bytes == mat.nbytes
+            rows = table.writable_rows(keys)
+            scatter_add_rows(mat.pool, rows, np.ones((5, 4), dtype=np.float32))
+            chunks = _written_chunks(table)
+            assert table.materialized_chunks == len(chunks)
+            assert table.nbytes == _rows_of(table, chunks) * 16
         # The partial last chunk (3 rows) is charged for its rows only, and
         # spare pool capacity is charged to nobody.
         mat[1002] = 1.0
-        full = mat.materialized_chunks - 1
-        assert mat.nbytes == (full * 8 + 3) * 16 == budget.used_bytes
-        assert mat.pool.nbytes > mat.nbytes
+        full = table.materialized_chunks - 1
+        assert table.nbytes == (full * 8 + 3) * 16
+        assert mat.pool.nbytes > table.nbytes
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_a_store_over_budget_names_its_setting(self, backend):
@@ -890,6 +1081,22 @@ class TestBudgets:
                                cluster)
             ps.pull(cluster.worker(0, 0), np.array([5]))
 
+    def test_a_store_permutation_over_budget_names_its_setting(self):
+        """A drift that spreads the written keys over more chunks than the
+        store's budget covers is refused, and the store reads as before."""
+        config = StorageConfig(backend="sparse", chunk_rows=10,
+                               store_budget_bytes=2 * 10 * (4 + 8))
+        store = ParameterStore(100, 1, storage=config)
+        keys = np.arange(0, 20, 2)  # chunks 0 and 1
+        store.add(keys, np.ones((10, 1), dtype=np.float32))
+        spread = np.arange(100) * 11 % 100  # keys 0, 2, .. -> 0, 22, 44, ..
+        with pytest.raises(MemoryBudgetExceeded,
+                           match=r"relabelling store onto 10 chunks .* "
+                                 r"Raise StorageConfig\.store_budget_bytes,"):
+            store.permute(spread)
+        assert store.get(keys).tolist() == [[1.0]] * 10
+        assert store.nbytes() == 2 * 10 * (4 + 8)
+
     def test_hundred_million_keys_report_the_same_bytes_as_chunk_dicts(self):
         """The 10^8-key / 64 MiB regression of test_storage_backends, with
         the byte count pinned to what the per-chunk implementation reported
@@ -901,7 +1108,7 @@ class TestBudgets:
         touched = rng.integers(0, 10**8, size=10_000, dtype=np.int64)
         store.add(touched, rng.normal(size=(10_000, 8)).astype(np.float32))
         assert store.materialized_chunks() == 9969
-        assert store.nbytes() == store._table.budget.used_bytes == 25_520_640
+        assert store.nbytes() == 25_520_640
 
     @pytest.mark.parametrize("system, expected", [
         ("lapse", {"store": 36576, "ownership": 8128}),

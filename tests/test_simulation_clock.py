@@ -42,17 +42,6 @@ class TestSimulatedClock:
         assert clock.advance_to(1.0) == 5.0
         assert clock.now == 5.0
 
-    def test_reset(self):
-        clock = SimulatedClock(3.0)
-        clock.reset()
-        assert clock.now == 0.0
-        clock.reset(2.0)
-        assert clock.now == 2.0
-
-    def test_reset_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedClock().reset(-1.0)
-
     @given(st.lists(st.floats(min_value=0, max_value=1e3), max_size=50))
     def test_monotonicity_property(self, advances):
         """The clock never moves backwards regardless of the advance sequence."""

@@ -57,18 +57,6 @@ class TestCluster:
         cluster.worker(0, 0).clock.advance(1.0)
         assert cluster.min_worker_time == 1.0
 
-    def test_reset_clocks_preserves_metrics(self, cluster):
-        cluster.worker(0, 0).clock.advance(1.0)
-        cluster.metrics.increment("x", 1)
-        cluster.reset_clocks()
-        assert cluster.time == 0.0
-        assert cluster.metrics.get("x") == 1
-
-    def test_reset_metrics(self, cluster):
-        cluster.metrics.increment("x", 1)
-        cluster.reset_metrics()
-        assert cluster.metrics.get("x") == 0
-
     def test_network_is_shared(self, network):
         cluster = Cluster(ClusterConfig(num_nodes=2, workers_per_node=1, network=network))
         assert cluster.network is network

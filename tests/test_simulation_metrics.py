@@ -1,7 +1,5 @@
 """Tests for the metrics registry."""
 
-import pytest
-
 from repro.simulation.metrics import MetricsRegistry
 
 
@@ -32,15 +30,6 @@ class TestMetricsRegistry:
         assert metrics.get("access.pull.remote") == 2
         assert metrics.get("access.total") == 5
 
-    def test_share(self):
-        metrics = MetricsRegistry()
-        metrics.increment("hits", 3)
-        metrics.increment("total", 4)
-        assert metrics.share("hits", "total") == pytest.approx(0.75)
-
-    def test_share_with_zero_denominator(self):
-        assert MetricsRegistry().share("a", "b") == 0.0
-
     def test_total_matching_prefix(self):
         metrics = MetricsRegistry()
         metrics.increment("access.pull.local", 1)
@@ -67,13 +56,6 @@ class TestMetricsRegistry:
         metrics.increment("a", 2, node=0)
         assert metrics.node_counters(0) == {"a": 2}
         assert metrics.node_counters(9) == {}
-
-    def test_reset(self):
-        metrics = MetricsRegistry()
-        metrics.increment("a", 1, node=0)
-        metrics.reset()
-        assert metrics.get("a") == 0.0
-        assert metrics.get("a", node=0) == 0.0
 
     def test_merge(self):
         first = MetricsRegistry()

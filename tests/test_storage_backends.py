@@ -384,7 +384,7 @@ def test_a_sparse_store_stays_chunked_through_training(task_name,
 
 def test_permute_relabels_a_sparse_store_like_a_dense_one():
     """A sparse store's permutation moves its written keys' records to the
-    new keys, charging the chunks they land in; nothing is densified."""
+    new keys, charged for the chunks they land in; nothing is densified."""
     dense = ParameterStore(12, 2)
     sparse = ParameterStore(12, 2, storage=StorageConfig(
         backend="sparse", chunk_rows=3, store_budget_bytes=12 * 16))
@@ -401,9 +401,57 @@ def test_permute_relabels_a_sparse_store_like_a_dense_one():
         np.testing.assert_array_equal(sparse.read_versions(every),
                                       dense.read_versions(every))
     assert sparse._table._fill_end == 1  # not densified
-    # Chunks {0, 1} held the keys, {2, 3} after the first permutation.
-    assert sparse.materialized_chunks() == 4
-    assert sparse.nbytes() == 4 * 3 * 16
+    # Chunks {0, 1} hold the keys, {2, 3} after the first permutation and
+    # {0, 1} again after the second: {2, 3} are released.
+    assert sparse.materialized_chunks() == 2
+    assert sparse.nbytes() == 2 * 3 * 16
+
+
+def test_drifts_keep_a_sparse_store_charged_for_the_chunks_of_its_keys():
+    """Regression: a relabel charged the chunks the written keys moved into
+    and never released those they left, so a budgeted sparse store went
+    over its budget after a few drifts (58 -> 193 chunks charged in five
+    random permutations of 64 keys, 54-58 of them holding a key)."""
+    chunk_rows, row_bytes = 256, 4 * 4 + 8
+    store = ParameterStore(2**16, 4, storage=StorageConfig(
+        backend="sparse", chunk_rows=chunk_rows,
+        store_budget_bytes=200 * chunk_rows * row_bytes))
+    rng = np.random.default_rng(0)
+    keys = rng.choice(2**16, size=64, replace=False)
+    values = rng.normal(size=(64, 4)).astype(np.float32)
+    store.add(keys, values)
+    for _ in range(12):
+        sigma = rng.permutation(2**16)
+        store.permute(sigma)  # key k -> sigma[k]
+        keys = sigma[keys]
+        chunks = len(np.unique(keys // chunk_rows))
+        assert store.materialized_chunks() == chunks
+        assert store.nbytes() == chunks * chunk_rows * row_bytes
+        np.testing.assert_array_equal(store.get(keys), values)
+
+
+def test_a_drift_that_gathers_the_keys_makes_room_in_the_store_budget():
+    """A permutation that moves a full store's keys into fewer chunks
+    releases the others, so a key the budget refused before fits after."""
+    row_bytes = 2 * 4 + 8
+    store = ParameterStore(100, 2, storage=StorageConfig(
+        backend="sparse", chunk_rows=10,
+        store_budget_bytes=2 * 10 * row_bytes))
+    keys = np.array([1, 2, 11, 12])  # chunks 0 and 1: the whole budget
+    values = np.arange(8, dtype=np.float32).reshape(4, 2)
+    store.add(keys, values)
+    with pytest.raises(MemoryBudgetExceeded,
+                       match=r"Raise StorageConfig\.store_budget_bytes,"):
+        store.add(np.array([50]), np.ones((1, 2), dtype=np.float32))
+    sigma = np.arange(100)
+    sigma[[11, 12, 3, 4]] = [3, 4, 11, 12]  # keys 11, 12 -> 3, 4
+    store.permute(sigma)
+    assert store.materialized_chunks() == 1
+    assert store.nbytes() == 10 * row_bytes
+    store.add(np.array([50]), np.ones((1, 2), dtype=np.float32))
+    assert store.nbytes() == 2 * 10 * row_bytes
+    np.testing.assert_array_equal(store.get(np.array([1, 2, 3, 4])), values)
+    np.testing.assert_array_equal(store.get(np.array([50])), [[1.0, 1.0]])
 
 
 # --------------------------------------------------------------------------
