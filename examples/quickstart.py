@@ -89,7 +89,9 @@ def main() -> None:
     print()
     print("simulated time so far:      %.6f s" % cluster.time)
     print("parameter accesses total:   %d" % metrics.get("access.total"))
-    print("  served by replicas:       %d" % metrics.total_matching("access.pull.replica"))
+    replica_pulls = sum(value for name, value in metrics.counters().items()
+                        if name.startswith("access.pull.replica"))
+    print("  served by replicas:       %d" % replica_pulls)
     print("  remote accesses:          %d" % (metrics.get("access.pull.remote")
                                               + metrics.get("access.sample.remote")))
     print("relocations performed:      %d" % metrics.get("relocation.count"))

@@ -31,8 +31,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.data.zipf import empirical_skew_summary, frequency_histogram
-
 __all__ = ["AccessStats", "SpaceSavingSketch"]
 
 
@@ -134,11 +132,6 @@ class SpaceSavingSketch:
         self._counts[: self._size] *= factor
 
     # ---------------------------------------------------------------- queries
-    def estimate(self, key: int) -> float:
-        """Frequency estimate of ``key`` (0.0 when not tracked)."""
-        slot = self._index.get(int(key))
-        return float(self._counts[slot]) if slot is not None else 0.0
-
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(keys, estimates)`` sorted by decreasing estimate, ties by key.
 
@@ -261,18 +254,6 @@ class AccessStats:
     def hot_keys(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(keys, estimates)`` of the tracked hot set, hottest first."""
         return self.sketch.items()
-
-    def skew_summary(self, top_fraction: float = 0.001) -> dict:
-        """Observed-skew summary in the style of Section 2.1.
-
-        Computed over the sketch's frequency histogram (the same
-        :func:`~repro.data.zipf.frequency_histogram` curve the offline skew
-        analysis reports), padded with zeros for untracked keys.
-        """
-        _, estimates = self.sketch.items()
-        histogram = np.zeros(self.num_keys, dtype=np.float64)
-        histogram[: len(estimates)] = frequency_histogram(estimates)
-        return empirical_skew_summary(histogram, top_fraction=top_fraction)
 
     def describe(self) -> dict:
         return {

@@ -3,7 +3,6 @@
 from repro.core.management import (
     DEFAULT_HOT_SPOT_FACTOR,
     ManagementPlan,
-    ManagementTechnique,
 )
 from repro.core.replica_manager import DEFAULT_SYNC_INTERVAL, ReplicaManager
 from repro.core.nups import NuPS
@@ -17,7 +16,6 @@ from repro.core.sampling import (
 __all__ = [
     "NuPS",
     "ManagementPlan",
-    "ManagementTechnique",
     "DEFAULT_HOT_SPOT_FACTOR",
     "ReplicaManager",
     "DEFAULT_SYNC_INTERVAL",

@@ -11,7 +11,6 @@ fixed number of the most frequently accessed keys instead.
 
 from __future__ import annotations
 
-import enum
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +25,6 @@ DEFAULT_HOT_SPOT_FACTOR = 100.0
 #: O(num_keys) bytes per plan, so membership queries run a binary search over
 #: the sorted replicated keys instead — identical booleans, no allocation.
 DENSE_MASK_MAX_KEYS = 1 << 24
-
-
-class ManagementTechnique(enum.Enum):
-    """The technique managing a parameter key in NuPS."""
-
-    REPLICATE = "replicate"
-    RELOCATE = "relocate"
 
 
 class ManagementPlan:
@@ -81,11 +73,6 @@ class ManagementPlan:
         return cls(num_keys, np.empty(0, dtype=np.int64))
 
     @classmethod
-    def replicate_all(cls, num_keys: int) -> "ManagementPlan":
-        """A plan that replicates every key (single-technique, ESSP-like)."""
-        return cls(num_keys, np.arange(num_keys, dtype=np.int64))
-
-    @classmethod
     def from_access_counts(
         cls,
         access_counts: Sequence[float] | np.ndarray,
@@ -127,12 +114,6 @@ class ManagementPlan:
         return cls(len(counts), hot)
 
     # ------------------------------------------------------------------ queries
-    def technique(self, key: int) -> ManagementTechnique:
-        """Technique managing ``key``."""
-        if self.is_replicated(key):
-            return ManagementTechnique.REPLICATE
-        return ManagementTechnique.RELOCATE
-
     def is_replicated(self, key: int) -> bool:
         if not 0 <= key < self.num_keys:
             raise KeyError(f"key {key} out of range [0, {self.num_keys})")
@@ -158,10 +139,6 @@ class ManagementPlan:
     @property
     def num_replicated(self) -> int:
         return int(len(self.replicated_keys))
-
-    @property
-    def num_relocated(self) -> int:
-        return self.num_keys - self.num_replicated
 
     @property
     def replicated_share(self) -> float:

@@ -30,7 +30,7 @@ from typing import Deque, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.management import DEFAULT_HOT_SPOT_FACTOR, ManagementPlan
+from repro.core.management import ManagementPlan
 from repro.core.replica_manager import DEFAULT_SYNC_INTERVAL, ReplicaManager
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import SamplingDistribution
@@ -84,20 +84,6 @@ class NuPS(RelocationPS, SamplingHost):
         self.access_observer = None
         #: Optional adaptive-management controller driven from housekeeping.
         self.adaptive_controller = None
-
-    # ----------------------------------------------------------------- factory
-    @classmethod
-    def from_access_counts(
-        cls,
-        store: ParameterStore,
-        cluster: Cluster,
-        access_counts: Sequence[float] | np.ndarray,
-        hot_spot_factor: float = DEFAULT_HOT_SPOT_FACTOR,
-        **kwargs,
-    ) -> "NuPS":
-        """Build NuPS with the untuned hot-spot heuristic (Section 5.1)."""
-        plan = ManagementPlan.from_access_counts(access_counts, hot_spot_factor)
-        return cls(store, cluster, plan=plan, **kwargs)
 
     # -------------------------------------------------------------- direct API
     def localize(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> None:
@@ -286,10 +272,6 @@ class NuPS(RelocationPS, SamplingHost):
     def sampling_rng(self, node_id: int) -> np.random.Generator:
         return self._node_rngs[node_id]
 
-    @property
-    def value_length(self) -> int:
-        return self.store.value_length
-
     # --------------------------------------------------------- membership API
     def recover_values(self, keys: np.ndarray) -> tuple:
         """Recover replicated ``keys`` from a surviving node's replica.
@@ -304,7 +286,8 @@ class NuPS(RelocationPS, SamplingHost):
         values = np.zeros((len(keys), self.store.value_length), dtype=np.float32)
         if mask.any() and self.replica_manager.enabled:
             donor = self.cluster.active_nodes[0]
-            values[mask] = self.replica_manager.pull(donor, keys[mask])
+            replicas = self.replica_manager
+            values[mask] = replicas.read_slots(donor, replicas.slots(keys[mask]))
         else:
             mask = np.zeros(len(keys), dtype=bool)
         return values, mask
@@ -338,19 +321,6 @@ class NuPS(RelocationPS, SamplingHost):
         return drained
 
     # ------------------------------------------------------------------ reports
-    def replica_access_share(self) -> float:
-        """Share of all accesses that went to replicas (Table 3, right columns)."""
-        replica = (
-            self.metrics.total_matching("access.pull.replica")
-            + self.metrics.total_matching("access.push.replica")
-            + self.metrics.total_matching("access.sample.replica")
-            + self.metrics.total_matching("access.sample_push.replica")
-        )
-        total = self.metrics.get("access.total")
-        if total == 0:
-            return 0.0
-        return replica / total
-
     def state_nbytes(self) -> dict:
         sizes = super().state_nbytes()
         sizes["replica_manager"] = self.replica_manager.nbytes()

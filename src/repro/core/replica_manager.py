@@ -111,12 +111,6 @@ class ReplicaManager:
         """Whether any key is managed by replication."""
         return self.num_replicated > 0
 
-    def slot(self, key: int) -> int:
-        """Replica slot of ``key`` or -1 if the key is not replicated."""
-        if self._slot_of_key is None:
-            return -1
-        return int(self._slot_of_key[int(key)])
-
     def slots(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
         if self._slot_of_key is None:
@@ -132,28 +126,15 @@ class ReplicaManager:
             total += int(self._dirty[node_id].nbytes)
         return total
 
-    def pull(self, node_id: int, keys: np.ndarray) -> np.ndarray:
-        """Read replicated ``keys`` from the node's replica (shared memory)."""
-        slots = self.slots(keys)
-        if slots.size and int(slots.min()) < 0:
-            raise KeyError("pull contains keys that are not managed by replication")
-        return self.read_slots(node_id, slots)
-
-    def push(self, node_id: int, keys: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply ``deltas`` to the node's replica and buffer them for sync."""
-        slots = self.slots(keys)
-        if slots.size and int(slots.min()) < 0:
-            raise KeyError("push contains keys that are not managed by replication")
-        self.add_slots(node_id, slots, np.asarray(deltas, dtype=np.float32))
-
     def read_slots(self, node_id: int, slots: np.ndarray) -> np.ndarray:
-        """:meth:`pull` by replica slot, for callers that resolved the slots
-        (one :meth:`slots` lookup per chunk in the round engine)."""
+        """The node's replica values at replica ``slots`` (shared memory; one
+        :meth:`slots` lookup per chunk in the round engine)."""
         return self._replicas[node_id].take(slots, axis=0)
 
     def add_slots(self, node_id: int, slots: np.ndarray,
                   deltas: np.ndarray) -> None:
-        """:meth:`push` by replica slot; repeated slots accumulate in order."""
+        """Apply ``deltas`` to the node's replica at ``slots`` and buffer them
+        for the next sync; repeated slots accumulate in order."""
         slots_list = slots.tolist() if len(slots) <= 64 else None
         scatter_add_rows(self._replicas[node_id], slots, deltas, slots_list)
         scatter_add_rows(self._buffers[node_id], slots, deltas, slots_list)
@@ -309,34 +290,3 @@ class ReplicaManager:
             self.metrics.increment(
                 "network.bytes", payload * participants
             )
-
-    # -------------------------------------------------------------- inspection
-    def achieved_sync_frequency(self, elapsed: float) -> float:
-        """Synchronizations per simulated second over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.syncs_performed / elapsed
-
-    def target_sync_frequency(self) -> float:
-        """The configured target synchronizations per second (0 if disabled)."""
-        if self.sync_interval is None or not self.enabled:
-            return 0.0
-        return 1.0 / self.sync_interval
-
-    def replica_values(self, node_id: int) -> np.ndarray:
-        """The node's current replica matrix (num_replicated x value_length)."""
-        return self._replicas[node_id]
-
-    def max_replica_divergence(self) -> float:
-        """Maximum absolute difference between any replica and the store.
-
-        Useful for tests: after a forced sync with no pending updates, the
-        divergence must be zero.
-        """
-        if not self.enabled:
-            return 0.0
-        reference = self.store.get(self.replicated_keys)
-        worst = 0.0
-        for replica in self._replicas.values():
-            worst = max(worst, float(np.abs(replica - reference).max(initial=0.0)))
-        return worst

@@ -7,7 +7,6 @@ from repro.core.sampling.distributions import (
     SamplingDistribution,
     UniformDistribution,
     UnigramDistribution,
-    zipf_weights,
 )
 from repro.core.sampling.manager import SamplingConfig, SamplingManager
 from repro.core.sampling.schemes import (
@@ -31,7 +30,6 @@ __all__ = [
     "UniformDistribution",
     "CategoricalDistribution",
     "UnigramDistribution",
-    "zipf_weights",
     "SamplingConfig",
     "SamplingManager",
     "SamplingHost",

@@ -11,9 +11,9 @@ sample quality and efficiency:
 * **L4 NON_CONFORM** — no guarantees.
 
 The hierarchy is ordered: L1 implies L2 and L2 implies L3 (proved in the
-paper). :meth:`ConformityLevel.satisfies` encodes that ordering so that the
-sampling manager can substitute a *stronger* scheme when asked for a weaker
-level (e.g. independent sampling is a valid BOUNDED scheme).
+paper). The levels compare by that order (``CONFORM < BOUNDED``), so a
+*stronger* scheme is a valid choice for a weaker level (e.g. independent
+sampling is a valid BOUNDED scheme).
 """
 
 from __future__ import annotations
@@ -36,32 +36,6 @@ class ConformityLevel(enum.Enum):
         if not isinstance(other, ConformityLevel):
             return NotImplemented
         return self.value < other.value
-
-    @property
-    def rank(self) -> int:
-        """1 for CONFORM .. 4 for NON_CONFORM (lower = stronger guarantee)."""
-        return self.value
-
-    def satisfies(self, required: "ConformityLevel") -> bool:
-        """Whether a scheme providing this level satisfies ``required``.
-
-        A scheme at level L satisfies every level weaker than or equal to L:
-        CONFORM satisfies BOUNDED and LONG_TERM; BOUNDED satisfies LONG_TERM;
-        every level trivially satisfies NON_CONFORM.
-        """
-        return self.value <= required.value
-
-    @classmethod
-    def from_name(cls, name: str) -> "ConformityLevel":
-        """Parse a level from a (case-insensitive) name such as ``"bounded"``."""
-        normalized = name.strip().upper().replace("-", "_")
-        try:
-            return cls[normalized]
-        except KeyError:
-            valid = ", ".join(level.name for level in cls)
-            raise ValueError(
-                f"unknown conformity level {name!r}; expected one of {valid}"
-            ) from None
 
     def __str__(self) -> str:
         return self.name

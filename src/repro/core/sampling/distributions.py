@@ -41,35 +41,10 @@ class SamplingDistribution(ABC):
         """Draw ``size`` iid keys from π (absolute PS keys)."""
 
     @abstractmethod
-    def probability(self, key: int) -> float:
-        """π_k for an absolute PS key (0.0 outside the support)."""
-
-    @abstractmethod
-    def probabilities(self) -> np.ndarray:
-        """The full probability vector over the support (length support_size)."""
-
     def probabilities_of(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`probability`: π_k for a batch of absolute keys.
-
-        Keys outside the support get probability zero. Subclasses override
-        with cheaper implementations; the default indexes the full
-        probability vector.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        probs = np.zeros(len(keys), dtype=np.float64)
-        mask = self.in_support(keys)
-        if np.any(mask):
-            probs[mask] = self.probabilities()[keys[mask] - self.key_offset]
-        return probs
+        """π_k for a batch of absolute PS keys (0.0 outside the support)."""
 
     # --------------------------------------------------------------- helpers
-    @property
-    def support_keys(self) -> np.ndarray:
-        """All absolute keys in the support range."""
-        return np.arange(
-            self.key_offset, self.key_offset + self.support_size, dtype=np.int64
-        )
-
     def in_support(self, keys: np.ndarray) -> np.ndarray:
         """Boolean mask of which ``keys`` lie inside the support range."""
         keys = np.asarray(keys, dtype=np.int64)
@@ -109,14 +84,6 @@ class UniformDistribution(SamplingDistribution):
             dtype=np.int64,
         )
 
-    def probability(self, key: int) -> float:
-        if self.key_offset <= key < self.key_offset + self.support_size:
-            return 1.0 / self.support_size
-        return 0.0
-
-    def probabilities(self) -> np.ndarray:
-        return np.full(self.support_size, 1.0 / self.support_size)
-
     def probabilities_of(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
         return np.where(self.in_support(keys), 1.0 / self.support_size, 0.0)
@@ -139,13 +106,8 @@ class CategoricalDistribution(SamplingDistribution):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._sampler.sample(rng, size) + self.key_offset
 
-    def probability(self, key: int) -> float:
-        index = key - self.key_offset
-        if 0 <= index < self.support_size:
-            return float(self._probs[index])
-        return 0.0
-
     def probabilities(self) -> np.ndarray:
+        """The full probability vector over the support (length support_size)."""
         return self._probs.copy()
 
     def probabilities_of(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -173,15 +135,3 @@ class UnigramDistribution(CategoricalDistribution):
             raise ValueError("frequencies must sum to a positive value")
         self.power = float(power)
         super().__init__(np.power(frequencies, self.power), key_offset)
-
-
-def zipf_weights(num_items: int, exponent: float = 1.1) -> np.ndarray:
-    """Zipf weights ``1 / rank**exponent`` for ``num_items`` items.
-
-    Helper used by the synthetic data generators and by tests to construct
-    skewed categorical distributions resembling the paper's datasets.
-    """
-    if num_items <= 0:
-        raise ValueError("num_items must be positive")
-    ranks = np.arange(1, num_items + 1, dtype=np.float64)
-    return 1.0 / np.power(ranks, exponent)

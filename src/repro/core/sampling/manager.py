@@ -70,10 +70,8 @@ class SamplingManager:
 
     # -------------------------------------------------------------------- API
     def register(self, distribution: SamplingDistribution,
-                 level: ConformityLevel | str = ConformityLevel.CONFORM) -> int:
+                 level: ConformityLevel = ConformityLevel.CONFORM) -> int:
         """Register ``distribution`` under ``level`` and return its id."""
-        if isinstance(level, str):
-            level = ConformityLevel.from_name(level)
         scheme = self._build_scheme(distribution, level)
         distribution_id = self._next_id
         self._next_id += 1
@@ -110,12 +108,6 @@ class SamplingManager:
     # -------------------------------------------------------------- inspection
     def scheme_for(self, distribution_id: int) -> SamplingScheme:
         return self._entry(distribution_id).scheme
-
-    def level_for(self, distribution_id: int) -> ConformityLevel:
-        return self._entry(distribution_id).level
-
-    def registered_ids(self):
-        return sorted(self._registered)
 
     # --------------------------------------------------------------- internals
     def _entry(self, distribution_id: int) -> RegisteredDistribution:

@@ -45,11 +45,9 @@ class SamplingHost(ABC):
     def key_is_local(self, node_id: int, key: int) -> bool:
         """Whether ``key`` can currently be accessed at ``node_id`` locally."""
 
+    @abstractmethod
     def keys_are_local(self, node_id: int, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`key_is_local`; hosts override with a batch check."""
-        return np.asarray(
-            [self.key_is_local(node_id, int(key)) for key in keys], dtype=bool
-        )
+        """Vectorized :meth:`key_is_local`."""
 
     @abstractmethod
     def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
@@ -68,11 +66,6 @@ class SamplingHost(ABC):
     @abstractmethod
     def sampling_rng(self, node_id: int) -> np.random.Generator:
         """Per-node random generator for sampling decisions."""
-
-    @property
-    @abstractmethod
-    def value_length(self) -> int:
-        """Length of one parameter value."""
 
 
 #: Samples a node's local sampler draws before it re-reads the local part of

@@ -32,14 +32,6 @@ class Corpus:
     word_topics: np.ndarray       # latent topic of each word (for evaluation)
     similarity_probes: np.ndarray  # (P, 3): anchor, same-topic, other-topic
 
-    @property
-    def num_sentences(self) -> int:
-        return len(self.sentences)
-
-    @property
-    def num_tokens(self) -> int:
-        return int(sum(len(s) for s in self.sentences))
-
 
 def generate_corpus(
     vocab_size: int = 2000,

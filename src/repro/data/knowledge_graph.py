@@ -44,11 +44,6 @@ class KnowledgeGraph:
     def num_test(self) -> int:
         return len(self.test_triples)
 
-    def all_true_triples(self) -> set:
-        """Set of (s, r, o) tuples across both splits (for filtered ranking)."""
-        combined = np.concatenate([self.train_triples, self.test_triples])
-        return {tuple(int(x) for x in row) for row in combined}
-
 
 def generate_knowledge_graph(
     num_entities: int = 2000,

@@ -35,10 +35,6 @@ class MatrixDataset:
     def num_train(self) -> int:
         return len(self.train_cells)
 
-    @property
-    def num_test(self) -> int:
-        return len(self.test_cells)
-
 
 def generate_matrix(
     num_rows: int = 2000,

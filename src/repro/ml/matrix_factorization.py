@@ -83,9 +83,6 @@ class MatrixFactorizationTask(TrainingTask):
         counts[self.dataset.num_rows:] = self.dataset.col_frequencies
         return counts
 
-    def column_key(self, column: int) -> int:
-        return self.dataset.num_rows + int(column)
-
     def key_groups(self) -> List[tuple]:
         """Row and column factors drift independently (see the base class)."""
         return [

@@ -60,12 +60,6 @@ class AdaGrad:
         delta[..., dim:] = grad_sq
         return delta
 
-    @staticmethod
-    def weights(value: np.ndarray) -> np.ndarray:
-        """Extract the weight part from a ``[weights|accumulator]`` value."""
-        dim = value.shape[-1] // 2
-        return value[..., :dim]
-
 
 def clip_update_norm(update: np.ndarray, max_norm: float) -> np.ndarray:
     """Scale ``update`` down so its L2 norm does not exceed ``max_norm``.
@@ -169,10 +163,6 @@ class UpdateNormClipper:
         self._count = count
         self._mean_norm = mean
         return updates
-
-    @property
-    def mean_norm(self) -> float:
-        return self._mean_norm
 
 
 class BoldDriver:

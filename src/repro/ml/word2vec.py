@@ -139,9 +139,6 @@ class WordVectorsTask(TrainingTask):
         counts[self.corpus.vocab_size:] = total_samples * probabilities
         return counts
 
-    def output_key(self, word: int) -> int:
-        return self.corpus.vocab_size + int(word)
-
     def key_groups(self) -> List[tuple]:
         """Input and output layers drift independently (see the base class)."""
         return [
@@ -283,20 +280,20 @@ class WordVectorsTask(TrainingTask):
                       neg_vecs: np.ndarray) -> np.ndarray:
         """Clipped SGD deltas of one token: center, contexts, negatives."""
         num_pairs = len(context_vecs)
-        # Positive pairs: label 1.
-        pos_g = _sigmoid(context_vecs.dot(center_vec)) - 1.0
-        grad_center = pos_g.dot(context_vecs)
-        deltas = np.empty((1 + num_pairs + len(neg_vecs), self.dim),
-                          dtype=np.float32)
-        # Negative pairs: label 0 (each negative is paired with the center).
+        # Context pairs have label 1, negatives (paired with the center)
+        # label 0. The two score GEMVs stay separate: one stacked GEMV
+        # rounds differently.
+        scores = np.empty(num_pairs + len(neg_vecs), dtype=np.float32)
+        np.dot(context_vecs, center_vec, out=scores[:num_pairs])
+        np.dot(neg_vecs, center_vec, out=scores[num_pairs:])
+        g = _sigmoid(scores)
+        g[:num_pairs] -= 1.0
+        deltas = np.empty((1 + len(g), self.dim), dtype=np.float32)
+        deltas[0] = g[:num_pairs].dot(context_vecs)
         if len(neg_vecs):
-            neg_g = _sigmoid(neg_vecs.dot(center_vec))
-            grad_center = grad_center + neg_g.dot(neg_vecs)
-            deltas[1 + num_pairs:] = -self.learning_rate \
-                * (neg_g[:, None] * center_vec[None, :])
-        deltas[0] = -self.learning_rate * grad_center
-        deltas[1:1 + num_pairs] = -self.learning_rate \
-            * (pos_g[:, None] * center_vec[None, :])
+            deltas[0] += g[num_pairs:].dot(neg_vecs)
+        np.multiply(g[:, None], center_vec[None, :], out=deltas[1:])
+        deltas *= -self.learning_rate
         # The clipper's running mean is stateful: rows are clipped in the
         # order center, contexts, negatives.
         return self._clip_rows(deltas)

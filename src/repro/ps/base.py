@@ -81,11 +81,6 @@ class SampleHandle:
     def remaining(self) -> int:
         return self.total - self.delivered
 
-    @property
-    def pending(self) -> list:
-        """The not-yet-delivered keys as a list (read-only convenience view)."""
-        return self._keys[self._cursor:].tolist() + list(self._tail)
-
     def take(self, count: int) -> np.ndarray:
         """Remove and return the next ``count`` pending keys, in order."""
         if count <= 0:
@@ -453,11 +448,6 @@ class ParameterServer(ABC):
         charger.charge_chunk(worker, keys, ((kind, 0, len(keys), 0.0),))
         charger.finish()
         return charger
-
-    @property
-    def value_bytes(self) -> int:
-        """Bytes per parameter value (drives the network-cost model)."""
-        return self.store.value_bytes()
 
     def state_nbytes(self) -> Dict[str, int]:
         """Resident bytes of the PS's per-node state, by component.

@@ -196,12 +196,11 @@ class ChunkedTable:
     the pool, whose record holds one field per column: a key is written in
     every column or in none, and a chunk is charged once, at ``rows x (sum
     of the columns' row bytes)``. A column (:class:`ChunkedArray`) is a view
-    of its field, so one translation (:meth:`rows` / :meth:`writable_rows`)
+    of its field, so one translation (:meth:`_rows` / :meth:`writable_rows`)
     indexes ``column.pool`` of every column. Keys outside ``[0, num_rows)``
     raise :class:`IndexError`.
 
-    A dense table (``dense=True``, or one that adopted a dense array through
-    :meth:`ChunkedArray.densify`) has no index and no pool: every column is
+    A dense table (``dense=True``) has no index and no pool: every column is
     one contiguous array, keys are rows, and the same methods run on it.
     """
 
@@ -325,26 +324,15 @@ class ChunkedTable:
             c._items = opaque[str(i)] if c.row_shape else c.pool
 
     # ------------------------------------------------------------- translation
-    def rows(self, keys) -> np.ndarray:
-        """Validated pool rows of ``keys`` in every column's ``pool`` (on a
-        dense table, the keys).
-
-        Unwritten keys land on the fill record, which holds a column's
-        ``fill_value`` but not its ``fill_fn``. Rows of written keys stay
-        valid, a ``pool`` only until the table next materializes a chunk.
-        Callers that range-checked ``keys`` already translate with
-        :meth:`_rows`.
-        """
-        return self._rows(self._keys(keys))
-
     def writable_rows(self, keys) -> np.ndarray:
-        """:meth:`rows` after giving every key a record of its own."""
+        """Validated pool rows of ``keys`` (:meth:`_rows`) after giving every
+        key a record of its own."""
         keys = self._keys(keys)
         return self.claim(keys, self._rows(keys))
 
     def claim(self, keys: np.ndarray, rows: np.ndarray,
               select=None) -> np.ndarray:
-        """``rows`` (the :meth:`rows` of ``keys``) once the keys the boolean
+        """``rows`` (the :meth:`_rows` of ``keys``) once the keys the boolean
         mask ``select`` picks (all without one) have records of their own:
         the selected keys on the fill record get one — range-checked first —
         and the batch is translated again only after such a write. On a
@@ -391,7 +379,11 @@ class ChunkedTable:
         return keys
 
     def _rows(self, keys: np.ndarray) -> np.ndarray:
-        """Pool rows of (valid) ``keys``; unwritten ones hit the fill record."""
+        """Pool rows of (valid) ``keys`` in every column's ``pool`` (on a
+        dense table, the keys). Unwritten keys land on the fill record, which
+        holds a column's ``fill_value`` but not its ``fill_fn``; rows of
+        written keys index a ``pool`` until the table next materializes a
+        chunk."""
         if not self._fill_end:
             return keys
         at = self._written.searchsorted(keys)
@@ -528,20 +520,6 @@ class ChunkedTable:
         used = self._used_rows
         pool[:used] = self._pool[:used]
         self._bind(pool)
-
-    def _densify(self, column: "ChunkedArray", initial: np.ndarray) -> None:
-        """Turn the fresh table dense (budget charged): no index, no fill
-        record, one contiguous array per column instead of the pool,
-        ``initial`` as ``column``'s."""
-        size = self.num_rows * self._row_nbytes
-        self._check_budget(size, f"materializing dense-initialized "
-                           f"{self.label} ({_format_bytes(size)})")
-        for c in self.columns:
-            c.pool = initial if c is column else c._full()
-            c._items = None
-        self._pool = None
-        self._fill_end = 0
-        self._used_rows = self.resident_rows = self.num_rows
 
     def copy(self) -> "ChunkedTable":
         """An independent, budget-free clone (written records only)."""
@@ -728,16 +706,11 @@ class ChunkedArray:
 
     # ----------------------------------------------------------------- lifecycle
     def densify(self, initial: np.ndarray) -> np.ndarray:
-        """Adopt the array ``initial`` as this column's contents on a fresh
-        table (nothing written): a sparse table turns dense around it (every
-        column materialized, budget charged). The array *is* this column's
-        pool from then on."""
-        table = self.table
-        if not table._fill_end:
-            self.pool = initial
-        elif len(table._written) > 1:
-            raise ValueError(f"{table.label} has materialized chunks: only a "
-                             "fresh table adopts an array")
+        """Set every key's contents to the array ``initial``: a dense table
+        adopts it (the array *is* this column's pool from then on), a sparse
+        one writes every key (budget charged, refused whole)."""
+        if self.table._fill_end:
+            self[np.arange(self.num_rows)] = initial
         else:
-            table._densify(self, initial)
+            self.pool = initial
         return self.pool

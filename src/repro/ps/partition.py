@@ -50,29 +50,18 @@ class OwnershipMap:
         #: Dense key -> owner table: the live map after the first change,
         #: before it a cache of the range formula (small key spaces only).
         self._table: np.ndarray | None = None
-        #: Whether a transition has rewritten the table (scalar lookups
-        #: evaluate the formula until then).
-        self._changed = False
         #: The planned table while any node is down, else None.
         self._planned: np.ndarray | None = None
         self._down: set[int] = set()
 
     # ---------------------------------------------------------------- lookups
-    def owner(self, key: int) -> int:
-        """Node id of ``key``."""
-        if not 0 <= key < self.num_keys:
-            raise KeyError(f"key {key} out of range [0, {self.num_keys})")
-        if self._changed:
-            return int(self._table[key])
-        return key // self._range_size
-
     def owners(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`owner` for an array of keys.
+        """Node ids of ``keys``.
 
-        Negative keys raise ``KeyError`` like scalar :meth:`owner` (an
-        explicit once-per-batch check, not ``take``'s wrap-around); too-large
-        keys raise from ``take``'s bounds check on the table path and
-        ``KeyError`` on the formula path.
+        Negative keys raise ``KeyError`` (an explicit once-per-batch check,
+        not ``take``'s wrap-around); too-large keys raise ``IndexError`` from
+        ``take``'s bounds check on the table path and ``KeyError`` on the
+        formula path.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size:
@@ -104,10 +93,6 @@ class OwnershipMap:
         if not 0 <= server < self.num_servers:
             raise ValueError(f"server {server} out of range [0, {self.num_servers})")
         return np.flatnonzero(self._all_owners() == server)
-
-    def partition_sizes(self) -> np.ndarray:
-        """Number of keys per server (length ``num_servers``)."""
-        return np.bincount(self._all_owners(), minlength=self.num_servers)
 
     # ------------------------------------------------------------ transitions
     def fail(self, node_id: int, survivors: Sequence[int]) -> np.ndarray:
@@ -182,7 +167,6 @@ class OwnershipMap:
         if self._table is None:
             self._table = self.range_owners(
                 np.arange(self.num_keys, dtype=np.int64))
-        self._changed = True
         return self._table
 
 

@@ -174,17 +174,9 @@ class RelocationPS(ParameterServer):
         self.arrival_time.pool[rows] = arrivals
 
     # ------------------------------------------------------------- inspection
-    def is_local(self, node_id: int, key: int) -> bool:
-        """Whether ``key`` is currently allocated at ``node_id``."""
-        return bool(self.current_owner[int(key)] == node_id)
-
     def local_keys(self, node_id: int) -> np.ndarray:
         """All keys currently allocated at ``node_id``."""
         return self.current_owner.where_equal(node_id)
-
-    def owner_of(self, key: int) -> int:
-        """Current owner node of ``key``."""
-        return int(self.current_owner[int(key)])
 
     def state_nbytes(self) -> dict:
         sizes = super().state_nbytes()

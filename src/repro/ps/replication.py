@@ -356,10 +356,6 @@ class ReplicationPS(ParameterServer):
         for node_id, state in self._nodes.items():
             self._flush_node(node_id, state)
 
-    def replica_count(self, node_id: int) -> int:
-        """Number of replicas currently held by ``node_id`` (for tests/reports)."""
-        return self._nodes[node_id].replica_mask.count_nonzero()
-
     def state_nbytes(self) -> Dict[str, int]:
         sizes = super().state_nbytes()
         sizes["replica_state"] = sum(

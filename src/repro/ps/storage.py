@@ -112,7 +112,7 @@ class ParameterStore:
         self.version_column = table.column("versions", np.int64)
         if init_scale:
             # One RNG stream over the *full* matrix; reproducing it lazily per
-            # chunk is impossible, so a sparse store turns dense (budget
+            # chunk is impossible, so a sparse store writes every key (budget
             # checked) to stay bit-identical to the dense oracle. Lazy
             # sparseness pays off for zero-initialized stores (scale sweeps,
             # embedding output vectors) and API-driven init.

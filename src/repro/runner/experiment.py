@@ -397,9 +397,6 @@ class _EpochState:
             for w in workers
         }
 
-    def pending(self, worker_key: tuple) -> int:
-        return len(self.queues[worker_key])
-
     def has_pending(self) -> bool:
         return any(len(queue) for queue in self.queues.values())
 

@@ -71,11 +71,6 @@ class KeyRemapper:
         """Read-only view: physical key of every logical key."""
         return self._to_physical
 
-    @property
-    def logical_index(self) -> np.ndarray:
-        """Read-only view: logical key of every physical key."""
-        return self._to_logical
-
     def to_physical(self, keys: np.ndarray) -> np.ndarray:
         """Physical keys for logical ``keys`` (any shape), range-checked.
 
@@ -166,15 +161,6 @@ class RemappedDistribution(SamplingDistribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.remapper.to_physical(self.inner.sample(rng, size))
-
-    def probability(self, key: int) -> float:
-        return self.inner.probability(int(self.remapper.logical_index[int(key)]))
-
-    def probabilities(self) -> np.ndarray:
-        support = np.arange(
-            self.key_offset, self.key_offset + self.support_size, dtype=np.int64
-        )
-        return self.inner.probabilities_of(self.remapper.to_logical(support))
 
     def probabilities_of(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         return self.inner.probabilities_of(self.remapper.to_logical(keys))

@@ -42,10 +42,6 @@ class ClusterConfig:
                 "each node runs at least one worker thread"
             )
 
-    @property
-    def total_workers(self) -> int:
-        return self.num_nodes * self.workers_per_node
-
 
 class Node:
     """A cluster node: holds worker clocks and a background-thread clock."""
@@ -165,18 +161,6 @@ class Cluster:
     def time(self) -> float:
         """Cluster time: the maximum time reached by any node."""
         return max(node.time for node in self.nodes)
-
-    @property
-    def min_worker_time(self) -> float:
-        """The clock of the slowest (least advanced) worker.
-
-        Removed nodes' workers are excluded: their clocks froze at removal
-        time and would otherwise pin the minimum forever.
-        """
-        return min(
-            clock.now for node in self.nodes for clock in node.worker_clocks
-            if node.node_id not in self.removed
-        )
 
     # ---------------------------------------------------------------- faults
     def fail_node(self, node_id: int) -> None:
@@ -304,9 +288,6 @@ class Cluster:
                 "node_removed", "membership", self.nodes[node_id].time,
                 node=node_id, membership_epoch=self.membership_epoch,
             )
-
-    def is_removed(self, node_id: int) -> bool:
-        return node_id in self.removed
 
     # --------------------------------------------------------------- dynamics
     def set_network(self, network) -> None:

@@ -76,12 +76,6 @@ class PeriodicSchedule:
         self.total_busy_time += duration
         return finish
 
-    def achieved_frequency(self, elapsed: float) -> float:
-        """Executions per simulated second over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.fired / elapsed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PeriodicSchedule(interval={self.interval}, fired={self.fired}, "

@@ -122,29 +122,6 @@ class MetricsRegistry:
         """A copy of all global counters."""
         return dict(self._global)
 
-    def node_counters(self, node: int) -> Dict[str, float]:
-        """A copy of the counters recorded for ``node``."""
-        return dict(self._per_node.get(node, {}))
-
-    def nodes(self) -> Iterable[int]:
-        """Node ids that have recorded at least one counter."""
-        return sorted(self._per_node)
-
-    # ------------------------------------------------------------- aggregates
-    def total_matching(self, prefix: str) -> float:
-        """Sum of all global counters whose name starts with ``prefix``."""
-        return sum(v for k, v in self._global.items() if k.startswith(prefix))
-
-    # ----------------------------------------------------------------- control
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Add all counters from ``other`` into this registry."""
-        for name, value in other._global.items():
-            self._global[name] += value
-            self._dirty.add(name)
-        for node, counters in other._per_node.items():
-            for name, value in counters.items():
-                self._per_node[node][name] += value
-
     def snapshot(self) -> Mapping[str, float]:
         """Immutable-ish view of the global counters (for reporting)."""
         return dict(self._global)

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 
-#: Number of bytes used per parameter-vector element (float32 on the wire).
-BYTES_PER_VALUE = 4
-
 #: Number of bytes for a parameter key / small control header.
 KEY_BYTES = 8
 
@@ -138,12 +135,6 @@ class NetworkModel:
         return 2 * self.message_handling_cost + self.transfer_cost(
             value_bytes + KEY_BYTES
         )
-
-    def value_bytes(self, value_length: int) -> int:
-        """Wire size of a parameter value of ``value_length`` elements."""
-        if value_length < 0:
-            raise ValueError("value_length must be non-negative")
-        return value_length * BYTES_PER_VALUE
 
     # ------------------------------------------------------------- schedules
     def scaled(self, latency_factor: float = 1.0, bandwidth_factor: float = 1.0,

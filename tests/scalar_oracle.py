@@ -29,6 +29,7 @@ from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import INTRA_PROCESS_FACTOR, ReplicationPS
+import replicas
 
 __all__ = [
     "ScalarClassicPS",
@@ -36,9 +37,22 @@ __all__ = [
     "ScalarRelocationPS",
     "ScalarReplicationPS",
     "ScalarSingleNodePS",
+    "node_counters",
     "oracle_of",
     "sequential_rounds",
 ]
+
+
+def _home(ps, key: int) -> int:
+    """The node ``key`` is partitioned to."""
+    return int(ps.partitioner.owners(np.array([key]))[0])
+
+
+def node_counters(metrics) -> dict:
+    """The non-empty per-node counters of ``metrics``, by node: what an
+    oracle twin must match besides the global counters."""
+    return {node: dict(counters)
+            for node, counters in metrics._per_node.items() if counters}
 
 
 def charge_local(ps, worker, count: int, kind: str) -> None:
@@ -103,8 +117,7 @@ class ScalarClassicPS(ClassicPS):
 
     def _charge(self, worker, keys, kind):
         counts = {}
-        for key in keys.tolist():
-            owner = self.partitioner.owner(key)
+        for owner in self.partitioner.owners(keys).tolist():
             counts[owner] = counts.get(owner, 0) + 1
         charge_local(self, worker, counts.pop(worker.node_id, 0), kind)
         for server in sorted(counts):
@@ -162,7 +175,7 @@ class ScalarRelocationPS(RelocationPS):
         node_id = worker.node_id
         value_bytes = self.store.value_bytes()
         owner = int(self.current_owner[key])
-        messages = 2 if owner == self.partitioner.owner(key) else 3
+        messages = 2 if owner == _home(self, key) else 3
         worker.clock.advance((messages - 1) * self.network.message_cost(0)
                              + self.network.message_cost(value_bytes))
         self.cluster.node(owner).server_clock.advance(
@@ -205,8 +218,8 @@ class ScalarNuPS(NuPS):
         replicated = self.plan.replicated_mask(keys)
         values = self.store.get(keys)
         if replicated.any():
-            values[replicated] = self.replica_manager.pull(
-                worker.node_id, keys[replicated])
+            values[replicated] = replicas.read(
+                self.replica_manager, worker.node_id, keys[replicated])
             charge_local(self, worker, int(replicated.sum()),
                          f"{kind}.replica")
         relocated = keys[~replicated]
@@ -221,8 +234,8 @@ class ScalarNuPS(NuPS):
         kind = "sample_push" if sampling else "push"
         replicated = self.plan.replicated_mask(keys)
         if replicated.any():
-            self.replica_manager.push(worker.node_id, keys[replicated],
-                                      deltas[replicated])
+            replicas.add(self.replica_manager, worker.node_id,
+                         keys[replicated], deltas[replicated])
             charge_local(self, worker, int(replicated.sum()),
                          f"{kind}.replica")
         self._charge(worker, keys[~replicated], kind)
@@ -269,7 +282,7 @@ class ScalarReplicationPS(ReplicationPS):
 
     def _refresh_replica(self, worker, state, key, worker_clock):
         """Synchronously (re)fetch ``key`` from its owning server."""
-        owner = self.partitioner.owner(key)
+        owner = _home(self, key)
         if owner == worker.node_id:
             self._charge_intra_process(worker, "pull.local_server")
         else:

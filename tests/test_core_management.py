@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.management import (
-    DEFAULT_HOT_SPOT_FACTOR,
-    ManagementPlan,
-    ManagementTechnique,
-)
+from repro.core.management import DEFAULT_HOT_SPOT_FACTOR, ManagementPlan
 
 
 class TestConstruction:
@@ -29,27 +25,15 @@ class TestConstruction:
     def test_relocate_all(self):
         plan = ManagementPlan.relocate_all(10)
         assert plan.num_replicated == 0
-        assert plan.num_relocated == 10
-
-    def test_replicate_all(self):
-        plan = ManagementPlan.replicate_all(10)
-        assert plan.num_replicated == 10
-        assert plan.replicated_share == 1.0
 
 
 class TestTechniqueQueries:
-    def test_technique_per_key(self):
-        plan = ManagementPlan(10, [0, 5])
-        assert plan.technique(0) is ManagementTechnique.REPLICATE
-        assert plan.technique(5) is ManagementTechnique.REPLICATE
-        assert plan.technique(1) is ManagementTechnique.RELOCATE
-
     def test_is_replicated_bounds_checked(self):
         plan = ManagementPlan(10, [0])
         with pytest.raises(KeyError):
             plan.is_replicated(10)
         with pytest.raises(KeyError):
-            plan.technique(-1)
+            plan.is_replicated(-1)
 
     def test_replicated_mask_subset(self):
         plan = ManagementPlan(10, [2, 4])
@@ -130,12 +114,10 @@ def test_partition_into_techniques_is_total(num_keys, data):
         st.lists(st.integers(min_value=0, max_value=num_keys - 1), max_size=num_keys)
     )
     plan = ManagementPlan(num_keys, replicated)
-    assert plan.num_replicated + plan.num_relocated == num_keys
     mask = plan.replicated_mask()
-    assert mask.sum() == plan.num_replicated
+    assert len(mask) == num_keys and mask.sum() == plan.num_replicated
     for key in range(0, num_keys, max(1, num_keys // 20)):
-        expected = ManagementTechnique.REPLICATE if mask[key] else ManagementTechnique.RELOCATE
-        assert plan.technique(key) is expected
+        assert plan.is_replicated(key) == mask[key]
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,7 +1,6 @@
 """Tests for NuPS: multi-technique management and the integrated sampling API."""
 
 import numpy as np
-import pytest
 
 from repro.core.management import ManagementPlan
 from repro.core.nups import NuPS
@@ -35,11 +34,10 @@ class TestManagementIntegration:
         worker = cluster.worker(0, 0)
         keys = np.array([50, 0, 99, 1])
         values = nups.pull(worker, keys)
+        replicas = nups.replica_manager
+        hot = replicas.read_slots(0, replicas.slots(np.array([0, 1])))
         expected = np.stack([
-            nups.store.get([50])[0],
-            nups.replica_manager.pull(0, np.array([0]))[0],
-            nups.store.get([99])[0],
-            nups.replica_manager.pull(0, np.array([1]))[0],
+            nups.store.get([50])[0], hot[0], nups.store.get([99])[0], hot[1],
         ])
         np.testing.assert_allclose(values, expected, rtol=1e-6)
 
@@ -90,18 +88,6 @@ class TestManagementIntegration:
         nups.finish_epoch()
         np.testing.assert_allclose(nups.store.get([0])[0], before + 3.0, rtol=1e-6)
 
-    def test_from_access_counts_factory(self, store, cluster):
-        counts = np.ones(store.num_keys)
-        counts[13] = 1e6
-        ps = NuPS.from_access_counts(store, cluster, counts, hot_spot_factor=10.0)
-        assert ps.plan.is_replicated(13)
-        assert ps.plan.num_replicated == 1
-
-    def test_replica_access_share(self, nups, cluster):
-        worker = cluster.worker(0, 0)
-        nups.pull(worker, np.array([0, 1, 50, 51]))
-        assert nups.replica_access_share() == pytest.approx(0.5)
-
     def test_describe_includes_plan(self, nups):
         description = nups.describe()
         assert description["num_replicated"] == 5
@@ -119,7 +105,8 @@ class TestSingleTechniqueReduction:
         assert cluster.metrics.get("replica.sync_bytes") == 0
 
     def test_all_replicated_means_no_relocations(self, store, cluster):
-        ps = NuPS(store, cluster, plan=ManagementPlan.replicate_all(store.num_keys))
+        ps = NuPS(store, cluster, plan=ManagementPlan(
+            store.num_keys, np.arange(store.num_keys)))
         worker = cluster.worker(0, 0)
         ps.localize(worker, np.arange(store.num_keys))
         ps.pull(worker, np.arange(0, store.num_keys, 7))

@@ -90,9 +90,6 @@ class TestKnowledgeGraphGenerator:
         b = generate_knowledge_graph(num_entities=100, num_relations=4, num_triples=500, seed=5)
         np.testing.assert_array_equal(a.train_triples, b.train_triples)
 
-    def test_all_true_triples(self, graph):
-        assert len(graph.all_true_triples()) == graph.num_train + graph.num_test
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             generate_knowledge_graph(num_entities=4, num_clusters=8)
@@ -129,9 +126,6 @@ class TestCorpusGenerator:
             assert corpus.word_topics[anchor] == corpus.word_topics[same]
             assert corpus.word_topics[anchor] != corpus.word_topics[different]
             assert anchor != same
-
-    def test_num_tokens(self, corpus):
-        assert corpus.num_tokens == 300 * 10
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ convention machine-enforced so new modules cannot silently drop it.
 """
 
 import ast
+import importlib.util
 import inspect
 import re
 from collections import Counter
@@ -529,3 +530,38 @@ def test_changes_entries_are_capped():
         or len(entry.encode()) > CHANGES_MAX_BYTES
     ]
     assert not too_long, "\n".join(too_long)
+
+
+# ------------------------------------------------------- the unclaimed list
+#: Why a function no benchmark, claim or CLI path runs may stay in ``src/``.
+UNCLAIMED_REASONS = (
+    "protocol stub",
+    "reference a test compares against",
+    "error path",
+    "CLI-only",
+    "oracle path",
+)
+
+
+def test_unclaimed_list_is_well_formed():
+    """Every line of ``tests/data/unclaimed.txt`` is ``module:qualname  #
+    reason: detail`` with one of the five reasons, names a function that
+    exists in ``src/repro``, and appears once, in sorted order. Whether the
+    list is the audit's output is checked in CI, by
+    ``benchmarks/audit_unclaimed.py --check`` (minutes, not tier-1)."""
+    spec = importlib.util.spec_from_file_location(
+        "audit_unclaimed", REPO_ROOT / "benchmarks" / "audit_unclaimed.py")
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    existing = {name for _, _, name in audit.functions()}
+    lines = (REPO_ROOT / "tests" / "data" / "unclaimed.txt").read_text() \
+        .splitlines()
+    names = []
+    for line in lines:
+        name, _, justification = line.partition("  # ")
+        reason = justification.split(":", 1)[0]
+        assert reason in UNCLAIMED_REASONS, f"{line!r}: no known reason"
+        assert name in existing, f"{name}: not a function of src/repro"
+        names.append(name)
+    assert names == sorted(set(names)), "entries must be sorted and unique"
+    assert len(names) <= 40

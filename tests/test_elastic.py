@@ -103,7 +103,7 @@ class TestScaleIn:
         summary = controller.scale_in(1, now=0.0)
         assert summary["lost_updates"] == 0
         assert summary["moved_keys"] > 0
-        assert cluster.is_removed(1)
+        assert 1 in cluster.removed
         _ownership_covers_active(ps, cluster)
         assert len(ps.keys_owned_by(1)) == 0 or 1 not in cluster.active_nodes
         assert cluster.metrics.get("elastic.scale_ins") == 1

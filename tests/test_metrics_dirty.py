@@ -43,8 +43,8 @@ class TestDirtyCoversNodeLabelledWrites:
             0, {"pull.local": 5, "push.replica": 2, "sample.local": 1}
         )
         dirty = registry.drain_dirty()
-        for node in registry.nodes():
-            for name in registry.node_counters(node):
+        for counters in registry._per_node.values():
+            for name in counters:
                 assert name in dirty, (
                     f"node counter {name!r} written without dirtying the "
                     "global name"
@@ -56,8 +56,8 @@ class TestDirtyCoversNodeLabelledWrites:
         registry.record_access("pull.local", node=1, count=2)
         registry.record_access_batch(1, {"push.local": 3})
         global_names = set(registry.counters())
-        for node in registry.nodes():
-            assert set(registry.node_counters(node)) <= global_names
+        for counters in registry._per_node.values():
+            assert set(counters) <= global_names
 
     def test_net_zero_counter_still_reported_dirty(self):
         registry = MetricsRegistry()
@@ -89,7 +89,7 @@ class TestZeroCountBehaviorPinned:
         registry.record_access_batch(0, {"pull.local": 0, "push.local": 0})
         assert registry.drain_dirty() == set()
         assert registry.counters() == {}
-        assert registry.node_counters(0) == {}
+        assert not registry._per_node[0]
 
 
 class TestSnapshotDiffHelpers:

@@ -59,10 +59,6 @@ class TestAdaGrad:
         with pytest.raises(ValueError):
             AdaGrad(0.1).compute_update(np.zeros(5), np.zeros(2))
 
-    def test_weights_helper(self):
-        value = np.arange(6, dtype=np.float32)
-        np.testing.assert_array_equal(AdaGrad.weights(value), [0, 1, 2])
-
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=2))
     def test_accumulator_is_monotone(self, gradient):
@@ -115,7 +111,7 @@ class TestUpdateNormClipper:
         clipper = UpdateNormClipper(factor=2.0, warmup=2)
         for _ in range(50):
             clipper.clip(np.zeros(2, dtype=np.float32))
-        assert clipper.mean_norm == 0.0
+        assert clipper._mean_norm == 0.0
         # A normal update afterwards is not clipped to zero.
         update = np.array([1.0, 0.0], dtype=np.float32)
         np.testing.assert_array_equal(clipper.clip(update), update)

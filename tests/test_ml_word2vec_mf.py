@@ -44,7 +44,6 @@ class TestWordVectorsLayout:
     def test_key_space_has_input_and_output_layers(self, corpus):
         task = WordVectorsTask(corpus, dim=4)
         assert task.num_keys() == 2 * corpus.vocab_size
-        assert task.output_key(0) == corpus.vocab_size
 
     def test_store_init_input_random_output_zero(self, corpus):
         task = WordVectorsTask(corpus, dim=4)
@@ -54,7 +53,7 @@ class TestWordVectorsLayout:
 
     def test_data_points_are_tokens_with_context(self, corpus):
         task = WordVectorsTask(corpus, dim=4, window=2)
-        assert 0 < task.num_data_points() <= corpus.num_tokens
+        assert 0 < task.num_data_points() <= sum(map(len, corpus.sentences))
         # Every data point has at least one context word within the window.
         widths = np.diff(task._context_offsets)
         assert len(widths) == task.num_data_points()
@@ -131,7 +130,6 @@ class TestMatrixFactorizationLayout:
     def test_key_space(self, matrix):
         task = MatrixFactorizationTask(matrix)
         assert task.num_keys() == matrix.num_rows + matrix.num_cols
-        assert task.column_key(0) == matrix.num_rows
         assert task.value_length() == matrix.rank
 
     def test_access_counts_match_frequencies(self, matrix):
@@ -265,3 +263,49 @@ class TestMatrixFactorizationStep:
                 clipped += not np.array_equal(raw, deltas)
             factors[keys] += np.clip(deltas, -0.05, 0.05)  # chain, bounded
         assert task._clipper is None or clipped > 100
+
+
+def _composed_token_deltas(task, clipper, center_vec, context_vecs, neg_vecs):
+    """The word-vectors token step as it was before it was fused: each score
+    block through its own sigmoid and outer product, each row block scaled
+    on its own. Kept here as the reference
+    :meth:`WordVectorsTask._token_deltas` must reproduce bit for bit."""
+    num_pairs = len(context_vecs)
+    pos_g = 1.0 / (1.0 + np.exp(-context_vecs.dot(center_vec).clip(-30.0, 30.0))) - 1.0
+    grad_center = pos_g.dot(context_vecs)
+    deltas = np.empty((1 + num_pairs + len(neg_vecs), task.dim), dtype=np.float32)
+    if len(neg_vecs):
+        neg_g = 1.0 / (1.0 + np.exp(-neg_vecs.dot(center_vec).clip(-30.0, 30.0)))
+        grad_center = grad_center + neg_g.dot(neg_vecs)
+        deltas[1 + num_pairs:] = -task.learning_rate \
+            * (neg_g[:, None] * center_vec[None, :])
+    deltas[0] = -task.learning_rate * grad_center
+    deltas[1:1 + num_pairs] = -task.learning_rate \
+        * (pos_g[:, None] * center_vec[None, :])
+    return deltas if clipper is None else clipper.clip_rows(deltas)
+
+
+class TestWordVectorsStep:
+    @pytest.mark.parametrize("clip_factor", [2.0, 0])
+    @pytest.mark.parametrize("dim", [4, 8, 13])
+    def test_fused_step_is_the_composed_step(self, corpus, dim, clip_factor):
+        """Deltas and clipper state stay bit-equal over 4000 random tokens
+        per case: 0-6 context words, 0-4 negatives per pair, scales up to
+        saturated sigmoids."""
+        task = WordVectorsTask(corpus, dim=dim, learning_rate=0.07,
+                               clip_factor=clip_factor)
+        clipper = UpdateNormClipper(clip_factor) if clip_factor > 0 else None
+        rng = np.random.default_rng(dim)
+        for token in range(4000):
+            num_pairs = int(rng.integers(0, 7))
+            negatives = num_pairs * int(rng.integers(0, 5))
+            scale = float(rng.choice([0.01, 0.3, 2.0, 20.0]))
+            rows = rng.normal(0, scale, size=(1 + num_pairs + negatives, dim)) \
+                .astype(np.float32)
+            values = (rows[0], rows[1:1 + num_pairs], rows[1 + num_pairs:])
+            expected = _composed_token_deltas(task, clipper, *values)
+            deltas = task._token_deltas(*values)
+            assert deltas.dtype == np.float32
+            assert deltas.tobytes() == expected.tobytes(), token
+            if clipper is not None:
+                assert vars(task._clipper) == vars(clipper)

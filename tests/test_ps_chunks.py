@@ -139,26 +139,28 @@ class TestVectorColumn:
         assert vec[10] == 1 and twin[10] == 2
         assert table.materialized_chunks == 1 and clone.materialized_chunks == 2
 
-    def test_densify_adopts_an_array_on_a_fresh_table_only(self):
-        table = _key_space(50, 16)
-        vec = table.column("v", np.int64, fill_value=7)
+    def test_densify_adopts_an_array_on_a_dense_table_only(self):
+        dense = _key_space(50, 16, backend="dense")
+        vec = dense.column("v", np.int64, fill_value=7)
         array = np.arange(50, dtype=np.int64)
         assert vec.densify(array) is array is vec.pool
         array[20] = 99  # direct write must be visible through chunked reads
         assert vec[20] == 99
         vec[21] = 4  # chunked write must be visible through the array
         assert array[21] == 4
-        assert table.materialized_chunks == table.num_chunks
-        written = _key_space(50, 16)
-        column = written.column("v", np.int64)
+        sparse = _key_space(50, 16)
+        column = sparse.column("v", np.int64, fill_value=7)
         column[3] = 1
-        with pytest.raises(ValueError, match="only a fresh table"):
-            column.densify(np.zeros(50, dtype=np.int64))
+        column.densify(array)  # a sparse table writes every key
+        assert column.take(np.arange(50)).tolist() == array.tolist()
+        assert sparse.materialized_chunks == sparse.num_chunks
+        array[0] = -1
+        assert column[0] == 0
 
     def test_densify_is_charged_against_the_budget(self):
         table = _key_space(8, 4, MemoryBudget(64, label="tiny"))
         column = table.column("m", np.float32, (4,))
-        with pytest.raises(MemoryBudgetExceeded, match="dense-initialized"):
+        with pytest.raises(MemoryBudgetExceeded, match="budget of tiny"):
             column.densify(np.zeros((8, 4), dtype=np.float32))  # 128 bytes
         assert table.nbytes == 0 and table._fill_end == 1
 
@@ -307,7 +309,7 @@ class TestDenseTable:
         table = _key_space(100, 16, backend="dense")
         table.column("v", np.float32, (2,))
         keys = np.array([5, 99, 5])
-        assert table.rows(keys).tolist() == [5, 99, 5]
+        assert table._rows(keys).tolist() == [5, 99, 5]
         assert table._rows(keys) is keys
         assert table.claim(keys, keys, keys > 50) is keys
         assert table._written.tolist() == [100]
@@ -612,7 +614,7 @@ def test_first_writes_merge_into_the_index_like_np_insert(data):
             continue
         keys = data.draw(batches)
         if op == "read":
-            assert table.rows(keys).tolist() == reference.rows(keys)
+            assert table._rows(keys).tolist() == reference.rows(keys)
         elif op == "set":  # fancy set: the last of repeated keys wins
             column[keys] = keys * 10 + step
             reference.write(keys)
@@ -621,7 +623,7 @@ def test_first_writes_merge_into_the_index_like_np_insert(data):
             select = np.array(data.draw(st.lists(
                 st.booleans(), min_size=len(keys), max_size=len(keys))),
                 dtype=bool)
-            rows = table.claim(keys, table.rows(keys), select)
+            rows = table.claim(keys, table._rows(keys), select)
             reference.write(keys[select])
             assert rows.tolist() == reference.rows(keys)
             column.pool[rows[select]] = -keys[select]
@@ -641,7 +643,7 @@ class TestTable:
         table.columns[1][100] = 1.0  # through one column: every column's record
         assert table.materialized_chunks == 1
         assert table._written[:-1].tolist() == [100]
-        rows = table.rows(np.array([100, 5]))
+        rows = table._rows(np.array([100, 5]))
         assert table.columns[1].pool[rows].tolist() == [[1.0] * 3, [0.0] * 3]
         assert table.columns[3].pool[rows].tolist() == [7, 7]
 
@@ -933,7 +935,7 @@ class TestBudgets:
             elif entry == "writable_rows":
                 table.writable_rows(keys)
             else:
-                table.claim(keys, table.rows(keys))
+                table.claim(keys, table._rows(keys))
         assert (table.materialized_chunks, table.nbytes) == before
         assert table._written is index[0] and table._slot is index[1]
         references[1][[3, 10]] = 2.0

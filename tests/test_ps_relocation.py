@@ -13,8 +13,8 @@ def ps(store, cluster):
 
 class TestInitialAllocation:
     def test_initial_owners_follow_static_partition(self, ps):
-        for key in (0, 33, 66, 99):
-            assert ps.owner_of(key) == ps.partitioner.owner(key)
+        keys = np.array([0, 33, 66, 99])
+        assert np.array_equal(ps.current_owner[keys], ps.partitioner.owners(keys))
 
     def test_local_keys_partition_the_key_space(self, ps, cluster, store):
         all_local = np.concatenate(
@@ -27,10 +27,10 @@ class TestLocalize:
     def test_localize_transfers_ownership(self, ps, cluster):
         worker = cluster.worker(0, 0)
         key = int(ps.partitioner.keys_of(3)[0])
-        assert not ps.is_local(0, key)
+        assert ps.current_owner[key] != 0
         ps.localize(worker, [key])
-        assert ps.is_local(0, key)
-        assert not ps.is_local(3, key)
+        assert ps.current_owner[key] == 0
+        assert ps.current_owner[key] != 3
 
     def test_localize_already_local_key_is_free(self, ps, cluster):
         worker = cluster.worker(0, 0)
@@ -58,7 +58,7 @@ class TestLocalize:
         worker = cluster.worker(0, 0)
         ps.localize(worker, ps.partitioner.keys_of(2)[:4])
         assert cluster.metrics.get("relocation.count") == 0
-        assert ps.owner_of(int(ps.partitioner.keys_of(2)[0])) == 2
+        assert ps.current_owner[int(ps.partitioner.keys_of(2)[0])] == 2
 
 
 class TestAccess:
@@ -141,4 +141,4 @@ class TestHotSpotContention:
             ps.localize(worker_a, [key])
             ps.localize(worker_b, [key])
         assert cluster.metrics.get("relocation.count") == 10
-        assert ps.owner_of(key) == 2
+        assert ps.current_owner[key] == 2

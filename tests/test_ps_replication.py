@@ -37,8 +37,8 @@ class TestBasics:
     def test_first_access_creates_replica(self, store, cluster):
         ps = make_ps(store, cluster)
         ps.pull(cluster.worker(0, 0), [10, 11])
-        assert ps.replica_count(0) == 2
-        assert ps.replica_count(1) == 0
+        assert ps._nodes[0].replica_mask.count_nonzero() == 2
+        assert ps._nodes[1].replica_mask.count_nonzero() == 0
 
 
 class TestWriteVisibility:

@@ -14,32 +14,6 @@ class TestConformityLevels:
         assert ConformityLevel.BOUNDED < ConformityLevel.LONG_TERM
         assert ConformityLevel.LONG_TERM < ConformityLevel.NON_CONFORM
 
-    def test_l1_implies_l2_implies_l3(self):
-        assert ConformityLevel.CONFORM.satisfies(ConformityLevel.BOUNDED)
-        assert ConformityLevel.CONFORM.satisfies(ConformityLevel.LONG_TERM)
-        assert ConformityLevel.BOUNDED.satisfies(ConformityLevel.LONG_TERM)
-
-    def test_weaker_does_not_satisfy_stronger(self):
-        assert not ConformityLevel.BOUNDED.satisfies(ConformityLevel.CONFORM)
-        assert not ConformityLevel.NON_CONFORM.satisfies(ConformityLevel.LONG_TERM)
-
-    def test_every_level_satisfies_itself_and_non_conform(self):
-        for level in ConformityLevel:
-            assert level.satisfies(level)
-            assert level.satisfies(ConformityLevel.NON_CONFORM)
-
-    def test_rank(self):
-        assert [level.rank for level in ConformityLevel] == [1, 2, 3, 4]
-
-    def test_from_name(self):
-        assert ConformityLevel.from_name("bounded") is ConformityLevel.BOUNDED
-        assert ConformityLevel.from_name("LONG-TERM") is ConformityLevel.LONG_TERM
-        assert ConformityLevel.from_name(" conform ") is ConformityLevel.CONFORM
-
-    def test_from_name_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            ConformityLevel.from_name("super-conform")
-
     def test_scheme_conformity_matches_table_1(self):
         """Table 1 of the paper."""
         assert SCHEME_CONFORMITY["independent"] is ConformityLevel.CONFORM

@@ -8,24 +8,10 @@ from repro.core.sampling.distributions import (
     CategoricalDistribution,
     UniformDistribution,
     UnigramDistribution,
-    zipf_weights,
 )
 
 
 class TestProbabilitiesOf:
-    """The vectorized batch probability lookup matches the scalar one."""
-
-    @pytest.mark.parametrize("dist", [
-        UniformDistribution(key_offset=10, support_size=5),
-        CategoricalDistribution([1.0, 3.0, 6.0], key_offset=4),
-        UnigramDistribution([5.0, 1.0, 2.0, 8.0], key_offset=0),
-    ])
-    def test_matches_scalar_probability(self, dist):
-        keys = np.array([0, 4, 5, 6, 9, 10, 12, 14, 15, 100], dtype=np.int64)
-        batch = dist.probabilities_of(keys)
-        scalar = np.array([dist.probability(int(k)) for k in keys])
-        np.testing.assert_array_equal(batch, scalar)
-
     def test_empty_batch(self):
         dist = UniformDistribution(0, 4)
         assert len(dist.probabilities_of(np.empty(0, dtype=np.int64))) == 0
@@ -34,14 +20,12 @@ class TestProbabilitiesOf:
 class TestUniformDistribution:
     def test_probability_inside_and_outside_support(self):
         dist = UniformDistribution(key_offset=10, support_size=5)
-        assert dist.probability(10) == pytest.approx(0.2)
-        assert dist.probability(14) == pytest.approx(0.2)
-        assert dist.probability(9) == 0.0
-        assert dist.probability(15) == 0.0
+        np.testing.assert_allclose(dist.probabilities_of([10, 14, 9, 15]),
+                                   [0.2, 0.2, 0.0, 0.0])
 
     def test_probabilities_sum_to_one(self):
         dist = UniformDistribution(0, 7)
-        assert dist.probabilities().sum() == pytest.approx(1.0)
+        assert dist.probabilities_of(np.arange(7)).sum() == pytest.approx(1.0)
 
     def test_samples_within_support(self):
         dist = UniformDistribution(key_offset=100, support_size=50)
@@ -54,10 +38,6 @@ class TestUniformDistribution:
         samples = dist.sample(np.random.default_rng(1), 50_000)
         counts = np.bincount(samples, minlength=10) / 50_000
         np.testing.assert_allclose(counts, 0.1, atol=0.01)
-
-    def test_support_keys(self):
-        dist = UniformDistribution(key_offset=3, support_size=4)
-        np.testing.assert_array_equal(dist.support_keys, [3, 4, 5, 6])
 
     def test_in_support_mask(self):
         dist = UniformDistribution(key_offset=3, support_size=4)
@@ -78,8 +58,8 @@ class TestUniformDistribution:
 class TestCategoricalDistribution:
     def test_probabilities_follow_weights(self):
         dist = CategoricalDistribution([1.0, 3.0], key_offset=5)
-        assert dist.probability(5) == pytest.approx(0.25)
-        assert dist.probability(6) == pytest.approx(0.75)
+        np.testing.assert_allclose(dist.probabilities_of([5, 6, 7]),
+                                   [0.25, 0.75, 0.0])
 
     def test_key_offset_applied_to_samples(self):
         dist = CategoricalDistribution([1.0, 1.0], key_offset=100)
@@ -116,32 +96,19 @@ class TestUnigramDistribution:
         frequencies = np.array([100.0, 1.0])
         smoothed = UnigramDistribution(frequencies, power=0.75)
         raw = CategoricalDistribution(frequencies)
-        assert smoothed.probability(0) < raw.probability(0)
-        assert smoothed.probability(1) > raw.probability(1)
+        assert smoothed.probabilities()[0] < raw.probabilities()[0]
+        assert smoothed.probabilities()[1] > raw.probabilities()[1]
 
     def test_power_one_equals_frequencies(self):
         frequencies = np.array([4.0, 1.0])
         dist = UnigramDistribution(frequencies, power=1.0)
-        assert dist.probability(0) == pytest.approx(0.8)
+        assert dist.probabilities()[0] == pytest.approx(0.8)
 
     def test_rejects_bad_frequencies(self):
         with pytest.raises(ValueError):
             UnigramDistribution(np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             UnigramDistribution(np.array([-1.0, 1.0]))
-
-
-class TestZipfWeights:
-    def test_monotonically_decreasing(self):
-        weights = zipf_weights(100, 1.1)
-        assert np.all(np.diff(weights) < 0)
-
-    def test_exponent_zero_is_uniform(self):
-        np.testing.assert_allclose(zipf_weights(10, 0.0), 1.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            zipf_weights(0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -155,7 +122,8 @@ def test_probabilities_always_normalized(support, offset):
         CategoricalDistribution(np.random.default_rng(support).uniform(0.01, 1, support),
                                 key_offset=offset),
     ):
-        assert dist.probabilities().sum() == pytest.approx(1.0)
-        assert dist.probabilities().min() >= 0
+        probabilities = dist.probabilities_of(np.arange(offset, offset + support))
+        assert probabilities.sum() == pytest.approx(1.0)
+        assert probabilities.min() >= 0
         samples = dist.sample(np.random.default_rng(0), 100)
         assert dist.in_support(samples).all()

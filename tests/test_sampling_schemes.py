@@ -90,11 +90,6 @@ class TestLevelToSchemeMapping:
         with pytest.raises(ValueError):
             SamplingConfig(scheme_override="nonexistent")
 
-    def test_level_accepts_string(self, small_cluster):
-        ps = make_nups(small_cluster)
-        dist_id = ps.register_distribution(UniformDistribution(0, NUM_KEYS), "bounded")
-        assert ps.sampling_manager.level_for(dist_id) is ConformityLevel.BOUNDED
-
 
 class TestSamplingManagerValidation:
     def test_unknown_distribution_id(self, small_cluster):
@@ -221,7 +216,7 @@ class TestPostponing:
                                            ConformityLevel.LONG_TERM)
         handle = ps.prepare_sample(worker, dist_id, 12)
         # Steal every key of the handle to the other node so nothing is local.
-        pending = [k for k in handle.pending]
+        pending = handle._keys[handle._cursor:].tolist()  # nothing taken yet
         thief = small_cluster.worker(1, 0)
         ps.localize(thief, np.asarray(pending))
         first = ps.pull_sample(worker, handle, 4)

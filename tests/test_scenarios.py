@@ -36,6 +36,7 @@ from repro.scenarios.base import ScenarioRuntime
 from repro.scenarios.presets import SCENARIO_NAMES
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.network import NetworkSchedule, NetworkStage
+import replicas
 
 
 def small_config(epochs=3, scenario=None, seed=0, chunk_size=8):
@@ -199,14 +200,14 @@ class TestRemappedDistribution:
         remapper = KeyRemapper(10, groups=[(0, 10)])
         inner = CategoricalDistribution(np.arange(1.0, 11.0), key_offset=0)
         wrapped = RemappedDistribution(inner, remapper)
-        np.testing.assert_allclose(wrapped.probabilities(), inner.probabilities())
+        logical = np.arange(10)
+        np.testing.assert_allclose(wrapped.probabilities_of(logical),
+                                   inner.probabilities())
         remapper.apply(remapper.rotation(0.3))
-        for physical in range(10):
-            logical = int(remapper.to_logical(np.array([physical]))[0])
-            assert wrapped.probability(physical) == pytest.approx(
-                inner.probability(logical)
-            )
-        np.testing.assert_allclose(wrapped.probabilities().sum(), 1.0)
+        physical = remapper.to_physical(logical)
+        assert physical.tolist() != logical.tolist()
+        np.testing.assert_allclose(wrapped.probabilities_of(physical),
+                                   inner.probabilities())
 
     def test_sampled_keys_are_physical(self):
         remapper = KeyRemapper(12, groups=[(0, 12)])
@@ -242,7 +243,7 @@ class TestRemanage:
         assert nups.plan is new_plan
         assert nups.replica_manager.plan is new_plan
         assert nups.replica_manager.num_replicated == 10
-        assert nups.replica_manager.max_replica_divergence() == 0.0
+        assert replicas.max_divergence(nups.replica_manager) == 0.0
         assert cluster.metrics.get("management.replans") == 1
 
     def test_pending_updates_flush_before_swap(self, store, cluster):
@@ -336,7 +337,7 @@ class TestEpochStateRedistribution:
         taken = {w.global_worker_id: [] for w in workers}
         taken[(0, 0)].append(state.take_chunk((0, 0)))
         state.redistribute((0, 0), [(0, 1), (0, 3)])
-        assert state.pending((0, 0)) == 0
+        assert len(state.queues[(0, 0)]) == 0
         while state.has_pending():
             for w in workers[1:]:
                 chunk = state.take_chunk(w.global_worker_id)

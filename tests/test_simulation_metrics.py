@@ -30,43 +30,12 @@ class TestMetricsRegistry:
         assert metrics.get("access.pull.remote") == 2
         assert metrics.get("access.total") == 5
 
-    def test_total_matching_prefix(self):
-        metrics = MetricsRegistry()
-        metrics.increment("access.pull.local", 1)
-        metrics.increment("access.pull.remote", 2)
-        metrics.increment("access.push.local", 4)
-        assert metrics.total_matching("access.pull") == 3
-        assert metrics.total_matching("access.") == 7
-
     def test_counters_returns_copy(self):
         metrics = MetricsRegistry()
         metrics.increment("a", 1)
         counters = metrics.counters()
         counters["a"] = 99
         assert metrics.get("a") == 1
-
-    def test_nodes_listing(self):
-        metrics = MetricsRegistry()
-        metrics.increment("a", 1, node=3)
-        metrics.increment("b", 1, node=1)
-        assert list(metrics.nodes()) == [1, 3]
-
-    def test_node_counters(self):
-        metrics = MetricsRegistry()
-        metrics.increment("a", 2, node=0)
-        assert metrics.node_counters(0) == {"a": 2}
-        assert metrics.node_counters(9) == {}
-
-    def test_merge(self):
-        first = MetricsRegistry()
-        second = MetricsRegistry()
-        first.increment("a", 1, node=0)
-        second.increment("a", 2, node=0)
-        second.increment("b", 5)
-        first.merge(second)
-        assert first.get("a") == 3
-        assert first.get("b") == 5
-        assert first.get("a", node=0) == 3
 
     def test_snapshot(self):
         metrics = MetricsRegistry()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simulation.network import BYTES_PER_VALUE, KEY_BYTES, NetworkModel
+from repro.simulation.network import KEY_BYTES, NetworkModel
 
 
 @pytest.fixture
@@ -81,13 +81,6 @@ class TestCosts:
     def test_local_access_is_cheapest(self, net):
         assert net.local_access_cost < net.relocation_occupancy(64)
         assert net.relocation_occupancy(64) < net.remote_access_cost(64)
-
-    def test_value_bytes(self, net):
-        assert net.value_bytes(16) == 16 * BYTES_PER_VALUE
-
-    def test_value_bytes_rejects_negative(self, net):
-        with pytest.raises(ValueError):
-            net.value_bytes(-1)
 
 
 class TestAllReduce:
