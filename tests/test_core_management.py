@@ -26,6 +26,12 @@ class TestConstruction:
         plan = ManagementPlan.relocate_all(10)
         assert plan.num_replicated == 0
 
+    def test_replicate_all(self):
+        plan = ManagementPlan(10, np.arange(10))
+        assert plan.num_replicated == 10
+        assert plan.replicated_share == 1.0
+        assert plan.replicated_mask().all()
+
 
 class TestTechniqueQueries:
     def test_is_replicated_bounds_checked(self):
@@ -34,6 +40,22 @@ class TestTechniqueQueries:
             plan.is_replicated(10)
         with pytest.raises(KeyError):
             plan.is_replicated(-1)
+
+    def test_technique_per_key(self):
+        plan = ManagementPlan(10, [0, 5])
+        assert [plan.is_replicated(key) for key in range(10)] == \
+            [key in (0, 5) for key in range(10)]
+
+    def test_binary_search_membership_matches_dense_mask(self):
+        """Massive key spaces answer membership by binary search; it agrees
+        with the dense mask that smaller ones use, at the ends too."""
+        rng = np.random.default_rng(4)
+        plan = ManagementPlan(1000, rng.choice(1000, size=37, replace=False))
+        keys = np.concatenate([np.arange(1000), [0, 999]])
+        np.testing.assert_array_equal(plan._membership(keys),
+                                      plan.replicated_mask(keys))
+        empty = ManagementPlan.relocate_all(1000)
+        assert not empty._membership(keys).any()
 
     def test_replicated_mask_subset(self):
         plan = ManagementPlan(10, [2, 4])

@@ -88,6 +88,24 @@ class TestManagementIntegration:
         nups.finish_epoch()
         np.testing.assert_allclose(nups.store.get([0])[0], before + 3.0, rtol=1e-6)
 
+    def test_from_access_counts_factory(self, store, cluster):
+        counts = np.ones(store.num_keys)
+        counts[13] = 1e6
+        plan = ManagementPlan.from_access_counts(counts, hot_spot_factor=10.0)
+        ps = NuPS(store, cluster, plan=plan)
+        assert ps.plan.replicated_keys.tolist() == [13]
+        assert all(ps.key_is_local(node, 13) for node in range(cluster.num_nodes))
+
+    def test_replica_access_share(self, nups, cluster):
+        """Half of a push to two hot and two long-tail keys is served by
+        replicas."""
+        worker = cluster.worker(0, 0)
+        nups.push(worker, [0, 1, 50, 51],
+                  np.ones((4, nups.store.value_length), dtype=np.float32))
+        metrics = cluster.metrics
+        assert metrics.get("access.push.replica.local") == 2
+        assert metrics.get("access.push.local") + metrics.get("access.push.remote") == 2
+
     def test_describe_includes_plan(self, nups):
         description = nups.describe()
         assert description["num_replicated"] == 5

@@ -55,6 +55,25 @@ class TestPushPull:
         np.testing.assert_allclose(read(manager, 0, np.array([2])), before + 1.0, rtol=1e-6)
         np.testing.assert_array_equal(read(manager, 1, np.array([2])), before)
 
+    def test_slot_access_is_pull_and_push_by_slot(self, manager, store):
+        """``add_slots`` accumulates repeated slots in order in the replica
+        and the update buffer and marks exactly those slots dirty;
+        ``read_slots`` returns the rows at the given slots."""
+        slots = manager.slots(np.array([4, 1, 4]))
+        deltas = np.arange(3 * store.value_length, dtype=np.float32) \
+            .reshape(3, store.value_length)
+        before = manager._replicas[0].copy()
+        manager.add_slots(0, slots, deltas)
+        expected = before.copy()
+        expected[4] += deltas[0] + deltas[2]
+        expected[1] += deltas[1]
+        np.testing.assert_array_equal(manager._replicas[0], expected)
+        np.testing.assert_array_equal(manager._buffers[0], expected - before)
+        assert manager._dirty[0].tolist() == [False, True, False, False, True]
+        np.testing.assert_array_equal(manager.read_slots(0, slots),
+                                      expected[[4, 1, 4]])
+        np.testing.assert_array_equal(manager._replicas[1], before)
+
     def test_push_not_in_store_before_sync(self, manager, store):
         before = store.get([2])[0].copy()
         add(manager, 0, np.array([2]), np.ones((1, store.value_length), dtype=np.float32))
@@ -94,6 +113,28 @@ class TestSync:
         manager.force_sync()
         np.testing.assert_allclose(store.get(np.arange(5)), expected, rtol=1e-4, atol=1e-4)
 
+    def test_sync_clears_buffers_and_dirty_masks(self, manager, store):
+        add(manager, 0, np.array([1]), np.ones((1, store.value_length), dtype=np.float32))
+        add(manager, 2, np.array([3]), np.ones((1, store.value_length), dtype=np.float32))
+        manager.force_sync()
+        for node in range(manager.cluster.num_nodes):
+            assert not manager._dirty[node].any()
+            assert not manager._buffers[node].any()
+
+    def test_syncs_at_the_target_frequency(self, manager):
+        """Polled every millisecond for 0.1 s, a 100 Hz schedule syncs ten
+        times when each sync is cheap."""
+        for step in range(1, 101):
+            manager.maybe_sync(step * 0.001)
+        assert manager.syncs_performed == 10
+
+    def test_force_sync_is_free_when_nothing_is_replicated(self, store, cluster):
+        manager = ReplicaManager(store, cluster, ManagementPlan.relocate_all(store.num_keys))
+        manager.force_sync(1.0)
+        assert manager.syncs_performed == 0
+        assert cluster.metrics.counters() == {}
+        assert all(node.background_clock.now == 0.0 for node in cluster.nodes)
+
     def test_maybe_sync_respects_interval(self, manager):
         assert manager.maybe_sync(0.005) == 0
         assert manager.maybe_sync(0.011) == 1
@@ -111,6 +152,23 @@ class TestSync:
         manager.force_sync()
         for node in range(cluster.num_nodes):
             assert cluster.node(node).background_clock.now > 0
+
+    def test_drop_node_drains_its_buffered_updates(self, manager, store):
+        before = store.get([2])[0].copy()
+        add(manager, 1, np.array([2]), np.ones((1, store.value_length), dtype=np.float32))
+        assert manager.drop_node(1) == 1
+        np.testing.assert_allclose(store.get([2])[0], before + 1.0, rtol=1e-6)
+        assert 1 not in manager._replicas
+        assert manager.drop_node(1) == 0
+
+    def test_seed_node_copies_the_store_with_empty_buffers(self, manager, store):
+        add(manager, 0, np.array([2]), np.ones((1, store.value_length), dtype=np.float32))
+        manager.force_sync()
+        manager.seed_node(3)
+        np.testing.assert_array_equal(read(manager, 3, np.arange(5)),
+                                      store.get(np.arange(5)))
+        assert not manager._buffers[3].any()
+        assert not manager._dirty[3].any()
 
     def test_sparse_sync_only_counts_dirty_keys(self, manager, cluster, store):
         add(manager, 0, np.array([0]), np.ones((1, store.value_length), dtype=np.float32))

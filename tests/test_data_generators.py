@@ -31,6 +31,9 @@ class TestZipfUtilities:
         assert sorted(shuffled) == pytest.approx(sorted(plain))
         assert not np.allclose(shuffled, plain)
 
+    def test_exponent_zero_is_uniform(self):
+        np.testing.assert_allclose(zipf_probabilities(10, 0.0), 0.1)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             zipf_probabilities(0)
@@ -80,6 +83,12 @@ class TestKnowledgeGraphGenerator:
         )
         np.testing.assert_array_equal(graph.entity_frequencies, expected)
 
+    def test_relation_frequencies_match_triples(self, graph):
+        np.testing.assert_array_equal(
+            graph.relation_frequencies,
+            np.bincount(graph.train_triples[:, 1], minlength=graph.num_relations),
+        )
+
     def test_entity_access_is_skewed(self, graph):
         """A small share of entities receives a large share of accesses."""
         summary = empirical_skew_summary(graph.entity_frequencies + 1e-9, top_fraction=0.05)
@@ -109,6 +118,11 @@ class TestCorpusGenerator:
             assert sentence.min() >= 0
             assert sentence.max() < corpus.vocab_size
             assert len(sentence) == 10
+
+    def test_num_tokens(self, corpus):
+        assert len(corpus.sentences) == 300
+        assert sum(len(sentence) for sentence in corpus.sentences) == 300 * 10
+        assert corpus.word_frequencies.sum() == 300 * 10
 
     def test_word_frequencies_match_tokens(self, corpus):
         expected = np.bincount(np.concatenate(corpus.sentences), minlength=corpus.vocab_size)

@@ -39,6 +39,17 @@ class TestAdaGrad:
         # With zero accumulator the adjusted gradient is g / |g| = sign(g).
         np.testing.assert_allclose(delta[:2], [-0.1, 0.1], rtol=1e-4)
 
+    def test_weight_step_follows_the_accumulator(self):
+        """The weight part is ``-lr * g / sqrt(acc + g^2 + eps)`` per
+        element, reading the accumulator half of the value."""
+        optimizer = AdaGrad(0.5, eps=1e-6)
+        value = np.array([9.0, 9.0, 3.0, 0.25], dtype=np.float32)
+        gradient = np.array([1.0, -2.0], dtype=np.float32)
+        delta = optimizer.compute_update(value, gradient)
+        expected = -0.5 * gradient / np.sqrt(value[2:] + gradient ** 2 + 1e-6)
+        np.testing.assert_allclose(delta[:2], expected, rtol=1e-6)
+        np.testing.assert_allclose(delta[2:], gradient ** 2)
+
     def test_accumulator_shrinks_subsequent_steps(self):
         optimizer = AdaGrad(0.1)
         value = np.zeros(4, dtype=np.float32)

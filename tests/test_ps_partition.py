@@ -102,6 +102,15 @@ class TestOwnersRejectsNegativeKeys:
             with pytest.raises(KeyError):
                 ownership.owners(np.array([-1]))
 
+    def test_scalar_owner_matches_batch(self):
+        """One-key batches answer as the whole batch does."""
+        ownership = OwnershipMap(100, 3)
+        keys = np.arange(100)
+        batch = ownership.owners(keys)
+        single = [int(ownership.owners(keys[key:key + 1])[0]) for key in keys]
+        assert single == batch.tolist()
+        assert len(ownership.owners(np.empty(0, dtype=np.int64))) == 0
+
     def test_valid_batches_unaffected(self):
         keys = np.array([0, 25, 50, 99])
         assert list(OwnershipMap(100, 4).owners(keys)) == [0, 1, 2, 3]

@@ -14,6 +14,25 @@ class TestConformityLevels:
         assert ConformityLevel.BOUNDED < ConformityLevel.LONG_TERM
         assert ConformityLevel.LONG_TERM < ConformityLevel.NON_CONFORM
 
+    def test_total_order_follows_the_level_number(self):
+        """Stronger levels sort first; the derived comparisons agree."""
+        levels = list(ConformityLevel)
+        assert sorted(reversed(levels)) == levels
+        assert ConformityLevel.CONFORM <= ConformityLevel.CONFORM
+        assert ConformityLevel.NON_CONFORM > ConformityLevel.BOUNDED
+        assert ConformityLevel.LONG_TERM >= ConformityLevel.BOUNDED
+        assert max(levels) is ConformityLevel.NON_CONFORM
+
+    def test_comparison_with_other_types_is_refused(self):
+        with pytest.raises(TypeError):
+            ConformityLevel.CONFORM < 2
+        with pytest.raises(TypeError):
+            ConformityLevel.BOUNDED < "long_term"
+
+    def test_str_is_the_level_name(self):
+        assert [str(level) for level in ConformityLevel] == [
+            "CONFORM", "BOUNDED", "LONG_TERM", "NON_CONFORM"]
+
     def test_scheme_conformity_matches_table_1(self):
         """Table 1 of the paper."""
         assert SCHEME_CONFORMITY["independent"] is ConformityLevel.CONFORM

@@ -11,7 +11,31 @@ from repro.core.sampling.distributions import (
 )
 
 
+def _scalar_probability(weights, key_offset, key) -> float:
+    """π_key from the distribution's weights, one key at a time."""
+    index = key - key_offset
+    if not 0 <= index < len(weights):
+        return 0.0
+    return weights[index] / sum(weights)
+
+
 class TestProbabilitiesOf:
+    """The vectorized batch probability lookup matches a per-key reference
+    computed from the distribution's weights."""
+
+    @pytest.mark.parametrize("dist, weights", [
+        (UniformDistribution(key_offset=10, support_size=5), [1.0] * 5),
+        (CategoricalDistribution([1.0, 3.0, 6.0], key_offset=4), [1.0, 3.0, 6.0]),
+        (UnigramDistribution([5.0, 1.0, 2.0, 8.0], key_offset=0),
+         [5.0 ** 0.75, 1.0, 2.0 ** 0.75, 8.0 ** 0.75]),
+    ], ids=["dist0", "dist1", "dist2"])
+    def test_matches_scalar_probability(self, dist, weights):
+        keys = np.array([0, 4, 5, 6, 9, 10, 12, 14, 15, 100], dtype=np.int64)
+        expected = [_scalar_probability(weights, dist.key_offset, int(key))
+                    for key in keys]
+        np.testing.assert_allclose(dist.probabilities_of(keys), expected,
+                                   rtol=1e-12)
+
     def test_empty_batch(self):
         dist = UniformDistribution(0, 4)
         assert len(dist.probabilities_of(np.empty(0, dtype=np.int64))) == 0
@@ -38,6 +62,11 @@ class TestUniformDistribution:
         samples = dist.sample(np.random.default_rng(1), 50_000)
         counts = np.bincount(samples, minlength=10) / 50_000
         np.testing.assert_allclose(counts, 0.1, atol=0.01)
+
+    def test_support_keys(self):
+        dist = UniformDistribution(key_offset=3, support_size=4)
+        probabilities = dist.probabilities_of(np.arange(10))
+        np.testing.assert_array_equal(np.flatnonzero(probabilities), [3, 4, 5, 6])
 
     def test_in_support_mask(self):
         dist = UniformDistribution(key_offset=3, support_size=4)

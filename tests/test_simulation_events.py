@@ -62,6 +62,20 @@ class TestPeriodicSchedule:
                 schedule.fire(now, duration=0.01)
         assert schedule.fired == 10
 
+    def test_fire_before_busy_until_starts_late(self):
+        """A firing that arrives while the previous one still runs starts
+        when that one finishes."""
+        schedule = PeriodicSchedule(1.0)
+        assert schedule.fire(1.0, duration=2.0) == 3.0
+        assert schedule.due_count(2.5) == 0
+        assert schedule.due_count(3.0) == 1
+        assert schedule.fire(2.5, duration=0.5) == 3.5
+
+    def test_start_offsets_the_first_period(self):
+        schedule = PeriodicSchedule(1.0, start=5.0)
+        assert schedule.due_count(5.5) == 0
+        assert schedule.due_count(6.0) == 1
+
     def test_busy_time_accumulates(self):
         schedule = PeriodicSchedule(1.0)
         schedule.fire(1.0, 0.5)

@@ -30,6 +30,45 @@ class TestMetricsRegistry:
         assert metrics.get("access.pull.remote") == 2
         assert metrics.get("access.total") == 5
 
+    def test_record_access_counts_per_node(self):
+        metrics = MetricsRegistry()
+        metrics.record_access("pull.local", node=0, count=3)
+        metrics.record_access("pull.local", node=2, count=1)
+        metrics.record_access("push.remote", node=2, count=4)
+        assert metrics.get("access.pull.local", node=0) == 3
+        assert metrics.get("access.pull.local", node=2) == 1
+        assert metrics.get("access.total", node=2) == 5
+        assert metrics.get("access.push.remote", node=0) == 0
+        assert metrics.get("access.total", node=1) == 0
+
+    def test_record_access_batch_equals_record_access_sequence(self):
+        batch, sequence = MetricsRegistry(), MetricsRegistry()
+        counts = {"pull.local": 3, "pull.remote": 2, "push.replica.local": 5}
+        batch.record_access_batch(1, counts)
+        for kind, count in counts.items():
+            sequence.record_access(kind, node=1, count=count)
+        assert batch.counters() == sequence.counters()
+        assert batch._per_node == sequence._per_node
+        assert batch.drain_dirty() == sequence.drain_dirty()
+
+    def test_record_access_batch_skips_zero_counts(self):
+        metrics = MetricsRegistry()
+        metrics.record_access_batch(0, {"pull.local": 0, "pull.remote": 0})
+        assert metrics.counters() == {}
+        assert metrics.drain_dirty() == set()
+        metrics.record_access_batch(0, {"pull.local": 0, "pull.remote": 2})
+        assert metrics.counters() == {"access.pull.remote": 2,
+                                      "access.total": 2}
+
+    def test_diff_omits_unchanged_counters(self):
+        metrics = MetricsRegistry()
+        metrics.increment("a", 1)
+        metrics.increment("b", 2)
+        baseline = metrics.snapshot()
+        metrics.increment("b", 3)
+        metrics.increment("c", -1)
+        assert metrics.diff(baseline) == {"b": 3, "c": -1}
+
     def test_counters_returns_copy(self):
         metrics = MetricsRegistry()
         metrics.increment("a", 1)

@@ -78,6 +78,15 @@ class TestCosts:
     def test_server_occupancy_excludes_latency(self, net):
         assert net.server_occupancy(64) < net.remote_access_cost(64)
 
+    @pytest.mark.parametrize("cost", [
+        "remote_access_cost", "relocation_cost", "relocation_occupancy",
+        "server_occupancy",
+    ])
+    def test_each_protocol_moves_the_value_once(self, net, cost):
+        """A larger value adds exactly one transfer of the extra bytes."""
+        cost = getattr(net, cost)
+        assert cost(64 + 1000) - cost(64) == pytest.approx(net.transfer_cost(1000))
+
     def test_local_access_is_cheapest(self, net):
         assert net.local_access_cost < net.relocation_occupancy(64)
         assert net.relocation_occupancy(64) < net.remote_access_cost(64)
