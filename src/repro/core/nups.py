@@ -187,7 +187,7 @@ class NuPS(RelocationPS, SamplingHost):
         lookup of each (:class:`_NuPSPointCharger`) — direct access alone
         (matrix factorization) or with the samples of ``distribution_id``.
         Besides an access-level tracer, sampling falls back to the
-        sequential path under ``integrate_sampling=False`` or a scheme that
+        per-call charger under ``integrate_sampling=False`` or a scheme that
         decides keys at pull time. See the base class for the full list.
         """
         if distribution_id is not None and (

@@ -19,7 +19,7 @@ PS exactly like the embeddings themselves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UniformDistribution
 from repro.data.knowledge_graph import KnowledgeGraph
 from repro.data.rows import unique_rows
-from repro.ml.negative_sampling import (
-    NegativeSampleStream,
-    replayed_sampling_round,
-)
 from repro.ml.optimizer import AdaGrad
 from repro.ml.task import TrainingTask
 from repro.ps.base import ParameterServer
@@ -269,7 +265,6 @@ class KGETask(TrainingTask):
         self.init_scale = float(init_scale)
         self.sampling_level = sampling_level
         self.regularization = float(regularization)
-        self._distribution_id: Optional[int] = None
         self._steps: Dict[int, ComplExStep] = {}
         self._build_filter_index()
 
@@ -346,45 +341,32 @@ class KGETask(TrainingTask):
         ]))
         ps.localize(worker, direct_keys)
 
-    def process_round(self, ps: ParameterServer, items) -> None:
-        """Round execution for KGE: charge replay + value pass per chunk.
+    def step_chunk(self, ps: ParameterServer, charger, worker: WorkerContext,
+                   data_indices: np.ndarray) -> None:
+        """The chunk's triples against ``charger``.
 
-        Which negatives a step receives depends on every sample drawn before
-        it (pool cursors, RNG streams), and ~94% of a round's triples chain
-        through a shared relation row, so the *order* of the sequential path
-        is kept: one worker chunk after the other, one triple after the
-        other. What is not kept is the four PS call chains per triple.
-        Sample selection and access charging never read parameter values,
-        so after the unchanged prefetch and ``prepare_sample`` a chunk's
-        sample keys are taken at once, all of its calls are charged in one
-        replay through the PS's point charger, and the triples then run on
-        live rows with one gather and one scatter each (see
-        :func:`~repro.ml.negative_sampling.replayed_sampling_round`; the
-        fallback conditions are listed at
-        :meth:`ParameterServer.direct_point_charger
-        <repro.ps.base.ParameterServer.direct_point_charger>`).
+        Per triple: ``pull`` subject, relation and object, ``pull_sample``
+        its ``2 * num_negatives`` negatives, ``push`` and ``push_sample``
+        the step's deltas, then one step's compute. The samples come from
+        one ``prepare_sample`` per chunk, in worker order, so pools,
+        cursors and RNG streams advance as call by call; ~94 % of a round's
+        triples chain through a shared relation row, so the triples run in
+        order.
         """
-        replayed_sampling_round(self, ps, items, self._distribution_id,
-                                self._replay_chunk)
-
-    def _replay_chunk(self, ps: ParameterServer, charger,
-                      worker: WorkerContext, data_indices: np.ndarray) -> None:
-        """:meth:`process_chunk` as one charge replay and one value pass."""
         triples = self.graph.train_triples[np.asarray(data_indices, dtype=np.int64)]
         num_points = len(triples)
         if num_points == 0:
             return
         num_sampled = 2 * self.num_negatives
-        stream = NegativeSampleStream(
-            ps, worker, self._distribution_id, num_points * num_sampled
-        )
+        samples = charger.take_samples(
+            self.prepare_samples(ps, worker, num_points * num_sampled))
         # Per triple: subject, relation, object, then its negatives.
         width = 3 + num_sampled
         keys = np.empty((num_points, width), dtype=np.int64)
         keys[:, 0] = triples[:, 0]
         keys[:, 1] = self.graph.num_entities + triples[:, 1]
         keys[:, 2] = triples[:, 2]
-        keys[:, 3:] = stream.drain().reshape(num_points, num_sampled)
+        keys[:, 3:] = samples.reshape(num_points, num_sampled)
         charger.charge_chunk(worker, keys.ravel(), point_calls(
             [3] * num_points, [num_sampled] * num_points,
             [self.network_compute_cost(ps)] * num_points))
@@ -394,25 +376,6 @@ class KGETask(TrainingTask):
             charger.add(lo, hi, step.deltas(
                 charger.read(lo, hi), self.optimizer, self.regularization
             ))
-
-    def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
-                      data_indices: np.ndarray, rng: np.random.Generator) -> int:
-        if self._distribution_id is None:
-            raise RuntimeError("register_sampling must be called before training")
-        triples = self.graph.train_triples[np.asarray(data_indices, dtype=np.int64)]
-        if len(triples) == 0:
-            return 0
-
-        negatives_per_triple = 2 * self.num_negatives
-        stream = NegativeSampleStream(
-            ps, worker, self._distribution_id, len(triples) * negatives_per_triple
-        )
-
-        compute_cost = self.network_compute_cost(ps)  # constant per chunk
-        for subject, relation, obj in triples:
-            self._train_triple(ps, worker, int(subject), int(relation), int(obj), stream)
-            worker.charge_compute(compute_cost)
-        return len(triples)
 
     def network_compute_cost(self, ps: ParameterServer) -> float:
         """Computation cost of one SGD step (scaled by the negative count)."""
@@ -424,21 +387,6 @@ class KGETask(TrainingTask):
         if step is None:
             step = self._steps[num_sampled] = ComplExStep(self.dim, num_sampled)
         return step
-
-    def _train_triple(self, ps: ParameterServer, worker: WorkerContext,
-                      subject: int, relation: int, obj: int,
-                      stream: NegativeSampleStream) -> None:
-        direct_keys = np.asarray(
-            [subject, self.relation_key(relation), obj], dtype=np.int64
-        )
-        direct_values = ps.pull(worker, direct_keys)
-        negatives = stream.next(2 * self.num_negatives)
-        deltas = self._step(len(negatives.keys)).deltas(
-            np.concatenate([direct_values, negatives.values]),
-            self.optimizer, self.regularization,
-        )
-        ps.push(worker, direct_keys, deltas[:3])
-        stream.push_updates(negatives.keys, deltas[3:])
 
     # ---------------------------------------------------------------- evaluation
     def evaluate(self, store: ParameterStore) -> Dict[str, float]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.data.matrix import MatrixDataset
 from repro.ml.optimizer import BoldDriver, UpdateNormClipper
-from repro.ml.task import TrainingTask, sequential_process_round
+from repro.ml.task import TrainingTask
 from repro.ps.base import ParameterServer
 from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
@@ -136,20 +136,23 @@ class MatrixFactorizationTask(TrainingTask):
             return
         ps.localize(worker, np.unique(self._cell_keys[data_indices]))
 
-    def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
-                      data_indices: np.ndarray, rng: np.random.Generator) -> int:
-        data_indices = np.asarray(data_indices, dtype=np.int64)
-        if len(data_indices) == 0:
-            return 0
-        compute_cost = ps.network.compute_per_step  # constant per chunk
-        for keys, value in zip(self._cell_keys[data_indices],
-                               self.dataset.train_values[data_indices].tolist()):
-            ps.push(worker, keys, self._step(ps.pull(worker, keys), value))
-            worker.charge_compute(compute_cost)
-        return len(data_indices)
+    def step_chunk(self, ps: ParameterServer, charger, worker: WorkerContext,
+                   data_indices: np.ndarray) -> None:
+        """The chunk's cells against ``charger``: per cell ``pull`` its row
+        and column factor, ``push`` their deltas, then one step's compute."""
+        indices = np.asarray(data_indices, dtype=np.int64)
+        n = len(indices)
+        charger.charge_chunk(worker, self._cell_keys[indices].ravel(),
+                             point_calls([2] * n, [0] * n,
+                                         [ps.network.compute_per_step] * n))
+        read, add, step = charger.read, charger.add, self._step
+        lo = 0
+        for value in self.dataset.train_values[indices].tolist():
+            add(lo, lo + 2, step(read(lo, lo + 2), value))
+            lo += 2
 
     def _step(self, factors: np.ndarray, value: float) -> np.ndarray:
-        """The SGD update of one cell (shared by every execution path).
+        """The SGD update of one cell.
 
         ``factors`` is a ``[2, rank]`` float32 copy of the row factor and
         the column factor. Both rows go through each expression at once:
@@ -167,50 +170,6 @@ class MatrixFactorizationTask(TrainingTask):
         if self._clipper is not None:
             return self._clipper.clip_rows(deltas)
         return deltas
-
-    def process_round(self, ps: ParameterServer, items) -> None:
-        """Round execution for MF: one charge replay per chunk, then its points.
-
-        Per worker chunk, in worker order: the unchanged prefetch of the next
-        chunk, one replay of all the chunk's ``pull → push → compute``
-        charges through the PS's point charger (per cell two direct keys and
-        a zero-width sample segment; charging never reads parameter values),
-        the chunk's cells in the sequential order — each reads its two
-        factors and adds its two deltas through the charger's
-        uncharged ``read``/``add``, which route values wherever the
-        architecture keeps them (store, node replica, NuPS replica slot) —
-        and the clock advance. Every architecture has a charger; the round
-        runs through :func:`~repro.ml.task.sequential_process_round` only
-        where :meth:`ParameterServer.direct_point_charger
-        <repro.ps.base.ParameterServer.direct_point_charger>` answers
-        ``None`` (its docstring lists when). There is no conflict plan on
-        this path: 1.1 % of a bench round's cells touch keys no other cell of
-        the round touches, so batching values across cells serves nothing
-        (see :mod:`repro.ps.rounds`).
-        """
-        charger = ps.direct_point_charger()
-        if charger is None:
-            sequential_process_round(self, ps, items)
-            return
-
-        train_values = self.dataset.train_values
-        compute_cost = ps.network.compute_per_step
-        read, add, step = charger.read, charger.add, self._step
-        for item in items:
-            worker = item.worker
-            indices = np.asarray(item.chunk, dtype=np.int64)
-            if item.next_chunk is not None:
-                self.prefetch(ps, worker, item.next_chunk)
-            n = len(indices)
-            charger.charge_chunk(worker, self._cell_keys[indices].ravel(),
-                                 point_calls([2] * n, [0] * n,
-                                             [compute_cost] * n))
-            lo = 0
-            for value in train_values[indices].tolist():
-                add(lo, lo + 2, step(read(lo, lo + 2), value))
-                lo += 2
-            ps.advance_clock(worker)
-        charger.finish()
 
     def on_epoch_end(self, epoch: int) -> None:
         """Bold driver: adapt the learning rate from the epoch's training loss."""

@@ -2,8 +2,9 @@
 
 A :class:`TrainingTask` owns a dataset and a model definition. It knows how
 to lay the model out over the PS key space, how to shard its training data
-over nodes and workers, how to process a chunk of data points against a
-parameter server, and how to evaluate model quality from the parameter store.
+over nodes and workers, how to train on a chunk of data points against a
+charger of the parameter server (:meth:`TrainingTask.step_chunk`), and how to
+evaluate model quality from the parameter store.
 
 The experiment runner (:mod:`repro.runner.experiment`) interleaves chunk
 processing across all workers of the simulated cluster and periodically runs
@@ -18,6 +19,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.ps.base import ParameterServer
+from repro.ps.rounds import PerCallCharger
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
 
@@ -30,14 +32,13 @@ class RoundWorkItem:
     chunk is being processed — ``None`` when the worker's queue is empty.
     """
 
-    __slots__ = ("worker", "chunk", "next_chunk", "rng")
+    __slots__ = ("worker", "chunk", "next_chunk")
 
     def __init__(self, worker: WorkerContext, chunk: np.ndarray,
-                 next_chunk, rng: np.random.Generator) -> None:
+                 next_chunk) -> None:
         self.worker = worker
         self.chunk = chunk
         self.next_chunk = next_chunk
-        self.rng = rng
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -48,18 +49,18 @@ class RoundWorkItem:
 
 def sequential_process_round(task: "TrainingTask", ps: ParameterServer,
                              items: Sequence[RoundWorkItem]) -> None:
-    """The reference round execution: one worker after the other.
+    """A round one chunk at a time, each over its own per-call charger.
 
     For each item, in worker order: prefetch the next chunk (asynchronous
-    relocate-before-access), process the current chunk, advance the
-    bounded-staleness clock. This is exactly the loop the runner used before
-    round fusion; tasks' :meth:`TrainingTask.process_round` overrides must be
-    bit-identical to it.
+    relocate-before-access), :meth:`TrainingTask.process_chunk` the current
+    chunk, advance the bounded-staleness clock. The runner's degraded rounds
+    run their items through this one by one, so that a failing access drops
+    or defers one chunk.
     """
     for item in items:
         if item.next_chunk is not None and len(item.next_chunk):
             task.prefetch(ps, item.worker, item.next_chunk)
-        task.process_chunk(ps, item.worker, item.chunk, item.rng)
+        task.process_chunk(ps, item.worker, item.chunk)
         ps.advance_clock(item.worker)
 
 
@@ -72,6 +73,9 @@ class TrainingTask(ABC):
     quality_metric = "quality"
     #: Whether larger metric values are better (MRR, accuracy) or worse (RMSE).
     higher_is_better = True
+    #: The id :meth:`register_sampling` got for the task's sampling
+    #: distribution; ``None`` for tasks without sampling access.
+    _distribution_id = None
 
     # ------------------------------------------------------------- model layout
     @abstractmethod
@@ -137,15 +141,42 @@ class TrainingTask(ABC):
         """
 
     @abstractmethod
-    def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
-                      data_indices: np.ndarray, rng: np.random.Generator) -> int:
+    def step_chunk(self, ps: ParameterServer, charger, worker: WorkerContext,
+                   data_indices: np.ndarray) -> None:
         """Train on ``data_indices`` (a chunk of the worker's shard).
 
-        Returns the number of data points processed. Implementations are
-        responsible for pulling and pushing parameters and requesting negative
-        samples through the sampling API; ``localize`` hints are issued ahead
-        of time through :meth:`prefetch`.
+        The task's one training loop, written against a charger (see
+        :mod:`repro.ps.rounds`): lay the chunk's keys out per point — direct
+        keys, then the keys ``charger.take_samples`` returns for the
+        chunk's sample handle — and hand them with their call list to
+        ``charger.charge_chunk(worker, keys, calls)``; then, per point in
+        order, ``charger.add(lo, hi, deltas)`` the deltas computed from
+        ``charger.read(lo, hi)``. The same step runs over the PS's fold
+        charger and over the per-call charger. ``localize`` hints are
+        issued ahead of time through :meth:`prefetch`.
         """
+
+    def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
+                      data_indices: np.ndarray) -> int:
+        """Train on one chunk with its PS calls issued one by one.
+
+        The chunk step over a :class:`~repro.ps.rounds.PerCallCharger`;
+        returns the number of data points processed.
+        """
+        self.step_chunk(ps, PerCallCharger(ps), worker, data_indices)
+        return len(data_indices)
+
+    def prepare_samples(self, ps: ParameterServer, worker: WorkerContext,
+                        count: int):
+        """``prepare_sample`` of a chunk's ``count`` samples from the task's
+        distribution; ``None`` when the chunk needs none."""
+        if self._distribution_id is None:
+            raise RuntimeError("register_sampling must be called before training")
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count == 0:
+            return None
+        return ps.prepare_sample(worker, self._distribution_id, count)
 
     def prefetch_round(self, ps: ParameterServer,
                        pairs: Sequence[tuple]) -> None:
@@ -163,21 +194,27 @@ class TrainingTask(ABC):
                       items: Sequence[RoundWorkItem]) -> None:
         """Process one scheduling round across all active workers.
 
-        The contract is :func:`sequential_process_round` — for each worker in
-        order: prefetch the next chunk, process the current chunk, advance
-        the clock — and any override must be *bit-identical* to it (clocks,
-        metrics, and model values). All three standard tasks override it the
-        same way: per worker chunk, in worker order, they replay the chunk's
-        charging at once through the PS's point charger and keep the
-        sequential order for values, which move through the charger's
-        uncharged ``read``/``add``
-        (:meth:`repro.ml.matrix_factorization.MatrixFactorizationTask.process_round`;
-        :func:`repro.ml.negative_sampling.replayed_sampling_round` for the
-        sampling tasks). None of them batches values across data points: the
-        points of a round chain through shared rows (see
+        For each worker in order: prefetch the next chunk, step the current
+        chunk, advance the clock. The step runs over the PS's fold charger
+        (one charge replay per chunk, values through its uncharged
+        ``read``/``add``) and over a per-call charger wherever
+        :meth:`ParameterServer.direct_point_charger
+        <repro.ps.base.ParameterServer.direct_point_charger>` answers
+        ``None`` (its docstring lists when). Both are bit-identical to the
+        calls issued one by one: the points of a round chain through shared
+        rows, so values are not batched across points (see
         :mod:`repro.ps.rounds`).
         """
-        sequential_process_round(self, ps, items)
+        charger = ps.direct_point_charger(self._distribution_id)
+        if charger is None:
+            charger = PerCallCharger(ps)
+        for item in items:
+            worker = item.worker
+            if item.next_chunk is not None and len(item.next_chunk):
+                self.prefetch(ps, worker, item.next_chunk)
+            self.step_chunk(ps, charger, worker, item.chunk)
+            ps.advance_clock(worker)
+        charger.finish()
 
     def on_epoch_end(self, epoch: int) -> None:
         """Hook called after every epoch (e.g. for learning-rate schedules)."""

@@ -21,17 +21,13 @@ paper's Figure 3b shows the two layers as visually distinct populations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UnigramDistribution
 from repro.data.corpus import Corpus
-from repro.ml.negative_sampling import (
-    NegativeSampleStream,
-    replayed_sampling_round,
-)
 from repro.ml.optimizer import UpdateNormClipper
 from repro.ml.task import TrainingTask
 from repro.ps.base import ParameterServer
@@ -72,7 +68,6 @@ class WordVectorsTask(TrainingTask):
         self.unigram_power = float(unigram_power)
         self.sampling_level = sampling_level
         self._clipper = UpdateNormClipper(clip_factor) if clip_factor > 0 else None
-        self._distribution_id: Optional[int] = None
         self._centers, self._context_keys, self._context_offsets = \
             self._build_positions(corpus, self.window)
 
@@ -181,34 +176,27 @@ class WordVectorsTask(TrainingTask):
         ))
         ps.localize(worker, direct_keys)
 
-    def process_round(self, ps: ParameterServer, items) -> None:
-        """Round execution for word vectors: charge replay + value pass.
+    def step_chunk(self, ps: ParameterServer, charger, worker: WorkerContext,
+                   data_indices: np.ndarray) -> None:
+        """The chunk's tokens against ``charger``.
 
-        Like KGE (see :meth:`repro.ml.kge.KGETask.process_round`): the
-        sequential order is kept per chunk and per token — negatives depend
-        on every sample drawn before them, tokens chain through shared
-        context rows, and the update clipper's running mean is stateful —
-        while each chunk's per-token calls are charged in one replay and
-        its values move with one gather and one scatter per token. Points
-        are ragged here: ``1 + P`` direct keys and ``P * negatives`` samples
-        for a token with ``P`` context words.
+        Like KGE (see :meth:`repro.ml.kge.KGETask.step_chunk`): per token
+        ``pull`` the center and context words, ``pull_sample`` the
+        negatives, ``push`` and ``push_sample`` the deltas, then the
+        token's compute, token after token — negatives depend on every
+        sample drawn before them, tokens chain through shared context rows,
+        and the update clipper's running mean is stateful. Points are
+        ragged: ``1 + P`` direct keys and ``P * negatives`` samples for a
+        token with ``P`` context words.
         """
-        replayed_sampling_round(self, ps, items, self._distribution_id,
-                                self._replay_chunk)
-
-    def _replay_chunk(self, ps: ParameterServer, charger,
-                      worker: WorkerContext, data_indices: np.ndarray) -> None:
-        """:meth:`process_chunk` as one charge replay and one value pass."""
         data_indices = np.asarray(data_indices, dtype=np.int64)
         if len(data_indices) == 0:
             return
         starts = self._context_offsets[data_indices]
         ends = self._context_offsets[data_indices + 1]
         pairs = (ends - starts).tolist()
-        stream = NegativeSampleStream(
-            ps, worker, self._distribution_id, sum(pairs) * self.num_negatives
-        )
-        samples = stream.drain()
+        samples = charger.take_samples(self.prepare_samples(
+            ps, worker, sum(pairs) * self.num_negatives))
         direct_widths = [1 + p for p in pairs]
         sample_widths = [p * self.num_negatives for p in pairs]
         # Per token: center, context words, then the token's negatives.
@@ -235,46 +223,10 @@ class WordVectorsTask(TrainingTask):
             ))
             lo = hi
 
-    def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
-                      data_indices: np.ndarray, rng: np.random.Generator) -> int:
-        if self._distribution_id is None:
-            raise RuntimeError("register_sampling must be called before training")
-        data_indices = np.asarray(data_indices, dtype=np.int64)
-        if len(data_indices) == 0:
-            return 0
-
-        total_pairs = int((self._context_offsets[data_indices + 1]
-                           - self._context_offsets[data_indices]).sum())
-        stream = NegativeSampleStream(
-            ps, worker, self._distribution_id, total_pairs * self.num_negatives
-        )
-        for index in data_indices:
-            self._train_token(ps, worker, int(index), stream)
-        return len(data_indices)
-
     def _compute_cost(self, ps: ParameterServer, num_pairs: int) -> float:
         """One skip-gram pair is roughly one SGD step's worth of computation."""
         return ps.network.compute_per_step * num_pairs \
             * (1 + self.num_negatives) / 4.0
-
-    def _train_token(self, ps: ParameterServer, worker: WorkerContext,
-                     index: int, stream: NegativeSampleStream) -> None:
-        center = int(self._centers[index])
-        context_keys = self._context_keys[
-            self._context_offsets[index]:self._context_offsets[index + 1]]
-        num_pairs = len(context_keys)
-
-        direct_keys = np.empty(num_pairs + 1, dtype=np.int64)
-        direct_keys[0] = center
-        direct_keys[1:] = context_keys
-        direct_values = ps.pull(worker, direct_keys)
-        negatives = stream.next(num_pairs * self.num_negatives)
-        deltas = self._token_deltas(
-            direct_values[0], direct_values[1:], negatives.values
-        )
-        ps.push(worker, direct_keys, deltas[:num_pairs + 1])
-        stream.push_updates(negatives.keys, deltas[num_pairs + 1:])
-        worker.charge_compute(self._compute_cost(ps, num_pairs))
 
     def _token_deltas(self, center_vec: np.ndarray, context_vecs: np.ndarray,
                       neg_vecs: np.ndarray) -> np.ndarray:

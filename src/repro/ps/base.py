@@ -299,37 +299,36 @@ class ParameterServer(ABC):
 
     # ------------------------------------------------------------- round API
     def direct_point_charger(self, distribution_id: Optional[int] = None):
-        """A per-data-point charger for the task-level round engine, or None.
+        """The fold charger a task's chunk step runs over, or None.
 
-        Tasks whose data points each issue a few small PS calls split a round
-        into *charging* and *values*. Charging is value-independent — costs
-        depend on keys, ownership and management state, never on parameter
-        values — so a worker chunk is charged by one fold over its *call
-        list*: ``charge_chunk(worker, keys, calls)``, where each entry of
-        ``calls`` is ``(kind, lo, hi, compute)`` — a ``pull``,
-        ``pull_sample``, ``push`` or ``push_sample``
-        (:data:`~repro.ps.rounds.PULL` ...) of ``keys[lo:hi]``, then
-        ``compute`` seconds of computation. That fold is the architecture's
-        only access charging: ``pull``/``push`` (and NuPS's sampling calls)
-        are one-call chunks of it. The values then move per point, in the
-        sequential order, through the charger's uncharged ``read``/``add``
-        (:class:`~repro.ps.rounds.ChunkValues`), which serve them from
-        wherever the architecture keeps them: the store, the node's replica
-        and update buffer (SSP/ESSP), a replica slot (NuPS). Tasks lay a
-        chunk out per point as its direct keys followed by its sample keys
-        (:func:`~repro.ps.rounds.point_calls`); matrix factorization's points
-        have no samples, KGE and word vectors request a charger for the
+        Charging is value-independent — costs depend on keys, ownership and
+        management state, never on parameter values — so a worker chunk is
+        charged by one fold over its *call list*:
+        ``charge_chunk(worker, keys, calls)``, where each entry of ``calls``
+        is ``(kind, lo, hi, compute)`` — a ``pull``, ``pull_sample``,
+        ``push`` or ``push_sample`` (:data:`~repro.ps.rounds.PULL` ...) of
+        ``keys[lo:hi]``, then ``compute`` seconds of computation. That fold
+        is the architecture's only access charging: ``pull``/``push`` (and
+        NuPS's sampling calls) are one-call chunks of it. The values then
+        move per point, in the sequential order, through the charger's
+        uncharged ``read``/``add`` (:class:`~repro.ps.rounds.ChunkValues`),
+        which serve them from wherever the architecture keeps them: the
+        store, the node's replica and update buffer (SSP/ESSP), a replica
+        slot (NuPS). A chunk is laid out per point as its direct keys
+        followed by its sample keys (:func:`~repro.ps.rounds.point_calls`);
+        tasks with sampling access ask for a charger for the
         ``distribution_id`` their samples are drawn from. Sample *selection*
         is as value-independent as charging: the keys of a handle are fixed
         by ``prepare_sample``, which the task still calls per chunk, in
-        worker order, so pools, cursors and RNG streams advance exactly as
-        in the sequential path. The per-key scalar reference every fold is
-        tested against lives with the tests (``tests/scalar_oracle.py``).
+        worker order, and the charger's ``take_samples`` hands them out at
+        once. The per-key scalar reference every fold is tested against
+        lives with the tests (``tests/scalar_oracle.py``).
 
-        ``None`` tells the task to run
-        :func:`~repro.ml.task.sequential_process_round` instead — the right
-        answer whenever a per-call effect cannot be replayed from
-        chunk-level state. Every fallback condition, in one place:
+        ``None`` tells the task to step its chunks over a
+        :class:`~repro.ps.rounds.PerCallCharger` instead, which issues every
+        call through the PS — the right answer whenever a per-call effect
+        cannot be replayed from chunk-level state. Every fallback
+        condition, in one place:
 
         * an access-level tracer (``TelemetryConfig(access_events=True)``
           wants one event per call);

@@ -1,30 +1,38 @@
-"""The round path's shared pieces: deferred accounting and chunk values.
+"""The round path's shared pieces: the two chargers a task's chunk step runs over.
 
 A *scheduling round* executes, for every active worker in worker order, the
 call chain ``localize(hint) -> pull(keys) -> push(keys, deltas) ->
-advance_clock()`` per data point. The production round path rests on one
-observation: access *charging* is value-independent — costs depend on keys,
-ownership, and replica state, never on pushed values. A whole worker chunk
-is therefore charged by one fold over its *call list* (``charge_chunk`` on
-the point chargers: per call its kind, its ``[lo, hi)`` span of the chunk's
-keys and the compute charge that follows it; see
-:meth:`repro.ps.base.ParameterServer.direct_point_charger`), at its slot in
-worker order and against live state, while everything order-free is batched:
-additive metric counters aggregate into one write per round
-(:class:`RoundAccounting`), and server occupancy charged as repeated
-additions of one constant sums across chunks. A single ``pull``/``push`` is
-a one-call chunk of the same fold. All clock folds use the exact
-left-to-right additions of :mod:`repro.simulation.clock`, so a chunk charges
-bit-identically to its calls issued one by one
-(:func:`repro.ml.task.sequential_process_round`).
+advance_clock()`` per data point. A task writes its chunk once, as a *step*
+against a charger (:meth:`repro.ml.task.TrainingTask.step_chunk`):
+``charge_chunk(worker, keys, calls)`` with the chunk's *call list* (per call
+its kind, its ``[lo, hi)`` span of the chunk's keys and the compute charge
+that follows it; :func:`point_calls`), then ``read(lo, hi)`` and
+``add(lo, hi, deltas)`` per point. Two chargers run that step:
 
-Values keep the sequential order: the points read and write current rows
-through the charger's :class:`ChunkValues` ``read``/``add``, one gather and
-one scatter each, validated and translated to rows per chunk instead of per
-call. Moving values across data points is not done: a pull must observe
-every earlier push to the same key, and on the bench matrix factorization
-1.1 % of a round's points (about 6 % of the bench knowledge graph's triples)
-touch keys no other point of the round touches.
+* the PS's *fold* charger
+  (:meth:`repro.ps.base.ParameterServer.direct_point_charger`). Access
+  charging is value-independent — costs depend on keys, ownership and
+  replica state, never on pushed values — so ``charge_chunk`` charges the
+  whole chunk by one fold, at its slot in worker order and against live
+  state, while everything order-free is batched: additive metric counters
+  aggregate into one write per round (:class:`RoundAccounting`), and server
+  occupancy charged as repeated additions of one constant sums across
+  chunks. A single ``pull``/``push`` is a one-call chunk of the same fold.
+  All clock folds use the exact left-to-right additions of
+  :mod:`repro.simulation.clock`, so a chunk charges bit-identically to its
+  calls issued one by one. The values then move uncharged through
+  :class:`ChunkValues` ``read``/``add``, one gather and one scatter each,
+  validated and translated to rows per chunk instead of per call;
+* the *per-call* charger (:class:`PerCallCharger`), wherever the fold
+  charger is ``None``: its ``read`` and ``add`` issue the point's calls
+  through the PS (or the interposer in front of it), so gates, access
+  events and pull-time sampling schemes act per call.
+
+Values keep the sequential order on both. Moving values across data points
+is not done: a pull must observe every earlier push to the same key, and on
+the bench matrix factorization 1.1 % of a round's points (about 6 % of the
+bench knowledge graph's triples) touch keys no other point of the round
+touches.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "PUSH_SAMPLE",
     "RoundAccounting",
     "ChunkValues",
+    "PerCallCharger",
     "point_calls",
     "pushed_spans",
     "span_mask",
@@ -139,6 +148,20 @@ class ChunkValues:
         self.versions = store.version_column.pool
         self.gather = store.value_column.gather
 
+    def take_samples(self, handle) -> np.ndarray:
+        """All of ``handle``'s keys at once, uncharged (``None``: none).
+
+        A fold charger is only handed out where ``prepare_sample`` fixed
+        the keys a handle delivers, in order, so the chunk's step lays them
+        out and the fold charges their ``pull_sample`` calls.
+        """
+        if handle is None:
+            return np.empty(0, dtype=np.int64)
+        count = handle.remaining
+        keys = handle.take(count)
+        handle.delivered += count
+        return keys
+
     def read(self, lo: int, hi: int) -> np.ndarray:
         """A copy of the current values of ``keys[lo:hi]``."""
         return self.gather(self.rows[lo:hi])
@@ -152,6 +175,98 @@ class ChunkValues:
                   deltas: np.ndarray) -> None:
         """Scatter into the bound rows; repeated keys accumulate in order."""
         add_versioned(self.values, self.versions, rows, deltas, rows_list)
+
+
+class PerCallCharger:
+    """A chunk step's calls issued one by one through ``ps``.
+
+    The charger of every round the PS's fold charger cannot take (see
+    :meth:`~repro.ps.base.ParameterServer.direct_point_charger`):
+    ``charge_chunk`` only records the chunk, and each point's ``read``
+    issues its ``pull``/``pull_sample`` calls, its ``add`` the
+    ``push``/``push_sample`` calls and then the compute charge, in call-list
+    order. ``ps`` may be the scenario interposer, so its gates, an access
+    tracer's events and a scheme that picks sample keys at pull time all
+    act per call. The sample keys a point pushes are those its
+    ``pull_sample`` delivered, which a postponing scheme may have
+    reordered.
+    """
+
+    __slots__ = ("ps", "handle", "worker", "keys", "calls", "_next",
+                 "_sampled")
+
+    def __init__(self, ps) -> None:
+        self.ps = ps
+        self.handle = None
+
+    def take_samples(self, handle) -> np.ndarray:
+        """The keys ``handle`` was prepared with, left pending (``-1`` where
+        the scheme decides at pull time): each point's ``read`` pulls what
+        the scheme delivers then."""
+        self.handle = handle
+        if handle is None:
+            return np.empty(0, dtype=np.int64)
+        keys = np.full(handle.remaining, -1, dtype=np.int64)
+        prepared = handle.peek(handle.remaining)
+        keys[:len(prepared)] = prepared
+        return keys
+
+    def charge_chunk(self, worker, keys, calls) -> None:
+        self.worker, self.keys, self.calls = worker, keys, calls
+        self._next = 0
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Issue the point's pulls; their values, the delivered samples'
+        after the direct keys'. A sample pull takes at most what the handle
+        has left."""
+        ps, worker, calls = self.ps, self.worker, self.calls
+        parts = []
+        index = self._next
+        while index < len(calls) and not calls[index][0] & 2 \
+                and calls[index][2] <= hi:
+            kind, start, end, _ = calls[index]
+            if kind == PULL:
+                parts.append(ps.pull(worker, self.keys[start:end]))
+            else:
+                handle = self.handle
+                count = 0 if handle is None \
+                    else min(end - start, handle.remaining)
+                if count:
+                    sampled = ps.pull_sample(worker, handle, count)
+                    self._sampled = sampled.keys
+                    parts.append(sampled.values)
+                else:
+                    self._sampled = self.keys[:0]
+            index += 1
+        self._next = index
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def add(self, lo: int, hi: int, deltas: np.ndarray) -> None:
+        """Issue the point's pushes, rows of ``deltas`` in call order, each
+        followed by its compute charge; a sample push goes to the keys the
+        point's sample pull delivered, and none when it delivered none."""
+        ps, worker, calls = self.ps, self.worker, self.calls
+        row = 0
+        index = self._next
+        while index < len(calls) and calls[index][0] & 2 \
+                and calls[index][2] <= hi:
+            kind, start, end, compute = calls[index]
+            if kind == PUSH:
+                ps.push(worker, self.keys[start:end],
+                        deltas[row:row + end - start])
+                row += end - start
+            else:
+                keys = self._sampled
+                if len(keys):
+                    ps.push_sample(worker, keys, deltas[row:row + len(keys)])
+                row += len(keys)
+            if compute:
+                worker.charge_compute(compute)
+            index += 1
+        self._next = index
+
+    def finish(self) -> None:
+        """Nothing is deferred: every call charged when it was issued."""
 
 
 def pushed_spans(calls) -> list:

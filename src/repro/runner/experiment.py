@@ -181,12 +181,6 @@ def run_experiment(
         cluster.num_nodes, cluster.workers_per_node, seed=config.seed
     )
     workers = list(cluster.workers())
-    worker_rngs = {
-        (w.node_id, w.worker_id): np.random.default_rng(
-            config.seed * 1_000_003 + w.node_id * 131 + w.worker_id
-        )
-        for w in workers
-    }
     if runtime is not None:
         runtime.on_experiment_start()
 
@@ -227,8 +221,8 @@ def run_experiment(
                                            epoch=epoch + 1)
         if runtime is not None:
             runtime.begin_epoch(epoch)
-        _run_epoch(task, train_ps, cluster, shards, workers, worker_rngs,
-                   config, runtime, tracer=tracer, sampler=sampler)
+        _run_epoch(task, train_ps, cluster, shards, workers, config, runtime,
+                   tracer=tracer, sampler=sampler)
         train_ps.finish_epoch()
         task.on_epoch_end(epoch)
         if runtime is not None:
@@ -426,8 +420,9 @@ def _degraded_process_round(task, ps, cluster, items, state=None) -> None:
     Active only while a gate of the scenario's interposer can fire — a node
     it watches is down or a network partition is live (see
     :meth:`~repro.scenarios.interposer.ScenarioParameterServer.degraded`):
-    each worker's chunk runs through the sequential reference path on its
-    own so that a :class:`~repro.faults.errors.DeadOwnerError` drops just
+    each worker's chunk runs call by call through the gates on its own
+    (:func:`~repro.ml.task.sequential_process_round`), so that a
+    :class:`~repro.faults.errors.DeadOwnerError` drops just
     that chunk — one round of one worker's lost work — instead of aborting
     the epoch.
 
@@ -462,18 +457,16 @@ def _degraded_process_round(task, ps, cluster, items, state=None) -> None:
             )
 
 
-def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
-               runtime=None, tracer=None, sampler=None) -> None:
+def _run_epoch(task, ps, cluster, shards, workers, config, runtime=None,
+               tracer=None, sampler=None) -> None:
     """One epoch: every worker processes its full shard, chunk by chunk.
 
     Per scheduling round the driver collects every active worker's next
     chunk into :class:`~repro.ml.task.RoundWorkItem`\\ s and hands the whole
-    round to the task's ``process_round`` hook, the production round path,
-    which is bit-identical to the per-call loop of
-    :func:`~repro.ml.task.sequential_process_round` (the degraded rounds'
-    path). Assembling the round first only reorders per-worker queue
-    bookkeeping, which has no simulation state. PS housekeeping runs after
-    every round.
+    round to the task's ``process_round``; a degraded round goes item by
+    item (:func:`_degraded_process_round`). Assembling the round first only
+    reorders per-worker queue bookkeeping, which has no simulation state.
+    PS housekeeping runs after every round.
     """
     state = _EpochState(workers, shards, config.chunk_size)
     interposer = None
@@ -503,9 +496,7 @@ def _run_epoch(task, ps, cluster, shards, workers, worker_rngs, config,
             # being processed (asynchronous relocate-before-access).
             next_chunk = state.peek_chunk(key)
             items.append(RoundWorkItem(
-                worker, chunk,
-                next_chunk if len(next_chunk) else None,
-                worker_rngs[key],
+                worker, chunk, next_chunk if len(next_chunk) else None,
             ))
         if items:
             if tracer is not None:

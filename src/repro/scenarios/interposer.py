@@ -38,7 +38,8 @@ outside, gate inside:
 The gates act only while a partition is live or a node the gate watches is
 down (:meth:`ScenarioParameterServer.degraded`). Both change in scenario
 hooks, between rounds, so the question is settled once per round: the runner
-runs degraded rounds call by call through the gates, and every other round
+runs degraded rounds call by call through the gates (the tasks' chunk step
+over a :class:`~repro.ps.rounds.PerCallCharger`), and every other round
 replays its charging through the inner PS's own point charger, with a
 chunk's keys translated once. A run through the interposer with no fired
 perturbation is bit-identical to one without it.
@@ -68,15 +69,18 @@ class _RemappedPointCharger:
     """A point charger that takes a chunk's keys in logical key space.
 
     The chunk's keys translate once, range-checked, and the inner charger
-    does everything else; ``read``/``add``/``finish`` are the inner
-    charger's own, since they address the chunk by position.
+    does everything else; ``take_samples``/``read``/``add``/``finish`` are
+    the inner charger's own, since sample keys are physical already and the
+    rest address the chunk by position.
     """
 
-    __slots__ = ("_inner", "_remapper", "read", "add", "finish")
+    __slots__ = ("_inner", "_remapper", "take_samples", "read", "add",
+                 "finish")
 
     def __init__(self, inner, remapper: KeyRemapper) -> None:
         self._inner = inner
         self._remapper = remapper
+        self.take_samples = inner.take_samples
         self.read, self.add, self.finish = inner.read, inner.add, inner.finish
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,

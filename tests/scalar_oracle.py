@@ -10,9 +10,12 @@ relocated keys) and call by call where it groups (a call's local keys as one
 product, its remote keys per serving node in ascending order), with their
 own cost lookups and metric writes, and move values through the store API
 directly. Their ``direct_point_charger`` answers ``None``, so a round on an
-oracle runs call by call (:func:`repro.ml.task.sequential_process_round`).
-:func:`sequential_rounds` makes a task run every round through that per-call
-loop, the production round path's oracle.
+oracle runs over the per-call charger.
+
+The task side of the oracle is written here too: :func:`sequential_rounds`
+makes a task run every round through hand-written per-call loops
+(:func:`mf_chunk`, :func:`kge_chunk`, :func:`wv_chunk`) that lay out their
+keys and issue their calls independently of the tasks' chunk steps.
 
 Test-only: nothing in ``src/`` imports this module.
 """
@@ -24,7 +27,11 @@ import functools
 import numpy as np
 
 from repro.core.nups import NuPS
+from repro.ml.kge import KGETask
+from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.task import sequential_process_round
+from repro.ml.word2vec import WordVectorsTask
+from repro.ps.base import PullResult
 from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
@@ -37,6 +44,7 @@ __all__ = [
     "ScalarRelocationPS",
     "ScalarReplicationPS",
     "ScalarSingleNodePS",
+    "SampleStream",
     "node_counters",
     "oracle_of",
     "sequential_rounds",
@@ -318,9 +326,117 @@ def oracle_of(ps):
     return ps
 
 
+# ------------------------------------------------------------- task side
+class SampleStream:
+    """A chunk's samples: one ``prepare_sample`` for ``total`` samples, then
+    ``pull_sample`` in portions, one per data point."""
+
+    def __init__(self, ps, worker, distribution_id, total):
+        self.ps = ps
+        self.worker = worker
+        self.remaining = int(total)
+        self._handle = None
+        if self.remaining > 0:
+            self._handle = ps.prepare_sample(worker, distribution_id,
+                                             self.remaining)
+
+    def next(self, count):
+        """Pull the next ``count`` samples (at most what is left)."""
+        if count == 0 or self._handle is None:
+            return PullResult(
+                keys=np.empty(0, dtype=np.int64),
+                values=np.empty((0, self.ps.store.value_length),
+                                dtype=np.float32))
+        result = self.ps.pull_sample(self.worker, self._handle,
+                                     min(count, self.remaining))
+        self.remaining -= len(result.keys)
+        return result
+
+    def push_updates(self, keys, deltas):
+        """``push_sample`` the deltas of pulled sample keys (none: no call)."""
+        if len(keys):
+            self.ps.push_sample(self.worker, keys, deltas)
+
+
+def _distribution(task):
+    if task._distribution_id is None:
+        raise RuntimeError("register_sampling must be called before training")
+    return task._distribution_id
+
+
+def mf_chunk(task, ps, worker, data_indices):
+    """Per cell: ``pull`` its two factors, ``push`` their deltas, compute."""
+    data_indices = np.asarray(data_indices, dtype=np.int64)
+    compute_cost = ps.network.compute_per_step
+    for keys, value in zip(task._cell_keys[data_indices],
+                           task.dataset.train_values[data_indices].tolist()):
+        ps.push(worker, keys, task._step(ps.pull(worker, keys), value))
+        worker.charge_compute(compute_cost)
+
+
+def kge_chunk(task, ps, worker, data_indices):
+    """Per triple: ``pull`` subject, relation, object, pull its negatives,
+    ``push`` and push back the deltas, compute."""
+    distribution_id = _distribution(task)
+    triples = task.graph.train_triples[np.asarray(data_indices, dtype=np.int64)]
+    if len(triples) == 0:
+        return
+    negatives_per_triple = 2 * task.num_negatives
+    stream = SampleStream(ps, worker, distribution_id,
+                          len(triples) * negatives_per_triple)
+    compute_cost = task.network_compute_cost(ps)
+    for subject, relation, obj in triples.tolist():
+        direct_keys = np.asarray(
+            [subject, task.relation_key(relation), obj], dtype=np.int64)
+        direct_values = ps.pull(worker, direct_keys)
+        negatives = stream.next(negatives_per_triple)
+        deltas = task._step(len(negatives.keys)).deltas(
+            np.concatenate([direct_values, negatives.values]),
+            task.optimizer, task.regularization)
+        ps.push(worker, direct_keys, deltas[:3])
+        stream.push_updates(negatives.keys, deltas[3:])
+        worker.charge_compute(compute_cost)
+
+
+def wv_chunk(task, ps, worker, data_indices):
+    """Per token: ``pull`` center and context words, pull its negatives,
+    ``push`` and push back the deltas, compute."""
+    distribution_id = _distribution(task)
+    data_indices = np.asarray(data_indices, dtype=np.int64)
+    if len(data_indices) == 0:
+        return
+    offsets = task._context_offsets
+    total_pairs = int((offsets[data_indices + 1] - offsets[data_indices]).sum())
+    stream = SampleStream(ps, worker, distribution_id,
+                          total_pairs * task.num_negatives)
+    for index in data_indices.tolist():
+        context_keys = task._context_keys[offsets[index]:offsets[index + 1]]
+        num_pairs = len(context_keys)
+        direct_keys = np.empty(num_pairs + 1, dtype=np.int64)
+        direct_keys[0] = task._centers[index]
+        direct_keys[1:] = context_keys
+        direct_values = ps.pull(worker, direct_keys)
+        negatives = stream.next(num_pairs * task.num_negatives)
+        deltas = task._token_deltas(direct_values[0], direct_values[1:],
+                                    negatives.values)
+        ps.push(worker, direct_keys, deltas[:num_pairs + 1])
+        stream.push_updates(negatives.keys, deltas[num_pairs + 1:])
+        worker.charge_compute(task._compute_cost(ps, num_pairs))
+
+
+#: Task class -> its hand-written per-call chunk loop.
+PER_CALL_CHUNKS = {
+    MatrixFactorizationTask: mf_chunk,
+    KGETask: kge_chunk,
+    WordVectorsTask: wv_chunk,
+}
+
+
 def sequential_rounds(task):
-    """Make ``task`` run every round through the per-call loop
-    (:func:`repro.ml.task.sequential_process_round`) instead of its
-    ``process_round`` override; returns ``task``."""
+    """Make ``task`` run every round, degraded ones included, through its
+    hand-written per-call loop (:data:`PER_CALL_CHUNKS`) instead of its
+    chunk step; returns ``task``."""
+    chunk = PER_CALL_CHUNKS[type(task)]
+    task.process_chunk = functools.partial(chunk, task)
     task.process_round = functools.partial(sequential_process_round, task)
     return task

@@ -259,6 +259,46 @@ def test_one_charging_method():
     assert not offenders, "\n".join(offenders)
 
 
+def test_tasks_write_one_chunk_step():
+    """A task writes its chunk once, as ``step_chunk`` against a charger.
+
+    No ``TrainingTask`` subclass of ``src/repro`` defines ``process_chunk``
+    or ``process_round`` (the base class runs the step over the fold or the
+    per-call charger), and only :mod:`repro.ml.task` and the runner name
+    ``sequential_process_round``.
+    """
+    trees = {path: tree for path, tree in _parsed_trees().items()
+             if SRC_ROOT in path.parents}
+    classes = {node.name: node for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    tasks = {"TrainingTask"}
+    grown = True
+    while grown:
+        grown = False
+        for name, node in classes.items():
+            bases = {getattr(base, "id", getattr(base, "attr", None))
+                     for base in node.bases}
+            if name not in tasks and bases & tasks:
+                tasks.add(name)
+                grown = True
+    offenders = [
+        f"{name}.{member.name}"
+        for name in sorted(tasks - {"TrainingTask"})
+        for member in classes[name].body
+        if isinstance(member, ast.FunctionDef)
+        and member.name in ("process_chunk", "process_round")
+    ]
+    assert len(tasks) >= 4, "the tasks were not found"
+    allowed = {SRC_ROOT / "ml" / "task.py",
+               SRC_ROOT / "runner" / "experiment.py"}
+    offenders += [
+        f"{path.relative_to(REPO_ROOT)}: sequential_process_round"
+        for path in trees if path not in allowed
+        and "sequential_process_round" in path.read_text()
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
 def test_no_scalar_reference_in_src():
     """The per-key scalar reference lives in ``tests/scalar_oracle.py``:
     no module of ``src/repro`` names ``batch_charging`` or defines a

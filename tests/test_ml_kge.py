@@ -232,13 +232,12 @@ class TestKGETraining:
         ps = SingleNodePS(store, cluster)
         task.register_sampling(ps)
         shards = task.create_shards(1, 2, seed=seed)
-        rng = np.random.default_rng(seed)
         initial = task.evaluate(store)
         for _ in range(epochs):
             for worker_id, shard in enumerate(shards[0]):
                 worker = cluster.worker(0, worker_id)
                 for start in range(0, len(shard), 16):
-                    task.process_chunk(ps, worker, shard[start: start + 16], rng)
+                    task.process_chunk(ps, worker, shard[start: start + 16])
         return initial, task.evaluate(store)
 
     def test_training_improves_filtered_mrr(self, graph):
@@ -252,8 +251,7 @@ class TestKGETraining:
         store = task.create_store()
         ps = SingleNodePS(store, cluster)
         with pytest.raises(RuntimeError):
-            task.process_chunk(ps, cluster.worker(0, 0), np.array([0, 1]),
-                               np.random.default_rng(0))
+            task.process_chunk(ps, cluster.worker(0, 0), np.array([0, 1]))
 
     def test_adagrad_accumulators_grow_during_training(self, graph):
         task = KGETask(graph, dim=4, num_negatives=2)
@@ -261,7 +259,7 @@ class TestKGETraining:
         store = task.create_store()
         ps = SingleNodePS(store, cluster)
         task.register_sampling(ps)
-        task.process_chunk(ps, cluster.worker(0, 0), np.arange(50), np.random.default_rng(0))
+        task.process_chunk(ps, cluster.worker(0, 0), np.arange(50))
         accumulators = store.get(np.arange(store.num_keys))[:, 2 * task.dim:]
         assert accumulators.max() > 0
         assert accumulators.min() >= 0

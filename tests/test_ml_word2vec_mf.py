@@ -29,13 +29,12 @@ def train_on_single_node(task, epochs, seed=0, workers=2, chunk=16):
     ps = SingleNodePS(store, cluster)
     task.register_sampling(ps)
     shards = task.create_shards(1, workers, seed=seed)
-    rng = np.random.default_rng(seed)
     initial = task.evaluate(store)
     for epoch in range(epochs):
         for worker_id, shard in enumerate(shards[0]):
             worker = cluster.worker(0, worker_id)
             for start in range(0, len(shard), chunk):
-                task.process_chunk(ps, worker, shard[start: start + chunk], rng)
+                task.process_chunk(ps, worker, shard[start: start + chunk])
         task.on_epoch_end(epoch)
     return initial, task.evaluate(store), store
 
@@ -117,8 +116,7 @@ class TestWordVectorsTraining:
         cluster = Cluster(ClusterConfig(num_nodes=1, workers_per_node=1))
         ps = SingleNodePS(task.create_store(), cluster)
         with pytest.raises(RuntimeError):
-            task.process_chunk(ps, cluster.worker(0, 0), np.array([0]),
-                               np.random.default_rng(0))
+            task.process_chunk(ps, cluster.worker(0, 0), np.array([0]))
 
     def test_evaluation_range(self, corpus):
         task = WordVectorsTask(corpus, dim=4)

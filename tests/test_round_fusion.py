@@ -1,31 +1,28 @@
 """The production round path against its oracle: equivalence and satellites.
 
-The contract is exact: a task's ``process_round`` (the production round
-path) must not change a single bit of an
-:class:`~repro.runner.experiment.ExperimentResult` against the per-call
-loop (:func:`scalar_oracle.sequential_rounds`) for any task, system, or
-scenario — nor of any clock, metric, stored value or piece of PS state
-behind it. This suite drives the production path
+The contract is exact: a task's ``process_round`` (its chunk step over the
+PS's fold charger, or over the per-call charger where the PS hands out none)
+must not change a single bit of an
+:class:`~repro.runner.experiment.ExperimentResult` against the hand-written
+per-call loops of :func:`scalar_oracle.sequential_rounds` for any task,
+system, or scenario — nor of any clock, metric, stored value or piece of PS
+state behind it. This suite drives the production path
 (``direct_point_charger`` → ``charge_chunk`` →
 ``ChunkValues.read``/``add``; matrix factorization's points are sampling
-points with zero-width sample segments) and the per-call oracle
-(``sequential_process_round``) on identical workloads and asserts exact
-equality, plus unit coverage for the satellite fixes (worker-queue peek
-caching, dirty-set epoch metrics).
+points with zero-width sample segments) and the per-call oracle on identical
+workloads and asserts exact equality, plus unit coverage for the satellite
+fixes (worker-queue peek caching, dirty-set epoch metrics).
 
-All three tasks run a charge replay and a value pass per worker chunk
-instead of PS calls per data point. The matrix-factorization section crosses
-every architecture with both storage backends, staleness bounds and seeds;
-the sampling section drives the point chargers against the per-call
-sequence on twin parameter servers. Both compare whole experiments
-including every piece of PS state and pin both directions of the path
-selection: the default configuration issues no ``pull``/``push`` at all,
-each fallback condition issues them. A last section holds the wrapped and
-observed parameter servers — the scenario interposer with its key
-translation and its gates, NuPS under a statistics tap — which are replay
-cells too: the comparison includes the
-tap's sketch, and ``pull``/``push`` reach the PS only from the rounds the
-runner degrades.
+The matrix-factorization section crosses every architecture with both
+storage backends, staleness bounds and seeds; the sampling section drives
+the point chargers against the per-call sequence on twin parameter servers.
+Both compare whole experiments including every piece of PS state and pin
+both directions of the path selection: the default configuration issues no
+``pull``/``push`` at all, each fallback condition issues them. A last
+section holds the wrapped and observed parameter servers — the scenario
+interposer with its key translation and its gates, NuPS under a statistics
+tap — which are replay cells too: the comparison includes the tap's sketch,
+and ``pull``/``push`` reach the PS only from the rounds the runner degrades.
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ from repro.core.sampling.schemes import SCHEMES_BY_NAME, SchemeConfig
 from repro.elastic import PartitionState
 from repro.faults import MembershipController
 from repro.ml.matrix_factorization import MatrixFactorizationTask
-from repro.ml.negative_sampling import NegativeSampleStream
-from repro.ml.task import RoundWorkItem, sequential_process_round
+from repro.ml.task import RoundWorkItem
 from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
@@ -70,7 +66,8 @@ from repro.scenarios import (
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
 from adaptive_tap import install_tap
-from scalar_oracle import node_counters, oracle_of, sequential_rounds
+from scalar_oracle import (SampleStream, node_counters, oracle_of,
+                           sequential_rounds)
 
 NUM_KEYS = 120
 VALUE_LENGTH = 4
@@ -806,11 +803,12 @@ def _drive_sampling(name, replay: bool):
         worker = cluster.worker(*worker_key)
         if hint is not None:
             ps.localize(worker, hint)  # in flight when the chunk starts
-        stream = NegativeSampleStream(ps, worker, distribution_id,
-                                      sum(p[1] for p in points))
+        total = sum(p[1] for p in points)
         if replay:
             charger = ps.direct_point_charger(distribution_id)
-            samples = stream.drain()
+            samples = charger.take_samples(
+                ps.prepare_sample(worker, distribution_id, total)
+                if total else None)
             taken = 0
             keys = []
             for direct, n_sample, _, _ in points:
@@ -832,6 +830,7 @@ def _drive_sampling(name, replay: bool):
                 lo = hi
             charger.finish()
         else:
+            stream = SampleStream(ps, worker, distribution_id, total)
             for direct, n_sample, deltas, compute in points:
                 pulled = ps.pull(worker, direct)
                 negatives = stream.next(n_sample)
@@ -1231,8 +1230,7 @@ def _proxied_world(condition, task_name="matrix_factorization",
     proxy.pull = counted_pull
     shards = task.create_shards(3, 2, seed=5)
     items = [
-        RoundWorkItem(cluster.worker(node, worker_id), shard[:8], shard[8:16],
-                      np.random.default_rng(0))
+        RoundWorkItem(cluster.worker(node, worker_id), shard[:8], shard[8:16])
         for node in nodes for worker_id, shard in enumerate(shards[node])
     ]
     return task, cluster, proxy, items, pulls
@@ -1242,7 +1240,7 @@ def _proxied_world(condition, task_name="matrix_factorization",
 def test_fault_proxy_gate_conditions_keep_the_per_call_path(condition):
     """While a gate of the interposer can fire it hands out no charger, and
     a round asked of the task runs call by call through the gates, exactly
-    like the sequential reference."""
+    like the per-call oracle."""
     task, cluster, proxy, items, pulls = _proxied_world(condition)
     assert proxy.direct_point_charger() is None
     assert proxy.direct_point_charger(0) is None
@@ -1250,7 +1248,7 @@ def test_fault_proxy_gate_conditions_keep_the_per_call_path(condition):
     assert len(pulls) == sum(len(item.chunk) for item in items) > 0
 
     twin_task, twin_cluster, twin_proxy, twin_items, _ = _proxied_world(condition)
-    sequential_process_round(twin_task, twin_proxy, twin_items)
+    sequential_rounds(twin_task).process_round(twin_proxy, twin_items)
     _assert_cluster_identical(cluster, twin_cluster)
     _assert_ps_state_identical(proxy, twin_proxy)
     metrics = cluster.metrics
@@ -1265,7 +1263,7 @@ def test_fault_proxy_gate_conditions_keep_the_per_call_path(condition):
 def test_planned_removal_behind_the_interposer_replays(task_name, system):
     """After a proper scale-in no key routes at the removed node, so no gate
     can fire: the interposer hands out the inner PS's charger, and the fused
-    round is bit-identical to the sequential reference in cluster and PS
+    round is bit-identical to the per-call oracle in cluster and PS
     state."""
     task, cluster, proxy, items, pulls = _proxied_world(
         "member-removed", task_name, system)
@@ -1280,7 +1278,7 @@ def test_planned_removal_behind_the_interposer_replays(task_name, system):
 
     twin_task, twin_cluster, twin_proxy, twin_items, twin_pulls = \
         _proxied_world("member-removed", task_name, system)
-    sequential_process_round(twin_task, twin_proxy, twin_items)
+    sequential_rounds(twin_task).process_round(twin_proxy, twin_items)
     assert len(twin_pulls) > 0
     _assert_cluster_identical(cluster, twin_cluster)
     _assert_ps_state_identical(proxy, twin_proxy)

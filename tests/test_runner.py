@@ -10,6 +10,7 @@ from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
+from repro.ps.rounds import PUSH
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import EpochRecord, ExperimentResult, run_experiment
@@ -56,12 +57,13 @@ class CountingTask(TrainingTask):
     def prefetch(self, ps, worker, data_indices):
         self.prefetched += len(data_indices)
 
-    def process_chunk(self, ps, worker, data_indices, rng):
+    def step_chunk(self, ps, charger, worker, data_indices):
+        # One point: a push of every key, then the chunk's compute.
         keys = np.asarray(data_indices, dtype=np.int64) % self._keys
-        ps.push(worker, keys, np.ones((len(keys), 2), dtype=np.float32))
-        worker.clock.advance(len(data_indices) * ps.network.compute_per_step)
+        charger.charge_chunk(worker, keys, [
+            (PUSH, 0, len(keys), len(keys) * ps.network.compute_per_step)])
+        charger.add(0, len(keys), np.ones((len(keys), 2), dtype=np.float32))
         self.processed += len(data_indices)
-        return len(data_indices)
 
     def on_epoch_end(self, epoch):
         self.epoch_ends += 1

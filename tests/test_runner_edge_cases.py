@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ml.task import TrainingTask
+from repro.ps.rounds import PUSH
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import run_experiment
@@ -61,14 +62,15 @@ class TinyTask(TrainingTask):
         shards[0][0] = np.arange(self._num_points)
         return shards
 
-    def process_chunk(self, ps, worker, data_indices, rng):
+    def step_chunk(self, ps, charger, worker, data_indices):
+        # One point: a push of every key, then the chunk's compute.
         keys = np.asarray(data_indices, dtype=np.int64) % self._keys
-        ps.push(worker, keys, np.ones((len(keys), 2), dtype=np.float32))
-        worker.charge_compute(len(data_indices) * ps.network.compute_per_step)
+        charger.charge_chunk(worker, keys, [
+            (PUSH, 0, len(keys), len(keys) * ps.network.compute_per_step)])
+        charger.add(0, len(keys), np.ones((len(keys), 2), dtype=np.float32))
         self.processed_chunks.append(
             (worker.global_worker_id, len(data_indices))
         )
-        return len(data_indices)
 
     def evaluate(self, store):
         return {"progress": float(store.get(np.arange(store.num_keys)).sum())}
@@ -169,9 +171,8 @@ class TestCachedDatasetsReadOnly:
             ps = make_ps_factory("classic")(store, cluster, task)
             task.register_sampling(ps)
             worker = cluster.worker(0, 0)
-            rng = np.random.default_rng(0)
             chunk = np.arange(min(16, task.num_data_points()), dtype=np.int64)
             task.prefetch(ps, worker, chunk)
-            assert task.process_chunk(ps, worker, chunk, rng) == len(chunk)
+            assert task.process_chunk(ps, worker, chunk) == len(chunk)
             quality = task.evaluate(store)
             assert task.quality_metric in quality
