@@ -276,7 +276,7 @@ class ReplicaManager:
         self.syncs_performed += 1
         self.metrics.increment("replica.syncs", 1)
         self.metrics.increment("replica.sync_bytes", payload)
-        tracer = getattr(self.cluster, "tracer", None)
+        tracer = self.cluster.tracer
         if tracer is not None:
             tracer.event(
                 "replica_sync", "replica", now,

@@ -102,9 +102,8 @@ class PartitionState:
             len(keys) * self.cluster.network.local_access_cost
         )
         self.stale_reads += len(keys)
-        self.metrics.increment("elastic.stale_reads", len(keys),
-                               node=worker.node_id)
-        self.metrics.record_access("pull.stale", worker.node_id, len(keys))
+        self.metrics.increment("elastic.stale_reads", len(keys))
+        self.metrics.record_access("pull.stale", len(keys))
         return values
 
     def degraded_push(self, worker, keys: np.ndarray,
@@ -119,9 +118,8 @@ class PartitionState:
             len(keys) * self.cluster.network.local_access_cost
         )
         self.buffered_writes += len(keys)
-        self.metrics.increment("elastic.buffered_writes", len(keys),
-                               node=worker.node_id)
-        self.metrics.record_access("push.buffered", worker.node_id, len(keys))
+        self.metrics.increment("elastic.buffered_writes", len(keys))
+        self.metrics.record_access("push.buffered", len(keys))
 
     def record_majority_writes(self, keys: np.ndarray) -> None:
         """Bump the majority column for writes that went through normally."""

@@ -91,7 +91,7 @@ class CheckpointManager:
                 background = self.cluster.node(node_id).background_clock
                 background.advance_to(max(now, background.now) + cost)
         self.cluster.metrics.increment("faults.checkpoints", 1)
-        tracer = getattr(self.cluster, "tracer", None)
+        tracer = self.cluster.tracer
         if tracer is not None:
             tracer.event(
                 "checkpoint", "faults", float(now),

@@ -116,7 +116,7 @@ class MembershipController:
 
     @property
     def tracer(self):
-        return getattr(self.cluster, "tracer", None)
+        return self.cluster.tracer
 
     # ------------------------------------------------------------- departures
     def crash_node(self, node_id: int, now: float) -> float:

@@ -34,7 +34,7 @@ class TelemetrySampler:
         self.tracer = tracer
         self.cluster = cluster
         self.ps = ps
-        self._baseline = cluster.metrics.snapshot()
+        self._baseline = cluster.metrics.counters()
 
     def maybe_sample(self, round_index: int, epoch_state=None) -> None:
         """Sample when ``round_index`` hits the configured period."""
@@ -53,7 +53,7 @@ class TelemetrySampler:
         deltas = registry.diff(self._baseline)
         for name in touched:
             deltas.setdefault(name, 0.0)
-        self._baseline = registry.snapshot()
+        self._baseline = registry.counters()
 
         nodes = self.cluster.nodes
         times = [node.time for node in nodes]

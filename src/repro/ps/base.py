@@ -164,7 +164,7 @@ class ParameterServer(ABC):
         #: Optional telemetry tracer, installed on the cluster by the runner
         #: before the PS is built (None = telemetry off). Per-call paths
         #: record through :meth:`_trace_access`.
-        self.tracer = getattr(cluster, "tracer", None)
+        self.tracer = cluster.tracer
         self.rng = np.random.default_rng(seed)
         self._distributions: Dict[int, object] = {}
         self._next_distribution_id = 0

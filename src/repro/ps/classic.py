@@ -89,14 +89,14 @@ class _ClassicPointCharger(ChunkValues):
                 now += compute * scale
         worker.clock.advance_to(now)
         acc = self.acc
-        acc.add_access(node_id, "pull.local", local[0])
-        acc.add_access(node_id, "push.local", local[1])
-        acc.add_access(node_id, "pull.remote", remote[0])
-        acc.add_access(node_id, "push.remote", remote[1])
+        acc.add_access("pull.local", local[0])
+        acc.add_access("push.local", local[1])
+        acc.add_access("pull.remote", remote[0])
+        acc.add_access("push.remote", remote[1])
         remote_total = remote[0] + remote[1]
         if remote_total:
-            acc.add_counter(node_id, "network.messages", 2 * remote_total)
-            acc.add_counter(node_id, "network.bytes",
+            acc.add_counter("network.messages", 2 * remote_total)
+            acc.add_counter("network.bytes",
                             remote_total * ps._cached_value_bytes)
 
     def finish(self) -> None:

@@ -61,8 +61,8 @@ class _LocalPointCharger(ChunkValues):
             if compute:
                 now += compute * scale
         worker.clock.advance_to(now)
-        self.acc.add_access(worker.node_id, "pull.local", counts[0])
-        self.acc.add_access(worker.node_id, "push.local", counts[1])
+        self.acc.add_access("pull.local", counts[0])
+        self.acc.add_access("push.local", counts[1])
 
     def finish(self) -> None:
         """Write the round's aggregated counters."""

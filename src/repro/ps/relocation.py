@@ -145,13 +145,11 @@ class RelocationPS(ParameterServer):
         background.advance_to(start)
         self._set_ownership(np.asarray(moving, dtype=np.int64), node_id,
                             arrivals)
-        self.metrics.increment("relocation.count", n, node=node_id)
+        self.metrics.increment("relocation.count", n)
         if sampling:
-            self.metrics.increment("relocation.sampling", n, node=node_id)
-        self.metrics.increment("network.messages", 3 * n, node=node_id)
-        self.metrics.increment(
-            "network.bytes", n * self._cached_value_bytes, node=node_id
-        )
+            self.metrics.increment("relocation.sampling", n)
+        self.metrics.increment("network.messages", 3 * n)
+        self.metrics.increment("network.bytes", n * self._cached_value_bytes)
 
     # ------------------------------------------------------------- ownership
     def ownership_at(self, keys: np.ndarray) -> tuple:
@@ -314,17 +312,17 @@ class RelocationPointCharger(ChunkValues):
                 self.kind_labels):
             if not widths[kind]:
                 continue
-            acc.add_access(node_id, local_label, local[kind])
-            acc.add_access(node_id, remote_label,
+            acc.add_access(local_label, local[kind])
+            acc.add_access(remote_label,
                            widths[kind] - replicas[kind] - local[kind])
-            acc.add_access(node_id, replica_label, replicas[kind])
+            acc.add_access(replica_label, replicas[kind])
         if waits:
-            acc.add_counter(node_id, "relocation.waits", waits)
+            acc.add_counter("relocation.waits", waits)
         if servers:
             for server, count in servers.items():
                 acc.add_server(server, count)
-            acc.add_counter(node_id, "network.messages", messages)
-            acc.add_counter(node_id, "network.bytes",
+            acc.add_counter("network.messages", messages)
+            acc.add_counter("network.bytes",
                             sum(servers.values()) * ps._cached_value_bytes)
 
     def finish(self) -> None:

@@ -298,14 +298,10 @@ class ReplicationPS(ParameterServer):
         if remote_servers:
             # One message and one payload counter per serving node;
             # summed into a single additive write each.
-            self.metrics.increment("network.messages", remote_servers,
-                                   node=node_id)
-            self.metrics.increment("network.bytes", remote_bytes,
-                                   node=node_id)
-        self.metrics.increment("replication.flushes", 1, node=node_id)
-        self.metrics.increment(
-            "replication.flushed_keys", len(keys), node=node_id
-        )
+            self.metrics.increment("network.messages", remote_servers)
+            self.metrics.increment("network.bytes", remote_bytes)
+        self.metrics.increment("replication.flushes", 1)
+        self.metrics.increment("replication.flushed_keys", len(keys))
         state.update_values.pool[index] = 0.0
         state.update_mask.pool[index] = False
         tracer = self.tracer
@@ -338,14 +334,11 @@ class ReplicationPS(ParameterServer):
             self.cluster.node(server).server_clock.advance(
                 self.network.message_handling_cost + volume
             )
-            self.metrics.increment("network.messages", 1, node=node_id)
-            self.metrics.increment(
-                "network.bytes", server_keys * payload_per_key, node=node_id
-            )
-        self.metrics.increment("replication.eager_refreshes", 1, node=node_id)
-        self.metrics.increment(
-            "replication.refreshed_keys", len(keys), node=node_id
-        )
+            self.metrics.increment("network.messages", 1)
+            self.metrics.increment("network.bytes",
+                                   server_keys * payload_per_key)
+        self.metrics.increment("replication.eager_refreshes", 1)
+        self.metrics.increment("replication.refreshed_keys", len(keys))
         tracer = self.tracer
         if tracer is not None:
             tracer.event("replica_refresh", "replica", background.now,
@@ -506,13 +499,13 @@ class _ReplicationPointCharger(ChunkValues):
 
         n_refresh = sum(map(len, events.values()))
         acc = self.acc
-        acc.add_access(node_id, "pull.replica", widths[0] - pull_refreshes)
-        acc.add_access(node_id, "pull.local_server", n_refresh - n_remote)
-        acc.add_access(node_id, "pull.remote", n_remote)
-        acc.add_access(node_id, "push.replica", widths[1])
+        acc.add_access("pull.replica", widths[0] - pull_refreshes)
+        acc.add_access("pull.local_server", n_refresh - n_remote)
+        acc.add_access("pull.remote", n_remote)
+        acc.add_access("push.replica", widths[1])
         if n_remote:
-            acc.add_counter(node_id, "network.messages", 2 * n_remote)
-            acc.add_counter(node_id, "network.bytes",
+            acc.add_counter("network.messages", 2 * n_remote)
+            acc.add_counter("network.bytes",
                             n_remote * ps._cached_value_bytes)
 
     def _add_rows(self, rows: np.ndarray, rows_list: list,

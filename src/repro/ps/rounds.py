@@ -62,30 +62,32 @@ PULL, PULL_SAMPLE, PUSH, PUSH_SAMPLE = range(4)
 class RoundAccounting:
     """Deferred bookkeeping of a fused round.
 
-    Metric counters are additive integers, so per-call writes can be
-    aggregated into one batch write per node without changing totals. Server
-    request-thread occupancy in relocation/replication PSs is charged as
-    repeated additions of one constant, so per-server counts can likewise be
-    summed across segments: ``N`` additions of the same value produce the
-    same float regardless of how the sequential path grouped them.
+    Metric counters are additive integers, so a round's per-call writes sum
+    into one cluster-wide batch without changing totals: the access counts
+    go to one ``record_access_batch``, every other counter to one
+    ``increment`` per name. Server request-thread occupancy in
+    relocation/replication PSs is charged as repeated additions of one
+    constant, so per-server counts can likewise be summed across segments:
+    ``N`` additions of the same value produce the same float regardless of
+    how the sequential path grouped them.
     """
 
-    __slots__ = ("access", "network", "server_counts")
+    __slots__ = ("access", "counters", "server_counts")
 
     def __init__(self) -> None:
         self.access: dict = {}
-        self.network: dict = {}
+        self.counters: dict = {}
         self.server_counts: dict = {}
 
-    def add_access(self, node_id: int, kind: str, count: int) -> None:
+    def add_access(self, kind: str, count: int) -> None:
         if count:
-            acc = self.access.setdefault(node_id, {})
-            acc[kind] = acc.get(kind, 0) + count
+            access = self.access
+            access[kind] = access.get(kind, 0) + count
 
-    def add_counter(self, node_id: int, name: str, amount: int) -> None:
+    def add_counter(self, name: str, amount: int) -> None:
         if amount:
-            acc = self.network.setdefault(node_id, {})
-            acc[name] = acc.get(name, 0) + amount
+            counters = self.counters
+            counters[name] = counters.get(name, 0) + amount
 
     def add_server(self, server_id: int, count: int) -> None:
         if count:
@@ -98,11 +100,10 @@ class RoundAccounting:
             ps.cluster.node(server_id).server_clock.advance_repeated(
                 server_occupancy, count
             )
-        for node_id, counts in self.access.items():
-            ps.metrics.record_access_batch(node_id, counts)
-        for node_id, counters in self.network.items():
-            for name, amount in counters.items():
-                ps.metrics.increment(name, amount, node=node_id)
+        metrics = ps.metrics
+        metrics.record_access_batch(self.access)
+        for name, amount in self.counters.items():
+            metrics.increment(name, amount)
 
 
 class ChunkValues:

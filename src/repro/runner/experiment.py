@@ -262,121 +262,41 @@ def run_experiment(
 
 
 class _WorkerQueue:
-    """Pending data of one worker: a FIFO of index arrays plus a cursor.
+    """Pending data of one worker: one index array and a cursor into it.
 
-    With a static workload the queue holds the worker's single shard array
-    and ``take``/``peek`` are plain slices — the same views the previous
-    position-based loop produced. Worker churn appends redistributed segments
-    from paused workers; the concatenation a multi-segment ``peek`` builds is
-    cached and handed to the matching ``take``, so churn-redistributed
-    queues stop rebuilding the same array every round (the runner peeks each
-    chunk for prefetching one round before taking it).
+    ``take`` and ``peek`` are plain slices (views) of the array. Worker churn
+    redistributes a paused worker's remaining indices and a partition
+    re-queues a deferred chunk; both ``append``, which builds one new array
+    of the pending tail and the new indices.
     """
 
-    __slots__ = ("segments", "offset", "_peek_count", "_peek_cache")
+    __slots__ = ("pending", "offset")
 
     def __init__(self, shard: np.ndarray) -> None:
-        self.segments = [shard] if len(shard) else []
+        self.pending = np.asarray(shard, dtype=np.int64)
         self.offset = 0
-        self._peek_count = -1
-        self._peek_cache = None
 
     def __len__(self) -> int:
-        if not self.segments:
-            return 0
-        return sum(len(segment) for segment in self.segments) - self.offset
+        return len(self.pending) - self.offset
 
     def take(self, count: int) -> np.ndarray:
         """Remove and return up to ``count`` leading indices."""
-        if not self.segments:
-            return np.empty(0, dtype=np.int64)
-        head = self.segments[0]
-        end = self.offset + count
-        if end < len(head):
-            chunk = head[self.offset:end]
-            self.offset = end
-            self._invalidate_peek()
-            return chunk
-        if end == len(head) or len(self.segments) == 1:
-            chunk = head[self.offset:]
-            self.segments.pop(0)
-            self.offset = 0
-            self._invalidate_peek()
-            return chunk
-        if self._peek_count == count:
-            # The runner peeked this chunk (to prefetch it) one round ago;
-            # reuse the concatenation instead of rebuilding it.
-            chunk = self._peek_cache
-            self._invalidate_peek()
-            self._consume(len(chunk))
-            return chunk
-        parts = [head[self.offset:]]
-        taken = len(parts[0])
-        self.segments.pop(0)
-        self.offset = 0
-        while taken < count and self.segments:
-            head = self.segments[0]
-            use = min(len(head), count - taken)
-            if use == len(head):
-                parts.append(self.segments.pop(0))
-            else:
-                parts.append(head[:use])
-                self.offset = use
-            taken += use
-        self._invalidate_peek()
-        return np.concatenate(parts)
+        chunk = self.peek(count)
+        self.offset += len(chunk)
+        return chunk
 
     def peek(self, count: int) -> np.ndarray:
         """The next up-to-``count`` indices without removing them."""
-        if not self.segments:
-            return np.empty(0, dtype=np.int64)
-        head = self.segments[0]
-        if self.offset + count <= len(head) or len(self.segments) == 1:
-            return head[self.offset: self.offset + count]
-        if self._peek_count == count:
-            return self._peek_cache
-        parts = [head[self.offset:]]
-        seen = len(parts[0])
-        for segment in self.segments[1:]:
-            if seen >= count:
-                break
-            parts.append(segment[: count - seen])
-            seen += len(parts[-1])
-        result = np.concatenate(parts)
-        self._peek_count = count
-        self._peek_cache = result
-        return result
+        return self.pending[self.offset:self.offset + count]
 
     def drain(self) -> np.ndarray:
         """Remove and return everything that is still pending."""
-        remaining = self.take(len(self))
-        self.segments = []
-        self.offset = 0
-        self._invalidate_peek()
-        return remaining
+        return self.take(len(self))
 
     def append(self, indices: np.ndarray) -> None:
         if len(indices):
-            self.segments.append(indices)
-            # A cached short peek may now be extendable; drop it.
-            self._invalidate_peek()
-
-    def _invalidate_peek(self) -> None:
-        self._peek_count = -1
-        self._peek_cache = None
-
-    def _consume(self, count: int) -> None:
-        """Advance the cursor past ``count`` elements without materializing."""
-        while count and self.segments:
-            head = self.segments[0]
-            available = len(head) - self.offset
-            if count >= available:
-                self.segments.pop(0)
-                self.offset = 0
-                count -= available
-            else:
-                self.offset += count
-                count = 0
+            self.pending = np.concatenate((self.pending[self.offset:], indices))
+            self.offset = 0
 
 
 class _EpochState:
@@ -444,17 +364,10 @@ def _degraded_process_round(task, ps, cluster, items, state=None) -> None:
                     item.chunk
                 )
             worker.clock.advance(cluster.network.message_cost(0))
-            cluster.metrics.increment(
-                "elastic.deferred_chunks", 1, node=worker.node_id
-            )
+            cluster.metrics.increment("elastic.deferred_chunks", 1)
         except DeadOwnerError:
-            cluster.metrics.increment(
-                "faults.lost_chunks", 1, node=item.worker.node_id
-            )
-            cluster.metrics.increment(
-                "faults.lost_points", len(item.chunk),
-                node=item.worker.node_id,
-            )
+            cluster.metrics.increment("faults.lost_chunks", 1)
+            cluster.metrics.increment("faults.lost_points", len(item.chunk))
 
 
 def _run_epoch(task, ps, cluster, shards, workers, config, runtime=None,

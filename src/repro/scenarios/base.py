@@ -162,14 +162,14 @@ class ScenarioRuntime:
     @property
     def tracer(self):
         """The run's tracer, or None (perturbation activations are traced)."""
-        return getattr(self.cluster, "tracer", None)
+        return self.cluster.tracer
 
     def _record(self, name: str, counter: Optional[str] = None,
                 node: Optional[int] = None, **attrs) -> None:
-        """Count one ``counter`` (per ``node`` when given) and trace event
-        ``name``: every operation of the runtime reports here."""
+        """Count one ``counter`` and trace event ``name`` (on ``node``'s
+        lane when given): every operation of the runtime reports here."""
         if counter is not None:
-            self.metrics.increment(counter, 1, node=node)
+            self.metrics.increment(counter, 1)
         tracer = self.tracer
         if tracer is not None:
             tracer.event(name, "scenario", self.cluster.time, node=node,

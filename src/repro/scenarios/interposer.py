@@ -258,8 +258,7 @@ class ScenarioParameterServer:
             blocked = sorted(
                 int(o) for o in np.unique(np.asarray(owners)[unreachable])
             )
-            self.metrics.increment("elastic.partition_rejections", 1,
-                                   node=worker.node_id)
+            self.metrics.increment("elastic.partition_rejections", 1)
             raise PartitionedOwnerError(
                 f"worker ({worker.node_id}, {worker.worker_id}) on the "
                 f"majority side addressed keys owned by unreachable node(s) "

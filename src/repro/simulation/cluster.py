@@ -248,7 +248,7 @@ class Cluster:
                 node_id=node_id, worker_id=worker_id, clock=clock
             )
         self.membership_epoch += 1
-        self.metrics.increment("elastic.nodes_added", 1, node=node_id)
+        self.metrics.increment("elastic.nodes_added", 1)
         if self.tracer is not None:
             self.tracer.event(
                 "node_added", "membership", now, node=node_id,
@@ -282,7 +282,7 @@ class Cluster:
             )
         self.removed.add(node_id)
         self.membership_epoch += 1
-        self.metrics.increment("elastic.nodes_removed", 1, node=node_id)
+        self.metrics.increment("elastic.nodes_removed", 1)
         if self.tracer is not None:
             self.tracer.event(
                 "node_removed", "membership", self.nodes[node_id].time,

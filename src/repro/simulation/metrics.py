@@ -4,7 +4,8 @@ All parameter servers in this repository record what they do — local versus
 remote accesses, messages, bytes, relocations, replica synchronizations,
 sampling accesses — into a :class:`MetricsRegistry`. The benchmark harness
 reads these counters to reproduce the paper's tables (e.g. Table 3's "share of
-accesses to replicas") and to explain run-time differences.
+accesses to replicas") and to explain run-time differences. Every reader
+wants cluster-wide totals, so there is one counter per name.
 """
 
 from __future__ import annotations
@@ -14,32 +15,27 @@ from typing import Dict, Iterable, Mapping
 
 
 class MetricsRegistry:
-    """Hierarchical counter registry: global counters plus per-node counters."""
+    """Cluster-wide counters by name, plus the names written since a drain."""
 
     def __init__(self) -> None:
-        self._global: Dict[str, float] = defaultdict(float)
-        self._per_node: Dict[int, Dict[str, float]] = defaultdict(
-            lambda: defaultdict(float)
-        )
+        self._counters: Dict[str, float] = defaultdict(float)
         # Interned ``kind -> "access.<kind>"`` labels: composing the label is
         # on the hot path of every parameter access, so it is done once per
         # distinct kind instead of once per call.
         self._access_labels: Dict[str, str] = {}
-        # Global counter names written since the last ``drain_dirty`` call.
+        # Counter names written since the last ``drain_dirty`` call.
         # Value-diff snapshots cannot tell "touched but net zero" (e.g. +1
         # then -1 within an epoch) from "untouched"; this set can.
         self._dirty: set = set()
 
     # ---------------------------------------------------------------- writing
-    def increment(self, name: str, amount: float = 1.0, node: int | None = None) -> None:
-        """Add ``amount`` to counter ``name`` (and to the node's counter)."""
-        self._global[name] += amount
+    def increment(self, name: str, amount: float = 1.0) -> None:
+        """Add ``amount`` to counter ``name``."""
+        self._counters[name] += amount
         self._dirty.add(name)
-        if node is not None:
-            self._per_node[node][name] += amount
 
-    def record_access(self, kind: str, node: int, count: int = 1) -> None:
-        """Record ``count`` parameter accesses of ``kind`` at ``node``.
+    def record_access(self, kind: str, count: int = 1) -> None:
+        """Record ``count`` parameter accesses of ``kind``.
 
         ``kind`` is a dotted label such as ``"pull.local"``, ``"pull.remote"``,
         ``"push.replica"`` or ``"sample.local"``.
@@ -48,25 +44,22 @@ class MetricsRegistry:
         if label is None:
             label = "access." + kind
             self._access_labels[kind] = label
-        counters = self._global
+        counters = self._counters
         counters[label] += count
         counters["access.total"] += count
         self._dirty.add(label)
         self._dirty.add("access.total")
-        node_counters = self._per_node[node]
-        node_counters[label] += count
-        node_counters["access.total"] += count
 
-    def record_access_batch(self, node: int, counts: Mapping[str, float]) -> None:
+    def record_access_batch(self, counts: Mapping[str, float]) -> None:
         """Record several access kinds at once (one ``access.total`` update).
 
-        Equivalent to calling :meth:`record_access` once per ``(kind, count)``
-        pair; counters end up identical because all amounts are integral.
+        Equivalent to calling :meth:`record_access` once per nonzero
+        ``(kind, count)`` pair; counters end up identical because all amounts
+        are integral. Zero entries are skipped: they create no counter.
         """
         total = 0
         labels = self._access_labels
-        counters = self._global
-        node_counters = self._per_node[node]
+        counters = self._counters
         dirty = self._dirty
         for kind, count in counts.items():
             if not count:
@@ -76,26 +69,18 @@ class MetricsRegistry:
                 label = "access." + kind
                 labels[kind] = label
             counters[label] += count
-            node_counters[label] += count
             dirty.add(label)
             total += count
         if total:
             counters["access.total"] += total
-            node_counters["access.total"] += total
             dirty.add("access.total")
 
     def drain_dirty(self) -> set:
-        """Names of global counters written since the last drain (and reset).
+        """Names of counters written since the last drain (and reset).
 
         The experiment runner drains at epoch boundaries to attribute counter
         activity to epochs: a counter that was written during the epoch shows
         up in the epoch's delta even when its value ended where it started.
-
-        The set is global-name keyed by design: per-node counters are only
-        ever written together with their global counterpart (``increment``
-        with a node, ``record_access``, ``record_access_batch``), so the
-        global name set covers node-labelled activity too — audited by
-        ``tests/test_metrics_dirty.py``.
         """
         dirty = self._dirty
         self._dirty = set()
@@ -112,22 +97,16 @@ class MetricsRegistry:
         self._dirty.update(names)
 
     # ---------------------------------------------------------------- reading
-    def get(self, name: str, node: int | None = None) -> float:
+    def get(self, name: str) -> float:
         """Return the value of counter ``name`` (0.0 if never incremented)."""
-        if node is None:
-            return self._global.get(name, 0.0)
-        return self._per_node.get(node, {}).get(name, 0.0)
+        return self._counters.get(name, 0.0)
 
     def counters(self) -> Dict[str, float]:
-        """A copy of all global counters."""
-        return dict(self._global)
-
-    def snapshot(self) -> Mapping[str, float]:
-        """Immutable-ish view of the global counters (for reporting)."""
-        return dict(self._global)
+        """A detached copy of all counters (for reporting and diffs)."""
+        return dict(self._counters)
 
     def diff(self, baseline: Mapping[str, float]) -> Dict[str, float]:
-        """Global-counter deltas against an earlier :meth:`snapshot`.
+        """Counter deltas against an earlier :meth:`counters` copy.
 
         Counters whose value did not change are omitted (callers that need
         touched-but-net-zero names join this with the dirty set). Counters
@@ -135,10 +114,10 @@ class MetricsRegistry:
         """
         return {
             name: value - baseline.get(name, 0.0)
-            for name, value in self._global.items()
+            for name, value in self._counters.items()
             if value != baseline.get(name, 0.0)
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        top = sorted(self._global.items())[:8]
+        top = sorted(self._counters.items())[:8]
         return f"MetricsRegistry({dict(top)}...)"

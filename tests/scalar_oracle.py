@@ -45,7 +45,6 @@ __all__ = [
     "ScalarReplicationPS",
     "ScalarSingleNodePS",
     "SampleStream",
-    "node_counters",
     "oracle_of",
     "sequential_rounds",
 ]
@@ -56,19 +55,12 @@ def _home(ps, key: int) -> int:
     return int(ps.partitioner.owners(np.array([key]))[0])
 
 
-def node_counters(metrics) -> dict:
-    """The non-empty per-node counters of ``metrics``, by node: what an
-    oracle twin must match besides the global counters."""
-    return {node: dict(counters)
-            for node, counters in metrics._per_node.items() if counters}
-
-
 def charge_local(ps, worker, count: int, kind: str) -> None:
     """Charge ``count`` shared-memory accesses to the worker."""
     if count <= 0:
         return
     worker.clock.advance(count * ps.network.local_access_cost)
-    ps.metrics.record_access(f"{kind}.local", worker.node_id, count)
+    ps.metrics.record_access(f"{kind}.local", count)
 
 
 def charge_remote(ps, worker, count: int, kind: str, server_id: int) -> None:
@@ -81,10 +73,9 @@ def charge_remote(ps, worker, count: int, kind: str, server_id: int) -> None:
     if server_id != worker.node_id:
         ps.cluster.node(server_id).server_clock.advance(
             count * ps.network.server_occupancy(value_bytes))
-    ps.metrics.record_access(f"{kind}.remote", worker.node_id, count)
-    ps.metrics.increment("network.messages", 2 * count, node=worker.node_id)
-    ps.metrics.increment("network.bytes", count * value_bytes,
-                         node=worker.node_id)
+    ps.metrics.record_access(f"{kind}.remote", count)
+    ps.metrics.increment("network.messages", 2 * count)
+    ps.metrics.increment("network.bytes", count * value_bytes)
 
 
 def no_replay(ps, distribution_id=None):
@@ -156,11 +147,11 @@ class ScalarRelocationPS(RelocationPS):
             self.current_owner[key] = node_id
             self.arrival_time[key] = max(start + relocation_latency,
                                          background.now)
-            self.metrics.increment("relocation.count", 1, node=node_id)
+            self.metrics.increment("relocation.count", 1)
             if sampling:
-                self.metrics.increment("relocation.sampling", 1, node=node_id)
-            self.metrics.increment("network.messages", 3, node=node_id)
-            self.metrics.increment("network.bytes", value_bytes, node=node_id)
+                self.metrics.increment("relocation.sampling", 1)
+            self.metrics.increment("network.messages", 3)
+            self.metrics.increment("network.bytes", value_bytes)
 
     def _charge(self, worker, keys, kind):
         node_id = worker.node_id
@@ -171,8 +162,7 @@ class ScalarRelocationPS(RelocationPS):
                     # On its way here: wait for the relocation, then access
                     # through shared memory.
                     worker.clock.advance_to(arrival)
-                    self.metrics.increment("relocation.waits", 1,
-                                           node=node_id)
+                    self.metrics.increment("relocation.waits", 1)
                 charge_local(self, worker, 1, kind)
             else:
                 self._charge_routed_remote(worker, key, kind)
@@ -180,7 +170,6 @@ class ScalarRelocationPS(RelocationPS):
     def _charge_routed_remote(self, worker, key, kind):
         """Two messages while the key is at its home node, three when the
         home node forwards to where it was relocated."""
-        node_id = worker.node_id
         value_bytes = self.store.value_bytes()
         owner = int(self.current_owner[key])
         messages = 2 if owner == _home(self, key) else 3
@@ -188,9 +177,9 @@ class ScalarRelocationPS(RelocationPS):
                              + self.network.message_cost(value_bytes))
         self.cluster.node(owner).server_clock.advance(
             self.network.server_occupancy(value_bytes))
-        self.metrics.record_access(f"{kind}.remote", node_id, 1)
-        self.metrics.increment("network.messages", messages, node=node_id)
-        self.metrics.increment("network.bytes", value_bytes, node=node_id)
+        self.metrics.record_access(f"{kind}.remote", 1)
+        self.metrics.increment("network.messages", messages)
+        self.metrics.increment("network.bytes", value_bytes)
 
 
 class ScalarNuPS(NuPS):
@@ -306,7 +295,7 @@ class ScalarReplicationPS(ReplicationPS):
     def _charge_intra_process(self, worker, kind):
         worker.clock.advance(
             1 * self.network.local_access_cost * INTRA_PROCESS_FACTOR)
-        self.metrics.record_access(kind, worker.node_id, 1)
+        self.metrics.record_access(kind, 1)
 
 
 #: Production class -> its oracle.

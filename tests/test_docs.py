@@ -318,6 +318,38 @@ def test_no_scalar_reference_in_src():
     assert not offenders, "\n".join(offenders)
 
 
+# ------------------------------------------------------------ metric counters
+def test_metric_writers_take_no_node():
+    """Every reader wants cluster-wide counts, so a counter has one value:
+    no method of ``MetricsRegistry`` and no adder of ``RoundAccounting``
+    takes a node."""
+    from repro.ps.rounds import RoundAccounting
+    from repro.simulation.metrics import MetricsRegistry
+
+    methods = [
+        *(member for _, member in inspect.getmembers(
+            MetricsRegistry, inspect.isfunction)),
+        RoundAccounting.add_access, RoundAccounting.add_counter,
+    ]
+    assert len(methods) >= 8, "the metric writers were not found"
+    offenders = [
+        f"{method.__qualname__}{inspect.signature(method)}"
+        for method in methods
+        if any("node" in name for name in inspect.signature(method).parameters)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_per_node_counters():
+    """Neither ``src/repro`` nor the scalar oracle keeps per-node counters
+    (``_per_node``) beside the cluster-wide ones."""
+    paths = [*sorted(SRC_ROOT.rglob("*.py")),
+             REPO_ROOT / "tests" / "scalar_oracle.py"]
+    offenders = [str(path.relative_to(REPO_ROOT)) for path in paths
+                 if re.search(r"\b_per_node\b", path.read_text())]
+    assert not offenders, "\n".join(offenders)
+
+
 # ------------------------------------------------------ membership transitions
 MEMBERSHIP_MODULE = SRC_ROOT / "faults" / "controller.py"
 #: The parameter server's membership hooks: all the membership controller

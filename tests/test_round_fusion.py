@@ -50,7 +50,7 @@ from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
 from repro.ps.relocation import RelocationPS
 from repro.ps.replication import ReplicationProtocol, ReplicationPS
-from repro.ps.rounds import point_calls
+from repro.ps.rounds import RoundAccounting, point_calls
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
 from repro.runner.experiment import _WorkerQueue, run_experiment
@@ -66,8 +66,7 @@ from repro.scenarios import (
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
 from adaptive_tap import install_tap
-from scalar_oracle import (SampleStream, node_counters, oracle_of,
-                           sequential_rounds)
+from scalar_oracle import SampleStream, oracle_of, sequential_rounds
 
 NUM_KEYS = 120
 VALUE_LENGTH = 4
@@ -105,7 +104,6 @@ def _assert_cluster_identical(a: Cluster, b: Cluster) -> None:
         assert node_a.background_clock.now == node_b.background_clock.now
         assert node_a.server_clock.now == node_b.server_clock.now
     assert a.metrics.counters() == b.metrics.counters()
-    assert node_counters(a.metrics) == node_counters(b.metrics)
 
 
 # ------------------------------------------------------- runner-level fusion
@@ -1347,26 +1345,25 @@ def test_bad_keys_raise_the_sequential_exception(system, bad_key, error, where):
                         task=_kge_with_bad_key(where, bad_key))
 
 
-# --------------------------------------------------- satellite: queue caching
-class TestWorkerQueuePeekCache:
-    def _queue_with_segments(self):
+# ------------------------------------------------------------ worker queues
+class TestWorkerQueue:
+    def _queue_with_appends(self):
         queue = _WorkerQueue(np.arange(5, dtype=np.int64))
         queue.append(np.arange(100, 104, dtype=np.int64))
         queue.append(np.arange(200, 203, dtype=np.int64))
         return queue
 
-    def test_peek_is_cached_and_reused_by_take(self):
-        queue = self._queue_with_segments()
+    def test_peek_then_take_crosses_appends(self):
+        queue = self._queue_with_appends()
         peeked = queue.peek(8)
-        assert queue.peek(8) is peeked  # second peek: no new allocation
+        assert list(queue.peek(8)) == list(peeked)
         taken = queue.take(8)
-        assert taken is peeked  # the take consumes the cached view
         assert list(taken) == [0, 1, 2, 3, 4, 100, 101, 102]
         assert list(queue.take(10)) == [103, 200, 201, 202]
         assert len(queue) == 0
 
-    def test_append_invalidates_cache(self):
-        queue = self._queue_with_segments()
+    def test_append_extends_a_short_peek(self):
+        queue = self._queue_with_appends()
         short = queue.peek(20)  # 12 elements: everything pending
         assert len(short) == 12
         queue.append(np.array([7], dtype=np.int64))
@@ -1374,8 +1371,8 @@ class TestWorkerQueuePeekCache:
         assert len(extended) == 13
         assert list(queue.take(20)) == list(extended)
 
-    def test_take_with_different_count_ignores_cache(self):
-        queue = self._queue_with_segments()
+    def test_take_after_a_longer_peek(self):
+        queue = self._queue_with_appends()
         queue.peek(8)
         assert list(queue.take(6)) == [0, 1, 2, 3, 4, 100]
         assert list(queue.peek(3)) == [101, 102, 103]
@@ -1397,6 +1394,110 @@ class TestWorkerQueuePeekCache:
             del mirror[:count]
             assert len(queue) == len(mirror)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_epoch_queues_match_lists_under_drain_redistribute_requeue(
+            self, seed):
+        """Every queue of an epoch against a plain list: chunks taken and
+        peeked, a paused worker's rest redistributed over the others (the
+        churn path), a taken chunk re-queued at its worker's back (the
+        partition path), an emptied queue appended to again."""
+        rng = np.random.default_rng(seed)
+        Worker = namedtuple("Worker", "node_id worker_id")
+        workers = [Worker(node, slot) for node in range(2) for slot in range(2)]
+        shards = [[rng.integers(0, 1000, size=int(rng.integers(0, 30)))
+                   .astype(np.int64) for _ in range(2)] for _ in range(2)]
+        state = experiment_module._EpochState(workers, shards, chunk_size=4)
+        lists = {(w.node_id, w.worker_id): shards[w.node_id][w.worker_id]
+                 .tolist() for w in workers}
+        keys = list(lists)
+        for _ in range(60):
+            key = keys[int(rng.integers(len(keys)))]
+            op = rng.random()
+            if op < 0.5:
+                chunk = state.take_chunk(key)
+                assert chunk.tolist() == lists[key][:4]
+                del lists[key][:4]
+                if len(chunk) and rng.random() < 0.3:  # deferred: re-queue
+                    state.queues[key].append(chunk)
+                    lists[key].extend(chunk.tolist())
+            elif op < 0.8:
+                assert state.peek_chunk(key).tolist() == lists[key][:4]
+            else:
+                active = [k for k in keys if rng.random() < 0.7]
+                state.redistribute(key, active)
+                receivers = [k for k in active if k != key]
+                if receivers:
+                    rest, lists[key] = lists[key], []
+                    for receiver, part in zip(receivers, np.array_split(
+                            np.asarray(rest, dtype=np.int64),
+                            len(receivers))):
+                        lists[receiver].extend(part.tolist())
+            for k in keys:
+                assert len(state.queues[k]) == len(lists[k])
+                assert state.queues[k].peek(1000).dtype == np.int64
+            assert state.has_pending() == any(lists.values())
+        for k in keys:
+            assert state.queues[k].drain().tolist() == lists[k]
+            assert len(state.queues[k]) == 0
+
+
+# ---------------------------------------------------- round accounting flush
+class TestRoundAccountingFlush:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flush_equals_the_writes_one_by_one(self, seed):
+        """One flush writes the same counters and dirty set as the adds
+        written one by one, zero entries skipped, and advances each server
+        clock as its adds' occupancies would, one at a time."""
+        rng = np.random.default_rng(seed)
+        kinds = ["pull.local", "push.local", "pull.remote", "push.replica",
+                 "sample.local"]
+        names = ["network.messages", "network.bytes", "relocation.waits"]
+        occupancy = 0.1 + rng.random()
+        flushed, sequence = Cluster(ClusterConfig(num_nodes=3)), \
+            Cluster(ClusterConfig(num_nodes=3))
+        for node_id in range(3):
+            start = float(rng.random())
+            flushed.node(node_id).server_clock.advance(start)
+            sequence.node(node_id).server_clock.advance(start)
+        acc = RoundAccounting()
+        metrics = sequence.metrics
+        for _ in range(300):
+            amount = int(rng.integers(0, 4))
+            draw = rng.random()
+            if draw < 0.5:
+                kind = kinds[int(rng.integers(len(kinds)))]
+                acc.add_access(kind, amount)
+                if amount:
+                    metrics.record_access(kind, amount)
+            elif draw < 0.8:
+                name = names[int(rng.integers(len(names)))]
+                acc.add_counter(name, amount)
+                if amount:
+                    metrics.increment(name, amount)
+            else:
+                server = int(rng.integers(3))
+                acc.add_server(server, amount)
+                for _ in range(amount):
+                    sequence.node(server).server_clock.advance(occupancy)
+        acc.flush(namedtuple("PS", "cluster metrics")(
+            flushed, flushed.metrics), occupancy)
+        assert flushed.metrics.counters() == metrics.counters()
+        assert flushed.metrics.drain_dirty() == metrics.drain_dirty()
+        assert [node.server_clock.now for node in flushed.nodes] \
+            == [node.server_clock.now for node in sequence.nodes]
+
+    def test_a_flush_of_zeros_writes_nothing(self):
+        acc = RoundAccounting()
+        acc.add_access("pull.local", 0)
+        acc.add_counter("network.messages", 0)
+        acc.add_server(1, 0)
+        cluster = Cluster(ClusterConfig(num_nodes=2))
+        acc.flush(namedtuple("PS", "cluster metrics")(
+            cluster, cluster.metrics), 0.5)
+        assert cluster.metrics.counters() == {}
+        assert cluster.metrics.drain_dirty() == set()
+        assert [node.server_clock.now for node in cluster.nodes] == [0.0, 0.0]
+
 
 # --------------------------------------------- satellite: dirty-set snapshots
 class _TouchNetZero(Perturbation):
@@ -1411,7 +1512,7 @@ class TestDirtySetEpochMetrics:
     def test_registry_drain_dirty(self):
         registry = MetricsRegistry()
         registry.increment("a", 2.0)
-        registry.record_access("pull.local", node=0, count=3)
+        registry.record_access("pull.local", count=3)
         assert registry.drain_dirty() == {"a", "access.pull.local",
                                           "access.total"}
         assert registry.drain_dirty() == set()
