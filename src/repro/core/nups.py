@@ -35,7 +35,8 @@ from repro.core.replica_manager import DEFAULT_SYNC_INTERVAL, ReplicaManager
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import SamplingDistribution
 from repro.core.sampling.manager import SamplingConfig, SamplingManager
-from repro.core.sampling.schemes import REPURPOSE_BUFFER_SIZE, SamplingHost
+from repro.core.sampling.schemes import (REPURPOSE_BUFFER_SIZE,
+                                        PostponingSampleReuseScheme)
 from repro.ps.base import PullResult, SampleHandle
 from repro.ps.relocation import (RelocationPS, RelocationPointCharger,
                                  access_labels)
@@ -44,7 +45,7 @@ from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, WorkerContext
 
 
-class NuPS(RelocationPS, SamplingHost):
+class NuPS(RelocationPS):
     """Non-uniform parameter server: replication + relocation + sampling."""
 
     name = "nups"
@@ -186,14 +187,17 @@ class NuPS(RelocationPS, SamplingHost):
         plan, ownership and arrival times only, so a chunk replays from one
         lookup of each (:class:`_NuPSPointCharger`) — direct access alone
         (matrix factorization) or with the samples of ``distribution_id``.
-        Besides an access-level tracer, sampling falls back to the
-        per-call charger under ``integrate_sampling=False`` or a scheme that
-        decides keys at pull time. See the base class for the full list.
+        Sample selection is value-free too: the charger takes a prepared
+        handle's keys at once and selects a pull-time scheme's (local
+        sampling, repurposing) in call order before its fold; with
+        ``integrate_sampling=False`` it charges sample pulls as direct
+        pulls. Besides an access-level tracer, only the postponing scheme
+        falls back to the per-call charger: its selection relocates keys
+        mid-chunk. See the base class for the full list.
         """
-        if distribution_id is not None and (
-                not self.integrate_sampling
-                or not self.sampling_manager.scheme_for(distribution_id)
-                .delivers_prepared_keys):
+        if distribution_id is not None and self.integrate_sampling \
+                and isinstance(self.sampling_manager.scheme_for(distribution_id),
+                               PostponingSampleReuseScheme):
             return None
         return super().direct_point_charger(distribution_id)
 
@@ -214,14 +218,23 @@ class NuPS(RelocationPS, SamplingHost):
                     count: Optional[int] = None) -> PullResult:
         if not self.integrate_sampling:
             return super().pull_sample(worker, handle, count)
-        return self.sampling_manager.pull_sample(worker, handle, count)
+        keys = self.sampling_manager.pull_sample(worker, handle, count)
+        return PullResult(keys=keys, values=self.pull_keys(worker, keys))
 
     def push_sample(self, worker: WorkerContext, keys: np.ndarray,
                     deltas: np.ndarray) -> None:
         keys, deltas = self._validate_push(keys, deltas)
         self._call(worker, keys, PUSH_SAMPLE).add(0, len(keys), deltas)
 
-    # ---------------------------------------------------------- SamplingHost API
+    def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
+                  sampling: bool = True) -> np.ndarray:
+        """The values of ``keys``, charged as one sample pull (``sampling``)
+        or one direct pull to ``worker``."""
+        keys = np.asarray(keys, dtype=np.int64)
+        return self._call(worker, keys, PULL_SAMPLE if sampling else PULL) \
+            .read(0, len(keys))
+
+    # ------------------------------------------- what the sampling schemes call
     def localize_async(self, node_id: int, keys: np.ndarray) -> None:
         """Relocate ``keys`` to ``node_id`` using the node's background thread."""
         keys = np.asarray(keys, dtype=np.int64)
@@ -246,12 +259,6 @@ class NuPS(RelocationPS, SamplingHost):
         keys = np.asarray(keys, dtype=np.int64)
         return self.plan.replicated_mask(keys) \
             | (self.ownership_at(keys)[1] == node_id)
-
-    def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
-                  sampling: bool = True) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        return self._call(worker, keys, PULL_SAMPLE if sampling else PULL) \
-            .read(0, len(keys))
 
     def local_support_keys(self, node_id: int,
                            distribution: SamplingDistribution) -> np.ndarray:
@@ -339,11 +346,19 @@ class NuPS(RelocationPS, SamplingHost):
 class _NuPSPointCharger(RelocationPointCharger):
     """NuPS's access-charging fold and value routing.
 
+    Selection: before the fold, one walk over the calls in order extends
+    the node's recent-access buffer with each direct pull's relocated keys
+    and, for a handle whose scheme selects at pull time (local sampling,
+    repurposing; laid out as ``-1`` by :meth:`take_samples`), fills each
+    sample pull's span with the scheme's selection. That is the per-call
+    order, and it is exact: nothing moves keys inside a chunk, charging
+    draws no random numbers, and the recent buffer is the only state an
+    earlier call writes and a later selection reads. Without integrated
+    sampling, sample pulls are charged as direct pulls.
     Charging: the management plan splits the chunk's keys once. Per call,
     the replicated keys are one shared-memory product charged first, the
-    relocated keys go through the inherited relocation fold, a direct pull's
-    relocated keys extend the node's recent-access buffer in access order,
-    and an attached statistics tap is fed every direct call in call order.
+    relocated keys go through the inherited relocation fold, and an
+    attached statistics tap is fed every direct call in call order.
     Values: a ``[lo, hi)`` span without replicated keys uses the store like
     the base class; otherwise its replicated positions are read from the
     node's replica and written through the replica manager (replica, update
@@ -353,46 +368,86 @@ class _NuPSPointCharger(RelocationPointCharger):
     synchronization, as they would call by call.
     """
 
-    __slots__ = ("node_id", "replica_positions", "replica_at", "slots",
-                 "store_positions", "store_at", "store_rows", "last_route")
+    __slots__ = ("node_id", "handle", "replica_positions", "replica_at",
+                 "slots", "store_positions", "store_at", "store_rows",
+                 "last_route")
 
     kind_labels = access_labels(("pull", "sample", "push", "sample_push"))
 
+    def __init__(self, ps: NuPS) -> None:
+        super().__init__(ps)
+        #: The handle whose samples the next chunk selects, or None.
+        self.handle = None
+
+    def take_samples(self, handle) -> np.ndarray:
+        """A prepared handle's keys at once, uncharged; ``-1`` for each
+        sample of a handle whose scheme selects at pull time, which the next
+        :meth:`charge_chunk` selects."""
+        self.handle = None
+        if handle is not None and \
+                len(handle.peek(handle.remaining)) < handle.remaining:
+            self.handle = handle
+            return np.full(handle.remaining, -1, dtype=np.int64)
+        return super().take_samples(handle)
+
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
                      calls) -> None:
-        """Charge one worker's chunk (see the class), bind its keys for the
-        value pass and locate its replicated keys."""
+        """Select the chunk's pull-time samples into ``keys``, charge it
+        (see the class), bind its keys for the value pass and locate its
+        replicated keys."""
         ps = self.ps
-        node_id = self.node_id = worker.node_id
-        replicated = ps.plan.replicated_mask(keys) \
-            if ps.plan.num_replicated else None
-        if replicated is not None and not replicated.any():
-            replicated = None
+        self.node_id = worker.node_id
+        if not ps.integrate_sampling:
+            calls = [(PULL if kind == PULL_SAMPLE else kind, lo, hi, compute)
+                     for kind, lo, hi, compute in calls]
+        replicated = self._replicated(keys)
+        if self._walk(worker, keys, calls, replicated):
+            replicated = self._replicated(keys)
         self._fold(worker, keys, calls, replicated)
         self._bind(keys, calls, replicated)
         self.replica_positions = None
         self.last_route = (0, 0, None)
         if replicated is not None:
             self._locate(replicated)
-            replicated = replicated.tolist()
-        # Dense: the rows are the keys.
-        keys_list = self.rows_list if self.rows is self.keys \
-            else self.keys.tolist()
-        recent = ps._recent_direct[node_id]
-        for kind, lo, hi, _ in calls:
-            if kind != PULL:
-                continue
-            if replicated is None:
-                recent.extend(keys_list[lo:hi])
-            else:  # only relocated keys enter the recent-access buffer
-                recent.extend(key for key, replica in zip(
-                    keys_list[lo:hi], replicated[lo:hi]) if not replica)
         if ps.access_observer is not None:
             # The tap touches no clock, metric or value and is read only
             # from ``housekeeping``, between rounds: feeding a whole chunk
             # at its slot is exact.
             ps.access_observer.observe_calls(self.keys, [
                 (lo, hi) for kind, lo, hi, _ in calls if not kind & 1])
+
+    def _replicated(self, keys: np.ndarray):
+        """Which of ``keys`` the plan replicates; ``None`` for none."""
+        plan = self.ps.plan
+        if not plan.num_replicated:
+            return None
+        replicated = plan.replicated_mask(keys)
+        return replicated if replicated.any() else None
+
+    def _walk(self, worker: WorkerContext, keys: np.ndarray, calls,
+              replicated) -> bool:
+        """The selection walk (see the class); whether it selected samples.
+
+        ``replicated`` is read at direct positions only: those of samples
+        still to be selected hold ``-1``.
+        """
+        ps = self.ps
+        handle, self.handle = self.handle, None
+        recent = ps._recent_direct[worker.node_id]
+        keys_list = keys.tolist()
+        replicated_list = None if replicated is None else replicated.tolist()
+        for kind, lo, hi, _ in calls:
+            if kind == PULL:
+                if replicated_list is None:
+                    recent.extend(keys_list[lo:hi])
+                else:  # only relocated keys enter the recent-access buffer
+                    recent.extend(key for key, replica in zip(
+                        keys_list[lo:hi], replicated_list[lo:hi])
+                        if not replica)
+            elif kind == PULL_SAMPLE and handle is not None and hi > lo:
+                keys[lo:hi] = ps.sampling_manager.pull_sample(
+                    worker, handle, hi - lo)
+        return handle is not None
 
     def _locate(self, replicated: np.ndarray) -> None:
         """The positions of the replicated keys, their slots, and the

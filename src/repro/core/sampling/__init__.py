@@ -17,7 +17,6 @@ from repro.core.sampling.schemes import (
     LocalSamplingScheme,
     PoolSampleReuseScheme,
     PostponingSampleReuseScheme,
-    SamplingHost,
     SamplingScheme,
     SchemeConfig,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "UnigramDistribution",
     "SamplingConfig",
     "SamplingManager",
-    "SamplingHost",
     "SamplingScheme",
     "SchemeConfig",
     "IndependentSamplingScheme",

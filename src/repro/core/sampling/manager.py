@@ -4,7 +4,8 @@ The sampling manager sits behind NuPS's sampling API. Applications register a
 target distribution together with a required conformity level; the manager
 transparently picks a sampling scheme that provides (at least) that level and
 routes all ``prepare_sample`` / ``pull_sample`` calls for the distribution
-through that scheme.
+through that scheme. The manager and its schemes choose keys only; NuPS
+charges the accesses (``NuPS.pull_sample`` and its point charger).
 """
 
 from __future__ import annotations
@@ -12,16 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import SamplingDistribution
 from repro.core.sampling.schemes import (
     DEFAULT_SCHEME_FOR_LEVEL,
     SCHEMES_BY_NAME,
-    SamplingHost,
     SamplingScheme,
     SchemeConfig,
 )
-from repro.ps.base import PullResult, SampleHandle
+from repro.ps.base import SampleHandle
 from repro.simulation.cluster import WorkerContext
 
 
@@ -60,9 +62,13 @@ class RegisteredDistribution:
 
 
 class SamplingManager:
-    """Chooses and drives sampling schemes behind the sampling API."""
+    """Chooses and drives sampling schemes behind the sampling API.
 
-    def __init__(self, host: SamplingHost, config: Optional[SamplingConfig] = None) -> None:
+    ``host`` is the parameter server the schemes choose keys against (NuPS;
+    :mod:`repro.core.sampling.schemes` lists the methods they call).
+    """
+
+    def __init__(self, host, config: Optional[SamplingConfig] = None) -> None:
         self.host = host
         self.config = config or SamplingConfig()
         self._registered: Dict[int, RegisteredDistribution] = {}
@@ -88,7 +94,9 @@ class SamplingManager:
         return entry.scheme.prepare(worker, count, distribution_id)
 
     def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
-                    count: Optional[int] = None) -> PullResult:
+                    count: Optional[int] = None) -> np.ndarray:
+        """The keys of ``handle``'s next ``count`` samples (default: all
+        remaining), chosen by the distribution's scheme and uncharged."""
         entry = self._entry(handle.distribution_id)
         count = handle.remaining if count is None else int(count)
         if count < 0:
@@ -98,7 +106,7 @@ class SamplingManager:
                 f"requested {count} samples but only {handle.remaining} remain "
                 f"in handle {handle.handle_id}"
             )
-        return entry.scheme.pull(worker, handle, count)
+        return entry.scheme.select(worker, handle, count)
 
     def housekeeping(self, node_id: int, now: float) -> None:
         """Run background maintenance of all schemes for ``node_id``."""

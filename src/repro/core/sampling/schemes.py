@@ -1,9 +1,21 @@
 """Sampling scheme implementations (Sections 4.2 and 4.4).
 
-Each scheme implements the two halves of the sampling API — ``prepare`` and
-``pull`` — against a :class:`SamplingHost` (in practice: NuPS). The host
-provides the operations a scheme needs: asynchronous localization, locality
-checks, direct pulls, and access to the node-local part of the key space.
+Each scheme implements the two halves of the sampling API as key choice:
+``prepare`` returns a handle, ``select`` the keys that the next ``count``
+samples of a handle are. Neither reads a parameter value or charges an
+access; the host (NuPS) charges the selected keys, on the per-call path
+(``pull_sample``) and in its point charger's fold alike. The host methods
+the schemes call:
+
+* ``localize_async(node_id, keys)`` — relocate keys to the node in the
+  background;
+* ``key_is_local(node_id, key)`` and ``keys_are_local(node_id, keys)`` —
+  whether keys are accessible at the node through shared memory now;
+* ``local_support_keys(node_id, distribution)`` — the support's keys local
+  to the node;
+* ``recent_direct_access_keys(node_id)`` — the node's recent direct-access
+  keys, for repurposing;
+* ``sampling_rng(node_id)`` — the node's random generator.
 
 Implemented schemes and the conformity level they provide (Table 1 / Fig. 5):
 
@@ -21,51 +33,16 @@ DirectAccessRepurposing   NON_CONFORM    reuse recent direct-access keys as samp
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.sampling.alias import AliasSampler
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import SamplingDistribution
-from repro.ps.base import PullResult, SampleHandle
+from repro.ps.base import SampleHandle
 from repro.simulation.cluster import WorkerContext
-
-
-class SamplingHost(ABC):
-    """The operations a sampling scheme needs from the parameter server."""
-
-    @abstractmethod
-    def localize_async(self, node_id: int, keys: np.ndarray) -> None:
-        """Start relocating ``keys`` to ``node_id`` in the background."""
-
-    @abstractmethod
-    def key_is_local(self, node_id: int, key: int) -> bool:
-        """Whether ``key`` can currently be accessed at ``node_id`` locally."""
-
-    @abstractmethod
-    def keys_are_local(self, node_id: int, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`key_is_local`."""
-
-    @abstractmethod
-    def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
-                  sampling: bool = True) -> np.ndarray:
-        """Pull values for ``keys``, charging costs to ``worker``."""
-
-    @abstractmethod
-    def local_support_keys(self, node_id: int,
-                           distribution: SamplingDistribution) -> np.ndarray:
-        """Keys in the distribution's support currently local to ``node_id``."""
-
-    @abstractmethod
-    def recent_direct_access_keys(self, node_id: int) -> np.ndarray:
-        """Recently direct-accessed keys at ``node_id`` (for repurposing)."""
-
-    @abstractmethod
-    def sampling_rng(self, node_id: int) -> np.random.Generator:
-        """Per-node random generator for sampling decisions."""
 
 
 #: Samples a node's local sampler draws before it re-reads the local part of
@@ -101,7 +78,7 @@ class SamplingScheme(ABC):
     #: Short identifier used in configuration and reports.
     scheme_name = "abstract"
 
-    def __init__(self, host: SamplingHost, distribution: SamplingDistribution,
+    def __init__(self, host, distribution: SamplingDistribution,
                  config: Optional[SchemeConfig] = None) -> None:
         self.host = host
         self.distribution = distribution
@@ -112,29 +89,16 @@ class SamplingScheme(ABC):
                 distribution_id: int) -> SampleHandle:
         """Prepare ``count`` samples; returns the handle for later pulls."""
 
-    def pull(self, worker: WorkerContext, handle: SampleHandle,
-             count: int) -> PullResult:
-        """Deliver the next ``count`` samples of ``handle``.
+    def select(self, worker: WorkerContext, handle: SampleHandle,
+               count: int) -> np.ndarray:
+        """The keys of ``handle``'s next ``count`` samples, counted delivered.
 
-        The default implementation pulls the first ``count`` pending keys via
-        direct access; subclasses override to add postponing or lazy sampling.
+        The default takes the first ``count`` pending keys, which
+        :meth:`prepare` fixed; postponing reorders them, local sampling and
+        repurposing choose keys here.
         """
-        keys = handle.take(count)
         handle.delivered += count
-        values = self.host.pull_keys(worker, keys)
-        return PullResult(keys=keys, values=values)
-
-    @property
-    def delivers_prepared_keys(self) -> bool:
-        """Whether ``pull`` hands out exactly the handle's keys, in order.
-
-        True for schemes on the default :meth:`pull`: everything a handle
-        will deliver is decided by :meth:`prepare`, so a round engine may
-        take a chunk's keys at once and replay the pulls' charging. Schemes
-        that override ``pull`` (postponing, local sampling, repurposing)
-        pick or reorder keys against live state at pull time.
-        """
-        return type(self).pull is SamplingScheme.pull
+        return handle.take(count)
 
     def housekeeping(self, node_id: int, now: float) -> None:
         """Background maintenance hook (pool preparation etc.); default no-op."""
@@ -159,43 +123,31 @@ class IndependentSamplingScheme(SamplingScheme):
 
 
 class _NodePoolState:
-    """Prepared-sample stream of one node for the pool-reuse schemes.
+    """Prepared-sample stream of one node for the pool-reuse schemes: one
+    key array and a cursor into it.
 
-    The stream is a queue of NumPy chunks (one chunk per pool traversal) with
-    a consumption offset into the head chunk, so taking ``count`` samples is
-    a handful of array slices instead of ``count`` deque pops.
+    ``take`` is a plain slice; ``extend`` builds one new array of the
+    unconsumed tail and the appended keys.
     """
 
     def __init__(self) -> None:
-        self.chunks: Deque[np.ndarray] = deque()
-        self.offset = 0  # consumed prefix of the head chunk
-        self.size = 0
+        self.pending = np.empty(0, dtype=np.int64)
+        self.offset = 0
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.pending) - self.offset
 
     def extend(self, keys: np.ndarray) -> None:
-        if len(keys):
-            self.chunks.append(np.asarray(keys, dtype=np.int64))
-            self.size += len(keys)
+        self.pending = np.concatenate((self.pending[self.offset:], keys))
+        self.offset = 0
 
     def take(self, count: int) -> np.ndarray:
         """Remove and return the next ``count`` prepared keys, in order."""
-        if count > self.size:
-            raise ValueError(f"cannot take {count} of {self.size} prepared samples")
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            head = self.chunks[0]
-            use = min(len(head) - self.offset, count - filled)
-            out[filled:filled + use] = head[self.offset:self.offset + use]
-            self.offset += use
-            filled += use
-            if self.offset == len(head):
-                self.chunks.popleft()
-                self.offset = 0
-        self.size -= count
-        return out
+        if count > len(self):
+            raise ValueError(f"cannot take {count} of {len(self)} prepared samples")
+        keys = self.pending[self.offset:self.offset + count]
+        self.offset += count
+        return keys
 
 
 class PoolSampleReuseScheme(SamplingScheme):
@@ -210,7 +162,7 @@ class PoolSampleReuseScheme(SamplingScheme):
     level = ConformityLevel.BOUNDED
     scheme_name = "sample_reuse"
 
-    def __init__(self, host: SamplingHost, distribution: SamplingDistribution,
+    def __init__(self, host, distribution: SamplingDistribution,
                  config: Optional[SchemeConfig] = None) -> None:
         super().__init__(host, distribution, config)
         self._node_state: Dict[int, _NodePoolState] = {}
@@ -254,9 +206,10 @@ class PoolSampleReuseScheme(SamplingScheme):
         rng = self.host.sampling_rng(node_id)
         pool = self.distribution.sample(rng, self.config.pool_size)
         self.host.localize_async(node_id, pool)
-        for _ in range(self.config.use_frequency):
-            order = rng.permutation(len(pool))
-            state.extend(pool[order])
+        # ``use_frequency`` traversals of the pool, each in a fresh order.
+        state.extend(pool[np.concatenate([
+            rng.permutation(len(pool))
+            for _ in range(self.config.use_frequency)])])
 
 
 class PostponingSampleReuseScheme(PoolSampleReuseScheme):
@@ -273,8 +226,8 @@ class PostponingSampleReuseScheme(PoolSampleReuseScheme):
     level = ConformityLevel.LONG_TERM
     scheme_name = "sample_reuse_postponing"
 
-    def pull(self, worker: WorkerContext, handle: SampleHandle,
-             count: int) -> PullResult:
+    def select(self, worker: WorkerContext, handle: SampleHandle,
+               count: int) -> np.ndarray:
         if not hasattr(handle, "postponed_once"):
             handle.postponed_once = set()  # type: ignore[attr-defined]
         postponed_once = handle.postponed_once  # type: ignore[attr-defined]
@@ -296,9 +249,7 @@ class PostponingSampleReuseScheme(PoolSampleReuseScheme):
                 worker.node_id, np.asarray([key], dtype=np.int64)
             )
         handle.delivered += len(selected)
-        keys = np.asarray(selected, dtype=np.int64)
-        values = self.host.pull_keys(worker, keys)
-        return PullResult(keys=keys, values=values)
+        return np.asarray(selected, dtype=np.int64)
 
 
 class _NodeLocalSamplerState:
@@ -322,7 +273,7 @@ class LocalSamplingScheme(SamplingScheme):
     level = ConformityLevel.NON_CONFORM
     scheme_name = "local"
 
-    def __init__(self, host: SamplingHost, distribution: SamplingDistribution,
+    def __init__(self, host, distribution: SamplingDistribution,
                  config: Optional[SchemeConfig] = None) -> None:
         super().__init__(host, distribution, config)
         self._node_state: Dict[int, _NodeLocalSamplerState] = {}
@@ -332,17 +283,18 @@ class LocalSamplingScheme(SamplingScheme):
         # Keys are decided lazily at pull time from whatever is local then.
         return SampleHandle.placeholder(distribution_id, count)
 
-    def pull(self, worker: WorkerContext, handle: SampleHandle,
-             count: int) -> PullResult:
+    def select(self, worker: WorkerContext, handle: SampleHandle,
+               count: int) -> np.ndarray:
         handle.delivered += count
         keys = self._sample_local(worker.node_id, count)
         # The cached alias table can serve keys that relocation has since
         # moved away; the real implementation samples from the partition the
         # node holds *right now* and never communicates. Re-check locality at
-        # pull time and redraw stale keys from the freshly rebuilt local
-        # support (relocation cannot interleave within one simulated pull, so
-        # one redraw suffices). Only an empty local support — the extreme
-        # corner case below — leaves remote accesses behind.
+        # selection and redraw stale keys from the freshly rebuilt local
+        # support (nothing relocates keys between a selection and the access
+        # it selects for, so one redraw suffices). Only an empty local
+        # support — the extreme corner case below — leaves remote accesses
+        # behind.
         stale = ~self.host.keys_are_local(worker.node_id, keys)
         if stale.any():
             state = self._node_state.setdefault(worker.node_id,
@@ -353,8 +305,7 @@ class LocalSamplingScheme(SamplingScheme):
                 indices = state.sampler.sample(rng, int(stale.sum()))
                 keys = np.array(keys, copy=True)
                 keys[stale] = state.keys[indices]
-        values = self.host.pull_keys(worker, keys)
-        return PullResult(keys=keys, values=values)
+        return keys
 
     # --------------------------------------------------------------- internals
     def _sample_local(self, node_id: int, count: int) -> np.ndarray:
@@ -405,19 +356,16 @@ class DirectAccessRepurposingScheme(SamplingScheme):
                 distribution_id: int) -> SampleHandle:
         return SampleHandle.placeholder(distribution_id, count)
 
-    def pull(self, worker: WorkerContext, handle: SampleHandle,
-             count: int) -> PullResult:
+    def select(self, worker: WorkerContext, handle: SampleHandle,
+               count: int) -> np.ndarray:
         handle.delivered += count
         rng = self.host.sampling_rng(worker.node_id)
         recent = self.host.recent_direct_access_keys(worker.node_id)
         in_support = recent[self.distribution.in_support(recent)] if len(recent) else recent
         if len(in_support) == 0:
             # No direct access seen yet at this node: fall back to iid draws.
-            keys = self.distribution.sample(rng, count)
-        else:
-            keys = in_support[rng.integers(0, len(in_support), size=count)]
-        values = self.host.pull_keys(worker, keys)
-        return PullResult(keys=keys, values=values)
+            return self.distribution.sample(rng, count)
+        return in_support[rng.integers(0, len(in_support), size=count)]
 
 
 #: Default scheme class for each requested conformity level (Section 4.4).

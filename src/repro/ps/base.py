@@ -318,11 +318,13 @@ class ParameterServer(ABC):
         followed by its sample keys (:func:`~repro.ps.rounds.point_calls`);
         tasks with sampling access ask for a charger for the
         ``distribution_id`` their samples are drawn from. Sample *selection*
-        is as value-independent as charging: the keys of a handle are fixed
-        by ``prepare_sample``, which the task still calls per chunk, in
-        worker order, and the charger's ``take_samples`` hands them out at
-        once. The per-key scalar reference every fold is tested against
-        lives with the tests (``tests/scalar_oracle.py``).
+        is as value-independent as charging: ``prepare_sample``, which the
+        task still calls per chunk, in worker order, fixes a handle's keys
+        and the charger's ``take_samples`` hands them out at once; NuPS's
+        pull-time schemes (local sampling, repurposing) select theirs in the
+        charger's ``charge_chunk``, in call order, before its fold. The
+        per-key scalar reference every fold is tested against lives with the
+        tests (``tests/scalar_oracle.py``).
 
         ``None`` tells the task to step its chunks over a
         :class:`~repro.ps.rounds.PerCallCharger` instead, which issues every
@@ -332,11 +334,9 @@ class ParameterServer(ABC):
 
         * an access-level tracer (``TelemetryConfig(access_events=True)``
           wants one event per call);
-        * for sampling, on NuPS ``integrate_sampling=False`` or a scheme
-          that decides keys at pull time (postponing, local sampling,
-          direct-access repurposing — anything that overrides
-          :meth:`SamplingScheme.pull
-          <repro.core.sampling.schemes.SamplingScheme.pull>`);
+        * for sampling, NuPS's postponing scheme, whose selection relocates
+          keys mid-chunk
+          (:class:`~repro.core.sampling.schemes.PostponingSampleReuseScheme`);
         * behind a scenario's interposer, while one of its gates can fire:
           a partition is live or a node it watches is down.
 

@@ -26,7 +26,7 @@ that follows it; :func:`point_calls`), then ``read(lo, hi)`` and
 * the *per-call* charger (:class:`PerCallCharger`), wherever the fold
   charger is ``None``: its ``read`` and ``add`` issue the point's calls
   through the PS (or the interposer in front of it), so gates, access
-  events and pull-time sampling schemes act per call.
+  events and the postponing sampling scheme act per call.
 
 Values keep the sequential order on both. Moving values across data points
 is not done: a pull must observe every earlier push to the same key, and on
@@ -152,9 +152,10 @@ class ChunkValues:
     def take_samples(self, handle) -> np.ndarray:
         """All of ``handle``'s keys at once, uncharged (``None``: none).
 
-        A fold charger is only handed out where ``prepare_sample`` fixed
-        the keys a handle delivers, in order, so the chunk's step lays them
-        out and the fold charges their ``pull_sample`` calls.
+        ``prepare_sample`` fixed the keys a handle delivers, in order, so
+        the chunk's step lays them out and the fold charges their
+        ``pull_sample`` calls (NuPS's charger also takes handles whose
+        scheme selects at pull time).
         """
         if handle is None:
             return np.empty(0, dtype=np.int64)
@@ -187,10 +188,9 @@ class PerCallCharger:
     issues its ``pull``/``pull_sample`` calls, its ``add`` the
     ``push``/``push_sample`` calls and then the compute charge, in call-list
     order. ``ps`` may be the scenario interposer, so its gates, an access
-    tracer's events and a scheme that picks sample keys at pull time all
-    act per call. The sample keys a point pushes are those its
-    ``pull_sample`` delivered, which a postponing scheme may have
-    reordered.
+    tracer's events and the postponing scheme all act per call. The sample
+    keys a point pushes are those its ``pull_sample`` delivered, which a
+    postponing scheme may have reordered.
     """
 
     __slots__ = ("ps", "handle", "worker", "keys", "calls", "_next",

@@ -70,8 +70,9 @@ class _RemappedPointCharger:
 
     The chunk's keys translate once, range-checked, and the inner charger
     does everything else; ``take_samples``/``read``/``add``/``finish`` are
-    the inner charger's own, since sample keys are physical already and the
-    rest address the chunk by position.
+    the inner charger's own, since sample keys are physical already (a
+    prepared handle's, and those NuPS's charger selects at pull time) and
+    the rest address the chunk by position.
     """
 
     __slots__ = ("_inner", "_remapper", "take_samples", "read", "add",
@@ -87,7 +88,7 @@ class _RemappedPointCharger:
                      calls) -> None:
         # Only the keys of direct calls are logical: a handle's sample keys
         # are physical already (``RemappedDistribution.sample`` translates
-        # them).
+        # them) or still to be selected, in physical key space.
         sampled = [(lo, hi) for kind, lo, hi, _ in calls if kind & 1]
         if sampled:
             direct = np.ones(len(keys), dtype=bool)
@@ -141,7 +142,8 @@ class ScenarioParameterServer:
         the bijection changes only in ``apply_drift`` (an epoch or round
         hook), so a chunk's logical keys translate once
         (:class:`_RemappedPointCharger`). ``None`` — here or from the inner
-        PS — keeps every access on the per-call path through this object.
+        PS (an access-level tracer, the postponing scheme) — keeps every
+        access on the per-call path through this object.
         """
         if self.degraded():
             return None

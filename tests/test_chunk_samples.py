@@ -3,7 +3,8 @@
 A task prepares one sample handle per chunk (``TrainingTask.prepare_samples``)
 and asks its charger for the chunk's sample keys (``take_samples``). The fold
 charger takes them all at once, uncharged, and charges their pulls in its
-fold; the per-call charger (:class:`~repro.ps.rounds.PerCallCharger`) leaves
+fold (NuPS's selects a pull-time scheme's keys in ``charge_chunk``); the
+per-call charger (:class:`~repro.ps.rounds.PerCallCharger`) leaves
 them pending and issues one ``pull_sample`` per point at the point's
 ``read``, pushing back to the keys that call delivered. The last section
 makes a postponing scheme reorder a handle between its prepare and its
@@ -204,6 +205,28 @@ class TestFoldSamples:
         taken = ps.direct_point_charger(task._distribution_id) \
             .take_samples(None)
         assert taken.dtype == np.int64 and len(taken) == 0
+
+    def test_a_pull_time_handle_is_selected_by_charge_chunk(self):
+        """A handle whose scheme selects at pull time (local sampling) is
+        laid out as ``-1`` with nothing delivered; ``charge_chunk`` selects
+        its keys into the chunk's sample positions and delivers them."""
+        cluster = Cluster(ClusterConfig(num_nodes=1, workers_per_node=1))
+        ps = NuPS(ParameterStore(NUM_KEYS, LENGTH), cluster,
+                  sampling_config=SamplingConfig(scheme_override="local"),
+                  sync_interval=None, seed=0)
+        distribution_id = ps.register_distribution(
+            UniformDistribution(0, 20), ConformityLevel.NON_CONFORM)
+        worker = cluster.worker(0, 0)
+        charger = ps.direct_point_charger(distribution_id)
+        handle = ps.prepare_sample(worker, distribution_id, 5)
+        samples = charger.take_samples(handle)
+        assert samples.tolist() == [-1] * 5 and handle.remaining == 5
+        keys = np.concatenate([[30, 31], samples])
+        charger.charge_chunk(worker, keys, point_calls([2], [5], [0.0]))
+        assert handle.remaining == 0
+        assert keys[:2].tolist() == [30, 31]
+        assert ((keys[2:] >= 0) & (keys[2:] < 20)).all()
+        assert charger.read(0, 7).shape == (7, LENGTH)
 
 
 # ------------------------------------------------------------- postponing

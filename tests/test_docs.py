@@ -318,6 +318,25 @@ def test_no_scalar_reference_in_src():
     assert not offenders, "\n".join(offenders)
 
 
+def test_schemes_choose_keys_only():
+    """A sampling scheme selects keys and charges nothing: ``schemes.py``
+    names neither ``pull_keys`` nor ``PullResult``, and no scheme defines
+    ``pull`` (the host charges what ``select`` chose)."""
+    path = SRC_ROOT / "core" / "sampling" / "schemes.py"
+    text = path.read_text()
+    offenders = [name for name in ("pull_keys", "PullResult")
+                 if re.search(rf"\b{name}\b", text)]
+    classes = [node for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.ClassDef)]
+    assert any(node.name == "SamplingScheme" for node in classes), \
+        "the schemes were not found"
+    offenders += [f"{node.name}.pull" for node in classes
+                  for member in node.body
+                  if isinstance(member, ast.FunctionDef)
+                  and member.name == "pull"]
+    assert not offenders, "\n".join(offenders)
+
+
 # ------------------------------------------------------------ metric counters
 def test_metric_writers_take_no_node():
     """Every reader wants cluster-wide counts, so a counter has one value:

@@ -40,7 +40,8 @@ from repro.core.nups import NuPS
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
-from repro.core.sampling.schemes import SCHEMES_BY_NAME, SchemeConfig
+from repro.core.sampling.schemes import (LOCAL_REFRESH_INTERVAL,
+                                        SCHEMES_BY_NAME, SchemeConfig)
 from repro.elastic import PartitionState
 from repro.faults import MembershipController
 from repro.ml.matrix_factorization import MatrixFactorizationTask
@@ -263,10 +264,7 @@ def _assert_ps_state_identical(a, b) -> None:
                 assert vars(pools_a[node]).keys() == vars(pools_b[node]).keys()
                 for field, value in vars(pools_a[node]).items():
                     other = getattr(pools_b[node], field)
-                    if field == "chunks":
-                        assert [c.tolist() for c in value] \
-                            == [c.tolist() for c in other]
-                    elif isinstance(value, np.ndarray):
+                    if isinstance(value, np.ndarray):
                         assert np.array_equal(value, other), field
                     elif field != "sampler":  # alias tables: rebuilt from keys
                         assert value == other, field
@@ -698,13 +696,17 @@ def test_round_fusion_respects_remapped_ps():
 
 # ------------------------------------------- sampling tasks: charge replay
 def _sampling_ps_builders():
-    def nups(store, cluster, **kwargs):
+    def nups(store, cluster, scheme_override=None, **kwargs):
         plan = ManagementPlan(store.num_keys,
                               np.array([0, 3, 7, 41, 90], dtype=np.int64))
         config = SamplingConfig(scheme_config=SchemeConfig(pool_size=12,
-                                                           use_frequency=3))
+                                                           use_frequency=3),
+                                scheme_override=scheme_override)
         return NuPS(store, cluster, plan=plan, sampling_config=config,
                     sync_interval=0.0005, seed=0, **kwargs)
+
+    def nups_with(**kwargs):
+        return lambda store, cluster: nups(store, cluster, **kwargs)
 
     def nups_relocate_all(store, cluster):
         return NuPS(store, cluster,
@@ -716,6 +718,12 @@ def _sampling_ps_builders():
         "relocation": lambda store, cluster: RelocationPS(store, cluster, seed=0),
         "nups": nups,
         "nups-relocate-all": nups_relocate_all,
+        # Keys chosen at pull time, selected by the fold in call order.
+        "nups-local": nups_with(scheme_override="local"),
+        "nups-repurposing": nups_with(
+            scheme_override="direct_access_repurposing"),
+        # Application-side sampling: sample pulls charged as direct pulls.
+        "nups-not-integrated": nups_with(integrate_sampling=False),
         # The sampled support [0, 60) is one key group; the direct keys of
         # ``_sampling_chunks`` come from both.
         "nups-drifted-adaptive": _drifted_adaptive(
@@ -1018,12 +1026,7 @@ def _nups_factory(**overrides):
 SAMPLING_FALLBACKS = {
     "postponing-scheme": dict(
         factory=_nups_factory(scheme_override="sample_reuse_postponing")),
-    "local-scheme": dict(task="word_vectors",
-                         factory=_nups_factory(scheme_override="local")),
-    "repurposing-scheme": dict(
-        factory=_nups_factory(scheme_override="direct_access_repurposing")),
     "access-events": dict(task="word_vectors", system="lapse", telemetry=True),
-    "sampling-not-integrated": dict(system="relocation+replication"),
 }
 
 
@@ -1039,6 +1042,33 @@ def test_sampling_round_falls_back_to_sequential(condition):
     _assert_results_identical(fused, sequential)
     assert fused.calls["pull"] > 0 and fused.calls["push"] > 0
     assert fused.calls == sequential.calls
+
+
+#: Sampling whose keys are chosen at pull time (local sampling, direct-access
+#: repurposing) or in application code (``integrate_sampling=False``): the
+#: NuPS fold selects them itself.
+PULL_TIME_SAMPLING = {
+    "local-scheme": dict(factory=_nups_factory(scheme_override="local")),
+    "repurposing-scheme": dict(
+        factory=_nups_factory(scheme_override="direct_access_repurposing")),
+    "sampling-not-integrated": dict(system="relocation+replication"),
+}
+
+
+@pytest.mark.parametrize("storage", [None, SPARSE], ids=["dense", "sparse"])
+@pytest.mark.parametrize("task", ["kge", "word_vectors"])
+@pytest.mark.parametrize("condition", sorted(PULL_TIME_SAMPLING))
+def test_pull_time_sampling_round_replays(condition, task, storage):
+    """No ``pull``/``push`` reaches the PS, and results and state equal the
+    sequential backend's, which issues every call."""
+    kwargs = dict(system="nups", epochs=1, storage=storage)
+    kwargs.update(PULL_TIME_SAMPLING[condition])
+    system = kwargs.pop("system")
+    fused = _experiment(task, system, "fused", **kwargs)
+    sequential = _experiment(task, system, "sequential", **kwargs)
+    _assert_results_identical(fused, sequential)
+    assert fused.calls == {"pull": 0, "push": 0}
+    assert sequential.calls["pull"] > 0 and sequential.calls["push"] > 0
 
 
 # ------------------------------- wrapped and observed parameter servers
@@ -1172,6 +1202,12 @@ WRAPPED_PRESETS = {
                             epochs=3),
     "kge-fault-proxy": dict(task="kge", system="classic",
                             scenario_name="crash-storm"),
+    # Local sampling behind the key remapper: selected in physical keys.
+    "kge-tuned-drift-remap": dict(task="kge", system="nups-tuned",
+                                  scenario_name="drift", epochs=3),
+    "wv-tuned-drift-remap-sparse": dict(
+        task="word_vectors", system="nups-tuned", scenario_name="drift",
+        epochs=3, storage=SPARSE),
 }
 
 
@@ -1190,6 +1226,8 @@ def test_wrapped_presets_take_the_replay_path(preset):
         assert count < sequential.calls[name]
     assert (sequential.degraded_calls["pull"] > 0) \
         == preset.endswith("fault-proxy")
+    if "drift" in preset:
+        assert fused.result.metrics["scenario.drifts"] == 1
 
 
 def _proxied_world(condition, task_name="matrix_factorization",
@@ -1282,23 +1320,162 @@ def test_planned_removal_behind_the_interposer_replays(task_name, system):
     _assert_ps_state_identical(proxy, twin_proxy)
 
 
-def test_only_default_pull_schemes_deliver_prepared_keys():
-    """The scheme-level switch behind the three scheme fallbacks."""
+def test_only_postponing_keeps_sampling_on_the_per_call_path():
+    """NuPS hands out its fold charger for every scheme but postponing, and
+    without integrated sampling."""
     cluster = _cluster()
-    store = ParameterStore(NUM_KEYS, VALUE_LENGTH)
-    host = NuPS(store, cluster, seed=0)
-    distribution = UniformDistribution(0, 60)
-    delivers = {
-        name: scheme(host, distribution).delivers_prepared_keys
-        for name, scheme in SCHEMES_BY_NAME.items()
-    }
-    assert delivers == {
+
+    def answers(**kwargs):
+        ps = NuPS(ParameterStore(NUM_KEYS, VALUE_LENGTH), cluster, seed=0,
+                  **kwargs)
+        distribution_id = ps.register_distribution(
+            UniformDistribution(0, 60), ConformityLevel.CONFORM)
+        return ps.direct_point_charger(distribution_id) is not None
+
+    folds = {name: answers(sampling_config=SamplingConfig(
+        scheme_override=name)) for name in SCHEMES_BY_NAME}
+    folds["not-integrated"] = answers(integrate_sampling=False)
+    assert folds == {
         "independent": True,
         "sample_reuse": True,
         "sample_reuse_postponing": False,
-        "local": False,
-        "direct_access_repurposing": False,
+        "local": True,
+        "direct_access_repurposing": True,
+        "not-integrated": True,
     }
+
+
+def _pull_time_chunks(scheme_override, chunks, fold, between=None):
+    """Node 0's worker runs ``chunks`` — each a list of points ``(direct
+    keys, sample count)`` — on a two-node NuPS whose samples come from
+    ``scheme_override``, through the fold charger or call by call on the
+    scalar oracle; ``between(ps, cluster)`` runs before the second chunk.
+    Returns the cluster, the PS, the sample keys per point and the values
+    each point read."""
+    cluster = _cluster(num_nodes=2, workers_per_node=1)
+    store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
+    ps = NuPS(store, cluster,
+              plan=ManagementPlan(NUM_KEYS, np.array([1, 2, 50])),
+              sampling_config=SamplingConfig(scheme_override=scheme_override),
+              sync_interval=None, seed=0)
+    if not fold:
+        _scalar(ps)
+    distribution_id = ps.register_distribution(UniformDistribution(0, 60),
+                                               ConformityLevel.NON_CONFORM)
+    worker = cluster.worker(0, 0)
+    sampled, seen = [], []
+    for index, points in enumerate(chunks):
+        if index == 1 and between is not None:
+            between(ps, cluster)
+        total = sum(n_sample for _, n_sample in points)
+        deltas = [np.full((len(direct) + n_sample, VALUE_LENGTH),
+                          0.01 * (point + 1), dtype=np.float32)
+                  for point, (direct, n_sample) in enumerate(points)]
+        if fold:
+            charger = ps.direct_point_charger(distribution_id)
+            samples = charger.take_samples(
+                ps.prepare_sample(worker, distribution_id, total))
+            assert (samples == -1).all()  # selected by charge_chunk
+            keys, taken = [], 0
+            for direct, n_sample in points:
+                keys += [np.asarray(direct, dtype=np.int64),
+                         samples[taken:taken + n_sample]]
+                taken += n_sample
+            keys = np.concatenate(keys)
+            charger.charge_chunk(worker, keys, point_calls(
+                [len(p[0]) for p in points], [p[1] for p in points],
+                [0.5] * len(points)))
+            lo = 0
+            for (direct, n_sample), point_deltas in zip(points, deltas):
+                hi = lo + len(direct) + n_sample
+                sampled.append(keys[lo + len(direct):hi].tolist())
+                seen.append(charger.read(lo, hi))
+                charger.add(lo, hi, point_deltas)
+                lo = hi
+            charger.finish()
+        else:
+            stream = SampleStream(ps, worker, distribution_id, total)
+            for (direct, n_sample), point_deltas in zip(points, deltas):
+                direct = np.asarray(direct, dtype=np.int64)
+                pulled = ps.pull(worker, direct)
+                negatives = stream.next(n_sample)
+                sampled.append(negatives.keys.tolist())
+                seen.append(np.concatenate([pulled, negatives.values]))
+                ps.push(worker, direct, point_deltas[:len(direct)])
+                stream.push_updates(negatives.keys,
+                                    point_deltas[len(direct):])
+                worker.charge_compute(0.5)
+    return cluster, ps, sampled, seen
+
+
+def _assert_pull_time_twins_identical(fold_run, call_run) -> None:
+    (fold_cluster, fold_ps, fold_sampled, fold_seen), \
+        (call_cluster, call_ps, call_sampled, call_seen) = fold_run, call_run
+    assert fold_sampled == call_sampled
+    assert [v.tobytes() for v in fold_seen] == [v.tobytes() for v in call_seen]
+    _assert_cluster_identical(fold_cluster, call_cluster)
+    _assert_ps_state_identical(fold_ps, call_ps)
+
+
+def test_local_sampling_redraws_and_refreshes_inside_one_chunk():
+    """Node 1 relocates half of node 0's sampled support away after node
+    0's sampler cached it. In node 0's next chunk, the first selection
+    finds stale keys and redraws them, and a later one crosses
+    ``LOCAL_REFRESH_INTERVAL`` and re-reads the support: the fold selects,
+    charges and updates exactly as the per-call path."""
+    def steal(ps, cluster):
+        ps.localize(cluster.worker(1, 0), np.arange(0, 60, 2))
+
+    # One point with a sample; then 30 points of 20 samples (fewer than
+    # the 32 local keys left): after the first point's redraw, 26 more
+    # reach the interval.
+    chunks = [[([70], 1)], [([70 + point % 3, point], 20)
+                            for point in range(30)]]
+    refreshes, stale = [], []
+
+    def observe(ps):
+        scheme = ps.sampling_manager.scheme_for(0)
+        refresh, keys_are_local = scheme._refresh, ps.keys_are_local
+
+        def recording_refresh(node_id, state):
+            refreshes.append(state.samples_since_refresh)
+            refresh(node_id, state)
+
+        def recording_keys_are_local(node_id, keys):
+            local = keys_are_local(node_id, keys)
+            stale.append(int((~local).sum()))
+            return local
+
+        scheme._refresh = recording_refresh
+        ps.keys_are_local = recording_keys_are_local
+
+    fold_run = _pull_time_chunks(
+        "local", chunks, fold=True,
+        between=lambda ps, cluster: (steal(ps, cluster), observe(ps)))
+    _assert_pull_time_twins_identical(
+        fold_run, _pull_time_chunks("local", chunks, fold=False,
+                                    between=steal))
+    # Within the second chunk: a stale draw redrawn, then the interval.
+    assert stale[0] > 0 and sum(stale[1:]) == 0
+    assert refreshes[0] < LOCAL_REFRESH_INTERVAL <= max(refreshes[1:])
+    assert all(key % 2 or key in (2, 50)
+               for point in fold_run[2][1:] for key in point)
+
+
+def test_repurposing_samples_a_key_the_same_chunk_pulled_directly():
+    """Direct-access repurposing draws from the node's recent direct
+    accesses: a later point of a chunk samples a key that an earlier point
+    of the same chunk pulled directly, as call by call."""
+    chunks = [[([10], 0)],  # the recent buffer, before the chunk: key 10
+              [([70], 4), ([33, 71], 4), ([72], 6)]]
+    fold_run = _pull_time_chunks("direct_access_repurposing", chunks,
+                                 fold=True)
+    _assert_pull_time_twins_identical(
+        fold_run, _pull_time_chunks("direct_access_repurposing", chunks,
+                                    fold=False))
+    sampled = fold_run[2]
+    assert sampled[1] == [10] * 4  # only key 10 is in the support yet
+    assert 33 in sampled[2] + sampled[3]
 
 
 class _BadSamples(UniformDistribution):
