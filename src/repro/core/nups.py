@@ -190,8 +190,8 @@ class NuPS(RelocationPS):
         Sample selection is value-free too: the charger takes a prepared
         handle's keys at once and selects a pull-time scheme's (local
         sampling, repurposing) in call order before its fold; with
-        ``integrate_sampling=False`` it charges sample pulls as direct
-        pulls. Besides an access-level tracer, only the postponing scheme
+        ``integrate_sampling=False`` it charges sample pulls and pushes as
+        direct ones. Besides an access-level tracer, only the postponing scheme
         falls back to the per-call charger: its selection relocates keys
         mid-chunk. See the base class for the full list.
         """
@@ -354,7 +354,8 @@ class _NuPSPointCharger(RelocationPointCharger):
     order, and it is exact: nothing moves keys inside a chunk, charging
     draws no random numbers, and the recent buffer is the only state an
     earlier call writes and a later selection reads. Without integrated
-    sampling, sample pulls are charged as direct pulls.
+    sampling, sample pulls and pushes are charged as direct pulls and
+    pushes.
     Charging: the management plan splits the chunk's keys once. Per call,
     the replicated keys are one shared-memory product charged first, the
     relocated keys go through the inherited relocation fold, and an
@@ -397,8 +398,8 @@ class _NuPSPointCharger(RelocationPointCharger):
         replicated keys."""
         ps = self.ps
         self.node_id = worker.node_id
-        if not ps.integrate_sampling:
-            calls = [(PULL if kind == PULL_SAMPLE else kind, lo, hi, compute)
+        if not ps.integrate_sampling:  # sampling is direct access
+            calls = [(kind & 2, lo, hi, compute)
                      for kind, lo, hi, compute in calls]
         replicated = self._replicated(keys)
         if self._walk(worker, keys, calls, replicated):

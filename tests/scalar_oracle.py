@@ -206,7 +206,7 @@ class ScalarNuPS(NuPS):
 
     def push_sample(self, worker, keys, deltas):
         keys, deltas = self._validate_push(keys, deltas)
-        self._push(worker, keys, deltas, sampling=True)
+        self._push(worker, keys, deltas, sampling=self.integrate_sampling)
 
     def _pull(self, worker, keys, sampling):
         if not sampling and self.access_observer is not None:

@@ -7,6 +7,7 @@ from repro.core.nups import NuPS
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UniformDistribution
 from repro.ps.base import SampleHandle
+from repro.ps.rounds import point_calls
 
 
 class TestManagementIntegration:
@@ -167,6 +168,32 @@ class TestSamplingIntegration:
         assert len(result.keys) == 10
         # No sampling-manager bookkeeping took place.
         assert cluster.metrics.get("relocation.sampling") == 0
+
+    def test_application_side_samples_count_as_direct_access(self, store,
+                                                            cluster):
+        """Without integrated sampling, a sample pull counts as a pull and
+        a sample push as a push, on the per-call path and on the fold."""
+        ps = NuPS(store, cluster, plan=ManagementPlan(store.num_keys, [0]),
+                  integrate_sampling=False)
+        worker = cluster.worker(0, 0)
+        dist_id = ps.register_distribution(
+            UniformDistribution(0, store.num_keys), ConformityLevel.NON_CONFORM)
+        deltas = np.ones((10, store.value_length), dtype=np.float32)
+        result = ps.pull_sample(worker, ps.prepare_sample(worker, dist_id, 10))
+        ps.push_sample(worker, result.keys, deltas)
+        charger = ps.direct_point_charger(dist_id)
+        keys = charger.take_samples(ps.prepare_sample(worker, dist_id, 10))
+        charger.charge_chunk(worker, keys, point_calls([0], [10], [0.0]))
+        charger.add(0, 10, deltas)
+        charger.finish()
+
+        def total(kind):
+            return sum(count for name, count in
+                       cluster.metrics.counters().items()
+                       if name.startswith(f"access.{kind}."))
+
+        assert total("pull") == total("push") == 20
+        assert total("sample") == total("sample_push") == 0
 
     def test_local_support_keys_includes_replicated_and_owned(self, nups, cluster):
         distribution = UniformDistribution(0, nups.store.num_keys)
