@@ -187,13 +187,10 @@ class NuPS(RelocationPS):
         plan, ownership and arrival times only, so a chunk replays from one
         lookup of each (:class:`_NuPSPointCharger`) — direct access alone
         (matrix factorization) or with the samples of ``distribution_id``.
-        Sample selection is value-free too: the charger takes a prepared
-        handle's keys at once and selects a pull-time scheme's (local
-        sampling, repurposing) in call order before its fold; with
-        ``integrate_sampling=False`` it charges sample pulls and pushes as
-        direct ones. Besides an access-level tracer, only the postponing scheme
-        falls back to the per-call charger: its selection relocates keys
-        mid-chunk. See the base class for the full list.
+        Sample selection is value-free too, so the charger selects the keys
+        of local sampling and repurposing itself, in call order. Besides an
+        access-level tracer, only postponing, whose selection relocates
+        keys, falls back to the per-call charger (the base class lists all).
         """
         if distribution_id is not None and self.integrate_sampling \
                 and isinstance(self.sampling_manager.scheme_for(distribution_id),
@@ -348,14 +345,12 @@ class _NuPSPointCharger(RelocationPointCharger):
 
     Selection: before the fold, one walk over the calls in order extends
     the node's recent-access buffer with each direct pull's relocated keys
-    and, for a handle whose scheme selects at pull time (local sampling,
-    repurposing; laid out as ``-1`` by :meth:`take_samples`), fills each
-    sample pull's span with the scheme's selection. That is the per-call
-    order, and it is exact: nothing moves keys inside a chunk, charging
-    draws no random numbers, and the recent buffer is the only state an
-    earlier call writes and a later selection reads. Without integrated
-    sampling, sample pulls and pushes are charged as direct pulls and
-    pushes.
+    and fills each sample pull's span of a pull-time handle (local
+    sampling, repurposing; ``-1`` from :meth:`take_samples`) with the
+    scheme's selection. That is exact: nothing moves keys inside a chunk,
+    charging draws no random numbers, and the recent buffer is the only
+    state an earlier call writes and a later selection reads. Without
+    integrated sampling, sampling calls are charged as direct ones.
     Charging: the management plan splits the chunk's keys once. Per call,
     the replicated keys are one shared-memory product charged first, the
     relocated keys go through the inherited relocation fold, and an
@@ -377,13 +372,11 @@ class _NuPSPointCharger(RelocationPointCharger):
 
     def __init__(self, ps: NuPS) -> None:
         super().__init__(ps)
-        #: The handle whose samples the next chunk selects, or None.
-        self.handle = None
+        self.handle = None  # the pull-time handle the next chunk selects
 
     def take_samples(self, handle) -> np.ndarray:
-        """A prepared handle's keys at once, uncharged; ``-1`` for each
-        sample of a handle whose scheme selects at pull time, which the next
-        :meth:`charge_chunk` selects."""
+        """A prepared handle's keys at once; ``-1`` for each sample of a
+        pull-time handle, which the next :meth:`charge_chunk` selects."""
         self.handle = None
         if handle is not None and \
                 len(handle.peek(handle.remaining)) < handle.remaining:
@@ -393,17 +386,37 @@ class _NuPSPointCharger(RelocationPointCharger):
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
                      calls) -> None:
-        """Select the chunk's pull-time samples into ``keys``, charge it
-        (see the class), bind its keys for the value pass and locate its
-        replicated keys."""
+        """Walk the calls (recent buffer, pull-time samples into ``keys``),
+        charge the chunk, bind its keys for the value pass and locate its
+        replicated keys (see the class)."""
         ps = self.ps
+        plan = ps.plan
         self.node_id = worker.node_id
         if not ps.integrate_sampling:  # sampling is direct access
             calls = [(kind & 2, lo, hi, compute)
                      for kind, lo, hi, compute in calls]
-        replicated = self._replicated(keys)
-        if self._walk(worker, keys, calls, replicated):
-            replicated = self._replicated(keys)
+        # Read at direct positions only: samples still to select hold -1.
+        replicated = plan.replicated_mask(keys) if plan.num_replicated \
+            else None
+        mask = replicated.tolist() \
+            if replicated is not None and replicated.any() else None
+        handle, self.handle = self.handle, None
+        recent = ps._recent_direct[worker.node_id]
+        keys_list = keys.tolist()
+        for kind, lo, hi, _ in calls:
+            if kind == PULL:
+                if mask is None:
+                    recent.extend(keys_list[lo:hi])
+                else:  # only relocated keys enter the recent-access buffer
+                    recent.extend(key for key, replica in zip(
+                        keys_list[lo:hi], mask[lo:hi]) if not replica)
+            elif kind == PULL_SAMPLE and handle is not None and hi > lo:
+                keys[lo:hi] = ps.sampling_manager.pull_sample(
+                    worker, handle, hi - lo)
+        if handle is not None and replicated is not None:
+            replicated = plan.replicated_mask(keys)
+        if replicated is not None and not replicated.any():
+            replicated = None
         self._fold(worker, keys, calls, replicated)
         self._bind(keys, calls, replicated)
         self.replica_positions = None
@@ -416,39 +429,6 @@ class _NuPSPointCharger(RelocationPointCharger):
             # at its slot is exact.
             ps.access_observer.observe_calls(self.keys, [
                 (lo, hi) for kind, lo, hi, _ in calls if not kind & 1])
-
-    def _replicated(self, keys: np.ndarray):
-        """Which of ``keys`` the plan replicates; ``None`` for none."""
-        plan = self.ps.plan
-        if not plan.num_replicated:
-            return None
-        replicated = plan.replicated_mask(keys)
-        return replicated if replicated.any() else None
-
-    def _walk(self, worker: WorkerContext, keys: np.ndarray, calls,
-              replicated) -> bool:
-        """The selection walk (see the class); whether it selected samples.
-
-        ``replicated`` is read at direct positions only: those of samples
-        still to be selected hold ``-1``.
-        """
-        ps = self.ps
-        handle, self.handle = self.handle, None
-        recent = ps._recent_direct[worker.node_id]
-        keys_list = keys.tolist()
-        replicated_list = None if replicated is None else replicated.tolist()
-        for kind, lo, hi, _ in calls:
-            if kind == PULL:
-                if replicated_list is None:
-                    recent.extend(keys_list[lo:hi])
-                else:  # only relocated keys enter the recent-access buffer
-                    recent.extend(key for key, replica in zip(
-                        keys_list[lo:hi], replicated_list[lo:hi])
-                        if not replica)
-            elif kind == PULL_SAMPLE and handle is not None and hi > lo:
-                keys[lo:hi] = ps.sampling_manager.pull_sample(
-                    worker, handle, hi - lo)
-        return handle is not None
 
     def _locate(self, replicated: np.ndarray) -> None:
         """The positions of the replicated keys, their slots, and the

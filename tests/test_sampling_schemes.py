@@ -20,6 +20,7 @@ from repro.core.sampling.schemes import (
     PoolSampleReuseScheme,
     PostponingSampleReuseScheme,
     SchemeConfig,
+    _NodePoolState,
 )
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, ClusterConfig
@@ -206,6 +207,39 @@ class TestConformityStatistics:
         keys = drain(ps, worker, dist_id, 500, portion=50)
         other_partition = set(ps.partitioner.keys_of(1).tolist())
         assert other_partition.isdisjoint(set(keys.tolist()))
+
+
+class TestPoolStream:
+    def test_takes_cross_appended_arrays_in_order(self):
+        state = _NodePoolState()
+        state.extend(np.arange(5))
+        state.extend(np.arange(10, 13))
+        assert state.take(3).tolist() == [0, 1, 2]
+        assert state.take(4).tolist() == [3, 4, 10, 11]
+        state.extend(np.array([20]))
+        assert len(state) == 2
+        assert state.take(2).tolist() == [12, 20]
+        with pytest.raises(ValueError):
+            state.take(1)
+
+    def test_a_pool_is_its_traversals_in_draw_order(self, small_cluster):
+        """One pool: ``pool_size`` iid keys, then ``use_frequency``
+        permutations drawn one after another from the node's generator."""
+        ps = make_nups(small_cluster, pool_size=8, use_frequency=4)
+        distribution = UniformDistribution(0, NUM_KEYS)
+        scheme = PoolSampleReuseScheme(ps, distribution,
+                                       SchemeConfig(pool_size=8,
+                                                    use_frequency=4))
+        reference = np.random.default_rng()
+        reference.bit_generator.state = ps.sampling_rng(0).bit_generator.state
+        state = _NodePoolState()
+        scheme._prepare_pool(0, state)
+        pool = distribution.sample(reference, 8)
+        expected = [pool[reference.permutation(8)] for _ in range(4)]
+        assert state.take(len(state)).tolist() \
+            == np.concatenate(expected).tolist()
+        assert reference.bit_generator.state \
+            == ps.sampling_rng(0).bit_generator.state
 
 
 class TestPostponing:
