@@ -722,7 +722,7 @@ def _sampling_ps_builders():
         "nups-local": nups_with(scheme_override="local"),
         "nups-repurposing": nups_with(
             scheme_override="direct_access_repurposing"),
-        # Application-side sampling: sample pulls charged as direct pulls.
+        # Application-side sampling: sampling calls charged as direct ones.
         "nups-not-integrated": nups_with(integrate_sampling=False),
         # The sampled support [0, 60) is one key group; the direct keys of
         # ``_sampling_chunks`` come from both.
