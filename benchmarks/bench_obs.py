@@ -225,12 +225,10 @@ def test_obs_benchmark(tmp_path):
         assert stats["off_seconds"] > 0
         assert stats["trace_spans"] > 0
         assert stats["trace_samples"] > 0
-        # Round fusion bypasses the per-access pull/push path, so detail
-        # level adds events on some architectures (e.g. the single-node
-        # shared-memory PS) but not necessarily on all of them.
-        assert stats["detail_events"] >= stats["trace_events"]
-    assert sum(s["detail_events"] for s in report["architectures"].values()) \
-        > sum(s["trace_events"] for s in report["architectures"].values())
+        # The detail level records one event per PS call on every
+        # architecture: an access-level tracer cuts each fold before every
+        # call and records the call there.
+        assert stats["detail_events"] > stats["trace_events"]
     assert report["checks"]["telemetry_bit_identical"] is True
     assert json.loads(output.read_text())["benchmark"] == "telemetry_overhead"
 

@@ -37,10 +37,10 @@ from repro.core.sampling.distributions import SamplingDistribution
 from repro.core.sampling.manager import SamplingConfig, SamplingManager
 from repro.core.sampling.schemes import (REPURPOSE_BUFFER_SIZE,
                                         PostponingSampleReuseScheme)
-from repro.ps.base import PullResult, SampleHandle
+from repro.ps.base import SampleHandle
 from repro.ps.relocation import (RelocationPS, RelocationPointCharger,
                                  access_labels)
-from repro.ps.rounds import PULL, PULL_SAMPLE, PUSH_SAMPLE
+from repro.ps.rounds import PULL, PULL_SAMPLE
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import Cluster, WorkerContext
 
@@ -177,27 +177,6 @@ class NuPS(RelocationPS):
         """Synchronize replicas so that all nodes agree at the epoch boundary."""
         self.replica_manager.force_sync(self.cluster.time)
 
-    # -------------------------------------------------------------- round API
-    def direct_point_charger(self, distribution_id: Optional[int] = None):
-        """Per-point charge replay for the task-level round engine.
-
-        A NuPS access is charged by management technique (replica keys as
-        one shared-memory product, relocated keys through the relocation
-        fold) and its values are routed the same way; both depend on the
-        plan, ownership and arrival times only, so a chunk replays from one
-        lookup of each (:class:`_NuPSPointCharger`) — direct access alone
-        (matrix factorization) or with the samples of ``distribution_id``.
-        Sample selection is value-free too, so the charger selects the keys
-        of local sampling and repurposing itself, in call order. Besides an
-        access-level tracer, only postponing, whose selection relocates
-        keys, falls back to the per-call charger (the base class lists all).
-        """
-        if distribution_id is not None and self.integrate_sampling \
-                and isinstance(self.sampling_manager.scheme_for(distribution_id),
-                               PostponingSampleReuseScheme):
-            return None
-        return super().direct_point_charger(distribution_id)
-
     # ------------------------------------------------------------- sampling API
     def register_distribution(self, distribution: SamplingDistribution,
                               level: ConformityLevel | str = ConformityLevel.CONFORM) -> int:
@@ -211,25 +190,13 @@ class NuPS(RelocationPS):
             return super().prepare_sample(worker, distribution_id, count)
         return self.sampling_manager.prepare_sample(worker, distribution_id, count)
 
-    def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
-                    count: Optional[int] = None) -> PullResult:
+    def select_sample(self, worker: WorkerContext, handle: SampleHandle,
+                      count: Optional[int] = None) -> np.ndarray:
+        """The keys the distribution's scheme chooses for ``handle``'s next
+        ``count`` samples (see the base class)."""
         if not self.integrate_sampling:
-            return super().pull_sample(worker, handle, count)
-        keys = self.sampling_manager.pull_sample(worker, handle, count)
-        return PullResult(keys=keys, values=self.pull_keys(worker, keys))
-
-    def push_sample(self, worker: WorkerContext, keys: np.ndarray,
-                    deltas: np.ndarray) -> None:
-        keys, deltas = self._validate_push(keys, deltas)
-        self._call(worker, keys, PUSH_SAMPLE).add(0, len(keys), deltas)
-
-    def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
-                  sampling: bool = True) -> np.ndarray:
-        """The values of ``keys``, charged as one sample pull (``sampling``)
-        or one direct pull to ``worker``."""
-        keys = np.asarray(keys, dtype=np.int64)
-        return self._call(worker, keys, PULL_SAMPLE if sampling else PULL) \
-            .read(0, len(keys))
+            return super().select_sample(worker, handle, count)
+        return self.sampling_manager.pull_sample(worker, handle, count)
 
     # ------------------------------------------- what the sampling schemes call
     def localize_async(self, node_id: int, keys: np.ndarray) -> None:
@@ -343,15 +310,17 @@ class NuPS(RelocationPS):
 class _NuPSPointCharger(RelocationPointCharger):
     """NuPS's access-charging fold and value routing.
 
-    Selection: before the fold, one walk over the calls in order extends
-    the node's recent-access buffer with each direct pull's relocated keys
-    and fills each sample pull's span of a pull-time handle (local
-    sampling, repurposing; ``-1`` from :meth:`take_samples`) with the
-    scheme's selection. That is exact: nothing moves keys inside a chunk,
-    charging draws no random numbers, and the recent buffer is the only
-    state an earlier call writes and a later selection reads. Without
-    integrated sampling, sampling calls are charged as direct ones.
-    Charging: the management plan splits the chunk's keys once. Per call,
+    Selection: one walk over the calls in order extends the node's
+    recent-access buffer with each direct pull's relocated keys and fills
+    each sample pull's span of a handle the charger selects (``-1`` from
+    :meth:`take_samples`) with the scheme's selection. That is exact:
+    charging draws no random numbers, the recent buffer is the only state
+    an earlier call writes and a later selection reads, and only a
+    postponement moves keys inside a chunk, so the walk folds the calls
+    before each postponing sample pull first, against the ownership they
+    saw. Without integrated sampling, sampling calls are charged as direct
+    ones.
+    Charging: the management plan splits the keys once per fold. Per call,
     the replicated keys are one shared-memory product charged first, the
     relocated keys go through the inherited relocation fold, and an
     attached statistics tap is fed every direct call in call order.
@@ -364,46 +333,52 @@ class _NuPSPointCharger(RelocationPointCharger):
     synchronization, as they would call by call.
     """
 
-    __slots__ = ("node_id", "handle", "replica_positions", "replica_at",
-                 "slots", "store_positions", "store_at", "store_rows",
-                 "last_route")
+    __slots__ = ("node_id", "handle", "postponing", "replica_positions",
+                 "replica_at", "slots", "store_positions", "store_at",
+                 "store_rows", "last_route")
 
     kind_labels = access_labels(("pull", "sample", "push", "sample_push"))
+    events = ("pull", None, "push", None)
 
     def __init__(self, ps: NuPS) -> None:
         super().__init__(ps)
-        self.handle = None  # the pull-time handle the next chunk selects
+        self.handle = None  # the handle the next chunk selects
+        self.postponing = False  # whether its scheme postpones
 
     def take_samples(self, handle) -> np.ndarray:
-        """A prepared handle's keys at once; ``-1`` for each sample of a
-        pull-time handle, which the next :meth:`charge_chunk` selects."""
+        """A prepared handle's keys at once; ``-1`` for each sample the
+        next :meth:`charge_chunk` selects: a pull-time handle's, and a
+        postponing handle's, whose order is decided as it is pulled."""
         self.handle = None
-        if handle is not None and \
-                len(handle.peek(handle.remaining)) < handle.remaining:
-            self.handle = handle
-            return np.full(handle.remaining, -1, dtype=np.int64)
+        ps = self.ps
+        if handle is not None and ps.integrate_sampling:
+            self.postponing = isinstance(
+                ps.sampling_manager.scheme_for(handle.distribution_id),
+                PostponingSampleReuseScheme)
+            if self.postponing or \
+                    len(handle.peek(handle.remaining)) < handle.remaining:
+                self.handle = handle
+                return np.full(handle.remaining, -1, dtype=np.int64)
         return super().take_samples(handle)
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
                      calls) -> None:
-        """Walk the calls (recent buffer, pull-time samples into ``keys``),
+        """Walk the calls (recent buffer, selected samples into ``keys``),
         charge the chunk, bind its keys for the value pass and locate its
         replicated keys (see the class)."""
         ps = self.ps
-        plan = ps.plan
         self.node_id = worker.node_id
         if not ps.integrate_sampling:  # sampling is direct access
             calls = [(kind & 2, lo, hi, compute)
                      for kind, lo, hi, compute in calls]
         # Read at direct positions only: samples still to select hold -1.
-        replicated = plan.replicated_mask(keys) if plan.num_replicated \
-            else None
-        mask = replicated.tolist() \
-            if replicated is not None and replicated.any() else None
+        replicated = self._replicated(keys)
+        mask = None if replicated is None else replicated.tolist()
         handle, self.handle = self.handle, None
         recent = ps._recent_direct[worker.node_id]
         keys_list = keys.tolist()
-        for kind, lo, hi, _ in calls:
+        folded = 0  # the calls before this one are charged
+        for index, (kind, lo, hi, _) in enumerate(calls):
             if kind == PULL:
                 if mask is None:
                     recent.extend(keys_list[lo:hi])
@@ -411,13 +386,16 @@ class _NuPSPointCharger(RelocationPointCharger):
                     recent.extend(key for key, replica in zip(
                         keys_list[lo:hi], mask[lo:hi]) if not replica)
             elif kind == PULL_SAMPLE and handle is not None and hi > lo:
-                keys[lo:hi] = ps.sampling_manager.pull_sample(
-                    worker, handle, hi - lo)
-        if handle is not None and replicated is not None:
-            replicated = plan.replicated_mask(keys)
-        if replicated is not None and not replicated.any():
-            replicated = None
-        self._fold(worker, keys, calls, replicated)
+                if self.postponing and index > folded:
+                    self._charge_run(worker, keys, calls[folded:index])
+                    folded = index
+                keys[lo:hi] = ps.select_sample(worker, handle, hi - lo)
+        if handle is not None:
+            replicated = self._replicated(keys)
+        if folded:
+            self._charge_run(worker, keys, calls[folded:])
+        else:
+            self._charge(worker, keys, calls, replicated)
         self._bind(keys, calls, replicated)
         self.replica_positions = None
         self.last_route = (0, 0, None)
@@ -429,6 +407,25 @@ class _NuPSPointCharger(RelocationPointCharger):
             # at its slot is exact.
             ps.access_observer.observe_calls(self.keys, [
                 (lo, hi) for kind, lo, hi, _ in calls if not kind & 1])
+
+    def _replicated(self, keys: np.ndarray):
+        """The positions of ``keys`` the plan replicates; ``None`` without
+        any."""
+        plan = self.ps.plan
+        if not plan.num_replicated:
+            return None
+        replicated = plan.replicated_mask(keys)
+        return replicated if replicated.any() else None
+
+    def _charge_run(self, worker: WorkerContext, keys: np.ndarray,
+                    calls) -> None:
+        """Charge a run of the chunk's calls over the positions they cover
+        (past them, samples may still be to select)."""
+        first = min(lo for _, lo, _, _ in calls)
+        part = keys[first:max(hi for _, _, hi, _ in calls)]
+        self._charge(worker, part, [(kind, lo - first, hi - first, compute)
+                                    for kind, lo, hi, compute in calls],
+                     self._replicated(part))
 
     def _locate(self, replicated: np.ndarray) -> None:
         """The positions of the replicated keys, their slots, and the

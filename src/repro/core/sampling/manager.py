@@ -5,7 +5,7 @@ target distribution together with a required conformity level; the manager
 transparently picks a sampling scheme that provides (at least) that level and
 routes all ``prepare_sample`` / ``pull_sample`` calls for the distribution
 through that scheme. The manager and its schemes choose keys only; NuPS
-charges the accesses (``NuPS.pull_sample`` and its point charger).
+charges the accesses (``pull_sample`` and its point charger).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Each scheme implements the two halves of the sampling API as key choice:
 ``prepare`` returns a handle, ``select`` the keys that the next ``count``
 samples of a handle are. Neither reads a parameter value or charges an
-access; the host (NuPS) charges the selected keys, on the per-call path
+access; the host (NuPS) charges the selected keys, in one call
 (``pull_sample``) and in its point charger's fold alike. The host methods
 the schemes call:
 

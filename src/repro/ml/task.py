@@ -19,7 +19,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.ps.base import ParameterServer
-from repro.ps.rounds import PerCallCharger
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
 
@@ -45,23 +44,6 @@ class RoundWorkItem:
             f"RoundWorkItem(worker=({self.worker.node_id},"
             f"{self.worker.worker_id}), chunk={len(self.chunk)})"
         )
-
-
-def sequential_process_round(task: "TrainingTask", ps: ParameterServer,
-                             items: Sequence[RoundWorkItem]) -> None:
-    """A round one chunk at a time, each over its own per-call charger.
-
-    For each item, in worker order: prefetch the next chunk (asynchronous
-    relocate-before-access), :meth:`TrainingTask.process_chunk` the current
-    chunk, advance the bounded-staleness clock. The runner's degraded rounds
-    run their items through this one by one, so that a failing access drops
-    or defers one chunk.
-    """
-    for item in items:
-        if item.next_chunk is not None and len(item.next_chunk):
-            task.prefetch(ps, item.worker, item.next_chunk)
-        task.process_chunk(ps, item.worker, item.chunk)
-        ps.advance_clock(item.worker)
 
 
 class TrainingTask(ABC):
@@ -151,20 +133,9 @@ class TrainingTask(ABC):
         chunk's sample handle — and hand them with their call list to
         ``charger.charge_chunk(worker, keys, calls)``; then, per point in
         order, ``charger.add(lo, hi, deltas)`` the deltas computed from
-        ``charger.read(lo, hi)``. The same step runs over the PS's fold
-        charger and over the per-call charger. ``localize`` hints are
-        issued ahead of time through :meth:`prefetch`.
+        ``charger.read(lo, hi)``. ``localize`` hints are issued ahead of
+        time through :meth:`prefetch`.
         """
-
-    def process_chunk(self, ps: ParameterServer, worker: WorkerContext,
-                      data_indices: np.ndarray) -> int:
-        """Train on one chunk with its PS calls issued one by one.
-
-        The chunk step over a :class:`~repro.ps.rounds.PerCallCharger`;
-        returns the number of data points processed.
-        """
-        self.step_chunk(ps, PerCallCharger(ps), worker, data_indices)
-        return len(data_indices)
 
     def prepare_samples(self, ps: ParameterServer, worker: WorkerContext,
                         count: int):
@@ -195,19 +166,14 @@ class TrainingTask(ABC):
         """Process one scheduling round across all active workers.
 
         For each worker in order: prefetch the next chunk, step the current
-        chunk, advance the clock. The step runs over the PS's fold charger
-        (one charge replay per chunk, values through its uncharged
-        ``read``/``add``) and over a per-call charger wherever
-        :meth:`ParameterServer.direct_point_charger
-        <repro.ps.base.ParameterServer.direct_point_charger>` answers
-        ``None`` (its docstring lists when). Both are bit-identical to the
-        calls issued one by one: the points of a round chain through shared
-        rows, so values are not batched across points (see
-        :mod:`repro.ps.rounds`).
+        chunk over the charger the PS hands out
+        (:meth:`~repro.ps.base.ParameterServer.direct_point_charger`: its
+        fold, or a degraded scenario round's per-call charger), advance the
+        clock. Both chargers are bit-identical to the calls issued one by
+        one; the points of a round chain through shared rows, so values are
+        not batched across points (see :mod:`repro.ps.rounds`).
         """
         charger = ps.direct_point_charger(self._distribution_id)
-        if charger is None:
-            charger = PerCallCharger(ps)
         for item in items:
             worker = item.worker
             if item.next_chunk is not None and len(item.next_chunk):

@@ -10,10 +10,11 @@ NuPS itself — implement :class:`ParameterServer`. The API mirrors the paper:
 * ``advance_clock(worker)`` — the bounded-staleness clock of replication PSs;
   a no-op elsewhere.
 * ``register_distribution`` / ``prepare_sample`` / ``pull_sample`` — the
-  sampling API proposed in Section 4.3. The base class provides the fallback
+  sampling API proposed in Section 4.3. The base class provides the
   behaviour of *existing* PSs: the application-level scheme of drawing
   independent samples and accessing them via direct access. NuPS overrides
-  these with its sampling manager.
+  the key choice (``prepare_sample``, ``select_sample``) with its sampling
+  manager.
 
 Every call receives a :class:`~repro.simulation.cluster.WorkerContext`; the
 PS charges the access cost to that worker's simulated clock and records the
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.simulation.cluster import Cluster, WorkerContext
 from repro.ps.partition import OwnershipMap
-from repro.ps.rounds import PULL, PUSH
+from repro.ps.rounds import PULL, PULL_SAMPLE, PUSH, PUSH_SAMPLE
 from repro.ps.storage import ParameterStore
 
 
@@ -122,6 +123,15 @@ class SampleHandle:
         """Move ``key`` to the end of the handle (used by postponing)."""
         self._tail.append(int(key))
 
+    def checkpoint(self) -> tuple:
+        """The pending keys and the delivery count, for :meth:`rewind`."""
+        return self._keys, self._cursor, tuple(self._tail), self.delivered
+
+    def rewind(self, state: tuple) -> None:
+        """Undo the deliveries since :meth:`checkpoint` (a refused pull)."""
+        self._keys, self._cursor, tail, self.delivered = state
+        self._tail = list(tail)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SampleHandle(id={self.handle_id}, dist={self.distribution_id}, "
@@ -162,8 +172,8 @@ class ParameterServer(ABC):
         self.partitioner = OwnershipMap(store.num_keys, cluster.num_nodes)
         self.metrics = cluster.metrics
         #: Optional telemetry tracer, installed on the cluster by the runner
-        #: before the PS is built (None = telemetry off). Per-call paths
-        #: record through :meth:`_trace_access`.
+        #: before the PS is built (None = telemetry off). Access events are
+        #: recorded through :meth:`_trace_access`.
         self.tracer = cluster.tracer
         self.rng = np.random.default_rng(seed)
         self._distributions: Dict[int, object] = {}
@@ -205,7 +215,6 @@ class ParameterServer(ABC):
         ``read``.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        self._trace_access("pull", worker, keys)
         return self._call(worker, keys, PULL).read(0, len(keys))
 
     def push(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray,
@@ -213,7 +222,6 @@ class ParameterServer(ABC):
         """Additively apply ``deltas`` to ``keys`` (a one-call chunk, like
         :meth:`pull`, written through the charger's ``add``)."""
         keys, deltas = self._validate_push(keys, deltas)
-        self._trace_access("push", worker, keys)
         self._call(worker, keys, PUSH).add(0, len(keys), deltas)
 
     def localize(self, worker: WorkerContext, keys: Sequence[int] | np.ndarray) -> None:
@@ -299,7 +307,7 @@ class ParameterServer(ABC):
 
     # ------------------------------------------------------------- round API
     def direct_point_charger(self, distribution_id: Optional[int] = None):
-        """The fold charger a task's chunk step runs over, or None.
+        """The fold charger a task's chunk step runs over.
 
         Charging is value-independent — costs depend on keys, ownership and
         management state, never on parameter values — so a worker chunk is
@@ -308,8 +316,8 @@ class ParameterServer(ABC):
         is ``(kind, lo, hi, compute)`` — a ``pull``, ``pull_sample``,
         ``push`` or ``push_sample`` (:data:`~repro.ps.rounds.PULL` ...) of
         ``keys[lo:hi]``, then ``compute`` seconds of computation. That fold
-        is the architecture's only access charging: ``pull``/``push`` (and
-        NuPS's sampling calls) are one-call chunks of it. The values then
+        is the architecture's only access charging: ``pull``/``push`` and
+        the sampling calls are one-call chunks of it. The values then
         move per point, in the sequential order, through the charger's
         uncharged ``read``/``add`` (:class:`~repro.ps.rounds.ChunkValues`),
         which serve them from wherever the architecture keeps them: the
@@ -318,36 +326,25 @@ class ParameterServer(ABC):
         followed by its sample keys (:func:`~repro.ps.rounds.point_calls`);
         tasks with sampling access ask for a charger for the
         ``distribution_id`` their samples are drawn from. Sample *selection*
-        is as value-independent as charging: ``prepare_sample``, which the
-        task still calls per chunk, in worker order, fixes a handle's keys
-        and the charger's ``take_samples`` hands them out at once; NuPS's
-        pull-time schemes (local sampling, repurposing) select theirs in the
-        charger's ``charge_chunk``, in call order, before its fold. The
-        per-key scalar reference every fold is tested against lives with the
-        tests (``tests/scalar_oracle.py``).
+        is as value-independent as charging: ``prepare_sample``, called per
+        chunk in worker order, fixes a handle's keys and ``take_samples``
+        hands them out at once, or NuPS's charger selects them in its
+        ``charge_chunk``, in call order (pull-time schemes, postponing). The
+        per-key scalar reference of every fold is ``tests/scalar_oracle.py``.
 
-        ``None`` tells the task to step its chunks over a
-        :class:`~repro.ps.rounds.PerCallCharger` instead, which issues every
-        call through the PS — the right answer whenever a per-call effect
-        cannot be replayed from chunk-level state. Every fallback
-        condition, in one place:
-
-        * an access-level tracer (``TelemetryConfig(access_events=True)``
-          wants one event per call);
-        * for sampling, NuPS's postponing scheme, whose selection relocates
-          keys mid-chunk
-          (:class:`~repro.core.sampling.schemes.PostponingSampleReuseScheme`);
-        * behind a scenario's interposer, while one of its gates can fire:
-          a partition is live or a node it watches is down.
-
-        Interposers act at the granularity at which their state changes,
-        not per call: the scenario interposer settles its gates once per
-        round (they change in scenario hooks only) and translates a chunk's
-        keys once, and NuPS feeds an attached ``access_observer`` the
-        chunk's calls in call order.
+        A fold may be cut at any call boundary and stay bit-identical, so a
+        per-call effect is a cut of it: an access-level tracer cuts it
+        before every call and records the call's event at the clock where
+        it starts (:meth:`~repro.ps.rounds.ChunkValues._charge`), and since
+        a postponement relocates keys, NuPS's charger folds the calls before
+        each postponing sample pull first. Only the scenario interposer
+        hands out another charger, while a gate can fire: its
+        :class:`~repro.scenarios.interposer.PerCallCharger`. Interposers act
+        at the granularity at which their state changes, not per call: the
+        scenario interposer settles its gates once per round and translates
+        a chunk's keys once, and NuPS feeds an attached ``access_observer``
+        the chunk's calls in call order.
         """
-        if self._traces_accesses():
-            return None
         return self._charger(self)
 
     # ---------------------------------------------------------- sampling API
@@ -377,13 +374,13 @@ class ParameterServer(ABC):
         keys = distribution.sample(self.rng, count)
         return SampleHandle(distribution_id, np.asarray(keys, dtype=np.int64))
 
-    def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
-                    count: Optional[int] = None) -> PullResult:
-        """Deliver the next ``count`` samples of ``handle`` (default: all).
+    def select_sample(self, worker: WorkerContext, handle: SampleHandle,
+                      count: Optional[int] = None) -> np.ndarray:
+        """The keys of ``handle``'s next ``count`` samples (default: all
+        remaining), counted delivered and uncharged.
 
-        The default implementation accesses the sampled keys via direct
-        access (``pull``), exactly like an application built on an existing
-        PS would.
+        The default takes the next pending keys, which ``prepare_sample``
+        drew in application code.
         """
         count = handle.remaining if count is None else int(count)
         if count < 0:
@@ -394,19 +391,33 @@ class ParameterServer(ABC):
             )
         keys = handle.take(count)
         handle.delivered += count
-        values = self.pull(worker, keys) if count else np.empty(
-            (0, self.store.value_length), dtype=np.float32
-        )
-        return PullResult(keys=keys, values=values)
+        return keys
+
+    def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
+                    count: Optional[int] = None) -> PullResult:
+        """Deliver the next ``count`` samples of ``handle`` (default: all):
+        the keys :meth:`select_sample` chooses, pulled as one sample pull
+        (:meth:`pull_keys`)."""
+        keys = self.select_sample(worker, handle, count)
+        return PullResult(keys=keys, values=self.pull_keys(worker, keys))
+
+    def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
+                  sampling: bool = True) -> np.ndarray:
+        """The values of ``keys``, charged to ``worker`` as one sample pull
+        (``sampling``) or one direct pull; only NuPS tells the two apart."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if not len(keys):
+            return np.empty((0, self.store.value_length), dtype=np.float32)
+        return self._call(worker, keys, PULL_SAMPLE if sampling else PULL) \
+            .read(0, len(keys))
 
     def push_sample(self, worker: WorkerContext, keys: np.ndarray,
                     deltas: np.ndarray) -> None:
-        """Write back updates for previously pulled sample keys.
-
-        Default: direct-access push. NuPS overrides this so that updates to
-        sampled keys follow the same management path as the samples came from.
-        """
-        self.push(worker, keys, deltas)
+        """Write back updates for previously pulled sample keys, as one
+        sample push: a direct push where sampling is application-side,
+        NuPS's updates follow the management path the samples came from."""
+        keys, deltas = self._validate_push(keys, deltas)
+        self._call(worker, keys, PUSH_SAMPLE).add(0, len(keys), deltas)
 
     # --------------------------------------------------------------- helpers
     def _get_distribution(self, distribution_id: int) -> object:
@@ -418,17 +429,15 @@ class ParameterServer(ABC):
                 "call register_distribution first"
             ) from None
 
-    def _traces_accesses(self) -> bool:
-        """Whether an access-level tracer wants one event per PS call."""
+    def _trace_access(self, kind: str, worker: WorkerContext,
+                      count: int) -> None:
+        """Record one ``pull``/``push``/``localize`` call of ``count`` keys
+        as an access event, when an access-level tracer is installed."""
         tracer = self.tracer
-        return tracer is not None and tracer.access_events
-
-    def _trace_access(self, kind: str, worker: WorkerContext, keys) -> None:
-        """Record one ``pull``/``push``/``localize`` call as an access event."""
-        if self._traces_accesses():
-            self.tracer.event(kind, "access", worker.clock.now,
-                              node=worker.node_id, worker=worker.worker_id,
-                              keys=len(keys))
+        if tracer is not None and tracer.access_events:
+            tracer.event(kind, "access", worker.clock.now,
+                         node=worker.node_id, worker=worker.worker_id,
+                         keys=count)
 
     def _validate_push(self, keys: np.ndarray, deltas: np.ndarray) -> tuple:
         keys = np.asarray(keys, dtype=np.int64)

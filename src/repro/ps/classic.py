@@ -46,13 +46,17 @@ class _ClassicPointCharger(ChunkValues):
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
                      calls) -> None:
-        """Charge one worker's chunk, call by call (see the class), and bind
-        ``keys`` for the value pass (:class:`~repro.ps.rounds.ChunkValues`).
-        """
+        """Look the owners up, bind ``keys`` for the value pass
+        (:class:`~repro.ps.rounds.ChunkValues`) and charge the chunk."""
+        owners = self.ps.partitioner.owners(keys).tolist()
+        self._bind(keys, calls)
+        self._charge(worker, keys, calls, owners)
+
+    def _fold(self, worker: WorkerContext, keys: np.ndarray, calls,
+              owners: list) -> None:
+        """The chunk's calls, call by call (see the class)."""
         ps = self.ps
         node_id = worker.node_id
-        owners = ps.partitioner.owners(keys).tolist()
-        self._bind(keys, calls)
         local_cost = ps._local_access_cost
         remote_cost = ps._remote_access_cost
         occupancy = ps._server_occupancy

@@ -45,11 +45,14 @@ class _LocalPointCharger(ChunkValues):
 
     def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
                      calls) -> None:
-        """Charge one worker's chunk: per call one shared-memory product of
-        its key count (none for an empty call), then its compute charge.
-        Also binds ``keys`` for the value pass
-        (:class:`~repro.ps.rounds.ChunkValues`)."""
+        """Bind ``keys`` for the value pass
+        (:class:`~repro.ps.rounds.ChunkValues`) and charge the chunk."""
         self._bind(keys, calls)
+        self._charge(worker, keys, calls)
+
+    def _fold(self, worker: WorkerContext, keys: np.ndarray, calls) -> None:
+        """Per call one shared-memory product of its key count (none for an
+        empty call), then its compute charge."""
         local_cost = self.ps._local_access_cost
         scale = worker.compute_scale
         now = worker.clock.now

@@ -98,7 +98,7 @@ class RelocationPS(ParameterServer):
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys) == 0:
             return
-        self._trace_access("localize", worker, keys)
+        self._trace_access("localize", worker, len(keys))
         self._relocate_batch(worker.node_id, keys, worker_clock=worker.clock.now)
 
     def _relocate_batch(self, node_id: int, keys: np.ndarray,
@@ -239,7 +239,7 @@ class RelocationPointCharger(ChunkValues):
                      calls) -> None:
         """Charge one worker's chunk (:meth:`_fold`) and bind ``keys`` for
         the value pass (:class:`~repro.ps.rounds.ChunkValues`)."""
-        self._fold(worker, keys, calls)
+        self._charge(worker, keys, calls)
         self._bind(keys, calls)
 
     def _fold(self, worker: WorkerContext, keys: np.ndarray, calls,

@@ -445,15 +445,37 @@ class _ReplicationPointCharger(ChunkValues):
         """Charge one worker's chunk, call by call (see the class), and
         bind its keys for the value pass."""
         ps = self.ps
+        self._charge(worker, keys, calls)
+        self.keys = keys = ps.store.check_keys(keys)
+        state = ps._nodes[worker.node_id]
+
+        # The node's rows of ``keys``, translated once for the whole value
+        # pass; nothing materializes on this node before the next chunk is
+        # charged.
+        pushed = pushed_spans(calls)
+        self.rows = state.at(keys, writable=bool(pushed))
+        self.rows_list = self.rows.tolist()
+        self.values = state.replica_values.pool
+        self.updates = state.update_values.pool
+        self.gather = state.replica_values.gather
+        if pushed == [(0, len(keys))]:  # every key pushed: the tasks' chunks
+            state.update_mask.pool[self.rows] = True
+            state.pending_updates.append(keys)
+        elif pushed:
+            covered = span_mask(pushed, len(keys))
+            state.update_mask.pool[self.rows[covered]] = True
+            state.pending_updates.append(keys[covered])
+
+    def _fold(self, worker: WorkerContext, keys: np.ndarray, calls) -> None:
+        """One freshness step over the calls, then their clock fold."""
+        ps = self.ps
         node_id = worker.node_id
         state = ps._nodes[node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
         events, server_counts = ps._refresh(node_id, state, keys, calls,
                                             worker_clock)
-        self.keys = keys = ps.store.check_keys(keys)
         # Applied now, not at the end of the round: see the class docstring.
         n_remote = ps._occupy_servers(server_counts) if server_counts else 0
-
         intra_cost = ps._intra_process_cost
         scale = worker.compute_scale
         now = worker.clock.now
@@ -479,23 +501,6 @@ class _ReplicationPointCharger(ChunkValues):
             if compute:
                 now += compute * scale
         worker.clock.advance_to(now)
-
-        # The node's rows of ``keys``, translated once for the whole value
-        # pass; nothing materializes on this node before the next chunk is
-        # charged.
-        pushed = pushed_spans(calls)
-        self.rows = state.at(keys, writable=bool(pushed))
-        self.rows_list = self.rows.tolist()
-        self.values = state.replica_values.pool
-        self.updates = state.update_values.pool
-        self.gather = state.replica_values.gather
-        if pushed == [(0, len(keys))]:  # every key pushed: the tasks' chunks
-            state.update_mask.pool[self.rows] = True
-            state.pending_updates.append(keys)
-        elif pushed:
-            covered = span_mask(pushed, len(keys))
-            state.update_mask.pool[self.rows[covered]] = True
-            state.pending_updates.append(keys[covered])
 
         n_refresh = sum(map(len, events.values()))
         acc = self.acc

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.ml.task import RoundWorkItem, TrainingTask, sequential_process_round
+from repro.ml.task import RoundWorkItem, TrainingTask
 from repro.ps.base import ParameterServer
 from repro.runner.config import ExperimentConfig
 from repro.simulation.cluster import Cluster
@@ -334,17 +334,15 @@ class _EpochState:
             self.queues[receiver].append(part)
 
 
-def _degraded_process_round(task, ps, cluster, items, state=None) -> None:
+def sequential_process_round(task, ps, cluster, items, state=None) -> None:
     """Process a round item by item, surviving dead-owner timeouts.
 
-    Active only while a gate of the scenario's interposer can fire — a node
-    it watches is down or a network partition is live (see
+    Active only while a gate of the scenario's interposer can fire (see
     :meth:`~repro.scenarios.interposer.ScenarioParameterServer.degraded`):
-    each worker's chunk runs call by call through the gates on its own
-    (:func:`~repro.ml.task.sequential_process_round`), so that a
-    :class:`~repro.faults.errors.DeadOwnerError` drops just
-    that chunk — one round of one worker's lost work — instead of aborting
-    the epoch.
+    each worker's chunk is a round of its own, call by call through the
+    gates, so that a :class:`~repro.faults.errors.DeadOwnerError` drops
+    just that chunk — one round of one worker's lost work — instead of
+    aborting the epoch.
 
     A :class:`~repro.faults.errors.PartitionedOwnerError` is admission
     control, not loss: the chunk is re-queued at the back of its worker's
@@ -356,7 +354,7 @@ def _degraded_process_round(task, ps, cluster, items, state=None) -> None:
 
     for item in items:
         try:
-            sequential_process_round(task, ps, [item])
+            task.process_round(ps, [item])
         except PartitionedOwnerError:
             worker = item.worker
             if state is not None:
@@ -377,7 +375,7 @@ def _run_epoch(task, ps, cluster, shards, workers, config, runtime=None,
     Per scheduling round the driver collects every active worker's next
     chunk into :class:`~repro.ml.task.RoundWorkItem`\\ s and hands the whole
     round to the task's ``process_round``; a degraded round goes item by
-    item (:func:`_degraded_process_round`). Assembling the round first only
+    item (:func:`sequential_process_round`). Assembling the round first only
     reorders per-worker queue bookkeeping, which has no simulation state.
     PS housekeeping runs after every round.
     """
@@ -415,7 +413,7 @@ def _run_epoch(task, ps, cluster, shards, workers, config, runtime=None,
             if tracer is not None:
                 starts = [item.worker.clock.now for item in items]
             if interposer is not None and interposer.degraded():
-                _degraded_process_round(task, ps, cluster, items, state)
+                sequential_process_round(task, ps, cluster, items, state)
             else:
                 task.process_round(ps, items)
             if tracer is not None:

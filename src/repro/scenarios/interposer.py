@@ -30,19 +30,18 @@ outside, gate inside:
     defer (admission control), never to drop.
 
   Both gates see the sampling primitives too: ``pull_sample`` gates the
-  handle's next ``count`` pending keys before the inner PS delivers them,
-  and ``push_sample`` passes the gates like ``push``. Minority-side sample
-  pulls are not served from the partition snapshot: pull-time schemes
-  choose keys and do bookkeeping inside the inner PS.
+  keys the inner PS's scheme selects (``select_sample``) before it pulls
+  them (``pull_keys``), and ``push_sample`` passes the gates like ``push``.
+  Minority-side sample pulls are not served from the partition snapshot:
+  pull-time schemes choose keys and do bookkeeping inside the inner PS.
 
 The gates act only while a partition is live or a node the gate watches is
-down (:meth:`ScenarioParameterServer.degraded`). Both change in scenario
-hooks, between rounds, so the question is settled once per round: the runner
-runs degraded rounds call by call through the gates (the tasks' chunk step
-over a :class:`~repro.ps.rounds.PerCallCharger`), and every other round
-replays its charging through the inner PS's own point charger, with a
-chunk's keys translated once. A run through the interposer with no fired
-perturbation is bit-identical to one without it.
+down (:meth:`ScenarioParameterServer.degraded`), which changes in scenario
+hooks only, so it is settled once per round: a degraded round steps its
+chunks over :class:`PerCallCharger`, every call through the gates, and
+every other round over the inner PS's own charger, with a chunk's keys
+translated once. A run through the interposer with no fired perturbation
+is bit-identical to one without it.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ import numpy as np
 
 from repro.faults.errors import DeadOwnerError, PartitionedOwnerError
 from repro.ps.base import PullResult, SampleHandle
+from repro.ps.rounds import PULL, PUSH
 from repro.scenarios.remap import KeyRemapper, RemappedDistribution
 from repro.simulation.cluster import WorkerContext
 
@@ -101,6 +101,93 @@ class _RemappedPointCharger:
         self._inner.charge_chunk(worker, physical, calls)
 
 
+class PerCallCharger:
+    """A degraded round's chunk step, its calls issued one by one through
+    ``ps`` (the interposer) so that the gates act per call: ``charge_chunk``
+    records the chunk, each point's ``read`` issues its
+    ``pull``/``pull_sample`` calls and its ``add`` the
+    ``push``/``push_sample`` calls, then the compute charge. A point's
+    sample push goes to the keys its ``pull_sample`` delivered.
+    """
+
+    __slots__ = ("ps", "handle", "worker", "keys", "calls", "_next",
+                 "_sampled")
+
+    def __init__(self, ps) -> None:
+        self.ps = ps
+        self.handle = None
+
+    def take_samples(self, handle) -> np.ndarray:
+        """The keys ``handle`` was prepared with, left pending (``-1`` where
+        the scheme decides at pull time): each point's ``read`` pulls what
+        the scheme delivers then."""
+        self.handle = handle
+        if handle is None:
+            return np.empty(0, dtype=np.int64)
+        keys = np.full(handle.remaining, -1, dtype=np.int64)
+        prepared = handle.peek(handle.remaining)
+        keys[:len(prepared)] = prepared
+        return keys
+
+    def charge_chunk(self, worker: WorkerContext, keys: np.ndarray,
+                     calls) -> None:
+        self.worker, self.keys, self.calls = worker, keys, calls
+        self._next = 0
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Issue the point's pulls; their values, the delivered samples'
+        after the direct keys'. A sample pull takes at most what the handle
+        has left."""
+        ps, worker, calls = self.ps, self.worker, self.calls
+        parts = []
+        index = self._next
+        while index < len(calls) and not calls[index][0] & 2 \
+                and calls[index][2] <= hi:
+            kind, start, end, _ = calls[index]
+            if kind == PULL:
+                parts.append(ps.pull(worker, self.keys[start:end]))
+            else:
+                handle = self.handle
+                count = 0 if handle is None \
+                    else min(end - start, handle.remaining)
+                if count:
+                    sampled = ps.pull_sample(worker, handle, count)
+                    self._sampled = sampled.keys
+                    parts.append(sampled.values)
+                else:
+                    self._sampled = self.keys[:0]
+            index += 1
+        self._next = index
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def add(self, lo: int, hi: int, deltas: np.ndarray) -> None:
+        """Issue the point's pushes, rows of ``deltas`` in call order, each
+        followed by its compute charge; a sample push goes to the keys the
+        point's sample pull delivered, and none when it delivered none."""
+        ps, worker, calls = self.ps, self.worker, self.calls
+        row = 0
+        index = self._next
+        while index < len(calls) and calls[index][0] & 2 \
+                and calls[index][2] <= hi:
+            kind, start, end, compute = calls[index]
+            if kind == PUSH:
+                ps.push(worker, self.keys[start:end],
+                        deltas[row:row + end - start])
+                row += end - start
+            else:
+                keys = self._sampled
+                if len(keys):
+                    ps.push_sample(worker, keys, deltas[row:row + len(keys)])
+                row += len(keys)
+            if compute:
+                worker.charge_compute(compute)
+            index += 1
+        self._next = index
+
+    def finish(self) -> None:
+        """Nothing is deferred: every call charged when it was issued."""
+
+
 class ScenarioParameterServer:
     """A parameter server's API as a scenario run's workers see it.
 
@@ -135,20 +222,20 @@ class ScenarioParameterServer:
 
     # -------------------------------------------------------------- round API
     def direct_point_charger(self, distribution_id=None):
-        """The inner PS's charger, or ``None`` while :meth:`degraded`.
+        """The inner PS's charger, or a :class:`PerCallCharger` over this
+        object while :meth:`degraded`.
 
         With no gate able to fire a gated access *is* the inner access, so
         the round replays its charging through the inner PS's own charger;
         the bijection changes only in ``apply_drift`` (an epoch or round
         hook), so a chunk's logical keys translate once
-        (:class:`_RemappedPointCharger`). ``None`` — here or from the inner
-        PS (an access-level tracer, the postponing scheme) — keeps every
-        access on the per-call path through this object.
+        (:class:`_RemappedPointCharger`). While a gate can fire, every
+        access goes through it, call by call.
         """
         if self.degraded():
-            return None
+            return PerCallCharger(self)
         inner = self.inner.direct_point_charger(distribution_id)
-        if inner is None or self.remapper is None:
+        if self.remapper is None:
             return inner
         return _RemappedPointCharger(inner, self.remapper)
 
@@ -200,22 +287,24 @@ class ScenarioParameterServer:
 
     def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
                     count=None) -> PullResult:
-        if self.degraded():
-            # The keys this call delivers: the handle's next pending ones.
-            pending = handle.peek(
-                handle.remaining if count is None else int(count))
-            partition = self.partition
+        # The gates see the keys the scheme selects for this call; a refused
+        # pull delivers none of them.
+        state = handle.checkpoint()
+        keys = self.inner.select_sample(worker, handle, count)
+        partition = self.partition
+        try:
             if partition is not None and partition.is_minority(worker.node_id):
                 # Not served from the snapshot: the inner PS delivers.
-                self._dead_owner_gate(worker, pending)
+                self._dead_owner_gate(worker, keys)
             else:
-                self._gate(worker, pending)
-        result = self.inner.pull_sample(worker, handle, count)
-        if self.remapper is None:
-            return result
-        return PullResult(
-            keys=self.remapper.to_logical(result.keys), values=result.values
-        )
+                self._gate(worker, keys)
+        except (DeadOwnerError, PartitionedOwnerError):
+            handle.rewind(state)
+            raise
+        values = self.inner.pull_keys(worker, keys)
+        if self.remapper is not None:
+            keys = self.remapper.to_logical(keys)
+        return PullResult(keys=keys, values=values)
 
     def push_sample(self, worker: WorkerContext, keys, deltas) -> None:
         self._write(self.inner.push_sample, worker, keys, deltas)

@@ -18,8 +18,8 @@ baselines cannot.
 
 :class:`~repro.scenarios.interposer.ScenarioParameterServer` applies the
 mapping at the PS API boundary: tasks keep speaking logical keys, the PS sees
-physical keys — per call on the per-call path, and once per worker chunk on
-the round engine's charger (the mapping only changes between rounds).
+physical keys — per call in a degraded round, and once per worker chunk on
+the inner PS's charger (the mapping only changes between rounds).
 :class:`RemappedDistribution` does the same for sampling distributions,
 reading the mapping dynamically so registered distributions follow every
 drift without re-registration.

@@ -8,14 +8,16 @@ NuPS's sampling calls) charge the way the architectures are defined, key by
 key where the definition is per key (relocation, replication, NuPS's
 relocated keys) and call by call where it groups (a call's local keys as one
 product, its remote keys per serving node in ascending order), with their
-own cost lookups and metric writes, and move values through the store API
-directly. Their ``direct_point_charger`` answers ``None``, so a round on an
-oracle runs over the per-call charger.
+own cost lookups and metric writes, record their own access events, and
+move values through the store API directly. They hand out no fold charger
+(``None``): a round on an oracle runs through :func:`sequential_rounds`.
 
 The task side of the oracle is written here too: :func:`sequential_rounds`
-makes a task run every round through hand-written per-call loops
-(:func:`mf_chunk`, :func:`kge_chunk`, :func:`wv_chunk`) that lay out their
-keys and issue their calls independently of the tasks' chunk steps.
+makes a task run every round, degraded ones included, through its own
+per-call round loop (:func:`per_call_round`) over hand-written per-call
+chunk loops (:func:`mf_chunk`, :func:`kge_chunk`, :func:`wv_chunk`) that lay
+out their keys and issue their calls independently of the tasks' chunk
+steps.
 
 Test-only: nothing in ``src/`` imports this module.
 """
@@ -29,7 +31,6 @@ import numpy as np
 from repro.core.nups import NuPS
 from repro.ml.kge import KGETask
 from repro.ml.matrix_factorization import MatrixFactorizationTask
-from repro.ml.task import sequential_process_round
 from repro.ml.word2vec import WordVectorsTask
 from repro.ps.base import PullResult
 from repro.ps.classic import ClassicPS
@@ -78,23 +79,34 @@ def charge_remote(ps, worker, count: int, kind: str, server_id: int) -> None:
     ps.metrics.increment("network.bytes", count * value_bytes)
 
 
-def no_replay(ps, distribution_id=None):
-    """``direct_point_charger`` of every oracle: rounds run call by call."""
+def no_fold(ps, distribution_id=None):
+    """``direct_point_charger`` of every oracle: ``None``, no fold to hand
+    out; an oracle's rounds run through :func:`sequential_rounds`."""
     return None
 
 
-def pull_per_call(ps, worker, keys):
-    """``pull`` charged by the oracle's ``_charge``, values from the store."""
+def trace(ps, kind, worker, keys):
+    """Record one ``kind`` call of ``keys`` as an access event."""
+    tracer = ps.tracer
+    if tracer is not None and tracer.access_events:
+        tracer.event(kind, "access", worker.clock.now, node=worker.node_id,
+                     worker=worker.worker_id, keys=len(keys))
+
+
+def pull_per_call(ps, worker, keys, sampling=False):
+    """``pull`` — and a sample pull, a direct one here — charged by the
+    oracle's ``_charge``, values from the store."""
     keys = np.asarray(keys, dtype=np.int64)
-    ps._trace_access("pull", worker, keys)
+    trace(ps, "pull", worker, keys)
     ps._charge(worker, keys, "pull")
     return ps.store.get(keys)
 
 
 def push_per_call(ps, worker, keys, deltas):
-    """``push`` charged by the oracle's ``_charge``, values to the store."""
+    """``push`` — and a sample push, a direct one here — charged by the
+    oracle's ``_charge``, values to the store."""
     keys, deltas = ps._validate_push(keys, deltas)
-    ps._trace_access("push", worker, keys)
+    trace(ps, "push", worker, keys)
     ps._charge(worker, keys, "push")
     ps.store.add(keys, deltas)
 
@@ -102,7 +114,10 @@ def push_per_call(ps, worker, keys, deltas):
 class ScalarSingleNodePS(SingleNodePS):
     """Every call: its key count times the shared-memory access cost."""
 
-    direct_point_charger, pull, push = no_replay, pull_per_call, push_per_call
+    # Sampling is application-side: its calls are direct ones.
+    direct_point_charger = no_fold
+    pull = pull_keys = pull_per_call
+    push = push_sample = push_per_call
 
     def _charge(self, worker, keys, kind):
         charge_local(self, worker, len(keys), kind)
@@ -112,7 +127,10 @@ class ScalarClassicPS(ClassicPS):
     """Every call: its home-partition keys as one shared-memory product,
     then its remote keys per serving node, in ascending node order."""
 
-    direct_point_charger, pull, push = no_replay, pull_per_call, push_per_call
+    # Sampling is application-side: its calls are direct ones.
+    direct_point_charger = no_fold
+    pull = pull_keys = pull_per_call
+    push = push_sample = push_per_call
 
     def _charge(self, worker, keys, kind):
         counts = {}
@@ -127,7 +145,10 @@ class ScalarRelocationPS(RelocationPS):
     """Relocation key by key: hints, local accesses with their arrival
     waits, remote accesses routed via the home node."""
 
-    direct_point_charger, pull, push = no_replay, pull_per_call, push_per_call
+    # Sampling is application-side: its calls are direct ones.
+    direct_point_charger = no_fold
+    pull = pull_keys = pull_per_call
+    push = push_sample = push_per_call
 
     def _relocate_batch(self, node_id, keys, worker_clock=None,
                         sampling=False):
@@ -186,26 +207,27 @@ class ScalarNuPS(NuPS):
     """NuPS call by call: a call's replicated keys as one shared-memory
     product on the node's replica, then its relocated keys key by key."""
 
-    direct_point_charger = no_replay
+    direct_point_charger = no_fold
     _relocate_batch = ScalarRelocationPS._relocate_batch
     _charge = ScalarRelocationPS._charge
     _charge_routed_remote = ScalarRelocationPS._charge_routed_remote
 
     def pull(self, worker, keys):
-        keys = np.asarray(keys, dtype=np.int64)
-        self._trace_access("pull", worker, keys)
-        return self._pull(worker, keys, sampling=False)
+        return self.pull_keys(worker, keys, sampling=False)
 
     def push(self, worker, keys, deltas):
-        keys, deltas = self._validate_push(keys, deltas)
-        self._trace_access("push", worker, keys)
         self._push(worker, keys, deltas, sampling=False)
 
     def pull_keys(self, worker, keys, sampling=True):
-        return self._pull(worker, np.asarray(keys, dtype=np.int64), sampling)
+        """A sample pull is a direct one without integrated sampling, and
+        only a direct one records an access event."""
+        keys = np.asarray(keys, dtype=np.int64)
+        sampling = sampling and self.integrate_sampling
+        if not sampling:
+            trace(self, "pull", worker, keys)
+        return self._pull(worker, keys, sampling)
 
     def push_sample(self, worker, keys, deltas):
-        keys, deltas = self._validate_push(keys, deltas)
         self._push(worker, keys, deltas, sampling=self.integrate_sampling)
 
     def _pull(self, worker, keys, sampling):
@@ -226,8 +248,11 @@ class ScalarNuPS(NuPS):
         return values
 
     def _push(self, worker, keys, deltas, sampling):
-        if not sampling and self.access_observer is not None:
-            self.access_observer.observe(keys)
+        keys, deltas = self._validate_push(keys, deltas)
+        if not sampling:
+            trace(self, "push", worker, keys)
+            if self.access_observer is not None:
+                self.access_observer.observe(keys)
         kind = "sample_push" if sampling else "push"
         replicated = self.plan.replicated_mask(keys)
         if replicated.any():
@@ -243,11 +268,11 @@ class ScalarReplicationPS(ReplicationPS):
     """SSP/ESSP key by key: a fresh replica costs one intra-process
     message, a stale or missing one refreshes first from its owner."""
 
-    direct_point_charger = no_replay
+    direct_point_charger = no_fold
 
     def pull(self, worker, keys):
         keys = np.asarray(keys, dtype=np.int64)
-        self._trace_access("pull", worker, keys)
+        trace(self, "pull", worker, keys)
         state = self._nodes[worker.node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
         values = np.empty((len(keys), self.store.value_length),
@@ -264,7 +289,7 @@ class ScalarReplicationPS(ReplicationPS):
 
     def push(self, worker, keys, deltas):
         keys, deltas = self._validate_push(keys, deltas)
-        self._trace_access("push", worker, keys)
+        trace(self, "push", worker, keys)
         state = self._nodes[worker.node_id]
         worker_clock = state.worker_clocks.get(worker.worker_id, 0)
         state.pending_updates.append(keys)
@@ -276,6 +301,9 @@ class ScalarReplicationPS(ReplicationPS):
             state.update_values[key] = state.update_values[key] + delta
             state.update_mask[key] = True
             self._charge_intra_process(worker, "push.replica")
+
+    # Sampling is application-side: its calls are direct ones.
+    pull_keys, push_sample = pull, push
 
     def _refresh_replica(self, worker, state, key, worker_clock):
         """Synchronously (re)fetch ``key`` from its owning server."""
@@ -421,11 +449,22 @@ PER_CALL_CHUNKS = {
 }
 
 
+def per_call_round(task, chunk, ps, items):
+    """A round as ``process_round`` runs it, over the per-call loop
+    ``chunk``: per item, in worker order, prefetch the next chunk, run the
+    current one, advance the bounded-staleness clock."""
+    for item in items:
+        worker = item.worker
+        if item.next_chunk is not None and len(item.next_chunk):
+            task.prefetch(ps, worker, item.next_chunk)
+        chunk(task, ps, worker, item.chunk)
+        ps.advance_clock(worker)
+
+
 def sequential_rounds(task):
-    """Make ``task`` run every round, degraded ones included, through its
-    hand-written per-call loop (:data:`PER_CALL_CHUNKS`) instead of its
-    chunk step; returns ``task``."""
-    chunk = PER_CALL_CHUNKS[type(task)]
-    task.process_chunk = functools.partial(chunk, task)
-    task.process_round = functools.partial(sequential_process_round, task)
+    """Make ``task`` run every round, degraded ones included, through
+    :func:`per_call_round` over its hand-written per-call loop
+    (:data:`PER_CALL_CHUNKS`) instead of its chunk step; returns ``task``."""
+    task.process_round = functools.partial(per_call_round, task,
+                                           PER_CALL_CHUNKS[type(task)])
     return task

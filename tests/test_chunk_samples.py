@@ -3,12 +3,12 @@
 A task prepares one sample handle per chunk (``TrainingTask.prepare_samples``)
 and asks its charger for the chunk's sample keys (``take_samples``). The fold
 charger takes them all at once, uncharged, and charges their pulls in its
-fold (NuPS's selects a pull-time scheme's keys in ``charge_chunk``); the
-per-call charger (:class:`~repro.ps.rounds.PerCallCharger`) leaves
-them pending and issues one ``pull_sample`` per point at the point's
-``read``, pushing back to the keys that call delivered. The last section
-makes a postponing scheme reorder a handle between its prepare and its
-pulls.
+fold (NuPS's selects a pull-time or postponing scheme's keys in
+``charge_chunk``); the scenario interposer's per-call charger
+(:class:`~repro.scenarios.interposer.PerCallCharger`) leaves them pending
+and issues one ``pull_sample`` per point at the point's ``read``, pushing
+back to the keys that call delivered. The last section makes a postponing
+scheme reorder a handle between its prepare and its chunk.
 """
 
 import numpy as np
@@ -21,11 +21,12 @@ from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
 from repro.core.sampling.schemes import SchemeConfig
 from repro.ps.local import SingleNodePS
-from repro.ps.rounds import PerCallCharger, point_calls
+from repro.ps.rounds import point_calls
 from repro.ps.storage import ParameterStore
 from repro.runner.workloads import make_task
+from repro.scenarios.interposer import PerCallCharger
 from repro.simulation.cluster import Cluster, ClusterConfig
-from scalar_oracle import SampleStream
+from scalar_oracle import SampleStream, oracle_of
 
 LENGTH = 3
 
@@ -262,33 +263,23 @@ def _deltas(point):
 
 
 def test_a_postponed_sample_is_pushed_where_it_was_delivered():
-    """Between node 0's ``prepare_sample`` and its first pull, node 1
-    relocates one of the handle's keys away. The postponing scheme moves
-    that key to the back of the handle and re-localizes it, so the per-call
-    charger's points receive other keys than ``prepare_sample`` laid out;
-    each ``push_sample`` goes to the keys its ``pull_sample`` delivered, and
-    the state equals the oracle's per-call loop."""
+    """Between node 0's ``prepare_sample`` and its chunk, node 1 relocates
+    one of the handle's keys away. The postponing scheme moves that key to
+    the back of the handle and re-localizes it, so the fold charger's
+    ``charge_chunk`` selects other keys into the points' sample positions
+    than ``prepare_sample`` drew; each point's ``add`` goes to the keys its
+    sample pull delivered, and the state equals the oracle's per-call
+    loop."""
     cluster, ps, distribution_id, worker = _postponing_world()
-    assert ps.direct_point_charger(distribution_id) is None
     handle = ps.prepare_sample(worker, distribution_id, 8)
     prepared = handle.peek(8)
     _relocate_second_key_away(cluster, ps, handle)
     appended = []
     append_back = handle.append_back
     handle.append_back = lambda key: (appended.append(key), append_back(key))
-    pushed = _pushed_sample_keys(ps)
-    delivered = []
-    pull_sample = ps.pull_sample
-
-    def recording_pull(worker, handle, count):
-        result = pull_sample(worker, handle, count)
-        delivered.append(result.keys)
-        return result
-
-    ps.pull_sample = recording_pull
-    charger = PerCallCharger(ps)
+    charger = ps.direct_point_charger(distribution_id)
     samples = charger.take_samples(handle)
-    assert samples.tolist() == prepared.tolist()
+    assert samples.tolist() == [-1] * 8 and handle.remaining == 8
     keys = np.concatenate([DIRECT[0], samples[:4], DIRECT[1], samples[4:]])
     charger.charge_chunk(worker, keys, point_calls([2, 2], [4, 4],
                                                    [0.5, 0.5]))
@@ -297,21 +288,22 @@ def test_a_postponed_sample_is_pushed_where_it_was_delivered():
         charger.add(lo, lo + 6, _deltas(point))
     charger.finish()
 
-    assert appended == [int(prepared[1])]
-    delivered = np.concatenate(delivered)
-    assert delivered.tolist() != prepared.tolist()
+    assert appended == [int(prepared[1])] and handle.remaining == 0
+    delivered = np.concatenate([keys[2:6], keys[8:]])
     assert delivered.tolist() == prepared[[0, 2, 3, 4, 5, 6, 7, 1]].tolist()
-    assert np.concatenate(pushed).tolist() == delivered.tolist()
 
     # The reference: the same calls, issued by the oracle's per-call loop.
     twin_cluster, twin_ps, twin_distribution, twin_worker = \
         _postponing_world()
+    oracle_of(twin_ps)
     stream = SampleStream(twin_ps, twin_worker, twin_distribution, 8)
     _relocate_second_key_away(twin_cluster, twin_ps, stream._handle)
     for point, direct in enumerate(DIRECT):
         direct = np.asarray(direct, dtype=np.int64)
         twin_ps.pull(twin_worker, direct)
         negatives = stream.next(4)
+        assert negatives.keys.tolist() == \
+            delivered[4 * point:4 * point + 4].tolist()
         deltas = _deltas(point)
         twin_ps.push(twin_worker, direct, deltas[:2])
         stream.push_updates(negatives.keys, deltas[2:])
@@ -323,4 +315,6 @@ def test_a_postponed_sample_is_pushed_where_it_was_delivered():
     assert worker.clock.now == twin_worker.clock.now
     assert ps.current_owner.take(every_key).tolist() \
         == twin_ps.current_owner.take(every_key).tolist()
+    assert ps.arrival_time.take(every_key).tolist() \
+        == twin_ps.arrival_time.take(every_key).tolist()
     assert cluster.metrics.counters() == twin_cluster.metrics.counters()

@@ -259,13 +259,38 @@ def test_one_charging_method():
     assert not offenders, "\n".join(offenders)
 
 
+def test_only_the_interposer_defines_a_per_call_charger():
+    """Every PS charges through its fold; the one charger that issues a
+    chunk step's calls one by one through a PS is the scenario
+    interposer's, for the rounds in which a gate can fire.
+
+    A per-call charger is a class with a ``charge_chunk`` whose methods call
+    a ``pull``, ``pull_sample``, ``push`` or ``push_sample``. Only
+    ``scenarios/interposer.py`` defines one, in any tree (the oracle of
+    ``tests/scalar_oracle.py`` runs per-call loops, not a charger).
+    """
+    per_call = {"pull", "pull_sample", "push", "push_sample"}
+    found = []
+    for path, tree in _parsed_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or not any(
+                    isinstance(member, ast.FunctionDef)
+                    and member.name == "charge_chunk" for member in node.body):
+                continue
+            if any(isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Attribute)
+                   and call.func.attr in per_call for call in ast.walk(node)):
+                found.append(f"{path.relative_to(REPO_ROOT)}: {node.name}")
+    assert found == ["src/repro/scenarios/interposer.py: PerCallCharger"]
+
+
 def test_tasks_write_one_chunk_step():
     """A task writes its chunk once, as ``step_chunk`` against a charger.
 
     No ``TrainingTask`` subclass of ``src/repro`` defines ``process_chunk``
-    or ``process_round`` (the base class runs the step over the fold or the
-    per-call charger), and only :mod:`repro.ml.task` and the runner name
-    ``sequential_process_round``.
+    or ``process_round`` (the base class runs the step over the charger the
+    PS hands out), and only the runner names ``sequential_process_round``
+    (its degraded rounds, item by item).
     """
     trees = {path: tree for path, tree in _parsed_trees().items()
              if SRC_ROOT in path.parents}
@@ -289,11 +314,9 @@ def test_tasks_write_one_chunk_step():
         and member.name in ("process_chunk", "process_round")
     ]
     assert len(tasks) >= 4, "the tasks were not found"
-    allowed = {SRC_ROOT / "ml" / "task.py",
-               SRC_ROOT / "runner" / "experiment.py"}
     offenders += [
         f"{path.relative_to(REPO_ROOT)}: sequential_process_round"
-        for path in trees if path not in allowed
+        for path in trees if path != SRC_ROOT / "runner" / "experiment.py"
         and "sequential_process_round" in path.read_text()
     ]
     assert not offenders, "\n".join(offenders)

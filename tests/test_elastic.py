@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.elastic import PartitionState
+from repro.core.management import ManagementPlan
+from repro.core.nups import NuPS
+from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UniformDistribution
+from repro.core.sampling.manager import SamplingConfig
 from repro.faults import FaultConfig, MembershipController, PartitionedOwnerError
 from repro.ps.base import SampleHandle
 from repro.ps.classic import ClassicPS
@@ -236,7 +240,7 @@ class TestPartitionGuard:
     def test_majority_sample_calls_cross_no_partition(self):
         """Regression: ``pull_sample`` reached the inner PS around the
         partition rule. It now gates the keys the call delivers — the
-        handle's next ``count`` pending keys — before delegating."""
+        handle's next ``count`` pending keys here — before they are read."""
         ps, cluster, store = _build("classic")
         proxy = ScenarioParameterServer(ps)
         distribution_id = proxy.register_distribution(
@@ -258,6 +262,33 @@ class TestPartitionGuard:
             proxy.push_sample(majority_worker, minority_keys,
                               np.zeros((2, VALUE_LENGTH), dtype=np.float32))
         assert cluster.metrics.get("elastic.partition_rejections") == 2
+
+    def test_a_pull_time_sample_crosses_no_partition(self):
+        """Regression: the gate read the handle's pending keys, and a handle
+        whose scheme selects at pull time (repurposing) has none, so its
+        samples reached any owner. It gates the keys the scheme selects:
+        a majority worker whose only recent direct access is a key owned by
+        the minority node 2 samples that key, and the pull is refused."""
+        cluster = _cluster(num_nodes=3)
+        store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=3, init_scale=0.1)
+        ps = NuPS(store, cluster, plan=ManagementPlan.relocate_all(NUM_KEYS),
+                  sampling_config=SamplingConfig(
+                      scheme_override="direct_access_repurposing"),
+                  sync_interval=None, seed=0)
+        proxy = ScenarioParameterServer(ps)
+        distribution_id = proxy.register_distribution(
+            UniformDistribution(0, NUM_KEYS), ConformityLevel.NON_CONFORM)
+        majority_worker = cluster.worker(0, 0)
+        minority_key = np.asarray(ps.keys_owned_by(2)[:1], dtype=np.int64)
+        proxy.pull(majority_worker, minority_key)  # the recent buffer
+        proxy.partition = PartitionState(ps, [2], now=cluster.time)
+        handle = proxy.prepare_sample(majority_worker, distribution_id, 3)
+        reads = cluster.metrics.get("access.total")
+        with pytest.raises(PartitionedOwnerError):
+            proxy.pull_sample(majority_worker, handle, 3)
+        assert handle.remaining == 3  # nothing delivered, nothing read
+        assert cluster.metrics.get("access.total") == reads
+        assert cluster.metrics.get("elastic.partition_rejections") == 1
 
 
 class TestScaleInRoutingCheck:

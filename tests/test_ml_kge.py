@@ -7,6 +7,7 @@ from repro.core.sampling.conformity import ConformityLevel
 from repro.data.knowledge_graph import generate_knowledge_graph
 from repro.ml.kge import ComplExModel, ComplExStep, KGETask, _sigmoid
 from repro.ml.optimizer import AdaGrad
+from repro.ml.task import RoundWorkItem
 from repro.ps.local import SingleNodePS
 from repro.simulation.cluster import Cluster, ClusterConfig
 
@@ -237,7 +238,8 @@ class TestKGETraining:
             for worker_id, shard in enumerate(shards[0]):
                 worker = cluster.worker(0, worker_id)
                 for start in range(0, len(shard), 16):
-                    task.process_chunk(ps, worker, shard[start: start + 16])
+                    task.process_round(ps, [RoundWorkItem(
+                        worker, shard[start: start + 16], None)])
         return initial, task.evaluate(store)
 
     def test_training_improves_filtered_mrr(self, graph):
@@ -251,7 +253,8 @@ class TestKGETraining:
         store = task.create_store()
         ps = SingleNodePS(store, cluster)
         with pytest.raises(RuntimeError):
-            task.process_chunk(ps, cluster.worker(0, 0), np.array([0, 1]))
+            task.process_round(ps, [RoundWorkItem(cluster.worker(0, 0),
+                                                  np.array([0, 1]), None)])
 
     def test_adagrad_accumulators_grow_during_training(self, graph):
         task = KGETask(graph, dim=4, num_negatives=2)
@@ -259,7 +262,8 @@ class TestKGETraining:
         store = task.create_store()
         ps = SingleNodePS(store, cluster)
         task.register_sampling(ps)
-        task.process_chunk(ps, cluster.worker(0, 0), np.arange(50))
+        task.process_round(ps, [RoundWorkItem(cluster.worker(0, 0),
+                                              np.arange(50), None)])
         accumulators = store.get(np.arange(store.num_keys))[:, 2 * task.dim:]
         assert accumulators.max() > 0
         assert accumulators.min() >= 0

@@ -7,6 +7,7 @@ from repro.data.corpus import generate_corpus
 from repro.data.matrix import generate_matrix
 from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.optimizer import UpdateNormClipper
+from repro.ml.task import RoundWorkItem
 from repro.ml.word2vec import WordVectorsTask
 from repro.ps.local import SingleNodePS
 from repro.simulation.cluster import Cluster, ClusterConfig
@@ -34,7 +35,8 @@ def train_on_single_node(task, epochs, seed=0, workers=2, chunk=16):
         for worker_id, shard in enumerate(shards[0]):
             worker = cluster.worker(0, worker_id)
             for start in range(0, len(shard), chunk):
-                task.process_chunk(ps, worker, shard[start: start + chunk])
+                task.process_round(ps, [RoundWorkItem(
+                    worker, shard[start: start + chunk], None)])
         task.on_epoch_end(epoch)
     return initial, task.evaluate(store), store
 
@@ -116,7 +118,8 @@ class TestWordVectorsTraining:
         cluster = Cluster(ClusterConfig(num_nodes=1, workers_per_node=1))
         ps = SingleNodePS(task.create_store(), cluster)
         with pytest.raises(RuntimeError):
-            task.process_chunk(ps, cluster.worker(0, 0), np.array([0]))
+            task.process_round(ps, [RoundWorkItem(cluster.worker(0, 0),
+                                                  np.array([0]), None)])
 
     def test_evaluation_range(self, corpus):
         task = WordVectorsTask(corpus, dim=4)

@@ -46,6 +46,7 @@ from repro.elastic import PartitionState
 from repro.faults import MembershipController
 from repro.ml.matrix_factorization import MatrixFactorizationTask
 from repro.ml.task import RoundWorkItem
+from repro.obs import TelemetryConfig, Tracer
 from repro.ps.chunks import StorageConfig
 from repro.ps.classic import ClassicPS
 from repro.ps.local import SingleNodePS
@@ -64,6 +65,7 @@ from repro.scenarios import (
     ScenarioParameterServer,
     make_scenario,
 )
+from repro.scenarios.interposer import PerCallCharger
 from repro.simulation.cluster import Cluster, ClusterConfig
 from repro.simulation.metrics import MetricsRegistry
 from adaptive_tap import install_tap
@@ -114,6 +116,14 @@ def _assert_cluster_identical(a: Cluster, b: Cluster) -> None:
 Run = namedtuple("Run", "result ps cluster task calls degraded_calls")
 
 
+def _access_events(run) -> list:
+    """The access events of a traced run, in order, without wall times."""
+    return [(event["name"], event["sim_time"], event["node"],
+             event["worker"], event.get("attrs"))
+            for event in run.result.trace["events"]
+            if event["cat"] == "access"]
+
+
 def _experiment(task_name, system, backend, scenario_name=None,
                 chunk_size=8, seed=5, epochs=2, telemetry=False,
                 storage=None, factory=None, task=None, straggler=False,
@@ -132,7 +142,8 @@ def _experiment(task_name, system, backend, scenario_name=None,
 
     ``Run.calls`` counts the ``pull``/``push`` calls that reached the raw PS,
     ``Run.degraded_calls`` those of them issued by the runner's degraded
-    rounds (a node down or a partition live: per call on both paths).
+    rounds (a node down or a partition live: per call on both paths, in
+    ``experiment.sequential_process_round``).
     """
     task = task or make_task(task_name, scale="test")
     if scenario is None and scenario_name:
@@ -142,8 +153,6 @@ def _experiment(task_name, system, backend, scenario_name=None,
         sequential_rounds(task)
     telemetry_config = None
     if telemetry:
-        from repro.obs import TelemetryConfig
-
         telemetry_config = TelemetryConfig(access_events=telemetry is True)
     config = ExperimentConfig(
         cluster=ClusterConfig(
@@ -169,7 +178,7 @@ def _experiment(task_name, system, backend, scenario_name=None,
         return ps
 
     degraded_calls = {"pull": 0, "push": 0}
-    degraded_round = experiment_module._degraded_process_round
+    degraded_round = experiment_module.sequential_process_round
 
     def counting_degraded_round(*args, **kwargs):
         before = dict(calls)
@@ -177,11 +186,11 @@ def _experiment(task_name, system, backend, scenario_name=None,
         for name in calls:
             degraded_calls[name] += calls[name] - before[name]
 
-    experiment_module._degraded_process_round = counting_degraded_round
+    experiment_module.sequential_process_round = counting_degraded_round
     try:
         result = run_experiment(task, counting_factory, config)
     finally:
-        experiment_module._degraded_process_round = degraded_round
+        experiment_module.sequential_process_round = degraded_round
     return Run(result, built["ps"], built["cluster"], task, calls,
                degraded_calls)
 
@@ -612,27 +621,51 @@ def test_fused_round_matches_the_oracle_round(system, task_name):
         assert sequential.result.metrics["access.pull.replica.local"] > 0
 
 
-#: One entry per condition under which ``direct_point_charger`` must answer
-#: ``None`` for matrix factorization (the list in its docstring).
-MF_FALLBACKS = {
+def _against_the_oracle(task_name, system, factory=None, **kwargs):
+    """The fused run and the sequential run on the scalar oracle of the
+    same PS (``factory``, else the named system's)."""
+    runs = []
+    for oracle in (False, True):
+        inner = factory or make_ps_factory(system)
+        if oracle:
+            def inner(store, cluster, task, inner=inner):
+                return oracle_of(inner(store, cluster, task))
+        runs.append(_experiment(task_name, system,
+                                "sequential" if oracle else "fused",
+                                factory=inner, **kwargs))
+    return runs
+
+
+def _check_cut_fold(task_name, cell) -> None:
+    """A round whose fold is cut (``cell``: its system and condition)
+    issues no ``pull``/``push``, and its results, state and access events
+    equal the oracle's, which issues every call."""
+    kwargs = dict(epochs=1)
+    kwargs.update(cell)
+    fused, oracle = _against_the_oracle(task_name, kwargs.pop("system"),
+                                        **kwargs)
+    _assert_results_identical(fused, oracle)
+    assert fused.calls == {"pull": 0, "push": 0}
+    assert oracle.calls["pull"] > 0 and oracle.calls["push"] > 0
+    if kwargs.get("telemetry"):
+        events = _access_events(fused)
+        assert events == _access_events(oracle)
+        assert {"pull", "push"} <= {event[0] for event in events}
+
+
+#: The conditions under which a matrix-factorization fold is cut (the list
+#: in ``direct_point_charger``'s docstring): an access-level tracer, before
+#: every call.
+MF_CUT_FOLDS = {
     "access-events-ssp": dict(system="ssp", telemetry=True),
     "access-events-classic": dict(system="classic", telemetry=True),
+    "access-events-nups": dict(system="nups", telemetry=True),
 }
 
 
-@pytest.mark.parametrize("condition", sorted(MF_FALLBACKS))
-def test_mf_round_falls_back_to_sequential(condition):
-    """Each fallback condition keeps the per-call path (``pull``/``push``
-    reach the PS) and leaves results identical to the sequential backend."""
-    kwargs = dict(system="nups", epochs=1)
-    kwargs.update(MF_FALLBACKS[condition])
-    system = kwargs.pop("system")
-    fused = _experiment("matrix_factorization", system, "fused", **kwargs)
-    sequential = _experiment("matrix_factorization", system, "sequential",
-                             **kwargs)
-    _assert_results_identical(fused, sequential)
-    assert fused.calls["pull"] > 0 and fused.calls["push"] > 0
-    assert fused.calls == sequential.calls
+@pytest.mark.parametrize("condition", sorted(MF_CUT_FOLDS))
+def test_mf_round_with_a_cut_fold_matches_the_oracle(condition):
+    _check_cut_fold("matrix_factorization", MF_CUT_FOLDS[condition])
 
 
 def _mf_with_bad_row(bad_key: int):
@@ -1021,27 +1054,93 @@ def _nups_factory(**overrides):
     return make_ps_factory("nups", **overrides)
 
 
-#: One entry per condition under which ``direct_point_charger`` must answer
-#: ``None`` for a sampling task (the list in its docstring).
-SAMPLING_FALLBACKS = {
+#: The conditions under which a sampling task's fold is cut (the list in
+#: ``direct_point_charger``'s docstring): the postponing scheme, before each
+#: of its sample pulls; an access-level tracer, before every call; both.
+SAMPLING_CUT_FOLDS = {
     "postponing-scheme": dict(
+        system="nups",
         factory=_nups_factory(scheme_override="sample_reuse_postponing")),
-    "access-events": dict(task="word_vectors", system="lapse", telemetry=True),
+    "access-events": dict(task="word_vectors", system="lapse",
+                          telemetry=True),
+    "postponing-access-events": dict(
+        system="nups", telemetry=True,
+        factory=_nups_factory(scheme_override="sample_reuse_postponing")),
 }
 
 
-@pytest.mark.parametrize("condition", sorted(SAMPLING_FALLBACKS))
-def test_sampling_round_falls_back_to_sequential(condition):
-    """Each fallback condition keeps the per-call path (``pull``/``push``
-    reach the PS) and leaves results identical to the sequential backend."""
-    kwargs = dict(task="kge", system="nups", epochs=1)
-    kwargs.update(SAMPLING_FALLBACKS[condition])
-    task, system = kwargs.pop("task"), kwargs.pop("system")
-    fused = _experiment(task, system, "fused", **kwargs)
-    sequential = _experiment(task, system, "sequential", **kwargs)
-    _assert_results_identical(fused, sequential)
-    assert fused.calls["pull"] > 0 and fused.calls["push"] > 0
-    assert fused.calls == sequential.calls
+@pytest.mark.parametrize("condition", sorted(SAMPLING_CUT_FOLDS))
+def test_sampling_round_with_a_cut_fold_matches_the_oracle(condition):
+    cell = dict(SAMPLING_CUT_FOLDS[condition])
+    _check_cut_fold(cell.pop("task", "kge"), cell)
+
+
+#: Per architecture, the access event each call kind records under an
+#: access-level tracer: ``pull``, ``pull_sample``, ``push``, ``push_sample``
+#: (``None``: no event). Sampling is direct access but on integrated NuPS.
+ACCESS_EVENTS = {
+    **{name: ("pull", "pull", "push", "push")
+       for name in ("single-node", "classic", "relocation", "ssp-s1",
+                    "essp-s1", "nups-not-integrated")},
+    "nups": ("pull", None, "push", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCESS_EVENTS))
+def test_each_call_kind_records_its_access_event(name):
+    """A chunk of one call of each kind records, per call, the event of
+    :data:`ACCESS_EVENTS` at the clock where the call starts; the same
+    calls issued one by one through the PS API record the same events."""
+    traced = []
+    for chunked in (True, False):
+        cluster = _cluster(num_nodes=1 if name == "single-node" else 3)
+        cluster.tracer = Tracer(TelemetryConfig(access_events=True))
+        store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
+        ps = _sampling_ps_builders()[name](store, cluster)
+        distribution_id = ps.register_distribution(UniformDistribution(0, 60),
+                                                   ConformityLevel.BOUNDED)
+        worker = cluster.worker(0, 0)
+        handle = ps.prepare_sample(worker, distribution_id, 3)
+        direct = np.array([5, 90], dtype=np.int64)
+        deltas = np.ones((5, VALUE_LENGTH), dtype=np.float32)
+        starts = []
+        if chunked:
+            charger = ps.direct_point_charger(distribution_id)
+            keys = np.concatenate([direct, charger.take_samples(handle)])
+            calls = point_calls([2], [3], [1e-6])
+            charger.charge_chunk(worker, keys, calls)
+            charger.finish()
+        else:
+            for call in ("pull", "pull_sample", "push", "push_sample"):
+                starts.append(worker.clock.now)
+                if call == "pull":
+                    ps.pull(worker, direct)
+                elif call == "pull_sample":
+                    sampled = ps.pull_sample(worker, handle, 3).keys
+                elif call == "push":
+                    ps.push(worker, direct, deltas[:2])
+                else:
+                    ps.push_sample(worker, sampled, deltas[2:])
+            worker.charge_compute(1e-6)
+        traced.append([(event["name"], event["sim_time"],
+                        event["attrs"]["keys"])
+                       for event in cluster.tracer.events
+                       if event["cat"] == "access"])
+    wanted = [(kind, start, width) for kind, start, width in zip(
+        ACCESS_EVENTS[name], starts, (2, 3, 2, 3)) if kind is not None]
+    assert traced == [wanted, wanted]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES_BY_NAME) + ["not-integrated"])
+def test_every_nups_sampling_scheme_replays_against_the_oracle(scheme):
+    """NuPS's fold charger serves every sampling scheme, and sampling that
+    is not integrated: a traced KGE round equals the oracle's."""
+    if scheme == "not-integrated":
+        cell = dict(system="relocation+replication")
+    else:
+        cell = dict(system="nups",
+                    factory=_nups_factory(scheme_override=scheme))
+    _check_cut_fold("kge", dict(cell, telemetry=True))
 
 
 #: Sampling whose keys are chosen at pull time (local sampling, direct-access
@@ -1274,12 +1373,12 @@ def _proxied_world(condition, task_name="matrix_factorization",
 
 @pytest.mark.parametrize("condition", ["partition-live", "node-down"])
 def test_fault_proxy_gate_conditions_keep_the_per_call_path(condition):
-    """While a gate of the interposer can fire it hands out no charger, and
-    a round asked of the task runs call by call through the gates, exactly
-    like the per-call oracle."""
+    """While a gate of the interposer can fire it hands out its per-call
+    charger, and a round asked of the task runs call by call through the
+    gates, exactly like the per-call oracle."""
     task, cluster, proxy, items, pulls = _proxied_world(condition)
-    assert proxy.direct_point_charger() is None
-    assert proxy.direct_point_charger(0) is None
+    assert type(proxy.direct_point_charger()) is PerCallCharger
+    assert type(proxy.direct_point_charger(0)) is PerCallCharger
     task.process_round(proxy, items)
     assert len(pulls) == sum(len(item.chunk) for item in items) > 0
 
@@ -1320,38 +1419,15 @@ def test_planned_removal_behind_the_interposer_replays(task_name, system):
     _assert_ps_state_identical(proxy, twin_proxy)
 
 
-def test_only_postponing_keeps_sampling_on_the_per_call_path():
-    """NuPS hands out its fold charger for every scheme but postponing, and
-    without integrated sampling."""
-    cluster = _cluster()
-
-    def answers(**kwargs):
-        ps = NuPS(ParameterStore(NUM_KEYS, VALUE_LENGTH), cluster, seed=0,
-                  **kwargs)
-        distribution_id = ps.register_distribution(
-            UniformDistribution(0, 60), ConformityLevel.CONFORM)
-        return ps.direct_point_charger(distribution_id) is not None
-
-    folds = {name: answers(sampling_config=SamplingConfig(
-        scheme_override=name)) for name in SCHEMES_BY_NAME}
-    folds["not-integrated"] = answers(integrate_sampling=False)
-    assert folds == {
-        "independent": True,
-        "sample_reuse": True,
-        "sample_reuse_postponing": False,
-        "local": True,
-        "direct_access_repurposing": True,
-        "not-integrated": True,
-    }
-
-
-def _pull_time_chunks(scheme_override, chunks, fold, between=None):
+def _pull_time_chunks(scheme_override, chunks, fold, between=None,
+                      after_prepare=None):
     """Node 0's worker runs ``chunks`` — each a list of points ``(direct
     keys, sample count)`` — on a two-node NuPS whose samples come from
     ``scheme_override``, through the fold charger or call by call on the
-    scalar oracle; ``between(ps, cluster)`` runs before the second chunk.
-    Returns the cluster, the PS, the sample keys per point and the values
-    each point read."""
+    scalar oracle; ``between(ps, cluster)`` runs before the second chunk,
+    ``after_prepare(ps, cluster, handle)`` after each chunk's
+    ``prepare_sample``. Returns the cluster, the PS, the sample keys per
+    point and the values each point read."""
     cluster = _cluster(num_nodes=2, workers_per_node=1)
     store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=2, init_scale=0.1)
     ps = NuPS(store, cluster,
@@ -1373,8 +1449,10 @@ def _pull_time_chunks(scheme_override, chunks, fold, between=None):
                   for point, (direct, n_sample) in enumerate(points)]
         if fold:
             charger = ps.direct_point_charger(distribution_id)
-            samples = charger.take_samples(
-                ps.prepare_sample(worker, distribution_id, total))
+            handle = ps.prepare_sample(worker, distribution_id, total)
+            if after_prepare is not None:
+                after_prepare(ps, cluster, handle)
+            samples = charger.take_samples(handle)
             assert (samples == -1).all()  # selected by charge_chunk
             keys, taken = [], 0
             for direct, n_sample in points:
@@ -1395,6 +1473,8 @@ def _pull_time_chunks(scheme_override, chunks, fold, between=None):
             charger.finish()
         else:
             stream = SampleStream(ps, worker, distribution_id, total)
+            if after_prepare is not None:
+                after_prepare(ps, cluster, stream._handle)
             for (direct, n_sample), point_deltas in zip(points, deltas):
                 direct = np.asarray(direct, dtype=np.int64)
                 pulled = ps.pull(worker, direct)
@@ -1476,6 +1556,45 @@ def test_repurposing_samples_a_key_the_same_chunk_pulled_directly():
     sampled = fold_run[2]
     assert sampled[1] == [10] * 4  # only key 10 is in the support yet
     assert 33 in sampled[2] + sampled[3]
+
+
+def test_a_postponement_mid_chunk_follows_the_calls_before_it():
+    """Between node 0's ``prepare_sample`` and its chunk, node 1 relocates
+    the handle's second key away; the chunk's first point pulls that key
+    directly, remotely, and then its sample pull postpones the key, which
+    re-localizes it: the point's push and every later call find it on its
+    way back to node 0. The fold charges the calls before each postponing
+    sample pull first, so clocks, counters, ownership, arrival times and
+    the delivered order equal the per-call oracle's."""
+    prepared = []
+    _pull_time_chunks(
+        "sample_reuse_postponing", [[([70], 8)]], fold=True,
+        after_prepare=lambda ps, cluster, handle: prepared.extend(
+            handle.peek(8).tolist()))
+    key = prepared[1]
+    assert key not in (1, 2, 50)  # relocated, not replicated
+    appended = []
+
+    def steal(ps, cluster, handle):
+        ps.localize(cluster.worker(1, 0), np.array([key]))
+        append_back = handle.append_back
+        handle.append_back = lambda k: (appended.append(k), append_back(k))
+
+    chunks = [[([key, 71], 4), ([72], 4)]]
+    fold_run = _pull_time_chunks("sample_reuse_postponing", chunks,
+                                 fold=True, after_prepare=steal)
+    assert appended == [key]
+    call_run = _pull_time_chunks("sample_reuse_postponing", chunks,
+                                 fold=False, after_prepare=steal)
+    assert appended == [key, key]
+    _assert_pull_time_twins_identical(fold_run, call_run)
+    order = [prepared[0]] + prepared[2:] + [key]
+    assert fold_run[2] == [order[:4], order[4:]]
+    metrics = fold_run[0].metrics
+    # The key is pulled from node 1 (as are 71 and 72) and pushed locally.
+    assert metrics.get("access.pull.remote") == 3
+    assert metrics.get("access.push.local") == 1
+    assert metrics.get("relocation.sampling") == 1
 
 
 class _BadSamples(UniformDistribution):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ml.task import TrainingTask
+from repro.ml.task import RoundWorkItem, TrainingTask
 from repro.ps.rounds import PUSH
 from repro.ps.storage import ParameterStore
 from repro.runner.config import ExperimentConfig
@@ -173,6 +173,7 @@ class TestCachedDatasetsReadOnly:
             worker = cluster.worker(0, 0)
             chunk = np.arange(min(16, task.num_data_points()), dtype=np.int64)
             task.prefetch(ps, worker, chunk)
-            assert task.process_chunk(ps, worker, chunk) == len(chunk)
+            task.process_round(ps, [RoundWorkItem(worker, chunk, None)])
+            assert worker.clock.now > 0
             quality = task.evaluate(store)
             assert task.quality_metric in quality
