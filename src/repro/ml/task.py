@@ -165,22 +165,26 @@ class TrainingTask(ABC):
                       items: Sequence[RoundWorkItem]) -> None:
         """Process one scheduling round across all active workers.
 
-        For each worker in order: prefetch the next chunk, step the current
-        chunk over the charger the PS hands out
-        (:meth:`~repro.ps.base.ParameterServer.direct_point_charger`: its
-        fold, or a degraded scenario round's per-call charger), advance the
-        clock. Both chargers are bit-identical to the calls issued one by
-        one; the points of a round chain through shared rows, so values are
-        not batched across points (see :mod:`repro.ps.rounds`).
+        :meth:`process_item` per worker in order, over the PS's fold
+        charger (:meth:`~repro.ps.base.ParameterServer.direct_point_charger`),
+        bit-identical to the calls issued one by one (see
+        :mod:`repro.ps.rounds`). The runner's degraded rounds run
+        :meth:`process_item` over the interposer's per-call charger.
         """
         charger = ps.direct_point_charger(self._distribution_id)
         for item in items:
-            worker = item.worker
-            if item.next_chunk is not None and len(item.next_chunk):
-                self.prefetch(ps, worker, item.next_chunk)
-            self.step_chunk(ps, charger, worker, item.chunk)
-            ps.advance_clock(worker)
+            self.process_item(ps, charger, item)
         charger.finish()
+
+    def process_item(self, ps: ParameterServer, charger,
+                     item: RoundWorkItem) -> None:
+        """One worker's share of a round over ``charger``: prefetch the
+        next chunk, step the current one, advance the clock."""
+        worker = item.worker
+        if item.next_chunk is not None and len(item.next_chunk):
+            self.prefetch(ps, worker, item.next_chunk)
+        self.step_chunk(ps, charger, worker, item.chunk)
+        ps.advance_clock(worker)
 
     def on_epoch_end(self, epoch: int) -> None:
         """Hook called after every epoch (e.g. for learning-rate schedules)."""

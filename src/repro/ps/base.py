@@ -123,15 +123,6 @@ class SampleHandle:
         """Move ``key`` to the end of the handle (used by postponing)."""
         self._tail.append(int(key))
 
-    def checkpoint(self) -> tuple:
-        """The pending keys and the delivery count, for :meth:`rewind`."""
-        return self._keys, self._cursor, tuple(self._tail), self.delivered
-
-    def rewind(self, state: tuple) -> None:
-        """Undo the deliveries since :meth:`checkpoint` (a refused pull)."""
-        self._keys, self._cursor, tail, self.delivered = state
-        self._tail = list(tail)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SampleHandle(id={self.handle_id}, dist={self.distribution_id}, "
@@ -401,15 +392,14 @@ class ParameterServer(ABC):
         keys = self.select_sample(worker, handle, count)
         return PullResult(keys=keys, values=self.pull_keys(worker, keys))
 
-    def pull_keys(self, worker: WorkerContext, keys: np.ndarray,
-                  sampling: bool = True) -> np.ndarray:
+    def pull_keys(self, worker: WorkerContext,
+                  keys: np.ndarray) -> np.ndarray:
         """The values of ``keys``, charged to ``worker`` as one sample pull
-        (``sampling``) or one direct pull; only NuPS tells the two apart."""
+        (a direct pull but on NuPS)."""
         keys = np.asarray(keys, dtype=np.int64)
         if not len(keys):
             return np.empty((0, self.store.value_length), dtype=np.float32)
-        return self._call(worker, keys, PULL_SAMPLE if sampling else PULL) \
-            .read(0, len(keys))
+        return self._call(worker, keys, PULL_SAMPLE).read(0, len(keys))
 
     def push_sample(self, worker: WorkerContext, keys: np.ndarray,
                     deltas: np.ndarray) -> None:

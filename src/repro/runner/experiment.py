@@ -339,10 +339,10 @@ def sequential_process_round(task, ps, cluster, items, state=None) -> None:
 
     Active only while a gate of the scenario's interposer can fire (see
     :meth:`~repro.scenarios.interposer.ScenarioParameterServer.degraded`):
-    each worker's chunk is a round of its own, call by call through the
-    gates, so that a :class:`~repro.faults.errors.DeadOwnerError` drops
-    just that chunk — one round of one worker's lost work — instead of
-    aborting the epoch.
+    each worker's share (``task.process_item``) runs over the interposer's
+    per-call charger, call by call through the gates, so that a
+    :class:`~repro.faults.errors.DeadOwnerError` drops just that chunk —
+    one round of one worker's lost work — instead of aborting the epoch.
 
     A :class:`~repro.faults.errors.PartitionedOwnerError` is admission
     control, not loss: the chunk is re-queued at the back of its worker's
@@ -352,9 +352,10 @@ def sequential_process_round(task, ps, cluster, items, state=None) -> None:
     """
     from repro.faults.errors import DeadOwnerError, PartitionedOwnerError
 
+    charger = ps.direct_point_charger()
     for item in items:
         try:
-            task.process_round(ps, [item])
+            task.process_item(ps, charger, item)
         except PartitionedOwnerError:
             worker = item.worker
             if state is not None:
@@ -366,6 +367,7 @@ def sequential_process_round(task, ps, cluster, items, state=None) -> None:
         except DeadOwnerError:
             cluster.metrics.increment("faults.lost_chunks", 1)
             cluster.metrics.increment("faults.lost_points", len(item.chunk))
+    charger.finish()
 
 
 def _run_epoch(task, ps, cluster, shards, workers, config, runtime=None,

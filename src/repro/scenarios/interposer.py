@@ -29,9 +29,11 @@ outside, gate inside:
     :class:`~repro.faults.errors.PartitionedOwnerError` for the epoch loop to
     defer (admission control), never to drop.
 
-  Both gates see the sampling primitives too: ``pull_sample`` gates the
-  keys the inner PS's scheme selects (``select_sample``) before it pulls
-  them (``pull_keys``), and ``push_sample`` passes the gates like ``push``.
+  Both gates see the sampling primitives too: ``pull_sample`` gates a
+  prepared handle's next pending keys before the inner PS's scheme selects
+  (``select_sample``), so a refused pull changes nothing, and a pull-time
+  handle's selected keys before they are pulled (``pull_keys``);
+  ``push_sample`` passes the gates like ``push``.
   Minority-side sample pulls are not served from the partition snapshot:
   pull-time schemes choose keys and do bookkeeping inside the inner PS.
 
@@ -287,20 +289,14 @@ class ScenarioParameterServer:
 
     def pull_sample(self, worker: WorkerContext, handle: SampleHandle,
                     count=None) -> PullResult:
-        # The gates see the keys the scheme selects for this call; a refused
-        # pull delivers none of them.
-        state = handle.checkpoint()
+        count = handle.remaining if count is None else int(count)
+        pending = handle.peek(count)
+        prepared = len(pending) == count
+        if prepared:
+            self._sample_gate(worker, pending)
         keys = self.inner.select_sample(worker, handle, count)
-        partition = self.partition
-        try:
-            if partition is not None and partition.is_minority(worker.node_id):
-                # Not served from the snapshot: the inner PS delivers.
-                self._dead_owner_gate(worker, keys)
-            else:
-                self._gate(worker, keys)
-        except (DeadOwnerError, PartitionedOwnerError):
-            handle.rewind(state)
-            raise
+        if not prepared:
+            self._sample_gate(worker, keys)
         values = self.inner.pull_keys(worker, keys)
         if self.remapper is not None:
             keys = self.remapper.to_logical(keys)
@@ -325,6 +321,15 @@ class ScenarioParameterServer:
         write(worker, keys, deltas)
         if partition is not None:
             partition.record_majority_writes(keys)
+
+    def _sample_gate(self, worker: WorkerContext, keys) -> None:
+        """A sample pull's gates: not served from the partition snapshot, a
+        minority-side one passes the dead-owner gate alone."""
+        partition = self.partition
+        if partition is not None and partition.is_minority(worker.node_id):
+            self._dead_owner_gate(worker, keys)
+        else:
+            self._gate(worker, keys)
 
     def _gate(self, worker: WorkerContext, keys) -> None:
         """Both gates for a caller that is not on a partition's minority

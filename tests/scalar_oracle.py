@@ -93,7 +93,7 @@ def trace(ps, kind, worker, keys):
                      worker=worker.worker_id, keys=len(keys))
 
 
-def pull_per_call(ps, worker, keys, sampling=False):
+def pull_per_call(ps, worker, keys):
     """``pull`` — and a sample pull, a direct one here — charged by the
     oracle's ``_charge``, values from the store."""
     keys = np.asarray(keys, dtype=np.int64)
@@ -213,19 +213,20 @@ class ScalarNuPS(NuPS):
     _charge_routed_remote = ScalarRelocationPS._charge_routed_remote
 
     def pull(self, worker, keys):
-        return self.pull_keys(worker, keys, sampling=False)
+        keys = np.asarray(keys, dtype=np.int64)
+        trace(self, "pull", worker, keys)
+        return self._pull(worker, keys, sampling=False)
 
     def push(self, worker, keys, deltas):
         self._push(worker, keys, deltas, sampling=False)
 
-    def pull_keys(self, worker, keys, sampling=True):
+    def pull_keys(self, worker, keys):
         """A sample pull is a direct one without integrated sampling, and
         only a direct one records an access event."""
-        keys = np.asarray(keys, dtype=np.int64)
-        sampling = sampling and self.integrate_sampling
-        if not sampling:
-            trace(self, "pull", worker, keys)
-        return self._pull(worker, keys, sampling)
+        if not self.integrate_sampling:
+            return self.pull(worker, keys)
+        return self._pull(worker, np.asarray(keys, dtype=np.int64),
+                          sampling=True)
 
     def push_sample(self, worker, keys, deltas):
         self._push(worker, keys, deltas, sampling=self.integrate_sampling)

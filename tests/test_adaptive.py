@@ -443,9 +443,9 @@ class TestAdaptiveController:
     def test_observer_skips_sampling_access(self, store, cluster):
         ps, controller = _adaptive_nups(store, cluster)
         worker = cluster.worker(0, 0)
-        ps.pull_keys(worker, np.array([60, 61]), sampling=True)
+        ps.pull_keys(worker, np.array([60, 61]))
         assert controller.stats.lifetime_observed == 0
-        ps.pull_keys(worker, np.array([60, 61]), sampling=False)
+        ps.pull(worker, np.array([60, 61]))
         assert controller.stats.lifetime_observed == 2
 
     def test_pull_and_push_feed_the_observer(self, store, cluster):

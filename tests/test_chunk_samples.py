@@ -270,6 +270,18 @@ def test_a_postponed_sample_is_pushed_where_it_was_delivered():
     than ``prepare_sample`` drew; each point's ``add`` goes to the keys its
     sample pull delivered, and the state equals the oracle's per-call
     loop."""
+    _postponed_chunk(per_call=False)
+
+
+def test_a_postponed_sample_is_pushed_where_the_per_call_charger_pulled_it():
+    """The same chunk over the interposer's per-call charger: each point's
+    ``pull_sample`` delivers other keys than ``prepare_sample`` laid out,
+    each ``push_sample`` goes to exactly the keys its pull delivered, and
+    the state equals the oracle's per-call loop."""
+    _postponed_chunk(per_call=True)
+
+
+def _postponed_chunk(per_call):
     cluster, ps, distribution_id, worker = _postponing_world()
     handle = ps.prepare_sample(worker, distribution_id, 8)
     prepared = handle.peek(8)
@@ -277,9 +289,23 @@ def test_a_postponed_sample_is_pushed_where_it_was_delivered():
     appended = []
     append_back = handle.append_back
     handle.append_back = lambda key: (appended.append(key), append_back(key))
-    charger = ps.direct_point_charger(distribution_id)
+    if per_call:
+        pushed = _pushed_sample_keys(ps)
+        pulled = []
+        pull_sample = ps.pull_sample
+
+        def recording_pull(worker, handle, count):
+            result = pull_sample(worker, handle, count)
+            pulled.append(result.keys)
+            return result
+
+        ps.pull_sample = recording_pull
+        charger = PerCallCharger(ps)
+    else:
+        charger = ps.direct_point_charger(distribution_id)
     samples = charger.take_samples(handle)
-    assert samples.tolist() == [-1] * 8 and handle.remaining == 8
+    laid_out = prepared.tolist() if per_call else [-1] * 8
+    assert samples.tolist() == laid_out and handle.remaining == 8
     keys = np.concatenate([DIRECT[0], samples[:4], DIRECT[1], samples[4:]])
     charger.charge_chunk(worker, keys, point_calls([2, 2], [4, 4],
                                                    [0.5, 0.5]))
@@ -289,7 +315,11 @@ def test_a_postponed_sample_is_pushed_where_it_was_delivered():
     charger.finish()
 
     assert appended == [int(prepared[1])] and handle.remaining == 0
-    delivered = np.concatenate([keys[2:6], keys[8:]])
+    if per_call:
+        delivered = np.concatenate(pulled)
+        assert np.concatenate(pushed).tolist() == delivered.tolist()
+    else:
+        delivered = np.concatenate([keys[2:6], keys[8:]])
     assert delivered.tolist() == prepared[[0, 2, 3, 4, 5, 6, 7, 1]].tolist()
 
     # The reference: the same calls, issued by the oracle's per-call loop.

@@ -11,6 +11,7 @@ from repro.core.nups import NuPS
 from repro.core.sampling.conformity import ConformityLevel
 from repro.core.sampling.distributions import UniformDistribution
 from repro.core.sampling.manager import SamplingConfig
+from repro.core.sampling.schemes import SchemeConfig
 from repro.faults import FaultConfig, MembershipController, PartitionedOwnerError
 from repro.ps.base import SampleHandle
 from repro.ps.classic import ClassicPS
@@ -286,7 +287,36 @@ class TestPartitionGuard:
         reads = cluster.metrics.get("access.total")
         with pytest.raises(PartitionedOwnerError):
             proxy.pull_sample(majority_worker, handle, 3)
-        assert handle.remaining == 3  # nothing delivered, nothing read
+        assert cluster.metrics.get("access.total") == reads
+        assert cluster.metrics.get("elastic.partition_rejections") == 1
+
+    def test_a_refused_postponing_pull_postpones_nothing(self):
+        """A prepared handle is gated on its pending keys before the scheme
+        selects: the first pending key of a postponing handle has moved to
+        the minority node 2, so the majority pull is refused before the
+        scheme can postpone that key and relocate it across the partition."""
+        cluster = _cluster(num_nodes=3)
+        store = ParameterStore(NUM_KEYS, VALUE_LENGTH, seed=3, init_scale=0.1)
+        ps = NuPS(store, cluster, plan=ManagementPlan.relocate_all(NUM_KEYS),
+                  sampling_config=SamplingConfig(scheme_config=SchemeConfig(
+                      pool_size=6, use_frequency=2)),
+                  sync_interval=None, seed=0)
+        proxy = ScenarioParameterServer(ps)
+        distribution_id = proxy.register_distribution(
+            UniformDistribution(0, 20), ConformityLevel.LONG_TERM)
+        majority_worker = cluster.worker(0, 0)
+        handle = proxy.prepare_sample(majority_worker, distribution_id, 4)
+        moved = handle.peek(1)
+        ps.localize(cluster.worker(2, 0), moved)
+        assert ps.current_owner.take(moved).tolist() == [2]
+        proxy.partition = PartitionState(ps, [2], now=cluster.time)
+        reads = cluster.metrics.get("access.total")
+        with pytest.raises(PartitionedOwnerError):
+            proxy.pull_sample(majority_worker, handle, 4)
+        assert not getattr(handle, "postponed_once", set())
+        assert handle.remaining == 4 and handle.peek(1).tolist() == \
+            moved.tolist()
+        assert ps.current_owner.take(moved).tolist() == [2]
         assert cluster.metrics.get("access.total") == reads
         assert cluster.metrics.get("elastic.partition_rejections") == 1
 
